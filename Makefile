@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: check vet build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke tier-smoke linkcheck
+.PHONY: check nomaps vet build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke tier-smoke linkcheck
 
 # The full gate: what CI (and a pre-commit) should run.
-check: vet build test racepar
+check: vet nomaps build test racepar
+
+# The translator back end keeps its dataflow facts and allocation state
+# in dense tables indexed by register number (DESIGN.md §7); a map
+# creeping back into opt or codegen is a 4x translate slowdown.
+nomaps:
+	@! grep -n 'map\[' $$(ls internal/opt/*.go internal/codegen/*.go | grep -v _test.go)
 
 vet:
 	$(GO) vet ./...
@@ -55,9 +61,11 @@ cover-fleet:
 	  grep -E 'fleet\.go|fleetpolicy\.go|placement\.go|planner\.go|multivm\.go|total:'
 	rm -f /tmp/tilevm-fleet-cover.out
 
-# Perf trajectory: the microbenchmarks in bench_test.go plus the
-# end-to-end figure-suite timing, and a machine-readable snapshot of
-# the same numbers in BENCH_sim.json via cmd/simbench.
+# Perf trajectory: the microbenchmarks in bench_test.go (including
+# BenchmarkTranslateBlock/tier1 and /tier0 over the 176.gcc block
+# corpus) plus the end-to-end figure-suite timing, and a
+# machine-readable snapshot of the same numbers in BENCH_sim.json via
+# cmd/simbench.
 bench:
 	$(GO) test -run - -bench . -benchmem .
 	$(GO) test -run - -bench 'BenchmarkEventDispatch|BenchmarkAdvanceRecvRoundTrip' -benchmem ./internal/sim
@@ -77,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/core -run - -fuzz FuzzCarveFabric -fuzztime 30s
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 30s
 	$(GO) test ./internal/core -run - -fuzz FuzzQuarantineRecarve -fuzztime 30s
+	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 30s
 
 # Quick fuzz pass for CI: enough to catch a codec regression, short
 # enough to run on every push.
@@ -86,6 +95,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run - -fuzz FuzzCarveFabric -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzQuarantineRecarve -fuzztime 10s
+	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 10s
 
 # End-to-end record/replay smoke: record a faulted rollback run, then
 # verify a full replay reproduces it bit for bit (tilevm exits non-zero

@@ -14,7 +14,6 @@ import (
 	"tilevm/internal/guest"
 	"tilevm/internal/pentium"
 	"tilevm/internal/sim"
-	"tilevm/internal/translate"
 	"tilevm/internal/workload"
 	"tilevm/internal/x86"
 	"tilevm/internal/x86interp"
@@ -49,18 +48,13 @@ func BenchmarkDecodeX86(b *testing.B) {
 	b.ReportMetric(float64(insts)/float64(b.N), "insts/op")
 }
 
-// BenchmarkTranslateBlock measures the full translation pipeline
-// (discover, flag liveness, lower, optimize, register-allocate).
+// BenchmarkTranslateBlock measures translation per block over the
+// 176.gcc block corpus: tier1 is the full pipeline (discover, flag
+// liveness, lower, optimize, register-allocate), tier0 the template
+// path alone.
 func BenchmarkTranslateBlock(b *testing.B) {
-	img := gzipImage()
-	proc := guest.Load(img)
-	tr := translate.New(translate.Options{Optimize: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.TranslateFinal(proc.Mem, img.Entry); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Run("tier1", bench.TranslateBlockBench(false))
+	b.Run("tier0", bench.TranslateBlockBench(true))
 }
 
 // BenchmarkInterpreter measures the reference interpreter in guest

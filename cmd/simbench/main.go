@@ -1,6 +1,7 @@
 // Command simbench records the simulator's performance trajectory: it
 // re-measures the hot-path microbenchmarks (DES event dispatch, the
-// Advance/Recv round trip, the rawexec inner loop, a full machine run)
+// Advance/Recv round trip, the rawexec inner loop, a full machine run,
+// tier-1 and tier-0 translation per block)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline.
@@ -107,6 +108,12 @@ type output struct {
 		MachineGzipNsPerOp      int64   `json:"machine_gzip_ns_per_op"`
 		MachineGzipAllocsPerOp  int64   `json:"machine_gzip_allocs_per_op"`
 		QuickSuiteSerialSeconds float64 `json:"quick_suite_serial_seconds"`
+
+		// MapBackEnd is the parent of the map-free translator back end
+		// (maps for every dataflow fact in opt and codegen), measured
+		// interleaved with the new code on the 2-CPU host that recorded
+		// this file; compare with the micro entries of the same names.
+		MapBackEnd map[string]microResult `json:"map_back_end"`
 	} `json:"pre_pr_baseline"`
 
 	Notes string `json:"notes"`
@@ -241,6 +248,9 @@ func main() {
 		"sim_advance_recv":   bmark(benchAdvanceRecv),
 		"rawexec_inner_loop": bmark(benchRawexecInnerLoop),
 		"machine_run_gzip":   bmark(benchMachineGzip(img)),
+
+		"translate_block_tier1": bmark(bench.TranslateBlockBench(false)),
+		"translate_block_tier0": bmark(bench.TranslateBlockBench(true)),
 	}
 
 	fmt.Fprintln(os.Stderr, "simbench: quick figure suite, serial...")
@@ -330,12 +340,19 @@ func main() {
 	out.PrePR.MachineGzipNsPerOp = 21_200_000
 	out.PrePR.MachineGzipAllocsPerOp = 29_993
 	out.PrePR.QuickSuiteSerialSeconds = 11.66
+	out.PrePR.MapBackEnd = map[string]microResult{
+		"translate_block_tier1": {NsPerOp: 45_050, AllocsPerOp: 53, BytesPerOp: 6_539},
+		"translate_block_tier0": {NsPerOp: 2_380, AllocsPerOp: 18, BytesPerOp: 1_688},
+		"machine_run_gzip":      {NsPerOp: 27_941_477, AllocsPerOp: 16_367, BytesPerOp: 3_329_460},
+	}
 	out.Notes = "pre_pr_baseline measured at the commit before the perf PR on the same host; " +
 		"parallel speedup is bounded by host_cpus (a single-core host cannot exceed 1x " +
 		"regardless of worker count — the parallel path is then validated for determinism, " +
 		"not speed); machine_run_gzip is a single-VM serial run, so the cross-shard send " +
 		"pooling added with the sharded engine does not move its allocs/op — the pooled " +
-		"path only exists in sharded fleet runs (parallel_sim)"
+		"path only exists in sharded fleet runs (parallel_sim); " +
+		"pre_pr_baseline.map_back_end holds the parent of the map-free translator back end, " +
+		"to be read against micro.translate_block_tier1 and micro.machine_run_gzip"
 
 	f, err := os.Create(*outPath)
 	if err != nil {

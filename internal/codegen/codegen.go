@@ -14,6 +14,7 @@ package codegen
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"tilevm/internal/ir"
 	"tilevm/internal/rawisa"
@@ -23,85 +24,45 @@ import (
 // the host has; retry translation with a smaller block.
 var ErrRegPressure = errors.New("codegen: out of host temporary registers")
 
-// tempPool is the set of host registers available for temporaries.
-var tempPool = func() []uint8 {
-	var regs []uint8
-	for r := rawisa.RegTmp0; r <= rawisa.RegTmpN; r++ {
-		regs = append(regs, uint8(r))
-	}
-	return regs
-}()
-
 // NumTemps is the number of allocatable temporary registers.
-var NumTemps = len(tempPool)
+const NumTemps = rawisa.RegTmpN - rawisa.RegTmp0 + 1
 
-// regUses returns the registers an instruction reads.
-func regUses(in rawisa.Inst) (uses [2]uint8, n int) {
-	switch in.Op {
-	case rawisa.NOP, rawisa.LUI, rawisa.SYSC, rawisa.EXITI, rawisa.CHAIN,
-		rawisa.ASSIST, rawisa.J, rawisa.JAL, rawisa.MFHI, rawisa.MFLO:
-		return
-	case rawisa.ADD, rawisa.SUB, rawisa.AND, rawisa.OR, rawisa.XOR,
-		rawisa.NOR, rawisa.SLT, rawisa.SLTU, rawisa.SLL, rawisa.SRL,
-		rawisa.SRA, rawisa.MULT, rawisa.MULTU, rawisa.DIV, rawisa.DIVU,
-		rawisa.BEQ, rawisa.BNE, rawisa.SW,
-		rawisa.GSB, rawisa.GSH, rawisa.GSW:
-		uses[0], uses[1] = in.Rs, in.Rt
-		n = 2
-		return
-	default:
-		// I-format ALU, loads, single-register branches, JR, EXITR.
-		uses[0] = in.Rs
-		n = 1
-		return
-	}
-}
-
-// regDef returns the register an instruction writes, or 0 (the
-// hardwired zero register, meaning "no def").
-func regDef(in rawisa.Inst) uint8 {
-	switch in.Op {
-	case rawisa.LUI, rawisa.ADDI, rawisa.ANDI, rawisa.ORI, rawisa.XORI,
-		rawisa.SLTI, rawisa.SLTIU, rawisa.SLLI, rawisa.SRLI, rawisa.SRAI,
-		rawisa.ADD, rawisa.SUB, rawisa.AND, rawisa.OR, rawisa.XOR,
-		rawisa.NOR, rawisa.SLT, rawisa.SLTU, rawisa.SLL, rawisa.SRL,
-		rawisa.SRA, rawisa.MFHI, rawisa.MFLO, rawisa.LW,
-		rawisa.GLB, rawisa.GLBU, rawisa.GLH, rawisa.GLHU, rawisa.GLW:
-		return in.Rd
-	}
-	return 0
-}
+// tempPool is the set of host registers available for temporaries, as
+// a bit per register number.
+const tempPool uint32 = (1<<NumTemps - 1) << rawisa.RegTmp0
 
 // Finalize allocates registers and resolves labels, returning
 // executable host code. The input block is not modified.
+//
+// Allocation state is dense tables over the uint8 vreg space and a
+// bitmask over the host registers, all on the stack: the translator
+// stays stateless and shareable between slave tiles.
 func Finalize(b *ir.Block) ([]rawisa.Inst, error) {
-	lastUse := make(map[uint8]int)
+	// end[v] is one past the last position that touches vreg v; 0
+	// means v has not been seen. Physical registers get entries too,
+	// which nothing reads.
+	var end [256]int
 	for i, in := range b.Code {
-		uses, n := regUses(in.Inst)
+		uses, n := in.Uses()
 		for k := 0; k < n; k++ {
-			if uses[k] >= ir.FirstVReg {
-				lastUse[uses[k]] = i
-			}
+			end[uses[k]] = i + 1
 		}
 		// A def with no later use still occupies its register at the
 		// defining instruction.
-		if d := regDef(in.Inst); d >= ir.FirstVReg {
-			if _, seen := lastUse[d]; !seen {
-				lastUse[d] = i
-			}
+		if d := in.Def(); end[d] == 0 {
+			end[d] = i + 1
 		}
 	}
 
-	assign := make(map[uint8]uint8) // vreg -> phys
-	var free []uint8
-	free = append(free, tempPool...)
-	inUse := make(map[uint8]uint8) // phys -> vreg
+	var assign [256]uint8           // vreg -> phys; 0 = never assigned
+	var owner [rawisa.NumRegs]uint8 // phys -> vreg, for busy registers
+	free := tempPool
 
 	expire := func(pos int) {
-		for phys, v := range inUse {
-			if lastUse[v] < pos {
-				delete(inUse, phys)
-				free = append(free, phys)
+		for busy := tempPool &^ free; busy != 0; busy &= busy - 1 {
+			phys := bits.TrailingZeros32(busy)
+			if end[owner[phys]] <= pos {
+				free |= 1 << phys
 			}
 		}
 	}
@@ -110,8 +71,8 @@ func Finalize(b *ir.Block) ([]rawisa.Inst, error) {
 		if r < ir.FirstVReg {
 			return r, nil
 		}
-		if phys, ok := assign[r]; ok {
-			if v, busy := inUse[phys]; busy && v == r {
+		if phys := assign[r]; phys != 0 {
+			if free&(1<<phys) == 0 && owner[phys] == r {
 				return phys, nil
 			}
 			// Register was freed and the vreg is being redefined.
@@ -122,20 +83,14 @@ func Finalize(b *ir.Block) ([]rawisa.Inst, error) {
 		if !isDef {
 			return 0, fmt.Errorf("codegen: use of undefined vreg %d at %d", r, pos)
 		}
-		if len(free) == 0 {
+		if free == 0 {
 			return 0, ErrRegPressure
 		}
 		// Deterministic: take the lowest-numbered free register.
-		best := 0
-		for i := range free {
-			if free[i] < free[best] {
-				best = i
-			}
-		}
-		phys := free[best]
-		free = append(free[:best], free[best+1:]...)
+		phys := uint8(bits.TrailingZeros32(free))
+		free &^= 1 << phys
 		assign[r] = phys
-		inUse[phys] = r
+		owner[phys] = r
 		return phys, nil
 	}
 
@@ -143,7 +98,7 @@ func Finalize(b *ir.Block) ([]rawisa.Inst, error) {
 	for i, in := range b.Code {
 		expire(i)
 		host := in.Inst
-		uses, n := regUses(host)
+		uses, n := host.Uses()
 		for k := 0; k < n; k++ {
 			mapped, err := mapReg(uses[k], i, false)
 			if err != nil {
@@ -157,7 +112,7 @@ func Finalize(b *ir.Block) ([]rawisa.Inst, error) {
 		}
 		// Re-fetch non-use fields untouched: for ops where Rs/Rt are not
 		// uses (e.g. MFHI), the loop above did not run for them.
-		if d := regDef(in.Inst); d != 0 {
+		if d := in.Def(); d != 0 {
 			mapped, err := mapReg(d, i, true)
 			if err != nil {
 				return nil, err

@@ -57,7 +57,7 @@ func TestFinalizeReusesRegisters(t *testing.T) {
 	}
 	used := map[uint8]bool{}
 	for _, in := range code {
-		if d := regDef(in); d >= uint8(rawisa.RegTmp0) && d <= uint8(rawisa.RegTmpN) {
+		if d := in.Def(); d >= uint8(rawisa.RegTmp0) && d <= uint8(rawisa.RegTmpN) {
 			used[d] = true
 		}
 	}
@@ -145,5 +145,71 @@ func TestFinalizeDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic allocation at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// liveAtOnce builds n temporaries that are all live at the same point.
+func liveAtOnce(t *testing.T, n int) *ir.Block {
+	return build(t, func(b *ir.Builder) {
+		var regs []uint8
+		for i := 0; i < n; i++ {
+			v := b.VReg()
+			b.LoadImm(v, uint32(i))
+			regs = append(regs, v)
+		}
+		for _, v := range regs {
+			b.Op3(rawisa.ADD, rawisa.RegEAX, rawisa.RegEAX, v)
+		}
+		b.ExitImm(0)
+	})
+}
+
+func TestFinalizePressureBoundary(t *testing.T) {
+	// Exactly the pool fits, handed out lowest register first.
+	code, err := Finalize(liveAtOnce(t, NumTemps))
+	if err != nil {
+		t.Fatalf("%d live temps: %v", NumTemps, err)
+	}
+	for i := 0; i < NumTemps; i++ {
+		if want := uint8(rawisa.RegTmp0 + i); code[i].Rd != want || code[NumTemps+i].Rt != want {
+			t.Errorf("temp %d in r%d (used as r%d), want r%d", i, code[i].Rd, code[NumTemps+i].Rt, want)
+		}
+	}
+	// One more does not.
+	if _, err := Finalize(liveAtOnce(t, NumTemps+1)); !errors.Is(err, ErrRegPressure) {
+		t.Fatalf("%d live temps: err = %v, want ErrRegPressure", NumTemps+1, err)
+	}
+}
+
+func TestFinalizeRedefinedAfterFree(t *testing.T) {
+	// A vreg defined again after its last use has lost its register
+	// (here to w): the new def takes the lowest free one and holds it
+	// for that instruction only. Vreg 255 is the top table index.
+	const v = 255
+	blk := build(t, func(b *ir.Builder) {
+		w, x := b.VReg(), b.VReg()
+		b.LoadImm(v, 1)
+		b.Op3(rawisa.ADD, rawisa.RegEAX, rawisa.RegEAX, v) // last use of v
+		b.LoadImm(w, 2)
+		b.LoadImm(v, 3) // dead redefinition
+		b.Op3(rawisa.ADD, rawisa.RegEBX, rawisa.RegEBX, w)
+		b.LoadImm(x, 4)
+		b.Op3(rawisa.ADD, rawisa.RegECX, rawisa.RegECX, x)
+		b.ExitImm(0)
+	})
+	code, err := Finalize(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0, t1 := uint8(rawisa.RegTmp0), uint8(rawisa.RegTmp0+1)
+	got := [...]uint8{code[0].Rd, code[1].Rt, code[2].Rd, code[3].Rd, code[4].Rt, code[5].Rd, code[6].Rt}
+	if want := [...]uint8{t0, t0, t0, t1, t0, t0, t0}; got != want {
+		t.Errorf("allocation %v, want %v\n%s", got, want, rawisa.Disassemble(code))
+	}
+
+	// Reading a vreg that never had a def is an error.
+	blk.Code[6].Rt = 254
+	if _, err := Finalize(blk); err == nil || errors.Is(err, ErrRegPressure) {
+		t.Errorf("use of undefined vreg: err = %v", err)
 	}
 }

@@ -24,7 +24,7 @@ type archFingerprint struct {
 	StateHash                   uint64
 	ExitCode                    int32
 	Stdout                      string
-	GuestInsts, HostInsts       uint64
+	HostInsts                   uint64
 	BlockDispatches             uint64
 	Syscalls, Assists           uint64
 	L1CLookups, L1CHits         uint64
@@ -38,7 +38,6 @@ func fingerprint(r *Result) archFingerprint {
 		StateHash:        r.StateHash,
 		ExitCode:         r.ExitCode,
 		Stdout:           r.Stdout,
-		GuestInsts:       r.M.GuestInsts,
 		HostInsts:        r.M.HostInsts,
 		BlockDispatches:  r.M.BlockDispatches,
 		Syscalls:         r.M.Syscalls,

@@ -12,7 +12,6 @@ type Set struct {
 	// Execution.
 	BlockDispatches uint64 // dispatch-loop iterations
 	HostInsts       uint64 // host instructions retired on the exec tile
-	GuestInsts      uint64 // guest instructions (from block metadata)
 	Syscalls        uint64
 	Assists         uint64
 

@@ -19,23 +19,18 @@ func isGuestStore(op rawisa.Op) bool { return op.IsGuestStore() }
 // address match is syntactic (same register, not redefined since), so
 // no aliasing reasoning is needed: any intervening store, syscall, or
 // assist invalidates everything.
-func redundantLoads(b *ir.Block) bool {
-	targets := labelTargets(b)
+func redundantLoads(b *ir.Block, targets []bool) bool {
 	type avail struct {
 		op  rawisa.Op // the load op that produced the value
 		val uint8     // register holding the loaded/stored value
 	}
-	table := map[uint8]avail{} // address reg -> available value
+	var table regFacts[avail] // address reg -> available value
 	changed := false
 
-	invalidateAll := func() { table = map[uint8]avail{} }
+	invalidateAll := table.reset
 	invalidateReg := func(r uint8) {
-		delete(table, r)
-		for addr, av := range table {
-			if av.val == r {
-				delete(table, addr)
-			}
-		}
+		table.del(r)
+		table.delIf(func(av avail) bool { return av.val == r })
 	}
 
 	for i := range b.Code {
@@ -45,7 +40,7 @@ func redundantLoads(b *ir.Block) bool {
 		in := &b.Code[i]
 		switch {
 		case isGuestLoad(in.Op):
-			if av, ok := table[in.Rs]; ok && av.op == in.Op && av.val != in.Rd {
+			if av, ok := table.get(in.Rs); ok && av.op == in.Op && av.val != in.Rd {
 				// Same op (size+extension) from the same address.
 				b.Code[i].Inst = rawisa.Inst{Op: rawisa.OR, Rd: in.Rd, Rs: av.val, Rt: 0}
 				changed = true
@@ -57,7 +52,7 @@ func redundantLoads(b *ir.Block) bool {
 			op := in.Op
 			invalidateReg(d)
 			if d != addr {
-				table[addr] = avail{op: op, val: d}
+				table.set(addr, avail{op: op, val: d})
 			}
 			continue
 		case isGuestStore(in.Op):
@@ -66,14 +61,14 @@ func redundantLoads(b *ir.Block) bool {
 			// forwarding, with the op that a matching-size load uses.
 			invalidateAll()
 			if fwd, ok := forwardOp(in.Op); ok && in.Rt != 0 {
-				table[in.Rs] = avail{op: fwd, val: in.Rt}
+				table.set(in.Rs, avail{op: fwd, val: in.Rt})
 			}
 			continue
 		case in.Op == rawisa.SYSC || in.Op == rawisa.ASSIST:
 			invalidateAll()
 			continue
 		}
-		if d := regDef(in.Inst); d != 0 {
+		if d := in.Def(); d != 0 {
 			invalidateReg(d)
 		}
 	}
@@ -97,8 +92,7 @@ func forwardOp(store rawisa.Op) (rawisa.Op, bool) {
 // unit latencies, §4.5). A load may not cross: a label (branch join),
 // a branch, another memory operation, a syscall/assist, a definition
 // of its address register, or any instruction touching its destination.
-func hoistLoads(b *ir.Block) bool {
-	targets := labelTargets(b)
+func hoistLoads(b *ir.Block, targets []bool) bool {
 	changed := false
 	const maxHoist = 6
 
@@ -116,8 +110,8 @@ func hoistLoads(b *ir.Block) bool {
 			if !isPure(prev.Op) || prev.Label != ir.NoLabel {
 				break
 			}
-			uses, n := regUses(prev.Inst)
-			blocked := regDef(prev.Inst) == in.Rs || regDef(prev.Inst) == in.Rd
+			uses, n := prev.Uses()
+			blocked := prev.Def() == in.Rs || prev.Def() == in.Rd
 			for k := 0; k < n && !blocked; k++ {
 				if uses[k] == in.Rd {
 					blocked = true

@@ -108,7 +108,7 @@ func TestHoistLoadsAboveALU(t *testing.T) {
 		b.Op3(rawisa.ADD, rawisa.RegEAX, rawisa.RegEAX, v)
 		b.ExitImm(0)
 	})
-	hoistLoads(blk)
+	hoistLoads(blk, labelTargets(blk, make([]bool, len(blk.Code)+1)))
 	if !blk.Code[0].Op.IsGuestLoad() {
 		t.Errorf("load not hoisted to the top:\n%s", blk.String())
 	}
@@ -126,7 +126,7 @@ func TestHoistStopsAtDependency(t *testing.T) {
 		b.Op3(rawisa.ADD, rawisa.RegEAX, rawisa.RegEAX, v)
 		b.ExitImm(0)
 	})
-	hoistLoads(blk)
+	hoistLoads(blk, labelTargets(blk, make([]bool, len(blk.Code)+1)))
 	if blk.Code[0].Op.IsGuestLoad() {
 		t.Errorf("load hoisted above its address computation:\n%s", blk.String())
 	}
@@ -145,7 +145,7 @@ func TestHoistStopsAtLabel(t *testing.T) {
 		b.ExitImm(0)
 	})
 	labelPos := blk.LabelPos[0]
-	hoistLoads(blk)
+	hoistLoads(blk, labelTargets(blk, make([]bool, len(blk.Code)+1)))
 	// The load may rise to the label position but not above it.
 	for i := 0; i < labelPos; i++ {
 		if blk.Code[i].Op.IsGuestLoad() {

@@ -19,28 +19,84 @@ import (
 // most a few iterations; bounded for safety), then hoists loads once
 // to hide load-use latency.
 func Run(b *ir.Block) {
+	targets := labelTargets(b, make([]bool, len(b.Code)+1))
+	scratch := make([]int, len(b.Code)+1) // deadCode's position map
 	for i := 0; i < 4; i++ {
-		changed := constFold(b)
-		changed = copyProp(b) || changed
-		changed = redundantLoads(b) || changed
-		changed = deadCode(b) || changed
+		changed := constFold(b, targets)
+		changed = copyProp(b, targets) || changed
+		changed = redundantLoads(b, targets) || changed
+		changed = deadCode(b, targets, scratch) || changed
 		if !changed {
 			break
 		}
 	}
-	hoistLoads(b)
+	hoistLoads(b, targets)
 }
 
-// labelTargets returns the set of instruction indices that are branch
-// targets (join points where dataflow facts must be dropped).
-func labelTargets(b *ir.Block) map[int]bool {
-	t := map[int]bool{}
+// labelTargets marks in t (len > len(b.Code)) the instruction indices
+// that are branch targets: join points where dataflow facts must be
+// dropped. Computed once per Run; deadCode re-marks it when it moves
+// labels.
+func labelTargets(b *ir.Block, t []bool) []bool {
+	clear(t)
 	for _, pos := range b.LabelPos {
 		if pos >= 0 {
 			t[pos] = true
 		}
 	}
 	return t
+}
+
+// regFacts is one pass's dataflow facts keyed by register: a dense
+// table over the whole uint8 register space (so every register number
+// is a valid index and no fact can be lost to a collision) plus the
+// list of registers that currently hold a fact, so dropping everything
+// at a join, or everything that mentions a register, costs O(facts
+// held) rather than O(256).
+type regFacts[T any] struct {
+	val  [256]T
+	has  [256]bool
+	pos  [256]uint8 // index of r in live, valid iff has[r]
+	live [256]uint8
+	n    int
+}
+
+func (f *regFacts[T]) get(r uint8) (T, bool) { return f.val[r], f.has[r] }
+
+func (f *regFacts[T]) set(r uint8, v T) {
+	if !f.has[r] {
+		f.has[r], f.pos[r], f.live[f.n] = true, uint8(f.n), r
+		f.n++
+	}
+	f.val[r] = v
+}
+
+func (f *regFacts[T]) del(r uint8) {
+	if !f.has[r] {
+		return
+	}
+	f.n--
+	last := f.live[f.n]
+	f.live[f.pos[r]], f.pos[last] = last, f.pos[r]
+	f.has[r] = false
+}
+
+// delIf drops every fact whose value matches.
+func (f *regFacts[T]) delIf(match func(T) bool) {
+	for i := 0; i < f.n; {
+		if r := f.live[i]; match(f.val[r]) {
+			f.del(r) // moves the last live register into slot i
+		} else {
+			i++
+		}
+	}
+}
+
+func (f *regFacts[T]) reset() {
+	for _, r := range f.live[:f.n] {
+		f.has[r] = false
+	}
+	f.n = 0
 }
 
 // isPure reports whether an op has no effect beyond writing Rd.
@@ -54,38 +110,4 @@ func isPure(op rawisa.Op) bool {
 		return true
 	}
 	return false
-}
-
-// regUses mirrors codegen's use model.
-func regUses(in rawisa.Inst) (uses [2]uint8, n int) {
-	switch in.Op {
-	case rawisa.NOP, rawisa.LUI, rawisa.SYSC, rawisa.EXITI, rawisa.CHAIN,
-		rawisa.ASSIST, rawisa.J, rawisa.JAL, rawisa.MFHI, rawisa.MFLO:
-		return
-	case rawisa.ADD, rawisa.SUB, rawisa.AND, rawisa.OR, rawisa.XOR,
-		rawisa.NOR, rawisa.SLT, rawisa.SLTU, rawisa.SLL, rawisa.SRL,
-		rawisa.SRA, rawisa.MULT, rawisa.MULTU, rawisa.DIV, rawisa.DIVU,
-		rawisa.BEQ, rawisa.BNE, rawisa.SW,
-		rawisa.GSB, rawisa.GSH, rawisa.GSW:
-		uses[0], uses[1] = in.Rs, in.Rt
-		n = 2
-		return
-	default:
-		uses[0] = in.Rs
-		n = 1
-		return
-	}
-}
-
-func regDef(in rawisa.Inst) uint8 {
-	switch in.Op {
-	case rawisa.LUI, rawisa.ADDI, rawisa.ANDI, rawisa.ORI, rawisa.XORI,
-		rawisa.SLTI, rawisa.SLTIU, rawisa.SLLI, rawisa.SRLI, rawisa.SRAI,
-		rawisa.ADD, rawisa.SUB, rawisa.AND, rawisa.OR, rawisa.XOR,
-		rawisa.NOR, rawisa.SLT, rawisa.SLTU, rawisa.SLL, rawisa.SRL,
-		rawisa.SRA, rawisa.MFHI, rawisa.MFLO, rawisa.LW,
-		rawisa.GLB, rawisa.GLBU, rawisa.GLH, rawisa.GLHU, rawisa.GLW:
-		return in.Rd
-	}
-	return 0
 }

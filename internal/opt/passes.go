@@ -10,19 +10,18 @@ import (
 // loads (LUI/ORI pairs are re-formed by later simplification in the
 // builder idiom: we emit ADDI-from-zero for small values and keep
 // LUI+ORI shapes otherwise). Facts are dropped at branch targets.
-func constFold(b *ir.Block) bool {
-	targets := labelTargets(b)
-	known := map[uint8]uint32{0: 0} // register -> constant
+func constFold(b *ir.Block, targets []bool) bool {
+	var known regFacts[uint32] // register -> constant
+	known.set(0, 0)
 	changed := false
 
 	fold := func(in rawisa.Inst) (uint32, bool) {
-		val := func(r uint8) (uint32, bool) { v, ok := known[r]; return v, ok }
 		switch in.Op {
 		case rawisa.LUI:
 			return uint32(in.Imm) << 16, true
 		case rawisa.ADDI, rawisa.ANDI, rawisa.ORI, rawisa.XORI,
 			rawisa.SLTI, rawisa.SLTIU, rawisa.SLLI, rawisa.SRLI, rawisa.SRAI:
-			a, ok := val(in.Rs)
+			a, ok := known.get(in.Rs)
 			if !ok {
 				return 0, false
 			}
@@ -54,8 +53,8 @@ func constFold(b *ir.Block) bool {
 			}
 		case rawisa.ADD, rawisa.SUB, rawisa.AND, rawisa.OR, rawisa.XOR,
 			rawisa.NOR, rawisa.SLT, rawisa.SLTU, rawisa.SLL, rawisa.SRL, rawisa.SRA:
-			a, okA := val(in.Rs)
-			bv, okB := val(in.Rt)
+			a, okA := known.get(in.Rs)
+			bv, okB := known.get(in.Rt)
 			if !okA || !okB {
 				return 0, false
 			}
@@ -95,13 +94,14 @@ func constFold(b *ir.Block) bool {
 
 	for i := range b.Code {
 		if targets[i] {
-			known = map[uint8]uint32{0: 0}
+			known.reset()
+			known.set(0, 0)
 		}
 		in := &b.Code[i]
-		d := regDef(in.Inst)
+		d := in.Def()
 		if isPure(in.Op) && d != 0 {
 			if v, ok := fold(in.Inst); ok {
-				known[d] = v
+				known.set(d, v)
 				// Rewrite to the canonical constant-load shape when it
 				// saves or simplifies.
 				if rawisa.FitsSImm(int32(v)) && (in.Op != rawisa.ADDI || in.Rs != 0) {
@@ -113,21 +113,21 @@ func constFold(b *ir.Block) bool {
 		}
 		// Strength-reduce reg-reg ops with one constant operand into
 		// immediate forms.
-		if imm, ok := immForm(in.Inst, known); ok {
+		if imm, ok := immForm(in.Inst, &known); ok {
 			in.Inst = imm
 			changed = true
 		}
 		if d != 0 {
-			delete(known, d)
+			known.del(d)
 			if v, ok := fold(in.Inst); ok && isPure(in.Op) {
-				known[d] = v
+				known.set(d, v)
 			}
 		}
 		if in.Op == rawisa.SYSC || in.Op == rawisa.ASSIST {
 			// Syscalls and interpreter assists read and write the
 			// pinned guest registers implicitly.
 			for r := uint8(1); r < ir.FirstVReg; r++ {
-				delete(known, r)
+				known.del(r)
 			}
 		}
 		// HI/LO clobbers don't affect the register constant map.
@@ -137,21 +137,23 @@ func constFold(b *ir.Block) bool {
 
 // immForm rewrites a reg-reg ALU op whose Rt (or commutable Rs) is a
 // known small constant into the immediate form.
-func immForm(in rawisa.Inst, known map[uint8]uint32) (rawisa.Inst, bool) {
-	type rule struct {
-		immOp rawisa.Op
-		comm  bool
-	}
-	rules := map[rawisa.Op]rule{
-		rawisa.ADD:  {rawisa.ADDI, true},
-		rawisa.AND:  {rawisa.ANDI, true},
-		rawisa.OR:   {rawisa.ORI, true},
-		rawisa.XOR:  {rawisa.XORI, true},
-		rawisa.SLT:  {rawisa.SLTI, false},
-		rawisa.SLTU: {rawisa.SLTIU, false},
-	}
-	r, ok := rules[in.Op]
-	if !ok {
+func immForm(in rawisa.Inst, known *regFacts[uint32]) (rawisa.Inst, bool) {
+	var immOp rawisa.Op
+	comm := true
+	switch in.Op {
+	case rawisa.ADD:
+		immOp = rawisa.ADDI
+	case rawisa.AND:
+		immOp = rawisa.ANDI
+	case rawisa.OR:
+		immOp = rawisa.ORI
+	case rawisa.XOR:
+		immOp = rawisa.XORI
+	case rawisa.SLT:
+		immOp, comm = rawisa.SLTI, false
+	case rawisa.SLTU:
+		immOp, comm = rawisa.SLTIU, false
+	default:
 		return in, false
 	}
 	fits := func(op rawisa.Op, v uint32) bool {
@@ -162,12 +164,12 @@ func immForm(in rawisa.Inst, known map[uint8]uint32) (rawisa.Inst, bool) {
 			return rawisa.FitsSImm(int32(v))
 		}
 	}
-	if v, ok := known[in.Rt]; ok && in.Rt != 0 && fits(r.immOp, v) {
-		return rawisa.Inst{Op: r.immOp, Rd: in.Rd, Rs: in.Rs, Imm: int32(v)}, true
+	if v, ok := known.get(in.Rt); ok && in.Rt != 0 && fits(immOp, v) {
+		return rawisa.Inst{Op: immOp, Rd: in.Rd, Rs: in.Rs, Imm: int32(v)}, true
 	}
-	if r.comm {
-		if v, ok := known[in.Rs]; ok && in.Rs != 0 && fits(r.immOp, v) {
-			return rawisa.Inst{Op: r.immOp, Rd: in.Rd, Rs: in.Rt, Imm: int32(v)}, true
+	if comm {
+		if v, ok := known.get(in.Rs); ok && in.Rs != 0 && fits(immOp, v) {
+			return rawisa.Inst{Op: immOp, Rd: in.Rd, Rs: in.Rt, Imm: int32(v)}, true
 		}
 	}
 	return in, false
@@ -178,22 +180,17 @@ func immForm(in rawisa.Inst, known map[uint8]uint32) (rawisa.Inst, bool) {
 // `ADDI rd, rs, 0` are tracked; facts drop at branch targets and when
 // either side is redefined. Physical guest registers are never
 // rewritten as destinations.
-func copyProp(b *ir.Block) bool {
-	targets := labelTargets(b)
-	alias := map[uint8]uint8{} // reg -> source it copies
+func copyProp(b *ir.Block, targets []bool) bool {
+	var alias regFacts[uint8] // reg -> source it copies
 	changed := false
 
 	invalidate := func(r uint8) {
-		delete(alias, r)
-		for k, v := range alias {
-			if v == r {
-				delete(alias, k)
-			}
-		}
+		alias.del(r)
+		alias.delIf(func(src uint8) bool { return src == r })
 	}
 
 	resolve := func(r uint8) uint8 {
-		if src, ok := alias[r]; ok {
+		if src, ok := alias.get(r); ok {
 			return src
 		}
 		return r
@@ -201,11 +198,11 @@ func copyProp(b *ir.Block) bool {
 
 	for i := range b.Code {
 		if targets[i] {
-			alias = map[uint8]uint8{}
+			alias.reset()
 		}
 		in := &b.Code[i]
 		// Rewrite uses.
-		uses, n := regUses(in.Inst)
+		uses, n := in.Uses()
 		for k := 0; k < n; k++ {
 			if src := resolve(uses[k]); src != uses[k] {
 				if k == 0 {
@@ -216,13 +213,13 @@ func copyProp(b *ir.Block) bool {
 				changed = true
 			}
 		}
-		d := regDef(in.Inst)
+		d := in.Def()
 		if d != 0 {
 			invalidate(d)
 			isCopy := (in.Op == rawisa.OR && in.Rt == 0) ||
 				(in.Op == rawisa.ADDI && in.Imm == 0)
 			if isCopy && in.Rs != d && in.Rs != 0 {
-				alias[d] = resolve(in.Rs)
+				alias.set(d, resolve(in.Rs))
 			}
 		}
 		if in.Op == rawisa.SYSC || in.Op == rawisa.ASSIST {
@@ -236,61 +233,58 @@ func copyProp(b *ir.Block) bool {
 
 // deadCode removes pure instructions whose destination vreg is never
 // subsequently read. Physical registers are always considered live
-// (guest state flows out of the block). Label positions are remapped
-// after removal.
-func deadCode(b *ir.Block) bool {
+// (guest state flows out of the block). Label positions, and with them
+// targets, are remapped after removal. scratch holds at least
+// len(b.Code)+1 entries.
+func deadCode(b *ir.Block, targets []bool, scratch []int) bool {
 	n := len(b.Code)
-	liveV := make(map[uint8]bool)
-	keep := make([]bool, n)
+	var liveV [256]bool
+	newPos := scratch[:n+1] // first 1 = kept, 0 = dead; then old index -> new index
+	removed := 0
 
 	for i := n - 1; i >= 0; i-- {
 		in := b.Code[i]
-		d := regDef(in.Inst)
+		d := in.Def()
 		dead := isPure(in.Op) && d >= ir.FirstVReg && !liveV[d]
 		if in.Op == rawisa.NOP {
 			dead = true
 		}
 		if dead {
+			newPos[i] = 0
+			removed++
 			continue
 		}
-		keep[i] = true
+		newPos[i] = 1
 		// Note: a kept def does NOT clear liveness. With forward
 		// branches a def can be skipped at runtime, so an earlier def
 		// of the same vreg may still reach a later use on the branch
 		// path; never killing at defs keeps the analysis sound at the
 		// cost of retaining the occasional doubly-defined temp.
-		uses, un := regUses(in.Inst)
+		uses, un := in.Uses()
 		for k := 0; k < un; k++ {
-			if uses[k] >= ir.FirstVReg {
-				liveV[uses[k]] = true
-			}
+			liveV[uses[k]] = true
 		}
 	}
-
-	removed := 0
-	newPos := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		newPos[i] = i - removed
-		if !keep[i] {
-			removed++
-		}
-	}
-	newPos[n] = n - removed
 	if removed == 0 {
 		return false
 	}
 
-	out := b.Code[:0]
-	for i, in := range b.Code {
-		if keep[i] {
-			out = append(out, in)
+	kept := 0
+	for i := 0; i < n; i++ {
+		k := newPos[i]
+		newPos[i] = kept // new position of i, or of the next survivor
+		if k == 1 {
+			b.Code[kept] = b.Code[i]
+			kept++
 		}
 	}
-	b.Code = out
-	for li, pos := range b.LabelPos {
-		if pos >= 0 {
-			b.LabelPos[li] = newPos[pos]
+	newPos[n] = kept
+	b.Code = b.Code[:kept]
+	for li, p := range b.LabelPos {
+		if p >= 0 {
+			b.LabelPos[li] = newPos[p]
 		}
 	}
+	labelTargets(b, targets)
 	return true
 }

@@ -210,6 +210,39 @@ func (i Inst) IsBlockEnd() bool {
 	return false
 }
 
+// Uses returns the registers the instruction reads explicitly (the
+// pinned guest registers SYSC and ASSIST touch implicitly are not
+// listed). This and Def are the one use/def model shared by the
+// optimizer and the register allocator.
+func (i Inst) Uses() (uses [2]uint8, n int) {
+	switch i.Op {
+	case NOP, LUI, SYSC, EXITI, CHAIN, ASSIST, J, JAL, MFHI, MFLO:
+		return
+	case ADD, SUB, AND, OR, XOR, NOR, SLT, SLTU, SLL, SRL, SRA,
+		MULT, MULTU, DIV, DIVU, BEQ, BNE, SW, GSB, GSH, GSW:
+		uses[0], uses[1] = i.Rs, i.Rt
+		n = 2
+		return
+	default:
+		// I-format ALU, loads, single-register branches, JR, EXITR.
+		uses[0] = i.Rs
+		n = 1
+		return
+	}
+}
+
+// Def returns the register the instruction writes, or 0 (the hardwired
+// zero register, meaning "no def").
+func (i Inst) Def() uint8 {
+	switch i.Op {
+	case LUI, ADDI, ANDI, ORI, XORI, SLTI, SLTIU, SLLI, SRLI, SRAI,
+		ADD, SUB, AND, OR, XOR, NOR, SLT, SLTU, SLL, SRL, SRA,
+		MFHI, MFLO, LW, GLB, GLBU, GLH, GLHU, GLW:
+		return i.Rd
+	}
+	return 0
+}
+
 // IsGuestLoad reports whether the op reads guest memory.
 func (o Op) IsGuestLoad() bool {
 	switch o {

@@ -197,3 +197,46 @@ func TestImmSignConventionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUseDefCoversEveryOp walks the whole opcode space against an
+// explicit expectation, so a new opcode cannot reach the optimizer and
+// the register allocator through the switch defaults of Uses/Def
+// without someone deciding what it reads and writes.
+func TestUseDefCoversEveryOp(t *testing.T) {
+	type ud struct {
+		uses int  // 0: none, 1: Rs, 2: Rs and Rt
+		def  bool // writes Rd
+	}
+	want := map[Op]ud{
+		NOP: {0, false}, LUI: {0, true},
+		ADDI: {1, true}, ANDI: {1, true}, ORI: {1, true}, XORI: {1, true},
+		SLTI: {1, true}, SLTIU: {1, true}, SLLI: {1, true}, SRLI: {1, true}, SRAI: {1, true},
+		ADD: {2, true}, SUB: {2, true}, AND: {2, true}, OR: {2, true}, XOR: {2, true},
+		NOR: {2, true}, SLT: {2, true}, SLTU: {2, true}, SLL: {2, true}, SRL: {2, true}, SRA: {2, true},
+		MULT: {2, false}, MULTU: {2, false}, DIV: {2, false}, DIVU: {2, false},
+		MFHI: {0, true}, MFLO: {0, true},
+		LW: {1, true}, SW: {2, false},
+		BEQ: {2, false}, BNE: {2, false},
+		BLEZ: {1, false}, BGTZ: {1, false}, BLTZ: {1, false}, BGEZ: {1, false},
+		J: {0, false}, JAL: {0, false}, JR: {1, false},
+		GLB: {1, true}, GLBU: {1, true}, GLH: {1, true}, GLHU: {1, true}, GLW: {1, true},
+		GSB: {2, false}, GSH: {2, false}, GSW: {2, false},
+		SYSC: {0, false}, EXITI: {0, false}, EXITR: {1, false}, CHAIN: {0, false},
+		ASSIST: {0, false},
+	}
+	for op := Op(0); op < numOps; op++ {
+		w, ok := want[op]
+		if !ok {
+			t.Errorf("%v: no use/def expectation; classify it in Inst.Uses/Def and here", op)
+			continue
+		}
+		in := Inst{Op: op, Rd: 11, Rs: 12, Rt: 13}
+		uses, n := in.Uses()
+		if n != w.uses || (n >= 1 && uses[0] != 12) || (n == 2 && uses[1] != 13) {
+			t.Errorf("%v: Uses() = %v,%d, want %d of (Rs, Rt)", op, uses, n, w.uses)
+		}
+		if d := in.Def(); (d != 0) != w.def || (w.def && d != 11) {
+			t.Errorf("%v: Def() = %d, want def=%v", op, d, w.def)
+		}
+	}
+}

@@ -2,8 +2,9 @@
 // the headline simulator benchmarks (the machine_run_gzip micro, the
 // serial quick figure suite, the quick fleet fault-tolerance sweep,
 // and the sharded-engine parallel_sim fleet) and compares them against
-// the recorded trajectory in BENCH_sim.json. A metric that regresses
-// beyond its tolerance fails the run. Tolerances are deliberately
+// the recorded trajectory in BENCH_sim.json, plus the translator's
+// per-block cost (translate_block_tier1/tier0 over the 176.gcc corpus).
+// A metric that regresses beyond its tolerance fails the run. Tolerances are deliberately
 // generous — shared CI hosts are noisy — so only a structural
 // regression (an accidental O(n²), a lost pooling optimization) trips
 // the gate; allocation counts are near-deterministic and get the
@@ -73,6 +74,11 @@ func loadBaseline(path string) (*baseline, error) {
 	}
 	return &b, nil
 }
+
+// blockAllocTol bounds the translate allocs/block micros: the count is
+// deterministic, so the bound is tight enough that one extra
+// allocation per block (28 -> 29, 18 -> 19) trips it.
+const blockAllocTol = 1.03
 
 // metric is one baseline-vs-measured comparison. The gate trips when
 // measured > baseline × tol; improvements never fail.
@@ -184,6 +190,19 @@ func main() {
 	ms := []metric{
 		{"machine_run_gzip ns/op", float64(gz.NsPerOp), float64(ns), *timeTol},
 		{"machine_run_gzip allocs/op", float64(gz.AllocsPerOp), float64(allocs), *allocTol},
+	}
+	// Translator per-block cost over the 176.gcc corpus. A baseline that
+	// predates the entries reads zero and is reported, not failed.
+	fmt.Fprintln(os.Stderr, "benchcheck: measuring translate_block_tier1/tier0...")
+	for _, tier := range []struct {
+		name  string
+		tier0 bool
+	}{{"translate_block_tier1", false}, {"translate_block_tier0", true}} {
+		r := testing.Benchmark(bench.TranslateBlockBench(tier.tier0))
+		b := base.Micro[tier.name]
+		ms = append(ms,
+			metric{tier.name + " ns/block", float64(b.NsPerOp), float64(r.NsPerOp()), *timeTol},
+			metric{tier.name + " allocs/block", float64(b.AllocsPerOp), float64(r.AllocsPerOp()), blockAllocTol})
 	}
 	if !*skipSuite {
 		fmt.Fprintln(os.Stderr, "benchcheck: running quick figure suite (serial)...")

@@ -69,3 +69,40 @@ func TestTranslateCorpusDigest(t *testing.T) {
 		}
 	}
 }
+
+// TestTranslateAllocsPerBlock pins the allocation count of one
+// translation, averaged over the 176.gcc corpus. Allocation counts are
+// deterministic, so the ceilings sit just above the measured values
+// (28.1 optimizing, 18.2 template) and far below the map-based back
+// end's 53: a map or a per-call buffer creeping back in fails here, in
+// tier-1, not only in the bench gate.
+func TestTranslateAllocsPerBlock(t *testing.T) {
+	p, _ := workload.ByName("176.gcc")
+	img := p.Build()
+	mem := guest.Load(img).Mem
+	tr := New(Options{Optimize: true})
+	var addrs, templated []uint32
+	for _, r := range tr.Reachable(mem, img.Entry) {
+		addrs = append(addrs, r.GuestAddr)
+		if _, err := tr.TranslateTemplate(mem, r.GuestAddr); err == nil {
+			templated = append(templated, r.GuestAddr)
+		}
+	}
+	perBlock := func(addrs []uint32, step func(CodeReader, uint32) (*Result, error)) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for _, a := range addrs {
+				step(mem, a)
+			}
+		}) / float64(len(addrs))
+	}
+	if got := perBlock(addrs, tr.TranslateFinal); got > 29 {
+		t.Errorf("optimizing tier: %.1f allocs/block, ceiling 29", got)
+	} else {
+		t.Logf("optimizing tier: %.1f allocs/block over %d blocks", got, len(addrs))
+	}
+	if got := perBlock(templated, tr.TranslateTemplate); got > 19 {
+		t.Errorf("template tier: %.1f allocs/block, ceiling 19", got)
+	} else {
+		t.Logf("template tier: %.1f allocs/block over %d blocks", got, len(templated))
+	}
+}
