@@ -40,17 +40,21 @@ race-fleet:
 	$(GO) test -race -timeout 1200s -run 'TestFleet|TestCarve|TestMultiVM|TestPairMatches|TestRunFleet|TestElastic|TestPlan|TestSplitRoles|TestNoFit' ./internal/core
 	$(GO) test -race -run 'TestFleetSweepQuick|TestFleetFaultSweepQuick' ./internal/bench
 
-# Sharded event loop under the race detector: the fleet invariance
+# Both event kernels under the race detector: the fleet invariance
 # battery (bit-identical FleetResult at workers 2, 4, and 8 — the
-# tests iterate the worker counts internally) plus the sim-level
-# cross-shard battery (delivery order, lookahead tripwire, fence
-# ordering, stop/limit/deadlock parity, heap compaction). The race
-# detector checks the conservative-lookahead synchronization for free:
-# any unfenced cross-shard access is a reported race. Generous timeout
-# — race mode is 10-20x slower and CI hosts are oversubscribed.
+# tests iterate the worker counts internally) plus all of internal/sim —
+# the cross-shard battery (delivery order, lookahead tripwire, fence
+# ordering, stop/limit/deadlock parity, heap compaction) and the serial
+# kernel's hand-off tests. The race detector checks the synchronization
+# for free: any unfenced cross-shard access, or two goroutines inside
+# the serial kernel at once, is a reported race. The sim package runs
+# at -cpu 1,2,4 because the serial hand-off's window between "resume
+# the next process" and "wait on my own resume" only exists with two or
+# more Ps. Generous timeout — race mode is 10-20x slower and CI hosts
+# are oversubscribed.
 race-sim:
 	$(GO) test -race -timeout 1500s -run TestFleetParallel ./internal/core
-	$(GO) test -race -timeout 900s -run 'TestCrossShard|TestFence|TestSharded|TestCompact' ./internal/sim
+	$(GO) test -race -timeout 900s -cpu 1,2,4 ./internal/sim
 
 # Coverage summary for the fleet/placement layer (the code this PR's
 # test battery is aimed at).
@@ -68,7 +72,7 @@ cover-fleet:
 # cmd/simbench.
 bench:
 	$(GO) test -run - -bench . -benchmem .
-	$(GO) test -run - -bench 'BenchmarkEventDispatch|BenchmarkAdvanceRecvRoundTrip' -benchmem ./internal/sim
+	$(GO) test -run - -bench 'BenchmarkEventDispatch|BenchmarkAdvanceRecvRoundTrip|BenchmarkProcSwitch' -benchmem ./internal/sim
 	$(GO) test -run - -bench BenchmarkInnerLoop -benchmem ./internal/rawexec
 	$(GO) run ./cmd/simbench -o BENCH_sim.json
 

@@ -1,7 +1,8 @@
 // Command simbench records the simulator's performance trajectory: it
 // re-measures the hot-path microbenchmarks (DES event dispatch, the
-// Advance/Recv round trip, the rawexec inner loop, a full machine run,
-// tier-1 and tier-0 translation per block)
+// Advance/Recv round trip, the process switch at 2 and 64 processes,
+// the rawexec inner loop, a full machine run, tier-1 and tier-0
+// translation per block)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline.
@@ -35,6 +36,9 @@ type microResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	N           int     `json:"n"`
 	Seconds     float64 `json:"seconds"`
+	// SwitchesPerOp is the goroutine switches per park counted by
+	// sim.Stats, for the kernel micros that report it.
+	SwitchesPerOp float64 `json:"switches_per_op,omitempty"`
 }
 
 type suiteResult struct {
@@ -114,6 +118,21 @@ type output struct {
 		// interleaved with the new code on the 2-CPU host that recorded
 		// this file; compare with the micro entries of the same names.
 		MapBackEnd map[string]microResult `json:"map_back_end"`
+
+		// LoopGoroutine is the parent of the loop-less serial kernel
+		// (Run's own goroutine popping every event, two goroutine
+		// switches per park): medians of 8 runs interleaved with runs of
+		// the new kernel on the 2-CPU host that recorded this file. Read
+		// the micros against the entries of the same names, the rest
+		// against quick_suite, service_throughput and parallel_sim.
+		LoopGoroutine struct {
+			Micro                     map[string]microResult `json:"micro"`
+			QuickSuiteSerialSeconds   float64                `json:"quick_suite_serial_seconds"`
+			QuickSuiteParallelSeconds float64                `json:"quick_suite_parallel_seconds"`
+			ServiceSecondsPerJob      float64                `json:"service_seconds_per_job"`
+			ParallelSimSerialSeconds  float64                `json:"parallel_sim_serial_seconds"`
+			ParallelSimShardedSeconds float64                `json:"parallel_sim_sharded_seconds"`
+		} `json:"loop_goroutine"`
 	} `json:"pre_pr_baseline"`
 
 	Notes string `json:"notes"`
@@ -122,11 +141,12 @@ type output struct {
 func bmark(f func(b *testing.B)) microResult {
 	r := testing.Benchmark(f)
 	return microResult{
-		NsPerOp:     r.NsPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		N:           r.N,
-		Seconds:     r.T.Seconds(),
+		NsPerOp:       r.NsPerOp(),
+		AllocsPerOp:   r.AllocsPerOp(),
+		BytesPerOp:    r.AllocedBytesPerOp(),
+		N:             r.N,
+		Seconds:       r.T.Seconds(),
+		SwitchesPerOp: r.Extra["switches/op"],
 	}
 }
 
@@ -246,6 +266,8 @@ func main() {
 	out.Micro = map[string]microResult{
 		"sim_event_dispatch": bmark(benchEventDispatch),
 		"sim_advance_recv":   bmark(benchAdvanceRecv),
+		"sim_proc_switch":    bmark(bench.ProcSwitchBench(2)),
+		"sim_proc_switch_64": bmark(bench.ProcSwitchBench(64)),
 		"rawexec_inner_loop": bmark(benchRawexecInnerLoop),
 		"machine_run_gzip":   bmark(benchMachineGzip(img)),
 
@@ -345,6 +367,19 @@ func main() {
 		"translate_block_tier0": {NsPerOp: 2_380, AllocsPerOp: 18, BytesPerOp: 1_688},
 		"machine_run_gzip":      {NsPerOp: 27_941_477, AllocsPerOp: 16_367, BytesPerOp: 3_329_460},
 	}
+	lg := &out.PrePR.LoopGoroutine
+	lg.Micro = map[string]microResult{
+		"sim_event_dispatch": {NsPerOp: 398},
+		"sim_advance_recv":   {NsPerOp: 798},
+		"sim_proc_switch":    {NsPerOp: 412},
+		"sim_proc_switch_64": {NsPerOp: 495},
+		"machine_run_gzip":   {NsPerOp: 15_211_398, AllocsPerOp: 11_372, BytesPerOp: 2_993_202},
+	}
+	lg.QuickSuiteSerialSeconds = 6.34
+	lg.QuickSuiteParallelSeconds = 3.44
+	lg.ServiceSecondsPerJob = 0.0156
+	lg.ParallelSimSerialSeconds = 0.624
+	lg.ParallelSimShardedSeconds = 0.590
 	out.Notes = "pre_pr_baseline measured at the commit before the perf PR on the same host; " +
 		"parallel speedup is bounded by host_cpus (a single-core host cannot exceed 1x " +
 		"regardless of worker count — the parallel path is then validated for determinism, " +
@@ -352,7 +387,12 @@ func main() {
 		"pooling added with the sharded engine does not move its allocs/op — the pooled " +
 		"path only exists in sharded fleet runs (parallel_sim); " +
 		"pre_pr_baseline.map_back_end holds the parent of the map-free translator back end, " +
-		"to be read against micro.translate_block_tier1 and micro.machine_run_gzip"
+		"to be read against micro.translate_block_tier1 and micro.machine_run_gzip; " +
+		"pre_pr_baseline.loop_goroutine holds the parent of the loop-less serial kernel " +
+		"(medians of 8 runs interleaved with the new kernel): parallel_sim.speedup divides by the " +
+		"serial kernel, which that change made faster while the shard loops are unchanged, so a " +
+		"ratio at or below 1x on a 2-CPU host is a finding about the shard loops, not a regression " +
+		"of sharded_seconds"
 
 	f, err := os.Create(*outPath)
 	if err != nil {

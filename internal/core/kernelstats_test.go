@@ -1,0 +1,32 @@
+package core
+
+import (
+	"testing"
+
+	"tilevm/internal/sim"
+	"tilevm/internal/workload"
+)
+
+// TestKernelStatsGzip pins what the serial event kernel does for one
+// 164.gzip run under DefaultConfig: how many events it dispatches, how
+// many of those the parking tile kernel finds to be its own next wakeup
+// (run-ons, no goroutine switch) and how many move to another tile's
+// goroutine. The counts are a function of the machine model alone, so
+// two runs agree exactly, and a change to either the kernel's hand-off
+// or the tiles' message pattern shows up here as a count, not as a
+// timing. The handle is only the test's way to reach the simulator.
+func TestKernelStatsGzip(t *testing.T) {
+	p, _ := workload.ByName("164.gzip")
+	img := p.Build()
+	want := sim.Stats{Dispatches: 4316, RunOns: 1478, Switches: 2838, DeadPops: 151}
+	for i := 0; i < 2; i++ {
+		cfg := DefaultConfig()
+		cfg.Interrupt = NewInterruptHandle()
+		if _, err := Run(img, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := cfg.Interrupt.sim.Stats(); got != want {
+			t.Errorf("run %d: kernel stats %+v, want %+v", i, got, want)
+		}
+	}
+}

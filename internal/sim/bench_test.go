@@ -2,9 +2,11 @@ package sim
 
 import "testing"
 
-// BenchmarkEventDispatch measures the scheduler's core loop: one
-// process repeatedly advancing virtual time, so every iteration is one
-// heap push, one pop, and one goroutine handoff.
+// BenchmarkEventDispatch measures a park that runs on: one process
+// repeatedly advancing virtual time finds its own wakeup next, so every
+// iteration is one heap push, one pop and the stop check, with no
+// goroutine switch. BenchmarkProcSwitch (switch_bench_test.go) is the
+// park that does switch.
 func BenchmarkEventDispatch(b *testing.B) {
 	s := New()
 	s.Spawn("ticker", func(p *Proc) {

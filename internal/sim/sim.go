@@ -18,8 +18,11 @@
 // conservative lookahead windows derived from declared cross-shard
 // links. The sharded engine is byte-identical to the serial loop for
 // any workload whose cross-shard communication respects the declared
-// lookahead; with SetWorkers(1) (the default) the serial loop below
-// runs untouched.
+// lookahead; with SetWorkers(1) (the default) the serial kernel below
+// runs untouched. The serial kernel has no scheduler goroutine: a
+// process that parks pops the next event itself and either keeps
+// running (the event is its own wakeup) or resumes that event's process
+// directly.
 package sim
 
 import (
@@ -162,15 +165,16 @@ func (h *eventHeap) compact() {
 
 // shard is one event sub-loop: a clock, an event heap, and the
 // processes and ports assigned to it. A serial simulation is exactly
-// one shard (index 0) driven by the serial loop in Run; a sharded
-// simulation runs each shard's loop on its own goroutine (shard.go).
+// one shard (index 0) whose processes dispatch each other (next); a
+// sharded simulation runs each shard's loop on its own goroutine
+// (shard.go).
 type shard struct {
 	sim    *Simulator
 	idx    int
 	now    Time
 	events eventHeap
 	seq    uint64
-	parked chan struct{} // signalled by a proc of this shard when it parks or exits
+	parked chan struct{} // sharded: a proc parked or exited; serial: the dispatch loop is over
 
 	// Parallel-only fields (guarded by parState.mu; see shard.go).
 	boundAt      Time    // lower bound on this shard's next dispatch key
@@ -220,7 +224,8 @@ type Simulator struct {
 	intrFlag atomic.Bool // host-side Interrupt requested
 	limit    Time        // 0 means no limit
 	started  bool
-	abortErr error      // fatal error raised from inside a process
+	abortErr error      // fatal error raised from inside a process, or the time limit
+	stats    Stats      // serial dispatch counters
 	par      *parState  // non-nil while a sharded Run is active
 	parMu    sync.Mutex // guards par for host-side (cross-goroutine) readers
 
@@ -234,6 +239,21 @@ type Simulator struct {
 	// not install a tracer (the sink is a shared append buffer).
 	Trace *trace.Tracer
 }
+
+// Stats counts what the serial kernel did with its events. Every
+// dispatch is either a run-on (the parking process found its own wakeup
+// next and kept its goroutine) or a switch (control moved to another
+// goroutine, Run's first hand-off included), so Dispatches == RunOns +
+// Switches; DeadPops are superseded wakeups discarded at the top of the
+// heap. The counts are a deterministic function of the program. A
+// sharded run leaves them zero.
+type Stats struct {
+	Dispatches, RunOns, Switches, DeadPops uint64
+}
+
+// Stats returns the serial kernel's dispatch counters. Call it after
+// Run, or from inside a process body.
+func (s *Simulator) Stats() Stats { return s.stats }
 
 // BlockedProc is one entry of a DeadlockError: a process stuck in Recv
 // with no way to make progress, and the port it is waiting on.
@@ -459,31 +479,17 @@ func (s *Simulator) Run() error {
 		pt.sh = sh
 	}
 	for _, p := range s.procs {
-		p := p
 		go p.run()
 		sh.schedule(p, sh.now)
 	}
-
-	var err error
-	for len(sh.events.ev) > 0 && !s.stopFlag.Load() {
-		ev := sh.events.pop()
-		if !ev.live() {
-			sh.events.dead--
-			continue // superseded or stale event
-		}
-		if s.limit != 0 && ev.at > s.limit {
-			s.stopFlag.Store(true)
-			err = &TimeLimitError{Limit: s.limit}
-			break
-		}
-		sh.now = ev.at
-		ev.proc.state = parkBlocked // will be updated when it parks
-		ev.proc.resume <- struct{}{}
+	// Run only starts the chain: from here every process that gives up
+	// control dispatches its successor itself, and the last one signals
+	// parked when next says the loop is over.
+	if first := sh.next(nil); first != nil {
+		first.resume <- struct{}{}
 		<-sh.parked
 	}
-	if s.abortErr != nil && err == nil {
-		err = s.abortErr
-	}
+	err := s.abortErr
 	if err == nil && s.intrFlag.Load() {
 		err = &InterruptedError{Now: sh.now}
 	}
@@ -494,19 +500,71 @@ func (s *Simulator) Run() error {
 	return err
 }
 
+// next is one turn of the serial dispatch loop: it pops the next live
+// event, moves the clock to it and returns its process, or returns nil
+// when the loop is over — heap empty, stopFlag set (Stop, Interrupt,
+// abort, panic, kill), or the next event beyond the time limit. It runs
+// on whichever goroutine is giving up control (self, nil for Run), so
+// there is no scheduler goroutine to bounce through; the pop order is
+// the heap's, whoever pops. stopFlag is re-read before every pop, so a
+// process running on through its own wakeups still sees a host
+// Interrupt.
+func (sh *shard) next(self *Proc) *Proc {
+	s := sh.sim
+	for len(sh.events.ev) > 0 && !s.stopFlag.Load() {
+		ev := sh.events.pop()
+		if !ev.live() {
+			sh.events.dead--
+			s.stats.DeadPops++
+			continue // superseded or stale event
+		}
+		if s.limit != 0 && ev.at > s.limit {
+			// No abort can be pending: it would have set stopFlag.
+			s.stopFlag.Store(true)
+			s.abortErr = &TimeLimitError{Limit: s.limit}
+			break
+		}
+		sh.now = ev.at
+		ev.proc.state = parkBlocked // will be updated when it parks
+		s.stats.Dispatches++
+		if ev.proc == self {
+			s.stats.RunOns++
+		} else {
+			s.stats.Switches++
+		}
+		return ev.proc
+	}
+	return nil
+}
+
+// yield gives up control of a serial run from p's goroutine: p takes
+// the dispatch turn itself. If its own wakeup is next it keeps running
+// (run-on, reported true, no goroutine switch); otherwise it resumes
+// the next process directly, or Run when the loop is over (one switch).
+// The unbuffered sends keep the one-runnable-process invariant: all of
+// p's writes happen before the receiver continues, and p touches no
+// shared state again until something sends on its own resume.
+func (p *Proc) yield() bool {
+	switch next := p.sh.next(p); next {
+	case p:
+		return true
+	case nil:
+		p.sh.parked <- struct{}{}
+	default:
+		next.resume <- struct{}{}
+	}
+	return false
+}
+
 // run is a process goroutine: it waits for its first dispatch, executes
-// the body, and signals its shard when done (or when killed). A panic
-// in the body is contained: it becomes a PanicError aborting the
-// simulation, not a host-program crash — the goroutine parks cleanly
-// so the event loop (serial or sharded) sees an ordinary exit.
+// the body, and gives up control for good when done (or when killed). A
+// panic in the body is contained: it becomes a PanicError aborting the
+// simulation, not a host-program crash — the goroutine exits cleanly
+// so the kernel (serial or sharded) sees an ordinary exit.
 func (p *Proc) run() {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(errKilled); ok {
-				p.state = parkDone
-				p.sh.parked <- struct{}{}
-				return
-			}
+		r := recover()
+		if _, killed := r.(errKilled); r != nil && !killed {
 			perr := &PanicError{
 				Proc:  p.name,
 				Pid:   p.id,
@@ -520,9 +578,16 @@ func (p *Proc) run() {
 				p.sim.abortErr = perr
 			}
 			p.sim.stopFlag.Store(true)
-			p.state = parkDone
+		}
+		// The body returned, panicked, aborted or was killed: the
+		// goroutine's last act is an ordinary hand-off. In the three
+		// unwinding cases stopFlag is already set, so a serial yield
+		// goes to Run, never to a peer.
+		p.state = parkDone
+		if p.sim.par != nil {
 			p.sh.parked <- struct{}{}
-			return
+		} else {
+			p.yield()
 		}
 	}()
 	// Wait for first dispatch.
@@ -531,8 +596,6 @@ func (p *Proc) run() {
 		panic(errKilled{})
 	}
 	p.body(p)
-	p.state = parkDone
-	p.sh.parked <- struct{}{}
 }
 
 // deadlockOrNil diagnoses global quiescence: fine if every proc is done
@@ -641,9 +704,15 @@ func (p *Proc) advance(d Time) {
 	p.park()
 }
 
-// park hands control back to the scheduler and blocks until resumed.
+// park gives up control and blocks until resumed: a sharded run hands
+// back to the shard's loop goroutine, a serial run dispatches the next
+// event itself and may find it is its own.
 func (p *Proc) park() {
-	p.sh.parked <- struct{}{}
+	if p.sim.par != nil {
+		p.sh.parked <- struct{}{}
+	} else if p.yield() {
+		return
+	}
 	<-p.resume
 	if p.killed {
 		panic(errKilled{})

@@ -1,0 +1,17 @@
+package sim_test
+
+import (
+	"testing"
+
+	"tilevm/internal/bench"
+)
+
+// BenchmarkProcSwitch measures a park that must switch goroutines: two
+// processes alternating. (External test package: the benchmark body is
+// shared with cmd/simbench and benchcheck through internal/bench, which
+// imports this package.)
+func BenchmarkProcSwitch(b *testing.B) { bench.ProcSwitchBench(2)(b) }
+
+// BenchmarkProcSwitch64 is the same hand-off with 64 processes in the
+// event heap, the shape of a fleet on an 8×8 fabric.
+func BenchmarkProcSwitch64(b *testing.B) { bench.ProcSwitchBench(64)(b) }

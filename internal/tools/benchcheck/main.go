@@ -3,7 +3,9 @@
 // serial quick figure suite, the quick fleet fault-tolerance sweep,
 // and the sharded-engine parallel_sim fleet) and compares them against
 // the recorded trajectory in BENCH_sim.json, plus the translator's
-// per-block cost (translate_block_tier1/tier0 over the 176.gcc corpus).
+// per-block cost (translate_block_tier1/tier0 over the 176.gcc corpus)
+// and the serial kernel's process switch (sim_proc_switch at 2 and 64
+// processes).
 // A metric that regresses beyond its tolerance fails the run. Tolerances are deliberately
 // generous — shared CI hosts are noisy — so only a structural
 // regression (an accidental O(n²), a lost pooling optimization) trips
@@ -203,6 +205,16 @@ func main() {
 		ms = append(ms,
 			metric{tier.name + " ns/block", float64(b.NsPerOp), float64(r.NsPerOp()), *timeTol},
 			metric{tier.name + " allocs/block", float64(b.AllocsPerOp), float64(r.AllocsPerOp()), blockAllocTol})
+	}
+	// The serial kernel's hand-off: a park that must switch goroutines,
+	// with a trivial event heap and with an 8×8 fabric's.
+	fmt.Fprintln(os.Stderr, "benchcheck: measuring sim_proc_switch/sim_proc_switch_64...")
+	for _, k := range []struct {
+		name  string
+		procs int
+	}{{"sim_proc_switch", 2}, {"sim_proc_switch_64", 64}} {
+		r := testing.Benchmark(bench.ProcSwitchBench(k.procs))
+		ms = append(ms, metric{k.name + " ns/park", float64(base.Micro[k.name].NsPerOp), float64(r.NsPerOp()), *timeTol})
 	}
 	if !*skipSuite {
 		fmt.Fprintln(os.Stderr, "benchcheck: running quick figure suite (serial)...")
