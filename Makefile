@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check nomaps vet build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke tier-smoke linkcheck
+.PHONY: check nomaps vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke tier-smoke linkcheck
 
 # The full gate: what CI (and a pre-commit) should run.
-check: vet nomaps build test racepar
+check: vet nomaps build tilebench-build test racepar
 
 # The translator back end keeps its dataflow facts and allocation state
 # in dense tables indexed by register number (DESIGN.md §7); a map
@@ -16,6 +16,17 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The benchmark (benchmark/, a module of its own, so not part of
+# ./...) compiles against a few names of this module that therefore may
+# not change shape: rawexec.Program{Sync,Exec}, translate.Result.Code,
+# the sim and core entry points. Build and vet it the way the benchmark
+# driver does — toolchain pinned to go.mod's line, no network — so a
+# break fails here and not in the driver. Own build cache, nothing
+# written under benchmark/.
+tilebench-build:
+	cd benchmark && GOCACHE=$${TMPDIR:-/tmp}/tilevm-tilebench-gocache GOTOOLCHAIN=local GOPROXY=off \
+	  sh -c '$(GO) build -o /dev/null ./... && $(GO) vet ./...'
 
 test:
 	$(GO) test ./...
@@ -66,13 +77,13 @@ cover-fleet:
 	rm -f /tmp/tilevm-fleet-cover.out
 
 # Perf trajectory: the microbenchmarks in bench_test.go (including
-# BenchmarkTranslateBlock/tier1 and /tier0 over the 176.gcc block
-# corpus) plus the end-to-end figure-suite timing, and a
+# BenchmarkTranslateBlock/tier1 and /tier0 and BenchmarkL1Fill over
+# the 176.gcc block corpus) plus the end-to-end figure-suite timing, and a
 # machine-readable snapshot of the same numbers in BENCH_sim.json via
 # cmd/simbench.
 bench:
 	$(GO) test -run - -bench . -benchmem .
-	$(GO) test -run - -bench 'BenchmarkEventDispatch|BenchmarkAdvanceRecvRoundTrip|BenchmarkProcSwitch' -benchmem ./internal/sim
+	$(GO) test -run - -bench 'BenchmarkEventDispatch|BenchmarkAdvanceRecvRoundTrip|BenchmarkProcSwitch|BenchmarkTickRecv' -benchmem ./internal/sim
 	$(GO) test -run - -bench BenchmarkInnerLoop -benchmem ./internal/rawexec
 	$(GO) run ./cmd/simbench -o BENCH_sim.json
 

@@ -57,6 +57,10 @@ func BenchmarkTranslateBlock(b *testing.B) {
 	b.Run("tier0", bench.TranslateBlockBench(true))
 }
 
+// BenchmarkL1Fill measures one L1 code-cache fill (a copy of the
+// block's predecoded form plus chain patching) over the same corpus.
+func BenchmarkL1Fill(b *testing.B) { bench.L1FillBench()(b) }
+
 // BenchmarkInterpreter measures the reference interpreter in guest
 // instructions per second.
 func BenchmarkInterpreter(b *testing.B) {

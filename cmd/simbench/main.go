@@ -1,8 +1,8 @@
 // Command simbench records the simulator's performance trajectory: it
 // re-measures the hot-path microbenchmarks (DES event dispatch, the
-// Advance/Recv round trip, the process switch at 2 and 64 processes,
-// the rawexec inner loop, a full machine run, tier-1 and tier-0
-// translation per block)
+// Advance/Recv round trip, the Tick-then-Recv round trip, the process
+// switch at 2 and 64 processes, the rawexec inner loop, a full machine
+// run, tier-1 and tier-0 translation per block, the L1 code-cache fill)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline.
@@ -39,6 +39,23 @@ type microResult struct {
 	// SwitchesPerOp is the goroutine switches per park counted by
 	// sim.Stats, for the kernel micros that report it.
 	SwitchesPerOp float64 `json:"switches_per_op,omitempty"`
+	// DispatchesPerOp is the kernel dispatches per received message
+	// counted by sim.Stats, for sim_tick_recv.
+	DispatchesPerOp float64 `json:"dispatches_per_op,omitempty"`
+}
+
+// parentRun is what a pre_pr_baseline entry records of a parent
+// commit: medians of runs interleaved with runs of the change on the
+// host that recorded the file. Read the micros against the entries of
+// the same names, the rest against quick_suite, service_throughput and
+// parallel_sim.
+type parentRun struct {
+	Micro                     map[string]microResult `json:"micro"`
+	QuickSuiteSerialSeconds   float64                `json:"quick_suite_serial_seconds"`
+	QuickSuiteParallelSeconds float64                `json:"quick_suite_parallel_seconds"`
+	ServiceSecondsPerJob      float64                `json:"service_seconds_per_job"`
+	ParallelSimSerialSeconds  float64                `json:"parallel_sim_serial_seconds"`
+	ParallelSimShardedSeconds float64                `json:"parallel_sim_sharded_seconds"`
 }
 
 type suiteResult struct {
@@ -121,18 +138,15 @@ type output struct {
 
 		// LoopGoroutine is the parent of the loop-less serial kernel
 		// (Run's own goroutine popping every event, two goroutine
-		// switches per park): medians of 8 runs interleaved with runs of
-		// the new kernel on the 2-CPU host that recorded this file. Read
-		// the micros against the entries of the same names, the rest
-		// against quick_suite, service_throughput and parallel_sim.
-		LoopGoroutine struct {
-			Micro                     map[string]microResult `json:"micro"`
-			QuickSuiteSerialSeconds   float64                `json:"quick_suite_serial_seconds"`
-			QuickSuiteParallelSeconds float64                `json:"quick_suite_parallel_seconds"`
-			ServiceSecondsPerJob      float64                `json:"service_seconds_per_job"`
-			ParallelSimSerialSeconds  float64                `json:"parallel_sim_serial_seconds"`
-			ParallelSimShardedSeconds float64                `json:"parallel_sim_sharded_seconds"`
-		} `json:"loop_goroutine"`
+		// switches per park), 8 interleaved runs.
+		LoopGoroutine parentRun `json:"loop_goroutine"`
+
+		// MirroredArena is the parent of the per-message clean-up: L1
+		// fills that copied []rawisa.Inst into an arena and re-predecoded
+		// it into a mirrored rawexec.Program, and a Recv that spent a
+		// dispatch of its own on accrued local time. Its l1_fill is that
+		// Insert plus bringing the mirror up to date.
+		MirroredArena parentRun `json:"mirrored_arena"`
 	} `json:"pre_pr_baseline"`
 
 	Notes string `json:"notes"`
@@ -141,12 +155,13 @@ type output struct {
 func bmark(f func(b *testing.B)) microResult {
 	r := testing.Benchmark(f)
 	return microResult{
-		NsPerOp:       r.NsPerOp(),
-		AllocsPerOp:   r.AllocsPerOp(),
-		BytesPerOp:    r.AllocedBytesPerOp(),
-		N:             r.N,
-		Seconds:       r.T.Seconds(),
-		SwitchesPerOp: r.Extra["switches/op"],
+		NsPerOp:         r.NsPerOp(),
+		AllocsPerOp:     r.AllocsPerOp(),
+		BytesPerOp:      r.AllocedBytesPerOp(),
+		N:               r.N,
+		Seconds:         r.T.Seconds(),
+		SwitchesPerOp:   r.Extra["switches/op"],
+		DispatchesPerOp: r.Extra["dispatches/op"],
 	}
 }
 
@@ -266,6 +281,7 @@ func main() {
 	out.Micro = map[string]microResult{
 		"sim_event_dispatch": bmark(benchEventDispatch),
 		"sim_advance_recv":   bmark(benchAdvanceRecv),
+		"sim_tick_recv":      bmark(bench.TickRecvBench()),
 		"sim_proc_switch":    bmark(bench.ProcSwitchBench(2)),
 		"sim_proc_switch_64": bmark(bench.ProcSwitchBench(64)),
 		"rawexec_inner_loop": bmark(benchRawexecInnerLoop),
@@ -273,6 +289,7 @@ func main() {
 
 		"translate_block_tier1": bmark(bench.TranslateBlockBench(false)),
 		"translate_block_tier0": bmark(bench.TranslateBlockBench(true)),
+		"l1_fill":               bmark(bench.L1FillBench()),
 	}
 
 	fmt.Fprintln(os.Stderr, "simbench: quick figure suite, serial...")
@@ -380,6 +397,20 @@ func main() {
 	lg.ServiceSecondsPerJob = 0.0156
 	lg.ParallelSimSerialSeconds = 0.624
 	lg.ParallelSimShardedSeconds = 0.590
+	out.PrePR.MirroredArena = parentRun{
+		Micro: map[string]microResult{
+			"l1_fill":               {NsPerOp: 1_209, AllocsPerOp: 3, BytesPerOp: 127},
+			"sim_tick_recv":         {NsPerOp: 384, DispatchesPerOp: 2},
+			"machine_run_gzip":      {NsPerOp: 15_924_342, AllocsPerOp: 11_371, BytesPerOp: 2_993_195},
+			"translate_block_tier1": {NsPerOp: 11_292, AllocsPerOp: 28, BytesPerOp: 4_724},
+			"translate_block_tier0": {NsPerOp: 2_531, AllocsPerOp: 18, BytesPerOp: 1_688},
+		},
+		QuickSuiteSerialSeconds:   6.47,
+		QuickSuiteParallelSeconds: 2.68,
+		ServiceSecondsPerJob:      0.0189,
+		ParallelSimSerialSeconds:  0.616,
+		ParallelSimShardedSeconds: 0.606,
+	}
 	out.Notes = "pre_pr_baseline measured at the commit before the perf PR on the same host; " +
 		"parallel speedup is bounded by host_cpus (a single-core host cannot exceed 1x " +
 		"regardless of worker count — the parallel path is then validated for determinism, " +
@@ -392,7 +423,11 @@ func main() {
 		"(medians of 8 runs interleaved with the new kernel): parallel_sim.speedup divides by the " +
 		"serial kernel, which that change made faster while the shard loops are unchanged, so a " +
 		"ratio at or below 1x on a 2-CPU host is a finding about the shard loops, not a regression " +
-		"of sharded_seconds"
+		"of sharded_seconds; pre_pr_baseline.mirrored_arena holds the parent of the predecoded " +
+		"L1 fill and the folded Recv (medians of 4 interleaved runs): it moved the ratio the same " +
+		"way again (serial 0.616 -> about 0.40 s, sharded unchanged at about 0.6 s, where Recv keeps " +
+		"its Sync), and its two extra allocations per translation are the predecoded form " +
+		"(translate_block_* 28 -> 30, 18 -> 20), paid once per block instead of once per fill"
 
 	f, err := os.Create(*outPath)
 	if err != nil {

@@ -33,3 +33,37 @@ func ProcSwitchBench(procs int) func(b *testing.B) {
 		b.ReportMetric(float64(s.Stats().Switches)/float64(parks*procs), "switches/op")
 	}
 }
+
+// TickRecvBench returns a benchmark of what a service tile does per
+// request: two processes pass one message back and forth, each charging
+// a few cycles of occupancy with Tick before it sends and receives
+// again, so every Recv is entered with accrued local time. One op is
+// one received message; dispatches/op (from sim.Stats) reads 1 now that
+// Recv folds that time into the wait for the message, and read 2 when
+// it first woke itself to let the time pass.
+func TickRecvBench() func(b *testing.B) {
+	return func(b *testing.B) {
+		s := sim.New()
+		in := [2]*sim.Port{s.NewPort("a"), s.NewPort("b")}
+		rounds := b.N/2 + 1
+		for i := range in {
+			s.Spawn("pingpong", func(p *sim.Proc) {
+				if i == 0 {
+					in[1].Send(0, nil, p.Now()+2)
+				}
+				for j := 0; j < rounds; j++ {
+					p.Recv(in[i])
+					p.Tick(3)
+					in[1-i].Send(i, nil, p.Now()+2)
+				}
+			})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		// Both ends finish receiving; the last reply is left queued.
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(s.Stats().Dispatches)/float64(2*rounds), "dispatches/op")
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"tilevm/internal/codecache"
 	"tilevm/internal/guest"
+	"tilevm/internal/raw"
 	"tilevm/internal/translate"
 	"tilevm/internal/workload"
 )
@@ -15,22 +17,29 @@ import (
 // code-bound guests pay for.
 const TranslateCorpusWorkload = "176.gcc"
 
+// translateCorpus loads the TranslateCorpusWorkload guest and translates
+// its statically reachable blocks, in walk order.
+func translateCorpus(tr *translate.Translator) (*guest.Memory, []*translate.Result) {
+	p, _ := workload.ByName(TranslateCorpusWorkload)
+	img := p.Build()
+	mem := guest.Load(img).Mem
+	return mem, tr.Reachable(mem, img.Entry)
+}
+
 // TranslateBlockBench returns a benchmark that translates one block of
 // the TranslateCorpusWorkload corpus per iteration, cycling through it
 // in walk order, so ns/op and allocs/op read as per-block figures.
 // With tier0 it measures the template path alone over the blocks that
 // have templates; otherwise the optimizing pipeline over all of them.
 func TranslateBlockBench(tier0 bool) func(b *testing.B) {
-	p, _ := workload.ByName(TranslateCorpusWorkload)
-	img := p.Build()
-	mem := guest.Load(img).Mem
 	tr := translate.New(translate.Options{Optimize: true})
+	mem, blocks := translateCorpus(tr)
 	step := tr.TranslateFinal
 	if tier0 {
 		step = tr.TranslateTemplate
 	}
 	var addrs []uint32
-	for _, r := range tr.Reachable(mem, img.Entry) {
+	for _, r := range blocks {
 		if _, err := step(mem, r.GuestAddr); errors.Is(err, translate.ErrUntemplated) {
 			continue
 		}
@@ -42,6 +51,26 @@ func TranslateBlockBench(tier0 bool) func(b *testing.B) {
 			if _, err := step(mem, addrs[i%len(addrs)]); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// L1FillBench returns a benchmark of the execution tile's code-cache
+// fill: one L1.Insert per iteration, cycling through the translated
+// blocks of the TranslateCorpusWorkload corpus in walk order into an L1
+// of the default instruction-memory size, so the cache fills and
+// flushes some twenty times per cycle and chain sites go pending, get
+// patched and are dropped as they do in a code-bound guest. ns/op and
+// allocs/op read per fill.
+func L1FillBench() func(b *testing.B) {
+	_, blocks := translateCorpus(translate.New(translate.Options{Optimize: true}))
+	return func(b *testing.B) {
+		l1 := codecache.NewL1(raw.DefaultParams().IMemBytes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := blocks[i%len(blocks)]
+			l1.Insert(r.GuestAddr, r)
 		}
 	}
 }

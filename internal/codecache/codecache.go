@@ -18,18 +18,19 @@ package codecache
 import (
 	"sort"
 
-	"tilevm/internal/rawisa"
+	"tilevm/internal/rawexec"
 	"tilevm/internal/translate"
 )
 
-// L1 is the execution tile's code cache: a flat arena of decoded host
-// instructions indexed by position, with an entry map from guest PC.
+// L1 is the execution tile's code cache: the instruction memory, held
+// as the predecoded program the execution engine runs, with an entry
+// map from guest PC to program index.
 type L1 struct {
 	capacity int
-	arena    []rawisa.Inst
+	prog     rawexec.Program
 	bytes    int
 	entry    map[uint32]int
-	// pending maps guest targets to arena indices of unpatched CHAIN
+	// pending maps guest targets to program indices of unpatched CHAIN
 	// instructions waiting for that target to become resident.
 	pending map[uint32][]int
 
@@ -44,25 +45,25 @@ type L1 struct {
 
 // NewL1 builds an L1 code cache with the given byte capacity.
 func NewL1(capacityBytes int) *L1 {
-	l := &L1{capacity: capacityBytes}
-	l.reset()
-	return l
+	return &L1{capacity: capacityBytes, entry: map[uint32]int{}, pending: map[uint32][]int{}}
 }
 
 func (l *L1) reset() {
-	l.arena = l.arena[:0]
+	l.prog.Reset()
 	l.bytes = 0
-	l.entry = make(map[uint32]int)
-	l.pending = make(map[uint32][]int)
+	clear(l.entry)
+	clear(l.pending)
 }
 
-// Arena exposes the instruction arena for the execution engine.
-func (l *L1) Arena() []rawisa.Inst { return l.arena }
+// Program exposes the instruction memory to the execution engine. It
+// is the same Program for the life of the cache; indices from Lookup
+// and Insert are valid in it until the next flush.
+func (l *L1) Program() *rawexec.Program { return &l.prog }
 
 // Bytes returns the occupied size.
 func (l *L1) Bytes() int { return l.bytes }
 
-// Lookup finds the arena index for a guest PC.
+// Lookup finds the program index for a guest PC.
 func (l *L1) Lookup(pc uint32) (int, bool) {
 	l.Lookups++
 	idx, ok := l.entry[pc]
@@ -77,60 +78,50 @@ type InsertStats struct {
 	CopiedWords int
 	Patches     int
 	Flushed     bool
-	// Patched lists the arena indices rewritten in place by chaining
-	// (CHAIN→J), so callers mirroring the arena (a rawexec.Program)
-	// can re-predecode exactly those sites instead of rescanning.
-	Patched []int
 }
 
-// Insert copies a translated block into the arena (flushing first if it
-// does not fit), records its entry, and performs chaining in both
-// directions: the new block's CHAIN sites are patched if their targets
-// are resident, and resident blocks' pending CHAIN sites to this block
-// are patched.
-func (l *L1) Insert(pc uint32, code []rawisa.Inst) (int, InsertStats) {
+// Insert copies a translated block into the instruction memory
+// (flushing first if it does not fit), records its entry, and performs
+// chaining in both directions: the new block's CHAIN sites are patched
+// if their targets are resident, and resident blocks' pending CHAIN
+// sites to this block are patched. The block was predecoded when it was
+// translated, so the fill is a copy and a walk of its chain-site list.
+func (l *L1) Insert(pc uint32, res *translate.Result) (int, InsertStats) {
 	var st InsertStats
-	sz := rawisa.CodeBytes(code)
-	if l.bytes+sz > l.capacity {
+	if l.bytes+res.CodeBytes > l.capacity {
 		// Tight packing with wholesale flush, as in the prototype.
 		l.reset()
 		l.Flushes++
 		st.Flushed = true
 	}
-	idx := len(l.arena)
-	l.arena = append(l.arena, code...)
-	l.bytes += sz
+	idx := l.prog.Append(&res.Pre)
+	l.bytes += res.CodeBytes
 	l.entry[pc] = idx
-	st.CopiedWords = sz / 4
+	st.CopiedWords = res.CodeBytes / 4
 	if l.NoChain {
 		return idx, st
 	}
 
 	// Outgoing chaining: patch this block's CHAIN sites whose targets
 	// are already resident.
-	for i := idx; i < len(l.arena); i++ {
-		if l.arena[i].Op == rawisa.CHAIN {
-			target := l.arena[i].Target
-			if tidx, ok := l.entry[target]; ok {
-				l.arena[i] = rawisa.Inst{Op: rawisa.J, Target: uint32(tidx)}
-				l.Chains++
-				st.Patches++
-				st.Patched = append(st.Patched, i)
-			} else {
-				l.pending[target] = append(l.pending[target], i)
-			}
+	for _, c := range res.Chains {
+		site := idx + int(c.Off)
+		if tidx, ok := l.entry[c.Target]; ok {
+			l.prog.Chain(site, tidx)
+			st.Patches++
+		} else {
+			l.pending[c.Target] = append(l.pending[c.Target], site)
 		}
 	}
 	// Incoming chaining: resident blocks waiting for this PC.
 	if sites, ok := l.pending[pc]; ok {
-		for _, i := range sites {
-			l.arena[i] = rawisa.Inst{Op: rawisa.J, Target: uint32(idx)}
-			l.Chains++
-			st.Patches++
-			st.Patched = append(st.Patched, i)
+		for _, site := range sites {
+			l.prog.Chain(site, idx)
 		}
+		st.Patches += len(sites)
 		delete(l.pending, pc)
 	}
+	l.Chains += uint64(st.Patches)
 	return idx, st
 }
 
@@ -140,10 +131,10 @@ func (l *L1) Contains(pc uint32) bool {
 	return ok
 }
 
-// EntryPCs returns the resident blocks' guest PCs in arena (insertion)
-// order. Re-inserting the same translations in this order reproduces
-// the arena layout and chain patches exactly, which is how checkpoint
-// restore rebuilds the L1 without snapshotting host code.
+// EntryPCs returns the resident blocks' guest PCs in program
+// (insertion) order. Re-inserting the same translations in this order
+// reproduces the program layout and chain patches exactly, which is how
+// checkpoint restore rebuilds the L1 without snapshotting host code.
 func (l *L1) EntryPCs() []uint32 {
 	type ent struct {
 		pc  uint32
@@ -161,7 +152,7 @@ func (l *L1) EntryPCs() []uint32 {
 	return pcs
 }
 
-// PCForIndex maps an arena index back to the guest PC of the block
+// PCForIndex maps a program index back to the guest PC of the block
 // entered there (used to resolve chained jumps when execution must be
 // interrupted, e.g. on self-modifying-code invalidation).
 func (l *L1) PCForIndex(idx int) (uint32, bool) {

@@ -1,8 +1,10 @@
 package codecache
 
 import (
+	"reflect"
 	"testing"
 
+	"tilevm/internal/rawexec"
 	"tilevm/internal/rawisa"
 	"tilevm/internal/translate"
 )
@@ -18,10 +20,48 @@ func block(n int, chainTo uint32) []rawisa.Inst {
 	return code
 }
 
+// blk wraps block as the translator would hand it to the caches.
+func blk(n int, chainTo uint32) *translate.Result {
+	code := block(n, chainTo)
+	r := &translate.Result{
+		Code:      code,
+		CodeBytes: rawisa.CodeBytes(code),
+		Chains:    []translate.ChainSite{{Off: int32(n), Target: chainTo}},
+	}
+	r.Pre.Sync(code)
+	return r
+}
+
+func res(pc uint32, n int) *translate.Result { return blk(n, pc+64) }
+
+// wantProgram checks the L1's instruction memory against arena: the
+// same code laid out by hand, chain sites already rewritten to J with
+// absolute targets, predecoded from scratch.
+func wantProgram(t *testing.T, l1 *L1, arena ...[]rawisa.Inst) {
+	t.Helper()
+	var want rawexec.Program
+	var flat []rawisa.Inst
+	for _, code := range arena {
+		flat = append(flat, code...)
+	}
+	want.Sync(flat)
+	if !reflect.DeepEqual(l1.Program(), &want) {
+		t.Errorf("program differs from the hand-patched arena\n got %+v\nwant %+v", l1.Program(), &want)
+	}
+}
+
+// patched returns block(n, _) with its chain site rewritten to a jump
+// to program index target.
+func patched(n, target int) []rawisa.Inst {
+	code := block(n, 0)
+	code[n] = rawisa.Inst{Op: rawisa.J, Target: uint32(target)}
+	return code
+}
+
 func TestL1InsertAndLookup(t *testing.T) {
 	l1 := NewL1(1024)
-	idx, st := l1.Insert(0x100, block(4, 0x200))
-	if st.Flushed || st.CopiedWords == 0 {
+	idx, st := l1.Insert(0x100, blk(4, 0x200))
+	if st.Flushed || st.CopiedWords != 6 {
 		t.Errorf("insert stats: %+v", st)
 	}
 	got, ok := l1.Lookup(0x100)
@@ -34,58 +74,60 @@ func TestL1InsertAndLookup(t *testing.T) {
 	if l1.Lookups != 2 || l1.Hits != 1 {
 		t.Errorf("counters: %d/%d", l1.Lookups, l1.Hits)
 	}
+	if l1.Bytes() != 24 {
+		t.Errorf("Bytes = %d, want the block's CodeBytes", l1.Bytes())
+	}
 }
 
 func TestL1ChainingBothDirections(t *testing.T) {
 	l1 := NewL1(4096)
-	// A chains to B (not yet resident).
-	aIdx, st := l1.Insert(0xA, block(2, 0xB))
+	// A chains to B (not yet resident): the site stays a CHAIN, pending.
+	aIdx, st := l1.Insert(0xA, blk(2, 0xB))
 	if st.Patches != 0 {
 		t.Errorf("premature patch")
 	}
+	wantProgram(t, l1, block(2, 0xB))
 	// B arrives, chains back to A (resident): both directions patch.
-	bIdx, st := l1.Insert(0xB, block(2, 0xA))
-	if st.Patches != 2 {
-		t.Errorf("patches = %d, want 2 (incoming + outgoing)", st.Patches)
+	bIdx, st := l1.Insert(0xB, blk(3, 0xA))
+	if st.Patches != 2 || l1.Chains != 2 {
+		t.Errorf("patches = %d, chains = %d, want 2 (incoming + outgoing)", st.Patches, l1.Chains)
 	}
-	arena := l1.Arena()
-	// A's CHAIN site must now be a J to B's index.
-	foundAtoB := false
-	for i := aIdx; i < bIdx; i++ {
-		if arena[i].Op == rawisa.J && arena[i].Target == uint32(bIdx) {
-			foundAtoB = true
-		}
+	wantProgram(t, l1, patched(2, bIdx), patched(3, aIdx))
+	// C chains to B: outgoing only, the target is resident.
+	_, st = l1.Insert(0xC, blk(1, 0xB))
+	if st.Patches != 1 {
+		t.Errorf("patches = %d, want 1", st.Patches)
 	}
-	if !foundAtoB {
-		t.Error("A→B chain not patched")
+	wantProgram(t, l1, patched(2, bIdx), patched(3, aIdx), patched(1, bIdx))
+}
+
+// A block that chains to itself is patched at its own insert.
+func TestL1SelfChain(t *testing.T) {
+	l1 := NewL1(4096)
+	l1.Insert(0x1, blk(1, 0x9))
+	idx, st := l1.Insert(0xA, blk(2, 0xA))
+	if st.Patches != 1 {
+		t.Errorf("patches = %d, want 1", st.Patches)
 	}
-	// B's CHAIN site points back at A.
-	foundBtoA := false
-	for i := bIdx; i < len(arena); i++ {
-		if arena[i].Op == rawisa.J && arena[i].Target == uint32(aIdx) {
-			foundBtoA = true
-		}
-	}
-	if !foundBtoA {
-		t.Error("B→A chain not patched")
-	}
+	wantProgram(t, l1, block(1, 0x9), patched(2, idx))
 }
 
 func TestL1NoChainAblation(t *testing.T) {
 	l1 := NewL1(4096)
 	l1.NoChain = true
-	l1.Insert(0xA, block(2, 0xB))
-	_, st := l1.Insert(0xB, block(2, 0xA))
+	l1.Insert(0xA, blk(2, 0xB))
+	_, st := l1.Insert(0xB, blk(2, 0xA))
 	if st.Patches != 0 || l1.Chains != 0 {
 		t.Error("NoChain still patched")
 	}
+	wantProgram(t, l1, block(2, 0xB), block(2, 0xA))
 }
 
 func TestL1FlushWhenFull(t *testing.T) {
-	l1 := NewL1(200) // tiny: a 5-inst block is 6 words = 24+8 bytes
+	l1 := NewL1(200) // tiny: a 5-inst block is 7 words = 28 bytes
 	var flushed bool
 	for i := 0; i < 10; i++ {
-		_, st := l1.Insert(uint32(0x100+i*16), block(5, 0))
+		_, st := l1.Insert(uint32(0x100+i*16), blk(5, 0))
 		flushed = flushed || st.Flushed
 	}
 	if !flushed {
@@ -100,11 +142,64 @@ func TestL1FlushWhenFull(t *testing.T) {
 	}
 }
 
-func res(pc uint32, n int) *translate.Result {
-	code := block(n, pc+64)
-	return &translate.Result{
-		Code:      code,
-		CodeBytes: rawisa.CodeBytes(code),
+// A flush drops the pending chain sites with the code they pointed
+// into: a target arriving afterwards must patch nothing, or it would
+// rewrite whatever now occupies those indices.
+func TestL1FlushDropsPendingSites(t *testing.T) {
+	for _, explicit := range []bool{false, true} {
+		l1 := NewL1(64)
+		l1.Insert(0xA, blk(4, 0xB)) // 24 bytes, site pending on 0xB
+		l1.Insert(0xC, blk(4, 0xB)) // 48 bytes, a second one
+		if explicit {
+			l1.Flush()
+		}
+		// Without the explicit flush this insert does not fit and flushes.
+		_, st := l1.Insert(0xD, blk(6, 0xE))
+		if st.Flushed == explicit {
+			t.Errorf("explicit=%v: Flushed = %v", explicit, st.Flushed)
+		}
+		_, st = l1.Insert(0xB, blk(1, 0xF))
+		if st.Patches != 0 || l1.Chains != 0 {
+			t.Errorf("explicit=%v: %d patches into flushed code", explicit, st.Patches)
+		}
+		wantProgram(t, l1, block(6, 0xE), block(1, 0xF))
+		if l1.Flushes != 1 || l1.Contains(0xA) || l1.Bytes() != 32+12 {
+			t.Errorf("explicit=%v: flushes %d, bytes %d", explicit, l1.Flushes, l1.Bytes())
+		}
+	}
+}
+
+// Checkpoint restore rebuilds the L1 by re-inserting the resident
+// blocks in EntryPCs order; the program, chain patches included, and
+// the sites still pending must come out the same.
+func TestL1ReinsertReproducesProgram(t *testing.T) {
+	blocks := map[uint32]*translate.Result{}
+	l1 := NewL1(100)
+	targets := []uint32{3, 0, 7, 1, 2, 12, 7, 12, 6, 6} // 6..9 survive the flush
+	for pc, to := range targets {
+		b := blk(1+pc%3, to)
+		blocks[uint32(pc)] = b
+		l1.Insert(uint32(pc), b)
+	}
+	if l1.Flushes != 1 || l1.Chains != 4+3 {
+		t.Fatalf("%d flushes, %d chains: the sequence was meant to flush once, patching four sites before and three after", l1.Flushes, l1.Chains)
+	}
+	again := NewL1(100)
+	for _, pc := range l1.EntryPCs() {
+		again.Insert(pc, blocks[pc])
+	}
+	if !reflect.DeepEqual(again.Program(), l1.Program()) {
+		t.Errorf("re-inserted program differs\n got %+v\nwant %+v", again.Program(), l1.Program())
+	}
+	if !reflect.DeepEqual(again.EntryPCs(), l1.EntryPCs()) || again.Bytes() != l1.Bytes() {
+		t.Errorf("re-inserted entries %v (%d bytes), want %v (%d)", again.EntryPCs(), again.Bytes(), l1.EntryPCs(), l1.Bytes())
+	}
+	// Both must react identically to the block the pending sites wait for.
+	late := blk(2, 0)
+	_, st1 := l1.Insert(12, late)
+	_, st2 := again.Insert(12, late)
+	if st1.Patches != 1 || st1 != st2 || !reflect.DeepEqual(again.Program(), l1.Program()) {
+		t.Errorf("after the pending target arrived: %+v vs %+v, want one patch", st2, st1)
 	}
 }
 
@@ -187,7 +282,7 @@ func TestL1ArenaIndicesStableWithinGeneration(t *testing.T) {
 	l1 := NewL1(1 << 20)
 	var idxs []int
 	for i := 0; i < 50; i++ {
-		idx, _ := l1.Insert(uint32(i), block(3, 0xffffffff))
+		idx, _ := l1.Insert(uint32(i), blk(3, 0xffffffff))
 		idxs = append(idxs, idx)
 	}
 	for i, want := range idxs {

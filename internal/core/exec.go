@@ -15,7 +15,7 @@ import (
 // code cache in the tile's instruction memory, the tile data cache, and
 // the translated-code execution engine.
 func (e *engine) execKernel(c *raw.TileCtx) {
-	P := e.cfg.Params
+	P := &e.cfg.Params
 	l1 := codecache.NewL1(P.IMemBytes)
 	l1.NoChain = e.cfg.NoChain
 	env := &execEnv{
@@ -29,11 +29,7 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 	}
 	cpu := &rawexec.CPU{}
 	cpu.LoadGuest(&e.proc.CPU)
-	// prog mirrors the L1 arena in predecoded form so block dispatch
-	// does not re-decode host instructions every visit. progFlushes
-	// tracks l1.Flushes to catch both insert-time and SMC flushes.
-	prog := &rawexec.Program{}
-	progFlushes := l1.Flushes
+	prog := l1.Program()
 	pc := e.proc.PC
 	logLimit := e.cfg.DispatchLogLimit
 	if logLimit == 0 {
@@ -79,7 +75,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 		tDisp := c.Now()
 		c.Tick(P.DispatchOcc + P.L1LookupOcc)
 		source := "L1"
-		var patched []int
 		idx, ok := l1.Lookup(pc)
 		l1hit := uint64(1)
 		if !ok {
@@ -98,10 +93,9 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 				}
 			}
 			var st codecache.InsertStats
-			idx, st = l1.Insert(pc, res.Code)
+			idx, st = l1.Insert(pc, res)
 			c.Tick(uint64(st.CopiedWords)*P.L1CopyWordOcc +
 				uint64(st.Patches)*P.L1ChainPatchOcc)
-			patched = st.Patched
 		}
 		trc.Count(tsDispatches, tDisp, 1)
 		trc.Count(tsL1Lookups, tDisp, 1)
@@ -114,12 +108,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 				fmt.Fprintf(e.cfg.DispatchLog, "... dispatch log limit reached\n")
 			}
 		}
-		if l1.Flushes != progFlushes {
-			prog.Reset()
-			progFlushes = l1.Flushes
-		}
-		prog.Repatch(l1.Arena(), patched)
-		prog.Sync(l1.Arena())
 		tExec := c.Now()
 		exit, err := prog.Exec(cpu, idx, tileClock{c}, env, 0)
 		trc.Span(c.Tile, "exec", tExec, c.Now(), "pc", uint64(pc), "insts", exit.Insts)
@@ -205,7 +193,7 @@ func (e *engine) noteHot(c *raw.TileCtx, pc uint32, insts uint64) {
 // one. Unmatched payloads (stale replies to earlier attempts,
 // corrupted messages) are discarded.
 func (e *engine) rpc(c *raw.TileCtx, send func(attempt int), match func(any) (any, bool)) any {
-	P := e.cfg.Params
+	P := &e.cfg.Params
 	send(0)
 	backoff := P.NetWatchdog
 	deadline := c.Now() + backoff
@@ -288,7 +276,7 @@ func b2u(b bool) uint64 {
 // empty bank), so a duplicated inval caused by a delayed ack is
 // harmless.
 func (e *engine) smcInvalRobust(c *raw.TileCtx, inval smcInval) {
-	P := e.cfg.Params
+	P := &e.cfg.Params
 	targets := append([]int{e.pl.manager}, e.pl.l15...)
 	acked := map[int]bool{}
 	send := func() {
@@ -411,7 +399,7 @@ func (v *execEnv) checkSMC(addr uint32, size uint8) {
 // touch charges a guest data access: tile D-cache hit or a round trip
 // through the MMU and bank tiles. It returns true on a D-cache hit.
 func (v *execEnv) touch(addr uint32, write bool) bool {
-	P := v.e.cfg.Params
+	P := &v.e.cfg.Params
 	if write {
 		v.c.Tick(P.GuestStoreOcc)
 	} else {

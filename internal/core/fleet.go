@@ -929,7 +929,7 @@ func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e *engine, gi int) {
 	}
 	e.restore = snap
 	e.applyRestore(snap)
-	P := fl.cfg.Params
+	P := &fl.cfg.Params
 	penalty := P.RollbackFixedOcc + uint64(len(snap.Mem.Pages))*P.RollbackPerPageOcc
 	e.stats.Rollbacks = uint64(fl.attempts[gi] - 1)
 	e.stats.RollbackCycles = penalty

@@ -86,7 +86,7 @@ type managerState struct {
 
 // managerKernel runs the manager/L2-code-cache tile.
 func (e *engine) managerKernel(c *raw.TileCtx) {
-	P := e.cfg.Params
+	P := &e.cfg.Params
 	st := &managerState{
 		e:           e,
 		c:           c,
@@ -218,7 +218,7 @@ func (e *engine) managerKernel(c *raw.TileCtx) {
 // rebank is re-sent. All scans iterate tiles in ascending id order so
 // recovery decisions are deterministic.
 func (st *managerState) onTick() {
-	P := st.e.cfg.Params
+	P := &st.e.cfg.Params
 	now := st.c.Now()
 	for t := 0; t < P.Tiles(); t++ {
 		role, isWorker := st.roles[t]
@@ -297,7 +297,7 @@ func (st *managerState) handleRebankAck(m rebankAck) {
 // same flush a morph performs), and the MMU is re-pointed at the new
 // bank set via the acknowledged rebank handshake.
 func (st *managerState) excise(t int) {
-	P := st.e.cfg.Params
+	P := &st.e.cfg.Params
 	role := st.roles[t]
 	if st.e.rollback != nil {
 		return // attempt already aborting; further excisions are moot
@@ -502,7 +502,7 @@ func (st *managerState) drainForSwitch() {
 // range (self-modifying code) and resets their pipeline state so the
 // new bytes are retranslated on demand.
 func (st *managerState) handleSMCInval(m smcInval, from int) {
-	P := st.e.cfg.Params
+	P := &st.e.cfg.Params
 	st.c.Tick(P.L2CLookupOcc) // page-map walk in the manager's tables
 	st.e.smcGen++
 	for pg := m.Lo >> 12; pg <= (m.Hi-1)>>12; pg++ {
@@ -529,7 +529,7 @@ func (st *managerState) entry(pc uint32) *qEntry {
 // handleCodeReq services a demand request from the execution tile (or
 // an L1.5 bank forwarding one).
 func (st *managerState) handleCodeReq(m codeReq) {
-	P := st.e.cfg.Params
+	P := &st.e.cfg.Params
 	t0 := st.c.Now()
 	st.c.Tick(P.L2CLookupOcc)
 	if res, ok := st.l2.Lookup(m.PC); ok {
@@ -803,7 +803,7 @@ func (st *managerState) staleSMC(m transDone) bool {
 // fault-recovery watchdogs may re-dispatch work whose first result was
 // merely slow rather than lost.
 func (st *managerState) handleTransDone(m transDone, from int) {
-	P := st.e.cfg.Params
+	P := &st.e.cfg.Params
 	if st.e.robust || st.e.trackWork {
 		if ow, ok := st.outstanding[from]; ok && ow.pc == m.PC {
 			delete(st.outstanding, from)

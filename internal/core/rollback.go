@@ -217,7 +217,7 @@ func (e *engine) restoreExecCaches(l1 *codecache.L1, env *execEnv) {
 	s := e.restore
 	for _, pc := range s.L1.PCs {
 		if res := e.restoreBlocks[pc]; res != nil {
-			l1.Insert(pc, res.Code)
+			l1.Insert(pc, res)
 		}
 	}
 	l1.Lookups = s.L1.Lookups

@@ -18,7 +18,7 @@ import (
 // misses.
 func (e *engine) workerBody(initial roleKind) func(*raw.TileCtx) {
 	return func(c *raw.TileCtx) {
-		P := e.cfg.Params
+		P := &e.cfg.Params
 		role := initial
 		bank := dcache.NewBank(P.L2DBankBytes, P.L2DWays, P.L2DLine)
 		if e.robust {
@@ -125,7 +125,7 @@ func (e *engine) workerBody(initial roleKind) func(*raw.TileCtx) {
 // point shared with rollback re-translation — so record/replay and
 // restore can never disagree on which tier produced a block.
 func (e *engine) doTranslate(c *raw.TileCtx, m work, replyTo int) {
-	P := e.cfg.Params
+	P := &e.cfg.Params
 	t0 := c.Now()
 	res, err := m.Translator.TranslateTier(m.Mem, m.PC, m.Tier0)
 	if err != nil {
@@ -151,7 +151,7 @@ func (e *engine) doTranslate(c *raw.TileCtx, m work, replyTo int) {
 
 // l15Kernel runs one bank of the L1.5 code cache.
 func (e *engine) l15Kernel(c *raw.TileCtx) {
-	P := e.cfg.Params
+	P := &e.cfg.Params
 	bank := codecache.NewL15(P.L15BankBytes)
 	for {
 		msg := c.Recv()
@@ -196,7 +196,7 @@ func (e *engine) l15Kernel(c *raw.TileCtx) {
 // memory system (Figure 2). It translates guest virtual addresses and
 // forwards requests to the bank that owns the physical line.
 func (e *engine) mmuKernel(c *raw.TileCtx) {
-	P := e.cfg.Params
+	P := &e.cfg.Params
 	m := mmu.New(P.TLBEntries)
 	if e.restore != nil {
 		if err := m.Import(e.restore.MMU); err != nil {
@@ -244,7 +244,7 @@ func (e *engine) mmuKernel(c *raw.TileCtx) {
 // deduplicates by request ID so a retried (non-idempotent) syscall is
 // executed at most once; the cached response is replayed instead.
 func (e *engine) sysKernel(c *raw.TileCtx) {
-	P := e.cfg.Params
+	P := &e.cfg.Params
 	var done map[uint64]sysResp
 	if e.robust {
 		done = map[uint64]sysResp{}

@@ -157,17 +157,17 @@ func DefaultParams() Params {
 }
 
 // Tiles returns the number of tiles in the grid.
-func (p Params) Tiles() int { return p.Width * p.Height }
+func (p *Params) Tiles() int { return p.Width * p.Height }
 
 // XY returns the grid coordinates of tile id.
-func (p Params) XY(id int) (x, y int) { return id % p.Width, id / p.Width }
+func (p *Params) XY(id int) (x, y int) { return id % p.Width, id / p.Width }
 
 // TileAt returns the tile id at grid coordinates (x, y).
-func (p Params) TileAt(x, y int) int { return y*p.Width + x }
+func (p *Params) TileAt(x, y int) int { return y*p.Width + x }
 
 // Hops returns the Manhattan distance between two tiles, the hop count
 // of a dimension-ordered route on the dynamic network.
-func (p Params) Hops(from, to int) uint64 {
+func (p *Params) Hops(from, to int) uint64 {
 	fx, fy := p.XY(from)
 	tx, ty := p.XY(to)
 	return uint64(abs(fx-tx) + abs(fy-ty))
@@ -175,7 +175,7 @@ func (p Params) Hops(from, to int) uint64 {
 
 // NetLat returns the modeled network latency for a message of the given
 // payload size in words between two tiles.
-func (p Params) NetLat(from, to, words int) uint64 {
+func (p *Params) NetLat(from, to, words int) uint64 {
 	return p.NetHeaderLat + p.NetHopLat*p.Hops(from, to) + p.NetWordLat*uint64(words)
 }
 

@@ -2,6 +2,7 @@ package rawexec
 
 import (
 	"testing"
+	"unsafe"
 
 	"tilevm/internal/rawisa"
 )
@@ -45,25 +46,37 @@ func BenchmarkInnerLoop(b *testing.B) {
 	}
 }
 
-// TestProgramRepatchMatchesFullPredecode pins the incremental-update
-// contract: Sync over a patched arena plus Repatch of the patched
-// indices must equal predecoding the arena from scratch.
-func TestProgramRepatchMatchesFullPredecode(t *testing.T) {
-	arena := []rawisa.Inst{
+// TestAppendChainMatchesSync pins the fill contract: blocks predecoded
+// on their own, appended at whatever offset the program has reached and
+// chained in place, must equal predecoding the same instruction memory
+// from scratch with the chain sites rewritten to absolute jumps.
+func TestAppendChainMatchesSync(t *testing.T) {
+	a := []rawisa.Inst{
 		{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: 7},
+		{Op: rawisa.BNE, Rs: 1, Rt: 0, Imm: 1},
 		{Op: rawisa.CHAIN, Target: 0x2000},
-		{Op: rawisa.NOP},
+		{Op: rawisa.CHAIN, Target: 0x3000},
 	}
-	var p Program
-	p.Sync(arena)
+	b := []rawisa.Inst{
+		{Op: rawisa.GLH, Rd: 2, Rs: 1},
+		{Op: rawisa.BEQ, Rs: 2, Rt: 0, Imm: -2},
+		{Op: rawisa.ASSIST, Target: 0x2004},
+		{Op: rawisa.CHAIN, Target: 0x1000},
+	}
+	var pa, pb, p Program
+	pa.Sync(a)
+	pb.Sync(b)
+	ia := p.Append(&pa)
+	ib := p.Append(&pb)
+	ia2 := p.Append(&pa) // the same block again, at another offset
+	p.Chain(ia+2, ib)    // forward
+	p.Chain(ib+3, ia)    // backward
+	p.Chain(ia2+2, ib)   // backward, from the second copy
 
-	// The code cache patches the chain site in place and grows the
-	// arena with the target block.
-	arena[1] = rawisa.Inst{Op: rawisa.J, Target: 3}
-	arena = append(arena, rawisa.Inst{Op: rawisa.EXITI, Target: 0x2000})
-	p.Repatch(arena, []int{1})
-	p.Sync(arena)
-
+	arena := append(append(append([]rawisa.Inst{}, a...), b...), a...)
+	arena[ia+2] = rawisa.Inst{Op: rawisa.J, Target: uint32(ib)}
+	arena[ib+3] = rawisa.Inst{Op: rawisa.J, Target: uint32(ia)}
+	arena[ia2+2] = rawisa.Inst{Op: rawisa.J, Target: uint32(ib)}
 	var fresh Program
 	fresh.Sync(arena)
 	if len(p.ops) != len(fresh.ops) {
@@ -71,7 +84,10 @@ func TestProgramRepatchMatchesFullPredecode(t *testing.T) {
 	}
 	for i := range p.ops {
 		if p.ops[i] != fresh.ops[i] {
-			t.Fatalf("op %d: incremental %+v, fresh %+v", i, p.ops[i], fresh.ops[i])
+			t.Errorf("op %d: appended %+v, fresh %+v", i, p.ops[i], fresh.ops[i])
 		}
+	}
+	if unsafe.Sizeof(uop{}) != 8 {
+		t.Errorf("uop is %d bytes; every resident translation carries one per instruction", unsafe.Sizeof(uop{}))
 	}
 }

@@ -118,9 +118,9 @@ const BranchPenalty = 2
 // exit instruction. maxInsts bounds execution (0 = unbounded) for
 // tests; inside the machine the simulator's time limit is the watchdog.
 //
-// Exec predecodes the whole arena on every call; callers that dispatch
-// repeatedly into a growing arena (the execution tile's block loop)
-// should hold a Program and use Sync/Repatch/Program.Exec instead.
+// Exec predecodes the whole arena on every call; the execution tile's
+// block loop runs the L1 code cache's Program instead, filled from
+// blocks predecoded once at translation time.
 func Exec(cpu *CPU, arena []rawisa.Inst, start int, clk Clock, env Env, maxInsts uint64) (Exit, error) {
 	var p Program
 	p.Sync(arena)

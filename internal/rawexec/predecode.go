@@ -2,30 +2,34 @@ package rawexec
 
 import (
 	"fmt"
+	"slices"
 
 	"tilevm/internal/rawisa"
 )
 
-// uop is one predecoded host instruction: operands unpacked, immediates
-// pre-extended, branch targets resolved to absolute arena indices, and
-// guest-access width/signedness precomputed, so the dispatch loop does
-// no per-visit re-derivation.
+// uop is one predecoded host instruction: operands unpacked and the
+// one value its opcode needs pre-computed, so the dispatch loop does no
+// per-visit re-derivation. imm is the extended immediate of an ALU or
+// host-memory op, the displacement from the instruction itself to the
+// target of a branch or direct jump, the guest PC of EXITI/CHAIN/ASSIST,
+// or the access bytes (bit 8: signed) of GL*/GS* — never two of them,
+// and every resident translation carries these 8 bytes per instruction.
 type uop struct {
-	op     rawisa.Op
-	rd     uint8
-	rs     uint8
-	rt     uint8
-	sz     uint8 // guest access bytes for GL*/GS*
-	sgn    bool  // signed guest load
-	imm    uint32
-	target int32 // absolute arena index for branches and direct jumps
+	op         rawisa.Op
+	rd, rs, rt uint8
+	imm        uint32
 }
 
-// Program is the predecoded form of an L1-arena code block sequence.
-// The arena only grows between flushes, so Sync predecodes just the new
-// tail; Repatch re-predecodes chain sites the code cache patched in
-// place. A Program belongs to one arena: Reset it when the arena is
-// flushed.
+func (u *uop) rel() int { return int(int32(u.imm)) }
+
+const signedLoad = 1 << 8
+
+// Program is an instruction memory in predecoded form: blocks appended
+// one after another, chain sites patched in place. Every control
+// transfer in it is relative, so code means the same at any index: a
+// block predecoded on its own (Sync into an empty Program, once, when
+// it is translated) is copied in with Append. The L1 code cache owns
+// the Program the execution tile runs.
 type Program struct {
 	ops []uop
 }
@@ -33,30 +37,33 @@ type Program struct {
 // Len returns the number of predecoded instructions.
 func (p *Program) Len() int { return len(p.ops) }
 
-// Reset empties the program (the arena was flushed). The backing store
-// is kept for reuse.
+// Reset empties the program. The backing store is kept for reuse.
 func (p *Program) Reset() { p.ops = p.ops[:0] }
 
+// Append copies q's code to the end of the program and returns the
+// index of its first instruction.
+func (p *Program) Append(q *Program) int {
+	p.ops = append(p.ops, q.ops...)
+	return len(p.ops) - len(q.ops)
+}
+
+// Chain patches the CHAIN at index site into a jump to index target.
+func (p *Program) Chain(site, target int) {
+	p.ops[site] = uop{op: rawisa.J, imm: uint32(int32(target - site))}
+}
+
 // Sync extends the program to cover arena, predecoding only
-// arena[p.Len():]. The prefix must be unchanged except through Repatch.
+// arena[p.Len():]; J/JAL targets are absolute arena indices.
 func (p *Program) Sync(arena []rawisa.Inst) {
+	p.ops = slices.Grow(p.ops, max(0, len(arena)-len(p.ops)))
 	for i := len(p.ops); i < len(arena); i++ {
 		p.ops = append(p.ops, predecode(arena[i], i))
 	}
 }
 
-// Repatch re-predecodes the given arena indices (chain sites patched
-// from CHAIN to J by the code cache).
-func (p *Program) Repatch(arena []rawisa.Inst, indices []int) {
-	for _, i := range indices {
-		if i < len(p.ops) {
-			p.ops[i] = predecode(arena[i], i)
-		}
-	}
-}
-
+// predecode converts the instruction at index i of its code sequence.
 func predecode(in rawisa.Inst, i int) uop {
-	u := uop{op: in.Op, rd: in.Rd, rs: in.Rs, rt: in.Rt, imm: uint32(in.Imm), target: int32(in.Target)}
+	u := uop{op: in.Op, rd: in.Rd, rs: in.Rs, rt: in.Rt, imm: uint32(in.Imm)}
 	switch in.Op {
 	case rawisa.LUI:
 		u.imm = uint32(in.Imm) << 16
@@ -65,12 +72,15 @@ func predecode(in rawisa.Inst, i int) uop {
 	case rawisa.SLLI, rawisa.SRLI, rawisa.SRAI:
 		u.imm = uint32(in.Imm & 31)
 	case rawisa.BEQ, rawisa.BNE, rawisa.BLEZ, rawisa.BGTZ, rawisa.BLTZ, rawisa.BGEZ:
-		u.target = int32(i + 1 + int(in.Imm))
-	case rawisa.GLB, rawisa.GLBU, rawisa.GLH, rawisa.GLHU, rawisa.GLW:
-		u.sz = uint8(in.Op.GuestAccessBytes())
-		u.sgn = in.Op == rawisa.GLB || in.Op == rawisa.GLH
-	case rawisa.GSB, rawisa.GSH, rawisa.GSW:
-		u.sz = uint8(in.Op.GuestAccessBytes())
+		u.imm = uint32(1 + in.Imm)
+	case rawisa.J, rawisa.JAL:
+		u.imm = uint32(int32(in.Target) - int32(i))
+	case rawisa.GLB, rawisa.GLH:
+		u.imm = uint32(in.Op.GuestAccessBytes()) | signedLoad
+	case rawisa.GLBU, rawisa.GLHU, rawisa.GLW, rawisa.GSB, rawisa.GSH, rawisa.GSW:
+		u.imm = uint32(in.Op.GuestAccessBytes())
+	case rawisa.EXITI, rawisa.CHAIN, rawisa.ASSIST:
+		u.imm = in.Target
 	}
 	return u
 }
@@ -225,32 +235,32 @@ func (p *Program) Exec(cpu *CPU, start int, clk Clock, env Env, maxInsts uint64)
 
 		case rawisa.BEQ:
 			if use(in.rs) == use(in.rt) {
-				next = int(in.target)
+				next = pcIdx + in.rel()
 				now += BranchPenalty
 			}
 		case rawisa.BNE:
 			if use(in.rs) != use(in.rt) {
-				next = int(in.target)
+				next = pcIdx + in.rel()
 				now += BranchPenalty
 			}
 		case rawisa.BLEZ:
 			if int32(use(in.rs)) <= 0 {
-				next = int(in.target)
+				next = pcIdx + in.rel()
 				now += BranchPenalty
 			}
 		case rawisa.BGTZ:
 			if int32(use(in.rs)) > 0 {
-				next = int(in.target)
+				next = pcIdx + in.rel()
 				now += BranchPenalty
 			}
 		case rawisa.BLTZ:
 			if int32(use(in.rs)) < 0 {
-				next = int(in.target)
+				next = pcIdx + in.rel()
 				now += BranchPenalty
 			}
 		case rawisa.BGEZ:
 			if int32(use(in.rs)) >= 0 {
-				next = int(in.target)
+				next = pcIdx + in.rel()
 				now += BranchPenalty
 			}
 		case rawisa.J:
@@ -259,13 +269,13 @@ func (p *Program) Exec(cpu *CPU, start int, clk Clock, env Env, maxInsts uint64)
 				// been invalidated. Hand the entry index back to the
 				// dispatch loop for resolution.
 				flush()
-				return Exit{Interrupted: true, ChainIdx: int(in.target), Insts: insts}, nil
+				return Exit{Interrupted: true, ChainIdx: pcIdx + in.rel(), Insts: insts}, nil
 			}
-			next = int(in.target)
+			next = pcIdx + in.rel()
 			now += BranchPenalty
 		case rawisa.JAL:
 			def(rawisa.RegLink, uint32(pcIdx+1))
-			next = int(in.target)
+			next = pcIdx + in.rel()
 			now += BranchPenalty
 		case rawisa.JR:
 			next = int(use(in.rs))
@@ -274,14 +284,14 @@ func (p *Program) Exec(cpu *CPU, start int, clk Clock, env Env, maxInsts uint64)
 		case rawisa.GLB, rawisa.GLBU, rawisa.GLH, rawisa.GLHU, rawisa.GLW:
 			addr := use(in.rs)
 			flush()
-			v, readyAt := env.GuestLoad(addr, in.sz, in.sgn)
+			v, readyAt := env.GuestLoad(addr, uint8(in.imm), in.imm&signedLoad != 0)
 			resync()
 			defAt(in.rd, v, readyAt)
 		case rawisa.GSB, rawisa.GSH, rawisa.GSW:
 			addr := use(in.rs)
 			v := use(in.rt)
 			flush()
-			env.GuestStore(addr, v, in.sz)
+			env.GuestStore(addr, v, uint8(in.imm))
 			resync()
 
 		case rawisa.SYSC:
@@ -294,14 +304,14 @@ func (p *Program) Exec(cpu *CPU, start int, clk Clock, env Env, maxInsts uint64)
 
 		case rawisa.ASSIST:
 			flush()
-			if err := env.Assist(uint32(in.target), cpu); err != nil {
+			if err := env.Assist(in.imm, cpu); err != nil {
 				return Exit{}, &Fault{Index: pcIdx, Reason: err.Error()}
 			}
 			resync()
 
 		case rawisa.EXITI, rawisa.CHAIN:
 			flush()
-			return Exit{NextPC: uint32(in.target), Insts: insts}, nil
+			return Exit{NextPC: in.imm, Insts: insts}, nil
 		case rawisa.EXITR:
 			next := use(in.rs)
 			flush()

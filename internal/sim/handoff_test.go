@@ -332,3 +332,152 @@ func TestStatsDeadPops(t *testing.T) {
 		t.Errorf("stats %+v, want 1 dead pop", st)
 	}
 }
+
+// TestRecvFoldsLocalTime: a Recv entered with accrued local time does
+// not spend a dispatch on it. The time becomes a floor under the one
+// wakeup the wait was going to get anyway, so the receiver resumes at
+// max(floor, what woke it) — where the old pre-sync followed by a wait
+// resumed it — and the kernel dispatches once per received message.
+// The consumer ticks, then receives; the producer sends each message at
+// sendAt with the given arrival. Dispatches counts both first
+// dispatches, one producer wakeup per distinct sendAt, and the
+// consumer's wakeups.
+func TestRecvFoldsLocalTime(t *testing.T) {
+	type send struct{ at, arrival Time }
+	const none = ^Time(0)
+	for _, tc := range []struct {
+		name     string
+		tick     Time
+		deadline Time // none = plain Recv
+		sends    []send
+		wantAt   Time // kernel clock when the receive returns
+		wantMsg  Time // arrival of the message received, none = timeout
+		want     Stats
+	}{
+		{name: "arrives before floor", tick: 20, deadline: none, sends: []send{{5, 5}},
+			wantAt: 20, wantMsg: 5, want: Stats{Dispatches: 4, Switches: 4}},
+		{name: "arrives after floor", tick: 20, deadline: none, sends: []send{{30, 30}},
+			wantAt: 30, wantMsg: 30, want: Stats{Dispatches: 4, Switches: 4}},
+		{name: "queued before entry", tick: 20, deadline: none, sends: []send{{0, 3}},
+			wantAt: 20, wantMsg: 3, want: Stats{Dispatches: 3, RunOns: 1, Switches: 2}},
+		{name: "queued for later", tick: 20, deadline: none, sends: []send{{0, 33}},
+			wantAt: 33, wantMsg: 33, want: Stats{Dispatches: 3, RunOns: 1, Switches: 2}},
+		{name: "no local time", tick: 0, deadline: none, sends: []send{{5, 9}},
+			wantAt: 9, wantMsg: 9, want: Stats{Dispatches: 4, Switches: 4}},
+		{name: "two arrivals under floor wake once", tick: 10, deadline: none, sends: []send{{3, 9}, {5, 8}},
+			wantAt: 10, wantMsg: 8, want: Stats{Dispatches: 5, RunOns: 1, Switches: 4}},
+		{name: "two arrivals over floor wake at the earlier", tick: 10, deadline: none, sends: []send{{3, 25}, {5, 15}},
+			wantAt: 15, wantMsg: 15, want: Stats{Dispatches: 5, RunOns: 1, Switches: 4, DeadPops: 1}},
+		{name: "deadline before floor, nothing", tick: 20, deadline: 5, sends: nil,
+			wantAt: 20, wantMsg: none, want: Stats{Dispatches: 3, RunOns: 1, Switches: 2}},
+		{name: "deadline before floor, message", tick: 20, deadline: 5, sends: []send{{10, 10}},
+			wantAt: 20, wantMsg: 10, want: Stats{Dispatches: 4, Switches: 4}},
+		{name: "deadline after floor, nothing", tick: 5, deadline: 50, sends: nil,
+			wantAt: 50, wantMsg: none, want: Stats{Dispatches: 3, RunOns: 1, Switches: 2}},
+		{name: "deadline after floor, message under floor", tick: 5, deadline: 50, sends: []send{{3, 3}},
+			wantAt: 5, wantMsg: 3, want: Stats{Dispatches: 4, Switches: 4, DeadPops: 1}},
+		{name: "deadline after floor, message between", tick: 5, deadline: 50, sends: []send{{3, 30}},
+			wantAt: 30, wantMsg: 30, want: Stats{Dispatches: 4, Switches: 4, DeadPops: 1}},
+		{name: "deadline in the past polls at floor", tick: 7, deadline: 0, sends: []send{{0, 2}},
+			wantAt: 7, wantMsg: 2, want: Stats{Dispatches: 3, RunOns: 1, Switches: 2}},
+	} {
+		s := New()
+		pt := s.NewPort("in")
+		s.Spawn("producer", func(p *Proc) {
+			for _, sd := range tc.sends {
+				p.Advance(sd.at - p.Now())
+				pt.Send(p.ID(), nil, sd.arrival)
+			}
+		})
+		gotAt, gotMsg := none, none
+		s.Spawn("consumer", func(p *Proc) {
+			p.Tick(tc.tick)
+			if tc.deadline == none {
+				gotMsg = p.Recv(pt).Arrival
+			} else if m, ok := p.RecvDeadline(pt, tc.deadline); ok {
+				gotMsg = m.Arrival
+			}
+			gotAt = p.sh.now
+			if p.Now() != gotAt {
+				t.Errorf("%s: local time %d left over at kernel clock %d", tc.name, p.Now(), gotAt)
+			}
+		})
+		if err := runChecked(t, s); err != nil {
+			t.Errorf("%s: Run = %v", tc.name, err)
+		}
+		if gotAt != tc.wantAt || gotMsg != tc.wantMsg {
+			t.Errorf("%s: returned at %d with message %d, want at %d with %d", tc.name, int64(gotAt), int64(gotMsg), int64(tc.wantAt), int64(tc.wantMsg))
+		}
+		if st := s.Stats(); st != tc.want {
+			t.Errorf("%s: stats %+v, want %+v", tc.name, st, tc.want)
+		}
+	}
+}
+
+// TestIdleWaiterAndLimit: the first semantic edge of the fold. Local
+// time folded into a wait nothing ends is never dispatched, so by
+// itself it no longer carries the clock past SetLimit: the machine goes
+// quiet instead, and that is still reported as a deadlock naming the
+// port — at the clock of the last event, not at the waiter's floor.
+func TestIdleWaiterAndLimit(t *testing.T) {
+	s := New()
+	s.SetLimit(100)
+	pt := s.NewPort("idle.in")
+	s.Spawn("waiter", func(p *Proc) {
+		p.Tick(500)
+		p.Recv(pt)
+		t.Error("waiter resumed")
+	})
+	s.Spawn("worker", func(p *Proc) { p.Advance(10) })
+	err := runChecked(t, s)
+	var derr *DeadlockError
+	if !errorsAs(err, &derr) {
+		t.Fatalf("Run = %v, want *DeadlockError", err)
+	}
+	if derr.Now != 10 || len(derr.Blocked) != 1 || derr.Blocked[0] != (BlockedProc{Proc: "waiter", Port: "idle.in"}) {
+		t.Errorf("DeadlockError = %+v, want waiter blocked on idle.in at 10", *derr)
+	}
+	if st, want := s.Stats(), (Stats{Dispatches: 3, RunOns: 1, Switches: 2}); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+
+	// A message does end the wait, and its wakeup at the floor is an
+	// event like any other: beyond the limit it trips it.
+	s = New()
+	s.SetLimit(100)
+	pt = s.NewPort("in")
+	s.Spawn("waiter", func(p *Proc) {
+		p.Tick(500)
+		p.Recv(pt)
+		t.Error("waiter resumed beyond the limit")
+	})
+	s.Spawn("sender", func(p *Proc) { pt.Send(p.ID(), nil, 10) })
+	var lerr *TimeLimitError
+	if err := runChecked(t, s); !errorsAs(err, &lerr) || lerr.Limit != 100 {
+		t.Errorf("Run = %v, want TimeLimitError{100}", err)
+	}
+}
+
+// TestTryRecvStillSyncs: a poll has no wait to fold into, so its
+// accrued local time is a dispatch of its own, as before.
+func TestTryRecvStillSyncs(t *testing.T) {
+	s := New()
+	pt := s.NewPort("in")
+	pt.Send(0, nil, 5)
+	s.Spawn("poller", func(p *Proc) {
+		p.Tick(3)
+		if _, ok := p.TryRecv(pt); ok || p.sh.now != 3 {
+			t.Errorf("first poll: ok=%v at %d, want a miss at 3", ok, p.sh.now)
+		}
+		p.Tick(4)
+		if m, ok := p.TryRecv(pt); !ok || m.Arrival != 5 || p.sh.now != 7 {
+			t.Errorf("second poll: ok=%v at %d, want the message at 7", ok, p.sh.now)
+		}
+	})
+	if err := runChecked(t, s); err != nil {
+		t.Fatal(err)
+	}
+	if st, want := s.Stats(), (Stats{Dispatches: 3, RunOns: 2, Switches: 1}); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+}

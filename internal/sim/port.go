@@ -121,10 +121,8 @@ func (pt *Port) Send(from int, payload any, arrival Time) {
 	if w == nil {
 		return
 	}
-	at := arrival
-	if at < pt.sh.now {
-		at = pt.sh.now
-	}
+	// Not before now, nor before the receiver's folded local time.
+	at := max(arrival, pt.sh.now, w.floor)
 	switch {
 	case w.state == parkBlocked:
 		pt.sh.schedule(w, at)
@@ -158,30 +156,64 @@ func (p *Proc) checkShard(pt *Port) {
 	}
 }
 
+// fold is how Recv and RecvDeadline account for accrued local time.
+// The serial kernel does not spend a dispatch on it: it becomes floor,
+// the earliest time anything may wake the process, and the wait that
+// follows is scheduled at max(floor, t) for whatever t — a queued
+// message's arrival, a deadline, a later Send — would have woken it. A
+// wakeup the old pre-sync at floor would have been followed by keeps
+// its dispatch key (at, pid); the pre-sync's own dispatch had no side
+// effect but to look at the queue, and is gone. A sharded run keeps the
+// Sync, as park keeps its loop goroutine.
+func (p *Proc) fold() {
+	if p.sim.par != nil {
+		p.Sync()
+		return
+	}
+	p.floor = p.sh.now + p.local
+	p.local = 0
+}
+
+// ready reports whether p can take pt's earliest message now: it has
+// arrived and p's folded local time has elapsed.
+func (p *Proc) ready(pt *Port) bool {
+	return p.sh.now >= p.floor && len(pt.q) > 0 && pt.q[0].Arrival <= p.sh.now
+}
+
+// await parks p as pt's receiver until the earliest queued arrival or,
+// if timed, the deadline — not before floor; with neither, until a Send
+// schedules it.
+func (p *Proc) await(pt *Port, deadline Time, timed bool) {
+	if pt.waiter != nil && pt.waiter != p {
+		p.abort(&PortConflictError{Port: pt.name, First: pt.waiter.name, Second: p.name})
+	}
+	pt.waiter = p
+	p.blockedOn = pt
+	at := deadline
+	if len(pt.q) > 0 && (!timed || pt.q[0].Arrival < at) {
+		at, timed = pt.q[0].Arrival, true
+	}
+	if timed {
+		p.sh.schedule(p, max(at, p.floor))
+		p.park()
+	} else {
+		p.block()
+	}
+	p.blockedOn = nil
+	pt.waiter = nil
+}
+
 // Recv blocks the calling process until a message is available (its
-// arrival time has been reached), then removes and returns it. Any
-// accrued local time is synchronized first.
+// arrival time has been reached), then removes and returns it. Accrued
+// local time elapses first, as part of the same wait.
 func (p *Proc) Recv(pt *Port) Msg {
 	p.checkShard(pt)
-	p.Sync()
+	p.fold()
 	for {
-		if len(pt.q) > 0 && pt.q[0].Arrival <= p.sh.now {
+		if p.ready(pt) {
 			return pt.q.pop()
 		}
-		if pt.waiter != nil && pt.waiter != p {
-			p.abort(&PortConflictError{Port: pt.name, First: pt.waiter.name, Second: p.name})
-		}
-		pt.waiter = p
-		p.blockedOn = pt
-		if len(pt.q) > 0 {
-			// Earliest message is in the future: sleep until it lands.
-			p.sh.schedule(p, pt.q[0].Arrival)
-			p.park()
-		} else {
-			p.block()
-		}
-		p.blockedOn = nil
-		pt.waiter = nil
+		p.await(pt, 0, false)
 	}
 }
 
@@ -189,7 +221,7 @@ func (p *Proc) Recv(pt *Port) Msg {
 func (p *Proc) TryRecv(pt *Port) (Msg, bool) {
 	p.checkShard(pt)
 	p.Sync()
-	if len(pt.q) > 0 && pt.q[0].Arrival <= p.sh.now {
+	if p.ready(pt) {
 		return pt.q.pop(), true
 	}
 	return Msg{}, false
@@ -197,29 +229,18 @@ func (p *Proc) TryRecv(pt *Port) (Msg, bool) {
 
 // RecvDeadline blocks until a message is available or virtual time
 // reaches the deadline, whichever comes first. The boolean is false on
-// timeout. A deadline in the past polls.
+// timeout. A deadline in the past polls, once accrued local time has
+// elapsed.
 func (p *Proc) RecvDeadline(pt *Port, deadline Time) (Msg, bool) {
 	p.checkShard(pt)
-	p.Sync()
+	p.fold()
 	for {
-		if len(pt.q) > 0 && pt.q[0].Arrival <= p.sh.now {
+		if p.ready(pt) {
 			return pt.q.pop(), true
 		}
-		if p.sh.now >= deadline {
+		if p.sh.now >= max(deadline, p.floor) {
 			return Msg{}, false
 		}
-		if pt.waiter != nil && pt.waiter != p {
-			p.abort(&PortConflictError{Port: pt.name, First: pt.waiter.name, Second: p.name})
-		}
-		pt.waiter = p
-		p.blockedOn = pt
-		at := deadline
-		if len(pt.q) > 0 && pt.q[0].Arrival < at {
-			at = pt.q[0].Arrival
-		}
-		p.sh.schedule(p, at)
-		p.park()
-		p.blockedOn = nil
-		pt.waiter = nil
+		p.await(pt, deadline, true)
 	}
 }

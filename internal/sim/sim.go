@@ -431,6 +431,7 @@ type Proc struct {
 	resume    chan struct{}
 	state     parkKind
 	local     Time // cycles accumulated since last sync
+	floor     Time // serial Recv: no wakeup before this (local time folded into the wait)
 	killed    bool
 	body      func(*Proc)
 	wakeSeq   uint64

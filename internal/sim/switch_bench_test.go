@@ -15,3 +15,7 @@ func BenchmarkProcSwitch(b *testing.B) { bench.ProcSwitchBench(2)(b) }
 // BenchmarkProcSwitch64 is the same hand-off with 64 processes in the
 // event heap, the shape of a fleet on an 8×8 fabric.
 func BenchmarkProcSwitch64(b *testing.B) { bench.ProcSwitchBench(64)(b) }
+
+// BenchmarkTickRecv measures a Recv entered with accrued local time,
+// the service tiles' steady state: one dispatch per received message.
+func BenchmarkTickRecv(b *testing.B) { bench.TickRecvBench()(b) }

@@ -3,9 +3,9 @@
 // serial quick figure suite, the quick fleet fault-tolerance sweep,
 // and the sharded-engine parallel_sim fleet) and compares them against
 // the recorded trajectory in BENCH_sim.json, plus the translator's
-// per-block cost (translate_block_tier1/tier0 over the 176.gcc corpus)
-// and the serial kernel's process switch (sim_proc_switch at 2 and 64
-// processes).
+// per-block cost (translate_block_tier1/tier0 over the 176.gcc corpus),
+// the serial kernel's process switch (sim_proc_switch at 2 and 64
+// processes) and the two per-message costs (sim_tick_recv, l1_fill).
 // A metric that regresses beyond its tolerance fails the run. Tolerances are deliberately
 // generous — shared CI hosts are noisy — so only a structural
 // regression (an accidental O(n²), a lost pooling optimization) trips
@@ -79,7 +79,7 @@ func loadBaseline(path string) (*baseline, error) {
 
 // blockAllocTol bounds the translate allocs/block micros: the count is
 // deterministic, so the bound is tight enough that one extra
-// allocation per block (28 -> 29, 18 -> 19) trips it.
+// allocation per block (30 -> 31, 20 -> 21) trips it.
 const blockAllocTol = 1.03
 
 // metric is one baseline-vs-measured comparison. The gate trips when
@@ -215,6 +215,16 @@ func main() {
 	}{{"sim_proc_switch", 2}, {"sim_proc_switch_64", 64}} {
 		r := testing.Benchmark(bench.ProcSwitchBench(k.procs))
 		ms = append(ms, metric{k.name + " ns/park", float64(base.Micro[k.name].NsPerOp), float64(r.NsPerOp()), *timeTol})
+	}
+	// The two per-message costs: a Recv entered with accrued local time,
+	// and a code-cache fill over the translate corpus.
+	fmt.Fprintln(os.Stderr, "benchcheck: measuring sim_tick_recv/l1_fill...")
+	for _, k := range []struct {
+		name, unit string
+		f          func(b *testing.B)
+	}{{"sim_tick_recv", "ns/recv", bench.TickRecvBench()}, {"l1_fill", "ns/fill", bench.L1FillBench()}} {
+		r := testing.Benchmark(k.f)
+		ms = append(ms, metric{k.name + " " + k.unit, float64(base.Micro[k.name].NsPerOp), float64(r.NsPerOp()), *timeTol})
 	}
 	if !*skipSuite {
 		fmt.Fprintln(os.Stderr, "benchcheck: running quick figure suite (serial)...")

@@ -7,6 +7,7 @@ import (
 
 	"tilevm/internal/guest"
 	"tilevm/internal/rawexec"
+	"tilevm/internal/rawisa"
 	"tilevm/internal/x86"
 	"tilevm/internal/x86interp"
 )
@@ -40,7 +41,7 @@ func runDBT(t *testing.T, img *guest.Image, opts Options, tier0 bool, maxBlocks 
 		// Keep the interpreter-visible state in sync for assists.
 		exit, err := rawexec.Exec(cpu, res.Code, 0, clk, env, 10_000_000)
 		if err != nil {
-			return p, fmt.Errorf("exec of block %#x: %w\n%s", pc, err, res.Block.Block.String())
+			return p, fmt.Errorf("exec of block %#x: %w\n%s", pc, err, rawisa.Disassemble(res.Code))
 		}
 		if env.SMCPending {
 			// Self-modifying code: drop every cached translation.

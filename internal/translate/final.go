@@ -5,6 +5,7 @@ import (
 
 	"tilevm/internal/codegen"
 	"tilevm/internal/opt"
+	"tilevm/internal/rawexec"
 	"tilevm/internal/rawisa"
 )
 
@@ -24,12 +25,51 @@ type Result struct {
 	Code []rawisa.Inst
 	// CodeBytes is the encoded size, the unit of code-cache accounting.
 	CodeBytes int
+	// Pre is Code predecoded for the execution engine, position-
+	// independent, and Chains lists its CHAIN sites: an L1 fill copies
+	// the one and walks the other.
+	Pre    rawexec.Program
+	Chains []ChainSite
 	// Optimized records whether the optimizer ran.
 	Optimized bool
 	// Tier records which translation tier produced the block
 	// (TierTemplate or TierOptimizing); the manager's promotion logic
 	// and the code caches key off it.
 	Tier uint8
+}
+
+// ChainSite is one CHAIN instruction of a block: its offset from the
+// block's first instruction and the guest PC it exits to.
+type ChainSite struct {
+	Off    int32
+	Target uint32
+}
+
+// newResult finishes a translation: the per-block work every later
+// cache fill would otherwise redo (sizing, predecoding, finding the
+// chain sites) happens here, once.
+func newResult(blk *Block, code []rawisa.Inst, optimized bool, tier uint8) *Result {
+	r := &Result{
+		Block:     blk,
+		Code:      code,
+		CodeBytes: rawisa.CodeBytes(code),
+		Optimized: optimized,
+		Tier:      tier,
+	}
+	// The IR is spent: the caches hold a Result for as long as the block
+	// is resident anywhere, and only its metadata is read again. Letting
+	// go of it (24 bytes per instruction) more than pays for Pre (8).
+	blk.Block.Code, blk.Block.LabelPos = nil, nil
+	r.Pre.Sync(code)
+	for i, in := range code {
+		if in.Op == rawisa.CHAIN {
+			if r.Chains == nil {
+				r.Chains = make([]ChainSite, 0, 2) // a taken and a fall-through exit
+			}
+			r.Chains = append(r.Chains, ChainSite{Off: int32(i), Target: in.Target})
+		}
+	}
+	return r
 }
 
 // TranslateFinal runs the full pipeline: block discovery, flag
@@ -53,13 +93,7 @@ func (t *Translator) TranslateFinal(mem CodeReader, addr uint32) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
-			Block:     blk,
-			Code:      code,
-			CodeBytes: rawisa.CodeBytes(code),
-			Optimized: t.Opts.Optimize,
-			Tier:      TierOptimizing,
-		}, nil
+		return newResult(blk, code, t.Opts.Optimize, TierOptimizing), nil
 	}
 	return nil, &Error{Addr: addr, Reason: "register pressure irreducible at single-instruction block"}
 }

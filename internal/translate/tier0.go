@@ -76,18 +76,13 @@ func (t *Translator) TranslateTemplate(mem CodeReader, addr uint32) (*Result, er
 		e.emit(rawisa.Inst{Op: rawisa.CHAIN, Target: end})
 		e.kind, e.target = ExitFall, end
 	}
-	return &Result{
-		Block: &Block{
-			Block:         &ir.Block{GuestAddr: addr, GuestLen: end - addr, NumGuest: len(insts)},
-			Kind:          e.kind,
-			Target:        e.target,
-			FallTarget:    e.fall,
-			BackwardTaken: e.back,
-		},
-		Code:      e.code,
-		CodeBytes: rawisa.CodeBytes(e.code),
-		Tier:      TierTemplate,
-	}, nil
+	return newResult(&Block{
+		Block:         &ir.Block{GuestAddr: addr, GuestLen: end - addr, NumGuest: len(insts)},
+		Kind:          e.kind,
+		Target:        e.target,
+		FallTarget:    e.fall,
+		BackwardTaken: e.back,
+	}, e.code, false, TierTemplate), nil
 }
 
 // emitter assembles host code directly into the physical register file.
