@@ -45,10 +45,10 @@ racepar:
 	$(GO) test -race -short -run TestParallelDeterminism ./internal/bench
 
 # Fleet scheduler under the race detector: the N-guest placement,
-# admission, vmSwitch handoff, and fleet-wide lending tests, plus the
-# invariance battery, on core and bench.
+# admission, and vmSwitch handoff tests, plus the schedule golden and
+# the invariance battery, on core and bench.
 race-fleet:
-	$(GO) test -race -timeout 1200s -run 'TestFleet|TestCarve|TestMultiVM|TestPairMatches|TestRunFleet|TestElastic|TestPlan|TestSplitRoles|TestNoFit' ./internal/core
+	$(GO) test -race -timeout 1200s -run 'TestFleet|TestCarve|TestMultiVM|TestRunFleet|TestPlan|TestSplitRoles|TestNoFit' ./internal/core
 	$(GO) test -race -run 'TestFleetSweepQuick|TestFleetFaultSweepQuick' ./internal/bench
 
 # Both event kernels under the race detector: the fleet invariance
@@ -70,10 +70,10 @@ race-sim:
 # Coverage summary for the fleet/placement layer (the code this PR's
 # test battery is aimed at).
 cover-fleet:
-	$(GO) test -run 'TestFleet|TestCarve|TestMultiVM|TestPairMatches|TestRunFleet|TestElastic|TestPlan|TestSplitRoles|TestNoFit|FuzzCarveFabric|FuzzPlanFabric|FuzzQuarantineRecarve' \
+	$(GO) test -run 'TestFleet|TestCarve|TestMultiVM|TestRunFleet|TestPlan|TestSplitRoles|TestNoFit|FuzzCarveFabric|FuzzPlanFabric|FuzzQuarantineRecarve' \
 	  -coverprofile=/tmp/tilevm-fleet-cover.out ./internal/core
 	$(GO) tool cover -func=/tmp/tilevm-fleet-cover.out | \
-	  grep -E 'fleet\.go|fleetpolicy\.go|placement\.go|planner\.go|multivm\.go|total:'
+	  grep -E 'fleet\.go|fleetpolicy\.go|placement\.go|planner\.go|total:'
 	rm -f /tmp/tilevm-fleet-cover.out
 
 # Perf trajectory: the microbenchmarks in bench_test.go (including
@@ -140,10 +140,10 @@ fleet-smoke:
 # Placement-planner smoke: the quick (8×8) slot-capped oversubscribed
 # sweep — deterministic across repeats, and the cost-model planner must
 # beat the fixed 4×2 carver on makespan or utilization. Also drives one
-# planner+elastic fleet through the CLI so the flags stay wired.
+# planner fleet through the CLI so the flag stays wired.
 placement-smoke:
 	$(GO) test -run TestPlacementSmoke -count=1 ./internal/bench
-	$(GO) run ./cmd/tilevm -guests 164.gzip,181.mcf,164.gzip,181.mcf -grid 8x8 -planner -elastic
+	$(GO) run ./cmd/tilevm -guests 164.gzip,181.mcf,164.gzip,181.mcf -grid 8x8 -planner
 
 # End-to-end fleet fault-tolerance smoke: a seeded fail-stop fault
 # quarantines a slot mid-run on an oversubscribed fleet with per-guest

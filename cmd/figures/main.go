@@ -30,8 +30,7 @@ func main() {
 		ablation   = flag.Bool("ablations", false, "also run design-choice ablations")
 		whatif     = flag.Bool("whatif", false, "also run the §4.5 hardware-assist what-if analysis")
 		util       = flag.String("utilization", "", "print per-tile utilization for a benchmark (e.g. 176.gcc)")
-		multivm    = flag.Bool("multivm", false, "also run the §5 two-VM fabric-sharing experiment")
-		fleet      = flag.Bool("fleet", false, "also run the N-guest fleet scheduler sweep (4x4/8x8/16x16 fabrics; fixed, lending, and planner placement)")
+		fleet      = flag.Bool("fleet", false, "also run the N-guest fleet scheduler sweep (4x4/8x8/16x16 fabrics; fixed and planner placement)")
 		fleetFault = flag.Bool("fleetfault", false, "also run the fleet fault-tolerance sweep (quarantine/retry/deadline policies)")
 		faultsw    = flag.Bool("faultsweep", false, "also run the graceful-degradation fault sweep")
 		warmup     = flag.Bool("warmup", false, "also run the tier-0 cold-start benchmark (arrival to first 10k retired instructions)")
@@ -43,7 +42,7 @@ func main() {
 		traceEvery = flag.Uint64("trace-interval", 0, "also sample hit rates and per-tile occupancy every N cycles into <trace>.csv (requires -trace)")
 		traceWl    = flag.String("trace-workload", "164.gzip", "workload for the -trace run")
 		workers    = flag.Int("j", runtime.NumCPU(), "worker pool width for independent simulations (1 = serial)")
-		simWorkers = flag.Int("sim-workers", 1, "event-loop workers inside each fleet simulation (bit-identical at any value; serial fallback when slots are coupled)")
+		simWorkers = flag.Int("sim-workers", 1, "event-loop workers inside each fleet simulation (bit-identical at any value; serial fallback under a fault plan, policy events (fail-stop clauses, guest deadlines), a tracer, or a dispatch log)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -189,14 +188,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(f.String())
-	}
-	if *multivm {
-		out, err := s.MultiVM()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
 	}
 	if *fleet {
 		out, err := s.FleetSweep()

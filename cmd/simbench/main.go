@@ -112,11 +112,11 @@ type output struct {
 	ParallelSim *bench.FleetParallelResult `json:"parallel_sim"`
 
 	// PlacementSweep is the cost-model placement benchmark: fixed-shape
-	// carving vs the planner (and planner+elastic morphing) on
-	// oversubscribed slot-capped 8×8 and 16×16 fleets. All figures are
-	// virtual cycles, so they are exact on any host; Identical must
-	// always be true, and the planner must strictly beat the fixed
-	// carver on makespan or utilization on every grid.
+	// carving vs the planner on oversubscribed slot-capped 8×8 and
+	// 16×16 fleets. All figures are virtual cycles, so they are exact on
+	// any host; Identical must always be true, and the planner must
+	// strictly beat the fixed carver on makespan or utilization on
+	// every grid.
 	PlacementSweep *bench.PlacementSweepResult `json:"placement_sweep"`
 
 	// PrePR pins the numbers measured at the commit before the perf PR
@@ -362,7 +362,7 @@ func main() {
 		os.Exit(1)
 	}
 	if !ps.Identical {
-		fmt.Fprintln(os.Stderr, "simbench: placement_sweep: repeated runs DIVERGED — planner/elastic placement broke determinism")
+		fmt.Fprintln(os.Stderr, "simbench: placement_sweep: repeated runs DIVERGED — planner placement broke determinism")
 		os.Exit(1)
 	}
 	for _, g := range ps.Grids {
@@ -451,8 +451,8 @@ func main() {
 	fmt.Printf("simbench: service_throughput %.3fs/job over %d closed-loop jobs\n",
 		secPerJob, svcJobs)
 	for _, g := range ps.Grids {
-		fmt.Printf("simbench: placement_sweep %s cap %d: makespan fixed %d → planner %d (elastic %d, %d grows)\n",
-			g.Grid, g.MaxSlots, g.Fixed.Makespan, g.Planner.Makespan, g.Elastic.Makespan, g.Elastic.ElasticGrows)
+		fmt.Printf("simbench: placement_sweep %s cap %d: makespan fixed %d → planner %d\n",
+			g.Grid, g.MaxSlots, g.Fixed.Makespan, g.Planner.Makespan)
 	}
 	fmt.Printf("simbench: warmup tier0 %d vs opt %d cycles (%.3fx; no-spec %.3fx)\n",
 		wres.Tier0Cycles, wres.OptCycles, wres.Speedup, wres.SpeedupNoSpec)

@@ -20,12 +20,11 @@
 //	tilevm -replay-diff run.tvrc
 //
 // Fleet mode runs N guests as virtual machines sharing one fabric,
-// carving the grid into 8-tile VM slots, queueing guests beyond the
-// slot count, and (with -lend) lending idle translation slaves to the
-// most backed-up VM:
+// carving the grid into 8-tile VM slots and queueing guests beyond the
+// slot count:
 //
 //	tilevm -guests 164.gzip,181.mcf,176.gcc,164.gzip -grid 8x8
-//	tilevm -guests 164.gzip,181.mcf -lend=false -v
+//	tilevm -guests 164.gzip,181.mcf -planner -v
 //
 // Fleet runs compose with fail-stop fault plans: a fault that kills a
 // slot tile quarantines the whole slot, and its guest is retried on the
@@ -65,9 +64,7 @@ func main() {
 		wlName     = flag.String("workload", "", "named synthetic workload (e.g. 176.gcc)")
 		guests     = flag.String("guests", "", "comma-separated workload names to run as a fleet of VMs (e.g. 164.gzip,181.mcf)")
 		grid       = flag.String("grid", "4x4", "fabric size WxH for fleet mode (requires -guests)")
-		lendFlag   = flag.Bool("lend", true, "fleet mode: lend idle translation slaves to the most backed-up VM (auto-off under -elastic)")
 		planner    = flag.Bool("planner", false, "fleet mode: cost-model placement planner — grow slots on undersubscribed fabrics and split tiles between translation slaves and cache banks per guest profile")
-		elastic    = flag.Bool("elastic", false, "fleet mode: elastic morphing — idle slots donate their tiles to running VMs and reclaim them when a queued guest arrives (forces the serial event loop)")
 		deadline   = flag.Uint64("deadline", 0, "fleet mode: per-guest virtual-cycle deadline; guests still running at the deadline are cancelled (0 = none)")
 		maxAtt     = flag.Int("max-attempts", 0, "fleet mode: admission attempts per guest before it is aborted (0 = default)")
 		retryBack  = flag.Uint64("retry-backoff", 0, "fleet mode: base virtual-cycle backoff before re-admitting a quarantined guest (0 = default)")
@@ -83,7 +80,7 @@ func main() {
 		threshold  = flag.Int("threshold", 5, "morphing queue-length threshold")
 		maxCycles  = flag.Uint64("maxcycles", 0, "simulation watchdog (0 = default)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the run; an expired run is interrupted and exits non-zero (0 = none; composes with -deadline, which is virtual cycles)")
-		simWorkers = flag.Int("sim-workers", 1, "simulation event-loop workers; >1 shards fleet runs by VM slot with bit-identical results (serial fallback when slots are coupled by lending, faults, or tracing)")
+		simWorkers = flag.Int("sim-workers", 1, "simulation event-loop workers; >1 shards fleet runs by VM slot with bit-identical results (serial fallback under a fault plan, policy events (fail-stop clauses, guest deadlines), a tracer, or a dispatch log)")
 		faultPlan  = flag.String("fault-plan", "", "fault plan, e.g. 'fail:7@150000,drop:0.01,delay:0.02+400,corrupt:0.01,dram:0.05,stall:6@30000+5000'")
 		faultSeed  = flag.Uint64("fault-seed", 0, "seed for the fault plan's probabilistic clauses")
 		noRecover  = flag.Bool("fault-norecover", false, "disable fault recovery (a fault then deadlocks with a diagnostic)")
@@ -158,19 +155,11 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, fleetOnly := range []string{
-		"grid", "lend", "planner", "elastic", "deadline", "max-attempts", "retry-backoff", "retry-seed",
+		"grid", "planner", "deadline", "max-attempts", "retry-backoff", "retry-seed",
 	} {
 		if set[fleetOnly] && *guests == "" {
 			die(fmt.Errorf("-%s requires -guests (fleet mode)", fleetOnly))
 		}
-	}
-	if *elastic {
-		// Both features move slaves between VMs; they cannot share a
-		// fabric. -lend defaults on, so only an explicit -lend conflicts.
-		if set["lend"] && *lendFlag {
-			die(fmt.Errorf("-elastic and -lend are mutually exclusive (both move slaves between VMs)"))
-		}
-		*lendFlag = false
 	}
 	var fleetNames []string
 	var fleetSlots int
@@ -278,9 +267,7 @@ func main() {
 		fleetCfg.Interrupt = intr
 		defer stopTimer()
 		fc := core.FleetConfig{
-			Lend:         *lendFlag,
 			Planner:      *planner,
-			Elastic:      *elastic,
 			MaxAttempts:  *maxAtt,
 			RetryBackoff: *retryBack,
 			RetrySeed:    *retrySeed,
@@ -502,9 +489,6 @@ func reportFleet(res *core.FleetResult, names []string, capacity int, verbose bo
 			f.SlotsQuarantined, f.GuestsRetried, f.GuestsAborted, f.GuestsDeadlineExceeded)
 		fmt.Printf("goodput   : %.3f insts/cycle, SLO attainment %.0f%% (%d/%d deadlines met)\n",
 			f.Goodput(res.Makespan), 100*f.SLOAttainment(), f.DeadlineMet, f.DeadlineTotal)
-	}
-	if f.ElasticGrows > 0 || f.ElasticShrinks > 0 {
-		fmt.Printf("elastic   : %d grows, %d shrinks\n", f.ElasticGrows, f.ElasticShrinks)
 	}
 	if !verbose {
 		return

@@ -47,10 +47,8 @@ func main() {
 		grid         = flag.String("grid", "8x8", "fabric size WxH; each VM slot takes 8 tiles")
 		queueCap     = flag.Int("queue-cap", 64, "admission queue capacity; beyond it arrivals shed lower-class jobs or get a structured 429")
 		retain       = flag.Int("retain", 1024, "terminal jobs kept queryable before aging out oldest-first")
-		lend         = flag.Bool("lend", true, "lend idle translation slaves across VMs within a batch (auto-off under -elastic)")
 		planner      = flag.Bool("planner", false, "cost-model placement planner: grow slots on undersubscribed fabrics and split tiles per guest profile")
-		elastic      = flag.Bool("elastic", false, "elastic morphing: oversubscribe batches when the queue backs up, with idle slots donating tiles to running VMs")
-		simWorkers   = flag.Int("sim-workers", 1, "per-batch simulation event-loop workers (see tilevm -sim-workers)")
+		simWorkers   = flag.Int("sim-workers", 1, "per-batch simulation event-loop workers; >1 shards a batch by VM slot with bit-identical results (serial fallback under a fault plan, policy events (fail-stop clauses, guest deadlines), a tracer, or a dispatch log)")
 		maxCycles    = flag.Uint64("maxcycles", 0, "per-batch virtual-cycle watchdog (0 = default)")
 		maxAttempts  = flag.Int("max-attempts", 0, "batches a job may be admitted to before it fails (0 = default)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "graceful-drain budget after SIGTERM; the queue is abandoned and the batch interrupted when it expires")
@@ -74,16 +72,6 @@ func main() {
 	if *drainTimeout <= 0 {
 		die(fmt.Errorf("-drain-timeout must be positive"))
 	}
-	if *elastic {
-		// -lend defaults on, so only an explicitly-set -lend conflicts;
-		// otherwise elastic simply takes over the idle-capacity role.
-		explicitLend := false
-		flag.Visit(func(f *flag.Flag) { explicitLend = explicitLend || f.Name == "lend" })
-		if explicitLend && *lend {
-			die(fmt.Errorf("-elastic and -lend are mutually exclusive (both move slaves between VMs)"))
-		}
-		*lend = false
-	}
 
 	svc, err := service.New(service.Config{
 		Width:          w,
@@ -91,9 +79,7 @@ func main() {
 		QueueCap:       *queueCap,
 		Retain:         *retain,
 		MaxJobAttempts: *maxAttempts,
-		Lend:           *lend,
 		Planner:        *planner,
-		Elastic:        *elastic,
 		SimWorkers:     *simWorkers,
 		MaxCycles:      *maxCycles,
 	})

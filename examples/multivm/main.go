@@ -1,14 +1,11 @@
 // Multivm: the paper's §5 vision — "a large tiled fabric running many
-// virtual x86's all at the same time", with reconfiguration applied
-// *between* virtual processors. Two complete virtual machines share
-// the 4×4 fabric (8 tiles each); with lending enabled, a manager whose
-// translation queues are drained hands idle slave tiles to its peer,
-// and when one guest exits its tiles keep serving the survivor.
+// virtual x86's all at the same time". Two complete virtual machines
+// share the 4×4 fabric, 8 tiles each, in isolated halves.
 //
-// The second half scales the same idea up with the fleet scheduler:
-// six guests on an 8×8 fabric carved into eight VM slots, admitted as
-// slots free up, with fleet-wide lending steering idle slaves to the
-// most backed-up VM.
+// The second part scales the same idea up with the fleet scheduler:
+// six guests on an 8×8 fabric capped at four VM slots, admitted as
+// slots free up. The third kills a slot's exec tile mid-run and shows
+// the quarantine-and-retry policy.
 package main
 
 import (
@@ -31,24 +28,17 @@ func main() {
 	fmt.Println("two virtual x86 processors on one 4x4 Raw fabric")
 	fmt.Printf("  VM A: %s, VM B: %s\n\n", pa.Name, pb.Name)
 
-	for _, lend := range []bool{false, true} {
-		res, err := core.RunPair(imgA, imgB, cfg, lend)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mode := "isolated halves     "
-		if lend {
-			mode = "with slave lending  "
-		}
-		fmt.Printf("%s  A: %9d cycles   B: %9d cycles   makespan: %9d\n",
-			mode, res.A.Cycles, res.B.Cycles, res.Makespan)
-		fmt.Printf("                      B demand misses: %d, B translations: %d\n",
-			res.B.M.DemandMisses, res.B.M.Translations)
+	pair, err := core.RunFleet([]*guest.Image{imgA, imgB}, cfg, core.FleetConfig{})
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println("\nlending lets the finished VM's translation tiles keep working")
-	fmt.Println("for the busy one — the inter-VM morphing of the paper's §5.")
+	ra, rb := pair.Guests[0].Result, pair.Guests[1].Result
+	fmt.Printf("isolated halves  A: %9d cycles   B: %9d cycles   makespan: %9d\n",
+		ra.Cycles, rb.Cycles, pair.Makespan)
+	fmt.Printf("                 B demand misses: %d, B translations: %d\n",
+		rb.M.DemandMisses, rb.M.Translations)
 
-	// Fleet mode: the same protocol generalized to N guests on an
+	// Fleet mode: the same carve generalized to N guests on an
 	// arbitrary fabric. Two slots are deliberately left uncarved
 	// (MaxSlots) so two guests queue and are admitted mid-run when a
 	// slot's previous guest exits.
@@ -61,7 +51,7 @@ func main() {
 	fcfg := core.DefaultConfig()
 	fcfg.Params.Width, fcfg.Params.Height = 8, 8
 	fmt.Printf("\nfleet: %d guests on an 8x8 fabric, capped at 4 VM slots\n", len(names))
-	res, err := core.RunFleet(imgs, fcfg, core.FleetConfig{Lend: true, MaxSlots: 4})
+	res, err := core.RunFleet(imgs, fcfg, core.FleetConfig{MaxSlots: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +66,7 @@ func main() {
 	fmt.Printf("  makespan %d cycles, fabric utilization %.1f%%\n",
 		res.Makespan, 100*res.Utilization)
 	fmt.Println("\neach guest's final state hash is identical to its solo run —")
-	fmt.Println("scheduling, queueing, and lending never leak into a guest.")
+	fmt.Println("scheduling and queueing never leak into a guest.")
 
 	// Fleet fault tolerance: a fail-stop fault on a slot's exec tile
 	// quarantines the whole slot; its guest re-enters the admission
@@ -92,7 +82,7 @@ func main() {
 	fcfg.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{
 		{Tile: layout[0].Exec, Cycle: 500_000},
 	}}
-	res, err = core.RunFleet(imgs[:3], fcfg, core.FleetConfig{Lend: true})
+	res, err = core.RunFleet(imgs[:3], fcfg, core.FleetConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

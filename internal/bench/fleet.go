@@ -9,45 +9,6 @@ import (
 	"tilevm/internal/workload"
 )
 
-// MultiVM measures the §5 scenario: pairs of guests sharing one
-// fabric, with and without cross-VM translation-tile lending. It
-// reports per-guest cycles and the makespan for a small/large pairing
-// and a symmetric pairing.
-func (s *Suite) MultiVM() (string, error) {
-	pairs := [][2]string{
-		{"164.gzip", "176.gcc"},
-		{"181.mcf", "255.vortex"},
-		{"176.gcc", "255.vortex"},
-	}
-	cfg := core.DefaultConfig()
-	var b strings.Builder
-	fmt.Fprintf(&b, "Multi-VM — two virtual x86 processors sharing the fabric (§5)\n")
-	fmt.Fprintf(&b, "%-24s %-10s %14s %14s %14s %12s\n",
-		"pair", "lending", "A cycles", "B cycles", "makespan", "B demand-miss")
-	for _, pr := range pairs {
-		pa, okA := workload.ByName(pr[0])
-		pb, okB := workload.ByName(pr[1])
-		if !okA || !okB {
-			return "", fmt.Errorf("bench: unknown pair %v", pr)
-		}
-		imgA, imgB := pa.Build(), pb.Build()
-		for _, lend := range []bool{false, true} {
-			res, err := core.RunPair(imgA, imgB, cfg, lend)
-			if err != nil {
-				return "", fmt.Errorf("pair %v lend=%v: %w", pr, lend, err)
-			}
-			mode := "off"
-			if lend {
-				mode = "on"
-			}
-			fmt.Fprintf(&b, "%-24s %-10s %14d %14d %14d %12d\n",
-				pr[0]+" + "+pr[1], mode,
-				res.A.Cycles, res.B.Cycles, res.Makespan, res.B.M.DemandMisses)
-		}
-	}
-	return b.String(), nil
-}
-
 // fleetRotation is the workload mix FleetSweep admits, repeated as
 // needed to reach the requested guest count.
 var fleetRotation = []string{"164.gzip", "181.mcf", "176.gcc", "164.gzip"}
@@ -55,14 +16,13 @@ var fleetRotation = []string{"164.gzip", "181.mcf", "176.gcc", "164.gzip"}
 // FleetSweep measures the N-guest fleet scheduler: guest counts from
 // pair-sized to oversubscribed, on the default 4×4 fabric (2 VM slots),
 // an 8×8 fabric (8 slots), and a 16×16 fabric (32 slots), each with
-// fixed-shape carving, slave lending, and cost-model planner placement.
-// For each point it reports the carved slot count, the makespan, mean
-// guest turnaround (finish − admission, averaged), and fabric
-// utilization — the numbers behind the fleet-utilization table in
-// EXPERIMENTS.md. The full sweep appends the oversubscribed
-// slot-capped placement comparison (the placement_sweep entry in
-// BENCH_sim.json), where the planner must strictly beat the fixed
-// carver.
+// fixed-shape carving and cost-model planner placement. For each point
+// it reports the carved slot count, the makespan, mean guest
+// turnaround (finish − admission, averaged), and fabric utilization —
+// the numbers behind the fleet-utilization table in EXPERIMENTS.md.
+// The full sweep appends the oversubscribed slot-capped placement
+// comparison (the placement_sweep entry in BENCH_sim.json), where the
+// planner must strictly beat the fixed carver.
 func (s *Suite) FleetSweep() (string, error) {
 	rotation := fleetRotation
 	counts := []int{2, 4, 8}
@@ -90,12 +50,9 @@ func (s *Suite) FleetSweep() (string, error) {
 				}
 				profiles[i] = core.ProfileFromWorkload(p)
 			}
-			for _, mode := range []string{"fixed", "lend", "planner"} {
+			for _, mode := range []string{"fixed", "planner"} {
 				fc := core.FleetConfig{}
-				switch mode {
-				case "lend":
-					fc.Lend = true
-				case "planner":
+				if mode == "planner" {
 					fc.Planner = true
 					fc.Profiles = profiles
 				}

@@ -21,9 +21,9 @@ func TestFleetSweepQuick(t *testing.T) {
 	}
 	out := run()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// Header (2 lines) + 2 grids × 2 counts × 3 placement modes.
-	if len(lines) != 2+12 {
-		t.Fatalf("got %d lines, want 14:\n%s", len(lines), out)
+	// Header (2 lines) + 2 grids × 2 counts × 2 placement modes.
+	if len(lines) != 2+8 {
+		t.Fatalf("got %d lines, want 10:\n%s", len(lines), out)
 	}
 	for _, l := range lines[2:] {
 		if !strings.Contains(l, "%") {
@@ -33,7 +33,7 @@ func TestFleetSweepQuick(t *testing.T) {
 			t.Errorf("zero utilization in %q", l)
 		}
 	}
-	for _, point := range []string{"4x4", "8x8", "fixed", "lend", "planner"} {
+	for _, point := range []string{"4x4", "8x8", "fixed", "planner"} {
 		if !strings.Contains(out, point) {
 			t.Errorf("sweep output missing %q:\n%s", point, out)
 		}

@@ -71,7 +71,7 @@ func (s *Suite) FleetFaultSweep() (string, error) {
 		for _, pol := range policies {
 			cfg := core.DefaultConfig()
 			cfg.Params.Width, cfg.Params.Height = grid[0], grid[1]
-			cfg.SimWorkers = s.SimWorkers // serial fallback under lending/faults, but always safe
+			cfg.SimWorkers = s.SimWorkers // serial fallback under faults and deadlines, but always safe
 			if k > 0 {
 				plan := &fault.Plan{Seed: 7}
 				for i := 0; i < k; i++ {
@@ -85,7 +85,6 @@ func (s *Suite) FleetFaultSweep() (string, error) {
 				cfg.Recovery = core.RecoverRollback
 			}
 			res, err := core.RunFleet(imgs, cfg, core.FleetConfig{
-				Lend:        true,
 				MaxAttempts: pol.maxAttempts,
 				Deadline:    deadline,
 			})

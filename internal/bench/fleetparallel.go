@@ -34,7 +34,8 @@ type FleetParallelResult struct {
 }
 
 // FleetParallelBench runs a 12-guest gzip/mcf fleet on an 8×8 fabric
-// (8 VM slots, lending off so the sharded engine engages) once with
+// (8 VM slots; no faults, deadlines or tracer, so the sharded engine
+// engages) once with
 // the serial loop and once with the given worker count. It reports
 // both wall clocks and whether the two results are identical. This is
 // the parallel_sim entry simbench records and benchcheck gates on.

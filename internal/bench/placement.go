@@ -14,8 +14,7 @@ import (
 // placementGuests is the oversubscribed admission count the placement
 // sweep uses: 12 guests of the gzip/mcf mix (the same mix parallel_sim
 // oversubscribes) against slot-capped fabrics, so every configuration
-// runs multiple admission waves and the elastic variant has a tail for
-// idle slots to donate into.
+// runs multiple admission waves.
 const placementGuests = 12
 
 // placementRotation deliberately pairs a short translation-bound guest
@@ -32,27 +31,22 @@ type PlacementPoint struct {
 	Makespan       uint64  `json:"makespan_cycles"`
 	MeanTurnaround uint64  `json:"mean_turnaround_cycles"`
 	Utilization    float64 `json:"utilization"`
-	ElasticGrows   uint64  `json:"elastic_grows,omitempty"`
-	ElasticShrinks uint64  `json:"elastic_shrinks,omitempty"`
 }
 
 // PlacementGridResult compares fixed-shape scheduling against the
-// cost-model planner (and planner+elastic morphing) on one fabric.
+// cost-model planner on one fabric.
 type PlacementGridResult struct {
 	Grid   string `json:"grid"`
 	Guests int    `json:"guests"`
 	// MaxSlots caps the carve below the fabric's capacity (an admission
 	// policy cap, as tilevmd applies per batch) so the planner has idle
 	// fabric to grow slots into while the fleet stays oversubscribed.
-	MaxSlots int             `json:"max_slots,omitempty"`
-	Fixed    PlacementPoint  `json:"fixed"`
-	Planner  PlacementPoint  `json:"planner"`
-	Elastic  PlacementPoint  `json:"planner_elastic"`
-	// PlannerWins is the headline gate: the planner alone (no elastic)
-	// strictly beats fixed-shape scheduling on makespan or utilization.
+	MaxSlots int            `json:"max_slots,omitempty"`
+	Fixed    PlacementPoint `json:"fixed"`
+	Planner  PlacementPoint `json:"planner"`
+	// PlannerWins is the headline gate: the planner strictly beats
+	// fixed-shape scheduling on makespan or utilization.
 	PlannerWins bool `json:"planner_wins"`
-	// ElasticWins: planner+elastic strictly beats fixed the same way.
-	ElasticWins bool `json:"elastic_wins"`
 }
 
 // PlacementSweepResult is the placement_sweep entry simbench records
@@ -60,8 +54,7 @@ type PlacementGridResult struct {
 type PlacementSweepResult struct {
 	Grids []PlacementGridResult `json:"grids"`
 	// Identical is the determinism gate: every configuration repeated
-	// byte-identically, and the elastic runs additionally reproduced
-	// under a multi-worker request (the serial-fallback contract).
+	// byte-identically.
 	Identical bool    `json:"identical"`
 	Seconds   float64 `json:"seconds"`
 }
@@ -70,15 +63,15 @@ type PlacementSweepResult struct {
 func (r *PlacementSweepResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Placement — oversubscribed slot-capped fleets, fixed carver vs cost-model planner\n")
-	fmt.Fprintf(&b, "%-8s %7s %5s %-16s %14s %16s %12s %14s\n",
-		"grid", "guests", "cap", "mode", "makespan", "mean turnaround", "utilization", "grow/shrink")
+	fmt.Fprintf(&b, "%-8s %7s %5s %-8s %14s %16s %12s\n",
+		"grid", "guests", "cap", "mode", "makespan", "mean turnaround", "utilization")
 	for _, g := range r.Grids {
-		for _, p := range []PlacementPoint{g.Fixed, g.Planner, g.Elastic} {
-			fmt.Fprintf(&b, "%-8s %7d %5d %-16s %14d %16d %11.2f%% %8d/%d\n",
+		for _, p := range []PlacementPoint{g.Fixed, g.Planner} {
+			fmt.Fprintf(&b, "%-8s %7d %5d %-8s %14d %16d %11.2f%%\n",
 				g.Grid, g.Guests, g.MaxSlots, p.Mode, p.Makespan, p.MeanTurnaround,
-				100*p.Utilization, p.ElasticGrows, p.ElasticShrinks)
+				100*p.Utilization)
 		}
-		fmt.Fprintf(&b, "%-8s planner wins: %v, planner+elastic wins: %v\n", g.Grid, g.PlannerWins, g.ElasticWins)
+		fmt.Fprintf(&b, "%-8s planner wins: %v\n", g.Grid, g.PlannerWins)
 	}
 	return b.String()
 }
@@ -107,9 +100,8 @@ func placementImgs() ([]*guest.Image, []core.GuestProfile, error) {
 // planner's budget search grows every slot to 4×4, and the extra bank
 // tiles cut the memory-bound guests' runtimes — strictly better
 // makespan on both grids. Every configuration is run twice and
-// compared whole for determinism; the elastic runs are repeated under
-// SimWorkers=4 to pin the serial fallback. quick restricts the sweep
-// to the 8×8 grid — that is the placement-smoke configuration.
+// compared whole for determinism. quick restricts the sweep to the
+// 8×8 grid — that is the placement-smoke configuration.
 func PlacementSweepBench(quick bool) (*PlacementSweepResult, error) {
 	imgs, profiles, err := placementImgs()
 	if err != nil {
@@ -128,10 +120,9 @@ func PlacementSweepBench(quick bool) (*PlacementSweepResult, error) {
 	start := time.Now()
 	out := &PlacementSweepResult{Identical: true}
 	for _, g := range grids {
-		run := func(fc core.FleetConfig, simWorkers int) (*core.FleetResult, error) {
+		run := func(fc core.FleetConfig) (*core.FleetResult, error) {
 			cfg := core.DefaultConfig()
 			cfg.Params.Width, cfg.Params.Height = g.w, g.h
-			cfg.SimWorkers = simWorkers
 			fc.MaxSlots = g.maxSlots
 			res, err := core.RunFleet(imgs, cfg, fc)
 			if err != nil {
@@ -139,26 +130,17 @@ func PlacementSweepBench(quick bool) (*PlacementSweepResult, error) {
 			}
 			return res, nil
 		}
-		point := func(mode string, fc core.FleetConfig, parity bool) (PlacementPoint, error) {
-			res, err := run(fc, 1)
+		point := func(mode string, fc core.FleetConfig) (PlacementPoint, error) {
+			res, err := run(fc)
 			if err != nil {
 				return PlacementPoint{}, err
 			}
-			again, err := run(fc, 1)
+			again, err := run(fc)
 			if err != nil {
 				return PlacementPoint{}, err
 			}
 			if !reflect.DeepEqual(res, again) {
 				out.Identical = false
-			}
-			if parity {
-				sharded, err := run(fc, 4)
-				if err != nil {
-					return PlacementPoint{}, err
-				}
-				if !reflect.DeepEqual(res, sharded) {
-					out.Identical = false
-				}
 			}
 			var turnaround uint64
 			for _, gr := range res.Guests {
@@ -170,8 +152,6 @@ func PlacementSweepBench(quick bool) (*PlacementSweepResult, error) {
 				Makespan:       res.Makespan,
 				MeanTurnaround: turnaround / uint64(len(res.Guests)),
 				Utilization:    res.Utilization,
-				ElasticGrows:   res.Fleet.ElasticGrows,
-				ElasticShrinks: res.Fleet.ElasticShrinks,
 			}, nil
 		}
 
@@ -180,24 +160,15 @@ func PlacementSweepBench(quick bool) (*PlacementSweepResult, error) {
 			Guests:   placementGuests,
 			MaxSlots: g.maxSlots,
 		}
-		if gr.Fixed, err = point("fixed", core.FleetConfig{}, false); err != nil {
+		if gr.Fixed, err = point("fixed", core.FleetConfig{}); err != nil {
 			return nil, err
 		}
 		if gr.Planner, err = point("planner", core.FleetConfig{
 			Planner: true, Profiles: profiles,
-		}, false); err != nil {
+		}); err != nil {
 			return nil, err
 		}
-		if gr.Elastic, err = point("planner+elastic", core.FleetConfig{
-			Planner: true, Profiles: profiles, Elastic: true,
-		}, true); err != nil {
-			return nil, err
-		}
-		beats := func(p PlacementPoint) bool {
-			return p.Makespan < gr.Fixed.Makespan || p.Utilization > gr.Fixed.Utilization
-		}
-		gr.PlannerWins = beats(gr.Planner)
-		gr.ElasticWins = beats(gr.Elastic)
+		gr.PlannerWins = gr.Planner.Makespan < gr.Fixed.Makespan || gr.Planner.Utilization > gr.Fixed.Utilization
 		out.Grids = append(out.Grids, gr)
 	}
 	out.Seconds = time.Since(start).Seconds()

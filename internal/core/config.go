@@ -179,11 +179,12 @@ type Config struct {
 	// (RunFleet) shards the fabric by VM slot and runs slot sub-loops
 	// on that many host goroutines under conservative-lookahead
 	// synchronization, with bit-identical results at any worker count.
-	// Sharding applies only to fleet runs that neither lend tiles, nor
-	// inject faults, nor trace, nor log dispatches (those paths need
-	// cross-slot coupling the shard boundary does not carry); any other
-	// run — including every single-VM core.Run — silently uses the
-	// serial loop, so the flag is always safe to set.
+	// Four things keep a fleet run on the serial loop, because each is
+	// host state shared across slots: a fault plan (Fault), policy
+	// events (a fail-stop clause or a guest deadline, which spawn the
+	// fleet supervisor), a Tracer, and a DispatchLog. Those runs — and
+	// every single-VM core.Run — silently use the serial loop, so the
+	// flag is always safe to set.
 	SimWorkers int
 }
 
@@ -221,8 +222,8 @@ var (
 )
 
 // placement is the resolved tile role assignment. The service-tile
-// fields default to the single-VM constants; the multi-VM runner
-// (multivm.go) builds placements over disjoint tile subsets.
+// fields default to the single-VM constants; fleet mode (fleet.go)
+// builds placements over disjoint tile subsets.
 type placement struct {
 	sys     int
 	exec    int

@@ -49,34 +49,18 @@ type engine struct {
 	// onExit, when set, replaces the default Stop() at guest exit
 	// (multi-VM coordination).
 	onExit func(*raw.TileCtx)
-	// peers lists the other VMs' manager tiles in fleet mode (empty when
-	// single-VM); lend enables cross-VM slave lending. homeMgr maps
-	// every fleet slave tile to its home manager so a draining manager
-	// can send borrowed slaves back where they belong; vmLabel tags this
-	// engine's trace rows with its guest index.
-	peers   []int
-	lend    bool
-	homeMgr map[int]int
+	// vmLabel tags this engine's trace rows with its guest index in
+	// fleet mode.
 	vmLabel string
-	// Fleet fault-tolerance hooks (all zero/nil outside fleet-fault
-	// mode, so the paths they gate never run and fault-free fleets stay
-	// bit-identical to the pre-policy scheduler). cancelled marks this
-	// engine's guest as aborted (quarantine or deadline): the exec
-	// kernel breaks out of its dispatch loop and the manager stops
-	// broadcasting for help. trackWork extends the robust-only
-	// outstanding-work bookkeeping to non-robust fleet engines so the
-	// supervisor can re-queue work stranded on a quarantined slave — the
-	// bookkeeping is host-side only, invisible on the network. fleetDead
-	// is the fleet-wide set of fail-stopped tiles, shared by every
-	// engine; managers consult it before parking a returned slave.
-	cancelled bool
-	trackWork bool
-	fleetDead map[int]bool
-	// elastic is the fleet-wide elastic-morphing ledger (nil outside
-	// elastic fleet mode), shared by every engine like fleetDead so it
-	// survives slot epoch changes; the manager consults it to release
-	// donated tiles back to their owner slot.
-	elastic *elasticState
+	// cancelled marks this engine's guest as aborted by the fleet
+	// supervisor (quarantine or deadline): the exec kernel breaks out of
+	// its dispatch loop at the next boundary. quarantined additionally
+	// marks the whole slot fail-stopped: its manager dispatches no more
+	// work, so the slot's daemon tiles finish what they hold and go
+	// quiet instead of speculating on for a guest that is gone. Neither
+	// is ever set outside a fleet run with policy events.
+	cancelled   bool
+	quarantined bool
 
 	// Self-modifying-code tracking (single-threaded in virtual time,
 	// shared between the execution tile's detector and the manager's

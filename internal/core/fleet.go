@@ -19,9 +19,8 @@ import (
 // is carved into complete 8-tile VM slots (placement.go); N guest
 // images are admitted to the slots in order, queueing when N exceeds
 // the slot count, and a slot whose guest exits is handed the next
-// queued guest. With lending enabled, a manager whose translation
-// queues are empty offers idle slaves to whichever VM fleet-wide
-// reported the most backed-up queue.
+// queued guest. Slots exchange no messages: each VM's tiles serve only
+// their own manager.
 //
 // Admission reuses the running tile kernels rather than spawning new
 // ones (the simulator forbids spawning after Run starts): every
@@ -39,9 +38,6 @@ import (
 
 // FleetConfig selects fleet-level policy knobs.
 type FleetConfig struct {
-	// Lend enables cross-VM slave lending: a manager with parked slaves
-	// and empty queues grants one to the most-backed-up requesting peer.
-	Lend bool
 	// MaxSlots caps the number of carved VM slots (0 = as many slots as
 	// fit the fabric, never more than the number of guests).
 	MaxSlots int
@@ -58,13 +54,6 @@ type FleetConfig struct {
 	// Slot i is shaped from Profiles[i] because initial admission binds
 	// guest i to slot i.
 	Profiles []GuestProfile
-	// Elastic lets running VMs grow and shrink by whole tiles: a slot
-	// with no admissible next guest donates its service tiles to busy
-	// peers (they self-register as extra translation slaves) and
-	// reclaims them before its next admission. Mutually exclusive with
-	// Lend — both move slaves between VMs and would fight over the same
-	// tiles.
-	Elastic bool
 
 	// MaxAttempts caps how many times one guest may be admitted to a
 	// slot (first run plus retries after quarantines). 0 means
@@ -157,67 +146,6 @@ type slotHost struct {
 	// them at quarantine time.
 	quarantined bool
 	procs       []*sim.Proc
-	// Elastic-morphing state (nil unless FleetConfig.Elastic). extra
-	// lists tiles donated into this slot, serving its current engine as
-	// additional translation slaves; donated lists the tiles this slot
-	// has donated out (still listed after a quarantine rescue idles
-	// them, so the slot never double-donates).
-	extra   []int
-	donated []int
-}
-
-// removeExtra drops one donated-in tile from the slot's extra list.
-func (h *slotHost) removeExtra(t int) {
-	kept := h.extra[:0]
-	for _, x := range h.extra {
-		if x != t {
-			kept = append(kept, x)
-		}
-	}
-	h.extra = kept
-}
-
-// tileRedirect retargets one donated tile's slot wrapper: while an
-// entry exists the tile serves the target slot's current engine as an
-// extra translation slave (idle false), or idles awaiting its owner's
-// next handoff (idle true).
-type tileRedirect struct {
-	to   *slotHost
-	idle bool
-}
-
-// elasticState is the fleet-wide elastic-morphing ledger, shared by
-// every engine (like fleetDead) so it survives slot epoch changes and
-// quarantines.
-type elasticState struct {
-	// reclaim maps a donated tile to the owner exec tile awaiting its
-	// reclaimDone. Entry deletion (commit) is the single release point:
-	// whichever party — the target's manager, the tile's own slot
-	// wrapper, or the quarantine rescue — finds the entry first commits
-	// it and generates exactly one reclaimDone; latecomers find it gone
-	// and do nothing.
-	reclaim map[int]int
-	// donatedAt maps a donated tile to the slot index it serves; the
-	// entry lives until the tile's reclaim commits (or a quarantine
-	// rescues it), so a concurrent handoff still sweeps the tile.
-	donatedAt map[int]int
-	hosts     []*slotHost
-}
-
-// commit removes tile t's pending-reclaim entry and drops t from its
-// target slot's extra list. It returns the owner exec tile to notify,
-// or false when no reclaim is pending (or another party already
-// committed).
-func (es *elasticState) commit(t int) (int, bool) {
-	owner, ok := es.reclaim[t]
-	if !ok {
-		return -1, false
-	}
-	delete(es.reclaim, t)
-	if ti, found := es.donatedAt[t]; found {
-		es.hosts[ti].removeExtra(t)
-	}
-	return owner, true
 }
 
 // fleetRun is the host-side fleet scheduler state. The discrete-event
@@ -229,11 +157,6 @@ type fleetRun struct {
 	imgs  []*guest.Image
 	slots []placement
 	hosts []*slotHost
-
-	// peers[si] is the other slots' manager tiles; homeMgr maps each
-	// slave tile to its home manager (for returning borrowed slaves).
-	peers   [][]int
-	homeMgr map[int]int
 
 	// Per-guest bookkeeping, index-aligned with imgs.
 	engines  []*engine
@@ -252,24 +175,16 @@ type fleetRun struct {
 	// Fault-policy state (fleetpolicy.go). plan is non-nil only when the
 	// fault plan has fail-stop clauses; horizon is the last fail cycle
 	// (idle slots must stay alive until then — a quarantine may still
-	// re-queue a guest). dead and slotQuarantined record excised tiles
-	// and slots; slotIdx maps every carved tile to its slot.
+	// re-queue a guest). slotQuarantined records excised slots; slotIdx
+	// maps every carved tile to its slot.
 	plan            *fault.Plan
 	horizon         uint64
-	dead            map[int]bool
 	slotQuarantined map[int]bool
 	slotIdx         map[int]int
 	events          []uint64
 	maxAttempts     int
 	backoffBase     uint64
 	fleet           metrics.FleetSet
-
-	// Elastic-morphing state (nil/zero unless fc.Elastic). redirect
-	// retargets donated tiles' slot wrappers; rotor round-robins
-	// donations over running peers so no single slot hoards them.
-	elastic  *elasticState
-	redirect map[int]*tileRedirect
-	rotor    int
 
 	remaining int // guests not yet terminal; 0 stops the simulation
 }
@@ -279,7 +194,7 @@ type fleetRun struct {
 // (cfg.Params.Width×Height), and translator options; per-VM tile
 // counts are fixed by the slot shape. Results are deterministic:
 // repeated runs are byte-identical, and each guest's final state hash
-// equals its solo-run hash regardless of slot assignment or lending.
+// equals its solo-run hash regardless of slot assignment.
 //
 // cfg.Fault may carry a fail-stop/stall plan (validateFleetFaultPlan);
 // fail-stops quarantine the slot they hit and the victim guest is
@@ -324,9 +239,6 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 		return nil, fmt.Errorf("core: %d guest profiles for %d guests (need none or one per guest)",
 			len(fc.Profiles), len(imgs))
 	}
-	if fc.Elastic && fc.Lend {
-		return nil, fmt.Errorf("core: elastic morphing and slave lending are mutually exclusive (both move slaves between VMs)")
-	}
 	if cfg.Recovery == RecoverRollback && cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
@@ -366,8 +278,6 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 		imgs:            imgs,
 		slots:           slots,
 		hosts:           make([]*slotHost, len(slots)),
-		peers:           make([][]int, len(slots)),
-		homeMgr:         map[int]int{},
 		engines:         make([]*engine, len(imgs)),
 		slotOf:          make([]int, len(imgs)),
 		admitted:        make([]uint64, len(imgs)),
@@ -388,10 +298,6 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	if fl.backoffBase == 0 {
 		fl.backoffBase = DefaultRetryBackoff
 	}
-	if fc.Elastic {
-		fl.elastic = &elasticState{reclaim: map[int]int{}, donatedAt: map[int]int{}, hosts: fl.hosts}
-		fl.redirect = map[int]*tileRedirect{}
-	}
 	for gi := range fl.deadline {
 		fl.deadline[gi] = fc.Deadline
 		if len(fc.Deadlines) > 0 && fc.Deadlines[gi] > 0 {
@@ -402,11 +308,7 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 		}
 	}
 	if !cfg.Fault.Empty() && len(cfg.Fault.Fails) > 0 {
-		// fl.dead non-nil switches the engines into fleet-fault mode
-		// (trackWork bookkeeping, fleetDead guards); it stays nil — and
-		// those paths provably never run — on fail-free plans.
 		fl.plan = fl.cfg.Fault
-		fl.dead = map[int]bool{}
 		for _, f := range fl.plan.Fails {
 			if f.Cycle > fl.horizon {
 				fl.horizon = f.Cycle
@@ -434,16 +336,6 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	for gi := range fl.slotOf {
 		fl.slotOf[gi] = -1
 	}
-	for si, pl := range slots {
-		for _, s := range pl.slaves {
-			fl.homeMgr[s] = pl.manager
-		}
-		for sj, pj := range slots {
-			if sj != si {
-				fl.peers[si] = append(fl.peers[si], pj.manager)
-			}
-		}
-	}
 	// Initial admission: guest i takes slot i; the rest queue in order.
 	for si := range slots {
 		fl.hosts[si] = &slotHost{cur: fl.newEngine(si, si), guest: si}
@@ -463,15 +355,16 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	if len(fl.events) > 0 {
 		fl.m.Sim.Spawn("fleet-supervisor", fl.supervise)
 	}
-	// Parallel engine: shard the fabric by VM slot when the run is
-	// slot-isolated. Lending, fault injection, policy events, tracing,
-	// and dispatch logging all couple slots (or a shared sink) across
-	// the shard boundary, so any of them keeps the serial loop; the
-	// parallel engine is bit-identical, not merely equivalent, so the
-	// fallback is an implementation detail rather than a semantic one.
-	if cfg.SimWorkers > 1 && len(slots) > 1 && !fc.Lend && !fc.Elastic &&
-		cfg.Fault.Empty() && cfg.Tracer == nil && cfg.DispatchLog == nil &&
-		len(fl.events) == 0 {
+	// Parallel engine: shard the fabric by VM slot. Slots exchange no
+	// messages, but four things still couple them through shared host
+	// state and keep the serial loop: a fault plan (one injector, and a
+	// supervisor that reaches into every slot), policy events (the
+	// supervisor again), a Tracer and a DispatchLog (one shared sink
+	// each). The parallel engine is bit-identical, not merely
+	// equivalent, so the fallback is an implementation detail rather
+	// than a semantic one.
+	if cfg.SimWorkers > 1 && len(slots) > 1 && cfg.Fault.Empty() &&
+		cfg.Tracer == nil && cfg.DispatchLog == nil && len(fl.events) == 0 {
 		fl.shardSlots(cfg.SimWorkers)
 	}
 
@@ -536,13 +429,7 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 		}),
 		codePages: map[uint32]bool{},
 		pageInval: map[uint32]uint64{},
-		peers:     fl.peers[si],
-		lend:      fl.fc.Lend,
-		homeMgr:   fl.homeMgr,
 		vmLabel:   fmt.Sprintf("vm%d", gi),
-		trackWork: fl.dead != nil,
-		fleetDead: fl.dead,
-		elastic:   fl.elastic,
 	}
 	e.initTierState()
 	if fl.cks != nil {
@@ -593,11 +480,10 @@ func (fl *fleetRun) spawnSlots() {
 					fl.finished[h.guest] = e.stopCycles
 					fl.noteFinished(h.guest, e)
 				}
-				gi, ok := fl.nextGuest(c, h, si)
+				gi, ok := fl.nextGuest(c, h)
 				if !ok {
-					// No queued guest and none can appear: leave the slot's
-					// service tiles running under the finished epoch so its
-					// parked slaves keep serving the surviving VMs.
+					// No queued guest and none can appear: the slot's service
+					// tiles stay parked under the finished epoch.
 					return
 				}
 				fl.admit(c, h, si, gi)
@@ -610,26 +496,17 @@ func (fl *fleetRun) spawnSlots() {
 		}))
 		add(fl.m.SpawnTile(pl.mmu, "mmu", func(c *raw.TileCtx) {
 			for {
-				if fl.runRedirected(c) {
-					continue
-				}
 				h.cur.mmuKernel(c)
 			}
 		}))
 		add(fl.m.SpawnTile(pl.sys, "syscall", func(c *raw.TileCtx) {
 			for {
-				if fl.runRedirected(c) {
-					continue
-				}
 				h.cur.sysKernel(c)
 			}
 		}))
 		for _, t := range pl.l15 {
 			add(fl.m.SpawnTile(t, "l15", func(c *raw.TileCtx) {
 				for {
-					if fl.runRedirected(c) {
-						continue
-					}
 					h.cur.l15Kernel(c)
 				}
 			}))
@@ -637,9 +514,6 @@ func (fl *fleetRun) spawnSlots() {
 		for _, t := range pl.slaves {
 			add(fl.m.SpawnTile(t, "worker", func(c *raw.TileCtx) {
 				for {
-					if fl.runRedirected(c) {
-						continue
-					}
 					h.cur.workerBody(roleSlave)(c)
 				}
 			}))
@@ -647,9 +521,6 @@ func (fl *fleetRun) spawnSlots() {
 		for _, t := range pl.banks {
 			add(fl.m.SpawnTile(t, "worker", func(c *raw.TileCtx) {
 				for {
-					if fl.runRedirected(c) {
-						continue
-					}
 					h.cur.workerBody(roleBank)(c)
 				}
 			}))
@@ -657,150 +528,12 @@ func (fl *fleetRun) spawnSlots() {
 	}
 }
 
-// runRedirected intercepts a service tile's kernel restart when the
-// tile has been donated to another slot (elastic morphing): it serves
-// the target slot's engine as an extra translation slave, or — once its
-// owner has marked it for reclaim — commits the reclaim and idles until
-// the owner's next handoff sweeps it back. Reports whether it consumed
-// one kernel epoch; false (always, outside elastic mode) means the
-// caller runs the tile's home kernel.
-func (fl *fleetRun) runRedirected(c *raw.TileCtx) bool {
-	r := fl.redirect[c.Tile]
-	if r == nil {
-		return false
-	}
-	if r.idle {
-		if owner, ok := fl.elastic.commit(c.Tile); ok {
-			c.Send(owner, reclaimDone{Tile: c.Tile}, wordsCtl)
-		}
-		idleKernel(c)
-		return true
-	}
-	r.to.cur.workerBody(roleSlave)(c)
-	return true
-}
-
-// idleKernel parks a reclaimed tile between VMs: it discards stray
-// traffic and waits for the vmSwitch that re-absorbs it into its owner
-// slot's next epoch.
-func idleKernel(c *raw.TileCtx) {
-	for {
-		msg := c.Recv()
-		if _, ok := msg.Payload.(vmSwitch); ok {
-			c.Send(msg.From, switchAck{}, wordsCtl)
-			return
-		}
-	}
-}
-
-// donateSlot grows the running peer VMs by this idle slot's tiles:
-// every service tile except the exec and manager tiles is redirected,
-// round-robin, to a peer slot, where it self-registers as an extra
-// translation slave. The manager tile stays home so donated-in tiles
-// parked here keep a live service point, and the exec tile keeps
-// coordinating admission. Reports whether anything was donated (false
-// when no peer VM is running).
-func (fl *fleetRun) donateSlot(c *raw.TileCtx, h *slotHost, si int) bool {
-	var targets []int
-	for ti := range fl.hosts {
-		if ti == si || fl.hosts[ti].quarantined {
-			continue
-		}
-		if fl.phase[fl.hosts[ti].guest] == phaseRunning {
-			targets = append(targets, ti)
-		}
-	}
-	if len(targets) == 0 {
-		return false
-	}
-	pl := fl.slots[si]
-	var tiles []int
-	for _, t := range pl.tiles() {
-		if t != pl.exec && t != pl.manager {
-			tiles = append(tiles, t)
-		}
-	}
-	// Register every redirect before the first vmSwitch can wake a tile,
-	// so a woken tile always finds its routing in place.
-	for _, t := range tiles {
-		ti := targets[fl.rotor%len(targets)]
-		fl.rotor++
-		th := fl.hosts[ti]
-		fl.redirect[t] = &tileRedirect{to: th}
-		fl.elastic.donatedAt[t] = ti
-		th.extra = append(th.extra, t)
-		h.donated = append(h.donated, t)
-	}
-	fl.fleet.ElasticGrows++
-	fl.cfg.Tracer.Instant(pl.exec, "elastic_grow", c.Now(),
-		"slot", uint64(si), "tiles", uint64(len(tiles)))
-	// Quiesce the manager first (its in-flight translations come back
-	// before any slave departs), then cycle the donated tiles — plus any
-	// tiles previously donated *into* this slot — through vmSwitch so
-	// their wrappers re-read the redirect table.
-	c.Send(pl.manager, vmSwitch{}, wordsCtl)
-	waitSwitchAcks(c, 1)
-	sweep := append(append([]int{}, tiles...), h.extra...)
-	for _, t := range sweep {
-		c.Send(t, vmSwitch{}, wordsCtl)
-	}
-	waitSwitchAcks(c, len(sweep))
-	return true
-}
-
-// reclaimSlot shrinks the peers back: every tile this slot donated out
-// is marked for reclaim in the shared ledger, the holding managers are
-// nudged to release the ones they have parked, and the exec tile blocks
-// until each tile's reclaimDone arrives — from the holding manager, or
-// from the tile's own wrapper when it finds the idle redirect first.
-// Reports false when the slot was quarantined while waiting.
-func (fl *fleetRun) reclaimSlot(c *raw.TileCtx, h *slotHost, si int) bool {
-	pl := fl.slots[si]
-	want := 0
-	var mgrs []int
-	byMgr := map[int][]int{}
-	for _, t := range h.donated {
-		ti, ok := fl.elastic.donatedAt[t]
-		if !ok {
-			continue // already rescued by a quarantine
-		}
-		fl.redirect[t].idle = true
-		fl.elastic.reclaim[t] = pl.exec
-		want++
-		mgr := fl.slots[ti].manager
-		if _, seen := byMgr[mgr]; !seen {
-			mgrs = append(mgrs, mgr)
-		}
-		byMgr[mgr] = append(byMgr[mgr], t)
-	}
-	fl.fleet.ElasticShrinks++
-	fl.cfg.Tracer.Instant(pl.exec, "elastic_shrink", c.Now(),
-		"slot", uint64(si), "tiles", uint64(want))
-	for _, mgr := range mgrs {
-		c.Send(mgr, reclaim{Tiles: byMgr[mgr]}, wordsCtl)
-	}
-	for want > 0 {
-		if d, ok := c.Recv().Payload.(reclaimDone); ok {
-			delete(fl.elastic.donatedAt, d.Tile)
-			want--
-		}
-	}
-	for _, t := range h.donated {
-		delete(fl.redirect, t)
-		delete(fl.elastic.donatedAt, t)
-	}
-	h.donated = nil
-	return !h.quarantined
-}
-
 // shardSlots partitions the fleet for the parallel engine: slot si's
 // tile processes and inbox ports all land on shard si % workers, so a
-// slot never straddles a shard boundary. In the slot-isolated
-// configurations that reach here (no lending, no faults, no policy
-// events) slots exchange no messages at all, so no sim.Connect links
-// are declared: each shard free-runs, and an unexpected cross-slot
-// send panics instead of silently racing. The shared admission state
-// is serialized by the Fence in onExit.
+// slot never straddles a shard boundary. Slots exchange no messages,
+// so no sim.Connect links are declared: each shard free-runs, and an
+// unexpected cross-slot send panics instead of silently racing. The
+// shared admission state is serialized by the Fence in onExit.
 func (fl *fleetRun) shardSlots(workers int) {
 	fl.m.Sim.SetWorkers(workers)
 	for si := range fl.slots {
@@ -833,13 +566,7 @@ func (fl *fleetRun) noteFinished(gi int, e *engine) {
 // On a policy-free run the queue holds only release-0 entries and the
 // horizon is 0, so this degrades to the plain FIFO cursor — same
 // claims, same cycles, no extra events.
-//
-// In elastic mode an idle wait turns productive: the slot donates its
-// service tiles to the running peers (donateSlot) instead of sleeping
-// on them, and reclaims them (reclaimSlot) before admitting the next
-// guest. A retiring slot donates too — its tiles help the survivors
-// until the run ends.
-func (fl *fleetRun) nextGuest(c *raw.TileCtx, h *slotHost, si int) (int, bool) {
+func (fl *fleetRun) nextGuest(c *raw.TileCtx, h *slotHost) (int, bool) {
 	for {
 		if h.quarantined {
 			return 0, false
@@ -853,24 +580,12 @@ func (fl *fleetRun) nextGuest(c *raw.TileCtx, h *slotHost, si int) (int, bool) {
 			}
 		}
 		if eligible >= 0 {
-			if len(h.donated) > 0 {
-				if !fl.reclaimSlot(c, h, si) {
-					return 0, false
-				}
-				continue
-			}
 			pg := fl.queue[eligible]
 			fl.queue = append(fl.queue[:eligible], fl.queue[eligible+1:]...)
 			return pg.gi, true
 		}
 		if len(fl.queue) == 0 && now > fl.horizon {
-			if fl.elastic != nil && len(h.donated) == 0 {
-				fl.donateSlot(c, h, si)
-			}
 			return 0, false
-		}
-		if fl.elastic != nil && len(h.donated) == 0 && fl.donateSlot(c, h, si) {
-			continue
 		}
 		next := now + 1
 		found := false
@@ -909,7 +624,7 @@ func (fl *fleetRun) admit(c *raw.TileCtx, h *slotHost, si, gi int) {
 		fl.restoreForRetry(c, h.cur, gi)
 	}
 	fl.admitted[gi] = c.Now()
-	fl.handoff(c, h, pl)
+	fl.handoff(c, pl)
 }
 
 // restoreForRetry rebases a re-admitted guest on its latest checkpoint
@@ -944,20 +659,15 @@ func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e *engine, gi int) {
 // reach the new epoch. Phase 2 resets the remaining service tiles —
 // workers flush their data banks (charged like a morph flush) and
 // slaves re-register with the new manager when their kernels restart.
-// Tiles donated into this slot (elastic mode) are swept too: a
-// stranded one — dropped from a drained epoch's parked pool — either
-// re-registers with the new manager or, if its owner marked it for
-// reclaim meanwhile, commits the reclaim from its own wrapper. The
-// exec tile owns the handshake; it resumes dispatching only after
+// The exec tile owns the handshake; it resumes dispatching only after
 // every service tile has acked.
-func (fl *fleetRun) handoff(c *raw.TileCtx, h *slotHost, pl placement) {
+func (fl *fleetRun) handoff(c *raw.TileCtx, pl placement) {
 	c.Send(pl.manager, vmSwitch{}, wordsCtl)
 	waitSwitchAcks(c, 1)
 	targets := []int{pl.mmu, pl.sys}
 	targets = append(targets, pl.l15...)
 	targets = append(targets, pl.slaves...)
 	targets = append(targets, pl.banks...)
-	targets = append(targets, h.extra...)
 	for _, t := range targets {
 		c.Send(t, vmSwitch{}, wordsCtl)
 	}

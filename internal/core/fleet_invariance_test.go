@@ -9,9 +9,8 @@ import (
 
 // Invariance battery (ISSUE: the headline test work). A guest's
 // architectural outcome must not depend on how it was hosted: solo on
-// the default fabric, in a fleet of any size, with or without slave
-// lending, with or without tracing, and regardless of which slot it
-// landed in. Timing-dependent counters (cycles, cache/TLB misses in
+// the default fabric, in a fleet of any size, with or without tracing,
+// and regardless of which slot it landed in. Timing-dependent counters (cycles, cache/TLB misses in
 // the shared memory system, translation counts, speculation waste)
 // legitimately differ across hostings; everything the guest can
 // architecturally observe may not.
@@ -86,7 +85,7 @@ func checkFleetInvariance(t *testing.T, label string, fr *FleetResult, imgs []*g
 }
 
 // TestFleetInvarianceAcrossHostings is the battery core: the same four
-// guests, hosted six different ways, always produce their solo
+// guests, hosted four different ways, always produce their solo
 // fingerprints — including hostings that force queueing (more guests
 // than slots) and hence mid-run slot handoffs.
 func TestFleetInvarianceAcrossHostings(t *testing.T) {
@@ -98,12 +97,10 @@ func TestFleetInvarianceAcrossHostings(t *testing.T) {
 		w, h int
 		fc   FleetConfig
 	}{
-		{"8x8/lend", 8, 8, FleetConfig{Lend: true}},
-		{"8x8/nolend", 8, 8, FleetConfig{}},
-		{"8x8/2slots/lend", 8, 8, FleetConfig{Lend: true, MaxSlots: 2}},
-		{"4x4/lend", 4, 4, FleetConfig{Lend: true}},
-		{"4x4/nolend", 4, 4, FleetConfig{}},
-		{"4x2/serial", 4, 2, FleetConfig{Lend: true}},
+		{"8x8", 8, 8, FleetConfig{}},
+		{"8x8/2slots", 8, 8, FleetConfig{MaxSlots: 2}},
+		{"4x4", 4, 4, FleetConfig{}},
+		{"4x2/serial", 4, 2, FleetConfig{}},
 	}
 	for _, hc := range hostings {
 		fr, err := RunFleet(imgs, fleetCfg(hc.w, hc.h), hc.fc)
@@ -133,7 +130,7 @@ func TestFleetInvarianceUnderSlotPermutation(t *testing.T) {
 		for pos, gi := range perm {
 			ordered[pos] = imgs[gi]
 		}
-		fr, err := RunFleet(ordered, fleetCfg(8, 8), FleetConfig{Lend: true})
+		fr, err := RunFleet(ordered, fleetCfg(8, 8), FleetConfig{})
 		if err != nil {
 			t.Fatalf("perm %v: %v", perm, err)
 		}
@@ -158,7 +155,7 @@ func TestFleetTracingIsTimingNeutral(t *testing.T) {
 		if traced {
 			cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
 		}
-		fr, err := RunFleet(imgs, cfg, FleetConfig{Lend: true})
+		fr, err := RunFleet(imgs, cfg, FleetConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,28 +164,5 @@ func TestFleetTracingIsTimingNeutral(t *testing.T) {
 	plain, traced := run(false), run(true)
 	if !reflect.DeepEqual(plain, traced) {
 		t.Errorf("tracing perturbed the fleet run:\nuntraced %+v\ntraced   %+v", plain, traced)
-	}
-}
-
-// TestPairMatchesTwoGuestFleet pins the compatibility contract spelled
-// out in the ISSUE: RunPair is exactly a two-guest fleet on the
-// default grid, byte for byte.
-func TestPairMatchesTwoGuestFleet(t *testing.T) {
-	imgs := fleetImgs(t, "164.gzip", "181.mcf")
-	for _, lend := range []bool{false, true} {
-		pair, err := RunPair(imgs[0], imgs[1], pairCfg(), lend)
-		if err != nil {
-			t.Fatalf("lend=%v: %v", lend, err)
-		}
-		fleet, err := RunFleet(imgs, pairCfg(), FleetConfig{Lend: lend})
-		if err != nil {
-			t.Fatalf("lend=%v: %v", lend, err)
-		}
-		if !reflect.DeepEqual(pair.A, fleet.Guests[0].Result) ||
-			!reflect.DeepEqual(pair.B, fleet.Guests[1].Result) ||
-			pair.Makespan != fleet.Makespan ||
-			!reflect.DeepEqual(pair.TileBusy, fleet.TileBusy) {
-			t.Errorf("lend=%v: RunPair and two-guest RunFleet disagree", lend)
-		}
 	}
 }

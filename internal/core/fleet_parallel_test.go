@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -71,14 +72,48 @@ func TestFleetParallelMatchesSoloHashes(t *testing.T) {
 }
 
 // TestFleetParallelFallsBackWhenCoupled pins the gating contract:
-// configurations that couple slots (here, lending) must run the serial
-// loop even with SimWorkers set, and still produce the serial result.
+// configurations that couple slots through shared host state must run
+// the serial loop even with SimWorkers set, and still produce the
+// serial result. Two of the four couplings are driven here: an
+// unreachable Deadline (a policy event, so the supervisor is spawned)
+// and a Tracer, whose output must also match byte for byte — a sharded
+// run would interleave the shared sink's events by host timing.
 func TestFleetParallelFallsBackWhenCoupled(t *testing.T) {
-	names := []string{"164.gzip", "181.mcf"}
-	fc := FleetConfig{Lend: true}
-	base := runFleetWorkers(t, 8, 8, 1, fc, names...)
-	got := runFleetWorkers(t, 8, 8, 8, fc, names...)
-	if !reflect.DeepEqual(base, got) {
-		t.Errorf("lending fleet with SimWorkers=8 differs from serial run")
+	imgs := fleetImgs(t, "164.gzip", "181.mcf")
+	run := func(workers int, traced bool, fc FleetConfig) (*FleetResult, []byte) {
+		cfg := fleetCfg(8, 8)
+		cfg.SimWorkers = workers
+		var buf bytes.Buffer
+		if traced {
+			cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
+		}
+		fr, err := RunFleet(imgs, cfg, fc)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if traced {
+			if err := cfg.Tracer.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fr, buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name   string
+		traced bool
+		fc     FleetConfig
+	}{
+		{"deadline", false, FleetConfig{Deadline: 1 << 40}},
+		{"tracer", true, FleetConfig{}},
+	} {
+		base, baseTrace := run(1, tc.traced, tc.fc)
+		got, gotTrace := run(8, tc.traced, tc.fc)
+		if !reflect.DeepEqual(base, got) {
+			t.Errorf("%s: fleet with SimWorkers=8 differs from serial run", tc.name)
+		}
+		if !bytes.Equal(baseTrace, gotTrace) {
+			t.Errorf("%s: trace with SimWorkers=8 differs from serial run (%d vs %d bytes)",
+				tc.name, len(gotTrace), len(baseTrace))
+		}
 	}
 }

@@ -42,8 +42,8 @@ func fleetImgs(t *testing.T, names ...string) []*guest.Image {
 
 func TestCarveFabricMatchesPairSplit(t *testing.T) {
 	// On the default 4×4 grid the carve must reproduce the original
-	// fixed pair split bit for bit, so RunPair-over-RunFleet preserves
-	// the pre-fleet placements exactly.
+	// fixed pair split bit for bit: a two-guest fleet there is the
+	// pre-fleet two-VM placement exactly.
 	slots, err := carveFabric(raw.DefaultParams(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +141,7 @@ func TestRunFleetRejectsUnsupportedConfigs(t *testing.T) {
 		}, FleetConfig{}, imgs, "cycle 0"},
 		{"negative max attempts", nil, FleetConfig{MaxAttempts: -1}, imgs, "non-negative"},
 		{"deadline count mismatch", nil, FleetConfig{Deadlines: []uint64{1, 2}}, imgs, "per-guest deadlines"},
+		{"profiles without planner", nil, FleetConfig{Profiles: []GuestProfile{{}}}, imgs, "require the placement Planner"},
 		{"too many slots", nil, FleetConfig{MaxSlots: 5}, imgs, "fits only"},
 		{"tiny fabric", func(c Config) Config { c.Params.Width, c.Params.Height = 3, 3; return c }, FleetConfig{}, imgs, "fits no"},
 	}
@@ -172,7 +173,7 @@ func TestFleetSlots(t *testing.T) {
 // freed slot with the next guest.
 func TestFleetQueueAdmission(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip")
-	res, err := RunFleet(imgs, fleetCfg(4, 2), FleetConfig{Lend: true})
+	res, err := RunFleet(imgs, fleetCfg(4, 2), FleetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestFleetQueueAdmission(t *testing.T) {
 func TestFleetDeterministic8x8(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip", "181.mcf")
 	run := func() *FleetResult {
-		res, err := RunFleet(imgs, fleetCfg(8, 8), FleetConfig{Lend: true})
+		res, err := RunFleet(imgs, fleetCfg(8, 8), FleetConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,12 +234,13 @@ func TestFleetDeterministic8x8(t *testing.T) {
 	}
 }
 
-// TestFleetQueueWithLendingAcrossHandoffs drives the busiest protocol
-// corner: multiple slots, more guests than slots, and lending on, so
-// slot handoffs interleave with cross-VM slave traffic.
+// TestFleetQueueWithLendingAcrossHandoffs drives the busiest admission
+// corner: multiple slots and three times as many guests, so the two
+// slots' handoffs interleave; every guest is checked against the
+// reference interpreter.
 func TestFleetQueueWithLendingAcrossHandoffs(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip", "181.mcf", "164.gzip", "176.gcc")
-	res, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{Lend: true})
+	res, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,11 @@ import (
 //   - Slot quarantine: a fail-stop inside a slot excises the whole
 //     slot from the carve. Its tiles are daemon-marked (fail-stop
 //     semantics: they drain or idle forever without tripping deadlock
-//     detection), its guest is aborted, and the lending fabric is
-//     repaired so surviving VMs neither wait on nor lend to the dead
-//     slot.
+//     detection), its guest is aborted, and its manager stops
+//     dispatching, so the slot goes quiet once the translations in
+//     flight have come back. Slots exchange no messages, so the
+//     survivors need no repair: a dead slot's slaves can only ever be
+//     parked or outstanding at their own, equally dead, manager.
 //   - Guest retry with deterministic backoff: an aborted guest
 //     re-enters the admission queue with an exponential, seeded,
 //     virtual-time backoff, restarting from its image — or from its
@@ -219,10 +221,9 @@ func (fl *fleetRun) policyEvents() []uint64 {
 // supervise is the fleet supervisor process body. It is spawned after
 // every tile kernel (highest pid), so at each event cycle it runs
 // after the tiles: a guest that finishes exactly at a fail or deadline
-// cycle finishes first and is left alone. Between events it sleeps;
-// it neither sends nor receives unless it is repairing a quarantine,
-// so a run whose faults never fire is perturbed only at the cycles
-// where they would have.
+// cycle finishes first and is left alone. Between events it sleeps; it
+// never sends or receives, so a run whose faults never fire is not
+// perturbed at all.
 func (fl *fleetRun) supervise(p *sim.Proc) {
 	for _, ev := range fl.events {
 		if p.Now() < ev {
@@ -286,9 +287,8 @@ func (fl *fleetRun) failsAt(now uint64) {
 
 // quarantineSlot excises slot si from the carve: its tiles leave the
 // fleet's worker pool forever, its processes become daemons, its
-// running guest is aborted (requeued or terminal), and every surviving
-// slot's lending state is repaired so no survivor waits on — or lends
-// to — the dead slot.
+// manager stops dispatching, and its running guest is aborted
+// (requeued or terminal).
 func (fl *fleetRun) quarantineSlot(si int, now uint64) {
 	if fl.slotQuarantined[si] {
 		return
@@ -298,70 +298,16 @@ func (fl *fleetRun) quarantineSlot(si int, now uint64) {
 	h := fl.hosts[si]
 	h.quarantined = true
 	pl := fl.slots[si]
-	for _, t := range pl.tiles() {
-		fl.dead[t] = true
-	}
 	for _, pr := range h.procs {
 		pr.SetDaemon(true)
 	}
 	e := h.cur
-	e.cancelled = true
+	e.cancelled, e.quarantined = true, true
 	fl.cfg.Tracer.Instant(pl.manager, "quarantine", now, "slot", uint64(si), "guest", uint64(h.guest))
 
 	gi := h.guest
 	if fl.phase[gi] == phaseRunning {
 		fl.abortGuest(gi, now)
-	}
-
-	// Foreign slaves parked at the dead manager go home; its deferred
-	// help book dies with it (parked is empty or dead from here on, so
-	// the grant arm of dispatch can never fire).
-	if qm := e.mgr; qm != nil {
-		for _, s := range qm.parked {
-			if home, ok := fl.homeMgr[s]; ok && home != pl.manager && !fl.dead[s] {
-				fl.m.Inbox(home).Send(pl.manager, lendReturn{Slave: s}, now)
-			}
-		}
-		qm.parked = nil
-		qm.pendingHelp = map[int]int{}
-	}
-
-	if fl.elastic != nil {
-		// Donated-in tiles survive their target's death: commit any
-		// pending reclaim (forging the reclaimDone the dead slot can no
-		// longer generate), idle the rest, and wake them all so their
-		// wrappers route them out of the dead VM.
-		for _, t := range append([]int(nil), h.extra...) {
-			if owner, ok := fl.elastic.commit(t); ok {
-				fl.m.Inbox(owner).Send(pl.manager, reclaimDone{Tile: t}, now)
-			}
-			delete(fl.elastic.donatedAt, t)
-			if r := fl.redirect[t]; r != nil {
-				r.idle = true
-			}
-			fl.m.Inbox(t).Send(pl.manager, vmSwitch{}, now)
-		}
-		h.extra = nil
-		// Tiles this slot donated out die with it: pull them from their
-		// targets' rosters. They are already marked dead (pl.tiles()
-		// covers them), so park() refuses them and repairSlot re-queues
-		// any work stranded on them.
-		for _, t := range h.donated {
-			if ti, ok := fl.elastic.donatedAt[t]; ok {
-				fl.hosts[ti].removeExtra(t)
-			}
-			delete(fl.elastic.donatedAt, t)
-			delete(fl.elastic.reclaim, t)
-			delete(fl.redirect, t)
-		}
-		h.donated = nil
-	}
-
-	for sj := range fl.slots {
-		if sj == si || fl.slotQuarantined[sj] {
-			continue
-		}
-		fl.repairSlot(sj, pl.manager, now)
 	}
 }
 
@@ -381,47 +327,6 @@ func (fl *fleetRun) abortGuest(gi int, now uint64) {
 	release := now + retryBackoff(fl.backoffBase, fl.fc.RetrySeed, gi, fl.attempts[gi])
 	fl.queue = append(fl.queue, pendingGuest{gi: gi, release: release})
 	fl.phase[gi] = phaseQueued
-}
-
-// repairSlot fixes surviving slot sj's lending state after deadMgr's
-// slot was quarantined: the dead manager leaves the peer list, the
-// broadcast latch resets (a helpReq to the dead manager would
-// otherwise never be answered), dead tiles leave the parked pool, and
-// work stranded on a dead slave is re-queued. A slotRepair kick makes
-// the manager re-run dispatch from its own context.
-func (fl *fleetRun) repairSlot(sj, deadMgr int, now uint64) {
-	en := fl.hosts[sj].cur
-	var peers []int
-	for _, pm := range fl.peers[sj] {
-		if pm != deadMgr {
-			peers = append(peers, pm)
-		}
-	}
-	fl.peers[sj] = peers
-	en.peers = peers
-	if st := en.mgr; st != nil {
-		delete(st.pendingHelp, deadMgr)
-		st.helpOut = 0
-		kept := st.parked[:0]
-		for _, s := range st.parked {
-			if !fl.dead[s] {
-				kept = append(kept, s)
-			}
-		}
-		st.parked = kept
-		for _, t := range sortedKeys(st.outstanding) {
-			if !fl.dead[t] {
-				continue
-			}
-			ow := st.outstanding[t]
-			delete(st.outstanding, t)
-			qe := st.entry(ow.pc)
-			qe.inflight = false
-			st.push(ow.pc, ow.depth)
-		}
-	}
-	mgr := fl.slots[sj].manager
-	fl.m.Inbox(mgr).Send(mgr, slotRepair{}, now)
 }
 
 // deadlinesAt cancels every guest whose deadline is this cycle and is

@@ -52,12 +52,12 @@ func TestFleetSlotLayoutMatchesCarve(t *testing.T) {
 // default-policy run, queue handoffs included.
 func TestFleetPolicyKnobsAreInertWithoutFaults(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip")
-	base, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{Lend: true})
+	base, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tuned, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{
-		Lend: true, MaxAttempts: 7, RetryBackoff: 123_456, RetrySeed: 99,
+		MaxAttempts: 7, RetryBackoff: 123_456, RetrySeed: 99,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,11 +74,11 @@ func TestFleetPolicyKnobsAreInertWithoutFaults(t *testing.T) {
 // no messages and charges no tile time).
 func TestFleetSupervisorIsTimingNeutral(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip")
-	base, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{Lend: true})
+	base, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{Lend: true, Deadline: 1 << 40})
+	dl, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{Deadline: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFleetChaosQuarantineRetry(t *testing.T) {
 		cfg := fleetCfg(8, 8)
 		cfg.Fault = plan
 		cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
-		fr, err := RunFleet(imgs, cfg, FleetConfig{Lend: true, RetrySeed: 7})
+		fr, err := RunFleet(imgs, cfg, FleetConfig{RetrySeed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,6 @@ func TestFleetChaosQuarantineRetry(t *testing.T) {
 func TestFleetDeadlineCancelsGuest(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf")
 	fr, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{
-		Lend:      true,
 		Deadlines: []uint64{0, 2_000_000}, // mcf needs ~3.9M cycles
 	})
 	if err != nil {
@@ -236,7 +235,7 @@ func TestFleetRetryWithRollback(t *testing.T) {
 		cfg.Fault = &fault.Plan{Seed: 3, Fails: []fault.TileFail{
 			{Tile: layout[0].Slaves[1], Cycle: 1_000_000},
 		}}
-		fr, err := RunFleet(imgs, cfg, FleetConfig{Lend: true, RetrySeed: 3})
+		fr, err := RunFleet(imgs, cfg, FleetConfig{RetrySeed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

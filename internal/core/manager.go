@@ -34,10 +34,11 @@ type waiter struct {
 	seq      uint64
 }
 
-// outWork is a dispatched translation the manager is watching in
-// fault-recovery mode: if no transDone arrives by the deadline the
-// work is re-queued (the work or its result was lost, or the slave
-// died).
+// outWork is a dispatched translation whose transDone has not come
+// back. A checkpoint capture snapshots it as queued work (the restored
+// machine has fresh slaves); in fault-recovery mode the manager also
+// watches it: if no transDone arrives by the deadline the work is
+// re-queued (the work or its result was lost, or the slave died).
 type outWork struct {
 	pc       uint32
 	depth    int
@@ -60,24 +61,21 @@ type managerState struct {
 
 	specStored map[uint32]bool // speculatively translated, not yet demanded
 
+	// outstanding maps a busy slave to the work it holds. It is
+	// host-side bookkeeping, invisible on the network.
+	outstanding map[int]outWork
+
 	// Morphing state.
 	transHeavy bool
 	lastMorph  uint64
 
-	// Cross-VM lending state (fleet mode). helpOut counts unanswered
-	// helpReq broadcasts (a lendSlave clears it, a helpDeny decrements
-	// it); pendingHelp records each starved peer's advertised queue
-	// depth until this manager has a slave to spare.
-	helpOut     int
-	pendingHelp map[int]int
-
 	// Fault-recovery state (robust mode only). banksNow is the
 	// authoritative current data-bank interleave; lastBeat and
-	// outstanding drive the failure detectors. rebankGen/rebankPend
-	// implement the acknowledged remap handshake with the MMU tile.
+	// outstanding's deadlines drive the failure detectors.
+	// rebankGen/rebankPend implement the acknowledged remap handshake
+	// with the MMU tile.
 	banksNow       []int
 	lastBeat       map[int]uint64
-	outstanding    map[int]outWork
 	rebankGen      uint64
 	rebankPend     bool
 	rebankDeadline uint64
@@ -95,7 +93,7 @@ func (e *engine) managerKernel(c *raw.TileCtx) {
 		waiters:     map[uint32][]waiter{},
 		roles:       map[int]roleKind{},
 		specStored:  map[uint32]bool{},
-		pendingHelp: map[int]int{},
+		outstanding: map[int]outWork{},
 	}
 	for _, t := range e.pl.slaves {
 		st.roles[t] = roleSlave
@@ -108,7 +106,6 @@ func (e *engine) managerKernel(c *raw.TileCtx) {
 	if e.robust {
 		st.banksNow = append([]int(nil), e.pl.banks...)
 		st.lastBeat = map[int]uint64{}
-		st.outstanding = map[int]outWork{}
 		// Seed liveness at the current time, not zero: after a rollback
 		// the clock resumes mid-run (sim.SetStart), and a zero seed would
 		// read as every worker having been silent since cycle 0 — the
@@ -120,24 +117,8 @@ func (e *engine) managerKernel(c *raw.TileCtx) {
 			st.lastBeat[t] = c.Now()
 		}
 	}
-	if e.trackWork && st.outstanding == nil {
-		// Fleet fault mode: track dispatched work host-side (no network
-		// traffic) so the supervisor can re-queue translations stranded
-		// on a quarantined slave. Deadlines are unused — non-robust
-		// managers never run the watchdog tick.
-		st.outstanding = map[int]outWork{}
-	}
 	if e.restore != nil {
 		e.restoreManager(st)
-	}
-	if prev := e.mgr; prev != nil && e.elastic != nil && e.restore == nil {
-		// Same-engine re-entry: an elastic donation drained this manager
-		// while its slot idles between guests. Carry the retired epoch's
-		// L2 code cache, pipeline entries, and speculation ledger over so
-		// the collected stats are exactly what the drain left behind.
-		st.l2 = prev.l2
-		st.entries = prev.entries
-		st.specStored = prev.specStored
 	}
 	e.mgr = st
 
@@ -171,36 +152,6 @@ func (e *engine) managerKernel(c *raw.TileCtx) {
 			st.handleRebankAck(m)
 		case smcInval:
 			st.handleSMCInval(m, msg.From)
-		case lendSlave:
-			// A borrowed (or returning) slave joins the parked pool. A
-			// cancelled manager (quarantined slot) sends it home instead:
-			// parking it here would strand a healthy tile at a slot that
-			// will never dispatch again.
-			st.helpOut = 0
-			if e.cancelled {
-				if home, ok := e.homeMgr[m.Slave]; ok && home != e.pl.manager {
-					st.c.Send(home, lendReturn{Slave: m.Slave}, wordsCtl)
-				}
-			} else {
-				st.park(m.Slave)
-				st.dispatch()
-			}
-		case lendReturn:
-			st.park(m.Slave)
-			st.dispatch()
-		case slotRepair:
-			// Fleet supervisor repaired this manager's host-side state
-			// after a quarantine; re-run dispatch so re-queued work pairs
-			// with parked slaves.
-			st.dispatch()
-		case reclaim:
-			st.handleReclaim(m)
-		case helpReq:
-			st.handleHelp(m, msg.From)
-		case helpDeny:
-			if st.helpOut > 0 {
-				st.helpOut--
-			}
 		case vmSwitch:
 			// Fleet slot handoff: retire this epoch and hand the tile
 			// back to the slot wrapper, which restarts the kernel bound
@@ -373,98 +324,13 @@ func (st *managerState) sendRebank() {
 	st.rebankDeadline = st.c.Now() + st.e.cfg.Params.NetWatchdog
 }
 
-// handleHelp services a peer's request for a slave: immediately if one
-// is parked and the local queues are drained, otherwise as soon as
-// that becomes true (dispatch consults pendingHelp, serving the
-// most-backed-up peer first).
-func (st *managerState) handleHelp(m helpReq, from int) {
-	if st.e.fleetDead != nil && !st.isPeer(from) {
-		// The requester's slot was quarantined after it broadcast; a
-		// grant would strand the slave at a manager that will never
-		// dispatch to it. (fleetDead is nil outside fleet-fault mode, so
-		// this guard never runs — and never perturbs — fault-free runs.)
-		return
-	}
-	if len(st.parked) > 0 && st.queuedLen() == 0 {
-		slave := st.parked[len(st.parked)-1]
-		st.parked = st.parked[:len(st.parked)-1]
-		st.c.Send(from, lendSlave{Slave: slave}, wordsCtl)
-		return
-	}
-	st.pendingHelp[from] = m.QLen
-}
-
-// park adds a slave to the idle pool, once. Duplicate registrations
-// are possible in fleet mode: a slave parked at a foreign manager when
-// its home slot switches guests restarts and re-registers with the new
-// manager, while the foreign manager may still lend or return the same
-// tile.
-func (st *managerState) park(slave int) {
-	if st.e.fleetDead != nil && st.e.fleetDead[slave] {
-		return // fail-stopped tile; a late lend/return must not revive it
-	}
-	for _, s := range st.parked {
-		if s == slave {
-			return
-		}
-	}
-	st.parked = append(st.parked, slave)
-}
-
-// isPeer reports whether tile is one of this engine's current fleet
-// peers (quarantined slots are pruned from the list by the supervisor).
-func (st *managerState) isPeer(tile int) bool {
-	for _, p := range st.e.peers {
-		if p == tile {
-			return true
-		}
-	}
-	return false
-}
-
-// neediestPeer picks the deferred help request with the deepest
-// advertised queue, iterating the static peer list so ties break
-// deterministically by peer order.
-func (st *managerState) neediestPeer() int {
-	best, bestQ := -1, -1
-	for _, p := range st.e.peers {
-		if q, ok := st.pendingHelp[p]; ok && q > bestQ {
-			best, bestQ = p, q
-		}
-	}
-	return best
-}
-
 // drainForSwitch retires this manager epoch ahead of a fleet slot
-// handoff: deferred help requests are denied (releasing the
-// requesters' broadcast latches), borrowed slaves are sent home, and
-// the manager blocks until every in-flight translation has come back
-// (results are discarded — the guest that wanted them is gone). The
-// slot's own slaves are simply dropped from the parked pool: their
-// kernels restart on their own vmSwitch and re-register with the next
-// manager. All iteration is over slices or the static peer list, so
-// message order — and therefore the simulation — stays deterministic.
+// handoff: the parked slaves are dropped (their kernels restart on
+// their own vmSwitch and re-register with the next manager), and the
+// manager blocks until every in-flight translation has come back —
+// results are discarded, the guest that wanted them is gone — so no
+// stale transDone can reach the new epoch.
 func (st *managerState) drainForSwitch() {
-	for _, p := range st.e.peers {
-		if _, ok := st.pendingHelp[p]; ok {
-			delete(st.pendingHelp, p)
-			st.c.Send(p, helpDeny{}, wordsCtl)
-		}
-	}
-	for _, s := range st.parked {
-		if st.e.elastic != nil {
-			// Elastic mode: a parked foreign tile was donated in, never
-			// lent. Release it now if its owner already wants it back;
-			// otherwise just drop it — the next handoff's phase-2 sweep
-			// (which includes donated-in tiles) wakes it to re-register
-			// with the new epoch's manager.
-			st.releaseReclaimed(s)
-			continue
-		}
-		if home, ok := st.e.homeMgr[s]; ok && home != st.e.pl.manager {
-			st.c.Send(home, lendReturn{Slave: s}, wordsCtl)
-		}
-	}
 	st.parked = nil
 	inflight := 0
 	for _, en := range st.entries {
@@ -473,27 +339,12 @@ func (st *managerState) drainForSwitch() {
 		}
 	}
 	for inflight > 0 {
-		msg := st.c.Recv()
-		switch m := msg.Payload.(type) {
-		case transDone:
-			en := st.entry(m.PC)
-			if en.inflight {
+		if m, ok := st.c.Recv().Payload.(transDone); ok {
+			if en := st.entry(m.PC); en.inflight {
 				en.inflight = false
 				inflight--
 				st.e.stats.Translations++
 			}
-		case lendSlave:
-			// A grant answering this epoch's broadcast; pass it home.
-			if home, ok := st.e.homeMgr[m.Slave]; ok && home != st.e.pl.manager {
-				st.c.Send(home, lendReturn{Slave: m.Slave}, wordsCtl)
-			}
-		case helpReq:
-			st.c.Send(msg.From, helpDeny{}, wordsCtl)
-		case workReq:
-			// Own slave reporting idle; it re-registers after restart. A
-			// donated-in tile is released here if its owner wants it back
-			// (no-op outside elastic mode).
-			st.releaseReclaimed(msg.From)
 		}
 	}
 }
@@ -626,55 +477,8 @@ func (st *managerState) queuedLen() int {
 	return n
 }
 
-// releaseReclaimed checks the elastic reclaim ledger for tile and, when
-// its owner wants it back, commits the reclaim: the tile is vmSwitched
-// out of this VM (its wrapper finds the idle redirect and parks) and
-// the owner's exec tile gets the reclaimDone. Reports whether the tile
-// was released; false means no reclaim was pending (or another party
-// committed it first) and normal handling should proceed.
-func (st *managerState) releaseReclaimed(tile int) bool {
-	es := st.e.elastic
-	if es == nil {
-		return false
-	}
-	owner, ok := es.commit(tile)
-	if !ok {
-		return false
-	}
-	st.c.Send(tile, vmSwitch{}, wordsCtl)
-	st.c.Send(owner, reclaimDone{Tile: tile}, wordsCtl)
-	return true
-}
-
-// handleReclaim releases the listed donated tiles this manager holds
-// parked. A busy tile is left alone — its next workReq commits the
-// release — and an unknown tile's release happens through its own slot
-// wrapper at the next sweep.
-func (st *managerState) handleReclaim(m reclaim) {
-	wanted := map[int]bool{}
-	for _, t := range m.Tiles {
-		wanted[t] = true
-	}
-	kept := st.parked[:0]
-	var release []int
-	for _, s := range st.parked {
-		if wanted[s] {
-			release = append(release, s)
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	st.parked = kept
-	for _, s := range release {
-		st.releaseReclaimed(s)
-	}
-}
-
 // handleWorkReq parks an idle slave or hands it work.
 func (st *managerState) handleWorkReq(slave int) {
-	if st.releaseReclaimed(slave) {
-		return
-	}
 	if st.roles[slave] != roleSlave {
 		return // reconfigured (or excised) while the request was in flight
 	}
@@ -701,14 +505,15 @@ func (st *managerState) handleWorkReq(slave int) {
 		}
 	}
 	st.c.Tick(st.e.cfg.Params.TransRequestOcc)
-	st.park(slave)
+	st.parked = append(st.parked, slave)
 	st.dispatch()
 }
 
-// dispatch pairs parked slaves with queued work, then applies the
-// cross-VM lending policy: surplus idle slaves flow to the peer, and a
-// starved manager asks the peer for help.
+// dispatch pairs parked slaves with queued work.
 func (st *managerState) dispatch() {
+	if st.e.quarantined {
+		return
+	}
 	for len(st.parked) > 0 {
 		pc, depth, ok := st.pop()
 		if !ok {
@@ -719,33 +524,10 @@ func (st *managerState) dispatch() {
 		en := st.entry(pc)
 		en.queued = false
 		en.inflight = true
-		if st.e.robust || st.e.trackWork {
-			st.outstanding[slave] = outWork{pc: pc, depth: depth,
-				deadline: st.c.Now() + st.e.cfg.Params.WorkWatchdog}
-		}
+		st.outstanding[slave] = outWork{pc: pc, depth: depth,
+			deadline: st.c.Now() + st.e.cfg.Params.WorkWatchdog}
 		st.e.trc().Instant(st.c.Tile, "assign", st.c.Now(), "pc", uint64(pc), "slave", uint64(slave))
 		st.c.Send(slave, st.workFor(pc, depth), wordsCtl)
-	}
-	if !st.e.lend || len(st.e.peers) == 0 {
-		return
-	}
-	// Lending is strictly request-driven (no unsolicited pushes, so idle
-	// managers exchange no traffic): satisfy the most-backed-up deferred
-	// help request when capacity frees up, and broadcast for help when
-	// starved.
-	switch {
-	case len(st.pendingHelp) > 0 && len(st.parked) > 0 && st.queuedLen() == 0:
-		peer := st.neediestPeer()
-		slave := st.parked[len(st.parked)-1]
-		st.parked = st.parked[:len(st.parked)-1]
-		delete(st.pendingHelp, peer)
-		st.c.Send(peer, lendSlave{Slave: slave}, wordsCtl)
-	case len(st.parked) == 0 && st.queuedLen() > 0 && st.helpOut == 0 && !st.e.cancelled:
-		q := st.queuedLen()
-		for _, p := range st.e.peers {
-			st.c.Send(p, helpReq{QLen: q}, wordsCtl)
-		}
-		st.helpOut = len(st.e.peers)
 	}
 }
 
@@ -804,10 +586,8 @@ func (st *managerState) staleSMC(m transDone) bool {
 // merely slow rather than lost.
 func (st *managerState) handleTransDone(m transDone, from int) {
 	P := &st.e.cfg.Params
-	if st.e.robust || st.e.trackWork {
-		if ow, ok := st.outstanding[from]; ok && ow.pc == m.PC {
-			delete(st.outstanding, from)
-		}
+	if ow, ok := st.outstanding[from]; ok && ow.pc == m.PC {
+		delete(st.outstanding, from)
 	}
 	en := st.entry(m.PC)
 	en.inflight = false

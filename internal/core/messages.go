@@ -39,9 +39,9 @@ type workReq struct{}
 // work assigns a translation unit to a slave. Gen snapshots the
 // self-modifying-code generation at dispatch so results translated
 // from since-overwritten bytes can be discarded. The translator and
-// guest memory ride along so a slave lent across virtual machines
-// (multi-VM mode, paper §5) translates the requesting VM's code; the
-// result goes back to the dispatching manager (the message source).
+// guest memory ride along so a unit is self-contained: the slave
+// translates the code of the VM epoch the dispatching manager belongs
+// to, and the result goes back to that manager (the message source).
 type work struct {
 	PC         uint32
 	Depth      int
@@ -81,59 +81,6 @@ type smcInval struct {
 
 // smcAck acknowledges an smcInval.
 type smcAck struct{}
-
-// lendSlave transfers an idle translation slave tile to the peer VM's
-// manager (multi-VM mode); the peer dispatches its own work to it.
-type lendSlave struct {
-	Slave int
-}
-
-// lendReturn hands a borrowed slave back to its home manager (which
-// parks it without immediately re-lending, avoiding ping-pong).
-type lendReturn struct {
-	Slave int
-}
-
-// helpReq asks a peer manager for a slave when the local queues are
-// backed up and every local slave is busy or lent out. In fleet mode
-// it is broadcast to every peer; QLen advertises the requester's queue
-// depth so a lender with one spare slave serves the most-backed-up VM
-// first.
-type helpReq struct {
-	QLen int
-}
-
-// helpDeny answers a helpReq that this manager will never honor (it is
-// draining for a slot handoff and its deferred-help book dies with the
-// epoch); it releases one unit of the requester's broadcast latch so a
-// still-starved manager may ask again.
-type helpDeny struct{}
-
-// slotRepair kicks a manager's dispatch loop after the fleet
-// supervisor repaired its host-side state (re-queued work stranded on
-// a quarantined slave, pruned dead peers). It carries no data; the
-// manager just re-runs dispatch so repaired queue entries pair with
-// parked slaves.
-type slotRepair struct{}
-
-// reclaim asks a manager to release the listed donated tiles back to
-// their owner slot (elastic fleet morphing). The manager immediately
-// releases the tiles it holds parked; a busy tile is released when its
-// next workReq arrives, and a tile the manager does not know is left
-// alone — its release then happens through the tile's own slot-wrapper
-// redirect check.
-type reclaim struct {
-	Tiles []int
-}
-
-// reclaimDone tells a donated tile's owner exec tile that the tile has
-// left the target VM and is idling, ready to be re-absorbed at the
-// owner's next admission handoff. Exactly one reclaimDone is generated
-// per reclaimed tile, by whichever party commits the shared reclaim
-// ledger entry first (elasticState.commit).
-type reclaimDone struct {
-	Tile int
-}
 
 // vmSwitch tells a slot's service tile to retire its current VM epoch
 // for a fleet slot handoff: the manager drains its in-flight

@@ -33,45 +33,19 @@ func checkGuest(t *testing.T, label string, res *Result, img *guest.Image) {
 func TestMultiVMBothGuestsCorrect(t *testing.T) {
 	pa, _ := workload.ByName("164.gzip")
 	pb, _ := workload.ByName("181.mcf")
-	a, b := pa.Build(), pb.Build()
-	for _, lend := range []bool{false, true} {
-		res, err := RunPair(a, b, pairCfg(), lend)
-		if err != nil {
-			t.Fatalf("lend=%v: %v", lend, err)
-		}
-		checkGuest(t, "A", res.A, a)
-		checkGuest(t, "B", res.B, b)
-		if res.Makespan == 0 || res.Makespan < res.A.Cycles || res.Makespan < res.B.Cycles {
-			t.Errorf("lend=%v: makespan %d inconsistent (%d, %d)",
-				lend, res.Makespan, res.A.Cycles, res.B.Cycles)
-		}
-	}
-}
-
-func TestMultiVMLendingHelpsAsymmetricPair(t *testing.T) {
-	// Guest A is tiny (exits quickly); guest B is translation-bound.
-	// With lending, A's slaves join B after A exits (and whenever A's
-	// queues are empty), so B must finish sooner.
-	pa, _ := workload.ByName("164.gzip")
-	pb, _ := workload.ByName("176.gcc")
-	a, b := pa.Build(), pb.Build()
-
-	noLend, err := RunPair(a, b, pairCfg(), false)
+	imgs := []*guest.Image{pa.Build(), pb.Build()}
+	res, err := RunFleet(imgs, pairCfg(), FleetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lend, err := RunPair(a, b, pairCfg(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGuest(t, "B/nolend", noLend.B, b)
-	checkGuest(t, "B/lend", lend.B, b)
-	t.Logf("B (gcc) cycles: no lending %d, lending %d (%.1f%% faster)",
-		noLend.B.Cycles, lend.B.Cycles,
-		100*(1-float64(lend.B.Cycles)/float64(noLend.B.Cycles)))
-	if lend.B.Cycles >= noLend.B.Cycles {
-		t.Errorf("lending did not speed up the translation-bound guest: %d vs %d",
-			lend.B.Cycles, noLend.B.Cycles)
+	for gi, g := range res.Guests {
+		if g.Result == nil {
+			t.Fatalf("guest %d never ran", gi)
+		}
+		checkGuest(t, "AB"[gi:gi+1], g.Result, imgs[gi])
+		if res.Makespan < g.Result.Cycles {
+			t.Errorf("makespan %d below guest %d's %d cycles", res.Makespan, gi, g.Result.Cycles)
+		}
 	}
 }
 

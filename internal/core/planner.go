@@ -8,9 +8,8 @@ import (
 	"tilevm/internal/workload"
 )
 
-// Cost-model placement planning (ROADMAP: "Placement as search +
-// elastic morphing"). The fixed carver hands every guest the same
-// 8-tile 4×2 slot with a hardwired 2-slave/1-bank service split; the
+// Cost-model placement planning. The fixed carver hands every guest
+// the same 8-tile 4×2 slot with a hardwired 2-slave/1-bank split; the
 // planner instead searches rectangular slot shapes and sizes under a
 // per-guest cost model, so memory-bound guests trade translation
 // slaves for L2 data banks, translation-bound guests do the opposite,
@@ -141,9 +140,9 @@ func planSlotAt(p raw.Params, x0, y0, w, h int, gp GuestProfile) placement {
 		mmu:     t(2, 1),
 		slaves:  append([]int(nil), flex[:s]...),
 		banks:   append([]int(nil), flex[s:]...),
-		// No switchable tiles: fleet slots morph at whole-tile
-		// granularity through the elastic donate/reclaim protocol, not
-		// the intra-VM controller.
+		// No switchable tiles: intra-VM morphing and fleet mode are
+		// mutually exclusive, so a slot's role split is fixed at plan
+		// time.
 		switchIsBank: map[int]bool{},
 	}
 }

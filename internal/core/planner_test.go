@@ -241,3 +241,45 @@ func asNoFit(err error, target **NoFitError) bool {
 	}
 	return ok
 }
+
+func profilesFor(t *testing.T, names ...string) []GuestProfile {
+	t.Helper()
+	out := make([]GuestProfile, len(names))
+	for i, n := range names {
+		p, ok := workload.ByName(n)
+		if !ok {
+			t.Fatalf("unknown workload %q", n)
+		}
+		out[i] = ProfileFromWorkload(p)
+	}
+	return out
+}
+
+// TestFleetInvarianceUnderPlanner re-runs the invariance battery's core
+// property with the placement planner driving the carve: grown slots
+// (undersubscribed fabrics), heterogeneous profile-driven role splits,
+// and oversubscribed hand-off churn all preserve solo fingerprints.
+func TestFleetInvarianceUnderPlanner(t *testing.T) {
+	names := []string{"164.gzip", "181.mcf", "176.gcc", "164.gzip"}
+	imgs := fleetImgs(t, names...)
+	solo := soloFingerprints(t, imgs)
+	profiles := profilesFor(t, names...)
+
+	hostings := []struct {
+		name string
+		w, h int
+		fc   FleetConfig
+	}{
+		{"8x8/planner/grown", 8, 8, FleetConfig{Planner: true}},
+		{"8x8/planner/profiles", 8, 8, FleetConfig{Planner: true, Profiles: profiles}},
+		{"4x4/planner/oversub", 4, 4, FleetConfig{Planner: true}},
+		{"8x8/planner/2slots", 8, 8, FleetConfig{Planner: true, MaxSlots: 2}},
+	}
+	for _, hc := range hostings {
+		fr, err := RunFleet(imgs, fleetCfg(hc.w, hc.h), hc.fc)
+		if err != nil {
+			t.Fatalf("%s: %v", hc.name, err)
+		}
+		checkFleetInvariance(t, hc.name, fr, imgs, solo)
+	}
+}

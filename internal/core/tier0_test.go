@@ -126,7 +126,7 @@ func TestTier0WarmupFaster(t *testing.T) {
 
 // TestFleetInvarianceWithTier0 is the ISSUE's fleet invariance case: a
 // guest's StateHash/exit/stdout fingerprint is identical with tier-0
-// on vs. off, even hosted in a fleet with slave lending.
+// on vs. off, even hosted in a fleet.
 func TestFleetInvarianceWithTier0(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf")
 
@@ -139,7 +139,7 @@ func TestFleetInvarianceWithTier0(t *testing.T) {
 		solo[img] = outcome(res)
 	}
 
-	fr, err := RunFleet(imgs, tier0Cfg(), FleetConfig{Lend: true})
+	fr, err := RunFleet(imgs, tier0Cfg(), FleetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

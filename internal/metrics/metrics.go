@@ -86,8 +86,6 @@ type FleetSet struct {
 	DeadlineMet            uint64 // finished guests that beat their deadline
 	DeadlineTotal          uint64 // guests that had a deadline at all
 	GoodputInsts           uint64 // host instructions retired by finished guests
-	ElasticGrows           uint64 // idle slots that donated their service tiles to busy peers
-	ElasticShrinks         uint64 // slots that reclaimed their donated tiles for a new admission
 }
 
 // SLOAttainment is the fraction of deadline-carrying guests that

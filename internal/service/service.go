@@ -52,20 +52,11 @@ type Config struct {
 	// before it fails (default 3) — the backstop against a job whose
 	// batch keeps dying for reasons not attributed to it.
 	MaxJobAttempts int
-	// Lend enables cross-VM slave lending inside batches.
-	Lend bool
 	// Planner carves each batch's slots with the cost-model placement
 	// planner (core.FleetConfig.Planner): slot shapes grow when a batch
 	// undersubscribes the fabric, and each slot's slave/bank split
 	// follows its job's workload profile.
 	Planner bool
-	// Elastic enables whole-tile elastic morphing inside batches and
-	// switches the batcher to oversubscribed batches (batchCap): when
-	// the admission queue backs up, a batch carries up to twice the slot
-	// count, so slots whose guests finish early donate their tiles to
-	// the stragglers instead of idling, and reclaim them when the next
-	// queued guest is admitted. Mutually exclusive with Lend.
-	Elastic bool
 	// SimWorkers is the per-batch simulation worker count (see
 	// core.Config.SimWorkers).
 	SimWorkers int
@@ -140,9 +131,6 @@ type Service struct {
 // eventually call Drain to stop it.
 func New(cfg Config) (*Service, error) {
 	cfg.fillDefaults()
-	if cfg.Elastic && cfg.Lend {
-		return nil, fmt.Errorf("service: Elastic and Lend are mutually exclusive (both move slaves between VMs)")
-	}
 	base := core.DefaultConfig()
 	base.Params.Width, base.Params.Height = cfg.Width, cfg.Height
 	slots, err := core.FleetSlots(base.Params)
@@ -436,26 +424,12 @@ func (s *Service) schedule() {
 	}
 }
 
-// batchCap is the elastic batching policy hook: how many jobs one
-// batch may carry. The baseline is one job per carved slot. With
-// Elastic on, a backed-up queue doubles the cap — the surplus jobs
-// queue inside the fleet run, where slots whose guests finish early
-// grow the stragglers by donating tiles and shrink back to admit the
-// queued surplus, instead of the fabric idling between batches.
-func (s *Service) batchCap() int {
-	if s.cfg.Elastic && s.queued > s.slots {
-		return 2 * s.slots
-	}
-	return s.slots
-}
-
 // popBatchLocked removes up to one batch of runnable jobs from the
 // queues, highest class first, FIFO within a class. Jobs whose
 // wall-clock budget expired while queued turn StateTimedOut here,
 // without costing a slot.
 func (s *Service) popBatchLocked() []*job {
 	now := time.Now()
-	limit := s.batchCap()
 	var batch []*job
 	for r := int(numClasses) - 1; r >= 0; r-- {
 		q := s.queues[r]
@@ -466,7 +440,7 @@ func (s *Service) popBatchLocked() []*job {
 				s.queued--
 				s.finishLocked(j, StateTimedOut,
 					fmt.Sprintf("wall-clock timeout %v expired while queued", j.timeout))
-			case len(batch) < limit:
+			case len(batch) < s.slots:
 				s.queued--
 				batch = append(batch, j)
 			default:
@@ -522,10 +496,7 @@ func (s *Service) runBatch(batch []*job, intr *core.InterruptHandle) (res *core.
 	cfg.MaxCycles = s.cfg.MaxCycles
 	cfg.SimWorkers = s.cfg.SimWorkers
 	cfg.Interrupt = intr
-	fc := core.FleetConfig{
-		Lend: s.cfg.Lend, Deadlines: deadlines,
-		Planner: s.cfg.Planner, Elastic: s.cfg.Elastic,
-	}
+	fc := core.FleetConfig{Deadlines: deadlines, Planner: s.cfg.Planner}
 	if s.cfg.Planner {
 		fc.Profiles = make([]core.GuestProfile, len(batch))
 		for i, j := range batch {

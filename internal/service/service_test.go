@@ -493,78 +493,36 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestElasticBatchingPolicy pins the elastic policy hook: with Elastic
-// on and the queue backed up past the slot count, one batch carries up
-// to twice the slots (the surplus queues inside the fleet run, where
-// elastic morphs absorb it), and the executor sees FleetConfig.Elastic
-// plus planner profiles for every admitted guest. With a short queue
-// the batch cap stays at the slot count.
-func TestElasticBatchingPolicy(t *testing.T) {
-	f := newStub()
+// TestServicePlannerProfiles pins the planner plumbing: with Planner
+// on, the executor sees FleetConfig.Planner plus one workload profile
+// per admitted guest, and a backed-up queue never pushes a batch past
+// the carved slot count (4×2 fabric → 1 slot).
+func TestServicePlannerProfiles(t *testing.T) {
+	f := &stubFleet{}
 	type batchShape struct {
-		n, profiles      int
-		elastic, planner bool
+		n, profiles int
+		planner     bool
 	}
 	shapes := make(chan batchShape, 8)
-	started := make(chan []string, 8)
 	s := newTestService(t, Config{
-		Elastic: true, Planner: true, // 4×2 fabric → 1 slot, elastic cap 2
-		onBatchStart: func(ids []string) { started <- ids },
+		Planner: true,
 		runFleet: func(imgs []*guest.Image, cfg core.Config, fc core.FleetConfig) (*core.FleetResult, error) {
-			shapes <- batchShape{n: len(imgs), profiles: len(fc.Profiles),
-				elastic: fc.Elastic, planner: fc.Planner}
+			shapes <- batchShape{n: len(imgs), profiles: len(fc.Profiles), planner: fc.Planner}
 			return f.run(imgs, cfg, fc)
 		}}, nil)
-	t.Cleanup(func() { close(f.quit) }) // after newTestService: runs before its forced drain
-
-	blocker := mustSubmit(t, s, Spec{Workload: "164.gzip"})
-	<-started // blocker occupies the only slot; the stub holds it there
-	ids := []string{blocker.ID}
+	var ids []string
 	for i := 0; i < 3; i++ {
 		ids = append(ids, mustSubmit(t, s, Spec{Workload: "164.gzip"}).ID)
-	}
-	for i := 0; i < 3; i++ {
-		f.release <- struct{}{}
 	}
 	for _, id := range ids {
 		if v := await(t, s, id); v.State != StateFinished.String() {
 			t.Fatalf("job %s state %s, want finished", id, v.State)
 		}
 	}
-	// Blocker popped alone; then 3 queued > 1 slot → an oversubscribed
-	// batch of 2; then the last job alone once the queue is short again.
-	var sizes []int
-	for i := 0; i < 3; i++ {
+	for i := range ids {
 		b := <-shapes
-		sizes = append(sizes, b.n)
-		if !b.elastic || !b.planner {
-			t.Errorf("batch %d flags elastic=%v planner=%v, want both true", i, b.elastic, b.planner)
+		if b.n != 1 || !b.planner || b.profiles != b.n {
+			t.Errorf("batch %d = %+v, want one guest, planner on, one profile", i, b)
 		}
-		if b.profiles != b.n {
-			t.Errorf("batch %d carries %d planner profiles for %d guests", i, b.profiles, b.n)
-		}
-	}
-	if want := []int{1, 2, 1}; !intsEqual(sizes, want) {
-		t.Errorf("batch sizes %v, want %v (middle batch must oversubscribe)", sizes, want)
-	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestServiceElasticLendExclusive pins the config validation at New.
-func TestServiceElasticLendExclusive(t *testing.T) {
-	if _, err := New(Config{Width: 4, Height: 2, Elastic: true, Lend: true}); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("want mutual-exclusion error, got %v", err)
 	}
 }

@@ -294,7 +294,7 @@ func main() {
 			os.Exit(1)
 		}
 		if !psw.Identical {
-			fmt.Fprintln(os.Stderr, "benchcheck: placement_sweep: repeated runs DIVERGED — planner/elastic placement broke determinism")
+			fmt.Fprintln(os.Stderr, "benchcheck: placement_sweep: repeated runs DIVERGED — planner placement broke determinism")
 			os.Exit(1)
 		}
 		for _, g := range psw.Grids {
