@@ -284,6 +284,9 @@ func main() {
 		"sim_tick_recv":      bmark(bench.TickRecvBench()),
 		"sim_proc_switch":    bmark(bench.ProcSwitchBench(2)),
 		"sim_proc_switch_64": bmark(bench.ProcSwitchBench(64)),
+
+		"sim_handler_dispatch": bmark(bench.HandlerDispatchBench()),
+
 		"rawexec_inner_loop": bmark(benchRawexecInnerLoop),
 		"machine_run_gzip":   bmark(benchMachineGzip(img)),
 

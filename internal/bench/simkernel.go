@@ -34,6 +34,39 @@ func ProcSwitchBench(procs int) func(b *testing.B) {
 	}
 }
 
+// HandlerDispatchBench returns a benchmark of what a service tile costs
+// now that it is a handler (sim.SpawnHandler): a goroutine process sends
+// a request and parks in Recv; the handler's wakeup is next, so the
+// parking goroutine runs it on the spot — a few cycles of occupancy and
+// a reply — and then finds its own wakeup next and runs on. One op is
+// one round trip, two dispatches and no goroutine switch: switches/op
+// (from sim.Stats, Run's first hand-off aside) reads 0 when the
+// benchmark measures what it says. The same round trip between two
+// goroutine processes is TickRecvBench, two ops and two switches.
+func HandlerDispatchBench() func(b *testing.B) {
+	return func(b *testing.B) {
+		s := sim.New()
+		req, resp := s.NewPort("server.in"), s.NewPort("client.in")
+		s.Spawn("client", func(p *sim.Proc) {
+			for i := 0; i < b.N; i++ {
+				req.Send(p.ID(), nil, p.Now()+2)
+				p.Recv(resp)
+			}
+			p.Stop()
+		})
+		s.SpawnHandler("server", req, nil, func(p *sim.Proc, m sim.Msg) {
+			p.Tick(3)
+			resp.Send(p.ID(), nil, p.Now()+2)
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(s.Stats().Switches-1)/float64(b.N), "switches/op")
+	}
+}
+
 // TickRecvBench returns a benchmark of what a service tile does per
 // request: two processes pass one message back and forth, each charging
 // a few cycles of occupancy with Tick before it sends and receives

@@ -303,7 +303,10 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 	e.stats.ReexecCycles = extra.reexec
 	e.stats.RollbackCycles = extra.penalty
 
-	e.spawn()
+	// One slot, never handed on.
+	e.m.SpawnTile(e.pl.exec, "exec", e.execKernel)
+	e.m.SpawnTile(e.pl.manager, "manager", e.managerKernel)
+	spawnService(e.m, &e.pl, &slotHost{cur: e})
 
 	simErr := e.m.Run()
 
@@ -363,27 +366,6 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 		return res, nil, fmt.Errorf("core: guest execution failed: %w", e.execErr)
 	}
 	return res, nil, nil
-}
-
-// spawn registers this engine's tile kernels on the machine.
-func (e *engine) spawn() {
-	e.m.SpawnTile(e.pl.exec, "exec", e.execKernel)
-	e.m.SpawnTile(e.pl.manager, "manager", e.managerKernel)
-	e.m.SpawnTile(e.pl.mmu, "mmu", e.mmuKernel)
-	e.m.SpawnTile(e.pl.sys, "syscall", e.sysKernel)
-	for _, t := range e.pl.l15 {
-		e.m.SpawnTile(t, "l15", e.l15Kernel)
-	}
-	spawned := map[int]bool{}
-	for _, t := range e.pl.slaves {
-		e.m.SpawnTile(t, "worker", e.workerBody(roleSlave))
-		spawned[t] = true
-	}
-	for _, t := range e.pl.banks {
-		if !spawned[t] {
-			e.m.SpawnTile(t, "worker", e.workerBody(roleBank))
-		}
-	}
 }
 
 // initTierState allocates the tier-0 promotion maps (cheap enough to

@@ -24,8 +24,8 @@ import (
 //
 // Admission reuses the running tile kernels rather than spawning new
 // ones (the simulator forbids spawning after Run starts): every
-// service kernel is wrapped in a loop re-binding it to the slot's
-// current engine, and the exec tile coordinates the epoch change with
+// kernel re-binds to the slot's current engine at a vmSwitch, and the
+// exec tile coordinates the epoch change with
 // a two-phase vmSwitch handshake — first the manager drains its
 // in-flight translations, then the remaining service tiles flush and
 // ack — so no state or message of a finished guest can leak into its
@@ -460,10 +460,12 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 	return e
 }
 
-// spawnSlots registers every slot's tile kernels, each wrapped in a
-// loop that re-binds it to the slot's current engine after a vmSwitch.
-// The slot keeps each tile's process handle so a quarantine can
-// daemon-mark the whole slot.
+// spawnSlots registers every slot's tile kernels. The execution tile
+// and the manager are goroutines wrapped in a loop that re-binds them to
+// the slot's current engine after a vmSwitch; the service tiles are
+// handler kernels that re-bind themselves (tiles.go). The slot keeps
+// each tile's process handle so a quarantine can daemon-mark the whole
+// slot.
 func (fl *fleetRun) spawnSlots() {
 	for si := range fl.slots {
 		pl := fl.slots[si]
@@ -494,37 +496,7 @@ func (fl *fleetRun) spawnSlots() {
 				h.cur.managerKernel(c)
 			}
 		}))
-		add(fl.m.SpawnTile(pl.mmu, "mmu", func(c *raw.TileCtx) {
-			for {
-				h.cur.mmuKernel(c)
-			}
-		}))
-		add(fl.m.SpawnTile(pl.sys, "syscall", func(c *raw.TileCtx) {
-			for {
-				h.cur.sysKernel(c)
-			}
-		}))
-		for _, t := range pl.l15 {
-			add(fl.m.SpawnTile(t, "l15", func(c *raw.TileCtx) {
-				for {
-					h.cur.l15Kernel(c)
-				}
-			}))
-		}
-		for _, t := range pl.slaves {
-			add(fl.m.SpawnTile(t, "worker", func(c *raw.TileCtx) {
-				for {
-					h.cur.workerBody(roleSlave)(c)
-				}
-			}))
-		}
-		for _, t := range pl.banks {
-			add(fl.m.SpawnTile(t, "worker", func(c *raw.TileCtx) {
-				for {
-					h.cur.workerBody(roleBank)(c)
-				}
-			}))
-		}
+		spawnService(fl.m, &pl, h)
 	}
 }
 

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tilevm/internal/sim"
 	"tilevm/internal/workload"
@@ -25,10 +28,18 @@ import (
 // earlier-arriving Send superseded before the local time was up; the
 // old self-wakeup found both messages queued and scheduled once. Every
 // virtual cycle count of the run is the same.
+//
+// Re-pinned a second time, from {2406, 465, 1941, 153}, when the service
+// tiles became handler kernels (sim.SpawnHandler): the same 2406 events
+// and 153 dead pops, but the 1142 dispatches of the MMU, bank, L1.5,
+// syscall and slave tiles now run inline on whichever goroutine popped
+// them. 1290 switches went with them — a fill exec → mmu → bank → exec
+// used to be three and is none — and 148 more wakeups of the execution
+// tile and the manager find themselves next and run on.
 func TestKernelStatsGzip(t *testing.T) {
 	p, _ := workload.ByName("164.gzip")
 	img := p.Build()
-	want := sim.Stats{Dispatches: 2406, RunOns: 465, Switches: 1941, DeadPops: 153}
+	want := sim.Stats{Dispatches: 2406, RunOns: 613, Switches: 651, DeadPops: 153, Inline: 1142}
 	for i := 0; i < 2; i++ {
 		cfg := DefaultConfig()
 		cfg.Interrupt = NewInterruptHandle()
@@ -38,5 +49,72 @@ func TestKernelStatsGzip(t *testing.T) {
 		if got := cfg.Interrupt.sim.Stats(); got != want {
 			t.Errorf("run %d: kernel stats %+v, want %+v", i, got, want)
 		}
+	}
+}
+
+// fleetMix is tilebench's fleet_mix guest list: every profile once plus
+// five repeats of light ones, in two admission waves on eight slots.
+var fleetMix = []string{
+	"175.vpr", "176.gcc", "186.crafty", "253.perlbmk", "254.gap", "255.vortex", "300.twolf", "181.mcf",
+	"164.gzip", "181.mcf", "197.parser", "256.bzip2", "164.gzip", "197.parser", "256.bzip2", "175.vpr"}
+
+// TestFleetGoroutineBudget: only execution tiles and managers are
+// goroutines. A 16-guest fleet on an 8×8 fabric — 64 tile kernels —
+// holds at most 2·slots + 4 goroutines above the caller's mid-run (it
+// held one per tile), and fewer than half its dispatches move to
+// another goroutine: the execution tiles and managers alone are 47.5%
+// of them and alternate between eight virtual machines.
+func TestFleetGoroutineBudget(t *testing.T) {
+	imgs := fleetImgs(t, fleetMix...)
+	cfg := fleetCfg(8, 8)
+	cfg.Interrupt = NewInterruptHandle()
+	base := runtime.NumGoroutine() + 1 // the sampler below
+	var peak atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				peak.Store(max(peak.Load(), int64(runtime.NumGoroutine())))
+			}
+		}
+	}()
+	fr, err := RunFleet(imgs, cfg, FleetConfig{})
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if budget := int64(base + 2*fr.Slots + 4); peak.Load() == 0 || peak.Load() > budget {
+		t.Errorf("fleet of %d slots peaked at %d goroutines (%d before it), budget %d", fr.Slots, peak.Load(), base, budget)
+	}
+	st := cfg.Interrupt.sim.Stats()
+	if st.Dispatches != st.RunOns+st.Switches+st.Inline || 2*st.Switches >= st.Dispatches {
+		t.Errorf("fleet_mix kernel stats %+v: want Switches/Dispatches < 0.5", st)
+	}
+}
+
+// TestSpecDataSwitchShare: on the data-bound guests nearly every event
+// is the execution tile's memory pipeline, and all of it now runs on
+// the execution tile's own goroutine. Over one pass of tilebench's
+// spec_data guests 75,643 of 78,209 dispatches were goroutine switches;
+// what is left is the translation warm-up through the manager.
+func TestSpecDataSwitchShare(t *testing.T) {
+	var pass sim.Stats
+	for _, img := range fleetImgs(t, "164.gzip", "181.mcf", "197.parser", "256.bzip2") {
+		cfg := DefaultConfig()
+		cfg.Interrupt = NewInterruptHandle()
+		if _, err := Run(img, cfg); err != nil {
+			t.Fatal(err)
+		}
+		st := cfg.Interrupt.sim.Stats()
+		pass.Dispatches += st.Dispatches
+		pass.Switches += st.Switches
+	}
+	if pass.Dispatches != 78_209 || 20*pass.Switches >= pass.Dispatches {
+		t.Errorf("spec_data pass: %d dispatches, %d switches: want 78209 and Switches/Dispatches < 0.05", pass.Dispatches, pass.Switches)
 	}
 }

@@ -78,9 +78,6 @@ func (m *Machine) SetTracer(t *trace.Tracer) {
 	m.Sim.Trace = t
 }
 
-// Tracer returns the machine's trace sink (nil when tracing is off).
-func (m *Machine) Tracer() *trace.Tracer { return m.trc }
-
 // SpawnTile registers a kernel process for a tile. The body receives a
 // TileCtx bound to the tile's inbox and grid position. The returned
 // process handle lets host-side supervisors daemon-mark or inspect the
@@ -90,6 +87,42 @@ func (m *Machine) SpawnTile(id int, name string, body func(*TileCtx)) *sim.Proc 
 	return m.Sim.Spawn(fmt.Sprintf("%s@%d", name, id), func(p *sim.Proc) {
 		body(&TileCtx{M: m, Tile: id, P: p})
 	})
+}
+
+// SpawnTileHandler registers a run-to-completion kernel for a tile that
+// only ever answers messages (sim.SpawnHandler): start runs at the
+// tile's first dispatch, handle once per message or sim.Timeout; neither
+// may block. Tile faults apply between a delivery and handle as
+// faultCheck applies them between Recv and a kernel's body: a pending
+// stall is charged and the delivery made again when it has elapsed, and
+// from its fail-stop on the tile swallows every delivery, daemon-marked.
+func (m *Machine) SpawnTileHandler(id int, name string, start func(*TileCtx), handle func(*TileCtx, sim.Msg)) *sim.Proc {
+	c := &TileCtx{M: m, Tile: id}
+	stalled, dead := false, false
+	c.P = m.Sim.SpawnHandler(fmt.Sprintf("%s@%d", name, id), m.inbox[id],
+		func(*sim.Proc) { start(c) },
+		func(p *sim.Proc, msg sim.Msg) {
+			if f := m.Faults; f != nil {
+				if dead {
+					return
+				}
+				if !stalled {
+					if d := f.StallTake(id, p.Now()); d > 0 {
+						stalled = true
+						c.Tick(d)
+						p.Redeliver(msg)
+						return
+					}
+				}
+				stalled = false // msg is back from its stall
+				if dead = f.FailedAt(id, p.Now()); dead {
+					p.SetDaemon(true)
+					return
+				}
+			}
+			handle(c, msg)
+		})
+	return c.P
 }
 
 // TileCtx is the execution context of a tile kernel: the process, the
@@ -155,9 +188,6 @@ func (c *TileCtx) Recv() sim.Msg {
 	c.faultCheck()
 	return m
 }
-
-// TryRecv polls the tile inbox without blocking.
-func (c *TileCtx) TryRecv() (sim.Msg, bool) { return c.P.TryRecv(c.M.Inbox(c.Tile)) }
 
 // RecvDeadline waits for a message until the deadline.
 func (c *TileCtx) RecvDeadline(deadline sim.Time) (sim.Msg, bool) {

@@ -100,9 +100,6 @@ func (pt *Port) SetShard(i int) {
 	pt.sh = pt.sim.shard(i)
 }
 
-// Name returns the port name.
-func (pt *Port) Name() string { return pt.name }
-
 // Len returns the number of queued messages, including ones whose
 // arrival time is still in the future.
 func (pt *Port) Len() int { return len(pt.q) }
@@ -151,6 +148,7 @@ func (p *Proc) SendPort(pt *Port, from int, payload any, arrival Time) {
 // checkShard guards the receive path in sharded runs: blocking on a
 // port of another shard would race that shard's event loop.
 func (p *Proc) checkShard(pt *Port) {
+	p.mayPark()
 	if p.sim.par != nil && p.sh != pt.sh {
 		panic("sim: " + p.name + " Recv on port " + pt.name + " of another shard")
 	}
@@ -180,10 +178,10 @@ func (p *Proc) ready(pt *Port) bool {
 	return p.sh.now >= p.floor && len(pt.q) > 0 && pt.q[0].Arrival <= p.sh.now
 }
 
-// await parks p as pt's receiver until the earliest queued arrival or,
-// if timed, the deadline — not before floor; with neither, until a Send
-// schedules it.
-func (p *Proc) await(pt *Port, deadline Time, timed bool) {
+// arm makes p pt's receiver and schedules its wakeup at the earliest
+// queued arrival or, if timed, the deadline — not before floor; with
+// neither p stays blocked until a Send schedules it.
+func (p *Proc) arm(pt *Port, deadline Time, timed bool) {
 	if pt.waiter != nil && pt.waiter != p {
 		p.abort(&PortConflictError{Port: pt.name, First: pt.waiter.name, Second: p.name})
 	}
@@ -195,10 +193,15 @@ func (p *Proc) await(pt *Port, deadline Time, timed bool) {
 	}
 	if timed {
 		p.sh.schedule(p, max(at, p.floor))
-		p.park()
 	} else {
-		p.block()
+		p.state = parkBlocked
 	}
+}
+
+// await parks p as pt's armed receiver until something wakes it.
+func (p *Proc) await(pt *Port, deadline Time, timed bool) {
+	p.arm(pt, deadline, timed)
+	p.park()
 	p.blockedOn = nil
 	pt.waiter = nil
 }
@@ -242,5 +245,62 @@ func (p *Proc) RecvDeadline(pt *Port, deadline Time) (Msg, bool) {
 			return Msg{}, false
 		}
 		p.await(pt, deadline, true)
+	}
+}
+
+// Timeout is the payload of the delivery a handler gets when the
+// deadline it armed (SetDeadline) passes with no message taken.
+type Timeout struct{}
+
+// SetDeadline arms a handler's next wait, as RecvDeadline(t) would: if
+// no message has been taken by t, handle gets a Timeout. Any delivery
+// disarms it; a standing deadline is set again from every handle.
+func (p *Proc) SetDeadline(t Time) { p.deadline, p.timed = t, true }
+
+// Redeliver, called from handle just before it returns, has m handed to
+// handle again once the time the handler has accrued (Tick, at least a
+// cycle) has elapsed, and nothing else before: a handler's form of an
+// Advance between a receive and its body, a dispatch at (now+accrued, pid).
+func (p *Proc) Redeliver(m Msg) { p.held, p.again = m, true }
+
+// serve is one dispatch of handler p, run to completion on whichever
+// goroutine popped its wakeup — RecvDeadline's loop turned inside out.
+// Every ready message is taken and handled, accrued local time folded
+// into floor after each; with none ready and no deadline due, p becomes
+// the port's armed receiver again. The wakeups this schedules are the
+// ones a goroutine running for { handle(p, p.Recv(pt)) } would have, at
+// the same keys (at, pid), and handle's sends happen in the same
+// dispatch, so nothing downstream can tell the two apart.
+func (p *Proc) serve() {
+	defer func() { p.contain(recover()) }()
+	pt := p.port
+	if pt.waiter == p {
+		pt.waiter = nil // running, not waiting: a Send to pt must not reschedule p
+	}
+	for {
+		switch {
+		case p.start != nil: // first dispatch
+			start := p.start
+			p.start = nil
+			start(p)
+		case p.again:
+			p.again = false
+			p.handle(p, p.held)
+		case p.ready(pt):
+			p.timed = false
+			p.handle(p, pt.q.pop())
+		case p.timed && p.sh.now >= max(p.deadline, p.floor):
+			p.timed = false
+			p.handle(p, Msg{Payload: Timeout{}, Arrival: p.deadline})
+		default:
+			p.arm(pt, p.deadline, p.timed)
+			return
+		}
+		if p.again {
+			p.sh.schedule(p, p.sh.now+p.local)
+			p.local = 0
+			return
+		}
+		p.floor, p.local = p.sh.now+p.local, 0
 	}
 }

@@ -108,9 +108,6 @@ func (p *Proc) SetShard(i int) {
 	p.sh = p.sim.shard(i)
 }
 
-// Shard reports the process's shard index.
-func (p *Proc) Shard() int { return p.sh.idx }
-
 // sharded reports whether Run should use the parallel engine: a worker
 // count above one and at least one process assigned off shard 0.
 func (s *Simulator) sharded() bool {
@@ -311,6 +308,7 @@ func (ps *parState) sendRemote(p *Proc, pt *Port, from int, payload any, arrival
 // reads and writes of cross-shard shared state observe and produce
 // exactly the serial order. No-op in a serial run.
 func (p *Proc) Fence() {
+	p.mayPark()
 	ps := p.sim.par
 	if ps == nil {
 		return
@@ -319,6 +317,7 @@ func (p *Proc) Fence() {
 	at, pid := sh.now, p.id
 	ps.mu.Lock()
 	sh.fenceWaiting = true
+	ps.cond.Broadcast() // a waiter's bound is exact: an earlier same-cycle waiter may now be grantable
 	for {
 		if p.sim.stopFlag.Load() {
 			sh.fenceWaiting = false
@@ -467,7 +466,11 @@ func (sh *shard) loopPar(ps *parState) {
 			continue
 		}
 		if ev.at >= h {
-			sh.setBound(ev.at, ev.pid)
+			if m := sh.minStagedArrival(); m < ev.at {
+				sh.setBound(m, -1)
+			} else {
+				sh.setBound(ev.at, ev.pid)
+			}
 			ps.cond.Wait()
 			continue
 		}
@@ -480,8 +483,12 @@ func (sh *shard) loopPar(ps *parState) {
 		sh.now = ev.at
 		ev.proc.state = parkBlocked
 		ps.mu.Unlock()
-		ev.proc.resume <- struct{}{}
-		<-sh.parked
+		if ev.proc.handle != nil {
+			ev.proc.serve() // a handler runs on the loop's own goroutine
+		} else {
+			ev.proc.resume <- struct{}{}
+			<-sh.parked
+		}
 		ps.mu.Lock()
 		sh.midDispatch = false
 		if ps.fenceBy != nil && ps.fenceBy.sh == sh {
@@ -529,7 +536,9 @@ func (s *Simulator) runSharded() error {
 	s.par = ps
 	s.parMu.Unlock()
 	for _, p := range s.procs {
-		go p.run()
+		if p.handle == nil {
+			go p.run()
+		}
 	}
 	for _, p := range s.procs {
 		p.sh.schedule(p, p.sh.now)

@@ -22,7 +22,8 @@
 // runs untouched. The serial kernel has no scheduler goroutine: a
 // process that parks pops the next event itself and either keeps
 // running (the event is its own wakeup) or resumes that event's process
-// directly.
+// directly; a handler process (SpawnHandler) has no goroutine at all and
+// runs to completion on whichever goroutine popped its wakeup.
 package sim
 
 import (
@@ -241,14 +242,15 @@ type Simulator struct {
 }
 
 // Stats counts what the serial kernel did with its events. Every
-// dispatch is either a run-on (the parking process found its own wakeup
-// next and kept its goroutine) or a switch (control moved to another
-// goroutine, Run's first hand-off included), so Dispatches == RunOns +
-// Switches; DeadPops are superseded wakeups discarded at the top of the
+// dispatch is a run-on (the parking process found its own wakeup next
+// and kept its goroutine), a switch (control moved to another
+// goroutine, Run's first hand-off included) or inline (a handler, run
+// by whichever goroutine popped it), so Dispatches == RunOns + Switches
+// + Inline; DeadPops are superseded wakeups discarded at the top of the
 // heap. The counts are a deterministic function of the program. A
 // sharded run leaves them zero.
 type Stats struct {
-	Dispatches, RunOns, Switches, DeadPops uint64
+	Dispatches, RunOns, Switches, DeadPops, Inline uint64
 }
 
 // Stats returns the serial kernel's dispatch counters. Call it after
@@ -439,6 +441,15 @@ type Proc struct {
 	xseq      uint64 // cross-shard send counter (shard.go)
 	blockedOn *Port  // port this process is blocked in Recv on, if any
 	daemon    bool
+
+	// Handler processes only (SpawnHandler): no goroutine, no resume.
+	port     *Port            // the one port it serves
+	start    func(*Proc)      // run at the first dispatch, then nil
+	handle   func(*Proc, Msg) // run once per delivery
+	deadline Time             // SetDeadline: a Timeout is due then, if timed
+	timed    bool
+	held     Msg // Redeliver: what handle gets again, if again
+	again    bool
 }
 
 // Spawn registers a new process. The body runs when Run is called.
@@ -457,6 +468,20 @@ func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc {
 		body:   body,
 	}
 	s.procs = append(s.procs, p)
+	return p
+}
+
+// SpawnHandler registers a run-to-completion process serving pt: an id
+// and a place in the dispatch order like any other, but no goroutine.
+// Its first dispatch calls start (nil for none); from then on it waits
+// on pt as a body of for { handle(p, p.Recv(pt)) } would, and serve runs
+// each delivery on whichever goroutine popped the wakeup. Neither
+// function may park (mayPark); Tick, Send, Stop, SetDeadline and
+// Redeliver are what a handler has.
+func (s *Simulator) SpawnHandler(name string, pt *Port, start func(*Proc), handle func(*Proc, Msg)) *Proc {
+	p := s.Spawn(name, nil)
+	p.resume = nil // never resumed: nothing waits
+	p.port, p.blockedOn, p.start, p.handle = pt, pt, start, handle
 	return p
 }
 
@@ -480,7 +505,9 @@ func (s *Simulator) Run() error {
 		pt.sh = sh
 	}
 	for _, p := range s.procs {
-		go p.run()
+		if p.handle == nil {
+			go p.run()
+		}
 		sh.schedule(p, sh.now)
 	}
 	// Run only starts the chain: from here every process that gives up
@@ -502,7 +529,8 @@ func (s *Simulator) Run() error {
 }
 
 // next is one turn of the serial dispatch loop: it pops the next live
-// event, moves the clock to it and returns its process, or returns nil
+// event, moves the clock to it and returns its process — a handler's
+// event it serves on the spot and pops again — or returns nil
 // when the loop is over — heap empty, stopFlag set (Stop, Interrupt,
 // abort, panic, kill), or the next event beyond the time limit. It runs
 // on whichever goroutine is giving up control (self, nil for Run), so
@@ -528,6 +556,11 @@ func (sh *shard) next(self *Proc) *Proc {
 		sh.now = ev.at
 		ev.proc.state = parkBlocked // will be updated when it parks
 		s.stats.Dispatches++
+		if ev.proc.handle != nil {
+			s.stats.Inline++
+			ev.proc.serve()
+			continue
+		}
 		if ev.proc == self {
 			s.stats.RunOns++
 		} else {
@@ -564,22 +597,7 @@ func (p *Proc) yield() bool {
 // so the kernel (serial or sharded) sees an ordinary exit.
 func (p *Proc) run() {
 	defer func() {
-		r := recover()
-		if _, killed := r.(errKilled); r != nil && !killed {
-			perr := &PanicError{
-				Proc:  p.name,
-				Pid:   p.id,
-				Now:   p.sh.now,
-				Value: fmt.Sprint(r),
-				Stack: string(debug.Stack()),
-			}
-			if ps := p.sim.par; ps != nil {
-				ps.recordAbort(p.sh.now, p.id, perr)
-			} else if p.sim.abortErr == nil {
-				p.sim.abortErr = perr
-			}
-			p.sim.stopFlag.Store(true)
-		}
+		p.contain(recover())
 		// The body returned, panicked, aborted or was killed: the
 		// goroutine's last act is an ordinary hand-off. In the three
 		// unwinding cases stopFlag is already set, so a serial yield
@@ -597,6 +615,27 @@ func (p *Proc) run() {
 		panic(errKilled{})
 	}
 	p.body(p)
+}
+
+// contain turns a panic recovered from p's body or handler into the
+// run's PanicError under p's name and pid; errKilled is an ordinary unwind.
+func (p *Proc) contain(r any) {
+	if _, killed := r.(errKilled); r == nil || killed {
+		return
+	}
+	perr := &PanicError{
+		Proc:  p.name,
+		Pid:   p.id,
+		Now:   p.sh.now,
+		Value: fmt.Sprint(r),
+		Stack: string(debug.Stack()),
+	}
+	if ps := p.sim.par; ps != nil {
+		ps.recordAbort(p.sh.now, p.id, perr)
+	} else if p.sim.abortErr == nil {
+		p.sim.abortErr = perr
+	}
+	p.sim.stopFlag.Store(true)
 }
 
 // deadlockOrNil diagnoses global quiescence: fine if every proc is done
@@ -625,11 +664,11 @@ func (s *Simulator) deadlockOrNil(now Time) error {
 	return nil
 }
 
-// kill unwinds all parked goroutines.
+// kill unwinds all parked goroutines; a handler has none.
 func (s *Simulator) kill() {
 	s.stopFlag.Store(true)
 	for _, p := range s.procs {
-		if p.state == parkDone {
+		if p.state == parkDone || p.handle != nil {
 			continue
 		}
 		p.killed = true
@@ -664,15 +703,8 @@ func (p *Proc) abort(err error) {
 	panic(errKilled{})
 }
 
-// Tracer returns the simulator's trace sink (nil when tracing is off;
-// every trace emission method is a no-op on nil).
-func (p *Proc) Tracer() *trace.Tracer { return p.sim.Trace }
-
 // ID returns the process id (spawn order).
 func (p *Proc) ID() int { return p.id }
-
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the process's current local virtual time, including
 // accumulated cycles not yet synchronized with the scheduler.
@@ -686,6 +718,7 @@ func (p *Proc) Tick(d Time) { p.local += d }
 // Sync yields to the scheduler until the process's accrued local time
 // has elapsed in virtual time. It is a no-op if no time is accrued.
 func (p *Proc) Sync() {
+	p.mayPark()
 	if p.local == 0 {
 		return
 	}
@@ -720,8 +753,10 @@ func (p *Proc) park() {
 	}
 }
 
-// block parks with no scheduled wakeup; a Port send must wake it.
-func (p *Proc) block() {
-	p.state = parkBlocked
-	p.park()
+// mayPark guards Recv, RecvDeadline, TryRecv, Advance, Sync and Fence:
+// a handler runs on a borrowed goroutine and has nothing to come back to.
+func (p *Proc) mayPark() {
+	if p.handle != nil {
+		panic("sim: handler " + p.name + " called an operation that parks (Recv, RecvDeadline, TryRecv, Advance, Sync, Fence)")
+	}
 }

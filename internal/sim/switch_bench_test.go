@@ -19,3 +19,7 @@ func BenchmarkProcSwitch64(b *testing.B) { bench.ProcSwitchBench(64)(b) }
 // BenchmarkTickRecv measures a Recv entered with accrued local time,
 // the service tiles' steady state: one dispatch per received message.
 func BenchmarkTickRecv(b *testing.B) { bench.TickRecvBench()(b) }
+
+// BenchmarkHandlerDispatch is a request answered by a handler process
+// on the requester's own goroutine: two dispatches, no switch.
+func BenchmarkHandlerDispatch(b *testing.B) { bench.HandlerDispatchBench()(b) }

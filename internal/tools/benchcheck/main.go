@@ -5,7 +5,8 @@
 // the recorded trajectory in BENCH_sim.json, plus the translator's
 // per-block cost (translate_block_tier1/tier0 over the 176.gcc corpus),
 // the serial kernel's process switch (sim_proc_switch at 2 and 64
-// processes) and the two per-message costs (sim_tick_recv, l1_fill).
+// processes) and the three per-message costs (sim_tick_recv,
+// sim_handler_dispatch, l1_fill).
 // A metric that regresses beyond its tolerance fails the run. Tolerances are deliberately
 // generous — shared CI hosts are noisy — so only a structural
 // regression (an accidental O(n²), a lost pooling optimization) trips
@@ -216,13 +217,15 @@ func main() {
 		r := testing.Benchmark(bench.ProcSwitchBench(k.procs))
 		ms = append(ms, metric{k.name + " ns/park", float64(base.Micro[k.name].NsPerOp), float64(r.NsPerOp()), *timeTol})
 	}
-	// The two per-message costs: a Recv entered with accrued local time,
+	// The three per-message costs: a Recv entered with accrued local
+	// time, a request answered by a handler on the requester's goroutine,
 	// and a code-cache fill over the translate corpus.
-	fmt.Fprintln(os.Stderr, "benchcheck: measuring sim_tick_recv/l1_fill...")
+	fmt.Fprintln(os.Stderr, "benchcheck: measuring sim_tick_recv/sim_handler_dispatch/l1_fill...")
 	for _, k := range []struct {
 		name, unit string
 		f          func(b *testing.B)
-	}{{"sim_tick_recv", "ns/recv", bench.TickRecvBench()}, {"l1_fill", "ns/fill", bench.L1FillBench()}} {
+	}{{"sim_tick_recv", "ns/recv", bench.TickRecvBench()}, {"sim_handler_dispatch", "ns/round trip", bench.HandlerDispatchBench()},
+		{"l1_fill", "ns/fill", bench.L1FillBench()}} {
 		r := testing.Benchmark(k.f)
 		ms = append(ms, metric{k.name + " " + k.unit, float64(base.Micro[k.name].NsPerOp), float64(r.NsPerOp()), *timeTol})
 	}
