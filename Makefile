@@ -40,9 +40,15 @@ race:
 # The parallel-harness determinism gate on its own: the quick figure
 # suite rendered serially and with an 8-worker pool must be
 # byte-identical, and -race must see no shared mutable state between
-# concurrent core.Run/pentium.Run jobs. Also part of `check`.
+# concurrent core.Run/pentium.Run jobs. With it, the event kernel's
+# handler differential (servers as goroutines vs as handler processes,
+# serial and sharded) and the same-cycle Fence waiters, under -race:
+# a handler runs on whichever goroutine popped it, so the detector is
+# what says no two of them were ever inside the kernel at once. Also
+# part of `check`.
 racepar:
 	$(GO) test -race -short -run TestParallelDeterminism ./internal/bench
+	$(GO) test -race -cpu 1,2 -run 'TestHandler|TestFenceSameCycleWaiters' ./internal/sim
 
 # Fleet scheduler under the race detector: the N-guest placement,
 # admission, and vmSwitch handoff tests, plus the schedule golden and

@@ -36,9 +36,10 @@ type microResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	N           int     `json:"n"`
 	Seconds     float64 `json:"seconds"`
-	// SwitchesPerOp is the goroutine switches per park counted by
-	// sim.Stats, for the kernel micros that report it.
-	SwitchesPerOp float64 `json:"switches_per_op,omitempty"`
+	// SwitchesPerOp is the goroutine switches per op counted by
+	// sim.Stats, for the kernel micros that report it (a pointer, so a
+	// reported zero — sim_handler_dispatch's whole point — is written).
+	SwitchesPerOp *float64 `json:"switches_per_op,omitempty"`
 	// DispatchesPerOp is the kernel dispatches per received message
 	// counted by sim.Stats, for sim_tick_recv.
 	DispatchesPerOp float64 `json:"dispatches_per_op,omitempty"`
@@ -147,6 +148,11 @@ type output struct {
 		// dispatch of its own on accrued local time. Its l1_fill is that
 		// Insert plus bringing the mirror up to date.
 		MirroredArena parentRun `json:"mirrored_arena"`
+
+		// GoroutineServiceTiles is the parent of the handler kernels:
+		// every MMU, bank, L1.5, syscall and slave tile a goroutine
+		// looping on Recv. Medians of 8 runs interleaved with the change.
+		GoroutineServiceTiles parentRun `json:"goroutine_service_tiles"`
 	} `json:"pre_pr_baseline"`
 
 	Notes string `json:"notes"`
@@ -154,15 +160,18 @@ type output struct {
 
 func bmark(f func(b *testing.B)) microResult {
 	r := testing.Benchmark(f)
-	return microResult{
+	m := microResult{
 		NsPerOp:         r.NsPerOp(),
 		AllocsPerOp:     r.AllocsPerOp(),
 		BytesPerOp:      r.AllocedBytesPerOp(),
 		N:               r.N,
 		Seconds:         r.T.Seconds(),
-		SwitchesPerOp:   r.Extra["switches/op"],
 		DispatchesPerOp: r.Extra["dispatches/op"],
 	}
+	if sw, ok := r.Extra["switches/op"]; ok {
+		m.SwitchesPerOp = &sw
+	}
+	return m
 }
 
 func benchEventDispatch(b *testing.B) {
@@ -295,6 +304,11 @@ func main() {
 		"l1_fill":               bmark(bench.L1FillBench()),
 	}
 
+	if sw := out.Micro["sim_handler_dispatch"].SwitchesPerOp; sw == nil || *sw != 0 {
+		fmt.Fprintln(os.Stderr, "simbench: sim_handler_dispatch switched goroutines: a handler did not run on its requester's goroutine")
+		os.Exit(1)
+	}
+
 	fmt.Fprintln(os.Stderr, "simbench: quick figure suite, serial...")
 	serial, err := runQuickSuite(1)
 	if err != nil {
@@ -414,6 +428,21 @@ func main() {
 		ParallelSimSerialSeconds:  0.616,
 		ParallelSimShardedSeconds: 0.606,
 	}
+	out.PrePR.GoroutineServiceTiles = parentRun{
+		Micro: map[string]microResult{
+			"sim_event_dispatch": {NsPerOp: 40},
+			"sim_advance_recv":   {NsPerOp: 687},
+			"sim_tick_recv":      {NsPerOp: 365, DispatchesPerOp: 1},
+			"sim_proc_switch":    {NsPerOp: 318},
+			"sim_proc_switch_64": {NsPerOp: 429},
+			"machine_run_gzip":   {NsPerOp: 18_307_461, AllocsPerOp: 11_565, BytesPerOp: 2_633_393},
+		},
+		QuickSuiteSerialSeconds:   6.23,
+		QuickSuiteParallelSeconds: 2.84,
+		ServiceSecondsPerJob:      0.0197,
+		ParallelSimSerialSeconds:  0.498,
+		ParallelSimShardedSeconds: 0.721,
+	}
 	out.Notes = "pre_pr_baseline measured at the commit before the perf PR on the same host; " +
 		"parallel speedup is bounded by host_cpus (a single-core host cannot exceed 1x " +
 		"regardless of worker count — the parallel path is then validated for determinism, " +
@@ -430,7 +459,14 @@ func main() {
 		"L1 fill and the folded Recv (medians of 4 interleaved runs): it moved the ratio the same " +
 		"way again (serial 0.616 -> about 0.40 s, sharded unchanged at about 0.6 s, where Recv keeps " +
 		"its Sync), and its two extra allocations per translation are the predecoded form " +
-		"(translate_block_* 28 -> 30, 18 -> 20), paid once per block instead of once per fill"
+		"(translate_block_* 28 -> 30, 18 -> 20), paid once per block instead of once per fill; " +
+		"pre_pr_baseline.goroutine_service_tiles holds the parent of the handler kernels (medians " +
+		"of 8 interleaved runs on a host about a third slower than the one the earlier parents were " +
+		"recorded on, so read it against this file's own entries only): sim_handler_dispatch is one " +
+		"round trip, two dispatches, against two sim_tick_recv ops for the same trip between " +
+		"goroutines; this time the sharded engine gained more than the serial one, because a shard " +
+		"loop now serves service tiles itself instead of resuming a goroutine and waiting for it " +
+		"(sharded 0.72 -> 0.39 s, serial 0.50 -> 0.48 s, ratio 0.69x -> 1.21x with 2 workers on 2 CPUs)"
 
 	f, err := os.Create(*outPath)
 	if err != nil {

@@ -73,11 +73,13 @@ func TestFleetGoroutineBudget(t *testing.T) {
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
 		for {
 			select {
 			case <-stop:
 				return
-			case <-time.After(time.Millisecond):
+			case <-tick.C:
 				peak.Store(max(peak.Load(), int64(runtime.NumGoroutine())))
 			}
 		}

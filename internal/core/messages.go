@@ -85,8 +85,8 @@ type smcAck struct{}
 // vmSwitch tells a slot's service tile to retire its current VM epoch
 // for a fleet slot handoff: the manager drains its in-flight
 // translations, workers flush their data banks, and every receiver
-// acknowledges with switchAck and returns so the slot wrapper can
-// restart the kernel bound to the next guest's engine.
+// acknowledges with switchAck and starts over bound to the next guest's
+// engine (the manager by returning to its slot wrapper).
 type vmSwitch struct{}
 
 // switchAck acknowledges a vmSwitch to the coordinating exec tile.

@@ -417,7 +417,7 @@ func TestDeadlockReportListsHandlers(t *testing.T) {
 	build := func(daemon bool) error {
 		s := New()
 		a, b, never := s.NewPort("a.in"), s.NewPort("b.in"), s.NewPort("never")
-		s.SpawnHandler("ha", a, nil, func(p *Proc, m Msg) { p.Tick(3) })
+		ha := s.SpawnHandler("ha", a, nil, func(p *Proc, m Msg) { p.Tick(3) })
 		hb := s.SpawnHandler("hb", b, nil, func(p *Proc, m Msg) {})
 		hb.SetDaemon(true)
 		s.Spawn("client", func(p *Proc) {
@@ -427,9 +427,7 @@ func TestDeadlockReportListsHandlers(t *testing.T) {
 				p.Recv(never)
 			}
 		})
-		if daemon {
-			s.procs[0].SetDaemon(true)
-		}
+		ha.SetDaemon(daemon)
 		return s.Run()
 	}
 	err := build(false)

@@ -18,7 +18,10 @@ func waitFor(cond func() bool) {
 // after a Run. A kernel goroutine's last act is a channel send, so one
 // started by an earlier test (a process, a shard loop, a test's host
 // goroutine) may still be on its way out; it waits those out first so
-// that they cannot lower the count mid-test.
+// that they cannot lower the count mid-test. (A goroutine that has
+// already exited but is not yet recycled is invisible to the dump and
+// still counted by NumGoroutine, so the count can be one high; a leak
+// is more goroutines after than before, and that is what callers test.)
 func goroutinesBeforeRun() int {
 	waitFor(func() bool {
 		buf := make([]byte, 1<<20)
@@ -35,7 +38,7 @@ func runChecked(t *testing.T, s *Simulator) error {
 	before := goroutinesBeforeRun()
 	err := s.Run()
 	waitFor(func() bool { return runtime.NumGoroutine() <= before })
-	if n := runtime.NumGoroutine(); n != before {
+	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after Run, %d before", n, before)
 	}
 	if st := s.Stats(); st.Dispatches != st.RunOns+st.Switches {
@@ -76,7 +79,7 @@ func TestInterruptLoneSpinner(t *testing.T) {
 		t.Errorf("stats %+v: a lone spinner must run on after Run's hand-off", st)
 	}
 	waitFor(func() bool { return runtime.NumGoroutine() <= before })
-	if n := runtime.NumGoroutine(); n != before {
+	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after Run, %d before", n, before)
 	}
 }

@@ -481,7 +481,7 @@ func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc {
 func (s *Simulator) SpawnHandler(name string, pt *Port, start func(*Proc), handle func(*Proc, Msg)) *Proc {
 	p := s.Spawn(name, nil)
 	p.resume = nil // never resumed: nothing waits
-	p.port, p.blockedOn, p.start, p.handle = pt, pt, start, handle
+	p.port, p.start, p.handle = pt, start, handle
 	return p
 }
 
