@@ -3,6 +3,7 @@ package translate
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -13,10 +14,13 @@ import (
 	"tilevm/internal/workload"
 )
 
-// corpusDigest hashes everything the code caches and the execution
-// engine consume from each block of a corpus: the finalized host code
-// and the control-flow metadata.
-func corpusDigest(blocks []*Result) string {
+// corpusDigest hashes everything the code caches, the execution engine
+// and the speculative walker consume from each block of a corpus: the
+// finalized host code, its chain sites, and the control-flow metadata
+// down to the static branch prediction. blocks[i] is the translation
+// of addrs[i], or nil where the tier has none (a tier-0 template miss),
+// which is hashed as a miss at that address and counted apart.
+func corpusDigest(addrs []uint32, blocks []*Result) string {
 	h := sha256.New()
 	put := func(vs ...uint32) {
 		var buf [4]byte
@@ -25,51 +29,95 @@ func corpusDigest(blocks []*Result) string {
 			h.Write(buf[:])
 		}
 	}
-	for _, r := range blocks {
-		put(r.GuestAddr, uint32(r.Kind), r.Target, r.FallTarget,
+	misses := 0
+	for i, r := range blocks {
+		if r == nil {
+			put(addrs[i], ^uint32(0))
+			misses++
+			continue
+		}
+		back := uint32(0)
+		if r.BackwardTaken {
+			back = 1
+		}
+		put(r.GuestAddr, uint32(r.Kind), r.Target, r.FallTarget, back,
 			uint32(r.NumGuest), r.GuestLen, uint32(r.CodeBytes), uint32(len(r.Code)))
 		for _, in := range r.Code {
 			put(uint32(in.Op), uint32(in.Rd), uint32(in.Rs), uint32(in.Rt), uint32(in.Imm), in.Target)
 		}
+		put(uint32(len(r.Chains)))
+		for _, c := range r.Chains {
+			put(uint32(c.Off), c.Target)
+		}
+	}
+	if misses > 0 {
+		return fmt.Sprintf("%d+%d:%x", len(blocks)-misses, misses, h.Sum(nil)[:8])
 	}
 	return fmt.Sprintf("%d:%x", len(blocks), h.Sum(nil)[:8])
 }
 
 // corpusGolden pins the translator's output over every statically
-// reachable block of all 11 workload profiles, optimizer on and off
-// ("blocks:first 8 bytes of SHA-256"). Recorded on the commit before
-// the map-free back end (ISSUE 12) and unchanged by it: a back-end
+// reachable block of all 11 workload profiles: the optimizing tier with
+// the optimizer on and off ("blocks:first 8 bytes of SHA-256"), and the
+// template tier over the same addresses ("templated+untemplated:...").
+// The first two columns were recorded on the commit before the map-free
+// back end (ISSUE 12); all three were re-recorded, with BackwardTaken
+// and the chain sites added to the hash, on the commit before the
+// translator scratch (ISSUE 20), and are unchanged by it: a translator
 // change that is meant to be byte-identical must leave these alone, and
 // one that is meant to change the emitted code must say so by updating
 // them.
-var corpusGolden = map[string][2]string{
-	"164.gzip":    {"281:39a79116662a3081", "281:52b53302573945cb"},
-	"175.vpr":     {"2421:18d40b93efce597e", "2421:4372cfd6bf52bd4b"},
-	"176.gcc":     {"6063:2096757aa7d6c26e", "6063:b4bd940d9d91e453"},
-	"181.mcf":     {"165:a924bc404e44b390", "165:c62679ade7a2d17d"},
-	"186.crafty":  {"4733:5e75c7cc9b202dbc", "4733:92628bce730ac45e"},
-	"197.parser":  {"561:29e59a52debaeee7", "561:cac7589c416165d0"},
-	"253.perlbmk": {"3097:d34731c425914a33", "3097:b58c22539c3ba817"},
-	"254.gap":     {"2187:572c2a7b159ec3e7", "2187:3ac8b0a7643fac79"},
-	"255.vortex":  {"6833:4e175fea75244ff6", "6833:aad7827701bdc5a5"},
-	"256.bzip2":   {"256:402a77ff1d888ee5", "256:e33f1fd8a682758b"},
-	"300.twolf":   {"1747:a3d26d5e009ffc29", "1747:df453aa7de8a06f3"},
+var corpusGolden = map[string][3]string{
+	"164.gzip":    {"281:f61c397ac03b8295", "281:757ca6782ef0248d", "196+85:5d7d443dbd347240"},
+	"175.vpr":     {"2421:846965756d5000aa", "2421:cf67f87f2df455ba", "1323+1098:7920c3ae969e4094"},
+	"176.gcc":     {"6063:c683ca73798cf502", "6063:ae5dfea67f0141f1", "2720+3343:c9c09a022e710127"},
+	"181.mcf":     {"165:6999333d7e87e2c8", "165:148aefb8035843a5", "96+69:397b241735a2a78b"},
+	"186.crafty":  {"4733:ee0eec535a3bc2a0", "4733:ed77da73a9f58d77", "2252+2481:305954407cd55ef4"},
+	"197.parser":  {"561:6acfeef64945b3c5", "561:e9269af2c4ce2f4a", "328+233:9d99efce7102a52e"},
+	"253.perlbmk": {"3097:46e7b9f948fcf53e", "3097:9390272aaeae0f5b", "1614+1483:625ef623a77df250"},
+	"254.gap":     {"2187:382f1ea46488fd06", "2187:6d952aad32bbb2d0", "1124+1063:d73bd88e20ccbca8"},
+	"255.vortex":  {"6833:63a7942ec256ca39", "6833:376dc3cdcc6419bd", "3056+3777:73c5599a530303d9"},
+	"256.bzip2":   {"256:57853881974e43a8", "256:abc96266ddd8efa8", "154+102:705d85f2d97ec2f0"},
+	"300.twolf":   {"1747:53892837613a9388", "1747:e9a4cded7372323b", "1001+746:604a3b6dc6c01087"},
 }
 
+// TestTranslateCorpusDigest walks each profile with one long-lived
+// Translator per option set and holds every Result until the hash, the
+// template tier's interleaved with the optimizing tier's on the same
+// translator: anything a Result still shared with translator-owned
+// storage would have been overwritten by the time it is hashed.
 func TestTranslateCorpusDigest(t *testing.T) {
 	profiles := workload.Profiles()
 	if len(profiles) != len(corpusGolden) {
 		t.Errorf("%d profiles, %d golden entries", len(profiles), len(corpusGolden))
 	}
+	check := func(name, column, got, want string) {
+		if got != want {
+			t.Errorf("%s %s: digest %q, golden %q", name, column, got, want)
+		}
+	}
 	for _, p := range profiles {
 		img := p.Build()
 		mem := guest.Load(img).Mem
-		for i, opts := range []Options{{Optimize: true}, {}} {
-			got := corpusDigest(New(opts).Reachable(mem, img.Entry))
-			if want := corpusGolden[p.Name][i]; got != want {
-				t.Errorf("%s optimize=%v: digest %q, golden %q", p.Name, opts.Optimize, got, want)
+		golden := corpusGolden[p.Name]
+
+		tr := New(Options{Optimize: true})
+		optimized := tr.Reachable(mem, img.Entry)
+		addrs := make([]uint32, len(optimized))
+		template := make([]*Result, len(optimized))
+		for i, r := range optimized {
+			addrs[i] = r.GuestAddr
+			res, err := tr.TranslateTemplate(mem, r.GuestAddr)
+			if err != nil && !errors.Is(err, ErrUntemplated) {
+				t.Fatalf("%s %#x: template tier: %v", p.Name, r.GuestAddr, err)
 			}
+			template[i] = res // nil on a template miss
 		}
+		plain := New(Options{}).Reachable(mem, img.Entry)
+
+		check(p.Name, "optimize=true", corpusDigest(addrs, optimized), golden[0])
+		check(p.Name, "optimize=false", corpusDigest(nil, plain), golden[1])
+		check(p.Name, "tier-0", corpusDigest(addrs, template), golden[2])
 	}
 }
 
