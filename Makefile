@@ -44,11 +44,16 @@ race:
 # handler differential (servers as goroutines vs as handler processes,
 # serial and sharded) and the same-cycle Fence waiters, under -race:
 # a handler runs on whichever goroutine popped it, so the detector is
-# what says no two of them were ever inside the kernel at once. Also
-# part of `check`.
+# what says no two of them were ever inside the kernel at once. And one
+# image in two slots on two shards: a translator works in a scratch of
+# its own (DESIGN.md §7 "Translator scratch"), one per engine, so here
+# the detector is what says no scratch is reachable from two shards, as
+# TestParallelDeterminism says it of two RunParallel jobs. Also part of
+# `check`.
 racepar:
 	$(GO) test -race -short -run TestParallelDeterminism ./internal/bench
 	$(GO) test -race -cpu 1,2 -run 'TestHandler|TestFenceSameCycleWaiters' ./internal/sim
+	$(GO) test -race -cpu 2 -run TestFleetParallelSameImage ./internal/core
 
 # Fleet scheduler under the race detector: the N-guest placement,
 # admission, and vmSwitch handoff tests, plus the schedule golden and

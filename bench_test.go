@@ -103,15 +103,11 @@ func BenchmarkSimKernel(b *testing.B) {
 
 // BenchmarkMachineRunGzip measures a complete machine simulation of
 // the gzip workload under the default configuration.
-func BenchmarkMachineRunGzip(b *testing.B) {
-	img := gzipImage()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(img, core.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkMachineRunGzip(b *testing.B) { bench.MachineRunBench("164.gzip")(b) }
+
+// BenchmarkMachineRunGcc is the same for 176.gcc, whose run is code
+// supply: about half of its host time is the translator.
+func BenchmarkMachineRunGcc(b *testing.B) { bench.MachineRunBench(bench.TranslateCorpusWorkload)(b) }
 
 // BenchmarkMachineRunGzipTraced is BenchmarkMachineRunGzip with the
 // virtual-time tracer attached (full event timeline plus 10k-cycle

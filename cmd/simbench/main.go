@@ -2,7 +2,8 @@
 // re-measures the hot-path microbenchmarks (DES event dispatch, the
 // Advance/Recv round trip, the Tick-then-Recv round trip, the process
 // switch at 2 and 64 processes, the rawexec inner loop, a full machine
-// run, tier-1 and tier-0 translation per block, the L1 code-cache fill)
+// run of a data-bound and of a code-bound guest, tier-1 and tier-0
+// translation per block, the L1 code-cache fill)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline.
@@ -21,12 +22,9 @@ import (
 	"time"
 
 	"tilevm/internal/bench"
-	"tilevm/internal/core"
-	"tilevm/internal/guest"
 	"tilevm/internal/rawexec"
 	"tilevm/internal/rawisa"
 	"tilevm/internal/sim"
-	"tilevm/internal/workload"
 )
 
 // microResult is one testing.Benchmark measurement.
@@ -153,6 +151,13 @@ type output struct {
 		// every MMU, bank, L1.5, syscall and slave tile a goroutine
 		// looping on Recv. Medians of 8 runs interleaved with the change.
 		GoroutineServiceTiles parentRun `json:"goroutine_service_tiles"`
+
+		// AllocatingTranslator is the parent of the translator scratch:
+		// a pipeline that allocated its decode buffer, a code window
+		// per instruction, the IR, the optimizer's tables and the
+		// emitter's buffer anew for every block. Medians of 8 runs
+		// interleaved with the change.
+		AllocatingTranslator parentRun `json:"allocating_translator"`
 	} `json:"pre_pr_baseline"`
 
 	Notes string `json:"notes"`
@@ -235,17 +240,6 @@ func benchRawexecInnerLoop(b *testing.B) {
 	}
 }
 
-func benchMachineGzip(img *guest.Image) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(img, core.DefaultConfig()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func runQuickSuite(workers int) (float64, error) {
 	s := bench.NewSuite()
 	s.Quick = true
@@ -279,13 +273,6 @@ func main() {
 	out.HostCPUs = runtime.NumCPU()
 	out.GOMAXPROCS = runtime.GOMAXPROCS(0)
 
-	gz, ok := workload.ByName("164.gzip")
-	if !ok {
-		fmt.Fprintln(os.Stderr, "simbench: workload 164.gzip missing")
-		os.Exit(1)
-	}
-	img := gz.Build()
-
 	fmt.Fprintln(os.Stderr, "simbench: microbenchmarks...")
 	out.Micro = map[string]microResult{
 		"sim_event_dispatch": bmark(benchEventDispatch),
@@ -297,7 +284,8 @@ func main() {
 		"sim_handler_dispatch": bmark(bench.HandlerDispatchBench()),
 
 		"rawexec_inner_loop": bmark(benchRawexecInnerLoop),
-		"machine_run_gzip":   bmark(benchMachineGzip(img)),
+		"machine_run_gzip":   bmark(bench.MachineRunBench("164.gzip")),
+		"machine_run_gcc":    bmark(bench.MachineRunBench(bench.TranslateCorpusWorkload)),
 
 		"translate_block_tier1": bmark(bench.TranslateBlockBench(false)),
 		"translate_block_tier0": bmark(bench.TranslateBlockBench(true)),
@@ -443,6 +431,20 @@ func main() {
 		ParallelSimSerialSeconds:  0.498,
 		ParallelSimShardedSeconds: 0.721,
 	}
+	out.PrePR.AllocatingTranslator = parentRun{
+		Micro: map[string]microResult{
+			"translate_block_tier1": {NsPerOp: 14_720, AllocsPerOp: 30, BytesPerOp: 5_028},
+			"translate_block_tier0": {NsPerOp: 3_517, AllocsPerOp: 20, BytesPerOp: 1_901},
+			"machine_run_gcc":       {NsPerOp: 239_035_797, AllocsPerOp: 313_548, BytesPerOp: 36_088_663},
+			"machine_run_gzip":      {NsPerOp: 14_881_618, AllocsPerOp: 11_628, BytesPerOp: 2_636_745},
+			"l1_fill":               {NsPerOp: 237, AllocsPerOp: 1, BytesPerOp: 18},
+		},
+		QuickSuiteSerialSeconds:   4.87,
+		QuickSuiteParallelSeconds: 2.43,
+		ServiceSecondsPerJob:      0.0178,
+		ParallelSimSerialSeconds:  0.482,
+		ParallelSimShardedSeconds: 0.396,
+	}
 	out.Notes = "pre_pr_baseline measured at the commit before the perf PR on the same host; " +
 		"parallel speedup is bounded by host_cpus (a single-core host cannot exceed 1x " +
 		"regardless of worker count — the parallel path is then validated for determinism, " +
@@ -466,7 +468,14 @@ func main() {
 		"round trip, two dispatches, against two sim_tick_recv ops for the same trip between " +
 		"goroutines; this time the sharded engine gained more than the serial one, because a shard " +
 		"loop now serves service tiles itself instead of resuming a goroutine and waiting for it " +
-		"(sharded 0.72 -> 0.39 s, serial 0.50 -> 0.48 s, ratio 0.69x -> 1.21x with 2 workers on 2 CPUs)"
+		"(sharded 0.72 -> 0.39 s, serial 0.50 -> 0.48 s, ratio 0.69x -> 1.21x with 2 workers on 2 CPUs); " +
+		"pre_pr_baseline.allocating_translator holds the parent of the translator scratch (medians of 8 " +
+		"interleaved runs; the host had a neighbour, its eight tier-1 readings ran 12.7-21.5 us): its " +
+		"machine_run_gcc is the same loop from a test binary of the parent, which has no such micro, and " +
+		"machine_run_gzip's time did not move beyond that drift (14.9 against 16.9 ms here, 13.2 against " +
+		"10.2 ms on one P) while its allocations halved, the warm-up translations being most of what a " +
+		"gzip run allocates; parallel_sim's serial side gained more than its sharded side this time, so " +
+		"the ratio went back from 1.21x to about 1.05x without anything sharded getting slower"
 
 	f, err := os.Create(*outPath)
 	if err != nil {

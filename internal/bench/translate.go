@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tilevm/internal/codecache"
+	"tilevm/internal/core"
 	"tilevm/internal/guest"
 	"tilevm/internal/raw"
 	"tilevm/internal/translate"
@@ -49,6 +50,29 @@ func TranslateBlockBench(tier0 bool) func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := step(mem, addrs[i%len(addrs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// MachineRunBench returns a benchmark of one whole single-VM run per
+// iteration: core.Run of the named workload under the default
+// configuration. 164.gzip barely translates after warm-up, so it reads
+// the sim and core message machinery; 176.gcc
+// (TranslateCorpusWorkload) is its code-bound twin, where the
+// translator is about half of the run.
+func MachineRunBench(name string) func(b *testing.B) {
+	p, ok := workload.ByName(name)
+	if !ok {
+		panic("bench: no workload " + name)
+	}
+	return func(b *testing.B) {
+		img := p.Build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Run(img, core.DefaultConfig()); err != nil {
 				b.Fatal(err)
 			}
 		}

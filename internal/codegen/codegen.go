@@ -31,37 +31,55 @@ const NumTemps = rawisa.RegTmpN - rawisa.RegTmp0 + 1
 // a bit per register number.
 const tempPool uint32 = (1<<NumTemps - 1) << rawisa.RegTmp0
 
-// Finalize allocates registers and resolves labels, returning
-// executable host code. The input block is not modified.
-//
-// Allocation state is dense tables over the uint8 vreg space and a
-// bitmask over the host registers, all on the stack: the translator
-// stays stateless and shareable between slave tiles.
-func Finalize(b *ir.Block) ([]rawisa.Inst, error) {
-	// end[v] is one past the last position that touches vreg v; 0
-	// means v has not been seen. Physical registers get entries too,
+// Scratch is the allocator's working storage: dense tables over the
+// uint8 register space. Finalize first clears the entries its previous
+// block touched, so a translator that owns one (one per engine, not
+// safe for concurrent use) pays for the registers a block names and not
+// for 256 of them a block. The zero Scratch is ready to use.
+type Scratch struct {
+	// end[r] is one past the last position that touches register r; 0
+	// means r has not been seen. Physical registers get entries too,
 	// which nothing reads.
-	var end [256]int
+	end    [256]int32
+	assign [256]uint8            // vreg -> phys; 0 = never assigned
+	owner  [rawisa.NumRegs]uint8 // phys -> vreg, read for busy registers only
+	top    int                   // highest register number in end and assign
+}
+
+// Finalize allocates registers and resolves labels in a Scratch of its
+// own. The translator reuses one Scratch across blocks instead.
+func Finalize(b *ir.Block) ([]rawisa.Inst, error) { return new(Scratch).Finalize(b) }
+
+// Finalize allocates registers and resolves labels, returning
+// executable host code in a slice of its own, sized to the block. The
+// input block is not modified.
+func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Inst, error) {
+	end, assign, owner := &s.end, &s.assign, &s.owner
+	clear(end[:s.top+1])
+	clear(assign[:s.top+1])
+	top := 0
 	for i, in := range b.Code {
 		uses, n := in.Uses()
 		for k := 0; k < n; k++ {
-			end[uses[k]] = i + 1
+			end[uses[k]] = int32(i + 1)
+			top = max(top, int(uses[k]))
 		}
 		// A def with no later use still occupies its register at the
 		// defining instruction.
-		if d := in.Def(); end[d] == 0 {
-			end[d] = i + 1
+		d := in.Def()
+		if end[d] == 0 {
+			end[d] = int32(i + 1)
 		}
+		top = max(top, int(d))
 	}
+	s.top = top
 
-	var assign [256]uint8           // vreg -> phys; 0 = never assigned
-	var owner [rawisa.NumRegs]uint8 // phys -> vreg, for busy registers
 	free := tempPool
 
 	expire := func(pos int) {
 		for busy := tempPool &^ free; busy != 0; busy &= busy - 1 {
 			phys := bits.TrailingZeros32(busy)
-			if end[owner[phys]] <= pos {
+			if int(end[owner[phys]]) <= pos {
 				free |= 1 << phys
 			}
 		}

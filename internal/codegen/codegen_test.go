@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"tilevm/internal/ir"
@@ -211,5 +212,49 @@ func TestFinalizeRedefinedAfterFree(t *testing.T) {
 	blk.Code[6].Rt = 254
 	if _, err := Finalize(blk); err == nil || errors.Is(err, ErrRegPressure) {
 		t.Errorf("use of undefined vreg: err = %v", err)
+	}
+}
+
+// TestScratchReuse finalizes a series of blocks through one Scratch —
+// among them the top table index, a block that fails on pressure partway
+// through its allocation and one that fails on an undefined vreg — and
+// requires from each what a Scratch of its own gives: a block's tables
+// are clear of every block before it, however that one ended.
+func TestScratchReuse(t *testing.T) {
+	undefined := liveAtOnce(t, 3)
+	undefined.Code[4].Rt = 254
+	neverDefined := liveAtOnce(t, 3)
+	neverDefined.Code[4].Rt = ir.FirstVReg + 5 // defined by earlier blocks, not by this one
+	blocks := []*ir.Block{
+		liveAtOnce(t, NumTemps),
+		build(t, func(b *ir.Builder) { // vreg 255, then a use that reads no stale assignment
+			b.LoadImm(255, 1)
+			b.Op3(rawisa.ADD, rawisa.RegEAX, rawisa.RegEAX, 255)
+			b.ExitImm(0)
+		}),
+		build(t, func(b *ir.Builder) { // a dead def holds its register for one instruction, not for the range the last block gave that vreg
+			dead, v := b.VReg(), b.VReg()
+			b.LoadImm(dead, 1)
+			b.LoadImm(v, 2)
+			b.Op3(rawisa.ADD, rawisa.RegEAX, rawisa.RegEAX, v)
+			b.ExitImm(0)
+		}),
+		liveAtOnce(t, NumTemps+1), // ErrRegPressure with every host register taken
+		liveAtOnce(t, 4),
+		undefined,
+		undefined, // vreg 254 must not have become defined by the failed attempt
+		neverDefined,
+		liveAtOnce(t, NumTemps),
+	}
+	var s Scratch
+	for i, blk := range blocks {
+		got, gotErr := s.Finalize(blk)
+		want, wantErr := Finalize(blk)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("block %d: reused scratch err = %v, fresh err = %v", i, gotErr, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("block %d: reused scratch\n%sfresh\n%s", i, rawisa.Disassemble(got), rawisa.Disassemble(want))
+		}
 	}
 }

@@ -56,6 +56,26 @@ func TestFleetParallelOversubscribed(t *testing.T) {
 	}
 }
 
+// TestFleetParallelSameImage runs one image in two slots on two shards:
+// two engines, each with a translator and a guest memory of its own,
+// translating the same addresses of the same guest.Image at the same
+// time on two goroutines. A translator's scratch belongs to its engine
+// and an engine to one shard, so under -race (make racepar) this is what
+// shows that nothing of the translation pipeline is shared between
+// shards; the results must also be the serial loop's.
+func TestFleetParallelSameImage(t *testing.T) {
+	names := []string{"164.gzip", "164.gzip"}
+	fc := FleetConfig{MaxSlots: 2}
+	base := runFleetWorkers(t, 8, 8, 1, fc, names...)
+	got := runFleetWorkers(t, 8, 8, 2, fc, names...)
+	if !reflect.DeepEqual(base, got) {
+		t.Errorf("two shards: fleet result differs from serial run\nserial:   %+v\nparallel: %+v", base, got)
+	}
+	if n := base.Fleet.GuestsFinished; n != 2 {
+		t.Fatalf("%d of 2 guests finished", n)
+	}
+}
+
 // TestFleetParallelMatchesSoloHashes ties the parallel engine back to
 // the per-guest architectural contract: each guest's final state hash
 // under a sharded fleet equals its solo single-VM hash.

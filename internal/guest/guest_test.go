@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,6 +41,85 @@ func TestMemoryUnalignedAndPageCrossing(t *testing.T) {
 	m.Write16(0x1_FFFF, 0xaabb)
 	if got := m.Read16(0x1_FFFF); got != 0xaabb {
 		t.Errorf("page-crossing Read16 = %#x", got)
+	}
+}
+
+// TestMemoryBulkReads checks ReadBytes and CodeWindow against Read8,
+// byte by byte, where the page-wise copy and the in-place window have
+// their edges: a page's last byte, a mapped page followed by an
+// unmapped one, a window wholly unmapped, and the wrap at 4 GB.
+func TestMemoryBulkReads(t *testing.T) {
+	m := NewMemory()
+	for _, base := range []uint32{0x1_0000, 0x3_0000, 0xFFFF_0000, 0} { // 0x2_0000 stays unmapped
+		for i := uint32(0); i < pageSize; i += 251 {
+			m.Write8(base+i, uint8(i*7+base>>16+1))
+		}
+		m.Write8(base+pageSize-1, 0xEE)
+	}
+	m.Write8(0x1_0000+pageSize-1, 0xA5)
+	for _, tc := range []struct {
+		name string
+		addr uint32
+		n    int
+	}{
+		{"inside a page", 0x1_0100, 19},
+		{"ending at a page's last byte", 0x2_0000 - 19, 19},
+		{"a page's last byte alone", 0x2_0000 - 1, 1},
+		{"mapped into unmapped", 0x2_0000 - 5, 19},
+		{"unmapped into mapped", 0x3_0000 - 5, 19},
+		{"wholly unmapped", 0x2_8000, 19},
+		{"wrapping at 4 GB", 0xFFFF_FFF0, 19 + 16},
+		{"over a whole unmapped page", 0x2_0000 - 3, pageSize + 6},
+		{"empty", 0x1_0000, 0},
+	} {
+		want := make([]byte, tc.n)
+		for i := range want {
+			want[i] = m.Read8(tc.addr + uint32(i))
+		}
+		if got := m.ReadBytes(tc.addr, tc.n); !bytes.Equal(got, want) {
+			t.Errorf("ReadBytes %s (%#x+%d) = %x, want %x", tc.name, tc.addr, tc.n, got, want)
+		}
+		got := m.CodeWindow(tc.addr, tc.n)
+		if !bytes.Equal(got, want) {
+			t.Errorf("CodeWindow %s (%#x+%d) = %x, want %x", tc.name, tc.addr, tc.n, got, want)
+		}
+		if cap(got) != tc.n {
+			t.Errorf("CodeWindow %s: cap %d, want it clipped to %d", tc.name, cap(got), tc.n)
+		}
+	}
+	if got := m.ReadBytes(0x2_0000-5, 19); got[4] != 0xA5 || !bytes.Equal(got[5:], make([]byte, 14)) {
+		t.Errorf("mapped into unmapped = %x, want the page's tail then zeros", got)
+	}
+	if m.pages[2] != nil {
+		t.Error("a read mapped the unmapped page")
+	}
+}
+
+// TestCodeWindowIsAView documents what CodeWindow returns when the
+// window lies in one mapped page: the page itself, so a later write
+// shows through. Nobody may rely on either behaviour — x86.Decode
+// retains nothing of the window and the translator decodes it before
+// the guest next runs, which is why self-modifying-code detection does
+// not depend on it — but a window handed out across a boundary is a
+// copy and stays as it was.
+func TestCodeWindowIsAView(t *testing.T) {
+	m := NewMemory()
+	m.Write8(0x1_0010, 0x90)
+	m.Write8(0x2_0000, 0x90) // maps the next page
+	inPage := m.CodeWindow(0x1_0010, 19)
+	across := m.CodeWindow(0x2_0000-4, 19)
+	m.Write8(0x1_0011, 0xC3)
+	m.Write8(0x2_0001, 0xC3)
+	if inPage[1] != 0xC3 {
+		t.Errorf("in-page window did not see the write: %x", inPage)
+	}
+	if across[5] != 0 {
+		t.Errorf("copied window changed under a write: %x", across)
+	}
+	// Appending to a window must not reach guest memory.
+	_ = append(inPage, 0xFF)
+	if got := m.Read8(0x1_0010 + 19); got != 0 {
+		t.Errorf("append through a window wrote guest memory: %#x", got)
 	}
 }
 

@@ -127,11 +127,18 @@ func (m *Memory) WriteN(addr uint32, v uint32, n uint8) {
 	}
 }
 
-// ReadBytes copies n bytes starting at addr into a new slice.
+// ReadBytes copies n bytes starting at addr into a new slice, a page
+// at a time. Unmapped bytes read as zero and addresses wrap at 4 GB.
 func (m *Memory) ReadBytes(addr uint32, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.Read8(addr + uint32(i))
+	for done := 0; done < n; {
+		off := addr & (pageSize - 1)
+		chunk := min(n-done, int(pageSize-off))
+		if p := m.page(addr, false); p != nil {
+			copy(out[done:], p[off:int(off)+chunk])
+		}
+		done += chunk
+		addr += uint32(chunk)
 	}
 	return out
 }
@@ -143,8 +150,19 @@ func (m *Memory) WriteBytes(addr uint32, data []byte) {
 	}
 }
 
-// CodeWindow returns up to n bytes of code starting at addr, for the
+// CodeWindow returns n bytes of code starting at addr, for the
 // instruction decoder. Reads never fault; unmapped bytes are zero.
+//
+// The window is read-only. When it lies within one mapped page it is a
+// view of that page, not a copy — its capacity clipped to n so an
+// append cannot reach guest memory — and a later write to the page
+// shows through it; only a window that crosses a page boundary or
+// covers unmapped memory is copied. Decode a window before the guest
+// next runs and keep nothing that points into it.
 func (m *Memory) CodeWindow(addr uint32, n int) []byte {
+	off := int(addr & (pageSize - 1))
+	if p := m.page(addr, false); p != nil && off+n <= pageSize {
+		return p[off : off+n : off+n]
+	}
 	return m.ReadBytes(addr, n)
 }

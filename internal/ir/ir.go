@@ -60,8 +60,23 @@ type Builder struct {
 
 // NewBuilder starts a block at the given guest address.
 func NewBuilder(guestAddr uint32) *Builder {
-	return &Builder{
-		b:        Block{GuestAddr: guestAddr},
+	bl := new(Builder)
+	bl.Reset(guestAddr)
+	return bl
+}
+
+// Reset starts a new block at the given guest address in the storage of
+// the builder's previous one, so a builder that is reused grows its
+// code and label slices once, to the largest block it has seen. The
+// Block an earlier Finish returned is overwritten: a caller that wants
+// to keep any of it copies it out first.
+func (bl *Builder) Reset(guestAddr uint32) {
+	*bl = Builder{
+		b: Block{
+			GuestAddr: guestAddr,
+			Code:      bl.b.Code[:0],
+			LabelPos:  bl.b.LabelPos[:0],
+		},
 		nextVReg: FirstVReg,
 	}
 }

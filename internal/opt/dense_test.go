@@ -10,8 +10,6 @@ import (
 // Edge cases the map-based fact tables handled implicitly and the
 // dense tables must handle explicitly.
 
-func targetsOf(b *ir.Block) []bool { return labelTargets(b, make([]bool, len(b.Code)+1)) }
-
 func wantCode(t *testing.T, b *ir.Block, want ...rawisa.Inst) {
 	t.Helper()
 	if len(b.Code) != len(want) {
@@ -89,7 +87,7 @@ func TestLabelAtIndexZero(t *testing.T) {
 		b.Bind(l)
 		b.ExitImm(0)
 	})
-	if tg := targetsOf(blk); !tg[0] || !tg[4] || tg[1] {
+	if tg := new(Scratch).targetsOf(blk); !tg[0] || !tg[4] || tg[1] {
 		t.Fatalf("targets = %v", tg)
 	}
 	Run(blk) // the two dead loads and the NOP go; both labels move
@@ -111,8 +109,9 @@ func TestDeadCodeRemarksTargets(t *testing.T) {
 		b.LoadImm(b.VReg(), 3) // dead, and the label sits on it
 		b.ExitImm(0)
 	})
-	tg := targetsOf(blk)
-	if !deadCode(blk, tg, make([]int, len(blk.Code)+1)) {
+	var s Scratch
+	tg := s.targetsOf(blk)
+	if !s.deadCode(blk, tg) {
 		t.Fatal("nothing removed")
 	}
 	if blk.LabelPos[0] != 1 || !tg[1] || tg[2] {
@@ -136,9 +135,10 @@ func TestJoinDropsAliasesAndLoads(t *testing.T) {
 		b.Op3(rawisa.ADD, rawisa.RegEDX, rawisa.RegEDX, v)
 		b.ExitImm(0)
 	})
-	tg := targetsOf(blk)
-	copyProp(blk, tg)
-	redundantLoads(blk, tg)
+	var s Scratch
+	tg := s.targetsOf(blk)
+	s.copyProp(blk, tg)
+	s.redundantLoads(blk, tg)
 	if in := blk.Code[5]; in.Rs != a || in.Rt != a {
 		t.Errorf("alias survived the join: %v", in.Inst)
 	}
@@ -164,12 +164,13 @@ func TestSyscallAndAssistClobberPhysicalOnly(t *testing.T) {
 		if v != ir.FirstVReg {
 			t.Fatalf("first vreg = %d", v)
 		}
-		tg := targetsOf(blk)
-		copyProp(blk, tg)
+		var s Scratch
+		tg := s.targetsOf(blk)
+		s.copyProp(blk, tg)
 		if in := blk.Code[6]; in.Rs != v {
 			t.Errorf("%v: vreg alias dropped: %v", trap.Op, in.Inst)
 		}
-		constFold(blk, tg)
+		s.constFold(blk, tg)
 		if in := blk.Code[4].Inst; in != (rawisa.Inst{Op: rawisa.ADDI, Rd: rawisa.RegEBX, Imm: 7}) {
 			t.Errorf("%v: vreg constant lost: %v", trap.Op, in)
 		}
@@ -192,7 +193,8 @@ func TestAliasChainSourceRedefined(t *testing.T) {
 		b.Op3(rawisa.ADD, rawisa.RegECX, b2, rawisa.RegZero) // and this the new b
 		b.ExitImm(0)
 	})
-	copyProp(blk, targetsOf(blk))
+	var s Scratch
+	s.copyProp(blk, s.targetsOf(blk))
 	if in := blk.Code[3]; in.Rs != b2 || in.Rt != b2 {
 		t.Errorf("chain not resolved to its root: %v", in.Inst)
 	}

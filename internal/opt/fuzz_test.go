@@ -182,8 +182,15 @@ func runBlock(code []rawisa.Inst, seed int64) (regs [rawisa.RegFlags + 1]uint32,
 
 // FuzzOptPreservesSemantics executes generated blocks before and after
 // the optimizer, from the same random register file and memory, and
-// requires the same guest registers, guest memory and exit.
+// requires the same guest registers, guest memory and exit. Every input
+// of a run goes through the same optimizer and allocator scratch, as a
+// translator's blocks do, so whatever one block leaves in the tables is
+// there when the next is optimized.
 func FuzzOptPreservesSemantics(f *testing.F) {
+	var (
+		scratch  Scratch
+		allocate codegen.Scratch
+	)
 	f.Add([]byte{}, int64(1))
 	f.Add([]byte("\x20\x81\x01\x02\x84\x08\x81\x85\x99\x81\x82\x1e\x81\x00\x03\x90\x83\x81\x0b\x81\x82"), int64(2))
 	r := rand.New(rand.NewSource(12))
@@ -197,7 +204,7 @@ func FuzzOptPreservesSemantics(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generator built an invalid block: %v", err)
 		}
-		plain, err := codegen.Finalize(b)
+		plain, err := allocate.Finalize(b)
 		if errors.Is(err, codegen.ErrRegPressure) {
 			t.Skip()
 		}
@@ -205,8 +212,8 @@ func FuzzOptPreservesSemantics(f *testing.F) {
 			t.Fatalf("finalize: %v\n%s", err, b)
 		}
 		before := b.String()
-		Run(b)
-		opted, err := codegen.Finalize(b)
+		scratch.Run(b)
+		opted, err := allocate.Finalize(b)
 		if err != nil {
 			t.Fatalf("finalize after opt: %v\n%s", err, b)
 		}

@@ -13,18 +13,21 @@ import (
 func isGuestLoad(op rawisa.Op) bool  { return op.IsGuestLoad() }
 func isGuestStore(op rawisa.Op) bool { return op.IsGuestStore() }
 
+// avail is a value redundantLoads knows to be in a register.
+type avail struct {
+	op  rawisa.Op // the load op that produced the value
+	val uint8     // register holding the loaded/stored value
+}
+
 // redundantLoads replaces a guest load whose value is already known —
 // from an earlier load at the same address register, or from a store
 // through the same address register — with a register move. The
 // address match is syntactic (same register, not redefined since), so
 // no aliasing reasoning is needed: any intervening store, syscall, or
 // assist invalidates everything.
-func redundantLoads(b *ir.Block, targets []bool) bool {
-	type avail struct {
-		op  rawisa.Op // the load op that produced the value
-		val uint8     // register holding the loaded/stored value
-	}
-	var table regFacts[avail] // address reg -> available value
+func (s *Scratch) redundantLoads(b *ir.Block, targets []bool) bool {
+	table := &s.avail
+	table.reset()
 	changed := false
 
 	invalidateAll := table.reset

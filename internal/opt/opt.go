@@ -15,22 +15,53 @@ import (
 	"tilevm/internal/rawisa"
 )
 
+// Scratch is the working storage of one optimizer: the branch-target
+// and position tables sized to the largest block seen so far, and the
+// passes' dataflow tables. Every pass clears what it reads before it
+// starts — a fact table at a cost proportional to the facts the last
+// pass left in it, not to its 256 entries — so nothing carries from one
+// block to the next and a zero Scratch is ready to use. A translator
+// owns one and runs every block through it; it is not safe for
+// concurrent use.
+type Scratch struct {
+	targets []bool
+	pos     []int // deadCode's position map
+
+	known regFacts[uint32] // constFold: register -> constant
+	alias regFacts[uint8]  // copyProp: register -> source it copies
+	avail regFacts[avail]  // redundantLoads: address reg -> available value
+	liveV [256]bool        // deadCode: vregs read later in the block
+}
+
+// Run applies all passes to the block in place, in a Scratch of its
+// own. The translator reuses one Scratch across blocks instead.
+func Run(b *ir.Block) { new(Scratch).Run(b) }
+
 // Run applies all passes to the block in place until a fixpoint (at
 // most a few iterations; bounded for safety), then hoists loads once
 // to hide load-use latency.
-func Run(b *ir.Block) {
-	targets := labelTargets(b, make([]bool, len(b.Code)+1))
-	scratch := make([]int, len(b.Code)+1) // deadCode's position map
+func (s *Scratch) Run(b *ir.Block) {
+	targets := s.targetsOf(b)
 	for i := 0; i < 4; i++ {
-		changed := constFold(b, targets)
-		changed = copyProp(b, targets) || changed
-		changed = redundantLoads(b, targets) || changed
-		changed = deadCode(b, targets, scratch) || changed
+		changed := s.constFold(b, targets)
+		changed = s.copyProp(b, targets) || changed
+		changed = s.redundantLoads(b, targets) || changed
+		changed = s.deadCode(b, targets) || changed
 		if !changed {
 			break
 		}
 	}
 	hoistLoads(b, targets)
+}
+
+// targetsOf sizes the per-instruction tables for b, which only shrinks
+// from here on, and returns its branch-target marks.
+func (s *Scratch) targetsOf(b *ir.Block) []bool {
+	n := len(b.Code) + 1
+	if cap(s.targets) < n {
+		s.targets, s.pos = make([]bool, n), make([]int, n)
+	}
+	return labelTargets(b, s.targets[:n])
 }
 
 // labelTargets marks in t (len > len(b.Code)) the instruction indices

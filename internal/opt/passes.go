@@ -10,8 +10,9 @@ import (
 // loads (LUI/ORI pairs are re-formed by later simplification in the
 // builder idiom: we emit ADDI-from-zero for small values and keep
 // LUI+ORI shapes otherwise). Facts are dropped at branch targets.
-func constFold(b *ir.Block, targets []bool) bool {
-	var known regFacts[uint32] // register -> constant
+func (s *Scratch) constFold(b *ir.Block, targets []bool) bool {
+	known := &s.known
+	known.reset()
 	known.set(0, 0)
 	changed := false
 
@@ -113,7 +114,7 @@ func constFold(b *ir.Block, targets []bool) bool {
 		}
 		// Strength-reduce reg-reg ops with one constant operand into
 		// immediate forms.
-		if imm, ok := immForm(in.Inst, &known); ok {
+		if imm, ok := immForm(in.Inst, known); ok {
 			in.Inst = imm
 			changed = true
 		}
@@ -180,8 +181,9 @@ func immForm(in rawisa.Inst, known *regFacts[uint32]) (rawisa.Inst, bool) {
 // `ADDI rd, rs, 0` are tracked; facts drop at branch targets and when
 // either side is redefined. Physical guest registers are never
 // rewritten as destinations.
-func copyProp(b *ir.Block, targets []bool) bool {
-	var alias regFacts[uint8] // reg -> source it copies
+func (s *Scratch) copyProp(b *ir.Block, targets []bool) bool {
+	alias := &s.alias
+	alias.reset()
 	changed := false
 
 	invalidate := func(r uint8) {
@@ -234,12 +236,12 @@ func copyProp(b *ir.Block, targets []bool) bool {
 // deadCode removes pure instructions whose destination vreg is never
 // subsequently read. Physical registers are always considered live
 // (guest state flows out of the block). Label positions, and with them
-// targets, are remapped after removal. scratch holds at least
-// len(b.Code)+1 entries.
-func deadCode(b *ir.Block, targets []bool, scratch []int) bool {
+// targets, are remapped after removal.
+func (s *Scratch) deadCode(b *ir.Block, targets []bool) bool {
 	n := len(b.Code)
-	var liveV [256]bool
-	newPos := scratch[:n+1] // first 1 = kept, 0 = dead; then old index -> new index
+	liveV := &s.liveV
+	clear(liveV[:])
+	newPos := s.pos[:n+1] // first 1 = kept, 0 = dead; then old index -> new index
 	removed := 0
 
 	for i := n - 1; i >= 0; i-- {

@@ -1,11 +1,12 @@
 // Command benchcheck is the perf-regression smoke gate: it re-measures
-// the headline simulator benchmarks (the machine_run_gzip micro, the
-// serial quick figure suite, the quick fleet fault-tolerance sweep,
-// and the sharded-engine parallel_sim fleet) and compares them against
-// the recorded trajectory in BENCH_sim.json, plus the translator's
-// per-block cost (translate_block_tier1/tier0 over the 176.gcc corpus),
-// the serial kernel's process switch (sim_proc_switch at 2 and 64
-// processes) and the three per-message costs (sim_tick_recv,
+// the headline simulator benchmarks (the machine_run_gzip micro and its
+// code-bound twin machine_run_gcc, the serial quick figure suite, the
+// quick fleet fault-tolerance sweep, and the sharded-engine parallel_sim
+// fleet) and compares them against the recorded trajectory in
+// BENCH_sim.json, plus the translator's per-block cost in time,
+// allocations and bytes (translate_block_tier1/tier0 over the 176.gcc
+// corpus), the serial kernel's process switch (sim_proc_switch at 2 and
+// 64 processes) and the three per-message costs (sim_tick_recv,
 // sim_handler_dispatch, l1_fill).
 // A metric that regresses beyond its tolerance fails the run. Tolerances are deliberately
 // generous — shared CI hosts are noisy — so only a structural
@@ -27,8 +28,6 @@ import (
 	"time"
 
 	"tilevm/internal/bench"
-	"tilevm/internal/core"
-	"tilevm/internal/workload"
 )
 
 // baseline mirrors the slice of BENCH_sim.json this gate reads.
@@ -37,6 +36,7 @@ type baseline struct {
 	Micro    map[string]struct {
 		NsPerOp     int64 `json:"ns_per_op"`
 		AllocsPerOp int64 `json:"allocs_per_op"`
+		BytesPerOp  int64 `json:"bytes_per_op"`
 	} `json:"micro"`
 	QuickSuite struct {
 		Serial struct {
@@ -80,8 +80,14 @@ func loadBaseline(path string) (*baseline, error) {
 
 // blockAllocTol bounds the translate allocs/block micros: the count is
 // deterministic, so the bound is tight enough that one extra
-// allocation per block (30 -> 31, 20 -> 21) trips it.
-const blockAllocTol = 1.03
+// allocation per block (3 -> 4) trips it. blockBytesTol bounds their
+// bytes/block, which is what a Result keeps and moves only with the
+// size classes of the runtime: a scratch buffer that went back to being
+// allocated per block is several times the bound.
+const (
+	blockAllocTol = 1.03
+	blockBytesTol = 1.10
+)
 
 // metric is one baseline-vs-measured comparison. The gate trips when
 // measured > baseline × tol; improvements never fail.
@@ -110,23 +116,6 @@ func evaluate(ms []metric) (lines, violations []string) {
 			m.Name, m.Baseline, m.Measured, ratio, m.Tol, status))
 	}
 	return lines, violations
-}
-
-func measureGzipMicro() (nsPerOp, allocsPerOp int64, err error) {
-	gz, ok := workload.ByName("164.gzip")
-	if !ok {
-		return 0, 0, fmt.Errorf("workload 164.gzip missing")
-	}
-	img := gz.Build()
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(img, core.DefaultConfig()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return r.NsPerOp(), r.AllocsPerOp(), nil
 }
 
 func measureQuickSuite() (float64, error) {
@@ -183,16 +172,19 @@ func main() {
 			base.HostCPUs, runtime.NumCPU())
 	}
 
-	fmt.Fprintln(os.Stderr, "benchcheck: measuring machine_run_gzip...")
-	ns, allocs, err := measureGzipMicro()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(1)
-	}
-	gz := base.Micro["machine_run_gzip"]
-	ms := []metric{
-		{"machine_run_gzip ns/op", float64(gz.NsPerOp), float64(ns), *timeTol},
-		{"machine_run_gzip allocs/op", float64(gz.AllocsPerOp), float64(allocs), *allocTol},
+	// One whole single-VM run of a data-bound and of a code-bound guest.
+	// A baseline that predates machine_run_gcc reads zero and is
+	// reported, not failed.
+	var ms []metric
+	for _, k := range []struct{ name, workload string }{
+		{"machine_run_gzip", "164.gzip"}, {"machine_run_gcc", bench.TranslateCorpusWorkload}} {
+		fmt.Fprintf(os.Stderr, "benchcheck: measuring %s...\n", k.name)
+		r := testing.Benchmark(bench.MachineRunBench(k.workload))
+		b := base.Micro[k.name]
+		ms = append(ms,
+			metric{k.name + " ns/op", float64(b.NsPerOp), float64(r.NsPerOp()), *timeTol},
+			metric{k.name + " allocs/op", float64(b.AllocsPerOp), float64(r.AllocsPerOp()), *allocTol},
+			metric{k.name + " bytes/op", float64(b.BytesPerOp), float64(r.AllocedBytesPerOp()), *allocTol})
 	}
 	// Translator per-block cost over the 176.gcc corpus. A baseline that
 	// predates the entries reads zero and is reported, not failed.
@@ -205,7 +197,8 @@ func main() {
 		b := base.Micro[tier.name]
 		ms = append(ms,
 			metric{tier.name + " ns/block", float64(b.NsPerOp), float64(r.NsPerOp()), *timeTol},
-			metric{tier.name + " allocs/block", float64(b.AllocsPerOp), float64(r.AllocsPerOp()), blockAllocTol})
+			metric{tier.name + " allocs/block", float64(b.AllocsPerOp), float64(r.AllocsPerOp()), blockAllocTol},
+			metric{tier.name + " bytes/block", float64(b.BytesPerOp), float64(r.AllocedBytesPerOp()), blockBytesTol})
 	}
 	// The serial kernel's hand-off: a park that must switch goroutines,
 	// with a trivial event heap and with an 8×8 fabric's.

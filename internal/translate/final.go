@@ -4,7 +4,7 @@ import (
 	"errors"
 
 	"tilevm/internal/codegen"
-	"tilevm/internal/opt"
+	"tilevm/internal/ir"
 	"tilevm/internal/rawexec"
 	"tilevm/internal/rawisa"
 )
@@ -47,26 +47,45 @@ type ChainSite struct {
 
 // newResult finishes a translation: the per-block work every later
 // cache fill would otherwise redo (sizing, predecoding, finding the
-// chain sites) happens here, once.
-func newResult(blk *Block, code []rawisa.Inst, optimized bool, tier uint8) *Result {
-	r := &Result{
-		Block:     blk,
+// chain sites) happens here, once. code is the caller's to give away.
+//
+// The caches hold a Result for as long as the block is resident
+// anywhere, and the translator's scratch is overwritten by its next
+// call, so a Result owns everything it points at: the Result, its Block
+// and the IR block's header are one allocation, and the IR itself
+// (blk's Code and LabelPos, which are scratch) is not carried over —
+// only the metadata is read again.
+func newResult(blk Block, code []rawisa.Inst, optimized bool, tier uint8) *Result {
+	h := &struct {
+		res Result
+		blk Block
+		ir  ir.Block
+	}{
+		blk: Block{Kind: blk.Kind, Target: blk.Target, FallTarget: blk.FallTarget, BackwardTaken: blk.BackwardTaken},
+		ir:  ir.Block{GuestAddr: blk.GuestAddr, GuestLen: blk.GuestLen, NumGuest: blk.NumGuest, NumVRegs: blk.NumVRegs},
+	}
+	h.blk.Block = &h.ir
+	r := &h.res
+	*r = Result{
+		Block:     &h.blk,
 		Code:      code,
 		CodeBytes: rawisa.CodeBytes(code),
 		Optimized: optimized,
 		Tier:      tier,
 	}
-	// The IR is spent: the caches hold a Result for as long as the block
-	// is resident anywhere, and only its metadata is read again. Letting
-	// go of it (24 bytes per instruction) more than pays for Pre (8).
-	blk.Block.Code, blk.Block.LabelPos = nil, nil
 	r.Pre.Sync(code)
-	for i, in := range code {
+	chains := 0
+	for _, in := range code {
 		if in.Op == rawisa.CHAIN {
-			if r.Chains == nil {
-				r.Chains = make([]ChainSite, 0, 2) // a taken and a fall-through exit
+			chains++
+		}
+	}
+	if chains > 0 {
+		r.Chains = make([]ChainSite, 0, chains)
+		for i, in := range code {
+			if in.Op == rawisa.CHAIN {
+				r.Chains = append(r.Chains, ChainSite{Off: int32(i), Target: in.Target})
 			}
-			r.Chains = append(r.Chains, ChainSite{Off: int32(i), Target: in.Target})
 		}
 	}
 	return r
@@ -84,9 +103,9 @@ func (t *Translator) TranslateFinal(mem CodeReader, addr uint32) (*Result, error
 			return nil, err
 		}
 		if t.Opts.Optimize {
-			opt.Run(blk.Block)
+			t.opt.Run(blk.Block)
 		}
-		code, err := codegen.Finalize(blk.Block)
+		code, err := t.cg.Finalize(blk.Block)
 		if errors.Is(err, codegen.ErrRegPressure) {
 			continue
 		}

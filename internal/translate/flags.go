@@ -1,6 +1,10 @@
 package translate
 
-import "tilevm/internal/x86"
+import (
+	"slices"
+
+	"tilevm/internal/x86"
+)
 
 // Condition-code liveness. Each guest instruction is annotated with the
 // set of EFLAGS bits that may be observed after it executes; the
@@ -128,10 +132,11 @@ func flagsLiveAt(mem CodeReader, addr uint32, unknown uint32, depth int) uint32 
 
 // flagLiveness annotates each instruction of a block with the flag bits
 // live immediately after it (i.e. the bits its lowering must
-// materialize if it defines them).
-func flagLiveness(insts []x86.Inst, mem CodeReader, conservative bool) []uint32 {
+// materialize if it defines them), in live's storage when it is large
+// enough.
+func flagLiveness(insts []x86.Inst, mem CodeReader, conservative bool, live []uint32) []uint32 {
 	n := len(insts)
-	live := make([]uint32, n)
+	live = slices.Grow(live[:0], n)[:n]
 
 	// Liveness at the block exit.
 	exitLive := x86.FlagsArith | x86.FlagDF

@@ -21,16 +21,12 @@ type lowerer struct {
 	ended  bool
 }
 
-func newLowerer(addr uint32) *lowerer {
-	return &lowerer{bl: ir.NewBuilder(addr)}
-}
-
-func (lo *lowerer) finish(guestLen uint32, numGuest int) (*Block, error) {
+func (lo *lowerer) finish(guestLen uint32, numGuest int) (Block, error) {
 	b, err := lo.bl.Finish(guestLen, numGuest)
 	if err != nil {
-		return nil, err
+		return Block{}, err
 	}
-	return &Block{
+	return Block{
 		Block:         b,
 		Kind:          lo.kind,
 		Target:        lo.target,

@@ -53,12 +53,12 @@ func (t *Translator) TranslateTier(mem CodeReader, addr uint32, tier0 bool) (*Re
 // template path only, returning ErrUntemplated if any instruction in
 // the block has no template.
 func (t *Translator) TranslateTemplate(mem CodeReader, addr uint32) (*Result, error) {
-	insts, err := discoverBlock(mem, addr, MaxBlockInsts)
+	insts, live, err := t.decode(mem, addr, MaxBlockInsts)
 	if err != nil {
 		return nil, err
 	}
-	live := flagLiveness(insts, mem, t.Opts.ConservativeFlags)
-	e := &emitter{}
+	e := &t.em
+	*e = emitter{code: e.code[:0]}
 	for i := range insts {
 		e.beginInst()
 		if !e.template(&insts[i], live[i]) {
@@ -76,13 +76,15 @@ func (t *Translator) TranslateTemplate(mem CodeReader, addr uint32) (*Result, er
 		e.emit(rawisa.Inst{Op: rawisa.CHAIN, Target: end})
 		e.kind, e.target = ExitFall, end
 	}
-	return newResult(&Block{
+	code := make([]rawisa.Inst, len(e.code)) // e.code is scratch
+	copy(code, e.code)
+	return newResult(Block{
 		Block:         &ir.Block{GuestAddr: addr, GuestLen: end - addr, NumGuest: len(insts)},
 		Kind:          e.kind,
 		Target:        e.target,
 		FallTarget:    e.fall,
 		BackwardTaken: e.back,
-	}, e.code, false, TierTemplate), nil
+	}, code, false, TierTemplate), nil
 }
 
 // emitter assembles host code directly into the physical register file.
@@ -92,10 +94,10 @@ func (t *Translator) TranslateTemplate(mem CodeReader, addr uint32) (*Result, er
 // per-flag emitters, which keeps the worst-case template (a sub-size
 // ADC to memory with every flag live) inside the physical budget.
 type emitter struct {
-	code   []rawisa.Inst
-	next   uint8 // next free scratch register
-	ft, fu uint8 // shared flag-template scratch, allocated lazily
-	spill  bool  // a template overran the scratch registers
+	code   []rawisa.Inst // reused from block to block
+	next   uint8         // next free scratch register
+	ft, fu uint8         // shared flag-template scratch, allocated lazily
+	spill  bool          // a template overran the scratch registers
 
 	kind   ExitKind
 	target uint32

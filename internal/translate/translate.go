@@ -7,13 +7,18 @@ package translate
 
 import (
 	"fmt"
+	"slices"
 
+	"tilevm/internal/codegen"
 	"tilevm/internal/ir"
+	"tilevm/internal/opt"
 	"tilevm/internal/x86"
 )
 
 // CodeReader provides guest code bytes to the translator (implemented
-// by guest.Memory).
+// by guest.Memory). The window it returns is read-only and may be a
+// view of live guest memory; the translator decodes it before it
+// returns and keeps nothing that points into it.
 type CodeReader interface {
 	CodeWindow(addr uint32, n int) []byte
 }
@@ -84,19 +89,26 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("translate: at %#x: %s", e.Addr, e.Reason)
 }
 
+// blockWindow is the most code a block can cover: MaxBlockInsts
+// instructions of the architectural maximum length, plus the slack the
+// decoder may read past the last one.
+const blockWindow = MaxBlockInsts*x86.MaxInstLen + 4
+
 // DiscoverBlock decodes the guest basic block starting at addr:
 // instructions up to and including the first control transfer, capped
-// at MaxBlockInsts.
+// at MaxBlockInsts. The slice is the caller's.
 func DiscoverBlock(mem CodeReader, addr uint32) ([]x86.Inst, error) {
-	return discoverBlock(mem, addr, MaxBlockInsts)
+	return discoverBlock(mem, addr, MaxBlockInsts, nil)
 }
 
-func discoverBlock(mem CodeReader, addr uint32, cap int) ([]x86.Inst, error) {
-	var insts []x86.Inst
+// discoverBlock appends the block's instructions to insts[:0], decoding
+// them out of one code window.
+func discoverBlock(mem CodeReader, addr uint32, cap int, insts []x86.Inst) ([]x86.Inst, error) {
+	insts = insts[:0]
+	window := mem.CodeWindow(addr, blockWindow)
 	pc := addr
 	for len(insts) < cap {
-		window := mem.CodeWindow(pc, x86.MaxInstLen+4)
-		in, err := x86.Decode(window, pc)
+		in, err := x86.Decode(window[pc-addr:], pc)
 		if err != nil {
 			if len(insts) == 0 {
 				return nil, &Error{Addr: addr, Reason: err.Error()}
@@ -126,29 +138,63 @@ type Options struct {
 	ConservativeFlags bool
 }
 
-// Translator translates guest code into IR blocks. It is stateless
-// apart from configuration and may be shared by multiple translation
-// slave tiles (each call is independent).
+// Translator translates guest code. It owns the scratch the whole
+// pipeline works in — decode buffer, flag-liveness vector, IR builder,
+// optimizer and allocator tables, the template tier's emitter — so a
+// translation allocates only the Result it returns, and nothing in a
+// Result points into the scratch. There is one Translator per engine
+// (the engine's slave tiles take turns on it); it is not safe for
+// concurrent use.
 type Translator struct {
 	Opts Options
+
+	insts []x86.Inst // the block being translated
+	live  []uint32   // flag bits live after each instruction
+	bl    ir.Builder
+	opt   opt.Scratch
+	cg    codegen.Scratch
+	em    emitter // template tier
 }
 
 // New returns a translator with the given options.
 func New(opts Options) *Translator { return &Translator{Opts: opts} }
 
 // Translate builds the translated block starting at addr (IR form,
-// before register allocation). Most callers want TranslateFinal.
+// before register allocation) and returns a copy the caller owns. Most
+// callers want TranslateFinal.
 func (t *Translator) Translate(mem CodeReader, addr uint32) (*Block, error) {
-	return t.translate(mem, addr, MaxBlockInsts)
-}
-
-func (t *Translator) translate(mem CodeReader, addr uint32, cap int) (*Block, error) {
-	insts, err := discoverBlock(mem, addr, cap)
+	blk, err := t.translate(mem, addr, MaxBlockInsts)
 	if err != nil {
 		return nil, err
 	}
-	live := flagLiveness(insts, mem, t.Opts.ConservativeFlags)
-	lo := newLowerer(addr)
+	own := *blk.Block
+	own.Code, own.LabelPos = slices.Clone(own.Code), slices.Clone(own.LabelPos)
+	blk.Block = &own
+	return &blk, nil
+}
+
+// decode fills the translator's decode buffer with the block at addr
+// and its liveness vector with the flag bits live after each
+// instruction.
+func (t *Translator) decode(mem CodeReader, addr uint32, cap int) ([]x86.Inst, []uint32, error) {
+	insts, err := discoverBlock(mem, addr, cap, t.insts)
+	if err != nil {
+		return nil, nil, err
+	}
+	t.insts = insts
+	t.live = flagLiveness(insts, mem, t.Opts.ConservativeFlags, t.live)
+	return insts, t.live, nil
+}
+
+// translate lowers the block at addr into the translator's builder:
+// the IR of the Block it returns is scratch, gone at the next call.
+func (t *Translator) translate(mem CodeReader, addr uint32, cap int) (Block, error) {
+	insts, live, err := t.decode(mem, addr, cap)
+	if err != nil {
+		return Block{}, err
+	}
+	t.bl.Reset(addr)
+	lo := lowerer{bl: &t.bl}
 	for i := range insts {
 		if lo.bl.VRegsInUse() > maxVRegsPerBlock && i < len(insts)-1 && !insts[i].EndsBlock() {
 			// Out of temporaries: end the block early with a chain to
@@ -158,7 +204,7 @@ func (t *Translator) translate(mem CodeReader, addr uint32, cap int) (*Block, er
 			break
 		}
 		if err := lo.lower(&insts[i], live[i]); err != nil {
-			return nil, err
+			return Block{}, err
 		}
 	}
 	last := insts[len(insts)-1]
@@ -170,7 +216,7 @@ func (t *Translator) translate(mem CodeReader, addr uint32, cap int) (*Block, er
 	}
 	blk, err := lo.finish(end-addr, len(insts))
 	if err != nil {
-		return nil, &Error{Addr: addr, Reason: err.Error()}
+		return Block{}, &Error{Addr: addr, Reason: err.Error()}
 	}
 	return blk, nil
 }

@@ -119,7 +119,10 @@ var grp2Ops = [8]Op{ROL, ROR, RCL, RCR, SHL, SHR, SHL, SAR}
 
 // Decode decodes the instruction at the start of code, which begins at
 // guest address addr. The slice should extend at least MaxInstLen bytes
-// past the instruction start when available.
+// past the instruction start when available; at most MaxInstLen+4 bytes
+// of it are read, so a longer window decodes the same. Decode only
+// reads code and the Inst it returns holds no reference to it, which is
+// what lets a caller pass a view of live guest memory.
 func Decode(code []byte, addr uint32) (Inst, error) {
 	d := &decoder{code: code, addr: addr}
 	in := Inst{Addr: addr}
