@@ -48,12 +48,19 @@ race:
 # image in two slots on two shards: a translator works in a scratch of
 # its own (DESIGN.md §7 "Translator scratch"), one per engine, so here
 # the detector is what says no scratch is reachable from two shards, as
-# TestParallelDeterminism says it of two RunParallel jobs. Also part of
-# `check`.
+# TestParallelDeterminism says it of two RunParallel jobs. What
+# concurrent runs do share is the host's translation memo (DESIGN.md §7
+# "Translation memo") and through it every block it hands out, which
+# must therefore never be written after publication: the same two tests
+# run against one — the suite's memo under RunParallel's eight workers,
+# a memo shared by the two shards while it fills and once it is full,
+# with promotion on — and TestMemoConcurrent fills one from four
+# goroutines. Also part of `check`.
 racepar:
 	$(GO) test -race -short -run TestParallelDeterminism ./internal/bench
 	$(GO) test -race -cpu 1,2 -run 'TestHandler|TestFenceSameCycleWaiters' ./internal/sim
 	$(GO) test -race -cpu 2 -run TestFleetParallelSameImage ./internal/core
+	$(GO) test -race -cpu 2 -run TestMemoConcurrent ./internal/translate
 
 # Fleet scheduler under the race detector: the N-guest placement,
 # admission, and vmSwitch handoff tests, plus the schedule golden and

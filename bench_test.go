@@ -109,6 +109,12 @@ func BenchmarkMachineRunGzip(b *testing.B) { bench.MachineRunBench("164.gzip")(b
 // supply: about half of its host time is the translator.
 func BenchmarkMachineRunGcc(b *testing.B) { bench.MachineRunBench(bench.TranslateCorpusWorkload)(b) }
 
+// BenchmarkMachineRunGccWarm is the same run on a host that has run gcc
+// before: every block comes from a filled translation memo.
+func BenchmarkMachineRunGccWarm(b *testing.B) {
+	bench.MachineRunWarmBench(bench.TranslateCorpusWorkload)(b)
+}
+
 // BenchmarkMachineRunGzipTraced is BenchmarkMachineRunGzip with the
 // virtual-time tracer attached (full event timeline plus 10k-cycle
 // interval sampling) — the delta between the two is the cost of

@@ -2,8 +2,9 @@
 // re-measures the hot-path microbenchmarks (DES event dispatch, the
 // Advance/Recv round trip, the Tick-then-Recv round trip, the process
 // switch at 2 and 64 processes, the rawexec inner loop, a full machine
-// run of a data-bound and of a code-bound guest, tier-1 and tier-0
-// translation per block, the L1 code-cache fill)
+// run of a data-bound and of a code-bound guest and the code-bound one
+// again from a filled translation memo, tier-1 and tier-0 translation
+// per block, the L1 code-cache fill)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline.
@@ -286,6 +287,8 @@ func main() {
 		"rawexec_inner_loop": bmark(benchRawexecInnerLoop),
 		"machine_run_gzip":   bmark(bench.MachineRunBench("164.gzip")),
 		"machine_run_gcc":    bmark(bench.MachineRunBench(bench.TranslateCorpusWorkload)),
+
+		"machine_run_gcc_warm": bmark(bench.MachineRunWarmBench(bench.TranslateCorpusWorkload)),
 
 		"translate_block_tier1": bmark(bench.TranslateBlockBench(false)),
 		"translate_block_tier0": bmark(bench.TranslateBlockBench(true)),

@@ -14,6 +14,7 @@ import (
 	"tilevm/internal/core"
 	"tilevm/internal/guest"
 	"tilevm/internal/pentium"
+	"tilevm/internal/translate"
 	"tilevm/internal/workload"
 )
 
@@ -23,6 +24,11 @@ type Suite struct {
 	images   map[string]*guest.Image
 	base     map[string]*pentium.Result
 	runs     map[string]*core.Result
+	// memo holds the translations of the suite's images: a sweep runs
+	// each benchmark under dozens of configurations, and all of them
+	// translate the same blocks of the same image (core.Config.Memo).
+	// Shared by RunParallel's workers; results are unchanged by it.
+	memo *translate.Memo
 	// Quick subsamples the benchmark list (for smoke tests).
 	Quick bool
 	// Workers is the worker-pool width for RunParallel prefetches;
@@ -44,6 +50,7 @@ func NewSuite() *Suite {
 		images:   map[string]*guest.Image{},
 		base:     map[string]*pentium.Result{},
 		runs:     map[string]*core.Result{},
+		memo:     translate.NewMemo(),
 	}
 }
 
@@ -88,6 +95,7 @@ func (s *Suite) Run(name, cfgID string, cfg core.Config) (*core.Result, error) {
 	if r, ok := s.runs[key]; ok {
 		return r, nil
 	}
+	cfg.Memo = s.memo
 	r, err := core.Run(s.image(name), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s under %s: %w", name, cfgID, err)

@@ -72,6 +72,7 @@ func (s *Suite) FleetFaultSweep() (string, error) {
 			cfg := core.DefaultConfig()
 			cfg.Params.Width, cfg.Params.Height = grid[0], grid[1]
 			cfg.SimWorkers = s.SimWorkers // serial fallback under faults and deadlines, but always safe
+			cfg.Memo = s.memo
 			if k > 0 {
 				plan := &fault.Plan{Seed: 7}
 				for i := 0; i < k; i++ {

@@ -101,7 +101,9 @@ func (s *Suite) RunParallel(jobs []RunJob) error {
 	res := make([]*core.Result, len(pending))
 	errs := make([]error, len(pending))
 	pool(len(pending), func(i int) {
-		res[i], errs[i] = core.Run(s.images[pending[i].Bench], pending[i].Cfg)
+		cfg := pending[i].Cfg
+		cfg.Memo = s.memo
+		res[i], errs[i] = core.Run(s.images[pending[i].Bench], cfg)
 	})
 
 	// Deterministic assembly: merge in job order, mirroring Run.

@@ -37,6 +37,11 @@ func renderQuick(t *testing.T, workers int, short bool) string {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	b.WriteString(head)
+	// The workers shared the suite's translation memo: the sweep's
+	// configurations translate the same blocks of the same images.
+	if st := s.memo.Stats(); st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("workers=%d: suite memo unused: %+v", workers, st)
+	}
 	// Progress lines are part of the determinism contract: the parallel
 	// merge must announce fresh runs in the same order as serial
 	// execution.
@@ -48,7 +53,8 @@ func renderQuick(t *testing.T, workers int, short bool) string {
 // rendered with an 8-worker pool is byte-identical to the serial path,
 // including the order of progress lines. Under -race this also checks
 // that concurrent core.Run/pentium.Run executions share no mutable
-// state.
+// state — and that what they do share, the suite's translation memo and
+// every block it hands to two jobs at once, is never written.
 func TestParallelDeterminism(t *testing.T) {
 	serial := renderQuick(t, 1, testing.Short())
 	parallel := renderQuick(t, 8, testing.Short())

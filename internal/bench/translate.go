@@ -62,18 +62,39 @@ func TranslateBlockBench(tier0 bool) func(b *testing.B) {
 // the sim and core message machinery; 176.gcc
 // (TranslateCorpusWorkload) is its code-bound twin, where the
 // translator is about half of the run.
-func MachineRunBench(name string) func(b *testing.B) {
+func MachineRunBench(name string) func(b *testing.B) { return machineRunBench(name, false) }
+
+// MachineRunWarmBench is MachineRunBench for a host that has run the
+// workload before: every iteration runs against a translation memo
+// (core.Config.Memo) that one untimed run filled, so it reads what a
+// run costs when nothing is left to translate — the daemon's and the
+// figure suite's steady state.
+func MachineRunWarmBench(name string) func(b *testing.B) { return machineRunBench(name, true) }
+
+func machineRunBench(name string, warm bool) func(b *testing.B) {
 	p, ok := workload.ByName(name)
 	if !ok {
 		panic("bench: no workload " + name)
 	}
 	return func(b *testing.B) {
 		img := p.Build()
+		cfg := core.DefaultConfig()
+		if warm {
+			cfg.Memo = translate.NewMemo()
+			if _, err := core.Run(img, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(img, core.DefaultConfig()); err != nil {
+			if _, err := core.Run(img, cfg); err != nil {
 				b.Fatal(err)
+			}
+		}
+		if warm {
+			if st := cfg.Memo.Stats(); st.Hits == 0 || st.Bypassed != 0 {
+				b.Fatalf("warm runs of %s did not run from the memo: %+v", name, st)
 			}
 		}
 	}

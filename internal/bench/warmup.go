@@ -45,6 +45,7 @@ func (s *Suite) WarmupBench() (*WarmupResult, error) {
 		cfg.Tier0 = tier0
 		cfg.Speculative = spec
 		cfg.WarmupInsts = WarmupInsts
+		cfg.Memo = s.memo
 		r, err := core.Run(img, cfg)
 		if err != nil {
 			return 0, fmt.Errorf("warmup (tier0=%v spec=%v): %w", tier0, spec, err)

@@ -15,6 +15,7 @@ import (
 	"tilevm/internal/fault"
 	"tilevm/internal/raw"
 	"tilevm/internal/trace"
+	"tilevm/internal/translate"
 )
 
 // RecoveryMode selects how the manager handles a dead worker whose
@@ -159,6 +160,17 @@ type Config struct {
 	// a lightweight text alternative to Tracer.
 	DispatchLog      io.Writer
 	DispatchLogLimit int
+
+	// Memo, if non-nil, is the host's translation memo (translate.Memo):
+	// a slave tile asked for a block an earlier run of the same image
+	// already translated, from bytes this run has not written since
+	// loading, is handed that block instead of translating again. It
+	// saves host work only — the tile is charged the same occupancy and
+	// sends the same reply — so results are bit-identical with and
+	// without it. A memo belongs to a host that keeps its images for
+	// many runs (tilevmd, a bench.Suite) and may be shared by concurrent
+	// runs; with Memo nil every block is translated where it is needed.
+	Memo *translate.Memo
 
 	// Interrupt, if non-nil, lets a host goroutine cancel the run from
 	// outside virtual time (wall-clock timeouts, operator cancels): the

@@ -38,6 +38,7 @@ type engine struct {
 	cfg   Config
 	pl    placement
 	m     *raw.Machine
+	img   *guest.Image // what proc was loaded from
 	proc  *guest.Process
 	tr    *translate.Translator
 	stats metrics.Set
@@ -257,6 +258,7 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 		cfg:  cfg,
 		pl:   pl,
 		m:    raw.NewMachine(cfg.Params),
+		img:  img,
 		proc: guest.Load(img),
 		tr: translate.New(translate.Options{
 			Optimize:          cfg.Optimize,

@@ -246,10 +246,9 @@ func TestPlacementValidation(t *testing.T) {
 	}
 }
 
-// TestMachineSelfModifyingCode patches an instruction's immediate at
-// runtime, inside a hot chained loop, and checks the machine both
-// produces the reference result and records the invalidation.
-func TestMachineSelfModifyingCode(t *testing.T) {
+// smcImage is a guest that patches an instruction's immediate at
+// runtime, inside a hot chained loop.
+func smcImage() *guest.Image {
 	build := func(patchAddr uint32) *x86.Asm {
 		a := x86.NewAsm(guest.DefaultCodeBase)
 		a.MovRegImm(x86.EDX, 0)
@@ -276,7 +275,13 @@ func TestMachineSelfModifyingCode(t *testing.T) {
 	}
 	p1 := build(0)
 	a := build(p1.LabelAddr("patch"))
-	img := &guest.Image{Entry: guest.DefaultCodeBase, CodeBase: guest.DefaultCodeBase, Code: a.Bytes()}
+	return &guest.Image{Entry: guest.DefaultCodeBase, CodeBase: guest.DefaultCodeBase, Code: a.Bytes()}
+}
+
+// TestMachineSelfModifyingCode runs smcImage and checks the machine
+// both produces the reference result and records the invalidation.
+func TestMachineSelfModifyingCode(t *testing.T) {
+	img := smcImage()
 
 	res := checkAgainstReference(t, img, DefaultConfig())
 	if res.M.SMCInvalidations == 0 {

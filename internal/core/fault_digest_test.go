@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tilevm/internal/fault"
+	"tilevm/internal/translate"
 )
 
 // Single-VM fault-path golden. TestFleetScheduleDigest pins fleets
@@ -154,7 +155,7 @@ var runGoldens = []runGolden{
 		want: [3]string{"1377298:502631:bdc28d954bb067ab", "3426270:5837231:fc9e54158ff0762a", "14661881:15282543:f2c052633b222f18"}},
 }
 
-func (g *runGolden) run(t *testing.T, guest string) string {
+func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 4_000_000_000
@@ -164,6 +165,7 @@ func (g *runGolden) run(t *testing.T, guest string) string {
 	if g.cfg != nil {
 		g.cfg(&cfg)
 	}
+	cfg.Memo = memo
 	if g.traced {
 		cfg.Tracer = NewTracer(50_000)
 	}
@@ -204,12 +206,36 @@ func (g *runGolden) run(t *testing.T, guest string) string {
 }
 
 func TestRunFaultDigest(t *testing.T) {
+	// Every row twice: translating everything itself, and against a
+	// translation memo that plain runs of the guests filled beforehand,
+	// so most of what a row translates — under faults, retries, tiers
+	// and rollback — is handed to it. The goldens are the same.
+	memo := prefilledMemo(t, runGoldenGuests[:]...)
 	for i := range runGoldens {
 		g := &runGoldens[i]
 		for gi, guest := range runGoldenGuests {
-			if got := g.run(t, guest); got != g.want[gi] {
+			if got := g.run(t, guest, nil); got != g.want[gi] {
 				t.Errorf("%s/%s: digest %q, golden %q", g.name, guest, got, g.want[gi])
+			}
+			if got := g.run(t, guest, memo); got != g.want[gi] {
+				t.Errorf("%s/%s: digest %q with a pre-filled memo, golden %q", g.name, guest, got, g.want[gi])
 			}
 		}
 	}
+}
+
+// prefilledMemo returns a memo holding what a default and a tier-0 run
+// of each guest translate.
+func prefilledMemo(t *testing.T, guests ...string) *translate.Memo {
+	t.Helper()
+	memo := translate.NewMemo()
+	for _, img := range fleetImgs(t, guests...) {
+		for _, cfg := range []Config{fleetCfg(4, 4), tier0Cfg()} {
+			cfg.Memo = memo
+			if _, err := Run(img, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return memo
 }

@@ -422,6 +422,7 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 		cfg:  fl.cfg,
 		pl:   fl.slots[si],
 		m:    fl.m,
+		img:  fl.imgs[gi],
 		proc: guest.Load(fl.imgs[gi]),
 		tr: translate.New(translate.Options{
 			Optimize:          fl.cfg.Optimize,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tilevm/internal/fault"
+	"tilevm/internal/translate"
 )
 
 // Fleet schedule golden. The invariance, replay and chaos batteries
@@ -52,7 +53,7 @@ type fleetGolden struct {
 	want string
 }
 
-func (g *fleetGolden) run(t *testing.T) string {
+func (g *fleetGolden) run(t *testing.T, memo *translate.Memo) string {
 	t.Helper()
 	cfg := fleetCfg(g.w, g.h)
 	layout, err := FleetSlotLayout(cfg.Params)
@@ -65,6 +66,7 @@ func (g *fleetGolden) run(t *testing.T) string {
 	if g.traced {
 		cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
 	}
+	cfg.Memo = memo
 	var fc FleetConfig
 	if g.fc != nil {
 		fc = g.fc(t, g)
@@ -189,10 +191,16 @@ var fleetGoldens = []fleetGolden{
 }
 
 func TestFleetScheduleDigest(t *testing.T) {
+	// Each fleet twice: without a translation memo, and against one
+	// filled beforehand (see TestRunFaultDigest).
+	memo := prefilledMemo(t, "164.gzip", "181.mcf")
 	for i := range fleetGoldens {
 		g := &fleetGoldens[i]
-		if got := g.run(t); got != g.want {
+		if got := g.run(t, nil); got != g.want {
 			t.Errorf("%s: digest %q, golden %q", g.name, got, g.want)
+		}
+		if got := g.run(t, memo); got != g.want {
+			t.Errorf("%s: digest %q with a pre-filled memo, golden %q", g.name, got, g.want)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"tilevm/internal/translate"
 )
 
 // runFleetWorkers runs the same fleet at a given worker count and
@@ -63,6 +65,13 @@ func TestFleetParallelOversubscribed(t *testing.T) {
 // and an engine to one shard, so under -race (make racepar) this is what
 // shows that nothing of the translation pipeline is shared between
 // shards; the results must also be the serial loop's.
+//
+// What the two shards may share is a translation memo (Config.Memo), and
+// through it every block it hands out: the memo legs run the same fleet
+// against one memo, first empty — both shards miss on the same blocks
+// and publish at once — then full, so both execute, cache and chain the
+// very same Results. A published Result is read-only; the detector is
+// what says no code cache, promotion or fill ever wrote through one.
 func TestFleetParallelSameImage(t *testing.T) {
 	names := []string{"164.gzip", "164.gzip"}
 	fc := FleetConfig{MaxSlots: 2}
@@ -73,6 +82,33 @@ func TestFleetParallelSameImage(t *testing.T) {
 	}
 	if n := base.Fleet.GuestsFinished; n != 2 {
 		t.Fatalf("%d of 2 guests finished", n)
+	}
+
+	for _, tier0 := range []bool{false, true} {
+		cfg := fleetCfg(8, 8)
+		cfg.SimWorkers = 2
+		if tier0 {
+			// Promotion replaces a block in the manager's L2 and flushes
+			// the L1 that chained it: the writers closest to a Result.
+			cfg.Tier0, cfg.TierUpThreshold = true, 2_000
+		}
+		want, err := RunFleet(fleetImgs(t, names...), cfg, fc)
+		if err != nil {
+			t.Fatalf("tier0=%v: %v", tier0, err)
+		}
+		cfg.Memo = translate.NewMemo()
+		for _, leg := range []string{"filling", "full"} {
+			r, err := RunFleet(fleetImgs(t, names...), cfg, fc)
+			if err != nil {
+				t.Fatalf("tier0=%v, %s memo: %v", tier0, leg, err)
+			}
+			if !reflect.DeepEqual(r, want) {
+				t.Errorf("tier0=%v, two shards, %s memo: fleet result differs\nwant: %+v\n got: %+v", tier0, leg, want, r)
+			}
+		}
+		if st := cfg.Memo.Stats(); st.Hits == 0 || st.Bypassed != 0 {
+			t.Errorf("tier0=%v: memo stats %+v: want hits and nothing bypassed", tier0, st)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"tilevm/internal/fault"
@@ -20,20 +21,33 @@ func fleetCfg(w, h int) Config {
 	return cfg
 }
 
-// fleetImgs builds guest images by workload name.
+// builtImgs holds the one image the test binary builds per workload.
+// Images are read-only once built (guest.Load copies them), and a
+// translation memo tells images apart by identity, so every test that
+// names a workload gets the same *guest.Image.
+var builtImgs struct {
+	sync.Mutex
+	m map[string]*guest.Image
+}
+
+// fleetImgs returns guest images by workload name.
 func fleetImgs(t *testing.T, names ...string) []*guest.Image {
 	t.Helper()
+	builtImgs.Lock()
+	defer builtImgs.Unlock()
+	if builtImgs.m == nil {
+		builtImgs.m = map[string]*guest.Image{}
+	}
 	imgs := make([]*guest.Image, len(names))
-	built := map[string]*guest.Image{}
 	for i, n := range names {
-		img, ok := built[n]
+		img, ok := builtImgs.m[n]
 		if !ok {
 			p, ok := workload.ByName(n)
 			if !ok {
 				t.Fatalf("unknown workload %q", n)
 			}
 			img = p.Build()
-			built[n] = img
+			builtImgs.m[n] = img
 		}
 		imgs[i] = img
 	}

@@ -541,7 +541,7 @@ func (st *managerState) dispatch() {
 func (st *managerState) workFor(pc uint32, depth int) work {
 	return work{
 		PC: pc, Depth: depth, Gen: st.e.smcGen,
-		Translator: st.e.tr, Mem: st.e.proc.Mem, Optimize: st.e.cfg.Optimize,
+		Translator: st.e.tr, Mem: st.e.proc.Mem, Image: st.e.img, Optimize: st.e.cfg.Optimize,
 		Tier0: st.e.cfg.Tier0 && depth == 0 && !st.entry(pc).promote,
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "tilevm/internal/translate"
+import (
+	"tilevm/internal/guest"
+	"tilevm/internal/translate"
+)
 
 // Message payloads exchanged on the dynamic network between tile
 // kernels. Sizes (in words) are charged at the sending side; the
@@ -47,8 +50,11 @@ type work struct {
 	Depth      int
 	Gen        uint64
 	Translator *translate.Translator
-	Mem        translate.CodeReader
-	Optimize   bool
+	Mem        translate.ImageMemory
+	// Image identifies what Mem was loaded from, for the translation
+	// memo (Config.Memo).
+	Image    *guest.Image
+	Optimize bool
 	// Tier0 selects the IR-less template tier for this unit; the
 	// manager forces it off when the unit is a promotion re-translate.
 	Tier0 bool

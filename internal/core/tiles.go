@@ -163,11 +163,21 @@ func (k *workerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 // the modeled translation occupancy, and reports the result. Tier
 // choice goes through translate.TranslateTier — the single dispatch
 // point shared with rollback re-translation — so record/replay and
-// restore can never disagree on which tier produced a block.
+// restore can never disagree on which tier produced a block. A host
+// that runs the same images again and again supplies a memo
+// (Config.Memo), which hands back the block an earlier run translated
+// from the same bytes; the occupancy and the reply size below are
+// charged from the block either way, so the tile is exactly as busy.
 func (e *engine) doTranslate(c *raw.TileCtx, m work, replyTo int) {
 	P := &e.cfg.Params
 	t0 := c.Now()
-	res, err := m.Translator.TranslateTier(m.Mem, m.PC, m.Tier0)
+	var res *translate.Result
+	var err error
+	if mo := e.cfg.Memo; mo != nil {
+		res, err = mo.TranslateTier(m.Translator, m.Image, m.Mem, m.PC, m.Tier0)
+	} else {
+		res, err = m.Translator.TranslateTier(m.Mem, m.PC, m.Tier0)
+	}
 	if err != nil {
 		c.Tick(P.TransBaseOcc)
 		e.trc().Span(c.Tile, "translate", t0, c.Now(), "pc", uint64(m.PC), "depth", uint64(m.Depth))

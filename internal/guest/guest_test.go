@@ -95,6 +95,58 @@ func TestMemoryBulkReads(t *testing.T) {
 	}
 }
 
+// TestPristine: Load seals the address space; from then on a range is
+// pristine until a page it touches is written — at page granularity,
+// whatever is written — and a restored memory is not pristine anywhere.
+func TestPristine(t *testing.T) {
+	if NewMemory().Pristine(0, 1) {
+		t.Error("a memory nothing was loaded into reports a pristine range")
+	}
+	img := &Image{Entry: DefaultCodeBase, CodeBase: DefaultCodeBase, Code: []byte{0x90, 0xC3}}
+	m := Load(img).Mem
+	const page = 1 << 16
+	for _, r := range []struct {
+		addr uint32
+		n    int
+	}{{DefaultCodeBase, 2}, {DefaultCodeBase, 3 * page}, {0x7000_0000, 484}, {0xFFFF_FFF0, 64}, {DefaultStackTop - 12, 12}, {5, 0}} {
+		if !m.Pristine(r.addr, r.n) {
+			t.Errorf("freshly loaded: [%#x, +%d) not pristine", r.addr, r.n)
+		}
+	}
+
+	snap := m.Capture(nil) // a checkpoint is not a write
+	if !m.Pristine(DefaultCodeBase, 2) {
+		t.Error("Capture made the code page dirty")
+	}
+	const written = 0x0806_0000             // a page boundary
+	m.Write8(written+7, m.Read8(written+7)) // same value: still a write
+	for _, r := range []struct {
+		addr uint32
+		n    int
+		want bool
+	}{
+		{written - page, page, true},
+		{written - page, page + 1, false},
+		{written + 100, 1, false},
+		{written + page, 8, true},
+		{written - 10, 3 * page, false},
+		{DefaultCodeBase, 2, true},
+	} {
+		if got := m.Pristine(r.addr, r.n); got != r.want {
+			t.Errorf("after a write to page %#x: Pristine(%#x, %d) = %v, want %v", written, r.addr, r.n, got, r.want)
+		}
+	}
+	m.Write8(3, 1)
+	if m.Pristine(0xFFFF_FFF0, 64) {
+		t.Error("a range wrapping onto a written page 0 is pristine")
+	}
+
+	m.Restore(snap)
+	if m.Pristine(DefaultCodeBase, 2) || m.Pristine(0x7000_0000, 1) {
+		t.Error("a restored memory reports a pristine range")
+	}
+}
+
 // TestCodeWindowIsAView documents what CodeWindow returns when the
 // window lies in one mapped page: the page itself, so a later write
 // shows through. Nobody may rely on either behaviour — x86.Decode

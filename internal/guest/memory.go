@@ -27,10 +27,20 @@ const (
 // address space incrementally: only pages written since the previous
 // capture are copied; clean pages share the prior snapshot's immutable
 // backing.
+//
+// The same generations answer a second question, for the translation
+// memo (translate.Memo): does a range still hold exactly what the
+// loader mapped there? Load seals the fresh address space — sealGen is
+// the generation the image was written in, and the current generation
+// moves past it — so a page is pristine while its write generation has
+// not passed the seal. The granularity is the 64 KB page: one store
+// anywhere in a page makes all of it not pristine for the rest of the
+// run.
 type Memory struct {
 	pages    [numPages]*[pageSize]byte
 	writeGen [numPages]uint32
 	gen      uint32 // current capture generation; bumped by Capture
+	sealGen  uint32 // generation of the loaded image; 0 = nothing is pristine
 }
 
 // NewMemory returns an empty address space.
@@ -47,6 +57,35 @@ func (m *Memory) page(addr uint32, alloc bool) *[pageSize]byte {
 		m.writeGen[idx] = m.gen
 	}
 	return p
+}
+
+// Seal marks everything written so far as the loaded image: until a
+// page is next written, Pristine reports it unchanged. Restore unseals.
+func (m *Memory) Seal() {
+	m.sealGen = m.gen
+	m.gen++
+}
+
+// Pristine reports whether the n bytes at addr are untouched since
+// Seal: no page they lie in has been written (or restored) after it.
+// Unmapped pages count — they read as zero in every run of the image.
+// The range wraps at 4 GB like every other access.
+func (m *Memory) Pristine(addr uint32, n int) bool {
+	if m.sealGen == 0 {
+		return false
+	}
+	if n <= 0 {
+		return true
+	}
+	last := (addr + uint32(n) - 1) >> pageShift
+	for idx := addr >> pageShift; ; idx = (idx + 1) & (numPages - 1) {
+		if m.writeGen[idx] > m.sealGen {
+			return false
+		}
+		if idx == last {
+			return true
+		}
+	}
 }
 
 // Read8 reads one byte.

@@ -108,6 +108,8 @@ type Process struct {
 
 // Load maps an image and prepares the initial register state: ESP at
 // the stack top with a minimal (argc=0, argv=NULL, envp=NULL) frame.
+// The address space is sealed on return: what Load wrote is a function
+// of the image alone, so it is the same in every process loaded from it.
 func Load(img *Image) *Process {
 	mem := NewMemory()
 	mem.WriteBytes(img.CodeBase, img.Code)
@@ -133,6 +135,7 @@ func Load(img *Image) *Process {
 	sp -= 4
 	mem.Write32(sp, 0)
 	p.SetReg(x86.ESP, sp)
+	mem.Seal()
 	return p
 }
 

@@ -46,8 +46,10 @@ func (m *Memory) Capture(prev *MemImage) *MemImage {
 
 // Restore replaces the address space contents with the snapshot. Pages
 // are installed as fresh copies so future writes cannot corrupt the
-// (shared, immutable) snapshot backing.
+// (shared, immutable) snapshot backing. Nothing is pristine afterwards:
+// the contents are the snapshot's, not the loaded image's.
 func (m *Memory) Restore(img *MemImage) {
+	m.sealGen = 0
 	for i := range m.pages {
 		m.pages[i] = nil
 		m.writeGen[i] = 0

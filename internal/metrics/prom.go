@@ -166,17 +166,23 @@ func (g *Gauge) writeProm(w io.Writer) error {
 // quantities the owner already tracks (queue depth, jobs in flight).
 // The callback must be safe to call from the scraping goroutine.
 type GaugeFunc struct {
-	name, help string
-	fn         func() float64
+	name, help, typ string
+	fn              func() float64
 }
 
 // NewGaugeFunc registers a callback-backed gauge.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	r.register(name, &GaugeFunc{name: name, help: help, fn: fn})
+	r.register(name, &GaugeFunc{name: name, help: help, typ: "gauge", fn: fn})
+}
+
+// NewCounterFunc registers a callback-backed counter: a total the owner
+// already keeps and never decreases.
+func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
+	r.register(name, &GaugeFunc{name: name, help: help, typ: "counter", fn: fn})
 }
 
 func (g *GaugeFunc) writeProm(w io.Writer) error {
-	if err := writeHeader(w, g.name, g.help, "gauge"); err != nil {
+	if err := writeHeader(w, g.name, g.help, g.typ); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))

@@ -3,6 +3,7 @@ package rawexec
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"tilevm/internal/rawisa"
 )
@@ -36,6 +37,9 @@ type Program struct {
 
 // Len returns the number of predecoded instructions.
 func (p *Program) Len() int { return len(p.ops) }
+
+// Bytes returns the storage the predecoded instructions occupy.
+func (p *Program) Bytes() int { return len(p.ops) * int(unsafe.Sizeof(uop{})) }
 
 // Reset empties the program. The backing store is kept for reuse.
 func (p *Program) Reset() { p.ops = p.ops[:0] }

@@ -113,7 +113,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("get = %d", code)
 	}
 	if got.State != StateFinished.String() || got.Result == nil {
-		t.Errorf("job view = %+v, want finished with result", got)
+		t.Fatalf("job view = %+v, want finished with result", got)
+	}
+	if got.Result.Stdout != stubStdout || got.Result.ExitCode != 7 {
+		t.Errorf("job result = %+v, want the guest's exit code 7 and stdout %q", got.Result, stubStdout)
 	}
 	var list []JobView
 	if code := doJSON(t, srv, "GET", "/api/v1/jobs", "", &list); code != 200 || len(list) != 2 {

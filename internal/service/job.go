@@ -137,6 +137,7 @@ type Spec struct {
 type JobResult struct {
 	Cycles    uint64 `json:"cycles"`
 	ExitCode  int32  `json:"exit_code"`
+	Stdout    string `json:"stdout"`
 	HostInsts uint64 `json:"host_insts"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"tilevm/internal/metrics"
+	"tilevm/internal/translate"
 )
 
 // svcMetrics is the daemon's Prometheus family set. Counters are
@@ -80,6 +81,26 @@ func (s *Service) initMetrics() {
 			}
 			return float64(m.hostInsts.Value()) / up
 		})
+	// The translation memo keeps its own counts (they belong to the
+	// daemon, not to any job's result); /metrics reads them at scrape.
+	memo := func(get func(translate.MemoStats) float64) func() float64 {
+		return func() float64 { return get(s.memo.Stats()) }
+	}
+	r.NewCounterFunc("tilevmd_translation_memo_hits_total",
+		"Translations served from the daemon's translation memo.",
+		memo(func(st translate.MemoStats) float64 { return float64(st.Hits) }))
+	r.NewCounterFunc("tilevmd_translation_memo_misses_total",
+		"Blocks translated and published to the memo (first sight of a block of an image).",
+		memo(func(st translate.MemoStats) float64 { return float64(st.Misses) }))
+	r.NewCounterFunc("tilevmd_translation_memo_bypassed_total",
+		"Translations done from live guest memory because the code's page was written after loading.",
+		memo(func(st translate.MemoStats) float64 { return float64(st.Bypassed) }))
+	r.NewGaugeFunc("tilevmd_translation_memo_entries",
+		"Blocks held by the translation memo.",
+		memo(func(st translate.MemoStats) float64 { return float64(st.Entries) }))
+	r.NewGaugeFunc("tilevmd_translation_memo_bytes",
+		"Storage held by the translation memo's entries.",
+		memo(func(st translate.MemoStats) float64 { return float64(st.Bytes) }))
 	r.NewGaugeFunc("tilevmd_up",
 		"1 while the daemon is serving.", func() float64 { return 1 })
 }

@@ -21,6 +21,7 @@ import (
 	"tilevm/internal/core"
 	"tilevm/internal/guest"
 	"tilevm/internal/metrics"
+	"tilevm/internal/translate"
 	"tilevm/internal/workload"
 )
 
@@ -121,6 +122,12 @@ type Service struct {
 	drained  chan struct{}
 
 	imgs map[string]*guest.Image // workload name → built image
+	// memo holds the translations of imgs for the daemon's lifetime:
+	// jobs name workloads from a fixed catalogue, so after the first job
+	// of a workload every later one finds its blocks translated
+	// (core.Config.Memo). Bounded by the catalogue — about 24 MB if all
+	// eleven profiles are ever served — so there is nothing to size.
+	memo *translate.Memo
 
 	m       svcMetrics
 	started time.Time
@@ -144,6 +151,7 @@ func New(cfg Config) (*Service, error) {
 		running: map[string]*job{},
 		drained: make(chan struct{}),
 		imgs:    map[string]*guest.Image{},
+		memo:    translate.NewMemo(),
 		started: time.Now(),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -496,6 +504,7 @@ func (s *Service) runBatch(batch []*job, intr *core.InterruptHandle) (res *core.
 	cfg.MaxCycles = s.cfg.MaxCycles
 	cfg.SimWorkers = s.cfg.SimWorkers
 	cfg.Interrupt = intr
+	cfg.Memo = s.memo
 	fc := core.FleetConfig{Deadlines: deadlines, Planner: s.cfg.Planner}
 	if s.cfg.Planner {
 		fc.Profiles = make([]core.GuestProfile, len(batch))
@@ -548,6 +557,7 @@ func (s *Service) settleBatchLocked(batch []*job, res *core.FleetResult, err err
 				j.result = &JobResult{
 					Cycles:    g.Result.Cycles,
 					ExitCode:  g.Result.ExitCode,
+					Stdout:    g.Result.Stdout,
 					HostInsts: g.Result.M.HostInsts,
 				}
 			}

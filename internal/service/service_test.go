@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,6 +28,9 @@ type stubFleet struct {
 	panics  bool
 }
 
+// stubStdout is what every stubbed guest prints.
+const stubStdout = "stub guest\nsays hi\n"
+
 func newStub() *stubFleet {
 	return &stubFleet{release: make(chan struct{}, 8), quit: make(chan struct{})}
 }
@@ -45,7 +49,7 @@ func (f *stubFleet) run(imgs []*guest.Image, _ core.Config, _ core.FleetConfig) 
 	for i := range res.Guests {
 		res.Guests[i] = &core.GuestResult{
 			Status: core.GuestFinished,
-			Result: &core.Result{Cycles: 100},
+			Result: &core.Result{Cycles: 100, ExitCode: 7, Stdout: stubStdout},
 		}
 	}
 	return res, nil
@@ -127,15 +131,83 @@ func TestServiceRunsJobsEndToEnd(t *testing.T) {
 	if got := s.List(); len(got) != 3 {
 		t.Errorf("List returned %d jobs, want 3", len(got))
 	}
+	// Three jobs of one workload: the daemon translated gzip once.
+	st := s.memo.Stats()
+	if st.Misses == 0 || st.Hits < st.Misses || st.Bypassed != 0 {
+		t.Errorf("memo stats %+v: want every block missed once, then hit", st)
+	}
 	text := s.Metrics().Text()
 	for _, want := range []string{
 		"tilevmd_jobs_submitted_total 3",
 		`tilevmd_jobs_terminal_total{state="finished"} 3`,
 		"tilevmd_queue_depth 0",
+		"# TYPE tilevmd_translation_memo_hits_total counter",
+		fmt.Sprintf("tilevmd_translation_memo_hits_total %d", st.Hits),
+		fmt.Sprintf("tilevmd_translation_memo_misses_total %d", st.Misses),
+		"tilevmd_translation_memo_bypassed_total 0",
+		fmt.Sprintf("tilevmd_translation_memo_entries %d", st.Entries),
+		fmt.Sprintf("tilevmd_translation_memo_bytes %d", st.Bytes),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestJobResultCarriesGuestOutput: a finished job reports what its
+// guest printed and the code it exited with.
+func TestJobResultCarriesGuestOutput(t *testing.T) {
+	f := newStub()
+	s := newTestService(t, Config{}, f)
+	v := mustSubmit(t, s, Spec{Workload: "164.gzip"})
+	f.release <- struct{}{}
+	got := await(t, s, v.ID)
+	if got.Result == nil || got.Result.Stdout != stubStdout || got.Result.ExitCode != 7 {
+		t.Errorf("result = %+v, want exit code 7 and stdout %q", got.Result, stubStdout)
+	}
+}
+
+// TestMemoSteadyState drives the daemon the way tilebench's svc_closed
+// does — a closed loop keeping twice the slot count outstanding, jobs
+// drawn evenly from six profiles — and checks that the translation memo
+// reaches a steady state with the warm-up round: once every profile has
+// been served, later jobs translate (next to) nothing. A slot's place
+// on the fabric shifts a guest's speculation slightly, so a late job
+// may still reach a block no earlier one did; nothing is bypassed.
+func TestMemoSteadyState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("48 real jobs")
+	}
+	profiles := []string{"164.gzip", "181.mcf", "197.parser", "256.bzip2", "175.vpr", "254.gap"}
+	const outstanding, round = 16, 24
+	s := newTestService(t, Config{}, nil)
+	closedLoop := func() {
+		var inflight []string
+		next := 0
+		for next < round || len(inflight) > 0 {
+			for next < round && len(inflight) < outstanding {
+				v := mustSubmit(t, s, Spec{Workload: profiles[next%len(profiles)], Class: Class(next % int(numClasses))})
+				inflight = append(inflight, v.ID)
+				next++
+			}
+			v := await(t, s, inflight[0])
+			inflight = inflight[1:]
+			if v.State != StateFinished.String() {
+				t.Fatalf("job %s (%s): %s %s", v.ID, v.Workload, v.State, v.Error)
+			}
+		}
+	}
+	closedLoop()
+	warm := s.memo.Stats()
+	closedLoop()
+	st := s.memo.Stats()
+	hits, misses := st.Hits-warm.Hits, st.Misses-warm.Misses
+	t.Logf("warm-up %+v; timed round: %d hits, %d misses", warm, hits, misses)
+	if st.Bypassed != 0 {
+		t.Errorf("%d translations bypassed the memo; no catalogue guest writes its code pages", st.Bypassed)
+	}
+	if share := float64(hits) / float64(hits+misses); share < 0.99 {
+		t.Errorf("hit share %.4f over the timed round (%d hits, %d misses), want >= 0.99", share, hits, misses)
 	}
 }
 

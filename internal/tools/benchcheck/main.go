@@ -1,6 +1,7 @@
 // Command benchcheck is the perf-regression smoke gate: it re-measures
 // the headline simulator benchmarks (the machine_run_gzip micro and its
-// code-bound twin machine_run_gcc, the serial quick figure suite, the
+// code-bound twin machine_run_gcc, that one again from a filled
+// translation memo, the serial quick figure suite, the
 // quick fleet fault-tolerance sweep, and the sharded-engine parallel_sim
 // fleet) and compares them against the recorded trajectory in
 // BENCH_sim.json, plus the translator's per-block cost in time,
@@ -87,6 +88,18 @@ func loadBaseline(path string) (*baseline, error) {
 const (
 	blockAllocTol = 1.03
 	blockBytesTol = 1.10
+)
+
+// A gcc run translates some 27,000 blocks and allocates three objects
+// for each, so one more per translation is +18% of its allocs/op: the
+// run without a translation memo must keep allocating what it did
+// before there was one, and gccAllocTol is tight enough to say so.
+// warmRatio is what a memo has to be worth: a run with nothing left to
+// translate, measured here beside the run that translates everything,
+// in at most three quarters of its time.
+const (
+	gccAllocTol = 1.03
+	warmRatio   = 0.75
 )
 
 // metric is one baseline-vs-measured comparison. The gate trips when
@@ -176,15 +189,27 @@ func main() {
 	// A baseline that predates machine_run_gcc reads zero and is
 	// reported, not failed.
 	var ms []metric
-	for _, k := range []struct{ name, workload string }{
-		{"machine_run_gzip", "164.gzip"}, {"machine_run_gcc", bench.TranslateCorpusWorkload}} {
+	for _, k := range []struct {
+		name, workload string
+		allocTol       float64
+		warm           bool // also measured against a filled translation memo
+	}{
+		{"machine_run_gzip", "164.gzip", *allocTol, false},
+		{"machine_run_gcc", bench.TranslateCorpusWorkload, min(*allocTol, gccAllocTol), true}} {
 		fmt.Fprintf(os.Stderr, "benchcheck: measuring %s...\n", k.name)
 		r := testing.Benchmark(bench.MachineRunBench(k.workload))
 		b := base.Micro[k.name]
 		ms = append(ms,
 			metric{k.name + " ns/op", float64(b.NsPerOp), float64(r.NsPerOp()), *timeTol},
-			metric{k.name + " allocs/op", float64(b.AllocsPerOp), float64(r.AllocsPerOp()), *allocTol},
+			metric{k.name + " allocs/op", float64(b.AllocsPerOp), float64(r.AllocsPerOp()), k.allocTol},
 			metric{k.name + " bytes/op", float64(b.BytesPerOp), float64(r.AllocedBytesPerOp()), *allocTol})
+		if k.warm {
+			fmt.Fprintf(os.Stderr, "benchcheck: measuring %s_warm...\n", k.name)
+			w := testing.Benchmark(bench.MachineRunWarmBench(k.workload))
+			ms = append(ms,
+				metric{k.name + "_warm ns/op", float64(base.Micro[k.name+"_warm"].NsPerOp), float64(w.NsPerOp()), *timeTol},
+				metric{k.name + "_warm vs cold", float64(r.NsPerOp()), float64(w.NsPerOp()), warmRatio})
+		}
 	}
 	// Translator per-block cost over the 176.gcc corpus. A baseline that
 	// predates the entries reads zero and is reported, not failed.

@@ -1,7 +1,9 @@
 // Command servicesmoke is the tilevmd end-to-end smoke gate: it
 // starts a real daemon process on an ephemeral port, submits two
-// guests over HTTP, polls them to completion, scrapes /metrics for
-// the daemon's families, then sends SIGTERM and asserts a graceful
+// guests over HTTP, polls them to completion, submits the first
+// workload again — the repeat must be served from the daemon's
+// translation memo and end exactly as the first did — scrapes /metrics
+// for the daemon's families, then sends SIGTERM and asserts a graceful
 // drain — every retained job terminal and a clean exit 0.
 //
 //	go build -o /tmp/tilevmd ./cmd/tilevmd
@@ -19,6 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -50,9 +53,83 @@ func getJSON(base, path string, out any) {
 }
 
 type jobView struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	Error string `json:"error"`
+	ID     string `json:"id"`
+	State  string `json:"state"`
+	Error  string `json:"error"`
+	Result *struct {
+		Cycles   uint64 `json:"cycles"`
+		ExitCode int32  `json:"exit_code"`
+		Stdout   string `json:"stdout"`
+	} `json:"result"`
+}
+
+// submit posts one job and returns its id.
+func submit(base, wl string) string {
+	body := fmt.Sprintf(`{"workload":%q,"timeout_ms":90000}`, wl)
+	resp, err := http.Post(base+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		fail("submit %s: %v", wl, err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		fail("submit %s: %d %s", wl, resp.StatusCode, data)
+	}
+	var v jobView
+	if err := json.Unmarshal(data, &v); err != nil || v.ID == "" {
+		fail("submit %s: bad view %s (%v)", wl, data, err)
+	}
+	return v.ID
+}
+
+// awaitFinished polls a job to its terminal state, which must be
+// "finished" with a result.
+func awaitFinished(base, id string, deadline time.Time) jobView {
+	for {
+		if time.Now().After(deadline) {
+			fail("job %s did not finish in time", id)
+		}
+		var v jobView
+		getJSON(base, "/api/v1/jobs/"+id, &v)
+		switch v.State {
+		case "finished":
+			if v.Result == nil {
+				fail("job %s finished without a result", id)
+			}
+			return v
+		case "queued", "running":
+			time.Sleep(100 * time.Millisecond)
+		default:
+			fail("job %s ended %s (%s), want finished", id, v.State, v.Error)
+		}
+	}
+}
+
+// scrape fetches /metrics.
+func scrape(base string) []byte {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		fail("GET /metrics: %v", err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		fail("metrics content type %q", ct)
+	}
+	return metrics
+}
+
+// sample returns the value of an unlabelled metric in a scrape.
+func sample(metrics []byte, name string) float64 {
+	m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindSubmatch(metrics)
+	if m == nil {
+		fail("metrics missing %s:\n%s", name, metrics)
+	}
+	v, err := strconv.ParseFloat(string(m[1]), 64)
+	if err != nil {
+		fail("metric %s: %v", name, err)
+	}
+	return v
 }
 
 func main() {
@@ -120,63 +197,39 @@ func main() {
 
 	// Submit two guests; the 4×4 grid gives 2 VM slots, so they run
 	// as one batch.
-	ids := make([]string, 0, 2)
-	for _, wl := range []string{"164.gzip", "181.mcf"} {
-		body := fmt.Sprintf(`{"workload":%q,"timeout_ms":90000}`, wl)
-		resp, err := http.Post(base+"/api/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			fail("submit %s: %v", wl, err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			fail("submit %s: %d %s", wl, resp.StatusCode, data)
-		}
-		var v jobView
-		if err := json.Unmarshal(data, &v); err != nil || v.ID == "" {
-			fail("submit %s: bad view %s (%v)", wl, data, err)
-		}
-		ids = append(ids, v.ID)
-	}
+	ids := []string{submit(base, "164.gzip"), submit(base, "181.mcf")}
 	fmt.Printf("servicesmoke: submitted %v\n", ids)
-
-	// Poll both jobs to their terminal state.
-	for _, id := range ids {
-		for {
-			if time.Now().After(deadline) {
-				fail("job %s did not finish within %v", id, *timeout)
-			}
-			var v jobView
-			getJSON(base, "/api/v1/jobs/"+id, &v)
-			if v.State == "finished" {
-				break
-			}
-			switch v.State {
-			case "queued", "running":
-				time.Sleep(100 * time.Millisecond)
-			default:
-				fail("job %s ended %s (%s), want finished", id, v.State, v.Error)
-			}
-		}
-	}
+	first := awaitFinished(base, ids[0], deadline)
+	awaitFinished(base, ids[1], deadline)
 	fmt.Println("servicesmoke: both jobs finished")
 
-	// Scrape /metrics and check the daemon's families are present
-	// with the lifecycle we just drove.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		fail("GET /metrics: %v", err)
+	// The same workload again: the daemon has translated gzip, so this
+	// job's blocks come from the translation memo, and it must end as
+	// the first one did.
+	before := scrape(base)
+	if sample(before, "tilevmd_translation_memo_misses_total") == 0 {
+		fail("two jobs ran and the translation memo holds nothing:\n%s", before)
 	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		fail("metrics content type %q", ct)
+	ids = append(ids, submit(base, "164.gzip"))
+	again := awaitFinished(base, ids[2], deadline)
+	if *again.Result != *first.Result {
+		fail("164.gzip repeated: result %+v, first time %+v", *again.Result, *first.Result)
 	}
+	metrics := scrape(base)
+	hits := sample(metrics, "tilevmd_translation_memo_hits_total") - sample(before, "tilevmd_translation_memo_hits_total")
+	if hits == 0 {
+		fail("repeating 164.gzip hit nothing in the translation memo:\n%s", metrics)
+	}
+	fmt.Printf("servicesmoke: repeat of 164.gzip served %.0f translations from the memo, same result\n", hits)
+
+	// Check the daemon's families are present with the lifecycle we
+	// just drove.
 	for _, w := range []string{
-		"tilevmd_jobs_submitted_total 2",
-		`tilevmd_jobs_terminal_total{state="finished"} 2`,
+		"tilevmd_jobs_submitted_total 3",
+		`tilevmd_jobs_terminal_total{state="finished"} 3`,
 		"tilevmd_queue_depth 0",
-		"tilevmd_job_latency_seconds_count 2",
+		"tilevmd_job_latency_seconds_count 3",
+		"tilevmd_translation_memo_bypassed_total 0",
 		"tilevmd_up 1",
 	} {
 		if !bytes.Contains(metrics, []byte(w)) {
@@ -186,7 +239,7 @@ func main() {
 	fmt.Println("servicesmoke: metrics families present")
 
 	// SIGTERM must drain gracefully: exit 0 with the drain banner and
-	// both retained jobs reported finished (-v).
+	// every retained job reported finished (-v).
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		fail("SIGTERM: %v", err)
 	}
