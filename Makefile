@@ -64,10 +64,17 @@ racepar:
 
 # Fleet scheduler under the race detector: the N-guest placement,
 # admission, and vmSwitch handoff tests, plus the schedule golden and
-# the invariance battery, on core and bench.
+# the invariance battery, on core and bench. Then the serial kernel over
+# independent shards — the loop every uncoupled fleet runs on — at one
+# and two Ps: its differential against the collapsed run and the
+# parallel engine (internal/sim) and the fleets compared on both serial
+# loops (internal/core). A hand-off now crosses shards, and a Fence
+# grant resumes a goroutine that parked under another shard's turn.
 race-fleet:
 	$(GO) test -race -timeout 1200s -run 'TestFleet|TestCarve|TestMultiVM|TestRunFleet|TestPlan|TestSplitRoles|TestNoFit' ./internal/core
 	$(GO) test -race -run 'TestFleetSweepQuick|TestFleetFaultSweepQuick' ./internal/bench
+	$(GO) test -race -cpu 1,2 -run TestSlotAtATime ./internal/sim
+	$(GO) test -race -cpu 1,2 -timeout 1200s -run TestFleetSlotAtATime ./internal/core
 
 # Both event kernels under the race detector: the fleet invariance
 # battery (bit-identical FleetResult at workers 2, 4, and 8 — the

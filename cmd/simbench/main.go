@@ -358,7 +358,7 @@ func main() {
 		os.Exit(1)
 	}
 	if !fp.Identical {
-		fmt.Fprintln(os.Stderr, "simbench: parallel_sim: sharded fleet result DIVERGED from serial — the engine's bit-for-bit contract is broken")
+		fmt.Fprintln(os.Stderr, "simbench: parallel_sim: sharded or interleaved fleet result DIVERGED from serial — the engine's bit-for-bit contract is broken")
 		os.Exit(1)
 	}
 	out.ParallelSim = fp
@@ -497,8 +497,9 @@ func main() {
 	}
 	fmt.Printf("simbench: wrote %s (quick suite %.2fs serial, %.2fs with %d workers on %d CPU(s))\n",
 		*outPath, serial, par, *workers, out.HostCPUs)
-	fmt.Printf("simbench: parallel_sim %.2fs serial, %.2fs sharded ×%d (%.2fx, identical=%v)\n",
-		fp.SerialSeconds, fp.ShardedSeconds, fp.Workers, fp.Speedup, fp.Identical)
+	fmt.Printf("simbench: parallel_sim %.2fs serial, %.2fs sharded ×%d (%.2fx, identical=%v); serial kernel %d dispatches, %d switches (%d interleaved)\n",
+		fp.SerialSeconds, fp.ShardedSeconds, fp.Workers, fp.Speedup, fp.Identical,
+		fp.SerialDispatches, fp.SerialSwitches, fp.InterleavedSwitches)
 	fmt.Printf("simbench: service_throughput %.3fs/job over %d closed-loop jobs\n",
 		secPerJob, svcJobs)
 	for _, g := range ps.Grids {

@@ -200,7 +200,7 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 	// The event kernel's own contract: how many events the (last
 	// attempt's) run dispatched and how many superseded wakeups it
 	// discarded. Switches and run-ons are free to move.
-	ks := cfg.Interrupt.sim.Stats()
+	ks := cfg.Interrupt.KernelStats()
 	fmt.Fprintf(h, "dispatches=%d deadpops=%d\n", ks.Dispatches, ks.DeadPops)
 	return fmt.Sprintf("%d:%d:%016x", cycles, n, h.Sum64())
 }

@@ -355,15 +355,17 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	if len(fl.events) > 0 {
 		fl.m.Sim.Spawn("fleet-supervisor", fl.supervise)
 	}
-	// Parallel engine: shard the fabric by VM slot. Slots exchange no
-	// messages, but four things still couple them through shared host
-	// state and keep the serial loop: a fault plan (one injector, and a
-	// supervisor that reaches into every slot), policy events (the
-	// supervisor again), a Tracer and a DispatchLog (one shared sink
-	// each). The parallel engine is bit-identical, not merely
-	// equivalent, so the fallback is an implementation detail rather
-	// than a semantic one.
-	if cfg.SimWorkers > 1 && len(slots) > 1 && cfg.Fault.Empty() &&
+	// One shard per VM slot when the slots are independent. They exchange
+	// no messages, but four things still couple them through shared host
+	// state: a fault plan (one injector, and a supervisor that reaches
+	// into every slot), policy events (the supervisor again), a Tracer and
+	// a DispatchLog (one shared sink each). Coupled slots stay on one
+	// shard, interleaved event by event in one heap — the only loop that
+	// can run them; independent ones are dispatched a slot at a time by
+	// the serial kernel, or concurrently by the parallel engine when
+	// SimWorkers asks for it. All three produce the same FleetResult, so
+	// which one runs is an implementation detail, not a semantic one.
+	if len(slots) > 1 && cfg.Fault.Empty() &&
 		cfg.Tracer == nil && cfg.DispatchLog == nil && len(fl.events) == 0 {
 		fl.shardSlots(cfg.SimWorkers)
 	}
@@ -437,13 +439,13 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 		e.ck = fl.cks[gi]
 	}
 	e.onExit = func(c *raw.TileCtx) {
-		// In a sharded run the fleet bookkeeping below — and the
+		// With a shard per slot the fleet bookkeeping below — and the
 		// admission path the exec wrapper runs right after — mutates
-		// state shared by every slot. Fence blocks until this is
-		// provably the globally earliest pending work and holds the
-		// other shards until the exec kernel next parks, so the shared
-		// state is touched in exact serial cycle order. No-op when the
-		// serial loop is running.
+		// state shared by every slot. Fence blocks until this is the
+		// globally earliest pending work and holds the other shards
+		// until the exec kernel next parks, so the shared state is
+		// touched in exact serial cycle order. No-op when coupled slots
+		// share one shard.
 		c.P.Fence()
 		if e.cancelled {
 			// Quarantine or deadline: the supervisor already did this
@@ -501,16 +503,22 @@ func (fl *fleetRun) spawnSlots() {
 	}
 }
 
-// shardSlots partitions the fleet for the parallel engine: slot si's
-// tile processes and inbox ports all land on shard si % workers, so a
-// slot never straddles a shard boundary. Slots exchange no messages,
-// so no sim.Connect links are declared: each shard free-runs, and an
-// unexpected cross-slot send panics instead of silently racing. The
-// shared admission state is serialized by the Fence in onExit.
+// shardSlots partitions the independent slots of a fleet: slot si's
+// tile processes and inbox ports all land on one shard, so a slot never
+// straddles a shard boundary. With one worker every slot has a shard of
+// its own and the serial kernel dispatches them one at a time; with more
+// the parallel engine free-runs shard si % workers. Slots exchange no
+// messages, so no sim.Connect links are declared, and an unexpected
+// cross-slot send panics instead of silently racing. The shared
+// admission state is serialized by the Fence in onExit.
 func (fl *fleetRun) shardSlots(workers int) {
 	fl.m.Sim.SetWorkers(workers)
+	shards := workers
+	if workers <= 1 {
+		shards = len(fl.slots)
+	}
 	for si := range fl.slots {
-		shard := si % workers
+		shard := si % shards
 		for _, t := range fl.slots[si].tiles() {
 			fl.m.SetTileShard(t, shard)
 		}

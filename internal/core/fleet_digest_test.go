@@ -53,7 +53,8 @@ type fleetGolden struct {
 	want string
 }
 
-func (g *fleetGolden) run(t *testing.T, memo *translate.Memo) string {
+// configs builds the fleet's Config and FleetConfig, untraced.
+func (g *fleetGolden) configs(t *testing.T) (Config, FleetConfig) {
 	t.Helper()
 	cfg := fleetCfg(g.w, g.h)
 	layout, err := FleetSlotLayout(cfg.Params)
@@ -63,14 +64,20 @@ func (g *fleetGolden) run(t *testing.T, memo *translate.Memo) string {
 	if g.cfg != nil {
 		g.cfg(&cfg, layout)
 	}
-	if g.traced {
-		cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
-	}
-	cfg.Memo = memo
 	var fc FleetConfig
 	if g.fc != nil {
 		fc = g.fc(t, g)
 	}
+	return cfg, fc
+}
+
+func (g *fleetGolden) run(t *testing.T, memo *translate.Memo) string {
+	t.Helper()
+	cfg, fc := g.configs(t)
+	if g.traced {
+		cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
+	}
+	cfg.Memo = memo
 	fr, err := RunFleet(fleetImgs(t, g.guests...), cfg, fc)
 	if err != nil {
 		t.Fatalf("%s: %v", g.name, err)

@@ -45,6 +45,19 @@ func (h *InterruptHandle) Interrupt() {
 	}
 }
 
+// KernelStats returns the event kernel's dispatch counters for the
+// simulation the handle is bound to (the latest, under rollback
+// recovery): zero before a run binds it and after a run on the parallel
+// engine, which keeps none. Read it once the run has returned.
+func (h *InterruptHandle) KernelStats() sim.Stats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sim == nil {
+		return sim.Stats{}
+	}
+	return h.sim.Stats()
+}
+
 // bind attaches the handle to the simulator about to run, delivering
 // any interrupt that raced ahead of the run's start. Rollback
 // recovery rebuilds the machine between attempts, so bind may be

@@ -283,10 +283,24 @@ func TestCancelWhileRunning(t *testing.T) {
 	}
 }
 
+// undisturbed runs one job alone on a fresh two-slot service: what a
+// job requeued out of an interrupted batch must end up reporting.
+func undisturbed(t *testing.T, workload string) JobResult {
+	t.Helper()
+	s := newTestService(t, Config{Width: 4, Height: 4}, nil)
+	v := await(t, s, mustSubmit(t, s, Spec{Workload: workload}).ID)
+	if v.State != StateFinished.String() || v.Result == nil {
+		t.Fatalf("undisturbed %s: state %s (%s)", workload, v.State, v.Error)
+	}
+	return *v.Result
+}
+
 func TestCancelCollateralRequeues(t *testing.T) {
-	// Two jobs share a batch on a two-slot fabric; canceling one
-	// interrupts the whole simulation, and the innocent survivor must
-	// be requeued and finish on its second attempt.
+	// Two jobs share a batch on a two-slot fabric — two independent
+	// slots, so the batch is dispatched a slot at a time; canceling one
+	// interrupts the whole simulation between two dispatches, and the
+	// innocent survivor must be requeued and finish on its second
+	// attempt with the result it would have had undisturbed.
 	var s *Service
 	canceled := false
 	s = newTestService(t, Config{Width: 4, Height: 4, onBatchStart: func(ids []string) {
@@ -306,6 +320,9 @@ func TestCancelCollateralRequeues(t *testing.T) {
 	}
 	if v.Attempts < 2 {
 		t.Errorf("survivor finished in %d attempts, want ≥2 (requeued)", v.Attempts)
+	}
+	if want := undisturbed(t, "181.mcf"); v.Result == nil || *v.Result != want {
+		t.Errorf("survivor result %+v, undisturbed %+v", v.Result, want)
 	}
 }
 
@@ -503,6 +520,37 @@ func TestWallTimeoutWhileRunning(t *testing.T) {
 	}
 	if got.Attempts != 1 {
 		t.Errorf("attempts = %d, want 1 (admitted once)", got.Attempts)
+	}
+}
+
+func TestWallTimeoutCollateralRequeues(t *testing.T) {
+	// The same expiry in a batch of two independent slots: the batch
+	// timer interrupts both, the expired job alone times out, and the
+	// job that shared its batch — in the slot dispatched first, so the
+	// one the interrupt found running or already at its exit — is
+	// requeued, not reported from the interrupted run, and finishes with
+	// the result an undisturbed run gives.
+	var s *Service
+	expired := false
+	s = newTestService(t, Config{Width: 4, Height: 4, onBatchStart: func(ids []string) {
+		if !expired && len(ids) == 2 {
+			expired = true
+			s.mu.Lock()
+			s.jobs["late"].expiry = time.Now().Add(-time.Second)
+			s.mu.Unlock()
+		}
+	}}, nil)
+	mustSubmit(t, s, Spec{ID: "bystander", Workload: "164.gzip"})
+	mustSubmit(t, s, Spec{ID: "late", Workload: "181.mcf", Timeout: time.Hour})
+	if v := await(t, s, "late"); v.State != StateTimedOut.String() || v.Attempts != 1 {
+		t.Fatalf("late: state %s after %d attempts (%s), want timed-out after 1", v.State, v.Attempts, v.Error)
+	}
+	v := await(t, s, "bystander")
+	if v.State != StateFinished.String() || v.Attempts != 2 {
+		t.Fatalf("bystander: state %s after %d attempts (%s), want finished after 2", v.State, v.Attempts, v.Error)
+	}
+	if want := undisturbed(t, "164.gzip"); v.Result == nil || *v.Result != want {
+		t.Errorf("bystander result %+v, undisturbed %+v", v.Result, want)
 	}
 }
 

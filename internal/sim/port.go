@@ -69,12 +69,13 @@ func (h *msgHeap) pop() Msg {
 // order (FIFO among equal arrivals). At most one process may block in
 // Recv on a port at a time.
 //
-// A port belongs to a shard (shard 0 unless SetShard moved it). In a
-// sharded run, only processes of the same shard may call Recv/TryRecv/
-// RecvDeadline or Send directly; processes of other shards must route
-// sends through Proc.SendPort, which defers them across the shard
-// boundary. Port.Len on a cross-shard port may transiently undercount
-// messages still staged at the boundary.
+// A port belongs to a shard (shard 0 unless SetShard moved it). With
+// more than one shard, only processes of the same shard may call
+// Recv/TryRecv/RecvDeadline or Send directly; processes of other shards
+// must route sends through Proc.SendPort, which in a sharded run defers
+// them across the shard boundary and in a serial run over independent
+// shards panics, there being no link. Port.Len on a cross-shard port
+// may transiently undercount messages still staged at the boundary.
 type Port struct {
 	sim    *Simulator
 	sh     *shard
@@ -131,25 +132,31 @@ func (pt *Port) Send(from int, payload any, arrival Time) {
 }
 
 // SendPort sends on a port that may belong to another shard. On the
-// port's own shard (and always in a serial run) it is exactly
-// Port.Send; across shards the send is deferred and applied by the
-// receiving shard in deterministic sender order (see shard.go). The
+// port's own shard (and always in a serial run on one shard) it is
+// exactly Port.Send; across shards the send is deferred and applied by
+// the receiving shard in deterministic sender order (see shard.go). The
 // pair (sending shard, receiving shard) must have been declared with
-// Connect, and arrival must respect the declared lookahead.
+// Connect, and arrival must respect the declared lookahead; a serial
+// run keeps shards apart only when no link is declared, so there a send
+// across is always the undeclared one.
 func (p *Proc) SendPort(pt *Port, from int, payload any, arrival Time) {
-	ps := p.sim.par
-	if ps == nil || p.sh == pt.sh {
+	if p.sh == pt.sh {
 		pt.Send(from, payload, arrival)
 		return
+	}
+	ps := p.sim.par
+	if ps == nil {
+		panicNoLink(p.sh, pt)
 	}
 	ps.sendRemote(p, pt, from, payload, arrival)
 }
 
-// checkShard guards the receive path in sharded runs: blocking on a
-// port of another shard would race that shard's event loop.
+// checkShard guards the receive path when shards are apart: blocking on
+// a port of another shard would race that shard's event loop, or in a
+// serial run wait on the wrong clock.
 func (p *Proc) checkShard(pt *Port) {
 	p.mayPark()
-	if p.sim.par != nil && p.sh != pt.sh {
+	if p.sh != pt.sh {
 		panic("sim: " + p.name + " Recv on port " + pt.name + " of another shard")
 	}
 }

@@ -28,7 +28,9 @@
 //     current key, and holds that exclusivity until the process next
 //     parks. Code between Fence and the next park therefore runs in
 //     global serial key order — the fleet scheduler uses this for its
-//     shared admission state. In a serial run Fence is a no-op.
+//     shared admission state. A serial run over independent shards
+//     gives Fence the same meaning with a park and a grant (sim.go); on
+//     a single shard it is a no-op.
 //
 // Error paths: a time-limit stop selects the globally minimal
 // offending event (identical to serial). Aborts (watchdogs, port
@@ -68,7 +70,9 @@ type link struct {
 // not itself shard anything: the simulation runs the parallel engine
 // only if processes are actually assigned to more than one shard (see
 // Proc.SetShard). SetWorkers(1) — the default — always runs the serial
-// loop.
+// loop, which keeps the shard assignment when the shards are independent
+// (no Connect link) and dispatches them one at a time, and otherwise
+// rides shard 0.
 func (s *Simulator) SetWorkers(n int) {
 	if s.started {
 		panic("sim: SetWorkers after Run")
@@ -272,6 +276,12 @@ func (ps *parState) noteSchedule(sh *shard, at Time, pid int) {
 	ps.mu.Unlock()
 }
 
+// panicNoLink reports a send from a process of shard src to a port of a
+// shard no declared Connect path leads to.
+func panicNoLink(src *shard, pt *Port) {
+	panic(fmt.Sprintf("sim: cross-shard send %d->%d on port %q without a declared Connect link", src.idx, pt.sh.idx, pt.name))
+}
+
 // sendRemote defers a cross-shard Port.Send: validated against the
 // declared lookahead, stamped with the sender's dispatch key, and
 // queued on the destination shard. The destination's published bound
@@ -283,7 +293,7 @@ func (ps *parState) sendRemote(p *Proc, pt *Port, from int, payload any, arrival
 	d := ps.dist[src.idx][dst.idx]
 	if d == infTime {
 		ps.mu.Unlock()
-		panic(fmt.Sprintf("sim: cross-shard send %d->%d on port %q without a declared Connect link", src.idx, dst.idx, pt.name))
+		panicNoLink(src, pt)
 	}
 	if arrival < satAdd(src.now, d) {
 		ps.mu.Unlock()
@@ -306,11 +316,28 @@ func (ps *parState) sendRemote(p *Proc, pt *Port, from int, payload any, arrival
 // global exclusivity until the process next parks. Between Fence and
 // that park, the process is the globally earliest runnable work, so
 // reads and writes of cross-shard shared state observe and produce
-// exactly the serial order. No-op in a serial run.
+// exactly the serial order.
+//
+// A serial run over independent shards dispatches a shard at a time, so
+// there Fence records the caller's dispatch key (now, pid), holds the
+// caller's shard and parks; turn grants it — no dispatch is counted —
+// once no other shard has a live event or a held fence below that key.
+// One process runs at a time, so the exclusivity until the next park is
+// the kernel's own. Another shard may meanwhile have been dispatched
+// past the key: it shares nothing outside its own fenced sections, so
+// neither side can tell. What it does mean: a shard that never runs out
+// of events never gives up the turn, so a Stop that waits under another
+// shard's fence needs the run to have a time limit. No-op in a serial
+// run on one shard.
 func (p *Proc) Fence() {
 	p.mayPark()
 	ps := p.sim.par
 	if ps == nil {
+		if p.sim.slotwise {
+			sh := p.sh
+			sh.fence, sh.fenceAt, sh.held = p, sh.now, true
+			p.park()
+		}
 		return
 	}
 	sh := p.sh
@@ -560,22 +587,10 @@ func (s *Simulator) runSharded() error {
 	}
 	ps.mu.Unlock()
 	if err == nil && s.intrFlag.Load() {
-		now := Time(0)
-		for _, sh := range s.shards {
-			if sh.now > now {
-				now = sh.now
-			}
-		}
-		err = &InterruptedError{Now: now}
+		err = &InterruptedError{Now: s.Now()}
 	}
 	if err == nil && !s.stopFlag.Load() {
-		now := Time(0)
-		for _, sh := range s.shards {
-			if sh.now > now {
-				now = sh.now
-			}
-		}
-		err = s.deadlockOrNil(now)
+		err = s.deadlockOrNil(s.Now())
 	}
 	s.kill()
 	s.parMu.Lock()

@@ -19,11 +19,21 @@
 // links. The sharded engine is byte-identical to the serial loop for
 // any workload whose cross-shard communication respects the declared
 // lookahead; with SetWorkers(1) (the default) the serial kernel below
-// runs untouched. The serial kernel has no scheduler goroutine: a
-// process that parks pops the next event itself and either keeps
-// running (the event is its own wakeup) or resumes that event's process
-// directly; a handler process (SpawnHandler) has no goroutine at all and
-// runs to completion on whichever goroutine popped its wakeup.
+// runs. The serial kernel has no scheduler goroutine: a process that
+// parks pops the next event itself and either keeps running (the event
+// is its own wakeup) or resumes that event's process directly; a handler
+// process (SpawnHandler) has no goroutine at all and runs to completion
+// on whichever goroutine popped its wakeup.
+//
+// The serial kernel also uses the shard assignment, when the shards are
+// independent — more than one holds a process and no Connect link is
+// declared, so they exchange no messages. Each shard then keeps its own
+// heap and clock and the one dispatch turn stays on a shard while it has
+// an event it may dispatch, and only then moves to the shard whose next
+// key is least (shard.next, Simulator.turn): independent shards, one at
+// a time, each with its working set to itself. Fence is what orders the
+// code that touches state the shards share. With a link declared, or
+// everything on shard 0, the serial run is one shard.
 package sim
 
 import (
@@ -165,17 +175,25 @@ func (h *eventHeap) compact() {
 }
 
 // shard is one event sub-loop: a clock, an event heap, and the
-// processes and ports assigned to it. A serial simulation is exactly
-// one shard (index 0) whose processes dispatch each other (next); a
-// sharded simulation runs each shard's loop on its own goroutine
-// (shard.go).
+// processes and ports assigned to it. A serial simulation is one shard
+// (index 0), or several independent ones taking the one dispatch turn
+// in succession, whose processes dispatch each other (next); a sharded
+// simulation runs each shard's loop on its own goroutine (shard.go).
 type shard struct {
 	sim    *Simulator
 	idx    int
 	now    Time
 	events eventHeap
 	seq    uint64
-	parked chan struct{} // sharded: a proc parked or exited; serial: the dispatch loop is over
+	parked chan struct{} // sharded: a proc parked or exited; serial: the dispatch loop is over (one channel for all shards)
+
+	// Serial: why next may dispatch nothing here. A process of this
+	// shard is parked in Fence at dispatch key (fenceAt, fence.id), or,
+	// with held set and no fence, the next event lies beyond the time
+	// limit.
+	held    bool
+	fence   *Proc
+	fenceAt Time
 
 	// Parallel-only fields (guarded by parState.mu; see shard.go).
 	boundAt      Time    // lower bound on this shard's next dispatch key
@@ -225,6 +243,7 @@ type Simulator struct {
 	intrFlag atomic.Bool // host-side Interrupt requested
 	limit    Time        // 0 means no limit
 	started  bool
+	slotwise bool       // serial run over independent shards: Fence orders them
 	abortErr error      // fatal error raised from inside a process, or the time limit
 	stats    Stats      // serial dispatch counters
 	par      *parState  // non-nil while a sharded Run is active
@@ -247,8 +266,9 @@ type Simulator struct {
 // goroutine, Run's first hand-off included) or inline (a handler, run
 // by whichever goroutine popped it), so Dispatches == RunOns + Switches
 // + Inline; DeadPops are superseded wakeups discarded at the top of the
-// heap. The counts are a deterministic function of the program. A
-// sharded run leaves them zero.
+// heap. A Fence grant is not a dispatch and counts as none of them. The
+// counts are a deterministic function of the program, over one shard or
+// several; only the parallel engine leaves them zero.
 type Stats struct {
 	Dispatches, RunOns, Switches, DeadPops, Inline uint64
 }
@@ -384,9 +404,17 @@ func (s *Simulator) shard(i int) *shard {
 
 // Now returns the current virtual time. Inside a process body, prefer
 // Proc.Now, which includes the process's accumulated (not yet synced)
-// local cycles. In a sharded run each shard keeps its own clock and
-// Now reports shard 0's.
-func (s *Simulator) Now() Time { return s.shards[0].now }
+// local cycles. With more than one shard — the parallel engine, or a
+// serial run over independent shards — each shard keeps its own clock
+// and Now reports the furthest: after Run, the time of the last event
+// dispatched anywhere.
+func (s *Simulator) Now() Time {
+	now := s.shards[0].now
+	for _, sh := range s.shards[1:] {
+		now = max(now, sh.now)
+	}
+	return now
+}
 
 // SetLimit aborts the simulation when virtual time reaches t.
 // A limit of 0 (the default) means no limit.
@@ -496,51 +524,83 @@ func (s *Simulator) Run() error {
 	if s.sharded() {
 		return s.runSharded()
 	}
-	// Serial: everything rides shard 0, whatever shard assignments say.
-	sh := s.shards[0]
-	for _, p := range s.procs {
-		p.sh = sh
-	}
-	for _, pt := range s.ports {
-		pt.sh = sh
+	if s.slotwise = s.independent(); s.slotwise {
+		// One dispatch turn, so one channel says the loop is over.
+		for _, sh := range s.shards[1:] {
+			sh.parked = s.shards[0].parked
+		}
+	} else {
+		// Linked or unassigned: everything rides shard 0.
+		sh := s.shards[0]
+		for _, p := range s.procs {
+			p.sh = sh
+		}
+		for _, pt := range s.ports {
+			pt.sh = sh
+		}
 	}
 	for _, p := range s.procs {
 		if p.handle == nil {
 			go p.run()
 		}
-		sh.schedule(p, sh.now)
+		p.sh.schedule(p, p.sh.now)
 	}
 	// Run only starts the chain: from here every process that gives up
 	// control dispatches its successor itself, and the last one signals
 	// parked when next says the loop is over.
-	if first := sh.next(nil); first != nil {
+	if first := s.shards[0].next(nil); first != nil {
 		first.resume <- struct{}{}
-		<-sh.parked
+		<-s.shards[0].parked
 	}
 	err := s.abortErr
 	if err == nil && s.intrFlag.Load() {
-		err = &InterruptedError{Now: sh.now}
+		err = &InterruptedError{Now: s.Now()}
 	}
-	if !s.stopFlag.Load() && len(sh.events.ev) == 0 && err == nil {
-		err = s.deadlockOrNil(sh.now)
+	if err == nil && !s.stopFlag.Load() {
+		err = s.deadlockOrNil(s.Now())
 	}
 	s.kill()
 	return err
 }
 
-// next is one turn of the serial dispatch loop: it pops the next live
-// event, moves the clock to it and returns its process — a handler's
-// event it serves on the spot and pops again — or returns nil
-// when the loop is over — heap empty, stopFlag set (Stop, Interrupt,
-// abort, panic, kill), or the next event beyond the time limit. It runs
-// on whichever goroutine is giving up control (self, nil for Run), so
-// there is no scheduler goroutine to bounce through; the pop order is
-// the heap's, whoever pops. stopFlag is re-read before every pop, so a
+// independent reports whether a serial Run dispatches shard by shard:
+// processes on more than one shard and no Connect link, so nothing one
+// shard does can schedule an event on another.
+func (s *Simulator) independent() bool {
+	if len(s.links) > 0 {
+		return false
+	}
+	for _, p := range s.procs {
+		if p.sh != s.procs[0].sh {
+			return true
+		}
+	}
+	return false
+}
+
+// next is one turn of the serial dispatch loop: it pops the shard's
+// next live event, moves the shard's clock to it and returns its
+// process — a handler's event it serves on the spot and pops again — or
+// returns nil when the loop is over: stopFlag set (Stop, Interrupt,
+// abort, panic, kill), or turn found nothing left to dispatch anywhere.
+// The turn stays on sh while sh has an event it may dispatch; an event
+// beyond the time limit goes back and holds the shard. It runs on
+// whichever goroutine is giving up control (self, nil for Run), so there
+// is no scheduler goroutine to bounce through; the pop order is the
+// heap's, whoever pops. stopFlag is re-read before every pop, so a
 // process running on through its own wakeups still sees a host
 // Interrupt.
 func (sh *shard) next(self *Proc) *Proc {
 	s := sh.sim
-	for len(sh.events.ev) > 0 && !s.stopFlag.Load() {
+	for !s.stopFlag.Load() {
+		if len(sh.events.ev) == 0 || sh.held {
+			to, granted := s.turn()
+			if granted != nil || to == nil {
+				return granted
+			}
+			sh = to
+			continue
+		}
 		ev := sh.events.pop()
 		if !ev.live() {
 			sh.events.dead--
@@ -548,10 +608,9 @@ func (sh *shard) next(self *Proc) *Proc {
 			continue // superseded or stale event
 		}
 		if s.limit != 0 && ev.at > s.limit {
-			// No abort can be pending: it would have set stopFlag.
-			s.stopFlag.Store(true)
-			s.abortErr = &TimeLimitError{Limit: s.limit}
-			break
+			sh.events.push(ev)
+			sh.held = true
+			continue
 		}
 		sh.now = ev.at
 		ev.proc.state = parkBlocked // will be updated when it parks
@@ -569,6 +628,58 @@ func (sh *shard) next(self *Proc) *Proc {
 		return ev.proc
 	}
 	return nil
+}
+
+// turn moves the dispatch turn off a shard that has nothing it may
+// dispatch, to the shard whose next key (at, pid) is least: a held
+// fence's key, else the shard's earliest live event. If that is a
+// fence it is granted — the process is returned for next to resume, its
+// shard released; every other shard's next event and every other fence
+// lie beyond its key, which is all Fence promises. A shard held at the
+// time limit has only events beyond it and is passed over; when such
+// shards are all that is left the run ends with the TimeLimitError, and
+// with nothing left at all it just ends (nil, nil). A single shard is
+// the degenerate case: turn finds nothing, or only the limit.
+func (s *Simulator) turn() (*shard, *Proc) {
+	var best *shard
+	var bestAt Time
+	var bestPid int
+	limited := false
+	for _, sh := range s.shards {
+		var at Time
+		var pid int
+		switch {
+		case sh.fence != nil:
+			at, pid = sh.fenceAt, sh.fence.id
+		case sh.held:
+			limited = true
+			continue
+		default:
+			dead := sh.events.dead
+			ev, ok := sh.events.peekLive()
+			s.stats.DeadPops += uint64(dead - sh.events.dead)
+			if !ok {
+				continue
+			}
+			at, pid = ev.at, ev.pid
+		}
+		if best == nil || at < bestAt || (at == bestAt && pid < bestPid) {
+			best, bestAt, bestPid = sh, at, pid
+		}
+	}
+	if best == nil {
+		if limited {
+			// No abort can be pending: it would have set stopFlag.
+			s.abortErr = &TimeLimitError{Limit: s.limit}
+			s.stopFlag.Store(true)
+		}
+		return nil, nil
+	}
+	p := best.fence
+	if p != nil {
+		best.fence, best.held = nil, false
+	}
+	return best, p
 }
 
 // yield gives up control of a serial run from p's goroutine: p takes

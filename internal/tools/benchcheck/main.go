@@ -3,7 +3,8 @@
 // code-bound twin machine_run_gcc, that one again from a filled
 // translation memo, the serial quick figure suite, the
 // quick fleet fault-tolerance sweep, and the sharded-engine parallel_sim
-// fleet) and compares them against the recorded trajectory in
+// fleet with the serial kernel's switch count beside it) and compares
+// them against the recorded trajectory in
 // BENCH_sim.json, plus the translator's per-block cost in time,
 // allocations and bytes (translate_block_tier1/tier0 over the 176.gcc
 // corpus), the serial kernel's process switch (sim_proc_switch at 2 and
@@ -50,6 +51,7 @@ type baseline struct {
 	ParallelSim *struct {
 		ShardedSeconds float64 `json:"sharded_seconds"`
 		Speedup        float64 `json:"speedup"`
+		SerialSwitches uint64  `json:"serial_switches"`
 	} `json:"parallel_sim"`
 	ServiceThroughput struct {
 		Jobs          int     `json:"jobs"`
@@ -101,6 +103,12 @@ const (
 	gccAllocTol = 1.03
 	warmRatio   = 0.75
 )
+
+// slotSwitchRatio is what dispatching independent slots one at a time
+// has to be worth, as a count: of the parallel_sim fleet's serial
+// dispatches, at most three quarters as many may be goroutine switches
+// as when the same fleet's slots share one heap.
+const slotSwitchRatio = 0.75
 
 // metric is one baseline-vs-measured comparison. The gate trips when
 // measured > baseline × tol; improvements never fail.
@@ -275,14 +283,20 @@ func main() {
 			os.Exit(1)
 		}
 		if !fp.Identical {
-			fmt.Fprintln(os.Stderr, "benchcheck: parallel_sim: sharded fleet result DIVERGED from serial — the engine's bit-for-bit contract is broken")
+			fmt.Fprintln(os.Stderr, "benchcheck: parallel_sim: sharded or interleaved fleet result DIVERGED from serial — the engine's bit-for-bit contract is broken")
 			os.Exit(1)
 		}
-		var baseSharded float64
+		var baseSharded, baseSwitches float64
 		if base.ParallelSim != nil {
 			baseSharded = base.ParallelSim.ShardedSeconds
+			baseSwitches = float64(base.ParallelSim.SerialSwitches)
 		}
-		ms = append(ms, metric{"parallel_sim sharded seconds", baseSharded, fp.ShardedSeconds, *timeTol})
+		// Counts, not wall times: the same on any host, so the recorded
+		// one is held exactly and the interleaved one measured beside it.
+		ms = append(ms,
+			metric{"parallel_sim sharded seconds", baseSharded, fp.ShardedSeconds, *timeTol},
+			metric{"parallel_sim serial switches", baseSwitches, float64(fp.SerialSwitches), 1},
+			metric{"parallel_sim vs interleaved", float64(fp.InterleavedSwitches), float64(fp.SerialSwitches), slotSwitchRatio})
 		// The speedup assertion only means anything with real cores
 		// behind the shards: on a 1-CPU host the goroutines time-slice
 		// one core and the best possible outcome is ~1x, so the gate
