@@ -40,56 +40,46 @@ race:
 # The parallel-harness determinism gate on its own: the quick figure
 # suite rendered serially and with an 8-worker pool must be
 # byte-identical, and -race must see no shared mutable state between
-# concurrent core.Run/pentium.Run jobs. With it, the event kernel's
-# handler differential (servers as goroutines vs as handler processes,
-# serial and sharded) and the same-cycle Fence waiters, under -race:
-# a handler runs on whichever goroutine popped it, so the detector is
-# what says no two of them were ever inside the kernel at once. And one
-# image in two slots on two shards: a translator works in a scratch of
-# its own (DESIGN.md §7 "Translator scratch"), one per engine, so here
-# the detector is what says no scratch is reachable from two shards, as
-# TestParallelDeterminism says it of two RunParallel jobs. What
-# concurrent runs do share is the host's translation memo (DESIGN.md §7
-# "Translation memo") and through it every block it hands out, which
-# must therefore never be written after publication: the same two tests
-# run against one — the suite's memo under RunParallel's eight workers,
-# a memo shared by the two shards while it fills and once it is full,
-# with promotion on — and TestMemoConcurrent fills one from four
-# goroutines. Also part of `check`.
+# concurrent core.Run/pentium.Run jobs: a translator works in a scratch
+# of its own (DESIGN.md §7 "Translator scratch"), one per engine, and
+# the detector is what says no scratch is reachable from two jobs. With
+# it, the event kernel's handler differential (servers as goroutines vs
+# as handler processes) under -race: a handler runs on whichever
+# goroutine popped it, so the detector is what says no two of them were
+# ever inside the kernel at once. What concurrent runs do share is the
+# host's translation memo (DESIGN.md §7 "Translation memo") and through
+# it every block it hands out, which must therefore never be written
+# after publication: TestParallelDeterminism runs against the suite's
+# memo under RunParallel's eight workers, and TestMemoConcurrent fills
+# one from four goroutines. Also part of `check`.
 racepar:
 	$(GO) test -race -short -run TestParallelDeterminism ./internal/bench
-	$(GO) test -race -cpu 1,2 -run 'TestHandler|TestFenceSameCycleWaiters' ./internal/sim
-	$(GO) test -race -cpu 2 -run TestFleetParallelSameImage ./internal/core
+	$(GO) test -race -cpu 1,2 -run TestHandler ./internal/sim
 	$(GO) test -race -cpu 2 -run TestMemoConcurrent ./internal/translate
 
 # Fleet scheduler under the race detector: the N-guest placement,
 # admission, and vmSwitch handoff tests, plus the schedule golden and
-# the invariance battery, on core and bench. Then the serial kernel over
+# the invariance battery, on core and bench. Then the kernel over
 # independent shards — the loop every uncoupled fleet runs on — at one
-# and two Ps: its differential against the collapsed run and the
-# parallel engine (internal/sim) and the fleets compared on both serial
-# loops (internal/core). A hand-off now crosses shards, and a Fence
-# grant resumes a goroutine that parked under another shard's turn.
+# and two Ps: its differential against the collapsed run (internal/sim)
+# and the fleets compared slot-at-a-time and interleaved
+# (internal/core). A hand-off crosses shards, and a Fence grant resumes
+# a goroutine that parked under another shard's turn.
 race-fleet:
 	$(GO) test -race -timeout 1200s -run 'TestFleet|TestCarve|TestMultiVM|TestRunFleet|TestPlan|TestSplitRoles|TestNoFit' ./internal/core
 	$(GO) test -race -run 'TestFleetSweepQuick|TestFleetFaultSweepQuick' ./internal/bench
 	$(GO) test -race -cpu 1,2 -run TestSlotAtATime ./internal/sim
 	$(GO) test -race -cpu 1,2 -timeout 1200s -run TestFleetSlotAtATime ./internal/core
 
-# Both event kernels under the race detector: the fleet invariance
-# battery (bit-identical FleetResult at workers 2, 4, and 8 — the
-# tests iterate the worker counts internally) plus all of internal/sim —
-# the cross-shard battery (delivery order, lookahead tripwire, fence
-# ordering, stop/limit/deadlock parity, heap compaction) and the serial
-# kernel's hand-off tests. The race detector checks the synchronization
-# for free: any unfenced cross-shard access, or two goroutines inside
-# the serial kernel at once, is a reported race. The sim package runs
-# at -cpu 1,2,4 because the serial hand-off's window between "resume
-# the next process" and "wait on my own resume" only exists with two or
-# more Ps. Generous timeout — race mode is 10-20x slower and CI hosts
-# are oversubscribed.
+# All of internal/sim under the race detector. The kernel runs one
+# process at a time and has no lock: what keeps two goroutines out of it
+# is the hand-off itself (an unbuffered send on the next process's
+# resume channel, then a wait on one's own), so the detector is the
+# check — two goroutines inside the kernel at once is a reported race.
+# At -cpu 1,2,4 because the window between "resume the next process"
+# and "wait on my own resume" only exists with two or more Ps. Generous
+# timeout — race mode is 10-20x slower and CI hosts are oversubscribed.
 race-sim:
-	$(GO) test -race -timeout 1500s -run TestFleetParallel ./internal/core
 	$(GO) test -race -timeout 900s -cpu 1,2,4 ./internal/sim
 
 # Coverage summary for the fleet/placement layer (the code this PR's

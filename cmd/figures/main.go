@@ -42,7 +42,6 @@ func main() {
 		traceEvery = flag.Uint64("trace-interval", 0, "also sample hit rates and per-tile occupancy every N cycles into <trace>.csv (requires -trace)")
 		traceWl    = flag.String("trace-workload", "164.gzip", "workload for the -trace run")
 		workers    = flag.Int("j", runtime.NumCPU(), "worker pool width for independent simulations (1 = serial)")
-		simWorkers = flag.Int("sim-workers", 1, "event-loop workers inside each fleet simulation (bit-identical at any value; serial fallback under a fault plan, policy events (fail-stop clauses, guest deadlines), a tracer, or a dispatch log)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -114,7 +113,6 @@ func main() {
 	s := bench.NewSuite()
 	s.Quick = *quick
 	s.Workers = *workers
-	s.SimWorkers = *simWorkers
 	if *progress {
 		s.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}

@@ -80,7 +80,6 @@ func main() {
 		threshold  = flag.Int("threshold", 5, "morphing queue-length threshold")
 		maxCycles  = flag.Uint64("maxcycles", 0, "simulation watchdog (0 = default)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the run; an expired run is interrupted and exits non-zero (0 = none; composes with -deadline, which is virtual cycles)")
-		simWorkers = flag.Int("sim-workers", 1, "simulation event-loop workers; >1 shards fleet runs by VM slot with bit-identical results (serial fallback under a fault plan, policy events (fail-stop clauses, guest deadlines), a tracer, or a dispatch log)")
 		faultPlan  = flag.String("fault-plan", "", "fault plan, e.g. 'fail:7@150000,drop:0.01,delay:0.02+400,corrupt:0.01,dram:0.05,stall:6@30000+5000'")
 		faultSeed  = flag.Uint64("fault-seed", 0, "seed for the fault plan's probabilistic clauses")
 		noRecover  = flag.Bool("fault-norecover", false, "disable fault recovery (a fault then deadlocks with a diagnostic)")
@@ -184,7 +183,6 @@ func main() {
 			die(err)
 		}
 		fleetCfg.Params.Width, fleetCfg.Params.Height = w, h
-		fleetCfg.SimWorkers = *simWorkers
 		fleetCfg.Optimize = *optimize
 		fleetCfg.ConservativeFlags = !*optimize
 		fleetCfg.Speculative = *spec
@@ -246,7 +244,7 @@ func main() {
 		if *diffPath != "" {
 			path, bisect = *diffPath, true
 		}
-		if err := replay(path, *replayTo, bisect, *simWorkers); err != nil {
+		if err := replay(path, *replayTo, bisect); err != nil {
 			die(err)
 		}
 		return
@@ -342,7 +340,6 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	cfg.SimWorkers = *simWorkers
 	cfg.Slaves = *slaves
 	cfg.Speculative = *spec
 	cfg.L15Banks = *l15
@@ -510,12 +507,12 @@ func die(err error) {
 // the full replay is followed, on divergence, by a truncated re-replay
 // to the last matching event's cycle, confirming the divergence point.
 // Exits non-zero when the replay does not reproduce the record.
-func replay(path string, toCycle uint64, bisect bool, simWorkers int) error {
+func replay(path string, toCycle uint64, bisect bool) error {
 	rec, err := checkpoint.ReadRecordFile(path)
 	if err != nil {
 		return err
 	}
-	rep, err := bench.ReplayWorkers(rec, toCycle, simWorkers)
+	rep, err := bench.Replay(rec, toCycle)
 	if err != nil {
 		return err
 	}
@@ -527,7 +524,7 @@ func replay(path string, toCycle uint64, bisect bool, simWorkers int) error {
 		// Confirm the bisection: everything before the divergent event
 		// replays cleanly.
 		last := rec.Events[rep.FirstDivergent-1]
-		pre, err := bench.ReplayWorkers(rec, last.Cycle, simWorkers)
+		pre, err := bench.Replay(rec, last.Cycle)
 		if err != nil {
 			return err
 		}

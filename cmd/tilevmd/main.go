@@ -48,7 +48,6 @@ func main() {
 		queueCap     = flag.Int("queue-cap", 64, "admission queue capacity; beyond it arrivals shed lower-class jobs or get a structured 429")
 		retain       = flag.Int("retain", 1024, "terminal jobs kept queryable before aging out oldest-first")
 		planner      = flag.Bool("planner", false, "cost-model placement planner: grow slots on undersubscribed fabrics and split tiles per guest profile")
-		simWorkers   = flag.Int("sim-workers", 1, "per-batch simulation event-loop workers; >1 shards a batch by VM slot with bit-identical results (serial fallback under a fault plan, policy events (fail-stop clauses, guest deadlines), a tracer, or a dispatch log)")
 		maxCycles    = flag.Uint64("maxcycles", 0, "per-batch virtual-cycle watchdog (0 = default)")
 		maxAttempts  = flag.Int("max-attempts", 0, "batches a job may be admitted to before it fails (0 = default)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "graceful-drain budget after SIGTERM; the queue is abandoned and the batch interrupted when it expires")
@@ -80,7 +79,6 @@ func main() {
 		Retain:         *retain,
 		MaxJobAttempts: *maxAttempts,
 		Planner:        *planner,
-		SimWorkers:     *simWorkers,
 		MaxCycles:      *maxCycles,
 	})
 	if err != nil {

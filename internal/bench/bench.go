@@ -34,11 +34,6 @@ type Suite struct {
 	// Workers is the worker-pool width for RunParallel prefetches;
 	// values <= 1 keep every run on the serial path.
 	Workers int
-	// SimWorkers shards individual fleet simulations across host cores
-	// (core.Config.SimWorkers). Orthogonal to Workers: Workers runs
-	// whole simulations concurrently, SimWorkers parallelizes inside
-	// one fleet run. Results are bit-identical at any value.
-	SimWorkers int
 	// Progress, if set, receives one line per fresh run.
 	Progress func(string)
 }

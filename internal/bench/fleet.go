@@ -58,7 +58,6 @@ func (s *Suite) FleetSweep() (string, error) {
 				}
 				cfg := core.DefaultConfig()
 				cfg.Params.Width, cfg.Params.Height = g[0], g[1]
-				cfg.SimWorkers = s.SimWorkers
 				cfg.Memo = s.memo
 				res, err := core.RunFleet(imgs, cfg, fc)
 				if err != nil {

@@ -71,7 +71,6 @@ func (s *Suite) FleetFaultSweep() (string, error) {
 		for _, pol := range policies {
 			cfg := core.DefaultConfig()
 			cfg.Params.Width, cfg.Params.Height = grid[0], grid[1]
-			cfg.SimWorkers = s.SimWorkers // serial fallback under faults and deadlines, but always safe
 			cfg.Memo = s.memo
 			if k > 0 {
 				plan := &fault.Plan{Seed: 7}

@@ -12,7 +12,7 @@ import (
 )
 
 // placementGuests is the oversubscribed admission count the placement
-// sweep uses: 12 guests of the gzip/mcf mix (the same mix parallel_sim
+// sweep uses: 12 guests of the gzip/mcf mix (the same mix fleet_kernel
 // oversubscribes) against slot-capped fabrics, so every configuration
 // runs multiple admission waves.
 const placementGuests = 12

@@ -90,17 +90,6 @@ func (r *ReplayReport) String() string {
 // instead of running to completion (the journal prefix up to the halt
 // is still compared, which localizes a divergence in time).
 func Replay(rec *checkpoint.Record, toCycle uint64) (*ReplayReport, error) {
-	return ReplayWorkers(rec, toCycle, 0)
-}
-
-// ReplayWorkers is Replay with an explicit simulation worker count.
-// The worker count is deliberately not part of the record: the
-// parallel engine is bit-identical to the serial loop, so a journal
-// recorded at any -sim-workers value replays cleanly at any other.
-// (Recorded runs are single-VM and run the serial loop regardless;
-// the knob is plumbed so fleet-capable front ends can pass their
-// setting through unconditionally.)
-func ReplayWorkers(rec *checkpoint.Record, toCycle uint64, simWorkers int) (*ReplayReport, error) {
 	rc := rec.Config
 	partial := toCycle > 0
 	if partial {
@@ -114,7 +103,6 @@ func ReplayWorkers(rec *checkpoint.Record, toCycle uint64, simWorkers int) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	cfg.SimWorkers = simWorkers
 	res, err := core.Run(img, cfg)
 	if err != nil && !partial {
 		return nil, err

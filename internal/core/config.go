@@ -186,19 +186,8 @@ type Config struct {
 	// the simulation rather than a stub.
 	PanicAtDispatch uint64
 
-	// SimWorkers is the simulation event-loop worker count. A fleet run
-	// (RunFleet) whose slots are independent gives each slot an event
-	// heap and a clock of its own: at 0 or 1 (the default) the serial
-	// scheduler dispatches those slots one at a time, above 1 it runs
-	// slot sub-loops on that many host goroutines under
-	// conservative-lookahead synchronization — bit-identical results
-	// either way and at any worker count. Four things couple the slots
-	// of a fleet, because each is host state shared across them: a
-	// fault plan (Fault), policy events (a fail-stop clause or a guest
-	// deadline, which spawn the fleet supervisor), a Tracer, and a
-	// DispatchLog. Those runs keep every slot in one heap, interleaved
-	// event by event on the serial scheduler — as does every single-VM
-	// core.Run, which has one slot — so the flag is always safe to set.
+	// SimWorkers is accepted and ignored:
+	// benchmark/cmd/tilebench/bench.go assigns it and benchmark/ is frozen.
 	SimWorkers int
 }
 

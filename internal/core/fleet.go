@@ -361,13 +361,12 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	// into every slot), policy events (the supervisor again), a Tracer and
 	// a DispatchLog (one shared sink each). Coupled slots stay on one
 	// shard, interleaved event by event in one heap — the only loop that
-	// can run them; independent ones are dispatched a slot at a time by
-	// the serial kernel, or concurrently by the parallel engine when
-	// SimWorkers asks for it. All three produce the same FleetResult, so
-	// which one runs is an implementation detail, not a semantic one.
+	// can run them; independent ones are dispatched a slot at a time.
+	// Both produce the same FleetResult, so which one runs is an
+	// implementation detail, not a semantic one.
 	if len(slots) > 1 && cfg.Fault.Empty() &&
 		cfg.Tracer == nil && cfg.DispatchLog == nil && len(fl.events) == 0 {
-		fl.shardSlots(cfg.SimWorkers)
+		fl.shardSlots()
 	}
 
 	simErr := fl.m.Run()
@@ -504,26 +503,18 @@ func (fl *fleetRun) spawnSlots() {
 }
 
 // shardSlots partitions the independent slots of a fleet: slot si's
-// tile processes and inbox ports all land on one shard, so a slot never
-// straddles a shard boundary. With one worker every slot has a shard of
-// its own and the serial kernel dispatches them one at a time; with more
-// the parallel engine free-runs shard si % workers. Slots exchange no
-// messages, so no sim.Connect links are declared, and an unexpected
-// cross-slot send panics instead of silently racing. The shared
-// admission state is serialized by the Fence in onExit.
-func (fl *fleetRun) shardSlots(workers int) {
-	fl.m.Sim.SetWorkers(workers)
-	shards := workers
-	if workers <= 1 {
-		shards = len(fl.slots)
-	}
+// tile processes and inbox ports all land on shard si, and the kernel
+// dispatches the shards one at a time. Slots exchange no messages, and
+// an unexpected cross-slot send panics instead of arriving on the wrong
+// clock. The shared admission state is serialized by the Fence in
+// onExit.
+func (fl *fleetRun) shardSlots() {
 	for si := range fl.slots {
-		shard := si % shards
 		for _, t := range fl.slots[si].tiles() {
-			fl.m.SetTileShard(t, shard)
+			fl.m.SetTileShard(t, si)
 		}
 		for _, p := range fl.hosts[si].procs {
-			p.SetShard(shard)
+			p.SetShard(si)
 		}
 	}
 }

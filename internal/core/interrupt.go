@@ -47,8 +47,8 @@ func (h *InterruptHandle) Interrupt() {
 
 // KernelStats returns the event kernel's dispatch counters for the
 // simulation the handle is bound to (the latest, under rollback
-// recovery): zero before a run binds it and after a run on the parallel
-// engine, which keeps none. Read it once the run has returned.
+// recovery): zero before a run binds it. Read it once the run has
+// returned.
 func (h *InterruptHandle) KernelStats() sim.Stats {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"tilevm/internal/workload"
 )
 
-// TestKernelStatsGzip pins what the serial event kernel does for one
+// TestKernelStatsGzip pins what the event kernel does for one
 // 164.gzip run under DefaultConfig: how many events it dispatches, how
 // many of those the parking tile kernel finds to be its own next wakeup
 // (run-ons, no goroutine switch) and how many move to another tile's
@@ -122,5 +123,39 @@ func TestSpecDataSwitchShare(t *testing.T) {
 	}
 	if pass.Dispatches != 78_209 || 20*pass.Switches >= pass.Dispatches {
 		t.Errorf("spec_data pass: %d dispatches, %d switches: want 78209 and Switches/Dispatches < 0.05", pass.Dispatches, pass.Switches)
+	}
+}
+
+// TestSimWorkersInert: Config.SimWorkers selects nothing. The frozen
+// benchmark's shard probe assigns it, so the same 4-guest 8×8 fleet at
+// 0, 1 and 8 must give the same FleetResult and the same non-zero kernel
+// counters: the probe can never diverge from the run it is compared
+// with.
+func TestSimWorkersInert(t *testing.T) {
+	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip", "181.mcf")
+	var want *FleetResult
+	var wantStats sim.Stats
+	for _, workers := range []int{0, 1, 8} {
+		cfg := fleetCfg(8, 8)
+		cfg.SimWorkers = workers
+		cfg.Interrupt = NewInterruptHandle()
+		got, err := RunFleet(imgs, cfg, FleetConfig{})
+		if err != nil {
+			t.Fatalf("SimWorkers=%d: %v", workers, err)
+		}
+		st := cfg.Interrupt.KernelStats()
+		if st.Dispatches == 0 || st.Switches == 0 {
+			t.Fatalf("SimWorkers=%d: kernel counters %+v: want a counted run", workers, st)
+		}
+		if want == nil {
+			want, wantStats = got, st
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("SimWorkers=%d: fleet result differs from SimWorkers=0\n got %+v\nwant %+v", workers, got, want)
+		}
+		if st != wantStats {
+			t.Errorf("SimWorkers=%d: kernel counters %+v, at SimWorkers=0 %+v", workers, st, wantStats)
+		}
 	}
 }

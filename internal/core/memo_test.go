@@ -23,7 +23,7 @@ type memoCase struct {
 	name string
 	img  func(t *testing.T) *guest.Image
 	cfg  func() Config
-	// fleet runs two copies of the image in two slots on two shards.
+	// fleet runs two copies of the image in two slots.
 	fleet bool
 	// wantBypass cases write their own code pages or restore them from a
 	// checkpoint: the memo must step aside, visibly.
@@ -66,9 +66,13 @@ var memoCases = []memoCase{
 			}
 		}},
 	{name: "fleet/same-image", img: workloadImg("164.gzip"), fleet: true,
+		cfg: func() Config { return fleetCfg(8, 8) }},
+	// Promotion replaces a block in the manager's L2 and flushes the L1
+	// that chained it: the writers closest to a Result two slots share.
+	{name: "fleet/same-image/tier0", img: workloadImg("164.gzip"), fleet: true,
 		cfg: func() Config {
 			cfg := fleetCfg(8, 8)
-			cfg.SimWorkers = 2
+			cfg.Tier0, cfg.TierUpThreshold = true, 2_000
 			return cfg
 		}},
 	{name: "noopt", img: workloadImg("164.gzip"),

@@ -65,8 +65,8 @@ func NewMachine(p Params) *Machine {
 func (m *Machine) Inbox(id int) *sim.Port { return m.inbox[id] }
 
 // SetTileShard assigns tile id's inbox port to a simulation shard.
-// Callers partitioning the machine for a sharded run (see sim.Connect)
-// must also place the tile's kernel process on the same shard.
+// Callers partitioning the machine into independent shards must also
+// place the tile's kernel process on the same shard.
 func (m *Machine) SetTileShard(id, shard int) { m.inbox[id].SetShard(shard) }
 
 // SetTracer installs a virtual-time tracer on the machine and its
@@ -152,10 +152,9 @@ func (c *TileCtx) Send(to int, payload any, words int) {
 		}
 		arrival += v.Delay
 	}
-	// Routed through the sending process so that in a sharded
-	// simulation a send to a tile of another shard is deferred across
-	// the shard boundary (sim.Proc.SendPort); on the same shard — and
-	// always in a serial run — this is exactly Port.Send.
+	// Routed through the sending process so that a send to a tile of
+	// another shard panics under the sender's name
+	// (sim.Proc.SendPort); on the same shard this is exactly Port.Send.
 	c.P.SendPort(c.M.inbox[to], c.Tile, payload, arrival)
 }
 

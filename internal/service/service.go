@@ -58,9 +58,6 @@ type Config struct {
 	// undersubscribes the fabric, and each slot's slave/bank split
 	// follows its job's workload profile.
 	Planner bool
-	// SimWorkers is the per-batch simulation worker count (see
-	// core.Config.SimWorkers).
-	SimWorkers int
 	// MaxCycles is the per-batch virtual-cycle watchdog (0 = core
 	// fleet-test default of 4e9).
 	MaxCycles uint64
@@ -502,7 +499,6 @@ func (s *Service) runBatch(batch []*job, intr *core.InterruptHandle) (res *core.
 	cfg := core.DefaultConfig()
 	cfg.Params.Width, cfg.Params.Height = s.cfg.Width, s.cfg.Height
 	cfg.MaxCycles = s.cfg.MaxCycles
-	cfg.SimWorkers = s.cfg.SimWorkers
 	cfg.Interrupt = intr
 	cfg.Memo = s.memo
 	fc := core.FleetConfig{Deadlines: deadlines, Planner: s.cfg.Planner}

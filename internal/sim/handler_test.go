@@ -26,15 +26,11 @@ type handlerProgram struct {
 	limit           Time
 	stopSrv, stopAt int // the stopSrv-th server calls Stop at its stopAt-th delivery; -1 = nobody
 	intrPid, intrAt int // client intrPid calls Interrupt before its step intrAt; -1 = nobody
-	workers         int // 2 = sharded by pid parity, links in both directions
 	handlers        bool
 }
 
-const diffLat = Time(4) // declared cross-shard lookahead
-
 type diffResult struct {
 	digest   string // every log entry, global dispatch numbers included
-	local    string // the same without them: what a sharded run can match
 	now      Time
 	err      string
 	stats    Stats
@@ -73,22 +69,10 @@ func (sv *diffServer) arm(p *Proc, t Time) {
 	}
 }
 
-// diffSend posts to a random inbox. Shards are pid parities whether or
-// not the run is sharded, so the program is the same on both engines: a
-// send across keeps the declared lookahead and arrives on an odd cycle,
-// a send within on an even one. (The sharded engine orders equal
-// arrivals on one port by sender key among staged cross-shard sends
-// only; a tie between a staged and a local send is its known gap, and
-// not what this test is after.)
+// diffSend posts to a random inbox.
 func diffSend(p *Proc, rng *splitmix, inbox []*Port, payload int) {
 	i := rng.intn(len(inbox))
-	at := p.Now() + Time(rng.intn(24))
-	if i%2 != p.id%2 {
-		at = (at + diffLat) | 1
-	} else {
-		at = (at + 1) &^ 1
-	}
-	p.SendPort(inbox[i], p.id, payload, at)
+	p.SendPort(inbox[i], p.id, payload, p.Now()+Time(rng.intn(24)))
 }
 
 func (sv *diffServer) start(p *Proc) {
@@ -132,26 +116,21 @@ func (sv *diffServer) body(p *Proc, m Msg) {
 func (pr handlerProgram) run() diffResult {
 	s := New()
 	s.SetLimit(pr.limit)
-	s.SetWorkers(max(pr.workers, 1))
-	s.Connect(0, 1, diffLat)
-	s.Connect(1, 0, diffLat)
 	inbox := make([]*Port, pr.procs)
 	logs := make([][]uint64, pr.procs)
 	for i := range inbox {
 		inbox[i] = s.NewPort(fmt.Sprintf("in%d", i))
-		inbox[i].SetShard(i % 2)
 	}
-	var srvDisps uint64 // counts nothing in a sharded run: Dispatches stays 0
+	var srvDisps uint64
 	servers := 0
 	for pid := 0; pid < pr.procs; pid++ {
 		pid := pid
 		in := inbox[pid]
 		rng := splitmix(pr.seed*1_000_003 + uint64(pid))
-		var p *Proc
 		switch {
 		case pid%3 != 1: // client
 			steps := pr.steps * (1 + pid%4) / 4
-			p = s.Spawn(fmt.Sprintf("c%d", pid), func(p *Proc) {
+			s.Spawn(fmt.Sprintf("c%d", pid), func(p *Proc) {
 				for step := 0; step < steps; step++ {
 					if pid == pr.intrPid && step == pr.intrAt {
 						s.Interrupt()
@@ -184,7 +163,7 @@ func (pr handlerProgram) run() diffResult {
 			servers++
 			name := fmt.Sprintf("s%d", pid)
 			if pr.handlers {
-				p = s.SpawnHandler(name, in, sv.start, func(p *Proc, m Msg) {
+				s.SpawnHandler(name, in, sv.start, func(p *Proc, m Msg) {
 					sv.note(p)
 					if !sv.stalled {
 						if d := sv.stall(); d > 0 {
@@ -199,7 +178,7 @@ func (pr handlerProgram) run() diffResult {
 				})
 				break
 			}
-			p = s.Spawn(name, func(p *Proc) {
+			s.Spawn(name, func(p *Proc) {
 				sv.start(p)
 				for {
 					m := Msg{Payload: Timeout{}}
@@ -220,27 +199,18 @@ func (pr handlerProgram) run() diffResult {
 				}
 			})
 		}
-		p.SetShard(pid % 2)
 	}
 	err := s.Run()
-	h, hl := sha256.New(), sha256.New()
+	h := sha256.New()
 	var buf [8]byte
 	for pid, l := range logs {
 		fmt.Fprintf(h, "p%d:%d\n", pid, len(l))
-		for i, v := range l {
+		for _, v := range l {
 			binary.LittleEndian.PutUint64(buf[:], v)
 			h.Write(buf[:])
-			if i%4 != 0 {
-				hl.Write(buf[:])
-			}
 		}
 	}
-	now := Time(0)
-	for _, sh := range s.shards {
-		now = max(now, sh.now)
-	}
-	return diffResult{fmt.Sprintf("%x", h.Sum(nil)[:8]), fmt.Sprintf("%x", hl.Sum(nil)[:8]),
-		now, fmt.Sprint(err), s.Stats(), srvDisps}
+	return diffResult{fmt.Sprintf("%x", h.Sum(nil)[:8]), s.Now(), fmt.Sprint(err), s.Stats(), srvDisps}
 }
 
 var handlerPrograms = []handlerProgram{
@@ -253,9 +223,6 @@ var handlerPrograms = []handlerProgram{
 	{name: "30/stop-from-server", seed: 17, procs: 30, steps: 300, stopSrv: 7, stopAt: 25},
 	{name: "30/interrupt", seed: 18, procs: 30, steps: 300, intrPid: 8, intrAt: 50},
 	{name: "64/deadlock", seed: 19, procs: 64, steps: 120},
-	{name: "9/sharded", seed: 20, procs: 9, steps: 300, workers: 2},
-	{name: "30/sharded", seed: 21, procs: 30, steps: 200, workers: 2},
-	{name: "64/sharded", seed: 22, procs: 64, steps: 120, workers: 2},
 }
 
 func TestHandlerDifferential(t *testing.T) {
@@ -273,22 +240,9 @@ func TestHandlerDifferential(t *testing.T) {
 			want := pr.run()
 			pr.handlers = true
 			got := pr.run()
-			if pr.workers > 1 {
-				// A sharded goroutine's Recv still spends a dispatch on its
-				// accrued time (fold), so its shard clock can end a few
-				// cycles later; what every process saw is the same, and the
-				// serial goroutine run is the oracle for the rest.
-				if got.local != want.local {
-					t.Errorf("%s: handlers logged %s, goroutines %s", name, got.local, want.local)
-				}
-				pr.handlers, pr.workers = false, 1
-				want = pr.run()
-				pr.workers = 2
-				want.digest, want.stats, want.srvDisps = got.digest, got.stats, got.srvDisps
-			}
-			if got.digest != want.digest || got.local != want.local || got.now != want.now || got.err != want.err {
-				t.Errorf("%s: handlers ended %s/%s at %d with %q, goroutines %s/%s at %d with %q",
-					name, got.digest, got.local, got.now, got.err, want.digest, want.local, want.now, want.err)
+			if got.digest != want.digest || got.now != want.now || got.err != want.err {
+				t.Errorf("%s: handlers ended %s at %d with %q, goroutines %s at %d with %q",
+					name, got.digest, got.now, got.err, want.digest, want.now, want.err)
 			}
 			gs, ws := got.stats, want.stats
 			if gs.Dispatches != ws.Dispatches || gs.DeadPops != ws.DeadPops {
@@ -301,7 +255,7 @@ func TestHandlerDifferential(t *testing.T) {
 				t.Errorf("%s: Inline %d, servers counted %d dispatches as handlers and %d as goroutines",
 					name, gs.Inline, got.srvDisps, want.srvDisps)
 			}
-			if pr.workers <= 1 && (ws.Dispatches < 300 || gs.Inline < 50 || gs.Switches >= ws.Switches) {
+			if ws.Dispatches < 300 || gs.Inline < 50 || gs.Switches >= ws.Switches {
 				t.Errorf("%s: program too small to mean anything: handlers %+v, goroutines %+v", name, gs, ws)
 			}
 		}
@@ -340,38 +294,33 @@ func TestHandlerAsyncInterrupt(t *testing.T) {
 // where it ran — on some other process's goroutine — and reported under
 // the handler's own name and pid, at the dispatch it happened in.
 func TestHandlerPanicIsAttributed(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		s := New()
-		s.SetWorkers(workers)
-		in := s.NewPort("victim.in")
-		in.SetShard(workers - 1)
-		s.Spawn("client", func(p *Proc) {
-			p.Advance(10)
-			p.SendPort(in, p.ID(), "boom", p.Now()+5)
-			for {
-				p.Advance(1)
-			}
-		}).SetShard(workers - 1)
-		s.Spawn("bystander", func(p *Proc) {
-			for {
-				p.Advance(3)
-			}
-		})
-		h := s.SpawnHandler("victim", in, nil, func(p *Proc, m Msg) {
-			panic(fmt.Sprint("injected handler bug: ", m.Payload))
-		})
-		h.SetShard(workers - 1)
-		err := s.Run()
-		var perr *PanicError
-		if !errorsAs(err, &perr) {
-			t.Fatalf("workers=%d: Run = %v, want *PanicError", workers, err)
+	s := New()
+	in := s.NewPort("victim.in")
+	s.Spawn("client", func(p *Proc) {
+		p.Advance(10)
+		p.SendPort(in, p.ID(), "boom", p.Now()+5)
+		for {
+			p.Advance(1)
 		}
-		if perr.Proc != "victim" || perr.Pid != h.ID() || perr.Now != 15 {
-			t.Errorf("workers=%d: PanicError %q pid %d at %d, want victim/%d at 15", workers, perr.Proc, perr.Pid, perr.Now, h.ID())
+	})
+	s.Spawn("bystander", func(p *Proc) {
+		for {
+			p.Advance(3)
 		}
-		if !strings.Contains(perr.Value, "injected handler bug: boom") || !strings.Contains(perr.Stack, "handler_test.go") {
-			t.Errorf("workers=%d: PanicError value %q, stack:\n%s", workers, perr.Value, perr.Stack)
-		}
+	})
+	h := s.SpawnHandler("victim", in, nil, func(p *Proc, m Msg) {
+		panic(fmt.Sprint("injected handler bug: ", m.Payload))
+	})
+	err := s.Run()
+	var perr *PanicError
+	if !errorsAs(err, &perr) {
+		t.Fatalf("Run = %v, want *PanicError", err)
+	}
+	if perr.Proc != "victim" || perr.Pid != h.ID() || perr.Now != 15 {
+		t.Errorf("PanicError %q pid %d at %d, want victim/%d at 15", perr.Proc, perr.Pid, perr.Now, h.ID())
+	}
+	if !strings.Contains(perr.Value, "injected handler bug: boom") || !strings.Contains(perr.Stack, "handler_test.go") {
+		t.Errorf("PanicError value %q, stack:\n%s", perr.Value, perr.Stack)
 	}
 }
 

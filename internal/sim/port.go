@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // A Msg is a message in flight or delivered to a Port. Payload is the
 // user value; Arrival is the virtual time at which it becomes visible to
 // the receiver; From identifies the sender (for tile kernels, a tile
@@ -70,12 +72,9 @@ func (h *msgHeap) pop() Msg {
 // Recv on a port at a time.
 //
 // A port belongs to a shard (shard 0 unless SetShard moved it). With
-// more than one shard, only processes of the same shard may call
-// Recv/TryRecv/RecvDeadline or Send directly; processes of other shards
-// must route sends through Proc.SendPort, which in a sharded run defers
-// them across the shard boundary and in a serial run over independent
-// shards panics, there being no link. Port.Len on a cross-shard port
-// may transiently undercount messages still staged at the boundary.
+// more than one shard, only processes of the same shard may Send to it
+// or receive from it: independent shards exchange no messages, and
+// Proc.SendPort is the Send that checks it.
 type Port struct {
 	sim    *Simulator
 	sh     *shard
@@ -110,8 +109,7 @@ func (pt *Port) Len() int { return len(pt.q) }
 // port's own shard (the sender's local time is not consulted; compute
 // arrival with p.Now() plus the modeled transit latency before
 // calling). Send never blocks: link back-pressure is modeled by the
-// receiver's service occupancy. In a sharded run, senders that may be
-// on a different shard must use Proc.SendPort instead.
+// receiver's service occupancy.
 func (pt *Port) Send(from int, payload any, arrival Time) {
 	pt.seq++
 	pt.q.push(Msg{Payload: payload, Arrival: arrival, From: from, seq: pt.seq})
@@ -131,29 +129,19 @@ func (pt *Port) Send(from int, payload any, arrival Time) {
 	}
 }
 
-// SendPort sends on a port that may belong to another shard. On the
-// port's own shard (and always in a serial run on one shard) it is
-// exactly Port.Send; across shards the send is deferred and applied by
-// the receiving shard in deterministic sender order (see shard.go). The
-// pair (sending shard, receiving shard) must have been declared with
-// Connect, and arrival must respect the declared lookahead; a serial
-// run keeps shards apart only when no link is declared, so there a send
-// across is always the undeclared one.
+// SendPort is Port.Send from a process that must be on the port's own
+// shard: independent shards exchange no messages, so a send across is a
+// bug in the partition and panics under the sender's name instead of
+// being delivered on the wrong clock.
 func (p *Proc) SendPort(pt *Port, from int, payload any, arrival Time) {
-	if p.sh == pt.sh {
-		pt.Send(from, payload, arrival)
-		return
+	if p.sh != pt.sh {
+		panic(fmt.Sprintf("sim: cross-shard send %d->%d on port %q: shards exchange no messages", p.sh.idx, pt.sh.idx, pt.name))
 	}
-	ps := p.sim.par
-	if ps == nil {
-		panicNoLink(p.sh, pt)
-	}
-	ps.sendRemote(p, pt, from, payload, arrival)
+	pt.Send(from, payload, arrival)
 }
 
 // checkShard guards the receive path when shards are apart: blocking on
-// a port of another shard would race that shard's event loop, or in a
-// serial run wait on the wrong clock.
+// a port of another shard would wait on the wrong clock.
 func (p *Proc) checkShard(pt *Port) {
 	p.mayPark()
 	if p.sh != pt.sh {
@@ -162,19 +150,14 @@ func (p *Proc) checkShard(pt *Port) {
 }
 
 // fold is how Recv and RecvDeadline account for accrued local time.
-// The serial kernel does not spend a dispatch on it: it becomes floor,
+// The kernel does not spend a dispatch on it: it becomes floor,
 // the earliest time anything may wake the process, and the wait that
 // follows is scheduled at max(floor, t) for whatever t — a queued
 // message's arrival, a deadline, a later Send — would have woken it. A
 // wakeup the old pre-sync at floor would have been followed by keeps
 // its dispatch key (at, pid); the pre-sync's own dispatch had no side
-// effect but to look at the queue, and is gone. A sharded run keeps the
-// Sync, as park keeps its loop goroutine.
+// effect but to look at the queue, and is gone.
 func (p *Proc) fold() {
-	if p.sim.par != nil {
-		p.Sync()
-		return
-	}
 	p.floor = p.sh.now + p.local
 	p.local = 0
 }

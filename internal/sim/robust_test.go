@@ -39,32 +39,6 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestPanicBecomesErrorSharded: the same containment on the sharded
-// event loop, with the panicking process on a non-zero shard.
-func TestPanicBecomesErrorSharded(t *testing.T) {
-	s := New()
-	s.SetWorkers(2)
-	a := s.Spawn("a", func(p *Proc) {
-		p.Advance(20)
-		panic("sharded bug")
-	})
-	b := s.Spawn("b", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Advance(1)
-		}
-	})
-	a.SetShard(1)
-	b.SetShard(0)
-	err := s.Run()
-	var perr *PanicError
-	if !errorsAs(err, &perr) {
-		t.Fatalf("Run = %v, want *PanicError", err)
-	}
-	if perr.Proc != "a" {
-		t.Errorf("PanicError proc = %q, want a", perr.Proc)
-	}
-}
-
 // TestInterruptBeforeRun: an Interrupt issued before Run starts makes
 // the run return immediately with an InterruptedError — the
 // cancel-before-start race resolves to a cancelled run, not a
@@ -114,31 +88,5 @@ func TestInterruptMidRun(t *testing.T) {
 	}
 	if ierr.Now < 42 {
 		t.Errorf("InterruptedError now = %d, want >= 42", ierr.Now)
-	}
-}
-
-// TestInterruptSharded: the sharded loop honors Interrupt too.
-func TestInterruptSharded(t *testing.T) {
-	s := New()
-	s.SetWorkers(2)
-	a := s.Spawn("a", func(p *Proc) {
-		for i := 0; i < 100000; i++ {
-			p.Advance(1)
-			if i == 10 {
-				s.Interrupt()
-			}
-		}
-	})
-	b := s.Spawn("b", func(p *Proc) {
-		for i := 0; i < 100000; i++ {
-			p.Advance(1)
-		}
-	})
-	a.SetShard(0)
-	b.SetShard(1)
-	err := s.Run()
-	var ierr *InterruptedError
-	if !errorsAs(err, &ierr) {
-		t.Fatalf("Run = %v, want *InterruptedError", err)
 	}
 }

@@ -12,35 +12,27 @@
 // time: it only moves to timestamps that processes or messages carry, so
 // two runs of the same program are bit-for-bit identical.
 //
-// The kernel can optionally be sharded (see shard.go): processes and
-// ports are partitioned into shards, each shard runs its own event
-// sub-loop on its own goroutine, and the shards synchronize with
-// conservative lookahead windows derived from declared cross-shard
-// links. The sharded engine is byte-identical to the serial loop for
-// any workload whose cross-shard communication respects the declared
-// lookahead; with SetWorkers(1) (the default) the serial kernel below
-// runs. The serial kernel has no scheduler goroutine: a process that
-// parks pops the next event itself and either keeps running (the event
-// is its own wakeup) or resumes that event's process directly; a handler
-// process (SpawnHandler) has no goroutine at all and runs to completion
-// on whichever goroutine popped its wakeup.
+// The kernel has no scheduler goroutine: a process that parks pops the
+// next event itself and either keeps running (the event is its own
+// wakeup) or resumes that event's process directly; a handler process
+// (SpawnHandler) has no goroutine at all and runs to completion on
+// whichever goroutine popped its wakeup.
 //
-// The serial kernel also uses the shard assignment, when the shards are
-// independent — more than one holds a process and no Connect link is
-// declared, so they exchange no messages. Each shard then keeps its own
-// heap and clock and the one dispatch turn stays on a shard while it has
-// an event it may dispatch, and only then moves to the shard whose next
-// key is least (shard.next, Simulator.turn): independent shards, one at
-// a time, each with its working set to itself. Fence is what orders the
-// code that touches state the shards share. With a link declared, or
-// everything on shard 0, the serial run is one shard.
+// Processes and ports may be partitioned into shards (Proc.SetShard,
+// Port.SetShard) that exchange no messages. When more than one shard
+// holds a process, each keeps its own heap and clock and the one
+// dispatch turn stays on a shard while it has an event it may dispatch,
+// and only then moves to the shard whose next key is least (shard.next,
+// Simulator.turn): independent shards, one at a time, each with its
+// working set to itself. Fence is what orders the code that touches
+// state the shards share. With everything on one shard the run is one
+// heap.
 package sim
 
 import (
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"tilevm/internal/trace"
@@ -175,35 +167,22 @@ func (h *eventHeap) compact() {
 }
 
 // shard is one event sub-loop: a clock, an event heap, and the
-// processes and ports assigned to it. A serial simulation is one shard
-// (index 0), or several independent ones taking the one dispatch turn
-// in succession, whose processes dispatch each other (next); a sharded
-// simulation runs each shard's loop on its own goroutine (shard.go).
+// processes and ports assigned to it. A simulation is one shard (index
+// 0), or several independent ones taking the one dispatch turn in
+// succession, whose processes dispatch each other (next).
 type shard struct {
 	sim    *Simulator
 	idx    int
 	now    Time
 	events eventHeap
 	seq    uint64
-	parked chan struct{} // sharded: a proc parked or exited; serial: the dispatch loop is over (one channel for all shards)
 
-	// Serial: why next may dispatch nothing here. A process of this
-	// shard is parked in Fence at dispatch key (fenceAt, fence.id), or,
-	// with held set and no fence, the next event lies beyond the time
-	// limit.
+	// Why next may dispatch nothing here. A process of this shard is
+	// parked in Fence at dispatch key (fenceAt, fence.id), or, with held
+	// set and no fence, the next event lies beyond the time limit.
 	held    bool
 	fence   *Proc
 	fenceAt Time
-
-	// Parallel-only fields (guarded by parState.mu; see shard.go).
-	boundAt      Time    // lower bound on this shard's next dispatch key
-	boundPid     int     // pid refinement of boundAt (-1 = conservative)
-	quiet        bool    // no events and no staged messages
-	midDispatch  bool    // a process of this shard is currently running
-	fenceWaiting bool    // the running process is parked in a Fence wait
-	limitStalled bool    // next event exceeds the time limit
-	pending      []xsend // cross-shard sends queued by other shards
-	buf          []xsend // staged sends awaiting horizon, shard-owned
 }
 
 // schedule enqueues a wakeup for p at time at, superseding any
@@ -222,32 +201,22 @@ func (sh *shard) schedule(p *Proc, at Time) {
 	if n := len(sh.events.ev); n >= compactMinLen && sh.events.dead > n/2 {
 		sh.events.compact()
 	}
-	// In a sharded run, a schedule issued by the currently running
-	// process at a key below the shard's published bound (a same-time
-	// wake of a smaller pid) must be published before a fence could be
-	// granted against the stale bound.
-	if par := sh.sim.par; par != nil && sh.midDispatch {
-		par.noteSchedule(sh, at, p.id)
-	}
 }
 
 // Simulator is a deterministic discrete-event scheduler.
 type Simulator struct {
 	shards   []*shard
 	start    Time
-	workers  int
-	links    []link
 	procs    []*Proc
 	ports    []*Port
 	stopFlag atomic.Bool
 	intrFlag atomic.Bool // host-side Interrupt requested
 	limit    Time        // 0 means no limit
 	started  bool
-	slotwise bool       // serial run over independent shards: Fence orders them
-	abortErr error      // fatal error raised from inside a process, or the time limit
-	stats    Stats      // serial dispatch counters
-	par      *parState  // non-nil while a sharded Run is active
-	parMu    sync.Mutex // guards par for host-side (cross-goroutine) readers
+	slotwise bool          // run over independent shards: Fence orders them
+	abortErr error         // fatal error raised from inside a process, or the time limit
+	stats    Stats         // dispatch counters
+	parked   chan struct{} // the dispatch loop is over, or a killed process has unwound
 
 	// Trace, if non-nil, is the run's virtual-time event sink (see
 	// internal/trace). The kernel itself stays off the timeline — it
@@ -255,26 +224,24 @@ type Simulator struct {
 	// what a process *is*: a tile) can emit spans without a side
 	// channel. Exactly one process runs at a time, so emission needs
 	// no locking. All trace timestamps are virtual; the tracer adds
-	// zero virtual cycles and, when nil, zero cost. Sharded runs must
-	// not install a tracer (the sink is a shared append buffer).
+	// zero virtual cycles and, when nil, zero cost.
 	Trace *trace.Tracer
 }
 
-// Stats counts what the serial kernel did with its events. Every
-// dispatch is a run-on (the parking process found its own wakeup next
-// and kept its goroutine), a switch (control moved to another
-// goroutine, Run's first hand-off included) or inline (a handler, run
-// by whichever goroutine popped it), so Dispatches == RunOns + Switches
-// + Inline; DeadPops are superseded wakeups discarded at the top of the
-// heap. A Fence grant is not a dispatch and counts as none of them. The
-// counts are a deterministic function of the program, over one shard or
-// several; only the parallel engine leaves them zero.
+// Stats counts what the kernel did with its events. Every dispatch is a
+// run-on (the parking process found its own wakeup next and kept its
+// goroutine), a switch (control moved to another goroutine, Run's first
+// hand-off included) or inline (a handler, run by whichever goroutine
+// popped it), so Dispatches == RunOns + Switches + Inline; DeadPops are
+// superseded wakeups discarded at the top of the heap. A Fence grant is
+// not a dispatch and counts as none of them. The counts are a
+// deterministic function of the program, over one shard or several.
 type Stats struct {
 	Dispatches, RunOns, Switches, DeadPops, Inline uint64
 }
 
-// Stats returns the serial kernel's dispatch counters. Call it after
-// Run, or from inside a process body.
+// Stats returns the kernel's dispatch counters. Call it after Run, or
+// from inside a process body.
 func (s *Simulator) Stats() Stats { return s.stats }
 
 // BlockedProc is one entry of a DeadlockError: a process stuck in Recv
@@ -371,18 +338,12 @@ func (e *InterruptedError) Error() string {
 func (s *Simulator) Interrupt() {
 	s.intrFlag.Store(true)
 	s.stopFlag.Store(true)
-	s.parMu.Lock()
-	ps := s.par
-	s.parMu.Unlock()
-	if ps != nil {
-		ps.wakeAll()
-	}
 }
 
 // New returns an empty simulator.
 func New() *Simulator {
-	s := &Simulator{workers: 1}
-	s.shards = []*shard{{sim: s, idx: 0, parked: make(chan struct{})}}
+	s := &Simulator{parked: make(chan struct{})}
+	s.shards = []*shard{{sim: s}}
 	return s
 }
 
@@ -392,21 +353,15 @@ func (s *Simulator) shard(i int) *shard {
 		panic("sim: negative shard index")
 	}
 	for len(s.shards) <= i {
-		s.shards = append(s.shards, &shard{
-			sim:    s,
-			idx:    len(s.shards),
-			now:    s.start,
-			parked: make(chan struct{}),
-		})
+		s.shards = append(s.shards, &shard{sim: s, idx: len(s.shards), now: s.start})
 	}
 	return s.shards[i]
 }
 
 // Now returns the current virtual time. Inside a process body, prefer
 // Proc.Now, which includes the process's accumulated (not yet synced)
-// local cycles. With more than one shard — the parallel engine, or a
-// serial run over independent shards — each shard keeps its own clock
-// and Now reports the furthest: after Run, the time of the last event
+// local cycles. Independent shards each keep their own clock and Now
+// reports the furthest: after Run, the time of the last event
 // dispatched anywhere.
 func (s *Simulator) Now() Time {
 	now := s.shards[0].now
@@ -461,13 +416,12 @@ type Proc struct {
 	resume    chan struct{}
 	state     parkKind
 	local     Time // cycles accumulated since last sync
-	floor     Time // serial Recv: no wakeup before this (local time folded into the wait)
+	floor     Time // Recv: no wakeup before this (local time folded into the wait)
 	killed    bool
 	body      func(*Proc)
 	wakeSeq   uint64
 	wakeAt    Time
-	xseq      uint64 // cross-shard send counter (shard.go)
-	blockedOn *Port  // port this process is blocked in Recv on, if any
+	blockedOn *Port // port this process is blocked in Recv on, if any
 	daemon    bool
 
 	// Handler processes only (SpawnHandler): no goroutine, no resume.
@@ -499,6 +453,14 @@ func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc {
 	return p
 }
 
+// SetShard assigns the process to shard i. Must be called before Run.
+func (p *Proc) SetShard(i int) {
+	if p.sim.started {
+		panic("sim: SetShard after Run")
+	}
+	p.sh = p.sim.shard(i)
+}
+
 // SpawnHandler registers a run-to-completion process serving pt: an id
 // and a place in the dispatch order like any other, but no goroutine.
 // Its first dispatch calls start (nil for none); from then on it waits
@@ -521,16 +483,8 @@ func (s *Simulator) Run() error {
 		panic("sim: Run called twice")
 	}
 	s.started = true
-	if s.sharded() {
-		return s.runSharded()
-	}
-	if s.slotwise = s.independent(); s.slotwise {
-		// One dispatch turn, so one channel says the loop is over.
-		for _, sh := range s.shards[1:] {
-			sh.parked = s.shards[0].parked
-		}
-	} else {
-		// Linked or unassigned: everything rides shard 0.
+	if s.slotwise = s.independent(); !s.slotwise {
+		// One shard holds every process: everything rides shard 0.
 		sh := s.shards[0]
 		for _, p := range s.procs {
 			p.sh = sh
@@ -550,7 +504,7 @@ func (s *Simulator) Run() error {
 	// parked when next says the loop is over.
 	if first := s.shards[0].next(nil); first != nil {
 		first.resume <- struct{}{}
-		<-s.shards[0].parked
+		<-s.parked
 	}
 	err := s.abortErr
 	if err == nil && s.intrFlag.Load() {
@@ -563,13 +517,10 @@ func (s *Simulator) Run() error {
 	return err
 }
 
-// independent reports whether a serial Run dispatches shard by shard:
-// processes on more than one shard and no Connect link, so nothing one
-// shard does can schedule an event on another.
+// independent reports whether Run dispatches shard by shard: processes
+// on more than one shard. Shards exchange no messages, so nothing one
+// does can schedule an event on another.
 func (s *Simulator) independent() bool {
-	if len(s.links) > 0 {
-		return false
-	}
 	for _, p := range s.procs {
 		if p.sh != s.procs[0].sh {
 			return true
@@ -578,8 +529,8 @@ func (s *Simulator) independent() bool {
 	return false
 }
 
-// next is one turn of the serial dispatch loop: it pops the shard's
-// next live event, moves the shard's clock to it and returns its
+// next is one turn of the dispatch loop: it pops the shard's next live
+// event, moves the shard's clock to it and returns its
 // process — a handler's event it serves on the spot and pops again — or
 // returns nil when the loop is over: stopFlag set (Stop, Interrupt,
 // abort, panic, kill), or turn found nothing left to dispatch anywhere.
@@ -682,8 +633,8 @@ func (s *Simulator) turn() (*shard, *Proc) {
 	return best, p
 }
 
-// yield gives up control of a serial run from p's goroutine: p takes
-// the dispatch turn itself. If its own wakeup is next it keeps running
+// yield gives up control from p's goroutine: p takes the dispatch turn
+// itself. If its own wakeup is next it keeps running
 // (run-on, reported true, no goroutine switch); otherwise it resumes
 // the next process directly, or Run when the loop is over (one switch).
 // The unbuffered sends keep the one-runnable-process invariant: all of
@@ -694,7 +645,7 @@ func (p *Proc) yield() bool {
 	case p:
 		return true
 	case nil:
-		p.sh.parked <- struct{}{}
+		p.sim.parked <- struct{}{}
 	default:
 		next.resume <- struct{}{}
 	}
@@ -705,20 +656,16 @@ func (p *Proc) yield() bool {
 // the body, and gives up control for good when done (or when killed). A
 // panic in the body is contained: it becomes a PanicError aborting the
 // simulation, not a host-program crash — the goroutine exits cleanly
-// so the kernel (serial or sharded) sees an ordinary exit.
+// so the kernel sees an ordinary exit.
 func (p *Proc) run() {
 	defer func() {
 		p.contain(recover())
 		// The body returned, panicked, aborted or was killed: the
 		// goroutine's last act is an ordinary hand-off. In the three
-		// unwinding cases stopFlag is already set, so a serial yield
-		// goes to Run, never to a peer.
+		// unwinding cases stopFlag is already set, so the yield goes
+		// to Run, never to a peer.
 		p.state = parkDone
-		if p.sim.par != nil {
-			p.sh.parked <- struct{}{}
-		} else {
-			p.yield()
-		}
+		p.yield()
 	}()
 	// Wait for first dispatch.
 	<-p.resume
@@ -741,9 +688,7 @@ func (p *Proc) contain(r any) {
 		Value: fmt.Sprint(r),
 		Stack: string(debug.Stack()),
 	}
-	if ps := p.sim.par; ps != nil {
-		ps.recordAbort(p.sh.now, p.id, perr)
-	} else if p.sim.abortErr == nil {
+	if p.sim.abortErr == nil {
 		p.sim.abortErr = perr
 	}
 	p.sim.stopFlag.Store(true)
@@ -784,17 +729,12 @@ func (s *Simulator) kill() {
 		}
 		p.killed = true
 		p.resume <- struct{}{}
-		<-p.sh.parked
+		<-s.parked
 	}
 }
 
 // Stop ends the simulation after the calling process parks.
-func (p *Proc) Stop() {
-	p.sim.stopFlag.Store(true)
-	if ps := p.sim.par; ps != nil {
-		ps.wakeAll()
-	}
-}
+func (p *Proc) Stop() { p.sim.stopFlag.Store(true) }
 
 // SetDaemon excuses the process from deadlock detection: a daemon
 // blocked forever (a fail-stopped tile draining its inbox) is listed
@@ -805,9 +745,7 @@ func (p *Proc) SetDaemon(v bool) { p.daemon = v }
 // unwinds the calling goroutine. Run returns the error after killing
 // the remaining processes.
 func (p *Proc) abort(err error) {
-	if ps := p.sim.par; ps != nil {
-		ps.recordAbort(p.sh.now, p.id, err)
-	} else if p.sim.abortErr == nil {
+	if p.sim.abortErr == nil {
 		p.sim.abortErr = err
 	}
 	p.sim.stopFlag.Store(true)
@@ -849,18 +787,39 @@ func (p *Proc) advance(d Time) {
 	p.park()
 }
 
-// park gives up control and blocks until resumed: a sharded run hands
-// back to the shard's loop goroutine, a serial run dispatches the next
+// park gives up control and blocks until resumed: p dispatches the next
 // event itself and may find it is its own.
 func (p *Proc) park() {
-	if p.sim.par != nil {
-		p.sh.parked <- struct{}{}
-	} else if p.yield() {
+	if p.yield() {
 		return
 	}
 	<-p.resume
 	if p.killed {
 		panic(errKilled{})
+	}
+}
+
+// Fence blocks the calling process until no other shard has a live
+// event or a held fence below the caller's current dispatch key (now,
+// pid). Between Fence and the process's next park, reads and writes of
+// state the shards share therefore happen in the order one heap would
+// have made them.
+//
+// Independent shards are dispatched a shard at a time, so Fence records
+// the caller's key, holds the caller's shard and parks; turn grants it —
+// no dispatch is counted — in key order. One process runs at a time, so
+// the exclusivity until the next park is the kernel's own. Another shard
+// may meanwhile have been dispatched past the key: it shares nothing
+// outside its own fenced sections, so neither side can tell. What it
+// does mean: a shard that never runs out of events never gives up the
+// turn, so a Stop that waits under another shard's fence needs the run
+// to have a time limit. No-op on one shard.
+func (p *Proc) Fence() {
+	p.mayPark()
+	if p.sim.slotwise {
+		sh := p.sh
+		sh.fence, sh.fenceAt, sh.held = p, sh.now, true
+		p.park()
 	}
 }
 

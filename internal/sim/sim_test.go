@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -361,5 +363,121 @@ func TestManyProcessesStress(t *testing.T) {
 	}
 	if got != n {
 		t.Fatalf("received %d messages, want %d", got, n)
+	}
+}
+
+// TestCompactAfterSetStart is the rollback regression: SetStart moves
+// the clock to an absolute restart cycle, so every event the restarted
+// machine schedules sits far from zero. The supersede-heavy receive
+// pattern must still trigger compaction (heap stays bounded), dispatch
+// in exact (time, pid) order, and keep the per-shard seq counter
+// strictly monotonic across compactions.
+func TestCompactAfterSetStart(t *testing.T) {
+	const start = Time(1) << 40
+	const rounds = 500
+	s := New()
+	s.SetStart(start)
+	if got := s.Now(); got != start {
+		t.Fatalf("Now() = %d after SetStart(%d)", got, start)
+	}
+	pt := s.NewPort("p")
+	maxLen := 0
+	var lastSeq uint64
+	var dispatches []Time
+	s.Spawn("producer", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			p.Advance(1)
+			pt.Send(0, i, p.Now())
+			sh := s.shards[0]
+			if n := len(sh.events.ev); n > maxLen {
+				maxLen = n
+			}
+			if sh.seq <= lastSeq {
+				t.Errorf("round %d: shard seq %d not monotonic (last %d)", i, sh.seq, lastSeq)
+			}
+			lastSeq = sh.seq
+			dispatches = append(dispatches, p.Now())
+		}
+	})
+	s.Spawn("consumer", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			// A far-future deadline parks a wakeup that every message
+			// supersedes — the compaction-triggering pattern.
+			if _, ok := p.RecvDeadline(pt, start+(1<<20)); !ok {
+				t.Error("consumer hit deadline")
+				return
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if maxLen > 4*compactMinLen {
+		t.Fatalf("event heap grew to %d entries after SetStart; compaction regressed", maxLen)
+	}
+	for i, at := range dispatches {
+		if at < start {
+			t.Fatalf("dispatch %d at cycle %d, before the SetStart origin %d", i, at, start)
+		}
+		if i > 0 && at < dispatches[i-1] {
+			t.Fatalf("dispatch %d at cycle %d ran before cycle %d: order broken", i, at, dispatches[i-1])
+		}
+	}
+}
+
+// TestCompactPreservesPopOrder unit-tests the heap directly: a
+// compaction over a mix of live and superseded entries (on an absolute
+// SetStart-style timeline) must leave the pop order identical to the
+// uncompacted heap's.
+func TestCompactPreservesPopOrder(t *testing.T) {
+	const start = Time(1) << 32
+	mk := func() (*Simulator, []*Proc) {
+		s := New()
+		var procs []*Proc
+		for i := 0; i < 40; i++ {
+			procs = append(procs, s.Spawn(fmt.Sprintf("p%d", i), func(*Proc) {}))
+		}
+		s.SetStart(start)
+		return s, procs
+	}
+	pops := func(s *Simulator, compactFirst bool) []int {
+		sh := s.shards[0]
+		if compactFirst {
+			sh.events.compact()
+		}
+		var order []int
+		for {
+			ev, ok := sh.events.peekLive()
+			if !ok {
+				break
+			}
+			sh.events.pop()
+			ev.proc.state = parkBlocked // retire so peekLive moves on
+			order = append(order, ev.pid)
+		}
+		return order
+	}
+	build := func(s *Simulator, procs []*Proc) {
+		sh := s.shards[0]
+		// Half the procs get superseded schedules (dead entries), every
+		// proc ends with one live entry at a scrambled absolute time.
+		for i, p := range procs {
+			sh.schedule(p, start+Time((i*7)%41))
+			if i%2 == 0 {
+				sh.schedule(p, start+Time((i*13)%37)) // supersedes the first
+			}
+		}
+	}
+	sa, pa := mk()
+	build(sa, pa)
+	want := pops(sa, false)
+	sb, pb := mk()
+	build(sb, pb)
+	got := pops(sb, true)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("compaction changed pop order:\nplain:     %v\ncompacted: %v", want, got)
+	}
+	if len(want) != len(pa) {
+		t.Fatalf("popped %d live events for %d procs", len(want), len(pa))
 	}
 }

@@ -9,17 +9,17 @@ import (
 	"time"
 )
 
-// Differential test of the serial kernel over independent shards. A
+// Differential test of the kernel over independent shards. A
 // slotProgram is k link-free groups of processes — goroutine clients,
 // handler servers with deadlines and Redeliver — whose only common
 // ground is a counter touched between Fence and the next park, with
 // the fences of several groups made to fall in the same cycles. Pids
 // interleave the groups, so a same-cycle tie is settled across them.
 // Every seeded program runs collapsed onto one shard (no assignment at
-// all: the kernel this repo has always had, and the oracle), a shard at
-// a time, and on the parallel engine, and no process may be able to
-// tell which: the same observation log per process, the same final
-// clock and error, the same number of dispatches.
+// all: the kernel this repo has always had, and the oracle) and a shard
+// at a time, and no process may be able to tell which: the same
+// observation log per process, the same final clock and error, the same
+// number of dispatches.
 type slotProgram struct {
 	seed   uint64
 	groups int
@@ -31,13 +31,11 @@ type slotProgram struct {
 	deadlock                bool // group 0's first client ends waiting on a port nobody sends to
 }
 
-type slotMode int
+type slotMode bool
 
 const (
-	collapsed   slotMode = iota // everything on shard 0
-	slotAtATime                 // a shard per group, the serial kernel
-	parallel2                   // a shard per group, the parallel engine with two workers
-	linked                      // a shard per group and a declared link: the serial kernel must collapse it
+	collapsed   slotMode = false // everything on shard 0
+	slotAtATime slotMode = true  // a shard per group
 )
 
 const slotProcs = 4 // per group: three clients and a server
@@ -53,12 +51,6 @@ type slotResult struct {
 func (pr slotProgram) run(mode slotMode) slotResult {
 	s := New()
 	s.SetLimit(pr.limit)
-	switch mode {
-	case parallel2:
-		s.SetWorkers(2)
-	case linked:
-		s.Connect(0, 1, 1)
-	}
 	k := pr.groups
 	n := k * slotProcs
 	res := slotResult{logs: make([][]uint64, n)}
@@ -162,7 +154,7 @@ func (pr slotProgram) run(mode slotMode) slotResult {
 				}
 			})
 		}
-		if mode != collapsed {
+		if mode == slotAtATime {
 			p.SetShard(pid % k)
 			in.SetShard(pid % k)
 		}
@@ -201,11 +193,6 @@ func TestSlotAtATimeDifferential(t *testing.T) {
 			}
 			if again := pr.run(slotAtATime); again.stats != got.stats {
 				t.Errorf("%s slot-at-a-time: stats %+v then %+v: not a function of the program", name, got.stats, again.stats)
-			}
-			par := pr.run(parallel2)
-			sameLogs(t, name+" parallel", want.logs, par.logs)
-			if par.err != nil || par.now != want.now || par.shared != want.shared {
-				t.Errorf("%s parallel: err %v now %d shared %d, want nil %d %d", name, par.err, par.now, par.shared, want.now, want.shared)
 			}
 		}
 	}
@@ -362,22 +349,38 @@ func TestSlotAtATimeDeadlock(t *testing.T) {
 	sameLogs(t, "deadlock", want.logs, got.logs)
 }
 
-// TestSlotAtATimeNeedsNoLink: with a Connect link declared the shards
-// are not independent and the serial kernel rides shard 0 as it always
-// has — every counter, not just the dispatches — instead of panicking
-// on the link or ignoring it.
-func TestSlotAtATimeNeedsNoLink(t *testing.T) {
-	pr := slotProgram{seed: 36, groups: 3, steps: 200}
-	want, got := pr.run(collapsed), pr.run(linked)
-	sameLogs(t, "linked", want.logs, got.logs)
-	if got.err != nil || got.now != want.now || got.stats != want.stats {
-		t.Errorf("linked: err %v now %d stats %+v, collapsed: %d %+v", got.err, got.now, got.stats, want.now, want.stats)
+// TestFenceSerializesSharedState drives the fleet's fence pattern
+// directly: four procs, a shard each, append to a shared slice inside
+// Fence-guarded sections at staggered times. Shard 0 holds the turn
+// first and runs worker0 up to its fence at cycle 100 before any other
+// shard is dispatched; the observed sequence must still be the global
+// virtual-time order.
+func TestFenceSerializesSharedState(t *testing.T) {
+	var order []int
+	s := New()
+	for i := 0; i < 4; i++ {
+		i := i
+		p := s.Spawn(fmt.Sprintf("worker%d", i), func(p *Proc) {
+			// Staggered so the order is 3,2,1,0 — the reverse of pid and
+			// of dispatch order, catching fences granted by either.
+			p.Advance(Time(100 - 10*i))
+			p.Fence()
+			order = append(order, i)
+			p.Advance(1) // park: releases the fence
+		})
+		p.SetShard(i)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{3, 2, 1, 0}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("fence order %v, want %v", order, want)
 	}
 }
 
 // TestSlotAtATimeCrossSendPanics: independent shards exchange nothing,
-// and one that tries is a bug reported under the sender's name, as on
-// the parallel engine, not a message delivered on the wrong clock.
+// and one that tries is a bug reported under the sender's name, not a
+// message delivered on the wrong clock.
 func TestSlotAtATimeCrossSendPanics(t *testing.T) {
 	s := New()
 	in := s.NewPort("in")

@@ -2,12 +2,12 @@
 // the headline simulator benchmarks (the machine_run_gzip micro and its
 // code-bound twin machine_run_gcc, that one again from a filled
 // translation memo, the serial quick figure suite, the
-// quick fleet fault-tolerance sweep, and the sharded-engine parallel_sim
-// fleet with the serial kernel's switch count beside it) and compares
+// quick fleet fault-tolerance sweep, and the fleet_kernel fleet with
+// the kernel's switch count beside it) and compares
 // them against the recorded trajectory in
 // BENCH_sim.json, plus the translator's per-block cost in time,
 // allocations and bytes (translate_block_tier1/tier0 over the 176.gcc
-// corpus), the serial kernel's process switch (sim_proc_switch at 2 and
+// corpus), the kernel's process switch (sim_proc_switch at 2 and
 // 64 processes) and the three per-message costs (sim_tick_recv,
 // sim_handler_dispatch, l1_fill).
 // A metric that regresses beyond its tolerance fails the run. Tolerances are deliberately
@@ -48,11 +48,9 @@ type baseline struct {
 			Seconds float64 `json:"seconds"`
 		} `json:"fleet_fault"`
 	} `json:"quick_suite"`
-	ParallelSim *struct {
-		ShardedSeconds float64 `json:"sharded_seconds"`
-		Speedup        float64 `json:"speedup"`
-		SerialSwitches uint64  `json:"serial_switches"`
-	} `json:"parallel_sim"`
+	FleetKernel *struct {
+		Switches uint64 `json:"switches"`
+	} `json:"fleet_kernel"`
 	ServiceThroughput struct {
 		Jobs          int     `json:"jobs"`
 		SecondsPerJob float64 `json:"seconds_per_job"`
@@ -105,9 +103,9 @@ const (
 )
 
 // slotSwitchRatio is what dispatching independent slots one at a time
-// has to be worth, as a count: of the parallel_sim fleet's serial
-// dispatches, at most three quarters as many may be goroutine switches
-// as when the same fleet's slots share one heap.
+// has to be worth, as a count: of the fleet_kernel fleet's dispatches,
+// at most three quarters as many may be goroutine switches as when the
+// same fleet's slots share one heap.
 const slotSwitchRatio = 0.75
 
 // metric is one baseline-vs-measured comparison. The gate trips when
@@ -175,11 +173,10 @@ func measureFleetFaultSweep() (float64, error) {
 
 func main() {
 	var (
-		basePath     = flag.String("baseline", "BENCH_sim.json", "recorded trajectory to compare against")
-		timeTol      = flag.Float64("time-tol", 2.5, "wall-clock regression tolerance (multiple of baseline)")
-		allocTol     = flag.Float64("alloc-tol", 1.25, "allocs/op regression tolerance (multiple of baseline)")
-		speedupFloor = flag.Float64("speedup-floor", 1.5, "minimum parallel_sim speedup on hosts with >= 4 CPUs (asserted only there; 1-CPU hosts report skipped)")
-		skipSuite    = flag.Bool("skip-suite", false, "skip the quick figure suite (micro only)")
+		basePath  = flag.String("baseline", "BENCH_sim.json", "recorded trajectory to compare against")
+		timeTol   = flag.Float64("time-tol", 2.5, "wall-clock regression tolerance (multiple of baseline)")
+		allocTol  = flag.Float64("alloc-tol", 1.25, "allocs/op regression tolerance (multiple of baseline)")
+		skipSuite = flag.Bool("skip-suite", false, "skip the quick figure suite (micro only)")
 	)
 	flag.Parse()
 
@@ -233,7 +230,7 @@ func main() {
 			metric{tier.name + " allocs/block", float64(b.AllocsPerOp), float64(r.AllocsPerOp()), blockAllocTol},
 			metric{tier.name + " bytes/block", float64(b.BytesPerOp), float64(r.AllocedBytesPerOp()), blockBytesTol})
 	}
-	// The serial kernel's hand-off: a park that must switch goroutines,
+	// The kernel's hand-off: a park that must switch goroutines,
 	// with a trivial event heap and with an 8×8 fabric's.
 	fmt.Fprintln(os.Stderr, "benchcheck: measuring sim_proc_switch/sim_proc_switch_64...")
 	for _, k := range []struct {
@@ -272,56 +269,30 @@ func main() {
 		}
 		ms = append(ms, metric{"quick_suite fleet_fault seconds", base.QuickSuite.FleetFault.Seconds, ffSecs, *timeTol})
 
-		fmt.Fprintln(os.Stderr, "benchcheck: running sharded fleet (parallel_sim)...")
-		simW := runtime.NumCPU()
-		if simW < 2 {
-			simW = 2 // determinism check still runs on 1-CPU hosts
-		}
-		fp, err := bench.FleetParallelBench(simW)
+		fmt.Fprintln(os.Stderr, "benchcheck: running fleet_kernel (slot-at-a-time vs interleaved fleet)...")
+		fk, err := bench.FleetKernelBench()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchcheck:", err)
 			os.Exit(1)
 		}
-		if !fp.Identical {
-			fmt.Fprintln(os.Stderr, "benchcheck: parallel_sim: sharded or interleaved fleet result DIVERGED from serial — the engine's bit-for-bit contract is broken")
+		if !fk.Identical {
+			fmt.Fprintln(os.Stderr, "benchcheck: fleet_kernel: interleaved fleet result DIVERGED from slot-at-a-time — the kernel's bit-for-bit contract is broken")
 			os.Exit(1)
 		}
-		var baseSharded, baseSwitches float64
-		if base.ParallelSim != nil {
-			baseSharded = base.ParallelSim.ShardedSeconds
-			baseSwitches = float64(base.ParallelSim.SerialSwitches)
+		var baseSwitches float64
+		if base.FleetKernel != nil {
+			baseSwitches = float64(base.FleetKernel.Switches)
 		}
 		// Counts, not wall times: the same on any host, so the recorded
 		// one is held exactly and the interleaved one measured beside it.
 		ms = append(ms,
-			metric{"parallel_sim sharded seconds", baseSharded, fp.ShardedSeconds, *timeTol},
-			metric{"parallel_sim serial switches", baseSwitches, float64(fp.SerialSwitches), 1},
-			metric{"parallel_sim vs interleaved", float64(fp.InterleavedSwitches), float64(fp.SerialSwitches), slotSwitchRatio})
-		// The speedup assertion only means anything with real cores
-		// behind the shards: on a 1-CPU host the goroutines time-slice
-		// one core and the best possible outcome is ~1x, so the gate
-		// reduces to the determinism check above.
-		switch {
-		case runtime.NumCPU() == 1:
-			fmt.Printf("%-28s skipped: 1 CPU (determinism checked, speedup not asserted)\n", "parallel_sim speedup")
-		case runtime.NumCPU() >= 4:
-			fmt.Printf("%-28s %.2fx at %d workers on %d CPUs (floor %.2fx)\n",
-				"parallel_sim speedup", fp.Speedup, fp.Workers, runtime.NumCPU(), *speedupFloor)
-			if fp.Speedup < *speedupFloor {
-				fmt.Fprintf(os.Stderr, "benchcheck: REGRESSION: parallel_sim speedup %.2fx below floor %.2fx on %d CPUs\n",
-					fp.Speedup, *speedupFloor, runtime.NumCPU())
-				os.Exit(1)
-			}
-		default:
-			fmt.Printf("%-28s %.2fx at %d workers on %d CPUs (floor waived below 4 CPUs)\n",
-				"parallel_sim speedup", fp.Speedup, fp.Workers, runtime.NumCPU())
-		}
+			metric{"fleet_kernel switches", baseSwitches, float64(fk.Switches), 1},
+			metric{"fleet_kernel vs interleaved", float64(fk.InterleavedSwitches), float64(fk.Switches), slotSwitchRatio})
 
-		// Placement sweep: every figure is virtual cycles, so unlike
-		// parallel_sim there is no speedup to waive — the determinism
-		// check and the planner-beats-fixed assertion hold exactly on
-		// any host, 1-CPU included; only the wall clock takes the
-		// generous time tolerance.
+		// Placement sweep: every figure is virtual cycles, so the
+		// determinism check and the planner-beats-fixed assertion hold
+		// exactly on any host; only the wall clock takes the generous
+		// time tolerance.
 		fmt.Fprintln(os.Stderr, "benchcheck: running placement sweep (planner vs fixed, oversubscribed fleets)...")
 		psw, err := bench.PlacementSweepBench(false)
 		if err != nil {
