@@ -52,6 +52,7 @@ import (
 	"tilevm/internal/core"
 	"tilevm/internal/fault"
 	"tilevm/internal/guest"
+	"tilevm/internal/raw"
 	"tilevm/internal/rawisa"
 	"tilevm/internal/trace"
 	"tilevm/internal/translate"
@@ -178,7 +179,7 @@ func main() {
 				die(fmt.Errorf("-%s does not apply in fleet mode (per-VM resources are fixed by the 8-tile slot shape)", conflict))
 			}
 		}
-		w, h, err := parseGrid(*grid)
+		w, h, err := raw.ParseGrid(*grid)
 		if err != nil {
 			die(err)
 		}
@@ -201,10 +202,11 @@ func main() {
 			plan.Seed = *faultSeed
 			fleetCfg.Fault = plan
 		}
-		fleetSlots, err = core.FleetSlots(fleetCfg.Params)
+		layout, err := core.FleetSlotLayout(fleetCfg.Params)
 		if err != nil {
 			die(err)
 		}
+		fleetSlots = len(layout)
 		for _, n := range strings.Split(*guests, ",") {
 			n = strings.TrimSpace(n)
 			if _, ok := workload.ByName(n); !ok {
@@ -265,7 +267,6 @@ func main() {
 		fleetCfg.Interrupt = intr
 		defer stopTimer()
 		fc := core.FleetConfig{
-			Planner:      *planner,
 			MaxAttempts:  *maxAtt,
 			RetryBackoff: *retryBack,
 			RetrySeed:    *retrySeed,
@@ -443,19 +444,6 @@ func writeTrace(t *trace.Tracer, path string) error {
 // csvPathFor derives the sampler CSV path from the trace path.
 func csvPathFor(path string) string {
 	return strings.TrimSuffix(path, ".json") + ".csv"
-}
-
-// parseGrid parses a WxH fabric size like "8x8".
-func parseGrid(s string) (w, h int, err error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) == 2 {
-		w, errW := strconv.Atoi(parts[0])
-		h, errH := strconv.Atoi(parts[1])
-		if errW == nil && errH == nil {
-			return w, h, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("bad -grid %q, want WxH (e.g. 8x8)", s)
 }
 
 // reportFleet prints the fleet run outcome: one line per guest in

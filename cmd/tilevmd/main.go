@@ -28,11 +28,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
+	"tilevm/internal/raw"
 	"tilevm/internal/service"
 )
 
@@ -55,7 +54,7 @@ func main() {
 	)
 	flag.Parse()
 
-	w, h, err := parseGrid(*grid)
+	w, h, err := raw.ParseGrid(*grid)
 	if err != nil {
 		die(err)
 	}
@@ -121,20 +120,4 @@ func main() {
 	case err := <-serveErr:
 		die(fmt.Errorf("http server: %w", err))
 	}
-}
-
-// parseGrid parses "WxH" (mirrors cmd/tilevm).
-func parseGrid(s string) (w, h int, err error) {
-	parts := strings.SplitN(strings.ToLower(s), "x", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad -grid %q (want WxH, e.g. 8x8)", s)
-	}
-	w, err = strconv.Atoi(parts[0])
-	if err == nil {
-		h, err = strconv.Atoi(parts[1])
-	}
-	if err != nil || w <= 0 || h <= 0 {
-		return 0, 0, fmt.Errorf("bad -grid %q (want WxH with positive dimensions)", s)
-	}
-	return w, h, nil
 }

@@ -53,7 +53,6 @@ func (s *Suite) FleetSweep() (string, error) {
 			for _, mode := range []string{"fixed", "planner"} {
 				fc := core.FleetConfig{}
 				if mode == "planner" {
-					fc.Planner = true
 					fc.Profiles = profiles
 				}
 				cfg := core.DefaultConfig()

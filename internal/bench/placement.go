@@ -163,9 +163,7 @@ func PlacementSweepBench(quick bool) (*PlacementSweepResult, error) {
 		if gr.Fixed, err = point("fixed", core.FleetConfig{}); err != nil {
 			return nil, err
 		}
-		if gr.Planner, err = point("planner", core.FleetConfig{
-			Planner: true, Profiles: profiles,
-		}); err != nil {
+		if gr.Planner, err = point("planner", core.FleetConfig{Profiles: profiles}); err != nil {
 			return nil, err
 		}
 		gr.PlannerWins = gr.Planner.Makespan < gr.Fixed.Makespan || gr.Planner.Utilization > gr.Fixed.Utilization

@@ -41,18 +41,14 @@ type FleetConfig struct {
 	// MaxSlots caps the number of carved VM slots (0 = as many slots as
 	// fit the fabric, never more than the number of guests).
 	MaxSlots int
-	// Planner replaces the fixed 4×2/2×4 carve with the cost-model
-	// placement planner (planner.go): slot shapes grow with the
-	// fabric-to-guest ratio, and each slot's slave/bank split follows
-	// its guest's profile. Capacity is unchanged — the planner's base
-	// tier is the fixed carve, so a fleet that fits without the planner
-	// fits with it.
-	Planner bool
-	// Profiles optionally supplies per-guest cost models for the
-	// planner, index-aligned with imgs (zero entries take the default
-	// profile; length must be zero or len(imgs)). Requires Planner.
-	// Slot i is shaped from Profiles[i] because initial admission binds
-	// guest i to slot i.
+	// Profiles, when set, turns on cost-model placement (planner.go):
+	// slot shapes grow with the fabric-to-guest ratio, and each slot's
+	// slave/bank split follows its guest's profile. Index-aligned with
+	// imgs (zero entries take the default profile; length must be zero
+	// or len(imgs)); slot i is shaped from Profiles[i] because initial
+	// admission binds guest i to slot i. Capacity is unchanged: the slot
+	// count comes from the base tier either way, so a fleet that fits
+	// without profiles fits with them.
 	Profiles []GuestProfile
 
 	// MaxAttempts caps how many times one guest may be admitted to a
@@ -232,9 +228,6 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 		return nil, fmt.Errorf("core: %d per-guest deadlines for %d guests (need none or one per guest)",
 			len(fc.Deadlines), len(imgs))
 	}
-	if len(fc.Profiles) != 0 && !fc.Planner {
-		return nil, fmt.Errorf("core: fleet guest Profiles require the placement Planner")
-	}
 	if len(fc.Profiles) != 0 && len(fc.Profiles) != len(imgs) {
 		return nil, fmt.Errorf("core: %d guest profiles for %d guests (need none or one per guest)",
 			len(fc.Profiles), len(imgs))
@@ -242,26 +235,20 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	if cfg.Recovery == RecoverRollback && cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
-	slots, err := carveFabric(cfg.Params, 0)
+	// One base-tier scan settles the slot count: exactly MaxSlots (a
+	// *NoFitError if they do not fit) or as many as fit, never more than
+	// there are guests. Without profiles it is also the carve.
+	slots, err := planFabric(cfg.Params, nil, fc.MaxSlots)
 	if err != nil {
 		return nil, err
-	}
-	if fc.MaxSlots > 0 {
-		if fc.MaxSlots > len(slots) {
-			return nil, fmt.Errorf("core: %d VM slots requested but the %d×%d fabric fits only %d",
-				fc.MaxSlots, cfg.Params.Width, cfg.Params.Height, len(slots))
-		}
-		slots = slots[:fc.MaxSlots]
 	}
 	if len(slots) > len(imgs) {
 		slots = slots[:len(imgs)]
 	}
-	if fc.Planner {
-		// Re-carve with the planner at the slot count the fixed carve
-		// settled on, so MaxSlots and capacity semantics are identical;
-		// the planner only changes shapes and role splits.
-		slots, err = planFabric(cfg.Params, fc.Profiles, len(slots))
-		if err != nil {
+	if len(fc.Profiles) > 0 {
+		// The planner re-shapes that many slots; it only changes shapes
+		// and role splits, never the count.
+		if slots, err = planFabric(cfg.Params, fc.Profiles, len(slots)); err != nil {
 			return nil, err
 		}
 	}

@@ -47,7 +47,7 @@ type fleetGolden struct {
 	guests []string
 	traced bool
 	// cfg and fc adjust the fleetCfg(w, h) / zero FleetConfig defaults;
-	// layout is the fixed carve of the w×h fabric, for aiming faults.
+	// layout is the base-tier carve of the w×h fabric, for aiming faults.
 	cfg  func(cfg *Config, layout []FleetSlot)
 	fc   func(t *testing.T, g *fleetGolden) FleetConfig
 	want string
@@ -113,7 +113,7 @@ var fleetGoldens = []fleetGolden{
 		want: "6599125:0:8d83755edc5412ae"},
 	{name: "8x8/planner/cap3", w: 8, h: 8, guests: []string{"164.gzip", "181.mcf", "176.gcc", "164.gzip", "181.mcf"},
 		fc: func(t *testing.T, g *fleetGolden) FleetConfig {
-			return FleetConfig{Planner: true, MaxSlots: 3, Profiles: profilesFor(t, g.guests...)}
+			return FleetConfig{MaxSlots: 3, Profiles: profilesFor(t, g.guests...)}
 		},
 		want: "15976298:0:dc21d99425f4e575"},
 	{name: "8x8/traced", w: 8, h: 8, guests: five[:3], traced: true,
@@ -189,11 +189,13 @@ var fleetGoldens = []fleetGolden{
 		want: "5274817:0:324899f6b9a7aabd"},
 	{name: "8x8/planner/fail", w: 8, h: 8, guests: four,
 		// The planner grows slots on an undersubscribed fabric, so the
-		// fault is aimed by tile id, not through the fixed carve's layout.
+		// fault is aimed by tile id, not through the base-tier layout.
 		cfg: func(cfg *Config, _ []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: 9, Cycle: 600_000})
 		},
-		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{Planner: true, RetrySeed: 2} },
+		fc: func(_ *testing.T, g *fleetGolden) FleetConfig {
+			return FleetConfig{Profiles: make([]GuestProfile, len(g.guests)), RetrySeed: 2}
+		},
 		want: "2840562:0:36587577bb9be53d"},
 }
 

@@ -50,7 +50,7 @@ func TestMultiVMBothGuestsCorrect(t *testing.T) {
 }
 
 func TestMultiVMDisjointPlacement(t *testing.T) {
-	slots, err := carveFabric(DefaultConfig().Params, 2)
+	slots, err := planFabric(DefaultConfig().Params, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,14 @@ import (
 	"tilevm/internal/raw"
 )
 
-// Fleet slot carving: partitioning an arbitrary W×H fabric into
-// complete 8-tile virtual machines. Each slot is a 4×2 (or transposed
-// 2×4) rectangle holding a full service set — syscall proxy, L1.5
-// bank, two translation slaves, manager, execution tile, MMU, and one
-// data bank — arranged so the execution tile is adjacent to its
-// manager, MMU, and L1.5 bank, the same layout constraint the fixed
-// 4×4 pair split encodes (see DESIGN.md §9).
+// Fleet slots: the fabric is cut into complete virtual machines, each a
+// rectangle holding a full service set — syscall proxy, L1.5 bank,
+// translation slaves, manager, execution tile, MMU, and data banks —
+// arranged so the execution tile is adjacent to its manager, MMU, and
+// L1.5 bank, the same layout constraint the fixed 4×4 pair split
+// encodes (see DESIGN.md §9). The one placer that does the cutting is
+// planFabric (planner.go); its base tier is the 8-tile 4×2 slot (or its
+// 2×4 transpose) with two slaves and one bank:
 //
 //	4×2 slot            2×4 slot
 //	sys  l15  slv  slv      sys  mgr
@@ -21,7 +22,8 @@ import (
 //	                        slv  mmu
 //	                        slv  bank
 
-// slotTiles is the number of tiles one carved VM slot occupies.
+// slotTiles is the number of tiles a base-tier VM slot occupies, the
+// smallest slot there is.
 const slotTiles = 8
 
 // maxFabricDim bounds carving so a hostile Width/Height cannot demand
@@ -30,7 +32,7 @@ const maxFabricDim = 256
 
 // NoFitError reports a carve that could not place every requested
 // slot. Beyond the headline counts it carries the smallest slot shape
-// the carver tried and the tile→slot occupancy map at the point the
+// the placer tried and the tile→slot occupancy map at the point the
 // scan gave up, so "why doesn't guest 7 fit on my 10×6?" is answerable
 // from the error text alone.
 type NoFitError struct {
@@ -76,109 +78,9 @@ func (e *NoFitError) Error() string {
 	return b.String()
 }
 
-// slotAt builds the placement for a slot anchored at (x0,y0).
-func slotAt(p raw.Params, x0, y0 int, horiz bool) placement {
-	t := func(dx, dy int) int {
-		if !horiz {
-			dx, dy = dy, dx
-		}
-		return p.TileAt(x0+dx, y0+dy)
-	}
-	return placement{
-		sys:     t(0, 0),
-		l15:     []int{t(1, 0)},
-		slaves:  []int{t(2, 0), t(3, 0)},
-		manager: t(0, 1),
-		exec:    t(1, 1),
-		mmu:     t(2, 1),
-		banks:   []int{t(3, 1)},
-		// No switchable tiles: fleet slots never morph.
-		switchIsBank: map[int]bool{},
-	}
-}
-
-// carveFabric partitions the fabric into VM slots by a deterministic
-// row-major greedy scan, trying the 4×2 orientation before the 2×4 at
-// every free anchor. want > 0 demands exactly that many slots (error
-// if they do not fit); want == 0 carves as many as fit (error if
-// none). On the default 4×4 grid the first two slots reproduce the
-// original pair split bit for bit.
-func carveFabric(p raw.Params, want int) ([]placement, error) {
-	if p.Width < 2 || p.Height < 2 {
-		return nil, fmt.Errorf("core: %d×%d fabric cannot host a VM slot (minimum slot is 4×2 tiles)", p.Width, p.Height)
-	}
-	if p.Width > maxFabricDim || p.Height > maxFabricDim {
-		return nil, fmt.Errorf("core: %d×%d fabric exceeds the %d×%d carving limit", p.Width, p.Height, maxFabricDim, maxFabricDim)
-	}
-	occ := make([]int, p.Tiles())
-	for i := range occ {
-		occ[i] = -1
-	}
-	fits := func(x0, y0, w, h int) bool {
-		if x0+w > p.Width || y0+h > p.Height {
-			return false
-		}
-		for dy := 0; dy < h; dy++ {
-			for dx := 0; dx < w; dx++ {
-				if occ[p.TileAt(x0+dx, y0+dy)] >= 0 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	claim := func(x0, y0, w, h, si int) {
-		for dy := 0; dy < h; dy++ {
-			for dx := 0; dx < w; dx++ {
-				occ[p.TileAt(x0+dx, y0+dy)] = si
-			}
-		}
-	}
-	var slots []placement
-	for y := 0; y < p.Height; y++ {
-		for x := 0; x < p.Width; x++ {
-			if want > 0 && len(slots) == want {
-				return slots, nil
-			}
-			switch {
-			case fits(x, y, 4, 2):
-				claim(x, y, 4, 2, len(slots))
-				slots = append(slots, slotAt(p, x, y, true))
-			case fits(x, y, 2, 4):
-				claim(x, y, 2, 4, len(slots))
-				slots = append(slots, slotAt(p, x, y, false))
-			}
-		}
-	}
-	if len(slots) == 0 {
-		return nil, fmt.Errorf("core: %d×%d fabric fits no 4×2 or 2×4 VM slot", p.Width, p.Height)
-	}
-	if want > 0 && len(slots) < want {
-		return nil, &NoFitError{
-			Want: want, Placed: len(slots),
-			SlotW: 4, SlotH: 2,
-			Width: p.Width, Height: p.Height,
-			Occupied: occ,
-		}
-	}
-	return slots, nil
-}
-
-// FleetSlots reports how many VM slots RunFleet can carve out of the
-// fabric — the fleet's concurrency limit. It returns an error when the
-// fabric fits none, so CLIs can reject impossible -guests/-grid
-// combinations before building any guest image.
-func FleetSlots(p raw.Params) (int, error) {
-	slots, err := carveFabric(p, 0)
-	if err != nil {
-		return 0, err
-	}
-	return len(slots), nil
-}
-
 // tiles lists every tile a placement occupies, in a fixed service-role
 // order (sys, l15…, slaves…, manager, exec, mmu, banks…). For a fleet
-// slot the list has exactly slotTiles entries and no duplicates.
+// slot the list has at least slotTiles entries and no duplicates.
 func (pl *placement) tiles() []int {
 	out := []int{pl.sys}
 	out = append(out, pl.l15...)
@@ -202,11 +104,14 @@ type FleetSlot struct {
 	Banks   []int
 }
 
-// FleetSlotLayout carves the fabric exactly as RunFleet would and
-// returns the slot layouts in carve order. It is the read-only twin of
-// the internal carve, kept in lockstep by TestFleetSlotLayoutMatchesCarve.
+// FleetSlotLayout returns the base-tier carve of the fabric in carve
+// order: every slot that fits. A fleet without guest profiles runs on
+// a prefix of it (MaxSlots, never more slots than guests). Its length
+// is the fleet's concurrency limit; it errors when the fabric fits no
+// slot, so CLIs can reject an impossible -grid before building any
+// guest image.
 func FleetSlotLayout(p raw.Params) ([]FleetSlot, error) {
-	slots, err := carveFabric(p, 0)
+	slots, err := planFabric(p, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -235,29 +140,4 @@ func slotIndexOf(slots []placement) map[int]int {
 		}
 	}
 	return m
-}
-
-// survivorsAfter returns the slot indices not quarantined, in carve
-// order. It validates the surviving slots are still disjoint and
-// in-bounds — a quarantine only ever removes whole slots, so a
-// violation here means the carve itself was corrupted.
-func survivorsAfter(p raw.Params, slots []placement, quarantined map[int]bool) ([]int, error) {
-	seen := map[int]int{}
-	var out []int
-	for si := range slots {
-		if quarantined[si] {
-			continue
-		}
-		for _, t := range slots[si].tiles() {
-			if t < 0 || t >= p.Tiles() {
-				return nil, fmt.Errorf("core: slot %d tile %d outside the %d×%d fabric", si, t, p.Width, p.Height)
-			}
-			if prev, dup := seen[t]; dup {
-				return nil, fmt.Errorf("core: slots %d and %d overlap at tile %d", prev, si, t)
-			}
-			seen[t] = si
-		}
-		out = append(out, si)
-	}
-	return out, nil
 }

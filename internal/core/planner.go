@@ -8,14 +8,15 @@ import (
 	"tilevm/internal/workload"
 )
 
-// Cost-model placement planning. The fixed carver hands every guest
-// the same 8-tile 4×2 slot with a hardwired 2-slave/1-bank split; the
-// planner instead searches rectangular slot shapes and sizes under a
-// per-guest cost model, so memory-bound guests trade translation
-// slaves for L2 data banks, translation-bound guests do the opposite,
-// and an undersubscribed fabric grows every slot instead of leaving
-// tiles idle. The search is deterministic: same fabric, same guests,
-// same profiles → byte-identical carve.
+// Placement: the one placer that cuts the fabric into VM slots. Without
+// guest profiles it scans the base tier only, handing every guest the
+// same 8-tile 4×2 slot with a 2-slave/1-bank split. With profiles it
+// searches rectangular slot shapes and sizes under a per-guest cost
+// model, so memory-bound guests trade translation slaves for L2 data
+// banks, translation-bound guests do the opposite, and an
+// undersubscribed fabric grows every slot instead of leaving tiles
+// idle. The search is deterministic: same fabric, same guests, same
+// profiles → byte-identical carve.
 
 // GuestProfile is the planner's per-guest cost model: the relative
 // demand a guest puts on the two elastic service roles. TransWeight
@@ -29,8 +30,8 @@ type GuestProfile struct {
 	MemWeight   float64
 }
 
-// defaultGuestProfile reproduces the fixed carver's 2-slave/1-bank
-// split on an 8-tile slot: with three flexible cells, minimizing
+// defaultGuestProfile gives the base tier its 2-slave/1-bank split on
+// an 8-tile slot: with three flexible cells, minimizing
 // 2/S + 1/(3−S) lands on S = 2 slaves.
 func defaultGuestProfile() GuestProfile {
 	return GuestProfile{TransWeight: 2, MemWeight: 1}
@@ -68,14 +69,14 @@ func ProfileFromWorkload(p workload.Profile) GuestProfile {
 // slotShapes is the planner's shape menu, largest first. Every shape
 // is at least 3 wide and 2 high in canonical orientation, so the five
 // fixed service roles always fit with the execution tile adjacent to
-// its manager, MMU, and L1.5 bank. The menu ends with the fixed
-// carver's 4×2 base shape, which guarantees the planner can always
-// fall back to the fixed carve's capacity.
+// its manager, MMU, and L1.5 bank. The menu ends with the 4×2 base
+// tier, which guarantees the planner can always fall back to the base
+// carve's capacity.
 var slotShapes = []struct{ w, h int }{
 	{4, 4}, // 16 tiles: undersubscribed fabrics
 	{4, 3}, // 12 tiles
 	{3, 3}, // 9 tiles
-	{4, 2}, // 8 tiles: the fixed carver's shape
+	{4, 2}, // 8 tiles: the base tier
 }
 
 // splitRoles picks the slave count for a slot with cells flexible
@@ -100,12 +101,12 @@ func splitRoles(cells int, gp GuestProfile) int {
 
 // planSlotAt builds the placement for a w×h slot anchored at (x0,y0),
 // with the slave/bank split chosen by the guest's profile. The five
-// fixed roles occupy the same canonical cells as the fixed carver —
-// sys (0,0), L1.5 (1,0), manager (0,1), exec (1,1), MMU (2,1) — so the
-// exec tile's adjacency constraint holds for every menu shape; the
-// remaining cells are flexible, enumerated row-major, first S to
-// slaves and the rest to banks. On a 4×2 with the default profile this
-// reproduces slotAt bit for bit.
+// fixed roles occupy the same canonical cells in every shape — sys
+// (0,0), L1.5 (1,0), manager (0,1), exec (1,1), MMU (2,1) — so the exec
+// tile's adjacency constraint holds for every menu shape; the remaining
+// cells are flexible, enumerated row-major, first S to slaves and the
+// rest to banks. On a 4×2 with the default profile that is the two
+// slaves (2,0), (3,0) and the bank (3,1) of the base-tier slot.
 func planSlotAt(p raw.Params, x0, y0, w, h int, gp GuestProfile) placement {
 	cw, ch := w, h
 	horiz := true
@@ -147,14 +148,17 @@ func planSlotAt(p raw.Params, x0, y0, w, h int, gp GuestProfile) placement {
 	}
 }
 
-// planFabric carves exactly want slots, sized to the fabric: each slot
-// gets an area budget of Tiles()/want and the largest menu shape
-// within it, degrading shape tier by tier until the carve fits. The
-// final tier is the fixed 4×2/2×4 carve, so planFabric succeeds
-// whenever carveFabric would have (the caller derives want from the
-// fixed carve's capacity). profiles[i] shapes slot i's slave/bank
-// split (initial admission binds guest i to slot i); missing or zero
-// entries take the default profile.
+// planFabric is the placer. want == 0 is the capacity scan: as many
+// base-tier slots as fit, an error if none does (FleetSlotLayout, and
+// RunFleet without MaxSlots). want > 0 demands exactly want slots, a
+// *NoFitError if they do not fit. Without profiles those are base-tier
+// slots — the carve every fleet without guest profiles runs on. With
+// profiles each slot gets an area budget of Tiles()/want and the
+// largest menu shape within it, degrading shape tier by tier until the
+// carve fits; the final tier is the base tier, so planFabric succeeds
+// whenever the base carve does (RunFleet takes want from it).
+// profiles[i] shapes slot i's slave/bank split (initial admission binds
+// guest i to slot i); missing or zero entries take the default profile.
 func planFabric(p raw.Params, profiles []GuestProfile, want int) ([]placement, error) {
 	if p.Width < 2 || p.Height < 2 {
 		return nil, fmt.Errorf("core: %d×%d fabric cannot host a VM slot (minimum slot is 4×2 tiles)", p.Width, p.Height)
@@ -162,14 +166,18 @@ func planFabric(p raw.Params, profiles []GuestProfile, want int) ([]placement, e
 	if p.Width > maxFabricDim || p.Height > maxFabricDim {
 		return nil, fmt.Errorf("core: %d×%d fabric exceeds the %d×%d carving limit", p.Width, p.Height, maxFabricDim, maxFabricDim)
 	}
-	if want < 1 {
-		return nil, fmt.Errorf("core: planner asked for %d slots", want)
+	if want < 0 {
+		return nil, fmt.Errorf("core: %d VM slots requested", want)
+	}
+	base := len(slotShapes) - 1
+	if want == 0 || len(profiles) == 0 {
+		return tryPlan(p, profiles, want, base)
 	}
 	budget := p.Tiles() / want
 	if budget < slotTiles {
 		budget = slotTiles
 	}
-	first := len(slotShapes) - 1
+	first := base
 	for si := 0; si < len(slotShapes); si++ {
 		if slotShapes[si].w*slotShapes[si].h <= budget {
 			first = si
@@ -177,7 +185,7 @@ func planFabric(p raw.Params, profiles []GuestProfile, want int) ([]placement, e
 		}
 	}
 	var lastErr error
-	for maxShape := first; maxShape < len(slotShapes); maxShape++ {
+	for maxShape := first; maxShape <= base; maxShape++ {
 		slots, err := tryPlan(p, profiles, want, maxShape)
 		if err == nil {
 			return slots, nil
@@ -189,9 +197,10 @@ func planFabric(p raw.Params, profiles []GuestProfile, want int) ([]placement, e
 
 // tryPlan attempts one carve with shapes from slotShapes[maxShape:]:
 // a row-major greedy scan that claims, at each free anchor, the
-// largest allowed shape that fits (trying each shape's canonical
-// orientation before its transpose, like the fixed carver). Fails with
-// a NoFitError when fewer than want slots fit.
+// largest allowed shape that fits, trying each shape's canonical
+// orientation before its transpose. want > 0 stops at want slots and
+// fails with a NoFitError when fewer fit; want == 0 claims as many as
+// fit and fails only when none does.
 func tryPlan(p raw.Params, profiles []GuestProfile, want, maxShape int) ([]placement, error) {
 	occ := make([]int, p.Tiles())
 	for i := range occ {
@@ -226,7 +235,7 @@ func tryPlan(p raw.Params, profiles []GuestProfile, want, maxShape int) ([]place
 	var slots []placement
 	for y := 0; y < p.Height; y++ {
 		for x := 0; x < p.Width; x++ {
-			if len(slots) == want {
+			if want > 0 && len(slots) == want {
 				return slots, nil
 			}
 			for si := maxShape; si < len(slotShapes); si++ {
@@ -245,6 +254,9 @@ func tryPlan(p raw.Params, profiles []GuestProfile, want, maxShape int) ([]place
 				}
 			}
 		}
+	}
+	if len(slots) == 0 && want == 0 {
+		return nil, fmt.Errorf("core: %d×%d fabric fits no 4×2 or 2×4 VM slot", p.Width, p.Height)
 	}
 	if len(slots) < want {
 		base := slotShapes[len(slotShapes)-1]

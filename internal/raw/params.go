@@ -1,5 +1,11 @@
 package raw
 
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
+
 // Params collects every timing and capacity constant of the modeled Raw
 // machine and of the DBT runtime routines that run on it. The defaults
 // reproduce the architecture intrinsics the paper reports (Figure 11)
@@ -164,6 +170,24 @@ func (p *Params) XY(id int) (x, y int) { return id % p.Width, id / p.Width }
 
 // TileAt returns the tile id at grid coordinates (x, y).
 func (p *Params) TileAt(x, y int) int { return y*p.Width + x }
+
+// ParseGrid parses a fabric size "WxH" (the x in either case), as the
+// -grid flag of tilevm and tilevmd takes it. Both sizes must be
+// positive; whether the fabric fits a VM slot, or is too large to
+// carve, is the placer's question, not the parser's.
+func ParseGrid(s string) (w, h int, err error) {
+	ws, hs, ok := strings.Cut(strings.ToLower(s), "x")
+	if ok {
+		w, err = strconv.Atoi(ws)
+		if err == nil {
+			h, err = strconv.Atoi(hs)
+		}
+		if err == nil && w > 0 && h > 0 {
+			return w, h, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("bad -grid %q, want WxH with positive W and H (e.g. 8x8)", s)
+}
 
 // Hops returns the Manhattan distance between two tiles, the hop count
 // of a dimension-ordered route on the dynamic network.

@@ -28,6 +28,35 @@ func TestGridGeometry(t *testing.T) {
 	}
 }
 
+// TestParseGrid pins the one -grid parser tilevm and tilevmd share:
+// non-positive sizes are the parser's to reject, an oversized fabric
+// (257x4) is the placer's.
+func TestParseGrid(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		w, h int // 0, 0 = error
+	}{
+		{"8x8", 8, 8},
+		{"8X8", 8, 8},
+		{"0x8", 0, 0},
+		{"-4x4", 0, 0},
+		{"8x", 0, 0},
+		{"8x8x8", 0, 0},
+		{"257x4", 257, 4},
+	} {
+		w, h, err := ParseGrid(tc.in)
+		if tc.w == 0 {
+			if err == nil {
+				t.Errorf("ParseGrid(%q) = %d, %d, want an error", tc.in, w, h)
+			}
+			continue
+		}
+		if err != nil || w != tc.w || h != tc.h {
+			t.Errorf("ParseGrid(%q) = %d, %d, %v, want %d, %d", tc.in, w, h, err, tc.w, tc.h)
+		}
+	}
+}
+
 func TestHopsManhattan(t *testing.T) {
 	p := DefaultParams()
 	cases := []struct {

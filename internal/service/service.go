@@ -54,7 +54,8 @@ type Config struct {
 	// batch keeps dying for reasons not attributed to it.
 	MaxJobAttempts int
 	// Planner carves each batch's slots with the cost-model placement
-	// planner (core.FleetConfig.Planner): slot shapes grow when a batch
+	// planner, by handing core.RunFleet one workload profile per job
+	// (core.FleetConfig.Profiles): slot shapes grow when a batch
 	// undersubscribes the fabric, and each slot's slave/bank split
 	// follows its job's workload profile.
 	Planner bool
@@ -137,13 +138,13 @@ func New(cfg Config) (*Service, error) {
 	cfg.fillDefaults()
 	base := core.DefaultConfig()
 	base.Params.Width, base.Params.Height = cfg.Width, cfg.Height
-	slots, err := core.FleetSlots(base.Params)
+	layout, err := core.FleetSlotLayout(base.Params)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	s := &Service{
 		cfg:     cfg,
-		slots:   slots,
+		slots:   len(layout),
 		jobs:    map[string]*job{},
 		running: map[string]*job{},
 		drained: make(chan struct{}),
@@ -501,7 +502,7 @@ func (s *Service) runBatch(batch []*job, intr *core.InterruptHandle) (res *core.
 	cfg.MaxCycles = s.cfg.MaxCycles
 	cfg.Interrupt = intr
 	cfg.Memo = s.memo
-	fc := core.FleetConfig{Deadlines: deadlines, Planner: s.cfg.Planner}
+	fc := core.FleetConfig{Deadlines: deadlines}
 	if s.cfg.Planner {
 		fc.Profiles = make([]core.GuestProfile, len(batch))
 		for i, j := range batch {

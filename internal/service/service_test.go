@@ -613,36 +613,41 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestServicePlannerProfiles pins the planner plumbing: with Planner
-// on, the executor sees FleetConfig.Planner plus one workload profile
-// per admitted guest, and a backed-up queue never pushes a batch past
+// TestServicePlannerProfiles pins the planner plumbing: the profiles
+// are what turn the placement planner on in core.RunFleet, so with
+// Planner on the executor sees one workload profile per admitted guest
+// and with it off none; and a backed-up queue never pushes a batch past
 // the carved slot count (4×2 fabric → 1 slot).
 func TestServicePlannerProfiles(t *testing.T) {
-	f := &stubFleet{}
-	type batchShape struct {
-		n, profiles int
-		planner     bool
-	}
-	shapes := make(chan batchShape, 8)
-	s := newTestService(t, Config{
-		Planner: true,
-		runFleet: func(imgs []*guest.Image, cfg core.Config, fc core.FleetConfig) (*core.FleetResult, error) {
-			shapes <- batchShape{n: len(imgs), profiles: len(fc.Profiles), planner: fc.Planner}
-			return f.run(imgs, cfg, fc)
-		}}, nil)
-	var ids []string
-	for i := 0; i < 3; i++ {
-		ids = append(ids, mustSubmit(t, s, Spec{Workload: "164.gzip"}).ID)
-	}
-	for _, id := range ids {
-		if v := await(t, s, id); v.State != StateFinished.String() {
-			t.Fatalf("job %s state %s, want finished", id, v.State)
+	for _, planner := range []bool{false, true} {
+		f := &stubFleet{}
+		profiles := make(chan int, 8)
+		s := newTestService(t, Config{
+			Planner: planner,
+			runFleet: func(imgs []*guest.Image, cfg core.Config, fc core.FleetConfig) (*core.FleetResult, error) {
+				if len(imgs) != 1 {
+					t.Errorf("planner=%v: batch of %d guests on a 1-slot fabric", planner, len(imgs))
+				}
+				profiles <- len(fc.Profiles)
+				return f.run(imgs, cfg, fc)
+			}}, nil)
+		var ids []string
+		for i := 0; i < 3; i++ {
+			ids = append(ids, mustSubmit(t, s, Spec{Workload: "164.gzip"}).ID)
 		}
-	}
-	for i := range ids {
-		b := <-shapes
-		if b.n != 1 || !b.planner || b.profiles != b.n {
-			t.Errorf("batch %d = %+v, want one guest, planner on, one profile", i, b)
+		for _, id := range ids {
+			if v := await(t, s, id); v.State != StateFinished.String() {
+				t.Fatalf("planner=%v: job %s state %s, want finished", planner, id, v.State)
+			}
+		}
+		want := 0
+		if planner {
+			want = 1
+		}
+		for i := range ids {
+			if n := <-profiles; n != want {
+				t.Errorf("planner=%v: batch %d carried %d profiles, want %d", planner, i, n, want)
+			}
 		}
 	}
 }
