@@ -116,6 +116,7 @@ fuzz:
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 30s
 	$(GO) test ./internal/core -run - -fuzz FuzzQuarantineRecarve -fuzztime 30s
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 30s
+	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 30s
 
 # Quick fuzz pass for CI: enough to catch a codec regression, short
 # enough to run on every push.
@@ -126,6 +127,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzQuarantineRecarve -fuzztime 10s
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 10s
+	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 10s
 
 # End-to-end record/replay smoke: record a faulted rollback run, then
 # verify a full replay reproduces it bit for bit (tilevm exits non-zero

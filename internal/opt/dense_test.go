@@ -111,8 +111,8 @@ func TestDeadCodeRemarksTargets(t *testing.T) {
 	})
 	var s Scratch
 	tg := s.targetsOf(blk)
-	if !s.deadCode(blk, tg) {
-		t.Fatal("nothing removed")
+	if s.deadCode(blk, tg) || len(blk.Code) != 2 {
+		t.Fatalf("want both loads removed, and no fact they cut short:\n%s", blk)
 	}
 	if blk.LabelPos[0] != 1 || !tg[1] || tg[2] {
 		t.Errorf("label moved to %d, targets %v; want the exit at 1", blk.LabelPos[0], tg[:3])

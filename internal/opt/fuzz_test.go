@@ -180,6 +180,20 @@ func runBlock(code []rawisa.Inst, seed int64) (regs [rawisa.RegFlags + 1]uint32,
 	return regs, env.mem, exit.NextPC, err
 }
 
+// addOptSeeds passes the seed inputs of the optimizer's fuzz targets to
+// add: generator streams, each with the register-file seed
+// FuzzOptPreservesSemantics runs it from.
+func addOptSeeds(add func(data []byte, seed int64)) {
+	add([]byte{}, 1)
+	add([]byte("\x20\x81\x01\x02\x84\x08\x81\x85\x99\x81\x82\x1e\x81\x00\x03\x90\x83\x81\x0b\x81\x82"), 2)
+	r := rand.New(rand.NewSource(12))
+	for i := 0; i < 24; i++ {
+		data := make([]byte, 40+r.Intn(400))
+		r.Read(data)
+		add(data, int64(i))
+	}
+}
+
 // FuzzOptPreservesSemantics executes generated blocks before and after
 // the optimizer, from the same random register file and memory, and
 // requires the same guest registers, guest memory and exit. Every input
@@ -191,14 +205,7 @@ func FuzzOptPreservesSemantics(f *testing.F) {
 		scratch  Scratch
 		allocate codegen.Scratch
 	)
-	f.Add([]byte{}, int64(1))
-	f.Add([]byte("\x20\x81\x01\x02\x84\x08\x81\x85\x99\x81\x82\x1e\x81\x00\x03\x90\x83\x81\x0b\x81\x82"), int64(2))
-	r := rand.New(rand.NewSource(12))
-	for i := 0; i < 24; i++ {
-		data := make([]byte, 40+r.Intn(400))
-		r.Read(data)
-		f.Add(data, int64(i))
-	}
+	addOptSeeds(func(data []byte, seed int64) { f.Add(data, seed) })
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		b, err := genBlock(data)
 		if err != nil {

@@ -8,6 +8,11 @@
 // state) are always live out of the block, and instructions with side
 // effects (guest memory, syscalls, assists, exits, branches) are never
 // removed or reordered.
+//
+// One sweep of the four passes is usually final. Run sweeps again only
+// when the last sweep left something a pass can still use (see Run and
+// deadCode), so it stops exactly where repeating until nothing changes
+// would, without the sweep that only confirms it.
 package opt
 
 import (
@@ -31,23 +36,27 @@ type Scratch struct {
 	alias regFacts[uint8]  // copyProp: register -> source it copies
 	avail regFacts[avail]  // redundantLoads: address reg -> available value
 	liveV [256]bool        // deadCode: vregs read later in the block
+	held  [256]bool        // deadCode: registers a kept instruction holds a fact about
 }
 
 // Run applies all passes to the block in place, in a Scratch of its
 // own. The translator reuses one Scratch across blocks instead.
 func Run(b *ir.Block) { new(Scratch).Run(b) }
 
-// Run applies all passes to the block in place until a fixpoint (at
-// most a few iterations; bounded for safety), then hoists loads once
-// to hide load-use latency.
+// Run applies all passes to the block in place, then hoists loads once
+// to hide load-use latency. It repeats the sweep (at most four times)
+// only while the last one can enable another: redundantLoads rewrote a
+// load into a copy, or deadCode removed a def that had cut a fact short.
+// constFold and copyProp are idempotent and neither's rewrites enable
+// the other, so after any other sweep the next would change nothing:
+// the result is the fixpoint, one confirmation sweep sooner.
 func (s *Scratch) Run(b *ir.Block) {
 	targets := s.targetsOf(b)
 	for i := 0; i < 4; i++ {
-		changed := s.constFold(b, targets)
-		changed = s.copyProp(b, targets) || changed
-		changed = s.redundantLoads(b, targets) || changed
-		changed = s.deadCode(b, targets) || changed
-		if !changed {
+		s.constFold(b, targets)
+		s.copyProp(b, targets)
+		again := s.redundantLoads(b, targets)
+		if !s.deadCode(b, targets) && !again {
 			break
 		}
 	}

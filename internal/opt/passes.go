@@ -10,11 +10,10 @@ import (
 // loads (LUI/ORI pairs are re-formed by later simplification in the
 // builder idiom: we emit ADDI-from-zero for small values and keep
 // LUI+ORI shapes otherwise). Facts are dropped at branch targets.
-func (s *Scratch) constFold(b *ir.Block, targets []bool) bool {
+func (s *Scratch) constFold(b *ir.Block, targets []bool) {
 	known := &s.known
 	known.reset()
 	known.set(0, 0)
-	changed := false
 
 	fold := func(in rawisa.Inst) (uint32, bool) {
 		switch in.Op {
@@ -107,7 +106,6 @@ func (s *Scratch) constFold(b *ir.Block, targets []bool) bool {
 				// saves or simplifies.
 				if rawisa.FitsSImm(int32(v)) && (in.Op != rawisa.ADDI || in.Rs != 0) {
 					in.Inst = rawisa.Inst{Op: rawisa.ADDI, Rd: d, Imm: int32(v)}
-					changed = true
 				}
 				continue
 			}
@@ -116,7 +114,6 @@ func (s *Scratch) constFold(b *ir.Block, targets []bool) bool {
 		// immediate forms.
 		if imm, ok := immForm(in.Inst, known); ok {
 			in.Inst = imm
-			changed = true
 		}
 		if d != 0 {
 			known.del(d)
@@ -133,7 +130,6 @@ func (s *Scratch) constFold(b *ir.Block, targets []bool) bool {
 		}
 		// HI/LO clobbers don't affect the register constant map.
 	}
-	return changed
 }
 
 // immForm rewrites a reg-reg ALU op whose Rt (or commutable Rs) is a
@@ -181,10 +177,9 @@ func immForm(in rawisa.Inst, known *regFacts[uint32]) (rawisa.Inst, bool) {
 // `ADDI rd, rs, 0` are tracked; facts drop at branch targets and when
 // either side is redefined. Physical guest registers are never
 // rewritten as destinations.
-func (s *Scratch) copyProp(b *ir.Block, targets []bool) bool {
+func (s *Scratch) copyProp(b *ir.Block, targets []bool) {
 	alias := &s.alias
 	alias.reset()
-	changed := false
 
 	invalidate := func(r uint8) {
 		alias.del(r)
@@ -212,16 +207,13 @@ func (s *Scratch) copyProp(b *ir.Block, targets []bool) bool {
 				} else {
 					in.Rt = src
 				}
-				changed = true
 			}
 		}
 		d := in.Def()
 		if d != 0 {
 			invalidate(d)
-			isCopy := (in.Op == rawisa.OR && in.Rt == 0) ||
-				(in.Op == rawisa.ADDI && in.Imm == 0)
-			if isCopy && in.Rs != d && in.Rs != 0 {
-				alias.set(d, resolve(in.Rs))
+			if src, ok := copySource(in.Inst); ok {
+				alias.set(d, resolve(src))
 			}
 		}
 		if in.Op == rawisa.SYSC || in.Op == rawisa.ASSIST {
@@ -230,13 +222,29 @@ func (s *Scratch) copyProp(b *ir.Block, targets []bool) bool {
 			}
 		}
 	}
-	return changed
+}
+
+// copySource reports whether in is a register copy copyProp tracks —
+// `OR rd, rs, r0` or `ADDI rd, rs, 0` with rs neither rd nor r0 — and
+// returns rs.
+func copySource(in rawisa.Inst) (uint8, bool) {
+	isCopy := (in.Op == rawisa.OR && in.Rt == 0) || (in.Op == rawisa.ADDI && in.Imm == 0)
+	return in.Rs, isCopy && in.Rs != in.Rd && in.Rs != 0
 }
 
 // deadCode removes pure instructions whose destination vreg is never
 // subsequently read. Physical registers are always considered live
 // (guest state flows out of the block). Label positions, and with them
 // targets, are remapped after removal.
+//
+// It reports whether a removal can enable another sweep: whether it
+// dropped a def of a register d that had cut short a fact an earlier
+// kept instruction holds about d's value — d is the source of a kept
+// copy, the value of a kept GSW, or the result of its latest kept def,
+// a guest load. With that def gone the fact reaches further, and
+// copyProp or redundantLoads may rewrite a later read into a read of d.
+// Every other removed def wrote a register no kept instruction reads
+// again, so nothing any pass knows gets through the gap.
 func (s *Scratch) deadCode(b *ir.Block, targets []bool) bool {
 	n := len(b.Code)
 	liveV := &s.liveV
@@ -271,13 +279,29 @@ func (s *Scratch) deadCode(b *ir.Block, targets []bool) bool {
 		return false
 	}
 
+	held := &s.held
+	clear(held[:])
+	enables := false
 	kept := 0
 	for i := 0; i < n; i++ {
 		k := newPos[i]
 		newPos[i] = kept // new position of i, or of the next survivor
-		if k == 1 {
-			b.Code[kept] = b.Code[i]
-			kept++
+		in := b.Code[i]
+		d := in.Def()
+		if k == 0 {
+			enables = enables || held[d]
+			continue
+		}
+		b.Code[kept] = in
+		kept++
+		if d != 0 {
+			held[d] = isGuestLoad(in.Op)
+		}
+		if src, ok := copySource(in.Inst); ok {
+			held[src] = true
+		}
+		if in.Op == rawisa.GSW && in.Rt != 0 {
+			held[in.Rt] = true
 		}
 	}
 	newPos[n] = kept
@@ -288,5 +312,5 @@ func (s *Scratch) deadCode(b *ir.Block, targets []bool) bool {
 		}
 	}
 	labelTargets(b, targets)
-	return true
+	return enables
 }

@@ -688,6 +688,32 @@ func TestDiff16BitMemory(t *testing.T) {
 	}))
 }
 
+// TestDiffMovMoffs exercises the accumulator moves to and from an
+// absolute offset (0xA0–0xA3, 0x66 for 16 bits): stores and loads at
+// 8, 16 and 32 bits through one heap cell.
+func TestDiffMovMoffs(t *testing.T) {
+	moffs := func(a *x86.Asm, op ...byte) {
+		a.Raw(op...)
+		a.Word32(guest.DefaultHeapBase)
+	}
+	allOpts(t, image(func(a *x86.Asm) {
+		a.MovRegImm(x86.EAX, 0x89ABCDEF)
+		moffs(a, 0xA3) // mov [cell], eax
+		a.MovRegImm(x86.EAX, 0x11223344)
+		moffs(a, 0x66, 0xA3) // mov [cell], ax: cell = 0x89AB3344
+		a.MovRegImm(x86.EAX, 0x55)
+		moffs(a, 0xA2) // mov [cell], al: cell = 0x89AB3355
+		a.MovRegImm(x86.EAX, 0xFFFFFFFF)
+		moffs(a, 0xA0) // mov al, [cell]: eax = 0xFFFFFF55
+		a.MovRegReg(x86.ESI, x86.EAX)
+		moffs(a, 0x66, 0xA1) // mov ax, [cell]: eax = 0xFFFF3355
+		a.MovRegReg(x86.EDI, x86.EAX)
+		moffs(a, 0xA1) // mov eax, [cell]: eax = 0x89AB3355
+		a.MovRegReg(x86.EBX, x86.EAX)
+		exitWith(a)
+	}))
+}
+
 func TestDiff16BitShifts(t *testing.T) {
 	allOpts(t, image(func(a *x86.Asm) {
 		a.MovRegImm(x86.EAX, 0x5555C001)

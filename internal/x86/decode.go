@@ -272,6 +272,17 @@ prefixes:
 	case op == 0x9F:
 		in.Op = LAHF
 
+	case op >= 0xA0 && op <= 0xA3: // MOV AL/eAX, moffs and back
+		size := opSize
+		if op&1 == 0 {
+			size = 1
+		}
+		acc, moffs := RegOp(EAX, size), MemOp(NoIndex, NoIndex, 1, d.s32(), size)
+		in.Op, in.Dst, in.Src = MOV, acc, moffs
+		if op >= 0xA2 {
+			in.Dst, in.Src = moffs, acc
+		}
+
 	case op == 0xA4 || op == 0xA5:
 		in.Op = MOVS
 		if op == 0xA4 {

@@ -81,6 +81,43 @@ func TestDecodeSIBForms(t *testing.T) {
 	}
 }
 
+// TestDecodeMovMoffs checks the accumulator/absolute-offset forms
+// 0xA0–0xA3, with and without the operand-size prefix: each decodes to
+// the same instruction as the ModRM absolute-address form of the move
+// (mod=0, r/m=5 with reg=EAX), so every consumer of Decode already
+// handles it.
+func TestDecodeMovMoffs(t *testing.T) {
+	disp := []byte{0x00, 0xF0, 0x04, 0x08} // 0x0804f000
+	for _, c := range []struct {
+		moffs, modrm []byte
+		size         uint8
+	}{
+		{[]byte{0xA0}, []byte{0x8A, 0x05}, 1},             // mov al, [moffs8]
+		{[]byte{0xA1}, []byte{0x8B, 0x05}, 4},             // mov eax, [moffs32]
+		{[]byte{0x66, 0xA1}, []byte{0x66, 0x8B, 0x05}, 2}, // mov ax, [moffs16]
+		{[]byte{0xA2}, []byte{0x88, 0x05}, 1},             // mov [moffs8], al
+		{[]byte{0xA3}, []byte{0x89, 0x05}, 4},             // mov [moffs32], eax
+		{[]byte{0x66, 0xA3}, []byte{0x66, 0x89, 0x05}, 2}, // mov [moffs16], ax
+	} {
+		got := decodeOne(t, append(c.moffs, disp...), 0x1000)
+		want := decodeOne(t, append(c.modrm, disp...), 0x1000)
+		mem, acc := got.Src, got.Dst
+		if c.moffs[len(c.moffs)-1] >= 0xA2 { // the store forms
+			mem, acc = got.Dst, got.Src
+		}
+		if got.Op != MOV || mem != MemOp(NoIndex, NoIndex, 1, 0x0804f000, c.size) || acc != RegOp(EAX, c.size) {
+			t.Errorf("% x: decoded %v (%+v, %+v)", c.moffs, got, got.Dst, got.Src)
+		}
+		got.Len, want.Len = 0, 0
+		if got != want {
+			t.Errorf("% x decodes to %+v, ModRM form % x to %+v", c.moffs, got, c.modrm, want)
+		}
+		if _, err := Decode(append(c.moffs, disp[:3]...), 0x1000); err == nil {
+			t.Errorf("% x with a 3-byte offset decoded", c.moffs)
+		}
+	}
+}
+
 func TestDecodeBranches(t *testing.T) {
 	a := NewAsm(0x8048000)
 	a.Label("top")

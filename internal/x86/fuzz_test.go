@@ -60,6 +60,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x8B, 0x84, 0x8B, 0x44, 0x33, 0x22, 0x11}) // mov eax, [ebx+ecx*4+disp32]
 	f.Add([]byte{0x66, 0xF3, 0x66, 0xF2, 0x0F})             // prefix soup
 	f.Add([]byte{0xCD, 0x80})                               // int 0x80
+	f.Add([]byte{0x66, 0xA3, 0x00, 0xF0, 0x04, 0x08})       // mov [moffs16], ax
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := Decode(data, 0x1000)
 		if err != nil {
