@@ -145,14 +145,14 @@ var runGoldens = []runGolden{
 		},
 		want: [3]string{"1542856:0:71881b65de68f1d9", "3482927:0:b32db8c3f88c7e0c", "18427098:0:620b3fbf3445d2f7"}},
 	{name: "traced", traced: true,
-		want: [3]string{"1356400:409651:5f6590349859f610", "2805178:5774705:3d456c40889d9a18", "14411161:14022151:5b68ca2cb7b8871e"}},
+		want: [3]string{"1356400:409651:2196f4940b0f464c", "2805178:5774705:4615eed752bb9f78", "14411161:14022151:939d8278384a0d12"}},
 	{name: "traced/fail+stall", traced: true,
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 4,
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1377298:502631:bdc28d954bb067ab", "3426270:5837231:fc9e54158ff0762a", "14661881:15282543:f2c052633b222f18"}},
+		want: [3]string{"1377298:502631:e220d45c707e4565", "3426270:5837231:99280adf6d575492", "14661881:15282543:b9b58692e9c2d596"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {

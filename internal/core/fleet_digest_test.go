@@ -117,7 +117,7 @@ var fleetGoldens = []fleetGolden{
 		},
 		want: "15976298:0:dc21d99425f4e575"},
 	{name: "8x8/traced", w: 8, h: 8, guests: five[:3], traced: true,
-		want: "3900509:6665814:b5958fa88bb332e2"},
+		want: "3900509:6665814:ec20123564f17e6e"},
 	{name: "4x4/tier0", w: 4, h: 4, guests: five[:3],
 		cfg: func(cfg *Config, _ []FleetSlot) {
 			cfg.Speculative, cfg.Tier0, cfg.TierUpThreshold = false, true, 2_000
@@ -139,7 +139,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[5].Exec, Cycle: 2_500_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 7} },
-		want: "11702715:38460680:5024f5bd2dc944c8"},
+		want: "11702715:38460680:0ef7eb8dc20df38a"},
 	{name: "8x8/cap4/chaos/retries", w: 8, h: 8, guests: dozen[:7],
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(

@@ -6,9 +6,14 @@
 // into fixed-width virtual-time windows and writes them as CSV.
 //
 // The tracer is an introspection layer, not part of the machine model:
-// it charges no virtual cycles, uses only virtual timestamps (never
-// wall clock), and records events in simulation dispatch order, so two
-// identical runs produce byte-identical trace files.
+// it charges no virtual cycles and uses only virtual timestamps (never
+// wall clock). Events and WriteJSON give the timeline ordered by
+// virtual time, then tile, then emission order — not in the order the
+// event loop dispatched the tiles. That order is the same on every
+// loop that can run a machine: each tile's events are emitted in the
+// same order wherever its kernel runs, and no two VM slots of a fleet
+// share a tile. So two identical runs produce byte-identical trace
+// files, and tracing a fleet does not need to pick its loop.
 //
 // Cost when disabled is zero by construction: every emission method is
 // safe on a nil *Tracer (a pointer test and return), takes only scalar
@@ -20,7 +25,9 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -85,6 +92,9 @@ type Ratio struct {
 // harness) must each own their own Tracer.
 type Tracer struct {
 	events []Event
+	// ordered is how many leading events are in timeline order (see
+	// order); emission appends past it.
+	ordered int
 	// procName[pid] labels the viewer's process rows; registered once
 	// at machine construction.
 	procNames map[int32]string
@@ -183,16 +193,69 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Events returns the recorded timeline (shared slice; do not mutate).
+// Events returns the recorded timeline in timeline order (shared
+// slice; do not mutate).
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
+	t.order()
 	return t.events
 }
 
+// order sorts the events by (virtual time, tile, emission index). It
+// sorts 16-byte keys rather than the events themselves, then moves each
+// event once, following the permutation's cycles. An earlier call left
+// the events before t.ordered in this order, and everything emitted
+// since lies after them, so an event's position still ranks it by
+// emission among equal (time, tile) pairs.
+func (t *Tracer) order() {
+	ev := t.events
+	if t.ordered == len(ev) {
+		return
+	}
+	type key struct {
+		ts       uint64
+		pid, idx int32
+	}
+	keys := make([]key, len(ev))
+	for i := range ev {
+		keys[i] = key{ev[i].TS, ev[i].PID, int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.ts, b.ts); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.pid, b.pid); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	// Position i takes the event keys[i] names. Marking each filled
+	// position as its own source closes the cycle it belongs to.
+	for i := range keys {
+		if int(keys[i].idx) == i {
+			continue
+		}
+		tmp := ev[i]
+		j := i
+		for {
+			k := int(keys[j].idx)
+			keys[j].idx = int32(j)
+			if k == i {
+				ev[j] = tmp
+				break
+			}
+			ev[j] = ev[k]
+			j = k
+		}
+	}
+	t.ordered = len(ev)
+}
+
 // WriteJSON writes the timeline in Chrome trace_event format: an object
-// with a traceEvents array, one JSON object per line. Timestamps are
+// with a traceEvents array, one JSON object per line, events in
+// timeline order (see Events). Timestamps are
 // virtual cycles written into the format's microsecond field — the
 // viewer's time axis therefore reads directly in cycles.
 //
@@ -219,6 +282,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		writeSortIndex(bw, pid)
 	}
 	buf := make([]byte, 0, 64)
+	t.order()
 	for i := range t.events {
 		writeSep(bw, &first)
 		t.events[i].write(bw, buf)

@@ -80,6 +80,35 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	}
 }
 
+// TestEventsTimelineOrder: events come out by (time, tile, emission),
+// whatever order they were emitted in — including events emitted after
+// an earlier call already ordered the ones before them.
+func TestEventsTimelineOrder(t *testing.T) {
+	tr := New(Options{})
+	emit := func(pid int, name string, ts uint64) { tr.Instant(pid, name, ts, "", 0, "", 0) }
+	names := func() string {
+		var s []string
+		for _, e := range tr.Events() {
+			s = append(s, e.Name)
+		}
+		return strings.Join(s, " ")
+	}
+	emit(3, "c", 20)
+	emit(1, "b1", 20)
+	emit(1, "a", 10)
+	emit(1, "b2", 20)
+	emit(0, "z", 30)
+	if got, want := names(), "a b1 b2 c z"; got != want {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+	emit(1, "b3", 20)
+	emit(0, "first", 0)
+	emit(3, "c2", 20)
+	if got, want := names(), "first a b1 b2 b3 c c2 z"; got != want {
+		t.Fatalf("after more emission: order %q, want %q", got, want)
+	}
+}
+
 // TestStringEscaping covers names that need JSON escaping.
 func TestStringEscaping(t *testing.T) {
 	tr := New(Options{})
