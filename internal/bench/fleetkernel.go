@@ -2,11 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"math"
 	"reflect"
 	"time"
 
 	"tilevm/internal/core"
+	"tilevm/internal/fault"
 	"tilevm/internal/guest"
 	"tilevm/internal/sim"
 	"tilevm/internal/workload"
@@ -30,8 +31,9 @@ type FleetKernelResult struct {
 	// any host. The fleet's slots are independent, so the kernel
 	// dispatches them one at a time; InterleavedSwitches is the same
 	// fleet with all slots in one heap — what a coupled fleet runs on,
-	// forced here with a DispatchLog that discards — which makes the
-	// same Dispatches with more of them goroutine switches.
+	// forced here with a fault plan that stalls one tile at a cycle no
+	// guest reaches — which makes the same Dispatches with more of them
+	// goroutine switches.
 	Dispatches          uint64 `json:"dispatches"`
 	Switches            uint64 `json:"switches"`
 	InterleavedSwitches uint64 `json:"interleaved_switches"`
@@ -44,11 +46,10 @@ type FleetKernelResult struct {
 }
 
 // FleetKernelBench runs a 12-guest gzip/mcf fleet on an 8×8 fabric
-// (8 VM slots; no faults, deadlines or tracer, so the slots are
-// independent) once a slot at a time and once interleaved. It reports
-// the first wall clock (the interleaved run also pays for formatting
-// its dispatch log), the kernel's counts and whether the two results
-// are identical. This is the fleet_kernel entry simbench records and
+// (8 VM slots; no faults or deadlines, so the slots are independent)
+// once a slot at a time and once interleaved. It reports the first wall
+// clock, the kernel's counts and whether the two results are
+// identical. This is the fleet_kernel entry simbench records and
 // benchcheck gates on.
 func FleetKernelBench() (*FleetKernelResult, error) {
 	rotation := []string{"164.gzip", "181.mcf"}
@@ -65,7 +66,13 @@ func FleetKernelBench() (*FleetKernelResult, error) {
 		cfg.Params.Width, cfg.Params.Height = 8, 8
 		cfg.Interrupt = core.NewInterruptHandle()
 		if interleaved {
-			cfg.DispatchLog = io.Discard
+			layout, err := core.FleetSlotLayout(cfg.Params)
+			if err != nil {
+				return nil, sim.Stats{}, 0, err
+			}
+			// A fleet plan draws nothing from the injector's generator,
+			// and this stall never fires: only the loop changes.
+			cfg.Fault = &fault.Plan{Stalls: []fault.TileStall{{Tile: layout[0].Exec, Cycle: math.MaxUint64, Dur: 1}}}
 		}
 		start := time.Now()
 		res, err := core.RunFleet(imgs, cfg, core.FleetConfig{})

@@ -343,16 +343,15 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 		fl.m.Sim.Spawn("fleet-supervisor", fl.supervise)
 	}
 	// One shard per VM slot when the slots are independent. They exchange
-	// no messages, but four things still couple them through shared host
-	// state: a fault plan (one injector, and a supervisor that reaches
-	// into every slot), policy events (the supervisor again), a Tracer and
-	// a DispatchLog (one shared sink each). Coupled slots stay on one
-	// shard, interleaved event by event in one heap — the only loop that
-	// can run them; independent ones are dispatched a slot at a time.
-	// Both produce the same FleetResult, so which one runs is an
+	// no messages, but two things still couple them: a fault plan (one
+	// injector, and a supervisor that reaches into every slot) and policy
+	// events (the supervisor again). Coupled slots stay on one shard,
+	// interleaved event by event in one heap — the only loop that can run
+	// them; independent ones are dispatched a slot at a time. Both
+	// produce the same FleetResult and, since the tracer orders its
+	// timeline by time and tile, the same trace, so which one runs is an
 	// implementation detail, not a semantic one.
-	if len(slots) > 1 && cfg.Fault.Empty() &&
-		cfg.Tracer == nil && cfg.DispatchLog == nil && len(fl.events) == 0 {
+	if len(slots) > 1 && cfg.Fault.Empty() && len(fl.events) == 0 {
 		fl.shardSlots()
 	}
 

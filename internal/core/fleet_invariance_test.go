@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tilevm/internal/guest"
+	"tilevm/internal/sim"
 )
 
 // Invariance battery (ISSUE: the headline test work). A guest's
@@ -147,22 +148,28 @@ func TestFleetInvarianceUnderSlotPermutation(t *testing.T) {
 // fingerprint: the tracer charges zero virtual cycles, so a traced
 // fleet run is byte-identical to the untraced run — every guest's full
 // Result (cycles and all shared-fabric counters included), the
-// makespan, and the per-tile busy vector.
+// makespan, and the per-tile busy vector. Nor does it choose the loop:
+// the event kernel makes the same dispatches and goroutine switches.
 func TestFleetTracingIsTimingNeutral(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip")
-	run := func(traced bool) *FleetResult {
+	run := func(traced bool) (*FleetResult, sim.Stats) {
 		cfg := fleetCfg(8, 8)
 		if traced {
 			cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
 		}
+		cfg.Interrupt = NewInterruptHandle()
 		fr, err := RunFleet(imgs, cfg, FleetConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fr
+		return fr, cfg.Interrupt.KernelStats()
 	}
-	plain, traced := run(false), run(true)
+	plain, plainSt := run(false)
+	traced, tracedSt := run(true)
 	if !reflect.DeepEqual(plain, traced) {
 		t.Errorf("tracing perturbed the fleet run:\nuntraced %+v\ntraced   %+v", plain, traced)
+	}
+	if plainSt.Dispatches != tracedSt.Dispatches || plainSt.Switches != tracedSt.Switches {
+		t.Errorf("tracing changed the fleet's loop: untraced %+v, traced %+v", plainSt, tracedSt)
 	}
 }

@@ -4,18 +4,32 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
+	"hash/fnv"
+	"math"
 	"testing"
 
+	"tilevm/internal/fault"
 	"tilevm/internal/guest"
 	"tilevm/internal/sim"
 )
 
 // Which loop runs a fleet is not a setting: independent slots are
 // dispatched a slot at a time, coupled ones interleaved in one heap
-// (fleet.go). A DispatchLog is one of the couplings, and one that
-// discards what it is given changes nothing else, so it is how these
-// tests get the same fleet onto the interleaved loop.
+// (fleet.go). A fault plan is one of the couplings. One whose only
+// clause stalls a carved tile at a cycle no guest reaches changes
+// nothing else — a fleet plan draws nothing from the injector's
+// generator — so it is how these tests get the same fleet onto the
+// interleaved loop.
+
+// interleave gives cfg that fault plan.
+func interleave(t *testing.T, cfg *Config) {
+	t.Helper()
+	layout, err := FleetSlotLayout(cfg.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fault = &fault.Plan{Stalls: []fault.TileStall{{Tile: layout[0].Exec, Cycle: math.MaxUint64, Dur: 1}}}
+}
 
 // fleetOnLoop runs a fleet on one of the two serial loops and returns
 // everything RunFleet returned, dumped field by field, with the run's
@@ -23,7 +37,7 @@ import (
 func fleetOnLoop(t *testing.T, interleaved bool, imgs []*guest.Image, cfg Config, fc FleetConfig) (string, error, sim.Stats) {
 	t.Helper()
 	if interleaved {
-		cfg.DispatchLog = io.Discard
+		interleave(t, &cfg)
 	}
 	cfg.Interrupt = NewInterruptHandle()
 	fr, err := RunFleet(imgs, cfg, fc)
@@ -35,13 +49,13 @@ func fleetOnLoop(t *testing.T, interleaved bool, imgs []*guest.Image, cfg Config
 	return buf.String(), err, cfg.Interrupt.KernelStats()
 }
 
-// TestFleetSlotAtATimeEquality: every fault-free, untraced,
-// deadline-free fleet of the schedule golden, tilebench's fleet_mix and
-// a queued admission decided by a same-cycle tie — guests 0 and 1 leave
-// slots 0 and 1 in one cycle with a long and a short guest waiting —
-// give the same FleetResult on both loops, down to the last counter of
-// every guest and the per-tile busy vector, from the same number of
-// dispatches.
+// TestFleetSlotAtATimeEquality: every fault-free, deadline-free fleet
+// of the schedule golden, tilebench's fleet_mix and a queued admission
+// decided by a same-cycle tie — guests 0 and 1 leave slots 0 and 1 in
+// one cycle with a long and a short guest waiting — give the same
+// FleetResult on both loops, down to the last counter of every guest
+// and the per-tile busy vector, from the same number of dispatches. The
+// traced fleet also writes the same trace JSON and sampler CSV.
 func TestFleetSlotAtATimeEquality(t *testing.T) {
 	cases := []fleetGolden{
 		{name: "8x8/fleet_mix", w: 8, h: 8, guests: fleetMix},
@@ -50,25 +64,44 @@ func TestFleetSlotAtATimeEquality(t *testing.T) {
 	}
 	for _, g := range fleetGoldens {
 		switch g.name {
-		case "8x8/free", "4x4/oversub", "8x8/planner/cap3", "4x4/tier0":
+		case "8x8/free", "4x4/oversub", "8x8/planner/cap3", "8x8/traced", "4x4/tier0":
 			cases = append(cases, g)
 		}
 	}
-	if len(cases) != 6 {
+	if len(cases) != 7 {
 		t.Fatalf("%d cases: a schedule golden was renamed", len(cases))
 	}
 	for i := range cases {
 		g := &cases[i]
 		cfg, fc := g.configs(t)
 		imgs := fleetImgs(t, g.guests...)
-		want, err, wantSt := fleetOnLoop(t, true, imgs, cfg, fc)
-		if err != nil {
-			t.Fatalf("%s interleaved: %v", g.name, err)
+		run := func(interleaved bool) (string, sim.Stats) {
+			cfg := cfg
+			if g.traced {
+				cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
+			}
+			out, err, st := fleetOnLoop(t, interleaved, imgs, cfg, fc)
+			if err != nil {
+				t.Fatalf("%s interleaved=%v: %v", g.name, interleaved, err)
+			}
+			if g.traced {
+				var j, c bytes.Buffer
+				if err := cfg.Tracer.WriteJSON(&j); err != nil {
+					t.Fatal(err)
+				}
+				if err := cfg.Tracer.WriteCSV(&c); err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range [][]byte{j.Bytes(), c.Bytes()} {
+					h := fnv.New64a()
+					h.Write(b)
+					out += fmt.Sprintf("trace output: %d bytes, fnv %016x\n", len(b), h.Sum64())
+				}
+			}
+			return out, st
 		}
-		got, err, gotSt := fleetOnLoop(t, false, imgs, cfg, fc)
-		if err != nil {
-			t.Fatalf("%s slot-at-a-time: %v", g.name, err)
-		}
+		want, wantSt := run(true)
+		got, gotSt := run(false)
 		if got != want {
 			t.Errorf("%s: the two loops disagree\nslot-at-a-time:\n%s\ninterleaved:\n%s", g.name, got, want)
 		}
@@ -115,7 +148,7 @@ func TestFleetSlotAtATimeExitAwaitsFence(t *testing.T) {
 		cfg := fleetCfg(8, 8)
 		cfg.PanicAtDispatch = 3000 // gzip exits after 270 block dispatches
 		if interleaved {
-			cfg.DispatchLog = io.Discard
+			interleave(t, &cfg)
 		}
 		fr, err := RunFleet(imgs, cfg, FleetConfig{})
 		var ie *InternalError

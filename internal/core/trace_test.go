@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"tilevm/internal/metrics"
 	"tilevm/internal/trace"
 )
 
@@ -89,36 +90,60 @@ func TestTraceJSONShape(t *testing.T) {
 // TestTraceSamplesSumToMetrics pins the sampler invariant: each count
 // series is incremented at the same site as its metrics.Set counter, so
 // window sums must equal the end-of-run totals exactly — and per-tile
-// busy totals must equal Result.TileBusy.
+// busy totals must equal the run's TileBusy. The fleet row, whose
+// slots run one at a time, sums the counters over its guests.
 func TestTraceSamplesSumToMetrics(t *testing.T) {
-	trc, res, _, _ := tracedRun(t, 5000)
-	m := res.M
-	checks := []struct {
-		series int
-		name   string
-		want   uint64
-	}{
-		{tsDispatches, "dispatches", m.BlockDispatches},
-		{tsL1Lookups, "l1c_lookups", m.L1CLookups},
-		{tsL1Hits, "l1c_hits", m.L1CHits},
-		{tsL15Lookups, "l15_lookups", m.L15Lookups},
-		{tsL15Hits, "l15_hits", m.L15Hits},
-		{tsDemandMisses, "demand_misses", m.DemandMisses},
-		{tsTranslations, "translations", m.Translations},
-		{tsDL1Accesses, "dl1_accesses", m.DL1Accesses},
-		{tsDL1Misses, "dl1_misses", m.DL1Misses},
-		{tsL2DRequests, "l2d_requests", m.L2DRequests},
-		{tsL2DMisses, "l2d_misses", m.L2DMisses},
-		{tsTLBMisses, "tlb_misses", m.TLBMisses},
-	}
-	for _, c := range checks {
-		if got := trc.CountTotal(c.series); got != c.want {
-			t.Errorf("series %s: window sum %d, metrics say %d", c.name, got, c.want)
+	t.Run("single", func(t *testing.T) {
+		trc, res, _, _ := tracedRun(t, 5000)
+		checkSamples(t, trc, []metrics.Set{res.M}, res.TileBusy)
+	})
+	t.Run("fleet-8x8", func(t *testing.T) {
+		cfg := fleetCfg(8, 8)
+		cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
+		fr, err := RunFleet(fleetImgs(t, four...), cfg, FleetConfig{MaxSlots: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms []metrics.Set
+		for _, g := range fr.Guests {
+			ms = append(ms, g.Result.M)
+		}
+		checkSamples(t, cfg.Tracer, ms, fr.TileBusy)
+	})
+}
+
+// checkSamples compares the sampler's totals with the summed counters
+// of ms and with busy.
+func checkSamples(t *testing.T, trc *trace.Tracer, ms []metrics.Set, busy []uint64) {
+	t.Helper()
+	var want [numTraceCounts]uint64
+	for i := range ms {
+		m := &ms[i]
+		for s, v := range [numTraceCounts]uint64{
+			tsDispatches:   m.BlockDispatches,
+			tsL1Lookups:    m.L1CLookups,
+			tsL1Hits:       m.L1CHits,
+			tsL15Lookups:   m.L15Lookups,
+			tsL15Hits:      m.L15Hits,
+			tsDemandMisses: m.DemandMisses,
+			tsTranslations: m.Translations,
+			tsDL1Accesses:  m.DL1Accesses,
+			tsDL1Misses:    m.DL1Misses,
+			tsL2DRequests:  m.L2DRequests,
+			tsL2DMisses:    m.L2DMisses,
+			tsTLBMisses:    m.TLBMisses,
+		} {
+			want[s] += v
 		}
 	}
-	for tile, busy := range res.TileBusy {
-		if got := trc.BusyTotal(tile); got != busy {
-			t.Errorf("tile %d: sampled busy %d, TileBusy says %d", tile, got, busy)
+	for s, w := range want {
+		if got := trc.CountTotal(s); got != w {
+			t.Errorf("series %s: window sum %d, metrics say %d", traceCountNames[s], got, w)
+		}
+	}
+	for tile, b := range busy {
+		if got := trc.BusyTotal(tile); got != b {
+			t.Errorf("tile %d: sampled busy %d, TileBusy says %d", tile, got, b)
 		}
 	}
 }
