@@ -94,7 +94,6 @@ func main() {
 		dump       = flag.String("dump", "", "disassemble the translation of the block at this guest PC (hex; 'entry' for the entry point) and exit")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)")
 		traceEvery = flag.Uint64("trace-interval", 0, "also sample hit rates, queue depth, and per-tile occupancy every N cycles into <trace>.csv (requires -trace)")
-		dispTrace  = flag.Int("dispatch-trace", 0, "log the first N dispatch-loop iterations to stderr")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -173,7 +172,6 @@ func main() {
 		for _, conflict := range []string{
 			"image", "workload", "slaves", "l15", "membanks", "morph", "threshold",
 			"fault-norecover", "record", "replay", "replay-diff", "dump",
-			"dispatch-trace",
 		} {
 			if set[conflict] {
 				die(fmt.Errorf("-%s does not apply in fleet mode (per-VM resources are fixed by the 8-tile slot shape)", conflict))
@@ -364,10 +362,6 @@ func main() {
 		plan.Seed = *faultSeed
 		cfg.Fault = plan
 		cfg.FaultRecovery = !*noRecover
-	}
-	if *dispTrace > 0 {
-		cfg.DispatchLog = os.Stderr
-		cfg.DispatchLogLimit = *dispTrace
 	}
 	var trc *trace.Tracer
 	if *tracePath != "" {

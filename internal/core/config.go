@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"tilevm/internal/checkpoint"
 	"tilevm/internal/fault"
@@ -153,13 +152,6 @@ type Config struct {
 	// aborted attempt stay on the timeline, so the rollback itself is
 	// visible.
 	Tracer *trace.Tracer
-
-	// DispatchLog, if non-nil, receives one line per dispatch-loop
-	// iteration (virtual cycle, guest PC, code-cache level that
-	// supplied the block), up to DispatchLogLimit lines (0 = 1000) —
-	// a lightweight text alternative to Tracer.
-	DispatchLog      io.Writer
-	DispatchLogLimit int
 
 	// Memo, if non-nil, is the host's translation memo (translate.Memo):
 	// a slave tile asked for a block an earlier run of the same image

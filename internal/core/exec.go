@@ -31,11 +31,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 	cpu.LoadGuest(&e.proc.CPU)
 	prog := l1.Program()
 	pc := e.proc.PC
-	logLimit := e.cfg.DispatchLogLimit
-	if logLimit == 0 {
-		logLimit = 1000
-	}
-	logged := 0
 	trc := e.trc()
 	lastPromoGen := e.promoGen
 
@@ -74,12 +69,10 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 		}
 		tDisp := c.Now()
 		c.Tick(P.DispatchOcc + P.L1LookupOcc)
-		source := "L1"
 		idx, ok := l1.Lookup(pc)
 		l1hit := uint64(1)
 		if !ok {
 			l1hit = 0
-			source = "L1.5/L2"
 			res := e.fetchBlock(c, pc)
 			if res == nil {
 				e.execErr = fmt.Errorf("guest jumped to untranslatable code at %#x", pc)
@@ -101,13 +94,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 		trc.Count(tsL1Lookups, tDisp, 1)
 		trc.Count(tsL1Hits, tDisp, l1hit)
 		trc.Span(c.Tile, "dispatch", tDisp, c.Now(), "pc", uint64(pc), "l1_hit", l1hit)
-		if e.cfg.DispatchLog != nil && logged < logLimit {
-			fmt.Fprintf(e.cfg.DispatchLog, "%12d dispatch pc=%08x from=%s\n", c.Now(), pc, source)
-			logged++
-			if logged == logLimit {
-				fmt.Fprintf(e.cfg.DispatchLog, "... dispatch log limit reached\n")
-			}
-		}
 		tExec := c.Now()
 		exit, err := prog.Exec(cpu, idx, tileClock{c}, env, 0)
 		trc.Span(c.Tile, "exec", tExec, c.Now(), "pc", uint64(pc), "insts", exit.Insts)
