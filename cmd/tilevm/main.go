@@ -132,9 +132,6 @@ func main() {
 	if *traceEvery != 0 && *tracePath == "" {
 		die(fmt.Errorf("-trace-interval requires -trace (the sampler writes next to the trace file)"))
 	}
-	if *tracePath != "" && (replaying || *recordPath != "") {
-		die(fmt.Errorf("-trace conflicts with -record/-replay/-replay-diff (recorded runs are driven by the bench harness)"))
-	}
 	if *timeout < 0 {
 		die(fmt.Errorf("-timeout must be non-negative"))
 	}
@@ -239,13 +236,40 @@ func main() {
 		}()
 	}
 
+	// Every mode traces: tracing charges no virtual cycles, so a traced
+	// record, replay or fleet is the run it would have been untraced.
+	// fleetCfg.Params is the default fabric unless -grid changed it.
+	var trc *trace.Tracer
+	if *tracePath != "" {
+		trc = core.NewTracerFor(fleetCfg.Params, *traceEvery)
+	}
+	saveTrace := func() {
+		if trc == nil {
+			return
+		}
+		if err := writeTrace(trc, *tracePath); err != nil {
+			die(err)
+		}
+		if *verbose {
+			fmt.Fprintf(os.Stderr, "trace     : %s (%d events)\n", *tracePath, trc.Len())
+			if trc.Sampling() {
+				fmt.Fprintf(os.Stderr, "samples   : %s (%d windows)\n", csvPathFor(*tracePath), trc.Windows())
+			}
+		}
+	}
+
 	if replaying {
 		path, bisect := *replayPath, false
 		if *diffPath != "" {
 			path, bisect = *diffPath, true
 		}
-		if err := replay(path, *replayTo, bisect); err != nil {
+		diverged, err := replay(path, *replayTo, bisect, trc)
+		saveTrace()
+		if err != nil {
 			die(err)
+		}
+		if diverged {
+			os.Exit(2) // the replay did not reproduce the record
 		}
 		return
 	}
@@ -256,11 +280,7 @@ func main() {
 			p, _ := workload.ByName(n) // validated above
 			imgs[i] = p.Build()
 		}
-		var trc *trace.Tracer
-		if *tracePath != "" {
-			trc = core.NewTracerFor(fleetCfg.Params, *traceEvery)
-			fleetCfg.Tracer = trc
-		}
+		fleetCfg.Tracer = trc
 		intr, stopTimer := armTimeout(*timeout)
 		fleetCfg.Interrupt = intr
 		defer stopTimer()
@@ -278,13 +298,8 @@ func main() {
 			}
 		}
 		res, err := core.RunFleet(imgs, fleetCfg, fc)
-		if trc != nil && res != nil {
-			if werr := writeTrace(trc, *tracePath); werr != nil {
-				die(werr)
-			}
-			if *verbose {
-				fmt.Fprintf(os.Stderr, "trace     : %s (%d events)\n", *tracePath, trc.Len())
-			}
+		if res != nil {
+			saveTrace()
 		}
 		if err != nil {
 			if core.Interrupted(err) {
@@ -326,7 +341,8 @@ func main() {
 			Recovery:           uint8(recMode),
 			CheckpointInterval: *ckEvery,
 		}
-		res, rec, err := bench.RunRecorded(rc)
+		res, rec, err := bench.RunRecorded(rc, trc)
+		saveTrace()
 		if err != nil {
 			die(err)
 		}
@@ -363,11 +379,7 @@ func main() {
 		cfg.Fault = plan
 		cfg.FaultRecovery = !*noRecover
 	}
-	var trc *trace.Tracer
-	if *tracePath != "" {
-		trc = core.NewTracer(*traceEvery)
-		cfg.Tracer = trc
-	}
+	cfg.Tracer = trc
 	intr, stopTimer := armTimeout(*timeout)
 	cfg.Interrupt = intr
 	defer stopTimer()
@@ -375,17 +387,7 @@ func main() {
 	res, err := core.Run(img, cfg)
 	// Write the trace even when the run failed: a timeline of a run that
 	// hit the watchdog or a guest fault is exactly when you want one.
-	if trc != nil {
-		if werr := writeTrace(trc, *tracePath); werr != nil {
-			die(werr)
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "trace     : %s (%d events)\n", *tracePath, trc.Len())
-			if trc.Sampling() {
-				fmt.Fprintf(os.Stderr, "samples   : %s (%d windows)\n", csvPathFor(*tracePath), trc.Windows())
-			}
-		}
-	}
+	saveTrace()
 	if err != nil {
 		if core.Interrupted(err) {
 			die(fmt.Errorf("wall-clock timeout %v exceeded (%v)", *timeout, err))
@@ -488,27 +490,28 @@ func die(err error) {
 // replay re-runs a recorded run and verifies it reproduces. With bisect
 // the full replay is followed, on divergence, by a truncated re-replay
 // to the last matching event's cycle, confirming the divergence point.
-// Exits non-zero when the replay does not reproduce the record.
-func replay(path string, toCycle uint64, bisect bool) error {
+// trc, if non-nil, traces the first replay. It reports whether the
+// replay diverged from the record.
+func replay(path string, toCycle uint64, bisect bool, trc *trace.Tracer) (diverged bool, err error) {
 	rec, err := checkpoint.ReadRecordFile(path)
 	if err != nil {
-		return err
+		return false, err
 	}
-	rep, err := bench.Replay(rec, toCycle)
+	rep, err := bench.Replay(rec, toCycle, trc)
 	if err != nil {
-		return err
+		return false, err
 	}
 	fmt.Println(rep)
 	if rep.Match && rep.FirstDivergent < 0 {
-		return nil
+		return false, nil
 	}
 	if bisect && rep.FirstDivergent > 0 && rep.RefEvent != nil {
 		// Confirm the bisection: everything before the divergent event
 		// replays cleanly.
 		last := rec.Events[rep.FirstDivergent-1]
-		pre, err := bench.Replay(rec, last.Cycle)
+		pre, err := bench.Replay(rec, last.Cycle, nil)
 		if err != nil {
-			return err
+			return true, err
 		}
 		if pre.FirstDivergent < 0 {
 			fmt.Printf("  prefix: clean through event #%d (cycle %d)\n",
@@ -517,8 +520,7 @@ func replay(path string, toCycle uint64, bisect bool) error {
 			fmt.Printf("  prefix: diverges earlier, at event #%d\n", pre.FirstDivergent)
 		}
 	}
-	os.Exit(2)
-	return nil
+	return true, nil
 }
 
 // report prints the run outcome, matching the historical tilevm output.

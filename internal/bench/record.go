@@ -7,6 +7,7 @@ import (
 	"tilevm/internal/core"
 	"tilevm/internal/fault"
 	"tilevm/internal/guest"
+	"tilevm/internal/trace"
 	"tilevm/internal/workload"
 )
 
@@ -14,8 +15,10 @@ import (
 // deterministic event stream, and returns the result plus the finished
 // Record. The simulation is deterministic given the config, so the
 // Record is a complete reproduction recipe: replaying re-runs the
-// simulation from the same inputs and compares outcomes.
-func RunRecorded(rc checkpoint.RecordConfig) (*core.Result, *checkpoint.Record, error) {
+// simulation from the same inputs and compares outcomes. trc, if
+// non-nil, traces the run; tracing charges no virtual cycles, so the
+// Record is the same with or without it.
+func RunRecorded(rc checkpoint.RecordConfig, trc *trace.Tracer) (*core.Result, *checkpoint.Record, error) {
 	img, err := recordImage(rc)
 	if err != nil {
 		return nil, nil, err
@@ -24,6 +27,7 @@ func RunRecorded(rc checkpoint.RecordConfig) (*core.Result, *checkpoint.Record, 
 	if err != nil {
 		return nil, nil, err
 	}
+	cfg.Tracer = trc
 	res, err := core.Run(img, cfg)
 	if err != nil {
 		return res, nil, err
@@ -88,8 +92,10 @@ func (r *ReplayReport) String() string {
 // to the first divergent journal event when anything differs. With
 // toCycle > 0 the replay halts the simulation at that virtual cycle
 // instead of running to completion (the journal prefix up to the halt
-// is still compared, which localizes a divergence in time).
-func Replay(rec *checkpoint.Record, toCycle uint64) (*ReplayReport, error) {
+// is still compared, which localizes a divergence in time). trc, if
+// non-nil, traces the replay: a full replay writes the recording run's
+// trace.
+func Replay(rec *checkpoint.Record, toCycle uint64, trc *trace.Tracer) (*ReplayReport, error) {
 	rc := rec.Config
 	partial := toCycle > 0
 	if partial {
@@ -103,6 +109,7 @@ func Replay(rec *checkpoint.Record, toCycle uint64) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.Tracer = trc
 	res, err := core.Run(img, cfg)
 	if err != nil && !partial {
 		return nil, err

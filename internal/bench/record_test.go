@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"tilevm/internal/checkpoint"
@@ -34,7 +36,7 @@ func recordedRun() checkpoint.RecordConfig {
 // hash, and event-for-event journal — surviving a trip through the
 // record file encoding.
 func TestRecordReplayIdenticalCycles(t *testing.T) {
-	res, rec, err := RunRecorded(recordedRun())
+	res, rec, err := RunRecorded(recordedRun(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestRecordReplayIdenticalCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := Replay(rec2, 0)
+	rep, err := Replay(rec2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +71,11 @@ func TestRecordReplayIdenticalCycles(t *testing.T) {
 // TestReplayToCycle: a truncated replay halts at the requested cycle
 // and still matches the recorded journal prefix.
 func TestReplayToCycle(t *testing.T) {
-	_, rec, err := RunRecorded(recordedRun())
+	_, rec, err := RunRecorded(recordedRun(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Replay(rec, rec.Final.Cycles/2)
+	rep, err := Replay(rec, rec.Final.Cycles/2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestReplayToCycle(t *testing.T) {
 // TestReplayDetectsDivergence: corrupting one journal event in the
 // record makes the replay bisect to exactly that event.
 func TestReplayDetectsDivergence(t *testing.T) {
-	_, rec, err := RunRecorded(recordedRun())
+	_, rec, err := RunRecorded(recordedRun(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestReplayDetectsDivergence(t *testing.T) {
 	}
 	victim := len(rec.Events) / 2
 	rec.Events[victim].B ^= 1
-	rep, err := Replay(rec, 0)
+	rep, err := Replay(rec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,5 +109,42 @@ func TestReplayDetectsDivergence(t *testing.T) {
 	}
 	if rep.FirstDivergent != victim {
 		t.Fatalf("bisection found event %d, corrupted event %d", rep.FirstDivergent, victim)
+	}
+}
+
+// TestTracedRecordReplay: tracing charges no virtual cycles, so a traced
+// record journals the untraced record's events and final state, and a
+// traced replay of it writes the recording run's trace, byte for byte.
+func TestTracedRecordReplay(t *testing.T) {
+	_, plain, err := RunRecorded(recordedRun(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recTrc := core.NewTracer(50_000)
+	_, rec, err := RunRecorded(recordedRun(), recTrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.Events, plain.Events) || rec.Final != plain.Final {
+		t.Fatalf("tracing changed the record: final %+v, untraced %+v", rec.Final, plain.Final)
+	}
+	repTrc := core.NewTracer(50_000)
+	rep, err := Replay(rec, 0, repTrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Match || rep.FirstDivergent != -1 {
+		t.Fatalf("traced replay diverged:\n%s", rep)
+	}
+	var want, got bytes.Buffer
+	if err := recTrc.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := repTrc.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if recTrc.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("replay trace: %d events, %d bytes; recording run's: %d events, %d bytes",
+			repTrc.Len(), got.Len(), recTrc.Len(), want.Len())
 	}
 }

@@ -45,13 +45,13 @@ const (
 //
 // Up to two key/value arguments ride along as fixed fields; K1 == ""
 // means no arguments, K2 == "" means one. Values are unsigned and
-// written as JSON numbers.
+// written as JSON numbers. (Ph and PID share a word: 88 bytes.)
 type Event struct {
 	Name string
 	Ph   byte
+	PID  int32
 	TS   uint64 // virtual cycle
 	Dur  uint64 // span length in cycles (phSpan only)
-	PID  int32
 	K1   string
 	V1   uint64
 	K2   string
