@@ -133,6 +133,9 @@ func TestTranslateCorpusDigest(t *testing.T) {
 // Pre, the predecoded ops; and Chains, for the eight or nine blocks in ten that
 // have a chain site.
 func TestTranslateAllocsPerBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	p, _ := workload.ByName("176.gcc")
 	img := p.Build()
 	mem := guest.Load(img).Mem
