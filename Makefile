@@ -140,14 +140,26 @@ replay-smoke:
 	rm -f /tmp/tilevm-replay-smoke.tvrc
 
 # End-to-end tracing smoke: capture a traced run, then validate that
-# the Chrome trace JSON parses, shows the tiled layout, and that the
-# sampler CSV has data rows.
+# the Chrome trace JSON parses, shows the tiled layout in timeline
+# order, and that the sampler CSV has data rows. The same for a traced
+# fleet (which runs a slot at a time, as it would untraced) and a traced
+# recorded run, whose replay must write the same trace.
 trace-smoke:
 	$(GO) run ./cmd/tilevm -workload 164.gzip \
 	  -trace /tmp/tilevm-trace-smoke.json -trace-interval 10000
 	$(GO) run ./internal/tools/tracecheck \
 	  /tmp/tilevm-trace-smoke.json /tmp/tilevm-trace-smoke.csv
-	rm -f /tmp/tilevm-trace-smoke.json /tmp/tilevm-trace-smoke.csv
+	$(GO) run ./cmd/tilevm -guests 164.gzip,181.mcf,164.gzip,181.mcf -grid 8x8 \
+	  -trace /tmp/tilevm-trace-smoke-fleet.json -trace-interval 50000 >/dev/null
+	$(GO) run ./internal/tools/tracecheck \
+	  /tmp/tilevm-trace-smoke-fleet.json /tmp/tilevm-trace-smoke-fleet.csv
+	$(GO) run ./cmd/tilevm -workload 164.gzip -record /tmp/tilevm-trace-smoke.tvrc \
+	  -trace /tmp/tilevm-trace-smoke-rec.json >/dev/null
+	$(GO) run ./internal/tools/tracecheck /tmp/tilevm-trace-smoke-rec.json
+	$(GO) run ./cmd/tilevm -replay /tmp/tilevm-trace-smoke.tvrc \
+	  -trace /tmp/tilevm-trace-smoke-rep.json
+	cmp /tmp/tilevm-trace-smoke-rec.json /tmp/tilevm-trace-smoke-rep.json
+	rm -f /tmp/tilevm-trace-smoke*.json /tmp/tilevm-trace-smoke*.csv /tmp/tilevm-trace-smoke.tvrc
 
 # End-to-end fleet smoke: four guests on an 8×8 fabric through the CLI,
 # exercising carving, admission, and the fleet report.

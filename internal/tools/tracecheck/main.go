@@ -1,6 +1,7 @@
 // Command tracecheck validates a captured trace for CI: the Chrome
-// trace_event JSON must parse, be non-empty, and show the tiled layout
-// (at least 4 distinct tile rows with at least one duration span); an
+// trace_event JSON must parse, be non-empty, show the tiled layout
+// (at least 4 distinct tile rows with at least one duration span), and
+// list its events in timeline order (by ts, then pid); an
 // optional second argument names the sampler CSV, which must have a
 // header plus at least one data row. It prints one summary line and
 // exits non-zero on any violation.
@@ -42,6 +43,7 @@ func checkJSON(path string) error {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
 			PID  int    `json:"pid"`
+			TS   uint64 `json:"ts"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
@@ -49,10 +51,16 @@ func checkJSON(path string) error {
 	}
 	pids := map[int]bool{}
 	spans := 0
-	for _, ev := range doc.TraceEvents {
+	var lastTS uint64
+	lastPID := -1
+	for i, ev := range doc.TraceEvents {
 		if ev.Ph == "M" {
 			continue
 		}
+		if ev.TS < lastTS || ev.TS == lastTS && ev.PID < lastPID {
+			return fmt.Errorf("event %d (ts %d, pid %d) is out of timeline order", i, ev.TS, ev.PID)
+		}
+		lastTS, lastPID = ev.TS, ev.PID
 		pids[ev.PID] = true
 		if ev.Ph == "X" {
 			spans++

@@ -17,15 +17,15 @@ func tmpFile(t *testing.T, name, content string) string {
 }
 
 // traceDoc builds a minimal Chrome trace_event document with one
-// metadata event, nSpans duration spans spread over nTiles pids, and
-// one instant event.
+// metadata event, nSpans duration spans spread in pid order over nTiles
+// pids, and one instant event.
 func traceDoc(nTiles, nSpans int) string {
 	var b strings.Builder
 	b.WriteString(`{"traceEvents":[`)
 	b.WriteString(`{"name":"process_name","ph":"M","pid":0}`)
 	for i := 0; i < nSpans; i++ {
 		b.WriteString(`,{"name":"span","ph":"X","pid":` +
-			string(rune('0'+i%nTiles)) + `,"ts":1,"dur":2}`)
+			string(rune('0'+i*nTiles/nSpans)) + `,"ts":1,"dur":2}`)
 	}
 	b.WriteString(`,{"name":"tick","ph":"i","pid":0,"ts":9}`)
 	b.WriteString(`]}`)
@@ -49,6 +49,10 @@ func TestCheckJSONRejections(t *testing.T) {
 		{"no spans", `{"traceEvents":[
 			{"name":"a","ph":"i","pid":0},{"name":"b","ph":"i","pid":1},
 			{"name":"c","ph":"i","pid":2},{"name":"d","ph":"i","pid":3}]}`, "no duration spans"},
+		{"time out of order", strings.Replace(traceDoc(5, 8), `"ts":9`, `"ts":0`, 1), "out of timeline order"},
+		{"tiles out of order", `{"traceEvents":[
+			{"name":"a","ph":"X","pid":0,"ts":5},{"name":"b","ph":"X","pid":2,"ts":5},
+			{"name":"c","ph":"X","pid":1,"ts":5},{"name":"d","ph":"X","pid":3,"ts":6}]}`, "out of timeline order"},
 	}
 	for _, tc := range cases {
 		p := tmpFile(t, "trace.json", tc.content)
