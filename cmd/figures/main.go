@@ -15,7 +15,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"tilevm/internal/bench"
 	"tilevm/internal/core"
@@ -252,33 +251,13 @@ func traceRun(wlName, path string, interval uint64, tier0 bool, tierUpThr uint64
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
+	csvPath, err := trc.WriteFiles(path)
 	if err != nil {
-		return err
-	}
-	if err := trc.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("trace     : %s (%d events, %d cycles)\n", path, trc.Len(), res.Cycles)
-	if !trc.Sampling() {
-		return nil
+	if csvPath != "" {
+		fmt.Printf("samples   : %s (%d windows of %d cycles)\n", csvPath, trc.Windows(), interval)
 	}
-	csvPath := strings.TrimSuffix(path, ".json") + ".csv"
-	cf, err := os.Create(csvPath)
-	if err != nil {
-		return err
-	}
-	if err := trc.WriteCSV(cf); err != nil {
-		cf.Close()
-		return err
-	}
-	if err := cf.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("samples   : %s (%d windows of %d cycles)\n", csvPath, trc.Windows(), interval)
 	return nil
 }

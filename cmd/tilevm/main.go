@@ -247,13 +247,14 @@ func main() {
 		if trc == nil {
 			return
 		}
-		if err := writeTrace(trc, *tracePath); err != nil {
+		csvPath, err := trc.WriteFiles(*tracePath)
+		if err != nil {
 			die(err)
 		}
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "trace     : %s (%d events)\n", *tracePath, trc.Len())
-			if trc.Sampling() {
-				fmt.Fprintf(os.Stderr, "samples   : %s (%d windows)\n", csvPathFor(*tracePath), trc.Windows())
+			if csvPath != "" {
+				fmt.Fprintf(os.Stderr, "samples   : %s (%d windows)\n", csvPath, trc.Windows())
 			}
 		}
 	}
@@ -407,39 +408,6 @@ func armTimeout(d time.Duration) (*core.InterruptHandle, func()) {
 	h := core.NewInterruptHandle()
 	t := time.AfterFunc(d, h.Interrupt)
 	return h, func() { t.Stop() }
-}
-
-// writeTrace writes the Chrome trace JSON and, when interval sampling
-// is on, the CSV time series next to it (run.json → run.csv).
-func writeTrace(t *trace.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if !t.Sampling() {
-		return nil
-	}
-	cf, err := os.Create(csvPathFor(path))
-	if err != nil {
-		return err
-	}
-	if err := t.WriteCSV(cf); err != nil {
-		cf.Close()
-		return err
-	}
-	return cf.Close()
-}
-
-// csvPathFor derives the sampler CSV path from the trace path.
-func csvPathFor(path string) string {
-	return strings.TrimSuffix(path, ".json") + ".csv"
 }
 
 // reportFleet prints the fleet run outcome: one line per guest in
@@ -626,11 +594,4 @@ func loadGuest(imagePath, wlName string) (*guest.Image, error) {
 	default:
 		return nil, fmt.Errorf("specify -image or -workload")
 	}
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

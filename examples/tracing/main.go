@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"tilevm/internal/core"
 	"tilevm/internal/trace"
@@ -43,32 +42,16 @@ func main() {
 	// 1. The Chrome trace. Every event carries a virtual-cycle
 	// timestamp and the tile it happened on (pid = tile id), so the
 	// viewer shows one row per tile of the 4x4 grid.
-	f, err := os.Create("tracing.json")
+	// 2. Next to it, the interval CSV: one row per 10k-cycle window with
+	// event counts, derived hit rates, queue-depth maxima, and per-tile
+	// occupancy percentages. (WriteJSON and WriteCSV write either one to
+	// any io.Writer.)
+	csvPath, err := trc.WriteFiles("tracing.json")
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := trc.WriteJSON(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote tracing.json — load it at https://ui.perfetto.dev")
-
-	// 2. The interval CSV: one row per 10k-cycle window with event
-	// counts, derived hit rates, queue-depth maxima, and per-tile
-	// occupancy percentages.
-	cf, err := os.Create("tracing.csv")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := trc.WriteCSV(cf); err != nil {
-		log.Fatal(err)
-	}
-	if err := cf.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("wrote tracing.csv — graph any column against window_start")
+	fmt.Printf("wrote %s — graph any column against window_start\n", csvPath)
 
 	// 3. The same data is available in memory. Count translation spans
 	// per tile: each one ran on a slave tile of the virtual

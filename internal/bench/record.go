@@ -19,16 +19,7 @@ import (
 // non-nil, traces the run; tracing charges no virtual cycles, so the
 // Record is the same with or without it.
 func RunRecorded(rc checkpoint.RecordConfig, trc *trace.Tracer) (*core.Result, *checkpoint.Record, error) {
-	img, err := recordImage(rc)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg, j, err := recordConfig(rc)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Tracer = trc
-	res, err := core.Run(img, cfg)
+	res, j, err := runRecord(rc, trc)
 	if err != nil {
 		return res, nil, err
 	}
@@ -101,16 +92,7 @@ func Replay(rec *checkpoint.Record, toCycle uint64, trc *trace.Tracer) (*ReplayR
 	if partial {
 		rc.MaxCycles = toCycle
 	}
-	img, err := recordImage(rc)
-	if err != nil {
-		return nil, err
-	}
-	cfg, j, err := recordConfig(rc)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Tracer = trc
-	res, err := core.Run(img, cfg)
+	res, j, err := runRecord(rc, trc)
 	if err != nil && !partial {
 		return nil, err
 	}
@@ -158,6 +140,23 @@ func Replay(rec *checkpoint.Record, toCycle uint64, trc *trace.Tracer) (*ReplayR
 	return rep, nil
 }
 
+// runRecord runs what rc describes, journaled into a fresh journal it
+// returns, and traced into trc when that is non-nil.
+func runRecord(rc checkpoint.RecordConfig, trc *trace.Tracer) (*core.Result, *checkpoint.Journal, error) {
+	img, err := recordImage(rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg, err := recordConfig(rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	j := &checkpoint.Journal{}
+	cfg.Journal, cfg.Tracer = j, trc
+	res, err := core.Run(img, cfg)
+	return res, j, err
+}
+
 // recordImage resolves the guest image a RecordConfig names.
 func recordImage(rc checkpoint.RecordConfig) (*guest.Image, error) {
 	switch {
@@ -175,9 +174,8 @@ func recordImage(rc checkpoint.RecordConfig) (*guest.Image, error) {
 	return nil, fmt.Errorf("record names neither a workload nor an image path")
 }
 
-// recordConfig builds the engine config a RecordConfig describes, with
-// a fresh journal attached.
-func recordConfig(rc checkpoint.RecordConfig) (core.Config, *checkpoint.Journal, error) {
+// recordConfig builds the engine config a RecordConfig describes.
+func recordConfig(rc checkpoint.RecordConfig) (core.Config, error) {
 	cfg := core.DefaultConfig()
 	cfg.Slaves = rc.Slaves
 	cfg.Speculative = rc.Speculative
@@ -191,7 +189,7 @@ func recordConfig(rc checkpoint.RecordConfig) (core.Config, *checkpoint.Journal,
 	if rc.FaultPlan != "" {
 		plan, err := fault.ParsePlan(rc.FaultPlan)
 		if err != nil {
-			return cfg, nil, fmt.Errorf("record carries a bad fault plan: %w", err)
+			return cfg, fmt.Errorf("record carries a bad fault plan: %w", err)
 		}
 		plan.Seed = rc.FaultSeed
 		cfg.Fault = plan
@@ -199,7 +197,5 @@ func recordConfig(rc checkpoint.RecordConfig) (core.Config, *checkpoint.Journal,
 	}
 	cfg.Recovery = core.RecoveryMode(rc.Recovery)
 	cfg.CheckpointInterval = rc.CheckpointInterval
-	j := &checkpoint.Journal{}
-	cfg.Journal = j
-	return cfg, j, nil
+	return cfg, nil
 }

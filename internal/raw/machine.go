@@ -33,9 +33,9 @@ type Machine struct {
 	// until the receiver consumes it.
 	OnDrop func(payload any)
 
-	// trc mirrors Sim.Trace for the Tick/Advance hot path (one field
-	// load instead of two). Set through SetTracer; nil means tracing
-	// off, and every emission below is guarded by a nil test.
+	// trc is the run's virtual-time tracer, set through SetTracer; nil
+	// means tracing off, and every emission below is guarded by a nil
+	// test.
 	trc *trace.Tracer
 }
 
@@ -69,14 +69,11 @@ func (m *Machine) Inbox(id int) *sim.Port { return m.inbox[id] }
 // place the tile's kernel process on the same shard.
 func (m *Machine) SetTileShard(id, shard int) { m.inbox[id].SetShard(shard) }
 
-// SetTracer installs a virtual-time tracer on the machine and its
-// simulation kernel. Tile busy cycles accrued through Tick/Advance
-// feed the tracer's interval sampler (per-tile occupancy per window).
-// Safe to call with nil (tracing off, the default).
-func (m *Machine) SetTracer(t *trace.Tracer) {
-	m.trc = t
-	m.Sim.Trace = t
-}
+// SetTracer installs a virtual-time tracer on the machine. Tile busy
+// cycles accrued through Tick/Advance feed the tracer's interval
+// sampler (per-tile occupancy per window). Safe to call with nil
+// (tracing off, the default).
+func (m *Machine) SetTracer(t *trace.Tracer) { m.trc = t }
 
 // SpawnTile registers a kernel process for a tile. The body receives a
 // TileCtx bound to the tile's inbox and grid position. The returned

@@ -34,8 +34,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
-
-	"tilevm/internal/trace"
 )
 
 // Time is a point in virtual time, in cycles.
@@ -217,15 +215,6 @@ type Simulator struct {
 	abortErr error         // fatal error raised from inside a process, or the time limit
 	stats    Stats         // dispatch counters
 	parked   chan struct{} // the dispatch loop is over, or a killed process has unwound
-
-	// Trace, if non-nil, is the run's virtual-time event sink (see
-	// internal/trace). The kernel itself stays off the timeline — it
-	// only carries the sink so the machine layers above (which know
-	// what a process *is*: a tile) can emit spans without a side
-	// channel. Exactly one process runs at a time, so emission needs
-	// no locking. All trace timestamps are virtual; the tracer adds
-	// zero virtual cycles and, when nil, zero cost.
-	Trace *trace.Tracer
 }
 
 // Stats counts what the kernel did with its events. Every dispatch is a

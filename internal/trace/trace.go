@@ -27,8 +27,10 @@ import (
 	"bufio"
 	"cmp"
 	"io"
+	"os"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // Phase values follow the Chrome trace_event format.
@@ -289,6 +291,32 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
+}
+
+// WriteFiles writes the timeline to path and, when interval sampling is
+// on, the samples next to it (run.json → run.csv). It returns the CSV's
+// path, "" when there is none.
+func (t *Tracer) WriteFiles(path string) (csvPath string, err error) {
+	if err := writeFile(path, t.WriteJSON); err != nil {
+		return "", err
+	}
+	if !t.Sampling() {
+		return "", nil
+	}
+	csvPath = strings.TrimSuffix(path, ".json") + ".csv"
+	return csvPath, writeFile(csvPath, t.WriteCSV)
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeSortIndex pins the viewer's row order to tile-id order.

@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -106,6 +109,34 @@ func TestEventsTimelineOrder(t *testing.T) {
 	emit(3, "c2", 20)
 	if got, want := names(), "first a b1 b2 b3 c c2 z"; got != want {
 		t.Fatalf("after more emission: order %q, want %q", got, want)
+	}
+}
+
+// TestWriteFiles: the JSON goes to the path given and, with sampling
+// on, the CSV next to it; both hold what WriteJSON and WriteCSV write.
+func TestWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	tr := sampleTracer()
+	csvPath, err := tr.WriteFiles(filepath.Join(dir, "run.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(dir, "run.csv"); csvPath != want {
+		t.Fatalf("CSV written to %q, want %q", csvPath, want)
+	}
+	for path, write := range map[string]func(io.Writer) error{
+		filepath.Join(dir, "run.json"): tr.WriteJSON, csvPath: tr.WriteCSV,
+	} {
+		var want bytes.Buffer
+		if err := write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: %d bytes (err %v), want %d", path, len(got), err, want.Len())
+		}
+	}
+	if csvPath, err := New(Options{}).WriteFiles(filepath.Join(dir, "plain.json")); err != nil || csvPath != "" {
+		t.Errorf("timeline-only tracer: CSV %q, err %v; want none", csvPath, err)
 	}
 }
 
