@@ -257,9 +257,9 @@ func (t *Tracer) order() {
 
 // WriteJSON writes the timeline in Chrome trace_event format: an object
 // with a traceEvents array, one JSON object per line, events in
-// timeline order (see Events). Timestamps are
-// virtual cycles written into the format's microsecond field — the
-// viewer's time axis therefore reads directly in cycles.
+// timeline order (see Events). Timestamps are virtual cycles written
+// into the format's microsecond field — the viewer's time axis
+// therefore reads directly in cycles.
 //
 // The encoder is hand-rolled over strconv so that output depends only
 // on the recorded events (byte-identical across identical runs) and
