@@ -95,6 +95,59 @@ func TestMemoryBulkReads(t *testing.T) {
 	}
 }
 
+// TestWriteBytesMatchesByteLoop checks the page-wise WriteBytes against
+// Write8 byte by byte: the same contents, the same pages mapped, and the
+// same write generations, so Capture and Pristine cannot tell the two
+// apart. Each case runs on a fresh image and again after Seal.
+func TestWriteBytesMatchesByteLoop(t *testing.T) {
+	data := make([]byte, 3*pageSize+77)
+	for i := range data {
+		data[i] = uint8(i*13 + 5)
+	}
+	zeros := make([]byte, 300)
+	for _, tc := range []struct {
+		name string
+		addr uint32
+		data []byte
+	}{
+		{"inside a page", 0x1_0100, data[:19]},
+		{"ending at a page's last byte", 0x2_0000 - 19, data[:19]},
+		{"across a 64 KB boundary", 0x2_0000 - 5, data[:19]},
+		{"over whole pages", 0x2_0000 - 3, data},
+		{"zeros across a boundary", 0x5_0000 - 100, zeros},
+		{"wrapping at 4 GB", 0xFFFF_FFF0, data[:40]},
+		{"empty", 0x1_0000, nil},
+	} {
+		for _, sealed := range []bool{false, true} {
+			want, got := NewMemory(), NewMemory()
+			for _, m := range []*Memory{want, got} {
+				m.Write8(0x2_0010, 0xAB) // a page mapped before the write
+				if sealed {
+					m.Seal()
+				}
+			}
+			for i, b := range tc.data {
+				want.Write8(tc.addr+uint32(i), b)
+			}
+			got.WriteBytes(tc.addr, tc.data)
+			for idx := range want.pages {
+				w, g := want.pages[idx], got.pages[idx]
+				if (w == nil) != (g == nil) || w != nil && *w != *g {
+					t.Errorf("%s (sealed=%v): page %#x differs", tc.name, sealed, idx)
+				}
+			}
+			if want.writeGen != got.writeGen || want.gen != got.gen || want.sealGen != got.sealGen {
+				t.Errorf("%s (sealed=%v): write generations differ", tc.name, sealed)
+			}
+			for _, r := range []uint32{0x1_0000, 0x2_0000, 0x5_0000, 0xFFFF_0000, 0} {
+				if w, g := want.Pristine(r, pageSize), got.Pristine(r, pageSize); w != g {
+					t.Errorf("%s (sealed=%v): Pristine(%#x) = %v, byte loop %v", tc.name, sealed, r, g, w)
+				}
+			}
+		}
+	}
+}
+
 // TestPristine: Load seals the address space; from then on a range is
 // pristine until a page it touches is written — at page granularity,
 // whatever is written — and a restored memory is not pristine anywhere.
