@@ -32,36 +32,46 @@ type Interp struct {
 	// OnMem, if set, observes every data-memory access (after effective
 	// address computation, before the access itself).
 	OnMem func(addr uint32, size uint8, write bool)
-	// OnInst, if set, observes every retired instruction.
-	OnInst func(in *x86.Inst)
 
-	icache map[uint32]x86.Inst
-	// decodedPages tracks 4KB pages with cached decodes so stores into
-	// them (self-modifying code) invalidate the decode cache.
-	decodedPages map[uint32]bool
+	// The decode cache. Every instruction decoded since the cache was
+	// last dropped lives in arena, decoded once. A 4 KB page that holds
+	// a decoded instruction, or that one spans into, has a table from
+	// page offset to arena index; lastTab is the table of lastPage, the
+	// page of the previous fetch, so straight-line code takes no map
+	// lookup.
+	arena    []x86.Inst
+	pages    map[uint32]*pageTable
+	lastPage uint32
+	lastTab  *pageTable
 }
+
+const (
+	smcPageShift = 12
+	smcPageMask  = 1<<smcPageShift - 1
+)
+
+// pageTable maps a page offset to 1 + the arena index of the
+// instruction decoded there, or 0 if none is.
+type pageTable [1 << smcPageShift]int32
 
 // New builds an interpreter for a loaded process.
 func New(p *guest.Process) *Interp {
-	return &Interp{
-		P:            p,
-		icache:       make(map[uint32]x86.Inst),
-		decodedPages: make(map[uint32]bool),
-	}
+	return &Interp{P: p, pages: make(map[uint32]*pageTable)}
 }
 
-const smcPageShift = 12
-
-// noteStore invalidates cached decodes when guest code is overwritten.
+// noteStore drops the decode cache when a store lands in a page that
+// has a table (self-modifying code). That is rare, so the whole cache
+// goes rather than the overwritten instructions.
 func (it *Interp) noteStore(addr uint32, size uint8) {
 	first := addr >> smcPageShift
 	last := (addr + uint32(size) - 1) >> smcPageShift
 	for pg := first; pg <= last; pg++ {
-		if it.decodedPages[pg] {
-			// Rare event: drop the whole cache rather than tracking
-			// per-address residency.
-			it.icache = make(map[uint32]x86.Inst)
-			it.decodedPages = make(map[uint32]bool)
+		if it.pages[pg] != nil {
+			// The instruction being executed stays readable: nothing
+			// reuses its arena slot before the next fetch.
+			it.arena = it.arena[:0]
+			clear(it.pages)
+			it.lastTab = nil
 			return
 		}
 	}
@@ -71,20 +81,38 @@ func (it *Interp) fault(reason string) error {
 	return &Fault{PC: it.P.PC, Reason: reason}
 }
 
-// fetch decodes (with caching) the instruction at PC.
-func (it *Interp) fetch() (x86.Inst, error) {
-	if in, ok := it.icache[it.P.PC]; ok {
-		return in, nil
+// fetch returns the instruction at PC, decoding it on first use. A
+// decode that fails is not cached.
+func (it *Interp) fetch() (*x86.Inst, error) {
+	pc := it.P.PC
+	pg := pc >> smcPageShift
+	if it.lastTab == nil || pg != it.lastPage {
+		it.lastTab, it.lastPage = it.pages[pg], pg
 	}
-	window := it.P.Mem.CodeWindow(it.P.PC, x86.MaxInstLen+4)
-	in, err := x86.Decode(window, it.P.PC)
+	if it.lastTab != nil {
+		if i := it.lastTab[pc&smcPageMask]; i != 0 {
+			return &it.arena[i-1], nil
+		}
+	}
+	in, err := x86.Decode(it.P.Mem.CodeWindow(pc, x86.MaxInstLen+4), pc)
 	if err != nil {
-		return in, err
+		return nil, err
 	}
-	it.icache[it.P.PC] = in
-	it.decodedPages[it.P.PC>>smcPageShift] = true
-	it.decodedPages[(it.P.PC+uint32(in.Len)-1)>>smcPageShift] = true
-	return in, nil
+	it.arena = append(it.arena, in)
+	it.lastTab = it.table(pg)
+	it.lastTab[pc&smcPageMask] = int32(len(it.arena))
+	it.table((pc + uint32(in.Len) - 1) >> smcPageShift) // the page it spans into
+	return &it.arena[len(it.arena)-1], nil
+}
+
+// table returns page pg's table, making it if the page has none.
+func (it *Interp) table(pg uint32) *pageTable {
+	tab := it.pages[pg]
+	if tab == nil {
+		tab = new(pageTable)
+		it.pages[pg] = tab
+	}
+	return tab
 }
 
 // ea computes a memory operand's effective address.
@@ -402,14 +430,11 @@ func (it *Interp) Step() error {
 
 	p.PC = next
 	it.Steps++
-	if it.OnInst != nil {
-		it.OnInst(&in)
-	}
 	return nil
 }
 
 // shift implements SHL/SHR/SAR/ROL/ROR.
-func (it *Interp) shift(in x86.Inst, size uint8, mask uint32) error {
+func (it *Interp) shift(in *x86.Inst, size uint8, mask uint32) error {
 	p := it.P
 	a := it.read(in.Dst)
 	count := it.read(in.Src) & 31
@@ -457,7 +482,7 @@ func (it *Interp) shift(in x86.Inst, size uint8, mask uint32) error {
 }
 
 // mul1 implements the one-operand widening multiplies.
-func (it *Interp) mul1(in x86.Inst, signed bool) {
+func (it *Interp) mul1(in *x86.Inst, signed bool) {
 	p := it.P
 	size := in.OpSize
 	src := it.read(in.Src)
@@ -497,7 +522,7 @@ func (it *Interp) mul1(in x86.Inst, signed bool) {
 }
 
 // div implements DIV/IDIV (32-bit form).
-func (it *Interp) div(in x86.Inst) error {
+func (it *Interp) div(in *x86.Inst) error {
 	p := it.P
 	if in.OpSize != 4 {
 		return it.fault("8/16-bit divide not supported")
@@ -528,7 +553,7 @@ func (it *Interp) div(in x86.Inst) error {
 }
 
 // rotateCarry implements RCL/RCR: a rotate through CF over size*8+1 bits.
-func (it *Interp) rotateCarry(in x86.Inst, size uint8, mask uint32) {
+func (it *Interp) rotateCarry(in *x86.Inst, size uint8, mask uint32) {
 	p := it.P
 	a := it.read(in.Dst)
 	count := it.read(in.Src) & 31
@@ -559,7 +584,7 @@ func (it *Interp) rotateCarry(in x86.Inst, size uint8, mask uint32) {
 }
 
 // shiftDouble implements SHLD/SHRD.
-func (it *Interp) shiftDouble(in x86.Inst, size uint8, mask uint32) {
+func (it *Interp) shiftDouble(in *x86.Inst, size uint8, mask uint32) {
 	p := it.P
 	dst := it.read(in.Dst)
 	src := it.read(in.Src)
@@ -593,7 +618,7 @@ func (it *Interp) shiftDouble(in x86.Inst, size uint8, mask uint32) {
 // bitTest implements BT/BTS/BTR/BTC, including the bit-string
 // addressing form where a register bit offset indexes beyond the
 // addressed word.
-func (it *Interp) bitTest(in x86.Inst, size uint8) {
+func (it *Interp) bitTest(in *x86.Inst, size uint8) {
 	p := it.P
 	bits := uint32(size) * 8
 	off := it.read(in.Src)
@@ -648,7 +673,7 @@ func (it *Interp) bitTest(in x86.Inst, size uint8) {
 // destination unchanged (our canonical choice for the architecturally
 // undefined case); otherwise ZF clears and the index is written. The
 // other arithmetic flags are canonically cleared.
-func (it *Interp) bitScan(in x86.Inst, size uint8) {
+func (it *Interp) bitScan(in *x86.Inst, size uint8) {
 	p := it.P
 	src := it.read(in.Src)
 	f := p.Flags &^ x86.FlagsArith
@@ -670,7 +695,7 @@ func (it *Interp) bitScan(in x86.Inst, size uint8) {
 }
 
 // stringOp implements MOVS/STOS/LODS/SCAS/CMPS with optional REP/REPNE.
-func (it *Interp) stringOp(in x86.Inst) error {
+func (it *Interp) stringOp(in *x86.Inst) error {
 	p := it.P
 	w := in.OpSize
 	var step uint32 = uint32(w)
