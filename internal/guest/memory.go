@@ -182,10 +182,14 @@ func (m *Memory) ReadBytes(addr uint32, n int) []byte {
 	return out
 }
 
-// WriteBytes copies data into memory at addr.
+// WriteBytes copies data into memory at addr, a page at a time.
+// Addresses wrap at 4 GB.
 func (m *Memory) WriteBytes(addr uint32, data []byte) {
-	for i, b := range data {
-		m.Write8(addr+uint32(i), b)
+	for len(data) > 0 {
+		off := addr & (pageSize - 1)
+		n := copy(m.page(addr, true)[off:], data)
+		data = data[n:]
+		addr += uint32(n)
 	}
 }
 
