@@ -12,7 +12,6 @@ import (
 	"tilevm/internal/bench"
 	"tilevm/internal/core"
 	"tilevm/internal/guest"
-	"tilevm/internal/pentium"
 	"tilevm/internal/sim"
 	"tilevm/internal/workload"
 	"tilevm/internal/x86"
@@ -65,6 +64,7 @@ func BenchmarkL1Fill(b *testing.B) { bench.L1FillBench()(b) }
 // instructions per second.
 func BenchmarkInterpreter(b *testing.B) {
 	img := gzipImage()
+	b.ReportAllocs()
 	b.ResetTimer()
 	var steps uint64
 	for i := 0; i < b.N; i++ {
@@ -134,15 +134,11 @@ func BenchmarkMachineRunGzipTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkPentiumBaseline measures the baseline model run.
+// BenchmarkPentiumBaseline measures the baseline model run of gzip, the
+// pentium_gzip entry of BENCH_sim.json.
 func BenchmarkPentiumBaseline(b *testing.B) {
-	img := gzipImage()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pentium.Run(img, pentium.DefaultParams(), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.ReportAllocs()
+	bench.PentiumBaselineBench("164.gzip")(b)
 }
 
 // --- Figure/table regeneration benchmarks ---

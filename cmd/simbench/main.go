@@ -3,8 +3,9 @@
 // Advance/Recv round trip, the Tick-then-Recv round trip, the process
 // switch at 2 and 64 processes, the rawexec inner loop, a full machine
 // run of a data-bound and of a code-bound guest and the code-bound one
-// again from a filled translation memo, tier-1 and tier-0 translation
-// per block, the L1 code-cache fill)
+// again from a filled translation memo, the Pentium III baseline run of
+// the data-bound one, tier-1 and tier-0 translation per block, the L1
+// code-cache fill)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline. The headline of
@@ -45,6 +46,10 @@ type microResult struct {
 	// DispatchesPerOp is the kernel dispatches per received message
 	// counted by sim.Stats, for sim_tick_recv.
 	DispatchesPerOp float64 `json:"dispatches_per_op,omitempty"`
+	// GuestInstsPerOp is the guest instructions one run retires, for
+	// pentium_gzip: ns_per_op over it is the reference interpreter's
+	// cost per instruction.
+	GuestInstsPerOp float64 `json:"guest_insts_per_op,omitempty"`
 }
 
 // previous is the headline of the file this run replaces: read the
@@ -159,6 +164,7 @@ func bmark(f func(b *testing.B)) microResult {
 		N:               r.N,
 		Seconds:         r.T.Seconds(),
 		DispatchesPerOp: r.Extra["dispatches/op"],
+		GuestInstsPerOp: r.Extra["guest-insts/op"],
 	}
 	if sw, ok := r.Extra["switches/op"]; ok {
 		m.SwitchesPerOp = &sw
@@ -280,6 +286,8 @@ func main() {
 		"machine_run_gcc":    bmark(bench.MachineRunBench(bench.TranslateCorpusWorkload)),
 
 		"machine_run_gcc_warm": bmark(bench.MachineRunWarmBench(bench.TranslateCorpusWorkload)),
+
+		"pentium_gzip": bmark(bench.PentiumBaselineBench("164.gzip")),
 
 		"translate_block_tier1": bmark(bench.TranslateBlockBench(false)),
 		"translate_block_tier0": bmark(bench.TranslateBlockBench(true)),

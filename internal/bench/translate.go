@@ -7,6 +7,7 @@ import (
 	"tilevm/internal/codecache"
 	"tilevm/internal/core"
 	"tilevm/internal/guest"
+	"tilevm/internal/pentium"
 	"tilevm/internal/raw"
 	"tilevm/internal/translate"
 	"tilevm/internal/workload"
@@ -97,6 +98,32 @@ func machineRunBench(name string, warm bool) func(b *testing.B) {
 				b.Fatalf("warm runs of %s did not run from the memo: %+v", name, st)
 			}
 		}
+	}
+}
+
+// PentiumBaselineBench returns a benchmark of one Pentium III baseline
+// run per iteration: pentium.Run of the named workload, which executes
+// it on the reference interpreter under the cache model. It reports the
+// guest instructions retired per run, so ns/op over guest-insts/op is
+// the interpreter's cost per instruction.
+func PentiumBaselineBench(name string) func(b *testing.B) {
+	p, ok := workload.ByName(name)
+	if !ok {
+		panic("bench: no workload " + name)
+	}
+	return func(b *testing.B) {
+		img := p.Build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		var insts uint64
+		for i := 0; i < b.N; i++ {
+			r, err := pentium.Run(img, pentium.DefaultParams(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts += r.Insts
+		}
+		b.ReportMetric(float64(insts)/float64(b.N), "guest-insts/op")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command benchcheck is the perf-regression smoke gate: it re-measures
 // the headline simulator benchmarks (the machine_run_gzip micro and its
 // code-bound twin machine_run_gcc, that one again from a filled
-// translation memo, the serial quick figure suite, the
+// translation memo, the Pentium III baseline run of gzip in time and
+// allocations (pentium_gzip), the serial quick figure suite, the
 // quick fleet fault-tolerance sweep, and the fleet_kernel fleet with
 // the kernel's switch count beside it) and compares
 // them against the recorded trajectory in
@@ -30,6 +31,8 @@ import (
 	"time"
 
 	"tilevm/internal/bench"
+	"tilevm/internal/pentium"
+	"tilevm/internal/workload"
 )
 
 // baseline mirrors the slice of BENCH_sim.json this gate reads.
@@ -100,6 +103,18 @@ const (
 const (
 	gccAllocTol = 1.03
 	warmRatio   = 0.75
+)
+
+// A reference run allocates its setup and nothing per guest
+// instruction (30 objects for gzip's 181,253 instructions), so an
+// allocation creeping back into the interpreter's step is thousands of
+// times pentiumAllocTol. The count is exact, but a GC cycle that lands
+// inside a run adds a few runtime allocations to it, about one per op
+// on average; at 30 that is more than the tolerance, so the gate reads
+// the fewest allocations of pentiumAllocRuns single runs.
+const (
+	pentiumAllocTol  = 1.03
+	pentiumAllocRuns = 5
 )
 
 // slotSwitchRatio is what dispatching independent slots one at a time
@@ -216,6 +231,20 @@ func main() {
 				metric{k.name + "_warm vs cold", float64(r.NsPerOp()), float64(w.NsPerOp()), warmRatio})
 		}
 	}
+	// The Pentium III baseline run that every slowdown divides by, on the
+	// reference interpreter.
+	fmt.Fprintln(os.Stderr, "benchcheck: measuring pentium_gzip...")
+	pr := testing.Benchmark(bench.PentiumBaselineBench("164.gzip"))
+	gzip, _ := workload.ByName("164.gzip")
+	img := gzip.Build()
+	fewest := float64(pr.AllocsPerOp())
+	for range pentiumAllocRuns {
+		fewest = min(fewest, testing.AllocsPerRun(1, func() { pentium.Run(img, pentium.DefaultParams(), 0) }))
+	}
+	pb := base.Micro["pentium_gzip"]
+	ms = append(ms,
+		metric{"pentium_gzip ns/op", float64(pb.NsPerOp), float64(pr.NsPerOp()), *timeTol},
+		metric{"pentium_gzip allocs/op", float64(pb.AllocsPerOp), fewest, min(*allocTol, pentiumAllocTol)})
 	// Translator per-block cost over the 176.gcc corpus. A baseline that
 	// predates the entries reads zero and is reported, not failed.
 	fmt.Fprintln(os.Stderr, "benchcheck: measuring translate_block_tier1/tier0...")
