@@ -135,11 +135,8 @@ func BenchmarkMachineRunGzipTraced(b *testing.B) {
 }
 
 // BenchmarkPentiumBaseline measures the baseline model run of gzip, the
-// pentium_gzip entry of BENCH_sim.json.
-func BenchmarkPentiumBaseline(b *testing.B) {
-	b.ReportAllocs()
-	bench.PentiumBaselineBench("164.gzip")(b)
-}
+// pentium_gzip entry of BENCH_sim.json, allocations included.
+func BenchmarkPentiumBaseline(b *testing.B) { bench.PentiumBaselineBench("164.gzip")(b) }
 
 // --- Figure/table regeneration benchmarks ---
 //

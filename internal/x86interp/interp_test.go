@@ -12,7 +12,13 @@ func run(t *testing.T, build func(a *x86.Asm)) *guest.Process {
 	t.Helper()
 	a := x86.NewAsm(guest.DefaultCodeBase)
 	build(a)
-	img := &guest.Image{Entry: guest.DefaultCodeBase, CodeBase: guest.DefaultCodeBase, Code: a.Bytes()}
+	return runImage(t, a.Bytes())
+}
+
+// runImage loads code at the default code base and runs it to exit.
+func runImage(t *testing.T, code []byte) *guest.Process {
+	t.Helper()
+	img := &guest.Image{Entry: guest.DefaultCodeBase, CodeBase: guest.DefaultCodeBase, Code: code}
 	p := guest.Load(img)
 	it := New(p)
 	exited, err := it.Run(1_000_000)

@@ -12,23 +12,8 @@ import (
 // an instruction, overwrites its bytes with one of the interpreter's own
 // stores, and executes it again; the second execution must see the new
 // bytes. The decode cache drops everything when a store lands in a 4 KB
-// page that holds a decoded instruction or that one spans into.
-
-// runImage runs code loaded at the default code base to exit within a
-// step bound, so a stale decode that loops fails instead of hanging.
-func runImage(t *testing.T, code []byte) *guest.Process {
-	t.Helper()
-	img := &guest.Image{Entry: guest.DefaultCodeBase, CodeBase: guest.DefaultCodeBase, Code: code}
-	p := guest.Load(img)
-	exited, err := New(p).Run(100_000)
-	if err != nil {
-		t.Fatalf("run: %v\nstate: %s", err, p.CPU.String())
-	}
-	if !exited {
-		t.Fatalf("program did not exit (stale decode?); state: %s", p.CPU.String())
-	}
-	return p
-}
+// page that holds a decoded instruction or that one spans into. A stale
+// decode loops, and runImage's step bound turns that into a failure.
 
 // padTo emits NOPs up to addr.
 func padTo(a *x86.Asm, addr uint32) {
