@@ -107,8 +107,8 @@ const (
 
 // A reference run allocates its setup and nothing per guest
 // instruction (30 objects for gzip's 181,253 instructions), so an
-// allocation creeping back into the interpreter's step is thousands of
-// times pentiumAllocTol. The count is exact, but a GC cycle that lands
+// allocation creeping back into the interpreter's step multiplies the
+// count by thousands. The count is exact, but a GC cycle that lands
 // inside a run adds a few runtime allocations to it, about one per op
 // on average; at 30 that is more than the tolerance, so the gate reads
 // the fewest allocations of pentiumAllocRuns single runs.
@@ -239,7 +239,12 @@ func main() {
 	img := gzip.Build()
 	fewest := float64(pr.AllocsPerOp())
 	for range pentiumAllocRuns {
-		fewest = min(fewest, testing.AllocsPerRun(1, func() { pentium.Run(img, pentium.DefaultParams(), 0) }))
+		fewest = min(fewest, testing.AllocsPerRun(1, func() {
+			if _, err := pentium.Run(img, pentium.DefaultParams(), 0); err != nil {
+				fmt.Fprintln(os.Stderr, "benchcheck:", err)
+				os.Exit(1)
+			}
+		}))
 	}
 	pb := base.Micro["pentium_gzip"]
 	ms = append(ms,
