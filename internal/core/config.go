@@ -268,8 +268,8 @@ func (p *placement) dropDead(dead []int) {
 	p.switchable = filter(append([]int(nil), p.switchable...))
 }
 
-// place resolves the config to tile assignments.
-func place(cfg *Config) (placement, error) {
+// place resolves a valid config (Validate) to tile assignments.
+func place(cfg *Config) placement {
 	p := placement{
 		sys:        tileSys,
 		exec:       tileExec,
@@ -277,28 +277,8 @@ func place(cfg *Config) (placement, error) {
 		mmu:        tileMMU,
 		switchable: tilesSwitchable,
 	}
-	if cfg.Slaves < 1 || cfg.Slaves > len(tilesPermSlave)+len(tilesSwitchable) {
-		return p, fmt.Errorf("core: %d slaves out of range", cfg.Slaves)
-	}
-	if cfg.L15Banks < 0 || cfg.L15Banks > len(tilesL15) {
-		return p, fmt.Errorf("core: %d L1.5 banks out of range", cfg.L15Banks)
-	}
-	if cfg.MemBanks < 1 || cfg.MemBanks > 1+len(tilesSwitchable) {
-		return p, fmt.Errorf("core: %d memory banks out of range", cfg.MemBanks)
-	}
-	extraSlaves := cfg.Slaves - len(tilesPermSlave)
-	if extraSlaves < 0 {
-		extraSlaves = 0
-	}
+	extraSlaves := max(cfg.Slaves-len(tilesPermSlave), 0)
 	extraBanks := cfg.MemBanks - 1
-	if extraSlaves+extraBanks > len(tilesSwitchable) {
-		return p, fmt.Errorf("core: %d slaves and %d memory banks exceed the switchable tile pool",
-			cfg.Slaves, cfg.MemBanks)
-	}
-	if cfg.Morph && (cfg.Slaves != 6 || cfg.MemBanks != 4) {
-		return p, fmt.Errorf("core: morphing requires the 6-slave/4-bank initial configuration")
-	}
-
 	p.l15 = append(p.l15, tilesL15[:cfg.L15Banks]...)
 	p.switchIsBank = map[int]bool{}
 
@@ -311,11 +291,7 @@ func place(cfg *Config) (placement, error) {
 		extraSlaves, extraBanks = len(tilesSwitchable), 0
 	}
 
-	n := cfg.Slaves
-	if n > len(tilesPermSlave) {
-		n = len(tilesPermSlave)
-	}
-	p.slaves = append(p.slaves, tilesPermSlave[:n]...)
+	p.slaves = append(p.slaves, tilesPermSlave[:min(cfg.Slaves, len(tilesPermSlave))]...)
 	for i := 0; i < extraSlaves; i++ {
 		p.slaves = append(p.slaves, tilesSwitchable[i])
 		p.switchIsBank[tilesSwitchable[i]] = false
@@ -343,53 +319,7 @@ func place(cfg *Config) (placement, error) {
 			p.idle = append(p.idle, t)
 		}
 	}
-	return p, nil
-}
-
-// validateFaultPlan rejects fault plans the recovery protocol cannot
-// survive: fail-stops are only meaningful on worker tiles (translation
-// slaves and data banks — the redundant, excisable resources of the
-// virtual architecture; the exec, manager, MMU, L1.5, and syscall tiles
-// are single points of service), at least one slave and one bank must
-// outlive the plan, and fail-stops compose with morphing only trivially
-// (morphing retargets the same switchable tiles recovery excises).
-func validateFaultPlan(pl *placement, cfg *Config) error {
-	if cfg.Fault == nil || len(cfg.Fault.Fails) == 0 {
-		return nil
-	}
-	if cfg.Morph {
-		return fmt.Errorf("core: tile fail-stops and morphing are mutually exclusive")
-	}
-	worker := map[int]bool{}
-	for _, t := range pl.slaves {
-		worker[t] = true
-	}
-	for _, t := range pl.banks {
-		worker[t] = true
-	}
-	dead := map[int]bool{}
-	for _, f := range cfg.Fault.Fails {
-		if !worker[f.Tile] {
-			return fmt.Errorf("core: fault plan fail-stops tile %d, which is not a worker (slave/bank) tile", f.Tile)
-		}
-		dead[f.Tile] = true
-	}
-	liveSlaves, liveBanks := 0, 0
-	for _, t := range pl.slaves {
-		if !dead[t] {
-			liveSlaves++
-		}
-	}
-	for _, t := range pl.banks {
-		if !dead[t] {
-			liveBanks++
-		}
-	}
-	if liveSlaves == 0 || liveBanks == 0 {
-		return fmt.Errorf("core: fault plan leaves %d live slaves and %d live banks; need at least one of each",
-			liveSlaves, liveBanks)
-	}
-	return nil
+	return p
 }
 
 // l15BankFor selects the L1.5 bank servicing a guest PC. The exec tile

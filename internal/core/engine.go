@@ -156,16 +156,14 @@ func (e *engine) jadd(kind checkpoint.EventKind, cycle, a, b uint64) {
 // exactly the lost-message case the retry/heartbeat protocols recover
 // from.
 func Run(img *guest.Image, cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 20_000_000_000
 	}
-	if cfg.Recovery == RecoverRollback {
-		if cfg.CheckpointInterval == 0 {
-			cfg.CheckpointInterval = DefaultCheckpointInterval
-		}
-		if !cfg.Fault.Empty() && !cfg.FaultRecovery {
-			return nil, fmt.Errorf("core: rollback recovery requires fault recovery (the failure detectors)")
-		}
+	if cfg.Recovery == RecoverRollback && cfg.CheckpointInterval == 0 {
+		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
 	var ck *checkpoint.Checkpointer
 	if cfg.CheckpointInterval > 0 {
@@ -233,10 +231,7 @@ type abortedAttempt struct {
 func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 	dead []int, start uint64, extra rollbackStats) (*Result, *abortedAttempt, error) {
 
-	pl, err := place(&cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	pl := place(&cfg)
 	restore := ck.Last()
 	plan := cfg.Fault
 	if len(dead) > 0 {
@@ -279,9 +274,6 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 	e.registerTraceProcs()
 
 	if !cfg.Fault.Empty() {
-		if err := validateFaultPlan(&pl, &cfg); err != nil {
-			return nil, nil, err
-		}
 		e.inj = fault.NewInjector(cfg.Fault)
 		e.m.Faults = e.inj
 		e.robust = cfg.FaultRecovery

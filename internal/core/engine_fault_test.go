@@ -171,37 +171,3 @@ func TestFaultWithoutRecoveryDeadlocksWithDiagnostic(t *testing.T) {
 		t.Errorf("execution tile missing from deadlock report: %+v", dl.Blocked)
 	}
 }
-
-// TestFaultPlanValidation: fail-stops outside the excisable worker set,
-// plans that leave no survivors, and fail-stop+morph combinations are
-// rejected up front.
-func TestFaultPlanValidation(t *testing.T) {
-	img := sumLoop(10)
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"exec tile", func(c *Config) {
-			c.Fault = &fault.Plan{Fails: []fault.TileFail{{Tile: 5, Cycle: 100}}}
-		}},
-		{"manager tile", func(c *Config) {
-			c.Fault = &fault.Plan{Fails: []fault.TileFail{{Tile: 4, Cycle: 100}}}
-		}},
-		{"all banks", func(c *Config) {
-			c.Fault = &fault.Plan{Fails: []fault.TileFail{
-				{Tile: 10, Cycle: 100}, {Tile: 7, Cycle: 100},
-				{Tile: 14, Cycle: 100}, {Tile: 2, Cycle: 100}}}
-		}},
-		{"morph+fail", func(c *Config) {
-			c.Morph = true
-			c.Fault = &fault.Plan{Fails: []fault.TileFail{{Tile: 7, Cycle: 100}}}
-		}},
-	}
-	for _, tc := range cases {
-		cfg := DefaultConfig()
-		tc.mut(&cfg)
-		if _, err := Run(img, cfg); err == nil {
-			t.Errorf("%s: invalid fault plan accepted", tc.name)
-		}
-	}
-}

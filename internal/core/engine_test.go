@@ -210,42 +210,6 @@ func TestMachineChainingKeepsHotLoopInL1(t *testing.T) {
 	}
 }
 
-func TestPlacementValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Slaves = 0 },
-		func(c *Config) { c.Slaves = 10 },
-		func(c *Config) { c.Slaves = 9; c.MemBanks = 4 },
-		func(c *Config) { c.L15Banks = 3 },
-		func(c *Config) { c.MemBanks = 0 },
-		func(c *Config) { c.Morph = true; c.Slaves = 9; c.MemBanks = 1 },
-	}
-	for i, mut := range bad {
-		cfg := DefaultConfig()
-		mut(&cfg)
-		if _, err := place(&cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-	good := DefaultConfig()
-	pl, err := place(&good)
-	if err != nil {
-		t.Fatalf("default config rejected: %v", err)
-	}
-	if len(pl.slaves) != 6 || len(pl.banks) != 4 || len(pl.l15) != 2 {
-		t.Errorf("placement = %+v", pl)
-	}
-	// Roles must be disjoint.
-	seen := map[int]bool{tileSys: true, tileExec: true, tileManager: true, tileMMU: true}
-	for _, lists := range [][]int{pl.slaves, pl.banks, pl.l15} {
-		for _, tile := range lists {
-			if seen[tile] {
-				t.Errorf("tile %d assigned twice", tile)
-			}
-			seen[tile] = true
-		}
-	}
-}
-
 // smcImage is a guest that patches an instruction's immediate at
 // runtime, inside a hot chained loop.
 func smcImage() *guest.Image {

@@ -209,53 +209,15 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 			res, err = nil, internalFromPanic(r, debug.Stack())
 		}
 	}()
-	if len(imgs) == 0 {
-		return nil, fmt.Errorf("core: fleet mode needs at least one guest")
+	slots, err := validateFleet(&cfg, fc, len(imgs))
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 20_000_000_000
 	}
-	if cfg.Morph {
-		return nil, fmt.Errorf("core: intra-VM morphing and fleet mode are mutually exclusive")
-	}
-	if cfg.Journal != nil {
-		return nil, fmt.Errorf("core: record-replay is not supported in fleet mode")
-	}
-	if fc.MaxAttempts < 0 {
-		return nil, fmt.Errorf("core: fleet MaxAttempts must be non-negative, got %d", fc.MaxAttempts)
-	}
-	if len(fc.Deadlines) != 0 && len(fc.Deadlines) != len(imgs) {
-		return nil, fmt.Errorf("core: %d per-guest deadlines for %d guests (need none or one per guest)",
-			len(fc.Deadlines), len(imgs))
-	}
-	if len(fc.Profiles) != 0 && len(fc.Profiles) != len(imgs) {
-		return nil, fmt.Errorf("core: %d guest profiles for %d guests (need none or one per guest)",
-			len(fc.Profiles), len(imgs))
-	}
 	if cfg.Recovery == RecoverRollback && cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
-	}
-	// One base-tier scan settles the slot count: exactly MaxSlots (a
-	// *NoFitError if they do not fit) or as many as fit, never more than
-	// there are guests. Without profiles it is also the carve.
-	slots, err := planFabric(cfg.Params, nil, fc.MaxSlots)
-	if err != nil {
-		return nil, err
-	}
-	if len(slots) > len(imgs) {
-		slots = slots[:len(imgs)]
-	}
-	if len(fc.Profiles) > 0 {
-		// The planner re-shapes that many slots; it only changes shapes
-		// and role splits, never the count.
-		if slots, err = planFabric(cfg.Params, fc.Profiles, len(slots)); err != nil {
-			return nil, err
-		}
-	}
-	if !cfg.Fault.Empty() {
-		if err := validateFleetFaultPlan(cfg.Fault, slots, cfg.Params); err != nil {
-			return nil, err
-		}
 	}
 
 	fl := &fleetRun{

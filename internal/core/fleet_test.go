@@ -1,13 +1,10 @@
 package core
 
 import (
-	"errors"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
-	"tilevm/internal/fault"
 	"tilevm/internal/guest"
 	"tilevm/internal/raw"
 	"tilevm/internal/workload"
@@ -121,61 +118,6 @@ func TestCarveFabricCounts(t *testing.T) {
 	// Demanding more slots than fit must fail, not truncate.
 	if _, err := planFabric(raw.DefaultParams(), nil, 3); err == nil {
 		t.Error("planFabric(4×4, nil, 3) succeeded, want error")
-	}
-}
-
-func TestRunFleetRejectsUnsupportedConfigs(t *testing.T) {
-	imgs := fleetImgs(t, "164.gzip")
-	base := fleetCfg(4, 4)
-	cases := []struct {
-		name string
-		cfg  func(Config) Config
-		fc   FleetConfig
-		imgs []*guest.Image
-		want string
-	}{
-		{"no guests", nil, FleetConfig{}, nil, "at least one guest"},
-		{"morph", func(c Config) Config { c.Morph = true; return c }, FleetConfig{}, imgs, "morphing"},
-		{"probabilistic faults", func(c Config) Config {
-			c.Fault = &fault.Plan{Seed: 1, DropProb: 0.01}
-			return c
-		}, FleetConfig{}, imgs, "fail: and stall: clauses"},
-		{"fail outside carve", func(c Config) Config {
-			// MaxSlots below truncates the carve to slot 0; tile 8 is in
-			// (un-carved) slot 1's territory.
-			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 8, Cycle: 1000}}}
-			return c
-		}, FleetConfig{MaxSlots: 1}, imgs, "no carved VM slot"},
-		{"fail off fabric", func(c Config) Config {
-			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 99, Cycle: 1000}}}
-			return c
-		}, FleetConfig{}, imgs, "outside the"},
-		{"fail at cycle zero", func(c Config) Config {
-			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 3}}}
-			return c
-		}, FleetConfig{}, imgs, "cycle 0"},
-		{"negative max attempts", nil, FleetConfig{MaxAttempts: -1}, imgs, "non-negative"},
-		{"negative max slots", nil, FleetConfig{MaxSlots: -1}, imgs, "-1 VM slots requested"},
-		{"deadline count mismatch", nil, FleetConfig{Deadlines: []uint64{1, 2}}, imgs, "per-guest deadlines"},
-		{"too many slots", nil, FleetConfig{MaxSlots: 5}, imgs, "fits only"},
-		{"tiny fabric", func(c Config) Config { c.Params.Width, c.Params.Height = 3, 3; return c }, FleetConfig{}, imgs, "fits no"},
-	}
-	for _, tc := range cases {
-		cfg := base
-		if tc.cfg != nil {
-			cfg = tc.cfg(cfg)
-		}
-		_, err := RunFleet(tc.imgs, cfg, tc.fc)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
-		}
-		// Asking for more slots than fit is answered with the occupancy map.
-		var nf *NoFitError
-		if isNoFit := errors.As(err, &nf); isNoFit != (tc.name == "too many slots") {
-			t.Errorf("%s: err = %T, *NoFitError only for too many slots", tc.name, err)
-		} else if isNoFit && (nf.Want != 5 || nf.Placed != 2) {
-			t.Errorf("%s: %+v, want 5 requested and 2 placed", tc.name, nf)
-		}
 	}
 }
 

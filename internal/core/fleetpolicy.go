@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"tilevm/internal/fault"
-	"tilevm/internal/raw"
 	"tilevm/internal/sim"
 )
 
@@ -148,47 +146,6 @@ func retryBackoff(base, seed uint64, gi, attempt int) uint64 {
 	}
 	jitter := fleetSplitmix(seed ^ fleetSplitmix(uint64(gi)<<32|uint64(attempt)))
 	return d + jitter%base
-}
-
-// validateFleetFaultPlan rejects fault plans the fleet policy layer
-// cannot honor. Fleet slots run the lean (non-robust) protocol stack —
-// no watchdogs, heartbeats, retries, or at-most-once RPC — so
-// probabilistic message faults would wedge a slot rather than exercise
-// recovery; only fail-stop and stall clauses are meaningful, and they
-// must target tiles inside carved slots (a fault on an uncarved tile
-// could never be observed).
-func validateFleetFaultPlan(plan *fault.Plan, slots []placement, p raw.Params) error {
-	if plan.DropProb > 0 || plan.DelayProb > 0 || plan.CorruptProb > 0 || plan.DRAMProb > 0 {
-		return fmt.Errorf("core: fleet fault plans support only fail: and stall: clauses " +
-			"(probabilistic message/DRAM faults need the robust protocol stack, which fleet slots do not run)")
-	}
-	idx := slotIndexOf(slots)
-	check := func(kind string, tile int, cycle uint64) error {
-		if tile < 0 || tile >= p.Tiles() {
-			return fmt.Errorf("core: fleet fault plan %s targets tile %d outside the %d×%d fabric",
-				kind, tile, p.Width, p.Height)
-		}
-		if _, ok := idx[tile]; !ok {
-			return fmt.Errorf("core: fleet fault plan %s targets tile %d, which is in no carved VM slot",
-				kind, tile)
-		}
-		if cycle == 0 {
-			return fmt.Errorf("core: fleet fault plan %s targets tile %d at cycle 0 (before any guest is admitted)",
-				kind, tile)
-		}
-		return nil
-	}
-	for _, f := range plan.Fails {
-		if err := check("fail", f.Tile, f.Cycle); err != nil {
-			return err
-		}
-	}
-	for _, s := range plan.Stalls {
-		if err := check("stall", s.Tile, s.Cycle); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // policyEvents returns the sorted distinct virtual cycles at which the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"tilevm/internal/raw"
@@ -148,7 +147,8 @@ func planSlotAt(p raw.Params, x0, y0, w, h int, gp GuestProfile) placement {
 	}
 }
 
-// planFabric is the placer. want == 0 is the capacity scan: as many
+// planFabric is the placer. A fabric or want it cannot carve at all is a
+// *ConfigError. want == 0 is the capacity scan: as many
 // base-tier slots as fit, an error if none does (FleetSlotLayout, and
 // RunFleet without MaxSlots). want > 0 demands exactly want slots, a
 // *NoFitError if they do not fit. Without profiles those are base-tier
@@ -161,13 +161,13 @@ func planSlotAt(p raw.Params, x0, y0, w, h int, gp GuestProfile) placement {
 // guest i to slot i); missing or zero entries take the default profile.
 func planFabric(p raw.Params, profiles []GuestProfile, want int) ([]placement, error) {
 	if p.Width < 2 || p.Height < 2 {
-		return nil, fmt.Errorf("core: %d×%d fabric cannot host a VM slot (minimum slot is 4×2 tiles)", p.Width, p.Height)
+		return nil, configErr([]string{"Params"}, "%d×%d fabric cannot host a VM slot (minimum slot is 4×2 tiles)", p.Width, p.Height)
 	}
 	if p.Width > maxFabricDim || p.Height > maxFabricDim {
-		return nil, fmt.Errorf("core: %d×%d fabric exceeds the %d×%d carving limit", p.Width, p.Height, maxFabricDim, maxFabricDim)
+		return nil, configErr([]string{"Params"}, "%d×%d fabric exceeds the %d×%d carving limit", p.Width, p.Height, maxFabricDim, maxFabricDim)
 	}
 	if want < 0 {
-		return nil, fmt.Errorf("core: %d VM slots requested", want)
+		return nil, configErr([]string{"MaxSlots"}, "%d VM slots requested", want)
 	}
 	base := len(slotShapes) - 1
 	if want == 0 || len(profiles) == 0 {
@@ -256,7 +256,7 @@ func tryPlan(p raw.Params, profiles []GuestProfile, want, maxShape int) ([]place
 		}
 	}
 	if len(slots) == 0 && want == 0 {
-		return nil, fmt.Errorf("core: %d×%d fabric fits no 4×2 or 2×4 VM slot", p.Width, p.Height)
+		return nil, configErr([]string{"Params"}, "%d×%d fabric fits no 4×2 or 2×4 VM slot", p.Width, p.Height)
 	}
 	if len(slots) < want {
 		base := slotShapes[len(slotShapes)-1]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,13 +143,36 @@ func runVerdict(vc verdictCase, img *guest.Image) (string, error) {
 	return "ran", err
 }
 
+// validatorVerdict asks the validators alone for the case's verdict.
+func validatorVerdict(vc verdictCase) (string, error) {
+	cfg, fc := vc.config()
+	var err error
+	if vc.fleet {
+		err = ValidateFleet(&cfg, fc, 2)
+	} else {
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return "rejected", err
+	}
+	return "ran", nil
+}
+
 // TestValidateVerdictGolden runs every knob pair through Run and
-// RunFleet and compares the verdicts with the golden.
+// RunFleet and compares the verdicts with the golden. The validators
+// alone must reach the same verdict, and a rejecting Run or RunFleet
+// must return exactly the validator's error.
 func TestValidateVerdictGolden(t *testing.T) {
 	img := sumLoop(10)
 	var b strings.Builder
 	for _, vc := range verdictCases() {
-		verdict, _ := runVerdict(vc, img)
+		verdict, runErr := runVerdict(vc, img)
+		vverdict, verr := validatorVerdict(vc)
+		if vverdict != verdict {
+			t.Errorf("%s: validators say %s (%v), run says %s (%v)", vc, vverdict, verr, verdict, runErr)
+		} else if verr != nil && !reflect.DeepEqual(runErr, verr) {
+			t.Errorf("%s: run error %v, validator error %v", vc, runErr, verr)
+		}
 		fmt.Fprintf(&b, "%s\t%s\n", vc, verdict)
 	}
 	got := b.String()
