@@ -35,9 +35,14 @@
 //	tilevm -guests 164.gzip,181.mcf,164.gzip -grid 8x8 -fault-plan 'fail:9@500000'
 //	tilevm -guests 181.mcf,164.gzip -fault-plan 'fail:12@1000000' -recovery rollback -v
 //	tilevm -guests 164.gzip,181.mcf -deadline 8000000 -max-attempts 2 -v
+//
+// The whole command line is checked before any file is created: each
+// set flag against one table of the modes it applies to and the flag it
+// requires, then the configuration it builds against core's validators.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,7 +55,6 @@ import (
 	"tilevm/internal/bench"
 	"tilevm/internal/checkpoint"
 	"tilevm/internal/core"
-	"tilevm/internal/fault"
 	"tilevm/internal/guest"
 	"tilevm/internal/raw"
 	"tilevm/internal/rawisa"
@@ -59,160 +63,271 @@ import (
 	"tilevm/internal/workload"
 )
 
-func main() {
-	var (
-		imagePath  = flag.String("image", "", "TVMI or ELF32 guest image to run")
-		wlName     = flag.String("workload", "", "named synthetic workload (e.g. 176.gcc)")
-		guests     = flag.String("guests", "", "comma-separated workload names to run as a fleet of VMs (e.g. 164.gzip,181.mcf)")
-		grid       = flag.String("grid", "4x4", "fabric size WxH for fleet mode (requires -guests)")
-		planner    = flag.Bool("planner", false, "fleet mode: cost-model placement planner — grow slots on undersubscribed fabrics and split tiles between translation slaves and cache banks per guest profile")
-		deadline   = flag.Uint64("deadline", 0, "fleet mode: per-guest virtual-cycle deadline; guests still running at the deadline are cancelled (0 = none)")
-		maxAtt     = flag.Int("max-attempts", 0, "fleet mode: admission attempts per guest before it is aborted (0 = default)")
-		retryBack  = flag.Uint64("retry-backoff", 0, "fleet mode: base virtual-cycle backoff before re-admitting a quarantined guest (0 = default)")
-		retrySeed  = flag.Uint64("retry-seed", 0, "fleet mode: seed for the deterministic retry-backoff jitter")
-		slaves     = flag.Int("slaves", 6, "translation slave tiles (1-9)")
-		spec       = flag.Bool("speculate", true, "speculative parallel translation")
-		l15        = flag.Int("l15", 2, "L1.5 code cache banks (0-2)")
-		membanks   = flag.Int("membanks", 4, "L2 data cache bank tiles (1 or 4)")
-		optimize   = flag.Bool("opt", true, "optimize translated blocks")
-		tier0      = flag.Bool("tier0", false, "tier-0 template translation for demand misses, with hotness-driven re-translation by the optimizing tier")
-		tierUpThr  = flag.Uint64("tier-up-threshold", 0, "retired instructions before a hot tier-0 block is promoted to the optimizing tier (0 = default; requires -tier0)")
-		morph      = flag.Bool("morph", false, "dynamic virtual architecture reconfiguration")
-		threshold  = flag.Int("threshold", 5, "morphing queue-length threshold")
-		maxCycles  = flag.Uint64("maxcycles", 0, "simulation watchdog (0 = default)")
-		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the run; an expired run is interrupted and exits non-zero (0 = none; composes with -deadline, which is virtual cycles)")
-		faultPlan  = flag.String("fault-plan", "", "fault plan, e.g. 'fail:7@150000,drop:0.01,delay:0.02+400,corrupt:0.01,dram:0.05,stall:6@30000+5000'")
-		faultSeed  = flag.Uint64("fault-seed", 0, "seed for the fault plan's probabilistic clauses")
-		noRecover  = flag.Bool("fault-norecover", false, "disable fault recovery (a fault then deadlocks with a diagnostic)")
-		recovery   = flag.String("recovery", "excise", "fail-stop recovery mode: excise (morph around the dead tile in place) or rollback (restore the last checkpoint when excision would lose writebacks)")
-		ckEvery    = flag.Uint64("checkpoint-interval", 0, "cycles between whole-machine checkpoints (0 = default when -recovery rollback, else off)")
-		recordPath = flag.String("record", "", "write a deterministic record of the run to this file")
-		replayPath = flag.String("replay", "", "replay a recorded run and verify it reproduces")
-		replayTo   = flag.Uint64("replay-to-cycle", 0, "halt the replay at this virtual cycle (requires -replay)")
-		diffPath   = flag.String("replay-diff", "", "replay a recorded run and bisect to the first divergent event")
-		verbose    = flag.Bool("v", false, "print detailed metrics")
-		dump       = flag.String("dump", "", "disassemble the translation of the block at this guest PC (hex; 'entry' for the entry point) and exit")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)")
-		traceEvery = flag.Uint64("trace-interval", 0, "also sample hit rates, queue depth, and per-tile occupancy every N cycles into <trace>.csv (requires -trace)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
+// mode is what an invocation does; flag rules hold a bit mask of modes.
+type mode uint8
 
-	// Validate every fault / checkpoint / replay flag before touching the
-	// guest or the simulator, so a bad invocation dies with one line and a
-	// non-zero exit instead of a mid-run panic or a silent misconfiguration.
-	recMode, err := core.ParseRecoveryMode(*recovery)
+const (
+	single mode = 1 << iota // run one guest
+	fleet                   // run -guests as VMs sharing one fabric
+	record                  // run one guest and write a record of it
+	replay                  // re-run a record and check it reproduces
+	dump                    // disassemble one block's translation
+
+	allModes = single | fleet | record | replay | dump
+	oneVM    = single | record | replay | dump
+)
+
+func (m mode) String() string {
+	return map[mode]string{single: "single-VM", fleet: "fleet", record: "record", replay: "replay", dump: "dump"}[m]
+}
+
+// flagRule is one row of the flag table: the flag with its default and
+// usage, the modes it applies to (replay and dump accept, and ignore,
+// the single-VM knobs), the flag it requires, and the core.Config or
+// core.FleetConfig field it sets — the name a core.ConfigError uses.
+type flagRule struct {
+	name     string
+	def      any // string, bool, int, uint64 or time.Duration
+	usage    string
+	modes    mode
+	requires string
+	field    string
+}
+
+var flagTable = []flagRule{
+	{"image", "", "TVMI or ELF32 guest image to run", single | record | dump, "", ""},
+	{"workload", "", "named synthetic workload (e.g. 176.gcc)", single | record | dump, "", ""},
+	{"guests", "", "comma-separated workload names to run as a fleet of VMs (e.g. 164.gzip,181.mcf)", fleet, "", ""},
+	{"grid", "4x4", "fabric size WxH for fleet mode (requires -guests)", fleet, "", "Params"},
+	{"planner", false, "fleet mode: cost-model placement planner — grow slots on undersubscribed fabrics and split tiles between translation slaves and cache banks per guest profile", fleet, "", "Profiles"},
+	{"deadline", uint64(0), "fleet mode: per-guest virtual-cycle deadline; guests still running at the deadline are cancelled (0 = none)", fleet, "", "Deadline"},
+	{"max-attempts", 0, "fleet mode: admission attempts per guest before it is aborted (0 = default)", fleet, "", "MaxAttempts"},
+	{"retry-backoff", uint64(0), "fleet mode: base virtual-cycle backoff before re-admitting a quarantined guest (0 = default)", fleet, "", "RetryBackoff"},
+	{"retry-seed", uint64(0), "fleet mode: seed for the deterministic retry-backoff jitter", fleet, "", "RetrySeed"},
+	{"slaves", 6, "translation slave tiles (1-9)", oneVM, "", "Slaves"},
+	{"speculate", true, "speculative parallel translation", allModes, "", "Speculative"},
+	{"l15", 2, "L1.5 code cache banks (0-2)", oneVM, "", "L15Banks"},
+	{"membanks", 4, "L2 data cache bank tiles (1 or 4)", oneVM, "", "MemBanks"},
+	{"opt", true, "optimize translated blocks", allModes, "", "Optimize"},
+	{"tier0", false, "tier-0 template translation for demand misses, with hotness-driven re-translation by the optimizing tier", single | fleet | dump, "", "Tier0"},
+	{"tier-up-threshold", uint64(0), "retired instructions before a hot tier-0 block is promoted to the optimizing tier (0 = default; requires -tier0)", single | fleet | dump, "", "TierUpThreshold"},
+	{"morph", false, "dynamic virtual architecture reconfiguration", allModes, "", "Morph"},
+	{"threshold", 5, "morphing queue-length threshold", oneVM, "", "MorphThreshold"},
+	{"maxcycles", uint64(0), "simulation watchdog (0 = default)", allModes, "", "MaxCycles"},
+	{"timeout", time.Duration(0), "wall-clock budget for the run; an expired run is interrupted and exits non-zero (0 = none; composes with -deadline, which is virtual cycles)", single | fleet, "", ""},
+	{"fault-plan", "", "fault plan, e.g. 'fail:7@150000,drop:0.01,delay:0.02+400,corrupt:0.01,dram:0.05,stall:6@30000+5000'", single | fleet | record | dump, "", "Fault"},
+	{"fault-seed", uint64(0), "seed for the fault plan's probabilistic clauses", single | fleet | record | dump, "fault-plan", ""},
+	{"fault-norecover", false, "disable fault recovery (a fault then deadlocks with a diagnostic)", oneVM, "", "FaultRecovery"},
+	{"recovery", "excise", "fail-stop recovery mode: excise (morph around the dead tile in place) or rollback (restore the last checkpoint when excision would lose writebacks)", allModes, "", "Recovery"},
+	{"checkpoint-interval", uint64(0), "cycles between whole-machine checkpoints (0 = default when -recovery rollback, else off)", allModes, "", "CheckpointInterval"},
+	{"record", "", "write a deterministic record of the run to this file", record | dump, "", "Journal"},
+	{"replay", "", "replay a recorded run and verify it reproduces", replay, "", ""},
+	{"replay-to-cycle", uint64(0), "halt the replay at this virtual cycle (requires -replay)", replay, "replay", ""},
+	{"replay-diff", "", "replay a recorded run and bisect to the first divergent event", replay, "", ""},
+	{"v", false, "print detailed metrics", allModes, "", ""},
+	{"dump", "", "disassemble the translation of the block at this guest PC (hex; 'entry' for the entry point) and exit", dump, "", ""},
+	{"trace", "", "write a Chrome trace_event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)", allModes, "", ""},
+	{"trace-interval", uint64(0), "also sample hit rates, queue depth, and per-tile occupancy every N cycles into <trace>.csv (requires -trace)", allModes, "trace", ""},
+	{"cpuprofile", "", "write a CPU profile to this file", allModes, "", ""},
+	{"memprofile", "", "write a heap profile to this file on exit", allModes, "", ""},
+}
+
+// flags is a parsed flag set, read by flag name.
+type flags struct{ *flag.FlagSet }
+
+func (f flags) get(name string) any           { return f.Lookup(name).Value.(flag.Getter).Get() }
+func (f flags) str(name string) string        { return f.get(name).(string) }
+func (f flags) on(name string) bool           { return f.get(name).(bool) }
+func (f flags) num(name string) int           { return f.get(name).(int) }
+func (f flags) u64(name string) uint64        { return f.get(name).(uint64) }
+func (f flags) dur(name string) time.Duration { return f.get(name).(time.Duration) }
+
+// invocation is a checked command line and the run it builds.
+type invocation struct {
+	flags
+	mode   mode
+	names  []string                // fleet guests
+	rc     checkpoint.RecordConfig // what single, record and fleet runs run
+	cfg    core.Config
+	fc     core.FleetConfig
+	params raw.Params // the fabric the tracer lays out
+}
+
+// errUsage is a command line the flag package could not parse; the
+// flag set has already printed the error and the usage.
+var errUsage = errors.New("usage")
+
+// parse checks the whole command line and builds the run it asks for.
+// It creates no file, so a rejected invocation leaves nothing behind.
+func parse(args []string) (*invocation, error) {
+	fs := flag.NewFlagSet("tilevm", flag.ContinueOnError)
+	for _, r := range flagTable {
+		switch d := r.def.(type) {
+		case string:
+			fs.String(r.name, d, r.usage)
+		case bool:
+			fs.Bool(r.name, d, r.usage)
+		case int:
+			fs.Int(r.name, d, r.usage)
+		case uint64:
+			fs.Uint64(r.name, d, r.usage)
+		case time.Duration:
+			fs.Duration(r.name, d, r.usage)
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, errUsage
+	}
+	inv := &invocation{flags: flags{fs}, params: raw.DefaultParams()}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["replay"] || set["replay-diff"]:
+		inv.mode = replay
+	case set["guests"]:
+		inv.mode = fleet
+	case set["dump"]:
+		inv.mode = dump
+	case set["record"]:
+		inv.mode = record
+	default:
+		inv.mode = single
+	}
+	for _, r := range flagTable {
+		switch {
+		case !set[r.name]:
+		case r.modes&inv.mode == 0:
+			return nil, fmt.Errorf("-%s does not apply in %s mode", r.name, inv.mode)
+		case r.requires != "" && !set[r.requires]:
+			return nil, fmt.Errorf("-%s requires -%s", r.name, r.requires)
+		}
+	}
+	if set["replay"] && set["replay-diff"] {
+		return nil, fmt.Errorf("use either -replay or -replay-diff, not both")
+	}
+	if inv.dur("timeout") < 0 {
+		return nil, fmt.Errorf("-timeout must be non-negative")
+	}
+	recMode, err := core.ParseRecoveryMode(inv.str("recovery"))
 	if err != nil {
+		return nil, err
+	}
+	if inv.on("fault-norecover") && recMode == core.RecoverRollback {
+		return nil, fmt.Errorf("-fault-norecover conflicts with -recovery rollback (rollback is a recovery mode)")
+	}
+	if inv.mode == replay {
+		return inv, nil // the record carries the guest and the configuration
+	}
+
+	image, wl := inv.str("image"), inv.str("workload")
+	names := []string{wl}
+	switch {
+	case inv.mode == fleet:
+		if inv.params.Width, inv.params.Height, err = raw.ParseGrid(inv.str("grid")); err != nil {
+			return nil, err
+		}
+		names = strings.Split(inv.str("guests"), ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+		}
+		inv.names = names
+	case image != "" && wl != "":
+		return nil, fmt.Errorf("use either -image or -workload, not both")
+	case image != "":
+		names = nil
+	case wl == "":
+		return nil, fmt.Errorf("specify -image or -workload")
+	}
+	for _, n := range names {
+		if _, ok := workload.ByName(n); !ok {
+			return nil, fmt.Errorf("unknown workload %q (known: %v)", n, workload.Names())
+		}
+	}
+	inv.rc = checkpoint.RecordConfig{
+		Workload:           wl,
+		ImagePath:          image,
+		Slaves:             inv.num("slaves"),
+		Speculative:        inv.on("speculate"),
+		L15Banks:           inv.num("l15"),
+		MemBanks:           inv.num("membanks"),
+		Optimize:           inv.on("opt"),
+		Morph:              inv.on("morph"),
+		MorphThreshold:     inv.num("threshold"),
+		MaxCycles:          inv.u64("maxcycles"),
+		FaultPlan:          inv.str("fault-plan"),
+		FaultSeed:          inv.u64("fault-seed"),
+		FaultRecovery:      !inv.on("fault-norecover"),
+		Recovery:           uint8(recMode),
+		CheckpointInterval: inv.u64("checkpoint-interval"),
+	}
+	if inv.cfg, err = bench.RecordConfig(inv.rc); err != nil {
+		return nil, err
+	}
+	if inv.mode == dump {
+		return inv, nil // dump translates one block and builds no machine
+	}
+	inv.cfg.Params = inv.params
+	inv.cfg.Tier0, inv.cfg.TierUpThreshold = inv.on("tier0"), inv.u64("tier-up-threshold")
+	if inv.mode != fleet {
+		return inv, flagError(inv.cfg.Validate())
+	}
+	inv.fc = core.FleetConfig{
+		MaxAttempts:  inv.num("max-attempts"),
+		RetryBackoff: inv.u64("retry-backoff"),
+		RetrySeed:    inv.u64("retry-seed"),
+		Deadline:     inv.u64("deadline"),
+	}
+	if inv.on("planner") {
+		inv.fc.Profiles = make([]core.GuestProfile, len(names))
+		for i, n := range names {
+			p, _ := workload.ByName(n)
+			inv.fc.Profiles[i] = core.ProfileFromWorkload(p)
+		}
+	}
+	return inv, flagError(core.ValidateFleet(&inv.cfg, inv.fc, len(names)))
+}
+
+// flagError prefixes a core.ConfigError with the flags that set the
+// fields in conflict, from the flag table; a field no flag sets is named
+// as it is.
+func flagError(err error) error {
+	var ce *core.ConfigError
+	if !errors.As(err, &ce) || len(ce.Fields) == 0 {
+		return err
+	}
+	names := make([]string, len(ce.Fields))
+	for i, field := range ce.Fields {
+		names[i] = field
+		for _, r := range flagTable {
+			if r.field == field {
+				names[i] = "-" + r.name
+			}
+		}
+	}
+	return fmt.Errorf("%s: %w", strings.Join(names, ", "), err)
+}
+
+func main() {
+	inv, err := parse(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
 		die(err)
 	}
-	if *faultPlan != "" {
-		if _, err := fault.ParsePlan(*faultPlan); err != nil {
-			die(err)
-		}
-	} else if *faultSeed != 0 {
-		die(fmt.Errorf("-fault-seed is meaningless without -fault-plan"))
-	}
-	if *noRecover && recMode == core.RecoverRollback {
-		die(fmt.Errorf("-fault-norecover conflicts with -recovery rollback (rollback is a recovery mode)"))
-	}
-	replaying := *replayPath != "" || *diffPath != ""
-	if *replayPath != "" && *diffPath != "" {
-		die(fmt.Errorf("use either -replay or -replay-diff, not both"))
-	}
-	if replaying && *recordPath != "" {
-		die(fmt.Errorf("-record conflicts with -replay/-replay-diff (a replay re-runs the recorded inputs)"))
-	}
-	if *replayTo != 0 && *replayPath == "" {
-		die(fmt.Errorf("-replay-to-cycle requires -replay"))
-	}
-	if replaying && (*imagePath != "" || *wlName != "" || *faultPlan != "" || *dump != "") {
-		die(fmt.Errorf("-replay/-replay-diff take the guest and fault plan from the record; drop -image/-workload/-fault-plan/-dump"))
-	}
-	if *traceEvery != 0 && *tracePath == "" {
-		die(fmt.Errorf("-trace-interval requires -trace (the sampler writes next to the trace file)"))
-	}
-	if *timeout < 0 {
-		die(fmt.Errorf("-timeout must be non-negative"))
-	}
-	if *timeout != 0 && (replaying || *recordPath != "" || *dump != "") {
-		die(fmt.Errorf("-timeout conflicts with -record/-replay/-replay-diff/-dump (a wall-clock limit cutting a run short would make the artifact non-reproducible)"))
-	}
-	if *tierUpThr != 0 && !*tier0 {
-		die(fmt.Errorf("-tier-up-threshold requires -tier0"))
-	}
-	if *tier0 && (replaying || *recordPath != "") {
-		die(fmt.Errorf("-tier0 conflicts with -record/-replay/-replay-diff (the tier is not part of the record format)"))
-	}
+	os.Exit(inv.run())
+}
 
-	// Fleet mode: validate the whole invocation — flag conflicts, the
-	// grid shape, whether the fabric fits any VM slot, and every guest
-	// name — before building a single guest image.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, fleetOnly := range []string{
-		"grid", "planner", "deadline", "max-attempts", "retry-backoff", "retry-seed",
-	} {
-		if set[fleetOnly] && *guests == "" {
-			die(fmt.Errorf("-%s requires -guests (fleet mode)", fleetOnly))
-		}
-	}
-	var fleetNames []string
-	var fleetSlots int
-	fleetCfg := core.DefaultConfig()
-	if *guests != "" {
-		// -fault-plan, -fault-seed, -recovery, and -checkpoint-interval
-		// compose with fleet mode: fail-stop plans drive slot quarantine,
-		// and rollback mode restores retried guests from their latest
-		// checkpoint. Everything that fixes per-VM resources or wraps the
-		// run in the record/replay harness stays single-machine-only.
-		for _, conflict := range []string{
-			"image", "workload", "slaves", "l15", "membanks", "morph", "threshold",
-			"fault-norecover", "record", "replay", "replay-diff", "dump",
-		} {
-			if set[conflict] {
-				die(fmt.Errorf("-%s does not apply in fleet mode (per-VM resources are fixed by the 8-tile slot shape)", conflict))
-			}
-		}
-		w, h, err := raw.ParseGrid(*grid)
-		if err != nil {
-			die(err)
-		}
-		fleetCfg.Params.Width, fleetCfg.Params.Height = w, h
-		fleetCfg.Optimize = *optimize
-		fleetCfg.ConservativeFlags = !*optimize
-		fleetCfg.Speculative = *spec
-		fleetCfg.Tier0 = *tier0
-		fleetCfg.TierUpThreshold = *tierUpThr
-		fleetCfg.Recovery = recMode
-		fleetCfg.CheckpointInterval = *ckEvery
-		if *maxCycles != 0 {
-			fleetCfg.MaxCycles = *maxCycles
-		}
-		if *faultPlan != "" {
-			plan, err := fault.ParsePlan(*faultPlan) // syntax validated above
-			if err != nil {
-				die(err)
-			}
-			plan.Seed = *faultSeed
-			fleetCfg.Fault = plan
-		}
-		layout, err := core.FleetSlotLayout(fleetCfg.Params)
-		if err != nil {
-			die(err)
-		}
-		fleetSlots = len(layout)
-		for _, n := range strings.Split(*guests, ",") {
-			n = strings.TrimSpace(n)
-			if _, ok := workload.ByName(n); !ok {
-				die(fmt.Errorf("unknown workload %q (known: %v)", n, workload.Names()))
-			}
-			fleetNames = append(fleetNames, n)
-		}
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+// run executes a checked invocation and returns the exit status.
+func (inv *invocation) run() int {
+	tracePath, verbose := inv.str("trace"), inv.on("v")
+	if inv.str("cpuprofile") != "" {
+		f, err := os.Create(inv.str("cpuprofile"))
 		if err != nil {
 			die(err)
 		}
@@ -221,9 +336,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
+	if inv.str("memprofile") != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
+			f, err := os.Create(inv.str("memprofile"))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tilevm:", err)
 				return
@@ -238,164 +353,102 @@ func main() {
 
 	// Every mode traces: tracing charges no virtual cycles, so a traced
 	// record, replay or fleet is the run it would have been untraced.
-	// fleetCfg.Params is the default fabric unless -grid changed it.
 	var trc *trace.Tracer
-	if *tracePath != "" {
-		trc = core.NewTracerFor(fleetCfg.Params, *traceEvery)
+	if tracePath != "" {
+		trc = core.NewTracerFor(inv.params, inv.u64("trace-interval"))
 	}
+	// The trace is written even when the run failed: a timeline of a run
+	// that hit the watchdog or a guest fault is exactly when you want one.
 	saveTrace := func() {
 		if trc == nil {
 			return
 		}
-		csvPath, err := trc.WriteFiles(*tracePath)
+		csvPath, err := trc.WriteFiles(tracePath)
 		if err != nil {
 			die(err)
 		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "trace     : %s (%d events)\n", *tracePath, trc.Len())
+		if verbose {
+			fmt.Fprintf(os.Stderr, "trace     : %s (%d events)\n", tracePath, trc.Len())
 			if csvPath != "" {
 				fmt.Fprintf(os.Stderr, "samples   : %s (%d windows)\n", csvPath, trc.Windows())
 			}
 		}
 	}
-
-	if replaying {
-		path, bisect := *replayPath, false
-		if *diffPath != "" {
-			path, bisect = *diffPath, true
+	runErr := func(err error) error {
+		if core.Interrupted(err) {
+			return fmt.Errorf("wall-clock timeout %v exceeded (%v)", inv.dur("timeout"), err)
 		}
-		diverged, err := replay(path, *replayTo, bisect, trc)
+		return err
+	}
+	inv.cfg.Tracer = trc
+	intr, stopTimer := armTimeout(inv.dur("timeout"))
+	defer stopTimer()
+	inv.cfg.Interrupt = intr
+
+	switch inv.mode {
+	case replay:
+		path, bisect := inv.str("replay"), false
+		if inv.str("replay-diff") != "" {
+			path, bisect = inv.str("replay-diff"), true
+		}
+		diverged, err := replayRecord(path, inv.u64("replay-to-cycle"), bisect, trc)
 		saveTrace()
 		if err != nil {
 			die(err)
 		}
 		if diverged {
-			os.Exit(2) // the replay did not reproduce the record
+			return 2 // the replay did not reproduce the record
 		}
-		return
-	}
-
-	if *guests != "" {
-		imgs := make([]*guest.Image, len(fleetNames))
-		for i, n := range fleetNames {
-			p, _ := workload.ByName(n) // validated above
+	case fleet:
+		imgs := make([]*guest.Image, len(inv.names))
+		for i, n := range inv.names {
+			p, _ := workload.ByName(n)
 			imgs[i] = p.Build()
 		}
-		fleetCfg.Tracer = trc
-		intr, stopTimer := armTimeout(*timeout)
-		fleetCfg.Interrupt = intr
-		defer stopTimer()
-		fc := core.FleetConfig{
-			MaxAttempts:  *maxAtt,
-			RetryBackoff: *retryBack,
-			RetrySeed:    *retrySeed,
-			Deadline:     *deadline,
+		layout, err := core.FleetSlotLayout(inv.params)
+		if err != nil {
+			die(err)
 		}
-		if *planner {
-			fc.Profiles = make([]core.GuestProfile, len(fleetNames))
-			for i, n := range fleetNames {
-				p, _ := workload.ByName(n) // validated above
-				fc.Profiles[i] = core.ProfileFromWorkload(p)
-			}
-		}
-		res, err := core.RunFleet(imgs, fleetCfg, fc)
+		res, err := core.RunFleet(imgs, inv.cfg, inv.fc)
 		if res != nil {
 			saveTrace()
 		}
 		if err != nil {
-			if core.Interrupted(err) {
-				die(fmt.Errorf("wall-clock timeout %v exceeded (%v)", *timeout, err))
-			}
+			die(runErr(err))
+		}
+		reportFleet(res, inv.names, len(layout), verbose)
+	case dump:
+		img, err := loadGuest(inv.str("image"), inv.str("workload"))
+		if err == nil {
+			err = dumpBlock(img, inv.str("dump"), inv.on("opt"), inv.on("tier0"))
+		}
+		if err != nil {
 			die(err)
 		}
-		reportFleet(res, fleetNames, fleetSlots, *verbose)
-		return
-	}
-
-	img, err := loadGuest(*imagePath, *wlName)
-	if err != nil {
-		die(err)
-	}
-
-	if *dump != "" {
-		if err := dumpBlock(img, *dump, *optimize, *tier0); err != nil {
-			die(err)
-		}
-		return
-	}
-
-	if *recordPath != "" {
-		rc := checkpoint.RecordConfig{
-			Workload:           *wlName,
-			ImagePath:          *imagePath,
-			Slaves:             *slaves,
-			Speculative:        *spec,
-			L15Banks:           *l15,
-			MemBanks:           *membanks,
-			Optimize:           *optimize,
-			Morph:              *morph,
-			MorphThreshold:     *threshold,
-			MaxCycles:          *maxCycles,
-			FaultPlan:          *faultPlan,
-			FaultSeed:          *faultSeed,
-			FaultRecovery:      !*noRecover,
-			Recovery:           uint8(recMode),
-			CheckpointInterval: *ckEvery,
-		}
-		res, rec, err := bench.RunRecorded(rc, trc)
+	case record:
+		res, rec, err := bench.RunRecorded(inv.rc, trc)
 		saveTrace()
 		if err != nil {
 			die(err)
 		}
-		if err := checkpoint.WriteRecordFile(*recordPath, rec); err != nil {
+		if err := checkpoint.WriteRecordFile(inv.str("record"), rec); err != nil {
 			die(err)
 		}
-		report(res, *verbose)
-		fmt.Printf("recorded  : %s (%d events)\n", *recordPath, len(rec.Events))
-		return
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.Slaves = *slaves
-	cfg.Speculative = *spec
-	cfg.L15Banks = *l15
-	cfg.MemBanks = *membanks
-	cfg.Optimize = *optimize
-	cfg.ConservativeFlags = !*optimize
-	cfg.Tier0 = *tier0
-	cfg.TierUpThreshold = *tierUpThr
-	cfg.Morph = *morph
-	cfg.MorphThreshold = *threshold
-	cfg.Recovery = recMode
-	cfg.CheckpointInterval = *ckEvery
-	if *maxCycles != 0 {
-		cfg.MaxCycles = *maxCycles
-	}
-	if *faultPlan != "" {
-		plan, err := fault.ParsePlan(*faultPlan)
+		report(res, verbose)
+		fmt.Printf("recorded  : %s (%d events)\n", inv.str("record"), len(rec.Events))
+	default:
+		img, err := loadGuest(inv.str("image"), inv.str("workload"))
 		if err != nil {
 			die(err)
 		}
-		plan.Seed = *faultSeed
-		cfg.Fault = plan
-		cfg.FaultRecovery = !*noRecover
-	}
-	cfg.Tracer = trc
-	intr, stopTimer := armTimeout(*timeout)
-	cfg.Interrupt = intr
-	defer stopTimer()
-
-	res, err := core.Run(img, cfg)
-	// Write the trace even when the run failed: a timeline of a run that
-	// hit the watchdog or a guest fault is exactly when you want one.
-	saveTrace()
-	if err != nil {
-		if core.Interrupted(err) {
-			die(fmt.Errorf("wall-clock timeout %v exceeded (%v)", *timeout, err))
+		res, err := core.Run(img, inv.cfg)
+		saveTrace()
+		if err != nil {
+			die(runErr(err))
 		}
-		die(err)
+		report(res, verbose)
 	}
-	report(res, *verbose)
+	return 0
 }
 
 // armTimeout arms a wall-clock interrupt for the run: after d the
@@ -455,12 +508,12 @@ func die(err error) {
 	os.Exit(1)
 }
 
-// replay re-runs a recorded run and verifies it reproduces. With bisect
-// the full replay is followed, on divergence, by a truncated re-replay
-// to the last matching event's cycle, confirming the divergence point.
-// trc, if non-nil, traces the first replay. It reports whether the
-// replay diverged from the record.
-func replay(path string, toCycle uint64, bisect bool, trc *trace.Tracer) (diverged bool, err error) {
+// replayRecord re-runs a recorded run and verifies it reproduces. With
+// bisect the full replay is followed, on divergence, by a truncated
+// re-replay to the last matching event's cycle, confirming the
+// divergence point. trc, if non-nil, traces the first replay. It
+// reports whether the replay diverged from the record.
+func replayRecord(path string, toCycle uint64, bisect bool, trc *trace.Tracer) (diverged bool, err error) {
 	rec, err := checkpoint.ReadRecordFile(path)
 	if err != nil {
 		return false, err
@@ -579,19 +632,12 @@ func dumpBlock(img *guest.Image, at string, optimize, tier0 bool) error {
 	return nil
 }
 
+// loadGuest builds the guest parse checked: an image file, or a
+// workload by name.
 func loadGuest(imagePath, wlName string) (*guest.Image, error) {
-	switch {
-	case imagePath != "" && wlName != "":
-		return nil, fmt.Errorf("use either -image or -workload, not both")
-	case imagePath != "":
+	if imagePath != "" {
 		return guest.LoadAutoFile(imagePath)
-	case wlName != "":
-		p, ok := workload.ByName(wlName)
-		if !ok {
-			return nil, fmt.Errorf("unknown workload %q (known: %v)", wlName, workload.Names())
-		}
-		return p.Build(), nil
-	default:
-		return nil, fmt.Errorf("specify -image or -workload")
 	}
+	p, _ := workload.ByName(wlName)
+	return p.Build(), nil
 }

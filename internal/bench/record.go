@@ -147,7 +147,7 @@ func runRecord(rc checkpoint.RecordConfig, trc *trace.Tracer) (*core.Result, *ch
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg, err := recordConfig(rc)
+	cfg, err := RecordConfig(rc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -174,8 +174,10 @@ func recordImage(rc checkpoint.RecordConfig) (*guest.Image, error) {
 	return nil, fmt.Errorf("record names neither a workload nor an image path")
 }
 
-// recordConfig builds the engine config a RecordConfig describes.
-func recordConfig(rc checkpoint.RecordConfig) (core.Config, error) {
+// RecordConfig builds the engine config a checkpoint.RecordConfig
+// describes. tilevm builds its single-VM and fleet configs through it
+// too, so a recorded run and an unrecorded one are configured alike.
+func RecordConfig(rc checkpoint.RecordConfig) (core.Config, error) {
 	cfg := core.DefaultConfig()
 	cfg.Slaves = rc.Slaves
 	cfg.Speculative = rc.Speculative
@@ -189,7 +191,7 @@ func recordConfig(rc checkpoint.RecordConfig) (core.Config, error) {
 	if rc.FaultPlan != "" {
 		plan, err := fault.ParsePlan(rc.FaultPlan)
 		if err != nil {
-			return cfg, fmt.Errorf("record carries a bad fault plan: %w", err)
+			return cfg, fmt.Errorf("bad fault plan: %w", err)
 		}
 		plan.Seed = rc.FaultSeed
 		cfg.Fault = plan
