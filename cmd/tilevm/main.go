@@ -16,8 +16,9 @@
 //	tilevm -workload 181.mcf -fault-plan 'fail:7@150000' -recovery rollback -v
 //	tilevm -workload 181.mcf -fault-plan 'fail:7@150000' -recovery rollback -record run.tvrc
 //	tilevm -replay run.tvrc
-//	tilevm -replay run.tvrc -replay-to-cycle 500000
-//	tilevm -replay-diff run.tvrc
+//
+// A replay that diverges from its record is bisected to the first
+// divergent journal event, and tilevm exits 2.
 //
 // Fleet mode runs N guests as virtual machines sharing one fabric,
 // carving the grid into 8-tile VM slots and queueing guests beyond the
@@ -121,9 +122,7 @@ var flagTable = []flagRule{
 	{"recovery", "excise", "fail-stop recovery mode: excise (morph around the dead tile in place) or rollback (restore the last checkpoint when excision would lose writebacks)", allModes, "", "Recovery"},
 	{"checkpoint-interval", uint64(0), "cycles between whole-machine checkpoints (0 = default when -recovery rollback, else off)", allModes, "", "CheckpointInterval"},
 	{"record", "", "write a deterministic record of the run to this file", record | dump, "", "Journal"},
-	{"replay", "", "replay a recorded run and verify it reproduces", replay, "", ""},
-	{"replay-to-cycle", uint64(0), "halt the replay at this virtual cycle (requires -replay)", replay, "replay", ""},
-	{"replay-diff", "", "replay a recorded run and bisect to the first divergent event", replay, "", ""},
+	{"replay", "", "replay a recorded run and verify it reproduces; a divergence is bisected to the first divergent event", replay, "", ""},
 	{"v", false, "print detailed metrics", allModes, "", ""},
 	{"dump", "", "disassemble the translation of the block at this guest PC (hex; 'entry' for the entry point) and exit", dump, "", ""},
 	{"trace", "", "write a Chrome trace_event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)", allModes, "", ""},
@@ -185,7 +184,7 @@ func parse(args []string) (*invocation, error) {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
-	case set["replay"] || set["replay-diff"]:
+	case set["replay"]:
 		inv.mode = replay
 	case set["guests"]:
 		inv.mode = fleet
@@ -204,9 +203,6 @@ func parse(args []string) (*invocation, error) {
 		case r.requires != "" && !set[r.requires]:
 			return nil, fmt.Errorf("-%s requires -%s", r.name, r.requires)
 		}
-	}
-	if set["replay"] && set["replay-diff"] {
-		return nil, fmt.Errorf("use either -replay or -replay-diff, not both")
 	}
 	if inv.dur("timeout") < 0 {
 		return nil, fmt.Errorf("-timeout must be non-negative")
@@ -387,11 +383,7 @@ func (inv *invocation) run() int {
 
 	switch inv.mode {
 	case replay:
-		path, bisect := inv.str("replay"), false
-		if inv.str("replay-diff") != "" {
-			path, bisect = inv.str("replay-diff"), true
-		}
-		diverged, err := replayRecord(path, inv.u64("replay-to-cycle"), bisect, trc)
+		diverged, err := replayRecord(inv.str("replay"), trc)
 		saveTrace()
 		if err != nil {
 			die(err)
@@ -508,17 +500,16 @@ func die(err error) {
 	os.Exit(1)
 }
 
-// replayRecord re-runs a recorded run and verifies it reproduces. With
-// bisect the full replay is followed, on divergence, by a truncated
-// re-replay to the last matching event's cycle, confirming the
-// divergence point. trc, if non-nil, traces the first replay. It
-// reports whether the replay diverged from the record.
-func replayRecord(path string, toCycle uint64, bisect bool, trc *trace.Tracer) (diverged bool, err error) {
+// replayRecord re-runs a recorded run and verifies it reproduces. On
+// divergence it bisects: a truncated re-replay to the last matching
+// event's cycle confirms the divergence point. trc, if non-nil, traces
+// the full replay. It reports whether the replay diverged.
+func replayRecord(path string, trc *trace.Tracer) (diverged bool, err error) {
 	rec, err := checkpoint.ReadRecordFile(path)
 	if err != nil {
 		return false, err
 	}
-	rep, err := bench.Replay(rec, toCycle, trc)
+	rep, err := bench.Replay(rec, 0, trc)
 	if err != nil {
 		return false, err
 	}
@@ -526,7 +517,7 @@ func replayRecord(path string, toCycle uint64, bisect bool, trc *trace.Tracer) (
 	if rep.Match && rep.FirstDivergent < 0 {
 		return false, nil
 	}
-	if bisect && rep.FirstDivergent > 0 && rep.RefEvent != nil {
+	if rep.FirstDivergent > 0 && rep.RefEvent != nil {
 		// Confirm the bisection: everything before the divergent event
 		// replays cleanly.
 		last := rec.Events[rep.FirstDivergent-1]

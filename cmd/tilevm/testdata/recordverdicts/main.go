@@ -62,8 +62,6 @@ var flags = []struct {
 	{"checkpoint-interval", "5000", nil},
 	{"record", "$DIR/out.tvrc", nil},
 	{"replay", "$DIR/in.tvrc", nil},
-	{"replay-to-cycle", "100", []string{"-replay", "$DIR/in.tvrc"}},
-	{"replay-diff", "$DIR/in.tvrc", nil},
 	{"v", "", nil},
 	{"dump", "entry", nil},
 	{"trace", "$DIR/t.json", nil},
@@ -77,7 +75,7 @@ const maxCycles = "20000"
 
 // guestSources are the flags that name the guest; a row with none of
 // them runs -workload 164.gzip.
-var guestSources = map[string]bool{"image": true, "workload": true, "guests": true, "replay": true, "replay-diff": true}
+var guestSources = map[string]bool{"image": true, "workload": true, "guests": true, "replay": true}
 
 // runtimeFailure matches the messages of a run that started and then
 // failed inside the simulation.

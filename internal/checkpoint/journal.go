@@ -85,7 +85,7 @@ func Filter(evs []Event, kinds ...EventKind) []Event {
 // longest common prefix over precomputed rolling hashes, so comparing
 // two multi-million-event journals does O(n) hashing once and O(log n)
 // probes — the "bisect to first divergent event" primitive behind
-// tilevm -replay-diff.
+// tilevm -replay.
 func FirstDivergence(a, b []Event) int {
 	ha, hb := prefixHashes(a), prefixHashes(b)
 	n := len(a)
