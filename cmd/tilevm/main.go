@@ -29,13 +29,13 @@
 //
 // Fleet runs compose with fail-stop fault plans: a fault that kills a
 // slot tile quarantines the whole slot, and its guest is retried on the
-// survivors (with deterministic backoff), restored from the latest
-// checkpoint when -recovery rollback is on, until -max-attempts or its
-// -deadline runs out:
+// survivors (with core's default attempts and deterministic backoff),
+// restored from the latest checkpoint when -recovery rollback is on,
+// until its attempts or its -deadline run out:
 //
 //	tilevm -guests 164.gzip,181.mcf,164.gzip -grid 8x8 -fault-plan 'fail:9@500000'
 //	tilevm -guests 181.mcf,164.gzip -fault-plan 'fail:12@1000000' -recovery rollback -v
-//	tilevm -guests 164.gzip,181.mcf -deadline 8000000 -max-attempts 2 -v
+//	tilevm -guests 164.gzip,181.mcf -deadline 8000000 -v
 //
 // The whole command line is checked before any file is created: each
 // set flag against one table of the modes it applies to and the flag it
@@ -102,9 +102,6 @@ var flagTable = []flagRule{
 	{"grid", "4x4", "fabric size WxH for fleet mode (requires -guests)", fleet, "", "Params"},
 	{"planner", false, "fleet mode: cost-model placement planner — grow slots on undersubscribed fabrics and split tiles between translation slaves and cache banks per guest profile", fleet, "", "Profiles"},
 	{"deadline", uint64(0), "fleet mode: per-guest virtual-cycle deadline; guests still running at the deadline are cancelled (0 = none)", fleet, "", "Deadline"},
-	{"max-attempts", 0, "fleet mode: admission attempts per guest before it is aborted (0 = default)", fleet, "", "MaxAttempts"},
-	{"retry-backoff", uint64(0), "fleet mode: base virtual-cycle backoff before re-admitting a quarantined guest (0 = default)", fleet, "", "RetryBackoff"},
-	{"retry-seed", uint64(0), "fleet mode: seed for the deterministic retry-backoff jitter", fleet, "", "RetrySeed"},
 	{"slaves", 6, "translation slave tiles (1-9)", oneVM, "", "Slaves"},
 	{"speculate", true, "speculative parallel translation", allModes, "", "Speculative"},
 	{"l15", 2, "L1.5 code cache banks (0-2)", oneVM, "", "L15Banks"},
@@ -270,12 +267,7 @@ func parse(args []string) (*invocation, error) {
 	if inv.mode != fleet {
 		return inv, flagError(inv.cfg.Validate())
 	}
-	inv.fc = core.FleetConfig{
-		MaxAttempts:  inv.num("max-attempts"),
-		RetryBackoff: inv.u64("retry-backoff"),
-		RetrySeed:    inv.u64("retry-seed"),
-		Deadline:     inv.u64("deadline"),
-	}
+	inv.fc = core.FleetConfig{Deadline: inv.u64("deadline")}
 	if inv.on("planner") {
 		inv.fc.Profiles = make([]core.GuestProfile, len(names))
 		for i, n := range names {

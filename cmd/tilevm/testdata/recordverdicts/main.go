@@ -41,9 +41,6 @@ var flags = []struct {
 	{"grid", "8x8", []string{"-guests", "164.gzip,181.mcf"}},
 	{"planner", "", []string{"-guests", "164.gzip,181.mcf"}},
 	{"deadline", "100000", []string{"-guests", "164.gzip,181.mcf"}},
-	{"max-attempts", "2", []string{"-guests", "164.gzip,181.mcf"}},
-	{"retry-backoff", "500", []string{"-guests", "164.gzip,181.mcf"}},
-	{"retry-seed", "3", []string{"-guests", "164.gzip,181.mcf"}},
 	{"slaves", "9", nil},
 	{"speculate", "=false", nil},
 	{"l15", "0", nil},
