@@ -117,7 +117,6 @@ var flagTable = []flagRule{
 	{"fault-seed", uint64(0), "seed for the fault plan's probabilistic clauses", single | fleet | record | dump, "fault-plan", ""},
 	{"fault-norecover", false, "disable fault recovery (a fault then deadlocks with a diagnostic)", oneVM, "", "FaultRecovery"},
 	{"recovery", "excise", "fail-stop recovery mode: excise (morph around the dead tile in place) or rollback (restore the last checkpoint when excision would lose writebacks)", allModes, "", "Recovery"},
-	{"checkpoint-interval", uint64(0), "cycles between whole-machine checkpoints (0 = default when -recovery rollback, else off)", allModes, "", "CheckpointInterval"},
 	{"record", "", "write a deterministic record of the run to this file", record | dump, "", "Journal"},
 	{"replay", "", "replay a recorded run and verify it reproduces; a divergence is bisected to the first divergent event", replay, "", ""},
 	{"v", false, "print detailed metrics", allModes, "", ""},
@@ -240,21 +239,20 @@ func parse(args []string) (*invocation, error) {
 		}
 	}
 	inv.rc = checkpoint.RecordConfig{
-		Workload:           wl,
-		ImagePath:          image,
-		Slaves:             inv.num("slaves"),
-		Speculative:        inv.on("speculate"),
-		L15Banks:           inv.num("l15"),
-		MemBanks:           inv.num("membanks"),
-		Optimize:           inv.on("opt"),
-		Morph:              inv.on("morph"),
-		MorphThreshold:     inv.num("threshold"),
-		MaxCycles:          inv.u64("maxcycles"),
-		FaultPlan:          inv.str("fault-plan"),
-		FaultSeed:          inv.u64("fault-seed"),
-		FaultRecovery:      !inv.on("fault-norecover"),
-		Recovery:           uint8(recMode),
-		CheckpointInterval: inv.u64("checkpoint-interval"),
+		Workload:       wl,
+		ImagePath:      image,
+		Slaves:         inv.num("slaves"),
+		Speculative:    inv.on("speculate"),
+		L15Banks:       inv.num("l15"),
+		MemBanks:       inv.num("membanks"),
+		Optimize:       inv.on("opt"),
+		Morph:          inv.on("morph"),
+		MorphThreshold: inv.num("threshold"),
+		MaxCycles:      inv.u64("maxcycles"),
+		FaultPlan:      inv.str("fault-plan"),
+		FaultSeed:      inv.u64("fault-seed"),
+		FaultRecovery:  !inv.on("fault-norecover"),
+		Recovery:       uint8(recMode),
 	}
 	if inv.cfg, err = bench.RecordConfig(inv.rc); err != nil {
 		return nil, err

@@ -56,7 +56,6 @@ var flags = []struct {
 	{"fault-seed", "3", []string{"-fault-plan", "fail:7@1000"}},
 	{"fault-norecover", "", nil},
 	{"recovery", "rollback", nil},
-	{"checkpoint-interval", "5000", nil},
 	{"record", "$DIR/out.tvrc", nil},
 	{"replay", "$DIR/in.tvrc", nil},
 	{"v", "", nil},
