@@ -65,8 +65,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "figures: -trace-interval requires -trace (the sampler writes next to the trace file)")
 		os.Exit(2)
 	}
-	if *tierUpThr != 0 && !*tier0 {
-		fmt.Fprintln(os.Stderr, "figures: -tier-up-threshold requires -tier0")
+	// The -trace run's configuration; core decides whether it is valid.
+	traceCfg := core.DefaultConfig()
+	traceCfg.Tier0, traceCfg.TierUpThreshold = *tier0, *tierUpThr
+	if err := traceCfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(2)
 	}
 	if *tier0 && *tracePath == "" {
@@ -102,7 +105,7 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		if err := traceRun(*traceWl, *tracePath, *traceEvery, *tier0, *tierUpThr); err != nil {
+		if err := traceRun(*traceWl, *tracePath, *traceEvery, traceCfg); err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			os.Exit(1)
 		}
@@ -232,21 +235,18 @@ func main() {
 	}
 }
 
-// traceRun executes one default-config run of the named workload with
-// the virtual-time tracer attached and writes the Chrome trace JSON
-// (and, when interval sampling is on, the CSV time series next to it).
-// With tier0 the run uses the template tier, so the timeline shows
+// traceRun executes one run of the named workload under cfg with the
+// virtual-time tracer attached and writes the Chrome trace JSON (and,
+// when interval sampling is on, the CSV time series next to it). With
+// cfg.Tier0 the run uses the template tier, so the timeline shows
 // tier_up/promote instants.
-func traceRun(wlName, path string, interval uint64, tier0 bool, tierUpThr uint64) error {
+func traceRun(wlName, path string, interval uint64, cfg core.Config) error {
 	p, ok := workload.ByName(wlName)
 	if !ok {
 		return fmt.Errorf("unknown workload %q (known: %v)", wlName, workload.Names())
 	}
 	trc := core.NewTracer(interval)
-	cfg := core.DefaultConfig()
 	cfg.Tracer = trc
-	cfg.Tier0 = tier0
-	cfg.TierUpThreshold = tierUpThr
 	res, err := core.Run(p.Build(), cfg)
 	if err != nil {
 		return err
