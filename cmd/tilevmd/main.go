@@ -58,15 +58,6 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	if *queueCap <= 0 {
-		die(fmt.Errorf("-queue-cap must be positive"))
-	}
-	if *retain <= 0 {
-		die(fmt.Errorf("-retain must be positive"))
-	}
-	if *maxAttempts < 0 {
-		die(fmt.Errorf("-max-attempts must be non-negative"))
-	}
 	if *drainTimeout <= 0 {
 		die(fmt.Errorf("-drain-timeout must be positive"))
 	}

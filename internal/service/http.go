@@ -87,10 +87,6 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if req.TimeoutMS < 0 {
-		writeError(w, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS))
-		return
-	}
 	view, err := s.Submit(Spec{
 		ID:             req.ID,
 		Workload:       req.Workload,

@@ -133,8 +133,18 @@ type Service struct {
 
 // New validates the configuration, carves the fabric (to learn the
 // batch width), and starts the scheduler goroutine. The caller must
-// eventually call Drain to stop it.
+// eventually call Drain to stop it. Zero sizes take their defaults; a
+// negative one is an error.
 func New(cfg Config) (*Service, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Width", cfg.Width}, {"Height", cfg.Height}, {"QueueCap", cfg.QueueCap},
+		{"Retain", cfg.Retain}, {"MaxJobAttempts", cfg.MaxJobAttempts}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("service: negative %s %d", f.name, f.v)
+		}
+	}
 	cfg.fillDefaults()
 	base := core.DefaultConfig()
 	base.Params.Width, base.Params.Height = cfg.Width, cfg.Height

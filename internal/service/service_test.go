@@ -613,6 +613,34 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeSizes: a negative size is an error from New,
+// not a service that later fails — a negative Retain used to panic in
+// the first terminal job's retirement, a negative QueueCap rejected
+// every job and a negative MaxJobAttempts failed every job after its
+// first batch.
+func TestNewRejectsNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Width", Config{Width: -1}},
+		{"Height", Config{Height: -1}},
+		{"QueueCap", Config{QueueCap: -1}},
+		{"Retain", Config{Retain: -1}},
+		{"MaxJobAttempts", Config{MaxJobAttempts: -1}},
+	} {
+		s, err := New(tc.cfg)
+		if err == nil {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			s.Drain(ctx)
+			t.Errorf("New with negative %s succeeded", tc.field)
+		} else if !strings.Contains(err.Error(), "negative "+tc.field) {
+			t.Errorf("New with negative %s: %v", tc.field, err)
+		}
+	}
+}
+
 // TestServicePlannerProfiles pins the planner plumbing: the profiles
 // are what turn the placement planner on in core.RunFleet, so with
 // Planner on the executor sees one workload profile per admitted guest
