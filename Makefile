@@ -115,6 +115,7 @@ fuzz:
 	$(GO) test ./internal/core -run - -fuzz FuzzCarveFabric -fuzztime 30s
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 30s
 	$(GO) test ./internal/core -run - -fuzz FuzzQuarantineRecarve -fuzztime 30s
+	$(GO) test ./internal/core -run - -fuzz FuzzValidate -fuzztime 30s
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 30s
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 30s
 
@@ -126,6 +127,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run - -fuzz FuzzCarveFabric -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzQuarantineRecarve -fuzztime 10s
+	$(GO) test ./internal/core -run - -fuzz FuzzValidate -fuzztime 10s
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 10s
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 10s
 
@@ -143,7 +145,9 @@ replay-smoke:
 # the Chrome trace JSON parses, shows the tiled layout in timeline
 # order, and that the sampler CSV has data rows. The same for a traced
 # fleet (which runs a slot at a time, as it would untraced) and a traced
-# recorded run, whose replay must write the same trace.
+# recorded run, whose replay must write the same trace. Last, an
+# invocation core rejects must exit 1 before creating its trace or
+# profile file.
 trace-smoke:
 	$(GO) run ./cmd/tilevm -workload 164.gzip \
 	  -trace /tmp/tilevm-trace-smoke.json -trace-interval 10000
@@ -159,6 +163,10 @@ trace-smoke:
 	$(GO) run ./cmd/tilevm -replay /tmp/tilevm-trace-smoke.tvrc \
 	  -trace /tmp/tilevm-trace-smoke-rep.json
 	cmp /tmp/tilevm-trace-smoke-rec.json /tmp/tilevm-trace-smoke-rep.json
+	rm -f /tmp/tilevm-trace-smoke-rej.json /tmp/tilevm-trace-smoke-rej.prof
+	$(GO) run ./cmd/tilevm -workload 164.gzip -slaves 10 \
+	  -trace /tmp/tilevm-trace-smoke-rej.json -cpuprofile /tmp/tilevm-trace-smoke-rej.prof; [ $$? -eq 1 ]
+	[ ! -e /tmp/tilevm-trace-smoke-rej.json ] && [ ! -e /tmp/tilevm-trace-smoke-rej.prof ]
 	rm -f /tmp/tilevm-trace-smoke*.json /tmp/tilevm-trace-smoke*.csv /tmp/tilevm-trace-smoke.tvrc
 
 # End-to-end fleet smoke: four guests on an 8×8 fabric through the CLI,

@@ -83,7 +83,7 @@ func TestReplayToCycle(t *testing.T) {
 		t.Fatalf("truncated replay diverged from the recorded prefix:\n%s", rep)
 	}
 	if rep.CyclesGot >= rec.Final.Cycles {
-		t.Fatalf("replay-to-cycle did not truncate: ran %d of %d cycles",
+		t.Fatalf("partial replay did not truncate: ran %d of %d cycles",
 			rep.CyclesGot, rec.Final.Cycles)
 	}
 }
