@@ -183,6 +183,17 @@ type Config struct {
 	SimWorkers int
 }
 
+// fillDefaults sets the zero watchdog to its default and, under rollback
+// recovery, a zero checkpoint interval to DefaultCheckpointInterval.
+func (cfg *Config) fillDefaults() {
+	if cfg.MaxCycles == 0 {
+		cfg.MaxCycles = 20_000_000_000
+	}
+	if cfg.Recovery == RecoverRollback && cfg.CheckpointInterval == 0 {
+		cfg.CheckpointInterval = DefaultCheckpointInterval
+	}
+}
+
 // DefaultConfig is the paper's headline configuration: 6 speculative
 // translators, 2-bank L1.5, 4 memory banks, optimization on.
 func DefaultConfig() Config {

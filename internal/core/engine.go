@@ -159,12 +159,7 @@ func Run(img *guest.Image, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 20_000_000_000
-	}
-	if cfg.Recovery == RecoverRollback && cfg.CheckpointInterval == 0 {
-		cfg.CheckpointInterval = DefaultCheckpointInterval
-	}
+	cfg.fillDefaults()
 	var ck *checkpoint.Checkpointer
 	if cfg.CheckpointInterval > 0 {
 		ck = checkpoint.NewCheckpointer(cfg.CheckpointInterval)

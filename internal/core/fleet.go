@@ -213,12 +213,7 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 20_000_000_000
-	}
-	if cfg.Recovery == RecoverRollback && cfg.CheckpointInterval == 0 {
-		cfg.CheckpointInterval = DefaultCheckpointInterval
-	}
+	cfg.fillDefaults()
 
 	fl := &fleetRun{
 		cfg:             cfg,

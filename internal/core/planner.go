@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 
 	"tilevm/internal/raw"
 	"tilevm/internal/workload"
@@ -147,12 +148,12 @@ func planSlotAt(p raw.Params, x0, y0, w, h int, gp GuestProfile) placement {
 	}
 }
 
-// planFabric is the placer. A fabric or want it cannot carve at all is a
-// *ConfigError. want == 0 is the capacity scan: as many
-// base-tier slots as fit, an error if none does (FleetSlotLayout, and
-// RunFleet without MaxSlots). want > 0 demands exactly want slots, a
-// *NoFitError if they do not fit. Without profiles those are base-tier
-// slots — the carve every fleet without guest profiles runs on. With
+// planFabric is the placer; its errors are *ConfigErrors. want == 0 is
+// the capacity scan: as many base-tier slots as fit, an error if none
+// does (FleetSlotLayout, and RunFleet without MaxSlots). want > 0
+// demands exactly want slots, an error wrapping a *NoFitError if they do
+// not fit. Without profiles those are base-tier slots — the carve every
+// fleet without guest profiles runs on. With
 // profiles each slot gets an area budget of Tiles()/want and the
 // largest menu shape within it, degrading shape tier by tier until the
 // carve fits; the final tier is the base tier, so planFabric succeeds
@@ -199,7 +200,7 @@ func planFabric(p raw.Params, profiles []GuestProfile, want int) ([]placement, e
 // a row-major greedy scan that claims, at each free anchor, the
 // largest allowed shape that fits, trying each shape's canonical
 // orientation before its transpose. want > 0 stops at want slots and
-// fails with a NoFitError when fewer fit; want == 0 claims as many as
+// fails with a NoFitError inside when fewer fit; want == 0 claims as many as
 // fit and fails only when none does.
 func tryPlan(p raw.Params, profiles []GuestProfile, want, maxShape int) ([]placement, error) {
 	occ := make([]int, p.Tiles())
@@ -260,12 +261,13 @@ func tryPlan(p raw.Params, profiles []GuestProfile, want, maxShape int) ([]place
 	}
 	if len(slots) < want {
 		base := slotShapes[len(slotShapes)-1]
-		return nil, &NoFitError{
+		nf := &NoFitError{
 			Want: want, Placed: len(slots),
 			SlotW: base.w, SlotH: base.h,
 			Width: p.Width, Height: p.Height,
 			Occupied: occ,
 		}
+		return nil, &ConfigError{Fields: []string{"Params", "MaxSlots"}, Reason: strings.TrimPrefix(nf.Error(), "core: "), cause: nf}
 	}
 	return slots, nil
 }

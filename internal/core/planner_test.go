@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -235,11 +236,7 @@ func sortInts(s []int) {
 }
 
 func asNoFit(err error, target **NoFitError) bool {
-	nf, ok := err.(*NoFitError)
-	if ok {
-		*target = nf
-	}
-	return ok
+	return errors.As(err, target)
 }
 
 func profilesFor(t *testing.T, names ...string) []GuestProfile {

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"strings"
+	"slices"
 
 	"tilevm/internal/fault"
 	"tilevm/internal/raw"
@@ -83,33 +82,24 @@ func validateFaultPlan(pl *placement, cfg *Config) error {
 	if cfg.Morph {
 		return configErr([]string{"Fault", "Morph"}, "tile fail-stops and morphing are mutually exclusive")
 	}
-	worker := map[int]bool{}
-	for _, t := range pl.slaves {
-		worker[t] = true
-	}
-	for _, t := range pl.banks {
-		worker[t] = true
-	}
+	workers := slices.Concat(pl.slaves, pl.banks)
 	dead := map[int]bool{}
 	for _, f := range cfg.Fault.Fails {
-		if !worker[f.Tile] {
+		if !slices.Contains(workers, f.Tile) {
 			return configErr([]string{"Fault", "Slaves", "MemBanks"},
 				"fault plan fail-stops tile %d, which is not a worker (slave/bank) tile", f.Tile)
 		}
 		dead[f.Tile] = true
 	}
-	liveSlaves, liveBanks := 0, 0
-	for _, t := range pl.slaves {
-		if !dead[t] {
-			liveSlaves++
+	live := func(tiles []int) (n int) {
+		for _, t := range tiles {
+			if !dead[t] {
+				n++
+			}
 		}
+		return n
 	}
-	for _, t := range pl.banks {
-		if !dead[t] {
-			liveBanks++
-		}
-	}
-	if liveSlaves == 0 || liveBanks == 0 {
+	if liveSlaves, liveBanks := live(pl.slaves), live(pl.banks); liveSlaves == 0 || liveBanks == 0 {
 		return configErr([]string{"Fault", "Slaves", "MemBanks"},
 			"fault plan leaves %d live slaves and %d live banks; need at least one of each",
 			liveSlaves, liveBanks)
@@ -152,7 +142,7 @@ func validateFleet(cfg *Config, fc FleetConfig, guests int) ([]placement, error)
 	}
 	slots, err := planFabric(cfg.Params, nil, fc.MaxSlots)
 	if err != nil {
-		return nil, carveError(err)
+		return nil, err
 	}
 	if len(slots) > guests {
 		slots = slots[:guests]
@@ -160,7 +150,7 @@ func validateFleet(cfg *Config, fc FleetConfig, guests int) ([]placement, error)
 	if len(fc.Profiles) > 0 {
 		// The planner only changes shapes and role splits, never the count.
 		if slots, err = planFabric(cfg.Params, fc.Profiles, len(slots)); err != nil {
-			return nil, carveError(err)
+			return nil, err
 		}
 	}
 	if !cfg.Fault.Empty() {
@@ -169,16 +159,6 @@ func validateFleet(cfg *Config, fc FleetConfig, guests int) ([]placement, error)
 		}
 	}
 	return slots, validateTier(cfg)
-}
-
-// carveError returns planFabric's error as a ConfigError: a
-// *NoFitError is MaxSlots asking for more slots than the fabric holds.
-func carveError(err error) *ConfigError {
-	var ce *ConfigError
-	if errors.As(err, &ce) {
-		return ce
-	}
-	return &ConfigError{Fields: []string{"Params", "MaxSlots"}, Reason: strings.TrimPrefix(err.Error(), "core: "), cause: err}
 }
 
 // validateFleetFaultPlan rejects fault plans the fleet policy layer
