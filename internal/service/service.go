@@ -136,14 +136,9 @@ type Service struct {
 // eventually call Drain to stop it. Zero sizes take their defaults; a
 // negative one is an error.
 func New(cfg Config) (*Service, error) {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"Width", cfg.Width}, {"Height", cfg.Height}, {"QueueCap", cfg.QueueCap},
-		{"Retain", cfg.Retain}, {"MaxJobAttempts", cfg.MaxJobAttempts}} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("service: negative %s %d", f.name, f.v)
-		}
+	if min(cfg.Width, cfg.Height, cfg.QueueCap, cfg.Retain, cfg.MaxJobAttempts) < 0 {
+		return nil, fmt.Errorf("service: negative size in Width %d, Height %d, QueueCap %d, Retain %d, MaxJobAttempts %d",
+			cfg.Width, cfg.Height, cfg.QueueCap, cfg.Retain, cfg.MaxJobAttempts)
 	}
 	cfg.fillDefaults()
 	base := core.DefaultConfig()

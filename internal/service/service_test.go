@@ -635,7 +635,7 @@ func TestNewRejectsNegativeSizes(t *testing.T) {
 			cancel()
 			s.Drain(ctx)
 			t.Errorf("New with negative %s succeeded", tc.field)
-		} else if !strings.Contains(err.Error(), "negative "+tc.field) {
+		} else if !strings.Contains(err.Error(), tc.field+" -1") {
 			t.Errorf("New with negative %s: %v", tc.field, err)
 		}
 	}
