@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 
 	"tilevm/internal/bench"
 	"tilevm/internal/core"
@@ -77,37 +76,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfile, err := bench.Profile(*cpuProf, *memProf)
+	if err != nil {
+		die(err)
 	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 
 	if *tracePath != "" {
 		if err := traceRun(*traceWl, *tracePath, *traceEvery, traceCfg); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		return
 	}
@@ -141,8 +118,7 @@ func main() {
 		}
 		out, err := j.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: figure %d: %v\n", j.n, err)
-			os.Exit(1)
+			die(fmt.Errorf("figure %d: %w", j.n, err))
 		}
 		if *asJSON {
 			collected[fmt.Sprintf("figure%d", j.n)] = out
@@ -154,78 +130,68 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(collected); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		return
 	}
 	if *fig == 0 {
 		head, err := s.Headline()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Println(head)
 		loss, err := s.LossAnalysis()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Println(loss)
 	}
 	if *ablation {
 		ab, err := s.Ablations()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Println(ab.String())
 	}
 	if *whatif {
 		f, err := s.HardwareWhatIf()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Println(f.String())
 	}
 	if *fleet {
 		out, err := s.FleetSweep()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Println(out)
 	}
 	if *fleetFault {
 		out, err := s.FleetFaultSweep()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Println(out)
 	}
 	if *faultsw {
 		f, err := s.FaultSweepMode(recMode)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Println(f.String())
 	}
 	if *util != "" {
 		out, err := s.Utilization(*util)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Println(out)
 	}
 	if *warmup {
 		w, err := s.WarmupBench()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Printf("warmup — %s, arrival to first %d retired host instructions\n", w.Workload, w.Insts)
 		fmt.Printf("  speculative   : tier-0 %8d cycles, optimizing-only %8d (%.3fx)\n",
@@ -260,4 +226,9 @@ func traceRun(wlName, path string, interval uint64, cfg core.Config) error {
 		fmt.Printf("samples   : %s (%d windows of %d cycles)\n", csvPath, trc.Windows(), interval)
 	}
 	return nil
+}
+
+func die(err error) {
+	fmt.Fprintln(os.Stderr, "figures:", err)
+	os.Exit(1)
 }

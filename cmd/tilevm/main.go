@@ -47,8 +47,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -140,22 +138,17 @@ func (f flags) dur(name string) time.Duration { return f.get(name).(time.Duratio
 // invocation is a checked command line and the run it builds.
 type invocation struct {
 	flags
-	mode   mode
-	names  []string                // fleet guests
-	rc     checkpoint.RecordConfig // what single, record and fleet runs run
-	cfg    core.Config
-	fc     core.FleetConfig
-	params raw.Params // the fabric the tracer lays out
+	mode  mode
+	names []string                // fleet guests
+	rc    checkpoint.RecordConfig // what single, record and fleet runs run
+	cfg   core.Config
+	fc    core.FleetConfig
 }
-
-// errUsage is a command line the flag package could not parse; the
-// flag set has already printed the error and the usage.
-var errUsage = errors.New("usage")
 
 // parse checks the whole command line and builds the run it asks for.
 // It creates no file, so a rejected invocation leaves nothing behind.
 func parse(args []string) (*invocation, error) {
-	fs := flag.NewFlagSet("tilevm", flag.ContinueOnError)
+	fs := flag.NewFlagSet("tilevm", flag.ExitOnError)
 	for _, r := range flagTable {
 		switch d := r.def.(type) {
 		case string:
@@ -170,13 +163,8 @@ func parse(args []string) (*invocation, error) {
 			fs.Duration(r.name, d, r.usage)
 		}
 	}
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil, err
-		}
-		return nil, errUsage
-	}
-	inv := &invocation{flags: flags{fs}, params: raw.DefaultParams()}
+	fs.Parse(args) // exits on a malformed command line, as flag.Parse does
+	inv := &invocation{flags: flags{fs}, cfg: core.DefaultConfig()}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
@@ -215,10 +203,10 @@ func parse(args []string) (*invocation, error) {
 	}
 
 	image, wl := inv.str("image"), inv.str("workload")
-	names := []string{wl}
+	names, params := []string{wl}, inv.cfg.Params
 	switch {
 	case inv.mode == fleet:
-		if inv.params.Width, inv.params.Height, err = raw.ParseGrid(inv.str("grid")); err != nil {
+		if params.Width, params.Height, err = raw.ParseGrid(inv.str("grid")); err != nil {
 			return nil, err
 		}
 		names = strings.Split(inv.str("guests"), ",")
@@ -260,7 +248,7 @@ func parse(args []string) (*invocation, error) {
 	if inv.mode == dump {
 		return inv, nil // dump translates one block and builds no machine
 	}
-	inv.cfg.Params = inv.params
+	inv.cfg.Params = params
 	inv.cfg.Tier0, inv.cfg.TierUpThreshold = inv.on("tier0"), inv.u64("tier-up-threshold")
 	if inv.mode != fleet {
 		return inv, flagError(inv.cfg.Validate())
@@ -298,12 +286,7 @@ func flagError(err error) error {
 
 func main() {
 	inv, err := parse(os.Args[1:])
-	switch {
-	case errors.Is(err, flag.ErrHelp):
-		return
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	case err != nil:
+	if err != nil {
 		die(err)
 	}
 	os.Exit(inv.run())
@@ -312,36 +295,17 @@ func main() {
 // run executes a checked invocation and returns the exit status.
 func (inv *invocation) run() int {
 	tracePath, verbose := inv.str("trace"), inv.on("v")
-	if inv.str("cpuprofile") != "" {
-		f, err := os.Create(inv.str("cpuprofile"))
-		if err != nil {
-			die(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			die(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfile, err := bench.Profile(inv.str("cpuprofile"), inv.str("memprofile"))
+	if err != nil {
+		die(err)
 	}
-	if inv.str("memprofile") != "" {
-		defer func() {
-			f, err := os.Create(inv.str("memprofile"))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tilevm:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "tilevm:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 
 	// Every mode traces: tracing charges no virtual cycles, so a traced
 	// record, replay or fleet is the run it would have been untraced.
 	var trc *trace.Tracer
 	if tracePath != "" {
-		trc = core.NewTracerFor(inv.params, inv.u64("trace-interval"))
+		trc = core.NewTracerFor(inv.cfg.Params, inv.u64("trace-interval"))
 	}
 	// The trace is written even when the run failed: a timeline of a run
 	// that hit the watchdog or a guest fault is exactly when you want one.
@@ -387,7 +351,7 @@ func (inv *invocation) run() int {
 			p, _ := workload.ByName(n)
 			imgs[i] = p.Build()
 		}
-		layout, err := core.FleetSlotLayout(inv.params)
+		layout, err := core.FleetSlotLayout(inv.cfg.Params)
 		if err != nil {
 			die(err)
 		}
@@ -400,7 +364,7 @@ func (inv *invocation) run() int {
 		}
 		reportFleet(res, inv.names, len(layout), verbose)
 	case dump:
-		img, err := loadGuest(inv.str("image"), inv.str("workload"))
+		img, err := bench.RecordImage(inv.rc)
 		if err == nil {
 			err = dumpBlock(img, inv.str("dump"), inv.on("opt"), inv.on("tier0"))
 		}
@@ -419,7 +383,7 @@ func (inv *invocation) run() int {
 		report(res, verbose)
 		fmt.Printf("recorded  : %s (%d events)\n", inv.str("record"), len(rec.Events))
 	default:
-		img, err := loadGuest(inv.str("image"), inv.str("workload"))
+		img, err := bench.RecordImage(inv.rc)
 		if err != nil {
 			die(err)
 		}
@@ -611,14 +575,4 @@ func dumpBlock(img *guest.Image, at string, optimize, tier0 bool) error {
 	fmt.Printf("\nexit kind %v, target %#x, fallthrough %#x\n",
 		res.Kind, res.Target, res.FallTarget)
 	return nil
-}
-
-// loadGuest builds the guest parse checked: an image file, or a
-// workload by name.
-func loadGuest(imagePath, wlName string) (*guest.Image, error) {
-	if imagePath != "" {
-		return guest.LoadAutoFile(imagePath)
-	}
-	p, _ := workload.ByName(wlName)
-	return p.Build(), nil
 }

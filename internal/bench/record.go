@@ -143,7 +143,7 @@ func Replay(rec *checkpoint.Record, toCycle uint64, trc *trace.Tracer) (*ReplayR
 // runRecord runs what rc describes, journaled into a fresh journal it
 // returns, and traced into trc when that is non-nil.
 func runRecord(rc checkpoint.RecordConfig, trc *trace.Tracer) (*core.Result, *checkpoint.Journal, error) {
-	img, err := recordImage(rc)
+	img, err := RecordImage(rc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -157,8 +157,8 @@ func runRecord(rc checkpoint.RecordConfig, trc *trace.Tracer) (*core.Result, *ch
 	return res, j, err
 }
 
-// recordImage resolves the guest image a RecordConfig names.
-func recordImage(rc checkpoint.RecordConfig) (*guest.Image, error) {
+// RecordImage resolves the guest image a RecordConfig names.
+func RecordImage(rc checkpoint.RecordConfig) (*guest.Image, error) {
 	switch {
 	case rc.Workload != "" && rc.ImagePath != "":
 		return nil, fmt.Errorf("record names both a workload and an image path")
