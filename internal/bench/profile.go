@@ -12,28 +12,36 @@ import (
 // defer: it stops that profile and writes the heap profile -memprofile
 // names (none when mem is empty), reporting a failure on stderr.
 func Profile(cpu, mem string) (stop func(), err error) {
+	var cpuFile *os.File
 	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
+		if cpuFile, err = os.Create(cpu); err != nil {
 			return nil, err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
 			return nil, err
 		}
 	}
 	return func() {
-		pprof.StopCPUProfile()
+		warn := func(err error) { // the profiled run is done; say so and go on
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "profile:", err)
+			}
+		}
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			warn(cpuFile.Close())
+		}
 		if mem == "" {
 			return
 		}
 		f, err := os.Create(mem)
-		if err == nil {
-			runtime.GC()
-			err = pprof.WriteHeapProfile(f)
-			f.Close()
-		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			warn(err)
+			return
 		}
+		runtime.GC()
+		warn(pprof.WriteHeapProfile(f))
+		warn(f.Close())
 	}, nil
 }
