@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"tilevm/internal/bench"
 	"tilevm/internal/core"
@@ -76,11 +77,30 @@ func main() {
 		os.Exit(2)
 	}
 
-	stopProfile, err := bench.Profile(*cpuProf, *memProf)
-	if err != nil {
-		die(err)
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			die(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			die(err)
+		}
+		defer pprof.StopCPUProfile()
 	}
-	defer stopProfile()
+	if *memProf != "" {
+		defer func() {
+			f, err := os.Create(*memProf)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "figures:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "figures:", err)
+			}
+		}()
+	}
 
 	if *tracePath != "" {
 		if err := traceRun(*traceWl, *tracePath, *traceEvery, traceCfg); err != nil {

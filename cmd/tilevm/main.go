@@ -47,6 +47,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -62,63 +65,53 @@ import (
 	"tilevm/internal/workload"
 )
 
-// mode is what an invocation does; flag rules hold a bit mask of modes.
-type mode uint8
-
+// An invocation runs in one mode: single, fleet, record, replay or dump.
+// A flag rule lists the modes the flag applies to.
 const (
-	single mode = 1 << iota // run one guest
-	fleet                   // run -guests as VMs sharing one fabric
-	record                  // run one guest and write a record of it
-	replay                  // re-run a record and check it reproduces
-	dump                    // disassemble one block's translation
-
-	allModes = single | fleet | record | replay | dump
-	oneVM    = single | record | replay | dump
+	allModes = "single fleet record replay dump"
+	oneVM    = "single record replay dump"
 )
 
-func (m mode) String() string {
-	return map[mode]string{single: "single-VM", fleet: "fleet", record: "record", replay: "replay", dump: "dump"}[m]
-}
-
 // flagRule is one row of the flag table: the flag with its default and
-// usage, the modes it applies to (replay and dump accept, and ignore,
-// the single-VM knobs), the flag it requires, and the core.Config or
-// core.FleetConfig field it sets — the name a core.ConfigError uses.
+// usage, the space-separated modes it applies to (replay and dump
+// accept, and ignore, the single-VM knobs), the flag it requires, and
+// the core.Config or core.FleetConfig field it sets — the name a
+// core.ConfigError uses.
 type flagRule struct {
 	name     string
 	def      any // string, bool, int, uint64 or time.Duration
 	usage    string
-	modes    mode
+	modes    string
 	requires string
 	field    string
 }
 
 var flagTable = []flagRule{
-	{"image", "", "TVMI or ELF32 guest image to run", single | record | dump, "", ""},
-	{"workload", "", "named synthetic workload (e.g. 176.gcc)", single | record | dump, "", ""},
-	{"guests", "", "comma-separated workload names to run as a fleet of VMs (e.g. 164.gzip,181.mcf)", fleet, "", ""},
-	{"grid", "4x4", "fabric size WxH for fleet mode (requires -guests)", fleet, "", "Params"},
-	{"planner", false, "fleet mode: cost-model placement planner — grow slots on undersubscribed fabrics and split tiles between translation slaves and cache banks per guest profile", fleet, "", "Profiles"},
-	{"deadline", uint64(0), "fleet mode: per-guest virtual-cycle deadline; guests still running at the deadline are cancelled (0 = none)", fleet, "", "Deadline"},
+	{"image", "", "TVMI or ELF32 guest image to run", "single record dump", "", ""},
+	{"workload", "", "named synthetic workload (e.g. 176.gcc)", "single record dump", "", ""},
+	{"guests", "", "comma-separated workload names to run as a fleet of VMs (e.g. 164.gzip,181.mcf)", "fleet", "", ""},
+	{"grid", "4x4", "fabric size WxH for fleet mode (requires -guests)", "fleet", "", "Params"},
+	{"planner", false, "fleet mode: cost-model placement planner — grow slots on undersubscribed fabrics and split tiles between translation slaves and cache banks per guest profile", "fleet", "", "Profiles"},
+	{"deadline", uint64(0), "fleet mode: per-guest virtual-cycle deadline; guests still running at the deadline are cancelled (0 = none)", "fleet", "", "Deadline"},
 	{"slaves", 6, "translation slave tiles (1-9)", oneVM, "", "Slaves"},
 	{"speculate", true, "speculative parallel translation", allModes, "", "Speculative"},
 	{"l15", 2, "L1.5 code cache banks (0-2)", oneVM, "", "L15Banks"},
 	{"membanks", 4, "L2 data cache bank tiles (1 or 4)", oneVM, "", "MemBanks"},
 	{"opt", true, "optimize translated blocks", allModes, "", "Optimize"},
-	{"tier0", false, "tier-0 template translation for demand misses, with hotness-driven re-translation by the optimizing tier", single | fleet | dump, "", "Tier0"},
-	{"tier-up-threshold", uint64(0), "retired instructions before a hot tier-0 block is promoted to the optimizing tier (0 = default; requires -tier0)", single | fleet | dump, "", "TierUpThreshold"},
+	{"tier0", false, "tier-0 template translation for demand misses, with hotness-driven re-translation by the optimizing tier", "single fleet dump", "", "Tier0"},
+	{"tier-up-threshold", uint64(0), "retired instructions before a hot tier-0 block is promoted to the optimizing tier (0 = default; requires -tier0)", "single fleet dump", "", "TierUpThreshold"},
 	{"morph", false, "dynamic virtual architecture reconfiguration", allModes, "", "Morph"},
 	{"threshold", 5, "morphing queue-length threshold", oneVM, "", "MorphThreshold"},
 	{"maxcycles", uint64(0), "simulation watchdog (0 = default)", allModes, "", "MaxCycles"},
-	{"timeout", time.Duration(0), "wall-clock budget for the run; an expired run is interrupted and exits non-zero (0 = none; composes with -deadline, which is virtual cycles)", single | fleet, "", ""},
-	{"fault-plan", "", "fault plan, e.g. 'fail:7@150000,drop:0.01,delay:0.02+400,corrupt:0.01,dram:0.05,stall:6@30000+5000'", single | fleet | record | dump, "", "Fault"},
-	{"fault-seed", uint64(0), "seed for the fault plan's probabilistic clauses", single | fleet | record | dump, "fault-plan", ""},
+	{"timeout", time.Duration(0), "wall-clock budget for the run; an expired run is interrupted and exits non-zero (0 = none; composes with -deadline, which is virtual cycles)", "single fleet", "", ""},
+	{"fault-plan", "", "fault plan, e.g. 'fail:7@150000,drop:0.01,delay:0.02+400,corrupt:0.01,dram:0.05,stall:6@30000+5000'", "single fleet record dump", "", "Fault"},
+	{"fault-seed", uint64(0), "seed for the fault plan's probabilistic clauses", "single fleet record dump", "fault-plan", ""},
 	{"fault-norecover", false, "disable fault recovery (a fault then deadlocks with a diagnostic)", oneVM, "", "FaultRecovery"},
 	{"recovery", "excise", "fail-stop recovery mode: excise (morph around the dead tile in place) or rollback (restore the last checkpoint when excision would lose writebacks)", allModes, "", "Recovery"},
-	{"record", "", "write a deterministic record of the run to this file", record | dump, "", "Journal"},
-	{"replay", "", "replay a recorded run and verify it reproduces; a divergence is bisected to the first divergent event", replay, "", ""},
+	{"record", "", "write a deterministic record of the run to this file", "record dump", "", "Journal"},
+	{"replay", "", "replay a recorded run and verify it reproduces; a divergence is bisected to the first divergent event", "replay", "", ""},
 	{"v", false, "print detailed metrics", allModes, "", ""},
-	{"dump", "", "disassemble the translation of the block at this guest PC (hex; 'entry' for the entry point) and exit", dump, "", ""},
+	{"dump", "", "disassemble the translation of the block at this guest PC (hex; 'entry' for the entry point) and exit", "dump", "", ""},
 	{"trace", "", "write a Chrome trace_event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)", allModes, "", ""},
 	{"trace-interval", uint64(0), "also sample hit rates, queue depth, and per-tile occupancy every N cycles into <trace>.csv (requires -trace)", allModes, "trace", ""},
 	{"cpuprofile", "", "write a CPU profile to this file", allModes, "", ""},
@@ -138,8 +131,9 @@ func (f flags) dur(name string) time.Duration { return f.get(name).(time.Duratio
 // invocation is a checked command line and the run it builds.
 type invocation struct {
 	flags
-	mode  mode
-	names []string                // fleet guests
+	mode  string
+	names []string                // fleet guests' workload names
+	imgs  []*guest.Image          // the guests: one, or the fleet
 	rc    checkpoint.RecordConfig // what single, record and fleet runs run
 	cfg   core.Config
 	fc    core.FleetConfig
@@ -169,20 +163,20 @@ func parse(args []string) (*invocation, error) {
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case set["replay"]:
-		inv.mode = replay
+		inv.mode = "replay"
 	case set["guests"]:
-		inv.mode = fleet
+		inv.mode = "fleet"
 	case set["dump"]:
-		inv.mode = dump
+		inv.mode = "dump"
 	case set["record"]:
-		inv.mode = record
+		inv.mode = "record"
 	default:
-		inv.mode = single
+		inv.mode = "single"
 	}
 	for _, r := range flagTable {
 		switch {
 		case !set[r.name]:
-		case r.modes&inv.mode == 0:
+		case !slices.Contains(strings.Fields(r.modes), inv.mode):
 			return nil, fmt.Errorf("-%s does not apply in %s mode", r.name, inv.mode)
 		case r.requires != "" && !set[r.requires]:
 			return nil, fmt.Errorf("-%s requires -%s", r.name, r.requires)
@@ -198,37 +192,13 @@ func parse(args []string) (*invocation, error) {
 	if inv.on("fault-norecover") && recMode == core.RecoverRollback {
 		return nil, fmt.Errorf("-fault-norecover conflicts with -recovery rollback (rollback is a recovery mode)")
 	}
-	if inv.mode == replay {
+	if inv.mode == "replay" {
 		return inv, nil // the record carries the guest and the configuration
 	}
 
-	image, wl := inv.str("image"), inv.str("workload")
-	names, params := []string{wl}, inv.cfg.Params
-	switch {
-	case inv.mode == fleet:
-		if params.Width, params.Height, err = raw.ParseGrid(inv.str("grid")); err != nil {
-			return nil, err
-		}
-		names = strings.Split(inv.str("guests"), ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		inv.names = names
-	case image != "" && wl != "":
-		return nil, fmt.Errorf("use either -image or -workload, not both")
-	case image != "":
-		names = nil
-	case wl == "":
-		return nil, fmt.Errorf("specify -image or -workload")
-	}
-	for _, n := range names {
-		if _, ok := workload.ByName(n); !ok {
-			return nil, fmt.Errorf("unknown workload %q (known: %v)", n, workload.Names())
-		}
-	}
 	inv.rc = checkpoint.RecordConfig{
-		Workload:       wl,
-		ImagePath:      image,
+		Workload:       inv.str("workload"),
+		ImagePath:      inv.str("image"),
 		Slaves:         inv.num("slaves"),
 		Speculative:    inv.on("speculate"),
 		L15Banks:       inv.num("l15"),
@@ -245,23 +215,33 @@ func parse(args []string) (*invocation, error) {
 	if inv.cfg, err = bench.RecordConfig(inv.rc); err != nil {
 		return nil, err
 	}
-	if inv.mode == dump {
-		return inv, nil // dump translates one block and builds no machine
-	}
-	inv.cfg.Params = params
 	inv.cfg.Tier0, inv.cfg.TierUpThreshold = inv.on("tier0"), inv.u64("tier-up-threshold")
-	if inv.mode != fleet {
+	if inv.mode != "fleet" {
+		img, err := bench.RecordImage(inv.rc)
+		if err != nil {
+			return nil, err
+		}
+		inv.imgs = []*guest.Image{img}
+		if inv.mode == "dump" {
+			return inv, nil // dump translates one block and builds no machine
+		}
 		return inv, flagError(inv.cfg.Validate())
 	}
-	inv.fc = core.FleetConfig{Deadline: inv.u64("deadline")}
-	if inv.on("planner") {
-		inv.fc.Profiles = make([]core.GuestProfile, len(names))
-		for i, n := range names {
-			p, _ := workload.ByName(n)
-			inv.fc.Profiles[i] = core.ProfileFromWorkload(p)
+	if inv.cfg.Params.Width, inv.cfg.Params.Height, err = raw.ParseGrid(inv.str("grid")); err != nil {
+		return nil, err
+	}
+	inv.fc.Deadline = inv.u64("deadline")
+	for _, n := range strings.Split(inv.str("guests"), ",") {
+		p, ok := workload.ByName(strings.TrimSpace(n))
+		if !ok {
+			return nil, fmt.Errorf("unknown workload %q (known: %v)", n, workload.Names())
+		}
+		inv.names, inv.imgs = append(inv.names, p.Name), append(inv.imgs, p.Build())
+		if inv.on("planner") {
+			inv.fc.Profiles = append(inv.fc.Profiles, core.ProfileFromWorkload(p))
 		}
 	}
-	return inv, flagError(core.ValidateFleet(&inv.cfg, inv.fc, len(names)))
+	return inv, flagError(core.ValidateFleet(&inv.cfg, inv.fc, len(inv.imgs)))
 }
 
 // flagError prefixes a core.ConfigError with the flags that set the
@@ -295,11 +275,30 @@ func main() {
 // run executes a checked invocation and returns the exit status.
 func (inv *invocation) run() int {
 	tracePath, verbose := inv.str("trace"), inv.on("v")
-	stopProfile, err := bench.Profile(inv.str("cpuprofile"), inv.str("memprofile"))
-	if err != nil {
-		die(err)
+	if cpuProf := inv.str("cpuprofile"); cpuProf != "" {
+		f, err := os.Create(cpuProf)
+		if err != nil {
+			die(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			die(err)
+		}
+		defer pprof.StopCPUProfile()
 	}
-	defer stopProfile()
+	if memProf := inv.str("memprofile"); memProf != "" {
+		defer func() {
+			f, err := os.Create(memProf)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "tilevm:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "tilevm:", err)
+			}
+		}()
+	}
 
 	// Every mode traces: tracing charges no virtual cycles, so a traced
 	// record, replay or fleet is the run it would have been untraced.
@@ -336,7 +335,7 @@ func (inv *invocation) run() int {
 	inv.cfg.Interrupt = intr
 
 	switch inv.mode {
-	case replay:
+	case "replay":
 		diverged, err := replayRecord(inv.str("replay"), trc)
 		saveTrace()
 		if err != nil {
@@ -345,17 +344,12 @@ func (inv *invocation) run() int {
 		if diverged {
 			return 2 // the replay did not reproduce the record
 		}
-	case fleet:
-		imgs := make([]*guest.Image, len(inv.names))
-		for i, n := range inv.names {
-			p, _ := workload.ByName(n)
-			imgs[i] = p.Build()
-		}
+	case "fleet":
 		layout, err := core.FleetSlotLayout(inv.cfg.Params)
 		if err != nil {
 			die(err)
 		}
-		res, err := core.RunFleet(imgs, inv.cfg, inv.fc)
+		res, err := core.RunFleet(inv.imgs, inv.cfg, inv.fc)
 		if res != nil {
 			saveTrace()
 		}
@@ -363,15 +357,11 @@ func (inv *invocation) run() int {
 			die(runErr(err))
 		}
 		reportFleet(res, inv.names, len(layout), verbose)
-	case dump:
-		img, err := bench.RecordImage(inv.rc)
-		if err == nil {
-			err = dumpBlock(img, inv.str("dump"), inv.on("opt"), inv.on("tier0"))
-		}
-		if err != nil {
+	case "dump":
+		if err := dumpBlock(inv.imgs[0], inv.str("dump"), inv.on("opt"), inv.on("tier0")); err != nil {
 			die(err)
 		}
-	case record:
+	case "record":
 		res, rec, err := bench.RunRecorded(inv.rc, trc)
 		saveTrace()
 		if err != nil {
@@ -383,11 +373,7 @@ func (inv *invocation) run() int {
 		report(res, verbose)
 		fmt.Printf("recorded  : %s (%d events)\n", inv.str("record"), len(rec.Events))
 	default:
-		img, err := bench.RecordImage(inv.rc)
-		if err != nil {
-			die(err)
-		}
-		res, err := core.Run(img, inv.cfg)
+		res, err := core.Run(inv.imgs[0], inv.cfg)
 		saveTrace()
 		if err != nil {
 			die(runErr(err))

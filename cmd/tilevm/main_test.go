@@ -6,13 +6,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tilevm/internal/guest"
+	"tilevm/internal/x86"
 )
 
 // TestFlagVerdicts replays testdata/flag_verdicts.txt — every pair of
 // flags, as the built binary judged it (testdata/recordverdicts) —
 // through parse: a rejected row must fail to parse, a started row must
-// parse. parse creates no file, so none may appear in the row's
-// directory either way.
+// parse. parse creates no file, so the row directory, which holds the
+// tiny guest image rows run, must hold nothing else afterwards.
 func TestFlagVerdicts(t *testing.T) {
 	f, err := os.Open("testdata/flag_verdicts.txt")
 	if err != nil {
@@ -20,6 +23,14 @@ func TestFlagVerdicts(t *testing.T) {
 	}
 	defer f.Close()
 	dir := t.TempDir()
+	a := x86.NewAsm(guest.DefaultCodeBase)
+	a.MovRegImm(x86.EBX, 7)
+	a.MovRegImm(x86.EAX, 1)
+	a.Int(0x80)
+	tiny := filepath.Join(dir, "tiny.tvmi")
+	if err := guest.SaveImage(&guest.Image{Entry: guest.DefaultCodeBase, CodeBase: guest.DefaultCodeBase, Code: a.Bytes()}, tiny); err != nil {
+		t.Fatal(err)
+	}
 	rows := 0
 	for sc := bufio.NewScanner(f); sc.Scan(); rows++ {
 		cols := strings.Split(sc.Text(), "\t")
@@ -35,7 +46,7 @@ func TestFlagVerdicts(t *testing.T) {
 	if rows == 0 {
 		t.Fatal("no verdict rows")
 	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) > 0 {
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 1 || left[0] != tiny {
 		t.Errorf("parse created %v", left)
 	}
 }

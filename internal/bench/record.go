@@ -145,7 +145,7 @@ func Replay(rec *checkpoint.Record, toCycle uint64, trc *trace.Tracer) (*ReplayR
 func runRecord(rc checkpoint.RecordConfig, trc *trace.Tracer) (*core.Result, *checkpoint.Journal, error) {
 	img, err := RecordImage(rc)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("record: %w", err)
 	}
 	cfg, err := RecordConfig(rc)
 	if err != nil {
@@ -157,21 +157,22 @@ func runRecord(rc checkpoint.RecordConfig, trc *trace.Tracer) (*core.Result, *ch
 	return res, j, err
 }
 
-// RecordImage resolves the guest image a RecordConfig names.
+// RecordImage resolves the guest image a RecordConfig names: a
+// synthetic workload or an image file, exactly one of them.
 func RecordImage(rc checkpoint.RecordConfig) (*guest.Image, error) {
 	switch {
 	case rc.Workload != "" && rc.ImagePath != "":
-		return nil, fmt.Errorf("record names both a workload and an image path")
+		return nil, fmt.Errorf("name either a workload or an image, not both")
 	case rc.Workload != "":
 		p, ok := workload.ByName(rc.Workload)
 		if !ok {
-			return nil, fmt.Errorf("record names unknown workload %q", rc.Workload)
+			return nil, fmt.Errorf("unknown workload %q (known: %v)", rc.Workload, workload.Names())
 		}
 		return p.Build(), nil
 	case rc.ImagePath != "":
 		return guest.LoadAutoFile(rc.ImagePath)
 	}
-	return nil, fmt.Errorf("record names neither a workload nor an image path")
+	return nil, fmt.Errorf("name a workload or an image")
 }
 
 // RecordConfig builds the engine config a checkpoint.RecordConfig

@@ -108,8 +108,7 @@ type FleetSlot struct {
 // order: every slot that fits. A fleet without guest profiles runs on
 // a prefix of it (MaxSlots, never more slots than guests). Its length
 // is the fleet's concurrency limit; it errors when the fabric fits no
-// slot, so CLIs can reject an impossible -grid before building any
-// guest image.
+// slot.
 func FleetSlotLayout(p raw.Params) ([]FleetSlot, error) {
 	slots, err := planFabric(p, nil, 0)
 	if err != nil {
