@@ -6,7 +6,7 @@
 // to the watchdog, or to a run-time failure of the simulation.
 //
 //	go build -o /tmp/tilevm ./cmd/tilevm
-//	go run ./cmd/tilevm/testdata/recordverdicts -bin /tmp/tilevm > cmd/tilevm/testdata/flag_verdicts.txt
+//	go run ./cmd/tilevm/testdata/recordverdicts /tmp/tilevm > cmd/tilevm/testdata/flag_verdicts.txt
 //
 // Each row is "verdict<TAB>flag<TAB>flag<TAB>args<TAB># last stderr
 // line". Paths in args are under $DIR, which the recorder (and the test
@@ -17,7 +17,6 @@ package main
 import (
 	"bytes"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -124,24 +123,23 @@ func pairArgs(i, j int) []string {
 }
 
 func main() {
-	bin := flag.String("bin", "", "tilevm binary to record")
-	flag.Parse()
-	if *bin == "" {
-		fmt.Fprintln(os.Stderr, "recordverdicts: -bin is required")
+	if len(os.Args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: recordverdicts <tilevm binary>")
 		os.Exit(2)
 	}
+	bin := os.Args[1]
 	dir, err := os.MkdirTemp("", "tilevm-verdicts")
 	if err != nil {
 		die(err)
 	}
 	defer os.RemoveAll(dir)
-	if err := setup(*bin, dir); err != nil {
+	if err := setup(bin, dir); err != nil {
 		die(err)
 	}
 	for i := range flags {
 		for j := i; j < len(flags); j++ {
 			args := pairArgs(i, j)
-			verdict, msg, err := run(*bin, dir, args)
+			verdict, msg, err := run(bin, dir, args)
 			if err != nil {
 				die(fmt.Errorf("%s: %w", strings.Join(args, " "), err))
 			}
