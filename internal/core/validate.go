@@ -108,8 +108,8 @@ func validateFaultPlan(pl *placement, cfg *Config) error {
 }
 
 // ValidateFleet decides whether RunFleet accepts the configuration for
-// the given number of guests. It makes every check RunFleet makes
-// before simulating, carving the fabric the way RunFleet will.
+// the given number of guests, as Validate does for Run: it makes every
+// check RunFleet makes before simulating, carving the fabric alike.
 func ValidateFleet(cfg *Config, fc FleetConfig, guests int) error {
 	_, err := validateFleet(cfg, fc, guests)
 	return err
