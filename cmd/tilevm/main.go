@@ -219,7 +219,7 @@ func parse(args []string) (*invocation, error) {
 	if inv.mode != "fleet" {
 		img, err := bench.RecordImage(inv.rc)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-image, -workload: %w", err)
 		}
 		inv.imgs = []*guest.Image{img}
 		if inv.mode == "dump" {
