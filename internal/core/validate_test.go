@@ -11,87 +11,33 @@ import (
 	"tilevm/internal/guest"
 )
 
-// TestConfigValidation: every configuration the validators reject, with
-// the fields each rejection names. Run and RunFleet must return exactly
-// the validator's error without simulating.
-func TestConfigValidation(t *testing.T) {
-	img := sumLoop(10)
-	fails := func(tiles ...int) *fault.Plan {
-		p := &fault.Plan{}
-		for _, tile := range tiles {
-			p.Fails = append(p.Fails, fault.TileFail{Tile: tile, Cycle: 100})
-		}
-		return p
-	}
-	cases := []struct {
-		name   string
-		fleet  bool
-		guests int // fleet rows; 0 is a fleet with no guests
-		cfg    func(*Config)
-		fc     FleetConfig
-		fields []string
-		want   string
-	}{
-		// Placement: the slave, L1.5 and bank ranges, and the morph shape.
-		{name: "no slaves", cfg: func(c *Config) { c.Slaves = 0 }, fields: []string{"Slaves"}, want: "0 slaves out of range"},
-		{name: "ten slaves", cfg: func(c *Config) { c.Slaves = 10 }, fields: []string{"Slaves"}, want: "10 slaves out of range"},
-		{name: "switchable pool", cfg: func(c *Config) { c.Slaves = 9; c.MemBanks = 4 },
-			fields: []string{"Slaves", "MemBanks"}, want: "exceed the switchable tile pool"},
-		{name: "three L1.5 banks", cfg: func(c *Config) { c.L15Banks = 3 }, fields: []string{"L15Banks"}, want: "L1.5 banks out of range"},
-		{name: "no memory banks", cfg: func(c *Config) { c.MemBanks = 0 }, fields: []string{"MemBanks"}, want: "memory banks out of range"},
-		{name: "morph shape", cfg: func(c *Config) { c.Morph = true; c.Slaves = 9; c.MemBanks = 1 },
-			fields: []string{"Morph", "Slaves", "MemBanks"}, want: "6-slave/4-bank"},
-		// Fault plans: fail-stops outside the excisable worker set, plans
-		// that leave no survivors, and fail-stop+morph.
-		{name: "exec tile", cfg: func(c *Config) { c.Fault = fails(5) },
-			fields: []string{"Fault", "Slaves", "MemBanks"}, want: "tile 5, which is not a worker"},
-		{name: "manager tile", cfg: func(c *Config) { c.Fault = fails(4) },
-			fields: []string{"Fault", "Slaves", "MemBanks"}, want: "tile 4, which is not a worker"},
-		{name: "all banks", cfg: func(c *Config) { c.Fault = fails(10, 7, 14, 2) },
-			fields: []string{"Fault", "Slaves", "MemBanks"}, want: "0 live banks"},
-		{name: "morph+fail", cfg: func(c *Config) { c.Morph = true; c.Fault = fails(7) },
-			fields: []string{"Fault", "Morph"}, want: "mutually exclusive"},
-		{name: "rollback without detectors", cfg: func(c *Config) {
-			c.Recovery, c.FaultRecovery, c.Fault = RecoverRollback, false, fails(7)
-		}, fields: []string{"Recovery", "FaultRecovery"}, want: "requires fault recovery"},
-		{name: "tier-up without tier-0", cfg: func(c *Config) { c.TierUpThreshold = 2000 },
-			fields: []string{"TierUpThreshold", "Tier0"}, want: "requires tier-0"},
-		{name: "fleet tier-up without tier-0", fleet: true, guests: 1, cfg: func(c *Config) { c.TierUpThreshold = 2000 },
-			fields: []string{"TierUpThreshold", "Tier0"}, want: "requires tier-0"},
+// rejectCase is one configuration the validators reject, with the
+// fields the rejection names.
+type rejectCase struct {
+	name   string
+	fleet  bool
+	guests int // fleet rows; 0 is a fleet with no guests
+	cfg    func(*Config)
+	fc     FleetConfig
+	fields []string
+	want   string
+}
 
-		// Fleets.
-		{name: "no guests", fleet: true, want: "at least one guest"},
-		{name: "fleet morph", fleet: true, guests: 1, cfg: func(c *Config) { c.Morph = true },
-			fields: []string{"Morph"}, want: "morphing"},
-		{name: "fleet journal", fleet: true, guests: 1, cfg: func(c *Config) { c.Journal = &checkpoint.Journal{} },
-			fields: []string{"Journal"}, want: "record-replay"},
-		{name: "probabilistic faults", fleet: true, guests: 1, cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 1, DropProb: 0.01}
-		}, fields: []string{"Fault"}, want: "fail: and stall: clauses"},
-		// MaxSlots truncates the carve to slot 0; tile 8 is in (un-carved)
-		// slot 1's territory.
-		{name: "fail outside carve", fleet: true, guests: 1, cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 8, Cycle: 1000}}}
-		}, fc: FleetConfig{MaxSlots: 1}, fields: []string{"Fault"}, want: "no carved VM slot"},
-		{name: "fail off fabric", fleet: true, guests: 1, cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 99, Cycle: 1000}}}
-		}, fields: []string{"Fault", "Params"}, want: "outside the"},
-		{name: "fail at cycle zero", fleet: true, guests: 1, cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 3}}}
-		}, fields: []string{"Fault"}, want: "cycle 0"},
-		{name: "negative max attempts", fleet: true, guests: 1, fc: FleetConfig{MaxAttempts: -1},
-			fields: []string{"MaxAttempts"}, want: "non-negative"},
-		{name: "negative max slots", fleet: true, guests: 1, fc: FleetConfig{MaxSlots: -1},
-			fields: []string{"MaxSlots"}, want: "-1 VM slots requested"},
-		{name: "deadline count mismatch", fleet: true, guests: 1, fc: FleetConfig{Deadlines: []uint64{1, 2}},
-			fields: []string{"Deadlines"}, want: "per-guest deadlines"},
-		{name: "profile count mismatch", fleet: true, guests: 1, fc: FleetConfig{Profiles: make([]GuestProfile, 2)},
-			fields: []string{"Profiles"}, want: "guest profiles"},
-		{name: "too many slots", fleet: true, guests: 1, fc: FleetConfig{MaxSlots: 5},
-			fields: []string{"Params", "MaxSlots"}, want: "fits only"},
-		{name: "tiny fabric", fleet: true, guests: 1, cfg: func(c *Config) { c.Params.Width, c.Params.Height = 3, 3 },
-			fields: []string{"Params"}, want: "fits no"},
+// failsAt is a plan that fail-stops each tile at cycle 100.
+func failsAt(tiles ...int) *fault.Plan {
+	p := &fault.Plan{}
+	for _, tile := range tiles {
+		p.Fails = append(p.Fails, fault.TileFail{Tile: tile, Cycle: 100})
 	}
+	return p
+}
+
+// checkRejected runs each case through its validator and through Run or
+// RunFleet: the validator returns a *ConfigError naming tc.fields, and
+// the run returns exactly that error without simulating.
+func checkRejected(t *testing.T, cases []rejectCase) {
+	t.Helper()
+	img := sumLoop(10)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -141,8 +87,23 @@ func TestConfigValidation(t *testing.T) {
 			}
 		})
 	}
+}
 
-	// The default configuration is valid, and its roles are disjoint.
+// TestPlacementValidation: the slave, L1.5 and bank ranges and the morph
+// shape are rejected; the default configuration is valid, and its roles
+// are disjoint.
+func TestPlacementValidation(t *testing.T) {
+	checkRejected(t, []rejectCase{
+		{name: "no slaves", cfg: func(c *Config) { c.Slaves = 0 }, fields: []string{"Slaves"}, want: "0 slaves out of range"},
+		{name: "ten slaves", cfg: func(c *Config) { c.Slaves = 10 }, fields: []string{"Slaves"}, want: "10 slaves out of range"},
+		{name: "switchable pool", cfg: func(c *Config) { c.Slaves = 9; c.MemBanks = 4 },
+			fields: []string{"Slaves", "MemBanks"}, want: "exceed the switchable tile pool"},
+		{name: "three L1.5 banks", cfg: func(c *Config) { c.L15Banks = 3 }, fields: []string{"L15Banks"}, want: "L1.5 banks out of range"},
+		{name: "no memory banks", cfg: func(c *Config) { c.MemBanks = 0 }, fields: []string{"MemBanks"}, want: "memory banks out of range"},
+		{name: "morph shape", cfg: func(c *Config) { c.Morph = true; c.Slaves = 9; c.MemBanks = 1 },
+			fields: []string{"Morph", "Slaves", "MemBanks"}, want: "6-slave/4-bank"},
+	})
+
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
@@ -160,6 +121,74 @@ func TestConfigValidation(t *testing.T) {
 			seen[tile] = true
 		}
 	}
+}
+
+// TestFaultPlanValidation: fail-stops outside the excisable worker set,
+// plans that leave no survivors, fail-stop+morph, and rollback without
+// the fault detectors are rejected up front.
+func TestFaultPlanValidation(t *testing.T) {
+	checkRejected(t, []rejectCase{
+		{name: "exec tile", cfg: func(c *Config) { c.Fault = failsAt(5) },
+			fields: []string{"Fault", "Slaves", "MemBanks"}, want: "tile 5, which is not a worker"},
+		{name: "manager tile", cfg: func(c *Config) { c.Fault = failsAt(4) },
+			fields: []string{"Fault", "Slaves", "MemBanks"}, want: "tile 4, which is not a worker"},
+		{name: "all banks", cfg: func(c *Config) { c.Fault = failsAt(10, 7, 14, 2) },
+			fields: []string{"Fault", "Slaves", "MemBanks"}, want: "0 live banks"},
+		{name: "morph+fail", cfg: func(c *Config) { c.Morph = true; c.Fault = failsAt(7) },
+			fields: []string{"Fault", "Morph"}, want: "mutually exclusive"},
+		{name: "rollback without detectors", cfg: func(c *Config) {
+			c.Recovery, c.FaultRecovery, c.Fault = RecoverRollback, false, failsAt(7)
+		}, fields: []string{"Recovery", "FaultRecovery"}, want: "requires fault recovery"},
+	})
+}
+
+// TestRunFleetRejectsUnsupportedConfigs: every fleet configuration
+// ValidateFleet rejects, and RunFleet with it.
+func TestRunFleetRejectsUnsupportedConfigs(t *testing.T) {
+	checkRejected(t, []rejectCase{
+		{name: "no guests", fleet: true, want: "at least one guest"},
+		{name: "fleet morph", fleet: true, guests: 1, cfg: func(c *Config) { c.Morph = true },
+			fields: []string{"Morph"}, want: "morphing"},
+		{name: "fleet journal", fleet: true, guests: 1, cfg: func(c *Config) { c.Journal = &checkpoint.Journal{} },
+			fields: []string{"Journal"}, want: "record-replay"},
+		{name: "probabilistic faults", fleet: true, guests: 1, cfg: func(c *Config) {
+			c.Fault = &fault.Plan{Seed: 1, DropProb: 0.01}
+		}, fields: []string{"Fault"}, want: "fail: and stall: clauses"},
+		// MaxSlots truncates the carve to slot 0; tile 8 is in (un-carved)
+		// slot 1's territory.
+		{name: "fail outside carve", fleet: true, guests: 1, cfg: func(c *Config) {
+			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 8, Cycle: 1000}}}
+		}, fc: FleetConfig{MaxSlots: 1}, fields: []string{"Fault"}, want: "no carved VM slot"},
+		{name: "fail off fabric", fleet: true, guests: 1, cfg: func(c *Config) {
+			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 99, Cycle: 1000}}}
+		}, fields: []string{"Fault", "Params"}, want: "outside the"},
+		{name: "fail at cycle zero", fleet: true, guests: 1, cfg: func(c *Config) {
+			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 3}}}
+		}, fields: []string{"Fault"}, want: "cycle 0"},
+		{name: "negative max attempts", fleet: true, guests: 1, fc: FleetConfig{MaxAttempts: -1},
+			fields: []string{"MaxAttempts"}, want: "non-negative"},
+		{name: "negative max slots", fleet: true, guests: 1, fc: FleetConfig{MaxSlots: -1},
+			fields: []string{"MaxSlots"}, want: "-1 VM slots requested"},
+		{name: "deadline count mismatch", fleet: true, guests: 1, fc: FleetConfig{Deadlines: []uint64{1, 2}},
+			fields: []string{"Deadlines"}, want: "per-guest deadlines"},
+		{name: "profile count mismatch", fleet: true, guests: 1, fc: FleetConfig{Profiles: make([]GuestProfile, 2)},
+			fields: []string{"Profiles"}, want: "guest profiles"},
+		{name: "too many slots", fleet: true, guests: 1, fc: FleetConfig{MaxSlots: 5},
+			fields: []string{"Params", "MaxSlots"}, want: "fits only"},
+		{name: "tiny fabric", fleet: true, guests: 1, cfg: func(c *Config) { c.Params.Width, c.Params.Height = 3, 3 },
+			fields: []string{"Params"}, want: "fits no"},
+	})
+}
+
+// TestConfigValidation: a TierUpThreshold requires Tier0, for Run and
+// RunFleet alike.
+func TestConfigValidation(t *testing.T) {
+	checkRejected(t, []rejectCase{
+		{name: "tier-up without tier-0", cfg: func(c *Config) { c.TierUpThreshold = 2000 },
+			fields: []string{"TierUpThreshold", "Tier0"}, want: "requires tier-0"},
+		{name: "fleet tier-up without tier-0", fleet: true, guests: 1, cfg: func(c *Config) { c.TierUpThreshold = 2000 },
+			fields: []string{"TierUpThreshold", "Tier0"}, want: "requires tier-0"},
+	})
 }
 
 // FuzzValidate draws random knob values: the validators must never
