@@ -16,6 +16,7 @@
 package codecache
 
 import (
+	"slices"
 	"sort"
 
 	"tilevm/internal/rawexec"
@@ -30,9 +31,14 @@ type L1 struct {
 	prog     rawexec.Program
 	bytes    int
 	entry    map[uint32]int
-	// pending maps guest targets to program indices of unpatched CHAIN
-	// instructions waiting for that target to become resident.
-	pending map[uint32][]int
+	// pending and next chain the unpatched CHAIN sites waiting for a
+	// target to become resident: pending holds the program index of the
+	// last site waiting on each guest target, next[site] the site that
+	// waited before it (-1 ends the list). next stands beside the
+	// program and, like it, keeps its storage across a flush, so a fill
+	// allocates nothing for its chain sites.
+	pending map[uint32]int32
+	next    []int32
 
 	Lookups uint64
 	Hits    uint64
@@ -45,7 +51,7 @@ type L1 struct {
 
 // NewL1 builds an L1 code cache with the given byte capacity.
 func NewL1(capacityBytes int) *L1 {
-	return &L1{capacity: capacityBytes, entry: map[uint32]int{}, pending: map[uint32][]int{}}
+	return &L1{capacity: capacityBytes, entry: map[uint32]int{}, pending: map[uint32]int32{}}
 }
 
 func (l *L1) reset() {
@@ -95,6 +101,9 @@ func (l *L1) Insert(pc uint32, res *translate.Result) (int, InsertStats) {
 		st.Flushed = true
 	}
 	idx := l.prog.Append(&res.Pre)
+	if n := l.prog.Len(); len(l.next) < n {
+		l.next = slices.Grow(l.next, n-len(l.next))[:n]
+	}
 	l.bytes += res.CodeBytes
 	l.entry[pc] = idx
 	st.CopiedWords = res.CodeBytes / 4
@@ -110,15 +119,19 @@ func (l *L1) Insert(pc uint32, res *translate.Result) (int, InsertStats) {
 			l.prog.Chain(site, tidx)
 			st.Patches++
 		} else {
-			l.pending[c.Target] = append(l.pending[c.Target], site)
+			l.next[site] = -1
+			if prev, ok := l.pending[c.Target]; ok {
+				l.next[site] = prev
+			}
+			l.pending[c.Target] = int32(site)
 		}
 	}
 	// Incoming chaining: resident blocks waiting for this PC.
-	if sites, ok := l.pending[pc]; ok {
-		for _, site := range sites {
-			l.prog.Chain(site, idx)
+	if site, ok := l.pending[pc]; ok {
+		for ; site >= 0; site = l.next[site] {
+			l.prog.Chain(int(site), idx)
+			st.Patches++
 		}
-		st.Patches += len(sites)
 		delete(l.pending, pc)
 	}
 	l.Chains += uint64(st.Patches)
