@@ -294,7 +294,6 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 
 	// One slot, never handed on.
 	e.m.SpawnTile(e.pl.exec, "exec", e.execKernel)
-	e.m.SpawnTile(e.pl.manager, "manager", e.managerKernel)
 	spawnService(e.m, &e.pl, &slotHost{cur: e})
 
 	simErr := e.m.Run()

@@ -317,29 +317,45 @@ func (e *engine) fetchBlock(c *raw.TileCtx, pc uint32) *translate.Result {
 	if e.robust {
 		out := e.rpc(c, func(int) {
 			e.codeSeq++
-			c.Send(target, codeReq{PC: pc, ReplyTo: e.pl.exec, FillBank: -1, Seq: e.codeSeq}, wordsCodeReq)
+			e.sendCodeReq(c, target, pc, e.codeSeq)
 		}, func(payload any) (any, bool) {
-			if r, ok := payload.(codeResp); ok && r.PC == pc {
-				return r.Res, true
+			r, ok := payload.(*codeResp)
+			if !ok {
+				return nil, false
 			}
-			return nil, false
+			// Consumed whether it matches or not: a stale reply to a
+			// superseded attempt dies here.
+			res, match := r.Res, r.PC == pc
+			e.pool.codeResps.put(r)
+			return res, match
 		})
 		e.trc().Span(c.Tile, "fetch", t0, c.Now(), "pc", uint64(pc), "", 0)
 		return out.(*translate.Result)
 	}
-	c.Send(target, codeReq{PC: pc, ReplyTo: e.pl.exec, FillBank: -1}, wordsCodeReq)
+	e.sendCodeReq(c, target, pc, 0)
 	for {
-		msg := c.Recv()
-		if r, ok := msg.Payload.(codeResp); ok {
-			if r.PC != pc {
-				e.execErr = fmt.Errorf("code response for %#x while waiting for %#x", r.PC, pc)
+		switch m := c.Recv().Payload.(type) {
+		case *codeResp:
+			got, res := m.PC, m.Res
+			e.pool.codeResps.put(m)
+			if got != pc {
+				e.execErr = fmt.Errorf("code response for %#x while waiting for %#x", got, pc)
 				return nil
 			}
 			e.trc().Span(c.Tile, "fetch", t0, c.Now(), "pc", uint64(pc), "", 0)
-			return r.Res
+			return res
+		case raw.Corrupted:
+			e.recycleFaulty(m.Payload)
 		}
 		// No other message types target a waiting execution tile.
 	}
+}
+
+// sendCodeReq sends a pooled demand request for the block at pc.
+func (e *engine) sendCodeReq(c *raw.TileCtx, to int, pc uint32, seq uint64) {
+	m := e.pool.codeReqs.get()
+	*m = codeReq{PC: pc, ReplyTo: e.pl.exec, FillBank: -1, Seq: seq}
+	c.Send(to, m, wordsCodeReq)
 }
 
 // execEnv implements rawexec.Env on the simulated machine: the tile
@@ -400,7 +416,7 @@ func (v *execEnv) touch(addr uint32, write bool) bool {
 	tMiss := v.c.Now()
 	if res.Writeback {
 		// Posted writeback of the dirty victim; no reply needed.
-		wb := v.e.pool.newReq()
+		wb := v.e.pool.reqs.get()
 		*wb = memReq{Addr: res.WritebackOf, Write: true, ReplyTo: -1}
 		v.c.Send(v.e.pl.mmu, wb, wordsMemReq+8)
 	}
@@ -415,7 +431,7 @@ func (v *execEnv) touch(addr uint32, write bool) bool {
 				v.memID++
 				id = v.memID
 			}
-			rq := v.e.pool.newReq()
+			rq := v.e.pool.reqs.get()
 			*rq = memReq{Addr: res.LineAddr, Write: false, ReplyTo: v.e.pl.exec, ID: id}
 			v.c.Send(v.e.pl.mmu, rq, wordsMemReq)
 		}, func(payload any) (any, bool) {
@@ -426,13 +442,13 @@ func (v *execEnv) touch(addr uint32, write bool) bool {
 			// Consumed whether it matches or not: a stale reply to a
 			// superseded attempt dies here.
 			match := r.ID == id
-			v.e.pool.freeResp(r)
+			v.e.pool.resps.put(r)
 			return nil, match
 		})
 		v.e.trc().Span(v.c.Tile, "memfill", tMiss, v.c.Now(), "addr", uint64(res.LineAddr), "", 0)
 		return false
 	}
-	rq := v.e.pool.newReq()
+	rq := v.e.pool.reqs.get()
 	*rq = memReq{Addr: res.LineAddr, Write: false, ReplyTo: v.e.pl.exec, ID: id}
 	v.c.Send(v.e.pl.mmu, rq, wordsMemReq)
 	for {
@@ -442,7 +458,7 @@ func (v *execEnv) touch(addr uint32, write bool) bool {
 			continue
 		}
 		if r, ok := msg.Payload.(*memResp); ok && r.ID == id {
-			v.e.pool.freeResp(r)
+			v.e.pool.resps.put(r)
 			v.e.trc().Span(v.c.Tile, "memfill", tMiss, v.c.Now(), "addr", uint64(res.LineAddr), "", 0)
 			return false
 		}

@@ -405,12 +405,12 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 	return e
 }
 
-// spawnSlots registers every slot's tile kernels. The execution tile
-// and the manager are goroutines wrapped in a loop that re-binds them to
-// the slot's current engine after a vmSwitch; the service tiles are
-// handler kernels that re-bind themselves (tiles.go). The slot keeps
-// each tile's process handle so a quarantine can daemon-mark the whole
-// slot.
+// spawnSlots registers every slot's tile kernels. The execution tile is
+// the slot's one goroutine, wrapped in a loop that re-binds it to the
+// slot's current engine after a vmSwitch; the manager and the service
+// tiles are handler kernels that re-bind themselves (tiles.go). The slot
+// keeps each tile's process handle so a quarantine can daemon-mark the
+// whole slot.
 func (fl *fleetRun) spawnSlots() {
 	for si := range fl.slots {
 		pl := fl.slots[si]
@@ -434,11 +434,6 @@ func (fl *fleetRun) spawnSlots() {
 					return
 				}
 				fl.admit(c, h, si, gi)
-			}
-		}))
-		add(fl.m.SpawnTile(pl.manager, "manager", func(c *raw.TileCtx) {
-			for {
-				h.cur.managerKernel(c)
 			}
 		}))
 		spawnService(fl.m, &pl, h)
@@ -569,9 +564,9 @@ func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e *engine, gi int) {
 }
 
 // handoff rebinds a slot's service tiles to the next guest's engine.
-// Phase 1 quiesces the manager: its in-flight translations complete
-// (and are discarded) inside drainForSwitch, so no stale transDone can
-// reach the new epoch. Phase 2 resets the remaining service tiles —
+// Phase 1 quiesces the manager: it acks only once its in-flight
+// translations have completed (and been discarded; beginSwitch), so no
+// stale transDone can reach the new epoch. Phase 2 resets the remaining service tiles —
 // workers flush their data banks (charged like a morph flush) and
 // slaves re-register with the new manager when their kernels restart.
 // The exec tile owns the handshake; it resumes dispatching only after

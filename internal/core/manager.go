@@ -80,10 +80,27 @@ type managerState struct {
 	rebankPend     bool
 	rebankDeadline uint64
 	detectAt       uint64 // bank-excision detection time, for recovery latency
+
+	// A vmSwitch from ackTo waits for the inflight translations still out
+	// to come back (beginSwitch).
+	switching bool
+	ackTo     int
+	inflight  int
 }
 
-// managerKernel runs the manager/L2-code-cache tile.
-func (e *engine) managerKernel(c *raw.TileCtx) {
+// managerTile is the manager/L2-code-cache tile's kernel. It only ever
+// answers messages, so it is a handler kernel like the service tiles
+// (tiles.go). st is the current VM epoch's state: start builds a fresh
+// one bound to the slot's engine, and a fleet vmSwitch runs start again
+// once the epoch has drained, so a finished guest's engine keeps the
+// state its results are read from (engine.mgr).
+type managerTile struct {
+	h  *slotHost
+	st *managerState
+}
+
+func (k *managerTile) start(c *raw.TileCtx) {
+	e := k.h.cur
 	P := &e.cfg.Params
 	st := &managerState{
 		e:           e,
@@ -121,46 +138,60 @@ func (e *engine) managerKernel(c *raw.TileCtx) {
 		e.restoreManager(st)
 	}
 	e.mgr = st
+	k.st = st
+	st.idle()
+}
 
-	for {
-		var msg sim.Msg
-		if e.robust {
-			// Bounded wait so the failure detectors run even when the
-			// fabric goes quiet (a dead tile produces silence, not
-			// messages).
-			st.onTick()
-			var ok bool
-			msg, ok = c.RecvDeadline(c.Now() + P.HeartbeatPeriod)
-			if !ok {
-				continue
-			}
-		} else {
-			msg = c.Recv()
+func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
+	st := k.st
+	if st.switching {
+		if st.drained(msg) {
+			c.Send(st.ackTo, switchAck{}, wordsCtl)
+			k.start(c)
 		}
-		switch m := msg.Payload.(type) {
-		case codeReq:
-			st.handleCodeReq(m)
-		case workReq:
-			st.handleWorkReq(msg.From)
-		case transDone:
-			st.handleTransDone(m, msg.From)
-		case promoteReq:
-			st.handlePromote(m)
-		case heartbeat:
-			st.handleBeat(msg.From)
-		case rebankAck:
-			st.handleRebankAck(m)
-		case smcInval:
-			st.handleSMCInval(m, msg.From)
-		case vmSwitch:
-			// Fleet slot handoff: retire this epoch and hand the tile
-			// back to the slot wrapper, which restarts the kernel bound
-			// to the next guest's engine.
-			st.drainForSwitch()
-			st.c.Send(msg.From, switchAck{}, wordsCtl)
-			return
-		}
+		return
 	}
+	switch m := msg.Payload.(type) {
+	case *codeReq:
+		st.handleCodeReq(m)
+		st.e.pool.codeReqs.put(m)
+	case workReq:
+		st.handleWorkReq(msg.From)
+	case *transDone:
+		st.handleTransDone(m, msg.From)
+		st.e.pool.dones.put(m)
+	case promoteReq:
+		st.handlePromote(m)
+	case heartbeat:
+		st.handleBeat(msg.From)
+	case rebankAck:
+		st.handleRebankAck(m)
+	case smcInval:
+		st.handleSMCInval(m, msg.From)
+	case vmSwitch:
+		// Fleet slot handoff: retire this epoch, then ack and start over
+		// bound to the slot's next engine.
+		if st.beginSwitch(msg.From) {
+			c.Send(msg.From, switchAck{}, wordsCtl)
+			k.start(c)
+		}
+		return
+	case raw.Corrupted:
+		st.e.recycleFaulty(m.Payload)
+	}
+	st.idle()
+}
+
+// idle ends every dispatch outside a switch. In robust mode it runs the
+// failure detectors and arms a timeout one heartbeat period on, so they
+// run even when the fabric goes quiet (a dead tile produces silence,
+// not messages).
+func (st *managerState) idle() {
+	if !st.e.robust {
+		return
+	}
+	st.onTick()
+	st.c.P.SetDeadline(st.c.Now() + st.e.cfg.Params.HeartbeatPeriod)
 }
 
 // onTick runs the manager's failure detectors (robust mode only):
@@ -324,29 +355,37 @@ func (st *managerState) sendRebank() {
 	st.rebankDeadline = st.c.Now() + st.e.cfg.Params.NetWatchdog
 }
 
-// drainForSwitch retires this manager epoch ahead of a fleet slot
-// handoff: the parked slaves are dropped (their kernels restart on
-// their own vmSwitch and re-register with the next manager), and the
-// manager blocks until every in-flight translation has come back —
-// results are discarded, the guest that wanted them is gone — so no
-// stale transDone can reach the new epoch.
-func (st *managerState) drainForSwitch() {
+// beginSwitch retires this manager epoch ahead of a fleet slot
+// handoff: the parked slaves are dropped (their kernels restart on their
+// own vmSwitch and re-register with the next manager), and the vmSwitch
+// from ackTo is acked only once every in-flight translation has come
+// back — results are discarded, the guest that wanted them is gone — so
+// no stale transDone can reach the new epoch. It reports whether nothing
+// is in flight, in which case the ack is due at once.
+func (st *managerState) beginSwitch(ackTo int) bool {
 	st.parked = nil
-	inflight := 0
+	st.switching, st.ackTo = true, ackTo
 	for _, en := range st.entries {
 		if en.inflight {
-			inflight++
+			st.inflight++
 		}
 	}
-	for inflight > 0 {
-		if m, ok := st.c.Recv().Payload.(transDone); ok {
-			if en := st.entry(m.PC); en.inflight {
-				en.inflight = false
-				inflight--
-				st.e.stats.Translations++
-			}
+	return st.inflight == 0
+}
+
+// drained takes one message while a switch waits: a transDone for an
+// in-flight translation counts down, everything else is discarded. It
+// reports whether the last translation has landed.
+func (st *managerState) drained(msg sim.Msg) bool {
+	if m, ok := msg.Payload.(*transDone); ok {
+		if en := st.entry(m.PC); en.inflight {
+			en.inflight = false
+			st.inflight--
+			st.e.stats.Translations++
 		}
+		st.e.pool.dones.put(m)
 	}
+	return st.inflight == 0
 }
 
 // handleSMCInval drops translations overlapping an overwritten byte
@@ -379,7 +418,7 @@ func (st *managerState) entry(pc uint32) *qEntry {
 
 // handleCodeReq services a demand request from the execution tile (or
 // an L1.5 bank forwarding one).
-func (st *managerState) handleCodeReq(m codeReq) {
+func (st *managerState) handleCodeReq(m *codeReq) {
 	P := &st.e.cfg.Params
 	t0 := st.c.Now()
 	st.c.Tick(P.L2CLookupOcc)
@@ -387,7 +426,7 @@ func (st *managerState) handleCodeReq(m codeReq) {
 		words := res.CodeBytes / 4
 		st.c.Tick(uint64(words) * P.L2CWordOcc) // DRAM read traffic
 		st.e.trc().Span(st.c.Tile, "l2c_lookup", t0, st.c.Now(), "pc", uint64(m.PC), "hit", 1)
-		st.respond(m, res)
+		st.respond(m.PC, m.ReplyTo, m.FillBank, m.Seq, res)
 		delete(st.specStored, m.PC)
 		return
 	}
@@ -397,7 +436,7 @@ func (st *managerState) handleCodeReq(m codeReq) {
 	st.e.trc().Span(st.c.Tile, "l2c_lookup", t0, st.c.Now(), "pc", uint64(m.PC), "hit", 0)
 	en := st.entry(m.PC)
 	if en.bad {
-		st.c.Send(m.ReplyTo, codeResp{PC: m.PC, Res: nil}, wordsCtl)
+		st.sendResp(m.ReplyTo, m.PC, m.Seq, nil, wordsCtl)
 		return
 	}
 	st.waiters[m.PC] = append(st.waiters[m.PC], waiter{m.ReplyTo, m.FillBank, m.Seq})
@@ -411,12 +450,21 @@ func (st *managerState) handleCodeReq(m codeReq) {
 
 // respond delivers a block to the requester and fills the forwarding
 // L1.5 bank.
-func (st *managerState) respond(m codeReq, res *translate.Result) {
+func (st *managerState) respond(pc uint32, replyTo, fillBank int, seq uint64, res *translate.Result) {
 	words := res.CodeBytes / 4
-	st.c.Send(m.ReplyTo, codeResp{PC: m.PC, Res: res, Seq: m.Seq}, words)
-	if m.FillBank >= 0 {
-		st.c.Send(m.FillBank, fill{PC: m.PC, Res: res}, words)
+	st.sendResp(replyTo, pc, seq, res, words)
+	if fillBank >= 0 {
+		f := st.e.pool.fills.get()
+		*f = fill{PC: pc, Res: res}
+		st.c.Send(fillBank, f, words)
 	}
+}
+
+// sendResp sends a pooled codeResp.
+func (st *managerState) sendResp(to int, pc uint32, seq uint64, res *translate.Result, words int) {
+	r := st.e.pool.codeResps.get()
+	*r = codeResp{PC: pc, Res: res, Seq: seq}
+	st.c.Send(to, r, words)
 }
 
 // push enqueues a translation request at the given priority bucket
@@ -538,12 +586,14 @@ func (st *managerState) dispatch() {
 // off the critical path and can afford the optimizing tier's better
 // (smaller, faster) code. A promotion re-translate forces the
 // optimizing tier.
-func (st *managerState) workFor(pc uint32, depth int) work {
-	return work{
+func (st *managerState) workFor(pc uint32, depth int) *work {
+	w := st.e.pool.works.get()
+	*w = work{
 		PC: pc, Depth: depth, Gen: st.e.smcGen,
 		Translator: st.e.tr, Mem: st.e.proc.Mem, Image: st.e.img, Optimize: st.e.cfg.Optimize,
 		Tier0: st.e.cfg.Tier0 && depth == 0 && !st.entry(pc).promote,
 	}
+	return w
 }
 
 // handlePromote re-queues a hot tier-0 block at demand priority for
@@ -566,7 +616,7 @@ func (st *managerState) handlePromote(m promoteReq) {
 
 // staleSMC reports whether a finished translation read bytes that were
 // overwritten after the work was dispatched.
-func (st *managerState) staleSMC(m transDone) bool {
+func (st *managerState) staleSMC(m *transDone) bool {
 	if m.Res == nil || m.Gen == st.e.smcGen {
 		return false
 	}
@@ -584,7 +634,7 @@ func (st *managerState) staleSMC(m transDone) bool {
 // and enqueues speculative successors. It is idempotent so that the
 // fault-recovery watchdogs may re-dispatch work whose first result was
 // merely slow rather than lost.
-func (st *managerState) handleTransDone(m transDone, from int) {
+func (st *managerState) handleTransDone(m *transDone, from int) {
 	P := &st.e.cfg.Params
 	if ow, ok := st.outstanding[from]; ok && ow.pc == m.PC {
 		delete(st.outstanding, from)
@@ -608,7 +658,7 @@ func (st *managerState) handleTransDone(m transDone, from int) {
 		en.bad = true
 		st.e.trc().Instant(st.c.Tile, "untranslatable", st.c.Now(), "pc", uint64(m.PC), "", 0)
 		for _, w := range st.waiters[m.PC] {
-			st.c.Send(w.replyTo, codeResp{PC: m.PC, Res: nil, Seq: w.seq}, wordsCtl)
+			st.sendResp(w.replyTo, m.PC, w.seq, nil, wordsCtl)
 		}
 		delete(st.waiters, m.PC)
 		st.dispatch()
@@ -652,7 +702,7 @@ func (st *managerState) handleTransDone(m transDone, from int) {
 
 	if ws, ok := st.waiters[m.PC]; ok {
 		for _, w := range ws {
-			st.respond(codeReq{PC: m.PC, ReplyTo: w.replyTo, FillBank: w.fillBank, Seq: w.seq}, m.Res)
+			st.respond(m.PC, w.replyTo, w.fillBank, w.seq, m.Res)
 		}
 		delete(st.waiters, m.PC)
 	} else if m.Depth > 0 {

@@ -19,6 +19,7 @@ type codeReq struct {
 	ReplyTo  int
 	FillBank int
 	Seq      uint64
+	pooled
 }
 
 // codeResp delivers a translated block (nil if the address is
@@ -28,12 +29,14 @@ type codeResp struct {
 	PC  uint32
 	Res *translate.Result
 	Seq uint64
+	pooled
 }
 
 // fill populates an L1.5 bank in the background.
 type fill struct {
 	PC  uint32
 	Res *translate.Result
+	pooled
 }
 
 // workReq is a translation slave asking the manager for work.
@@ -58,6 +61,7 @@ type work struct {
 	// Tier0 selects the IR-less template tier for this unit; the
 	// manager forces it off when the unit is a promotion re-translate.
 	Tier0 bool
+	pooled
 }
 
 // promoteReq asks the manager to re-translate a hot tier-0 block with
@@ -75,6 +79,7 @@ type transDone struct {
 	Depth int
 	Gen   uint64
 	Res   *translate.Result
+	pooled
 }
 
 // smcInval announces a guest store into translated code (self-
@@ -92,7 +97,7 @@ type smcAck struct{}
 // for a fleet slot handoff: the manager drains its in-flight
 // translations, workers flush their data banks, and every receiver
 // acknowledges with switchAck and starts over bound to the next guest's
-// engine (the manager by returning to its slot wrapper).
+// engine.
 type vmSwitch struct{}
 
 // switchAck acknowledges a vmSwitch to the coordinating exec tile.
@@ -102,14 +107,15 @@ type switchAck struct{}
 // MMU tile. Write requests are posted (no reply needed functionally)
 // but the execution tile still waits for acknowledgment on line fills.
 // memReq/memFwd/memResp are sent as pointers and recycled through the
-// engine's msgPool (they dominate message volume); the consuming
+// engine's msgPool (they dominate message volume), as are the code
+// path's codeReq, codeResp, fill, work and transDone; the consuming
 // kernel frees them.
 type memReq struct {
 	Addr    uint32
 	Write   bool
 	ReplyTo int // -1 for posted writebacks
 	ID      uint64
-	pooled  bool // double-free guard, owned by msgPool
+	pooled
 }
 
 // memFwd is the MMU-translated request forwarded to a data bank.
@@ -118,13 +124,13 @@ type memFwd struct {
 	Write   bool
 	ReplyTo int
 	ID      uint64
-	pooled  bool // double-free guard, owned by msgPool
+	pooled
 }
 
 // memResp acknowledges a serviced memory request.
 type memResp struct {
-	ID     uint64
-	pooled bool // double-free guard, owned by msgPool
+	ID uint64
+	pooled
 }
 
 // sysReq proxies a guest syscall: the pinned registers r1..r9

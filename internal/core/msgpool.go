@@ -1,9 +1,14 @@
 package core
 
-// msgPool recycles the high-rate memory-path messages (memReq, memFwd,
-// memResp) so a guest cache miss does not allocate three payloads per
-// round trip. The messages are sent as pointers; the consuming kernel
-// returns each one after its type switch. No locking is needed: the
+import "fmt"
+
+// msgPool recycles the high-rate messages so neither a guest cache miss
+// nor a code fetch allocates its payloads: the memory path (memReq,
+// memFwd, memResp) and the code path (codeReq, codeResp, fill, work,
+// transDone). The messages are sent as pointers; the consuming kernel
+// returns each one after its type switch, and a kernel that passes a
+// request on (an L1.5 bank forwarding a miss to the manager) passes the
+// pointer and with it the duty to free it. No locking is needed: the
 // simulator runs exactly one tile kernel at a time, and every handoff
 // between kernels is a happens-before edge.
 //
@@ -16,7 +21,7 @@ package core
 // out a payload that a queued Corrupted envelope still points at and a
 // later retry would race its own ghost. Each consuming kernel therefore
 // recycles corrupted payloads at its single consumption point. A stale
-// reply discarded by an ID mismatch is freed by the discarding
+// reply discarded by an ID or PC mismatch is freed by the discarding
 // consumer, which at that point holds the only reference.
 //
 // sysReq/sysResp are deliberately NOT pooled: the robust syscall tile
@@ -28,68 +33,55 @@ package core
 // payload, which corrupts simulation results silently — a panic at the
 // second free is strictly better.
 type msgPool struct {
-	reqs  []*memReq
-	fwds  []*memFwd
-	resps []*memResp
+	reqs      freeList[memReq, *memReq]
+	fwds      freeList[memFwd, *memFwd]
+	resps     freeList[memResp, *memResp]
+	codeReqs  freeList[codeReq, *codeReq]
+	codeResps freeList[codeResp, *codeResp]
+	fills     freeList[fill, *fill]
+	works     freeList[work, *work]
+	dones     freeList[transDone, *transDone]
 
-	// Recycled counts payloads reclaimed from the fault path (drops and
-	// consumed corruptions) — the messages that previous versions of
-	// this pool silently leaked to the garbage collector.
+	// Recycled counts memory-path payloads reclaimed from the fault path
+	// (drops and consumed corruptions) — the messages that previous
+	// versions of this pool silently leaked to the garbage collector.
+	// Code-path payloads recycle the same way but are not counted, so
+	// the metric it feeds (FaultMsgsRecycled) means what it always has.
 	Recycled uint64
 }
 
-func (p *msgPool) newReq() *memReq {
-	if n := len(p.reqs); n > 0 {
-		m := p.reqs[n-1]
-		p.reqs = p.reqs[:n-1]
-		m.pooled = false
+// pooled is embedded in every recycled message: the double-free guard,
+// owned by its freeList.
+type pooled struct{ free bool }
+
+func (p *pooled) guard() *pooled { return p }
+
+// poolable is a pointer to a message type that embeds pooled.
+type poolable[T any] interface {
+	*T
+	guard() *pooled
+}
+
+// freeList is one message type's free list.
+type freeList[T any, P poolable[T]] struct{ free []P }
+
+func (l *freeList[T, P]) get() P {
+	if n := len(l.free); n > 0 {
+		m := l.free[n-1]
+		l.free = l.free[:n-1]
+		m.guard().free = false
 		return m
 	}
-	return &memReq{}
+	return P(new(T))
 }
 
-func (p *msgPool) freeReq(m *memReq) {
-	if m.pooled {
-		panic("core: double free of pooled memReq")
+func (l *freeList[T, P]) put(m P) {
+	g := m.guard()
+	if g.free {
+		panic(fmt.Sprintf("core: double free of pooled %T", m))
 	}
-	m.pooled = true
-	p.reqs = append(p.reqs, m)
-}
-
-func (p *msgPool) newFwd() *memFwd {
-	if n := len(p.fwds); n > 0 {
-		m := p.fwds[n-1]
-		p.fwds = p.fwds[:n-1]
-		m.pooled = false
-		return m
-	}
-	return &memFwd{}
-}
-
-func (p *msgPool) freeFwd(m *memFwd) {
-	if m.pooled {
-		panic("core: double free of pooled memFwd")
-	}
-	m.pooled = true
-	p.fwds = append(p.fwds, m)
-}
-
-func (p *msgPool) newResp() *memResp {
-	if n := len(p.resps); n > 0 {
-		m := p.resps[n-1]
-		p.resps = p.resps[:n-1]
-		m.pooled = false
-		return m
-	}
-	return &memResp{}
-}
-
-func (p *msgPool) freeResp(m *memResp) {
-	if m.pooled {
-		panic("core: double free of pooled memResp")
-	}
-	m.pooled = true
-	p.resps = append(p.resps, m)
+	g.free = true
+	l.free = append(l.free, m)
 }
 
 // recycleFaulty returns a fault-path payload (dropped at the send site,
@@ -97,15 +89,31 @@ func (p *msgPool) freeResp(m *memResp) {
 // Non-pooled payloads (sysReq, control messages, ...) are ignored — the
 // fault injector is payload-agnostic, so this must accept anything.
 func (e *engine) recycleFaulty(payload any) {
+	p := &e.pool
 	switch m := payload.(type) {
 	case *memReq:
-		e.pool.freeReq(m)
+		p.reqs.put(m)
 	case *memFwd:
-		e.pool.freeFwd(m)
+		p.fwds.put(m)
 	case *memResp:
-		e.pool.freeResp(m)
+		p.resps.put(m)
+	case *codeReq:
+		p.codeReqs.put(m)
+		return
+	case *codeResp:
+		p.codeResps.put(m)
+		return
+	case *fill:
+		p.fills.put(m)
+		return
+	case *work:
+		p.works.put(m)
+		return
+	case *transDone:
+		p.dones.put(m)
+		return
 	default:
 		return
 	}
-	e.pool.Recycled++
+	p.Recycled++
 }

@@ -11,14 +11,14 @@ import (
 // message to two owners.
 func TestMsgPoolDoubleFreePanics(t *testing.T) {
 	p := &msgPool{}
-	m := p.newResp()
-	p.freeResp(m)
+	m := p.resps.get()
+	p.resps.put(m)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double free of a pooled memResp did not panic")
 		}
 	}()
-	p.freeResp(m)
+	p.resps.put(m)
 }
 
 // TestMsgPoolReuseAfterRecycle: a payload recycled through the fault
@@ -26,12 +26,12 @@ func TestMsgPoolDoubleFreePanics(t *testing.T) {
 // payloads are ignored rather than corrupting the free lists.
 func TestMsgPoolReuseAfterRecycle(t *testing.T) {
 	e := &engine{}
-	req := e.pool.newReq()
+	req := e.pool.reqs.get()
 	e.recycleFaulty(req)
 	if e.pool.Recycled != 1 {
 		t.Fatalf("Recycled = %d, want 1", e.pool.Recycled)
 	}
-	if got := e.pool.newReq(); got != req {
+	if got := e.pool.reqs.get(); got != req {
 		t.Error("recycled memReq was not reused")
 	}
 	e.recycleFaulty("not a pooled message")

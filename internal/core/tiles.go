@@ -10,14 +10,16 @@ import (
 	"tilevm/internal/translate"
 )
 
-// The service tiles — MMU, syscall proxy, L1.5 code banks, translation
-// slaves and L2 data banks — only ever answer messages, so each is a
-// handler kernel (raw.SpawnTileHandler): a state struct whose start runs
-// at the tile's first dispatch and whose handle runs once per message,
-// to completion, on whichever goroutine dispatched it; neither may
-// block. start binds the kernel to its slot's current engine (h.cur); a
-// fleet vmSwitch is acked and answered by running start again, state
-// fresh. A single machine is a slot that never switches.
+// The service tiles — manager, MMU, syscall proxy, L1.5 code banks,
+// translation slaves and L2 data banks — only ever answer messages, so
+// each is a handler kernel (raw.SpawnTileHandler): a state struct whose
+// start runs at the tile's first dispatch and whose handle runs once per
+// message, to completion, on whichever goroutine dispatched it; neither
+// may block. The execution tile is the only goroutine of a slot. start
+// binds the kernel to its slot's current engine (h.cur); a fleet
+// vmSwitch is acked and answered by running start again, state fresh
+// (the manager first waits out its in-flight translations). A single
+// machine is a slot that never switches.
 type tileKernel interface {
 	start(*raw.TileCtx)
 	handle(*raw.TileCtx, sim.Msg)
@@ -29,6 +31,7 @@ func spawnService(m *raw.Machine, pl *placement, h *slotHost) {
 	add := func(t int, name string, k tileKernel) {
 		h.procs = append(h.procs, m.SpawnTileHandler(t, name, k.start, k.handle))
 	}
+	add(pl.manager, "manager", &managerTile{h: h})
 	add(pl.mmu, "mmu", &mmuTile{h: h})
 	add(pl.sys, "syscall", &sysTile{h: h})
 	for _, t := range pl.l15 {
@@ -94,8 +97,9 @@ func (k *workerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	e, bank := k.e, k.bank
 	P := &e.cfg.Params
 	switch m := msg.Payload.(type) {
-	case work:
+	case *work:
 		e.doTranslate(c, m, msg.From)
+		e.pool.works.put(m)
 		if k.role == roleSlave {
 			c.Send(e.pl.manager, workReq{}, wordsCtl)
 		}
@@ -134,11 +138,11 @@ func (k *workerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 		}
 		e.trc().Span(c.Tile, "bank", t0, c.Now(), "addr", uint64(m.PAddr), "dram", b2u(miss))
 		if m.ReplyTo >= 0 {
-			r := e.pool.newResp()
+			r := e.pool.resps.get()
 			r.ID = m.ID
 			c.Send(m.ReplyTo, r, wordsMemResp)
 		}
-		e.pool.freeFwd(m)
+		e.pool.fwds.put(m)
 
 	case vmSwitch:
 		// Fleet slot handoff: flush the data bank so the next guest
@@ -168,7 +172,7 @@ func (k *workerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 // (Config.Memo), which hands back the block an earlier run translated
 // from the same bytes; the occupancy and the reply size below are
 // charged from the block either way, so the tile is exactly as busy.
-func (e *engine) doTranslate(c *raw.TileCtx, m work, replyTo int) {
+func (e *engine) doTranslate(c *raw.TileCtx, m *work, replyTo int) {
 	P := &e.cfg.Params
 	t0 := c.Now()
 	var res *translate.Result
@@ -178,10 +182,12 @@ func (e *engine) doTranslate(c *raw.TileCtx, m work, replyTo int) {
 	} else {
 		res, err = m.Translator.TranslateTier(m.Mem, m.PC, m.Tier0)
 	}
+	d := e.pool.dones.get()
+	*d = transDone{PC: m.PC, Depth: m.Depth, Gen: m.Gen}
 	if err != nil {
 		c.Tick(P.TransBaseOcc)
 		e.trc().Span(c.Tile, "translate", t0, c.Now(), "pc", uint64(m.PC), "depth", uint64(m.Depth))
-		c.Send(replyTo, transDone{PC: m.PC, Depth: m.Depth, Gen: m.Gen, Res: nil}, wordsCtl)
+		c.Send(replyTo, d, wordsCtl)
 		return
 	}
 	var cost uint64
@@ -196,7 +202,8 @@ func (e *engine) doTranslate(c *raw.TileCtx, m work, replyTo int) {
 	}
 	c.Tick(cost)
 	e.trc().Span(c.Tile, "translate", t0, c.Now(), "pc", uint64(m.PC), "depth", uint64(m.Depth))
-	c.Send(replyTo, transDone{PC: m.PC, Depth: m.Depth, Gen: m.Gen, Res: res}, res.CodeBytes/4)
+	d.Res = res
+	c.Send(replyTo, d, res.CodeBytes/4)
 }
 
 // l15Tile runs one bank of the L1.5 code cache.
@@ -215,7 +222,7 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 	e, bank := k.e, k.bank
 	P := &e.cfg.Params
 	switch m := msg.Payload.(type) {
-	case codeReq:
+	case *codeReq:
 		t0 := c.Now()
 		c.Tick(P.L15LookupOcc)
 		e.stats.L15Lookups++
@@ -226,17 +233,22 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 			words := res.CodeBytes / 4
 			c.Tick(uint64(words) * P.L15WordOcc)
 			e.trc().Span(c.Tile, "l15_lookup", t0, c.Now(), "pc", uint64(m.PC), "hit", 1)
-			c.Send(m.ReplyTo, codeResp{PC: m.PC, Res: res}, words)
+			r := e.pool.codeResps.get()
+			*r = codeResp{PC: m.PC, Res: res, Seq: m.Seq}
+			c.Send(m.ReplyTo, r, words)
+			e.pool.codeReqs.put(m)
 			return
 		}
 		e.trc().Span(c.Tile, "l15_lookup", t0, c.Now(), "pc", uint64(m.PC), "hit", 0)
+		// Passed on, and with it the duty to free it.
 		m.FillBank = c.Tile
 		c.Send(e.pl.manager, m, wordsCodeReq)
-	case fill:
+	case *fill:
 		t0 := c.Now()
 		c.Tick(uint64(m.Res.CodeBytes/4) * P.L15WordOcc)
 		bank.Insert(m.PC, m.Res)
 		e.trc().Span(c.Tile, "l15_fill", t0, c.Now(), "pc", uint64(m.PC), "", 0)
+		e.pool.fills.put(m)
 	case smcInval:
 		// Coarse invalidation: drop the whole bank.
 		c.Tick(P.L15LookupOcc)
@@ -247,6 +259,8 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 		// Fleet slot handoff; the next guest gets a fresh bank.
 		c.Send(msg.From, switchAck{}, wordsCtl)
 		k.start(c)
+	case raw.Corrupted:
+		e.recycleFaulty(m.Payload)
 	}
 }
 
@@ -289,10 +303,10 @@ func (k *mmuTile) handle(c *raw.TileCtx, msg sim.Msg) {
 		e.trc().Span(c.Tile, "mmu", t0, c.Now(), "addr", uint64(req.Addr), "tlb_miss", b2u(miss))
 		b := k.banks[dcache.BankFor(paddr, P.L2DLine, len(k.banks))]
 		local := dcache.LocalAddr(paddr, P.L2DLine, len(k.banks))
-		f := e.pool.newFwd()
+		f := e.pool.fwds.get()
 		*f = memFwd{PAddr: local, Write: req.Write, ReplyTo: req.ReplyTo, ID: req.ID}
 		c.Send(b, f, wordsMemReq)
-		e.pool.freeReq(req)
+		e.pool.reqs.put(req)
 	case rebank:
 		k.banks = append(k.banks[:0], req.Banks...)
 		e.trc().Instant(c.Tile, "rebank", c.Now(), "gen", req.Gen, "banks", uint64(len(k.banks)))
