@@ -301,16 +301,29 @@ func TestCancelCollateralRequeues(t *testing.T) {
 	// interrupts the whole simulation between two dispatches, and the
 	// innocent survivor must be requeued and finish on its second
 	// attempt with the result it would have had undisturbed.
+	//
+	// The scheduler pops whatever is queued the moment it looks, so the
+	// two jobs are queued while it is held inside the batch start of a
+	// job of its own ("gate"): its next pop is the pair, never the victim
+	// alone.
 	var s *Service
 	canceled := false
+	gated, release := make(chan struct{}), make(chan struct{})
 	s = newTestService(t, Config{Width: 4, Height: 4, onBatchStart: func(ids []string) {
-		if !canceled && len(ids) == 2 {
+		switch {
+		case len(ids) == 1 && ids[0] == "gate":
+			close(gated)
+			<-release
+		case !canceled && len(ids) == 2:
 			canceled = true
 			s.Cancel("victim")
 		}
 	}}, nil)
+	mustSubmit(t, s, Spec{ID: "gate", Workload: "164.gzip"})
+	<-gated
 	mustSubmit(t, s, Spec{ID: "victim", Workload: "164.gzip"})
 	mustSubmit(t, s, Spec{ID: "survivor", Workload: "181.mcf"})
+	close(release)
 	if v := await(t, s, "victim"); v.State != StateCanceled.String() {
 		t.Fatalf("victim state %s, want canceled", v.State)
 	}
