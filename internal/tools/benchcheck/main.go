@@ -10,7 +10,8 @@
 // allocations and bytes (translate_block_tier1/tier0 over the 176.gcc
 // corpus), the kernel's process switch (sim_proc_switch at 2 and
 // 64 processes) and the three per-message costs (sim_tick_recv,
-// sim_handler_dispatch, l1_fill).
+// sim_handler_dispatch, l1_fill, the last with its allocations held
+// exactly at the recorded count, zero).
 // A metric that regresses beyond its tolerance fails the run. Tolerances are deliberately
 // generous — shared CI hosts are noisy — so only a structural
 // regression (an accidental O(n²), a lost pooling optimization) trips
@@ -152,6 +153,17 @@ func evaluate(ms []metric) (lines, violations []string) {
 	return lines, violations
 }
 
+// exactCount compares a deterministic count with its baseline, a zero
+// baseline included: any count above it is a violation.
+func exactCount(name string, baseline, measured int64) (line, violation string) {
+	status := "ok"
+	if measured > baseline {
+		status = "REGRESSED"
+		violation = fmt.Sprintf("%s: %d exceeds baseline %d (exact)", name, measured, baseline)
+	}
+	return fmt.Sprintf("%-28s baseline %14d  measured %14d  (exact) %s", name, baseline, measured, status), violation
+}
+
 func measureQuickSuite() (float64, error) {
 	s := bench.NewSuite()
 	s.Quick = true
@@ -278,6 +290,7 @@ func main() {
 	// time, a request answered by a handler on the requester's goroutine,
 	// and a code-cache fill over the translate corpus.
 	fmt.Fprintln(os.Stderr, "benchcheck: measuring sim_tick_recv/sim_handler_dispatch/l1_fill...")
+	var l1FillAllocs int64
 	for _, k := range []struct {
 		name, unit string
 		f          func(b *testing.B)
@@ -285,6 +298,9 @@ func main() {
 		{"l1_fill", "ns/fill", bench.L1FillBench()}} {
 		r := testing.Benchmark(k.f)
 		ms = append(ms, metric{k.name + " " + k.unit, float64(base.Micro[k.name].NsPerOp), float64(r.NsPerOp()), *timeTol})
+		if k.name == "l1_fill" {
+			l1FillAllocs = r.AllocsPerOp()
+		}
 	}
 	if !*skipSuite {
 		fmt.Fprintln(os.Stderr, "benchcheck: running quick figure suite (serial)...")
@@ -397,6 +413,14 @@ func main() {
 	ms = append(ms, metric{"warmup tier0 cycles", baseWarmup, float64(wres.Tier0Cycles), 1.10})
 
 	lines, violations := evaluate(ms)
+	// A fill allocates nothing (its chain sites go on an intrusive list),
+	// so its count is held exactly — zero included, which evaluate would
+	// excuse as a baseline that predates the counter.
+	l1Line, l1Violation := exactCount("l1_fill allocs/op", base.Micro["l1_fill"].AllocsPerOp, l1FillAllocs)
+	lines = append(lines, l1Line)
+	if l1Violation != "" {
+		violations = append(violations, l1Violation)
+	}
 	for _, l := range lines {
 		fmt.Println(l)
 	}

@@ -30,6 +30,19 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
+func TestExactCount(t *testing.T) {
+	for _, c := range []struct {
+		baseline, measured int64
+		fails              bool
+	}{{0, 0, false}, {0, 1, true}, {3, 2, false}, {3, 4, true}} {
+		line, violation := exactCount("count", c.baseline, c.measured)
+		if (violation != "") != c.fails || strings.Contains(line, "REGRESSED") != c.fails {
+			t.Errorf("baseline %d, measured %d: line %q, violation %q, want failing %v",
+				c.baseline, c.measured, line, violation, c.fails)
+		}
+	}
+}
+
 func TestLoadBaseline(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.json")
