@@ -139,7 +139,7 @@ func (k *managerTile) start(c *raw.TileCtx) {
 	}
 	e.mgr = st
 	k.st = st
-	st.idle()
+	st.watch()
 }
 
 func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
@@ -179,14 +179,14 @@ func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	case raw.Corrupted:
 		st.e.recycleFaulty(m.Payload)
 	}
-	st.idle()
+	st.watch()
 }
 
-// idle ends every dispatch outside a switch. In robust mode it runs the
+// watch ends every dispatch outside a switch. In robust mode it runs the
 // failure detectors and arms a timeout one heartbeat period on, so they
 // run even when the fabric goes quiet (a dead tile produces silence,
 // not messages).
-func (st *managerState) idle() {
+func (st *managerState) watch() {
 	if !st.e.robust {
 		return
 	}
@@ -436,7 +436,7 @@ func (st *managerState) handleCodeReq(m *codeReq) {
 	st.e.trc().Span(st.c.Tile, "l2c_lookup", t0, st.c.Now(), "pc", uint64(m.PC), "hit", 0)
 	en := st.entry(m.PC)
 	if en.bad {
-		st.sendResp(m.ReplyTo, m.PC, m.Seq, nil, wordsCtl)
+		st.sendResp(m.ReplyTo, m.PC, 0, nil, wordsCtl)
 		return
 	}
 	st.waiters[m.PC] = append(st.waiters[m.PC], waiter{m.ReplyTo, m.FillBank, m.Seq})

@@ -234,7 +234,7 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 			c.Tick(uint64(words) * P.L15WordOcc)
 			e.trc().Span(c.Tile, "l15_lookup", t0, c.Now(), "pc", uint64(m.PC), "hit", 1)
 			r := e.pool.codeResps.get()
-			*r = codeResp{PC: m.PC, Res: res, Seq: m.Seq}
+			*r = codeResp{PC: m.PC, Res: res}
 			c.Send(m.ReplyTo, r, words)
 			e.pool.codeReqs.put(m)
 			return
