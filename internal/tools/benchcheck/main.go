@@ -430,5 +430,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchcheck: %d metrics within tolerance of %s\n", len(ms), *basePath)
+	fmt.Printf("benchcheck: %d metrics within tolerance of %s\n", len(lines), *basePath)
 }
