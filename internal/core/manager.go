@@ -27,7 +27,9 @@ type qEntry struct {
 	tier uint8
 }
 
-// waiter is a demand requester blocked on a translation.
+// waiter is where the answer to a demand request goes: the requester,
+// the L1.5 bank to fill (-1 for none) and the request's sequence number.
+// A miss keeps one until the translation lands.
 type waiter struct {
 	replyTo  int
 	fillBank int
@@ -426,7 +428,7 @@ func (st *managerState) handleCodeReq(m *codeReq) {
 		words := res.CodeBytes / 4
 		st.c.Tick(uint64(words) * P.L2CWordOcc) // DRAM read traffic
 		st.e.trc().Span(st.c.Tile, "l2c_lookup", t0, st.c.Now(), "pc", uint64(m.PC), "hit", 1)
-		st.respond(m.PC, m.ReplyTo, m.FillBank, m.Seq, res)
+		st.respond(m.PC, waiter{m.ReplyTo, m.FillBank, m.Seq}, res)
 		delete(st.specStored, m.PC)
 		return
 	}
@@ -450,13 +452,13 @@ func (st *managerState) handleCodeReq(m *codeReq) {
 
 // respond delivers a block to the requester and fills the forwarding
 // L1.5 bank.
-func (st *managerState) respond(pc uint32, replyTo, fillBank int, seq uint64, res *translate.Result) {
+func (st *managerState) respond(pc uint32, w waiter, res *translate.Result) {
 	words := res.CodeBytes / 4
-	st.sendResp(replyTo, pc, seq, res, words)
-	if fillBank >= 0 {
+	st.sendResp(w.replyTo, pc, w.seq, res, words)
+	if w.fillBank >= 0 {
 		f := st.e.pool.fills.get()
 		*f = fill{PC: pc, Res: res}
-		st.c.Send(fillBank, f, words)
+		st.c.Send(w.fillBank, f, words)
 	}
 }
 
@@ -702,7 +704,7 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 
 	if ws, ok := st.waiters[m.PC]; ok {
 		for _, w := range ws {
-			st.respond(m.PC, w.replyTo, w.fillBank, w.seq, m.Res)
+			st.respond(m.PC, w, m.Res)
 		}
 		delete(st.waiters, m.PC)
 	} else if m.Depth > 0 {
