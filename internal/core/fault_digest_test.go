@@ -44,10 +44,10 @@ func stalls(ts ...fault.TileStall) *fault.Plan { return &fault.Plan{Seed: 5, Sta
 var runGoldens = []runGolden{
 	{name: "fail/slave",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
-		want: [3]string{"1362298:0:d09cbd6d23246ebb", "2808973:0:6c18ff5b21495590", "14844523:0:ba14ca0ca82e76a5"}},
+		want: [3]string{"1362298:0:1a8db9a9bb8e46eb", "2808973:0:bbcce5f6e08d389b", "14844523:0:45c02b84b6fe7ac8"}},
 	{name: "fail/bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
-		want: [3]string{"1362298:0:629c976473530c47", "3344484:0:a4de4229f2750f65", "14909679:0:3bb25ce790cf8254"}},
+		want: [3]string{"1362298:0:f3893dd5373bf63f", "3344484:0:eed02b1212a25360", "14909679:0:6643274a4c30b0a4"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -55,16 +55,16 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 14, Cycle: 250_000},
 				fault.TileFail{Tile: 12, Cycle: 600_000})
 		},
-		want: [3]string{"1361706:0:1772291df91e8ac3", "3464438:0:415266568f95874e", "14373512:0:4ce3c56d00593ecd"}},
+		want: [3]string{"1361706:0:5d2ad6fd5ad102b1", "3464438:0:9af91cc195b2520b", "14373512:0:4ef60577d8935f64"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2698092:0:c9ff24d86cb980c6", "5249817:0:515b2c8c8dc1511e", "16998107:0:22fe954a94fcac9c"}},
+		want: [3]string{"2698092:0:9cf9128a710a016c", "5249817:0:eaa220b89753b443", "16998107:0:9fee2d7671464a1b"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
-		want: [3]string{"1392326:0:c14ab2c9b5f04de7", "2838998:0:ebfcca15a774f108", "15098615:0:3c3912d3a86dc2c0"}},
+		want: [3]string{"1392326:0:fdc14c298dabfd67", "2838998:0:8de02a6406da55a9", "15098615:0:d296c7ab6bc0cc5e"}},
 	{name: "stall/bank",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tilePermBank, Cycle: 500_000, Dur: 45_000}) },
-		want: [3]string{"1362298:0:570214461d2d1568", "2853655:0:4bd3aee298ee40ff", "14924852:0:7e88d2cc39631dcd"}},
+		want: [3]string{"1362298:0:7a39f23212449a72", "2853655:0:5e396ef15cc4f1f4", "14924852:0:162a4f4eac2d32d2"}},
 	{name: "stall/l15+sys+slave+two-on-one-bank",
 		cfg: func(c *Config) {
 			c.Fault = stalls(
@@ -74,7 +74,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 2, Cycle: 300_000, Dur: 1_000},
 				fault.TileStall{Tile: 2, Cycle: 300_500, Dur: 2_000})
 		},
-		want: [3]string{"1433412:0:8125c52eeec5bfb3", "2888322:0:a09c353c74ec9f1a", "14989621:0:2aa53d111f7d4982"}},
+		want: [3]string{"1433412:0:1a8a0890a5da4053", "2888322:0:284a9f7f61c125c3", "14989621:0:566e35cbae7869f9"}},
 	{name: "stall/norecover",
 		cfg: func(c *Config) {
 			c.FaultRecovery = false
@@ -83,7 +83,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 7, Cycle: 350_000, Dur: 12_000},
 				fault.TileStall{Tile: 13, Cycle: 50_000, Dur: 40_000})
 		},
-		want: [3]string{"1360386:0:5beaf8920293918f", "2822178:0:419e233980418d91", "14414417:0:c4bcb3ae488bdcfa"}},
+		want: [3]string{"1360386:0:36e1ab5b9e885e77", "2822178:0:37a8d1f07b8096aa", "14414417:0:43c992307c93a18b"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 9,
@@ -94,13 +94,13 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1361374:0:b1e828d337e44af2", "3486023:0:3cb3875720758e0b", "14675406:0:445f23353a5dada9"}},
+		want: [3]string{"1361374:0:e5a34ff9c9b1ea68", "3486023:0:6d0f55fda12dead8", "14675406:0:837efa65812bdd73"}},
 	{name: "chaos/recover",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 7, DropProb: 0.01, DelayProb: 0.02, DelayCycles: 1_000,
 				CorruptProb: 0.01, DRAMProb: 0.05}
 		},
-		want: [3]string{"1827796:0:cae4604154337733", "29037591:0:f23537f42afddee9", "39579550:0:ff6dc5b50fc3a651"}},
+		want: [3]string{"1827796:0:4f09d4808234ef09", "29037591:0:eb53efc1a4ba364c", "39579550:0:d817efd285b667ef"}},
 	{name: "chaos+fail+stall",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 21, DropProb: 0.005, DelayProb: 0.01, DelayCycles: 600,
@@ -108,13 +108,13 @@ var runGoldens = []runGolden{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 250_000, Dur: 8_000}},
 				Fails:  []fault.TileFail{{Tile: 11, Cycle: 200_000}, {Tile: 2, Cycle: 700_000}}}
 		},
-		want: [3]string{"1642910:0:9d7aa70e1f187291", "15910970:0:9d5fd0d173fa14ca", "26588588:0:63e441f2752c3d6f"}},
+		want: [3]string{"1642910:0:8c65d55a67f925fd", "15910970:0:08bbb28fdf16ccb0", "26588588:0:47d9876c3f21bade"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg: func(c *Config) {
 			c.Recovery = RecoverRollback
 			c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000})
 		},
-		want: [3]string{"1362298:0:9095ccaf1a3e4ae0", "3334708:0:c8817cd12f139cb9", "14894048:0:065c37f7549fef12"}},
+		want: [3]string{"1362298:0:d590a5d94b52abb6", "3334708:0:64275892b8dafab0", "14894048:0:c5d80a659641936a"}},
 	{name: "rollback/two-banks+slave/interval",
 		cfg: func(c *Config) {
 			c.Recovery = RecoverRollback
@@ -124,35 +124,32 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 13, Cycle: 500_000},
 				fault.TileFail{Tile: 2, Cycle: 800_000})
 		},
-		want: [3]string{"1362298:0:28862bb7eca18ae4", "4302066:0:3e531e734ac3a5ae", "14723221:0:0de2d812891f4ca7"}},
+		want: [3]string{"1362298:0:31d9f73daba34894", "4302066:0:81f46baa6ea43cd1", "14723221:0:9628e6cd70e30a26"}},
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
-		want: [3]string{"1366236:0:50fbf78f15731f46", "2814592:0:46d5e400a533bb77", "14525580:0:e0e3d4f7d126b69b"}},
+		want: [3]string{"1366236:0:ccefc046a326ab9a", "2814592:0:a54149b78732342a", "14525580:0:0c814ae913347ebc"}},
 	{name: "morph/stall+chaos",
 		cfg: func(c *Config) {
 			c.Morph = true
 			c.Fault = &fault.Plan{Seed: 3, DropProb: 0.004, DelayProb: 0.01, DelayCycles: 300,
 				Stalls: []fault.TileStall{{Tile: 14, Cycle: 150_000, Dur: 25_000}}}
 		},
-		want: [3]string{"1421985:0:f91d1d2ed0dcffa2", "7794834:0:f43ed0efd3bbba19", "19653715:0:4082bb8ddc378290"}},
-	{name: "tier0",
-		cfg:  func(c *Config) { c.Tier0, c.TierUpThreshold = true, 2_000 },
-		want: [3]string{"1356005:0:56d41e6ca691b66b", "2804518:0:fcf3301a2c3a8c4d", "14408246:0:0496a7bde7b5aa1c"}},
-	{name: "tier0/nospec/fail",
+		want: [3]string{"1421985:0:5cfc4df0f339d74d", "7794834:0:f973651c1be6da27", "19653715:0:08a88bebcbbe7e58"}},
+	{name: "nospec/fail",
 		cfg: func(c *Config) {
-			c.Speculative, c.Tier0 = false, true
+			c.Speculative = false
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
-		want: [3]string{"1542856:0:71881b65de68f1d9", "3482927:0:b32db8c3f88c7e0c", "18427098:0:620b3fbf3445d2f7"}},
+		want: [3]string{"1569257:0:feef61005a18c51e", "3007906:0:eb3175f0d4f5be58", "19105562:0:f6c180f599cd2d63"}},
 	{name: "traced", traced: true,
-		want: [3]string{"1356400:409651:2196f4940b0f464c", "2805178:5774705:4615eed752bb9f78", "14411161:14022151:939d8278384a0d12"}},
+		want: [3]string{"1356400:409651:af9dc843d8c7128e", "2805178:5774705:4ea6f84db4d2e94b", "14411161:14022151:8f9fe2b670b085c9"}},
 	{name: "traced/fail+stall", traced: true,
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 4,
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1377298:502631:e220d45c707e4565", "3426270:5837231:99280adf6d575492", "14661881:15282543:b9b58692e9c2d596"}},
+		want: [3]string{"1377298:502631:329878598401d7d7", "3426270:5837231:e7ea812f228b1f2d", "14661881:15282543:bc65080f9d0c18bc"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {
@@ -184,8 +181,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}
-		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
-			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
+		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
+			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsText(r.M))
 		cycles = r.Cycles
 	}
 	n := 0
