@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check nomaps vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke tier-smoke linkcheck
+.PHONY: check nomaps vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck
 
 # The full gate: what CI (and a pre-commit) should run.
 check: vet nomaps build tilebench-build test racepar
@@ -92,8 +92,8 @@ cover-fleet:
 	rm -f /tmp/tilevm-fleet-cover.out
 
 # Perf trajectory: the microbenchmarks in bench_test.go (including
-# BenchmarkTranslateBlock/tier1 and /tier0 and BenchmarkL1Fill over
-# the 176.gcc block corpus) plus the end-to-end figure-suite timing, and a
+# BenchmarkTranslateBlock and BenchmarkL1Fill over the 176.gcc block
+# corpus) plus the end-to-end figure-suite timing, and a
 # machine-readable snapshot of the same numbers in BENCH_sim.json via
 # cmd/simbench.
 bench:
@@ -205,26 +205,6 @@ tilevmd-smoke:
 	$(GO) build -o /tmp/tilevmd-smoke-bin ./cmd/tilevmd
 	$(GO) run ./internal/tools/servicesmoke -bin /tmp/tilevmd-smoke-bin
 	rm -f /tmp/tilevmd-smoke-bin
-
-# End-to-end tiered-translation smoke: the tracing example's workload
-# (164.gzip) with the template tier on at a low promotion threshold, in
-# the paper's non-speculative base configuration so tier-0 carries the
-# whole cold path. At least one hot block must be promoted, and the
-# guest's architectural outcome — stdout, exit code, final state hash —
-# must be identical to the optimizing-only run.
-tier-smoke:
-	$(GO) run ./cmd/tilevm -workload 164.gzip -speculate=false -v \
-	  > /tmp/tilevm-tier-smoke-base.txt
-	$(GO) run ./cmd/tilevm -workload 164.gzip -speculate=false \
-	  -tier0 -tier-up-threshold 2000 -v \
-	  > /tmp/tilevm-tier-smoke-t0.txt
-	grep -Eq '[1-9][0-9]* promotions' /tmp/tilevm-tier-smoke-t0.txt
-	sed -n '/^exit code/q;p' /tmp/tilevm-tier-smoke-base.txt > /tmp/tilevm-tier-smoke-base-out.txt
-	sed -n '/^exit code/q;p' /tmp/tilevm-tier-smoke-t0.txt > /tmp/tilevm-tier-smoke-t0-out.txt
-	cmp /tmp/tilevm-tier-smoke-base-out.txt /tmp/tilevm-tier-smoke-t0-out.txt
-	[ "$$(grep '^exit code' /tmp/tilevm-tier-smoke-base.txt)" = "$$(grep '^exit code' /tmp/tilevm-tier-smoke-t0.txt)" ]
-	[ "$$(grep '^state hash' /tmp/tilevm-tier-smoke-base.txt)" = "$$(grep '^state hash' /tmp/tilevm-tier-smoke-t0.txt)" ]
-	rm -f /tmp/tilevm-tier-smoke-*.txt
 
 # Verify that every relative link in the markdown docs points at a file
 # that exists.

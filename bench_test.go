@@ -48,13 +48,9 @@ func BenchmarkDecodeX86(b *testing.B) {
 }
 
 // BenchmarkTranslateBlock measures translation per block over the
-// 176.gcc block corpus: tier1 is the full pipeline (discover, flag
-// liveness, lower, optimize, register-allocate), tier0 the template
-// path alone.
-func BenchmarkTranslateBlock(b *testing.B) {
-	b.Run("tier1", bench.TranslateBlockBench(false))
-	b.Run("tier0", bench.TranslateBlockBench(true))
-}
+// 176.gcc block corpus through the full pipeline (discover, flag
+// liveness, lower, optimize, register-allocate).
+func BenchmarkTranslateBlock(b *testing.B) { bench.TranslateBlockBench()(b) }
 
 // BenchmarkL1Fill measures one L1 code-cache fill (a copy of the
 // block's predecoded form plus chain patching) over the same corpus.

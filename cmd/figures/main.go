@@ -32,9 +32,6 @@ func main() {
 		fleet      = flag.Bool("fleet", false, "also run the N-guest fleet scheduler sweep (4x4/8x8/16x16 fabrics; fixed and planner placement)")
 		fleetFault = flag.Bool("fleetfault", false, "also run the fleet fault-tolerance sweep (quarantine/retry/deadline policies)")
 		faultsw    = flag.Bool("faultsweep", false, "also run the graceful-degradation fault sweep")
-		warmup     = flag.Bool("warmup", false, "also run the tier-0 cold-start benchmark (arrival to first 10k retired instructions)")
-		tier0      = flag.Bool("tier0", false, "tier-0 template translation for the -trace run")
-		tierUpThr  = flag.Uint64("tier-up-threshold", 0, "tier-up promotion threshold for the -trace run (0 = default; requires -tier0)")
 		recovery   = flag.String("recovery", "excise", "fault-sweep recovery mode: excise or rollback")
 		asJSON     = flag.Bool("json", false, "emit figures as JSON instead of text tables")
 		tracePath  = flag.String("trace", "", "instead of figures, write a Chrome trace_event JSON timeline of one default-config run to this file")
@@ -65,17 +62,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "figures: -trace-interval requires -trace (the sampler writes next to the trace file)")
 		os.Exit(2)
 	}
-	// The -trace run's configuration; core decides whether it is valid.
-	traceCfg := core.DefaultConfig()
-	traceCfg.Tier0, traceCfg.TierUpThreshold = *tier0, *tierUpThr
-	if err := traceCfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
-	}
-	if *tier0 && *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "figures: -tier0 applies to the -trace run (use -warmup for the tier-0 benchmark)")
-		os.Exit(2)
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -103,7 +89,7 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		if err := traceRun(*traceWl, *tracePath, *traceEvery, traceCfg); err != nil {
+		if err := traceRun(*traceWl, *tracePath, *traceEvery); err != nil {
 			die(err)
 		}
 		return
@@ -208,30 +194,18 @@ func main() {
 		}
 		fmt.Println(out)
 	}
-	if *warmup {
-		w, err := s.WarmupBench()
-		if err != nil {
-			die(err)
-		}
-		fmt.Printf("warmup — %s, arrival to first %d retired host instructions\n", w.Workload, w.Insts)
-		fmt.Printf("  speculative   : tier-0 %8d cycles, optimizing-only %8d (%.3fx)\n",
-			w.Tier0Cycles, w.OptCycles, w.Speedup)
-		fmt.Printf("  no speculation: tier-0 %8d cycles, optimizing-only %8d (%.3fx)\n",
-			w.Tier0CyclesNoSpec, w.OptCyclesNoSpec, w.SpeedupNoSpec)
-	}
 }
 
-// traceRun executes one run of the named workload under cfg with the
-// virtual-time tracer attached and writes the Chrome trace JSON (and,
-// when interval sampling is on, the CSV time series next to it). With
-// cfg.Tier0 the run uses the template tier, so the timeline shows
-// tier_up/promote instants.
-func traceRun(wlName, path string, interval uint64, cfg core.Config) error {
+// traceRun executes one default-config run of the named workload with
+// the virtual-time tracer attached and writes the Chrome trace JSON
+// (and, when interval sampling is on, the CSV time series next to it).
+func traceRun(wlName, path string, interval uint64) error {
 	p, ok := workload.ByName(wlName)
 	if !ok {
 		return fmt.Errorf("unknown workload %q (known: %v)", wlName, workload.Names())
 	}
 	trc := core.NewTracer(interval)
+	cfg := core.DefaultConfig()
 	cfg.Tracer = trc
 	res, err := core.Run(p.Build(), cfg)
 	if err != nil {

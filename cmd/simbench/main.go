@@ -4,8 +4,7 @@
 // switch at 2 and 64 processes, the rawexec inner loop, a full machine
 // run of a data-bound and of a code-bound guest and the code-bound one
 // again from a filled translation memo, the Pentium III baseline run of
-// the data-bound one, tier-1 and tier-0 translation per block, the L1
-// code-cache fill)
+// the data-bound one, translation per block, the L1 code-cache fill)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline. The headline of
@@ -130,13 +129,6 @@ type output struct {
 		Seconds       float64 `json:"seconds"`
 		HostCPUs      int     `json:"host_cpus"`
 	} `json:"service_throughput"`
-
-	// Warmup is the tiered-translation cold-start benchmark: virtual
-	// cycles from guest arrival to the first 10k retired host
-	// instructions, with the tier-0 template translator on vs. the
-	// optimizing pipeline alone. Deterministic virtual cycles — host
-	// noise cannot move these numbers.
-	Warmup *bench.WarmupResult `json:"warmup"`
 
 	// FleetKernel is the event kernel on a fleet: one oversubscribed
 	// 12-guest fleet on an 8×8 fabric, dispatched a slot at a time
@@ -289,8 +281,7 @@ func main() {
 
 		"pentium_gzip": bmark(bench.PentiumBaselineBench("164.gzip")),
 
-		"translate_block_tier1": bmark(bench.TranslateBlockBench(false)),
-		"translate_block_tier0": bmark(bench.TranslateBlockBench(true)),
+		"translate_block_tier1": bmark(bench.TranslateBlockBench()),
 		"l1_fill":               bmark(bench.L1FillBench()),
 	}
 
@@ -337,14 +328,6 @@ func main() {
 	out.ServiceThroughput.SecondsPerJob = secPerJob
 	out.ServiceThroughput.Seconds = svcRes.Wall.Seconds()
 	out.ServiceThroughput.HostCPUs = cpus
-
-	fmt.Fprintln(os.Stderr, "simbench: tier-0 warmup (cold-start cycles)...")
-	wres, err := bench.NewSuite().WarmupBench()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		os.Exit(1)
-	}
-	out.Warmup = wres
 
 	fmt.Fprintln(os.Stderr, "simbench: fleet_kernel (slot-at-a-time vs interleaved fleet)...")
 	fk, err := bench.FleetKernelBench()
@@ -402,6 +385,4 @@ func main() {
 		fmt.Printf("simbench: placement_sweep %s cap %d: makespan fixed %d → planner %d\n",
 			g.Grid, g.MaxSlots, g.Fixed.Makespan, g.Planner.Makespan)
 	}
-	fmt.Printf("simbench: warmup tier0 %d vs opt %d cycles (%.3fx; no-spec %.3fx)\n",
-		wres.Tier0Cycles, wres.OptCycles, wres.Speedup, wres.SpeedupNoSpec)
 }

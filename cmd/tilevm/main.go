@@ -98,8 +98,6 @@ var flagTable = []flagRule{
 	{"l15", 2, "L1.5 code cache banks (0-2)", oneVM, "", "L15Banks"},
 	{"membanks", 4, "L2 data cache bank tiles (1 or 4)", oneVM, "", "MemBanks"},
 	{"opt", true, "optimize translated blocks", allModes, "", "Optimize"},
-	{"tier0", false, "tier-0 template translation for demand misses, with hotness-driven re-translation by the optimizing tier", "single fleet dump", "", "Tier0"},
-	{"tier-up-threshold", uint64(0), "retired instructions before a hot tier-0 block is promoted to the optimizing tier (0 = default; requires -tier0)", "single fleet dump", "", "TierUpThreshold"},
 	{"morph", false, "dynamic virtual architecture reconfiguration", allModes, "", "Morph"},
 	{"threshold", 5, "morphing queue-length threshold", oneVM, "", "MorphThreshold"},
 	{"maxcycles", uint64(0), "simulation watchdog (0 = default)", allModes, "", "MaxCycles"},
@@ -215,7 +213,6 @@ func parse(args []string) (*invocation, error) {
 	if inv.cfg, err = bench.RecordConfig(inv.rc); err != nil {
 		return nil, err
 	}
-	inv.cfg.Tier0, inv.cfg.TierUpThreshold = inv.on("tier0"), inv.u64("tier-up-threshold")
 	if inv.mode != "fleet" {
 		img, err := bench.RecordImage(inv.rc)
 		if err != nil {
@@ -358,7 +355,7 @@ func (inv *invocation) run() int {
 		}
 		reportFleet(res, inv.names, len(layout), verbose)
 	case "dump":
-		if err := dumpBlock(inv.imgs[0], inv.str("dump"), inv.on("opt"), inv.on("tier0")); err != nil {
+		if err := dumpBlock(inv.imgs[0], inv.str("dump"), inv.on("opt")); err != nil {
 			die(err)
 		}
 	case "record":
@@ -488,10 +485,6 @@ func report(res *core.Result, verbose bool) {
 	fmt.Printf("dispatches        : %d\n", m.BlockDispatches)
 	fmt.Printf("host instructions : %d\n", m.HostInsts)
 	fmt.Printf("translations      : %d (%d guest insts)\n", m.Translations, m.TransGuestInsts)
-	if m.Tier0Installs > 0 || m.Promotions > 0 {
-		fmt.Printf("tiered            : %d tier-0 installs, %d tier-1 installs, %d promotions\n",
-			m.Tier0Installs, m.Tier1Installs, m.Promotions)
-	}
 	if m.WarmupCycles > 0 {
 		fmt.Printf("warmup            : cycle %d\n", m.WarmupCycles)
 	}
@@ -524,11 +517,8 @@ func report(res *core.Result, verbose bool) {
 }
 
 // dumpBlock prints the guest basic block at the given PC and its
-// translation to host code. With tier0 the block goes through the
-// template tier instead (falling back like the slaves do if some
-// instruction has no template), so the two tiers' output can be
-// compared side by side.
-func dumpBlock(img *guest.Image, at string, optimize, tier0 bool) error {
+// translation to host code.
+func dumpBlock(img *guest.Image, at string, optimize bool) error {
 	pc := img.Entry
 	if at != "entry" {
 		v, err := strconv.ParseUint(strings.TrimPrefix(at, "0x"), 16, 32)
@@ -547,16 +537,12 @@ func dumpBlock(img *guest.Image, at string, optimize, tier0 bool) error {
 		fmt.Printf("  %08x: %s\n", in.Addr, in.String())
 	}
 	tr := translate.New(translate.Options{Optimize: optimize, ConservativeFlags: !optimize})
-	res, err := tr.TranslateTier(p.Mem, pc, tier0)
+	res, err := tr.TranslateFinal(p.Mem, pc)
 	if err != nil {
 		return err
 	}
-	tierName := "optimizing"
-	if res.Tier == translate.TierTemplate {
-		tierName = "tier-0 template"
-	}
-	fmt.Printf("\ntranslated host code (%d instructions, %d bytes, tier=%s, optimize=%v):\n",
-		len(res.Code), res.CodeBytes, tierName, optimize)
+	fmt.Printf("\ntranslated host code (%d instructions, %d bytes, optimize=%v):\n",
+		len(res.Code), res.CodeBytes, optimize)
 	fmt.Print(rawisa.Disassemble(res.Code))
 	fmt.Printf("\nexit kind %v, target %#x, fallthrough %#x\n",
 		res.Kind, res.Target, res.FallTarget)

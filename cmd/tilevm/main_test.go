@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -59,7 +61,6 @@ func TestConfigErrorNamesFlags(t *testing.T) {
 		want string
 	}{
 		{[]string{"-workload", "164.gzip", "-slaves", "9"}, "-slaves, -membanks: core: 9 slaves and 4 memory banks"},
-		{[]string{"-workload", "164.gzip", "-tier-up-threshold", "5"}, "-tier-up-threshold, -tier0: core:"},
 		{[]string{"-guests", "164.gzip", "-grid", "3x3"}, "-grid: core: 3×3 fabric fits no"},
 		{[]string{"-guests", "164.gzip", "-morph"}, "-morph: core: intra-VM morphing"},
 		{[]string{"-workload", "164.gzip", "-trace-interval", "9"}, "-trace-interval requires -trace"},
@@ -68,6 +69,32 @@ func TestConfigErrorNamesFlags(t *testing.T) {
 		_, err := parse(tc.args)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 			t.Errorf("parse(%q) = %v, want prefix %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestRemovedFlagsAreUnknown runs main, in a child process of the test
+// binary, with flags tilevm no longer has: each must stop the parse with
+// the flag package's unknown-flag message and exit status 2.
+func TestRemovedFlagsAreUnknown(t *testing.T) {
+	if args := os.Getenv("TILEVM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"tilevm"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{
+		"-tier0",
+		"-tier-up-threshold 2000",
+		"-sim-workers 2",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagsAreUnknown$")
+		cmd.Env = append(os.Environ(), "TILEVM_TEST_ARGS=-workload 164.gzip "+args)
+		out, err := cmd.CombinedOutput()
+		flag := strings.Fields(args)[0]
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 ||
+			!strings.Contains(string(out), "flag provided but not defined: "+flag) {
+			t.Errorf("tilevm %s: %v\n%s", args, err, out)
 		}
 	}
 }

@@ -45,8 +45,6 @@ var flags = []struct {
 	{"l15", "0", nil},
 	{"membanks", "1", nil},
 	{"opt", "=false", nil},
-	{"tier0", "", nil},
-	{"tier-up-threshold", "2000", []string{"-tier0"}},
 	{"morph", "", nil},
 	{"threshold", "15", nil},
 	{"maxcycles", maxCycles, nil},

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"testing"
 
 	"tilevm/internal/codecache"
@@ -31,26 +30,13 @@ func translateCorpus(tr *translate.Translator) (*guest.Memory, []*translate.Resu
 // TranslateBlockBench returns a benchmark that translates one block of
 // the TranslateCorpusWorkload corpus per iteration, cycling through it
 // in walk order, so ns/op and allocs/op read as per-block figures.
-// With tier0 it measures the template path alone over the blocks that
-// have templates; otherwise the optimizing pipeline over all of them.
-func TranslateBlockBench(tier0 bool) func(b *testing.B) {
+func TranslateBlockBench() func(b *testing.B) {
 	tr := translate.New(translate.Options{Optimize: true})
 	mem, blocks := translateCorpus(tr)
-	step := tr.TranslateFinal
-	if tier0 {
-		step = tr.TranslateTemplate
-	}
-	var addrs []uint32
-	for _, r := range blocks {
-		if _, err := step(mem, r.GuestAddr); errors.Is(err, translate.ErrUntemplated) {
-			continue
-		}
-		addrs = append(addrs, r.GuestAddr)
-	}
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := step(mem, addrs[i%len(addrs)]); err != nil {
+			if _, err := tr.TranslateFinal(mem, blocks[i%len(blocks)].GuestAddr); err != nil {
 				b.Fatal(err)
 			}
 		}

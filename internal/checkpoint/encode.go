@@ -19,9 +19,9 @@ import (
 const (
 	stateMagic  = "TVCK"
 	recordMagic = "TVRC"
-	// codecVer 2 added the tiered-translation section (Tier0PCs, Hot)
-	// and the tier-0 metrics counters.
-	codecVer = 2
+	// codecVer 2 added a tiered-translation section and three metrics
+	// counters; 3 removed them with the tier they served.
+	codecVer = 3
 )
 
 type writer struct {
@@ -321,13 +321,6 @@ func EncodeState(s *State) []byte {
 		w.u64(pi.Gen)
 	}
 
-	putU32s(w, s.Tier0PCs)
-	w.u64(uint64(len(s.Hot)))
-	for _, h := range s.Hot {
-		w.u32(h.PC)
-		w.u64(h.Insts)
-	}
-
 	putUints(w, &s.Metrics)
 	putUints(w, &s.Faults)
 
@@ -450,14 +443,6 @@ func DecodeState(data []byte) (*State, error) {
 		s.SMC.Inval = make([]PageInval, n)
 		for i := range s.SMC.Inval {
 			s.SMC.Inval[i] = PageInval{Page: r.u32(), Gen: r.u64()}
-		}
-	}
-
-	s.Tier0PCs = getU32s(r)
-	if n := r.count(2); r.err == nil {
-		s.Hot = make([]HotPC, n)
-		for i := range s.Hot {
-			s.Hot[i] = HotPC{PC: r.u32(), Insts: r.u64()}
 		}
 	}
 

@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"tilevm/internal/cachesim"
@@ -78,8 +81,6 @@ func sampleState() *State {
 			CodePages: []uint32{0x8048},
 			Inval:     []PageInval{{Page: 0x8048, Gen: 5}},
 		},
-		Tier0PCs: []uint32{0x8048020},
-		Hot:      []HotPC{{PC: 0x8048000, Insts: 9_999}},
 	}
 	s.Metrics.BlockDispatches = 123_456
 	s.Metrics.HostInsts = 789_012
@@ -165,6 +166,42 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// withVersion re-frames an encoding under another codec version, with
+// a valid CRC, so only the version gate can reject it.
+func withVersion(enc []byte, ver uint16) []byte {
+	out := bytes.Clone(enc)
+	binary.LittleEndian.PutUint16(out[4:], ver)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// TestVersionGate: a well-formed frame of version 2, the last version
+// with the tiered-translation section, is rejected by the version check
+// — not misread — for snapshots and records alike.
+func TestVersionGate(t *testing.T) {
+	want := fmt.Sprintf("checkpoint: unsupported version 2 (want %d)", codecVer)
+	for _, c := range []struct {
+		magic  string
+		enc    []byte
+		decode func([]byte) error
+	}{
+		{stateMagic, EncodeState(sampleState()), func(b []byte) error { _, err := DecodeState(b); return err }},
+		{recordMagic, (&Record{Config: RecordConfig{Workload: "164.gzip"}}).Encode(),
+			func(b []byte) error { _, err := DecodeRecord(b); return err }},
+	} {
+		if _, err := checkFrame(c.enc, c.magic); err != nil {
+			t.Fatalf("%s: current version rejected: %v", c.magic, err)
+		}
+		old := withVersion(c.enc, 2)
+		if _, err := checkFrame(old, c.magic); err == nil || err.Error() != want {
+			t.Errorf("%s: checkFrame = %v, want %q", c.magic, err, want)
+		}
+		if err := c.decode(old); err == nil || err.Error() != want {
+			t.Errorf("%s: decode = %v, want %q", c.magic, err, want)
+		}
+	}
+}
+
 // FuzzCheckpointDecode hammers the snapshot decoder with mutated
 // inputs: it must never panic or over-allocate, and anything it does
 // accept must re-encode canonically.
@@ -174,6 +211,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	small := sampleState()
 	small.Mem = nil
 	f.Add(EncodeState(small))
+	f.Add(withVersion(EncodeState(small), 2))
 	f.Add(EncodeState(&State{}))
 	f.Add([]byte("TVCK"))
 	f.Add([]byte{})
@@ -201,6 +239,7 @@ func FuzzRecordDecode(f *testing.F) {
 		Final:  RecordFinal{Cycles: 1},
 	}
 	f.Add(rec.Encode())
+	f.Add(withVersion(rec.Encode(), 2))
 	f.Add((&Record{}).Encode())
 	f.Add([]byte("TVRC"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -81,13 +81,6 @@ type SMCState struct {
 	Inval     []PageInval
 }
 
-// HotPC is one exec-tile block-hotness counter at capture time (tiered
-// translation's promotion state).
-type HotPC struct {
-	PC    uint32
-	Insts uint64
-}
-
 // State is one whole-machine snapshot.
 type State struct {
 	Seq    uint64 // capture sequence number within the run
@@ -108,14 +101,6 @@ type State struct {
 
 	Banks []BankState
 	SMC   SMCState
-
-	// Tiered-translation promotion state (empty unless tier-0 is on):
-	// Tier0PCs lists the L2 code cache entries that are template-tier
-	// translations (everything else restores as the optimizing tier),
-	// and Hot carries the exec tile's retired-instruction counters so
-	// pending promotions re-arm deterministically after a restore.
-	Tier0PCs []uint32
-	Hot      []HotPC
 
 	Metrics metrics.Set
 	Faults  fault.Counts

@@ -297,21 +297,6 @@ func (c *L2) Insert(pc uint32, b *translate.Result) {
 	c.Stores++
 }
 
-// Replace swaps in a new translation for a resident PC, adjusting the
-// byte accounting but keeping the entry's FIFO position (tier-up
-// installs a promoted block over its tier-0 version in place). A
-// non-resident PC falls through to Insert.
-func (c *L2) Replace(pc uint32, b *translate.Result) {
-	old, ok := c.blocks[pc]
-	if !ok {
-		c.Insert(pc, b)
-		return
-	}
-	c.bytes += b.CodeBytes - old.CodeBytes
-	c.blocks[pc] = b
-	c.Stores++
-}
-
 // Bytes returns current occupancy.
 func (c *L2) Bytes() int { return c.bytes }
 

@@ -72,13 +72,6 @@ type Config struct {
 	// ConservativeFlags disables cross-block dead-flag elimination.
 	ConservativeFlags bool
 
-	// Tier0 enables the IR-less template translation tier: blocks in
-	// the templated subset are first translated by the cheap tier-0
-	// path and re-translated by the optimizing tier once hot (tier-up).
-	Tier0 bool
-	// TierUpThreshold is the retired-host-instruction count at which a
-	// tier-0 block is promoted to the optimizing tier (0 = default).
-	TierUpThreshold uint64
 	// WarmupInsts, when nonzero, arms the warmup probe: the cycle at
 	// which the exec tile has retired this many host instructions is
 	// recorded in metrics.WarmupCycles (the cold-start metric).
@@ -250,12 +243,6 @@ type placement struct {
 // fault is bounded, sparse enough that host-side capture cost stays
 // small. (Capture charges no virtual cycles either way.)
 const DefaultCheckpointInterval = 100_000
-
-// DefaultTierUpThreshold is the promotion threshold used when Tier0 is
-// enabled without an explicit TierUpThreshold: a block (plus whatever
-// chains off its entry) must retire this many host instructions before
-// the optimizing tier re-translates it.
-const DefaultTierUpThreshold = 10_000
 
 // dropDead removes dead tiles from the role lists, for a rollback
 // re-execution attempt: the dead tiles are not spawned at all, and the

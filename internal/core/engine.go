@@ -70,22 +70,6 @@ type engine struct {
 	pageInval map[uint32]uint64 // page -> SMC generation of last invalidation
 	smcGen    uint64
 
-	// Tiered-translation promotion state (consulted only when
-	// cfg.Tier0; host-side and single-threaded in virtual time, shared
-	// between the exec tile and the manager like the SMC registry).
-	// hot accumulates retired host instructions per dispatched entry
-	// PC; promoSent latches fired promotion requests; tier0Blk tracks
-	// which installed blocks came from the template tier; promoGen
-	// counts settled promotions (the exec tile flushes its chained L1
-	// arena when it changes), and promoFresh marks just-promoted PCs
-	// the exec tile must refetch from the manager, past any L1.5 bank
-	// still holding the tier-0 copy.
-	hot        map[uint32]uint64
-	promoSent  map[uint32]bool
-	tier0Blk   map[uint32]bool
-	promoFresh map[uint32]bool
-	promoGen   uint64
-
 	// Fault injection. inj is non-nil only when cfg.Fault is a
 	// non-empty plan; robust additionally requires cfg.FaultRecovery
 	// and arms every watchdog/heartbeat/retry code path. With inj nil
@@ -259,7 +243,6 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 		ck:        ck,
 		restore:   restore,
 	}
-	e.initTierState()
 	e.m.Sim.SetLimit(cfg.MaxCycles)
 	cfg.Interrupt.bind(e.m.Sim)
 	if start > 0 {
@@ -354,24 +337,6 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 		return res, nil, fmt.Errorf("core: guest execution failed: %w", e.execErr)
 	}
 	return res, nil, nil
-}
-
-// initTierState allocates the tier-0 promotion maps (cheap enough to
-// do unconditionally; every path consulting them is gated on cfg.Tier0).
-func (e *engine) initTierState() {
-	e.hot = map[uint32]uint64{}
-	e.promoSent = map[uint32]bool{}
-	e.tier0Blk = map[uint32]bool{}
-	e.promoFresh = map[uint32]bool{}
-}
-
-// tierUpThreshold resolves the promotion threshold, applying the
-// default when the config leaves it zero.
-func (e *engine) tierUpThreshold() uint64 {
-	if e.cfg.TierUpThreshold > 0 {
-		return e.cfg.TierUpThreshold
-	}
-	return DefaultTierUpThreshold
 }
 
 // tileClock adapts a tile context to the execution engine's Clock.

@@ -32,7 +32,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 	prog := l1.Program()
 	pc := e.proc.PC
 	trc := e.trc()
-	lastPromoGen := e.promoGen
 
 	for {
 		// A fleet supervisor cancels a guest (deadline exceeded, slot
@@ -41,16 +40,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 		// strands nothing on the network.
 		if e.cancelled {
 			break
-		}
-		// A settled promotion invalidates the L1 arena wholesale:
-		// chaining precludes removing one entry, and the stale tier-0
-		// code may be reached through patched jumps. Hot blocks refetch
-		// their promoted copies on the next dispatch. Checked before
-		// capture so a snapshot never records an arena the promoted L2
-		// contents cannot regenerate.
-		if e.promoGen != lastPromoGen {
-			lastPromoGen = e.promoGen
-			l1.Flush()
 		}
 		// Checkpoint at the dispatch boundary: the one point where the
 		// guest has no request in flight, so a snapshot here plus the
@@ -78,13 +67,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 				e.execErr = fmt.Errorf("guest jumped to untranslatable code at %#x", pc)
 				break
 			}
-			if e.cfg.Tier0 {
-				if res.Tier == translate.TierTemplate {
-					e.tier0Blk[pc] = true
-				} else {
-					delete(e.tier0Blk, pc)
-				}
-			}
 			var st codecache.InsertStats
 			idx, st = l1.Insert(pc, res)
 			c.Tick(uint64(st.CopiedWords)*P.L1CopyWordOcc +
@@ -101,9 +83,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 		if e.cfg.WarmupInsts > 0 && e.stats.WarmupCycles == 0 && e.stats.HostInsts >= e.cfg.WarmupInsts {
 			e.stats.WarmupCycles = c.Now()
 			trc.Instant(c.Tile, "warmup", c.Now(), "insts", e.stats.HostInsts, "", 0)
-		}
-		if e.cfg.Tier0 {
-			e.noteHot(c, pc, exit.Insts)
 		}
 		if err != nil {
 			e.execErr = fmt.Errorf("at guest block %#x: %w", pc, err)
@@ -150,22 +129,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 	} else {
 		c.Stop()
 	}
-}
-
-// noteHot accumulates retired-instruction hotness against the entry PC
-// of the dispatched block (chained successors execute under the entry's
-// account — the whole chain is flushed as a unit when a promotion
-// settles) and fires a promotion request once a tier-0 block crosses
-// the tier-up threshold. The request is fire-and-forget: the manager's
-// guards make duplicates and stale requests harmless.
-func (e *engine) noteHot(c *raw.TileCtx, pc uint32, insts uint64) {
-	e.hot[pc] += insts
-	if e.promoSent[pc] || !e.tier0Blk[pc] || e.hot[pc] < e.tierUpThreshold() {
-		return
-	}
-	e.promoSent[pc] = true
-	e.trc().Instant(c.Tile, "tier_up", c.Now(), "pc", uint64(pc), "insts", e.hot[pc])
-	c.Send(e.pl.manager, promoteReq{PC: pc}, wordsCtl)
 }
 
 // rpc is the execution tile's robust request/reply primitive (used
@@ -237,13 +200,6 @@ func (e *engine) smcInvalidate(c *raw.TileCtx, env *execEnv, l1 *codecache.L1) {
 	}
 	l1.Flush()
 	env.smcPending = false
-	if e.cfg.Tier0 {
-		// Coarse but rare: the overwritten blocks' identities are gone
-		// from the manager's registry too, so hotness restarts from
-		// zero. A duplicate promotion request after the reset is
-		// rejected by the manager's tier guard.
-		e.initTierState()
-	}
 	e.trc().Span(c.Tile, "smc_inval", t0, c.Now(), "lo", uint64(inval.Lo), "hi", uint64(inval.Hi))
 }
 
@@ -306,13 +262,6 @@ func (e *engine) fetchBlock(c *raw.TileCtx, pc uint32) *translate.Result {
 	target := e.pl.manager
 	if n := len(e.pl.l15); n > 0 {
 		target = e.pl.l15[l15BankFor(pc, n)]
-	}
-	if e.promoFresh[pc] {
-		// Just promoted: fetch from the manager directly so an L1.5
-		// bank whose flush is still in flight cannot serve the stale
-		// tier-0 copy.
-		target = e.pl.manager
-		delete(e.promoFresh, pc)
 	}
 	if e.robust {
 		out := e.rpc(c, func(int) {

@@ -181,8 +181,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}
-		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
-			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsText(r.M))
+		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
+			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
 		cycles = r.Cycles
 	}
 	n := 0
@@ -205,8 +205,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 func TestRunFaultDigest(t *testing.T) {
 	// Every row twice: translating everything itself, and against a
 	// translation memo that plain runs of the guests filled beforehand,
-	// so most of what a row translates — under faults, retries, tiers
-	// and rollback — is handed to it. The goldens are the same.
+	// so most of what a row translates — under faults, retries and
+	// rollback — is handed to it. The goldens are the same.
 	memo := prefilledMemo(t, runGoldenGuests[:]...)
 	for i := range runGoldens {
 		g := &runGoldens[i]
@@ -221,13 +221,13 @@ func TestRunFaultDigest(t *testing.T) {
 	}
 }
 
-// prefilledMemo returns a memo holding what a default and a tier-0 run
-// of each guest translate.
+// prefilledMemo returns a memo holding what a default and a
+// non-speculative run of each guest translate.
 func prefilledMemo(t *testing.T, guests ...string) *translate.Memo {
 	t.Helper()
 	memo := translate.NewMemo()
 	for _, img := range fleetImgs(t, guests...) {
-		for _, cfg := range []Config{fleetCfg(4, 4), tier0Cfg()} {
+		for _, cfg := range []Config{fleetCfg(4, 4), noSpecCfg()} {
 			cfg.Memo = memo
 			if _, err := Run(img, cfg); err != nil {
 				t.Fatal(err)
@@ -235,4 +235,12 @@ func prefilledMemo(t *testing.T, guests ...string) *translate.Memo {
 		}
 	}
 	return memo
+}
+
+// noSpecCfg is the default configuration without speculative
+// translation: the paper's conservative translator.
+func noSpecCfg() Config {
+	cfg := DefaultConfig()
+	cfg.Speculative = false
+	return cfg
 }

@@ -376,7 +376,6 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 		pageInval: map[uint32]uint64{},
 		vmLabel:   fmt.Sprintf("vm%d", gi),
 	}
-	e.initTierState()
 	if fl.cks != nil {
 		e.ck = fl.cks[gi]
 	}

@@ -64,7 +64,7 @@ func TestFleetSlotAtATimeEquality(t *testing.T) {
 	}
 	for _, g := range fleetGoldens {
 		switch g.name {
-		case "8x8/free", "4x4/oversub", "8x8/planner/cap3", "8x8/traced", "4x4/tier0":
+		case "8x8/free", "4x4/oversub", "8x8/planner/cap3", "8x8/traced", "4x4/nospec":
 			cases = append(cases, g)
 		}
 	}

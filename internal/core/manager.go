@@ -19,12 +19,6 @@ type qEntry struct {
 	inflight bool
 	done     bool
 	bad      bool
-	// promote marks a done tier-0 entry re-queued for optimizing
-	// re-translation (tier-up); workFor forces tier-1 for it, and
-	// handleTransDone installs the result over the template version.
-	promote bool
-	// tier records which translation tier produced the stored block.
-	tier uint8
 }
 
 // waiter is where the answer to a demand request goes: the requester,
@@ -162,8 +156,6 @@ func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	case *transDone:
 		st.handleTransDone(m, msg.From)
 		st.e.pool.dones.put(m)
-	case promoteReq:
-		st.handlePromote(m)
 	case heartbeat:
 		st.handleBeat(msg.From)
 	case rebankAck:
@@ -582,38 +574,13 @@ func (st *managerState) dispatch() {
 }
 
 // workFor builds a work unit carrying this VM's translation context.
-// The template tier serves only demand work (depth 0): a demand miss
-// stalls the execution tile, so cutting translation latency there is
-// the whole point of tier-0, while run-ahead speculation is already
-// off the critical path and can afford the optimizing tier's better
-// (smaller, faster) code. A promotion re-translate forces the
-// optimizing tier.
 func (st *managerState) workFor(pc uint32, depth int) *work {
 	w := st.e.pool.works.get()
 	*w = work{
 		PC: pc, Depth: depth, Gen: st.e.smcGen,
 		Translator: st.e.tr, Mem: st.e.proc.Mem, Image: st.e.img, Optimize: st.e.cfg.Optimize,
-		Tier0: st.e.cfg.Tier0 && depth == 0 && !st.entry(pc).promote,
 	}
 	return w
-}
-
-// handlePromote re-queues a hot tier-0 block at demand priority for
-// optimizing re-translation (tier-up). Stale and duplicate requests —
-// the block was already promoted, invalidated by self-modifying code,
-// or a promotion is already in flight — are dropped: the guards make
-// the request idempotent, so the execution tile may fire and forget.
-func (st *managerState) handlePromote(m promoteReq) {
-	en := st.entry(m.PC)
-	if !en.done || en.promote || en.tier != translate.TierTemplate || !st.l2.Contains(m.PC) {
-		return
-	}
-	st.c.Tick(st.e.cfg.Params.TransRequestOcc)
-	en.promote = true
-	en.done = false
-	st.push(m.PC, 0)
-	st.dispatch()
-	st.traceQueueDepth()
 }
 
 // staleSMC reports whether a finished translation read bytes that were
@@ -668,34 +635,9 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 	}
 	en.done = true
 	st.e.stats.TransGuestInsts += uint64(m.Res.NumGuest)
-	if m.Res.Tier == translate.TierTemplate {
-		st.e.stats.Tier0Installs++
-	} else {
-		st.e.stats.Tier1Installs++
-	}
-	wasPromote := en.promote
-	en.promote = false
-	en.tier = m.Res.Tier
 	words := m.Res.CodeBytes / 4
 	st.c.Tick(P.L2CStoreOcc + uint64(words)*P.L2CWordOcc)
-	if wasPromote {
-		// Tier-up settlement: install the optimized block over the
-		// tier-0 version in place, flush the L1.5 banks holding the
-		// stale copy (their acks are fire-and-forget here), and tell the
-		// exec tile so it flushes its chained L1 arena at the next
-		// dispatch boundary. promoFresh routes that refetch straight to
-		// the manager, past any not-yet-flushed L1.5 bank.
-		st.l2.Replace(m.PC, m.Res)
-		st.e.stats.Promotions++
-		st.e.promoGen++
-		st.e.promoFresh[m.PC] = true
-		st.e.trc().Instant(st.c.Tile, "promote", st.c.Now(), "pc", uint64(m.PC), "gen", st.e.promoGen)
-		for _, bankTile := range st.e.pl.l15 {
-			st.c.Send(bankTile, smcInval{Lo: m.Res.GuestAddr, Hi: m.Res.GuestAddr + m.Res.GuestLen}, wordsCtl)
-		}
-	} else {
-		st.l2.Insert(m.PC, m.Res)
-	}
+	st.l2.Insert(m.PC, m.Res)
 	st.e.stats.L2CStores++
 	st.e.trc().Instant(st.c.Tile, "install", st.c.Now(), "pc", uint64(m.PC), "depth", uint64(m.Depth))
 	for pg := m.Res.GuestAddr >> 12; pg <= (m.Res.GuestAddr+m.Res.GuestLen-1)>>12; pg++ {

@@ -44,12 +44,7 @@ var memoCases = []memoCase{
 				t.Error("no SMC invalidation recorded")
 			}
 		}},
-	{name: "tier0", img: workloadImg("164.gzip"), cfg: tier0Cfg,
-		check: func(t *testing.T, r *Result) {
-			if r.M.Tier0Installs == 0 || r.M.Promotions == 0 {
-				t.Errorf("tier machinery silent: %d tier-0 installs, %d promotions", r.M.Tier0Installs, r.M.Promotions)
-			}
-		}},
+	{name: "nospec", img: workloadImg("164.gzip"), cfg: noSpecCfg},
 	{name: "rollback", img: workloadImg("197.parser"),
 		cfg: func() Config {
 			cfg := DefaultConfig()
@@ -67,12 +62,10 @@ var memoCases = []memoCase{
 		}},
 	{name: "fleet/same-image", img: workloadImg("164.gzip"), fleet: true,
 		cfg: func() Config { return fleetCfg(8, 8) }},
-	// Promotion replaces a block in the manager's L2 and flushes the L1
-	// that chained it: the writers closest to a Result two slots share.
-	{name: "fleet/same-image/tier0", img: workloadImg("164.gzip"), fleet: true,
+	{name: "fleet/same-image/nospec", img: workloadImg("164.gzip"), fleet: true,
 		cfg: func() Config {
 			cfg := fleetCfg(8, 8)
-			cfg.Tier0, cfg.TierUpThreshold = true, 2_000
+			cfg.Speculative = false
 			return cfg
 		}},
 	{name: "noopt", img: workloadImg("164.gzip"),

@@ -58,18 +58,7 @@ type work struct {
 	// memo (Config.Memo).
 	Image    *guest.Image
 	Optimize bool
-	// Tier0 selects the IR-less template tier for this unit; the
-	// manager forces it off when the unit is a promotion re-translate.
-	Tier0 bool
 	pooled
-}
-
-// promoteReq asks the manager to re-translate a hot tier-0 block with
-// the optimizing tier and install the result over the template version
-// (tier-up). Sent by the execution tile when a block's retired-
-// instruction count crosses the promotion threshold.
-type promoteReq struct {
-	PC uint32
 }
 
 // transDone returns a completed translation (Res nil on decode

@@ -82,30 +82,6 @@ func (e *engine) capture(c *raw.TileCtx, l1 *codecache.L1, env *execEnv) {
 		s.SMC.Inval = append(s.SMC.Inval, checkpoint.PageInval{Page: pg, Gen: e.pageInval[pg]})
 	}
 
-	if e.cfg.Tier0 {
-		// Record which L2 entries are template-tier so the restore's
-		// re-translation reproduces each block's tier (a promotion in
-		// flight still has the tier-0 block installed, so its tier flag
-		// is still TierTemplate). Hotness counters are clamped below
-		// the threshold for blocks whose promotion request already
-		// fired: promoSent itself is not captured, so the restored run
-		// re-arms and re-fires the promotion deterministically.
-		for pc, en := range mgr.entries {
-			if en.tier == translate.TierTemplate && mgr.l2.Contains(pc) {
-				s.Tier0PCs = append(s.Tier0PCs, pc)
-			}
-		}
-		sort.Slice(s.Tier0PCs, func(i, j int) bool { return s.Tier0PCs[i] < s.Tier0PCs[j] })
-		thr := e.tierUpThreshold()
-		for _, pc := range sortedU32map(e.hot) {
-			n := e.hot[pc]
-			if e.promoSent[pc] && n >= thr {
-				n = thr - 1
-			}
-			s.Hot = append(s.Hot, checkpoint.HotPC{PC: pc, Insts: n})
-		}
-	}
-
 	e.stats.Checkpoints++
 	s.Metrics = e.stats
 	if e.inj != nil {
@@ -136,39 +112,25 @@ func (e *engine) applyRestore(s *checkpoint.State) {
 	}
 
 	e.restoreBlocks = map[uint32]*translate.Result{}
-	tier0 := make(map[uint32]bool, len(s.Tier0PCs))
-	for _, pc := range s.Tier0PCs {
-		tier0[pc] = true
-	}
 	for _, pc := range s.L2C.PCs {
-		e.retranslate(pc, tier0[pc])
+		e.retranslate(pc)
 	}
 	for _, pc := range s.L1.PCs {
-		e.retranslate(pc, tier0[pc])
-	}
-	for _, h := range s.Hot {
-		e.hot[h.PC] = h.Insts
-	}
-	for pc, res := range e.restoreBlocks {
-		if res != nil && res.Tier == translate.TierTemplate {
-			e.tier0Blk[pc] = true
-		}
+		e.retranslate(pc)
 	}
 }
 
-// retranslate rebuilds one code-cache entry from restored guest memory,
-// through the same tier-dispatch helper the slave tiles use so restore
-// and the live pipeline can never disagree on which tier produced a
-// block. A failure is recorded as a nil block (the entry becomes "bad",
+// retranslate rebuilds one code-cache entry from restored guest memory.
+// A failure is recorded as a nil block (the entry becomes "bad",
 // the same terminal state the live pipeline gives an untranslatable
 // PC); it cannot happen for PCs that translated successfully before the
 // snapshot, because the memory they were translated from is restored
 // bit-identically.
-func (e *engine) retranslate(pc uint32, tier0 bool) {
+func (e *engine) retranslate(pc uint32) {
 	if _, ok := e.restoreBlocks[pc]; ok {
 		return
 	}
-	res, err := e.tr.TranslateTier(e.proc.Mem, pc, tier0)
+	res, err := e.tr.TranslateFinal(e.proc.Mem, pc)
 	if err != nil {
 		res = nil
 	}
@@ -190,7 +152,6 @@ func (e *engine) restoreManager(st *managerState) {
 		}
 		st.l2.Insert(pc, res)
 		en.done = true
-		en.tier = res.Tier
 		for pg := res.GuestAddr >> 12; pg <= (res.GuestAddr+res.GuestLen-1)>>12; pg++ {
 			e.codePages[pg] = true
 		}

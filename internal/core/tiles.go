@@ -164,10 +164,7 @@ func (k *workerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 }
 
 // doTranslate performs one translation unit on a slave tile, charging
-// the modeled translation occupancy, and reports the result. Tier
-// choice goes through translate.TranslateTier — the single dispatch
-// point shared with rollback re-translation — so record/replay and
-// restore can never disagree on which tier produced a block. A host
+// the modeled translation occupancy, and reports the result. A host
 // that runs the same images again and again supplies a memo
 // (Config.Memo), which hands back the block an earlier run translated
 // from the same bytes; the occupancy and the reply size below are
@@ -178,9 +175,9 @@ func (e *engine) doTranslate(c *raw.TileCtx, m *work, replyTo int) {
 	var res *translate.Result
 	var err error
 	if mo := e.cfg.Memo; mo != nil {
-		res, err = mo.TranslateTier(m.Translator, m.Image, m.Mem, m.PC, m.Tier0)
+		res, err = mo.Translate(m.Translator, m.Image, m.Mem, m.PC)
 	} else {
-		res, err = m.Translator.TranslateTier(m.Mem, m.PC, m.Tier0)
+		res, err = m.Translator.TranslateFinal(m.Mem, m.PC)
 	}
 	d := e.pool.dones.get()
 	*d = transDone{PC: m.PC, Depth: m.Depth, Gen: m.Gen}
@@ -190,15 +187,9 @@ func (e *engine) doTranslate(c *raw.TileCtx, m *work, replyTo int) {
 		c.Send(replyTo, d, wordsCtl)
 		return
 	}
-	var cost uint64
-	if res.Tier == translate.TierTemplate {
-		// Template emission: one decode pass, no IR, no regalloc.
-		cost = uint64(res.GuestLen)*P.TransFetchOcc + uint64(res.NumGuest)*P.Tier0BaseOcc
-	} else {
-		cost = uint64(res.GuestLen)*P.TransFetchOcc + uint64(res.NumGuest)*P.TransBaseOcc
-		if m.Optimize {
-			cost += uint64(res.NumGuest) * P.TransOptOcc
-		}
+	cost := uint64(res.GuestLen)*P.TransFetchOcc + uint64(res.NumGuest)*P.TransBaseOcc
+	if m.Optimize {
+		cost += uint64(res.NumGuest) * P.TransOptOcc
 	}
 	c.Tick(cost)
 	e.trc().Span(c.Tile, "translate", t0, c.Now(), "pc", uint64(m.PC), "depth", uint64(m.Depth))

@@ -54,18 +54,7 @@ func (cfg *Config) Validate() error {
 			"morphing requires the 6-slave/4-bank initial configuration")
 	}
 	pl := place(cfg)
-	if err := validateFaultPlan(&pl, cfg); err != nil {
-		return err
-	}
-	return validateTier(cfg)
-}
-
-// validateTier is the one rule both validators share.
-func validateTier(cfg *Config) error {
-	if cfg.TierUpThreshold != 0 && !cfg.Tier0 {
-		return configErr([]string{"TierUpThreshold", "Tier0"}, "a tier-up threshold requires tier-0 translation")
-	}
-	return nil
+	return validateFaultPlan(&pl, cfg)
 }
 
 // validateFaultPlan rejects fault plans the recovery protocol cannot
@@ -158,7 +147,7 @@ func validateFleet(cfg *Config, fc FleetConfig, guests int) ([]placement, error)
 			return nil, err
 		}
 	}
-	return slots, validateTier(cfg)
+	return slots, nil
 }
 
 // validateFleetFaultPlan rejects fault plans the fleet policy layer

@@ -32,7 +32,6 @@ func withFault(p fault.Plan) func(*Config, *FleetConfig) {
 }
 
 // knobSettings covers the knobs whose combinations decide validity.
-// TierUpThreshold is set together with the Tier0 it requires.
 var knobSettings = []knobSetting{
 	{"Slaves", "0", false, func(c *Config, _ *FleetConfig) { c.Slaves = 0 }},
 	{"Slaves", "9", false, func(c *Config, _ *FleetConfig) { c.Slaves = 9 }},
@@ -42,8 +41,6 @@ var knobSettings = []knobSetting{
 	{"MemBanks", "0", false, func(c *Config, _ *FleetConfig) { c.MemBanks = 0 }},
 	{"MemBanks", "1", false, func(c *Config, _ *FleetConfig) { c.MemBanks = 1 }},
 	{"Morph", "true", false, func(c *Config, _ *FleetConfig) { c.Morph = true }},
-	{"Tier0", "true", false, func(c *Config, _ *FleetConfig) { c.Tier0 = true }},
-	{"TierUpThreshold", "2000+Tier0", false, func(c *Config, _ *FleetConfig) { c.Tier0 = true; c.TierUpThreshold = 2000 }},
 	{"Fault", "fail-worker", false, withFault(fault.Plan{Fails: []fault.TileFail{{Tile: 3, Cycle: 100}}})},
 	{"Fault", "fail-exec", false, withFault(fault.Plan{Fails: []fault.TileFail{{Tile: 5, Cycle: 100}}})},
 	{"Fault", "fail-all-slaves", false, withFault(fault.Plan{Fails: []fault.TileFail{

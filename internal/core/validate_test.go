@@ -180,17 +180,6 @@ func TestRunFleetRejectsUnsupportedConfigs(t *testing.T) {
 	})
 }
 
-// TestConfigValidation: a TierUpThreshold requires Tier0, for Run and
-// RunFleet alike.
-func TestConfigValidation(t *testing.T) {
-	checkRejected(t, []rejectCase{
-		{name: "tier-up without tier-0", cfg: func(c *Config) { c.TierUpThreshold = 2000 },
-			fields: []string{"TierUpThreshold", "Tier0"}, want: "requires tier-0"},
-		{name: "fleet tier-up without tier-0", fleet: true, guests: 1, cfg: func(c *Config) { c.TierUpThreshold = 2000 },
-			fields: []string{"TierUpThreshold", "Tier0"}, want: "requires tier-0"},
-	})
-}
-
 // FuzzValidate draws random knob values: the validators must never
 // panic, and they accept a configuration exactly when Run (or RunFleet)
 // on a tiny guest returns no *ConfigError.
@@ -199,8 +188,8 @@ func TestConfigValidation(t *testing.T) {
 func FuzzValidate(f *testing.F) {
 	f.Add(false, int8(6), int8(2), int8(4), uint8(0), uint8(0), uint8(3), uint8(4), uint8(4), int8(0), int8(0), uint8(0), uint8(0), uint8(1))
 	f.Add(false, int8(9), int8(0), int8(1), uint8(0b1), uint8(1), uint8(7), uint8(4), uint8(4), int8(0), int8(0), uint8(0), uint8(0), uint8(1))
-	f.Add(true, int8(6), int8(2), int8(4), uint8(0b100), uint8(2), uint8(9), uint8(8), uint8(4), int8(3), int8(-1), uint8(2), uint8(2), uint8(2))
-	f.Add(true, int8(6), int8(2), int8(4), uint8(0b1000), uint8(5), uint8(2), uint8(3), uint8(3), int8(-1), int8(2), uint8(1), uint8(3), uint8(0))
+	f.Add(true, int8(6), int8(2), int8(4), uint8(0b1000), uint8(2), uint8(9), uint8(8), uint8(4), int8(3), int8(-1), uint8(2), uint8(2), uint8(2))
+	f.Add(true, int8(6), int8(2), int8(4), uint8(0b10), uint8(5), uint8(2), uint8(3), uint8(3), int8(-1), int8(2), uint8(1), uint8(3), uint8(0))
 	img := sumLoop(10)
 	f.Fuzz(func(t *testing.T, fleet bool, slaves, l15, banks int8, bits, faultKind, faultTile, w, h uint8,
 		maxSlots, maxAttempts int8, deadlines, profiles, guests uint8) {
@@ -208,15 +197,11 @@ func FuzzValidate(f *testing.F) {
 		cfg.MaxCycles = 2_000_000
 		cfg.Slaves, cfg.L15Banks, cfg.MemBanks = int(slaves), int(l15), int(banks)
 		cfg.Morph = bits&1 != 0
-		cfg.Tier0 = bits&2 != 0
+		cfg.FaultRecovery = bits&2 == 0
 		if bits&4 != 0 {
-			cfg.TierUpThreshold = 2000
-		}
-		cfg.FaultRecovery = bits&8 == 0
-		if bits&16 != 0 {
 			cfg.Recovery = RecoverRollback
 		}
-		if bits&32 != 0 {
+		if bits&8 != 0 {
 			cfg.Journal = &checkpoint.Journal{}
 		}
 		tile := int(faultTile % 20)

@@ -32,11 +32,8 @@ type Set struct {
 	DemandMisses    uint64 // exec-visible L2 code cache misses
 	SpecWasted      uint64 // speculative translations never demanded
 
-	// Tiered translation (all zero unless tier-0 is enabled).
-	Tier0Installs uint64 // tier-0 template blocks installed in the L2 code cache
-	Tier1Installs uint64 // optimizing-tier blocks installed (including promotions)
-	Promotions    uint64 // hot tier-0 blocks re-translated and replaced by tier-1
-	WarmupCycles  uint64 // cycle of the Nth retired host instruction (0 = not armed/reached)
+	// Cold start.
+	WarmupCycles uint64 // cycle of the Nth retired host instruction (0 = not armed/reached)
 
 	// Data memory.
 	DL1Accesses uint64 // guest accesses on the exec tile

@@ -66,7 +66,6 @@ type Params struct {
 	TransFetchOcc   uint64 // per guest byte fetched for decode
 	TransBaseOcc    uint64 // per guest instruction: decode + IR + codegen
 	TransOptOcc     uint64 // additional per guest instruction when optimizing
-	Tier0BaseOcc    uint64 // per guest instruction on the IR-less template tier
 	TransRequestOcc uint64 // manager bookkeeping per translation request
 
 	// Runtime engine costs.
@@ -139,7 +138,6 @@ func DefaultParams() Params {
 		TransFetchOcc:   2,
 		TransBaseOcc:    60,
 		TransOptOcc:     90,
-		Tier0BaseOcc:    18,
 		TransRequestOcc: 12,
 
 		DispatchOcc:  26,

@@ -7,7 +7,7 @@
 // the kernel's switch count beside it) and compares
 // them against the recorded trajectory in
 // BENCH_sim.json, plus the translator's per-block cost in time,
-// allocations and bytes (translate_block_tier1/tier0 over the 176.gcc
+// allocations and bytes (translate_block_tier1 over the 176.gcc
 // corpus), the kernel's process switch (sim_proc_switch at 2 and
 // 64 processes) and the three per-message costs (sim_tick_recv,
 // sim_handler_dispatch, l1_fill, the last with its allocations held
@@ -62,10 +62,6 @@ type baseline struct {
 	PlacementSweep *struct {
 		Seconds float64 `json:"seconds"`
 	} `json:"placement_sweep"`
-	Warmup *struct {
-		Tier0Cycles uint64 `json:"tier0_cycles"`
-		OptCycles   uint64 `json:"opt_cycles"`
-	} `json:"warmup"`
 }
 
 func loadBaseline(path string) (*baseline, error) {
@@ -264,18 +260,13 @@ func main() {
 		metric{"pentium_gzip allocs/op", float64(pb.AllocsPerOp), fewest, min(*allocTol, pentiumAllocTol)})
 	// Translator per-block cost over the 176.gcc corpus. A baseline that
 	// predates the entries reads zero and is reported, not failed.
-	fmt.Fprintln(os.Stderr, "benchcheck: measuring translate_block_tier1/tier0...")
-	for _, tier := range []struct {
-		name  string
-		tier0 bool
-	}{{"translate_block_tier1", false}, {"translate_block_tier0", true}} {
-		r := testing.Benchmark(bench.TranslateBlockBench(tier.tier0))
-		b := base.Micro[tier.name]
-		ms = append(ms,
-			metric{tier.name + " ns/block", float64(b.NsPerOp), float64(r.NsPerOp()), *timeTol},
-			metric{tier.name + " allocs/block", float64(b.AllocsPerOp), float64(r.AllocsPerOp()), blockAllocTol},
-			metric{tier.name + " bytes/block", float64(b.BytesPerOp), float64(r.AllocedBytesPerOp()), blockBytesTol})
-	}
+	fmt.Fprintln(os.Stderr, "benchcheck: measuring translate_block_tier1...")
+	tr := testing.Benchmark(bench.TranslateBlockBench())
+	tb := base.Micro["translate_block_tier1"]
+	ms = append(ms,
+		metric{"translate_block_tier1 ns/block", float64(tb.NsPerOp), float64(tr.NsPerOp()), *timeTol},
+		metric{"translate_block_tier1 allocs/block", float64(tb.AllocsPerOp), float64(tr.AllocsPerOp()), blockAllocTol},
+		metric{"translate_block_tier1 bytes/block", float64(tb.BytesPerOp), float64(tr.AllocedBytesPerOp()), blockBytesTol})
 	// The kernel's hand-off: a park that must switch goroutines,
 	// with a trivial event heap and with an 8×8 fabric's.
 	fmt.Fprintln(os.Stderr, "benchcheck: measuring sim_proc_switch/sim_proc_switch_64...")
@@ -389,28 +380,6 @@ func main() {
 		ms = append(ms, metric{"service_throughput ms/job",
 			base.ServiceThroughput.SecondsPerJob * 1e3, secPerJob * 1e3, *timeTol})
 	}
-
-	// Tiered-translation cold start: deterministic virtual cycles, so
-	// the tolerance is tight (the default time tolerance would hide a
-	// real cost-model regression). The hard assertion — tier-0 must be
-	// faster to the first 10k retired instructions than the optimizing
-	// pipeline alone — holds regardless of the baseline's age.
-	fmt.Fprintln(os.Stderr, "benchcheck: measuring tier-0 warmup (cold-start cycles)...")
-	wres, err := bench.NewSuite().WarmupBench()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(1)
-	}
-	if wres.Tier0Cycles >= wres.OptCycles {
-		fmt.Fprintf(os.Stderr, "benchcheck: REGRESSION: tier-0 warmup %d cycles is not faster than optimizing-only %d\n",
-			wres.Tier0Cycles, wres.OptCycles)
-		os.Exit(1)
-	}
-	var baseWarmup float64
-	if base.Warmup != nil {
-		baseWarmup = float64(base.Warmup.Tier0Cycles)
-	}
-	ms = append(ms, metric{"warmup tier0 cycles", baseWarmup, float64(wres.Tier0Cycles), 1.10})
 
 	lines, violations := evaluate(ms)
 	// A fill allocates nothing (its chain sites go on an intrusive list),

@@ -3,7 +3,6 @@ package translate
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -17,10 +16,8 @@ import (
 // corpusDigest hashes everything the code caches, the execution engine
 // and the speculative walker consume from each block of a corpus: the
 // finalized host code, its chain sites, and the control-flow metadata
-// down to the static branch prediction. blocks[i] is the translation
-// of addrs[i], or nil where the tier has none (a tier-0 template miss),
-// which is hashed as a miss at that address and counted apart.
-func corpusDigest(addrs []uint32, blocks []*Result) string {
+// down to the static branch prediction.
+func corpusDigest(blocks []*Result) string {
 	h := sha256.New()
 	put := func(vs ...uint32) {
 		var buf [4]byte
@@ -29,13 +26,7 @@ func corpusDigest(addrs []uint32, blocks []*Result) string {
 			h.Write(buf[:])
 		}
 	}
-	misses := 0
-	for i, r := range blocks {
-		if r == nil {
-			put(addrs[i], ^uint32(0))
-			misses++
-			continue
-		}
+	for _, r := range blocks {
 		back := uint32(0)
 		if r.BackwardTaken {
 			back = 1
@@ -50,42 +41,37 @@ func corpusDigest(addrs []uint32, blocks []*Result) string {
 			put(uint32(c.Off), c.Target)
 		}
 	}
-	if misses > 0 {
-		return fmt.Sprintf("%d+%d:%x", len(blocks)-misses, misses, h.Sum(nil)[:8])
-	}
 	return fmt.Sprintf("%d:%x", len(blocks), h.Sum(nil)[:8])
 }
 
 // corpusGolden pins the translator's output over every statically
-// reachable block of all 11 workload profiles: the optimizing tier with
-// the optimizer on and off ("blocks:first 8 bytes of SHA-256"), and the
-// template tier over the same addresses ("templated+untemplated:...").
-// The first two columns were recorded on the commit before the map-free
-// back end (ISSUE 12); all three were re-recorded, with BackwardTaken
-// and the chain sites added to the hash, on the commit before the
+// reachable block of all 11 workload profiles, with the optimizer on
+// and off ("blocks:first 8 bytes of SHA-256"). The columns were
+// recorded on the commit before the map-free back end (ISSUE 12) and
+// re-recorded, with BackwardTaken and the chain sites added to the
+// hash, on the commit before the
 // translator scratch (ISSUE 20), and are unchanged by it: a translator
 // change that is meant to be byte-identical must leave these alone, and
 // one that is meant to change the emitted code must say so by updating
 // them.
-var corpusGolden = map[string][3]string{
-	"164.gzip":    {"281:f61c397ac03b8295", "281:757ca6782ef0248d", "196+85:5d7d443dbd347240"},
-	"175.vpr":     {"2421:846965756d5000aa", "2421:cf67f87f2df455ba", "1323+1098:7920c3ae969e4094"},
-	"176.gcc":     {"6063:c683ca73798cf502", "6063:ae5dfea67f0141f1", "2720+3343:c9c09a022e710127"},
-	"181.mcf":     {"165:6999333d7e87e2c8", "165:148aefb8035843a5", "96+69:397b241735a2a78b"},
-	"186.crafty":  {"4733:ee0eec535a3bc2a0", "4733:ed77da73a9f58d77", "2252+2481:305954407cd55ef4"},
-	"197.parser":  {"561:6acfeef64945b3c5", "561:e9269af2c4ce2f4a", "328+233:9d99efce7102a52e"},
-	"253.perlbmk": {"3097:46e7b9f948fcf53e", "3097:9390272aaeae0f5b", "1614+1483:625ef623a77df250"},
-	"254.gap":     {"2187:382f1ea46488fd06", "2187:6d952aad32bbb2d0", "1124+1063:d73bd88e20ccbca8"},
-	"255.vortex":  {"6833:63a7942ec256ca39", "6833:376dc3cdcc6419bd", "3056+3777:73c5599a530303d9"},
-	"256.bzip2":   {"256:57853881974e43a8", "256:abc96266ddd8efa8", "154+102:705d85f2d97ec2f0"},
-	"300.twolf":   {"1747:53892837613a9388", "1747:e9a4cded7372323b", "1001+746:604a3b6dc6c01087"},
+var corpusGolden = map[string][2]string{
+	"164.gzip":    {"281:f61c397ac03b8295", "281:757ca6782ef0248d"},
+	"175.vpr":     {"2421:846965756d5000aa", "2421:cf67f87f2df455ba"},
+	"176.gcc":     {"6063:c683ca73798cf502", "6063:ae5dfea67f0141f1"},
+	"181.mcf":     {"165:6999333d7e87e2c8", "165:148aefb8035843a5"},
+	"186.crafty":  {"4733:ee0eec535a3bc2a0", "4733:ed77da73a9f58d77"},
+	"197.parser":  {"561:6acfeef64945b3c5", "561:e9269af2c4ce2f4a"},
+	"253.perlbmk": {"3097:46e7b9f948fcf53e", "3097:9390272aaeae0f5b"},
+	"254.gap":     {"2187:382f1ea46488fd06", "2187:6d952aad32bbb2d0"},
+	"255.vortex":  {"6833:63a7942ec256ca39", "6833:376dc3cdcc6419bd"},
+	"256.bzip2":   {"256:57853881974e43a8", "256:abc96266ddd8efa8"},
+	"300.twolf":   {"1747:53892837613a9388", "1747:e9a4cded7372323b"},
 }
 
 // TestTranslateCorpusDigest walks each profile with one long-lived
-// Translator per option set and holds every Result until the hash, the
-// template tier's interleaved with the optimizing tier's on the same
-// translator: anything a Result still shared with translator-owned
-// storage would have been overwritten by the time it is hashed.
+// Translator per option set and holds every Result until the hash:
+// anything a Result still shared with translator-owned storage would
+// have been overwritten by the time it is hashed.
 func TestTranslateCorpusDigest(t *testing.T) {
 	profiles := workload.Profiles()
 	if len(profiles) != len(corpusGolden) {
@@ -101,34 +87,21 @@ func TestTranslateCorpusDigest(t *testing.T) {
 		mem := guest.Load(img).Mem
 		golden := corpusGolden[p.Name]
 
-		tr := New(Options{Optimize: true})
-		optimized := tr.Reachable(mem, img.Entry)
-		addrs := make([]uint32, len(optimized))
-		template := make([]*Result, len(optimized))
-		for i, r := range optimized {
-			addrs[i] = r.GuestAddr
-			res, err := tr.TranslateTemplate(mem, r.GuestAddr)
-			if err != nil && !errors.Is(err, ErrUntemplated) {
-				t.Fatalf("%s %#x: template tier: %v", p.Name, r.GuestAddr, err)
-			}
-			template[i] = res // nil on a template miss
-		}
+		optimized := New(Options{Optimize: true}).Reachable(mem, img.Entry)
 		plain := New(Options{}).Reachable(mem, img.Entry)
 
-		check(p.Name, "optimize=true", corpusDigest(addrs, optimized), golden[0])
-		check(p.Name, "optimize=false", corpusDigest(nil, plain), golden[1])
-		check(p.Name, "tier-0", corpusDigest(addrs, template), golden[2])
+		check(p.Name, "optimize=true", corpusDigest(optimized), golden[0])
+		check(p.Name, "optimize=false", corpusDigest(plain), golden[1])
 	}
 }
 
 // TestTranslateAllocsPerBlock pins the allocation count of one
 // translation, averaged over the 176.gcc corpus. Allocation counts are
-// deterministic, so the ceilings sit one above the measured values (3.9
-// optimizing, 3.8 template; 30 and 20 before the translator had a
-// scratch): a per-call buffer creeping back in fails here, in tier-1,
-// not only in the bench gate. What is left is what a Result keeps, all
-// of it made in newResult but the first: its Code, sized to the block
-// (by codegen's Finalize, or copied out of the emitter's buffer); the
+// deterministic, so the ceiling sits one above the measured value (3.9;
+// 30 before the translator had a scratch): a per-call buffer creeping
+// back in fails here, in tier-1, not only in the bench gate. What is
+// left is what a Result keeps, all of it made in newResult but the
+// first: its Code, sized to the block (by codegen's Finalize); the
 // header that holds the Result, its Block and the IR block's metadata;
 // Pre, the predecoded ops; and Chains, for the eight or nine blocks in ten that
 // have a chain site.
@@ -140,29 +113,19 @@ func TestTranslateAllocsPerBlock(t *testing.T) {
 	img := p.Build()
 	mem := guest.Load(img).Mem
 	tr := New(Options{Optimize: true})
-	var addrs, templated []uint32
+	var addrs []uint32
 	for _, r := range tr.Reachable(mem, img.Entry) {
 		addrs = append(addrs, r.GuestAddr)
-		if _, err := tr.TranslateTemplate(mem, r.GuestAddr); err == nil {
-			templated = append(templated, r.GuestAddr)
+	}
+	got := testing.AllocsPerRun(1, func() {
+		for _, a := range addrs {
+			tr.TranslateFinal(mem, a)
 		}
-	}
-	perBlock := func(addrs []uint32, step func(CodeReader, uint32) (*Result, error)) float64 {
-		return testing.AllocsPerRun(1, func() {
-			for _, a := range addrs {
-				step(mem, a)
-			}
-		}) / float64(len(addrs))
-	}
-	if got := perBlock(addrs, tr.TranslateFinal); got > 4.9 {
-		t.Errorf("optimizing tier: %.1f allocs/block, ceiling 4.9", got)
+	}) / float64(len(addrs))
+	if got > 4.9 {
+		t.Errorf("%.1f allocs/block, ceiling 4.9", got)
 	} else {
-		t.Logf("optimizing tier: %.1f allocs/block over %d blocks", got, len(addrs))
-	}
-	if got := perBlock(templated, tr.TranslateTemplate); got > 4.8 {
-		t.Errorf("template tier: %.1f allocs/block, ceiling 4.8", got)
-	} else {
-		t.Logf("template tier: %.1f allocs/block over %d blocks", got, len(templated))
+		t.Logf("%.1f allocs/block over %d blocks", got, len(addrs))
 	}
 }
 

@@ -13,11 +13,8 @@ import (
 )
 
 // runDBT executes a guest image through the translation pipeline with a
-// minimal dispatch loop (translate-on-miss, flat memory env). With
-// tier0 set, every block goes through the tier-0 template path first,
-// falling back to the optimizing pipeline on template misses — the same
-// dispatch rule the engine uses.
-func runDBT(t *testing.T, img *guest.Image, opts Options, tier0 bool, maxBlocks int) (*guest.Process, error) {
+// minimal dispatch loop (translate-on-miss, flat memory env).
+func runDBT(t *testing.T, img *guest.Image, opts Options, maxBlocks int) (*guest.Process, error) {
 	t.Helper()
 	p := guest.Load(img)
 	clk := &rawexec.CountClock{}
@@ -31,7 +28,7 @@ func runDBT(t *testing.T, img *guest.Image, opts Options, tier0 bool, maxBlocks 
 		res, ok := cache[pc]
 		if !ok {
 			var err error
-			res, err = tr.TranslateTier(p.Mem, pc, tier0)
+			res, err = tr.TranslateFinal(p.Mem, pc)
 			if err != nil {
 				return p, err
 			}
@@ -60,14 +57,14 @@ func runDBT(t *testing.T, img *guest.Image, opts Options, tier0 bool, maxBlocks 
 
 // differential runs the image on both executors and compares final
 // architectural state.
-func differential(t *testing.T, img *guest.Image, opts Options, tier0 bool) {
+func differential(t *testing.T, img *guest.Image, opts Options) {
 	t.Helper()
 	ref := guest.Load(img)
 	refIt := x86interp.New(ref)
 	if exited, err := refIt.Run(5_000_000); err != nil || !exited {
 		t.Fatalf("reference run failed: %v exited=%v (%s)", err, exited, ref.CPU.String())
 	}
-	got, err := runDBT(t, img, opts, tier0, 500_000)
+	got, err := runDBT(t, img, opts, 500_000)
 	if err != nil {
 		t.Fatalf("DBT run failed: %v", err)
 	}
@@ -99,23 +96,18 @@ func exitWith(a *x86.Asm) {
 	a.Int(0x80)
 }
 
-// allOpts runs a subtest under every translation configuration,
-// including the tier-0 template path (with its optimizing-tier
-// fallback), so the whole corpus exercises both tiers.
+// allOpts runs a subtest under every translation configuration.
 func allOpts(t *testing.T, img *guest.Image) {
 	for _, cfg := range []struct {
-		name  string
-		o     Options
-		tier0 bool
+		name string
+		o    Options
 	}{
-		{"opt", Options{Optimize: true}, false},
-		{"noopt", Options{}, false},
-		{"conservative", Options{ConservativeFlags: true}, false},
-		{"opt+conservative", Options{Optimize: true, ConservativeFlags: true}, false},
-		{"tier0", Options{Optimize: true}, true},
-		{"tier0+conservative", Options{Optimize: true, ConservativeFlags: true}, true},
+		{"opt", Options{Optimize: true}},
+		{"noopt", Options{}},
+		{"conservative", Options{ConservativeFlags: true}},
+		{"opt+conservative", Options{Optimize: true, ConservativeFlags: true}},
 	} {
-		t.Run(cfg.name, func(t *testing.T) { differential(t, img, cfg.o, cfg.tier0) })
+		t.Run(cfg.name, func(t *testing.T) { differential(t, img, cfg.o) })
 	}
 }
 

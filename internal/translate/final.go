@@ -9,14 +9,6 @@ import (
 	"tilevm/internal/rawisa"
 )
 
-// Translation tiers. TierTemplate is the IR-less tier-0 template path
-// (tier0.go); TierOptimizing is the full decode → IR → optimize →
-// lower pipeline.
-const (
-	TierTemplate   uint8 = 0
-	TierOptimizing uint8 = 1
-)
-
 // Result is a fully translated, executable block: finalized host code
 // plus the control-flow metadata.
 type Result struct {
@@ -32,10 +24,6 @@ type Result struct {
 	Chains []ChainSite
 	// Optimized records whether the optimizer ran.
 	Optimized bool
-	// Tier records which translation tier produced the block
-	// (TierTemplate or TierOptimizing); the manager's promotion logic
-	// and the code caches key off it.
-	Tier uint8
 }
 
 // ChainSite is one CHAIN instruction of a block: its offset from the
@@ -55,7 +43,7 @@ type ChainSite struct {
 // and the IR block's header are one allocation, and the IR itself
 // (blk's Code and LabelPos, which are scratch) is not carried over —
 // only the metadata is read again.
-func newResult(blk Block, code []rawisa.Inst, optimized bool, tier uint8) *Result {
+func newResult(blk Block, code []rawisa.Inst, optimized bool) *Result {
 	h := &struct {
 		res Result
 		blk Block
@@ -71,7 +59,6 @@ func newResult(blk Block, code []rawisa.Inst, optimized bool, tier uint8) *Resul
 		Code:      code,
 		CodeBytes: rawisa.CodeBytes(code),
 		Optimized: optimized,
-		Tier:      tier,
 	}
 	r.Pre.Sync(code)
 	chains := 0
@@ -112,7 +99,7 @@ func (t *Translator) TranslateFinal(mem CodeReader, addr uint32) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		return newResult(blk, code, t.Opts.Optimize, TierOptimizing), nil
+		return newResult(blk, code, t.Opts.Optimize), nil
 	}
 	return nil, &Error{Addr: addr, Reason: "register pressure irreducible at single-instruction block"}
 }

@@ -23,7 +23,7 @@ type ImageMemory interface {
 // cache, which does the same within one run; it models nothing and no
 // virtual cycle depends on it.
 //
-// An entry is keyed by (image, guest PC, tier asked for, Options) and
+// An entry is keyed by (image, guest PC, Options) and
 // holds the Result together with every code window the translation
 // read. A translation is a pure function of its key and of the bytes in
 // those windows — which windows it reads is itself decided by bytes
@@ -42,7 +42,7 @@ type ImageMemory interface {
 //
 // Entries are never evicted: the owner is a host whose set of images is
 // bounded (DESIGN.md §7 "Translation memo"). A Memo is safe for
-// concurrent use; the Translator passed to TranslateTier is still one
+// concurrent use; the Translator passed to Translate is still one
 // per caller.
 type Memo struct {
 	mu      sync.Mutex
@@ -58,7 +58,6 @@ func NewMemo() *Memo { return &Memo{entries: map[memoKey]*memoEntry{}} }
 type memoKey struct {
 	image any // the owner's image identity, compared by ==
 	pc    uint32
-	tier0 bool
 	opts  Options
 }
 
@@ -72,7 +71,7 @@ type codeWindow struct {
 	n    int32
 }
 
-// MemoStats counts what a memo has done. Every TranslateTier call that
+// MemoStats counts what a memo has done. Every Translate call that
 // succeeds is exactly one of Hits, Misses and Bypassed.
 type MemoStats struct {
 	// Hits were served from an entry; Misses were translated and
@@ -94,13 +93,13 @@ func (mo *Memo) Stats() MemoStats {
 	}
 }
 
-// TranslateTier is t.TranslateTier(mem, addr, tier0) for a memory loaded
-// from image, served from the memo when it can be. image is whatever
+// Translate is t.TranslateFinal(mem, addr) for a memory loaded from
+// image, served from the memo when it can be. image is whatever
 // the owner uses to tell its images apart (a *guest.Image); it is only
 // compared. The result is the same block, bit for bit, with or without
 // the memo; one that came from the memo must not be written to.
-func (mo *Memo) TranslateTier(t *Translator, image any, mem ImageMemory, addr uint32, tier0 bool) (*Result, error) {
-	key := memoKey{image: image, pc: addr, tier0: tier0, opts: t.Opts}
+func (mo *Memo) Translate(t *Translator, image any, mem ImageMemory, addr uint32) (*Result, error) {
+	key := memoKey{image: image, pc: addr, opts: t.Opts}
 	mo.mu.Lock()
 	e := mo.entries[key]
 	mo.mu.Unlock()
@@ -108,7 +107,7 @@ func (mo *Memo) TranslateTier(t *Translator, image any, mem ImageMemory, addr ui
 		for _, w := range e.windows {
 			if !mem.Pristine(w.addr, int(w.n)) {
 				mo.bypassed.Add(1)
-				return t.TranslateTier(mem, addr, tier0)
+				return t.TranslateFinal(mem, addr)
 			}
 		}
 		mo.hits.Add(1)
@@ -117,7 +116,7 @@ func (mo *Memo) TranslateTier(t *Translator, image any, mem ImageMemory, addr ui
 
 	rec := windowRecorder{mem: mem, pristine: true}
 	rec.windows = rec.buf[:0]
-	res, err := t.TranslateTier(&rec, addr, tier0)
+	res, err := t.TranslateFinal(&rec, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -27,64 +27,60 @@ func memoCorpus(t *testing.T) (*guest.Image, []uint32) {
 
 // TestMemoServesEqualBlocks: what the memo hands out — translated
 // through the recording reader on a miss, shared on a hit — deeply
-// equals a direct translation, in both tiers, and a second process of
-// the same image translates nothing.
+// equals a direct translation, and a second process of the same image
+// translates nothing.
 func TestMemoServesEqualBlocks(t *testing.T) {
 	img, addrs := memoCorpus(t)
 	memo := NewMemo()
-	for _, tier0 := range []bool{false, true} {
-		direct, tr := New(Options{Optimize: true}), New(Options{Optimize: true})
-		for round := 0; round < 2; round++ {
-			mem := guest.Load(img).Mem
-			before := memo.Stats()
-			for _, pc := range addrs {
-				want, err := direct.TranslateTier(mem, pc, tier0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := memo.TranslateTier(tr, img, mem, pc, tier0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("tier0=%v round %d: block %#x from the memo differs from a direct translation", tier0, round, pc)
-				}
+	direct, tr := New(Options{Optimize: true}), New(Options{Optimize: true})
+	for round := 0; round < 2; round++ {
+		mem := guest.Load(img).Mem
+		before := memo.Stats()
+		for _, pc := range addrs {
+			want, err := direct.TranslateFinal(mem, pc)
+			if err != nil {
+				t.Fatal(err)
 			}
-			st := memo.Stats()
-			n := uint64(len(addrs))
-			switch {
-			case round == 0 && (st.Misses-before.Misses != n || st.Hits != before.Hits):
-				t.Errorf("tier0=%v: first process: %+v after %+v, want %d misses", tier0, st, before, n)
-			case round == 1 && (st.Hits-before.Hits != n || st.Misses != before.Misses):
-				t.Errorf("tier0=%v: second process: %+v after %+v, want %d hits", tier0, st, before, n)
+			got, err := memo.Translate(tr, img, mem, pc)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st.Bypassed != 0 || st.Entries != int(st.Misses) || st.Bytes < 500*st.Entries {
-				t.Errorf("tier0=%v: implausible stats %+v", tier0, st)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: block %#x from the memo differs from a direct translation", round, pc)
 			}
+		}
+		st := memo.Stats()
+		n := uint64(len(addrs))
+		switch {
+		case round == 0 && (st.Misses-before.Misses != n || st.Hits != before.Hits):
+			t.Errorf("first process: %+v after %+v, want %d misses", st, before, n)
+		case round == 1 && (st.Hits-before.Hits != n || st.Misses != before.Misses):
+			t.Errorf("second process: %+v after %+v, want %d hits", st, before, n)
+		}
+		if st.Bypassed != 0 || st.Entries != int(st.Misses) || st.Bytes < 500*st.Entries {
+			t.Errorf("implausible stats %+v", st)
 		}
 	}
 }
 
-// TestMemoKeys: entries of another image, of other options and of the
-// other tier are not this translation's entries.
+// TestMemoKeys: entries of another image and of other options are not
+// this translation's entries.
 func TestMemoKeys(t *testing.T) {
 	img, addrs := memoCorpus(t)
 	twin := *img // same bytes, another identity
 	memo := NewMemo()
 	pc := addrs[0]
 	calls := []struct {
-		img   *guest.Image
-		opts  Options
-		tier0 bool
+		img  *guest.Image
+		opts Options
 	}{
-		{img, Options{Optimize: true}, false},
-		{&twin, Options{Optimize: true}, false},
-		{img, Options{}, false},
-		{img, Options{Optimize: true, ConservativeFlags: true}, false},
-		{img, Options{Optimize: true}, true},
+		{img, Options{Optimize: true}},
+		{&twin, Options{Optimize: true}},
+		{img, Options{}},
+		{img, Options{Optimize: true, ConservativeFlags: true}},
 	}
 	for i, c := range calls {
-		if _, err := memo.TranslateTier(New(c.opts), c.img, guest.Load(c.img).Mem, pc, c.tier0); err != nil {
+		if _, err := memo.Translate(New(c.opts), c.img, guest.Load(c.img).Mem, pc); err != nil {
 			t.Fatal(err)
 		}
 		if st := memo.Stats(); st.Misses != uint64(i+1) || st.Hits != 0 {
@@ -104,14 +100,14 @@ func TestMemoStepsAsideForWrittenCode(t *testing.T) {
 	pc, other := addrs[0], addrs[len(addrs)-1]
 
 	mem := guest.Load(img).Mem
-	orig, err := memo.TranslateTier(tr, img, mem, pc, false)
+	orig, err := memo.Translate(tr, img, mem, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// inc eax; ret — over the block's first bytes.
 	mem.WriteBytes(pc, []byte{0x40, 0xC3})
 	for _, addr := range []uint32{pc, other} { // one entry present, one absent
-		got, err := memo.TranslateTier(tr, img, mem, addr, false)
+		got, err := memo.Translate(tr, img, mem, addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +119,7 @@ func TestMemoStepsAsideForWrittenCode(t *testing.T) {
 			t.Errorf("block %#x after a write to its page is not the live translation", addr)
 		}
 	}
-	if got, _ := memo.TranslateTier(tr, img, mem, pc, false); got.NumGuest != 2 || got == orig {
+	if got, _ := memo.Translate(tr, img, mem, pc); got.NumGuest != 2 || got == orig {
 		t.Errorf("patched block: %d guest instructions, want the 2 written", got.NumGuest)
 	}
 	if st := memo.Stats(); st.Bypassed != 3 || st.Misses != 1 || st.Entries != 1 {
@@ -131,7 +127,7 @@ func TestMemoStepsAsideForWrittenCode(t *testing.T) {
 	}
 
 	// A fresh process of the image still gets the original.
-	again, err := memo.TranslateTier(tr, img, guest.Load(img).Mem, pc, false)
+	again, err := memo.Translate(tr, img, guest.Load(img).Mem, pc)
 	if err != nil || again != orig {
 		t.Errorf("fresh process: got %p (err %v), want the published block %p", again, err, orig)
 	}
@@ -139,7 +135,7 @@ func TestMemoStepsAsideForWrittenCode(t *testing.T) {
 	before := memo.Stats()
 	const junk = 0x0030_0000
 	mem.WriteBytes(junk, []byte{0x0F, 0x05}) // an opcode the decoder rejects
-	if _, err := memo.TranslateTier(tr, img, mem, junk, false); err == nil {
+	if _, err := memo.Translate(tr, img, mem, junk); err == nil {
 		t.Error("undecodable block translated")
 	}
 	if st := memo.Stats(); st != before {
@@ -175,7 +171,7 @@ func TestMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			tr, mem := New(Options{Optimize: true}), guest.Load(img).Mem
 			for _, pc := range addrs {
-				if _, err := memo.TranslateTier(tr, img, mem, pc, false); err != nil {
+				if _, err := memo.Translate(tr, img, mem, pc); err != nil {
 					t.Error(err)
 					return
 				}

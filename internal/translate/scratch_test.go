@@ -37,12 +37,12 @@ func pressureBlock(t *testing.T) *ir.Block {
 	return blk
 }
 
-// TestScratchReuseIsInvisible translates every corpus block, both
-// tiers, on one long-lived Translator that between blocks is put
-// through everything that leaves its scratch in a different state — a
-// block of another shape, the IR-returning entry point, the template
-// tier failing partway, a block cut short by undecodable bytes, a
-// translation that fails outright, and the register-pressure ladder's
+// TestScratchReuseIsInvisible translates every corpus block on one
+// long-lived Translator that between blocks is put through everything
+// that leaves its scratch in a different state — a block of another
+// shape, the IR-returning entry point, a block cut short by undecodable
+// bytes, a translation that fails outright, and the register-pressure
+// ladder's
 // retries at caps 32, 8, 2 and 1 with the allocator giving up
 // mid-block — and requires each result, all held to the end, to be
 // deeply equal to what a Translator fresh for that one block returns.
@@ -69,12 +69,12 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 				text string
 			}
 			var (
-				final, template []*Result
-				irs             []kept
+				final []*Result
+				irs   []kept
 			)
 			for i, a := range addrs {
 				other := addrs[(i*7+3)%len(addrs)]
-				switch i % 5 {
+				switch i % 4 {
 				case 0:
 					long.TranslateFinal(mem, other)
 				case 1:
@@ -84,15 +84,13 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 					}
 					irs = append(irs, kept{blk, blk.Block.String()})
 				case 2:
-					long.TranslateTemplate(mem, other)
-				case 3:
 					if res, err := long.TranslateFinal(mem, junk); err != nil || res.NumGuest != 2 {
 						t.Fatalf("%s: block cut short by junk: %+v, %v", name, res, err)
 					}
-					if _, err := long.TranslateTemplate(mem, junk+2); err == nil {
+					if _, err := long.TranslateFinal(mem, junk+2); err == nil {
 						t.Fatalf("%s: junk translated", name)
 					}
-				case 4:
+				case 3:
 					// TranslateFinal's ladder, every rung failing the
 					// way a block under pressure fails it.
 					for _, cap := range []int{MaxBlockInsts, 8, 2, 1} {
@@ -113,11 +111,6 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 					t.Fatalf("%s %#x: %v", name, a, err)
 				}
 				final = append(final, res)
-				res, err = long.TranslateTemplate(mem, a)
-				if err != nil && !errors.Is(err, ErrUntemplated) {
-					t.Fatalf("%s %#x: template tier: %v", name, a, err)
-				}
-				template = append(template, res)
 			}
 
 			for i, a := range addrs {
@@ -128,10 +121,6 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 				if !reflect.DeepEqual(final[i], want) {
 					t.Fatalf("%s %+v block %#x: long-lived translator\n%s%+v\nfresh\n%s%+v",
 						name, opts, a, rawisa.Disassemble(final[i].Code), final[i].Block, rawisa.Disassemble(want.Code), want.Block)
-				}
-				want, _ = New(opts).TranslateTemplate(mem, a)
-				if !reflect.DeepEqual(template[i], want) {
-					t.Fatalf("%s %+v block %#x: long-lived template tier %+v, fresh %+v", name, opts, a, template[i], want)
 				}
 			}
 			for _, k := range irs {

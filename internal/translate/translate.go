@@ -140,7 +140,7 @@ type Options struct {
 
 // Translator translates guest code. It owns the scratch the whole
 // pipeline works in — decode buffer, flag-liveness vector, IR builder,
-// optimizer and allocator tables, the template tier's emitter — so a
+// optimizer and allocator tables — so a
 // translation allocates only the Result it returns, and nothing in a
 // Result points into the scratch. There is one Translator per engine
 // (the engine's slave tiles take turns on it); it is not safe for
@@ -153,7 +153,6 @@ type Translator struct {
 	bl    ir.Builder
 	opt   opt.Scratch
 	cg    codegen.Scratch
-	em    emitter // template tier
 }
 
 // New returns a translator with the given options.
