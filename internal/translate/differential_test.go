@@ -263,6 +263,64 @@ func TestDiffMulDivAssist(t *testing.T) {
 	}))
 }
 
+// TestDiffNegativeImm8: compilers emit negative 8-bit immediates all
+// the time (cmp $-1, add $-N, and $-16 on the stack pointer, imul by a
+// small negative constant), and an engine that masks the immediate to
+// its encoded byte agrees with itself. So each program also exits with
+// its result, which the reference interpreter must get right before the
+// translator is compared with it.
+func TestDiffNegativeImm8(t *testing.T) {
+	type row struct {
+		name  string
+		build func(a *x86.Asm)
+		want  int32
+	}
+	var rows []row
+	for _, v := range []int32{-1, -4, -16} {
+		rows = append(rows,
+			// Bit 0: v == v; bit 1: 0 < v signed; bit 2: 0 < v unsigned.
+			row{fmt.Sprintf("cmp%d", v), func(a *x86.Asm) {
+				a.MovRegImm(x86.EBX, 0)
+				a.MovRegImm(x86.ECX, uint32(v))
+				a.ALU(x86.CMP, x86.RegOp(x86.ECX, 4), x86.ImmOp(v, 4))
+				a.Jcc(x86.CondNE, "ne")
+				a.ALU(x86.OR, x86.RegOp(x86.EBX, 4), x86.ImmOp(1, 4))
+				a.Label("ne")
+				a.MovRegImm(x86.ECX, 0)
+				a.ALU(x86.CMP, x86.RegOp(x86.ECX, 4), x86.ImmOp(v, 4))
+				a.Jcc(x86.CondGE, "ge")
+				a.ALU(x86.OR, x86.RegOp(x86.EBX, 4), x86.ImmOp(2, 4))
+				a.Label("ge")
+				a.Jcc(x86.CondAE, "ae")
+				a.ALU(x86.OR, x86.RegOp(x86.EBX, 4), x86.ImmOp(4, 4))
+				a.Label("ae")
+			}, 1 | 4},
+			row{fmt.Sprintf("add%d", v), func(a *x86.Asm) {
+				a.MovRegImm(x86.EBX, 1000)
+				a.ALU(x86.ADD, x86.RegOp(x86.EBX, 4), x86.ImmOp(v, 4))
+			}, 1000 + v},
+			row{fmt.Sprintf("and%d", v), func(a *x86.Asm) {
+				a.MovRegImm(x86.EBX, 0x12345677)
+				a.ALU(x86.AND, x86.RegOp(x86.EBX, 4), x86.ImmOp(v, 4))
+			}, 0x12345677 & v},
+		)
+	}
+	rows = append(rows, row{"imul-3", func(a *x86.Asm) {
+		a.MovRegImm(x86.EBX, 12345)
+		a.IMulRegRMImm(x86.EBX, x86.RegOp(x86.EBX, 4), -3)
+	}, 12345 * -3})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			img := image(func(a *x86.Asm) { r.build(a); exitWith(a) })
+			ref := guest.Load(img)
+			if _, err := x86interp.New(ref).Run(1000); err != nil || ref.Kern.ExitCode != r.want {
+				t.Fatalf("reference interpreter: exit %d (%v), want %d", ref.Kern.ExitCode, err, r.want)
+			}
+			allOpts(t, img)
+		})
+	}
+}
+
 func TestDiffStringOpsAssist(t *testing.T) {
 	allOpts(t, image(func(a *x86.Asm) {
 		src := uint32(guest.DefaultHeapBase)

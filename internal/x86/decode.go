@@ -215,9 +215,9 @@ prefixes:
 	case op == 0x81:
 		reg, rm := d.modRM(opSize)
 		in.Op, in.Dst, in.Src = grp1Ops[reg], rm, ImmOp(d.imm(opSize), opSize)
-	case op == 0x83: // grp1 r/m, imm8 sign-extended
+	case op == 0x83: // grp1 r/m, imm8 sign-extended to the operand size
 		reg, rm := d.modRM(opSize)
-		in.Op, in.Dst, in.Src = grp1Ops[reg], rm, ImmOp(d.s8(), 1)
+		in.Op, in.Dst, in.Src = grp1Ops[reg], rm, ImmOp(d.s8(), opSize)
 
 	case op == 0x84:
 		reg, rm := d.modRM(1)

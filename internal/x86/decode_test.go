@@ -50,6 +50,26 @@ func TestDecodeALUForms(t *testing.T) {
 	}
 }
 
+// TestDecodeGroup1Imm8: 0x83's immediate is one byte in the encoding
+// but an operand of the instruction's size, sign-extended to it, so a
+// reader that masks an immediate to its size still sees -4 as -4.
+func TestDecodeGroup1Imm8(t *testing.T) {
+	for _, c := range []struct {
+		code []byte
+		want Inst
+	}{
+		{[]byte{0x83, 0xF9, 0xFC}, Inst{Op: CMP, Dst: RegOp(ECX, 4), Src: ImmOp(-4, 4)}},       // cmp ecx, -4
+		{[]byte{0x83, 0xE4, 0xF0}, Inst{Op: AND, Dst: RegOp(ESP, 4), Src: ImmOp(-16, 4)}},      // and esp, -16
+		{[]byte{0x66, 0x83, 0xC3, 0xFF}, Inst{Op: ADD, Dst: RegOp(EBX, 2), Src: ImmOp(-1, 2)}}, // add bx, -1
+		{[]byte{0x83, 0xC0, 0x7F}, Inst{Op: ADD, Dst: RegOp(EAX, 4), Src: ImmOp(127, 4)}},      // add eax, 127
+	} {
+		in := decodeOne(t, c.code, 0)
+		if in.Op != c.want.Op || in.Dst != c.want.Dst || in.Src != c.want.Src {
+			t.Errorf("% x: %v with source %+v, want %v with source %+v", c.code, in, in.Src, c.want, c.want.Src)
+		}
+	}
+}
+
 func TestDecodeSIBForms(t *testing.T) {
 	// [ecx*8+0x40] with no base: SIB with base=5, mod=0.
 	a := NewAsm(0)

@@ -61,6 +61,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x66, 0xF3, 0x66, 0xF2, 0x0F})             // prefix soup
 	f.Add([]byte{0xCD, 0x80})                               // int 0x80
 	f.Add([]byte{0x66, 0xA3, 0x00, 0xF0, 0x04, 0x08})       // mov [moffs16], ax
+	f.Add([]byte{0x83, 0xF9, 0xFC})                         // cmp ecx, -4
+	f.Add([]byte{0x6B, 0xDB, 0xFD})                         // imul ebx, ebx, -3
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := Decode(data, 0x1000)
 		if err != nil {

@@ -310,8 +310,8 @@ func (it *Interp) Step() error {
 	case x86.IMUL2:
 		a := int32(it.read(in.Src))
 		var b int32
-		if in.Src2.Kind != x86.KNone {
-			b = int32(it.read(in.Src2))
+		if in.Src2.Kind == x86.KImm {
+			b = in.Src2.Imm // sign-extended, whatever its encoded width
 		} else {
 			b = int32(it.read(in.Dst))
 		}
