@@ -82,11 +82,7 @@ func TestRemovedFlagsAreUnknown(t *testing.T) {
 		main()
 		os.Exit(0)
 	}
-	for _, args := range []string{
-		"-tier0",
-		"-tier-up-threshold 2000",
-		"-sim-workers 2",
-	} {
+	for _, args := range []string{"-tier0", "-tier-up-threshold 2000"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagsAreUnknown$")
 		cmd.Env = append(os.Environ(), "TILEVM_TEST_ARGS=-workload 164.gzip "+args)
 		out, err := cmd.CombinedOutput()

@@ -19,8 +19,8 @@ import (
 const (
 	stateMagic  = "TVCK"
 	recordMagic = "TVRC"
-	// codecVer 2 added a tiered-translation section and three metrics
-	// counters; 3 removed them with the tier they served.
+	// codecVer 3: version 2 frames carry a tiered-translation section
+	// this decoder does not read, so checkFrame rejects them.
 	codecVer = 3
 )
 

@@ -23,11 +23,11 @@ type ImageMemory interface {
 // cache, which does the same within one run; it models nothing and no
 // virtual cycle depends on it.
 //
-// An entry is keyed by (image, guest PC, Options) and
-// holds the Result together with every code window the translation
-// read. A translation is a pure function of its key and of the bytes in
-// those windows — which windows it reads is itself decided by bytes
-// read earlier — so an entry may stand in for a fresh translation
+// An entry is keyed by (image, guest PC, Options) and holds the
+// Result together with every code window the translation read. A
+// translation is a pure function of its key and of the bytes in those
+// windows — which windows it reads is itself decided by bytes read
+// earlier — so an entry may stand in for a fresh translation
 // exactly when every one of its windows is still pristine in the run at
 // hand: the run was loaded from the same image, the windows hold the
 // image's bytes, and a translator reading them would make the same
@@ -94,8 +94,8 @@ func (mo *Memo) Stats() MemoStats {
 }
 
 // Translate is t.TranslateFinal(mem, addr) for a memory loaded from
-// image, served from the memo when it can be. image is whatever
-// the owner uses to tell its images apart (a *guest.Image); it is only
+// image, served from the memo when it can be. image is whatever the
+// owner uses to tell its images apart (a *guest.Image); it is only
 // compared. The result is the same block, bit for bit, with or without
 // the memo; one that came from the memo must not be written to.
 func (mo *Memo) Translate(t *Translator, image any, mem ImageMemory, addr uint32) (*Result, error) {

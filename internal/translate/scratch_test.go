@@ -42,8 +42,7 @@ func pressureBlock(t *testing.T) *ir.Block {
 // that leaves its scratch in a different state — a block of another
 // shape, the IR-returning entry point, a block cut short by undecodable
 // bytes, a translation that fails outright, and the register-pressure
-// ladder's
-// retries at caps 32, 8, 2 and 1 with the allocator giving up
+// ladder's retries at caps 32, 8, 2 and 1 with the allocator giving up
 // mid-block — and requires each result, all held to the end, to be
 // deeply equal to what a Translator fresh for that one block returns.
 // The IR blocks Translate handed out along the way must still read as

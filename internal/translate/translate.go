@@ -140,11 +140,10 @@ type Options struct {
 
 // Translator translates guest code. It owns the scratch the whole
 // pipeline works in — decode buffer, flag-liveness vector, IR builder,
-// optimizer and allocator tables — so a
-// translation allocates only the Result it returns, and nothing in a
-// Result points into the scratch. There is one Translator per engine
-// (the engine's slave tiles take turns on it); it is not safe for
-// concurrent use.
+// optimizer and allocator tables — so a translation allocates only the
+// Result it returns, and nothing in a Result points into the scratch.
+// There is one Translator per engine (the engine's slave tiles take
+// turns on it); it is not safe for concurrent use.
 type Translator struct {
 	Opts Options
 
