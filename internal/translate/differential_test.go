@@ -13,8 +13,10 @@ import (
 )
 
 // runDBT executes a guest image through the translation pipeline with a
-// minimal dispatch loop (translate-on-miss, flat memory env).
-func runDBT(t *testing.T, img *guest.Image, opts Options, maxBlocks int) (*guest.Process, error) {
+// minimal dispatch loop (translate-on-miss, flat memory env). With mo
+// non-nil every block is translated through the memo, as the engine's
+// translation tiles do with Config.Memo set.
+func runDBT(t *testing.T, img *guest.Image, opts Options, mo *Memo, maxBlocks int) (*guest.Process, error) {
 	t.Helper()
 	p := guest.Load(img)
 	clk := &rawexec.CountClock{}
@@ -28,7 +30,11 @@ func runDBT(t *testing.T, img *guest.Image, opts Options, maxBlocks int) (*guest
 		res, ok := cache[pc]
 		if !ok {
 			var err error
-			res, err = tr.TranslateFinal(p.Mem, pc)
+			if mo != nil {
+				res, err = mo.Translate(tr, img, p.Mem, pc)
+			} else {
+				res, err = tr.TranslateFinal(p.Mem, pc)
+			}
 			if err != nil {
 				return p, err
 			}
@@ -57,14 +63,14 @@ func runDBT(t *testing.T, img *guest.Image, opts Options, maxBlocks int) (*guest
 
 // differential runs the image on both executors and compares final
 // architectural state.
-func differential(t *testing.T, img *guest.Image, opts Options) {
+func differential(t *testing.T, img *guest.Image, opts Options, mo *Memo) {
 	t.Helper()
 	ref := guest.Load(img)
 	refIt := x86interp.New(ref)
 	if exited, err := refIt.Run(5_000_000); err != nil || !exited {
 		t.Fatalf("reference run failed: %v exited=%v (%s)", err, exited, ref.CPU.String())
 	}
-	got, err := runDBT(t, img, opts, 500_000)
+	got, err := runDBT(t, img, opts, mo, 500_000)
 	if err != nil {
 		t.Fatalf("DBT run failed: %v", err)
 	}
@@ -97,17 +103,38 @@ func exitWith(a *x86.Asm) {
 }
 
 // allOpts runs a subtest under every translation configuration.
+//
+// The last two rows run the program twice through one Memo: the first
+// run fills it, the second executes the blocks it serves (or the fresh
+// translations it steps aside for, where the program wrote its own
+// code) and must translate nothing new. The rows keep the names they
+// had when they ran the template tier, since deleted.
 func allOpts(t *testing.T, img *guest.Image) {
 	for _, cfg := range []struct {
 		name string
 		o    Options
+		memo bool
 	}{
-		{"opt", Options{Optimize: true}},
-		{"noopt", Options{}},
-		{"conservative", Options{ConservativeFlags: true}},
-		{"opt+conservative", Options{Optimize: true, ConservativeFlags: true}},
+		{"opt", Options{Optimize: true}, false},
+		{"noopt", Options{}, false},
+		{"conservative", Options{ConservativeFlags: true}, false},
+		{"opt+conservative", Options{Optimize: true, ConservativeFlags: true}, false},
+		{"tier0", Options{Optimize: true}, true},
+		{"tier0+conservative", Options{Optimize: true, ConservativeFlags: true}, true},
 	} {
-		t.Run(cfg.name, func(t *testing.T) { differential(t, img, cfg.o) })
+		t.Run(cfg.name, func(t *testing.T) {
+			if !cfg.memo {
+				differential(t, img, cfg.o, nil)
+				return
+			}
+			mo := NewMemo()
+			differential(t, img, cfg.o, mo)
+			filled := mo.Stats()
+			differential(t, img, cfg.o, mo)
+			if s := mo.Stats(); s.Misses != filled.Misses || s.Hits == 0 {
+				t.Errorf("second run through the memo: %+v after the first %+v; want no new misses and some hits", s, filled)
+			}
+		})
 	}
 }
 

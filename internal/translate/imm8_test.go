@@ -49,7 +49,7 @@ func TestImm8Values(t *testing.T) {
 				t.Errorf("reference interpreter: EBX %#x (%v), want %#x", uint32(ref.Kern.ExitCode), err, c.want)
 			}
 			for _, opts := range []Options{{Optimize: true}, {}} {
-				p, err := runDBT(t, img, opts, 1000)
+				p, err := runDBT(t, img, opts, nil, 1000)
 				if err != nil || uint32(p.Kern.ExitCode) != c.want {
 					t.Errorf("translator %+v: EBX %#x (%v), want %#x", opts, uint32(p.Kern.ExitCode), err, c.want)
 				}
