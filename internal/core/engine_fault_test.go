@@ -171,3 +171,34 @@ func TestFaultWithoutRecoveryDeadlocksWithDiagnostic(t *testing.T) {
 		t.Errorf("execution tile missing from deadlock report: %+v", dl.Blocked)
 	}
 }
+
+// TestSMCUnderFaultRecovery runs smcImage's invalidation handshake on
+// the robust path: under a seeded drop/delay/corrupt plan, and with
+// L1.5 bank tile 1 stalled across the invalidation for longer than
+// the watchdog, so the handshake times out and re-sends to the one
+// target that has not acked. Each row must still match the reference
+// interpreter, and pins the counters the handshake drives.
+func TestSMCUnderFaultRecovery(t *testing.T) {
+	type pin struct {
+		cycles, retries, timeouts, smc, recycled, hash uint64
+	}
+	for _, tc := range []struct {
+		name string
+		plan *fault.Plan
+		want pin
+	}{
+		{"chaos", &fault.Plan{Seed: 2, DropProb: 0.05, DelayProb: 0.1, DelayCycles: 3_000, CorruptProb: 0.05},
+			pin{cycles: 274_795, retries: 53, timeouts: 10, smc: 1, recycled: 2, hash: 0xec85af24acb89ae6}},
+		{"stall/l15", &fault.Plan{Seed: 5, Stalls: []fault.TileStall{{Tile: 1, Cycle: 4_000, Dur: 50_000}}},
+			pin{cycles: 57_232, retries: 32, timeouts: 1, smc: 1, recycled: 0, hash: 0xec85af24acb89ae6}},
+	} {
+		cfg := DefaultConfig()
+		cfg.Fault = tc.plan
+		res := checkAgainstReference(t, smcImage(), cfg)
+		m := res.M
+		got := pin{res.Cycles, m.Retries, m.Timeouts, m.SMCInvalidations, m.FaultMsgsRecycled, res.StateHash}
+		if got != tc.want {
+			t.Errorf("%s: %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
