@@ -44,10 +44,10 @@ func stalls(ts ...fault.TileStall) *fault.Plan { return &fault.Plan{Seed: 5, Sta
 var runGoldens = []runGolden{
 	{name: "fail/slave",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
-		want: [3]string{"1362298:0:1a8db9a9bb8e46eb", "2808973:0:bbcce5f6e08d389b", "14844523:0:45c02b84b6fe7ac8"}},
+		want: [3]string{"1362298:0:a3e69c15cdb52876", "2808973:0:f46e3937d5f3a582", "14844523:0:1794654fab065bc5"}},
 	{name: "fail/bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
-		want: [3]string{"1362298:0:f3893dd5373bf63f", "3344484:0:eed02b1212a25360", "14909679:0:6643274a4c30b0a4"}},
+		want: [3]string{"1362298:0:d146f7a6beb89c9c", "3344484:0:a83c975bfb69034f", "14909679:0:e73de20251af4c57"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -55,16 +55,16 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 14, Cycle: 250_000},
 				fault.TileFail{Tile: 12, Cycle: 600_000})
 		},
-		want: [3]string{"1361706:0:5d2ad6fd5ad102b1", "3464438:0:9af91cc195b2520b", "14373512:0:4ef60577d8935f64"}},
+		want: [3]string{"1361706:0:f1eaa6af06f40660", "3464438:0:b76723be659de47a", "14373512:0:2a5a3005460ae1e7"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2698092:0:9cf9128a710a016c", "5249817:0:eaa220b89753b443", "16998107:0:9fee2d7671464a1b"}},
+		want: [3]string{"2698092:0:a7a10698382017fa", "5249817:0:6f4bb067c2fc56cb", "16998107:0:17209dec123ec2f9"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
-		want: [3]string{"1392326:0:fdc14c298dabfd67", "2838998:0:8de02a6406da55a9", "15098615:0:d296c7ab6bc0cc5e"}},
+		want: [3]string{"1392326:0:439934bbea8eaeda", "2838998:0:f803e3324578d94e", "15098615:0:4095670e67d3cf97"}},
 	{name: "stall/bank",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tilePermBank, Cycle: 500_000, Dur: 45_000}) },
-		want: [3]string{"1362298:0:7a39f23212449a72", "2853655:0:5e396ef15cc4f1f4", "14924852:0:162a4f4eac2d32d2"}},
+		want: [3]string{"1362298:0:5e49e46bad65b2cd", "2853655:0:9868b18129101225", "14924852:0:9d651ae05b57e44f"}},
 	{name: "stall/l15+sys+slave+two-on-one-bank",
 		cfg: func(c *Config) {
 			c.Fault = stalls(
@@ -74,7 +74,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 2, Cycle: 300_000, Dur: 1_000},
 				fault.TileStall{Tile: 2, Cycle: 300_500, Dur: 2_000})
 		},
-		want: [3]string{"1433412:0:1a8a0890a5da4053", "2888322:0:284a9f7f61c125c3", "14989621:0:566e35cbae7869f9"}},
+		want: [3]string{"1433412:0:1d6d41ccca913eb0", "2888322:0:bf569549d37fc4c8", "14989621:0:cc554ccde1e344f8"}},
 	{name: "stall/norecover",
 		cfg: func(c *Config) {
 			c.FaultRecovery = false
@@ -83,7 +83,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 7, Cycle: 350_000, Dur: 12_000},
 				fault.TileStall{Tile: 13, Cycle: 50_000, Dur: 40_000})
 		},
-		want: [3]string{"1360386:0:36e1ab5b9e885e77", "2822178:0:37a8d1f07b8096aa", "14414417:0:43c992307c93a18b"}},
+		want: [3]string{"1360386:0:278e3e02eab7adbc", "2822178:0:ede42a6263189df5", "14414417:0:f5ca44e1f2976234"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 9,
@@ -94,13 +94,13 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1361374:0:e5a34ff9c9b1ea68", "3486023:0:6d0f55fda12dead8", "14675406:0:837efa65812bdd73"}},
+		want: [3]string{"1361374:0:f6993529845a1b6d", "3486023:0:1d9ce42e95c836f3", "14675406:0:3d5480e94464001a"}},
 	{name: "chaos/recover",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 7, DropProb: 0.01, DelayProb: 0.02, DelayCycles: 1_000,
 				CorruptProb: 0.01, DRAMProb: 0.05}
 		},
-		want: [3]string{"1827796:0:4f09d4808234ef09", "29037591:0:eb53efc1a4ba364c", "39579550:0:d817efd285b667ef"}},
+		want: [3]string{"1827796:0:73fbdce39ff6cbdc", "29037591:0:20d3d1adaa2d968b", "39579550:0:bb381dcbf633facc"}},
 	{name: "chaos+fail+stall",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 21, DropProb: 0.005, DelayProb: 0.01, DelayCycles: 600,
@@ -108,13 +108,13 @@ var runGoldens = []runGolden{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 250_000, Dur: 8_000}},
 				Fails:  []fault.TileFail{{Tile: 11, Cycle: 200_000}, {Tile: 2, Cycle: 700_000}}}
 		},
-		want: [3]string{"1642910:0:8c65d55a67f925fd", "15910970:0:08bbb28fdf16ccb0", "26588588:0:47d9876c3f21bade"}},
+		want: [3]string{"1642910:0:5773ce24c55d6e64", "15910970:0:67584b2738dafdcd", "26588588:0:9ddfe1b7b6bc3b57"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg: func(c *Config) {
 			c.Recovery = RecoverRollback
 			c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000})
 		},
-		want: [3]string{"1362298:0:d590a5d94b52abb6", "3334708:0:64275892b8dafab0", "14894048:0:c5d80a659641936a"}},
+		want: [3]string{"1362298:0:7b0c4fa51e994d7d", "3334708:0:a306b66be7517587", "14894048:0:ee313672fd7980a1"}},
 	{name: "rollback/two-banks+slave/interval",
 		cfg: func(c *Config) {
 			c.Recovery = RecoverRollback
@@ -124,32 +124,32 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 13, Cycle: 500_000},
 				fault.TileFail{Tile: 2, Cycle: 800_000})
 		},
-		want: [3]string{"1362298:0:31d9f73daba34894", "4302066:0:81f46baa6ea43cd1", "14723221:0:9628e6cd70e30a26"}},
+		want: [3]string{"1362298:0:ced7b7863bc59e41", "4302066:0:adf8a7e12dd86914", "14723221:0:a850f97e561f4bbb"}},
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
-		want: [3]string{"1366236:0:ccefc046a326ab9a", "2814592:0:a54149b78732342a", "14525580:0:0c814ae913347ebc"}},
+		want: [3]string{"1366236:0:cbc3f6423a0daa55", "2814592:0:6298e4adf65f429f", "14525580:0:ab7aa1ab8b1e2367"}},
 	{name: "morph/stall+chaos",
 		cfg: func(c *Config) {
 			c.Morph = true
 			c.Fault = &fault.Plan{Seed: 3, DropProb: 0.004, DelayProb: 0.01, DelayCycles: 300,
 				Stalls: []fault.TileStall{{Tile: 14, Cycle: 150_000, Dur: 25_000}}}
 		},
-		want: [3]string{"1421985:0:5cfc4df0f339d74d", "7794834:0:f973651c1be6da27", "19653715:0:08a88bebcbbe7e58"}},
+		want: [3]string{"1421985:0:251267c1ca84ced2", "7794834:0:9e29cbda284aec1a", "19653715:0:857a3783e7214c3d"}},
 	{name: "nospec/fail",
 		cfg: func(c *Config) {
 			c.Speculative = false
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
-		want: [3]string{"1569257:0:feef61005a18c51e", "3007906:0:eb3175f0d4f5be58", "19105562:0:f6c180f599cd2d63"}},
+		want: [3]string{"1569257:0:2e50701d78d6f195", "3007906:0:208b43a6c8324b29", "19105562:0:6688814f771d9032"}},
 	{name: "traced", traced: true,
-		want: [3]string{"1356400:409651:af9dc843d8c7128e", "2805178:5774705:4ea6f84db4d2e94b", "14411161:14022151:8f9fe2b670b085c9"}},
+		want: [3]string{"1356400:409651:745e2afd70141ba5", "2805178:5774705:a3a05af0a8e290c0", "14411161:14022151:9a488dcc1e0679d0"}},
 	{name: "traced/fail+stall", traced: true,
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 4,
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1377298:502631:329878598401d7d7", "3426270:5837231:e7ea812f228b1f2d", "14661881:15282543:bc65080f9d0c18bc"}},
+		want: [3]string{"1377298:502631:c63c65b9c60f43d8", "3426270:5837231:50b9591b7fbcb238", "14661881:15282543:5e5ea31a95385fc7"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {
@@ -181,8 +181,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}
-		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
-			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
+		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
+			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsText(r.M))
 		cycles = r.Cycles
 	}
 	n := 0
