@@ -485,9 +485,6 @@ func report(res *core.Result, verbose bool) {
 	fmt.Printf("dispatches        : %d\n", m.BlockDispatches)
 	fmt.Printf("host instructions : %d\n", m.HostInsts)
 	fmt.Printf("translations      : %d (%d guest insts)\n", m.Translations, m.TransGuestInsts)
-	if m.WarmupCycles > 0 {
-		fmt.Printf("warmup            : cycle %d\n", m.WarmupCycles)
-	}
 	fmt.Printf("demand misses     : %d\n", m.DemandMisses)
 	fmt.Printf("spec wasted       : %d\n", m.SpecWasted)
 	fmt.Printf("L1 code           : %d lookups, %.3f hit, %d flushes, %d chains\n",

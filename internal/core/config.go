@@ -72,11 +72,6 @@ type Config struct {
 	// ConservativeFlags disables cross-block dead-flag elimination.
 	ConservativeFlags bool
 
-	// WarmupInsts, when nonzero, arms the warmup probe: the cycle at
-	// which the exec tile has retired this many host instructions is
-	// recorded in metrics.WarmupCycles (the cold-start metric).
-	WarmupInsts uint64
-
 	// Morph enables dynamic reconfiguration between (1 mem / 9 trans)
 	// and (4 mem / 6 trans); Slaves/MemBanks then give the *initial*
 	// configuration (normally 6/4).

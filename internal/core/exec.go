@@ -80,10 +80,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 		exit, err := prog.Exec(cpu, idx, tileClock{c}, env, 0)
 		trc.Span(c.Tile, "exec", tExec, c.Now(), "pc", uint64(pc), "insts", exit.Insts)
 		e.stats.HostInsts += exit.Insts
-		if e.cfg.WarmupInsts > 0 && e.stats.WarmupCycles == 0 && e.stats.HostInsts >= e.cfg.WarmupInsts {
-			e.stats.WarmupCycles = c.Now()
-			trc.Instant(c.Tile, "warmup", c.Now(), "insts", e.stats.HostInsts, "", 0)
-		}
 		if err != nil {
 			e.execErr = fmt.Errorf("at guest block %#x: %w", pc, err)
 			break

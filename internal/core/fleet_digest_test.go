@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"strings"
 	"testing"
 
 	"tilevm/internal/fault"
-	"tilevm/internal/metrics"
 	"tilevm/internal/translate"
 )
 
@@ -37,8 +35,8 @@ func writeFleetResult(w io.Writer, fr *FleetResult) {
 		fmt.Fprintf(w, "g%d status=%v attempts=%d slot=%d admitted=%d finished=%d err=%v\n",
 			gi, g.Status, g.Attempts, g.Slot, g.Admitted, g.Finished, g.Err)
 		if r := g.Result; r != nil {
-			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %s\n",
-				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsText(r.M))
+			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %+v\n",
+				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
 		}
 	}
 }
@@ -96,13 +94,6 @@ func (g *fleetGolden) run(t *testing.T, memo *translate.Memo) string {
 		n = buf.Len()
 	}
 	return fmt.Sprintf("%d:%d:%016x", fr.Makespan, n, h.Sum64())
-}
-
-// metricsText is %+v of m without WarmupCycles, which is about to
-// leave metrics.Set and is zero in every digest row: the digests then
-// pin the counters that stay.
-func metricsText(m metrics.Set) string {
-	return strings.Replace(fmt.Sprintf("%+v", m), " WarmupCycles:0", "", 1)
 }
 
 func fails(tf ...fault.TileFail) *fault.Plan { return &fault.Plan{Seed: 7, Fails: tf} }

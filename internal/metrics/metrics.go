@@ -32,9 +32,6 @@ type Set struct {
 	DemandMisses    uint64 // exec-visible L2 code cache misses
 	SpecWasted      uint64 // speculative translations never demanded
 
-	// Cold start.
-	WarmupCycles uint64 // cycle of the Nth retired host instruction (0 = not armed/reached)
-
 	// Data memory.
 	DL1Accesses uint64 // guest accesses on the exec tile
 	DL1Misses   uint64 // tile D-cache misses → memory system
