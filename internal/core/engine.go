@@ -77,9 +77,6 @@ type engine struct {
 	// bit-identical to the pre-fault engine.
 	inj    *fault.Injector
 	robust bool
-	// codeSeq numbers the execution tile's demand code requests in
-	// robust mode (fresh Seq per attempt, including retries).
-	codeSeq uint64
 	// bankOf lets the manager account a dead bank's dirty lines
 	// (writeback-loss) at excision time; registered by each worker in
 	// robust mode. Single-threaded in virtual time like the rest.

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tilevm/internal/cachesim"
 	"tilevm/internal/codecache"
 	"tilevm/internal/raw"
 	"tilevm/internal/rawexec"
+	"tilevm/internal/sim"
 	"tilevm/internal/translate"
 	"tilevm/internal/x86interp"
 )
@@ -127,45 +129,79 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 	}
 }
 
-// rpc is the execution tile's robust request/reply primitive (used
-// only in fault-recovery mode): send issues (or re-issues) the
-// request, match inspects each incoming payload and returns the reply
-// value when it is the one being waited for. On watchdog expiry the
-// request is re-sent with exponential backoff, capped at
-// RetryBackoffMax — the execution tile cannot make progress without
+// watchdog is the execution tile's one blocking wait. Every
+// request/reply leg that leaves the tile — code fetch, line fill,
+// syscall, SMC invalidation, fleet hand-off — sends its request, then
+// calls recv until the reply it wants arrives, re-sending whenever recv
+// reports the watchdog due. Without fault recovery the watchdog is off:
+// recv is a plain Recv, and a request goes out exactly once. In
+// fault-recovery mode (DESIGN.md §6) it is armed: a wait that outlasts
+// the deadline expires, and each expiry doubles the next wait, capped
+// at RetryBackoffMax. The execution tile cannot make progress without
 // the reply, so it retries forever; a lost service tile is the
-// manager's problem to excise, after which a retry lands on a live
-// one. Unmatched payloads (stale replies to earlier attempts,
-// corrupted messages) are discarded.
-func (e *engine) rpc(c *raw.TileCtx, send func(attempt int), match func(any) (any, bool)) any {
-	P := &e.cfg.Params
-	send(0)
-	backoff := P.NetWatchdog
-	deadline := c.Now() + backoff
-	for attempt := 1; ; {
-		msg, ok := c.RecvDeadline(deadline)
-		if !ok {
-			e.stats.Timeouts++
-			e.stats.Retries++
-			send(attempt)
-			attempt++
-			if backoff < P.RetryBackoffMax {
-				backoff *= 2
-				if backoff > P.RetryBackoffMax {
-					backoff = P.RetryBackoffMax
-				}
+// manager's problem to excise, after which a retry lands on a live one.
+type watchdog struct {
+	e        *engine
+	c        *raw.TileCtx
+	backoff  uint64
+	deadline uint64
+}
+
+// watch starts a watchdog for a request sent at the tile's current
+// time.
+func (e *engine) watch(c *raw.TileCtx) watchdog {
+	b := e.cfg.Params.NetWatchdog
+	return watchdog{e: e, c: c, backoff: b, deadline: c.Now() + b}
+}
+
+// recv returns the next message for the waiting tile, or due when the
+// watchdog expired first: the caller then re-sends its request and
+// calls recv again. A corrupted payload is recycled here — its single
+// consumption point on this tile, where it is no longer aliased — and
+// never returned. Callers discard payloads they do not match (stale
+// replies to superseded attempts).
+func (w *watchdog) recv() (msg sim.Msg, due bool) {
+	for {
+		if !w.e.robust {
+			msg = w.c.Recv()
+		} else if m, ok := w.c.RecvDeadline(w.deadline); ok {
+			msg = m
+		} else {
+			w.e.stats.Timeouts++
+			w.e.stats.Retries++
+			if w.backoff < w.e.cfg.Params.RetryBackoffMax {
+				w.backoff = min(2*w.backoff, w.e.cfg.Params.RetryBackoffMax)
 			}
-			deadline = c.Now() + backoff
-			continue
+			w.deadline = w.c.Now() + w.backoff
+			return sim.Msg{}, true
 		}
 		if cm, ok := msg.Payload.(raw.Corrupted); ok {
-			// The wrapper's single consumption point on this tile: only
-			// now is the pooled payload unaliased and safe to recycle.
-			e.recycleFaulty(cm.Payload)
+			w.e.recycleFaulty(cm.Payload)
 			continue
 		}
-		if v, done := match(msg.Payload); done {
-			return v
+		return msg, false
+	}
+}
+
+// broadcast sends req to every target and waits until each has answered
+// with an A; it takes ownership of targets. A due watchdog re-sends to
+// the targets that have not answered. Only the SMC invalidation is ever
+// re-sent (fleet slots, which hand off, never run fault recovery), and
+// re-invalidating a range is idempotent at every receiver, so a
+// duplicate caused by a late answer is harmless.
+func broadcast[A any](e *engine, c *raw.TileCtx, pending []int, req any) {
+	for w, due := e.watch(c), true; len(pending) > 0; {
+		if due {
+			for _, t := range pending {
+				c.Send(t, req, wordsCtl)
+			}
+		}
+		var msg sim.Msg
+		msg, due = w.recv()
+		if _, ok := msg.Payload.(A); ok {
+			if i := slices.Index(pending, msg.From); i >= 0 {
+				pending = slices.Delete(pending, i, i+1)
+			}
 		}
 	}
 }
@@ -174,26 +210,14 @@ func (e *engine) rpc(c *raw.TileCtx, send func(attempt int), match func(any) (an
 // (paper §5: the prototype detects writes to pages containing
 // translated code): flush the local L1 code cache, tell the manager to
 // drop overlapping L2 translations, flush the L1.5 banks, and wait for
-// the acknowledgments.
+// the acknowledgments. Re-invalidating a range is idempotent: the
+// manager conservatively bumps the SMC generation again, and an L1.5
+// bank re-flushes an already empty bank.
 func (e *engine) smcInvalidate(c *raw.TileCtx, env *execEnv, l1 *codecache.L1) {
 	e.stats.SMCInvalidations++
 	t0 := c.Now()
 	inval := smcInval{Lo: env.smcLo, Hi: env.smcHi}
-	if e.robust {
-		e.smcInvalRobust(c, inval)
-	} else {
-		targets := 1 + len(e.pl.l15)
-		c.Send(e.pl.manager, inval, wordsCtl)
-		for _, bankTile := range e.pl.l15 {
-			c.Send(bankTile, inval, wordsCtl)
-		}
-		for acks := 0; acks < targets; {
-			msg := c.Recv()
-			if _, ok := msg.Payload.(smcAck); ok {
-				acks++
-			}
-		}
-	}
+	broadcast[smcAck](e, c, append([]int{e.pl.manager}, e.pl.l15...), inval)
 	l1.Flush()
 	env.smcPending = false
 	e.trc().Span(c.Tile, "smc_inval", t0, c.Now(), "lo", uint64(inval.Lo), "hi", uint64(inval.Hi))
@@ -207,100 +231,35 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// smcInvalRobust runs the invalidation handshake with per-target ack
-// tracking and selective resend on watchdog expiry. Re-invalidating a
-// range is idempotent at every receiver (the manager conservatively
-// bumps the SMC generation again; an L1.5 bank re-flushes an already
-// empty bank), so a duplicated inval caused by a delayed ack is
-// harmless.
-func (e *engine) smcInvalRobust(c *raw.TileCtx, inval smcInval) {
-	P := &e.cfg.Params
-	targets := append([]int{e.pl.manager}, e.pl.l15...)
-	acked := map[int]bool{}
-	send := func() {
-		for _, t := range targets {
-			if !acked[t] {
-				c.Send(t, inval, wordsCtl)
-			}
-		}
-	}
-	send()
-	backoff := P.NetWatchdog
-	deadline := c.Now() + backoff
-	for len(acked) < len(targets) {
-		msg, ok := c.RecvDeadline(deadline)
-		if !ok {
-			e.stats.Timeouts++
-			e.stats.Retries++
-			send()
-			if backoff < P.RetryBackoffMax {
-				backoff *= 2
-				if backoff > P.RetryBackoffMax {
-					backoff = P.RetryBackoffMax
-				}
-			}
-			deadline = c.Now() + backoff
-			continue
-		}
-		if _, isAck := msg.Payload.(smcAck); isAck {
-			acked[msg.From] = true
-		}
-	}
-}
-
 // fetchBlock requests a translated block through the code cache
-// hierarchy, blocking until it arrives. In fault-recovery mode the
-// wait is watchdogged and the request re-sent under a fresh sequence
-// number; a stale response for a different PC (possible only after a
-// retry) is discarded rather than treated as a protocol violation.
+// hierarchy, blocking until it arrives. Replies are matched on PC: a
+// stale response for another PC (possible only after a re-send) is
+// discarded.
 func (e *engine) fetchBlock(c *raw.TileCtx, pc uint32) *translate.Result {
 	t0 := c.Now()
 	target := e.pl.manager
 	if n := len(e.pl.l15); n > 0 {
 		target = e.pl.l15[l15BankFor(pc, n)]
 	}
-	if e.robust {
-		out := e.rpc(c, func(int) {
-			e.codeSeq++
-			e.sendCodeReq(c, target, pc, e.codeSeq)
-		}, func(payload any) (any, bool) {
-			r, ok := payload.(*codeResp)
-			if !ok {
-				return nil, false
-			}
+	for w, due := e.watch(c), true; ; {
+		if due {
+			m := e.pool.codeReqs.get()
+			*m = codeReq{PC: pc, ReplyTo: e.pl.exec, FillBank: -1}
+			c.Send(target, m, wordsCodeReq)
+		}
+		var msg sim.Msg
+		msg, due = w.recv()
+		if r, ok := msg.Payload.(*codeResp); ok {
 			// Consumed whether it matches or not: a stale reply to a
 			// superseded attempt dies here.
 			res, match := r.Res, r.PC == pc
 			e.pool.codeResps.put(r)
-			return res, match
-		})
-		e.trc().Span(c.Tile, "fetch", t0, c.Now(), "pc", uint64(pc), "", 0)
-		return out.(*translate.Result)
-	}
-	e.sendCodeReq(c, target, pc, 0)
-	for {
-		switch m := c.Recv().Payload.(type) {
-		case *codeResp:
-			got, res := m.PC, m.Res
-			e.pool.codeResps.put(m)
-			if got != pc {
-				e.execErr = fmt.Errorf("code response for %#x while waiting for %#x", got, pc)
-				return nil
+			if match {
+				e.trc().Span(c.Tile, "fetch", t0, c.Now(), "pc", uint64(pc), "", 0)
+				return res
 			}
-			e.trc().Span(c.Tile, "fetch", t0, c.Now(), "pc", uint64(pc), "", 0)
-			return res
-		case raw.Corrupted:
-			e.recycleFaulty(m.Payload)
 		}
-		// No other message types target a waiting execution tile.
 	}
-}
-
-// sendCodeReq sends a pooled demand request for the block at pc.
-func (e *engine) sendCodeReq(c *raw.TileCtx, to int, pc uint32, seq uint64) {
-	m := e.pool.codeReqs.get()
-	*m = codeReq{PC: pc, ReplyTo: e.pl.exec, FillBank: -1, Seq: seq}
-	c.Send(to, m, wordsCodeReq)
 }
 
 // execEnv implements rawexec.Env on the simulated machine: the tile
@@ -365,47 +324,27 @@ func (v *execEnv) touch(addr uint32, write bool) bool {
 		*wb = memReq{Addr: res.WritebackOf, Write: true, ReplyTo: -1}
 		v.c.Send(v.e.pl.mmu, wb, wordsMemReq+8)
 	}
-	// Line fill round trip. Reads are idempotent, so in robust mode a
-	// retry carries a fresh ID and any late reply to an earlier attempt
-	// is discarded by the ID match.
-	v.memID++
-	id := v.memID
-	if v.e.robust {
-		v.e.rpc(v.c, func(attempt int) {
-			if attempt > 0 {
-				v.memID++
-				id = v.memID
-			}
+	// Line fill round trip. Reads are idempotent, so a re-send carries
+	// a fresh ID and any late reply to an earlier attempt is discarded
+	// by the ID match.
+	for w, due := v.e.watch(v.c), true; ; {
+		if due {
+			v.memID++
 			rq := v.e.pool.reqs.get()
-			*rq = memReq{Addr: res.LineAddr, Write: false, ReplyTo: v.e.pl.exec, ID: id}
+			*rq = memReq{Addr: res.LineAddr, Write: false, ReplyTo: v.e.pl.exec, ID: v.memID}
 			v.c.Send(v.e.pl.mmu, rq, wordsMemReq)
-		}, func(payload any) (any, bool) {
-			r, ok := payload.(*memResp)
-			if !ok {
-				return nil, false
-			}
-			// Consumed whether it matches or not: a stale reply to a
-			// superseded attempt dies here.
-			match := r.ID == id
-			v.e.pool.resps.put(r)
-			return nil, match
-		})
-		v.e.trc().Span(v.c.Tile, "memfill", tMiss, v.c.Now(), "addr", uint64(res.LineAddr), "", 0)
-		return false
-	}
-	rq := v.e.pool.reqs.get()
-	*rq = memReq{Addr: res.LineAddr, Write: false, ReplyTo: v.e.pl.exec, ID: id}
-	v.c.Send(v.e.pl.mmu, rq, wordsMemReq)
-	for {
-		msg := v.c.Recv()
-		if cm, ok := msg.Payload.(raw.Corrupted); ok {
-			v.e.recycleFaulty(cm.Payload)
-			continue
 		}
-		if r, ok := msg.Payload.(*memResp); ok && r.ID == id {
+		var msg sim.Msg
+		msg, due = w.recv()
+		if r, ok := msg.Payload.(*memResp); ok {
+			// Consumed whether it matches or not, like a stale code
+			// response.
+			match := r.ID == v.memID
 			v.e.pool.resps.put(r)
-			v.e.trc().Span(v.c.Tile, "memfill", tMiss, v.c.Now(), "addr", uint64(res.LineAddr), "", 0)
-			return false
+			if match {
+				v.e.trc().Span(v.c.Tile, "memfill", tMiss, v.c.Now(), "addr", uint64(res.LineAddr), "", 0)
+				return false
+			}
 		}
 	}
 }
@@ -435,35 +374,23 @@ func (v *execEnv) GuestStore(addr uint32, val uint32, size uint8) {
 }
 
 // Syscall implements rawexec.Env: proxy to the syscall tile. Syscalls
-// are not idempotent, so the robust path is an at-most-once RPC: every
-// attempt carries the same ID and the syscall tile deduplicates,
-// replaying the cached response when a retry races a slow original.
+// are not idempotent, so under fault recovery this is an at-most-once
+// RPC: every attempt carries the same ID and the syscall tile
+// deduplicates, replaying the cached response when a re-send races a
+// slow original.
 func (v *execEnv) Syscall(cpu *rawexec.CPU) {
 	v.e.stats.Syscalls++
 	tSys := v.c.Now()
-	var req sysReq
+	v.sysID++
+	req := sysReq{ID: v.sysID}
 	copy(req.Regs[:], cpu.R[:10])
-	if v.e.robust {
-		v.sysID++
-		req.ID = v.sysID
-		out := v.e.rpc(v.c, func(int) {
+	for w, due := v.e.watch(v.c), true; ; {
+		if due {
 			v.c.Send(v.e.pl.sys, req, wordsSys)
-		}, func(payload any) (any, bool) {
-			if r, ok := payload.(sysResp); ok && r.ID == req.ID {
-				return r, true
-			}
-			return nil, false
-		})
-		r := out.(sysResp)
-		copy(cpu.R[1:10], r.Regs[1:10])
-		v.exited = r.Exited
-		v.e.trc().Span(v.c.Tile, "syscall", tSys, v.c.Now(), "exited", b2u(r.Exited), "", 0)
-		return
-	}
-	v.c.Send(v.e.pl.sys, req, wordsSys)
-	for {
-		msg := v.c.Recv()
-		if r, ok := msg.Payload.(sysResp); ok {
+		}
+		var msg sim.Msg
+		msg, due = w.recv()
+		if r, ok := msg.Payload.(sysResp); ok && r.ID == req.ID {
 			copy(cpu.R[1:10], r.Regs[1:10])
 			v.exited = r.Exited
 			v.e.trc().Span(v.c.Tile, "syscall", tSys, v.c.Now(), "exited", b2u(r.Exited), "", 0)

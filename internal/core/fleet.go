@@ -533,7 +533,7 @@ func (fl *fleetRun) admit(c *raw.TileCtx, h *slotHost, si, gi int) {
 		fl.restoreForRetry(c, h.cur, gi)
 	}
 	fl.admitted[gi] = c.Now()
-	fl.handoff(c, pl)
+	fl.handoff(c, h.cur, pl)
 }
 
 // restoreForRetry rebases a re-admitted guest on its latest checkpoint
@@ -570,28 +570,13 @@ func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e *engine, gi int) {
 // slaves re-register with the new manager when their kernels restart.
 // The exec tile owns the handshake; it resumes dispatching only after
 // every service tile has acked.
-func (fl *fleetRun) handoff(c *raw.TileCtx, pl placement) {
-	c.Send(pl.manager, vmSwitch{}, wordsCtl)
-	waitSwitchAcks(c, 1)
+func (fl *fleetRun) handoff(c *raw.TileCtx, e *engine, pl placement) {
+	broadcast[switchAck](e, c, []int{pl.manager}, vmSwitch{})
 	targets := []int{pl.mmu, pl.sys}
 	targets = append(targets, pl.l15...)
 	targets = append(targets, pl.slaves...)
 	targets = append(targets, pl.banks...)
-	for _, t := range targets {
-		c.Send(t, vmSwitch{}, wordsCtl)
-	}
-	waitSwitchAcks(c, len(targets))
-}
-
-// waitSwitchAcks blocks until n switchAck messages arrive. Nothing
-// else targets an exec tile between guests, but stray payloads are
-// tolerated and skipped.
-func waitSwitchAcks(c *raw.TileCtx, n int) {
-	for n > 0 {
-		if _, ok := c.Recv().Payload.(switchAck); ok {
-			n--
-		}
-	}
+	broadcast[switchAck](e, c, targets, vmSwitch{})
 }
 
 // collect assembles the fleet result after the simulation ends.

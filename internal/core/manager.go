@@ -21,13 +21,12 @@ type qEntry struct {
 	bad      bool
 }
 
-// waiter is where the answer to a demand request goes: the requester,
-// the L1.5 bank to fill (-1 for none) and the request's sequence number.
-// A miss keeps one until the translation lands.
+// waiter is where the answer to a demand request goes: the requester
+// and the L1.5 bank to fill (-1 for none). A miss keeps one until the
+// translation lands.
 type waiter struct {
 	replyTo  int
 	fillBank int
-	seq      uint64
 }
 
 // outWork is a dispatched translation whose transDone has not come
@@ -420,7 +419,7 @@ func (st *managerState) handleCodeReq(m *codeReq) {
 		words := res.CodeBytes / 4
 		st.c.Tick(uint64(words) * P.L2CWordOcc) // DRAM read traffic
 		st.e.trc().Span(st.c.Tile, "l2c_lookup", t0, st.c.Now(), "pc", uint64(m.PC), "hit", 1)
-		st.respond(m.PC, waiter{m.ReplyTo, m.FillBank, m.Seq}, res)
+		st.respond(m.PC, waiter{m.ReplyTo, m.FillBank}, res)
 		delete(st.specStored, m.PC)
 		return
 	}
@@ -430,10 +429,10 @@ func (st *managerState) handleCodeReq(m *codeReq) {
 	st.e.trc().Span(st.c.Tile, "l2c_lookup", t0, st.c.Now(), "pc", uint64(m.PC), "hit", 0)
 	en := st.entry(m.PC)
 	if en.bad {
-		st.sendResp(m.ReplyTo, m.PC, 0, nil, wordsCtl)
+		st.sendResp(m.ReplyTo, m.PC, nil, wordsCtl)
 		return
 	}
-	st.waiters[m.PC] = append(st.waiters[m.PC], waiter{m.ReplyTo, m.FillBank, m.Seq})
+	st.waiters[m.PC] = append(st.waiters[m.PC], waiter{m.ReplyTo, m.FillBank})
 	if !en.inflight {
 		st.push(m.PC, 0)
 	}
@@ -446,7 +445,7 @@ func (st *managerState) handleCodeReq(m *codeReq) {
 // L1.5 bank.
 func (st *managerState) respond(pc uint32, w waiter, res *translate.Result) {
 	words := res.CodeBytes / 4
-	st.sendResp(w.replyTo, pc, w.seq, res, words)
+	st.sendResp(w.replyTo, pc, res, words)
 	if w.fillBank >= 0 {
 		f := st.e.pool.fills.get()
 		*f = fill{PC: pc, Res: res}
@@ -455,9 +454,9 @@ func (st *managerState) respond(pc uint32, w waiter, res *translate.Result) {
 }
 
 // sendResp sends a pooled codeResp.
-func (st *managerState) sendResp(to int, pc uint32, seq uint64, res *translate.Result, words int) {
+func (st *managerState) sendResp(to int, pc uint32, res *translate.Result, words int) {
 	r := st.e.pool.codeResps.get()
-	*r = codeResp{PC: pc, Res: res, Seq: seq}
+	*r = codeResp{PC: pc, Res: res}
 	st.c.Send(to, r, words)
 }
 
@@ -627,7 +626,7 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 		en.bad = true
 		st.e.trc().Instant(st.c.Tile, "untranslatable", st.c.Now(), "pc", uint64(m.PC), "", 0)
 		for _, w := range st.waiters[m.PC] {
-			st.sendResp(w.replyTo, m.PC, w.seq, nil, wordsCtl)
+			st.sendResp(w.replyTo, m.PC, nil, wordsCtl)
 		}
 		delete(st.waiters, m.PC)
 		st.dispatch()

@@ -11,24 +11,19 @@ import (
 
 // codeReq asks for the translated block at PC. ReplyTo is the tile the
 // block should be delivered to (the execution tile); FillBank, if ≥ 0,
-// is the L1.5 bank the manager should also fill on the way back. Seq
-// sequence-numbers the requester's demand fetches so retried requests
-// under fault injection can be told apart from the original.
+// is the L1.5 bank the manager should also fill on the way back.
 type codeReq struct {
 	PC       uint32
 	ReplyTo  int
 	FillBank int
-	Seq      uint64
 	pooled
 }
 
 // codeResp delivers a translated block (nil if the address is
-// untranslatable — the guest jumped to garbage). Seq echoes the
-// triggering request's sequence number.
+// untranslatable — the guest jumped to garbage).
 type codeResp struct {
 	PC  uint32
 	Res *translate.Result
-	Seq uint64
 	pooled
 }
 
