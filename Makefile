@@ -1,15 +1,22 @@
 GO ?= go
 
-.PHONY: check nomaps vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck
+.PHONY: check nomaps onewait vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck
 
 # The full gate: what CI (and a pre-commit) should run.
-check: vet nomaps build tilebench-build test racepar
+check: vet nomaps onewait build tilebench-build test racepar
 
 # The translator back end keeps its dataflow facts and allocation state
 # in dense tables indexed by register number (DESIGN.md §7); a map
 # creeping back into opt or codegen is a 4x translate slowdown.
 nomaps:
 	@! grep -n 'map\[' $$(ls internal/opt/*.go internal/codegen/*.go | grep -v _test.go)
+
+# The execution tile has one blocking wait, watchdog.recv (DESIGN.md
+# §6): every request/reply leg goes through it, so a per-cause cycle
+# ledger has one place to tag. Any other function in internal/core
+# that calls Recv or RecvDeadline fails this.
+onewait:
+	$(GO) test -count=1 -run TestOneWaitSite ./internal/core
 
 vet:
 	$(GO) vet ./...

@@ -1,0 +1,77 @@
+package core
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestOneWaitSite: the execution tile has exactly one blocking wait,
+// watchdog.recv (DESIGN.md §6), and the service tiles are handlers,
+// which never park. A per-cause cycle ledger therefore has one place on
+// the execution tile to tag. The test fails if any other function in
+// this package's non-test code calls Recv or RecvDeadline.
+func TestOneWaitSite(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	callers := map[string]bool{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn := "package scope"
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				fn = fd.Name.Name
+				if fd.Recv != nil {
+					fn = recvTypeName(fd.Recv.List[0].Type) + "." + fn
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
+						(sel.Sel.Name == "Recv" || sel.Sel.Name == "RecvDeadline") {
+						callers[name+": "+fn] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var got []string
+	for c := range callers {
+		got = append(got, c)
+	}
+	sort.Strings(got)
+	if want := []string{"exec.go: watchdog.recv"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("functions calling Recv/RecvDeadline: %q, want only %q", got, want)
+	}
+}
+
+// recvTypeName names a method's receiver type without its pointer star.
+func recvTypeName(e ast.Expr) string {
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
+}
