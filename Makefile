@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check nomaps onewait vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck
+.PHONY: check nomaps onewait vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck cguests
 
 # The full gate: what CI (and a pre-commit) should run.
 check: vet nomaps onewait build tilebench-build test racepar
@@ -212,6 +212,18 @@ tilevmd-smoke:
 	$(GO) build -o /tmp/tilevmd-smoke-bin ./cmd/tilevmd
 	$(GO) run ./internal/tools/servicesmoke -bin /tmp/tilevmd-smoke-bin
 	rm -f /tmp/tilevmd-smoke-bin
+
+# The compiled-guest probes in testdata/cguests: freestanding C (no
+# libc, no 64-bit divide, no floating point) built at three
+# optimisation levels into static i386 ELF files. The ELF files are
+# checked in, so TestCompiledGuests needs no compiler; re-run this
+# after editing a probe.
+CGUEST_CFLAGS = -m32 -static -nostdlib -ffreestanding -fno-pic -no-pie -march=i386 -mno-sse
+
+cguests:
+	for p in crc qsort interp; do for o in O0 O2 Os; do \
+	  gcc $(CGUEST_CFLAGS) -$$o -o testdata/cguests/$$p.$$o testdata/cguests/$$p.c || exit 1; \
+	done; done
 
 # Verify that every relative link in the markdown docs points at a file
 # that exists.
