@@ -183,12 +183,11 @@ func (w *watchdog) recv() (msg sim.Msg, due bool) {
 	}
 }
 
-// broadcast sends req to every target and waits until each has answered
-// with an A; it takes ownership of targets. A due watchdog re-sends to
-// the targets that have not answered. Only the SMC invalidation is ever
-// re-sent (fleet slots, which hand off, never run fault recovery), and
-// re-invalidating a range is idempotent at every receiver, so a
-// duplicate caused by a late answer is harmless.
+// broadcast sends req to every target in pending and waits until each
+// has answered with an A. A due watchdog re-sends to the targets that
+// have not answered, so req must be idempotent at its receivers; only
+// the SMC invalidation is ever re-sent, as fleet slots, which hand off,
+// never run fault recovery.
 func broadcast[A any](e *engine, c *raw.TileCtx, pending []int, req any) {
 	for w, due := e.watch(c), true; len(pending) > 0; {
 		if due {

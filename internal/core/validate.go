@@ -151,8 +151,8 @@ func validateFleet(cfg *Config, fc FleetConfig, guests int) ([]placement, error)
 }
 
 // validateFleetFaultPlan rejects fault plans the fleet policy layer
-// cannot honor. Fleet slots run the lean (non-robust) protocol stack —
-// no watchdogs, heartbeats, retries, or at-most-once RPC — so
+// cannot honor. Fleet slots never arm fault recovery — no watchdogs,
+// heartbeats, retries, or syscall deduplication — so
 // probabilistic message faults would wedge a slot rather than exercise
 // recovery; only fail-stop and stall clauses are meaningful, and they
 // must target tiles inside carved slots (a fault on an uncarved tile
