@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check nomaps onewait vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck cguests
+.PHONY: check nomaps onewait deadexports vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck cguests
 
 # The full gate: what CI (and a pre-commit) should run.
-check: vet nomaps onewait build tilebench-build test racepar
+check: vet nomaps onewait deadexports build tilebench-build test racepar
 
 # The translator back end keeps its dataflow facts and allocation state
 # in dense tables indexed by register number (DESIGN.md §7); a map
@@ -17,6 +17,12 @@ nomaps:
 # that calls Recv or RecvDeadline fails this.
 onewait:
 	$(GO) test -count=1 -run TestOneWaitSite ./internal/core
+
+# An exported function or method that nothing names, not even a test,
+# is dead code (TestDeadExports in deadexports_test.go; matched by
+# name, standard-interface methods exempt).
+deadexports:
+	$(GO) test -count=1 -run TestDeadExports .
 
 vet:
 	$(GO) vet ./...
@@ -117,7 +123,6 @@ bench-check:
 
 fuzz:
 	$(GO) test ./internal/x86 -fuzz FuzzDecode -fuzztime 30s
-	$(GO) test ./internal/checkpoint -run - -fuzz FuzzCheckpointDecode -fuzztime 30s
 	$(GO) test ./internal/checkpoint -run - -fuzz FuzzRecordDecode -fuzztime 30s
 	$(GO) test ./internal/core -run - -fuzz FuzzCarveFabric -fuzztime 30s
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 30s
@@ -129,7 +134,6 @@ fuzz:
 # Quick fuzz pass for CI: enough to catch a codec regression, short
 # enough to run on every push.
 fuzz-smoke:
-	$(GO) test ./internal/checkpoint -run - -fuzz FuzzCheckpointDecode -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run - -fuzz FuzzRecordDecode -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzCarveFabric -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 10s

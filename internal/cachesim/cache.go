@@ -150,12 +150,6 @@ func (c *Cache) DirtyLines() int {
 	return n
 }
 
-// LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
-// SizeBytes returns the total capacity.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * c.lineBytes }
-
 // MissRate returns misses/accesses, or 0 with no accesses.
 func (c *Cache) MissRate() float64 {
 	if c.Accesses == 0 {

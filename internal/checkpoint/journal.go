@@ -65,21 +65,6 @@ func (j *Journal) Add(kind EventKind, cycle, a, b uint64) {
 	j.Events = append(j.Events, Event{Cycle: cycle, Kind: kind, A: a, B: b})
 }
 
-// Filter returns the events of the given kinds, in order.
-func Filter(evs []Event, kinds ...EventKind) []Event {
-	want := map[EventKind]bool{}
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []Event
-	for _, e := range evs {
-		if want[e.Kind] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // FirstDivergence bisects to the first index at which the two event
 // streams differ, or -1 if they are identical. It binary-searches the
 // longest common prefix over precomputed rolling hashes, so comparing

@@ -47,7 +47,8 @@ type Record struct {
 	Final  RecordFinal
 }
 
-// Encode serializes the record with the same framing as snapshots.
+// Encode serializes the record in the versioned, checksummed TVRC
+// format (see encode.go).
 func (rec *Record) Encode() []byte {
 	w := &writer{buf: make([]byte, 0, 256+16*len(rec.Events))}
 	w.raw([]byte(recordMagic))

@@ -1,18 +1,18 @@
-// Package checkpoint implements whole-virtual-architecture snapshots of
-// the simulated machine and the deterministic event journal built on
-// top of them.
+// Package checkpoint implements the in-memory whole-machine snapshots
+// that rollback recovery restores, the deterministic event journal, and
+// the TVRC record format that tilevm -record writes and -replay reads.
 //
-// A State captures everything needed to re-execute from a point in
-// virtual time: the guest-visible machine (memory image, registers,
-// kernel state), the timing-model state that must survive exactly
-// (MMU/TLB contents, the exec tile's data cache), and the code caches
-// in *generative* form — translation is a pure function of guest
-// memory, so the L2 code cache is recorded as its ordered entry PCs and
-// rebuilt by re-translating, and the L1 arena (including chain patches)
-// is reproduced by re-inserting those translations in arena order.
-// In-flight messages are deliberately not captured: restoring drops
-// them, which is exactly the lost-message scenario the machine's
-// retry/heartbeat/watchdog protocols already recover from.
+// A State holds exactly what a restore reads: the guest-visible
+// machine (memory image, registers, kernel state), the timing-model
+// state that must survive exactly (MMU/TLB contents, the exec tile's
+// data cache), and the code caches in *generative* form — translation
+// is a pure function of guest memory, so the L2 code cache is recorded
+// as its ordered entry PCs and rebuilt by re-translating, and the L1
+// arena (including chain patches) is reproduced by re-inserting those
+// translations in arena order. In-flight messages are deliberately not
+// captured: restoring drops them, which is exactly the lost-message
+// scenario the machine's retry/heartbeat/watchdog protocols already
+// recover from. Snapshots live only in memory; nothing serializes them.
 //
 // Capture is incremental: guest pages unwritten since the previous
 // snapshot share its backing (see guest.Memory.Capture), and capturing
@@ -23,7 +23,6 @@ package checkpoint
 
 import (
 	"tilevm/internal/cachesim"
-	"tilevm/internal/fault"
 	"tilevm/internal/guest"
 	"tilevm/internal/metrics"
 	"tilevm/internal/mmu"
@@ -34,20 +33,6 @@ import (
 type QueuedPC struct {
 	PC    uint32
 	Depth int32
-}
-
-// BankState is one L2 data bank's tag/dirty contents and counters.
-// Banks are captured for format completeness but never restored:
-// rollback always re-morphs to a changed topology, which re-interleaves
-// lines across banks, and dirty bank lines carry no functional state
-// (guest data lives in the flat memory image).
-type BankState struct {
-	Tile      int32
-	Cache     cachesim.State
-	Requests  uint64
-	Misses    uint64
-	Flushes   uint64
-	Writeback uint64
 }
 
 // CodeL1State records the exec tile's L1 code cache as ordered entry
@@ -99,11 +84,9 @@ type State struct {
 	Spec   []uint32   // speculatively-stored PCs not yet demanded
 	Bad    []uint32   // PCs whose translation failed
 
-	Banks []BankState
-	SMC   SMCState
+	SMC SMCState
 
 	Metrics metrics.Set
-	Faults  fault.Counts
 }
 
 // Checkpointer owns the capture cadence and the incremental-capture

@@ -124,10 +124,6 @@ type Config struct {
 	// MaxCycles is the simulation watchdog (0 = default).
 	MaxCycles uint64
 
-	// MaxBlockExecs bounds dispatch-loop iterations (0 = unlimited);
-	// used by tests.
-	MaxBlockExecs uint64
-
 	// Tracer, if non-nil, records the run's virtual-time timeline (see
 	// internal/trace): spans and instants for block dispatch, the code
 	// cache hierarchy, the translation pipeline, the memory system, and

@@ -242,6 +242,43 @@ func smcImage() *guest.Image {
 	return &guest.Image{Entry: guest.DefaultCodeBase, CodeBase: guest.DefaultCodeBase, Code: a.Bytes()}
 }
 
+// smcAssistImage is a guest that patches an assisted instruction: a
+// loop runs div ecx (F7 F1) five times, rewrites its ModRM byte to F3
+// (div ebx), and runs five more. It exits with 5*100/5 + 5*100/10 =
+// 150; an assist that reuses the stale decode exits with 200.
+func smcAssistImage() *guest.Image {
+	build := func(patchAddr uint32) *x86.Asm {
+		a := x86.NewAsm(guest.DefaultCodeBase)
+		a.MovRegImm(x86.EDI, 0)
+		a.MovRegImm(x86.ESI, 0)
+		a.MovRegImm(x86.ECX, 5)
+		a.MovRegImm(x86.EBX, 10)
+		a.Label("top")
+		a.MovRegImm(x86.EAX, 100)
+		a.MovRegImm(x86.EDX, 0)
+		a.Label("patch")
+		a.DivRM(x86.RegOp(x86.ECX, 4)) // F7 F1; ModRM at patch+1
+		a.ALU(x86.ADD, x86.RegOp(x86.EDI, 4), x86.RegOp(x86.EAX, 4))
+		a.IncReg(x86.ESI)
+		a.ALU(x86.CMP, x86.RegOp(x86.ESI, 4), x86.ImmOp(10, 4))
+		a.Jcc(x86.CondE, "done")
+		a.ALU(x86.CMP, x86.RegOp(x86.ESI, 4), x86.ImmOp(5, 4))
+		a.Jcc(x86.CondNE, "top")
+		a.MovRegImm(x86.EDX, patchAddr+1)
+		a.MovRegImm(x86.EAX, 0xF3) // ModRM of div ebx
+		a.MovMemReg8(x86.Mem(x86.EDX, 0), x86.EAX)
+		a.Jmp("top")
+		a.Label("done")
+		a.MovRegReg(x86.EBX, x86.EDI)
+		exitWith(a)
+		a.Bytes()
+		return a
+	}
+	p1 := build(0)
+	a := build(p1.LabelAddr("patch"))
+	return &guest.Image{Entry: guest.DefaultCodeBase, CodeBase: guest.DefaultCodeBase, Code: a.Bytes()}
+}
+
 // TestMachineSelfModifyingCode runs smcImage and checks the machine
 // both produces the reference result and records the invalidation.
 func TestMachineSelfModifyingCode(t *testing.T) {
@@ -257,6 +294,16 @@ func TestMachineSelfModifyingCode(t *testing.T) {
 	if res.ExitCode == 55 {
 		t.Error("patched immediate never took effect (stale translation executed)")
 	}
+
+	// The patched instruction is assisted, so the invalidation must
+	// also reach the assist interpreter's decode cache.
+	t.Run("assist", func(t *testing.T) {
+		res := checkAgainstReference(t, smcAssistImage(), DefaultConfig())
+		if res.M.Assists == 0 || res.M.SMCInvalidations == 0 {
+			t.Errorf("assists %d, SMC invalidations %d: want both nonzero",
+				res.M.Assists, res.M.SMCInvalidations)
+		}
+	})
 }
 
 // TestMachineRandomDifferential pushes seeded random programs through

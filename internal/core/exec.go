@@ -103,10 +103,6 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 		if env.smcPending {
 			e.smcInvalidate(c, env, l1)
 		}
-		if e.cfg.MaxBlockExecs != 0 && e.stats.BlockDispatches >= e.cfg.MaxBlockExecs {
-			e.execErr = fmt.Errorf("block-dispatch budget exhausted at %#x", pc)
-			break
-		}
 	}
 
 	cpu.StoreGuest(&e.proc.CPU)
@@ -209,15 +205,18 @@ func broadcast[A any](e *engine, c *raw.TileCtx, pending []int, req any) {
 // (paper §5: the prototype detects writes to pages containing
 // translated code): flush the local L1 code cache, tell the manager to
 // drop overlapping L2 translations, flush the L1.5 banks, and wait for
-// the acknowledgments. Re-invalidating a range is idempotent: the
-// manager conservatively bumps the SMC generation again, and an L1.5
-// bank re-flushes an already empty bank.
+// the acknowledgments. The assist interpreter's decode cache goes too:
+// it sees only the interpreter's own stores, not translated code's.
+// Re-invalidating a range is idempotent: the manager conservatively
+// bumps the SMC generation again, and an L1.5 bank re-flushes an
+// already empty bank.
 func (e *engine) smcInvalidate(c *raw.TileCtx, env *execEnv, l1 *codecache.L1) {
 	e.stats.SMCInvalidations++
 	t0 := c.Now()
 	inval := smcInval{Lo: env.smcLo, Hi: env.smcHi}
 	broadcast[smcAck](e, c, append([]int{e.pl.manager}, e.pl.l15...), inval)
 	l1.Flush()
+	env.interp = x86interp.New(e.proc)
 	env.smcPending = false
 	e.trc().Span(c.Tile, "smc_inval", t0, c.Now(), "lo", uint64(inval.Lo), "hi", uint64(inval.Hi))
 }

@@ -17,8 +17,8 @@ import (
 // already stored the live register file and PC into e.proc.CPU.
 //
 // Every map walked here is iterated in sorted order so that the
-// snapshot (and anything downstream of it: the encoded bytes, the
-// journal, a replay) is deterministic.
+// snapshot (and anything downstream of it: the journal, a replay) is
+// deterministic.
 func (e *engine) capture(c *raw.TileCtx, l1 *codecache.L1, env *execEnv) {
 	mgr := e.mgr
 	s := &checkpoint.State{
@@ -65,18 +65,6 @@ func (e *engine) capture(c *raw.TileCtx, l1 *codecache.L1, env *execEnv) {
 	}
 	sort.Slice(s.Bad, func(i, j int) bool { return s.Bad[i] < s.Bad[j] })
 
-	for _, t := range sortedKeys(e.bankOf) {
-		b := e.bankOf[t]
-		s.Banks = append(s.Banks, checkpoint.BankState{
-			Tile:      int32(t),
-			Cache:     b.Cache.Export(),
-			Requests:  b.Requests,
-			Misses:    b.Misses,
-			Flushes:   b.Flushes,
-			Writeback: b.Writeback,
-		})
-	}
-
 	s.SMC = checkpoint.SMCState{Gen: e.smcGen, CodePages: sortedU32map(e.codePages)}
 	for _, pg := range sortedU32map(e.pageInval) {
 		s.SMC.Inval = append(s.SMC.Inval, checkpoint.PageInval{Page: pg, Gen: e.pageInval[pg]})
@@ -84,9 +72,6 @@ func (e *engine) capture(c *raw.TileCtx, l1 *codecache.L1, env *execEnv) {
 
 	e.stats.Checkpoints++
 	s.Metrics = e.stats
-	if e.inj != nil {
-		s.Faults = e.inj.Counts()
-	}
 	e.ck.Capture(s, e.proc.Mem, c.Now())
 	e.jadd(checkpoint.EvCheckpoint, c.Now(), s.Seq, uint64(len(s.Mem.Pages)))
 	e.trc().Instant(c.Tile, "checkpoint", c.Now(), "seq", s.Seq, "pages", uint64(len(s.Mem.Pages)))

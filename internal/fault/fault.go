@@ -60,15 +60,6 @@ func (p *Plan) Empty() bool {
 		p.DropProb == 0 && p.DelayProb == 0 && p.CorruptProb == 0 && p.DRAMProb == 0)
 }
 
-// FailedTiles returns the set of tiles the plan fail-stops.
-func (p *Plan) FailedTiles() []int {
-	var out []int
-	for _, f := range p.Fails {
-		out = append(out, f.Tile)
-	}
-	return out
-}
-
 // WithoutFails returns a copy of the plan with the fail-stop clauses
 // for the given tiles removed. Rollback recovery re-executes with the
 // already-dead tiles excluded from the placement entirely, so their
@@ -240,12 +231,6 @@ func (in *Injector) FailedAt(tile int, now uint64) bool {
 		in.observe(KindFail, tile, now)
 	}
 	return true
-}
-
-// FailCycle returns the planned fail-stop cycle for a tile.
-func (in *Injector) FailCycle(tile int) (uint64, bool) {
-	at, ok := in.failAt[tile]
-	return at, ok
 }
 
 // StallTake returns (and consumes) the total pending stall duration for

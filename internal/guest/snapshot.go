@@ -3,7 +3,6 @@ package guest
 import (
 	"encoding/binary"
 	"io"
-	"sort"
 )
 
 // MemImage is an immutable point-in-time snapshot of a Memory. Pages
@@ -76,21 +75,6 @@ func (m *Memory) Hash() uint64 {
 		if p := m.pages[idx]; p != nil {
 			h = hashPage(h, uint32(idx), p[:])
 		}
-	}
-	return h
-}
-
-// Hash returns the same content hash as Memory.Hash computed over the
-// snapshot.
-func (img *MemImage) Hash() uint64 {
-	idxs := make([]uint32, 0, len(img.Pages))
-	for idx := range img.Pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	h := fnvOffset
-	for _, idx := range idxs {
-		h = hashPage(h, idx, img.Pages[idx])
 	}
 	return h
 }

@@ -114,6 +114,9 @@ func (e *FlatEnv) checkSMC(addr uint32, size uint8) {
 	for pg := addr >> 12; pg <= (addr+uint32(size)-1)>>12; pg++ {
 		if e.CodePages[pg] {
 			e.SMCPending = true
+			// The assist interpreter's decode cache sees only its own
+			// stores, not translated code's.
+			e.interp = x86interp.New(e.P)
 			return
 		}
 	}

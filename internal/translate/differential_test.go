@@ -586,6 +586,47 @@ func TestDiffSelfModifyingCode(t *testing.T) {
 		t.Fatalf("reference exit = %d, want 99 (test program broken)", ref.Kern.ExitCode)
 	}
 	allOpts(t, img)
+
+	// The same for an assisted instruction: div ecx (F7 F1) runs five
+	// times, its ModRM byte becomes F3 (div ebx), and it runs five more.
+	// The invalidation must reach the assist interpreter's decode cache.
+	build = func(patchAddr uint32) *x86.Asm {
+		a := x86.NewAsm(guest.DefaultCodeBase)
+		a.MovRegImm(x86.EDI, 0)
+		a.MovRegImm(x86.ESI, 0)
+		a.MovRegImm(x86.ECX, 5)
+		a.MovRegImm(x86.EBX, 10)
+		a.Label("top")
+		a.MovRegImm(x86.EAX, 100)
+		a.MovRegImm(x86.EDX, 0)
+		a.Label("patch")
+		a.DivRM(x86.RegOp(x86.ECX, 4)) // F7 F1; ModRM at patch+1
+		a.ALU(x86.ADD, x86.RegOp(x86.EDI, 4), x86.RegOp(x86.EAX, 4))
+		a.IncReg(x86.ESI)
+		a.ALU(x86.CMP, x86.RegOp(x86.ESI, 4), x86.ImmOp(10, 4))
+		a.Jcc(x86.CondE, "done")
+		a.ALU(x86.CMP, x86.RegOp(x86.ESI, 4), x86.ImmOp(5, 4))
+		a.Jcc(x86.CondNE, "top")
+		a.MovRegImm(x86.EDX, patchAddr+1)
+		a.MovRegImm(x86.EAX, 0xF3) // ModRM of div ebx
+		a.MovMemReg8(x86.Mem(x86.EDX, 0), x86.EAX)
+		a.Jmp("top")
+		a.Label("done")
+		a.MovRegReg(x86.EBX, x86.EDI)
+		exitWith(a)
+		a.Bytes()
+		return a
+	}
+	a = build(build(0).LabelAddr("patch"))
+	img = &guest.Image{Entry: guest.DefaultCodeBase, CodeBase: guest.DefaultCodeBase, Code: a.Bytes()}
+	ref = guest.Load(img)
+	if exited, err := x86interp.New(ref).Run(100000); err != nil || !exited {
+		t.Fatalf("reference: %v exited=%v", err, exited)
+	}
+	if ref.Kern.ExitCode != 150 {
+		t.Fatalf("reference exit = %d, want 150 (test program broken)", ref.Kern.ExitCode)
+	}
+	t.Run("assist", func(t *testing.T) { allOpts(t, img) })
 }
 
 func TestDiffExtendedOpsBitTest(t *testing.T) {
