@@ -41,13 +41,31 @@ var runGoldenGuests = [3]string{"164.gzip", "181.mcf", "176.gcc"}
 
 func stalls(ts ...fault.TileStall) *fault.Plan { return &fault.Plan{Seed: 5, Stalls: ts} }
 
+// stallStorm is n short stalls, one every 6,000 cycles, rotating over
+// every service tile of the default placement (the syscall tile, both
+// L1.5 banks, the manager, the MMU, both data banks and two slaves).
+// Each lasts 21,000-29,000 cycles, longer than NetWatchdog, so a stall
+// that catches a request in flight makes the execution tile re-send.
+func stallStorm(n int) *fault.Plan {
+	tiles := []int{tileSys, 1, 9, tileManager, tileMMU, tilePermBank, 7, 3, 8}
+	p := &fault.Plan{}
+	for i := range n {
+		p.Stalls = append(p.Stalls, fault.TileStall{
+			Tile:  tiles[i%len(tiles)],
+			Cycle: uint64(i+1) * 6_000,
+			Dur:   21_000 + uint64(i/len(tiles)%9)*1_000,
+		})
+	}
+	return p
+}
+
 var runGoldens = []runGolden{
 	{name: "fail/slave",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
-		want: [3]string{"1362298:0:a3e69c15cdb52876", "2808973:0:f46e3937d5f3a582", "14844523:0:1794654fab065bc5"}},
+		want: [3]string{"1362298:0:00c2ecff14148d94", "2808973:0:c7a3956bbd367cc4", "14844523:0:23a86913fe172a3d"}},
 	{name: "fail/bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
-		want: [3]string{"1362298:0:d146f7a6beb89c9c", "3344484:0:a83c975bfb69034f", "14909679:0:e73de20251af4c57"}},
+		want: [3]string{"1362298:0:c32d097076e61758", "3344484:0:adcb738be41e0ea5", "14909679:0:d3d8f133d5b0a625"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -55,16 +73,16 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 14, Cycle: 250_000},
 				fault.TileFail{Tile: 12, Cycle: 600_000})
 		},
-		want: [3]string{"1361706:0:f1eaa6af06f40660", "3464438:0:b76723be659de47a", "14373512:0:2a5a3005460ae1e7"}},
+		want: [3]string{"1361706:0:1f002d5d5b6db4a2", "3464438:0:1ffb8c45a35c6afa", "14373512:0:807e9f78785f5b9f"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2698092:0:a7a10698382017fa", "5249817:0:6f4bb067c2fc56cb", "16998107:0:17209dec123ec2f9"}},
+		want: [3]string{"2698092:0:2635d03ef29557be", "5249817:0:dfb32c17493ade17", "16998107:0:b7ddd4ef4f28db0d"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
-		want: [3]string{"1392326:0:439934bbea8eaeda", "2838998:0:f803e3324578d94e", "15098615:0:4095670e67d3cf97"}},
+		want: [3]string{"1392326:0:835055a4c9382532", "2838998:0:803ddf805cea5510", "15098615:0:10a4577b0f607c3d"}},
 	{name: "stall/bank",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tilePermBank, Cycle: 500_000, Dur: 45_000}) },
-		want: [3]string{"1362298:0:5e49e46bad65b2cd", "2853655:0:9868b18129101225", "14924852:0:9d651ae05b57e44f"}},
+		want: [3]string{"1362298:0:e061822bddefae6d", "2853655:0:2e9c4d59a8cd236d", "14924852:0:5fd87f8500a75bef"}},
 	{name: "stall/l15+sys+slave+two-on-one-bank",
 		cfg: func(c *Config) {
 			c.Fault = stalls(
@@ -74,7 +92,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 2, Cycle: 300_000, Dur: 1_000},
 				fault.TileStall{Tile: 2, Cycle: 300_500, Dur: 2_000})
 		},
-		want: [3]string{"1433412:0:1d6d41ccca913eb0", "2888322:0:bf569549d37fc4c8", "14989621:0:cc554ccde1e344f8"}},
+		want: [3]string{"1433412:0:a8cfe8468a9e7c9e", "2888322:0:0facbf6a787dca28", "14989621:0:85231b1c778eabc0"}},
 	{name: "stall/norecover",
 		cfg: func(c *Config) {
 			c.FaultRecovery = false
@@ -83,7 +101,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 7, Cycle: 350_000, Dur: 12_000},
 				fault.TileStall{Tile: 13, Cycle: 50_000, Dur: 40_000})
 		},
-		want: [3]string{"1360386:0:278e3e02eab7adbc", "2822178:0:ede42a6263189df5", "14414417:0:f5ca44e1f2976234"}},
+		want: [3]string{"1360386:0:44b257c6d0ae6eca", "2822178:0:bc41e7f7cbd4a6eb", "14414417:0:e98af3f4ec6ac3fa"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 9,
@@ -94,13 +112,16 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1361374:0:f6993529845a1b6d", "3486023:0:1d9ce42e95c836f3", "14675406:0:3d5480e94464001a"}},
+		want: [3]string{"1361374:0:32fd96e207eea2f5", "3486023:0:860e3caee7d28851", "14675406:0:8375c78f50eb8c56"}},
+	{name: "stall-storm",
+		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
+		want: [3]string{"5040544:0:c115c119af75dad0", "6941246:0:e27495334216cbdc", "17560753:0:d2079c57fa8e3e87"}},
 	{name: "chaos/recover",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 7, DropProb: 0.01, DelayProb: 0.02, DelayCycles: 1_000,
 				CorruptProb: 0.01, DRAMProb: 0.05}
 		},
-		want: [3]string{"1827796:0:73fbdce39ff6cbdc", "29037591:0:20d3d1adaa2d968b", "39579550:0:bb381dcbf633facc"}},
+		want: [3]string{"1827796:0:a00cc45ffda39315", "29037591:0:4c201f75d5301a93", "39579550:0:f14bb022577b5884"}},
 	{name: "chaos+fail+stall",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 21, DropProb: 0.005, DelayProb: 0.01, DelayCycles: 600,
@@ -108,13 +129,13 @@ var runGoldens = []runGolden{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 250_000, Dur: 8_000}},
 				Fails:  []fault.TileFail{{Tile: 11, Cycle: 200_000}, {Tile: 2, Cycle: 700_000}}}
 		},
-		want: [3]string{"1642910:0:5773ce24c55d6e64", "15910970:0:67584b2738dafdcd", "26588588:0:9ddfe1b7b6bc3b57"}},
+		want: [3]string{"1642910:0:2c19497d23af7d0f", "15910970:0:128d103ad9645fe5", "26588588:0:29c0cd80e3147ab7"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg: func(c *Config) {
 			c.Recovery = RecoverRollback
 			c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000})
 		},
-		want: [3]string{"1362298:0:7b0c4fa51e994d7d", "3334708:0:a306b66be7517587", "14894048:0:ee313672fd7980a1"}},
+		want: [3]string{"1362298:0:136a8b7570d2d709", "3334708:0:86adba10c3d6026d", "14894048:0:8e3c57d7c52e8c67"}},
 	{name: "rollback/two-banks+slave/interval",
 		cfg: func(c *Config) {
 			c.Recovery = RecoverRollback
@@ -124,32 +145,32 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 13, Cycle: 500_000},
 				fault.TileFail{Tile: 2, Cycle: 800_000})
 		},
-		want: [3]string{"1362298:0:ced7b7863bc59e41", "4302066:0:adf8a7e12dd86914", "14723221:0:a850f97e561f4bbb"}},
+		want: [3]string{"1362298:0:de4566a896dcb1f3", "4302066:0:a36c10405d831b10", "14723221:0:38c6e5450dc50299"}},
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
-		want: [3]string{"1366236:0:cbc3f6423a0daa55", "2814592:0:6298e4adf65f429f", "14525580:0:ab7aa1ab8b1e2367"}},
+		want: [3]string{"1366236:0:7df899532903cd1d", "2814592:0:d40372e6b90e5079", "14525580:0:5aa598a2d77d87b9"}},
 	{name: "morph/stall+chaos",
 		cfg: func(c *Config) {
 			c.Morph = true
 			c.Fault = &fault.Plan{Seed: 3, DropProb: 0.004, DelayProb: 0.01, DelayCycles: 300,
 				Stalls: []fault.TileStall{{Tile: 14, Cycle: 150_000, Dur: 25_000}}}
 		},
-		want: [3]string{"1421985:0:251267c1ca84ced2", "7794834:0:9e29cbda284aec1a", "19653715:0:857a3783e7214c3d"}},
+		want: [3]string{"1421985:0:85ffd8350d4e5649", "7794834:0:8a6935be5a5b667c", "19653715:0:01d7a89eb34d5f16"}},
 	{name: "nospec/fail",
 		cfg: func(c *Config) {
 			c.Speculative = false
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
-		want: [3]string{"1569257:0:2e50701d78d6f195", "3007906:0:208b43a6c8324b29", "19105562:0:6688814f771d9032"}},
+		want: [3]string{"1569257:0:5afc011bfce2cde7", "3007906:0:239ed194b35b099b", "19105562:0:111dbb144de4d3e0"}},
 	{name: "traced", traced: true,
-		want: [3]string{"1356400:409651:745e2afd70141ba5", "2805178:5774705:a3a05af0a8e290c0", "14411161:14022151:9a488dcc1e0679d0"}},
+		want: [3]string{"1356400:409651:50439dc9a6cd37ad", "2805178:5774705:c64d1709b311b8ca", "14411161:14022151:50221ffab0923ea8"}},
 	{name: "traced/fail+stall", traced: true,
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{Seed: 4,
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1377298:502631:c63c65b9c60f43d8", "3426270:5837231:50b9591b7fbcb238", "14661881:15282543:5e5ea31a95385fc7"}},
+		want: [3]string{"1377298:502631:0161e90fa5dab7d2", "3426270:5837231:b29931b55cb49a98", "14661881:15282543:988eca30966ebc63"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {
@@ -181,8 +202,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}
-		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
-			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
+		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
+			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsText(r.M))
 		cycles = r.Cycles
 	}
 	n := 0
