@@ -193,17 +193,17 @@ placement-smoke:
 	$(GO) test -run TestPlacementSmoke -count=1 ./internal/bench
 	$(GO) run ./cmd/tilevm -guests 164.gzip,181.mcf,164.gzip,181.mcf -grid 8x8 -planner
 
-# End-to-end fleet fault-tolerance smoke: a seeded fail-stop fault
-# quarantines a slot mid-run on an oversubscribed fleet with per-guest
-# deadlines; the run must engage the policy layer (a slot actually
-# quarantined) and two runs at the same seed must produce byte-identical
-# reports — goodput, SLO, and per-guest outcomes included.
+# End-to-end fleet fault-tolerance smoke: a fail-stop fault quarantines
+# a slot mid-run on an oversubscribed fleet with per-guest deadlines;
+# the run must engage the policy layer (a slot actually quarantined) and
+# two runs of the same plan must produce byte-identical reports —
+# goodput, SLO, and per-guest outcomes included.
 fleet-fault-smoke:
 	$(GO) run ./cmd/tilevm -guests 164.gzip,181.mcf,164.gzip \
-	  -fault-plan 'fail:5@500000' -fault-seed 7 -deadline 8000000 -v \
+	  -fault-plan 'fail:5@500000' -deadline 8000000 -v \
 	  > /tmp/tilevm-fleet-fault-a.txt
 	$(GO) run ./cmd/tilevm -guests 164.gzip,181.mcf,164.gzip \
-	  -fault-plan 'fail:5@500000' -fault-seed 7 -deadline 8000000 -v \
+	  -fault-plan 'fail:5@500000' -deadline 8000000 -v \
 	  > /tmp/tilevm-fleet-fault-b.txt
 	cmp /tmp/tilevm-fleet-fault-a.txt /tmp/tilevm-fleet-fault-b.txt
 	grep -q 'quarantined' /tmp/tilevm-fleet-fault-a.txt

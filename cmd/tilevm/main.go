@@ -7,7 +7,7 @@
 //	tilevm -workload 176.gcc
 //	tilevm -image prog.tvmi -slaves 9 -membanks 1
 //	tilevm -workload 181.mcf -morph -threshold 5 -v
-//	tilevm -workload 164.gzip -fault-plan 'fail:7@150000,drop:0.001' -fault-seed 42 -v
+//	tilevm -workload 164.gzip -fault-plan 'fail:7@150000,stall:6@30000+5000' -v
 //
 // Faulted runs can recover by rolling back to a periodic checkpoint
 // instead of excising the dead tile in place, and any run can be
@@ -102,8 +102,7 @@ var flagTable = []flagRule{
 	{"threshold", 5, "morphing queue-length threshold", oneVM, "", "MorphThreshold"},
 	{"maxcycles", uint64(0), "simulation watchdog (0 = default)", allModes, "", "MaxCycles"},
 	{"timeout", time.Duration(0), "wall-clock budget for the run; an expired run is interrupted and exits non-zero (0 = none; composes with -deadline, which is virtual cycles)", "single fleet", "", ""},
-	{"fault-plan", "", "fault plan, e.g. 'fail:7@150000,drop:0.01,delay:0.02+400,corrupt:0.01,dram:0.05,stall:6@30000+5000'", "single fleet record dump", "", "Fault"},
-	{"fault-seed", uint64(0), "seed for the fault plan's probabilistic clauses", "single fleet record dump", "fault-plan", ""},
+	{"fault-plan", "", "fault plan: comma-separated fail:T@C (tile T fail-stops at cycle C) and stall:T@C+D (tile T stalls D cycles at cycle C) clauses, e.g. 'fail:7@150000,stall:6@30000+5000'", "single fleet record dump", "", "Fault"},
 	{"fault-norecover", false, "disable fault recovery (a fault then deadlocks with a diagnostic)", oneVM, "", "FaultRecovery"},
 	{"recovery", "excise", "fail-stop recovery mode: excise (morph around the dead tile in place) or rollback (restore the last checkpoint when excision would lose writebacks)", allModes, "", "Recovery"},
 	{"record", "", "write a deterministic record of the run to this file", "record dump", "", "Journal"},
@@ -206,7 +205,6 @@ func parse(args []string) (*invocation, error) {
 		MorphThreshold: inv.num("threshold"),
 		MaxCycles:      inv.u64("maxcycles"),
 		FaultPlan:      inv.str("fault-plan"),
-		FaultSeed:      inv.u64("fault-seed"),
 		FaultRecovery:  !inv.on("fault-norecover"),
 		Recovery:       uint8(recMode),
 	}
@@ -499,12 +497,10 @@ func report(res *core.Result, verbose bool) {
 	fmt.Printf("reconfigurations  : %d (%d lines flushed)\n", m.Reconfigs, m.MorphFlushLines)
 	fmt.Printf("SMC invalidations : %d\n", m.SMCInvalidations)
 	if m.FaultsInjected > 0 || m.Timeouts > 0 {
-		fmt.Printf("faults injected   : %d (%d drops, %d delays, %d corruptions, %d DRAM, %d fails, %d stalls)\n",
-			m.FaultsInjected, m.MsgsDropped, m.MsgsDelayed, m.MsgsCorrupted,
-			m.DRAMErrors, m.TileFails, m.TileStalls)
+		fmt.Printf("faults injected   : %d (%d fails, %d stalls)\n",
+			m.FaultsInjected, m.TileFails, m.TileStalls)
 		fmt.Printf("recovery          : %d timeouts, %d retries, %d role remaps, %d writebacks lost, %d recovery cycles\n",
 			m.Timeouts, m.Retries, m.RoleRemaps, m.WritebacksLost, m.RecoveryCycles)
-		fmt.Printf("fault msgs recycled: %d\n", m.FaultMsgsRecycled)
 	}
 	if m.Checkpoints > 0 || m.Rollbacks > 0 {
 		fmt.Printf("checkpoints       : %d\n", m.Checkpoints)

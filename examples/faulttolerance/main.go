@@ -1,8 +1,9 @@
 // Faulttolerance: morphing around failed tiles (beyond the paper).
 // Runs a workload four ways: fault-free; with a bank and a slave tile
 // fail-stopping mid-run while the manager excises them and continues
-// at reduced width; under probabilistic message drop/corruption that
-// the retry protocol absorbs; and with recovery disabled, where the
+// at reduced width; with every service tile stalling in turn for
+// longer than the watchdog, which the re-send protocol absorbs; and
+// with recovery disabled, where the
 // same bank death deadlocks — terminated by the simulator with a
 // per-tile diagnostic instead of hanging. Every surviving run is
 // checked against the fault-free architectural result.
@@ -49,19 +50,25 @@ func main() {
 		res.Cycles, 100*(float64(res.Cycles)/float64(clean.Cycles)-1),
 		res.M.RoleRemaps, res.M.Retries, res.M.RecoveryCycles)
 
-	// A lossy network: 1% of messages dropped, 1% corrupted. Watchdog
-	// timeouts and sequence-numbered retries make each loss cost time
-	// instead of correctness.
+	// Stalled tiles: every 10,000 cycles one service tile (syscall
+	// proxy, L1.5 banks, manager, MMU, data banks, slaves, in turn)
+	// stalls for 25,000 cycles, longer than the 20,000-cycle watchdog.
+	// Timeouts and re-sends make each stall cost time instead of
+	// correctness.
 	cfg = core.DefaultConfig()
-	cfg.Fault = &fault.Plan{Seed: 42, DropProb: 0.01, CorruptProb: 0.01}
+	cfg.Fault = &fault.Plan{}
+	for i, tiles := 0, []int{0, 1, 9, 4, 6, 10, 7, 3, 8}; i < 200; i++ {
+		cfg.Fault.Stalls = append(cfg.Fault.Stalls,
+			fault.TileStall{Tile: tiles[i%len(tiles)], Cycle: uint64(i+1) * 10_000, Dur: 25_000})
+	}
 	res, err = core.Run(img, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	check(clean, res)
-	fmt.Printf("lossy network     %9d cycles  (+%.0f%%)  dropped %d  corrupted %d  retries %d\n",
+	fmt.Printf("stalled tiles     %9d cycles  (+%.0f%%)  stalls %d  timeouts %d  retries %d\n",
 		res.Cycles, 100*(float64(res.Cycles)/float64(clean.Cycles)-1),
-		res.M.MsgsDropped, res.M.MsgsCorrupted, res.M.Retries)
+		res.M.TileStalls, res.M.Timeouts, res.M.Retries)
 
 	// The same bank death with recovery disabled: the machine wedges,
 	// and the simulator diagnoses the deadlock instead of hanging.

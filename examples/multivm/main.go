@@ -79,7 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fcfg = core.DefaultConfig()
-	fcfg.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{
+	fcfg.Fault = &fault.Plan{Fails: []fault.TileFail{
 		{Tile: layout[0].Exec, Cycle: 500_000},
 	}}
 	res, err = core.RunFleet(imgs[:3], fcfg, core.FleetConfig{})

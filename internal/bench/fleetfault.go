@@ -73,7 +73,7 @@ func (s *Suite) FleetFaultSweep() (string, error) {
 			cfg.Params.Width, cfg.Params.Height = grid[0], grid[1]
 			cfg.Memo = s.memo
 			if k > 0 {
-				plan := &fault.Plan{Seed: 7}
+				plan := &fault.Plan{}
 				for i := 0; i < k; i++ {
 					sl := layout[(2*i+1)%len(layout)]
 					plan.Fails = append(plan.Fails,

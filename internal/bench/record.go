@@ -194,7 +194,6 @@ func RecordConfig(rc checkpoint.RecordConfig) (core.Config, error) {
 		if err != nil {
 			return cfg, fmt.Errorf("bad fault plan: %w", err)
 		}
-		plan.Seed = rc.FaultSeed
 		cfg.Fault = plan
 		cfg.FaultRecovery = rc.FaultRecovery
 	}

@@ -23,7 +23,6 @@ func recordedRun() checkpoint.RecordConfig {
 		Optimize:           true,
 		MorphThreshold:     5,
 		FaultPlan:          "fail:7@150000,fail:14@300000,fail:2@450000",
-		FaultSeed:          42,
 		FaultRecovery:      true,
 		Recovery:           uint8(core.RecoverRollback),
 		CheckpointInterval: core.DefaultCheckpointInterval,

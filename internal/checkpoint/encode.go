@@ -12,9 +12,10 @@ import (
 // canonical, so encode(decode(encode(r))) == encode(r) byte for byte.
 const (
 	recordMagic = "TVRC"
-	// codecVer 3: version 2 frames carry a tiered-translation section
-	// this decoder does not read, so checkFrame rejects them.
-	codecVer = 3
+	// codecVer 4: version 3 frames carry a fault seed and version 2
+	// frames a tiered-translation section, neither of which this decoder
+	// reads, so checkFrame rejects them.
+	codecVer = 4
 )
 
 type writer struct {

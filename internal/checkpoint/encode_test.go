@@ -14,7 +14,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		Config: RecordConfig{
 			Workload: "181.mcf", Slaves: 6, Speculative: true, L15Banks: 2,
 			MemBanks: 4, Optimize: true, MorphThreshold: 5,
-			FaultPlan: "fail:7@150000", FaultSeed: 42, FaultRecovery: true,
+			FaultPlan: "fail:7@150000", FaultRecovery: true,
 			Recovery: 1, CheckpointInterval: 100_000,
 		},
 		Events: []Event{
@@ -46,21 +46,24 @@ func withVersion(enc []byte, ver uint16) []byte {
 	return out
 }
 
-// TestVersionGate: a well-formed record frame of version 2, the last
-// version with the tiered-translation section, is rejected by the
-// version check — not misread.
+// TestVersionGate: well-formed record frames of the older layouts are
+// rejected by the version check — not misread. Version 2 is the last
+// with the tiered-translation section, version 3 the last with a fault
+// seed.
 func TestVersionGate(t *testing.T) {
-	want := fmt.Sprintf("checkpoint: unsupported version 2 (want %d)", codecVer)
 	enc := (&Record{Config: RecordConfig{Workload: "164.gzip"}}).Encode()
 	if _, err := checkFrame(enc, recordMagic); err != nil {
 		t.Fatalf("current version rejected: %v", err)
 	}
-	old := withVersion(enc, 2)
-	if _, err := checkFrame(old, recordMagic); err == nil || err.Error() != want {
-		t.Errorf("checkFrame = %v, want %q", err, want)
-	}
-	if _, err := DecodeRecord(old); err == nil || err.Error() != want {
-		t.Errorf("DecodeRecord = %v, want %q", err, want)
+	for _, ver := range []uint16{2, 3} {
+		want := fmt.Sprintf("checkpoint: unsupported version %d (want %d)", ver, codecVer)
+		old := withVersion(enc, ver)
+		if _, err := checkFrame(old, recordMagic); err == nil || err.Error() != want {
+			t.Errorf("version %d: checkFrame = %v, want %q", ver, err, want)
+		}
+		if _, err := DecodeRecord(old); err == nil || err.Error() != want {
+			t.Errorf("version %d: DecodeRecord = %v, want %q", ver, err, want)
+		}
 	}
 }
 
@@ -77,6 +80,7 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add(withVersion(rec.Encode(), 2))
 	f.Add((&Record{}).Encode())
 	f.Add([]byte("TVRC"))
+	f.Add(withVersion(rec.Encode(), 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRecord(data)
 		if err != nil {

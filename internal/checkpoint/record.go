@@ -25,7 +25,6 @@ type RecordConfig struct {
 	MaxCycles      uint64
 
 	FaultPlan     string // fault.Plan.String() round-trippable form
-	FaultSeed     uint64
 	FaultRecovery bool
 
 	Recovery           uint8 // core.RecoveryMode
@@ -66,7 +65,6 @@ func (rec *Record) Encode() []byte {
 	w.i64(int64(c.MorphThreshold))
 	w.u64(c.MaxCycles)
 	w.str(c.FaultPlan)
-	w.u64(c.FaultSeed)
 	w.b(c.FaultRecovery)
 	w.u64(uint64(c.Recovery))
 	w.u64(c.CheckpointInterval)
@@ -108,7 +106,6 @@ func DecodeRecord(data []byte) (*Record, error) {
 	c.MorphThreshold = int(r.i64())
 	c.MaxCycles = r.u64()
 	c.FaultPlan = r.str()
-	c.FaultSeed = r.u64()
 	c.FaultRecovery = r.b()
 	c.Recovery = uint8(r.u64())
 	c.CheckpointInterval = r.u64()

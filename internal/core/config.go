@@ -93,11 +93,10 @@ type Config struct {
 	// FIFOSpec collapses the prioritized speculation queues to FIFO.
 	FIFOSpec bool
 
-	// Fault, if non-nil and non-empty, installs a deterministic seeded
-	// fault plan (see internal/fault): tile fail-stops and stalls,
-	// message drop/delay/corruption, DRAM read errors. With Fault nil
-	// (or empty) no fault code path runs and the machine is bit-identical
-	// to a fault-free build.
+	// Fault, if non-nil and non-empty, installs a deterministic fault
+	// plan (see internal/fault): tile fail-stops and stalls. With Fault
+	// nil (or empty) no fault code path runs and the machine is
+	// bit-identical to a fault-free build.
 	Fault *fault.Plan
 	// FaultRecovery arms the recovery protocol alongside the fault plan:
 	// worker heartbeats, watchdogged request/reply round trips with

@@ -112,7 +112,6 @@ type rollbackStats struct {
 	reexec    uint64 // checkpoint-to-detection cycles re-executed
 	penalty   uint64 // modeled restore cost charged
 	faults    fault.Counts
-	recycled  uint64 // pool recycle count from aborted attempts
 }
 
 // maxRollbackAttempts bounds re-execution; a plan with more distinct
@@ -172,7 +171,6 @@ func Run(img *guest.Image, cfg Config) (*Result, error) {
 		extra.reexec += rb.detect - target
 		extra.penalty += penalty
 		extra.faults = addCounts(extra.faults, rb.counts)
-		extra.recycled += rb.recycled
 		ck.Rearm()
 		cfg.Journal.Add(checkpoint.EvRollback, start, uint64(rb.tile), target)
 		cfg.Tracer.Instant(rb.tile, "rollback", start, "restore_to", target, "dead_tile", uint64(rb.tile))
@@ -183,22 +181,14 @@ func Run(img *guest.Image, cfg Config) (*Result, error) {
 // injected before a rollback really happened in simulation, so the
 // final metrics report the cumulative count.
 func addCounts(a, b fault.Counts) fault.Counts {
-	return fault.Counts{
-		Drops:       a.Drops + b.Drops,
-		Delays:      a.Delays + b.Delays,
-		Corruptions: a.Corruptions + b.Corruptions,
-		Stalls:      a.Stalls + b.Stalls,
-		Fails:       a.Fails + b.Fails,
-		DRAMErrors:  a.DRAMErrors + b.DRAMErrors,
-	}
+	return fault.Counts{Stalls: a.Stalls + b.Stalls, Fails: a.Fails + b.Fails}
 }
 
 // abortedAttempt extends rollbackReq with the aborted attempt's
 // carried accounting.
 type abortedAttempt struct {
 	rollbackReq
-	counts   fault.Counts
-	recycled uint64
+	counts fault.Counts
 }
 
 // runAttempt performs one full simulation. It returns a non-nil
@@ -259,10 +249,6 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 				e.trc().Instant(tile, "fault", now, "kind", uint64(kind), "", 0)
 			}
 		}
-		// Dropped messages never enter a port queue, so the sender
-		// holds the only reference and pooled payloads recycle
-		// immediately at the send site.
-		e.m.OnDrop = e.recycleFaulty
 	}
 
 	if restore != nil {
@@ -284,7 +270,6 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 		return nil, &abortedAttempt{
 			rollbackReq: *e.rollback,
 			counts:      e.inj.Counts(),
-			recycled:    e.pool.Recycled,
 		}, nil
 	}
 
@@ -300,14 +285,9 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 	if e.inj != nil {
 		fc := addCounts(extra.faults, e.inj.Counts())
 		e.stats.FaultsInjected = fc.Total()
-		e.stats.MsgsDropped = fc.Drops
-		e.stats.MsgsDelayed = fc.Delays
-		e.stats.MsgsCorrupted = fc.Corruptions
-		e.stats.DRAMErrors = fc.DRAMErrors
 		e.stats.TileFails = fc.Fails
 		e.stats.TileStalls = fc.Stalls
 	}
-	e.stats.FaultMsgsRecycled = extra.recycled + e.pool.Recycled
 	res := &Result{
 		Cycles:    e.stopCycles,
 		ExitCode:  e.proc.Kern.ExitCode,

@@ -33,7 +33,7 @@ func TestFaultEmptyPlanIsNoOp(t *testing.T) {
 	}
 }
 
-// TestFaultDeterminism: the same workload under the same fault seed
+// TestFaultDeterminism: the same workload under the same fault plan
 // must reproduce bit-for-bit — identical cycles and identical metrics,
 // including the fault and recovery counters.
 func TestFaultDeterminism(t *testing.T) {
@@ -42,13 +42,8 @@ func TestFaultDeterminism(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MaxCycles = 2_000_000_000
 		cfg.Fault = &fault.Plan{
-			Seed:        42,
-			DropProb:    0.01,
-			DelayProb:   0.02,
-			DelayCycles: 400,
-			CorruptProb: 0.01,
-			DRAMProb:    0.05,
-			Stalls:      []fault.TileStall{{Tile: 6, Cycle: 30_000, Dur: 5_000}},
+			Stalls: []fault.TileStall{{Tile: 6, Cycle: 30_000, Dur: 5_000}, {Tile: 1, Cycle: 60_000, Dur: 25_000}},
+			Fails:  []fault.TileFail{{Tile: 8, Cycle: 90_000}},
 		}
 		res, err := Run(img, cfg)
 		if err != nil {
@@ -58,51 +53,32 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 	a, b := run(), run()
 	if a.Cycles != b.Cycles {
-		t.Errorf("cycles differ across identical seeded runs: %d vs %d", a.Cycles, b.Cycles)
+		t.Errorf("cycles differ across identical faulted runs: %d vs %d", a.Cycles, b.Cycles)
 	}
 	if a.M != b.M {
-		t.Errorf("metrics differ across identical seeded runs:\n%+v\n%+v", a.M, b.M)
+		t.Errorf("metrics differ across identical faulted runs:\n%+v\n%+v", a.M, b.M)
 	}
-	if a.M.FaultsInjected == 0 {
-		t.Error("no faults injected by a probabilistic plan")
-	}
-	// A different seed must produce a different fault schedule (the
-	// counters are the cheapest witness).
-	cfg := DefaultConfig()
-	cfg.MaxCycles = 2_000_000_000
-	cfg.Fault = &fault.Plan{Seed: 43, DropProb: 0.01, DelayProb: 0.02, DelayCycles: 400,
-		CorruptProb: 0.01, DRAMProb: 0.05,
-		Stalls: []fault.TileStall{{Tile: 6, Cycle: 30_000, Dur: 5_000}}}
-	c, err := Run(img, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Cycles == a.Cycles && c.M == a.M {
-		t.Error("different seeds produced identical runs")
+	if a.M.FaultsInjected != 3 {
+		t.Errorf("%d faults injected, want the plan's 3", a.M.FaultsInjected)
 	}
 }
 
-// TestFaultChaosRecovers: probabilistic drop/delay/corrupt/DRAM faults
-// on every message class, with recovery armed, must still produce the
+// TestFaultChaosRecovers: a storm of stalls rotating over every service
+// tile, each longer than the watchdog, on top of a slave and a bank
+// fail-stopping, with recovery armed, must still produce the
 // architecturally correct result — every protocol leg has a watchdog
 // or is idempotent/deduplicated.
 func TestFaultChaosRecovers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 4_000_000_000
-	cfg.Fault = &fault.Plan{
-		Seed:        7,
-		DropProb:    0.01,
-		DelayProb:   0.02,
-		DelayCycles: 1_000,
-		CorruptProb: 0.01,
-		DRAMProb:    0.05,
-	}
+	cfg.Fault = stallStorm(60)
+	cfg.Fault.Fails = []fault.TileFail{{Tile: 8, Cycle: 100_000}, {Tile: 7, Cycle: 200_000}}
 	res := checkAgainstReference(t, sumLoop(2000), cfg)
-	if res.M.MsgsDropped == 0 {
-		t.Error("chaos plan dropped nothing")
+	if res.M.Timeouts == 0 || res.M.Retries == 0 {
+		t.Errorf("stalls longer than the watchdog but %d timeouts, %d retries", res.M.Timeouts, res.M.Retries)
 	}
-	if res.M.Retries == 0 {
-		t.Error("dropped messages but no retries recorded")
+	if res.M.RoleRemaps != 2 {
+		t.Errorf("%d role remaps, want 2", res.M.RoleRemaps)
 	}
 }
 
@@ -173,30 +149,28 @@ func TestFaultWithoutRecoveryDeadlocksWithDiagnostic(t *testing.T) {
 }
 
 // TestSMCUnderFaultRecovery runs smcImage's invalidation handshake on
-// the robust path: under a seeded drop/delay/corrupt plan, and with
-// L1.5 bank tile 1 stalled across the invalidation for longer than
-// the watchdog, so the handshake times out and re-sends to the one
-// target that has not acked. Each row must still match the reference
-// interpreter, and pins the counters the handshake drives.
+// the robust path, with L1.5 bank tile 1 stalled across the
+// invalidation for longer than the watchdog, so the handshake times out
+// and re-sends to the one target that has not acked. Each row must
+// still match the reference interpreter, and pins the counters the
+// handshake drives.
 func TestSMCUnderFaultRecovery(t *testing.T) {
 	type pin struct {
-		cycles, retries, timeouts, smc, recycled, hash uint64
+		cycles, retries, timeouts, smc, hash uint64
 	}
 	for _, tc := range []struct {
 		name string
 		plan *fault.Plan
 		want pin
 	}{
-		{"chaos", &fault.Plan{Seed: 2, DropProb: 0.05, DelayProb: 0.1, DelayCycles: 3_000, CorruptProb: 0.05},
-			pin{cycles: 274_795, retries: 53, timeouts: 10, smc: 1, recycled: 2, hash: 0xec85af24acb89ae6}},
-		{"stall/l15", &fault.Plan{Seed: 5, Stalls: []fault.TileStall{{Tile: 1, Cycle: 4_000, Dur: 50_000}}},
-			pin{cycles: 57_232, retries: 32, timeouts: 1, smc: 1, recycled: 0, hash: 0xec85af24acb89ae6}},
+		{"stall/l15", &fault.Plan{Stalls: []fault.TileStall{{Tile: 1, Cycle: 4_000, Dur: 50_000}}},
+			pin{cycles: 57_232, retries: 32, timeouts: 1, smc: 1, hash: 0xec85af24acb89ae6}},
 	} {
 		cfg := DefaultConfig()
 		cfg.Fault = tc.plan
 		res := checkAgainstReference(t, smcImage(), cfg)
 		m := res.M
-		got := pin{res.Cycles, m.Retries, m.Timeouts, m.SMCInvalidations, m.FaultMsgsRecycled, res.StateHash}
+		got := pin{res.Cycles, m.Retries, m.Timeouts, m.SMCInvalidations, res.StateHash}
 		if got != tc.want {
 			t.Errorf("%s: %+v, want %+v", tc.name, got, tc.want)
 		}

@@ -152,31 +152,22 @@ func (e *engine) watch(c *raw.TileCtx) watchdog {
 
 // recv returns the next message for the waiting tile, or due when the
 // watchdog expired first: the caller then re-sends its request and
-// calls recv again. A corrupted payload is recycled here — its single
-// consumption point on this tile, where it is no longer aliased — and
-// never returned. Callers discard payloads they do not match (stale
+// calls recv again. Callers discard payloads they do not match (stale
 // replies to superseded attempts).
 func (w *watchdog) recv() (msg sim.Msg, due bool) {
-	for {
-		if !w.e.robust {
-			msg = w.c.Recv()
-		} else if m, ok := w.c.RecvDeadline(w.deadline); ok {
-			msg = m
-		} else {
-			w.e.stats.Timeouts++
-			w.e.stats.Retries++
-			if w.backoff < w.e.cfg.Params.RetryBackoffMax {
-				w.backoff = min(2*w.backoff, w.e.cfg.Params.RetryBackoffMax)
-			}
-			w.deadline = w.c.Now() + w.backoff
-			return sim.Msg{}, true
-		}
-		if cm, ok := msg.Payload.(raw.Corrupted); ok {
-			w.e.recycleFaulty(cm.Payload)
-			continue
-		}
-		return msg, false
+	if !w.e.robust {
+		return w.c.Recv(), false
 	}
+	if m, ok := w.c.RecvDeadline(w.deadline); ok {
+		return m, false
+	}
+	w.e.stats.Timeouts++
+	w.e.stats.Retries++
+	if w.backoff < w.e.cfg.Params.RetryBackoffMax {
+		w.backoff = min(2*w.backoff, w.e.cfg.Params.RetryBackoffMax)
+	}
+	w.deadline = w.c.Now() + w.backoff
+	return sim.Msg{}, true
 }
 
 // broadcast sends req to every target in pending and waits until each

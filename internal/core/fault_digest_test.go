@@ -39,7 +39,7 @@ type runGolden struct {
 
 var runGoldenGuests = [3]string{"164.gzip", "181.mcf", "176.gcc"}
 
-func stalls(ts ...fault.TileStall) *fault.Plan { return &fault.Plan{Seed: 5, Stalls: ts} }
+func stalls(ts ...fault.TileStall) *fault.Plan { return &fault.Plan{Stalls: ts} }
 
 // stallStorm is n short stalls, one every 6,000 cycles, rotating over
 // every service tile of the default placement (the syscall tile, both
@@ -104,7 +104,7 @@ var runGoldens = []runGolden{
 		want: [3]string{"1360386:0:44b257c6d0ae6eca", "2822178:0:bc41e7f7cbd4a6eb", "14414417:0:e98af3f4ec6ac3fa"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 9,
+			c.Fault = &fault.Plan{
 				Stalls: []fault.TileStall{
 					{Tile: 15, Cycle: 80_000, Dur: 30_000},
 					{Tile: 14, Cycle: 390_000, Dur: 20_000}},
@@ -116,20 +116,6 @@ var runGoldens = []runGolden{
 	{name: "stall-storm",
 		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
 		want: [3]string{"5040544:0:c115c119af75dad0", "6941246:0:e27495334216cbdc", "17560753:0:d2079c57fa8e3e87"}},
-	{name: "chaos/recover",
-		cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 7, DropProb: 0.01, DelayProb: 0.02, DelayCycles: 1_000,
-				CorruptProb: 0.01, DRAMProb: 0.05}
-		},
-		want: [3]string{"1827796:0:a00cc45ffda39315", "29037591:0:4c201f75d5301a93", "39579550:0:f14bb022577b5884"}},
-	{name: "chaos+fail+stall",
-		cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 21, DropProb: 0.005, DelayProb: 0.01, DelayCycles: 600,
-				CorruptProb: 0.005, DRAMProb: 0.02,
-				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 250_000, Dur: 8_000}},
-				Fails:  []fault.TileFail{{Tile: 11, Cycle: 200_000}, {Tile: 2, Cycle: 700_000}}}
-		},
-		want: [3]string{"1642910:0:2c19497d23af7d0f", "15910970:0:128d103ad9645fe5", "26588588:0:29c0cd80e3147ab7"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg: func(c *Config) {
 			c.Recovery = RecoverRollback
@@ -149,13 +135,6 @@ var runGoldens = []runGolden{
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
 		want: [3]string{"1366236:0:7df899532903cd1d", "2814592:0:d40372e6b90e5079", "14525580:0:5aa598a2d77d87b9"}},
-	{name: "morph/stall+chaos",
-		cfg: func(c *Config) {
-			c.Morph = true
-			c.Fault = &fault.Plan{Seed: 3, DropProb: 0.004, DelayProb: 0.01, DelayCycles: 300,
-				Stalls: []fault.TileStall{{Tile: 14, Cycle: 150_000, Dur: 25_000}}}
-		},
-		want: [3]string{"1421985:0:85ffd8350d4e5649", "7794834:0:8a6935be5a5b667c", "19653715:0:01d7a89eb34d5f16"}},
 	{name: "nospec/fail",
 		cfg: func(c *Config) {
 			c.Speculative = false
@@ -166,7 +145,7 @@ var runGoldens = []runGolden{
 		want: [3]string{"1356400:409651:50439dc9a6cd37ad", "2805178:5774705:c64d1709b311b8ca", "14411161:14022151:50221ffab0923ea8"}},
 	{name: "traced/fail+stall", traced: true,
 		cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 4,
+			c.Fault = &fault.Plan{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
@@ -202,8 +181,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}
-		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
-			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsText(r.M))
+		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
+			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
 		cycles = r.Cycles
 	}
 	n := 0

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"regexp"
 	"testing"
 
 	"tilevm/internal/fault"
-	"tilevm/internal/metrics"
 	"tilevm/internal/translate"
 )
 
@@ -37,8 +35,8 @@ func writeFleetResult(w io.Writer, fr *FleetResult) {
 		fmt.Fprintf(w, "g%d status=%v attempts=%d slot=%d admitted=%d finished=%d err=%v\n",
 			gi, g.Status, g.Attempts, g.Slot, g.Admitted, g.Finished, g.Err)
 		if r := g.Result; r != nil {
-			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %s\n",
-				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsText(r.M))
+			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %+v\n",
+				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
 		}
 	}
 }
@@ -98,17 +96,7 @@ func (g *fleetGolden) run(t *testing.T, memo *translate.Memo) string {
 	return fmt.Sprintf("%d:%d:%016x", fr.Makespan, n, h.Sum64())
 }
 
-// probCounters matches the counters of the probabilistic message and
-// DRAM faults, which are about to leave metrics.Set.
-var probCounters = regexp.MustCompile(` (MsgsDropped|MsgsDelayed|MsgsCorrupted|DRAMErrors|FaultMsgsRecycled):[0-9]+`)
-
-// metricsText is %+v of m without the counters of the probabilistic
-// faults: the digests then pin the counters that stay.
-func metricsText(m metrics.Set) string {
-	return probCounters.ReplaceAllString(fmt.Sprintf("%+v", m), "")
-}
-
-func fails(tf ...fault.TileFail) *fault.Plan { return &fault.Plan{Seed: 7, Fails: tf} }
+func fails(tf ...fault.TileFail) *fault.Plan { return &fault.Plan{Fails: tf} }
 
 var (
 	four  = []string{"164.gzip", "181.mcf", "164.gzip", "181.mcf"}
@@ -189,7 +177,7 @@ var fleetGoldens = []fleetGolden{
 		want: "18491137:0:f242352b0cb12784"},
 	{name: "8x8/stall+fail", w: 8, h: 8, guests: four,
 		cfg: func(cfg *Config, l []FleetSlot) {
-			cfg.Fault = &fault.Plan{Seed: 13,
+			cfg.Fault = &fault.Plan{
 				Stalls: []fault.TileStall{
 					{Tile: l[0].Exec, Cycle: 300_000, Dur: 40_000},
 					{Tile: l[2].Manager, Cycle: 600_000, Dur: 25_000}},

@@ -124,10 +124,10 @@ const (
 	DefaultRetryBackoff = 50_000
 )
 
-// fleetSplitmix is the splitmix64 output function (a local copy of the
-// fault package's unexported seed whitener), used to derive the
-// deterministic per-(guest, attempt) backoff jitter.
-func fleetSplitmix(x uint64) uint64 {
+// mix64 is a 64-bit integer hash (the output function of Java's
+// SplittableRandom), used to derive the deterministic per-(guest,
+// attempt) backoff jitter.
+func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -144,7 +144,7 @@ func retryBackoff(base, seed uint64, gi, attempt int) uint64 {
 	if d < base || d > base<<20 { // shift overflow or absurd growth
 		d = base << 20
 	}
-	jitter := fleetSplitmix(seed ^ fleetSplitmix(uint64(gi)<<32|uint64(attempt)))
+	jitter := mix64(seed ^ mix64(uint64(gi)<<32|uint64(attempt)))
 	return d + jitter%base
 }
 

@@ -115,7 +115,7 @@ func TestFleetChaosQuarantineRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &fault.Plan{Seed: 7, Fails: []fault.TileFail{
+	plan := &fault.Plan{Fails: []fault.TileFail{
 		{Tile: layout[1].Manager, Cycle: 500_000},
 		{Tile: layout[3].Slaves[0], Cycle: 700_000},
 		{Tile: layout[5].Exec, Cycle: 2_500_000},
@@ -235,7 +235,7 @@ func TestFleetRetryWithRollback(t *testing.T) {
 	run := func() *FleetResult {
 		cfg := fleetCfg(4, 4)
 		cfg.Recovery = RecoverRollback
-		cfg.Fault = &fault.Plan{Seed: 3, Fails: []fault.TileFail{
+		cfg.Fault = &fault.Plan{Fails: []fault.TileFail{
 			{Tile: layout[0].Slaves[1], Cycle: 1_000_000},
 		}}
 		fr, err := RunFleet(imgs, cfg, FleetConfig{RetrySeed: 3})
@@ -281,7 +281,7 @@ func TestFleetMaxAttemptsAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fleetCfg(4, 2)
-	cfg.Fault = &fault.Plan{Seed: 5, Fails: []fault.TileFail{
+	cfg.Fault = &fault.Plan{Fails: []fault.TileFail{
 		{Tile: layout[0].Exec, Cycle: 300_000},
 	}}
 	fr, err := RunFleet(imgs, cfg, FleetConfig{MaxAttempts: 1})
@@ -329,7 +329,7 @@ func FuzzQuarantineRecarve(f *testing.F) {
 		if n := int(maxSlots); n > 0 && n < len(slots) {
 			slots = slots[:n]
 		}
-		plan := &fault.Plan{Seed: 1, Fails: []fault.TileFail{
+		plan := &fault.Plan{Fails: []fault.TileFail{
 			{Tile: int(failTile), Cycle: uint64(failCycle)},
 		}}
 		err = validateFleetFaultPlan(plan, slots, p)

@@ -169,8 +169,6 @@ func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 			k.start(c)
 		}
 		return
-	case raw.Corrupted:
-		st.e.recycleFaulty(m.Payload)
 	}
 	st.watch()
 }

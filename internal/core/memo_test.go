@@ -51,7 +51,7 @@ var memoCases = []memoCase{
 			cfg.Recovery = RecoverRollback
 			// An L2 bank that holds dirty lines by then, early enough
 			// that parser is still reaching new code after the restore.
-			cfg.Fault = &fault.Plan{Seed: 7, Fails: []fault.TileFail{{Tile: 10, Cycle: 300_000}}}
+			cfg.Fault = &fault.Plan{Fails: []fault.TileFail{{Tile: 10, Cycle: 300_000}}}
 			return cfg
 		},
 		wantBypass: true,

@@ -155,8 +155,8 @@ type reconfig struct {
 
 // rebank tells the MMU tile the new data-bank set, in interleave
 // order. Gen, when nonzero, requests a rebankAck (fault-recovery
-// protocol: the manager resends an unacknowledged rebank so a dropped
-// one cannot leave the MMU routing to a dead bank forever).
+// protocol: the manager resends a rebank the MMU has not acknowledged
+// by the watchdog deadline, as a stalled MMU answers late).
 type rebank struct {
 	Banks []int
 	Gen   uint64

@@ -128,10 +128,6 @@ func (k *workerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 			e.stats.L2DMisses++
 			e.trc().Count(tsL2DMisses, t0, 1)
 			c.Tick(P.DRAMLat + P.BankLineFill)
-			if e.inj != nil && e.inj.DRAMError(c.Tile, uint64(c.Now())) {
-				// Detected ECC error on the fill: retry the round trip.
-				c.Tick(P.DRAMLat)
-			}
 		}
 		if wb {
 			c.Tick(P.BankLineFill)
@@ -154,11 +150,6 @@ func (k *workerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 		c.Send(msg.From, switchAck{}, wordsCtl)
 		k.start(c)
 		return
-
-	case raw.Corrupted:
-		// Discarded here, its single delivery point: only now is the
-		// pooled payload unaliased and safe to recycle.
-		e.recycleFaulty(m.Payload)
 	}
 	k.beat(c)
 }
@@ -250,8 +241,6 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 		// Fleet slot handoff; the next guest gets a fresh bank.
 		c.Send(msg.From, switchAck{}, wordsCtl)
 		k.start(c)
-	case raw.Corrupted:
-		e.recycleFaulty(m.Payload)
 	}
 }
 
@@ -308,8 +297,6 @@ func (k *mmuTile) handle(c *raw.TileCtx, msg sim.Msg) {
 		// Fleet slot handoff; the next guest gets a fresh TLB.
 		c.Send(msg.From, switchAck{}, wordsCtl)
 		k.start(c)
-	case raw.Corrupted:
-		e.recycleFaulty(req.Payload)
 	}
 }
 

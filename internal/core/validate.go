@@ -151,17 +151,9 @@ func validateFleet(cfg *Config, fc FleetConfig, guests int) ([]placement, error)
 }
 
 // validateFleetFaultPlan rejects fault plans the fleet policy layer
-// cannot honor. Fleet slots never arm fault recovery — no watchdogs,
-// heartbeats, retries, or syscall deduplication — so
-// probabilistic message faults would wedge a slot rather than exercise
-// recovery; only fail-stop and stall clauses are meaningful, and they
-// must target tiles inside carved slots (a fault on an uncarved tile
-// could never be observed).
+// cannot honor: every clause must target a tile inside a carved slot (a
+// fault on an uncarved tile could never be observed).
 func validateFleetFaultPlan(plan *fault.Plan, slots []placement, p raw.Params) error {
-	if plan.DropProb > 0 || plan.DelayProb > 0 || plan.CorruptProb > 0 || plan.DRAMProb > 0 {
-		return configErr([]string{"Fault"}, "fleet fault plans support only fail: and stall: clauses "+
-			"(probabilistic message/DRAM faults need the robust protocol stack, which fleet slots do not run)")
-	}
 	idx := slotIndexOf(slots)
 	check := func(kind string, tile int, cycle uint64) error {
 		if tile < 0 || tile >= p.Tiles() {

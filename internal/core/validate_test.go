@@ -151,19 +151,16 @@ func TestRunFleetRejectsUnsupportedConfigs(t *testing.T) {
 			fields: []string{"Morph"}, want: "morphing"},
 		{name: "fleet journal", fleet: true, guests: 1, cfg: func(c *Config) { c.Journal = &checkpoint.Journal{} },
 			fields: []string{"Journal"}, want: "record-replay"},
-		{name: "probabilistic faults", fleet: true, guests: 1, cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 1, DropProb: 0.01}
-		}, fields: []string{"Fault"}, want: "fail: and stall: clauses"},
 		// MaxSlots truncates the carve to slot 0; tile 8 is in (un-carved)
 		// slot 1's territory.
 		{name: "fail outside carve", fleet: true, guests: 1, cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 8, Cycle: 1000}}}
+			c.Fault = &fault.Plan{Fails: []fault.TileFail{{Tile: 8, Cycle: 1000}}}
 		}, fc: FleetConfig{MaxSlots: 1}, fields: []string{"Fault"}, want: "no carved VM slot"},
 		{name: "fail off fabric", fleet: true, guests: 1, cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 99, Cycle: 1000}}}
+			c.Fault = &fault.Plan{Fails: []fault.TileFail{{Tile: 99, Cycle: 1000}}}
 		}, fields: []string{"Fault", "Params"}, want: "outside the"},
 		{name: "fail at cycle zero", fleet: true, guests: 1, cfg: func(c *Config) {
-			c.Fault = &fault.Plan{Seed: 1, Fails: []fault.TileFail{{Tile: 3}}}
+			c.Fault = &fault.Plan{Fails: []fault.TileFail{{Tile: 3}}}
 		}, fields: []string{"Fault"}, want: "cycle 0"},
 		{name: "negative max attempts", fleet: true, guests: 1, fc: FleetConfig{MaxAttempts: -1},
 			fields: []string{"MaxAttempts"}, want: "non-negative"},
@@ -213,7 +210,8 @@ func FuzzValidate(f *testing.F) {
 		case 3:
 			cfg.Fault = &fault.Plan{Stalls: []fault.TileStall{{Tile: tile, Cycle: 100, Dur: 500}}}
 		case 4:
-			cfg.Fault = &fault.Plan{Seed: 1, DropProb: 0.01}
+			cfg.Fault = &fault.Plan{Stalls: []fault.TileStall{{Tile: tile, Cycle: 50, Dur: 500}},
+				Fails: []fault.TileFail{{Tile: tile, Cycle: 100}}}
 		}
 		var verr, rerr error
 		if fleet {

@@ -12,12 +12,8 @@ import (
 //
 //	fail:T@C        tile T fail-stops at cycle C
 //	stall:T@C+D     tile T stalls for D cycles at cycle C
-//	drop:P          drop each network message with probability P
-//	delay:P+D       delay each message with probability P by D cycles
-//	corrupt:P       corrupt each message with probability P
-//	dram:P          DRAM read error per bank line fill with probability P
 //
-// Example: "fail:8@200000,stall:7@50000+20000,drop:0.001,delay:0.002+40"
+// Example: "fail:8@200000,stall:7@50000+20000"
 func ParsePlan(s string) (*Plan, error) {
 	p := &Plan{}
 	s = strings.TrimSpace(s)
@@ -42,33 +38,6 @@ func ParsePlan(s string) (*Plan, error) {
 				return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
 			}
 			p.Stalls = append(p.Stalls, TileStall{Tile: tile, Cycle: cycle, Dur: dur})
-		case "drop", "corrupt", "dram":
-			prob, err := parseProb(arg)
-			if err != nil {
-				return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
-			}
-			switch kind {
-			case "drop":
-				p.DropProb = prob
-			case "corrupt":
-				p.CorruptProb = prob
-			case "dram":
-				p.DRAMProb = prob
-			}
-		case "delay":
-			probStr, durStr, ok := strings.Cut(arg, "+")
-			if !ok {
-				return nil, fmt.Errorf("fault: clause %q: want delay:P+D", clause)
-			}
-			prob, err := parseProb(probStr)
-			if err != nil {
-				return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
-			}
-			dur, err := strconv.ParseUint(durStr, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: clause %q: bad delay cycles: %w", clause, err)
-			}
-			p.DelayProb, p.DelayCycles = prob, dur
 		default:
 			return nil, fmt.Errorf("fault: unknown clause kind %q", kind)
 		}
@@ -102,19 +71,7 @@ func parseTileAt(arg string, wantDur bool) (tile int, cycle, dur uint64, err err
 	return t, cycle, dur, nil
 }
 
-func parseProb(s string) (float64, error) {
-	p, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad probability: %w", err)
-	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("probability %v out of [0,1]", p)
-	}
-	return p, nil
-}
-
-// String renders the plan back into the ParsePlan syntax (seed
-// excluded; it travels separately).
+// String renders the plan back into the ParsePlan syntax.
 func (p *Plan) String() string {
 	var parts []string
 	fails := append([]TileFail(nil), p.Fails...)
@@ -129,18 +86,6 @@ func (p *Plan) String() string {
 	}
 	for _, s := range p.Stalls {
 		parts = append(parts, fmt.Sprintf("stall:%d@%d+%d", s.Tile, s.Cycle, s.Dur))
-	}
-	if p.DropProb > 0 {
-		parts = append(parts, fmt.Sprintf("drop:%g", p.DropProb))
-	}
-	if p.DelayProb > 0 {
-		parts = append(parts, fmt.Sprintf("delay:%g+%d", p.DelayProb, p.DelayCycles))
-	}
-	if p.CorruptProb > 0 {
-		parts = append(parts, fmt.Sprintf("corrupt:%g", p.CorruptProb))
-	}
-	if p.DRAMProb > 0 {
-		parts = append(parts, fmt.Sprintf("dram:%g", p.DRAMProb))
 	}
 	return strings.Join(parts, ",")
 }

@@ -48,10 +48,6 @@ type Set struct {
 
 	// Fault injection and recovery (all zero on fault-free runs).
 	FaultsInjected uint64 // total faults of all kinds actually injected
-	MsgsDropped    uint64
-	MsgsDelayed    uint64
-	MsgsCorrupted  uint64
-	DRAMErrors     uint64
 	TileFails      uint64 // fail-stops observed
 	TileStalls     uint64 // transient stalls charged
 	Timeouts       uint64 // watchdog expiries (exec retries + manager deadlines)
@@ -61,11 +57,10 @@ type Set struct {
 	RecoveryCycles uint64 // detection-to-remap latency, summed over excisions
 
 	// Checkpoint/rollback recovery (all zero unless checkpointing is on).
-	Checkpoints       uint64 // snapshots captured
-	Rollbacks         uint64 // re-executions from a checkpoint
-	ReexecCycles      uint64 // cycles between checkpoint and fault detection, re-executed
-	RollbackCycles    uint64 // modeled restore cost charged between detection and restart
-	FaultMsgsRecycled uint64 // dropped/corrupted pooled messages safely reclaimed
+	Checkpoints    uint64 // snapshots captured
+	Rollbacks      uint64 // re-executions from a checkpoint
+	ReexecCycles   uint64 // cycles between checkpoint and fault detection, re-executed
+	RollbackCycles uint64 // modeled restore cost charged between detection and restart
 }
 
 // FleetSet is the fleet-level counter set: admission, retry, and

@@ -20,32 +20,16 @@ type Machine struct {
 	busy   []uint64
 
 	// Faults, if non-nil, injects the configured fault plan into the
-	// dynamic network and the tile scheduler. When nil (the default)
-	// no fault code path runs, so a fault-free machine is bit-identical
-	// to one built before this field existed.
+	// tile scheduler. When nil (the default) no fault code path runs,
+	// so a fault-free machine is bit-identical to one built before this
+	// field existed.
 	Faults *fault.Injector
-
-	// OnDrop, if non-nil, is called with the payload of every message
-	// the injector drops at the send site. A dropped message is never
-	// enqueued, so at that moment the sender holds the only reference
-	// and pooled payloads can be recycled immediately — unlike corrupted
-	// messages, which stay aliased by the in-flight Corrupted wrapper
-	// until the receiver consumes it.
-	OnDrop func(payload any)
 
 	// trc is the run's virtual-time tracer, set through SetTracer; nil
 	// means tracing off, and every emission below is guarded by a nil
 	// test.
 	trc *trace.Tracer
 }
-
-// Corrupted wraps a payload mangled in flight. The model is a detected
-// transmission error: the receiver's network interface flags the CRC
-// mismatch and the kernel discards the message, so a corrupted message
-// costs its delivery (and any retry by the sender) but never delivers
-// wrong data. Kernels discard it by not matching it in their payload
-// type switches.
-type Corrupted struct{ Payload any }
 
 // NewMachine builds a machine with one inbox port per tile.
 func NewMachine(p Params) *Machine {
@@ -132,23 +116,9 @@ type TileCtx struct {
 
 // Send transmits a payload of the given size in words to another tile,
 // charging header, per-hop, and serialization latency. The sender's
-// accrued local time is the departure time. Under fault injection a
-// message may be dropped, delayed, or corrupted in flight.
+// accrued local time is the departure time.
 func (c *TileCtx) Send(to int, payload any, words int) {
 	arrival := c.P.Now() + c.M.Params.NetLat(c.Tile, to, words)
-	if f := c.M.Faults; f != nil {
-		v := f.OnMessage(c.Tile, to, uint64(c.P.Now()))
-		if v.Drop {
-			if c.M.OnDrop != nil {
-				c.M.OnDrop(payload)
-			}
-			return
-		}
-		if v.Corrupt {
-			payload = Corrupted{Payload: payload}
-		}
-		arrival += v.Delay
-	}
 	// Routed through the sending process so that a send to a tile of
 	// another shard panics under the sender's name
 	// (sim.Proc.SendPort); on the same shard this is exactly Port.Send.

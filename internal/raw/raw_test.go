@@ -1,7 +1,6 @@
 package raw
 
 import (
-	"errors"
 	"testing"
 
 	"tilevm/internal/fault"
@@ -113,77 +112,6 @@ func TestMachineMessaging(t *testing.T) {
 	}
 	if got != "ping" {
 		t.Errorf("payload = %q", got)
-	}
-}
-
-// TestFaultDropDeadlocksWithDiagnostic: dropping every message starves
-// the receiver, and the run must end in a DeadlockError naming the
-// blocked process and its port instead of hanging.
-func TestFaultDropDeadlocksWithDiagnostic(t *testing.T) {
-	m := NewMachine(DefaultParams())
-	m.Faults = fault.NewInjector(&fault.Plan{DropProb: 1.0})
-	m.SpawnTile(0, "sender", func(c *TileCtx) {
-		c.Send(15, "lost", 4)
-	})
-	m.SpawnTile(15, "receiver", func(c *TileCtx) {
-		c.Recv()
-		t.Error("dropped message delivered")
-	})
-	err := m.Run()
-	var dl *sim.DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("Run = %v, want *sim.DeadlockError", err)
-	}
-	if len(dl.Blocked) != 1 || dl.Blocked[0].Proc != "receiver@15" || dl.Blocked[0].Port != "tile15.in" {
-		t.Errorf("blocked = %+v", dl.Blocked)
-	}
-	if m.Faults.Counts().Drops != 1 {
-		t.Errorf("drops = %d, want 1", m.Faults.Counts().Drops)
-	}
-}
-
-// TestFaultDelayAddsLatency: a delayed message arrives exactly
-// DelayCycles later than the modeled network latency.
-func TestFaultDelayAddsLatency(t *testing.T) {
-	m := NewMachine(DefaultParams())
-	m.Faults = fault.NewInjector(&fault.Plan{DelayProb: 1.0, DelayCycles: 100})
-	m.SpawnTile(0, "sender", func(c *TileCtx) {
-		c.Advance(10)
-		c.Send(15, "slow", 4)
-	})
-	m.SpawnTile(15, "receiver", func(c *TileCtx) {
-		c.Recv()
-		// Fault-free arrival is 22 (see TestMachineMessaging).
-		if c.Now() != 122 {
-			t.Errorf("delayed arrival at %d, want 122", c.Now())
-		}
-		c.Stop()
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFaultCorruptionDelivered: corruption wraps the payload in
-// Corrupted so kernels discard it by type.
-func TestFaultCorruptionDelivered(t *testing.T) {
-	m := NewMachine(DefaultParams())
-	m.Faults = fault.NewInjector(&fault.Plan{CorruptProb: 1.0})
-	m.SpawnTile(0, "sender", func(c *TileCtx) {
-		c.Send(15, "garbled", 4)
-	})
-	m.SpawnTile(15, "receiver", func(c *TileCtx) {
-		msg := c.Recv()
-		cm, ok := msg.Payload.(Corrupted)
-		if !ok {
-			t.Errorf("payload = %T, want Corrupted", msg.Payload)
-		} else if cm.Payload.(string) != "garbled" {
-			t.Errorf("inner payload = %v", cm.Payload)
-		}
-		c.Stop()
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
