@@ -118,7 +118,9 @@ func NewInjector(p *Plan) *Injector {
 		stalls: map[int][]TileStall{},
 	}
 	for _, f := range p.Fails {
-		in.failAt[f.Tile] = f.Cycle
+		if at, ok := in.failAt[f.Tile]; !ok || f.Cycle < at {
+			in.failAt[f.Tile] = f.Cycle // a tile fails at its earliest clause
+		}
 	}
 	for _, s := range p.Stalls {
 		in.stalls[s.Tile] = append(in.stalls[s.Tile], s)

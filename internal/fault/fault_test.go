@@ -16,12 +16,38 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if len(p.Stalls) != 1 || p.Stalls[0] != (TileStall{Tile: 7, Cycle: 50000, Dur: 20000}) {
 		t.Errorf("stalls = %+v", p.Stalls)
 	}
-	back, err := ParsePlan(p.String())
-	if err != nil {
-		t.Fatalf("reparse %q: %v", p.String(), err)
-	}
-	if back.String() != p.String() {
-		t.Errorf("round trip %q != %q", back.String(), p.String())
+	for _, in := range []string{
+		in,
+		// One tile in two fail clauses, the later listed first: String
+		// sorts them, so the plan and its String form list them in
+		// opposite orders, and both must kill the tile at 50,000.
+		"fail:7@100000,fail:7@50000",
+	} {
+		p, err := ParsePlan(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("reparse %q: %v", p.String(), err)
+		}
+		if back.String() != p.String() {
+			t.Errorf("round trip %q != %q", back.String(), p.String())
+		}
+		// The String form is what a record replays, so it must be the
+		// same fault history, not just the same text: the two agree just
+		// before each clause's cycle, and at it the tile has failed.
+		orig, rt := NewInjector(p), NewInjector(back)
+		for _, f := range p.Fails {
+			if a, b := orig.FailedAt(f.Tile, f.Cycle-1), rt.FailedAt(f.Tile, f.Cycle-1); a != b {
+				t.Errorf("%q: tile %d at cycle %d: failed %v, its String form %q says %v",
+					in, f.Tile, f.Cycle-1, a, p.String(), b)
+			}
+			if a, b := orig.FailedAt(f.Tile, f.Cycle), rt.FailedAt(f.Tile, f.Cycle); !a || !b {
+				t.Errorf("%q: tile %d at its fail cycle %d: failed %v, its String form %q says %v",
+					in, f.Tile, f.Cycle, a, p.String(), b)
+			}
+		}
 	}
 }
 
