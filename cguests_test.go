@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tilevm/internal/core"
+	"tilevm/internal/fault"
 	"tilevm/internal/guest"
 	"tilevm/internal/x86interp"
 )
@@ -65,5 +66,38 @@ func TestCompiledGuests(t *testing.T) {
 				t.Errorf("tilevm: stdout %q exit %d, native %q exit %d", res.Stdout, res.ExitCode, out, native)
 			}
 		})
+	}
+}
+
+// TestSyscallDedupUnderStall stalls the syscall proxy tile (tile 0 of
+// the default placement) from cycle 1, for longer than the watchdog,
+// while crc.O2 makes its syscalls. The execution tile re-sends each
+// request that goes unanswered, the stalled tile then receives the
+// original and every re-send, and only its deduplication by request ID
+// keeps a write from running once per copy. Each row must print stdout
+// once and end in the fault-free state hash.
+func TestSyscallDedupUnderStall(t *testing.T) {
+	img, err := guest.LoadELFFile("testdata/cguests/crc.O2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := core.Run(img, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stall := range []uint64{50_000, 200_000} {
+		cfg := core.DefaultConfig()
+		cfg.Fault = &fault.Plan{Stalls: []fault.TileStall{{Tile: 0, Cycle: 1, Dur: stall}}}
+		res, err := core.Run(img, cfg)
+		if err != nil {
+			t.Fatalf("stall %d: %v", stall, err)
+		}
+		if res.M.Timeouts == 0 {
+			t.Errorf("stall %d: no watchdog expiry, so nothing was re-sent", stall)
+		}
+		if res.Stdout != clean.Stdout || res.ExitCode != clean.ExitCode || res.StateHash != clean.StateHash {
+			t.Errorf("stall %d: stdout %q exit %d hash %#x, fault-free %q exit %d hash %#x",
+				stall, res.Stdout, res.ExitCode, res.StateHash, clean.Stdout, clean.ExitCode, clean.StateHash)
+		}
 	}
 }
