@@ -130,9 +130,10 @@ fuzz:
 	$(GO) test ./internal/core -run - -fuzz FuzzValidate -fuzztime 30s
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 30s
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 30s
+	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 30s
 
-# Quick fuzz pass for CI: enough to catch a codec regression, short
-# enough to run on every push.
+# Quick fuzz pass for CI: enough to catch a codec or page-table
+# regression, short enough to run on every push.
 fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run - -fuzz FuzzRecordDecode -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzCarveFabric -fuzztime 10s
@@ -141,6 +142,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run - -fuzz FuzzValidate -fuzztime 10s
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 10s
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 10s
+	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 10s
 
 # End-to-end record/replay smoke: record a faulted rollback run, then
 # verify a full replay reproduces it bit for bit (tilevm exits non-zero

@@ -4,7 +4,8 @@
 // switch at 2 and 64 processes, the rawexec inner loop, a full machine
 // run of a data-bound and of a code-bound guest and the code-bound one
 // again from a filled translation memo, the Pentium III baseline run of
-// the data-bound one, translation per block, the L1 code-cache fill)
+// the data-bound one, loading the code-bound guest into a fresh
+// address space, translation per block, the L1 code-cache fill)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline. The headline of
@@ -280,6 +281,8 @@ func main() {
 		"machine_run_gcc_warm": bmark(bench.MachineRunWarmBench(bench.TranslateCorpusWorkload)),
 
 		"pentium_gzip": bmark(bench.PentiumBaselineBench("164.gzip")),
+
+		"guest_load": bmark(bench.GuestLoadBench(bench.TranslateCorpusWorkload)),
 
 		"translate_block_tier1": bmark(bench.TranslateBlockBench()),
 		"l1_fill":               bmark(bench.L1FillBench()),

@@ -87,6 +87,26 @@ func machineRunBench(name string, warm bool) func(b *testing.B) {
 	}
 }
 
+// GuestLoadBench returns a benchmark of one guest.Load of the named
+// workload's image per iteration: a fresh address space with the
+// image's code, data and stack mapped and sealed. bytes/op is what an
+// address space costs before the guest runs: its mapped 64 KB pages
+// and the page table over them.
+func GuestLoadBench(name string) func(b *testing.B) {
+	p, ok := workload.ByName(name)
+	if !ok {
+		panic("bench: no workload " + name)
+	}
+	return func(b *testing.B) {
+		img := p.Build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			guest.Load(img)
+		}
+	}
+}
+
 // PentiumBaselineBench returns a benchmark of one Pentium III baseline
 // run per iteration: pentium.Run of the named workload, which executes
 // it on the reference interpreter under the cache model. It reports the

@@ -90,7 +90,7 @@ func TestMemoryBulkReads(t *testing.T) {
 	if got := m.ReadBytes(0x2_0000-5, 19); got[4] != 0xA5 || !bytes.Equal(got[5:], make([]byte, 14)) {
 		t.Errorf("mapped into unmapped = %x, want the page's tail then zeros", got)
 	}
-	if m.pages[2] != nil {
+	if m.lookup(2<<pageShift) != nil {
 		t.Error("a read mapped the unmapped page")
 	}
 }
@@ -130,14 +130,18 @@ func TestWriteBytesMatchesByteLoop(t *testing.T) {
 				want.Write8(tc.addr+uint32(i), b)
 			}
 			got.WriteBytes(tc.addr, tc.data)
-			for idx := range want.pages {
-				w, g := want.pages[idx], got.pages[idx]
+			for idx := uint32(0); idx < numPages; idx++ {
+				w, g := want.lookup(idx<<pageShift), got.lookup(idx<<pageShift)
 				if (w == nil) != (g == nil) || w != nil && *w != *g {
 					t.Errorf("%s (sealed=%v): page %#x differs", tc.name, sealed, idx)
 				}
+				if want.pageGen(idx) != got.pageGen(idx) {
+					t.Errorf("%s (sealed=%v): page %#x write generation %d, byte loop %d",
+						tc.name, sealed, idx, got.pageGen(idx), want.pageGen(idx))
+				}
 			}
-			if want.writeGen != got.writeGen || want.gen != got.gen || want.sealGen != got.sealGen {
-				t.Errorf("%s (sealed=%v): write generations differ", tc.name, sealed)
+			if want.gen != got.gen || want.sealGen != got.sealGen {
+				t.Errorf("%s (sealed=%v): generations differ", tc.name, sealed)
 			}
 			for _, r := range []uint32{0x1_0000, 0x2_0000, 0x5_0000, 0xFFFF_0000, 0} {
 				if w, g := want.Pristine(r, pageSize), got.Pristine(r, pageSize); w != g {

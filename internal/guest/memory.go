@@ -13,6 +13,14 @@ const (
 	pageSize  = 1 << pageShift
 	numPages  = 1 << (32 - pageShift)
 
+	// The page table has two levels: the top dirBits of an address pick
+	// a directory entry, the next leafBits a page within that entry's
+	// leaf. A leaf covers leafPages pages, 16 MB of the address space.
+	leafBits  = 8
+	leafPages = 1 << leafBits
+	dirBits   = 32 - pageShift - leafBits
+	dirShift  = pageShift + leafBits
+
 	// PageBytes is the page granularity of Capture/Restore snapshots,
 	// exported for the checkpoint codec's length validation.
 	PageBytes = pageSize
@@ -22,6 +30,16 @@ const (
 // allocated on first write; reads of unmapped memory return zero, which
 // models fresh anonymous pages (the emulated process has no memory
 // protection, matching the paper's userland-only environment).
+//
+// The pages hang off a two-level radix table. The directory is a fixed
+// array of 256 leaf pointers, one per 16 MB region; a leaf is allocated
+// on the first write into its region and holds that region's 256 page
+// pointers and their write generations (3 KB). An address space thus
+// costs its 2 KB directory, a leaf per 16 MB region it has written,
+// and its 64 KB pages: a loaded image, with code, data and stack in
+// three regions, about 11 KB of table instead of the 768 KB a flat
+// table of all 65,536 pages would take. Reads go through lookup, which
+// never allocates; writes through writePage, which does.
 //
 // Each page carries a write generation so Capture can snapshot the
 // address space incrementally: only pages written since the previous
@@ -33,30 +51,67 @@ const (
 // loader mapped there? Load seals the fresh address space — sealGen is
 // the generation the image was written in, and the current generation
 // moves past it — so a page is pristine while its write generation has
-// not passed the seal. The granularity is the 64 KB page: one store
-// anywhere in a page makes all of it not pristine for the rest of the
-// run.
+// not passed the seal. A page with no leaf has generation zero. The
+// granularity is the 64 KB page: one store anywhere in a page makes all
+// of it not pristine for the rest of the run.
+//
+// Every walk over the table (Capture, Hash) visits the allocated leaves
+// in directory order and their pages in index order, so it meets the
+// mapped pages in ascending page index, the order a flat table gave:
+// hashes and snapshots do not depend on the table's shape.
 type Memory struct {
-	pages    [numPages]*[pageSize]byte
-	writeGen [numPages]uint32
-	gen      uint32 // current capture generation; bumped by Capture
-	sealGen  uint32 // generation of the loaded image; 0 = nothing is pristine
+	dir     [1 << dirBits]*leaf
+	gen     uint32 // current capture generation; bumped by Capture
+	sealGen uint32 // generation of the loaded image; 0 = nothing is pristine
+}
+
+// leaf is the table for one 16 MB region: its pages (nil = unmapped)
+// and the generation each was last written in.
+type leaf struct {
+	pages    [leafPages]*[pageSize]byte
+	writeGen [leafPages]uint32
 }
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory { return &Memory{gen: 1} }
 
-func (m *Memory) page(addr uint32, alloc bool) *[pageSize]byte {
-	idx := addr >> pageShift
-	p := m.pages[idx]
-	if alloc {
-		if p == nil {
-			p = new([pageSize]byte)
-			m.pages[idx] = p
-		}
-		m.writeGen[idx] = m.gen
+// lookup returns the page holding addr, or nil if it is unmapped. It
+// is the read path and allocates nothing; it stays small enough for
+// the compiler to inline it into Read8, Read16 and Read32.
+func (m *Memory) lookup(addr uint32) *[pageSize]byte {
+	l := m.dir[addr>>dirShift]
+	if l == nil {
+		return nil
 	}
+	return l.pages[addr>>pageShift&(leafPages-1)]
+}
+
+// writePage returns the page holding addr, mapping it (and its leaf)
+// if need be, and stamps it with the current write generation.
+func (m *Memory) writePage(addr uint32) *[pageSize]byte {
+	l := m.dir[addr>>dirShift]
+	if l == nil {
+		l = new(leaf)
+		m.dir[addr>>dirShift] = l
+	}
+	i := addr >> pageShift & (leafPages - 1)
+	p := l.pages[i]
+	if p == nil {
+		p = new([pageSize]byte)
+		l.pages[i] = p
+	}
+	l.writeGen[i] = m.gen
 	return p
+}
+
+// pageGen returns the write generation of page idx: zero if it has
+// never been written.
+func (m *Memory) pageGen(idx uint32) uint32 {
+	l := m.dir[idx>>leafBits&(1<<dirBits-1)]
+	if l == nil {
+		return 0
+	}
+	return l.writeGen[idx&(leafPages-1)]
 }
 
 // Seal marks everything written so far as the loaded image: until a
@@ -79,7 +134,7 @@ func (m *Memory) Pristine(addr uint32, n int) bool {
 	}
 	last := (addr + uint32(n) - 1) >> pageShift
 	for idx := addr >> pageShift; ; idx = (idx + 1) & (numPages - 1) {
-		if m.writeGen[idx] > m.sealGen {
+		if m.pageGen(idx) > m.sealGen {
 			return false
 		}
 		if idx == last {
@@ -90,7 +145,7 @@ func (m *Memory) Pristine(addr uint32, n int) bool {
 
 // Read8 reads one byte.
 func (m *Memory) Read8(addr uint32) uint8 {
-	p := m.page(addr, false)
+	p := m.lookup(addr)
 	if p == nil {
 		return 0
 	}
@@ -99,13 +154,13 @@ func (m *Memory) Read8(addr uint32) uint8 {
 
 // Write8 writes one byte.
 func (m *Memory) Write8(addr uint32, v uint8) {
-	m.page(addr, true)[addr&(pageSize-1)] = v
+	m.writePage(addr)[addr&(pageSize-1)] = v
 }
 
 // Read16 reads a little-endian 16-bit value (unaligned allowed).
 func (m *Memory) Read16(addr uint32) uint16 {
 	off := addr & (pageSize - 1)
-	if p := m.page(addr, false); p != nil && off+2 <= pageSize {
+	if p := m.lookup(addr); p != nil && off+2 <= pageSize {
 		return binary.LittleEndian.Uint16(p[off:])
 	}
 	return uint16(m.Read8(addr)) | uint16(m.Read8(addr+1))<<8
@@ -115,7 +170,7 @@ func (m *Memory) Read16(addr uint32) uint16 {
 func (m *Memory) Write16(addr uint32, v uint16) {
 	off := addr & (pageSize - 1)
 	if off+2 <= pageSize {
-		binary.LittleEndian.PutUint16(m.page(addr, true)[off:], v)
+		binary.LittleEndian.PutUint16(m.writePage(addr)[off:], v)
 		return
 	}
 	m.Write8(addr, uint8(v))
@@ -125,7 +180,7 @@ func (m *Memory) Write16(addr uint32, v uint16) {
 // Read32 reads a little-endian 32-bit value (unaligned allowed).
 func (m *Memory) Read32(addr uint32) uint32 {
 	off := addr & (pageSize - 1)
-	if p := m.page(addr, false); p != nil && off+4 <= pageSize {
+	if p := m.lookup(addr); p != nil && off+4 <= pageSize {
 		return binary.LittleEndian.Uint32(p[off:])
 	}
 	return uint32(m.Read16(addr)) | uint32(m.Read16(addr+2))<<16
@@ -135,7 +190,7 @@ func (m *Memory) Read32(addr uint32) uint32 {
 func (m *Memory) Write32(addr uint32, v uint32) {
 	off := addr & (pageSize - 1)
 	if off+4 <= pageSize {
-		binary.LittleEndian.PutUint32(m.page(addr, true)[off:], v)
+		binary.LittleEndian.PutUint32(m.writePage(addr)[off:], v)
 		return
 	}
 	m.Write16(addr, uint16(v))
@@ -173,7 +228,7 @@ func (m *Memory) ReadBytes(addr uint32, n int) []byte {
 	for done := 0; done < n; {
 		off := addr & (pageSize - 1)
 		chunk := min(n-done, int(pageSize-off))
-		if p := m.page(addr, false); p != nil {
+		if p := m.lookup(addr); p != nil {
 			copy(out[done:], p[off:int(off)+chunk])
 		}
 		done += chunk
@@ -187,7 +242,7 @@ func (m *Memory) ReadBytes(addr uint32, n int) []byte {
 func (m *Memory) WriteBytes(addr uint32, data []byte) {
 	for len(data) > 0 {
 		off := addr & (pageSize - 1)
-		n := copy(m.page(addr, true)[off:], data)
+		n := copy(m.writePage(addr)[off:], data)
 		data = data[n:]
 		addr += uint32(n)
 	}
@@ -204,7 +259,7 @@ func (m *Memory) WriteBytes(addr uint32, data []byte) {
 // next runs and keep nothing that points into it.
 func (m *Memory) CodeWindow(addr uint32, n int) []byte {
 	off := int(addr & (pageSize - 1))
-	if p := m.page(addr, false); p != nil && off+n <= pageSize {
+	if p := m.lookup(addr); p != nil && off+n <= pageSize {
 		return p[off : off+n : off+n]
 	}
 	return m.ReadBytes(addr, n)

@@ -24,21 +24,17 @@ func (m *Memory) Capture(prev *MemImage) *MemImage {
 		m.gen = 1
 	}
 	img := &MemImage{Pages: make(map[uint32][]byte)}
-	for idx := range m.pages {
-		p := m.pages[idx]
-		if p == nil {
-			continue
-		}
-		if prev != nil && m.writeGen[idx] < m.gen {
-			if old, ok := prev.Pages[uint32(idx)]; ok {
-				img.Pages[uint32(idx)] = old
-				continue
+	m.eachPage(func(idx uint32, l *leaf, i int) {
+		if prev != nil && l.writeGen[i] < m.gen {
+			if old, ok := prev.Pages[idx]; ok {
+				img.Pages[idx] = old
+				return
 			}
 		}
 		cp := make([]byte, pageSize)
-		copy(cp, p[:])
-		img.Pages[uint32(idx)] = cp
-	}
+		copy(cp, l.pages[i][:])
+		img.Pages[idx] = cp
+	})
 	m.gen++
 	return img
 }
@@ -49,34 +45,41 @@ func (m *Memory) Capture(prev *MemImage) *MemImage {
 // the contents are the snapshot's, not the loaded image's.
 func (m *Memory) Restore(img *MemImage) {
 	m.sealGen = 0
-	for i := range m.pages {
-		m.pages[i] = nil
-		m.writeGen[i] = 0
-	}
+	clear(m.dir[:])
 	if m.gen == 0 {
 		m.gen = 1
 	}
 	for idx, data := range img.Pages {
-		p := new([pageSize]byte)
-		copy(p[:], data)
-		m.pages[idx] = p
-		m.writeGen[idx] = m.gen
+		copy(m.writePage(idx << pageShift)[:], data)
 	}
 }
 
 // Hash returns a content hash of the address space: FNV-1a over
 // (page index, page bytes) in index order, skipping all-zero pages so
 // an allocated-but-zero page hashes identically to an unmapped one
-// (both read as zero). Memory.Hash and MemImage.Hash agree for a
-// snapshot of the same contents.
+// (both read as zero).
 func (m *Memory) Hash() uint64 {
 	h := fnvOffset
-	for idx := range m.pages {
-		if p := m.pages[idx]; p != nil {
-			h = hashPage(h, uint32(idx), p[:])
+	m.eachPage(func(idx uint32, l *leaf, i int) {
+		h = hashPage(h, idx, l.pages[i][:])
+	})
+	return h
+}
+
+// eachPage calls f for every mapped page in ascending page index: idx
+// is the page's index in the address space, i its slot in leaf l.
+func (m *Memory) eachPage(f func(idx uint32, l *leaf, i int)) {
+	for d := range m.dir {
+		l := m.dir[d]
+		if l == nil {
+			continue
+		}
+		for i := range l.pages {
+			if l.pages[i] != nil {
+				f(uint32(d)<<leafBits|uint32(i), l, i)
+			}
 		}
 	}
-	return h
 }
 
 const (

@@ -138,6 +138,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		`tilevmd_jobs_rejected_total{reason="queue_full"} 1`,
 		`tilevmd_jobs_terminal_total{state="finished"} 1`,
 		"tilevmd_job_latency_seconds_count",
+		"tilevmd_go_heap_objects_bytes ",
 		"tilevmd_up 1",
 	} {
 		if !strings.Contains(string(body), want) {

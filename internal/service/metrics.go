@@ -1,9 +1,10 @@
 package service
 
 import (
+	rtmetrics "runtime/metrics"
 	"time"
 
-	"tilevm/internal/metrics"
+	metrics "tilevm/internal/metrics"
 	"tilevm/internal/translate"
 )
 
@@ -101,6 +102,16 @@ func (s *Service) initMetrics() {
 	r.NewGaugeFunc("tilevmd_translation_memo_bytes",
 		"Storage held by the translation memo's entries.",
 		memo(func(st translate.MemoStats) float64 { return float64(st.Bytes) }))
+	// The host process's live heap, read from the Go runtime at scrape:
+	// what the resident VMs' guest memory, translations and tile state
+	// occupy between collections.
+	r.NewGaugeFunc("tilevmd_go_heap_objects_bytes",
+		"Bytes of the daemon's Go heap held by objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes).",
+		func() float64 {
+			sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+			rtmetrics.Read(sample)
+			return float64(sample[0].Value.Uint64())
+		})
 	r.NewGaugeFunc("tilevmd_up",
 		"1 while the daemon is serving.", func() float64 { return 1 })
 }

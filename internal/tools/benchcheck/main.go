@@ -8,7 +8,8 @@
 // them against the recorded trajectory in
 // BENCH_sim.json, plus the translator's per-block cost in time,
 // allocations and bytes (translate_block_tier1 over the 176.gcc
-// corpus), the kernel's process switch (sim_proc_switch at 2 and
+// corpus), the bytes one guest.Load of 176.gcc allocates (guest_load),
+// the kernel's process switch (sim_proc_switch at 2 and
 // 64 processes) and the three per-message costs (sim_tick_recv,
 // sim_handler_dispatch, l1_fill, the last with its allocations held
 // exactly at the recorded count, zero).
@@ -113,6 +114,12 @@ const (
 	pentiumAllocTol  = 1.03
 	pentiumAllocRuns = 5
 )
+
+// A guest.Load allocates the image's mapped pages and the page table
+// over them, the same bytes every time, so loadBytesTol is tight: a
+// table sized for the whole 4 GB space (768 KB beside 320 KB of pages)
+// is more than three times the recorded bytes.
+const loadBytesTol = 1.10
 
 // slotSwitchRatio is what dispatching independent slots one at a time
 // has to be worth, as a count: of the fleet_kernel fleet's dispatches,
@@ -258,6 +265,11 @@ func main() {
 	ms = append(ms,
 		metric{"pentium_gzip ns/op", float64(pb.NsPerOp), float64(pr.NsPerOp()), *timeTol},
 		metric{"pentium_gzip allocs/op", float64(pb.AllocsPerOp), fewest, min(*allocTol, pentiumAllocTol)})
+	// What setting up an address space costs, in bytes. A baseline
+	// that predates the entry reads zero and is reported, not failed.
+	fmt.Fprintln(os.Stderr, "benchcheck: measuring guest_load...")
+	gl := testing.Benchmark(bench.GuestLoadBench(bench.TranslateCorpusWorkload))
+	ms = append(ms, metric{"guest_load bytes/op", float64(base.Micro["guest_load"].BytesPerOp), float64(gl.AllocedBytesPerOp()), loadBytesTol})
 	// Translator per-block cost over the 176.gcc corpus. A baseline that
 	// predates the entries reads zero and is reported, not failed.
 	fmt.Fprintln(os.Stderr, "benchcheck: measuring translate_block_tier1...")

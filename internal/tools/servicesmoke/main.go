@@ -236,6 +236,11 @@ func main() {
 			fail("metrics missing %q:\n%s", w, metrics)
 		}
 	}
+	// The daemon's heap, read from the Go runtime at scrape time: three
+	// guests have run in this process, so it holds something.
+	if heap := sample(metrics, "tilevmd_go_heap_objects_bytes"); heap <= 0 {
+		fail("tilevmd_go_heap_objects_bytes = %v, want a positive heap size", heap)
+	}
 	fmt.Println("servicesmoke: metrics families present")
 
 	// SIGTERM must drain gracefully: exit 0 with the drain banner and
