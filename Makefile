@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check nomaps onewait deadexports vet build tilebench-build test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck cguests
+.PHONY: check nomaps onewait deadexports vet build tilebench-build tilebench-smoke test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck cguests
 
 # The full gate: what CI (and a pre-commit) should run.
 check: vet nomaps onewait deadexports build tilebench-build test racepar
@@ -40,6 +40,15 @@ build:
 tilebench-build:
 	cd benchmark && GOCACHE=$${TMPDIR:-/tmp}/tilevm-tilebench-gocache GOTOOLCHAIN=local GOPROXY=off \
 	  sh -c '$(GO) build -o /dev/null ./... && $(GO) vet ./...'
+
+# tilebench-build only compiles those names; this runs them. The smoke-
+# sized suite, traced, drives the benchmark's flat loop, which syncs
+# translate.Result.Code into a rawexec.Program, runs it, and checks the
+# host instructions it retired against the machine's own count; any
+# failed operation exits non-zero. About 15 s once the build is cached.
+# Writes only under benchmark/out (ignored).
+tilebench-smoke:
+	bash benchmark/run.sh --smoke --trace 1 --seconds 1
 
 test:
 	$(GO) test ./...

@@ -53,7 +53,7 @@ func BenchmarkDecodeX86(b *testing.B) {
 func BenchmarkTranslateBlock(b *testing.B) { bench.TranslateBlockBench()(b) }
 
 // BenchmarkL1Fill measures one L1 code-cache fill (a copy of the
-// block's predecoded form plus chain patching) over the same corpus.
+// block's code plus chain patching) over the same corpus.
 func BenchmarkL1Fill(b *testing.B) { bench.L1FillBench()(b) }
 
 // BenchmarkInterpreter measures the reference interpreter in guest

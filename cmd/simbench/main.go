@@ -215,7 +215,7 @@ func benchRawexecInnerLoop(b *testing.B) {
 	p.Sync([]rawisa.Inst{
 		{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: -1},
 		{Op: rawisa.BNE, Rs: 1, Rt: 0, Imm: -2},
-		{Op: rawisa.EXITI, Target: 0xdead},
+		{Op: rawisa.EXITI, Imm: 0xdead},
 	})
 	cpu := &rawexec.CPU{}
 	cpu.R[1] = uint32(b.N)

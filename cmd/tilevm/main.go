@@ -53,6 +53,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"tilevm/internal/bench"
 	"tilevm/internal/checkpoint"
@@ -534,8 +535,8 @@ func dumpBlock(img *guest.Image, at string, optimize bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ntranslated host code (%d instructions, %d bytes, optimize=%v):\n",
-		len(res.Code), res.CodeBytes, optimize)
+	fmt.Printf("\ntranslated host code (%d instructions, %d bytes encoded, %d resident, optimize=%v):\n",
+		len(res.Code), res.CodeBytes, len(res.Code)*int(unsafe.Sizeof(rawisa.Inst{})), optimize)
 	fmt.Print(rawisa.Disassemble(res.Code))
 	fmt.Printf("\nexit kind %v, target %#x, fallthrough %#x\n",
 		res.Kind, res.Target, res.FallTarget)

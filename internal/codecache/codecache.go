@@ -20,12 +20,13 @@ import (
 	"sort"
 
 	"tilevm/internal/rawexec"
+	"tilevm/internal/rawisa"
 	"tilevm/internal/translate"
 )
 
 // L1 is the execution tile's code cache: the instruction memory, held
-// as the predecoded program the execution engine runs, with an entry
-// map from guest PC to program index.
+// as the program the execution engine runs, with an entry map from
+// guest PC to program index.
 type L1 struct {
 	capacity int
 	prog     rawexec.Program
@@ -90,8 +91,8 @@ type InsertStats struct {
 // (flushing first if it does not fit), records its entry, and performs
 // chaining in both directions: the new block's CHAIN sites are patched
 // if their targets are resident, and resident blocks' pending CHAIN
-// sites to this block are patched. The block was predecoded when it was
-// translated, so the fill is a copy and a walk of its chain-site list.
+// sites to this block are patched. The block is already in the form the
+// engine runs, so the fill is a copy and a walk for its CHAIN sites.
 func (l *L1) Insert(pc uint32, res *translate.Result) (int, InsertStats) {
 	var st InsertStats
 	if l.bytes+res.CodeBytes > l.capacity {
@@ -100,7 +101,7 @@ func (l *L1) Insert(pc uint32, res *translate.Result) (int, InsertStats) {
 		l.Flushes++
 		st.Flushed = true
 	}
-	idx := l.prog.Append(&res.Pre)
+	idx := l.prog.Append(res.Code)
 	if n := l.prog.Len(); len(l.next) < n {
 		l.next = slices.Grow(l.next, n-len(l.next))[:n]
 	}
@@ -113,17 +114,20 @@ func (l *L1) Insert(pc uint32, res *translate.Result) (int, InsertStats) {
 
 	// Outgoing chaining: patch this block's CHAIN sites whose targets
 	// are already resident.
-	for _, c := range res.Chains {
-		site := idx + int(c.Off)
-		if tidx, ok := l.entry[c.Target]; ok {
+	for off, in := range res.Code {
+		if in.Op != rawisa.CHAIN {
+			continue
+		}
+		site, target := idx+off, in.GuestPC()
+		if tidx, ok := l.entry[target]; ok {
 			l.prog.Chain(site, tidx)
 			st.Patches++
 		} else {
 			l.next[site] = -1
-			if prev, ok := l.pending[c.Target]; ok {
+			if prev, ok := l.pending[target]; ok {
 				l.next[site] = prev
 			}
-			l.pending[c.Target] = int32(site)
+			l.pending[target] = int32(site)
 		}
 	}
 	// Incoming chaining: resident blocks waiting for this PC.
@@ -183,22 +187,53 @@ func (l *L1) Flush() {
 	l.Flushes++
 }
 
-// L15 is one bank of the intermediate code cache: translated blocks in
-// relocatable form, FIFO eviction.
-type L15 struct {
+// fifo is a store of translated blocks bounded by their CodeBytes and
+// evicted oldest first: an L1.5 bank and the L2 are each one.
+type fifo struct {
 	capacity int
 	bytes    int
 	blocks   map[uint32]*translate.Result
 	order    []uint32
+}
+
+func newFIFO(capacityBytes int) fifo {
+	return fifo{capacity: capacityBytes, blocks: make(map[uint32]*translate.Result)}
+}
+
+// insert stores a block, evicting the oldest entries to fit, and
+// reports whether it did: a PC already present is left as it is.
+func (c *fifo) insert(pc uint32, b *translate.Result) bool {
+	if _, dup := c.blocks[pc]; dup {
+		return false
+	}
+	for c.bytes+b.CodeBytes > c.capacity && len(c.order) > 0 {
+		victim := c.order[0]
+		c.order = c.order[1:]
+		if vb, ok := c.blocks[victim]; ok {
+			c.bytes -= vb.CodeBytes
+			delete(c.blocks, victim)
+		}
+	}
+	c.blocks[pc] = b
+	c.bytes += b.CodeBytes
+	c.order = append(c.order, pc)
+	return true
+}
+
+// Bytes returns current occupancy.
+func (c *fifo) Bytes() int { return c.bytes }
+
+// L15 is one bank of the intermediate code cache: translated blocks,
+// FIFO eviction.
+type L15 struct {
+	fifo
 
 	Lookups uint64
 	Hits    uint64
 }
 
 // NewL15 builds a bank with the given capacity.
-func NewL15(capacityBytes int) *L15 {
-	return &L15{capacity: capacityBytes, blocks: make(map[uint32]*translate.Result)}
-}
+func NewL15(capacityBytes int) *L15 { return &L15{fifo: newFIFO(capacityBytes)} }
 
 // Lookup returns the cached block for a guest PC.
 func (c *L15) Lookup(pc uint32) (*translate.Result, bool) {
@@ -213,41 +248,21 @@ func (c *L15) Lookup(pc uint32) (*translate.Result, bool) {
 // Insert stores a block, evicting oldest entries to fit. Blocks larger
 // than the bank are not cached.
 func (c *L15) Insert(pc uint32, b *translate.Result) {
-	if b.CodeBytes > c.capacity {
-		return
+	if b.CodeBytes <= c.capacity {
+		c.insert(pc, b)
 	}
-	if _, dup := c.blocks[pc]; dup {
-		return
-	}
-	for c.bytes+b.CodeBytes > c.capacity && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		if vb, ok := c.blocks[victim]; ok {
-			c.bytes -= vb.CodeBytes
-			delete(c.blocks, victim)
-		}
-	}
-	c.blocks[pc] = b
-	c.bytes += b.CodeBytes
-	c.order = append(c.order, pc)
 }
-
-// Bytes returns current occupancy.
-func (c *L15) Bytes() int { return c.bytes }
 
 // Flush empties the bank (self-modifying-code invalidation).
 func (c *L15) Flush() {
-	c.blocks = make(map[uint32]*translate.Result)
+	clear(c.blocks)
 	c.order = c.order[:0]
 	c.bytes = 0
 }
 
 // L2 is the manager's code cache over DRAM.
 type L2 struct {
-	capacity int
-	bytes    int
-	blocks   map[uint32]*translate.Result
-	order    []uint32
+	fifo
 
 	Accesses uint64
 	Misses   uint64
@@ -255,9 +270,7 @@ type L2 struct {
 }
 
 // NewL2 builds the DRAM code cache.
-func NewL2(capacityBytes int) *L2 {
-	return &L2{capacity: capacityBytes, blocks: make(map[uint32]*translate.Result)}
-}
+func NewL2(capacityBytes int) *L2 { return &L2{fifo: newFIFO(capacityBytes)} }
 
 // Lookup consults the cache, counting an access.
 func (c *L2) Lookup(pc uint32) (*translate.Result, bool) {
@@ -280,25 +293,10 @@ func (c *L2) Contains(pc uint32) bool {
 // exceeded (does not happen at our workload scales, but the bound is
 // real in the prototype: 105MB).
 func (c *L2) Insert(pc uint32, b *translate.Result) {
-	if _, dup := c.blocks[pc]; dup {
-		return
+	if c.insert(pc, b) {
+		c.Stores++
 	}
-	for c.bytes+b.CodeBytes > c.capacity && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		if vb, ok := c.blocks[victim]; ok {
-			c.bytes -= vb.CodeBytes
-			delete(c.blocks, victim)
-		}
-	}
-	c.blocks[pc] = b
-	c.bytes += b.CodeBytes
-	c.order = append(c.order, pc)
-	c.Stores++
 }
-
-// Bytes returns current occupancy.
-func (c *L2) Bytes() int { return c.bytes }
 
 // Len returns the number of cached blocks.
 func (c *L2) Len() int { return len(c.blocks) }

@@ -16,33 +16,32 @@ func block(n int, chainTo uint32) []rawisa.Inst {
 	for i := 0; i < n; i++ {
 		code = append(code, rawisa.Inst{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: int32(i)})
 	}
-	code = append(code, rawisa.Inst{Op: rawisa.CHAIN, Target: chainTo})
+	code = append(code, rawisa.Inst{Op: rawisa.CHAIN, Imm: int32(chainTo)})
 	return code
 }
 
 // blk wraps block as the translator would hand it to the caches.
 func blk(n int, chainTo uint32) *translate.Result {
 	code := block(n, chainTo)
-	r := &translate.Result{
-		Code:      code,
-		CodeBytes: rawisa.CodeBytes(code),
-		Chains:    []translate.ChainSite{{Off: int32(n), Target: chainTo}},
-	}
-	r.Pre.Sync(code)
-	return r
+	return &translate.Result{Code: code, CodeBytes: rawisa.CodeBytes(code)}
 }
 
 func res(pc uint32, n int) *translate.Result { return blk(n, pc+64) }
 
 // wantProgram checks the L1's instruction memory against arena: the
 // same code laid out by hand, chain sites already rewritten to J with
-// absolute targets, predecoded from scratch.
+// absolute targets (made relative here), synced from scratch.
 func wantProgram(t *testing.T, l1 *L1, arena ...[]rawisa.Inst) {
 	t.Helper()
 	var want rawexec.Program
 	var flat []rawisa.Inst
 	for _, code := range arena {
 		flat = append(flat, code...)
+	}
+	for i := range flat {
+		if flat[i].Op == rawisa.J {
+			flat[i].Imm -= int32(i + 1)
+		}
 	}
 	want.Sync(flat)
 	if !reflect.DeepEqual(l1.Program(), &want) {
@@ -54,7 +53,7 @@ func wantProgram(t *testing.T, l1 *L1, arena ...[]rawisa.Inst) {
 // to program index target.
 func patched(n, target int) []rawisa.Inst {
 	code := block(n, 0)
-	code[n] = rawisa.Inst{Op: rawisa.J, Target: uint32(target)}
+	code[n] = rawisa.Inst{Op: rawisa.J, Imm: int32(target)}
 	return code
 }
 

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"tilevm/internal/ir"
 	"tilevm/internal/rawisa"
@@ -44,6 +45,7 @@ type Scratch struct {
 	assign [256]uint8            // vreg -> phys; 0 = never assigned
 	owner  [rawisa.NumRegs]uint8 // phys -> vreg, read for busy registers only
 	top    int                   // highest register number in end and assign
+	out    []rawisa.Inst         // the block being finalized
 }
 
 // Finalize allocates registers and resolves labels in a Scratch of its
@@ -51,8 +53,9 @@ type Scratch struct {
 func Finalize(b *ir.Block) ([]rawisa.Inst, error) { return new(Scratch).Finalize(b) }
 
 // Finalize allocates registers and resolves labels, returning
-// executable host code in a slice of its own, sized to the block. The
-// input block is not modified.
+// executable host code in a slice of its own, sized to the block and
+// allocated only once the block has fit the registers. The input block
+// is not modified.
 func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Inst, error) {
 	end, assign, owner := &s.end, &s.assign, &s.owner
 	clear(end[:s.top+1])
@@ -112,7 +115,8 @@ func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Inst, error) {
 		return phys, nil
 	}
 
-	out := make([]rawisa.Inst, len(b.Code))
+	out := slices.Grow(s.out[:0], len(b.Code))[:len(b.Code)]
+	s.out = out
 	for i, in := range b.Code {
 		expire(i)
 		host := in.Inst
@@ -155,5 +159,7 @@ func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Inst, error) {
 			out[i].Imm = int32(target - (i + 1))
 		}
 	}
-	return out, nil
+	code := make([]rawisa.Inst, len(out))
+	copy(code, out)
+	return code, nil
 }

@@ -63,6 +63,7 @@ type Memory struct {
 	dir     [1 << dirBits]*leaf
 	gen     uint32 // current capture generation; bumped by Capture
 	sealGen uint32 // generation of the loaded image; 0 = nothing is pristine
+	win     []byte // the last window CodeWindow had to copy
 }
 
 // leaf is the table for one 16 MB region: its pages (nil = unmapped)
@@ -224,12 +225,19 @@ func (m *Memory) WriteN(addr uint32, v uint32, n uint8) {
 // ReadBytes copies n bytes starting at addr into a new slice, a page
 // at a time. Unmapped bytes read as zero and addresses wrap at 4 GB.
 func (m *Memory) ReadBytes(addr uint32, n int) []byte {
-	out := make([]byte, n)
+	return m.readInto(make([]byte, n), addr)
+}
+
+// readInto fills out with the bytes starting at addr.
+func (m *Memory) readInto(out []byte, addr uint32) []byte {
+	n := len(out)
 	for done := 0; done < n; {
 		off := addr & (pageSize - 1)
 		chunk := min(n-done, int(pageSize-off))
 		if p := m.lookup(addr); p != nil {
 			copy(out[done:], p[off:int(off)+chunk])
+		} else {
+			clear(out[done : done+chunk])
 		}
 		done += chunk
 		addr += uint32(chunk)
@@ -255,12 +263,17 @@ func (m *Memory) WriteBytes(addr uint32, data []byte) {
 // view of that page, not a copy — its capacity clipped to n so an
 // append cannot reach guest memory — and a later write to the page
 // shows through it; only a window that crosses a page boundary or
-// covers unmapped memory is copied. Decode a window before the guest
-// next runs and keep nothing that points into it.
+// covers unmapped memory is copied, into a buffer the Memory keeps and
+// the next such window overwrites. Decode a window before the guest
+// next runs and before the next CodeWindow call, and keep nothing that
+// points into it.
 func (m *Memory) CodeWindow(addr uint32, n int) []byte {
 	off := int(addr & (pageSize - 1))
 	if p := m.lookup(addr); p != nil && off+n <= pageSize {
 		return p[off : off+n : off+n]
 	}
-	return m.ReadBytes(addr, n)
+	if cap(m.win) < n {
+		m.win = make([]byte, n)
+	}
+	return m.readInto(m.win[:n:n], addr)
 }

@@ -175,12 +175,12 @@ func (bl *Builder) AddImm(rd, rs uint8, v int32) {
 
 // ExitImm emits a non-chainable exit to a literal guest PC.
 func (bl *Builder) ExitImm(guestPC uint32) {
-	bl.Emit(rawisa.Inst{Op: rawisa.EXITI, Target: guestPC})
+	bl.Emit(rawisa.Inst{Op: rawisa.EXITI, Imm: int32(guestPC)})
 }
 
 // Chain emits a chainable direct-branch exit to a guest PC.
 func (bl *Builder) Chain(guestPC uint32) {
-	bl.Emit(rawisa.Inst{Op: rawisa.CHAIN, Target: guestPC})
+	bl.Emit(rawisa.Inst{Op: rawisa.CHAIN, Imm: int32(guestPC)})
 }
 
 // ExitReg emits an exit whose next guest PC is in a register.

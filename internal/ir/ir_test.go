@@ -128,7 +128,7 @@ func TestValidateRejectsBadBlocks(t *testing.T) {
 	}
 	// Raw jump not allowed in IR.
 	b = NewBuilder(0)
-	b.Emit(rawisa.Inst{Op: rawisa.J, Target: 0})
+	b.Emit(rawisa.Inst{Op: rawisa.J, Imm: 0})
 	if _, err := b.Finish(1, 1); err == nil {
 		t.Error("raw J accepted")
 	}

@@ -148,7 +148,7 @@ func TestJoinDropsAliasesAndLoads(t *testing.T) {
 }
 
 func TestSyscallAndAssistClobberPhysicalOnly(t *testing.T) {
-	for _, trap := range []rawisa.Inst{{Op: rawisa.SYSC}, {Op: rawisa.ASSIST, Target: 0x1000}} {
+	for _, trap := range []rawisa.Inst{{Op: rawisa.SYSC}, {Op: rawisa.ASSIST, Imm: 0x1000}} {
 		var v, c uint8
 		blk := buildBlock(t, func(b *ir.Builder) {
 			v, c = b.VReg(), b.VReg() // v is FirstVReg: the first register a trap leaves alone

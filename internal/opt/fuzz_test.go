@@ -145,7 +145,7 @@ func genBlock(data []byte) (*ir.Block, error) {
 			if k&16 != 0 {
 				bl.Emit(rawisa.Inst{Op: rawisa.SYSC})
 			} else {
-				bl.Emit(rawisa.Inst{Op: rawisa.ASSIST, Target: uint32(k)})
+				bl.Emit(rawisa.Inst{Op: rawisa.ASSIST, Imm: int32(k)})
 			}
 		default:
 			l := bl.NewLabel()

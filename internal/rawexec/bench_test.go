@@ -23,10 +23,10 @@ func (nopEnv) Interrupted() bool                                               {
 var countdownLoop = []rawisa.Inst{
 	{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: -1},
 	{Op: rawisa.BNE, Rs: 1, Rt: 0, Imm: -2},
-	{Op: rawisa.EXITI, Target: 0xdead},
+	{Op: rawisa.EXITI, Imm: 0xdead},
 }
 
-// BenchmarkInnerLoop measures the predecoded dispatch path on the
+// BenchmarkInnerLoop measures the Program dispatch path on the
 // countdown loop: the whole benchmark is one Exec call retiring 2·N
 // host instructions.
 func BenchmarkInnerLoop(b *testing.B) {
@@ -46,48 +46,52 @@ func BenchmarkInnerLoop(b *testing.B) {
 	}
 }
 
-// TestAppendChainMatchesSync pins the fill contract: blocks predecoded
-// on their own, appended at whatever offset the program has reached and
-// chained in place, must equal predecoding the same instruction memory
-// from scratch with the chain sites rewritten to absolute jumps.
+// TestAppendChainMatchesSync pins the fill contract: blocks appended
+// at whatever offset the program has reached and chained in place must
+// equal the same instruction memory laid out by hand, with the chain
+// sites rewritten to jumps, and synced from scratch.
 func TestAppendChainMatchesSync(t *testing.T) {
 	a := []rawisa.Inst{
 		{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: 7},
 		{Op: rawisa.BNE, Rs: 1, Rt: 0, Imm: 1},
-		{Op: rawisa.CHAIN, Target: 0x2000},
-		{Op: rawisa.CHAIN, Target: 0x3000},
+		{Op: rawisa.CHAIN, Imm: 0x2000},
+		{Op: rawisa.CHAIN, Imm: 0x3000},
 	}
 	b := []rawisa.Inst{
 		{Op: rawisa.GLH, Rd: 2, Rs: 1},
 		{Op: rawisa.BEQ, Rs: 2, Rt: 0, Imm: -2},
-		{Op: rawisa.ASSIST, Target: 0x2004},
-		{Op: rawisa.CHAIN, Target: 0x1000},
+		{Op: rawisa.ASSIST, Imm: 0x2004},
+		{Op: rawisa.CHAIN, Imm: 0x1000},
 	}
-	var pa, pb, p Program
-	pa.Sync(a)
-	pb.Sync(b)
-	ia := p.Append(&pa)
-	ib := p.Append(&pb)
-	ia2 := p.Append(&pa) // the same block again, at another offset
-	p.Chain(ia+2, ib)    // forward
-	p.Chain(ib+3, ia)    // backward
-	p.Chain(ia2+2, ib)   // backward, from the second copy
+	var p Program
+	ia := p.Append(a)
+	ib := p.Append(b)
+	ia2 := p.Append(a) // the same block again, at another offset
+	p.Chain(ia+2, ib)  // forward
+	p.Chain(ib+3, ia)  // backward
+	p.Chain(ia2+2, ib) // backward, from the second copy
 
 	arena := append(append(append([]rawisa.Inst{}, a...), b...), a...)
-	arena[ia+2] = rawisa.Inst{Op: rawisa.J, Target: uint32(ib)}
-	arena[ib+3] = rawisa.Inst{Op: rawisa.J, Target: uint32(ia)}
-	arena[ia2+2] = rawisa.Inst{Op: rawisa.J, Target: uint32(ib)}
+	jump := func(site, target int) rawisa.Inst {
+		return rawisa.Inst{Op: rawisa.J, Imm: int32(target - (site + 1))}
+	}
+	arena[ia+2] = jump(ia+2, ib)
+	arena[ib+3] = jump(ib+3, ia)
+	arena[ia2+2] = jump(ia2+2, ib)
 	var fresh Program
 	fresh.Sync(arena)
-	if len(p.ops) != len(fresh.ops) {
-		t.Fatalf("length %d, want %d", len(p.ops), len(fresh.ops))
+	if len(p.code) != len(fresh.code) {
+		t.Fatalf("length %d, want %d", len(p.code), len(fresh.code))
 	}
-	for i := range p.ops {
-		if p.ops[i] != fresh.ops[i] {
-			t.Errorf("op %d: appended %+v, fresh %+v", i, p.ops[i], fresh.ops[i])
+	for i := range p.code {
+		if p.code[i] != fresh.code[i] {
+			t.Errorf("inst %d: appended %+v, fresh %+v", i, p.code[i], fresh.code[i])
 		}
 	}
-	if unsafe.Sizeof(uop{}) != 8 {
-		t.Errorf("uop is %d bytes; every resident translation carries one per instruction", unsafe.Sizeof(uop{}))
+	if a[2].Op != rawisa.CHAIN || b[3].Op != rawisa.CHAIN {
+		t.Error("Append or Chain wrote through to the appended block")
+	}
+	if unsafe.Sizeof(rawisa.Inst{}) != 8 {
+		t.Errorf("rawisa.Inst is %d bytes; every resident translation carries one per instruction", unsafe.Sizeof(rawisa.Inst{}))
 	}
 }

@@ -117,13 +117,9 @@ const BranchPenalty = 2
 // Exec runs host code within arena starting at index start until an
 // exit instruction. maxInsts bounds execution (0 = unbounded) for
 // tests; inside the machine the simulator's time limit is the watchdog.
-//
-// Exec predecodes the whole arena on every call; the execution tile's
-// block loop runs the L1 code cache's Program instead, filled from
-// blocks predecoded once at translation time.
+// The arena is run in place and not written.
 func Exec(cpu *CPU, arena []rawisa.Inst, start int, clk Clock, env Env, maxInsts uint64) (Exit, error) {
-	var p Program
-	p.Sync(arena)
+	p := Program{code: arena}
 	return p.Exec(cpu, start, clk, env, maxInsts)
 }
 

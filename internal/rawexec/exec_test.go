@@ -30,7 +30,7 @@ func TestALUOps(t *testing.T) {
 		{Op: rawisa.SLL, Rd: 4, Rs: 2, Rt: 3},  // 7<<3 = 56
 		{Op: rawisa.NOR, Rd: 5, Rs: 4, Rt: 0},  // ^56
 		{Op: rawisa.SLTU, Rd: 6, Rs: 2, Rt: 1}, // 3 < 10 = 1
-		{Op: rawisa.EXITI, Target: 0x42},
+		{Op: rawisa.EXITI, Imm: 0x42},
 	}
 	cpu, _, exit := run(t, code)
 	if cpu.R[3] != 7 || cpu.R[4] != 56 || cpu.R[5] != ^uint32(56) || cpu.R[6] != 1 {
@@ -44,7 +44,7 @@ func TestALUOps(t *testing.T) {
 func TestZeroRegisterImmutable(t *testing.T) {
 	code := []rawisa.Inst{
 		{Op: rawisa.ADDI, Rd: 0, Rs: 0, Imm: 99},
-		{Op: rawisa.EXITI, Target: 0},
+		{Op: rawisa.EXITI, Imm: 0},
 	}
 	cpu, _, _ := run(t, code)
 	if cpu.R[0] != 0 {
@@ -61,7 +61,7 @@ func TestMultDiv(t *testing.T) {
 		{Op: rawisa.MFHI, Rd: 4}, // sign extension
 		{Op: rawisa.DIV, Rs: 2, Rt: 1},
 		{Op: rawisa.MFLO, Rd: 5}, // 1000/-5 = -200
-		{Op: rawisa.EXITI, Target: 0},
+		{Op: rawisa.EXITI, Imm: 0},
 	}
 	cpu, _, _ := run(t, code)
 	if int32(cpu.R[3]) != -5000 || cpu.R[4] != 0xffffffff || int32(cpu.R[5]) != -200 {
@@ -72,7 +72,7 @@ func TestMultDiv(t *testing.T) {
 func TestDivideByZeroFaults(t *testing.T) {
 	code := []rawisa.Inst{
 		{Op: rawisa.DIV, Rs: 1, Rt: 0},
-		{Op: rawisa.EXITI, Target: 0},
+		{Op: rawisa.EXITI, Imm: 0},
 	}
 	img := &guest.Image{Entry: 0, CodeBase: 0, Code: []byte{0x90}}
 	p := guest.Load(img)
@@ -90,9 +90,9 @@ func TestBranchesAndChainedJump(t *testing.T) {
 		{Op: rawisa.ADD, Rd: 2, Rs: 2, Rt: 1},
 		{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: -1},
 		{Op: rawisa.BNE, Rs: 1, Rt: 0, Imm: -3},
-		{Op: rawisa.J, Target: 6}, // chained jump over the exit
-		{Op: rawisa.EXITI, Target: 0xdead},
-		{Op: rawisa.EXITI, Target: 0xbeef},
+		{Op: rawisa.J, Imm: 1}, // chained jump over the exit
+		{Op: rawisa.EXITI, Imm: 0xdead},
+		{Op: rawisa.EXITI, Imm: 0xbeef},
 	}
 	cpu, _, exit := run(t, code)
 	if cpu.R[2] != 6 {
@@ -113,7 +113,7 @@ func TestGuestMemoryOps(t *testing.T) {
 		{Op: rawisa.GLBU, Rd: 5, Rs: 1}, // zero-extended byte
 		{Op: rawisa.GLH, Rd: 6, Rs: 1},
 		{Op: rawisa.GLHU, Rd: 7, Rs: 1},
-		{Op: rawisa.EXITI, Target: 0},
+		{Op: rawisa.EXITI, Imm: 0},
 	}
 	cpu, env, _ := run(t, code)
 	if cpu.R[3] != 0xfffffffe {
@@ -139,7 +139,7 @@ func TestLoadUseStall(t *testing.T) {
 	code := []rawisa.Inst{
 		{Op: rawisa.GLW, Rd: 2, Rs: 1},
 		{Op: rawisa.ADD, Rd: 3, Rs: 2, Rt: 2}, // immediate use: must stall
-		{Op: rawisa.EXITI, Target: 0},
+		{Op: rawisa.EXITI, Imm: 0},
 	}
 	cpu := &CPU{}
 	if _, err := Exec(cpu, code, 0, clk, env, 100); err != nil {
@@ -175,7 +175,7 @@ func TestScratchMemory(t *testing.T) {
 		{Op: rawisa.ADDI, Rd: 1, Rs: 0, Imm: 0x77},
 		{Op: rawisa.SW, Rs: 0, Rt: 1, Imm: 32},
 		{Op: rawisa.LW, Rd: 2, Rs: 0, Imm: 32},
-		{Op: rawisa.EXITI, Target: 0},
+		{Op: rawisa.EXITI, Imm: 0},
 	}
 	cpu, _, _ := run(t, code)
 	if cpu.R[2] != 0x77 {
@@ -199,7 +199,7 @@ func TestInstructionBudget(t *testing.T) {
 	p := guest.Load(img)
 	clk := &CountClock{}
 	code := []rawisa.Inst{
-		{Op: rawisa.J, Target: 0}, // infinite loop
+		{Op: rawisa.J, Imm: -1}, // infinite loop
 	}
 	cpu := &CPU{}
 	if _, err := Exec(cpu, code, 0, clk, NewFlatEnv(p, clk), 1000); err == nil {

@@ -7,8 +7,8 @@ import "fmt"
 //	R-format (3-register ALU):  op:6 | rd:5 | rs:5 | rt:5 | 0:11
 //	I-format (imm ALU, memory): op:6 | rd:5 | rs:5 | imm:16
 //	Branch:                     op:6 | rs:5 | rt:5 | off:16
-//	Jump:                       op:6 | target:26
-//	EXITI/CHAIN:                op:6 | patched:1 | 0:25  +  guestPC word
+//	Jump:                       op:6 | off:26
+//	EXITI/CHAIN/ASSIST:         op:6 | 0:26  +  guestPC word
 //
 // Immediates are 16 bits (sign- or zero-extended per op, exactly as the
 // mnemonic-level semantics state); the code generator materializes wider
@@ -33,8 +33,8 @@ const (
 	encR encKind = iota
 	encI         // rd, rs, imm16
 	encB         // rs, rt, off16
-	encJ         // target26
-	encX         // two-word (EXITI/CHAIN)
+	encJ         // off26
+	encX         // two-word (EXITI/CHAIN/ASSIST)
 	encN         // no operands
 )
 
@@ -81,12 +81,12 @@ func Encode(w []uint32, in Inst) []uint32 {
 		}
 		return append(w, op|uint32(in.Rs)<<21|uint32(in.Rt)<<16|uint32(uint16(in.Imm)))
 	case encJ:
-		if in.Target >= 1<<26 {
-			panic(fmt.Sprintf("rawisa: jump target %#x out of range", in.Target))
+		if in.Imm < -(1<<25) || in.Imm >= 1<<25 {
+			panic(fmt.Sprintf("rawisa: jump offset %d out of range", in.Imm))
 		}
-		return append(w, op|in.Target)
+		return append(w, op|uint32(in.Imm)&(1<<26-1))
 	case encX:
-		return append(w, op, in.Target)
+		return append(w, op, in.GuestPC())
 	}
 	panic("rawisa: unreachable")
 }
@@ -127,12 +127,12 @@ func Decode(w []uint32, i int) (Inst, int, error) {
 		in.Rt = uint8(word >> 16 & 31)
 		in.Imm = int32(int16(uint16(word)))
 	case encJ:
-		in.Target = word & (1<<26 - 1)
+		in.Imm = int32(word<<6) >> 6
 	case encX:
 		if i+1 >= len(w) {
 			return Inst{}, 0, fmt.Errorf("rawisa: truncated two-word op at %d", i)
 		}
-		in.Target = w[i+1]
+		in.Imm = int32(w[i+1])
 		return in, 2, nil
 	}
 	return in, 1, nil

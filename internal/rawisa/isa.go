@@ -87,15 +87,15 @@ const (
 	LW
 	SW
 
-	// Control flow within a translated block (offsets are in
-	// instructions, relative to the next instruction).
+	// Control flow (offsets in Imm are in instructions, relative to
+	// the next instruction, so code means the same at any index).
 	BEQ
 	BNE
 	BLEZ
 	BGTZ
 	BLTZ
 	BGEZ
-	J   // absolute instruction index within the L1 code cache
+	J   // the translator never emits it: the L1's chain patch does
 	JAL // J with link; used by runtime stubs
 	JR
 
@@ -117,17 +117,17 @@ const (
 	// Linux int 0x80 ABI (EAX = number, EBX.. = args).
 	SYSC
 
-	// EXITI exits the block with the literal next guest PC in Target.
+	// EXITI exits the block with the literal next guest PC in Imm.
 	// EXITR exits with the next guest PC in rs (indirect branches).
 	EXITI
 	EXITR
 
 	// CHAIN is a patchable direct-branch site carrying the target guest
-	// PC in Target. Unpatched it behaves as EXITI; once the target block
+	// PC in Imm. Unpatched it behaves as EXITI; once the target block
 	// is resident in the L1 code cache it is patched to behave as J.
 	CHAIN
 
-	// ASSIST executes the single guest instruction at Target through
+	// ASSIST executes the single guest instruction at Imm through
 	// the interpreter fallback on the execution tile — the standard DBT
 	// slow path for instructions not worth inlining (wide divides,
 	// REP-prefixed string ops). The execution engine charges an
@@ -163,18 +163,23 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Inst is a decoded host instruction. Rd/Rs/Rt are register indices;
-// Imm is the sign-carrying immediate (ALU immediates, branch offsets,
-// host-memory displacements); Target carries a guest PC for
-// EXITI/CHAIN and the absolute code-cache index for J/JAL.
+// Inst is a decoded host instruction, eight bytes: the one form
+// translated code has from the code generator to the L1 code cache.
+// Rd/Rs/Rt are register indices. Imm is the instruction's one operand
+// that is not a register: the immediate of an ALU op as written (the
+// execution engine extends it per opcode), the displacement of a
+// host-memory access, the offset of a branch or jump from the next
+// instruction, or the guest PC of EXITI/CHAIN/ASSIST (GuestPC).
 type Inst struct {
-	Op     Op
-	Rd     uint8
-	Rs     uint8
-	Rt     uint8
-	Imm    int32
-	Target uint32
+	Op  Op
+	Rd  uint8
+	Rs  uint8
+	Rt  uint8
+	Imm int32
 }
+
+// GuestPC returns the guest PC an EXITI, CHAIN or ASSIST carries.
+func (i Inst) GuestPC() uint32 { return uint32(i.Imm) }
 
 // Words returns the encoded size of the instruction in 32-bit words.
 // EXITI and CHAIN carry a full 32-bit guest PC and occupy two words
@@ -298,13 +303,13 @@ func (i Inst) String() string {
 	case BLEZ, BGTZ, BLTZ, BGEZ:
 		return fmt.Sprintf("%s r%d, %+d", i.Op, i.Rs, i.Imm)
 	case J, JAL:
-		return fmt.Sprintf("%s %#x", i.Op, i.Target)
+		return fmt.Sprintf("%s %+d", i.Op, i.Imm)
 	case JR, EXITR:
 		return fmt.Sprintf("%s r%d", i.Op, i.Rs)
 	case EXITI, CHAIN, ASSIST:
-		return fmt.Sprintf("%s guest:%#x", i.Op, i.Target)
+		return fmt.Sprintf("%s guest:%#x", i.Op, i.GuestPC())
 	}
-	return fmt.Sprintf("%s r%d, r%d, r%d, %d, %#x", i.Op, i.Rd, i.Rs, i.Rt, i.Imm, i.Target)
+	return fmt.Sprintf("%s r%d, r%d, r%d, %d", i.Op, i.Rd, i.Rs, i.Rt, i.Imm)
 }
 
 // Disassemble renders a code sequence one instruction per line.

@@ -14,9 +14,9 @@ func TestWords(t *testing.T) {
 	}{
 		{Inst{Op: ADD, Rd: 1, Rs: 2, Rt: 3}, 1},
 		{Inst{Op: LUI, Rd: 1, Imm: 0x1234}, 1},
-		{Inst{Op: EXITI, Target: 0x8048000}, 2},
-		{Inst{Op: CHAIN, Target: 0x8048000}, 2},
-		{Inst{Op: J, Target: 100}, 1},
+		{Inst{Op: EXITI, Imm: 0x8048000}, 2},
+		{Inst{Op: CHAIN, Imm: 0x8048000}, 2},
+		{Inst{Op: J, Imm: 100}, 1},
 	}
 	for _, c := range cases {
 		if got := c.in.Words(); got != c.want {
@@ -25,10 +25,20 @@ func TestWords(t *testing.T) {
 	}
 }
 
+// TestGuestPCSurvivesImm checks that a guest PC above 2^31 round-trips
+// through the signed Imm field of an exit.
+func TestGuestPCSurvivesImm(t *testing.T) {
+	pc := uint32(0xc0001234)
+	in := Inst{Op: EXITI, Imm: int32(pc)}
+	if in.GuestPC() != pc || !strings.Contains(in.String(), "0xc0001234") {
+		t.Errorf("GuestPC = %#x, String = %q", in.GuestPC(), in.String())
+	}
+}
+
 func TestCodeBytes(t *testing.T) {
 	code := []Inst{
 		{Op: ADDI, Rd: 1, Rs: 1, Imm: 4},
-		{Op: CHAIN, Target: 0x1000},
+		{Op: CHAIN, Imm: 0x1000},
 	}
 	if got := CodeBytes(code); got != 12 {
 		t.Errorf("CodeBytes = %d, want 12", got)
@@ -98,9 +108,9 @@ func randInst(r *rand.Rand) Inst {
 			in.Rt = uint8(r.Intn(32))
 			in.Imm = int32(r.Intn(MaxUImm+1)) + MinSImm
 		case encJ:
-			in.Target = uint32(r.Intn(1 << 26))
+			in.Imm = int32(r.Intn(1<<26)) - 1<<25
 		case encX:
-			in.Target = r.Uint32()
+			in.Imm = int32(r.Uint32())
 		}
 		return in
 	}
@@ -159,7 +169,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Error("Decode past end should fail")
 	}
 	// Truncated two-word op.
-	w := Encode(nil, Inst{Op: EXITI, Target: 5})
+	w := Encode(nil, Inst{Op: EXITI, Imm: 5})
 	if _, _, err := Decode(w[:1], 0); err == nil {
 		t.Error("truncated EXITI should fail")
 	}
@@ -173,7 +183,7 @@ func TestDisassembleMentionsOps(t *testing.T) {
 	code := []Inst{
 		{Op: ADDI, Rd: 1, Rs: 2, Imm: -5},
 		{Op: GLW, Rd: 3, Rs: 4},
-		{Op: CHAIN, Target: 0x8048123},
+		{Op: CHAIN, Imm: 0x8048123},
 	}
 	s := Disassemble(code)
 	for _, want := range []string{"addi", "glw", "chain", "0x8048123"} {

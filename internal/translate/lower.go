@@ -247,7 +247,7 @@ func (lo *lowerer) readValSigned(o x86.Operand) uint8 {
 
 // assist emits an interpreter-assist for the instruction.
 func (lo *lowerer) assist(in *x86.Inst) {
-	lo.bl.Emit(rawisa.Inst{Op: rawisa.ASSIST, Target: in.Addr})
+	lo.bl.Emit(rawisa.Inst{Op: rawisa.ASSIST, Imm: int32(in.Addr)})
 }
 
 // push32 emits a push of the value in register v.

@@ -46,14 +46,14 @@ type ImageMemory interface {
 // per caller.
 type Memo struct {
 	mu      sync.Mutex
-	entries map[memoKey]*memoEntry
+	entries map[memoKey]memoEntry
 	bytes   int
 
 	hits, misses, bypassed atomic.Uint64
 }
 
 // NewMemo returns an empty memo.
-func NewMemo() *Memo { return &Memo{entries: map[memoKey]*memoEntry{}} }
+func NewMemo() *Memo { return &Memo{entries: map[memoKey]memoEntry{}} }
 
 type memoKey struct {
 	image any // the owner's image identity, compared by ==
@@ -78,8 +78,9 @@ type MemoStats struct {
 	// published; Bypassed were translated from live memory because a
 	// window the block depends on was no longer pristine.
 	Hits, Misses, Bypassed uint64
-	// Entries and Bytes size the memo (Bytes is the storage the entries
-	// own: results, host code, predecoded code, chain and window lists).
+	// Entries and Bytes size the memo. Bytes is the storage the entries
+	// keep alive outside the map: each Result with its host code, and
+	// each window list. The map's own storage is not counted.
 	Entries, Bytes int
 }
 
@@ -101,9 +102,9 @@ func (mo *Memo) Stats() MemoStats {
 func (mo *Memo) Translate(t *Translator, image any, mem ImageMemory, addr uint32) (*Result, error) {
 	key := memoKey{image: image, pc: addr, opts: t.Opts}
 	mo.mu.Lock()
-	e := mo.entries[key]
+	e, ok := mo.entries[key]
 	mo.mu.Unlock()
-	if e != nil {
+	if ok {
 		for _, w := range e.windows {
 			if !mem.Pristine(w.addr, int(w.n)) {
 				mo.bypassed.Add(1)
@@ -125,7 +126,7 @@ func (mo *Memo) Translate(t *Translator, image any, mem ImageMemory, addr uint32
 		return res, nil
 	}
 	mo.misses.Add(1)
-	e = &memoEntry{res: res, windows: append([]codeWindow(nil), rec.windows...)}
+	e = memoEntry{res: res, windows: append([]codeWindow(nil), rec.windows...)}
 	mo.mu.Lock()
 	if _, raced := mo.entries[key]; !raced {
 		// Two runs of one image can miss on the same block at once;
@@ -137,15 +138,12 @@ func (mo *Memo) Translate(t *Translator, image any, mem ImageMemory, addr uint32
 	return res, nil
 }
 
-// memBytes is the storage an entry keeps alive.
+// memBytes is the storage an entry keeps alive outside the map: the
+// Result, the one form of its code, and the window list.
 func (e *memoEntry) memBytes() int {
-	r := e.res
-	return int(unsafe.Sizeof(*e)+unsafe.Sizeof(memoKey{})) +
-		int(unsafe.Sizeof(*r)+unsafe.Sizeof(*r.Block)+unsafe.Sizeof(*r.Block.Block)) +
-		len(r.Code)*int(unsafe.Sizeof(rawisa.Inst{})) +
-		r.Pre.Bytes() +
-		len(r.Chains)*int(unsafe.Sizeof(ChainSite{})) +
-		len(e.windows)*int(unsafe.Sizeof(codeWindow{}))
+	return int(unsafe.Sizeof(*e.res)) +
+		cap(e.res.Code)*int(unsafe.Sizeof(rawisa.Inst{})) +
+		cap(e.windows)*int(unsafe.Sizeof(codeWindow{}))
 }
 
 // windowRecorder is the CodeReader a memo miss translates through: it

@@ -119,7 +119,7 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 				}
 				if !reflect.DeepEqual(final[i], want) {
 					t.Fatalf("%s %+v block %#x: long-lived translator\n%s%+v\nfresh\n%s%+v",
-						name, opts, a, rawisa.Disassemble(final[i].Code), final[i].Block, rawisa.Disassemble(want.Code), want.Block)
+						name, opts, a, rawisa.Disassemble(final[i].Code), *final[i], rawisa.Disassemble(want.Code), *want)
 				}
 			}
 			for _, k := range irs {

@@ -17,8 +17,9 @@ import (
 
 // CodeReader provides guest code bytes to the translator (implemented
 // by guest.Memory). The window it returns is read-only and may be a
-// view of live guest memory; the translator decodes it before it
-// returns and keeps nothing that points into it.
+// view of live guest memory or a buffer the next call reuses; the
+// translator decodes it before it asks for another or returns, and
+// keeps nothing that points into it.
 type CodeReader interface {
 	CodeWindow(addr uint32, n int) []byte
 }
