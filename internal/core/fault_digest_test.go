@@ -61,28 +61,38 @@ func stallStorm(n int) *fault.Plan {
 
 var runGoldens = []runGolden{
 	{name: "fail/slave",
-		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
-		want: [3]string{"1362298:0:00c2ecff14148d94", "2808973:0:c7a3956bbd367cc4", "14844523:0:23a86913fe172a3d"}},
+		cfg: func(c *Config) {
+			c.Recovery = RecoverRollback
+			c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000})
+		},
+		want: [3]string{"1362298:0:5497987dc365030f", "2808973:0:7a1a58ee6df070e3", "14844523:0:9979bfbcb426f99c"}},
 	{name: "fail/bank",
-		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
-		want: [3]string{"1362298:0:c32d097076e61758", "3344484:0:adcb738be41e0ea5", "14909679:0:d3d8f133d5b0a625"}},
+		cfg: func(c *Config) {
+			c.Recovery = RecoverRollback
+			c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000})
+		},
+		want: [3]string{"1362298:0:23fc59a35c3610f7", "3344484:0:b89e34d17062420b", "14909679:0:17520ebe67959d83"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
+			c.Recovery = RecoverRollback
 			c.Fault = fails(
 				fault.TileFail{Tile: 3, Cycle: 90_000},
 				fault.TileFail{Tile: 14, Cycle: 250_000},
 				fault.TileFail{Tile: 12, Cycle: 600_000})
 		},
-		want: [3]string{"1361706:0:1f002d5d5b6db4a2", "3464438:0:1ffb8c45a35c6afa", "14373512:0:807e9f78785f5b9f"}},
+		want: [3]string{"1361706:0:8a5afbfb8a473661", "3464438:0:e1027eb780138be8", "14373512:0:8cfd4f8bf3e92cc4"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
-		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2698092:0:2635d03ef29557be", "5249817:0:dfb32c17493ade17", "16998107:0:b7ddd4ef4f28db0d"}},
+		cfg: func(c *Config) {
+			c.Recovery = RecoverRollback
+			c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000})
+		},
+		want: [3]string{"2531544:0:81c627e0627329e1", "5051565:0:e8185b2832b1eb08", "16862185:0:049db17369a3c631"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
-		want: [3]string{"1392326:0:835055a4c9382532", "2838998:0:803ddf805cea5510", "15098615:0:10a4577b0f607c3d"}},
+		want: [3]string{"1392326:0:a5846ed19ecaec8f", "2838998:0:e87563a8672d8b95", "15098615:0:42063f032c2da976"}},
 	{name: "stall/bank",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tilePermBank, Cycle: 500_000, Dur: 45_000}) },
-		want: [3]string{"1362298:0:e061822bddefae6d", "2853655:0:2e9c4d59a8cd236d", "14924852:0:5fd87f8500a75bef"}},
+		want: [3]string{"1362298:0:57ed4a40fe375308", "2853655:0:5ce8fcc65c1da972", "14924852:0:74cb09cfeefb387a"}},
 	{name: "stall/l15+sys+slave+two-on-one-bank",
 		cfg: func(c *Config) {
 			c.Fault = stalls(
@@ -92,7 +102,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 2, Cycle: 300_000, Dur: 1_000},
 				fault.TileStall{Tile: 2, Cycle: 300_500, Dur: 2_000})
 		},
-		want: [3]string{"1433412:0:a8cfe8468a9e7c9e", "2888322:0:0facbf6a787dca28", "14989621:0:85231b1c778eabc0"}},
+		want: [3]string{"1433412:0:4ade460f3d128ee7", "2888322:0:3293a19645bb4041", "14989621:0:fecc2f60d65d2c5d"}},
 	{name: "stall/norecover",
 		cfg: func(c *Config) {
 			c.FaultRecovery = false
@@ -101,9 +111,10 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 7, Cycle: 350_000, Dur: 12_000},
 				fault.TileStall{Tile: 13, Cycle: 50_000, Dur: 40_000})
 		},
-		want: [3]string{"1360386:0:44b257c6d0ae6eca", "2822178:0:bc41e7f7cbd4a6eb", "14414417:0:e98af3f4ec6ac3fa"}},
+		want: [3]string{"1360386:0:1e443e9415ebb1f9", "2822178:0:db014d0a7f9be7e8", "14414417:0:0b93730d16b5f335"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
+			c.Recovery = RecoverRollback
 			c.Fault = &fault.Plan{
 				Stalls: []fault.TileStall{
 					{Tile: 15, Cycle: 80_000, Dur: 30_000},
@@ -112,44 +123,45 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1361374:0:32fd96e207eea2f5", "3486023:0:860e3caee7d28851", "14675406:0:8375c78f50eb8c56"}},
+		want: [3]string{"1361374:0:c63f82c4a2a8a2d2", "3486023:0:82f46cfb33af659c", "14675406:0:4ced83689f716c3d"}},
 	{name: "stall-storm",
 		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
-		want: [3]string{"5040544:0:c115c119af75dad0", "6941246:0:e27495334216cbdc", "17560753:0:d2079c57fa8e3e87"}},
+		want: [3]string{"5040544:0:9b0919ad2a95ec01", "6941246:0:067f22479b738587", "17560753:0:1f1129b529d37730"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg: func(c *Config) {
 			c.Recovery = RecoverRollback
 			c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000})
 		},
-		want: [3]string{"1362298:0:136a8b7570d2d709", "3334708:0:86adba10c3d6026d", "14894048:0:8e3c57d7c52e8c67"}},
+		want: [3]string{"1362298:0:9eaac308af599e76", "3334708:0:9d41012d8716503a", "14894048:0:564f762622f77422"}},
 	{name: "rollback/two-banks+slave/interval",
 		cfg: func(c *Config) {
 			c.Recovery = RecoverRollback
-			c.CheckpointInterval = 60_000
 			c.Fault = fails(
 				fault.TileFail{Tile: 10, Cycle: 300_000},
 				fault.TileFail{Tile: 13, Cycle: 500_000},
 				fault.TileFail{Tile: 2, Cycle: 800_000})
 		},
-		want: [3]string{"1362298:0:de4566a896dcb1f3", "4302066:0:a36c10405d831b10", "14723221:0:38c6e5450dc50299"}},
+		want: [3]string{"1362298:0:1624c74928e8fc9d", "4239460:0:7278899b1eb697bc", "14723221:0:01f8a53b94c67ff8"}},
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
-		want: [3]string{"1366236:0:7df899532903cd1d", "2814592:0:d40372e6b90e5079", "14525580:0:5aa598a2d77d87b9"}},
+		want: [3]string{"1366236:0:6622e6ac9babf468", "2814592:0:51b0a385b8a40dd4", "14525580:0:d384007fb2eca9b4"}},
 	{name: "nospec/fail",
 		cfg: func(c *Config) {
 			c.Speculative = false
+			c.Recovery = RecoverRollback
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
-		want: [3]string{"1569257:0:5afc011bfce2cde7", "3007906:0:239ed194b35b099b", "19105562:0:111dbb144de4d3e0"}},
+		want: [3]string{"1569257:0:1a64169a1563b258", "3007906:0:d33e47dadc859e32", "19105562:0:fce7f7f7f9754d21"}},
 	{name: "traced", traced: true,
-		want: [3]string{"1356400:409651:50439dc9a6cd37ad", "2805178:5774705:c64d1709b311b8ca", "14411161:14022151:50221ffab0923ea8"}},
+		want: [3]string{"1356400:409651:479a41574f0f7bd2", "2805178:5774705:466e65215a83e615", "14411161:14022151:5a2b7ce84b726dad"}},
 	{name: "traced/fail+stall", traced: true,
 		cfg: func(c *Config) {
+			c.Recovery = RecoverRollback
 			c.Fault = &fault.Plan{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1377298:502631:0161e90fa5dab7d2", "3426270:5837231:b29931b55cb49a98", "14661881:15282543:988eca30966ebc63"}},
+		want: [3]string{"1377298:503873:db9fedb3de3ac00e", "3426270:5839929:028479407d7a63e8", "14661881:15296680:ac7beec1433f4b00"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {
@@ -181,8 +193,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}
-		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
-			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
+		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
+			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsDump(r.M))
 		cycles = r.Cycles
 	}
 	n := 0
