@@ -153,15 +153,17 @@ fuzz-smoke:
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 10s
 	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 10s
 
-# End-to-end record/replay smoke: record a faulted rollback run, then
-# verify a full replay reproduces it bit for bit (tilevm exits non-zero
-# on divergence).
+# End-to-end record/replay smoke: record a faulted run in which a dead
+# bank holds dirty lines, check that it rolled back (a non-zero
+# rollbacks line under -v), then verify a full replay reproduces it bit
+# for bit (tilevm exits non-zero on divergence).
 replay-smoke:
 	$(GO) run ./cmd/tilevm -workload 181.mcf \
 	  -fault-plan 'fail:7@150000,fail:14@300000,fail:2@450000' \
-	  -recovery rollback -record /tmp/tilevm-replay-smoke.tvrc >/dev/null
-	$(GO) run ./cmd/tilevm -replay /tmp/tilevm-replay-smoke.tvrc
-	rm -f /tmp/tilevm-replay-smoke.tvrc
+	  -record /tmp/tilevm-replay-smoke.tvrc -v > /tmp/tilevm-replay-smoke.txt
+	grep -Eq '^rollbacks +: [1-9]' /tmp/tilevm-replay-smoke.txt
+	$(GO) run ./cmd/tilevm -replay /tmp/tilevm-replay-smoke.tvrc | grep -q '^replay: identical'
+	rm -f /tmp/tilevm-replay-smoke.tvrc /tmp/tilevm-replay-smoke.txt
 
 # End-to-end tracing smoke: capture a traced run, then validate that
 # the Chrome trace JSON parses, shows the tiled layout in timeline

@@ -32,7 +32,6 @@ func main() {
 		fleet      = flag.Bool("fleet", false, "also run the N-guest fleet scheduler sweep (4x4/8x8/16x16 fabrics; fixed and planner placement)")
 		fleetFault = flag.Bool("fleetfault", false, "also run the fleet fault-tolerance sweep (quarantine/retry/deadline policies)")
 		faultsw    = flag.Bool("faultsweep", false, "also run the graceful-degradation fault sweep")
-		recovery   = flag.String("recovery", "excise", "fault-sweep recovery mode: excise or rollback")
 		asJSON     = flag.Bool("json", false, "emit figures as JSON instead of text tables")
 		tracePath  = flag.String("trace", "", "instead of figures, write a Chrome trace_event JSON timeline of one default-config run to this file")
 		traceEvery = flag.Uint64("trace-interval", 0, "also sample hit rates and per-tile occupancy every N cycles into <trace>.csv (requires -trace)")
@@ -51,11 +50,6 @@ func main() {
 	}
 	if *workers < 1 {
 		fmt.Fprintf(os.Stderr, "figures: -j %d: want at least one worker\n", *workers)
-		os.Exit(2)
-	}
-	recMode, err := core.ParseRecoveryMode(*recovery)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(2)
 	}
 	if *traceEvery != 0 && *tracePath == "" {
@@ -181,7 +175,7 @@ func main() {
 		fmt.Println(out)
 	}
 	if *faultsw {
-		f, err := s.FaultSweepMode(recMode)
+		f, err := s.FaultSweep()
 		if err != nil {
 			die(err)
 		}

@@ -9,12 +9,12 @@
 //	tilevm -workload 181.mcf -morph -threshold 5 -v
 //	tilevm -workload 164.gzip -fault-plan 'fail:7@150000,stall:6@30000+5000' -v
 //
-// Faulted runs can recover by rolling back to a periodic checkpoint
-// instead of excising the dead tile in place, and any run can be
-// recorded to a replayable file:
+// A faulted run recovers: a dead tile is excised in place, and a dead
+// bank holding dirty lines rolls the machine back to its last periodic
+// checkpoint. Any run can be recorded to a replayable file:
 //
-//	tilevm -workload 181.mcf -fault-plan 'fail:7@150000' -recovery rollback -v
-//	tilevm -workload 181.mcf -fault-plan 'fail:7@150000' -recovery rollback -record run.tvrc
+//	tilevm -workload 181.mcf -fault-plan 'fail:7@150000' -v
+//	tilevm -workload 181.mcf -fault-plan 'fail:7@150000' -record run.tvrc
 //	tilevm -replay run.tvrc
 //
 // A replay that diverges from its record is bisected to the first
@@ -30,11 +30,11 @@
 // Fleet runs compose with fail-stop fault plans: a fault that kills a
 // slot tile quarantines the whole slot, and its guest is retried on the
 // survivors (with core's default attempts and deterministic backoff),
-// restored from the latest checkpoint when -recovery rollback is on,
-// until its attempts or its -deadline run out:
+// restored from its latest checkpoint, until its attempts or its
+// -deadline run out:
 //
 //	tilevm -guests 164.gzip,181.mcf,164.gzip -grid 8x8 -fault-plan 'fail:9@500000'
-//	tilevm -guests 181.mcf,164.gzip -fault-plan 'fail:12@1000000' -recovery rollback -v
+//	tilevm -guests 181.mcf,164.gzip -fault-plan 'fail:12@1000000' -v
 //	tilevm -guests 164.gzip,181.mcf -deadline 8000000 -v
 //
 // The whole command line is checked before any file is created: each
@@ -104,8 +104,6 @@ var flagTable = []flagRule{
 	{"maxcycles", uint64(0), "simulation watchdog (0 = default)", allModes, "", "MaxCycles"},
 	{"timeout", time.Duration(0), "wall-clock budget for the run; an expired run is interrupted and exits non-zero (0 = none; composes with -deadline, which is virtual cycles)", "single fleet", "", ""},
 	{"fault-plan", "", "fault plan: comma-separated fail:T@C (tile T fail-stops at cycle C) and stall:T@C+D (tile T stalls D cycles at cycle C) clauses, e.g. 'fail:7@150000,stall:6@30000+5000'", "single fleet record dump", "", "Fault"},
-	{"fault-norecover", false, "disable fault recovery (a fault then deadlocks with a diagnostic)", oneVM, "", "FaultRecovery"},
-	{"recovery", "excise", "fail-stop recovery mode: excise (morph around the dead tile in place) or rollback (restore the last checkpoint when excision would lose writebacks)", allModes, "", "Recovery"},
 	{"record", "", "write a deterministic record of the run to this file", "record dump", "", "Journal"},
 	{"replay", "", "replay a recorded run and verify it reproduces; a divergence is bisected to the first divergent event", "replay", "", ""},
 	{"v", false, "print detailed metrics", allModes, "", ""},
@@ -183,13 +181,6 @@ func parse(args []string) (*invocation, error) {
 	if inv.dur("timeout") < 0 {
 		return nil, fmt.Errorf("-timeout must be non-negative")
 	}
-	recMode, err := core.ParseRecoveryMode(inv.str("recovery"))
-	if err != nil {
-		return nil, err
-	}
-	if inv.on("fault-norecover") && recMode == core.RecoverRollback {
-		return nil, fmt.Errorf("-fault-norecover conflicts with -recovery rollback (rollback is a recovery mode)")
-	}
 	if inv.mode == "replay" {
 		return inv, nil // the record carries the guest and the configuration
 	}
@@ -206,9 +197,8 @@ func parse(args []string) (*invocation, error) {
 		MorphThreshold: inv.num("threshold"),
 		MaxCycles:      inv.u64("maxcycles"),
 		FaultPlan:      inv.str("fault-plan"),
-		FaultRecovery:  !inv.on("fault-norecover"),
-		Recovery:       uint8(recMode),
 	}
+	var err error
 	if inv.cfg, err = bench.RecordConfig(inv.rc); err != nil {
 		return nil, err
 	}
@@ -500,8 +490,8 @@ func report(res *core.Result, verbose bool) {
 	if m.FaultsInjected > 0 || m.Timeouts > 0 {
 		fmt.Printf("faults injected   : %d (%d fails, %d stalls)\n",
 			m.FaultsInjected, m.TileFails, m.TileStalls)
-		fmt.Printf("recovery          : %d timeouts, %d retries, %d role remaps, %d writebacks lost, %d recovery cycles\n",
-			m.Timeouts, m.Retries, m.RoleRemaps, m.WritebacksLost, m.RecoveryCycles)
+		fmt.Printf("recovery          : %d timeouts, %d retries, %d role remaps, %d recovery cycles\n",
+			m.Timeouts, m.Retries, m.RoleRemaps, m.RecoveryCycles)
 	}
 	if m.Checkpoints > 0 || m.Rollbacks > 0 {
 		fmt.Printf("checkpoints       : %d\n", m.Checkpoints)

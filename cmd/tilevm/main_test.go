@@ -82,7 +82,7 @@ func TestRemovedFlagsAreUnknown(t *testing.T) {
 		main()
 		os.Exit(0)
 	}
-	for _, args := range []string{"-tier0", "-tier-up-threshold 2000", "-fault-seed 42"} {
+	for _, args := range []string{"-tier0", "-tier-up-threshold 2000", "-fault-seed 42", "-recovery rollback", "-fault-norecover"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagsAreUnknown$")
 		cmd.Env = append(os.Environ(), "TILEVM_TEST_ARGS=-workload 164.gzip "+args)
 		out, err := cmd.CombinedOutput()

@@ -50,8 +50,6 @@ var flags = []struct {
 	{"maxcycles", maxCycles, nil},
 	{"timeout", "1h", nil},
 	{"fault-plan", "fail:7@1000", nil},
-	{"fault-norecover", "", nil},
-	{"recovery", "rollback", nil},
 	{"record", "$DIR/out.tvrc", nil},
 	{"replay", "$DIR/in.tvrc", nil},
 	{"v", "", nil},

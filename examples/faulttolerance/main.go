@@ -3,20 +3,18 @@
 // fail-stopping mid-run while the manager excises them and continues
 // at reduced width; with every service tile stalling in turn for
 // longer than the watchdog, which the re-send protocol absorbs; and
-// with recovery disabled, where the
-// same bank death deadlocks — terminated by the simulator with a
-// per-tile diagnostic instead of hanging. Every surviving run is
-// checked against the fault-free architectural result.
+// with two data banks dying while they hold dirty lines, which the
+// machine survives by rolling back to its last checkpoint and
+// re-executing without them. Every run is checked against the
+// fault-free architectural result.
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 
 	"tilevm/internal/core"
 	"tilevm/internal/fault"
-	"tilevm/internal/sim"
 	"tilevm/internal/workload"
 )
 
@@ -70,19 +68,27 @@ func main() {
 		res.Cycles, 100*(float64(res.Cycles)/float64(clean.Cycles)-1),
 		res.M.TileStalls, res.M.Timeouts, res.M.Retries)
 
-	// The same bank death with recovery disabled: the machine wedges,
-	// and the simulator diagnoses the deadlock instead of hanging.
+	// Bank 7, then bank 14, dies holding dirty lines. Cutting a dirty
+	// bank out in place would lose its writebacks, so each death rolls
+	// the machine back to its last checkpoint and re-executes on the
+	// surviving banks: the final guest state is bit-identical to the
+	// fault-free run's.
 	cfg = core.DefaultConfig()
-	cfg.Speculative = false
-	cfg.FaultRecovery = false
-	cfg.Fault = &fault.Plan{Fails: []fault.TileFail{{Tile: 7, Cycle: 150_000}}}
-	_, err = core.Run(img, cfg)
-	var dl *sim.DeadlockError
-	if !errors.As(err, &dl) {
-		log.Fatalf("expected a deadlock without recovery, got %v", err)
+	cfg.Fault = &fault.Plan{Fails: []fault.TileFail{
+		{Tile: 7, Cycle: 150_000},
+		{Tile: 14, Cycle: 300_000},
+	}}
+	res, err = core.Run(img, cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("recovery disabled: deadlock at cycle %d, %d tiles blocked (first: %s on %s)\n",
-		dl.Now, len(dl.Blocked), dl.Blocked[0].Proc, dl.Blocked[0].Port)
+	check(clean, res)
+	if res.StateHash != clean.StateHash {
+		log.Fatalf("dirty banks killed: final state %#x, fault-free %#x", res.StateHash, clean.StateHash)
+	}
+	fmt.Printf("dirty banks killed %8d cycles  (+%.0f%%)  rollbacks %d  re-executed %d cycles  state as fault-free\n",
+		res.Cycles, 100*(float64(res.Cycles)/float64(clean.Cycles)-1),
+		res.M.Rollbacks, res.M.ReexecCycles)
 	fmt.Println("\nthe same homogeneity that lets tiles swap roles lets the machine morph around dead ones.")
 }
 

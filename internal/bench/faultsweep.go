@@ -8,25 +8,18 @@ import (
 )
 
 // FaultSweep measures graceful degradation under fail-stop tile faults
-// with the default in-place excision recovery. See FaultSweepMode.
+// (beyond the paper): each configuration kills a growing prefix of
+// worker tiles mid-run and the machine recovers — excision morphs
+// around a dead tile in place, and a dead bank holding dirty lines
+// rolls the machine back to its last whole-machine checkpoint and
+// re-executes on the surviving topology. Values are cycles relative to
+// the fault-free run of the same benchmark, so 1.0 means unharmed and
+// larger means the recovered machine ran slower. Suite.Run's
+// cross-check against the Pentium III baseline doubles as the
+// correctness witness; the sweep additionally verifies every recovered
+// run is lossless: final guest state bit-identical to the fault-free
+// run (StateHash).
 func (s *Suite) FaultSweep() (*Figure, error) {
-	return s.FaultSweepMode(core.RecoverExcise)
-}
-
-// FaultSweepMode measures graceful degradation under fail-stop tile
-// faults (beyond the paper): each configuration kills a growing prefix
-// of worker tiles mid-run and the machine recovers per mode — excision
-// morphs around the failure in place (a dead bank's dirty lines are
-// lost writebacks), rollback restores the last whole-machine checkpoint
-// and re-executes on the surviving topology whenever excision would
-// lose writebacks. Values are cycles relative to the fault-free run of
-// the same benchmark, so 1.0 means unharmed and larger means the
-// recovered machine ran slower. Suite.Run's cross-check against the
-// Pentium III baseline doubles as the correctness witness; in rollback
-// mode the sweep additionally verifies the recovered run is *lossless*:
-// final guest state bit-identical to the fault-free run (StateHash) and
-// zero writebacks lost.
-func (s *Suite) FaultSweepMode(mode core.RecoveryMode) (*Figure, error) {
 	// The schedule kills L2 data banks: each death monotonically shrinks
 	// cache capacity and adds recovery cost, so slowdown grows with the
 	// failed-tile count. (Killing a translation slave instead can
@@ -41,10 +34,6 @@ func (s *Suite) FaultSweepMode(mode core.RecoveryMode) (*Figure, error) {
 		{"2 dead banks", fault.TileFail{Tile: 14, Cycle: 300_000}},
 		{"3 dead banks", fault.TileFail{Tile: 2, Cycle: 450_000}},
 	}
-	modeTag := ""
-	if mode == core.RecoverRollback {
-		modeTag = " rollback"
-	}
 	type row struct {
 		label string
 		id    string // Run cache key; "default" shares the fault-free runs
@@ -57,8 +46,8 @@ func (s *Suite) FaultSweepMode(mode core.RecoveryMode) (*Figure, error) {
 			plan.Fails = append(plan.Fails, kill.fail)
 		}
 		label := kills[k-1].label
-		rows = append(rows, row{label, "fault" + modeTag + " " + label,
-			with(func(c *core.Config) { c.Fault = plan; c.Recovery = mode })})
+		rows = append(rows, row{label, "fault " + label,
+			with(func(c *core.Config) { c.Fault = plan })})
 	}
 
 	benches := s.Benchmarks()
@@ -84,35 +73,22 @@ func (s *Suite) FaultSweepMode(mode core.RecoveryMode) (*Figure, error) {
 			}
 			if ci == 0 {
 				ref = r
-			} else if mode == core.RecoverRollback {
-				if r.StateHash != ref.StateHash {
-					return nil, fmt.Errorf(
-						"rollback recovery not lossless: %s %q final state %#x != fault-free %#x",
-						bench, rows[ci].label, r.StateHash, ref.StateHash)
-				}
-				if r.M.WritebacksLost != 0 {
-					return nil, fmt.Errorf("rollback recovery lost %d writebacks: %s %q",
-						r.M.WritebacksLost, bench, rows[ci].label)
-				}
+			} else if r.StateHash != ref.StateHash {
+				return nil, fmt.Errorf(
+					"recovery not lossless: %s %q final state %#x != fault-free %#x",
+					bench, rows[ci].label, r.StateHash, ref.StateHash)
 			}
 			series[ci].Values[bi] = float64(r.Cycles) / float64(ref.Cycles)
 		}
 	}
-	name := "FaultSweep"
-	notes := "kill schedule: bank tile 7 @150k cycles, then bank 14 @300k, then bank 2 @450k " +
-		"(one of the four banks survives); every faulted run is still checked for the " +
-		"architecturally correct result"
-	if mode == core.RecoverRollback {
-		name = "FaultSweep (rollback)"
-		notes += "; rollback runs additionally verified bit-identical to the fault-free " +
-			"final state with zero writebacks lost"
-	}
 	return &Figure{
-		Name:       name,
+		Name:       "FaultSweep",
 		Title:      "Graceful degradation under fail-stop tile faults (beyond the paper)",
 		Metric:     "cycles relative to the fault-free run (higher is worse)",
 		Benchmarks: benches,
 		Series:     series,
-		Notes:      notes,
+		Notes: "kill schedule: bank tile 7 @150k cycles, then bank 14 @300k, then bank 2 @450k " +
+			"(one of the four banks survives); every faulted run is still checked for the " +
+			"architecturally correct result and verified bit-identical to the fault-free final state",
 	}, nil
 }

@@ -22,11 +22,11 @@ func TestFleetFaultSweepQuick(t *testing.T) {
 	}
 	out := run()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// Header (2 lines) + 2 fault counts × 3 policies.
-	if len(lines) != 2+6 {
-		t.Fatalf("got %d lines, want 8:\n%s", len(lines), out)
+	// Header (2 lines) + 2 fault counts × 2 policies.
+	if len(lines) != 2+4 {
+		t.Fatalf("got %d lines, want 6:\n%s", len(lines), out)
 	}
-	for _, policy := range []string{"abort", "retry", "retry+rollback"} {
+	for _, policy := range []string{"abort", "retry"} {
 		if !strings.Contains(out, policy) {
 			t.Errorf("sweep output missing policy %q:\n%s", policy, out)
 		}

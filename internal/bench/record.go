@@ -195,9 +195,6 @@ func RecordConfig(rc checkpoint.RecordConfig) (core.Config, error) {
 			return cfg, fmt.Errorf("bad fault plan: %w", err)
 		}
 		cfg.Fault = plan
-		cfg.FaultRecovery = rc.FaultRecovery
 	}
-	cfg.Recovery = core.RecoveryMode(rc.Recovery)
-	cfg.CheckpointInterval = rc.CheckpointInterval
 	return cfg, nil
 }

@@ -15,17 +15,14 @@ import (
 // writebacks, so the run checkpoints, rolls back, and re-executes.
 func recordedRun() checkpoint.RecordConfig {
 	return checkpoint.RecordConfig{
-		Workload:           "181.mcf",
-		Slaves:             6,
-		Speculative:        true,
-		L15Banks:           2,
-		MemBanks:           4,
-		Optimize:           true,
-		MorphThreshold:     5,
-		FaultPlan:          "fail:7@150000,fail:14@300000,fail:2@450000",
-		FaultRecovery:      true,
-		Recovery:           uint8(core.RecoverRollback),
-		CheckpointInterval: core.DefaultCheckpointInterval,
+		Workload:       "181.mcf",
+		Slaves:         6,
+		Speculative:    true,
+		L15Banks:       2,
+		MemBanks:       4,
+		Optimize:       true,
+		MorphThreshold: 5,
+		FaultPlan:      "fail:7@150000,fail:14@300000,fail:2@450000",
 	}
 }
 

@@ -12,10 +12,12 @@ import (
 // canonical, so encode(decode(encode(r))) == encode(r) byte for byte.
 const (
 	recordMagic = "TVRC"
-	// codecVer 4: version 3 frames carry a fault seed and version 2
-	// frames a tiered-translation section, neither of which this decoder
-	// reads, so checkFrame rejects them.
-	codecVer = 4
+	// codecVer 5: version 4 frames carry recovery settings (the
+	// recovery on/off flag, the recovery mode, the checkpoint interval),
+	// version 3 frames a fault seed and version 2 frames a
+	// tiered-translation section, none of which this decoder reads, so
+	// checkFrame rejects them.
+	codecVer = 5
 )
 
 type writer struct {

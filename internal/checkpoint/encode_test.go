@@ -14,8 +14,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		Config: RecordConfig{
 			Workload: "181.mcf", Slaves: 6, Speculative: true, L15Banks: 2,
 			MemBanks: 4, Optimize: true, MorphThreshold: 5,
-			FaultPlan: "fail:7@150000", FaultRecovery: true,
-			Recovery: 1, CheckpointInterval: 100_000,
+			FaultPlan: "fail:7@150000",
 		},
 		Events: []Event{
 			{Cycle: 100, Kind: EvCheckpoint, A: 0, B: 12},
@@ -49,13 +48,13 @@ func withVersion(enc []byte, ver uint16) []byte {
 // TestVersionGate: well-formed record frames of the older layouts are
 // rejected by the version check — not misread. Version 2 is the last
 // with the tiered-translation section, version 3 the last with a fault
-// seed.
+// seed, version 4 the last with recovery settings beside the fault plan.
 func TestVersionGate(t *testing.T) {
 	enc := (&Record{Config: RecordConfig{Workload: "164.gzip"}}).Encode()
 	if _, err := checkFrame(enc, recordMagic); err != nil {
 		t.Fatalf("current version rejected: %v", err)
 	}
-	for _, ver := range []uint16{2, 3} {
+	for _, ver := range []uint16{2, 3, 4} {
 		want := fmt.Sprintf("checkpoint: unsupported version %d (want %d)", ver, codecVer)
 		old := withVersion(enc, ver)
 		if _, err := checkFrame(old, recordMagic); err == nil || err.Error() != want {
@@ -81,6 +80,7 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add((&Record{}).Encode())
 	f.Add([]byte("TVRC"))
 	f.Add(withVersion(rec.Encode(), 3))
+	f.Add(withVersion(rec.Encode(), 4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRecord(data)
 		if err != nil {

@@ -24,11 +24,9 @@ type RecordConfig struct {
 	MorphThreshold int
 	MaxCycles      uint64
 
-	FaultPlan     string // fault.Plan.String() round-trippable form
-	FaultRecovery bool
-
-	Recovery           uint8 // core.RecoveryMode
-	CheckpointInterval uint64
+	// FaultPlan is the whole fault configuration, in fault.Plan.String()
+	// round-trippable form: recovery and checkpointing follow from it.
+	FaultPlan string
 }
 
 // RecordFinal is the recorded run's outcome, compared against replay.
@@ -65,9 +63,6 @@ func (rec *Record) Encode() []byte {
 	w.i64(int64(c.MorphThreshold))
 	w.u64(c.MaxCycles)
 	w.str(c.FaultPlan)
-	w.b(c.FaultRecovery)
-	w.u64(uint64(c.Recovery))
-	w.u64(c.CheckpointInterval)
 
 	w.u64(uint64(len(rec.Events)))
 	for _, e := range rec.Events {
@@ -106,9 +101,6 @@ func DecodeRecord(data []byte) (*Record, error) {
 	c.MorphThreshold = int(r.i64())
 	c.MaxCycles = r.u64()
 	c.FaultPlan = r.str()
-	c.FaultRecovery = r.b()
-	c.Recovery = uint8(r.u64())
-	c.CheckpointInterval = r.u64()
 
 	if n := r.count(4); r.err == nil {
 		rec.Events = make([]Event, n)

@@ -8,49 +8,12 @@
 package core
 
 import (
-	"fmt"
-
 	"tilevm/internal/checkpoint"
 	"tilevm/internal/fault"
 	"tilevm/internal/raw"
 	"tilevm/internal/trace"
 	"tilevm/internal/translate"
 )
-
-// RecoveryMode selects how the manager handles a dead worker whose
-// excision would lose state.
-type RecoveryMode uint8
-
-const (
-	// RecoverExcise morphs around the failure in place: the dead tile
-	// is cut out of the virtual architecture and any dirty lines in a
-	// dead bank are lost (counted as WritebacksLost). This is PR 1's
-	// lossy behavior and the default.
-	RecoverExcise RecoveryMode = iota
-	// RecoverRollback restores the last checkpoint when excision would
-	// lose writebacks, re-morphs to the surviving topology and
-	// re-executes, so the guest-visible final state is bit-identical to
-	// a fault-free run.
-	RecoverRollback
-)
-
-// ParseRecoveryMode parses the -recovery flag values.
-func ParseRecoveryMode(s string) (RecoveryMode, error) {
-	switch s {
-	case "", "excise":
-		return RecoverExcise, nil
-	case "rollback":
-		return RecoverRollback, nil
-	}
-	return 0, fmt.Errorf("core: unknown recovery mode %q (want excise or rollback)", s)
-}
-
-func (m RecoveryMode) String() string {
-	if m == RecoverRollback {
-		return "rollback"
-	}
-	return "excise"
-}
 
 // Config selects a virtual architecture: how the 16 tiles are
 // provisioned between functions. The paper's experiments sweep these
@@ -94,27 +57,17 @@ type Config struct {
 	FIFOSpec bool
 
 	// Fault, if non-nil and non-empty, installs a deterministic fault
-	// plan (see internal/fault): tile fail-stops and stalls. With Fault
-	// nil (or empty) no fault code path runs and the machine is
-	// bit-identical to a fault-free build.
+	// plan (see internal/fault): tile fail-stops and stalls. The plan is
+	// the whole fault configuration. Any fault arms the recovery
+	// protocol: worker heartbeats, watchdogged request/reply round trips
+	// with retry-and-backoff on the execution tile, and manager-driven
+	// excision of dead tiles through the morph/flush/remap path. A fail
+	// clause also arms checkpoints every DefaultCheckpointInterval
+	// cycles: a dead bank holding dirty lines rolls the machine back to
+	// the last one, and a fleet retry resumes from the guest's latest.
+	// With Fault nil (or empty) no fault code path runs and the machine
+	// is bit-identical to a fault-free build.
 	Fault *fault.Plan
-	// FaultRecovery arms the recovery protocol alongside the fault plan:
-	// worker heartbeats, watchdogged request/reply round trips with
-	// retry-and-backoff on the execution tile, and manager-driven
-	// excision of dead tiles through the morph/flush/remap path. With it
-	// false the faults are injected but nothing defends against them —
-	// useful for demonstrating the failure mode (typically a diagnosed
-	// deadlock).
-	FaultRecovery bool
-
-	// Recovery selects lossy excision (default) or checkpoint rollback
-	// when a dead bank holds dirty lines. Rollback implies periodic
-	// checkpointing and requires FaultRecovery (the detectors).
-	Recovery RecoveryMode
-	// CheckpointInterval is the capture period in cycles. 0 means
-	// checkpointing off, unless Recovery is RecoverRollback, in which
-	// case it defaults to DefaultCheckpointInterval.
-	CheckpointInterval uint64
 	// Journal, if non-nil, receives the run's deterministic event
 	// stream (checkpoints, syscalls, injected faults, excisions,
 	// rollbacks, final state) for record-replay.
@@ -166,14 +119,10 @@ type Config struct {
 	SimWorkers int
 }
 
-// fillDefaults sets the zero watchdog to its default and, under rollback
-// recovery, a zero checkpoint interval to DefaultCheckpointInterval.
+// fillDefaults sets the zero watchdog to its default.
 func (cfg *Config) fillDefaults() {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 20_000_000_000
-	}
-	if cfg.Recovery == RecoverRollback && cfg.CheckpointInterval == 0 {
-		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
 }
 
@@ -189,7 +138,6 @@ func DefaultConfig() Config {
 		Optimize:         true,
 		MorphThreshold:   5,
 		MorphMinInterval: 20_000,
-		FaultRecovery:    true,
 	}
 }
 
@@ -228,8 +176,8 @@ type placement struct {
 	idle         []int
 }
 
-// DefaultCheckpointInterval is the capture period armed automatically
-// with rollback recovery: frequent enough that re-execution after a
+// DefaultCheckpointInterval is the capture period armed by a fault
+// plan with a fail clause: frequent enough that re-execution after a
 // fault is bounded, sparse enough that host-side capture cost stays
 // small. (Capture charges no virtual cycles either way.)
 const DefaultCheckpointInterval = 100_000

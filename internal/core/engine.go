@@ -71,23 +71,23 @@ type engine struct {
 	smcGen    uint64
 
 	// Fault injection. inj is non-nil only when cfg.Fault is a
-	// non-empty plan; robust additionally requires cfg.FaultRecovery
-	// and arms every watchdog/heartbeat/retry code path. With inj nil
-	// none of those paths execute, so fault-free runs stay
+	// non-empty plan, and then arms every watchdog/heartbeat/retry code
+	// path ("robust mode"; a fleet's engines never have one). With inj
+	// nil none of those paths execute, so fault-free runs stay
 	// bit-identical to the pre-fault engine.
-	inj    *fault.Injector
-	robust bool
-	// bankOf lets the manager account a dead bank's dirty lines
-	// (writeback-loss) at excision time; registered by each worker in
-	// robust mode. Single-threaded in virtual time like the rest.
+	inj *fault.Injector
+	// bankOf lets the manager see whether a dead bank holds dirty lines
+	// (and so needs a rollback) at excision time; registered by each
+	// worker in robust mode. Single-threaded in virtual time like the
+	// rest.
 	bankOf map[int]*dcache.Bank
 
 	// Checkpoint/rollback state. ck drives the capture cadence (nil
 	// when checkpointing is off); restore is the snapshot this attempt
 	// re-executes from (nil on the first attempt); restoreBlocks holds
 	// the re-translated code cache contents for the restore; rollback
-	// is set by the manager when a dead bank's dirty lines demand a
-	// rollback instead of a lossy excision, and aborts the attempt.
+	// is set by the manager when a dead bank holds dirty lines, which
+	// excision in place would lose, and aborts the attempt.
 	ck            *checkpoint.Checkpointer
 	restore       *checkpoint.State
 	restoreBlocks map[uint32]*translate.Result
@@ -126,11 +126,11 @@ func (e *engine) jadd(kind checkpoint.EventKind, cycle, a, b uint64) {
 // Run executes a guest image under the given virtual architecture
 // configuration and returns cycle counts and metrics.
 //
-// With rollback recovery armed, Run is an attempt loop: goroutine
-// stacks cannot be snapshotted, so "rollback" means aborting the
-// simulation, building a fresh machine seeded from the last checkpoint
-// (with the dead tile removed from the placement), and re-running on
-// the same absolute timeline via sim.SetStart. Checkpoints are captured
+// Under a fault plan, Run is an attempt loop: goroutine stacks cannot
+// be snapshotted, so "rollback" means aborting the simulation, building
+// a fresh machine seeded from the last checkpoint (with the dead tile
+// removed from the placement), and re-running on the same absolute
+// timeline via sim.SetStart. Checkpoints are captured
 // at the exec tile's dispatch boundary, where no request is
 // outstanding; in-flight messages are dropped by the restore, which is
 // exactly the lost-message case the retry/heartbeat protocols recover
@@ -141,8 +141,8 @@ func Run(img *guest.Image, cfg Config) (*Result, error) {
 	}
 	cfg.fillDefaults()
 	var ck *checkpoint.Checkpointer
-	if cfg.CheckpointInterval > 0 {
-		ck = checkpoint.NewCheckpointer(cfg.CheckpointInterval)
+	if cfg.Fault != nil && len(cfg.Fault.Fails) > 0 {
+		ck = checkpoint.NewCheckpointer(DefaultCheckpointInterval)
 	}
 
 	var (
@@ -241,7 +241,6 @@ func runAttempt(img *guest.Image, cfg Config, ck *checkpoint.Checkpointer,
 	if !cfg.Fault.Empty() {
 		e.inj = fault.NewInjector(cfg.Fault)
 		e.m.Faults = e.inj
-		e.robust = cfg.FaultRecovery
 		e.bankOf = map[int]*dcache.Bank{}
 		if cfg.Journal != nil || cfg.Tracer != nil {
 			e.inj.Observe = func(kind fault.Kind, tile int, now uint64) {

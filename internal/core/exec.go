@@ -129,9 +129,9 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 // request/reply leg that leaves the tile — code fetch, line fill,
 // syscall, SMC invalidation, fleet hand-off — sends its request, then
 // calls recv until the reply it wants arrives, re-sending whenever recv
-// reports the watchdog due. Without fault recovery the watchdog is off:
-// recv is a plain Recv, and a request goes out exactly once. In
-// fault-recovery mode (DESIGN.md §6) it is armed: a wait that outlasts
+// reports the watchdog due. Without a fault plan the watchdog is off:
+// recv is a plain Recv, and a request goes out exactly once. Under one
+// (DESIGN.md §6) it is armed: a wait that outlasts
 // the deadline expires, and each expiry doubles the next wait, capped
 // at RetryBackoffMax. The execution tile cannot make progress without
 // the reply, so it retries forever; a lost service tile is the
@@ -155,7 +155,7 @@ func (e *engine) watch(c *raw.TileCtx) watchdog {
 // calls recv again. Callers discard payloads they do not match (stale
 // replies to superseded attempts).
 func (w *watchdog) recv() (msg sim.Msg, due bool) {
-	if !w.e.robust {
+	if w.e.inj == nil {
 		return w.c.Recv(), false
 	}
 	if m, ok := w.c.RecvDeadline(w.deadline); ok {

@@ -61,20 +61,13 @@ func stallStorm(n int) *fault.Plan {
 
 var runGoldens = []runGolden{
 	{name: "fail/slave",
-		cfg: func(c *Config) {
-			c.Recovery = RecoverRollback
-			c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000})
-		},
+		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
 		want: [3]string{"1362298:0:5497987dc365030f", "2808973:0:7a1a58ee6df070e3", "14844523:0:9979bfbcb426f99c"}},
 	{name: "fail/bank",
-		cfg: func(c *Config) {
-			c.Recovery = RecoverRollback
-			c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000})
-		},
+		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
 		want: [3]string{"1362298:0:23fc59a35c3610f7", "3344484:0:b89e34d17062420b", "14909679:0:17520ebe67959d83"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
-			c.Recovery = RecoverRollback
 			c.Fault = fails(
 				fault.TileFail{Tile: 3, Cycle: 90_000},
 				fault.TileFail{Tile: 14, Cycle: 250_000},
@@ -82,10 +75,7 @@ var runGoldens = []runGolden{
 		},
 		want: [3]string{"1361706:0:8a5afbfb8a473661", "3464438:0:e1027eb780138be8", "14373512:0:8cfd4f8bf3e92cc4"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
-		cfg: func(c *Config) {
-			c.Recovery = RecoverRollback
-			c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000})
-		},
+		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
 		want: [3]string{"2531544:0:81c627e0627329e1", "5051565:0:e8185b2832b1eb08", "16862185:0:049db17369a3c631"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
@@ -103,18 +93,8 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 2, Cycle: 300_500, Dur: 2_000})
 		},
 		want: [3]string{"1433412:0:4ade460f3d128ee7", "2888322:0:3293a19645bb4041", "14989621:0:fecc2f60d65d2c5d"}},
-	{name: "stall/norecover",
-		cfg: func(c *Config) {
-			c.FaultRecovery = false
-			c.Fault = stalls(
-				fault.TileStall{Tile: tileMMU, Cycle: 100_000, Dur: 5_000},
-				fault.TileStall{Tile: 7, Cycle: 350_000, Dur: 12_000},
-				fault.TileStall{Tile: 13, Cycle: 50_000, Dur: 40_000})
-		},
-		want: [3]string{"1360386:0:1e443e9415ebb1f9", "2822178:0:db014d0a7f9be7e8", "14414417:0:0b93730d16b5f335"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
-			c.Recovery = RecoverRollback
 			c.Fault = &fault.Plan{
 				Stalls: []fault.TileStall{
 					{Tile: 15, Cycle: 80_000, Dur: 30_000},
@@ -128,14 +108,10 @@ var runGoldens = []runGolden{
 		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
 		want: [3]string{"5040544:0:9b0919ad2a95ec01", "6941246:0:067f22479b738587", "17560753:0:1f1129b529d37730"}},
 	{name: "rollback/dead-dirty-bank",
-		cfg: func(c *Config) {
-			c.Recovery = RecoverRollback
-			c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000})
-		},
+		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000}) },
 		want: [3]string{"1362298:0:9eaac308af599e76", "3334708:0:9d41012d8716503a", "14894048:0:564f762622f77422"}},
-	{name: "rollback/two-banks+slave/interval",
+	{name: "rollback/two-banks+slave",
 		cfg: func(c *Config) {
-			c.Recovery = RecoverRollback
 			c.Fault = fails(
 				fault.TileFail{Tile: 10, Cycle: 300_000},
 				fault.TileFail{Tile: 13, Cycle: 500_000},
@@ -148,7 +124,6 @@ var runGoldens = []runGolden{
 	{name: "nospec/fail",
 		cfg: func(c *Config) {
 			c.Speculative = false
-			c.Recovery = RecoverRollback
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
 		want: [3]string{"1569257:0:1a64169a1563b258", "3007906:0:d33e47dadc859e32", "19105562:0:fce7f7f7f9754d21"}},
@@ -156,7 +131,6 @@ var runGoldens = []runGolden{
 		want: [3]string{"1356400:409651:479a41574f0f7bd2", "2805178:5774705:466e65215a83e615", "14411161:14022151:5a2b7ce84b726dad"}},
 	{name: "traced/fail+stall", traced: true,
 		cfg: func(c *Config) {
-			c.Recovery = RecoverRollback
 			c.Fault = &fault.Plan{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
@@ -193,8 +167,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}
-		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
-			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsDump(r.M))
+		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
+			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
 		cycles = r.Cycles
 	}
 	n := 0

@@ -194,10 +194,10 @@ type fleetRun struct {
 //
 // cfg.Fault may carry a fail-stop/stall plan (validateFleetFaultPlan);
 // fail-stops quarantine the slot they hit and the victim guest is
-// retried per fc's policy knobs. With cfg.Recovery==RecoverRollback
-// (or CheckpointInterval set) guests checkpoint at their dispatch
-// boundary and a retry resumes from the latest snapshot instead of the
-// image.
+// retried per fc's policy knobs. A plan with fail clauses also makes
+// guests checkpoint at their dispatch boundary every
+// DefaultCheckpointInterval cycles, and a retry resumes from the latest
+// snapshot instead of the image.
 func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult, err error) {
 	// Panic containment, host side: tile-kernel panics are already
 	// converted to sim.PanicError by the event loop, and this boundary
@@ -268,10 +268,10 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 			}
 		}
 	}
-	if cfg.CheckpointInterval > 0 {
+	if fl.plan != nil {
 		fl.cks = make([]*checkpoint.Checkpointer, len(imgs))
 		for gi := range fl.cks {
-			fl.cks[gi] = checkpoint.NewCheckpointer(cfg.CheckpointInterval)
+			fl.cks[gi] = checkpoint.NewCheckpointer(DefaultCheckpointInterval)
 		}
 	}
 	fl.m.Sim.SetLimit(cfg.MaxCycles)
@@ -517,9 +517,9 @@ func (fl *fleetRun) nextGuest(c *raw.TileCtx, h *slotHost) (int, bool) {
 }
 
 // admit binds guest gi to slot si and runs the vmSwitch handoff. A
-// re-admission (attempt > 1) restarts the guest from its image — or,
-// under rollback recovery, from its latest checkpoint, charging the
-// modeled restore penalty.
+// re-admission (attempt > 1) restarts the guest from its latest
+// checkpoint, charging the modeled restore penalty — or from its image
+// if it has none yet.
 func (fl *fleetRun) admit(c *raw.TileCtx, h *slotHost, si, gi int) {
 	pl := fl.slots[si]
 	h.cur = fl.newEngine(gi, si)
@@ -536,11 +536,11 @@ func (fl *fleetRun) admit(c *raw.TileCtx, h *slotHost, si, gi int) {
 	fl.handoff(c, h.cur, pl)
 }
 
-// restoreForRetry rebases a re-admitted guest on its latest checkpoint
-// when rollback recovery is on. Either way the guest's checkpointer is
-// re-armed: the new attempt owns a fresh Memory, so the next capture
-// must be a full snapshot, not an incremental diff against the aborted
-// attempt's pages.
+// restoreForRetry rebases a re-admitted guest on its latest checkpoint,
+// if it has one. Either way the guest's checkpointer is re-armed: the
+// new attempt owns a fresh Memory, so the next capture must be a full
+// snapshot, not an incremental diff against the aborted attempt's
+// pages.
 func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e *engine, gi int) {
 	if fl.cks == nil {
 		return
@@ -548,7 +548,7 @@ func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e *engine, gi int) {
 	ck := fl.cks[gi]
 	snap := ck.Last()
 	ck.Rearm()
-	if fl.cfg.Recovery != RecoverRollback || snap == nil {
+	if snap == nil {
 		return
 	}
 	e.restore = snap

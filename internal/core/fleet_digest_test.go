@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"strings"
 	"testing"
 
 	"tilevm/internal/fault"
-	"tilevm/internal/metrics"
 	"tilevm/internal/translate"
 )
 
@@ -37,8 +35,8 @@ func writeFleetResult(w io.Writer, fr *FleetResult) {
 		fmt.Fprintf(w, "g%d status=%v attempts=%d slot=%d admitted=%d finished=%d err=%v\n",
 			gi, g.Status, g.Attempts, g.Slot, g.Admitted, g.Finished, g.Err)
 		if r := g.Result; r != nil {
-			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %s\n",
-				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsDump(r.M))
+			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %+v\n",
+				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
 		}
 	}
 }
@@ -100,13 +98,6 @@ func (g *fleetGolden) run(t *testing.T, memo *translate.Memo) string {
 
 func fails(tf ...fault.TileFail) *fault.Plan { return &fault.Plan{Fails: tf} }
 
-// metricsDump renders a metrics set for the digests, without the
-// WritebacksLost counter: every row that kills a bank rolls back, so it
-// is zero wherever it appears.
-func metricsDump(m metrics.Set) string {
-	return strings.Replace(fmt.Sprintf("%+v", m), " WritebacksLost:0", "", 1)
-}
-
 var (
 	four  = []string{"164.gzip", "181.mcf", "164.gzip", "181.mcf"}
 	five  = []string{"164.gzip", "181.mcf", "164.gzip", "181.mcf", "164.gzip"}
@@ -138,7 +129,6 @@ var fleetGoldens = []fleetGolden{
 		want: "2698092:0:fc1b72600f175ed5"},
 	{name: "8x8/chaos5/traced", w: 8, h: 8, guests: dozen, traced: true,
 		cfg: func(cfg *Config, l []FleetSlot) {
-			cfg.Recovery = RecoverRollback
 			cfg.Fault = fails(
 				fault.TileFail{Tile: l[1].Manager, Cycle: 500_000},
 				fault.TileFail{Tile: l[3].Slaves[0], Cycle: 700_000},
@@ -150,7 +140,6 @@ var fleetGoldens = []fleetGolden{
 		want: "8356000:32521851:27c41607a9221a7f"},
 	{name: "8x8/cap4/chaos/retries", w: 8, h: 8, guests: dozen[:7],
 		cfg: func(cfg *Config, l []FleetSlot) {
-			cfg.Recovery = RecoverRollback
 			cfg.Fault = fails(
 				fault.TileFail{Tile: l[0].Slaves[1], Cycle: 400_000},
 				fault.TileFail{Tile: l[2].L15[0], Cycle: 1_200_000},
@@ -162,23 +151,20 @@ var fleetGoldens = []fleetGolden{
 		want: "12784854:0:428676980c1e215c"},
 	{name: "4x4/rollback/slave", w: 4, h: 4, guests: []string{"181.mcf", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
-			cfg.Recovery = RecoverRollback
 			cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_000_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 3} },
 		want: "4350624:0:463cfd065638be63"},
 	{name: "8x8/rollback/manager/queued", w: 8, h: 8, guests: five,
 		cfg: func(cfg *Config, l []FleetSlot) {
-			cfg.Recovery = RecoverRollback
 			cfg.Fault = fails(fault.TileFail{Tile: l[1].Manager, Cycle: 1_500_000})
 		},
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 3, RetrySeed: 11, RetryBackoff: 500_000}
 		},
 		want: "5249817:0:27d5ceecde3f30df"},
-	{name: "8x8/rollback/interval/bank+exec", w: 8, h: 8, guests: []string{"181.mcf", "176.gcc", "164.gzip"},
+	{name: "8x8/rollback/bank+exec", w: 8, h: 8, guests: []string{"181.mcf", "176.gcc", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
-			cfg.Recovery = RecoverRollback
 			cfg.Fault = fails(
 				fault.TileFail{Tile: l[0].Banks[0], Cycle: 900_000},
 				fault.TileFail{Tile: l[1].Exec, Cycle: 2_000_000})
@@ -187,7 +173,6 @@ var fleetGoldens = []fleetGolden{
 		want: "18277113:0:06ae81482972b780"},
 	{name: "8x8/stall+fail", w: 8, h: 8, guests: four,
 		cfg: func(cfg *Config, l []FleetSlot) {
-			cfg.Recovery = RecoverRollback
 			cfg.Fault = &fault.Plan{
 				Stalls: []fault.TileStall{
 					{Tile: l[0].Exec, Cycle: 300_000, Dur: 40_000},
@@ -200,7 +185,6 @@ var fleetGoldens = []fleetGolden{
 		// The planner grows slots on an undersubscribed fabric, so the
 		// fault is aimed by tile id, not through the base-tier layout.
 		cfg: func(cfg *Config, _ []FleetSlot) {
-			cfg.Recovery = RecoverRollback
 			cfg.Fault = fails(fault.TileFail{Tile: 9, Cycle: 600_000})
 		},
 		fc: func(_ *testing.T, g *fleetGolden) FleetConfig {

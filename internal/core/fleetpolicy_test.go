@@ -223,9 +223,9 @@ func TestFleetDeadlineCancelsGuest(t *testing.T) {
 	}
 }
 
-// TestFleetRetryWithRollback: with rollback recovery on, a quarantined
-// guest's retry resumes from its latest checkpoint (not the image) and
-// still converges to the solo fingerprint.
+// TestFleetRetryWithRollback: a quarantined guest's retry resumes from
+// its latest checkpoint (not the image) and still converges to the solo
+// fingerprint.
 func TestFleetRetryWithRollback(t *testing.T) {
 	imgs := fleetImgs(t, "181.mcf", "164.gzip")
 	layout, err := FleetSlotLayout(raw.DefaultParams())
@@ -234,7 +234,6 @@ func TestFleetRetryWithRollback(t *testing.T) {
 	}
 	run := func() *FleetResult {
 		cfg := fleetCfg(4, 4)
-		cfg.Recovery = RecoverRollback
 		cfg.Fault = &fault.Plan{Fails: []fault.TileFail{
 			{Tile: layout[0].Slaves[1], Cycle: 1_000_000},
 		}}

@@ -115,7 +115,7 @@ func (k *managerTile) start(c *raw.TileCtx) {
 	}
 	// Morphing starts in the translation-heavy configuration (§2.3).
 	st.transHeavy = e.cfg.Morph
-	if e.robust {
+	if e.inj != nil {
 		st.banksNow = append([]int(nil), e.pl.banks...)
 		st.lastBeat = map[int]uint64{}
 		// Seed liveness at the current time, not zero: after a rollback
@@ -178,7 +178,7 @@ func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 // run even when the fabric goes quiet (a dead tile produces silence,
 // not messages).
 func (st *managerState) watch() {
-	if !st.e.robust {
+	if st.e.inj == nil {
 		return
 	}
 	st.onTick()
@@ -264,23 +264,23 @@ func (st *managerState) handleRebankAck(m rebankAck) {
 
 // excise removes a dead tile from the virtual architecture — the
 // morph-around-failure path. A dead slave's in-flight translation is
-// re-queued; a dead bank's address fraction is redistributed over the
-// survivors: its dirty lines are accounted as lost writebacks, the
-// surviving banks are flushed (the interleave function changed, the
-// same flush a morph performs), and the MMU is re-pointed at the new
-// bank set via the acknowledged rebank handshake.
+// re-queued. A dead bank holding dirty lines aborts the attempt for a
+// rollback (see Run); a clean one's address fraction is redistributed
+// over the survivors: the surviving banks are flushed (the interleave
+// function changed, the same flush a morph performs), and the MMU is
+// re-pointed at the new bank set via the acknowledged rebank handshake.
 func (st *managerState) excise(t int) {
 	P := &st.e.cfg.Params
 	role := st.roles[t]
 	if st.e.rollback != nil {
 		return // attempt already aborting; further excisions are moot
 	}
-	if role == roleBank && st.e.cfg.Recovery == RecoverRollback {
+	if role == roleBank {
 		if bank := st.e.bankOf[t]; bank != nil && bank.Cache.DirtyLines() > 0 {
 			// Excising this bank in place would lose its dirty lines'
-			// writebacks. Under rollback recovery we abort the attempt
-			// instead: Run restores the last checkpoint, removes the tile
-			// from the placement, and re-executes — losslessly.
+			// writebacks, so the attempt aborts instead: Run restores
+			// the last checkpoint, removes the tile from the placement,
+			// and re-executes — losslessly.
 			st.e.rollback = &rollbackReq{tile: t, detect: st.c.Now()}
 			st.e.jadd(checkpoint.EvExcise, st.c.Now(), uint64(t), 1)
 			st.e.trc().Instant(st.c.Tile, "excise", st.c.Now(), "tile", uint64(t), "rollback", 1)
@@ -314,9 +314,6 @@ func (st *managerState) excise(t int) {
 		return
 	}
 
-	if bank := st.e.bankOf[t]; bank != nil {
-		st.e.stats.WritebacksLost += uint64(bank.Cache.DirtyLines())
-	}
 	var live []int
 	for _, b := range st.banksNow {
 		if b != t {
@@ -521,7 +518,7 @@ func (st *managerState) handleWorkReq(slave int) {
 	if st.roles[slave] != roleSlave {
 		return // reconfigured (or excised) while the request was in flight
 	}
-	if st.e.robust {
+	if st.e.inj != nil {
 		// A slave asking for work is not translating: if the manager
 		// still counts it busy, the work unit or its transDone was lost
 		// in flight. Re-queue immediately — waiting out the work
@@ -743,7 +740,7 @@ func (st *managerState) morphEval() {
 	switch {
 	case len(banks) == 0:
 		// Every candidate bank was excised; keep the previous routing.
-	case st.e.robust:
+	case st.e.inj != nil:
 		st.banksNow = banks
 		st.sendRebank()
 	default:

@@ -48,7 +48,6 @@ var memoCases = []memoCase{
 	{name: "rollback", img: workloadImg("197.parser"),
 		cfg: func() Config {
 			cfg := DefaultConfig()
-			cfg.Recovery = RecoverRollback
 			// An L2 bank that holds dirty lines by then, early enough
 			// that parser is still reaching new code after the restore.
 			cfg.Fault = &fault.Plan{Fails: []fault.TileFail{{Tile: 10, Cycle: 300_000}}}
@@ -57,7 +56,7 @@ var memoCases = []memoCase{
 		wantBypass: true,
 		check: func(t *testing.T, r *Result) {
 			if r.M.Rollbacks == 0 {
-				t.Error("bank kill under rollback recovery recorded no rollback")
+				t.Error("dirty bank kill recorded no rollback")
 			}
 		}},
 	{name: "fleet/same-image", img: workloadImg("164.gzip"), fleet: true,

@@ -65,7 +65,7 @@ func (k *workerTile) start(c *raw.TileCtx) {
 	P := &e.cfg.Params
 	k.e, k.role = e, k.initial
 	k.bank = dcache.NewBank(P.L2DBankBytes, P.L2DWays, P.L2DLine)
-	if e.robust {
+	if e.inj != nil {
 		// The manager accounts lost writebacks if this tile dies.
 		e.bankOf[c.Tile] = k.bank
 	}
@@ -81,7 +81,7 @@ func (k *workerTile) start(c *raw.TileCtx) {
 // one) and a timeout at the next, so an idle tile beats too.
 func (k *workerTile) beat(c *raw.TileCtx) {
 	e := k.e
-	if !e.robust {
+	if e.inj == nil {
 		return
 	}
 	P := &e.cfg.Params
@@ -326,7 +326,7 @@ func (k *sysTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	if !ok {
 		return
 	}
-	if e.robust {
+	if e.inj != nil {
 		if r, seen := k.done[req.ID]; seen {
 			c.Tick(P.SyscallOcc)
 			c.Send(msg.From, r, wordsSys)
@@ -350,7 +350,7 @@ func (k *sysTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	}
 	resp.Exited = e.proc.Kern.Exited
 	resp.ID = req.ID
-	if e.robust {
+	if e.inj != nil {
 		k.done[req.ID] = resp
 	}
 	c.Send(msg.From, resp, wordsSys)

@@ -32,10 +32,6 @@ func configErr(fields []string, format string, args ...any) *ConfigError {
 // check Run makes before simulating, so a nil return means Run will
 // simulate and a non-nil one is the *ConfigError Run would return.
 func (cfg *Config) Validate() error {
-	if cfg.Recovery == RecoverRollback && !cfg.Fault.Empty() && !cfg.FaultRecovery {
-		return configErr([]string{"Recovery", "FaultRecovery"},
-			"rollback recovery requires fault recovery (the failure detectors)")
-	}
 	if cfg.Slaves < 1 || cfg.Slaves > len(tilesPermSlave)+len(tilesSwitchable) {
 		return configErr([]string{"Slaves"}, "%d slaves out of range", cfg.Slaves)
 	}

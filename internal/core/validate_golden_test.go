@@ -47,8 +47,6 @@ var knobSettings = []knobSetting{
 		{Tile: 3, Cycle: 100}, {Tile: 8, Cycle: 100}, {Tile: 11, Cycle: 100},
 		{Tile: 12, Cycle: 100}, {Tile: 13, Cycle: 100}, {Tile: 15, Cycle: 100}}})},
 	{"Fault", "stall", false, withFault(fault.Plan{Stalls: []fault.TileStall{{Tile: 6, Cycle: 100, Dur: 500}}})},
-	{"FaultRecovery", "false", false, func(c *Config, _ *FleetConfig) { c.FaultRecovery = false }},
-	{"Recovery", "rollback", false, func(c *Config, _ *FleetConfig) { c.Recovery = RecoverRollback }},
 	{"Journal", "set", false, func(c *Config, _ *FleetConfig) { c.Journal = &checkpoint.Journal{} }},
 	{"Grid", "3x3", true, func(c *Config, _ *FleetConfig) { c.Params.Width, c.Params.Height = 3, 3 }},
 	{"Grid", "4x2", true, func(c *Config, _ *FleetConfig) { c.Params.Width, c.Params.Height = 4, 2 }},

@@ -124,8 +124,8 @@ func TestPlacementValidation(t *testing.T) {
 }
 
 // TestFaultPlanValidation: fail-stops outside the excisable worker set,
-// plans that leave no survivors, fail-stop+morph, and rollback without
-// the fault detectors are rejected up front.
+// plans that leave no survivors, and fail-stop+morph are rejected up
+// front.
 func TestFaultPlanValidation(t *testing.T) {
 	checkRejected(t, []rejectCase{
 		{name: "exec tile", cfg: func(c *Config) { c.Fault = failsAt(5) },
@@ -136,9 +136,6 @@ func TestFaultPlanValidation(t *testing.T) {
 			fields: []string{"Fault", "Slaves", "MemBanks"}, want: "0 live banks"},
 		{name: "morph+fail", cfg: func(c *Config) { c.Morph = true; c.Fault = failsAt(7) },
 			fields: []string{"Fault", "Morph"}, want: "mutually exclusive"},
-		{name: "rollback without detectors", cfg: func(c *Config) {
-			c.Recovery, c.FaultRecovery, c.Fault = RecoverRollback, false, failsAt(7)
-		}, fields: []string{"Recovery", "FaultRecovery"}, want: "requires fault recovery"},
 	})
 }
 
@@ -185,8 +182,8 @@ func TestRunFleetRejectsUnsupportedConfigs(t *testing.T) {
 func FuzzValidate(f *testing.F) {
 	f.Add(false, int8(6), int8(2), int8(4), uint8(0), uint8(0), uint8(3), uint8(4), uint8(4), int8(0), int8(0), uint8(0), uint8(0), uint8(1))
 	f.Add(false, int8(9), int8(0), int8(1), uint8(0b1), uint8(1), uint8(7), uint8(4), uint8(4), int8(0), int8(0), uint8(0), uint8(0), uint8(1))
-	f.Add(true, int8(6), int8(2), int8(4), uint8(0b1000), uint8(2), uint8(9), uint8(8), uint8(4), int8(3), int8(-1), uint8(2), uint8(2), uint8(2))
-	f.Add(true, int8(6), int8(2), int8(4), uint8(0b10), uint8(5), uint8(2), uint8(3), uint8(3), int8(-1), int8(2), uint8(1), uint8(3), uint8(0))
+	f.Add(true, int8(6), int8(2), int8(4), uint8(0b10), uint8(2), uint8(9), uint8(8), uint8(4), int8(3), int8(-1), uint8(2), uint8(2), uint8(2))
+	f.Add(true, int8(6), int8(2), int8(4), uint8(0), uint8(5), uint8(2), uint8(3), uint8(3), int8(-1), int8(2), uint8(1), uint8(3), uint8(0))
 	img := sumLoop(10)
 	f.Fuzz(func(t *testing.T, fleet bool, slaves, l15, banks int8, bits, faultKind, faultTile, w, h uint8,
 		maxSlots, maxAttempts int8, deadlines, profiles, guests uint8) {
@@ -194,11 +191,7 @@ func FuzzValidate(f *testing.F) {
 		cfg.MaxCycles = 2_000_000
 		cfg.Slaves, cfg.L15Banks, cfg.MemBanks = int(slaves), int(l15), int(banks)
 		cfg.Morph = bits&1 != 0
-		cfg.FaultRecovery = bits&2 == 0
-		if bits&4 != 0 {
-			cfg.Recovery = RecoverRollback
-		}
-		if bits&8 != 0 {
+		if bits&2 != 0 {
 			cfg.Journal = &checkpoint.Journal{}
 		}
 		tile := int(faultTile % 20)

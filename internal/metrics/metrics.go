@@ -53,10 +53,10 @@ type Set struct {
 	Timeouts       uint64 // watchdog expiries (exec retries + manager deadlines)
 	Retries        uint64 // requests re-sent after a timeout
 	RoleRemaps     uint64 // dead tiles excised from the virtual architecture
-	WritebacksLost uint64 // dirty lines in a bank at the moment it died
 	RecoveryCycles uint64 // detection-to-remap latency, summed over excisions
 
-	// Checkpoint/rollback recovery (all zero unless checkpointing is on).
+	// Checkpoint/rollback recovery (all zero unless the fault plan has a
+	// fail clause).
 	Checkpoints    uint64 // snapshots captured
 	Rollbacks      uint64 // re-executions from a checkpoint
 	ReexecCycles   uint64 // cycles between checkpoint and fault detection, re-executed
