@@ -84,7 +84,7 @@ type Config struct {
 	// (core.NewTracer). Tracing charges zero virtual cycles and uses
 	// only virtual timestamps, so a traced run is cycle-identical to an
 	// untraced one; with Tracer nil no tracing code path allocates.
-	// Under rollback recovery the tracer spans attempts: events from an
+	// Across a rollback the tracer spans attempts: events from an
 	// aborted attempt stay on the timeline, so the rollback itself is
 	// visible.
 	Tracer *trace.Tracer

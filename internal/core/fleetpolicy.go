@@ -23,9 +23,9 @@ import (
 //     parked or outstanding at their own, equally dead, manager.
 //   - Guest retry with deterministic backoff: an aborted guest
 //     re-enters the admission queue with an exponential, seeded,
-//     virtual-time backoff, restarting from its image — or from its
-//     latest checkpoint when rollback recovery is configured — until
-//     FleetConfig.MaxAttempts admissions are spent.
+//     virtual-time backoff, resuming from its latest checkpoint (from
+//     its image if it has none yet) until FleetConfig.MaxAttempts
+//     admissions are spent.
 //   - Per-guest deadlines: a guest still running (or still queued) at
 //     its deadline is cancelled and reported with a DeadlineError.
 //
