@@ -132,6 +132,7 @@ bench-check:
 
 fuzz:
 	$(GO) test ./internal/x86 -fuzz FuzzDecode -fuzztime 30s
+	$(GO) test ./internal/rawisa -run - -fuzz FuzzWordRoundTrip -fuzztime 30s
 	$(GO) test ./internal/checkpoint -run - -fuzz FuzzRecordDecode -fuzztime 30s
 	$(GO) test ./internal/core -run - -fuzz FuzzCarveFabric -fuzztime 30s
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 30s
@@ -141,9 +142,11 @@ fuzz:
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 30s
 	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 30s
 
-# Quick fuzz pass for CI: enough to catch a codec or page-table
-# regression, short enough to run on every push.
+# Quick fuzz pass for CI: enough to catch a decoder, codec or
+# page-table regression, short enough to run on every push.
 fuzz-smoke:
+	$(GO) test ./internal/x86 -run - -fuzz FuzzDecode -fuzztime 10s
+	$(GO) test ./internal/rawisa -run - -fuzz FuzzWordRoundTrip -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run - -fuzz FuzzRecordDecode -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzCarveFabric -fuzztime 10s
 	$(GO) test ./internal/core -run - -fuzz FuzzPlanFabric -fuzztime 10s

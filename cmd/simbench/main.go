@@ -211,12 +211,16 @@ func (countClockEnv) Stopped() bool                                             
 func (countClockEnv) Interrupted() bool                                               { return false }
 
 func benchRawexecInnerLoop(b *testing.B) {
-	var p rawexec.Program
-	p.Sync([]rawisa.Inst{
+	code, err := rawisa.Encode([]rawisa.Inst{
 		{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: -1},
 		{Op: rawisa.BNE, Rs: 1, Rt: 0, Imm: -2},
 		{Op: rawisa.EXITI, Imm: 0xdead},
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var p rawexec.Program
+	p.Sync(code)
 	cpu := &rawexec.CPU{}
 	cpu.R[1] = uint32(b.N)
 	b.ReportAllocs()

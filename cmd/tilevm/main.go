@@ -53,7 +53,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unsafe"
 
 	"tilevm/internal/bench"
 	"tilevm/internal/checkpoint"
@@ -525,8 +524,12 @@ func dumpBlock(img *guest.Image, at string, optimize bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ntranslated host code (%d instructions, %d bytes encoded, %d resident, optimize=%v):\n",
-		len(res.Code), res.CodeBytes, len(res.Code)*int(unsafe.Sizeof(rawisa.Inst{})), optimize)
+	host, err := rawisa.DecodeAll(res.Code)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\ntranslated host code (%d instructions in %d words, %d bytes, optimize=%v):\n",
+		len(host), len(res.Code), res.CodeBytes(), optimize)
 	fmt.Print(rawisa.Disassemble(res.Code))
 	fmt.Printf("\nexit kind %v, target %#x, fallthrough %#x\n",
 		res.Kind, res.Target, res.FallTarget)

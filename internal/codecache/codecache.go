@@ -26,7 +26,7 @@ import (
 
 // L1 is the execution tile's code cache: the instruction memory, held
 // as the program the execution engine runs, with an entry map from
-// guest PC to program index.
+// guest PC to program index. Indices count words.
 type L1 struct {
 	capacity int
 	prog     rawexec.Program
@@ -91,11 +91,12 @@ type InsertStats struct {
 // (flushing first if it does not fit), records its entry, and performs
 // chaining in both directions: the new block's CHAIN sites are patched
 // if their targets are resident, and resident blocks' pending CHAIN
-// sites to this block are patched. The block is already in the form the
-// engine runs, so the fill is a copy and a walk for its CHAIN sites.
+// sites to this block are patched. The block is already in the words
+// the engine runs, so the fill is a copy and a walk, instruction by
+// instruction, for its CHAIN sites.
 func (l *L1) Insert(pc uint32, res *translate.Result) (int, InsertStats) {
 	var st InsertStats
-	if l.bytes+res.CodeBytes > l.capacity {
+	if l.bytes+res.CodeBytes() > l.capacity {
 		// Tight packing with wholesale flush, as in the prototype.
 		l.reset()
 		l.Flushes++
@@ -105,20 +106,21 @@ func (l *L1) Insert(pc uint32, res *translate.Result) (int, InsertStats) {
 	if n := l.prog.Len(); len(l.next) < n {
 		l.next = slices.Grow(l.next, n-len(l.next))[:n]
 	}
-	l.bytes += res.CodeBytes
+	l.bytes += res.CodeBytes()
 	l.entry[pc] = idx
-	st.CopiedWords = res.CodeBytes / 4
+	st.CopiedWords = len(res.Code)
 	if l.NoChain {
 		return idx, st
 	}
 
 	// Outgoing chaining: patch this block's CHAIN sites whose targets
 	// are already resident.
-	for off, in := range res.Code {
-		if in.Op != rawisa.CHAIN {
+	code := res.Code
+	for off := 0; off < len(code); off += code[off].Op().Words() {
+		if code[off].Op() != rawisa.CHAIN {
 			continue
 		}
-		site, target := idx+off, in.GuestPC()
+		site, target := idx+off, uint32(code[off+1])
 		if tidx, ok := l.entry[target]; ok {
 			l.prog.Chain(site, tidx)
 			st.Patches++
@@ -206,16 +208,16 @@ func (c *fifo) insert(pc uint32, b *translate.Result) bool {
 	if _, dup := c.blocks[pc]; dup {
 		return false
 	}
-	for c.bytes+b.CodeBytes > c.capacity && len(c.order) > 0 {
+	for c.bytes+b.CodeBytes() > c.capacity && len(c.order) > 0 {
 		victim := c.order[0]
 		c.order = c.order[1:]
 		if vb, ok := c.blocks[victim]; ok {
-			c.bytes -= vb.CodeBytes
+			c.bytes -= vb.CodeBytes()
 			delete(c.blocks, victim)
 		}
 	}
 	c.blocks[pc] = b
-	c.bytes += b.CodeBytes
+	c.bytes += b.CodeBytes()
 	c.order = append(c.order, pc)
 	return true
 }
@@ -248,7 +250,7 @@ func (c *L15) Lookup(pc uint32) (*translate.Result, bool) {
 // Insert stores a block, evicting oldest entries to fit. Blocks larger
 // than the bank are not cached.
 func (c *L15) Insert(pc uint32, b *translate.Result) {
-	if b.CodeBytes <= c.capacity {
+	if b.CodeBytes() <= c.capacity {
 		c.insert(pc, b)
 	}
 }
@@ -321,7 +323,7 @@ func (c *L2) RemoveOverlapping(lo, hi uint32) []uint32 {
 	var removed []uint32
 	for pc, b := range c.blocks {
 		if pc < hi && pc+b.GuestLen > lo {
-			c.bytes -= b.CodeBytes
+			c.bytes -= b.CodeBytes()
 			delete(c.blocks, pc)
 			removed = append(removed, pc)
 		}

@@ -9,21 +9,24 @@ import (
 	"tilevm/internal/translate"
 )
 
-// block builds a code sequence of roughly n instructions ending in a
-// CHAIN to the given target.
-func block(n int, chainTo uint32) []rawisa.Inst {
+// block builds a code sequence of n instructions and a CHAIN to the
+// given target, n+2 words.
+func block(n int, chainTo uint32) []rawisa.Word {
 	code := make([]rawisa.Inst, 0, n+1)
 	for i := 0; i < n; i++ {
 		code = append(code, rawisa.Inst{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: int32(i)})
 	}
 	code = append(code, rawisa.Inst{Op: rawisa.CHAIN, Imm: int32(chainTo)})
-	return code
+	w, err := rawisa.Encode(code)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }
 
 // blk wraps block as the translator would hand it to the caches.
 func blk(n int, chainTo uint32) *translate.Result {
-	code := block(n, chainTo)
-	return &translate.Result{Code: code, CodeBytes: rawisa.CodeBytes(code)}
+	return &translate.Result{Code: block(n, chainTo)}
 }
 
 func res(pc uint32, n int) *translate.Result { return blk(n, pc+64) }
@@ -31,16 +34,15 @@ func res(pc uint32, n int) *translate.Result { return blk(n, pc+64) }
 // wantProgram checks the L1's instruction memory against arena: the
 // same code laid out by hand, chain sites already rewritten to J with
 // absolute targets (made relative here), synced from scratch.
-func wantProgram(t *testing.T, l1 *L1, arena ...[]rawisa.Inst) {
+func wantProgram(t *testing.T, l1 *L1, arena ...[]rawisa.Word) {
 	t.Helper()
 	var want rawexec.Program
-	var flat []rawisa.Inst
+	var flat []rawisa.Word
 	for _, code := range arena {
+		site := len(flat) + len(code) - 2
 		flat = append(flat, code...)
-	}
-	for i := range flat {
-		if flat[i].Op == rawisa.J {
-			flat[i].Imm -= int32(i + 1)
+		if flat[site].Op() == rawisa.J {
+			flat[site], _ = rawisa.JumpWord(int(flat[site].JOff()) - (site + 1))
 		}
 	}
 	want.Sync(flat)
@@ -49,11 +51,10 @@ func wantProgram(t *testing.T, l1 *L1, arena ...[]rawisa.Inst) {
 	}
 }
 
-// patched returns block(n, _) with its chain site rewritten to a jump
-// to program index target.
-func patched(n, target int) []rawisa.Inst {
-	code := block(n, 0)
-	code[n] = rawisa.Inst{Op: rawisa.J, Imm: int32(target)}
+// patched returns a block's code with its chain site rewritten to a
+// jump to program index target; the guest PC word after it stays.
+func patched(code []rawisa.Word, target int) []rawisa.Word {
+	code[len(code)-2], _ = rawisa.JumpWord(target)
 	return code
 }
 
@@ -91,13 +92,13 @@ func TestL1ChainingBothDirections(t *testing.T) {
 	if st.Patches != 2 || l1.Chains != 2 {
 		t.Errorf("patches = %d, chains = %d, want 2 (incoming + outgoing)", st.Patches, l1.Chains)
 	}
-	wantProgram(t, l1, patched(2, bIdx), patched(3, aIdx))
+	wantProgram(t, l1, patched(block(2, 0xB), bIdx), patched(block(3, 0xA), aIdx))
 	// C chains to B: outgoing only, the target is resident.
 	_, st = l1.Insert(0xC, blk(1, 0xB))
 	if st.Patches != 1 {
 		t.Errorf("patches = %d, want 1", st.Patches)
 	}
-	wantProgram(t, l1, patched(2, bIdx), patched(3, aIdx), patched(1, bIdx))
+	wantProgram(t, l1, patched(block(2, 0xB), bIdx), patched(block(3, 0xA), aIdx), patched(block(1, 0xB), bIdx))
 }
 
 // A block that chains to itself is patched at its own insert.
@@ -108,7 +109,7 @@ func TestL1SelfChain(t *testing.T) {
 	if st.Patches != 1 {
 		t.Errorf("patches = %d, want 1", st.Patches)
 	}
-	wantProgram(t, l1, block(1, 0x9), patched(2, idx))
+	wantProgram(t, l1, block(1, 0x9), patched(block(2, 0xA), idx))
 }
 
 func TestL1NoChainAblation(t *testing.T) {
@@ -232,7 +233,7 @@ func TestL15DuplicateInsert(t *testing.T) {
 	r := res(1, 10)
 	bank.Insert(1, r)
 	bank.Insert(1, r)
-	if bank.Bytes() != r.CodeBytes {
+	if bank.Bytes() != r.CodeBytes() {
 		t.Errorf("duplicate insert double-counted: %d", bank.Bytes())
 	}
 }

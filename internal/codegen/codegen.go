@@ -1,7 +1,7 @@
 // Package codegen finalizes IR blocks into executable host code: it
 // maps virtual registers onto the host temporary registers with a
-// linear-scan allocator and resolves symbolic branch labels to relative
-// instruction offsets.
+// linear-scan allocator, resolves symbolic branch labels to relative
+// word offsets, and encodes the result in the tile's 32-bit words.
 //
 // IR control flow within a block only branches forward, so positional
 // live ranges ([definition, last use] by instruction index) are exact
@@ -46,17 +46,19 @@ type Scratch struct {
 	owner  [rawisa.NumRegs]uint8 // phys -> vreg, read for busy registers only
 	top    int                   // highest register number in end and assign
 	out    []rawisa.Inst         // the block being finalized
+	pos    []int32               // word offset of each instruction of out, and of its end
 }
 
 // Finalize allocates registers and resolves labels in a Scratch of its
 // own. The translator reuses one Scratch across blocks instead.
-func Finalize(b *ir.Block) ([]rawisa.Inst, error) { return new(Scratch).Finalize(b) }
+func Finalize(b *ir.Block) ([]rawisa.Word, error) { return new(Scratch).Finalize(b) }
 
-// Finalize allocates registers and resolves labels, returning
+// Finalize allocates registers, resolves labels and encodes, returning
 // executable host code in a slice of its own, sized to the block and
-// allocated only once the block has fit the registers. The input block
-// is not modified.
-func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Inst, error) {
+// allocated only once the block has fit the registers. An instruction
+// with no encoding (an immediate or offset too wide for its field) is
+// an error, never a truncated word. The input block is not modified.
+func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Word, error) {
 	end, assign, owner := &s.end, &s.assign, &s.owner
 	clear(end[:s.top+1])
 	clear(assign[:s.top+1])
@@ -146,8 +148,13 @@ func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Inst, error) {
 		out[i] = host
 	}
 
-	// Resolve labels to relative instruction offsets (counted in
-	// instructions from the instruction after the branch).
+	// Resolve labels to relative word offsets (counted from the word
+	// after the branch).
+	pos := slices.Grow(s.pos[:0], len(out)+1)[:len(out)+1]
+	s.pos = pos
+	for i, in := range out {
+		pos[i+1] = pos[i] + int32(in.Op.Words())
+	}
 	for i := range out {
 		switch out[i].Op {
 		case rawisa.BEQ, rawisa.BNE, rawisa.BLEZ, rawisa.BGTZ, rawisa.BLTZ, rawisa.BGEZ:
@@ -155,11 +162,15 @@ func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Inst, error) {
 			if label == ir.NoLabel {
 				return nil, fmt.Errorf("codegen: branch without label at %d", i)
 			}
-			target := b.LabelPos[label]
-			out[i].Imm = int32(target - (i + 1))
+			out[i].Imm = pos[b.LabelPos[label]] - pos[i+1]
 		}
 	}
-	code := make([]rawisa.Inst, len(out))
-	copy(code, out)
+	code := make([]rawisa.Word, 0, pos[len(out)])
+	for i, in := range out {
+		var err error
+		if code, err = rawisa.Append(code, in); err != nil {
+			return nil, fmt.Errorf("codegen: instruction %d: %w", i, err)
+		}
+	}
 	return code, nil
 }

@@ -20,6 +20,20 @@ func build(t *testing.T, f func(b *ir.Builder)) *ir.Block {
 	return blk
 }
 
+// finalize runs Finalize and decodes its words back to instructions.
+func finalize(t *testing.T, blk *ir.Block) ([]rawisa.Inst, error) {
+	t.Helper()
+	w, err := Finalize(blk)
+	if err != nil {
+		return nil, err
+	}
+	code, err := rawisa.DecodeAll(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, nil
+}
+
 func TestFinalizeMapsVRegs(t *testing.T) {
 	blk := build(t, func(b *ir.Builder) {
 		v1 := b.VReg()
@@ -29,7 +43,7 @@ func TestFinalizeMapsVRegs(t *testing.T) {
 		b.Op3(rawisa.ADD, rawisa.RegEAX, rawisa.RegEAX, v2)
 		b.ExitImm(0x1004)
 	})
-	code, err := Finalize(blk)
+	code, err := finalize(t, blk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +66,7 @@ func TestFinalizeReusesRegisters(t *testing.T) {
 		}
 		b.ExitImm(0)
 	})
-	code, err := Finalize(blk)
+	code, err := finalize(t, blk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +111,44 @@ func TestFinalizeResolvesBranches(t *testing.T) {
 		b.Bind(l)
 		b.ExitImm(0)
 	})
-	code, err := Finalize(blk)
+	code, err := finalize(t, blk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code[0].Op != rawisa.BNE || code[0].Imm != 2 {
 		t.Errorf("branch offset = %d, want 2 (%v)", code[0].Imm, code[0])
+	}
+}
+
+// A branch offset counts words: over a two-word ASSIST it is one more
+// than the instructions it skips.
+func TestFinalizeBranchCountsWords(t *testing.T) {
+	blk := build(t, func(b *ir.Builder) {
+		l := b.NewLabel()
+		b.EmitBranch(rawisa.Inst{Op: rawisa.BNE, Rs: rawisa.RegEAX, Rt: 0}, l)
+		b.Emit(rawisa.Inst{Op: rawisa.ASSIST, Imm: 0x1000})
+		b.OpI(rawisa.ADDI, rawisa.RegEBX, rawisa.RegEBX, 1)
+		b.Bind(l)
+		b.ExitImm(0)
+	})
+	w, err := Finalize(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w) != 6 || w[0].Op() != rawisa.BNE || w[0].SImm() != 3 || w[4].Op() != rawisa.EXITI {
+		t.Errorf("%d words, branch offset %d, want 6 words and 3:\n%s", len(w), w[0].SImm(), rawisa.Disassemble(w))
+	}
+}
+
+// An instruction with no encoding fails the block; it is not truncated
+// into a word that means something else.
+func TestFinalizeRejectsUnencodable(t *testing.T) {
+	blk := build(t, func(b *ir.Builder) {
+		b.OpI(rawisa.ADDI, rawisa.RegEAX, rawisa.RegEAX, 1<<20)
+		b.ExitImm(0)
+	})
+	if code, err := Finalize(blk); err == nil || errors.Is(err, ErrRegPressure) {
+		t.Errorf("Finalize = %v, %v; want an encoding error", code, err)
 	}
 }
 
@@ -112,7 +158,7 @@ func TestFinalizeKeepsPhysicalRegisters(t *testing.T) {
 		b.Emit(rawisa.Inst{Op: rawisa.GSW, Rs: rawisa.RegESP, Rt: rawisa.RegEAX})
 		b.ExitImm(0)
 	})
-	code, err := Finalize(blk)
+	code, err := finalize(t, blk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +181,7 @@ func TestFinalizeDeterministic(t *testing.T) {
 			}
 			b.ExitImm(0)
 		})
-		code, err := Finalize(blk)
+		code, err := finalize(t, blk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +213,7 @@ func liveAtOnce(t *testing.T, n int) *ir.Block {
 
 func TestFinalizePressureBoundary(t *testing.T) {
 	// Exactly the pool fits, handed out lowest register first.
-	code, err := Finalize(liveAtOnce(t, NumTemps))
+	code, err := finalize(t, liveAtOnce(t, NumTemps))
 	if err != nil {
 		t.Fatalf("%d live temps: %v", NumTemps, err)
 	}
@@ -198,14 +244,14 @@ func TestFinalizeRedefinedAfterFree(t *testing.T) {
 		b.Op3(rawisa.ADD, rawisa.RegECX, rawisa.RegECX, x)
 		b.ExitImm(0)
 	})
-	code, err := Finalize(blk)
+	code, err := finalize(t, blk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0, t1 := uint8(rawisa.RegTmp0), uint8(rawisa.RegTmp0+1)
 	got := [...]uint8{code[0].Rd, code[1].Rt, code[2].Rd, code[3].Rd, code[4].Rt, code[5].Rd, code[6].Rt}
 	if want := [...]uint8{t0, t0, t0, t1, t0, t0, t0}; got != want {
-		t.Errorf("allocation %v, want %v\n%s", got, want, rawisa.Disassemble(code))
+		t.Errorf("allocation %v, want %v\n%v", got, want, code)
 	}
 
 	// Reading a vreg that never had a def is an error.

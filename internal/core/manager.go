@@ -411,7 +411,7 @@ func (st *managerState) handleCodeReq(m *codeReq) {
 	t0 := st.c.Now()
 	st.c.Tick(P.L2CLookupOcc)
 	if res, ok := st.l2.Lookup(m.PC); ok {
-		words := res.CodeBytes / 4
+		words := len(res.Code)
 		st.c.Tick(uint64(words) * P.L2CWordOcc) // DRAM read traffic
 		st.e.trc().Span(st.c.Tile, "l2c_lookup", t0, st.c.Now(), "pc", uint64(m.PC), "hit", 1)
 		st.respond(m.PC, waiter{m.ReplyTo, m.FillBank}, res)
@@ -439,7 +439,7 @@ func (st *managerState) handleCodeReq(m *codeReq) {
 // respond delivers a block to the requester and fills the forwarding
 // L1.5 bank.
 func (st *managerState) respond(pc uint32, w waiter, res *translate.Result) {
-	words := res.CodeBytes / 4
+	words := len(res.Code)
 	st.sendResp(w.replyTo, pc, res, words)
 	if w.fillBank >= 0 {
 		f := st.e.pool.fills.get()
@@ -629,7 +629,7 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 	}
 	en.done = true
 	st.e.stats.TransGuestInsts += uint64(m.Res.NumGuest)
-	words := m.Res.CodeBytes / 4
+	words := len(m.Res.Code)
 	st.c.Tick(P.L2CStoreOcc + uint64(words)*P.L2CWordOcc)
 	st.l2.Insert(m.PC, m.Res)
 	st.e.stats.L2CStores++

@@ -185,7 +185,7 @@ func (e *engine) doTranslate(c *raw.TileCtx, m *work, replyTo int) {
 	c.Tick(cost)
 	e.trc().Span(c.Tile, "translate", t0, c.Now(), "pc", uint64(m.PC), "depth", uint64(m.Depth))
 	d.Res = res
-	c.Send(replyTo, d, res.CodeBytes/4)
+	c.Send(replyTo, d, len(res.Code))
 }
 
 // l15Tile runs one bank of the L1.5 code cache.
@@ -212,7 +212,7 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 		if res, ok := bank.Lookup(m.PC); ok {
 			e.stats.L15Hits++
 			e.trc().Count(tsL15Hits, t0, 1)
-			words := res.CodeBytes / 4
+			words := len(res.Code)
 			c.Tick(uint64(words) * P.L15WordOcc)
 			e.trc().Span(c.Tile, "l15_lookup", t0, c.Now(), "pc", uint64(m.PC), "hit", 1)
 			r := e.pool.codeResps.get()
@@ -227,7 +227,7 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 		c.Send(e.pl.manager, m, wordsCodeReq)
 	case *fill:
 		t0 := c.Now()
-		c.Tick(uint64(m.Res.CodeBytes/4) * P.L15WordOcc)
+		c.Tick(uint64(len(m.Res.Code)) * P.L15WordOcc)
 		bank.Insert(m.PC, m.Res)
 		e.trc().Span(c.Tile, "l15_fill", t0, c.Now(), "pc", uint64(m.PC), "", 0)
 		e.pool.fills.put(m)

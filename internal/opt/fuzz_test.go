@@ -167,7 +167,7 @@ func genBlock(data []byte) (*ir.Block, error) {
 	return bl.Finish(0, 1)
 }
 
-func runBlock(code []rawisa.Inst, seed int64) (regs [rawisa.RegFlags + 1]uint32, mem [4096]byte, nextPC uint32, err error) {
+func runBlock(code []rawisa.Word, seed int64) (regs [rawisa.RegFlags + 1]uint32, mem [4096]byte, nextPC uint32, err error) {
 	r := rand.New(rand.NewSource(seed))
 	env := &fuzzEnv{}
 	r.Read(env.mem[:])

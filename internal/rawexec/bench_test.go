@@ -2,7 +2,6 @@ package rawexec
 
 import (
 	"testing"
-	"unsafe"
 
 	"tilevm/internal/rawisa"
 )
@@ -31,7 +30,7 @@ var countdownLoop = []rawisa.Inst{
 // host instructions.
 func BenchmarkInnerLoop(b *testing.B) {
 	var p Program
-	p.Sync(countdownLoop)
+	p.Sync(asm(b, countdownLoop))
 	cpu := &CPU{}
 	cpu.R[1] = uint32(b.N)
 	clk := &CountClock{}
@@ -51,32 +50,32 @@ func BenchmarkInnerLoop(b *testing.B) {
 // equal the same instruction memory laid out by hand, with the chain
 // sites rewritten to jumps, and synced from scratch.
 func TestAppendChainMatchesSync(t *testing.T) {
-	a := []rawisa.Inst{
+	a := asm(t, []rawisa.Inst{
 		{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: 7},
-		{Op: rawisa.BNE, Rs: 1, Rt: 0, Imm: 1},
-		{Op: rawisa.CHAIN, Imm: 0x2000},
+		{Op: rawisa.BNE, Rs: 1, Rt: 0, Imm: 2},
+		{Op: rawisa.CHAIN, Imm: 0x2000}, // words 2-3
 		{Op: rawisa.CHAIN, Imm: 0x3000},
-	}
-	b := []rawisa.Inst{
+	})
+	b := asm(t, []rawisa.Inst{
 		{Op: rawisa.GLH, Rd: 2, Rs: 1},
 		{Op: rawisa.BEQ, Rs: 2, Rt: 0, Imm: -2},
 		{Op: rawisa.ASSIST, Imm: 0x2004},
-		{Op: rawisa.CHAIN, Imm: 0x1000},
-	}
+		{Op: rawisa.CHAIN, Imm: 0x1000}, // words 4-5
+	})
 	var p Program
 	ia := p.Append(a)
 	ib := p.Append(b)
 	ia2 := p.Append(a) // the same block again, at another offset
 	p.Chain(ia+2, ib)  // forward
-	p.Chain(ib+3, ia)  // backward
+	p.Chain(ib+4, ia)  // backward
 	p.Chain(ia2+2, ib) // backward, from the second copy
 
-	arena := append(append(append([]rawisa.Inst{}, a...), b...), a...)
-	jump := func(site, target int) rawisa.Inst {
-		return rawisa.Inst{Op: rawisa.J, Imm: int32(target - (site + 1))}
+	arena := append(append(append([]rawisa.Word{}, a...), b...), a...)
+	jump := func(site, target int) rawisa.Word {
+		return asm(t, []rawisa.Inst{{Op: rawisa.J, Imm: int32(target - (site + 1))}})[0]
 	}
 	arena[ia+2] = jump(ia+2, ib)
-	arena[ib+3] = jump(ib+3, ia)
+	arena[ib+4] = jump(ib+4, ia)
 	arena[ia2+2] = jump(ia2+2, ib)
 	var fresh Program
 	fresh.Sync(arena)
@@ -85,13 +84,10 @@ func TestAppendChainMatchesSync(t *testing.T) {
 	}
 	for i := range p.code {
 		if p.code[i] != fresh.code[i] {
-			t.Errorf("inst %d: appended %+v, fresh %+v", i, p.code[i], fresh.code[i])
+			t.Errorf("word %d: appended %#x, fresh %#x", i, p.code[i], fresh.code[i])
 		}
 	}
-	if a[2].Op != rawisa.CHAIN || b[3].Op != rawisa.CHAIN {
+	if a[2].Op() != rawisa.CHAIN || b[4].Op() != rawisa.CHAIN {
 		t.Error("Append or Chain wrote through to the appended block")
-	}
-	if unsafe.Sizeof(rawisa.Inst{}) != 8 {
-		t.Errorf("rawisa.Inst is %d bytes; every resident translation carries one per instruction", unsafe.Sizeof(rawisa.Inst{}))
 	}
 }

@@ -85,14 +85,14 @@ func (c *CPU) StoreGuest(g *guest.CPU) {
 }
 
 // Fault is a host-level execution fault (bad opcode, divide error,
-// assist fault).
+// assist fault). Index is the word index of the faulting instruction.
 type Fault struct {
 	Index  int
 	Reason string
 }
 
 func (f *Fault) Error() string {
-	return fmt.Sprintf("rawexec: fault at code index %d: %s", f.Index, f.Reason)
+	return fmt.Sprintf("rawexec: fault at code word %d: %s", f.Index, f.Reason)
 }
 
 // Exit describes why Exec returned.
@@ -101,8 +101,8 @@ type Exit struct {
 	Insts  uint64 // host instructions retired
 	// Interrupted is set when a chained jump was suppressed because
 	// the Env reported an interrupt; ChainIdx then holds the arena
-	// index the suppressed jump targeted (a block entry) and NextPC is
-	// not meaningful until the caller resolves it.
+	// word index the suppressed jump targeted (a block entry) and NextPC
+	// is not meaningful until the caller resolves it.
 	Interrupted bool
 	ChainIdx    int
 }
@@ -114,11 +114,11 @@ const MulLatency = 4
 // on the 8-stage in-order tile (static not-taken prediction).
 const BranchPenalty = 2
 
-// Exec runs host code within arena starting at index start until an
-// exit instruction. maxInsts bounds execution (0 = unbounded) for
+// Exec runs host code within arena starting at word index start until
+// an exit instruction. maxInsts bounds execution (0 = unbounded) for
 // tests; inside the machine the simulator's time limit is the watchdog.
 // The arena is run in place and not written.
-func Exec(cpu *CPU, arena []rawisa.Inst, start int, clk Clock, env Env, maxInsts uint64) (Exit, error) {
+func Exec(cpu *CPU, arena []rawisa.Word, start int, clk Clock, env Env, maxInsts uint64) (Exit, error) {
 	p := Program{code: arena}
 	return p.Exec(cpu, start, clk, env, maxInsts)
 }

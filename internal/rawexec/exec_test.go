@@ -7,6 +7,16 @@ import (
 	"tilevm/internal/rawisa"
 )
 
+// asm encodes a code fragment whose branch and jump offsets count words.
+func asm(t testing.TB, code []rawisa.Inst) []rawisa.Word {
+	t.Helper()
+	w, err := rawisa.Encode(code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // run executes a code fragment with a flat env over an empty process.
 func run(t *testing.T, code []rawisa.Inst) (*CPU, *FlatEnv, Exit) {
 	t.Helper()
@@ -15,7 +25,7 @@ func run(t *testing.T, code []rawisa.Inst) (*CPU, *FlatEnv, Exit) {
 	clk := &CountClock{}
 	env := NewFlatEnv(p, clk)
 	cpu := &CPU{}
-	exit, err := Exec(cpu, code, 0, clk, env, 10000)
+	exit, err := Exec(cpu, asm(t, code), 0, clk, env, 10000)
 	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
@@ -78,7 +88,7 @@ func TestDivideByZeroFaults(t *testing.T) {
 	p := guest.Load(img)
 	clk := &CountClock{}
 	cpu := &CPU{}
-	if _, err := Exec(cpu, code, 0, clk, NewFlatEnv(p, clk), 100); err == nil {
+	if _, err := Exec(cpu, asm(t, code), 0, clk, NewFlatEnv(p, clk), 100); err == nil {
 		t.Error("divide by zero did not fault")
 	}
 }
@@ -90,7 +100,7 @@ func TestBranchesAndChainedJump(t *testing.T) {
 		{Op: rawisa.ADD, Rd: 2, Rs: 2, Rt: 1},
 		{Op: rawisa.ADDI, Rd: 1, Rs: 1, Imm: -1},
 		{Op: rawisa.BNE, Rs: 1, Rt: 0, Imm: -3},
-		{Op: rawisa.J, Imm: 1}, // chained jump over the exit
+		{Op: rawisa.J, Imm: 2}, // chained jump over the two-word exit
 		{Op: rawisa.EXITI, Imm: 0xdead},
 		{Op: rawisa.EXITI, Imm: 0xbeef},
 	}
@@ -142,7 +152,7 @@ func TestLoadUseStall(t *testing.T) {
 		{Op: rawisa.EXITI, Imm: 0},
 	}
 	cpu := &CPU{}
-	if _, err := Exec(cpu, code, 0, clk, env, 100); err != nil {
+	if _, err := Exec(cpu, asm(t, code), 0, clk, env, 100); err != nil {
 		t.Fatal(err)
 	}
 	// 1 (GLW issue) + 10 (stall to ready) + 1 (ADD) + exit.
@@ -162,7 +172,7 @@ func TestLoadUseStall(t *testing.T) {
 	padded = append(padded, rawisa.Inst{Op: rawisa.ADD, Rd: 3, Rs: 2, Rt: 2})
 	padded = append(padded, rawisa.Inst{Op: rawisa.EXITI})
 	cpu2 := &CPU{}
-	if _, err := Exec(cpu2, padded, 0, clk2, env2, 100); err != nil {
+	if _, err := Exec(cpu2, asm(t, padded), 0, clk2, env2, 100); err != nil {
 		t.Fatal(err)
 	}
 	if clk2.T > 18 {
@@ -189,8 +199,21 @@ func TestArenaEscapeFaults(t *testing.T) {
 	clk := &CountClock{}
 	code := []rawisa.Inst{{Op: rawisa.ADDI, Rd: 1, Rs: 0, Imm: 1}} // falls off the end
 	cpu := &CPU{}
-	if _, err := Exec(cpu, code, 0, clk, NewFlatEnv(p, clk), 100); err == nil {
+	if _, err := Exec(cpu, asm(t, code), 0, clk, NewFlatEnv(p, clk), 100); err == nil {
 		t.Error("running off the arena did not fault")
+	}
+}
+
+// A two-word instruction cut off after its first word faults instead of
+// reading past the arena.
+func TestTruncatedGuestPCFaults(t *testing.T) {
+	img := &guest.Image{Entry: 0, CodeBase: 0, Code: []byte{0x90}}
+	p := guest.Load(img)
+	clk := &CountClock{}
+	code := asm(t, []rawisa.Inst{{Op: rawisa.EXITI, Imm: 0x1234}})
+	cpu := &CPU{}
+	if _, err := Exec(cpu, code[:1], 0, clk, NewFlatEnv(p, clk), 100); err == nil {
+		t.Error("an EXITI without its guest PC word did not fault")
 	}
 }
 
@@ -202,7 +225,7 @@ func TestInstructionBudget(t *testing.T) {
 		{Op: rawisa.J, Imm: -1}, // infinite loop
 	}
 	cpu := &CPU{}
-	if _, err := Exec(cpu, code, 0, clk, NewFlatEnv(p, clk), 1000); err == nil {
+	if _, err := Exec(cpu, asm(t, code), 0, clk, NewFlatEnv(p, clk), 1000); err == nil {
 		t.Error("budget exhaustion did not fault")
 	}
 }

@@ -2,17 +2,24 @@ package rawisa
 
 import "fmt"
 
-// Binary encoding. Instructions are 32-bit words in MIPS-like formats:
+// Word is one 32-bit word of host code: the form translated code has
+// from the code generator to the L1 code cache, and the unit the code
+// caches are charged in. Instructions are one word in MIPS-like
+// formats, except the three that carry a guest PC:
 //
 //	R-format (3-register ALU):  op:6 | rd:5 | rs:5 | rt:5 | 0:11
-//	I-format (imm ALU, memory): op:6 | rd:5 | rs:5 | imm:16
-//	Branch:                     op:6 | rs:5 | rt:5 | off:16
+//	I-format (imm ALU, loads):  op:6 | rd:5 | rs:5 | imm:16
+//	B-format (stores, branch):  op:6 | rt:5 | rs:5 | imm:16
 //	Jump:                       op:6 | off:26
-//	EXITI/CHAIN/ASSIST:         op:6 | 0:26  +  guestPC word
+//	EXITI/CHAIN/ASSIST:         op:6 | 0:26  +  guest PC word
 //
-// Immediates are 16 bits (sign- or zero-extended per op, exactly as the
-// mnemonic-level semantics state); the code generator materializes wider
-// constants with LUI+ORI pairs, as on MIPS.
+// Rs sits in one place in every format and Rd in one place in every
+// format that has it; a B-format instruction has no Rd and keeps its Rt
+// there (RtB). The 16-bit immediate is extended per opcode: zero for
+// the logical ops and LUI, a 5-bit count for the immediate shifts, sign
+// for everything else. The code generator materializes wider constants
+// with LUI+ORI pairs, as on MIPS.
+type Word uint32
 
 // Immediate range limits for the I-format.
 const (
@@ -27,12 +34,46 @@ func FitsSImm(v int32) bool { return v >= MinSImm && v <= MaxSImm }
 // FitsUImm reports whether v fits the unsigned 16-bit immediate field.
 func FitsUImm(v int32) bool { return v >= 0 && v <= MaxUImm }
 
+// Op returns the word's opcode.
+func (w Word) Op() Op { return Op(w >> 26) }
+
+// Rd returns the destination register of an R- or I-format word.
+func (w Word) Rd() uint8 { return uint8(w >> 21 & 31) }
+
+// Rs returns the first source register.
+func (w Word) Rs() uint8 { return uint8(w >> 16 & 31) }
+
+// Rt returns the second source register of an R-format word.
+func (w Word) Rt() uint8 { return uint8(w >> 11 & 31) }
+
+// RtB returns the second source register of a B-format word: a store's
+// value, a two-register branch's other operand.
+func (w Word) RtB() uint8 { return uint8(w >> 21 & 31) }
+
+// SImm returns the 16-bit immediate sign-extended.
+func (w Word) SImm() int32 { return int32(int16(w)) }
+
+// UImm returns the 16-bit immediate zero-extended.
+func (w Word) UImm() uint32 { return uint32(uint16(w)) }
+
+// JOff returns a jump's 26-bit offset, sign-extended.
+func (w Word) JOff() int32 { return int32(w<<6) >> 6 }
+
+// JumpWord returns a J to off words from the word after it, or false
+// if off does not fit the 26-bit field.
+func JumpWord(off int) (Word, bool) {
+	if off < -(1<<25) || off >= 1<<25 {
+		return 0, false
+	}
+	return Word(J)<<26 | Word(off)&(1<<26-1), true
+}
+
 type encKind int
 
 const (
 	encR encKind = iota
 	encI         // rd, rs, imm16
-	encB         // rs, rt, off16
+	encB         // rt, rs, off16
 	encJ         // off26
 	encX         // two-word (EXITI/CHAIN/ASSIST)
 	encN         // no operands
@@ -60,54 +101,87 @@ func kindOf(op Op) encKind {
 	return encN
 }
 
-// Encode appends the binary encoding of in to w and returns the
-// extended slice. It panics if an immediate or target does not fit its
-// field; the code generator is responsible for staying in range.
-func Encode(w []uint32, in Inst) []uint32 {
-	op := uint32(in.Op) << 26
+// Words returns the encoded length of an instruction with this opcode:
+// two words for the three that carry a guest PC, one for the rest.
+func (o Op) Words() int {
+	if kindOf(o) == encX {
+		return 2
+	}
+	return 1
+}
+
+// immFits reports whether imm is what the op's 16-bit field decodes to
+// for some field value.
+func immFits(op Op, imm int32) bool {
+	switch op {
+	case ANDI, ORI, XORI, LUI:
+		return FitsUImm(imm)
+	case SLLI, SRLI, SRAI:
+		return imm >= 0 && imm < 32
+	}
+	return FitsSImm(imm)
+}
+
+// Append appends the encoding of in to code. It fails, appending
+// nothing, unless the words decode to exactly in: a register past r31,
+// an immediate outside its field, or a field the format does not carry
+// set to anything but zero.
+func Append(code []Word, in Inst) ([]Word, error) {
+	op := Word(in.Op) << 26
+	regs := in.Rd|in.Rs|in.Rt < NumRegs
+	var w Word
+	ok := in.Op < numOps
 	switch kindOf(in.Op) {
 	case encN:
-		return append(w, op)
+		ok = ok && in.Rd|in.Rs|in.Rt == 0 && in.Imm == 0
+		w = op
 	case encR:
-		return append(w, op|uint32(in.Rd)<<21|uint32(in.Rs)<<16|uint32(in.Rt)<<11)
+		ok = ok && regs && in.Imm == 0
+		w = op | Word(in.Rd)<<21 | Word(in.Rs)<<16 | Word(in.Rt)<<11
 	case encI:
-		if !FitsSImm(in.Imm) && !FitsUImm(in.Imm) {
-			panic(fmt.Sprintf("rawisa: immediate %d out of range in %v", in.Imm, in))
-		}
-		return append(w, op|uint32(in.Rd)<<21|uint32(in.Rs)<<16|uint32(uint16(in.Imm)))
+		ok = ok && regs && in.Rt == 0 && immFits(in.Op, in.Imm)
+		w = op | Word(in.Rd)<<21 | Word(in.Rs)<<16 | Word(uint16(in.Imm))
 	case encB:
-		if !FitsSImm(in.Imm) {
-			panic(fmt.Sprintf("rawisa: branch offset %d out of range in %v", in.Imm, in))
-		}
-		return append(w, op|uint32(in.Rs)<<21|uint32(in.Rt)<<16|uint32(uint16(in.Imm)))
+		ok = ok && regs && in.Rd == 0 && FitsSImm(in.Imm)
+		w = op | Word(in.Rt)<<21 | Word(in.Rs)<<16 | Word(uint16(in.Imm))
 	case encJ:
-		if in.Imm < -(1<<25) || in.Imm >= 1<<25 {
-			panic(fmt.Sprintf("rawisa: jump offset %d out of range", in.Imm))
+		if ok = ok && in.Rd|in.Rs|in.Rt == 0; ok {
+			w, ok = JumpWord(int(in.Imm))
+			w |= op
 		}
-		return append(w, op|uint32(in.Imm)&(1<<26-1))
 	case encX:
-		return append(w, op, in.GuestPC())
+		if ok && in.Rd|in.Rs|in.Rt == 0 {
+			return append(code, op, Word(in.GuestPC())), nil
+		}
+		ok = false
 	}
-	panic("rawisa: unreachable")
+	if !ok {
+		return code, fmt.Errorf("rawisa: %v (%+v) has no encoding", in, in)
+	}
+	return append(code, w), nil
 }
 
-// EncodeAll encodes a code sequence.
-func EncodeAll(code []Inst) []uint32 {
-	w := make([]uint32, 0, len(code)+4)
+// Encode encodes a code sequence whose branch offsets already count
+// words.
+func Encode(code []Inst) ([]Word, error) {
+	out := make([]Word, 0, len(code)+len(code)/8)
 	for _, in := range code {
-		w = Encode(w, in)
+		var err error
+		if out, err = Append(out, in); err != nil {
+			return nil, err
+		}
 	}
-	return w
+	return out, nil
 }
 
-// Decode decodes one instruction starting at w[i], returning the
-// instruction and the number of words consumed.
-func Decode(w []uint32, i int) (Inst, int, error) {
-	if i >= len(w) {
+// Decode decodes the instruction starting at w[i], returning it and the
+// number of words it takes.
+func Decode(w []Word, i int) (Inst, int, error) {
+	if i < 0 || i >= len(w) {
 		return Inst{}, 0, fmt.Errorf("rawisa: decode past end (%d/%d)", i, len(w))
 	}
 	word := w[i]
-	op := Op(word >> 26)
+	op := word.Op()
 	if op >= numOps {
 		return Inst{}, 0, fmt.Errorf("rawisa: bad opcode %d at word %d", op, i)
 	}
@@ -115,19 +189,21 @@ func Decode(w []uint32, i int) (Inst, int, error) {
 	switch kindOf(op) {
 	case encN:
 	case encR:
-		in.Rd = uint8(word >> 21 & 31)
-		in.Rs = uint8(word >> 16 & 31)
-		in.Rt = uint8(word >> 11 & 31)
+		in.Rd, in.Rs, in.Rt = word.Rd(), word.Rs(), word.Rt()
 	case encI:
-		in.Rd = uint8(word >> 21 & 31)
-		in.Rs = uint8(word >> 16 & 31)
-		in.Imm = immValue(op, uint16(word))
+		in.Rd, in.Rs = word.Rd(), word.Rs()
+		switch op {
+		case ANDI, ORI, XORI, LUI:
+			in.Imm = int32(word.UImm())
+		case SLLI, SRLI, SRAI:
+			in.Imm = int32(word.UImm() & 31)
+		default:
+			in.Imm = word.SImm()
+		}
 	case encB:
-		in.Rs = uint8(word >> 21 & 31)
-		in.Rt = uint8(word >> 16 & 31)
-		in.Imm = int32(int16(uint16(word)))
+		in.Rt, in.Rs, in.Imm = word.RtB(), word.Rs(), word.SImm()
 	case encJ:
-		in.Imm = int32(word<<6) >> 6
+		in.Imm = word.JOff()
 	case encX:
 		if i+1 >= len(w) {
 			return Inst{}, 0, fmt.Errorf("rawisa: truncated two-word op at %d", i)
@@ -138,22 +214,8 @@ func Decode(w []uint32, i int) (Inst, int, error) {
 	return in, 1, nil
 }
 
-// immValue reproduces the extension convention the assembler-level Inst
-// uses: logical ops and LUI carry zero-extended immediates, arithmetic
-// and memory ops sign-extended ones, shifts a 5-bit count.
-func immValue(op Op, raw uint16) int32 {
-	switch op {
-	case ANDI, ORI, XORI, LUI:
-		return int32(uint32(raw))
-	case SLLI, SRLI, SRAI:
-		return int32(raw & 31)
-	default:
-		return int32(int16(raw))
-	}
-}
-
 // DecodeAll decodes a full code sequence.
-func DecodeAll(w []uint32) ([]Inst, error) {
+func DecodeAll(w []Word) ([]Inst, error) {
 	var out []Inst
 	for i := 0; i < len(w); {
 		in, n, err := Decode(w, i)
@@ -164,4 +226,19 @@ func DecodeAll(w []uint32) ([]Inst, error) {
 		i += n
 	}
 	return out, nil
+}
+
+// Disassemble renders a code sequence one instruction per line, each
+// at its word index.
+func Disassemble(code []Word) string {
+	out := ""
+	for i := 0; i < len(code); {
+		in, n, err := Decode(code, i)
+		if err != nil {
+			return out + fmt.Sprintf("%4d: %#08x ; %v\n", i, uint32(code[i]), err)
+		}
+		out += fmt.Sprintf("%4d: %s\n", i, in.String())
+		i += n
+	}
+	return out
 }

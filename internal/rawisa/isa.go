@@ -87,8 +87,8 @@ const (
 	LW
 	SW
 
-	// Control flow (offsets in Imm are in instructions, relative to
-	// the next instruction, so code means the same at any index).
+	// Control flow (offsets in Imm are in words, relative to the next
+	// instruction, so code means the same at any index).
 	BEQ
 	BNE
 	BLEZ
@@ -117,14 +117,16 @@ const (
 	// Linux int 0x80 ABI (EAX = number, EBX.. = args).
 	SYSC
 
-	// EXITI exits the block with the literal next guest PC in Imm.
+	// EXITI exits the block with the literal next guest PC in Imm
+	// (encoded in the word after the opcode; so for CHAIN and ASSIST).
 	// EXITR exits with the next guest PC in rs (indirect branches).
 	EXITI
 	EXITR
 
 	// CHAIN is a patchable direct-branch site carrying the target guest
 	// PC in Imm. Unpatched it behaves as EXITI; once the target block
-	// is resident in the L1 code cache it is patched to behave as J.
+	// is resident in the L1 code cache its first word is patched to a
+	// J, and the guest PC word after it is never reached.
 	CHAIN
 
 	// ASSIST executes the single guest instruction at Imm through
@@ -163,13 +165,15 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Inst is a decoded host instruction, eight bytes: the one form
-// translated code has from the code generator to the L1 code cache.
-// Rd/Rs/Rt are register indices. Imm is the instruction's one operand
+// Inst is a decoded host instruction: the form the IR, the optimizer
+// and the register allocator work in, and what Decode returns. The code
+// generator encodes it into Words (encoding.go), the form translated
+// code is kept and run in. Rd/Rs/Rt are register indices. Imm is the instruction's one operand
 // that is not a register: the immediate of an ALU op as written (the
 // execution engine extends it per opcode), the displacement of a
 // host-memory access, the offset of a branch or jump from the next
-// instruction, or the guest PC of EXITI/CHAIN/ASSIST (GuestPC).
+// instruction in words, or the guest PC of EXITI/CHAIN/ASSIST
+// (GuestPC).
 type Inst struct {
 	Op  Op
 	Rd  uint8
@@ -180,30 +184,6 @@ type Inst struct {
 
 // GuestPC returns the guest PC an EXITI, CHAIN or ASSIST carries.
 func (i Inst) GuestPC() uint32 { return uint32(i.Imm) }
-
-// Words returns the encoded size of the instruction in 32-bit words.
-// EXITI and CHAIN carry a full 32-bit guest PC and occupy two words
-// (opcode word + target word); everything else is one word.
-func (i Inst) Words() int {
-	switch i.Op {
-	case EXITI, CHAIN, ASSIST:
-		return 2
-	}
-	return 1
-}
-
-// Bytes returns the encoded size in bytes.
-func (i Inst) Bytes() int { return i.Words() * 4 }
-
-// CodeBytes returns the encoded size of a code sequence in bytes; this
-// is what counts against code-cache capacity budgets.
-func CodeBytes(code []Inst) int {
-	n := 0
-	for _, in := range code {
-		n += in.Bytes()
-	}
-	return n
-}
 
 // IsBlockEnd reports whether the instruction unconditionally leaves the
 // block (no fallthrough to the next instruction in the sequence).
@@ -310,13 +290,4 @@ func (i Inst) String() string {
 		return fmt.Sprintf("%s guest:%#x", i.Op, i.GuestPC())
 	}
 	return fmt.Sprintf("%s r%d, r%d, r%d, %d", i.Op, i.Rd, i.Rs, i.Rt, i.Imm)
-}
-
-// Disassemble renders a code sequence one instruction per line.
-func Disassemble(code []Inst) string {
-	out := ""
-	for idx, in := range code {
-		out += fmt.Sprintf("%4d: %s\n", idx, in.String())
-	}
-	return out
 }

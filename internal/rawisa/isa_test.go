@@ -9,18 +9,18 @@ import (
 
 func TestWords(t *testing.T) {
 	cases := []struct {
-		in   Inst
+		op   Op
 		want int
 	}{
-		{Inst{Op: ADD, Rd: 1, Rs: 2, Rt: 3}, 1},
-		{Inst{Op: LUI, Rd: 1, Imm: 0x1234}, 1},
-		{Inst{Op: EXITI, Imm: 0x8048000}, 2},
-		{Inst{Op: CHAIN, Imm: 0x8048000}, 2},
-		{Inst{Op: J, Imm: 100}, 1},
+		{ADD, 1}, {LUI, 1}, {EXITI, 2}, {CHAIN, 2}, {ASSIST, 2}, {J, 1}, {GSW, 1},
 	}
 	for _, c := range cases {
-		if got := c.in.Words(); got != c.want {
-			t.Errorf("%v.Words() = %d, want %d", c.in, got, c.want)
+		if got := c.op.Words(); got != c.want {
+			t.Errorf("%v.Words() = %d, want %d", c.op, got, c.want)
+		}
+		w, err := Append(nil, Inst{Op: c.op})
+		if err != nil || len(w) != c.want {
+			t.Errorf("%v encodes to %d words (%v), want %d", c.op, len(w), err, c.want)
 		}
 	}
 }
@@ -32,16 +32,6 @@ func TestGuestPCSurvivesImm(t *testing.T) {
 	in := Inst{Op: EXITI, Imm: int32(pc)}
 	if in.GuestPC() != pc || !strings.Contains(in.String(), "0xc0001234") {
 		t.Errorf("GuestPC = %#x, String = %q", in.GuestPC(), in.String())
-	}
-}
-
-func TestCodeBytes(t *testing.T) {
-	code := []Inst{
-		{Op: ADDI, Rd: 1, Rs: 1, Imm: 4},
-		{Op: CHAIN, Imm: 0x1000},
-	}
-	if got := CodeBytes(code); got != 12 {
-		t.Errorf("CodeBytes = %d, want 12", got)
 	}
 }
 
@@ -120,7 +110,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
 		in := randInst(r)
-		w := Encode(nil, in)
+		w, err := Append(nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, n, err := Decode(w, 0)
 		if err != nil {
 			t.Fatalf("Decode(%v): %v", in, err)
@@ -140,7 +133,10 @@ func TestEncodeDecodeSequence(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		code = append(code, randInst(r))
 	}
-	w := EncodeAll(code)
+	w, err := Encode(code)
+	if err != nil {
+		t.Fatal(err)
+	}
 	back, err := DecodeAll(w)
 	if err != nil {
 		t.Fatal(err)
@@ -155,13 +151,33 @@ func TestEncodeDecodeSequence(t *testing.T) {
 	}
 }
 
-func TestEncodePanicsOnBadImmediate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Encode accepted out-of-range immediate")
+// TestAppendRejectsWhatItCannotEncode: an instruction whose fields do
+// not fit its format is an error, and nothing is appended, never a
+// truncated word.
+func TestAppendRejectsWhatItCannotEncode(t *testing.T) {
+	bad := []Inst{
+		{Op: ADDI, Rd: 1, Rs: 1, Imm: 1 << 20},
+		{Op: ADDI, Rd: 1, Rs: 1, Imm: MaxSImm + 1},
+		{Op: ORI, Rd: 1, Rs: 1, Imm: -1},
+		{Op: LUI, Rd: 1, Imm: 1 << 16},
+		{Op: SLLI, Rd: 1, Rs: 1, Imm: 32},
+		{Op: ADD, Rd: 32, Rs: 1, Rt: 2},
+		{Op: ADD, Rd: 1, Rs: 1, Rt: 2, Imm: 4},
+		{Op: ADDI, Rd: 1, Rs: 1, Rt: 3, Imm: 4},
+		{Op: GSW, Rd: 1, Rs: 2, Rt: 3},
+		{Op: BEQ, Rs: 1, Rt: 2, Imm: MinSImm - 1},
+		{Op: J, Imm: 1 << 25},
+		{Op: EXITI, Rs: 1, Imm: 0x1000},
+		{Op: SYSC, Imm: 1},
+		{Op: numOps},
+	}
+	prefix := []Word{7}
+	for _, in := range bad {
+		got, err := Append(prefix, in)
+		if err == nil || len(got) != 1 {
+			t.Errorf("Append(%+v) = %d words, %v; want an error and nothing appended", in, len(got)-1, err)
 		}
-	}()
-	Encode(nil, Inst{Op: ADDI, Rd: 1, Rs: 1, Imm: 1 << 20})
+	}
 }
 
 func TestDecodeErrors(t *testing.T) {
@@ -169,12 +185,12 @@ func TestDecodeErrors(t *testing.T) {
 		t.Error("Decode past end should fail")
 	}
 	// Truncated two-word op.
-	w := Encode(nil, Inst{Op: EXITI, Imm: 5})
+	w, _ := Append(nil, Inst{Op: EXITI, Imm: 5})
 	if _, _, err := Decode(w[:1], 0); err == nil {
 		t.Error("truncated EXITI should fail")
 	}
 	// Bad opcode.
-	if _, _, err := Decode([]uint32{uint32(numOps) << 26}, 0); err == nil {
+	if _, _, err := Decode([]Word{Word(numOps) << 26}, 0); err == nil {
 		t.Error("bad opcode should fail")
 	}
 }
@@ -185,8 +201,12 @@ func TestDisassembleMentionsOps(t *testing.T) {
 		{Op: GLW, Rd: 3, Rs: 4},
 		{Op: CHAIN, Imm: 0x8048123},
 	}
-	s := Disassemble(code)
-	for _, want := range []string{"addi", "glw", "chain", "0x8048123"} {
+	w, err := Encode(code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Disassemble(w)
+	for _, want := range []string{"addi", "glw", "   1: glw", "   2: chain", "0x8048123"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Disassemble output missing %q:\n%s", want, s)
 		}
@@ -199,7 +219,10 @@ func TestImmSignConventionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randInst(r)
-		w := Encode(nil, in)
+		w, err := Append(nil, in)
+		if err != nil {
+			return false
+		}
 		got, _, err := Decode(w, 0)
 		return err == nil && got == in
 	}

@@ -18,11 +18,14 @@ import (
 // finalized host code, its chain sites, and the control-flow metadata
 // down to the static branch prediction.
 //
-// Each instruction is hashed as the (Imm, Target) pair the host
-// instruction had before a guest PC moved into Imm, and the chain sites
-// as the (offset, guest PC) list Results carried beside their code, so
-// the columns recorded before that change still hold.
-func corpusDigest(blocks []*Result) string {
+// The code is hashed decoded, one instruction at a time, as it was
+// before it was kept in words: each instruction as the (Imm, Target)
+// pair it had before a guest PC moved into Imm, a branch offset in
+// instructions, the instruction count where the word count would be,
+// and the chain sites as the (instruction offset, guest PC) list
+// Results carried beside their code, so the columns recorded before
+// those changes still hold.
+func corpusDigest(t *testing.T, blocks []*Result) string {
 	h := sha256.New()
 	put := func(vs ...uint32) {
 		var buf [4]byte
@@ -36,16 +39,34 @@ func corpusDigest(blocks []*Result) string {
 		if r.BackwardTaken {
 			back = 1
 		}
+		code, err := rawisa.DecodeAll(r.Code)
+		if err != nil {
+			t.Fatalf("block %#x: %v", r.GuestAddr, err)
+		}
+		// word[i] is the word offset of instruction i, at its inverse.
+		word := make([]int32, len(code)+1)
+		at := map[int32]int32{}
+		for i, in := range code {
+			at[word[i]] = int32(i)
+			word[i+1] = word[i] + int32(in.Op.Words())
+		}
+		at[word[len(code)]] = int32(len(code))
 		put(r.GuestAddr, uint32(r.Kind), r.Target, r.FallTarget, back,
-			uint32(r.NumGuest), r.GuestLen, uint32(r.CodeBytes), uint32(len(r.Code)))
+			uint32(r.NumGuest), r.GuestLen, uint32(r.CodeBytes()), uint32(len(code)))
 		var chains []uint32
-		for off, in := range r.Code {
+		for off, in := range code {
 			imm, target := uint32(in.Imm), uint32(0)
 			switch in.Op {
 			case rawisa.EXITI, rawisa.CHAIN, rawisa.ASSIST:
 				imm, target = 0, in.GuestPC()
+			case rawisa.BEQ, rawisa.BNE, rawisa.BLEZ, rawisa.BGTZ, rawisa.BLTZ, rawisa.BGEZ:
+				to, ok := at[word[off+1]+in.Imm]
+				if !ok {
+					t.Fatalf("block %#x: branch at %d into the middle of an instruction", r.GuestAddr, off)
+				}
+				imm = uint32(to - int32(off+1))
 			case rawisa.J, rawisa.JAL:
-				panic("the translator emitted a jump")
+				t.Fatalf("block %#x: the translator emitted a jump", r.GuestAddr)
 			}
 			put(uint32(in.Op), uint32(in.Rd), uint32(in.Rs), uint32(in.Rt), imm, target)
 			if in.Op == rawisa.CHAIN {
@@ -104,8 +125,8 @@ func TestTranslateCorpusDigest(t *testing.T) {
 		optimized := New(Options{Optimize: true}).Reachable(mem, img.Entry)
 		plain := New(Options{}).Reachable(mem, img.Entry)
 
-		check(p.Name, "optimize=true", corpusDigest(optimized), golden[0])
-		check(p.Name, "optimize=false", corpusDigest(plain), golden[1])
+		check(p.Name, "optimize=true", corpusDigest(t, optimized), golden[0])
+		check(p.Name, "optimize=false", corpusDigest(t, plain), golden[1])
 	}
 }
 
@@ -250,8 +271,8 @@ func TestPredecodedBlockMatchesExec(t *testing.T) {
 					t.Fatalf("%s %#x: running the block wrote to its Code", p.Name, r.GuestAddr)
 				}
 				blocks++
-				for _, in := range r.Code {
-					if in.Op == rawisa.CHAIN {
+				for off := 0; off < len(r.Code); off += r.Code[off].Op().Words() {
+					if r.Code[off].Op() == rawisa.CHAIN {
 						chains++
 					}
 				}

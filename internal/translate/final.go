@@ -9,21 +9,21 @@ import (
 
 // Result is a fully translated, executable block: its host code and
 // the control-flow metadata of the block it came from, in one flat
-// header. Code is in the form the execution engine runs
-// (rawexec.Program), the same at every level of the code caches: an L1
-// fill copies it and walks it for its CHAIN sites.
+// 48-byte header. Code is in the tile's 32-bit words, the form the
+// execution engine runs (rawexec.Program) and the code caches are
+// charged in, the same at every level of them: an L1 fill copies it and
+// walks it for its CHAIN sites.
 type Result struct {
-	// Code is the register-allocated, label-resolved host code.
-	Code []rawisa.Inst
+	// Code is the register-allocated, label-resolved, encoded host
+	// code.
+	Code []rawisa.Word
 	// GuestAddr is the guest address of the block's first instruction,
 	// GuestLen the guest code bytes it covers.
 	GuestAddr, GuestLen uint32
 	// Target and FallTarget are the block's successors, as in Block.
 	Target, FallTarget uint32
-	// CodeBytes is the encoded size, the unit of code-cache accounting.
-	CodeBytes int
 	// NumGuest is the number of guest instructions translated.
-	NumGuest int
+	NumGuest int32
 	// Kind is how the block ends; BackwardTaken is its static branch
 	// prediction (see Block).
 	Kind          ExitKind
@@ -35,19 +35,22 @@ type Result struct {
 // is overwritten by its next call, so a Result owns everything it
 // points at: code (the caller's to give away) and a copy of the block's
 // metadata. Nothing of the IR is carried over.
-func newResult(blk Block, code []rawisa.Inst) *Result {
+func newResult(blk Block, code []rawisa.Word) *Result {
 	return &Result{
 		Code:          code,
 		GuestAddr:     blk.GuestAddr,
 		GuestLen:      blk.GuestLen,
 		Target:        blk.Target,
 		FallTarget:    blk.FallTarget,
-		CodeBytes:     rawisa.CodeBytes(code),
-		NumGuest:      blk.NumGuest,
+		NumGuest:      int32(blk.NumGuest),
 		Kind:          blk.Kind,
 		BackwardTaken: blk.BackwardTaken,
 	}
 }
+
+// CodeBytes is the block's size in the code caches, the unit they are
+// charged in: four bytes a word.
+func (r *Result) CodeBytes() int { return 4 * len(r.Code) }
 
 // TranslateFinal runs the full pipeline: block discovery, flag
 // liveness, lowering, optimization (if enabled), and register

@@ -30,13 +30,14 @@ func allocsOnce(t *testing.T, f func()) (bytes, allocs uint64) {
 	return r.MemBytes / uint64(r.N), r.MemAllocs / uint64(r.N)
 }
 
-// TestTranslationFootprint: a translation costs one flat header and its
-// code in the one 8-byte form. Over the 176.gcc corpus, TranslateFinal
-// makes at most two allocations a block (the Result and its Code) and
-// allocates at most the Result header plus 8 bytes per host
-// instruction plus 64 (the allocator's size classes). A Result that
-// carries its code twice, or a header built from several structs, fails
-// it: that form took about 800 bytes and four allocations a block.
+// TestTranslationFootprint: a translation costs one flat 48-byte header
+// and its code in the tile's 4-byte words. Over the 176.gcc corpus,
+// TranslateFinal makes at most two allocations a block (the Result and
+// its Code) and allocates at most the header plus 4 bytes per word plus
+// 64 (the allocator's size classes). Code kept as 8-byte instructions
+// fails it (about 300 bytes a block), and so does a Result that carries
+// its code twice or a header built from several structs (about 800
+// bytes and four allocations a block).
 func TestTranslationFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -46,10 +47,10 @@ func TestTranslationFootprint(t *testing.T) {
 	mem := guest.Load(img).Mem
 	tr := New(Options{Optimize: true})
 	var addrs []uint32
-	insts := 0
+	words := 0
 	for _, r := range tr.Reachable(mem, img.Entry) {
 		addrs = append(addrs, r.GuestAddr)
-		insts += len(r.Code)
+		words += len(r.Code)
 	}
 	bytes, allocs := allocsOnce(t, func() {
 		for _, a := range addrs {
@@ -58,7 +59,10 @@ func TestTranslationFootprint(t *testing.T) {
 	})
 	n := float64(len(addrs))
 	perBlock, allocsPerBlock := float64(bytes)/n, float64(allocs)/n
-	limit := float64(unsafe.Sizeof(Result{})) + 8*float64(insts)/n + 64
+	if h := unsafe.Sizeof(Result{}); h != 48 {
+		t.Errorf("the Result header is %d bytes, want 48", h)
+	}
+	limit := 48 + 4*float64(words)/n + 64
 	// The count is the process's: a goroutine of the test framework or
 	// the runtime may allocate once or twice during the pass.
 	const stray = 8
@@ -66,8 +70,8 @@ func TestTranslationFootprint(t *testing.T) {
 		t.Errorf("%d allocations for %d blocks (%.3f a block), want at most 2 a block", allocs, len(addrs), allocsPerBlock)
 	}
 	if perBlock > limit {
-		t.Errorf("%.1f bytes a block, want at most %.1f (a %d-byte header and %.1f host instructions of 8 bytes, plus 64)",
-			perBlock, limit, unsafe.Sizeof(Result{}), float64(insts)/n)
+		t.Errorf("%.1f bytes a block, want at most %.1f (a 48-byte header and %.1f words of 4 bytes, plus 64)",
+			perBlock, limit, float64(words)/n)
 	}
 	t.Logf("%d blocks: %.1f bytes, %.3f allocations a block (limit %.1f bytes)", len(addrs), perBlock, allocsPerBlock, limit)
 }

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"tilevm/internal/guest"
+	"tilevm/internal/rawisa"
 )
 
 // TestTranslateGarbageNeverPanics points the full translation pipeline
 // at random bytes — the situation a speculative translator is in when
 // it follows a mispredicted path into data. Every call must return a
-// block or an error; blocks must be structurally valid.
+// block or an error; blocks must decode, word for word, and end in an
+// exit.
 func TestTranslateGarbageNeverPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	mem := guest.NewMemory()
@@ -31,7 +33,11 @@ func TestTranslateGarbageNeverPanics(t *testing.T) {
 			if len(res.Code) == 0 || res.NumGuest == 0 {
 				t.Fatalf("offset %d: empty block accepted", off)
 			}
-			if !res.Code[len(res.Code)-1].IsBlockEnd() {
+			code, err := rawisa.DecodeAll(res.Code)
+			if err != nil {
+				t.Fatalf("offset %d: %v", off, err)
+			}
+			if !code[len(code)-1].IsBlockEnd() {
 				t.Fatalf("offset %d: block not exit-terminated", off)
 			}
 		}

@@ -142,7 +142,7 @@ func (mo *Memo) Translate(t *Translator, image any, mem ImageMemory, addr uint32
 // Result, the one form of its code, and the window list.
 func (e *memoEntry) memBytes() int {
 	return int(unsafe.Sizeof(*e.res)) +
-		cap(e.res.Code)*int(unsafe.Sizeof(rawisa.Inst{})) +
+		cap(e.res.Code)*int(unsafe.Sizeof(rawisa.Word(0))) +
 		cap(e.windows)*int(unsafe.Sizeof(codeWindow{}))
 }
 
