@@ -208,7 +208,7 @@ func (countClockEnv) GuestStore(addr uint32, val uint32, size uint8)            
 func (countClockEnv) Syscall(cpu *rawexec.CPU)                                        {}
 func (countClockEnv) Assist(guestPC uint32, cpu *rawexec.CPU) error                   { return nil }
 func (countClockEnv) Stopped() bool                                                   { return false }
-func (countClockEnv) Interrupted() bool                                               { return false }
+func (countClockEnv) Interrupted(uint64) bool                                         { return false }
 
 func benchRawexecInnerLoop(b *testing.B) {
 	code, err := rawisa.Encode([]rawisa.Inst{

@@ -48,7 +48,7 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 		// service tiles' own state is the whole machine. The live
 		// register file is stored back first — the dispatch loop owns it
 		// between blocks, and e.proc.CPU is stale until loop exit.
-		if e.ck.Due(c.Now()) && e.mgr != nil && e.mmuLive != nil {
+		if e.checkpointDue(c.Now()) {
 			cpu.StoreGuest(&e.proc.CPU)
 			e.proc.PC = pc
 			e.capture(c, l1, env)
@@ -415,7 +415,19 @@ func (v *execEnv) Assist(guestPC uint32, cpu *rawexec.CPU) error {
 // Stopped implements rawexec.Env.
 func (v *execEnv) Stopped() bool { return v.exited }
 
-// Interrupted implements rawexec.Env.
-func (v *execEnv) Interrupted() bool { return v.smcPending }
+// Interrupted implements rawexec.Env: an SMC invalidation is pending,
+// or a checkpoint is due. Checkpoints are captured only at the dispatch
+// loop, so a loop of blocks chained in the L1, which never returns
+// there, would otherwise run checkpoint-free to its end.
+func (v *execEnv) Interrupted(now uint64) bool {
+	return v.smcPending || v.e.checkpointDue(now)
+}
+
+// checkpointDue reports whether the dispatch loop is to capture a
+// checkpoint at cycle now: one is due, and the service tiles it
+// snapshots are up.
+func (e *engine) checkpointDue(now uint64) bool {
+	return e.ck.Due(now) && e.mgr != nil && e.mmuLive != nil
+}
 
 var _ rawexec.Env = (*execEnv)(nil)

@@ -62,10 +62,10 @@ func stallStorm(n int) *fault.Plan {
 var runGoldens = []runGolden{
 	{name: "fail/slave",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
-		want: [3]string{"1362298:0:5497987dc365030f", "2808973:0:7a1a58ee6df070e3", "14844523:0:9979bfbcb426f99c"}},
+		want: [3]string{"1362826:0:1f96daffa6dc6afc", "2810212:0:33b54cb712502c18", "14844611:0:ee92a9a6596195fc"}},
 	{name: "fail/bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
-		want: [3]string{"1362298:0:23fc59a35c3610f7", "3344484:0:b89e34d17062420b", "14909679:0:17520ebe67959d83"}},
+		want: [3]string{"1362826:0:a8449635d04ca9ae", "3345943:0:1a99c9c75bb47cc5", "14909811:0:9c1fa9b1b0736515"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -73,10 +73,10 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 14, Cycle: 250_000},
 				fault.TileFail{Tile: 12, Cycle: 600_000})
 		},
-		want: [3]string{"1361706:0:8a5afbfb8a473661", "3464438:0:e1027eb780138be8", "14373512:0:8cfd4f8bf3e92cc4"}},
+		want: [3]string{"1362234:0:8d728807c4a92d8e", "3465849:0:6901c88f81e7cbd6", "14373512:0:8cfd4f8bf3e92cc4"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2531544:0:81c627e0627329e1", "5051565:0:e8185b2832b1eb08", "16862185:0:049db17369a3c631"}},
+		want: [3]string{"2439119:0:2c0e5eb0502d5bcb", "5092169:0:86102127470ab70c", "16862933:0:484d388d0fc52ca5"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
 		want: [3]string{"1392326:0:a5846ed19ecaec8f", "2838998:0:e87563a8672d8b95", "15098615:0:42063f032c2da976"}},
@@ -103,13 +103,13 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1361374:0:c63f82c4a2a8a2d2", "3486023:0:82f46cfb33af659c", "14675406:0:4ced83689f716c3d"}},
+		want: [3]string{"1361902:0:a3efaf72b6cd6d57", "3487468:0:241eae8a4cfeaff2", "14675538:0:4e72cca102cf9e2e"}},
 	{name: "stall-storm",
 		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
 		want: [3]string{"5040544:0:9b0919ad2a95ec01", "6941246:0:067f22479b738587", "17560753:0:1f1129b529d37730"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000}) },
-		want: [3]string{"1362298:0:9eaac308af599e76", "3334708:0:9d41012d8716503a", "14894048:0:564f762622f77422"}},
+		want: [3]string{"1362826:0:558020dd7c535ee9", "3336118:0:a242859c8b38c59f", "14894092:0:baf0a83dcdd3c4fa"}},
 	{name: "rollback/two-banks+slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -117,7 +117,7 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 13, Cycle: 500_000},
 				fault.TileFail{Tile: 2, Cycle: 800_000})
 		},
-		want: [3]string{"1362298:0:1624c74928e8fc9d", "4239460:0:7278899b1eb697bc", "14723221:0:01f8a53b94c67ff8"}},
+		want: [3]string{"1362826:0:4954dba5fcac69fa", "4345307:0:5b31e134ba751498", "14723309:0:d6f36d70fc3eb3d6"}},
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
 		want: [3]string{"1366236:0:6622e6ac9babf468", "2814592:0:51b0a385b8a40dd4", "14525580:0:d384007fb2eca9b4"}},
@@ -126,7 +126,7 @@ var runGoldens = []runGolden{
 			c.Speculative = false
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
-		want: [3]string{"1569257:0:1a64169a1563b258", "3007906:0:d33e47dadc859e32", "19105562:0:fce7f7f7f9754d21"}},
+		want: [3]string{"1569829:0:2d314d5dbb6aadd0", "3009100:0:c07fc7b06ec11e5b", "19105648:0:294042ccc4fdfa64"}},
 	{name: "traced", traced: true,
 		want: [3]string{"1356400:409651:479a41574f0f7bd2", "2805178:5774705:466e65215a83e615", "14411161:14022151:5a2b7ce84b726dad"}},
 	{name: "traced/fail+stall", traced: true,
@@ -135,7 +135,7 @@ var runGoldens = []runGolden{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1377298:503873:db9fedb3de3ac00e", "3426270:5839929:028479407d7a63e8", "14661881:15296680:ac7beec1433f4b00"}},
+		want: [3]string{"1377826:506317:22594d0f1c027bf6", "3427719:5847280:4b0f737f530e6a0e", "14661881:15296680:ac7beec1433f4b00"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {

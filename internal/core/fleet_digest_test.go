@@ -137,7 +137,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[5].Exec, Cycle: 2_500_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 7} },
-		want: "8356000:32521851:27c41607a9221a7f"},
+		want: "8370304:32681147:cedad54f703837be"},
 	{name: "8x8/cap4/chaos/retries", w: 8, h: 8, guests: dozen[:7],
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -148,13 +148,13 @@ var fleetGoldens = []fleetGolden{
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 4, MaxAttempts: 2, RetryBackoff: 200_000, RetrySeed: 99}
 		},
-		want: "12784854:0:428676980c1e215c"},
+		want: "12721532:0:af16f5014f28511c"},
 	{name: "4x4/rollback/slave", w: 4, h: 4, guests: []string{"181.mcf", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_000_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 3} },
-		want: "4350624:0:463cfd065638be63"},
+		want: "4390517:0:ad9e37a4ae7a4081"},
 	{name: "8x8/rollback/manager/queued", w: 8, h: 8, guests: five,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[1].Manager, Cycle: 1_500_000})
@@ -162,7 +162,7 @@ var fleetGoldens = []fleetGolden{
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 3, RetrySeed: 11, RetryBackoff: 500_000}
 		},
-		want: "5249817:0:27d5ceecde3f30df"},
+		want: "5251973:0:0be8ee008c2bff67"},
 	{name: "8x8/rollback/bank+exec", w: 8, h: 8, guests: []string{"181.mcf", "176.gcc", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -170,7 +170,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[1].Exec, Cycle: 2_000_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 5} },
-		want: "18277113:0:06ae81482972b780"},
+		want: "18298841:0:5d6438de5775ced5"},
 	{name: "8x8/stall+fail", w: 8, h: 8, guests: four,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = &fault.Plan{
@@ -180,7 +180,7 @@ var fleetGoldens = []fleetGolden{
 				Fails: []fault.TileFail{{Tile: l[1].Slaves[0], Cycle: 800_000}}}
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 13} },
-		want: "4606137:0:ab8004dcf2602355"},
+		want: "4615885:0:b211b70464e3bd21"},
 	{name: "8x8/planner/fail", w: 8, h: 8, guests: four,
 		// The planner grows slots on an undersubscribed fabric, so the
 		// fault is aimed by tile id, not through the base-tier layout.
@@ -190,7 +190,7 @@ var fleetGoldens = []fleetGolden{
 		fc: func(_ *testing.T, g *fleetGolden) FleetConfig {
 			return FleetConfig{Profiles: make([]GuestProfile, len(g.guests)), RetrySeed: 2}
 		},
-		want: "2840562:0:68b08ec722da63a4"},
+		want: "2841794:0:017b89ad293529ff"},
 }
 
 func TestFleetScheduleDigest(t *testing.T) {

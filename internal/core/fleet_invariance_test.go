@@ -53,6 +53,19 @@ func fingerprint(r *Result) archFingerprint {
 	}
 }
 
+// checkpointed is the fingerprint a run with checkpoints armed (a plan
+// with a fail clause) shares with a solo run. A due checkpoint ends a
+// loop of blocks chained in the L1 at the dispatch loop, which captures
+// it and re-enters the loop through an L1 hit, so dispatches, lookups and
+// hits each count those exits as well. The L1 misses and the dispatches
+// that were not lookups are what stay fixed; the hits are not compared.
+func (fp archFingerprint) checkpointed() archFingerprint {
+	fp.BlockDispatches -= fp.L1CLookups
+	fp.L1CLookups -= fp.L1CHits
+	fp.L1CHits = 0
+	return fp
+}
+
 // soloFingerprints runs each distinct image alone on the default 4×4
 // fabric and returns its fingerprint, keyed by image pointer.
 func soloFingerprints(t *testing.T, imgs []*guest.Image) map[*guest.Image]archFingerprint {

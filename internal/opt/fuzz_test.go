@@ -47,8 +47,8 @@ func (e *fuzzEnv) Assist(pc uint32, cpu *rawexec.CPU) error {
 	e.scramble(cpu, pc)
 	return nil
 }
-func (e *fuzzEnv) Stopped() bool     { return false }
-func (e *fuzzEnv) Interrupted() bool { return false }
+func (e *fuzzEnv) Stopped() bool           { return false }
+func (e *fuzzEnv) Interrupted(uint64) bool { return false }
 
 // genBlock builds a forward-branching IR block from a decision stream.
 // Virtual registers are only read where every path has defined them:

@@ -15,7 +15,7 @@ func (nopEnv) GuestStore(addr uint32, val uint32, size uint8)                  {
 func (nopEnv) Syscall(cpu *CPU)                                                {}
 func (nopEnv) Assist(guestPC uint32, cpu *CPU) error                           { return nil }
 func (nopEnv) Stopped() bool                                                   { return false }
-func (nopEnv) Interrupted() bool                                               { return false }
+func (nopEnv) Interrupted(uint64) bool                                         { return false }
 
 // countdownLoop is the canonical two-instruction inner loop: decrement
 // r1, branch back while nonzero.

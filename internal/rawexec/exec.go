@@ -50,9 +50,11 @@ type Env interface {
 	Stopped() bool
 	// Interrupted reports that execution must return to the dispatch
 	// loop at the next block boundary (e.g. a store hit a translated
-	// code page and the caches must be invalidated). Chained jumps are
-	// not followed while it is set.
-	Interrupted() bool
+	// code page and the caches must be invalidated, or a checkpoint is
+	// due). Chained jumps are not followed while it is set. now is the
+	// tile's virtual time at the jump, cycles not yet ticked onto the
+	// Clock included.
+	Interrupted(now uint64) bool
 }
 
 // scratchWords is the tile-local runtime scratch memory addressable by

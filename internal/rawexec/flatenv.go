@@ -94,7 +94,7 @@ func (e *FlatEnv) Stopped() bool { return e.P.Kern.Exited }
 // Interrupted implements Env: set when a store hits a registered code
 // page (self-modifying code); the caller must drop cached translations
 // and clear the flag.
-func (e *FlatEnv) Interrupted() bool { return e.SMCPending }
+func (e *FlatEnv) Interrupted(uint64) bool { return e.SMCPending }
 
 // RegisterCodePages marks the 4KB pages covered by a translated block
 // so stores into them raise the SMC interrupt.

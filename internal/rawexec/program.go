@@ -231,9 +231,10 @@ func (p *Program) Exec(cpu *CPU, start int, clk Clock, env Env, maxInsts uint64)
 				now += BranchPenalty
 			}
 		case rawisa.J:
-			if env.Interrupted() {
+			if env.Interrupted(now) {
 				// Do not follow the chain: the target block may have
-				// been invalidated. Hand the entry index back to the
+				// been invalidated, or a checkpoint is waiting at the
+				// dispatch loop. Hand the entry index back to the
 				// dispatch loop for resolution.
 				flush()
 				return Exit{Interrupted: true, ChainIdx: next + int(w.JOff()), Insts: insts}, nil

@@ -203,8 +203,8 @@ func (e *traceEnv) Assist(guestPC uint32, cpu *rawexec.CPU) error {
 	return nil
 }
 
-func (e *traceEnv) Stopped() bool     { return false }
-func (e *traceEnv) Interrupted() bool { return false }
+func (e *traceEnv) Stopped() bool           { return false }
+func (e *traceEnv) Interrupted(uint64) bool { return false }
 
 // TestPredecodedBlockMatchesExec runs every block of the digest corpus
 // three ways from the same register state — through rawexec.Exec on its
