@@ -116,21 +116,22 @@ func (l *L1) Insert(pc uint32, res *translate.Result) (int, InsertStats) {
 	// Outgoing chaining: patch this block's CHAIN sites whose targets
 	// are already resident.
 	code := res.Code
-	for off := 0; off < len(code); off += code[off].Op().Words() {
-		if code[off].Op() != rawisa.CHAIN {
-			continue
-		}
-		site, target := idx+off, uint32(code[off+1])
-		if tidx, ok := l.entry[target]; ok {
-			l.prog.Chain(site, tidx)
-			st.Patches++
-		} else {
-			l.next[site] = -1
-			if prev, ok := l.pending[target]; ok {
-				l.next[site] = prev
+	for off := 0; off < len(code); {
+		op := code[off].Op()
+		if op == rawisa.CHAIN {
+			site, target := idx+off, uint32(code[off+1])
+			if tidx, ok := l.entry[target]; ok {
+				l.prog.Chain(site, tidx)
+				st.Patches++
+			} else {
+				l.next[site] = -1
+				if prev, ok := l.pending[target]; ok {
+					l.next[site] = prev
+				}
+				l.pending[target] = int32(site)
 			}
-			l.pending[target] = int32(site)
 		}
+		off += op.Words()
 	}
 	// Incoming chaining: resident blocks waiting for this PC.
 	if site, ok := l.pending[pc]; ok {

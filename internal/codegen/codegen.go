@@ -45,8 +45,8 @@ type Scratch struct {
 	assign [256]uint8            // vreg -> phys; 0 = never assigned
 	owner  [rawisa.NumRegs]uint8 // phys -> vreg, read for busy registers only
 	top    int                   // highest register number in end and assign
-	out    []rawisa.Inst         // the block being finalized
-	pos    []int32               // word offset of each instruction of out, and of its end
+	pos    []int32               // word offset of each instruction, and of the end
+	code   []rawisa.Word         // the block being finalized
 }
 
 // Finalize allocates registers and resolves labels in a Scratch of its
@@ -62,8 +62,13 @@ func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Word, error) {
 	end, assign, owner := &s.end, &s.assign, &s.owner
 	clear(end[:s.top+1])
 	clear(assign[:s.top+1])
+	// pos[i] is the word offset of instruction i, which labels resolve
+	// to.
+	pos := slices.Grow(s.pos[:0], len(b.Code)+1)[:len(b.Code)+1]
+	s.pos = pos
 	top := 0
 	for i, in := range b.Code {
+		pos[i+1] = pos[i] + int32(in.Op.Words())
 		uses, n := in.Uses()
 		for k := 0; k < n; k++ {
 			end[uses[k]] = int32(i + 1)
@@ -117,8 +122,7 @@ func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Word, error) {
 		return phys, nil
 	}
 
-	out := slices.Grow(s.out[:0], len(b.Code))[:len(b.Code)]
-	s.out = out
+	code := s.code[:0]
 	for i, in := range b.Code {
 		expire(i)
 		host := in.Inst
@@ -145,32 +149,19 @@ func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Word, error) {
 			// Extend in-use through this position even if never used
 			// again (lastUse defaulted to the def position).
 		}
-		out[i] = host
-	}
-
-	// Resolve labels to relative word offsets (counted from the word
-	// after the branch).
-	pos := slices.Grow(s.pos[:0], len(out)+1)[:len(out)+1]
-	s.pos = pos
-	for i, in := range out {
-		pos[i+1] = pos[i] + int32(in.Op.Words())
-	}
-	for i := range out {
-		switch out[i].Op {
+		switch host.Op {
 		case rawisa.BEQ, rawisa.BNE, rawisa.BLEZ, rawisa.BGTZ, rawisa.BLTZ, rawisa.BGEZ:
-			label := b.Code[i].Label
-			if label == ir.NoLabel {
+			// A branch offset counts words from the word after it.
+			if in.Label == ir.NoLabel {
 				return nil, fmt.Errorf("codegen: branch without label at %d", i)
 			}
-			out[i].Imm = pos[b.LabelPos[label]] - pos[i+1]
+			host.Imm = pos[b.LabelPos[in.Label]] - pos[i+1]
 		}
-	}
-	code := make([]rawisa.Word, 0, pos[len(out)])
-	for i, in := range out {
 		var err error
-		if code, err = rawisa.Append(code, in); err != nil {
+		if code, err = rawisa.Append(code, host); err != nil {
 			return nil, fmt.Errorf("codegen: instruction %d: %w", i, err)
 		}
 	}
-	return code, nil
+	s.code = code
+	return slices.Clone(code), nil
 }

@@ -1,6 +1,9 @@
 package rawisa
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Word is one 32-bit word of host code: the form translated code has
 // from the code generator to the L1 code cache, and the unit the code
@@ -30,9 +33,6 @@ const (
 
 // FitsSImm reports whether v fits the signed 16-bit immediate field.
 func FitsSImm(v int32) bool { return v >= MinSImm && v <= MaxSImm }
-
-// FitsUImm reports whether v fits the unsigned 16-bit immediate field.
-func FitsUImm(v int32) bool { return v >= 0 && v <= MaxUImm }
 
 // Op returns the word's opcode.
 func (w Word) Op() Op { return Op(w >> 26) }
@@ -68,15 +68,16 @@ func JumpWord(off int) (Word, bool) {
 	return Word(J)<<26 | Word(off)&(1<<26-1), true
 }
 
-type encKind int
+type encKind uint8
 
 const (
-	encR encKind = iota
-	encI         // rd, rs, imm16
-	encB         // rt, rs, off16
-	encJ         // off26
-	encX         // two-word (EXITI/CHAIN/ASSIST)
-	encN         // no operands
+	encBad encKind = iota // not an opcode
+	encR                  // rd, rs, rt
+	encI                  // rd, rs, imm16
+	encB                  // rt, rs, off16
+	encJ                  // off26
+	encX                  // two-word (EXITI/CHAIN/ASSIST)
+	encN                  // no operands
 )
 
 func kindOf(op Op) encKind {
@@ -98,28 +99,59 @@ func kindOf(op Op) encKind {
 	case EXITI, CHAIN, ASSIST:
 		return encX
 	}
-	return encN
+	return encBad
 }
+
+// format is how Append encodes an opcode: the bits each register field
+// may not have set (all of them for a field the format does not carry,
+// those past r31 for one it does), where Rt goes, which bits of Imm the
+// first word keeps, and the values Imm may take — the ones its field
+// decodes to. Indexed by Op, so that an encode is a lookup, one test
+// and a few shifts; codegen encodes every instruction it emits.
+type format struct {
+	kind                encKind
+	rdBad, rsBad, rtBad uint8
+	rtShift             uint8
+	immMask             Word
+	lo, hi              int32
+}
+
+var formats = func() (t [256]format) {
+	const carried, absent = 0xe0, 0xff
+	for op := Op(0); op < numOps; op++ {
+		f := format{kind: kindOf(op), rdBad: absent, rsBad: absent, rtBad: absent, rtShift: 11}
+		switch f.kind {
+		case encR:
+			f.rdBad, f.rsBad, f.rtBad = carried, carried, carried
+		case encI:
+			f.rdBad, f.rsBad = carried, carried
+			f.immMask, f.lo, f.hi = 0xffff, MinSImm, MaxSImm
+			switch op {
+			case ANDI, ORI, XORI, LUI:
+				f.lo, f.hi = 0, MaxUImm
+			case SLLI, SRLI, SRAI:
+				f.lo, f.hi = 0, 31
+			}
+		case encB:
+			f.rsBad, f.rtBad, f.rtShift = carried, carried, 21
+			f.immMask, f.lo, f.hi = 0xffff, MinSImm, MaxSImm
+		case encJ:
+			f.immMask, f.lo, f.hi = 1<<26-1, -(1 << 25), 1<<25-1
+		case encX:
+			f.lo, f.hi = math.MinInt32, math.MaxInt32
+		}
+		t[op] = f
+	}
+	return t
+}()
 
 // Words returns the encoded length of an instruction with this opcode:
 // two words for the three that carry a guest PC, one for the rest.
 func (o Op) Words() int {
-	if kindOf(o) == encX {
+	if o == EXITI || o == CHAIN || o == ASSIST {
 		return 2
 	}
 	return 1
-}
-
-// immFits reports whether imm is what the op's 16-bit field decodes to
-// for some field value.
-func immFits(op Op, imm int32) bool {
-	switch op {
-	case ANDI, ORI, XORI, LUI:
-		return FitsUImm(imm)
-	case SLLI, SRLI, SRAI:
-		return imm >= 0 && imm < 32
-	}
-	return FitsSImm(imm)
 }
 
 // Append appends the encoding of in to code. It fails, appending
@@ -127,38 +159,19 @@ func immFits(op Op, imm int32) bool {
 // an immediate outside its field, or a field the format does not carry
 // set to anything but zero.
 func Append(code []Word, in Inst) ([]Word, error) {
-	op := Word(in.Op) << 26
-	regs := in.Rd|in.Rs|in.Rt < NumRegs
-	var w Word
-	ok := in.Op < numOps
-	switch kindOf(in.Op) {
-	case encN:
-		ok = ok && in.Rd|in.Rs|in.Rt == 0 && in.Imm == 0
-		w = op
-	case encR:
-		ok = ok && regs && in.Imm == 0
-		w = op | Word(in.Rd)<<21 | Word(in.Rs)<<16 | Word(in.Rt)<<11
-	case encI:
-		ok = ok && regs && in.Rt == 0 && immFits(in.Op, in.Imm)
-		w = op | Word(in.Rd)<<21 | Word(in.Rs)<<16 | Word(uint16(in.Imm))
-	case encB:
-		ok = ok && regs && in.Rd == 0 && FitsSImm(in.Imm)
-		w = op | Word(in.Rt)<<21 | Word(in.Rs)<<16 | Word(uint16(in.Imm))
-	case encJ:
-		if ok = ok && in.Rd|in.Rs|in.Rt == 0; ok {
-			w, ok = JumpWord(int(in.Imm))
-			w |= op
-		}
-	case encX:
-		if ok && in.Rd|in.Rs|in.Rt == 0 {
-			return append(code, op, Word(in.GuestPC())), nil
-		}
-		ok = false
+	f := &formats[in.Op]
+	if f.kind == encBad || in.Rd&f.rdBad|in.Rs&f.rsBad|in.Rt&f.rtBad != 0 || in.Imm < f.lo || in.Imm > f.hi {
+		return code, unencodable(in)
 	}
-	if !ok {
-		return code, fmt.Errorf("rawisa: %v (%+v) has no encoding", in, in)
+	w := Word(in.Op)<<26 | Word(in.Rd)<<21 | Word(in.Rs)<<16 | Word(in.Rt)<<f.rtShift | Word(in.Imm)&f.immMask
+	if f.kind == encX {
+		return append(code, w, Word(in.GuestPC())), nil
 	}
 	return append(code, w), nil
+}
+
+func unencodable(in Inst) error {
+	return fmt.Errorf("rawisa: %v (%+v) has no encoding", in, in)
 }
 
 // Encode encodes a code sequence whose branch offsets already count
@@ -186,7 +199,7 @@ func Decode(w []Word, i int) (Inst, int, error) {
 		return Inst{}, 0, fmt.Errorf("rawisa: bad opcode %d at word %d", op, i)
 	}
 	in := Inst{Op: op}
-	switch kindOf(op) {
+	switch formats[op].kind {
 	case encN:
 	case encR:
 		in.Rd, in.Rs, in.Rt = word.Rd(), word.Rs(), word.Rt()
