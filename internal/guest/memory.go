@@ -21,8 +21,9 @@ const (
 	dirBits   = 32 - pageShift - leafBits
 	dirShift  = pageShift + leafBits
 
-	// PageBytes is the page granularity of Capture/Restore snapshots,
-	// exported for the checkpoint codec's length validation.
+	// PageBytes is the page size: the length of each page of a
+	// Capture/Restore snapshot (MemImage), and the unit a loaded
+	// image's footprint is counted in (TestLoadFootprint).
 	PageBytes = pageSize
 )
 

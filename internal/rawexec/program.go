@@ -54,8 +54,8 @@ func (p *Program) Sync(arena []rawisa.Word) {
 // (LUI's shift, the zero-extension of the logical immediates, the 5-bit
 // shift count), the branch target, the access width and sign of a
 // guest load or store, and, for EXITI, CHAIN and ASSIST, the guest PC
-// in the word after it. Virtual time is accumulated in a local counter and
-// flushed to the Clock only at Env calls and block exits, so the
+// in the word after it. Virtual time is accumulated in a local counter
+// and flushed to the Clock only at Env calls and block exits, so the
 // per-instruction cost is plain integer arithmetic instead of interface
 // method dispatch; the flushed totals (and therefore all timing) are
 // bit-identical to the unbatched path.

@@ -161,17 +161,13 @@ func (o Op) Words() int {
 func Append(code []Word, in Inst) ([]Word, error) {
 	f := &formats[in.Op]
 	if f.kind == encBad || in.Rd&f.rdBad|in.Rs&f.rsBad|in.Rt&f.rtBad != 0 || in.Imm < f.lo || in.Imm > f.hi {
-		return code, unencodable(in)
+		return code, fmt.Errorf("rawisa: %v (%+v) has no encoding", in, in)
 	}
 	w := Word(in.Op)<<26 | Word(in.Rd)<<21 | Word(in.Rs)<<16 | Word(in.Rt)<<f.rtShift | Word(in.Imm)&f.immMask
 	if f.kind == encX {
 		return append(code, w, Word(in.GuestPC())), nil
 	}
 	return append(code, w), nil
-}
-
-func unencodable(in Inst) error {
-	return fmt.Errorf("rawisa: %v (%+v) has no encoding", in, in)
 }
 
 // Encode encodes a code sequence whose branch offsets already count

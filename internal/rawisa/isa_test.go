@@ -35,6 +35,18 @@ func TestGuestPCSurvivesImm(t *testing.T) {
 	}
 }
 
+// TestCodeBytes: a code sequence's size in the code caches is four bytes
+// a word, and an exit's guest PC takes a word of its own.
+func TestCodeBytes(t *testing.T) {
+	w, err := Encode([]Inst{
+		{Op: ADDI, Rd: 1, Rs: 1, Imm: 4},
+		{Op: CHAIN, Imm: 0x1000},
+	})
+	if err != nil || 4*len(w) != 12 {
+		t.Errorf("%d bytes (%v), want 12", 4*len(w), err)
+	}
+}
+
 func TestBlockEnd(t *testing.T) {
 	ends := []Op{J, JR, EXITI, EXITR, CHAIN}
 	for _, op := range ends {

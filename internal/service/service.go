@@ -123,7 +123,7 @@ type Service struct {
 	// memo holds the translations of imgs for the daemon's lifetime:
 	// jobs name workloads from a fixed catalogue, so after the first job
 	// of a workload every later one finds its blocks translated
-	// (core.Config.Memo). Bounded by the catalogue — about 8.5 MB if all
+	// (core.Config.Memo). Bounded by the catalogue — about 5.2 MB if all
 	// eleven profiles are ever served — so there is nothing to size.
 	memo *translate.Memo
 
