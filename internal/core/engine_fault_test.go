@@ -88,8 +88,24 @@ func TestFaultChaosRecovers(t *testing.T) {
 // to the last checkpoint and re-execute without the bank rather than
 // cut it out in place and lose its writebacks — and still produce the
 // architecturally correct result.
+//
+// sumLoop spends its run in one block chained to itself in the L1,
+// which never returns to the dispatch loop, where checkpoints are
+// captured. A due checkpoint interrupts the chain like a pending SMC
+// invalidation does, so the loop is checkpointed at its cadence — one
+// capture every DefaultCheckpointInterval cycles, 21 over this run of
+// 2.1 million — and the bank's death rolls back to the last one, not to
+// the start. Captured at the dispatch loop alone, the run took 2
+// checkpoints and re-executed 1,256,017 cycles.
 func TestFaultSurvivesSlaveAndBankKill(t *testing.T) {
-	cfg := slaveAndBankKill()
+	cfg := DefaultConfig()
+	cfg.MaxCycles = 4_000_000_000
+	cfg.Fault = &fault.Plan{
+		Fails: []fault.TileFail{
+			{Tile: 8, Cycle: 100_000},   // a permanent translation slave
+			{Tile: 7, Cycle: 1_200_000}, // a switchable tile serving as bank
+		},
+	}
 	cfg.Journal = &checkpoint.Journal{}
 	res := checkAgainstReference(t, sumLoop(20000), cfg)
 	// Fault tallies accumulate across attempts, and the re-executed
@@ -113,37 +129,11 @@ func TestFaultSurvivesSlaveAndBankKill(t *testing.T) {
 	if !rolledBack {
 		t.Error("journal holds no rollback excision of bank tile 7")
 	}
-}
-
-// slaveAndBankKill is TestFaultSurvivesSlaveAndBankKill's configuration:
-// a translation slave fails early, then a bank tile holding dirty lines.
-func slaveAndBankKill() Config {
-	cfg := DefaultConfig()
-	cfg.MaxCycles = 4_000_000_000
-	cfg.Fault = &fault.Plan{
-		Fails: []fault.TileFail{
-			{Tile: 8, Cycle: 100_000},   // a permanent translation slave
-			{Tile: 7, Cycle: 1_200_000}, // a switchable tile serving as bank
-		},
-	}
-	return cfg
-}
-
-// TestChainedLoopCheckpoints: sumLoop spends its run in one block chained
-// to itself in the L1, which never returns to the dispatch loop, where
-// checkpoints are captured. A due checkpoint interrupts the chain like a
-// pending SMC invalidation does, so the loop is checkpointed at its
-// cadence — one capture every DefaultCheckpointInterval cycles, 21 over
-// this run of 2.1 million — and the bank's death rolls back to the last
-// one, not to the start. Captured at the dispatch loop alone, the run
-// took 2 checkpoints and re-executed 1,256,017 cycles.
-func TestChainedLoopCheckpoints(t *testing.T) {
-	res := checkAgainstReference(t, sumLoop(20000), slaveAndBankKill())
 	if want := res.Cycles/DefaultCheckpointInterval - 1; res.M.Checkpoints < want {
 		t.Errorf("Checkpoints = %d over %d cycles, want at least %d", res.M.Checkpoints, res.Cycles, want)
 	}
-	if res.M.Rollbacks < 1 || res.M.ReexecCycles >= 300_000 {
-		t.Errorf("%d rollbacks re-executed %d cycles, want at least one, under 300,000", res.M.Rollbacks, res.M.ReexecCycles)
+	if res.M.ReexecCycles >= 300_000 {
+		t.Errorf("rollbacks re-executed %d cycles, want under 300,000 (the last checkpoint, not the start)", res.M.ReexecCycles)
 	}
 }
 

@@ -53,17 +53,21 @@ func fingerprint(r *Result) archFingerprint {
 	}
 }
 
-// checkpointed is the fingerprint a run with checkpoints armed (a plan
-// with a fail clause) shares with a solo run. A due checkpoint ends a
-// loop of blocks chained in the L1 at the dispatch loop, which captures
-// it and re-enters the loop through an L1 hit, so dispatches, lookups and
-// hits each count those exits as well. The L1 misses and the dispatches
-// that were not lookups are what stay fixed; the hits are not compared.
-func (fp archFingerprint) checkpointed() archFingerprint {
-	fp.BlockDispatches -= fp.L1CLookups
-	fp.L1CLookups -= fp.L1CHits
-	fp.L1CHits = 0
-	return fp
+// checkpointedMatches reports whether got, the fingerprint of a run with
+// checkpoints armed (a plan with a fail clause) that captured ckpts
+// checkpoints, equals want, a solo run's, once its checkpoint exits are
+// allowed for. A due checkpoint ends a loop of blocks chained in the L1
+// at the dispatch loop, which captures it and re-enters the loop through
+// an L1 hit: each exit adds exactly one dispatch, one L1 lookup and one
+// L1 hit, and no exit goes without a capture. Every other field is equal.
+func checkpointedMatches(got, want archFingerprint, ckpts uint64) bool {
+	d := got.BlockDispatches - want.BlockDispatches
+	if got.BlockDispatches < want.BlockDispatches || d > ckpts ||
+		got.L1CLookups-want.L1CLookups != d || got.L1CHits-want.L1CHits != d {
+		return false
+	}
+	got.BlockDispatches, got.L1CLookups, got.L1CHits = want.BlockDispatches, want.L1CLookups, want.L1CHits
+	return got == want
 }
 
 // soloFingerprints runs each distinct image alone on the default 4×4

@@ -152,7 +152,7 @@ func TestFleetChaosQuarantineRetry(t *testing.T) {
 			if g.Result == nil {
 				t.Fatalf("guest %d finished without a Result", gi)
 			}
-			if got, want := fingerprint(g.Result).checkpointed(), solo[imgs[gi]].checkpointed(); got != want {
+			if got, want := fingerprint(g.Result), solo[imgs[gi]]; !checkpointedMatches(got, want, g.Result.M.Checkpoints) {
 				t.Errorf("guest %d (attempt %d) fingerprint diverged from solo run\n got %+v\nwant %+v",
 					gi, g.Attempts, got, want)
 			}
@@ -258,7 +258,7 @@ func TestFleetRetryWithRollback(t *testing.T) {
 		t.Errorf("guest 0 recorded %d rollbacks, want 1 (retry must restore, not restart)", g.Result.M.Rollbacks)
 	}
 	solo := soloFingerprints(t, imgs)
-	if got, want := fingerprint(g.Result).checkpointed(), solo[imgs[0]].checkpointed(); got != want {
+	if got, want := fingerprint(g.Result), solo[imgs[0]]; !checkpointedMatches(got, want, g.Result.M.Checkpoints) {
 		t.Errorf("restored guest diverged from solo run\n got %+v\nwant %+v", got, want)
 	}
 	if a.Fleet.GuestsRetried != 1 || a.Fleet.SlotsQuarantined != 1 {
