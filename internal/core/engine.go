@@ -139,6 +139,9 @@ func Run(img *guest.Image, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Fault.Empty() {
+		return runSolo(img, cfg)
+	}
 	cfg.fillDefaults()
 	var ck *checkpoint.Checkpointer
 	if cfg.Fault != nil && len(cfg.Fault.Fails) > 0 {
@@ -175,6 +178,31 @@ func Run(img *guest.Image, cfg Config) (*Result, error) {
 		cfg.Journal.Add(checkpoint.EvRollback, start, uint64(rb.tile), target)
 		cfg.Tracer.Instant(rb.tile, "rollback", start, "restore_to", target, "dead_tile", uint64(rb.tile))
 	}
+}
+
+// runSolo is Run on a fleet of one: one slot, laid out by place.
+func runSolo(img *guest.Image, cfg Config) (*Result, error) {
+	fl, simErr := runFleet([]*guest.Image{img}, cfg, FleetConfig{}, []placement{place(&cfg)}, true)
+	e := fl.engines[0]
+	if e.stopCycles == 0 {
+		e.stopCycles = fl.m.Sim.Now()
+	}
+	res := e.result()
+	res.TileBusy = fl.m.BusyCycles()
+	e.jadd(checkpoint.EvFinal, e.stopCycles, uint64(uint32(res.ExitCode)), res.StateHash)
+	// Partial results are returned alongside the error so callers can
+	// diagnose watchdog/abort conditions.
+	if simErr != nil {
+		var perr *sim.PanicError
+		if errors.As(simErr, &perr) {
+			return res, fl.attributePanic(perr)
+		}
+		return res, fmt.Errorf("core: simulation failed: %w", simErr)
+	}
+	if e.execErr != nil {
+		return res, fmt.Errorf("core: guest execution failed: %w", e.execErr)
+	}
+	return res, nil
 }
 
 // addCounts sums fault tallies across re-execution attempts. Faults

@@ -183,6 +183,9 @@ type fleetRun struct {
 	fleet           metrics.FleetSet
 
 	remaining int // guests not yet terminal; 0 stops the simulation
+
+	// solo marks Run's fleet of one (runFleet).
+	solo bool
 }
 
 // RunFleet executes N guests as a fleet of virtual machines sharing
@@ -213,11 +216,43 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	if err != nil {
 		return nil, err
 	}
-	cfg.fillDefaults()
+	fl, simErr := runFleet(imgs, cfg, fc, slots, false)
 
+	// A tile-kernel panic is attributed to the guest whose slot hosted
+	// the panicking process before results are collected, so the victim
+	// reports GuestInternalError while finished guests keep their
+	// results.
+	var ie *InternalError
+	var perr *sim.PanicError
+	if errors.As(simErr, &perr) {
+		ie = fl.attributePanic(perr)
+	}
+	res = fl.collect()
+	if ie != nil {
+		return res, ie
+	}
+	if simErr != nil {
+		return res, fmt.Errorf("core: fleet simulation failed: %w", simErr)
+	}
+	for gi, e := range fl.engines {
+		if e != nil && e.execErr != nil && !e.cancelled {
+			return res, fmt.Errorf("core: guest %d failed: %w", gi, e.execErr)
+		}
+	}
+	return res, nil
+}
+
+// runFleet builds the machine for a validated configuration, admits
+// imgs to slots and runs the simulation, returning the scheduler state
+// the results are read from and the simulation's error. solo marks
+// Run's fleet of one: its one slot is the fixed 4×4 layout, and its
+// trace rows carry no VM label.
+func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement, solo bool) (*fleetRun, error) {
+	cfg.fillDefaults()
 	fl := &fleetRun{
 		cfg:             cfg,
 		fc:              fc,
+		solo:            solo,
 		m:               raw.NewMachine(cfg.Params),
 		imgs:            imgs,
 		slots:           slots,
@@ -311,31 +346,7 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	if len(slots) > 1 && cfg.Fault.Empty() && len(fl.events) == 0 {
 		fl.shardSlots()
 	}
-
-	simErr := fl.m.Run()
-
-	// A tile-kernel panic is attributed to the guest whose slot hosted
-	// the panicking process before results are collected, so the victim
-	// reports GuestInternalError while finished guests keep their
-	// results.
-	var ie *InternalError
-	var perr *sim.PanicError
-	if errors.As(simErr, &perr) {
-		ie = fl.attributePanic(perr)
-	}
-	res = fl.collect()
-	if ie != nil {
-		return res, ie
-	}
-	if simErr != nil {
-		return res, fmt.Errorf("core: fleet simulation failed: %w", simErr)
-	}
-	for gi, e := range fl.engines {
-		if e != nil && e.execErr != nil && !e.cancelled {
-			return res, fmt.Errorf("core: guest %d failed: %w", gi, e.execErr)
-		}
-	}
-	return res, nil
+	return fl, fl.m.Run()
 }
 
 // attributePanic maps a sim-level panic onto the fleet: the slot whose
@@ -374,7 +385,9 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 		}),
 		codePages: map[uint32]bool{},
 		pageInval: map[uint32]uint64{},
-		vmLabel:   fmt.Sprintf("vm%d", gi),
+	}
+	if !fl.solo {
+		e.vmLabel = fmt.Sprintf("vm%d", gi)
 	}
 	if fl.cks != nil {
 		e.ck = fl.cks[gi]
@@ -562,6 +575,24 @@ func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e *engine, gi int) {
 		"restore_to", snap.Cycles, "guest", uint64(gi))
 }
 
+// result assembles the guest's Result from its engine once the
+// simulation has ended.
+func (e *engine) result() *Result {
+	e.stats.Cycles = e.stopCycles
+	if e.mgr != nil {
+		e.stats.L2CAccess = e.mgr.l2.Accesses
+		e.stats.L2CMisses = e.mgr.l2.Misses
+		e.stats.SpecWasted = uint64(len(e.mgr.specStored))
+	}
+	return &Result{
+		Cycles:    e.stopCycles,
+		ExitCode:  e.proc.Kern.ExitCode,
+		Stdout:    e.proc.Kern.Stdout.String(),
+		M:         e.stats,
+		StateHash: checkpoint.FinalHash(e.proc),
+	}
+}
+
 // handoff rebinds a slot's service tiles to the next guest's engine.
 // Phase 1 quiesces the manager: it acks only once its in-flight
 // translations have completed (and been discarded; beginSwitch), so no
@@ -617,19 +648,7 @@ func (fl *fleetRun) collect() *FleetResult {
 			// mid-flight snapshot of a cancelled attempt, not a result.
 			continue
 		}
-		e.stats.Cycles = e.stopCycles
-		if e.mgr != nil {
-			e.stats.L2CAccess = e.mgr.l2.Accesses
-			e.stats.L2CMisses = e.mgr.l2.Misses
-			e.stats.SpecWasted = uint64(len(e.mgr.specStored))
-		}
-		gr.Result = &Result{
-			Cycles:    e.stopCycles,
-			ExitCode:  e.proc.Kern.ExitCode,
-			Stdout:    e.proc.Kern.Stdout.String(),
-			M:         e.stats,
-			StateHash: checkpoint.FinalHash(e.proc),
-		}
+		gr.Result = e.result()
 		if gr.Finished > res.Makespan {
 			res.Makespan = gr.Finished
 		}
