@@ -11,7 +11,7 @@ import (
 // (beyond the paper): each configuration kills a growing prefix of
 // worker tiles mid-run and the machine recovers — excision morphs
 // around a dead tile in place, and a dead bank holding dirty lines
-// rolls the machine back to its last whole-machine checkpoint and
+// rolls the guest back to its last whole-machine checkpoint and
 // re-executes on the surviving topology. Values are cycles relative to
 // the fault-free run of the same benchmark, so 1.0 means unharmed and
 // larger means the recovered machine ran slower. Suite.Run's

@@ -63,8 +63,8 @@ type Config struct {
 	// with retry-and-backoff on the execution tile, and manager-driven
 	// excision of dead tiles through the morph/flush/remap path. A fail
 	// clause also arms checkpoints every DefaultCheckpointInterval
-	// cycles: a dead bank holding dirty lines rolls the machine back to
-	// the last one, and a fleet retry resumes from the guest's latest.
+	// cycles: a dead bank holding dirty lines rolls the guest back to
+	// the last one, and so does a fleet retry.
 	// With Fault nil (or empty) no fault code path runs and the machine
 	// is bit-identical to a fault-free build.
 	Fault *fault.Plan
@@ -84,8 +84,8 @@ type Config struct {
 	// (core.NewTracer). Tracing charges zero virtual cycles and uses
 	// only virtual timestamps, so a traced run is cycle-identical to an
 	// untraced one; with Tracer nil no tracing code path allocates.
-	// Across a rollback the tracer spans attempts: events from an
-	// aborted attempt stay on the timeline, so the rollback itself is
+	// Across a rollback the tracer spans admissions: events from the
+	// cancelled one stay on the timeline, so the rollback itself is
 	// visible.
 	Tracer *trace.Tracer
 
@@ -181,28 +181,6 @@ type placement struct {
 // fault is bounded, sparse enough that host-side capture cost stays
 // small. (Capture charges no virtual cycles either way.)
 const DefaultCheckpointInterval = 100_000
-
-// dropDead removes dead tiles from the role lists, for a rollback
-// re-execution attempt: the dead tiles are not spawned at all, and the
-// restored machine starts directly in the surviving topology.
-func (p *placement) dropDead(dead []int) {
-	isDead := make(map[int]bool, len(dead))
-	for _, t := range dead {
-		isDead[t] = true
-	}
-	filter := func(ts []int) []int {
-		kept := ts[:0]
-		for _, t := range ts {
-			if !isDead[t] {
-				kept = append(kept, t)
-			}
-		}
-		return kept
-	}
-	p.slaves = filter(append([]int(nil), p.slaves...))
-	p.banks = filter(append([]int(nil), p.banks...))
-	p.switchable = filter(append([]int(nil), p.switchable...))
-}
 
 // place resolves a valid config (Validate) to tile assignments.
 func place(cfg *Config) placement {

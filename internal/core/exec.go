@@ -118,11 +118,7 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 	e.stats.DL1Accesses = env.dl1.Accesses
 	e.stats.DL1Misses = env.dl1.Misses
 	e.stopCycles = c.Now()
-	if e.onExit != nil {
-		e.onExit(c)
-	} else {
-		c.Stop()
-	}
+	e.onExit(c)
 }
 
 // watchdog is the execution tile's one blocking wait. Every
@@ -172,12 +168,16 @@ func (w *watchdog) recv() (msg sim.Msg, due bool) {
 
 // broadcast sends req to every target in pending and waits until each
 // has answered with an A. A due watchdog re-sends to the targets that
-// have not answered, so req must be idempotent at its receivers; only
-// the SMC invalidation is ever re-sent, as fleet slots, which hand off,
-// never run fault recovery.
-func broadcast[A any](e *engine, c *raw.TileCtx, pending []int, req any) {
+// have not answered, so req must be idempotent at its receivers: an SMC
+// invalidation is, and a vmSwitch is acked again by a tile already
+// bound to the new epoch. A target that gone reports (nil for none) is
+// dropped at a re-send: the slot has lost it, and it will never answer.
+func broadcast[A any](e *engine, c *raw.TileCtx, pending []int, req any, gone func(int) bool) {
 	for w, due := e.watch(c), true; len(pending) > 0; {
 		if due {
+			if gone != nil {
+				pending = slices.DeleteFunc(pending, gone)
+			}
 			for _, t := range pending {
 				c.Send(t, req, wordsCtl)
 			}
@@ -205,7 +205,7 @@ func (e *engine) smcInvalidate(c *raw.TileCtx, env *execEnv, l1 *codecache.L1) {
 	e.stats.SMCInvalidations++
 	t0 := c.Now()
 	inval := smcInval{Lo: env.smcLo, Hi: env.smcHi}
-	broadcast[smcAck](e, c, append([]int{e.pl.manager}, e.pl.l15...), inval)
+	broadcast[smcAck](e, c, append([]int{e.pl.manager}, e.pl.l15...), inval, nil)
 	l1.Flush()
 	env.interp = x86interp.New(e.proc)
 	env.smcPending = false
@@ -416,11 +416,11 @@ func (v *execEnv) Assist(guestPC uint32, cpu *rawexec.CPU) error {
 func (v *execEnv) Stopped() bool { return v.exited }
 
 // Interrupted implements rawexec.Env: an SMC invalidation is pending,
-// or a checkpoint is due. Checkpoints are captured only at the dispatch
-// loop, so a loop of blocks chained in the L1, which never returns
-// there, would otherwise run checkpoint-free to its end.
+// a rollback, or a checkpoint is due. Both of the last two are taken
+// only at the dispatch loop, so a loop of blocks chained in the L1,
+// which never returns there, would otherwise run on to its end.
 func (v *execEnv) Interrupted(now uint64) bool {
-	return v.smcPending || v.e.checkpointDue(now)
+	return v.smcPending || v.e.rollback != nil || v.e.checkpointDue(now)
 }
 
 // checkpointDue reports whether the dispatch loop is to capture a

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 
 	"tilevm/internal/checkpoint"
+	"tilevm/internal/dcache"
 	"tilevm/internal/fault"
 	"tilevm/internal/guest"
 	"tilevm/internal/metrics"
@@ -164,6 +165,7 @@ type fleetRun struct {
 	errs     []error
 	deadline []uint64 // effective per-guest deadline (0 = none)
 	cks      []*checkpoint.Checkpointer
+	lost     []rollbackReq // the fail-stop that quarantined the guest's last slot
 
 	// Admission queue: guests waiting for a slot, in admission order.
 	queue []pendingGuest
@@ -184,8 +186,9 @@ type fleetRun struct {
 
 	remaining int // guests not yet terminal; 0 stops the simulation
 
-	// solo marks Run's fleet of one (runFleet).
-	solo bool
+	// solo marks Run's fleet of one (runFleet); robust arms the
+	// recovery protocol on every engine (engine.inj).
+	solo, robust bool
 }
 
 // RunFleet executes N guests as a fleet of virtual machines sharing
@@ -195,12 +198,13 @@ type fleetRun struct {
 // repeated runs are byte-identical, and each guest's final state hash
 // equals its solo-run hash regardless of slot assignment.
 //
-// cfg.Fault may carry a fail-stop/stall plan (validateFleetFaultPlan);
-// fail-stops quarantine the slot they hit and the victim guest is
-// retried per fc's policy knobs. A plan with fail clauses also makes
-// guests checkpoint at their dispatch boundary every
-// DefaultCheckpointInterval cycles, and a retry resumes from the latest
-// snapshot instead of the image.
+// cfg.Fault may carry a fail-stop/stall plan (validateFleetFaultPlan).
+// A plan with fail clauses arms the recovery protocol in every slot and
+// makes guests checkpoint at their dispatch boundary every
+// DefaultCheckpointInterval cycles. A slot loses a slave or bank in
+// place; any other fail-stop quarantines the slot it hits, and the
+// victim guest is retried per fc's policy knobs, from its latest
+// checkpoint instead of the image.
 func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult, err error) {
 	// Panic containment, host side: tile-kernel panics are already
 	// converted to sim.PanicError by the event loop, and this boundary
@@ -265,6 +269,7 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 		phase:           make([]guestPhase, len(imgs)),
 		errs:            make([]error, len(imgs)),
 		deadline:        make([]uint64, len(imgs)),
+		lost:            make([]rollbackReq, len(imgs)),
 		slotQuarantined: map[int]bool{},
 		slotIdx:         slotIndexOf(slots),
 		maxAttempts:     fc.MaxAttempts,
@@ -297,11 +302,18 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 	if !cfg.Fault.Empty() {
 		inj := fault.NewInjector(cfg.Fault)
 		fl.m.Faults = inj
-		if cfg.Tracer != nil {
+		if cfg.Journal != nil || cfg.Tracer != nil {
 			inj.Observe = func(kind fault.Kind, tile int, now uint64) {
+				cfg.Journal.Add(checkpoint.EvFault, now, uint64(kind), uint64(tile))
 				cfg.Tracer.Instant(tile, "fault", now, "kind", uint64(kind), "", 0)
 			}
 		}
+		// The recovery protocol is armed wherever a tile can be lost: on
+		// Run's machine under any plan (a stall past the heartbeat
+		// timeout reads as a death), on a carved fleet under a plan that
+		// fail-stops. A stall alone loses no message, so a carved fleet
+		// rides it out on the plain protocol.
+		fl.robust = solo || fl.plan != nil
 	}
 	if fl.plan != nil {
 		fl.cks = make([]*checkpoint.Checkpointer, len(imgs))
@@ -376,6 +388,7 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 	e := &engine{
 		cfg:  fl.cfg,
 		pl:   fl.slots[si],
+		slot: &fl.slots[si],
 		m:    fl.m,
 		img:  fl.imgs[gi],
 		proc: guest.Load(fl.imgs[gi]),
@@ -391,6 +404,10 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 	}
 	if fl.cks != nil {
 		e.ck = fl.cks[gi]
+	}
+	if fl.robust {
+		e.inj = fl.m.Faults
+		e.bankOf = map[int]*dcache.Bank{}
 	}
 	e.onExit = func(c *raw.TileCtx) {
 		// With a shard per slot the fleet bookkeeping below — and the
@@ -434,6 +451,10 @@ func (fl *fleetRun) spawnSlots() {
 				e.execKernel(c)
 				if h.quarantined {
 					return
+				}
+				if e.rollback != nil {
+					fl.rollBack(c, h, si)
+					continue
 				}
 				if !e.cancelled {
 					fl.finished[h.guest] = e.stopCycles
@@ -530,49 +551,90 @@ func (fl *fleetRun) nextGuest(c *raw.TileCtx, h *slotHost) (int, bool) {
 }
 
 // admit binds guest gi to slot si and runs the vmSwitch handoff. A
-// re-admission (attempt > 1) restarts the guest from its latest
-// checkpoint, charging the modeled restore penalty — or from its image
-// if it has none yet.
+// re-admission (attempt > 1) is a retry after a quarantine, which
+// resumes the guest from its latest checkpoint (restoreForRetry).
 func (fl *fleetRun) admit(c *raw.TileCtx, h *slotHost, si, gi int) {
-	pl := fl.slots[si]
+	prev := fl.engines[gi]
 	h.cur = fl.newEngine(gi, si)
 	h.guest = gi
 	fl.phase[gi] = phaseRunning
 	fl.attempts[gi]++
 	if fl.attempts[gi] > 1 {
 		fl.fleet.GuestsRetried++
-		fl.cfg.Tracer.Instant(pl.exec, "fleet_retry", c.Now(),
+		fl.cfg.Tracer.Instant(fl.slots[si].exec, "fleet_retry", c.Now(),
 			"guest", uint64(gi), "attempt", uint64(fl.attempts[gi]))
-		fl.restoreForRetry(c, h.cur, gi)
+		fl.restoreForRetry(c, h.cur, prev, fl.lost[gi], false)
 	}
 	fl.admitted[gi] = c.Now()
-	fl.handoff(c, h.cur, pl)
+	fl.handoff(c, h.cur)
+}
+
+// rollBack re-admits slot si's guest after its manager found a dead
+// bank holding dirty lines: the same guest, on the same slot, from its
+// latest checkpoint. It is recovery within the admission, not a retry,
+// so neither Attempts nor the fleet's retry count moves.
+func (fl *fleetRun) rollBack(c *raw.TileCtx, h *slotHost, si int) {
+	prev := h.cur
+	h.cur = fl.newEngine(h.guest, si)
+	fl.restoreForRetry(c, h.cur, prev, *prev.rollback, true)
+	fl.handoff(c, h.cur)
 }
 
 // restoreForRetry rebases a re-admitted guest on its latest checkpoint,
-// if it has one. Either way the guest's checkpointer is re-armed: the
-// new attempt owns a fresh Memory, so the next capture must be a full
-// snapshot, not an incremental diff against the aborted attempt's
+// if it has one, and carries its rollback accounting over from prev,
+// the admission lost at cycle lost.detect. Restoring counts a rollback:
+// the cycles from the checkpoint to the loss are re-executed, and the
+// modelled restore penalty is charged to the execution tile. An
+// in-place rollback with no checkpoint yet counts one too, re-executing
+// from the image; a retry with none starts the guest afresh, which only
+// Attempts counts. Either way the guest's checkpointer is re-armed: the
+// new admission owns a fresh Memory, so the next capture must be a
+// full snapshot, not an incremental diff against the lost admission's
 // pages.
-func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e *engine, gi int) {
-	if fl.cks == nil {
+func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e, prev *engine, lost rollbackReq, inPlace bool) {
+	snap := e.ck.Last()
+	e.ck.Rearm()
+	var target, pages uint64
+	if snap != nil {
+		e.restore = snap
+		e.applyRestore(snap)
+		target, pages = snap.Cycles, uint64(len(snap.Mem.Pages))
+	}
+	e.stats.Rollbacks = prev.stats.Rollbacks
+	e.stats.ReexecCycles = prev.stats.ReexecCycles
+	e.stats.RollbackCycles = prev.stats.RollbackCycles
+	if snap == nil && !inPlace {
 		return
 	}
-	ck := fl.cks[gi]
-	snap := ck.Last()
-	ck.Rearm()
-	if snap == nil {
-		return
-	}
-	e.restore = snap
-	e.applyRestore(snap)
 	P := &fl.cfg.Params
-	penalty := P.RollbackFixedOcc + uint64(len(snap.Mem.Pages))*P.RollbackPerPageOcc
-	e.stats.Rollbacks = uint64(fl.attempts[gi] - 1)
-	e.stats.RollbackCycles = penalty
+	penalty := P.RollbackFixedOcc + pages*P.RollbackPerPageOcc
+	e.stats.Rollbacks++
+	e.stats.ReexecCycles += lost.detect - target
+	e.stats.RollbackCycles += penalty
 	c.Tick(penalty)
-	fl.cfg.Tracer.Instant(fl.slots[fl.slotOf[gi]].exec, "rollback", c.Now(),
-		"restore_to", snap.Cycles, "guest", uint64(gi))
+	e.jadd(checkpoint.EvRollback, c.Now(), uint64(lost.tile), target)
+	fl.cfg.Tracer.Instant(c.Tile, "rollback", c.Now(), "restore_to", target, "dead_tile", uint64(lost.tile))
+}
+
+// handoff rebinds a slot's service tiles to the next guest's engine.
+// Phase 1 quiesces the manager: it acks only once its in-flight
+// translations have completed (and been discarded; beginSwitch), so no
+// stale transDone can reach the new epoch. Phase 2 resets the remaining
+// service tiles — workers flush their data banks (charged like a morph
+// flush) and slaves re-register with the new manager when their
+// kernels restart. The exec tile owns the handshake; it resumes
+// dispatching only after every service tile has acked. Under the
+// recovery protocol a request is re-sent until answered, so a tile
+// that acks a vmSwitch for the epoch it already runs just acks again,
+// and a worker the slot loses meanwhile is waited for no longer.
+func (fl *fleetRun) handoff(c *raw.TileCtx, e *engine) {
+	pl := e.slot
+	broadcast[switchAck](e, c, []int{pl.manager}, vmSwitch{}, nil)
+	targets := []int{pl.mmu, pl.sys}
+	targets = append(targets, pl.l15...)
+	targets = append(targets, pl.slaves...)
+	targets = append(targets, pl.banks...)
+	broadcast[switchAck](e, c, targets, vmSwitch{}, pl.gone)
 }
 
 // result assembles the guest's Result from its engine once the
@@ -591,23 +653,6 @@ func (e *engine) result() *Result {
 		M:         e.stats,
 		StateHash: checkpoint.FinalHash(e.proc),
 	}
-}
-
-// handoff rebinds a slot's service tiles to the next guest's engine.
-// Phase 1 quiesces the manager: it acks only once its in-flight
-// translations have completed (and been discarded; beginSwitch), so no
-// stale transDone can reach the new epoch. Phase 2 resets the remaining service tiles —
-// workers flush their data banks (charged like a morph flush) and
-// slaves re-register with the new manager when their kernels restart.
-// The exec tile owns the handshake; it resumes dispatching only after
-// every service tile has acked.
-func (fl *fleetRun) handoff(c *raw.TileCtx, e *engine, pl placement) {
-	broadcast[switchAck](e, c, []int{pl.manager}, vmSwitch{})
-	targets := []int{pl.mmu, pl.sys}
-	targets = append(targets, pl.l15...)
-	targets = append(targets, pl.slaves...)
-	targets = append(targets, pl.banks...)
-	broadcast[switchAck](e, c, targets, vmSwitch{})
 }
 
 // collect assembles the fleet result after the simulation ends.

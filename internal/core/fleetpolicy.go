@@ -6,15 +6,16 @@ import (
 	"tilevm/internal/sim"
 )
 
-// Fleet-level fault tolerance (DESIGN.md §10). The per-VM recovery
-// machinery — excision, heartbeats, rollback — assumes a robust
-// protocol stack that fleet slots deliberately do not run: every slot
-// service point (manager, exec, MMU, syscall proxy) is a single tile,
-// so a fail-stop anywhere in a slot is unrecoverable in place. The
-// fleet layer recovers at a coarser grain instead:
+// Fleet-level fault tolerance (DESIGN.md §10). Every slot runs the one
+// recovery protocol Run's machine runs (DESIGN.md §8): under a plan
+// with fail clauses its tiles heartbeat and watchdog, its manager
+// excises a dead slave or clean bank in place, and a dead bank holding
+// dirty lines rolls the guest back to its latest checkpoint on the same
+// slot. The fleet layer adds what a slot cannot do for itself:
 //
-//   - Slot quarantine: a fail-stop inside a slot excises the whole
-//     slot from the carve. Its tiles are daemon-marked (fail-stop
+//   - Slot quarantine: a fail-stop of a slot's single point of service
+//     — its exec, manager, MMU, syscall or L1.5 tile, or its last
+//     slave or bank — excises the whole slot from the carve. Its tiles are daemon-marked (fail-stop
 //     semantics: they drain or idle forever without tripping deadlock
 //     detection), its guest is aborted, and its manager stops
 //     dispatching, so the slot goes quiet once the translations in
@@ -198,24 +199,34 @@ func (fl *fleetRun) supervise(p *sim.Proc) {
 	}
 }
 
-// failsAt quarantines every slot hit by a fail-stop at this cycle, in
-// slot-carve order, then mass-aborts the queue if no slot survived.
+// failsAt applies every fail-stop at this cycle, in plan order. A
+// slot loses a slave or bank it has another of in place: the tile
+// leaves the slot's placement, so no later handoff waits on it, and
+// the running guest's manager excises it when the heartbeats stop (or
+// rolls the guest back, if it held dirty lines). Any other tile of a
+// slot — the exec, manager, MMU, syscall or L1.5 tile, or its last
+// slave or bank — quarantines the slot, in slot-carve order. If no slot
+// survives, the queue is mass-aborted.
 func (fl *fleetRun) failsAt(now uint64) {
 	if fl.plan == nil {
 		return
 	}
-	hit := map[int]bool{}
+	hit := map[int]int{}
 	for _, f := range fl.plan.Fails {
 		if f.Cycle != now {
 			continue
 		}
-		if si, ok := fl.slotIdx[f.Tile]; ok {
-			hit[si] = true
+		si, ok := fl.slotIdx[f.Tile]
+		if !ok || fl.slots[si].dropWorker(f.Tile) {
+			continue
+		}
+		if _, dup := hit[si]; !dup {
+			hit[si] = f.Tile
 		}
 	}
 	for si := range fl.slots { // carve order, deterministic
-		if hit[si] {
-			fl.quarantineSlot(si, now)
+		if t, ok := hit[si]; ok {
+			fl.quarantineSlot(si, t, now)
 		}
 	}
 	if len(hit) == 0 {
@@ -246,7 +257,7 @@ func (fl *fleetRun) failsAt(now uint64) {
 // fleet's worker pool forever, its processes become daemons, its
 // manager stops dispatching, and its running guest is aborted
 // (requeued or terminal).
-func (fl *fleetRun) quarantineSlot(si int, now uint64) {
+func (fl *fleetRun) quarantineSlot(si, tile int, now uint64) {
 	if fl.slotQuarantined[si] {
 		return
 	}
@@ -264,6 +275,7 @@ func (fl *fleetRun) quarantineSlot(si int, now uint64) {
 
 	gi := h.guest
 	if fl.phase[gi] == phaseRunning {
+		fl.lost[gi] = rollbackReq{tile: tile, detect: now}
 		fl.abortGuest(gi, now)
 	}
 }

@@ -172,8 +172,10 @@ func TestFleetChaosQuarantineRetry(t *testing.T) {
 			t.Errorf("guest %d ended %v — not a terminal state for this plan", gi, g.Status)
 		}
 	}
-	if got := a.Fleet.SlotsQuarantined; got != 3 {
-		t.Errorf("SlotsQuarantined = %d, want 3", got)
+	// The slave is excised in place; the manager and the exec tile
+	// take their slots with them.
+	if got := a.Fleet.SlotsQuarantined; got != 2 {
+		t.Errorf("SlotsQuarantined = %d, want 2", got)
 	}
 	if a.Fleet.GuestsFinished != uint64(finished) || a.Fleet.GuestsAborted != uint64(aborted) {
 		t.Errorf("fleet counters (%d finished, %d aborted) disagree with statuses (%d, %d)",
@@ -223,19 +225,27 @@ func TestFleetDeadlineCancelsGuest(t *testing.T) {
 	}
 }
 
-// TestFleetRetryWithRollback: a quarantined guest's retry resumes from
-// its latest checkpoint (not the image) and still converges to the solo
-// fingerprint.
+// TestFleetRetryWithRollback: a guest quarantined twice is retried
+// twice. The first loss comes before its first checkpoint, so that
+// retry starts from the image and is no rollback; the second resumes
+// from the latest checkpoint, re-executing the cycles from it to the
+// loss and paying the restore penalty once. The guest still converges
+// to its solo fingerprint.
 func TestFleetRetryWithRollback(t *testing.T) {
-	imgs := fleetImgs(t, "181.mcf", "164.gzip")
-	layout, err := FleetSlotLayout(raw.DefaultParams())
+	imgs := fleetImgs(t, "181.mcf", "164.gzip", "164.gzip")
+	p := raw.DefaultParams()
+	p.Width, p.Height = 8, 8
+	layout, err := FleetSlotLayout(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() *FleetResult {
-		cfg := fleetCfg(4, 4)
+		cfg := fleetCfg(8, 8)
+		// mcf loses slot 0 at once, waits for the gzip in slot 1 to
+		// finish (about cycle 1.36M), and loses slot 1 too.
 		cfg.Fault = &fault.Plan{Fails: []fault.TileFail{
-			{Tile: layout[0].Slaves[1], Cycle: 1_000_000},
+			{Tile: layout[0].Exec, Cycle: 50_000},
+			{Tile: layout[1].Manager, Cycle: 2_500_000},
 		}}
 		fr, err := RunFleet(imgs, cfg, FleetConfig{RetrySeed: 3})
 		if err != nil {
@@ -251,18 +261,26 @@ func TestFleetRetryWithRollback(t *testing.T) {
 	if g.Status != GuestFinished || g.Result == nil {
 		t.Fatalf("guest 0 = %v, want finished after retry", g.Status)
 	}
-	if g.Attempts != 2 {
-		t.Errorf("guest 0 ran %d attempts, want 2", g.Attempts)
+	if g.Attempts != 3 {
+		t.Errorf("guest 0 ran %d attempts, want 3", g.Attempts)
 	}
-	if g.Result.M.Rollbacks != 1 {
-		t.Errorf("guest 0 recorded %d rollbacks, want 1 (retry must restore, not restart)", g.Result.M.Rollbacks)
+	m := g.Result.M
+	if m.Rollbacks != 1 {
+		t.Errorf("guest 0 recorded %d rollbacks, want 1 (only the second retry restores)", m.Rollbacks)
+	}
+	if m.ReexecCycles == 0 || m.ReexecCycles > DefaultCheckpointInterval {
+		t.Errorf("guest 0 re-executed %d cycles, want (0, %d]: from its last checkpoint to the loss",
+			m.ReexecCycles, DefaultCheckpointInterval)
+	}
+	if want := p.RollbackFixedOcc; m.RollbackCycles <= want {
+		t.Errorf("guest 0 paid %d restore cycles, want one penalty above the fixed %d", m.RollbackCycles, want)
 	}
 	solo := soloFingerprints(t, imgs)
-	if got, want := fingerprint(g.Result), solo[imgs[0]]; !checkpointedMatches(got, want, g.Result.M.Checkpoints) {
+	if got, want := fingerprint(g.Result), solo[imgs[0]]; !checkpointedMatches(got, want, m.Checkpoints) {
 		t.Errorf("restored guest diverged from solo run\n got %+v\nwant %+v", got, want)
 	}
-	if a.Fleet.GuestsRetried != 1 || a.Fleet.SlotsQuarantined != 1 {
-		t.Errorf("fleet counters %+v, want 1 retry, 1 quarantine", a.Fleet)
+	if a.Fleet.GuestsRetried != 2 || a.Fleet.SlotsQuarantined != 2 {
+		t.Errorf("fleet counters %+v, want 2 retries, 2 quarantines", a.Fleet)
 	}
 }
 

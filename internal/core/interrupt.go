@@ -46,9 +46,8 @@ func (h *InterruptHandle) Interrupt() {
 }
 
 // KernelStats returns the event kernel's dispatch counters for the
-// simulation the handle is bound to (the latest, under rollback
-// recovery): zero before a run binds it. Read it once the run has
-// returned.
+// simulation the handle is bound to: zero before a run binds it. Read
+// it once the run has returned.
 func (h *InterruptHandle) KernelStats() sim.Stats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -59,9 +58,7 @@ func (h *InterruptHandle) KernelStats() sim.Stats {
 }
 
 // bind attaches the handle to the simulator about to run, delivering
-// any interrupt that raced ahead of the run's start. Rollback
-// recovery rebuilds the machine between attempts, so bind may be
-// called more than once; the latest simulator wins.
+// any interrupt that raced ahead of the run's start.
 func (h *InterruptHandle) bind(s *sim.Simulator) {
 	if h == nil {
 		return

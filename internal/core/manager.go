@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"tilevm/internal/checkpoint"
 	"tilevm/internal/codecache"
 	"tilevm/internal/raw"
@@ -76,11 +78,10 @@ type managerState struct {
 	rebankDeadline uint64
 	detectAt       uint64 // bank-excision detection time, for recovery latency
 
-	// A vmSwitch from ackTo waits for the inflight translations still out
-	// to come back (beginSwitch).
+	// A vmSwitch from ackTo waits for the translations still out to
+	// come back (beginSwitch).
 	switching bool
 	ackTo     int
-	inflight  int
 }
 
 // managerTile is the manager/L2-code-cache tile's kernel. It only ever
@@ -118,10 +119,10 @@ func (k *managerTile) start(c *raw.TileCtx) {
 	if e.inj != nil {
 		st.banksNow = append([]int(nil), e.pl.banks...)
 		st.lastBeat = map[int]uint64{}
-		// Seed liveness at the current time, not zero: after a rollback
-		// the clock resumes mid-run (sim.SetStart), and a zero seed would
-		// read as every worker having been silent since cycle 0 — the
-		// detector would excise the whole machine on its first tick.
+		// Seed liveness at the current time, not zero: an epoch a
+		// handoff starts begins mid-run, and a zero seed would read as
+		// every worker having been silent since cycle 0 — the detector
+		// would excise the whole slot on its first tick.
 		for _, t := range e.pl.slaves {
 			st.lastBeat[t] = c.Now()
 		}
@@ -163,7 +164,12 @@ func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 		st.handleSMCInval(m, msg.From)
 	case vmSwitch:
 		// Fleet slot handoff: retire this epoch, then ack and start over
-		// bound to the slot's next engine.
+		// bound to the slot's next engine. A re-sent vmSwitch finds the
+		// new epoch already running and is only acked again.
+		if st.e == k.h.cur {
+			c.Send(msg.From, switchAck{}, wordsCtl)
+			break
+		}
 		if st.beginSwitch(msg.From) {
 			c.Send(msg.From, switchAck{}, wordsCtl)
 			k.start(c)
@@ -263,29 +269,35 @@ func (st *managerState) handleRebankAck(m rebankAck) {
 }
 
 // excise removes a dead tile from the virtual architecture — the
-// morph-around-failure path. A dead slave's in-flight translation is
-// re-queued. A dead bank holding dirty lines aborts the attempt for a
-// rollback (see Run); a clean one's address fraction is redistributed
-// over the survivors: the surviving banks are flushed (the interleave
-// function changed, the same flush a morph performs), and the MMU is
-// re-pointed at the new bank set via the acknowledged rebank handshake.
+// morph-around-failure path — and from the slot's placement, so no
+// later admission uses it either (unless it is the slot's last of its
+// kind). A dead slave's in-flight translation is re-queued. A dead bank
+// holding dirty lines cancels the admission for a rollback: the MMU is
+// pointed past it, so a line fill waiting on it completes, and the exec
+// tile stops at its next block boundary, where the slot re-admits the
+// guest from its latest checkpoint (fleetRun.rollBack) — losslessly. A
+// clean bank's address fraction is redistributed over the survivors:
+// the surviving banks are flushed (the interleave function changed, the
+// same flush a morph performs), and the MMU is re-pointed at the new
+// bank set via the acknowledged rebank handshake.
 func (st *managerState) excise(t int) {
 	P := &st.e.cfg.Params
 	role := st.roles[t]
 	if st.e.rollback != nil {
-		return // attempt already aborting; further excisions are moot
+		return // admission already cancelled; further excisions are moot
 	}
+	st.e.slot.dropWorker(t)
 	if role == roleBank {
 		if bank := st.e.bankOf[t]; bank != nil && bank.Cache.DirtyLines() > 0 {
-			// Excising this bank in place would lose its dirty lines'
-			// writebacks, so the attempt aborts instead: Run restores
-			// the last checkpoint, removes the tile from the placement,
-			// and re-executes — losslessly.
 			st.e.rollback = &rollbackReq{tile: t, detect: st.c.Now()}
+			st.e.cancelled = true
 			st.e.jadd(checkpoint.EvExcise, st.c.Now(), uint64(t), 1)
 			st.e.trc().Instant(st.c.Tile, "excise", st.c.Now(), "tile", uint64(t), "rollback", 1)
 			st.roles[t] = roleDead
-			st.c.Stop()
+			if live := slices.DeleteFunc(slices.Clone(st.banksNow), func(b int) bool { return b == t }); len(live) > 0 {
+				st.banksNow = live
+				st.sendRebank()
+			}
 			return
 		}
 	}
@@ -346,34 +358,35 @@ func (st *managerState) sendRebank() {
 // beginSwitch retires this manager epoch ahead of a fleet slot
 // handoff: the parked slaves are dropped (their kernels restart on their
 // own vmSwitch and re-register with the next manager), and the vmSwitch
-// from ackTo is acked only once every in-flight translation has come
-// back — results are discarded, the guest that wanted them is gone — so
-// no stale transDone can reach the new epoch. It reports whether nothing
-// is in flight, in which case the ack is due at once.
+// from ackTo is acked only once every translation out at a slave has
+// come back — results are discarded, the guest that wanted them is gone
+// — so no stale transDone can reach the new epoch. It reports whether
+// nothing is out, in which case the ack is due at once.
 func (st *managerState) beginSwitch(ackTo int) bool {
 	st.parked = nil
 	st.switching, st.ackTo = true, ackTo
-	for _, en := range st.entries {
-		if en.inflight {
-			st.inflight++
-		}
-	}
-	return st.inflight == 0
+	return st.drained(sim.Msg{})
 }
 
-// drained takes one message while a switch waits: a transDone for an
-// in-flight translation counts down, everything else is discarded. It
-// reports whether the last translation has landed.
+// drained takes one message while a switch waits: a transDone for
+// outstanding work counts it in, everything else is discarded. It
+// reports whether no work is out at a slave the slot still has: one it
+// has lost will never answer, and each re-sent vmSwitch checks again.
 func (st *managerState) drained(msg sim.Msg) bool {
 	if m, ok := msg.Payload.(*transDone); ok {
-		if en := st.entry(m.PC); en.inflight {
-			en.inflight = false
-			st.inflight--
+		if ow, ok := st.outstanding[msg.From]; ok && ow.pc == m.PC {
+			delete(st.outstanding, msg.From)
+			st.entry(m.PC).inflight = false
 			st.e.stats.Translations++
 		}
 		st.e.pool.dones.put(m)
 	}
-	return st.inflight == 0
+	for t := range st.outstanding {
+		if !st.e.slot.gone(t) {
+			return false
+		}
+	}
+	return true
 }
 
 // handleSMCInval drops translations overlapping an overwritten byte

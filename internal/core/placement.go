@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tilevm/internal/raw"
@@ -89,6 +90,28 @@ func (pl *placement) tiles() []int {
 	out = append(out, pl.banks...)
 	return out
 }
+
+// dropWorker removes a fail-stopped slave or bank from the slot's
+// placement, unless it is the slot's last of its kind: then the slot
+// cannot go on without it, and dropWorker reports false. A tile no
+// longer in the placement (a worker dropped before) is already gone;
+// any other tile of the slot is a single point of service.
+func (pl *placement) dropWorker(t int) bool {
+	for _, role := range []*[]int{&pl.slaves, &pl.banks} {
+		if i := slices.Index(*role, t); i >= 0 {
+			if len(*role) == 1 {
+				return false
+			}
+			*role = slices.Delete(slices.Clone(*role), i, i+1)
+			pl.switchable = slices.DeleteFunc(slices.Clone(pl.switchable), func(s int) bool { return s == t })
+			return true
+		}
+	}
+	return pl.gone(t)
+}
+
+// gone reports whether t is no tile of the placement (any more).
+func (pl *placement) gone(t int) bool { return !slices.Contains(pl.tiles(), t) }
 
 // FleetSlot is the public shape of one carved VM slot: which tile holds
 // each service role. Benchmarks and fault-plan authors use it to aim

@@ -18,8 +18,8 @@ import (
 // may block. The execution tile is the only goroutine of a slot. start
 // binds the kernel to its slot's current engine (h.cur); a fleet
 // vmSwitch is acked and answered by running start again, state fresh
-// (the manager first waits out its in-flight translations). A single
-// machine is a slot that never switches.
+// (the manager first waits out its in-flight translations). Run's
+// machine is a slot that switches only to roll its guest back.
 type tileKernel interface {
 	start(*raw.TileCtx)
 	handle(*raw.TileCtx, sim.Msg)
@@ -143,7 +143,12 @@ func (k *workerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	case vmSwitch:
 		// Fleet slot handoff: flush the data bank so the next guest
 		// cannot see stale lines (charged like a morph flush), then
-		// start over under the slot's next engine.
+		// start over under the slot's next engine. A re-sent vmSwitch
+		// finds the new epoch already bound and is only acked again.
+		if k.e == k.h.cur {
+			c.Send(msg.From, switchAck{}, wordsCtl)
+			break
+		}
 		d := bank.Flush()
 		e.stats.MorphFlushLines += uint64(d)
 		c.Tick(P.MorphFixed + uint64(d)*P.MorphPerLine)
@@ -240,7 +245,9 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 	case vmSwitch:
 		// Fleet slot handoff; the next guest gets a fresh bank.
 		c.Send(msg.From, switchAck{}, wordsCtl)
-		k.start(c)
+		if k.e != k.h.cur {
+			k.start(c)
+		}
 	}
 }
 
@@ -296,7 +303,9 @@ func (k *mmuTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	case vmSwitch:
 		// Fleet slot handoff; the next guest gets a fresh TLB.
 		c.Send(msg.From, switchAck{}, wordsCtl)
-		k.start(c)
+		if k.e != k.h.cur {
+			k.start(c)
+		}
 	}
 }
 
@@ -319,7 +328,9 @@ func (k *sysTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	if _, sw := msg.Payload.(vmSwitch); sw {
 		// Fleet slot handoff; the next guest gets a fresh proxy.
 		c.Send(msg.From, switchAck{}, wordsCtl)
-		k.start(c)
+		if k.e != k.h.cur {
+			k.start(c)
+		}
 		return
 	}
 	req, ok := msg.Payload.(sysReq)

@@ -79,9 +79,8 @@ func NewTracerFor(p raw.Params, sampleInterval uint64) *trace.Tracer {
 func (e *engine) trc() *trace.Tracer { return e.cfg.Tracer }
 
 // registerTraceProcs labels each tile's viewer row with its role and
-// grid coordinates, e.g. "tile 5 exec (1,1)". Called once per attempt
-// after placement; re-registration after a rollback overwrites the
-// labels with the surviving topology's roles.
+// grid coordinates, e.g. "tile 5 exec (1,1)". Called at every
+// admission; a tile the slot has lost keeps the label it had.
 func (e *engine) registerTraceProcs() {
 	t := e.trc()
 	if t == nil {

@@ -42,28 +42,6 @@ func (p *Plan) Empty() bool {
 	return p == nil || (len(p.Fails) == 0 && len(p.Stalls) == 0)
 }
 
-// WithoutFails returns a copy of the plan with the fail-stop clauses
-// for the given tiles removed. Rollback recovery re-executes with the
-// already-dead tiles excluded from the placement entirely, so their
-// fail clauses must not re-fire (and re-count) on the next attempt.
-func (p *Plan) WithoutFails(tiles []int) *Plan {
-	if p == nil {
-		return nil
-	}
-	dead := make(map[int]bool, len(tiles))
-	for _, t := range tiles {
-		dead[t] = true
-	}
-	q := *p
-	q.Fails = nil
-	for _, f := range p.Fails {
-		if !dead[f.Tile] {
-			q.Fails = append(q.Fails, f)
-		}
-	}
-	return &q
-}
-
 // Kind identifies an injected fault class, for the Observe hook and the
 // replay journal. The values are part of the journal and of the trace's
 // "fault" instants, so they are spelled out.

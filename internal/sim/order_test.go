@@ -17,7 +17,6 @@ type orderProgram struct {
 	procs int
 	steps int  // operations of the longest-lived process
 	block bool // allow Recv on an empty inbox (parkBlocked, can deadlock)
-	start Time // SetStart, 0 = leave at zero
 	limit Time // SetLimit, 0 = none
 	// stopPid calls Stop before its operation stopStep and keeps going,
 	// so its next park must hand control to Run. -1 = nobody stops.
@@ -56,9 +55,6 @@ func (pr orderProgram) run() string {
 	resumes := 0
 
 	s := New()
-	if pr.start != 0 {
-		s.SetStart(pr.start)
-	}
 	s.SetLimit(pr.limit)
 	inbox := make([]*Port, pr.procs)
 	for i := range inbox {
@@ -133,9 +129,7 @@ var orderGolden = []struct {
 }{
 	{orderProgram{name: "8/clean", seed: 1, procs: 8, steps: 400, stopPid: -1}, "2000:f4fb0fd3d011d0ab"},
 	{orderProgram{name: "8/block", seed: 2, procs: 8, steps: 400, block: true, stopPid: -1}, "1352:8ca9397a82d4a4cd"},
-	{orderProgram{name: "8/start", seed: 3, procs: 8, steps: 300, block: true, start: 1_000_000, stopPid: -1}, "1204:47720f8c46d1cb9b"},
 	{orderProgram{name: "8/limit", seed: 4, procs: 8, steps: 400, block: true, limit: 900, stopPid: -1}, "1465:d2a0775cde1da60a"},
-	{orderProgram{name: "8/start+limit", seed: 5, procs: 8, steps: 400, start: 5000, limit: 5700, stopPid: -1}, "1682:f3f5d0338c9d76da"},
 	{orderProgram{name: "8/stop", seed: 6, procs: 8, steps: 400, block: true, stopPid: 3, stopStep: 150}, "960:3a3f97dd76a42c95"},
 	{orderProgram{name: "64/clean", seed: 7, procs: 64, steps: 200, stopPid: -1}, "8000:c951ee5d5086b45d"},
 	{orderProgram{name: "64/block", seed: 8, procs: 64, steps: 200, block: true, stopPid: -1}, "7596:7ef63b7bd240a876"},

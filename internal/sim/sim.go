@@ -204,7 +204,6 @@ func (sh *shard) schedule(p *Proc, at Time) {
 // Simulator is a deterministic discrete-event scheduler.
 type Simulator struct {
 	shards   []*shard
-	start    Time
 	procs    []*Proc
 	ports    []*Port
 	stopFlag atomic.Bool
@@ -342,7 +341,7 @@ func (s *Simulator) shard(i int) *shard {
 		panic("sim: negative shard index")
 	}
 	for len(s.shards) <= i {
-		s.shards = append(s.shards, &shard{sim: s, idx: len(s.shards), now: s.start})
+		s.shards = append(s.shards, &shard{sim: s, idx: len(s.shards)})
 	}
 	return s.shards[i]
 }
@@ -363,21 +362,6 @@ func (s *Simulator) Now() Time {
 // SetLimit aborts the simulation when virtual time reaches t.
 // A limit of 0 (the default) means no limit.
 func (s *Simulator) SetLimit(t Time) { s.limit = t }
-
-// SetStart moves the simulation clock forward to t before Run. Used by
-// rollback recovery: the re-executed machine continues the original
-// run's absolute timeline (fault-plan cycles, watchdog deadlines and
-// the time limit all stay absolute), so re-executed work shows up
-// honestly in the final cycle count.
-func (s *Simulator) SetStart(t Time) {
-	if s.started {
-		panic("sim: SetStart after Run")
-	}
-	s.start = t
-	for _, sh := range s.shards {
-		sh.now = t
-	}
-}
 
 // Stopped reports whether Stop has been called (or the time limit hit).
 func (s *Simulator) Stopped() bool { return s.stopFlag.Load() }

@@ -366,69 +366,10 @@ func TestManyProcessesStress(t *testing.T) {
 	}
 }
 
-// TestCompactAfterSetStart is the rollback regression: SetStart moves
-// the clock to an absolute restart cycle, so every event the restarted
-// machine schedules sits far from zero. The supersede-heavy receive
-// pattern must still trigger compaction (heap stays bounded), dispatch
-// in exact (time, pid) order, and keep the per-shard seq counter
-// strictly monotonic across compactions.
-func TestCompactAfterSetStart(t *testing.T) {
-	const start = Time(1) << 40
-	const rounds = 500
-	s := New()
-	s.SetStart(start)
-	if got := s.Now(); got != start {
-		t.Fatalf("Now() = %d after SetStart(%d)", got, start)
-	}
-	pt := s.NewPort("p")
-	maxLen := 0
-	var lastSeq uint64
-	var dispatches []Time
-	s.Spawn("producer", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			p.Advance(1)
-			pt.Send(0, i, p.Now())
-			sh := s.shards[0]
-			if n := len(sh.events.ev); n > maxLen {
-				maxLen = n
-			}
-			if sh.seq <= lastSeq {
-				t.Errorf("round %d: shard seq %d not monotonic (last %d)", i, sh.seq, lastSeq)
-			}
-			lastSeq = sh.seq
-			dispatches = append(dispatches, p.Now())
-		}
-	})
-	s.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			// A far-future deadline parks a wakeup that every message
-			// supersedes — the compaction-triggering pattern.
-			if _, ok := p.RecvDeadline(pt, start+(1<<20)); !ok {
-				t.Error("consumer hit deadline")
-				return
-			}
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxLen > 4*compactMinLen {
-		t.Fatalf("event heap grew to %d entries after SetStart; compaction regressed", maxLen)
-	}
-	for i, at := range dispatches {
-		if at < start {
-			t.Fatalf("dispatch %d at cycle %d, before the SetStart origin %d", i, at, start)
-		}
-		if i > 0 && at < dispatches[i-1] {
-			t.Fatalf("dispatch %d at cycle %d ran before cycle %d: order broken", i, at, dispatches[i-1])
-		}
-	}
-}
-
 // TestCompactPreservesPopOrder unit-tests the heap directly: a
-// compaction over a mix of live and superseded entries (on an absolute
-// SetStart-style timeline) must leave the pop order identical to the
-// uncompacted heap's.
+// compaction over a mix of live and superseded entries (at times far
+// from zero) must leave the pop order identical to the uncompacted
+// heap's.
 func TestCompactPreservesPopOrder(t *testing.T) {
 	const start = Time(1) << 32
 	mk := func() (*Simulator, []*Proc) {
@@ -437,7 +378,6 @@ func TestCompactPreservesPopOrder(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			procs = append(procs, s.Spawn(fmt.Sprintf("p%d", i), func(*Proc) {}))
 		}
-		s.SetStart(start)
 		return s, procs
 	}
 	pops := func(s *Simulator, compactFirst bool) []int {
