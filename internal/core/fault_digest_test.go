@@ -10,19 +10,26 @@ import (
 	"tilevm/internal/translate"
 )
 
-// Single-VM fault-path golden. TestFleetScheduleDigest pins fleets
-// (whose fault policy is quarantine-and-retry, so the robust tile
-// protocol never runs there) and TestSerialDispatchOrderDigest pins
-// the event kernel on synthetic processes; neither pins what the
-// service-tile kernels do under a fault plan in a single machine —
-// heartbeats, the fail-stop drain, stalls taken between a receive and
-// its body, retries, excision, rollback re-execution, morph flushes.
+// Single-VM fault-path golden. TestFleetScheduleDigest pins carved
+// fleets and TestSerialDispatchOrderDigest pins the event kernel on
+// synthetic processes; neither pins what the service-tile kernels do
+// under every kind of fault plan in Run's machine — heartbeats, the
+// fail-stop drain, stalls taken between a receive and its body,
+// retries, excision, rollback re-execution, morph flushes.
 // Every row below is one core.Run dumped whole (cycles, exit, stdout,
 // the metrics set, state hash, per-tile busy vector, and the trace
 // JSON where traced, and the event kernel's dispatch and dead-pop
 // counts) under one condition, for each of three guests.
 // A change that claims to leave the tile kernels' virtual behaviour
 // alone must leave every digest untouched.
+//
+// Every row with a fail clause was re-pinned when Run became a fleet of
+// one slot and recovered in place: the fleet supervisor wakes at each
+// fail cycle (the kernel's dispatch counts move), the machine is built
+// once, so a dead tile's fail clause fires once and its kernel lives
+// on, fault-swallowing, and a rollback re-admits the guest through the
+// vmSwitch hand-off instead of restarting the clock at the detection
+// cycle. Every stall-only and fault-free row is unchanged.
 //
 // A single machine rejects a fail-stop of an L1.5 bank up front
 // (validateFaultPlan: not an excisable worker), so that condition runs
@@ -62,10 +69,10 @@ func stallStorm(n int) *fault.Plan {
 var runGoldens = []runGolden{
 	{name: "fail/slave",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
-		want: [3]string{"1362826:0:1f96daffa6dc6afc", "2810212:0:33b54cb712502c18", "14844611:0:ee92a9a6596195fc"}},
+		want: [3]string{"1362826:0:bf392fc6da5b9f26", "2810212:0:1c8864250c9349f0", "14844611:0:9fa3ec9d4b14d680"}},
 	{name: "fail/bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
-		want: [3]string{"1362826:0:a8449635d04ca9ae", "3345943:0:1a99c9c75bb47cc5", "14909811:0:9c1fa9b1b0736515"}},
+		want: [3]string{"1362826:0:dc9ffc2bc95d50f7", "3345943:0:d3ec4a376f4d2a9d", "14909811:0:b7e513f7e49ed084"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -73,10 +80,10 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 14, Cycle: 250_000},
 				fault.TileFail{Tile: 12, Cycle: 600_000})
 		},
-		want: [3]string{"1362234:0:8d728807c4a92d8e", "3465849:0:6901c88f81e7cbd6", "14373512:0:8cfd4f8bf3e92cc4"}},
+		want: [3]string{"1362234:0:37d4260b4593dfa8", "3465849:0:a3f88a68d3e0541d", "14373512:0:735a0a690187d00d"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2439119:0:2c0e5eb0502d5bcb", "5092169:0:86102127470ab70c", "16862933:0:484d388d0fc52ca5"}},
+		want: [3]string{"2461760:0:41a49cf59f1e675a", "5107352:0:98c2e885e9519147", "17409068:0:4a02ae879ebd3544"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
 		want: [3]string{"1392326:0:a5846ed19ecaec8f", "2838998:0:e87563a8672d8b95", "15098615:0:42063f032c2da976"}},
@@ -103,13 +110,13 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1361902:0:a3efaf72b6cd6d57", "3487468:0:241eae8a4cfeaff2", "14675538:0:4e72cca102cf9e2e"}},
+		want: [3]string{"1361902:0:87d0a8ab11d9e971", "3487468:0:9c2daa8aa2488cfd", "14675538:0:f7833db15c16446a"}},
 	{name: "stall-storm",
 		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
 		want: [3]string{"5040544:0:9b0919ad2a95ec01", "6941246:0:067f22479b738587", "17560753:0:1f1129b529d37730"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000}) },
-		want: [3]string{"1362826:0:558020dd7c535ee9", "3336118:0:a242859c8b38c59f", "14894092:0:baf0a83dcdd3c4fa"}},
+		want: [3]string{"1362826:0:7e9532ef9fec8b8c", "3336118:0:136a35526645ddcb", "14894092:0:7c6d28def25206ac"}},
 	{name: "rollback/two-banks+slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -117,7 +124,7 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 13, Cycle: 500_000},
 				fault.TileFail{Tile: 2, Cycle: 800_000})
 		},
-		want: [3]string{"1362826:0:4954dba5fcac69fa", "4345307:0:5b31e134ba751498", "14723309:0:d6f36d70fc3eb3d6"}},
+		want: [3]string{"1362826:0:1f27d2136e70312b", "4395529:0:44b47c653242fdce", "14723309:0:8cc8d4a19dad4c86"}},
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
 		want: [3]string{"1366236:0:6622e6ac9babf468", "2814592:0:51b0a385b8a40dd4", "14525580:0:d384007fb2eca9b4"}},
@@ -126,7 +133,7 @@ var runGoldens = []runGolden{
 			c.Speculative = false
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
-		want: [3]string{"1569829:0:2d314d5dbb6aadd0", "3009100:0:c07fc7b06ec11e5b", "19105648:0:294042ccc4fdfa64"}},
+		want: [3]string{"1569829:0:63c02554cdf89aea", "3009100:0:d2def7b93756a134", "19105648:0:a70e719abde83926"}},
 	{name: "traced", traced: true,
 		want: [3]string{"1356400:409651:479a41574f0f7bd2", "2805178:5774705:466e65215a83e615", "14411161:14022151:5a2b7ce84b726dad"}},
 	{name: "traced/fail+stall", traced: true,
@@ -135,7 +142,7 @@ var runGoldens = []runGolden{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1377826:506317:22594d0f1c027bf6", "3427719:5847280:4b0f737f530e6a0e", "14661881:15296680:ac7beec1433f4b00"}},
+		want: [3]string{"1377826:506317:06096a6f5607430c", "3427719:5847280:aa94986e6337e336", "14661881:15296680:639e2c053e3d200b"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {

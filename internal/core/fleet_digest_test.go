@@ -20,6 +20,12 @@ import (
 // and the digest compared with a pinned value. A change that claims to
 // leave fleet scheduling alone must leave these untouched; one that
 // moves them says why.
+//
+// Every row with a fail clause was re-pinned when slots began to
+// recover in place: a fail plan arms the recovery protocol
+// (heartbeats, watchdogs, excision) in every slot, a slave's death is
+// excised instead of quarantining its slot, and a retry's rollback
+// accounting follows Run's. Every fault-free row is unchanged.
 
 // writeFleetResult dumps fr field by field. Pointers are followed by
 // hand (GuestResult, Result) so no address reaches the digest, and the
@@ -137,7 +143,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[5].Exec, Cycle: 2_500_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 7} },
-		want: "8370304:32681147:cedad54f703837be"},
+		want: "7452907:33416279:ba8639e848a9032b"},
 	{name: "8x8/cap4/chaos/retries", w: 8, h: 8, guests: dozen[:7],
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -148,13 +154,13 @@ var fleetGoldens = []fleetGolden{
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 4, MaxAttempts: 2, RetryBackoff: 200_000, RetrySeed: 99}
 		},
-		want: "12721532:0:af16f5014f28511c"},
+		want: "6752878:0:747d62fe530b4e69"},
 	{name: "4x4/rollback/slave", w: 4, h: 4, guests: []string{"181.mcf", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_000_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 3} },
-		want: "4390517:0:ad9e37a4ae7a4081"},
+		want: "3906617:0:fc6db4359314b706"},
 	{name: "8x8/rollback/manager/queued", w: 8, h: 8, guests: five,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[1].Manager, Cycle: 1_500_000})
@@ -162,7 +168,7 @@ var fleetGoldens = []fleetGolden{
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 3, RetrySeed: 11, RetryBackoff: 500_000}
 		},
-		want: "5251973:0:0be8ee008c2bff67"},
+		want: "5266942:0:352d28ed5837038c"},
 	{name: "8x8/rollback/bank+exec", w: 8, h: 8, guests: []string{"181.mcf", "176.gcc", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -170,7 +176,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[1].Exec, Cycle: 2_000_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 5} },
-		want: "18298841:0:5d6438de5775ced5"},
+		want: "18907316:0:edb7c9e68157b4f4"},
 	{name: "8x8/stall+fail", w: 8, h: 8, guests: four,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = &fault.Plan{
@@ -180,7 +186,7 @@ var fleetGoldens = []fleetGolden{
 				Fails: []fault.TileFail{{Tile: l[1].Slaves[0], Cycle: 800_000}}}
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 13} },
-		want: "4615885:0:b211b70464e3bd21"},
+		want: "3906168:0:c5e965f5fa830118"},
 	{name: "8x8/planner/fail", w: 8, h: 8, guests: four,
 		// The planner grows slots on an undersubscribed fabric, so the
 		// fault is aimed by tile id, not through the base-tier layout.
@@ -190,7 +196,7 @@ var fleetGoldens = []fleetGolden{
 		fc: func(_ *testing.T, g *fleetGolden) FleetConfig {
 			return FleetConfig{Profiles: make([]GuestProfile, len(g.guests)), RetrySeed: 2}
 		},
-		want: "2841794:0:017b89ad293529ff"},
+		want: "2844731:0:eee6f4ac9d6290e5"},
 }
 
 func TestFleetScheduleDigest(t *testing.T) {
