@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check nomaps onewait deadexports vet build tilebench-build tilebench-smoke test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck cguests
+.PHONY: check nomaps onewait onemachine deadexports vet build tilebench-build tilebench-smoke test race racepar race-fleet race-sim cover-fleet bench bench-check fuzz fuzz-smoke replay-smoke trace-smoke fleet-smoke fleet-fault-smoke placement-smoke tilevmd-smoke linkcheck cguests
 
 # The full gate: what CI (and a pre-commit) should run.
-check: vet nomaps onewait deadexports build tilebench-build test racepar
+check: vet nomaps onewait onemachine deadexports build tilebench-build test racepar
 
 # The translator back end keeps its dataflow facts and allocation state
 # in dense tables indexed by register number (DESIGN.md §7); a map
@@ -17,6 +17,13 @@ nomaps:
 # that calls Recv or RecvDeadline fails this.
 onewait:
 	$(GO) test -count=1 -run TestOneWaitSite ./internal/core
+
+# Run is a fleet of one (DESIGN.md §9): internal/core builds a machine
+# in one place and an engine in one place, so a second construction
+# path — and with it a second recovery — cannot creep back. Any other
+# raw.NewMachine( or &engine{ in its non-test files fails this.
+onemachine:
+	$(GO) test -count=1 -run TestOneMachineSite ./internal/core
 
 # An exported function or method that nothing names, not even a test,
 # is dead code (TestDeadExports in deadexports_test.go; matched by

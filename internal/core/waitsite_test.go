@@ -75,3 +75,32 @@ func recvTypeName(e ast.Expr) string {
 	}
 	return "?"
 }
+
+// TestOneMachineSite: Run is a fleet of one, so the package builds a
+// machine in one place and an engine in one place (runFleet and
+// fleetRun.newEngine). The test fails if a non-test file of this
+// package holds a second raw.NewMachine( or &engine{.
+func TestOneMachineSite(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, site := range []string{"raw.NewMachine(", "&engine{"} {
+			count[site] += strings.Count(string(src), site)
+		}
+	}
+	for site, n := range count {
+		if n != 1 {
+			t.Errorf("%d occurrences of %s in the non-test files, want exactly 1", n, site)
+		}
+	}
+}
