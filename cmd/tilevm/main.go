@@ -10,7 +10,7 @@
 //	tilevm -workload 164.gzip -fault-plan 'fail:7@150000,stall:6@30000+5000' -v
 //
 // A faulted run recovers: a dead tile is excised in place, and a dead
-// bank holding dirty lines rolls the machine back to its last periodic
+// bank holding dirty lines rolls the guest back to its last periodic
 // checkpoint. Any run can be recorded to a replayable file:
 //
 //	tilevm -workload 181.mcf -fault-plan 'fail:7@150000' -v

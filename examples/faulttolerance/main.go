@@ -4,8 +4,8 @@
 // at reduced width; with every service tile stalling in turn for
 // longer than the watchdog, which the re-send protocol absorbs; and
 // with two data banks dying while they hold dirty lines, which the
-// machine survives by rolling back to its last checkpoint and
-// re-executing without them. Every run is checked against the
+// machine survives by rolling the guest back to its last checkpoint
+// and re-executing without them. Every run is checked against the
 // fault-free architectural result.
 package main
 
@@ -69,10 +69,10 @@ func main() {
 		res.M.TileStalls, res.M.Timeouts, res.M.Retries)
 
 	// Bank 7, then bank 14, dies holding dirty lines. Cutting a dirty
-	// bank out in place would lose its writebacks, so each death rolls
-	// the machine back to its last checkpoint and re-executes on the
-	// surviving banks: the final guest state is bit-identical to the
-	// fault-free run's.
+	// bank out in place would lose its writebacks, so each death
+	// cancels the guest's admission and re-admits it from its last
+	// checkpoint on the surviving banks: the final guest state is
+	// bit-identical to the fault-free run's.
 	cfg = core.DefaultConfig()
 	cfg.Fault = &fault.Plan{Fails: []fault.TileFail{
 		{Tile: 7, Cycle: 150_000},
