@@ -92,8 +92,8 @@ type InternalError struct {
 	// tile kernel; -1 when the panic happened outside any slot (the
 	// fleet supervisor, host-side scheduling code).
 	Guest int
-	// Slot is the VM slot whose tile panicked (-1 when unattributable
-	// or not a fleet run).
+	// Slot is the VM slot whose tile panicked (0 for Run's one slot; -1
+	// when unattributable).
 	Slot int
 	// Proc names the simulation process (tile kernel) that panicked;
 	// empty for a host-side panic caught at the RunFleet boundary.
@@ -129,8 +129,7 @@ func internalFromPanic(r any, stack []byte) *InternalError {
 }
 
 // internalFromSim lifts a sim.PanicError into an InternalError with
-// no guest attribution (single-machine runs attribute trivially; the
-// fleet attributes by slot).
+// no guest attribution (the fleet attributes by slot).
 func internalFromSim(perr *sim.PanicError) *InternalError {
 	return &InternalError{
 		Guest: -1,
