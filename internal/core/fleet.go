@@ -452,7 +452,7 @@ func (fl *fleetRun) spawnSlots() {
 				if h.quarantined {
 					return
 				}
-				if e.rollback != nil {
+				if e.rollback != nil && fl.phase[h.guest] == phaseRunning {
 					fl.rollBack(c, h, si)
 					continue
 				}
