@@ -284,6 +284,51 @@ func TestFleetRetryWithRollback(t *testing.T) {
 	}
 }
 
+// TestFleetHandoffUnderStalls: under a fail plan a slot's hand-off runs
+// on the recovery protocol. Every service tile of slot 0 stalls for
+// 50,000 cycles as gzip finishes there, so the execution tile's
+// vmSwitch waits out its watchdog and is re-sent, and each tile meets
+// the re-send after it has switched: it must ack again without
+// resetting the new epoch. A slave that dies mid-hand-off is waited
+// for no longer. The queued guest still runs to its solo fingerprint.
+func TestFleetHandoffUnderStalls(t *testing.T) {
+	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip")
+	l, err := FleetSlotLayout(raw.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fleetCfg(4, 4)
+	// A slave of slot 0 dies in a longer stall, after the hand-off has
+	// asked it to switch and before it acks: the hand-off must stop
+	// waiting on it once the slot has dropped it.
+	cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_420_000})
+	for _, tile := range []int{l[0].Manager, l[0].MMU, l[0].Sys, l[0].L15[0], l[0].Slaves[0], l[0].Slaves[1], l[0].Banks[0]} {
+		// gzip finishes on slot 0 at cycle 1,360,250.
+		dur := uint64(50_000)
+		if tile == l[0].Slaves[1] {
+			dur = 80_000
+		}
+		cfg.Fault.Stalls = append(cfg.Fault.Stalls, fault.TileStall{Tile: tile, Cycle: 1_360_251, Dur: dur})
+	}
+	fr, err := RunFleet(imgs, cfg, FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := fr.Guests[2]
+	if g.Status != GuestFinished || g.Slot != 0 {
+		t.Fatalf("guest 2 = %v on slot %d, want finished on slot 0", g.Status, g.Slot)
+	}
+	if g.Result.M.Timeouts == 0 {
+		t.Error("the hand-off to guest 2 never waited out its watchdog; the stalls missed it")
+	}
+	solo := soloFingerprints(t, imgs)
+	for gi, g := range fr.Guests {
+		if got, want := fingerprint(g.Result), solo[imgs[gi]]; !checkpointedMatches(got, want, g.Result.M.Checkpoints) {
+			t.Errorf("guest %d diverged from its solo run\n got %+v\nwant %+v", gi, got, want)
+		}
+	}
+}
+
 // TestFleetMaxAttemptsAbort: on a one-slot fabric whose only slot dies,
 // the running guest exhausts MaxAttempts=1 and the queued guest is
 // aborted with NoSlots — and the simulation still terminates cleanly.
