@@ -195,3 +195,28 @@ func TestSMCUnderFaultRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryProtocolTranslatesOnce: a plan that never fires arms the
+// recovery protocol on Run's machine and loses nothing, so the manager
+// has nothing to retry. A slave's work request overtakes its result on
+// every translation of more than one word; taking that for a lost
+// result re-translated the block (181.mcf: 259 translations for 165).
+func TestRecoveryProtocolTranslatesOnce(t *testing.T) {
+	for _, img := range fleetImgs(t, "164.gzip", "181.mcf") {
+		plain, err := Run(img, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Fault = &fault.Plan{Stalls: []fault.TileStall{{Tile: 1, Cycle: 1 << 60, Dur: 1}}}
+		armed, err := Run(img, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, a := plain.M, armed.M
+		if a.Retries != 0 || a.Translations != p.Translations || a.L2CStores != p.L2CStores {
+			t.Errorf("%s: retries %d, translations %d, L2 stores %d; want 0 retries and the plain run's %d and %d",
+				img.Name, a.Retries, a.Translations, a.L2CStores, p.Translations, p.L2CStores)
+		}
+	}
+}

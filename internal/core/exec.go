@@ -170,14 +170,12 @@ func (w *watchdog) recv() (msg sim.Msg, due bool) {
 // has answered with an A. A due watchdog re-sends to the targets that
 // have not answered, so req must be idempotent at its receivers: an SMC
 // invalidation is, and a vmSwitch is acked again by a tile already
-// bound to the new epoch. A target that gone reports (nil for none) is
-// dropped at a re-send: the slot has lost it, and it will never answer.
-func broadcast[A any](e *engine, c *raw.TileCtx, pending []int, req any, gone func(int) bool) {
+// bound to the new epoch. A target the slot has lost (a dropped slave or
+// bank) is dropped at a re-send: it will never answer.
+func broadcast[A any](e *engine, c *raw.TileCtx, pending []int, req any) {
 	for w, due := e.watch(c), true; len(pending) > 0; {
 		if due {
-			if gone != nil {
-				pending = slices.DeleteFunc(pending, gone)
-			}
+			pending = slices.DeleteFunc(pending, e.slot.gone)
 			for _, t := range pending {
 				c.Send(t, req, wordsCtl)
 			}
@@ -205,7 +203,7 @@ func (e *engine) smcInvalidate(c *raw.TileCtx, env *execEnv, l1 *codecache.L1) {
 	e.stats.SMCInvalidations++
 	t0 := c.Now()
 	inval := smcInval{Lo: env.smcLo, Hi: env.smcHi}
-	broadcast[smcAck](e, c, append([]int{e.pl.manager}, e.pl.l15...), inval, nil)
+	broadcast[smcAck](e, c, append([]int{e.pl.manager}, e.pl.l15...), inval)
 	l1.Flush()
 	env.interp = x86interp.New(e.proc)
 	env.smcPending = false
@@ -325,6 +323,9 @@ func (v *execEnv) touch(addr uint32, write bool) bool {
 		}
 		var msg sim.Msg
 		msg, due = w.recv()
+		if _, wake := msg.Payload.(fillWake); wake {
+			due = true
+		}
 		if r, ok := msg.Payload.(*memResp); ok {
 			// Consumed whether it matches or not, like a stale code
 			// response.

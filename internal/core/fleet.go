@@ -308,11 +308,14 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 				cfg.Tracer.Instant(tile, "fault", now, "kind", uint64(kind), "", 0)
 			}
 		}
-		// The recovery protocol is armed wherever a tile can be lost: on
-		// Run's machine under any plan (a stall past the heartbeat
-		// timeout reads as a death), on a carved fleet under a plan that
-		// fail-stops. A stall alone loses no message, so a carved fleet
-		// rides it out on the plain protocol.
+		// The recovery protocol is armed under a plan that fail-stops.
+		// Under stalls alone each side keeps the protocol it ran before
+		// Run became a fleet of one, so both sides' stall-only goldens
+		// hold: Run's machine arms it (its stall rows exercise the
+		// watchdogs and re-sends), a carved fleet does not (a plan that
+		// never fires must leave the fleet bit-identical to a fault-free
+		// one). This is the one protocol fork left between Run and a
+		// one-slot fleet (ROADMAP).
 		fl.robust = solo || fl.plan != nil
 	}
 	if fl.plan != nil {
@@ -618,8 +621,9 @@ func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e, prev *engine, lost rollba
 
 // handoff rebinds a slot's service tiles to the next guest's engine.
 // Phase 1 quiesces the manager: it acks only once its in-flight
-// translations have completed (and been discarded; beginSwitch), so no
-// stale transDone can reach the new epoch. Phase 2 resets the remaining
+// translations have completed (and been discarded; beginSwitch), and a
+// result that lands later anyway is dropped by the new epoch's manager
+// (handleTransDone). Phase 2 resets the remaining
 // service tiles — workers flush their data banks (charged like a morph
 // flush) and slaves re-register with the new manager when their
 // kernels restart. The exec tile owns the handshake; it resumes
@@ -629,12 +633,12 @@ func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e, prev *engine, lost rollba
 // and a worker the slot loses meanwhile is waited for no longer.
 func (fl *fleetRun) handoff(c *raw.TileCtx, e *engine) {
 	pl := e.slot
-	broadcast[switchAck](e, c, []int{pl.manager}, vmSwitch{}, nil)
+	broadcast[switchAck](e, c, []int{pl.manager}, vmSwitch{})
 	targets := []int{pl.mmu, pl.sys}
 	targets = append(targets, pl.l15...)
 	targets = append(targets, pl.slaves...)
 	targets = append(targets, pl.banks...)
-	broadcast[switchAck](e, c, targets, vmSwitch{}, pl.gone)
+	broadcast[switchAck](e, c, targets, vmSwitch{})
 }
 
 // result assembles the guest's Result from its engine once the

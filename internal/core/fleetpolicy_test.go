@@ -286,7 +286,7 @@ func TestFleetRetryWithRollback(t *testing.T) {
 
 // TestFleetHandoffUnderStalls: under a fail plan a slot's hand-off runs
 // on the recovery protocol. Every service tile of slot 0 stalls for
-// 50,000 cycles as gzip finishes there, so the execution tile's
+// 50,000 cycles or more as gzip finishes there, so the execution tile's
 // vmSwitch waits out its watchdog and is re-sent, and each tile meets
 // the re-send after it has switched: it must ack again without
 // resetting the new epoch. A slave that dies mid-hand-off is waited
@@ -301,14 +301,19 @@ func TestFleetHandoffUnderStalls(t *testing.T) {
 	// A slave of slot 0 dies in a longer stall, after the hand-off has
 	// asked it to switch and before it acks: the hand-off must stop
 	// waiting on it once the slot has dropped it.
-	cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_420_000})
+	cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_429_312})
 	for _, tile := range []int{l[0].Manager, l[0].MMU, l[0].Sys, l[0].L15[0], l[0].Slaves[0], l[0].Slaves[1], l[0].Banks[0]} {
-		// gzip finishes on slot 0 at cycle 1,360,250.
-		dur := uint64(50_000)
-		if tile == l[0].Slaves[1] {
-			dur = 80_000
+		// gzip finishes on slot 0 at cycle 1,349,312. The other tiles
+		// outstall the manager, so phase 2's vmSwitch is re-sent to
+		// workers that switch on the first and must ack the second.
+		dur := uint64(70_000)
+		switch tile {
+		case l[0].Manager:
+			dur = 50_000
+		case l[0].Slaves[1]:
+			dur = 100_000
 		}
-		cfg.Fault.Stalls = append(cfg.Fault.Stalls, fault.TileStall{Tile: tile, Cycle: 1_360_251, Dur: dur})
+		cfg.Fault.Stalls = append(cfg.Fault.Stalls, fault.TileStall{Tile: tile, Cycle: 1_349_313, Dur: dur})
 	}
 	fr, err := RunFleet(imgs, cfg, FleetConfig{})
 	if err != nil {

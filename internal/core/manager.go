@@ -273,8 +273,9 @@ func (st *managerState) handleRebankAck(m rebankAck) {
 // later admission uses it either (unless it is the slot's last of its
 // kind). A dead slave's in-flight translation is re-queued. A dead bank
 // holding dirty lines cancels the admission for a rollback: the MMU is
-// pointed past it, so a line fill waiting on it completes, and the exec
-// tile stops at its next block boundary, where the slot re-admits the
+// pointed past it and the exec tile told to re-send a line fill waiting
+// on it (fillWake), and the exec tile stops at its next block boundary,
+// where the slot re-admits the
 // guest from its latest checkpoint (fleetRun.rollBack) — losslessly. A
 // clean bank's address fraction is redistributed over the survivors:
 // the surviving banks are flushed (the interleave function changed, the
@@ -297,6 +298,7 @@ func (st *managerState) excise(t int) {
 			if live := slices.DeleteFunc(slices.Clone(st.banksNow), func(b int) bool { return b == t }); len(live) > 0 {
 				st.banksNow = live
 				st.sendRebank()
+				st.c.Send(st.e.pl.exec, fillWake{}, wordsCtl)
 			}
 			return
 		}
@@ -360,8 +362,9 @@ func (st *managerState) sendRebank() {
 // own vmSwitch and re-register with the next manager), and the vmSwitch
 // from ackTo is acked only once every translation out at a slave has
 // come back — results are discarded, the guest that wanted them is gone
-// — so no stale transDone can reach the new epoch. It reports whether
-// nothing is out, in which case the ack is due at once.
+// — so the next epoch starts with its slaves idle. A result that lands
+// after the ack is the next epoch's to drop (handleTransDone). It
+// reports whether nothing is out, in which case the ack is due at once.
 func (st *managerState) beginSwitch(ackTo int) bool {
 	st.parked = nil
 	st.switching, st.ackTo = true, ackTo
@@ -531,20 +534,11 @@ func (st *managerState) handleWorkReq(slave int) {
 	if st.roles[slave] != roleSlave {
 		return // reconfigured (or excised) while the request was in flight
 	}
+	// A slave the manager still counts busy sent its result before this
+	// request, and the one-word request overtook it: the result lands
+	// whatever the slave does next. The slave is parked, and may take
+	// new work, on the recovery protocol as on the plain one.
 	if st.e.inj != nil {
-		// A slave asking for work is not translating: if the manager
-		// still counts it busy, the work unit or its transDone was lost
-		// in flight. Re-queue immediately — waiting out the work
-		// watchdog would be correct but slow, and parking the slave
-		// without this would overwrite its outstanding entry, orphaning
-		// the translation as permanently "inflight".
-		if ow, ok := st.outstanding[slave]; ok {
-			st.e.stats.Retries++
-			delete(st.outstanding, slave)
-			en := st.entry(ow.pc)
-			en.inflight = false
-			st.push(ow.pc, ow.depth)
-		}
 		// A delayed workReq can race the heartbeat-implied one; never
 		// park a slave twice.
 		for _, s := range st.parked {
@@ -609,9 +603,16 @@ func (st *managerState) staleSMC(m *transDone) bool {
 // handleTransDone stores a finished translation, wakes demand waiters,
 // and enqueues speculative successors. It is idempotent so that the
 // fault-recovery watchdogs may re-dispatch work whose first result was
-// merely slow rather than lost.
+// merely slow rather than lost: a second result for a block is counted
+// and not stored again. A result for another epoch's guest is dropped:
+// one sent before a hand-off can land after it (a slave the slot
+// dropped is not waited for, and a long block's result can be overtaken
+// by its slave's next one).
 func (st *managerState) handleTransDone(m *transDone, from int) {
 	P := &st.e.cfg.Params
+	if m.Translator != st.e.tr {
+		return
+	}
 	if ow, ok := st.outstanding[from]; ok && ow.pc == m.PC {
 		delete(st.outstanding, from)
 	}
@@ -619,6 +620,9 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 	en.inflight = false
 	st.e.stats.Translations++
 	st.e.trc().Count(tsTranslations, st.c.Now(), 1)
+	if en.done || en.bad {
+		return
+	}
 	if st.staleSMC(m) {
 		// Translated from overwritten bytes: discard. A pending demand
 		// waiter re-queues at demand priority; speculative results are

@@ -57,12 +57,14 @@ type work struct {
 }
 
 // transDone returns a completed translation (Res nil on decode
-// failure).
+// failure). Translator is the work unit's: each admission has its own,
+// so it names the VM epoch the result belongs to.
 type transDone struct {
-	PC    uint32
-	Depth int
-	Gen   uint64
-	Res   *translate.Result
+	PC         uint32
+	Depth      int
+	Gen        uint64
+	Res        *translate.Result
+	Translator *translate.Translator
 	pooled
 }
 
@@ -161,6 +163,12 @@ type rebank struct {
 	Banks []int
 	Gen   uint64
 }
+
+// fillWake tells the execution tile that the manager has pointed the
+// MMU past a dead bank holding dirty lines: a line fill waiting on that
+// bank is re-sent at once, not at its watchdog deadline, so the
+// cancelled guest reaches its rollback without sitting out a backoff.
+type fillWake struct{}
 
 // rebankAck confirms the MMU installed the bank set with this Gen.
 type rebankAck struct {

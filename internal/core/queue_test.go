@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"tilevm/internal/translate"
+)
 
 // qState builds a bare managerState sufficient for queue-policy tests
 // (no tile context needed: push/pop/queuedLen touch only bookkeeping).
@@ -99,5 +103,18 @@ func TestQueueFIFOSpecAblation(t *testing.T) {
 	pc, _, _ := st.pop()
 	if pc != 0x5 {
 		t.Errorf("demand did not preempt FIFO: got %#x", pc)
+	}
+}
+
+// TestResultOfAnotherEpochIsDropped: a translation result sent before a
+// slot's hand-off can land after it. The next guest's manager must not
+// take it in: it was read from another guest's memory.
+func TestResultOfAnotherEpochIsDropped(t *testing.T) {
+	st := qState()
+	st.e.tr = translate.New(translate.Options{})
+	st.handleTransDone(&transDone{PC: 0x200, Translator: translate.New(translate.Options{})}, 6)
+	if st.e.stats.Translations != 0 || st.entries[0x200] != nil {
+		t.Errorf("a result for another epoch was taken in: %d translations, entry %+v",
+			st.e.stats.Translations, st.entries[0x200])
 	}
 }

@@ -176,7 +176,7 @@ func (e *engine) doTranslate(c *raw.TileCtx, m *work, replyTo int) {
 		res, err = m.Translator.TranslateFinal(m.Mem, m.PC)
 	}
 	d := e.pool.dones.get()
-	*d = transDone{PC: m.PC, Depth: m.Depth, Gen: m.Gen}
+	*d = transDone{PC: m.PC, Depth: m.Depth, Gen: m.Gen, Translator: m.Translator}
 	if err != nil {
 		c.Tick(P.TransBaseOcc)
 		e.trc().Span(c.Tile, "translate", t0, c.Now(), "pc", uint64(m.PC), "depth", uint64(m.Depth))
