@@ -183,7 +183,7 @@ func TestSMCUnderFaultRecovery(t *testing.T) {
 		want pin
 	}{
 		{"stall/l15", &fault.Plan{Stalls: []fault.TileStall{{Tile: 1, Cycle: 4_000, Dur: 50_000}}},
-			pin{cycles: 57_232, retries: 32, timeouts: 1, smc: 1, hash: 0xec85af24acb89ae6}},
+			pin{cycles: 56_896, retries: 1, timeouts: 1, smc: 1, hash: 0xec85af24acb89ae6}},
 	} {
 		cfg := DefaultConfig()
 		cfg.Fault = tc.plan

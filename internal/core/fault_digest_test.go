@@ -29,7 +29,12 @@ import (
 // once, so a dead tile's fail clause fires once and its kernel lives
 // on, fault-swallowing, and a rollback re-admits the guest through the
 // vmSwitch hand-off instead of restarting the clock at the detection
-// cycle. Every stall-only and fault-free row is unchanged.
+// cycle. Every stall-only and fault-free row was unchanged. Every row
+// with a fault clause, stall-only ones too, was re-pinned again when
+// the recovery protocol stopped taking a work request that overtook its
+// slave's result for a lost one, which had re-translated nearly every
+// block, and a rollback began to re-send a line fill waiting on the
+// dead bank at once. The fault-free rows are unchanged.
 //
 // A single machine rejects a fail-stop of an L1.5 bank up front
 // (validateFaultPlan: not an excisable worker), so that condition runs
@@ -69,10 +74,10 @@ func stallStorm(n int) *fault.Plan {
 var runGoldens = []runGolden{
 	{name: "fail/slave",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
-		want: [3]string{"1362826:0:bf392fc6da5b9f26", "2810212:0:1c8864250c9349f0", "14844611:0:9fa3ec9d4b14d680"}},
+		want: [3]string{"1356928:0:6cad4bbcdd3e046c", "2806372:0:674f4b8302eb372c", "14330884:0:98121efded4e6388"}},
 	{name: "fail/bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
-		want: [3]string{"1362826:0:dc9ffc2bc95d50f7", "3345943:0:d3ec4a376f4d2a9d", "14909811:0:b7e513f7e49ed084"}},
+		want: [3]string{"1356928:0:e42476fa163ff29c", "3341793:0:9378828e3fc7d0a7", "14439993:0:305422e4e5bb7d3b"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -80,16 +85,16 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 14, Cycle: 250_000},
 				fault.TileFail{Tile: 12, Cycle: 600_000})
 		},
-		want: [3]string{"1362234:0:37d4260b4593dfa8", "3465849:0:a3f88a68d3e0541d", "14373512:0:735a0a690187d00d"}},
+		want: [3]string{"1356799:0:0b7e15dc1153bcdf", "3462545:0:fd0064ca2f18c229", "14215880:0:6c08bdacd4b37f82"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2461760:0:41a49cf59f1e675a", "5107352:0:98c2e885e9519147", "17409068:0:4a02ae879ebd3544"}},
+		want: [3]string{"2439119:0:d54c559afc77b11e", "5092173:0:705b016a0e06f343", "16862933:0:de77252daa1cc544"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
-		want: [3]string{"1392326:0:a5846ed19ecaec8f", "2838998:0:e87563a8672d8b95", "15098615:0:42063f032c2da976"}},
+		want: [3]string{"1386428:0:21f59d8ffac32be3", "2835211:0:a2e2b76f71eb94bd", "14415720:0:50716b98bd9351bf"}},
 	{name: "stall/bank",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tilePermBank, Cycle: 500_000, Dur: 45_000}) },
-		want: [3]string{"1362298:0:57ed4a40fe375308", "2853655:0:5ce8fcc65c1da972", "14924852:0:74cb09cfeefb387a"}},
+		want: [3]string{"1356400:0:15c7fc27075ca6c2", "2850217:0:0f4207fabcdaedce", "14429331:0:55214174f1f0fcde"}},
 	{name: "stall/l15+sys+slave+two-on-one-bank",
 		cfg: func(c *Config) {
 			c.Fault = stalls(
@@ -99,7 +104,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 2, Cycle: 300_000, Dur: 1_000},
 				fault.TileStall{Tile: 2, Cycle: 300_500, Dur: 2_000})
 		},
-		want: [3]string{"1433412:0:4ade460f3d128ee7", "2888322:0:3293a19645bb4041", "14989621:0:fecc2f60d65d2c5d"}},
+		want: [3]string{"1429057:0:b222da135dd0b9a6", "2884536:0:793614c48868ee5c", "14377389:0:e6908cd2d01bbe44"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{
@@ -110,13 +115,13 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1361902:0:87d0a8ab11d9e971", "3487468:0:9c2daa8aa2488cfd", "14675538:0:f7833db15c16446a"}},
+		want: [3]string{"1356711:0:f2125fb70c809347", "3546042:0:ae292df3e9c855fb", "14357475:0:1a40e11e3a0901fd"}},
 	{name: "stall-storm",
 		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
-		want: [3]string{"5040544:0:9b0919ad2a95ec01", "6941246:0:067f22479b738587", "17560753:0:1f1129b529d37730"}},
+		want: [3]string{"5225459:0:311a7af53b68c968", "6959254:0:317723860e9d6029", "17324912:0:4865dd73a0184621"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000}) },
-		want: [3]string{"1362826:0:7e9532ef9fec8b8c", "3336118:0:136a35526645ddcb", "14894092:0:7c6d28def25206ac"}},
+		want: [3]string{"1356928:0:f9fa2c7d9fe2420b", "3331609:0:5984c6cd02d1bab1", "14425269:0:841ede81e05abdaa"}},
 	{name: "rollback/two-banks+slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -124,7 +129,7 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 13, Cycle: 500_000},
 				fault.TileFail{Tile: 2, Cycle: 800_000})
 		},
-		want: [3]string{"1362826:0:1f27d2136e70312b", "4395529:0:44b47c653242fdce", "14723309:0:8cc8d4a19dad4c86"}},
+		want: [3]string{"1356928:0:3afb9c8a03f31731", "4343116:0:bab31b910f9d9199", "14368238:0:9e46293f51d69905"}},
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
 		want: [3]string{"1366236:0:6622e6ac9babf468", "2814592:0:51b0a385b8a40dd4", "14525580:0:d384007fb2eca9b4"}},
@@ -133,7 +138,7 @@ var runGoldens = []runGolden{
 			c.Speculative = false
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
-		want: [3]string{"1569829:0:63c02554cdf89aea", "3009100:0:d2def7b93756a134", "19105648:0:a70e719abde83926"}},
+		want: [3]string{"1624802:0:b2f304a220b41d7c", "3062063:0:58d3c94fa17f81ed", "18915963:0:3f7903c78c17283f"}},
 	{name: "traced", traced: true,
 		want: [3]string{"1356400:409651:479a41574f0f7bd2", "2805178:5774705:466e65215a83e615", "14411161:14022151:5a2b7ce84b726dad"}},
 	{name: "traced/fail+stall", traced: true,
@@ -142,7 +147,7 @@ var runGoldens = []runGolden{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1377826:506317:06096a6f5607430c", "3427719:5847280:aa94986e6337e336", "14661881:15296680:639e2c053e3d200b"}},
+		want: [3]string{"1371928:414182:c553f4e2d90f14d5", "3423885:5794576:cbff931c305c51d0", "14353306:14037262:a7a9c08613184e09"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {
