@@ -74,10 +74,10 @@ func stallStorm(n int) *fault.Plan {
 var runGoldens = []runGolden{
 	{name: "fail/slave",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
-		want: [3]string{"1356928:0:6cad4bbcdd3e046c", "2806372:0:674f4b8302eb372c", "14330884:0:98121efded4e6388"}},
+		want: [3]string{"1356928:0:24132d97e0981682", "2806372:0:fb8bd85145a2d680", "14330884:0:eb12d5e2858eee1e"}},
 	{name: "fail/bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
-		want: [3]string{"1356928:0:e42476fa163ff29c", "3341793:0:9378828e3fc7d0a7", "14439993:0:305422e4e5bb7d3b"}},
+		want: [3]string{"1356928:0:b22f288de42b6c90", "3341793:0:0f5f05d354a46ef5", "14439993:0:d88dce5e23a1064f"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -85,16 +85,16 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 14, Cycle: 250_000},
 				fault.TileFail{Tile: 12, Cycle: 600_000})
 		},
-		want: [3]string{"1356799:0:0b7e15dc1153bcdf", "3462545:0:fd0064ca2f18c229", "14215880:0:6c08bdacd4b37f82"}},
+		want: [3]string{"1356799:0:edb0a499f2d873fd", "3462545:0:fcb70645e6ba5afd", "14215880:0:43ad4c23f174b3a8"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2439119:0:d54c559afc77b11e", "5092173:0:705b016a0e06f343", "16862933:0:de77252daa1cc544"}},
+		want: [3]string{"2439119:0:f620a9e788cbd3b4", "5092173:0:55a131b0414a3457", "16862933:0:2668b0441bf51718"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
-		want: [3]string{"1386428:0:21f59d8ffac32be3", "2835211:0:a2e2b76f71eb94bd", "14415720:0:50716b98bd9351bf"}},
+		want: [3]string{"1386428:0:2b10ecb858898ba7", "2835211:0:352c8350ad00f057", "14415720:0:186494c43ab0b053"}},
 	{name: "stall/bank",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tilePermBank, Cycle: 500_000, Dur: 45_000}) },
-		want: [3]string{"1356400:0:15c7fc27075ca6c2", "2850217:0:0f4207fabcdaedce", "14429331:0:55214174f1f0fcde"}},
+		want: [3]string{"1356400:0:c74c66e9def35b86", "2850217:0:2b4359d977761314", "14429331:0:0e11a73634fdc3ea"}},
 	{name: "stall/l15+sys+slave+two-on-one-bank",
 		cfg: func(c *Config) {
 			c.Fault = stalls(
@@ -104,7 +104,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 2, Cycle: 300_000, Dur: 1_000},
 				fault.TileStall{Tile: 2, Cycle: 300_500, Dur: 2_000})
 		},
-		want: [3]string{"1429057:0:b222da135dd0b9a6", "2884536:0:793614c48868ee5c", "14377389:0:e6908cd2d01bbe44"}},
+		want: [3]string{"1429057:0:3fb5924d8f990bfa", "2884536:0:a9eb5cdd2fc43920", "14377389:0:2f50a6505d554b50"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{
@@ -115,13 +115,13 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1356711:0:f2125fb70c809347", "3546042:0:ae292df3e9c855fb", "14357475:0:1a40e11e3a0901fd"}},
+		want: [3]string{"1356711:0:36e4e3298237f2c3", "3546042:0:1d24bea132fd14f5", "14357475:0:320c04ad1ccd1f11"}},
 	{name: "stall-storm",
 		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
-		want: [3]string{"5225459:0:311a7af53b68c968", "6959254:0:317723860e9d6029", "17324912:0:4865dd73a0184621"}},
+		want: [3]string{"5225459:0:c245a6d66eca3930", "6959254:0:c8a76e77dd4868ad", "17324912:0:540634b67b493d91"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000}) },
-		want: [3]string{"1356928:0:f9fa2c7d9fe2420b", "3331609:0:5984c6cd02d1bab1", "14425269:0:841ede81e05abdaa"}},
+		want: [3]string{"1356928:0:5d36284f1431fec5", "3331609:0:0c2d68a81481a4cb", "14425269:0:ccb51f8aba7c8968"}},
 	{name: "rollback/two-banks+slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -129,25 +129,25 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 13, Cycle: 500_000},
 				fault.TileFail{Tile: 2, Cycle: 800_000})
 		},
-		want: [3]string{"1356928:0:3afb9c8a03f31731", "4343116:0:bab31b910f9d9199", "14368238:0:9e46293f51d69905"}},
+		want: [3]string{"1356928:0:7813ed711b113d5d", "4343116:0:cfc5d42e7693c77d", "14368238:0:8f5ae6d5bead8c9b"}},
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
-		want: [3]string{"1366236:0:6622e6ac9babf468", "2814592:0:51b0a385b8a40dd4", "14525580:0:d384007fb2eca9b4"}},
+		want: [3]string{"1366236:0:1b8d0907afd1fc16", "2814592:0:2bbabaef48ca7800", "14525580:0:6e6b7b3d093ab6e8"}},
 	{name: "nospec/fail",
 		cfg: func(c *Config) {
 			c.Speculative = false
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
-		want: [3]string{"1624802:0:b2f304a220b41d7c", "3062063:0:58d3c94fa17f81ed", "18915963:0:3f7903c78c17283f"}},
+		want: [3]string{"1624802:0:9a75dd51fc2450f0", "3062063:0:bae5bd4bb4fe97b1", "18915963:0:704e96db53d1e501"}},
 	{name: "traced", traced: true,
-		want: [3]string{"1356400:409651:479a41574f0f7bd2", "2805178:5774705:466e65215a83e615", "14411161:14022151:5a2b7ce84b726dad"}},
+		want: [3]string{"1356400:409651:6b2038c816ca1e40", "2805178:5774705:42cfa44648e1dae9", "14411161:14022151:b23cbf740d2223cf"}},
 	{name: "traced/fail+stall", traced: true,
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1371928:414182:c553f4e2d90f14d5", "3423885:5794576:cbff931c305c51d0", "14353306:14037262:a7a9c08613184e09"}},
+		want: [3]string{"1371928:414182:6fded5b3d0959d09", "3423885:5794576:63bf4027b599a9ec", "14353306:14037262:f7077ae281ded67b"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {
@@ -179,8 +179,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}
-		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
-			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
+		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
+			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsDump(r.M))
 		cycles = r.Cycles
 	}
 	n := 0

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"regexp"
 	"testing"
 
 	"tilevm/internal/fault"
+	"tilevm/internal/metrics"
 	"tilevm/internal/translate"
 )
 
@@ -44,8 +46,8 @@ func writeFleetResult(w io.Writer, fr *FleetResult) {
 		fmt.Fprintf(w, "g%d status=%v attempts=%d slot=%d admitted=%d finished=%d err=%v\n",
 			gi, g.Status, g.Attempts, g.Slot, g.Admitted, g.Finished, g.Err)
 		if r := g.Result; r != nil {
-			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %+v\n",
-				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
+			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %s\n",
+				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsDump(r.M))
 		}
 	}
 }
@@ -107,6 +109,15 @@ func (g *fleetGolden) run(t *testing.T, memo *translate.Memo) string {
 
 func fails(tf ...fault.TileFail) *fault.Plan { return &fault.Plan{Fails: tf} }
 
+// metricsDump renders a metrics set for the digests, without the
+// Timeouts and Retries counters, which count the execution tile's and
+// the manager's watchdog re-sends.
+func metricsDump(m metrics.Set) string {
+	return retryCounters.ReplaceAllString(fmt.Sprintf("%+v", m), "")
+}
+
+var retryCounters = regexp.MustCompile(` Timeouts:\d+ Retries:\d+`)
+
 var (
 	four  = []string{"164.gzip", "181.mcf", "164.gzip", "181.mcf"}
 	five  = []string{"164.gzip", "181.mcf", "164.gzip", "181.mcf", "164.gzip"}
@@ -117,25 +128,25 @@ var (
 
 var fleetGoldens = []fleetGolden{
 	{name: "8x8/free", w: 8, h: 8, guests: four,
-		want: "3900509:0:88782160c031bbb4"},
+		want: "3900509:0:055e1d7bf9f9e2a8"},
 	{name: "4x4/oversub", w: 4, h: 4, guests: five,
-		want: "6599125:0:f08fb8cf01c8ed5c"},
+		want: "6599125:0:206b99b1abc135d2"},
 	{name: "8x8/planner/cap3", w: 8, h: 8, guests: []string{"164.gzip", "181.mcf", "176.gcc", "164.gzip", "181.mcf"},
 		fc: func(t *testing.T, g *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 3, Profiles: profilesFor(t, g.guests...)}
 		},
-		want: "15976298:0:237ac20bfc50dab8"},
+		want: "15976298:0:999eb5c2d7206022"},
 	{name: "8x8/traced", w: 8, h: 8, guests: five[:3], traced: true,
-		want: "3900509:6665814:550cfbabc13b6791"},
+		want: "3900509:6665814:837bc0d3bce1bd61"},
 	{name: "4x4/nospec", w: 4, h: 4, guests: five[:3],
 		cfg:  func(cfg *Config, _ []FleetSlot) { cfg.Speculative = false },
-		want: "4105724:0:b9fe42996e8d6fc4"},
+		want: "4105724:0:f609969035953bd8"},
 	{name: "4x4/deadlines", w: 4, h: 4, guests: []string{"164.gzip", "181.mcf", "164.gzip", "181.mcf"},
 		// Guest 1 is cancelled mid-run, guest 3 while still queued.
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{Deadline: 1 << 40, Deadlines: []uint64{0, 2_000_000, 0, 1_000_000}}
 		},
-		want: "2698092:0:fc1b72600f175ed5"},
+		want: "2698092:0:eb925d0ff61eebaf"},
 	{name: "8x8/chaos5/traced", w: 8, h: 8, guests: dozen, traced: true,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -146,7 +157,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[5].Exec, Cycle: 2_500_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 7} },
-		want: "7444701:32524311:b67913fb5999d884"},
+		want: "7444701:32524311:f1d8a8e1e6716f62"},
 	{name: "8x8/cap4/chaos/retries", w: 8, h: 8, guests: dozen[:7],
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -157,13 +168,13 @@ var fleetGoldens = []fleetGolden{
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 4, MaxAttempts: 2, RetryBackoff: 200_000, RetrySeed: 99}
 		},
-		want: "6645161:0:62bd28db3758e8f9"},
+		want: "6645161:0:b699ab8d3e793ba7"},
 	{name: "4x4/rollback/slave", w: 4, h: 4, guests: []string{"181.mcf", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_000_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 3} },
-		want: "3902138:0:a373dbb68f5208e1"},
+		want: "3902138:0:298c187e37e59bf9"},
 	{name: "8x8/rollback/manager/queued", w: 8, h: 8, guests: five,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[1].Manager, Cycle: 1_500_000})
@@ -171,7 +182,7 @@ var fleetGoldens = []fleetGolden{
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 3, RetrySeed: 11, RetryBackoff: 500_000}
 		},
-		want: "5251974:0:15c92a1dd12f5457"},
+		want: "5251974:0:ab42406d10d0598f"},
 	{name: "8x8/rollback/bank+exec", w: 8, h: 8, guests: []string{"181.mcf", "176.gcc", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -179,7 +190,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[1].Exec, Cycle: 2_000_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 5} },
-		want: "18298845:0:754e2988b01e48b5"},
+		want: "18298845:0:d905f219fe472f4d"},
 	{name: "8x8/stall+fail", w: 8, h: 8, guests: four,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = &fault.Plan{
@@ -189,7 +200,7 @@ var fleetGoldens = []fleetGolden{
 				Fails: []fault.TileFail{{Tile: l[1].Slaves[0], Cycle: 800_000}}}
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 13} },
-		want: "3902138:0:643b69ea93b7e6cb"},
+		want: "3902138:0:e250a7d299cd9b4b"},
 	{name: "8x8/planner/fail", w: 8, h: 8, guests: four,
 		// The planner grows slots on an undersubscribed fabric, so the
 		// fault is aimed by tile id, not through the base-tier layout.
@@ -199,7 +210,7 @@ var fleetGoldens = []fleetGolden{
 		fc: func(_ *testing.T, g *fleetGolden) FleetConfig {
 			return FleetConfig{Profiles: make([]GuestProfile, len(g.guests)), RetrySeed: 2}
 		},
-		want: "2841802:0:6729fbe62eacd0b4"},
+		want: "2841802:0:d90dfc19f82c5940"},
 }
 
 func TestFleetScheduleDigest(t *testing.T) {

@@ -13,8 +13,9 @@ import (
 // configurations: the cycle count, the whole metrics set, the state
 // hash, the per-tile busy vector and, when traced, the trace bytes.
 // Run is a fleet of one slot laid out by place, the fixed 4×4 layout;
-// these digests were recorded when Run still built its own machine, so
-// they hold the fleet of one to everything a single machine returned.
+// the cycles, busy vectors and traces were recorded when Run still
+// built its own machine, so they hold the fleet of one to everything a
+// single machine returned.
 func TestRunIsFleetOfOne(t *testing.T) {
 	guests := []string{"164.gzip", "181.mcf", "176.gcc", "197.parser"}
 	memo := translate.NewMemo()
@@ -28,13 +29,13 @@ func TestRunIsFleetOfOne(t *testing.T) {
 	}
 	rows := []row{
 		{name: "default",
-			want: [4]string{"1356400:0:5939f9c2af5bc755", "2805178:0:e7839f16d62e5d32", "14411161:0:c6d240595d521867", "1769325:0:4cdb299fc0278e9d"}},
+			want: [4]string{"1356400:0:b2df329c2ab2f55b", "2805178:0:4db70f4e465b6186", "14411161:0:69db9422af000c15", "1769325:0:143974ef57175813"}},
 		{name: "morph", cfg: func(c *Config) { c.Morph = true },
-			want: [4]string{"1366236:0:fc90f25a23548435", "2814592:0:4a6fa0a2f855eea2", "14525580:0:28bb2e3168f449c2", "1775839:0:c43622cbbb79d283"}},
+			want: [4]string{"1366236:0:58ee5c42d8baa9bb", "2814592:0:8a60ba3e6cb1f196", "14525580:0:6fad6a705b0d9ab6", "1775839:0:2bba76850602b4f1"}},
 		{name: "traced", traced: true,
-			want: [4]string{"1356400:409651:d637baf3662ca47b", "2805178:5774705:9c6ca70a2871aae7", "14411161:14022151:92d2c574d4f06512", "1769325:1754337:52b4735b8b236505"}},
+			want: [4]string{"1356400:409651:2b58a1d800d47389", "2805178:5774705:36d56ccae1022d9b", "14411161:14022151:e099eabefc432824", "1769325:1754337:e5a29f0e76fdb5f7"}},
 		{name: "memo", memo: true,
-			want: [4]string{"1356400:0:5939f9c2af5bc755", "2805178:0:e7839f16d62e5d32", "14411161:0:c6d240595d521867", "1769325:0:4cdb299fc0278e9d"}},
+			want: [4]string{"1356400:0:b2df329c2ab2f55b", "2805178:0:4db70f4e465b6186", "14411161:0:69db9422af000c15", "1769325:0:143974ef57175813"}},
 	}
 	for _, r := range rows {
 		for gi, guest := range guests {
@@ -55,8 +56,8 @@ func TestRunIsFleetOfOne(t *testing.T) {
 				t.Fatalf("%s/%s: %v", r.name, guest, err)
 			}
 			h := fnv.New64a()
-			fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
-				res.Cycles, res.ExitCode, res.StateHash, res.Stdout, res.TileBusy, res.M)
+			fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
+				res.Cycles, res.ExitCode, res.StateHash, res.Stdout, res.TileBusy, metricsDump(res.M))
 			n := 0
 			if r.traced {
 				var buf bytes.Buffer
