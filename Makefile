@@ -11,10 +11,11 @@ check: vet nomaps onewait onemachine deadexports build tilebench-build test race
 nomaps:
 	@! grep -n 'map\[' $$(ls internal/opt/*.go internal/codegen/*.go | grep -v _test.go)
 
-# The execution tile has one blocking wait, watchdog.recv (DESIGN.md
-# §6): every request/reply leg goes through it, so a per-cause cycle
-# ledger has one place to tag. Any other function in internal/core
-# that calls Recv or RecvDeadline fails this.
+# The execution tile has one blocking wait, await (DESIGN.md §6): every
+# request/reply leg goes through it, so a per-cause cycle ledger has one
+# place to tag. Nothing is re-sent on a timer, so it has no deadline.
+# Any other function in internal/core that calls Recv, or any that
+# calls RecvDeadline, fails this.
 onewait:
 	$(GO) test -count=1 -run TestOneWaitSite ./internal/core
 

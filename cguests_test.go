@@ -70,12 +70,12 @@ func TestCompiledGuests(t *testing.T) {
 }
 
 // TestSyscallDedupUnderStall stalls the syscall proxy tile (tile 0 of
-// the default placement) from cycle 1, for longer than the watchdog,
-// while crc.O2 makes its syscalls. The execution tile re-sends each
-// request that goes unanswered, the stalled tile then receives the
-// original and every re-send, and only its deduplication by request ID
-// keeps a write from running once per copy. Each row must print stdout
-// once and end in the fault-free state hash.
+// the default placement) from cycle 1 while crc.O2 makes its syscalls,
+// with the recovery protocol armed by a fail clause that never fires.
+// A syscall is not idempotent, and the protocol sends each request
+// once: the stalled tile answers it when the stall ends, so every
+// syscall runs once. Each row must print stdout once and end in the
+// fault-free state hash.
 func TestSyscallDedupUnderStall(t *testing.T) {
 	img, err := guest.LoadELFFile("testdata/cguests/crc.O2")
 	if err != nil {
@@ -87,13 +87,13 @@ func TestSyscallDedupUnderStall(t *testing.T) {
 	}
 	for _, stall := range []uint64{50_000, 200_000} {
 		cfg := core.DefaultConfig()
-		cfg.Fault = &fault.Plan{Stalls: []fault.TileStall{{Tile: 0, Cycle: 1, Dur: stall}}}
+		cfg.Fault = &fault.Plan{
+			Stalls: []fault.TileStall{{Tile: 0, Cycle: 1, Dur: stall}},
+			Fails:  []fault.TileFail{{Tile: 8, Cycle: 1 << 60}},
+		}
 		res, err := core.Run(img, cfg)
 		if err != nil {
 			t.Fatalf("stall %d: %v", stall, err)
-		}
-		if res.M.Timeouts == 0 {
-			t.Errorf("stall %d: no watchdog expiry, so nothing was re-sent", stall)
 		}
 		if res.Stdout != clean.Stdout || res.ExitCode != clean.ExitCode || res.StateHash != clean.StateHash {
 			t.Errorf("stall %d: stdout %q exit %d hash %#x, fault-free %q exit %d hash %#x",

@@ -486,11 +486,11 @@ func report(res *core.Result, verbose bool) {
 	fmt.Printf("syscalls/assists  : %d/%d\n", m.Syscalls, m.Assists)
 	fmt.Printf("reconfigurations  : %d (%d lines flushed)\n", m.Reconfigs, m.MorphFlushLines)
 	fmt.Printf("SMC invalidations : %d\n", m.SMCInvalidations)
-	if m.FaultsInjected > 0 || m.Timeouts > 0 {
+	if m.FaultsInjected > 0 {
 		fmt.Printf("faults injected   : %d (%d fails, %d stalls)\n",
 			m.FaultsInjected, m.TileFails, m.TileStalls)
-		fmt.Printf("recovery          : %d timeouts, %d retries, %d role remaps, %d recovery cycles\n",
-			m.Timeouts, m.Retries, m.RoleRemaps, m.RecoveryCycles)
+		fmt.Printf("recovery          : %d role remaps, %d recovery cycles\n",
+			m.RoleRemaps, m.RecoveryCycles)
 	}
 	if m.Checkpoints > 0 || m.Rollbacks > 0 {
 		fmt.Printf("checkpoints       : %d\n", m.Checkpoints)

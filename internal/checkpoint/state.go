@@ -9,10 +9,10 @@
 // is a pure function of guest memory, so the L2 code cache is recorded
 // as its ordered entry PCs and rebuilt by re-translating, and the L1
 // arena (including chain patches) is reproduced by re-inserting those
-// translations in arena order. In-flight messages are deliberately not
-// captured: restoring drops them, which is exactly the lost-message
-// scenario the machine's retry/heartbeat/watchdog protocols already
-// recover from. Snapshots live only in memory; nothing serializes them.
+// translations in arena order. In-flight messages are not captured: a
+// capture is taken where the execution tile has no request out, and a
+// restore starts its tiles afresh. Snapshots live only in memory;
+// nothing serializes them.
 //
 // Capture is incremental: guest pages unwritten since the previous
 // snapshot share its backing (see guest.Memory.Capture), and capturing

@@ -58,13 +58,15 @@ type Config struct {
 
 	// Fault, if non-nil and non-empty, installs a deterministic fault
 	// plan (see internal/fault): tile fail-stops and stalls. The plan is
-	// the whole fault configuration. Any fault arms the recovery
-	// protocol: worker heartbeats, watchdogged request/reply round trips
-	// with retry-and-backoff on the execution tile, and manager-driven
-	// excision of dead tiles through the morph/flush/remap path. A fail
-	// clause also arms checkpoints every DefaultCheckpointInterval
-	// cycles: a dead bank holding dirty lines rolls the guest back to
-	// the last one, and so does a fleet retry.
+	// the whole fault configuration. A stall only costs its tile time:
+	// requests are sent once, and a stalled tile answers late. A fail
+	// clause arms the recovery protocol: worker heartbeats, the
+	// manager's failure detector, and excision of dead tiles through
+	// the morph/flush/remap path, each excision waking the execution
+	// tile to re-send a line fill the dead tile held. It also arms
+	// checkpoints every DefaultCheckpointInterval cycles: a dead bank
+	// holding dirty lines rolls the guest back to the last one, and so
+	// does a fleet retry.
 	// With Fault nil (or empty) no fault code path runs and the machine
 	// is bit-identical to a fault-free build.
 	Fault *fault.Plan

@@ -54,7 +54,7 @@ type engine struct {
 	// the simulation once every guest is terminal.
 	onExit func(*raw.TileCtx)
 	// vmLabel tags this engine's trace rows with its guest index in a
-	// carved fleet; Run's rows carry none.
+	// fleet of more than one guest; Run's rows carry none.
 	vmLabel string
 	// cancelled marks this engine's guest as aborted: by the fleet
 	// supervisor (quarantine or deadline) or by its manager (rollback).
@@ -75,16 +75,16 @@ type engine struct {
 	smcGen    uint64
 
 	// Fault injection. inj is the machine's injector when the recovery
-	// protocol is armed (runFleet: Run under any plan, a carved fleet
-	// under one that fail-stops), and then arms every
-	// watchdog/heartbeat/retry code path ("robust mode"). With inj nil
-	// none of those paths execute, so fault-free runs stay
-	// bit-identical to the pre-fault engine.
+	// protocol is armed — under a plan with a fail clause, in Run and in
+	// a carved fleet alike — and then arms heartbeats, the manager's
+	// failure detector and excision. With inj nil none of those paths
+	// execute, so a stall-only plan only stalls tiles, and fault-free
+	// runs stay bit-identical to the pre-fault engine.
 	inj *fault.Injector
 	// bankOf lets the manager see whether a dead bank holds dirty lines
 	// (and so needs a rollback) at excision time; registered by each
-	// worker in robust mode. Single-threaded in virtual time like the
-	// rest.
+	// worker under the recovery protocol. Single-threaded in virtual
+	// time like the rest.
 	bankOf map[int]*dcache.Bank
 
 	// Checkpoint/rollback state. ck drives the capture cadence (nil
@@ -128,7 +128,7 @@ func Run(img *guest.Image, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fl, simErr := runFleet([]*guest.Image{img}, cfg, FleetConfig{}, []placement{place(&cfg)}, true)
+	fl, simErr := runFleet([]*guest.Image{img}, cfg, FleetConfig{}, []placement{place(&cfg)})
 	e := fl.engines[0]
 	if e.stopCycles == 0 {
 		e.stopCycles = fl.m.Sim.Now()

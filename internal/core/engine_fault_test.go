@@ -63,19 +63,15 @@ func TestFaultDeterminism(t *testing.T) {
 }
 
 // TestFaultChaosRecovers: a storm of stalls rotating over every service
-// tile, each longer than the watchdog, on top of a slave and a bank
-// fail-stopping, with recovery armed, must still produce the
-// architecturally correct result — every protocol leg has a watchdog
-// or is idempotent/deduplicated.
+// tile on top of a slave and a bank fail-stopping, with recovery armed,
+// must still produce the architecturally correct result: a stalled tile
+// answers late, and a dead one is excised.
 func TestFaultChaosRecovers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 4_000_000_000
 	cfg.Fault = stallStorm(60)
 	cfg.Fault.Fails = []fault.TileFail{{Tile: 8, Cycle: 100_000}, {Tile: 7, Cycle: 200_000}}
 	res := checkAgainstReference(t, sumLoop(2000), cfg)
-	if res.M.Timeouts == 0 || res.M.Retries == 0 {
-		t.Errorf("stalls longer than the watchdog but %d timeouts, %d retries", res.M.Timeouts, res.M.Retries)
-	}
 	if res.M.RoleRemaps != 2 {
 		t.Errorf("%d role remaps, want 2", res.M.RoleRemaps)
 	}
@@ -136,11 +132,10 @@ func TestFaultSurvivesSlaveAndBankKill(t *testing.T) {
 	}
 }
 
-// TestStalledDirtyBankRollsBack: a stall-only plan arms no
-// checkpoints, but a data bank stalled past HeartbeatTimeout while it
-// holds dirty lines is taken for dead all the same. It rolls back —
-// from the image, there being no checkpoint — and the run still ends in
-// the fault-free state.
+// TestStalledDirtyBankRollsBack: under a plan with a fail clause (one
+// that never fires), a data bank stalled past HeartbeatTimeout while it
+// holds dirty lines is taken for dead. It rolls back to a checkpoint,
+// and the run still ends in the fault-free state.
 func TestStalledDirtyBankRollsBack(t *testing.T) {
 	img := fleetImgs(t, "181.mcf")[0]
 	clean, err := Run(img, DefaultConfig())
@@ -148,57 +143,99 @@ func TestStalledDirtyBankRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Fault = stalls(fault.TileStall{Tile: tilePermBank, Cycle: 300_000, Dur: 300_000})
+	cfg.Fault = &fault.Plan{
+		Stalls: []fault.TileStall{{Tile: tilePermBank, Cycle: 300_000, Dur: 300_000}},
+		Fails:  []fault.TileFail{{Tile: 8, Cycle: 1 << 60}},
+	}
 	res, err := Run(img, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.M.Checkpoints != 0 {
-		t.Errorf("Checkpoints = %d under a stall-only plan, want 0", res.M.Checkpoints)
+	if res.M.Checkpoints == 0 {
+		t.Error("no checkpoint under a plan with a fail clause")
 	}
 	if res.M.Rollbacks != 1 {
 		t.Fatalf("Rollbacks = %d, want 1 (the stalled bank held dirty lines)", res.M.Rollbacks)
 	}
-	if res.M.ReexecCycles < 300_000 {
-		t.Errorf("ReexecCycles = %d, want the whole run up to detection (no checkpoint to restore)", res.M.ReexecCycles)
+	if res.M.ReexecCycles >= 300_000 {
+		t.Errorf("ReexecCycles = %d, want a restore from a checkpoint, not from the image", res.M.ReexecCycles)
 	}
 	if res.StateHash != clean.StateHash || res.ExitCode != clean.ExitCode {
 		t.Errorf("state %#x exit %d, fault-free %#x exit %d", res.StateHash, res.ExitCode, clean.StateHash, clean.ExitCode)
 	}
 }
 
-// TestSMCUnderFaultRecovery runs smcImage's invalidation handshake on
-// the robust path, with L1.5 bank tile 1 stalled across the
-// invalidation for longer than the watchdog, so the handshake times out
-// and re-sends to the one target that has not acked. Each row must
-// still match the reference interpreter, and pins the counters the
-// handshake drives.
+// TestCleanBankExcisionWakesFill: 256.bzip2 loses bank 7, which holds
+// no dirty line, at cycle 150,000, while the execution tile waits on a
+// line fill from it. The manager's excision re-points the MMU and wakes
+// the execution tile, which sends the fill again at once: it is served
+// by a surviving bank a short round trip after the excision, not when
+// some timer would next have re-sent it.
+func TestCleanBankExcisionWakesFill(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Fault = fails(fault.TileFail{Tile: 7, Cycle: 150_000})
+	cfg.Tracer = NewTracer(0)
+	if _, err := Run(fleetImgs(t, "256.bzip2")[0], cfg); err != nil {
+		t.Fatal(err)
+	}
+	var excised uint64
+	for _, ev := range cfg.Tracer.Events() {
+		if ev.Name == "excise" && ev.V1 == 7 {
+			if ev.V2 != 0 {
+				t.Fatal("bank 7 held dirty lines: the scenario wants a clean excision")
+			}
+			excised = ev.TS
+			break
+		}
+	}
+	if excised == 0 {
+		t.Fatal("bank 7 was never excised")
+	}
+	for _, ev := range cfg.Tracer.Events() {
+		if ev.Name == "memfill" && int(ev.PID) == tileExec && ev.TS < excised && ev.TS+ev.Dur >= excised {
+			if wait := ev.TS + ev.Dur - excised; wait > 5_000 {
+				t.Errorf("the fill waiting on bank 7 ended %d cycles after its excision at %d", wait, excised)
+			}
+			t.Logf("fill %d..%d, excision at %d", ev.TS, ev.TS+ev.Dur, excised)
+			return
+		}
+	}
+	t.Fatalf("no line fill was waiting on bank 7 at its excision (cycle %d)", excised)
+}
+
+// TestSMCUnderFaultRecovery runs smcImage's invalidation handshake
+// under the recovery protocol, armed by a fail clause that never fires,
+// with L1.5 bank tile 1 stalled across the invalidation: the handshake
+// waits for the stalled target's ack. Each row must still match the
+// reference interpreter, and pins the cycles and counters.
 func TestSMCUnderFaultRecovery(t *testing.T) {
 	type pin struct {
-		cycles, retries, timeouts, smc, hash uint64
+		cycles, smc, hash uint64
 	}
 	for _, tc := range []struct {
 		name string
 		plan *fault.Plan
 		want pin
 	}{
-		{"stall/l15", &fault.Plan{Stalls: []fault.TileStall{{Tile: 1, Cycle: 4_000, Dur: 50_000}}},
-			pin{cycles: 56_896, retries: 1, timeouts: 1, smc: 1, hash: 0xec85af24acb89ae6}},
+		{"stall/l15", &fault.Plan{
+			Stalls: []fault.TileStall{{Tile: 1, Cycle: 4_000, Dur: 50_000}},
+			Fails:  []fault.TileFail{{Tile: 8, Cycle: 1 << 60}}},
+			pin{cycles: 56_896, smc: 1, hash: 0xec85af24acb89ae6}},
 	} {
 		cfg := DefaultConfig()
 		cfg.Fault = tc.plan
 		res := checkAgainstReference(t, smcImage(), cfg)
 		m := res.M
-		got := pin{res.Cycles, m.Retries, m.Timeouts, m.SMCInvalidations, res.StateHash}
+		got := pin{res.Cycles, m.SMCInvalidations, res.StateHash}
 		if got != tc.want {
 			t.Errorf("%s: %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestRecoveryProtocolTranslatesOnce: a plan that never fires arms the
-// recovery protocol on Run's machine and loses nothing, so the manager
-// has nothing to retry. A slave's work request overtakes its result on
+// TestRecoveryProtocolTranslatesOnce: a fail clause that never fires
+// arms the recovery protocol on Run's machine, which loses nothing, so
+// the manager has nothing to re-queue. A slave's work request overtakes its result on
 // every translation of more than one word; taking that for a lost
 // result re-translated the block (181.mcf: 259 translations for 165).
 func TestRecoveryProtocolTranslatesOnce(t *testing.T) {
@@ -208,15 +245,15 @@ func TestRecoveryProtocolTranslatesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig()
-		cfg.Fault = &fault.Plan{Stalls: []fault.TileStall{{Tile: 1, Cycle: 1 << 60, Dur: 1}}}
+		cfg.Fault = fails(fault.TileFail{Tile: 8, Cycle: 1 << 60})
 		armed, err := Run(img, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p, a := plain.M, armed.M
-		if a.Retries != 0 || a.Translations != p.Translations || a.L2CStores != p.L2CStores {
-			t.Errorf("%s: retries %d, translations %d, L2 stores %d; want 0 retries and the plain run's %d and %d",
-				img.Name, a.Retries, a.Translations, a.L2CStores, p.Translations, p.L2CStores)
+		if a.Translations != p.Translations || a.L2CStores != p.L2CStores {
+			t.Errorf("%s: translations %d, L2 stores %d; want the plain run's %d and %d",
+				img.Name, a.Translations, a.L2CStores, p.Translations, p.L2CStores)
 		}
 	}
 }

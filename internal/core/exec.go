@@ -121,71 +121,33 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 	e.onExit(c)
 }
 
-// watchdog is the execution tile's one blocking wait. Every
-// request/reply leg that leaves the tile — code fetch, line fill,
-// syscall, SMC invalidation, fleet hand-off — sends its request, then
-// calls recv until the reply it wants arrives, re-sending whenever recv
-// reports the watchdog due. Without a fault plan the watchdog is off:
-// recv is a plain Recv, and a request goes out exactly once. Under one
-// (DESIGN.md §6) it is armed: a wait that outlasts
-// the deadline expires, and each expiry doubles the next wait, capped
-// at RetryBackoffMax. The execution tile cannot make progress without
-// the reply, so it retries forever; a lost service tile is the
-// manager's problem to excise, after which a retry lands on a live one.
-type watchdog struct {
-	e        *engine
-	c        *raw.TileCtx
-	backoff  uint64
-	deadline uint64
-}
-
-// watch starts a watchdog for a request sent at the tile's current
-// time.
-func (e *engine) watch(c *raw.TileCtx) watchdog {
-	b := e.cfg.Params.NetWatchdog
-	return watchdog{e: e, c: c, backoff: b, deadline: c.Now() + b}
-}
-
-// recv returns the next message for the waiting tile, or due when the
-// watchdog expired first: the caller then re-sends its request and
-// calls recv again. Callers discard payloads they do not match (stale
-// replies to superseded attempts).
-func (w *watchdog) recv() (msg sim.Msg, due bool) {
-	if w.e.inj == nil {
-		return w.c.Recv(), false
-	}
-	if m, ok := w.c.RecvDeadline(w.deadline); ok {
-		return m, false
-	}
-	w.e.stats.Timeouts++
-	w.e.stats.Retries++
-	if w.backoff < w.e.cfg.Params.RetryBackoffMax {
-		w.backoff = min(2*w.backoff, w.e.cfg.Params.RetryBackoffMax)
-	}
-	w.deadline = w.c.Now() + w.backoff
-	return sim.Msg{}, true
-}
+// await is the execution tile's one blocking wait. Every request/reply
+// leg that leaves the tile — code fetch, line fill, syscall, SMC
+// invalidation, fleet hand-off — sends its request once, then calls
+// await until the reply it wants arrives. Nothing is re-sent on a
+// timer: the network loses only what is sent to a dead tile, and a
+// stalled tile answers when its stall ends. A dead tile is the
+// manager's to excise, and every excision sends the execution tile a
+// wake (DESIGN.md §6): a line fill re-sends on it, and a broadcast
+// stops waiting on targets the slot has lost. Callers discard payloads
+// they do not match.
+func await(c *raw.TileCtx) sim.Msg { return c.Recv() }
 
 // broadcast sends req to every target in pending and waits until each
-// has answered with an A. A due watchdog re-sends to the targets that
-// have not answered, so req must be idempotent at its receivers: an SMC
-// invalidation is, and a vmSwitch is acked again by a tile already
-// bound to the new epoch. A target the slot has lost (a dropped slave or
-// bank) is dropped at a re-send: it will never answer.
-func broadcast[A any](e *engine, c *raw.TileCtx, pending []int, req any) {
-	for w, due := e.watch(c), true; len(pending) > 0; {
-		if due {
-			pending = slices.DeleteFunc(pending, e.slot.gone)
-			for _, t := range pending {
-				c.Send(t, req, wordsCtl)
-			}
-		}
-		var msg sim.Msg
-		msg, due = w.recv()
+// has answered with an A. A wake drops the targets the slot has lost (a
+// slave or bank excised meanwhile): they will never answer.
+func broadcast[A any](c *raw.TileCtx, slot *placement, pending []int, req any) {
+	for _, t := range pending {
+		c.Send(t, req, wordsCtl)
+	}
+	for len(pending) > 0 {
+		msg := await(c)
 		if _, ok := msg.Payload.(A); ok {
 			if i := slices.Index(pending, msg.From); i >= 0 {
 				pending = slices.Delete(pending, i, i+1)
 			}
+		} else if _, ok := msg.Payload.(wake); ok {
+			pending = slices.DeleteFunc(pending, slot.gone)
 		}
 	}
 }
@@ -196,14 +158,11 @@ func broadcast[A any](e *engine, c *raw.TileCtx, pending []int, req any) {
 // drop overlapping L2 translations, flush the L1.5 banks, and wait for
 // the acknowledgments. The assist interpreter's decode cache goes too:
 // it sees only the interpreter's own stores, not translated code's.
-// Re-invalidating a range is idempotent: the manager conservatively
-// bumps the SMC generation again, and an L1.5 bank re-flushes an
-// already empty bank.
 func (e *engine) smcInvalidate(c *raw.TileCtx, env *execEnv, l1 *codecache.L1) {
 	e.stats.SMCInvalidations++
 	t0 := c.Now()
 	inval := smcInval{Lo: env.smcLo, Hi: env.smcHi}
-	broadcast[smcAck](e, c, append([]int{e.pl.manager}, e.pl.l15...), inval)
+	broadcast[smcAck](c, e.slot, append([]int{e.pl.manager}, e.pl.l15...), inval)
 	l1.Flush()
 	env.interp = x86interp.New(e.proc)
 	env.smcPending = false
@@ -219,32 +178,22 @@ func b2u(b bool) uint64 {
 }
 
 // fetchBlock requests a translated block through the code cache
-// hierarchy, blocking until it arrives. Replies are matched on PC: a
-// stale response for another PC (possible only after a re-send) is
-// discarded.
+// hierarchy, blocking until it arrives.
 func (e *engine) fetchBlock(c *raw.TileCtx, pc uint32) *translate.Result {
 	t0 := c.Now()
 	target := e.pl.manager
 	if n := len(e.pl.l15); n > 0 {
 		target = e.pl.l15[l15BankFor(pc, n)]
 	}
-	for w, due := e.watch(c), true; ; {
-		if due {
-			m := e.pool.codeReqs.get()
-			*m = codeReq{PC: pc, ReplyTo: e.pl.exec, FillBank: -1}
-			c.Send(target, m, wordsCodeReq)
-		}
-		var msg sim.Msg
-		msg, due = w.recv()
-		if r, ok := msg.Payload.(*codeResp); ok {
-			// Consumed whether it matches or not: a stale reply to a
-			// superseded attempt dies here.
-			res, match := r.Res, r.PC == pc
+	m := e.pool.codeReqs.get()
+	*m = codeReq{PC: pc, ReplyTo: e.pl.exec, FillBank: -1}
+	c.Send(target, m, wordsCodeReq)
+	for {
+		if r, ok := await(c).Payload.(*codeResp); ok {
+			res := r.Res
 			e.pool.codeResps.put(r)
-			if match {
-				e.trc().Span(c.Tile, "fetch", t0, c.Now(), "pc", uint64(pc), "", 0)
-				return res
-			}
+			e.trc().Span(c.Tile, "fetch", t0, c.Now(), "pc", uint64(pc), "", 0)
+			return res
 		}
 	}
 }
@@ -257,7 +206,6 @@ type execEnv struct {
 	dl1    *cachesim.Cache
 	interp *x86interp.Interp
 	memID  uint64
-	sysID  uint64
 	exited bool
 
 	// Self-modifying-code detection: a store into a translated code
@@ -311,26 +259,24 @@ func (v *execEnv) touch(addr uint32, write bool) bool {
 		*wb = memReq{Addr: res.WritebackOf, Write: true, ReplyTo: -1}
 		v.c.Send(v.e.pl.mmu, wb, wordsMemReq+8)
 	}
-	// Line fill round trip. Reads are idempotent, so a re-send carries
-	// a fresh ID and any late reply to an earlier attempt is discarded
-	// by the ID match.
-	for w, due := v.e.watch(v.c), true; ; {
-		if due {
-			v.memID++
-			rq := v.e.pool.reqs.get()
-			*rq = memReq{Addr: res.LineAddr, Write: false, ReplyTo: v.e.pl.exec, ID: v.memID}
-			v.c.Send(v.e.pl.mmu, rq, wordsMemReq)
-		}
-		var msg sim.Msg
-		msg, due = w.recv()
-		if _, wake := msg.Payload.(fillWake); wake {
-			due = true
-		}
-		if r, ok := msg.Payload.(*memResp); ok {
-			// Consumed whether it matches or not, like a stale code
-			// response.
-			match := r.ID == v.memID
-			v.e.pool.resps.put(r)
+	// Line fill round trip. Its reply carries the fill's ID, so a
+	// late reply to an earlier fill is discarded. A wake means a tile was
+	// excised and the MMU perhaps re-pointed past the bank this fill
+	// went to, so the fill is sent again; either copy's reply will do.
+	v.memID++
+	fill := func() {
+		rq := v.e.pool.reqs.get()
+		*rq = memReq{Addr: res.LineAddr, Write: false, ReplyTo: v.e.pl.exec, ID: v.memID}
+		v.c.Send(v.e.pl.mmu, rq, wordsMemReq)
+	}
+	fill()
+	for {
+		switch m := await(v.c).Payload.(type) {
+		case wake:
+			fill()
+		case *memResp:
+			match := m.ID == v.memID
+			v.e.pool.resps.put(m)
 			if match {
 				v.e.trc().Span(v.c.Tile, "memfill", tMiss, v.c.Now(), "addr", uint64(res.LineAddr), "", 0)
 				return false
@@ -363,24 +309,15 @@ func (v *execEnv) GuestStore(addr uint32, val uint32, size uint8) {
 	v.checkSMC(addr, size)
 }
 
-// Syscall implements rawexec.Env: proxy to the syscall tile. Syscalls
-// are not idempotent, so under fault recovery this is an at-most-once
-// RPC: every attempt carries the same ID and the syscall tile
-// deduplicates, replaying the cached response when a re-send races a
-// slow original.
+// Syscall implements rawexec.Env: proxy to the syscall tile.
 func (v *execEnv) Syscall(cpu *rawexec.CPU) {
 	v.e.stats.Syscalls++
 	tSys := v.c.Now()
-	v.sysID++
-	req := sysReq{ID: v.sysID}
+	var req sysReq
 	copy(req.Regs[:], cpu.R[:10])
-	for w, due := v.e.watch(v.c), true; ; {
-		if due {
-			v.c.Send(v.e.pl.sys, req, wordsSys)
-		}
-		var msg sim.Msg
-		msg, due = w.recv()
-		if r, ok := msg.Payload.(sysResp); ok && r.ID == req.ID {
+	v.c.Send(v.e.pl.sys, req, wordsSys)
+	for {
+		if r, ok := await(v.c).Payload.(sysResp); ok {
 			copy(cpu.R[1:10], r.Regs[1:10])
 			v.exited = r.Exited
 			v.e.trc().Span(v.c.Tile, "syscall", tSys, v.c.Now(), "exited", b2u(r.Exited), "", 0)

@@ -15,26 +15,14 @@ import (
 // synthetic processes; neither pins what the service-tile kernels do
 // under every kind of fault plan in Run's machine — heartbeats, the
 // fail-stop drain, stalls taken between a receive and its body,
-// retries, excision, rollback re-execution, morph flushes.
+// excision and its wake, rollback re-execution, morph flushes.
 // Every row below is one core.Run dumped whole (cycles, exit, stdout,
 // the metrics set, state hash, per-tile busy vector, and the trace
 // JSON where traced, and the event kernel's dispatch and dead-pop
 // counts) under one condition, for each of three guests.
 // A change that claims to leave the tile kernels' virtual behaviour
-// alone must leave every digest untouched.
-//
-// Every row with a fail clause was re-pinned when Run became a fleet of
-// one slot and recovered in place: the fleet supervisor wakes at each
-// fail cycle (the kernel's dispatch counts move), the machine is built
-// once, so a dead tile's fail clause fires once and its kernel lives
-// on, fault-swallowing, and a rollback re-admits the guest through the
-// vmSwitch hand-off instead of restarting the clock at the detection
-// cycle. Every stall-only and fault-free row was unchanged. Every row
-// with a fault clause, stall-only ones too, was re-pinned again when
-// the recovery protocol stopped taking a work request that overtook its
-// slave's result for a lost one, which had re-translated nearly every
-// block, and a rollback began to re-send a line fill waiting on the
-// dead bank at once. The fault-free rows are unchanged.
+// alone must leave every digest untouched; one that moves a row
+// re-pins it in a commit of its own, and CHANGES.md says why.
 //
 // A single machine rejects a fail-stop of an L1.5 bank up front
 // (validateFaultPlan: not an excisable worker), so that condition runs
@@ -56,8 +44,8 @@ func stalls(ts ...fault.TileStall) *fault.Plan { return &fault.Plan{Stalls: ts} 
 // stallStorm is n short stalls, one every 6,000 cycles, rotating over
 // every service tile of the default placement (the syscall tile, both
 // L1.5 banks, the manager, the MMU, both data banks and two slaves).
-// Each lasts 21,000-29,000 cycles, longer than NetWatchdog, so a stall
-// that catches a request in flight makes the execution tile re-send.
+// Each lasts 21,000-29,000 cycles, so most catch a request in flight,
+// which the stalled tile answers once its stall ends.
 func stallStorm(n int) *fault.Plan {
 	tiles := []int{tileSys, 1, 9, tileManager, tileMMU, tilePermBank, 7, 3, 8}
 	p := &fault.Plan{}
@@ -179,8 +167,8 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}
-		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
-			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsDump(r.M))
+		fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
+			r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
 		cycles = r.Cycles
 	}
 	n := 0

@@ -171,7 +171,8 @@ type fleetRun struct {
 	queue []pendingGuest
 
 	// Fault-policy state (fleetpolicy.go). plan is non-nil only when the
-	// fault plan has fail-stop clauses; horizon is the last fail cycle
+	// fault plan has fail-stop clauses, and then arms the recovery
+	// protocol on every engine (engine.inj); horizon is the last fail cycle
 	// (idle slots must stay alive until then — a quarantine may still
 	// re-queue a guest). slotQuarantined records excised slots; slotIdx
 	// maps every carved tile to its slot.
@@ -185,10 +186,6 @@ type fleetRun struct {
 	fleet           metrics.FleetSet
 
 	remaining int // guests not yet terminal; 0 stops the simulation
-
-	// solo marks Run's fleet of one (runFleet); robust arms the
-	// recovery protocol on every engine (engine.inj).
-	solo, robust bool
 }
 
 // RunFleet executes N guests as a fleet of virtual machines sharing
@@ -220,7 +217,7 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 	if err != nil {
 		return nil, err
 	}
-	fl, simErr := runFleet(imgs, cfg, fc, slots, false)
+	fl, simErr := runFleet(imgs, cfg, fc, slots)
 
 	// A tile-kernel panic is attributed to the guest whose slot hosted
 	// the panicking process before results are collected, so the victim
@@ -248,15 +245,12 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 
 // runFleet builds the machine for a validated configuration, admits
 // imgs to slots and runs the simulation, returning the scheduler state
-// the results are read from and the simulation's error. solo marks
-// Run's fleet of one: its one slot is the fixed 4×4 layout, and its
-// trace rows carry no VM label.
-func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement, solo bool) (*fleetRun, error) {
+// the results are read from and the simulation's error.
+func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement) (*fleetRun, error) {
 	cfg.fillDefaults()
 	fl := &fleetRun{
 		cfg:             cfg,
 		fc:              fc,
-		solo:            solo,
 		m:               raw.NewMachine(cfg.Params),
 		imgs:            imgs,
 		slots:           slots,
@@ -308,15 +302,6 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 				cfg.Tracer.Instant(tile, "fault", now, "kind", uint64(kind), "", 0)
 			}
 		}
-		// The recovery protocol is armed under a plan that fail-stops.
-		// Under stalls alone each side keeps the protocol it ran before
-		// Run became a fleet of one, so both sides' stall-only goldens
-		// hold: Run's machine arms it (its stall rows exercise the
-		// watchdogs and re-sends), a carved fleet does not (a plan that
-		// never fires must leave the fleet bit-identical to a fault-free
-		// one). This is the one protocol fork left between Run and a
-		// one-slot fleet (ROADMAP).
-		fl.robust = solo || fl.plan != nil
 	}
 	if fl.plan != nil {
 		fl.cks = make([]*checkpoint.Checkpointer, len(imgs))
@@ -402,13 +387,11 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 		codePages: map[uint32]bool{},
 		pageInval: map[uint32]uint64{},
 	}
-	if !fl.solo {
+	if len(fl.imgs) > 1 {
 		e.vmLabel = fmt.Sprintf("vm%d", gi)
 	}
-	if fl.cks != nil {
+	if fl.plan != nil {
 		e.ck = fl.cks[gi]
-	}
-	if fl.robust {
 		e.inj = fl.m.Faults
 		e.bankOf = map[int]*dcache.Bank{}
 	}
@@ -627,18 +610,17 @@ func (fl *fleetRun) restoreForRetry(c *raw.TileCtx, e, prev *engine, lost rollba
 // service tiles — workers flush their data banks (charged like a morph
 // flush) and slaves re-register with the new manager when their
 // kernels restart. The exec tile owns the handshake; it resumes
-// dispatching only after every service tile has acked. Under the
-// recovery protocol a request is re-sent until answered, so a tile
-// that acks a vmSwitch for the epoch it already runs just acks again,
-// and a worker the slot loses meanwhile is waited for no longer.
+// dispatching only after every service tile has acked. A worker the
+// slot loses meanwhile is waited for no longer: its excision wakes the
+// exec tile (broadcast).
 func (fl *fleetRun) handoff(c *raw.TileCtx, e *engine) {
 	pl := e.slot
-	broadcast[switchAck](e, c, []int{pl.manager}, vmSwitch{})
+	broadcast[switchAck](c, pl, []int{pl.manager}, vmSwitch{})
 	targets := []int{pl.mmu, pl.sys}
 	targets = append(targets, pl.l15...)
 	targets = append(targets, pl.slaves...)
 	targets = append(targets, pl.banks...)
-	broadcast[switchAck](e, c, targets, vmSwitch{})
+	broadcast[switchAck](c, pl, targets, vmSwitch{})
 }
 
 // result assembles the guest's Result from its engine once the

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"regexp"
 	"testing"
 
 	"tilevm/internal/fault"
-	"tilevm/internal/metrics"
 	"tilevm/internal/translate"
 )
 
@@ -21,16 +19,8 @@ import (
 // guest's metrics.Set and state hash, and the trace JSON where traced)
 // and the digest compared with a pinned value. A change that claims to
 // leave fleet scheduling alone must leave these untouched; one that
-// moves them says why.
-//
-// Every row with a fail clause was re-pinned when slots began to
-// recover in place: a fail plan arms the recovery protocol
-// (heartbeats, watchdogs, excision) in every slot, a slave's death is
-// excised instead of quarantining its slot, and a retry's rollback
-// accounting follows Run's. They were re-pinned again when the
-// recovery protocol stopped taking a work request that overtook its
-// slave's result for a lost one, which had re-translated nearly every
-// block. Every fault-free and stall-only row is unchanged.
+// moves a row re-pins it in a commit of its own, and CHANGES.md says
+// why.
 
 // writeFleetResult dumps fr field by field. Pointers are followed by
 // hand (GuestResult, Result) so no address reaches the digest, and the
@@ -46,8 +36,8 @@ func writeFleetResult(w io.Writer, fr *FleetResult) {
 		fmt.Fprintf(w, "g%d status=%v attempts=%d slot=%d admitted=%d finished=%d err=%v\n",
 			gi, g.Status, g.Attempts, g.Slot, g.Admitted, g.Finished, g.Err)
 		if r := g.Result; r != nil {
-			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %s\n",
-				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, metricsDump(r.M))
+			fmt.Fprintf(w, "  cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n  %+v\n",
+				r.Cycles, r.ExitCode, r.StateHash, r.Stdout, r.TileBusy, r.M)
 		}
 	}
 }
@@ -108,15 +98,6 @@ func (g *fleetGolden) run(t *testing.T, memo *translate.Memo) string {
 }
 
 func fails(tf ...fault.TileFail) *fault.Plan { return &fault.Plan{Fails: tf} }
-
-// metricsDump renders a metrics set for the digests, without the
-// Timeouts and Retries counters, which count the execution tile's and
-// the manager's watchdog re-sends.
-func metricsDump(m metrics.Set) string {
-	return retryCounters.ReplaceAllString(fmt.Sprintf("%+v", m), "")
-}
-
-var retryCounters = regexp.MustCompile(` Timeouts:\d+ Retries:\d+`)
 
 var (
 	four  = []string{"164.gzip", "181.mcf", "164.gzip", "181.mcf"}

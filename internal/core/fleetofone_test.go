@@ -56,8 +56,8 @@ func TestRunIsFleetOfOne(t *testing.T) {
 				t.Fatalf("%s/%s: %v", r.name, guest, err)
 			}
 			h := fnv.New64a()
-			fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%s\n",
-				res.Cycles, res.ExitCode, res.StateHash, res.Stdout, res.TileBusy, metricsDump(res.M))
+			fmt.Fprintf(h, "cycles=%d exit=%d hash=%#x stdout=%q busy=%v\n%+v\n",
+				res.Cycles, res.ExitCode, res.StateHash, res.Stdout, res.TileBusy, res.M)
 			n := 0
 			if r.traced {
 				var buf bytes.Buffer

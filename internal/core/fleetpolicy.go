@@ -8,8 +8,8 @@ import (
 
 // Fleet-level fault tolerance (DESIGN.md §10). Every slot runs the one
 // recovery protocol Run's machine runs (DESIGN.md §8): under a plan
-// with fail clauses its tiles heartbeat and watchdog, its manager
-// excises a dead slave or clean bank in place, and a dead bank holding
+// with fail clauses its workers heartbeat, its manager excises a dead
+// slave or clean bank in place, and a dead bank holding
 // dirty lines rolls the guest back to its latest checkpoint on the same
 // slot. The fleet layer adds what a slot cannot do for itself:
 //

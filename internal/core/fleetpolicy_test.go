@@ -287,10 +287,12 @@ func TestFleetRetryWithRollback(t *testing.T) {
 // TestFleetHandoffUnderStalls: under a fail plan a slot's hand-off runs
 // on the recovery protocol. Every service tile of slot 0 stalls for
 // 50,000 cycles or more as gzip finishes there, so the execution tile's
-// vmSwitch waits out its watchdog and is re-sent, and each tile meets
-// the re-send after it has switched: it must ack again without
-// resetting the new epoch. A slave that dies mid-hand-off is waited
-// for no longer. The queued guest still runs to its solo fingerprint.
+// vmSwitch waits on stalled tiles, and a slave dies before it acks. The
+// hand-off waits for the slave until the manager excises it, and no
+// longer: the excision's wake drops it, and the queued guest's first
+// block is dispatched once the manager's excision bookkeeping
+// (RecoveryOcc) and the wake's trip are done. The queued guest still
+// runs to its solo fingerprint.
 func TestFleetHandoffUnderStalls(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip")
 	l, err := FleetSlotLayout(raw.DefaultParams())
@@ -304,8 +306,8 @@ func TestFleetHandoffUnderStalls(t *testing.T) {
 	cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_429_312})
 	for _, tile := range []int{l[0].Manager, l[0].MMU, l[0].Sys, l[0].L15[0], l[0].Slaves[0], l[0].Slaves[1], l[0].Banks[0]} {
 		// gzip finishes on slot 0 at cycle 1,349,312. The other tiles
-		// outstall the manager, so phase 2's vmSwitch is re-sent to
-		// workers that switch on the first and must ack the second.
+		// outstall the manager, so phase 2's vmSwitch waits on workers
+		// still stalled.
 		dur := uint64(70_000)
 		switch tile {
 		case l[0].Manager:
@@ -315,6 +317,7 @@ func TestFleetHandoffUnderStalls(t *testing.T) {
 		}
 		cfg.Fault.Stalls = append(cfg.Fault.Stalls, fault.TileStall{Tile: tile, Cycle: 1_349_313, Dur: dur})
 	}
+	cfg.Tracer = NewTracerFor(cfg.Params, 0)
 	fr, err := RunFleet(imgs, cfg, FleetConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -323,8 +326,19 @@ func TestFleetHandoffUnderStalls(t *testing.T) {
 	if g.Status != GuestFinished || g.Slot != 0 {
 		t.Fatalf("guest 2 = %v on slot %d, want finished on slot 0", g.Status, g.Slot)
 	}
-	if g.Result.M.Timeouts == 0 {
-		t.Error("the hand-off to guest 2 never waited out its watchdog; the stalls missed it")
+	// The slave's excision, then guest 2's first dispatch on slot 0.
+	var excised, dispatched uint64
+	for _, ev := range cfg.Tracer.Events() {
+		switch {
+		case excised == 0 && ev.Name == "excise" && ev.V1 == uint64(l[0].Slaves[1]):
+			excised = ev.TS
+		case dispatched == 0 && ev.Name == "dispatch" && int(ev.PID) == l[0].Exec && ev.TS > 1_349_312:
+			dispatched = ev.TS
+		}
+	}
+	if excised == 0 || dispatched < excised || dispatched > excised+cfg.Params.RecoveryOcc+100 {
+		t.Errorf("slave %d excised at cycle %d, guest 2 first dispatched at %d: want the hand-off to end on the excision's wake",
+			l[0].Slaves[1], excised, dispatched)
 	}
 	solo := soloFingerprints(t, imgs)
 	for gi, g := range fr.Guests {

@@ -33,13 +33,10 @@ type waiter struct {
 
 // outWork is a dispatched translation whose transDone has not come
 // back. A checkpoint capture snapshots it as queued work (the restored
-// machine has fresh slaves); in fault-recovery mode the manager also
-// watches it: if no transDone arrives by the deadline the work is
-// re-queued (the work or its result was lost, or the slave died).
+// machine has fresh slaves), and the excision of its slave re-queues it.
 type outWork struct {
-	pc       uint32
-	depth    int
-	deadline uint64
+	pc    uint32
+	depth int
 }
 
 // managerState is the manager tile's bookkeeping: the L2 code cache
@@ -66,17 +63,14 @@ type managerState struct {
 	transHeavy bool
 	lastMorph  uint64
 
-	// Fault-recovery state (robust mode only). banksNow is the
-	// authoritative current data-bank interleave; lastBeat and
-	// outstanding's deadlines drive the failure detectors.
-	// rebankGen/rebankPend implement the acknowledged remap handshake
-	// with the MMU tile.
-	banksNow       []int
-	lastBeat       map[int]uint64
-	rebankGen      uint64
-	rebankPend     bool
-	rebankDeadline uint64
-	detectAt       uint64 // bank-excision detection time, for recovery latency
+	// Recovery-protocol state. banksNow is the authoritative current
+	// data-bank interleave; lastBeat drives the failure detector.
+	// rebankGen numbers the remaps sent to the MMU tile, whose ack of
+	// the latest ends a recovery begun at detectAt.
+	banksNow  []int
+	lastBeat  map[int]uint64
+	rebankGen uint64
+	detectAt  uint64 // bank-excision detection time, for recovery latency
 
 	// A vmSwitch from ackTo waits for the translations still out to
 	// come back (beginSwitch).
@@ -164,12 +158,7 @@ func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 		st.handleSMCInval(m, msg.From)
 	case vmSwitch:
 		// Fleet slot handoff: retire this epoch, then ack and start over
-		// bound to the slot's next engine. A re-sent vmSwitch finds the
-		// new epoch already running and is only acked again.
-		if st.e == k.h.cur {
-			c.Send(msg.From, switchAck{}, wordsCtl)
-			break
-		}
+		// bound to the slot's next engine.
 		if st.beginSwitch(msg.From) {
 			c.Send(msg.From, switchAck{}, wordsCtl)
 			k.start(c)
@@ -179,89 +168,54 @@ func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	st.watch()
 }
 
-// watch ends every dispatch outside a switch. In robust mode it runs the
-// failure detectors and arms a timeout one heartbeat period on, so they
-// run even when the fabric goes quiet (a dead tile produces silence,
-// not messages).
+// watch ends every dispatch outside a switch. Under the recovery
+// protocol it excises every worker silent past HeartbeatTimeout, then
+// arms a timeout for the first cycle at which a live worker can be
+// overdue, so detection runs even when the fabric goes quiet (a dead
+// tile produces silence, not messages). Tiles are scanned in ascending
+// id order so recovery decisions are deterministic.
 func (st *managerState) watch() {
 	if st.e.inj == nil {
 		return
 	}
-	st.onTick()
-	st.c.P.SetDeadline(st.c.Now() + st.e.cfg.Params.HeartbeatPeriod)
-}
-
-// onTick runs the manager's failure detectors (robust mode only):
-// heartbeat timeouts excise dead workers, work watchdogs re-queue
-// translations whose results never came back, and an unacknowledged
-// rebank is re-sent. All scans iterate tiles in ascending id order so
-// recovery decisions are deterministic.
-func (st *managerState) onTick() {
 	P := &st.e.cfg.Params
 	now := st.c.Now()
+	var due uint64
 	for t := 0; t < P.Tiles(); t++ {
-		role, isWorker := st.roles[t]
-		if !isWorker || role == roleDead {
+		if !st.live(t) {
 			continue
 		}
-		if now-st.lastBeat[t] > P.HeartbeatTimeout {
+		if at := st.lastBeat[t] + P.HeartbeatTimeout + 1; now >= at {
 			st.excise(t)
+		} else if due == 0 || at < due {
+			due = at
 		}
 	}
-	for t := 0; t < P.Tiles(); t++ {
-		ow, ok := st.outstanding[t]
-		if !ok || now < ow.deadline {
-			continue
-		}
-		// The work unit or its result was lost (or the slave is slow or
-		// dying): hand the translation to someone else. A late duplicate
-		// transDone is harmless — handleTransDone is idempotent.
-		st.e.stats.Timeouts++
-		st.e.stats.Retries++
-		delete(st.outstanding, t)
-		en := st.entry(ow.pc)
-		en.inflight = false
-		st.push(ow.pc, ow.depth)
-	}
-	st.dispatch()
-	if st.rebankPend && now >= st.rebankDeadline {
-		st.e.stats.Timeouts++
-		st.e.stats.Retries++
-		st.sendRebank()
+	// After a rollback's excision the admission is cancelled: nothing is
+	// left to detect.
+	if due > 0 && st.e.rollback == nil {
+		st.c.P.SetDeadline(due)
 	}
 }
 
-// handleBeat records a worker's liveness. A heartbeat from a slave the
-// manager believes is busy-with-nothing (not parked, no outstanding
-// work) doubles as an implicit work request: it means the slave's
-// workReq was lost in flight and it is idle waiting for work that will
-// never come.
+// live reports whether t is a worker the manager has not excised.
+func (st *managerState) live(t int) bool {
+	role, isWorker := st.roles[t]
+	return isWorker && role != roleDead
+}
+
+// handleBeat records a worker's liveness.
 func (st *managerState) handleBeat(from int) {
-	role, isWorker := st.roles[from]
-	if !isWorker || role == roleDead {
-		return
+	if st.live(from) {
+		st.lastBeat[from] = st.c.Now()
 	}
-	st.lastBeat[from] = st.c.Now()
-	if role != roleSlave {
-		return
-	}
-	if _, busy := st.outstanding[from]; busy {
-		return
-	}
-	for _, s := range st.parked {
-		if s == from {
-			return
-		}
-	}
-	st.handleWorkReq(from)
 }
 
-// handleRebankAck completes the manager↔MMU remap handshake.
+// handleRebankAck ends the recovery the latest rebank completes.
 func (st *managerState) handleRebankAck(m rebankAck) {
 	if m.Gen != st.rebankGen {
 		return // stale ack for a superseded rebank
 	}
-	st.rebankPend = false
 	if st.detectAt > 0 {
 		st.e.stats.RecoveryCycles += st.c.Now() - st.detectAt
 		st.detectAt = 0
@@ -271,69 +225,53 @@ func (st *managerState) handleRebankAck(m rebankAck) {
 // excise removes a dead tile from the virtual architecture — the
 // morph-around-failure path — and from the slot's placement, so no
 // later admission uses it either (unless it is the slot's last of its
-// kind). A dead slave's in-flight translation is re-queued. A dead bank
-// holding dirty lines cancels the admission for a rollback: the MMU is
-// pointed past it and the exec tile told to re-send a line fill waiting
-// on it (fillWake), and the exec tile stops at its next block boundary,
-// where the slot re-admits the
-// guest from its latest checkpoint (fleetRun.rollBack) — losslessly. A
-// clean bank's address fraction is redistributed over the survivors:
-// the surviving banks are flushed (the interleave function changed, the
+// kind). A dead slave's in-flight translation is re-queued. A clean
+// bank's address fraction is redistributed over the survivors: the
+// surviving banks are flushed (the interleave function changed, the
 // same flush a morph performs), and the MMU is re-pointed at the new
-// bank set via the acknowledged rebank handshake.
+// bank set. A dead bank holding dirty lines cancels the admission for a
+// rollback instead: the MMU is pointed past it, and the exec tile stops
+// at its next block boundary, where the slot re-admits the guest from
+// its latest checkpoint (fleetRun.rollBack) — losslessly. Every
+// excision ends with a wake to the exec tile, on which a line fill
+// waiting on the dead tile is sent again and a hand-off stops waiting
+// for it.
 func (st *managerState) excise(t int) {
-	P := &st.e.cfg.Params
-	role := st.roles[t]
 	if st.e.rollback != nil {
 		return // admission already cancelled; further excisions are moot
 	}
-	st.e.slot.dropWorker(t)
-	if role == roleBank {
-		if bank := st.e.bankOf[t]; bank != nil && bank.Cache.DirtyLines() > 0 {
-			st.e.rollback = &rollbackReq{tile: t, detect: st.c.Now()}
-			st.e.cancelled = true
-			st.e.jadd(checkpoint.EvExcise, st.c.Now(), uint64(t), 1)
-			st.e.trc().Instant(st.c.Tile, "excise", st.c.Now(), "tile", uint64(t), "rollback", 1)
-			st.roles[t] = roleDead
-			if live := slices.DeleteFunc(slices.Clone(st.banksNow), func(b int) bool { return b == t }); len(live) > 0 {
-				st.banksNow = live
-				st.sendRebank()
-				st.c.Send(st.e.pl.exec, fillWake{}, wordsCtl)
-			}
-			return
-		}
-	}
-	st.e.jadd(checkpoint.EvExcise, st.c.Now(), uint64(t), 0)
-	st.e.trc().Instant(st.c.Tile, "excise", st.c.Now(), "tile", uint64(t), "rollback", 0)
+	P := &st.e.cfg.Params
+	now := st.c.Now()
+	role := st.roles[t]
 	st.roles[t] = roleDead
+	st.e.slot.dropWorker(t)
+	bank := st.e.bankOf[t]
+	dirty := role == roleBank && bank != nil && bank.Cache.DirtyLines() > 0
+	st.e.jadd(checkpoint.EvExcise, now, uint64(t), b2u(dirty))
+	st.e.trc().Instant(st.c.Tile, "excise", now, "tile", uint64(t), "rollback", b2u(dirty))
+	defer st.c.Send(st.e.pl.exec, wake{}, wordsCtl)
+	if dirty {
+		st.e.rollback = &rollbackReq{tile: t, detect: now}
+		st.e.cancelled = true
+		if live := slices.DeleteFunc(slices.Clone(st.banksNow), func(b int) bool { return b == t }); len(live) > 0 {
+			st.banksNow = live
+			st.sendRebank()
+		}
+		return
+	}
 	st.e.stats.RoleRemaps++
 	st.c.Tick(P.RecoveryOcc)
-
-	kept := st.parked[:0]
-	for _, s := range st.parked {
-		if s != t {
-			kept = append(kept, s)
-		}
-	}
-	st.parked = kept
-
+	st.parked = slices.DeleteFunc(st.parked, func(s int) bool { return s == t })
 	if ow, ok := st.outstanding[t]; ok {
 		delete(st.outstanding, t)
-		en := st.entry(ow.pc)
-		en.inflight = false
+		st.entry(ow.pc).inflight = false
 		st.push(ow.pc, ow.depth)
 	}
 	if role != roleBank {
 		st.dispatch()
 		return
 	}
-
-	var live []int
-	for _, b := range st.banksNow {
-		if b != t {
-			live = append(live, b)
-		}
-	}
+	live := slices.DeleteFunc(slices.Clone(st.banksNow), func(b int) bool { return b == t })
 	if len(live) == 0 {
 		// No surviving bank to absorb the address space; leave routing
 		// as-is and let the simulation watchdog report the loss.
@@ -347,14 +285,11 @@ func (st *managerState) excise(t int) {
 	st.sendRebank()
 }
 
-// sendRebank (re-)issues the current bank set to the MMU under a fresh
-// generation and arms the resend watchdog.
+// sendRebank issues the current bank set to the MMU under a fresh
+// generation.
 func (st *managerState) sendRebank() {
 	st.rebankGen++
-	banks := append([]int(nil), st.banksNow...)
-	st.c.Send(st.e.pl.mmu, rebank{Banks: banks, Gen: st.rebankGen}, wordsCtl)
-	st.rebankPend = true
-	st.rebankDeadline = st.c.Now() + st.e.cfg.Params.NetWatchdog
+	st.c.Send(st.e.pl.mmu, rebank{Banks: slices.Clone(st.banksNow), Gen: st.rebankGen}, wordsCtl)
 }
 
 // beginSwitch retires this manager epoch ahead of a fleet slot
@@ -374,7 +309,8 @@ func (st *managerState) beginSwitch(ackTo int) bool {
 // drained takes one message while a switch waits: a transDone for
 // outstanding work counts it in, everything else is discarded. It
 // reports whether no work is out at a slave the slot still has: one it
-// has lost will never answer, and each re-sent vmSwitch checks again.
+// has lost will never answer, and every message checks again — a live
+// worker's heartbeat, at the latest.
 func (st *managerState) drained(msg sim.Msg) bool {
 	if m, ok := msg.Payload.(*transDone); ok {
 		if ow, ok := st.outstanding[msg.From]; ok && ow.pc == m.PC {
@@ -538,15 +474,6 @@ func (st *managerState) handleWorkReq(slave int) {
 	// request, and the one-word request overtook it: the result lands
 	// whatever the slave does next. The slave is parked, and may take
 	// new work, on the recovery protocol as on the plain one.
-	if st.e.inj != nil {
-		// A delayed workReq can race the heartbeat-implied one; never
-		// park a slave twice.
-		for _, s := range st.parked {
-			if s == slave {
-				return
-			}
-		}
-	}
 	st.c.Tick(st.e.cfg.Params.TransRequestOcc)
 	st.parked = append(st.parked, slave)
 	st.dispatch()
@@ -567,8 +494,7 @@ func (st *managerState) dispatch() {
 		en := st.entry(pc)
 		en.queued = false
 		en.inflight = true
-		st.outstanding[slave] = outWork{pc: pc, depth: depth,
-			deadline: st.c.Now() + st.e.cfg.Params.WorkWatchdog}
+		st.outstanding[slave] = outWork{pc: pc, depth: depth}
 		st.e.trc().Instant(st.c.Tile, "assign", st.c.Now(), "pc", uint64(pc), "slave", uint64(slave))
 		st.c.Send(slave, st.workFor(pc, depth), wordsCtl)
 	}
@@ -601,10 +527,10 @@ func (st *managerState) staleSMC(m *transDone) bool {
 }
 
 // handleTransDone stores a finished translation, wakes demand waiters,
-// and enqueues speculative successors. It is idempotent so that the
-// fault-recovery watchdogs may re-dispatch work whose first result was
-// merely slow rather than lost: a second result for a block is counted
-// and not stored again. A result for another epoch's guest is dropped:
+// and enqueues speculative successors. It is idempotent, as a slave
+// stalled past HeartbeatTimeout is excised and its work re-queued, yet
+// it may still answer: a second result for a block is counted and not
+// stored again. A result for another epoch's guest is dropped:
 // one sent before a hand-off can land after it (a slave the slot
 // dropped is not waited for, and a long block's result can be overtaken
 // by its slave's next one).
@@ -731,38 +657,19 @@ func (st *managerState) morphEval() {
 	}
 	perm := st.e.pl.banks[0]
 	for _, t := range st.e.pl.switchable {
-		if st.roles[t] == roleDead {
-			continue // excised after a suspected fail-stop; leave it out
-		}
 		st.roles[t] = newRole
 		st.c.Send(t, reconfig{Role: newRole}, wordsCtl)
 	}
 	// The permanent bank must flush too: the interleave function
 	// changes with the bank count.
-	if st.roles[perm] != roleDead {
-		st.c.Send(perm, reconfig{Role: roleBank}, wordsCtl)
-	}
-
-	var banks []int
-	if st.roles[perm] != roleDead {
-		banks = append(banks, perm)
-	}
+	st.c.Send(perm, reconfig{Role: roleBank}, wordsCtl)
+	banks := []int{perm}
 	if !wantTrans {
 		for i := len(st.e.pl.switchable) - 1; i >= 0; i-- {
-			if t := st.e.pl.switchable[i]; st.roles[t] == roleBank {
-				banks = append(banks, t)
-			}
+			banks = append(banks, st.e.pl.switchable[i])
 		}
 	}
-	switch {
-	case len(banks) == 0:
-		// Every candidate bank was excised; keep the previous routing.
-	case st.e.inj != nil:
-		st.banksNow = banks
-		st.sendRebank()
-	default:
-		st.c.Send(st.e.pl.mmu, rebank{Banks: banks}, wordsCtl)
-	}
+	st.c.Send(st.e.pl.mmu, rebank{Banks: banks}, wordsCtl)
 
 	// Remove reconfigured tiles from the parked pool.
 	kept := st.parked[:0]

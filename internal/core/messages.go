@@ -120,21 +120,15 @@ type memResp struct {
 }
 
 // sysReq proxies a guest syscall: the pinned registers r1..r9
-// (EAX..EDI + EFLAGS) by host index. ID makes the proxy an
-// at-most-once RPC under fault injection: a retried request carries
-// the same ID and the syscall tile replays the cached response rather
-// than re-executing a non-idempotent syscall.
+// (EAX..EDI + EFLAGS) by host index.
 type sysReq struct {
 	Regs [10]uint32
-	ID   uint64
 }
 
-// sysResp returns the updated registers and exit status. ID echoes the
-// request.
+// sysResp returns the updated registers and exit status.
 type sysResp struct {
 	Regs   [10]uint32
 	Exited bool
-	ID     uint64
 }
 
 // roleKind is a switchable tile's current function.
@@ -156,27 +150,26 @@ type reconfig struct {
 }
 
 // rebank tells the MMU tile the new data-bank set, in interleave
-// order. Gen, when nonzero, requests a rebankAck (fault-recovery
-// protocol: the manager resends a rebank the MMU has not acknowledged
-// by the watchdog deadline, as a stalled MMU answers late).
+// order. Gen, when nonzero, asks for a rebankAck: the manager times an
+// excision's recovery (RecoveryCycles) to the ack of its rebank.
 type rebank struct {
 	Banks []int
 	Gen   uint64
 }
-
-// fillWake tells the execution tile that the manager has pointed the
-// MMU past a dead bank holding dirty lines: a line fill waiting on that
-// bank is re-sent at once, not at its watchdog deadline, so the
-// cancelled guest reaches its rollback without sitting out a backoff.
-type fillWake struct{}
 
 // rebankAck confirms the MMU installed the bank set with this Gen.
 type rebankAck struct {
 	Gen uint64
 }
 
+// wake tells the execution tile that the manager has excised a tile:
+// the slot has lost it, and the MMU may have been pointed past it. A
+// line fill waiting on the dead tile is sent again to the re-pointed
+// MMU, and a broadcast stops waiting on a target the slot has lost.
+type wake struct{}
+
 // heartbeat is a worker tile's periodic liveness beacon to the manager
-// (sent only in fault-recovery mode). The manager excises a worker
+// (sent only under the recovery protocol). The manager excises a worker
 // whose heartbeats stop arriving.
 type heartbeat struct{}
 

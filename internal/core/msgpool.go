@@ -11,12 +11,9 @@ import "fmt"
 // pointer and with it the duty to free it. No locking is needed: the
 // simulator runs exactly one tile kernel at a time, and every handoff
 // between kernels is a happens-before edge. A stale reply discarded by
-// an ID or PC mismatch is freed by the discarding consumer, which at
-// that point holds the only reference.
-//
-// sysReq/sysResp are deliberately NOT pooled: the robust syscall tile
-// caches responses for at-most-once replay, so their lifetime outlives
-// delivery.
+// an ID mismatch is freed by the discarding consumer, which at that
+// point holds the only reference. sysReq/sysResp, two per syscall, are
+// sent by value.
 //
 // Every free checks a pooled bit and panics on double-free: returning
 // the same message twice would let two in-flight uses alias one

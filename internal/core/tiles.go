@@ -76,7 +76,7 @@ func (k *workerTile) start(c *raw.TileCtx) {
 	k.beat(c)
 }
 
-// beat ends every robust-mode dispatch: a heartbeat if one is due (even
+// beat ends every dispatch under the recovery protocol: a heartbeat if one is due (even
 // when saturated, the manager must not mistake a busy tile for a dead
 // one) and a timeout at the next, so an idle tile beats too.
 func (k *workerTile) beat(c *raw.TileCtx) {
@@ -143,12 +143,7 @@ func (k *workerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	case vmSwitch:
 		// Fleet slot handoff: flush the data bank so the next guest
 		// cannot see stale lines (charged like a morph flush), then
-		// start over under the slot's next engine. A re-sent vmSwitch
-		// finds the new epoch already bound and is only acked again.
-		if k.e == k.h.cur {
-			c.Send(msg.From, switchAck{}, wordsCtl)
-			break
-		}
+		// start over under the slot's next engine.
 		d := bank.Flush()
 		e.stats.MorphFlushLines += uint64(d)
 		c.Tick(P.MorphFixed + uint64(d)*P.MorphPerLine)
@@ -245,9 +240,7 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 	case vmSwitch:
 		// Fleet slot handoff; the next guest gets a fresh bank.
 		c.Send(msg.From, switchAck{}, wordsCtl)
-		if k.e != k.h.cur {
-			k.start(c)
-		}
+		k.start(c)
 	}
 }
 
@@ -303,24 +296,17 @@ func (k *mmuTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	case vmSwitch:
 		// Fleet slot handoff; the next guest gets a fresh TLB.
 		c.Send(msg.From, switchAck{}, wordsCtl)
-		if k.e != k.h.cur {
-			k.start(c)
-		}
+		k.start(c)
 	}
 }
 
-// sysTile runs the syscall proxy tile. In fault-recovery mode it
-// deduplicates by request ID so a retried (non-idempotent) syscall is
-// executed at most once; the cached response is replayed instead.
+// sysTile runs the syscall proxy tile.
 type sysTile struct {
-	h    *slotHost
-	e    *engine
-	done map[uint64]sysResp
+	h *slotHost
+	e *engine
 }
 
-func (k *sysTile) start(*raw.TileCtx) {
-	k.e, k.done = k.h.cur, map[uint64]sysResp{} // used in robust mode only
-}
+func (k *sysTile) start(*raw.TileCtx) { k.e = k.h.cur }
 
 func (k *sysTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	e := k.e
@@ -328,21 +314,12 @@ func (k *sysTile) handle(c *raw.TileCtx, msg sim.Msg) {
 	if _, sw := msg.Payload.(vmSwitch); sw {
 		// Fleet slot handoff; the next guest gets a fresh proxy.
 		c.Send(msg.From, switchAck{}, wordsCtl)
-		if k.e != k.h.cur {
-			k.start(c)
-		}
+		k.start(c)
 		return
 	}
 	req, ok := msg.Payload.(sysReq)
 	if !ok {
 		return
-	}
-	if e.inj != nil {
-		if r, seen := k.done[req.ID]; seen {
-			c.Tick(P.SyscallOcc)
-			c.Send(msg.From, r, wordsSys)
-			return
-		}
 	}
 	t0 := c.Now()
 	c.Tick(P.SyscallOcc)
@@ -360,9 +337,5 @@ func (k *sysTile) handle(c *raw.TileCtx, msg sim.Msg) {
 		resp.Regs[1+i] = regs[i]
 	}
 	resp.Exited = e.proc.Kern.Exited
-	resp.ID = req.ID
-	if e.inj != nil {
-		k.done[req.ID] = resp
-	}
 	c.Send(msg.From, resp, wordsSys)
 }

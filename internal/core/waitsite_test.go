@@ -13,17 +13,18 @@ import (
 )
 
 // TestOneWaitSite: the execution tile has exactly one blocking wait,
-// watchdog.recv (DESIGN.md §6), and the service tiles are handlers,
-// which never park. A per-cause cycle ledger therefore has one place on
-// the execution tile to tag. The test fails if any other function in
-// this package's non-test code calls Recv or RecvDeadline.
+// await (DESIGN.md §6), and the service tiles are handlers, which never
+// park. A per-cause cycle ledger therefore has one place on the
+// execution tile to tag. Nothing is re-sent on a timer, so that wait
+// has no deadline. The test fails if any other function in this
+// package's non-test code calls Recv, or any calls RecvDeadline.
 func TestOneWaitSite(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	callers := map[string]bool{}
+	callers := map[string]map[string]bool{"Recv": {}, "RecvDeadline": {}}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -46,22 +47,26 @@ func TestOneWaitSite(t *testing.T) {
 			}
 			ast.Inspect(d, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
-						(sel.Sel.Name == "Recv" || sel.Sel.Name == "RecvDeadline") {
-						callers[name+": "+fn] = true
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && callers[sel.Sel.Name] != nil {
+						callers[sel.Sel.Name][name+": "+fn] = true
 					}
 				}
 				return true
 			})
 		}
 	}
-	var got []string
-	for c := range callers {
-		got = append(got, c)
-	}
-	sort.Strings(got)
-	if want := []string{"exec.go: watchdog.recv"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("functions calling Recv/RecvDeadline: %q, want only %q", got, want)
+	for method, want := range map[string][]string{
+		"Recv":         {"exec.go: await"},
+		"RecvDeadline": nil,
+	} {
+		var got []string
+		for c := range callers[method] {
+			got = append(got, c)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("functions calling %s: %q, want %q", method, got, want)
+		}
 	}
 }
 

@@ -50,8 +50,6 @@ type Set struct {
 	FaultsInjected uint64 // total faults of all kinds actually injected
 	TileFails      uint64 // fail-stops observed
 	TileStalls     uint64 // transient stalls charged
-	Timeouts       uint64 // watchdog expiries (exec retries + manager deadlines)
-	Retries        uint64 // requests re-sent after a timeout
 	RoleRemaps     uint64 // dead tiles excised from the virtual architecture
 	RecoveryCycles uint64 // detection-to-remap latency, summed over excisions
 

@@ -76,14 +76,13 @@ type Params struct {
 	MorphFixed   uint64 // fixed cost to switch a tile's role
 	MorphPerLine uint64 // cost per dirty line written back during a flush
 
-	// Fault-tolerance protocol costs and deadlines (active only when a
-	// fault plan is installed with recovery enabled; with faults off no
-	// code consults them, preserving bit-identical fault-free runs).
+	// Recovery-protocol costs and deadlines (consulted only under a
+	// fault plan with a fail clause, which arms the protocol; a run
+	// without one never reads them, preserving bit-identical fault-free
+	// runs). Nothing is re-sent on a timer: the one timeout is the
+	// manager's heartbeat detector.
 	HeartbeatPeriod  uint64 // cycles between worker-tile heartbeats to the manager
 	HeartbeatTimeout uint64 // silence after which the manager declares a worker dead
-	NetWatchdog      uint64 // base reply timeout for request/reply round trips
-	WorkWatchdog     uint64 // manager deadline for a dispatched translation
-	RetryBackoffMax  uint64 // cap on the exponential retry backoff
 	HeartbeatOcc     uint64 // worker occupancy to emit one heartbeat
 	RecoveryOcc      uint64 // manager bookkeeping to excise a dead tile
 
@@ -149,9 +148,6 @@ func DefaultParams() Params {
 
 		HeartbeatPeriod:  25_000,
 		HeartbeatTimeout: 80_000,
-		NetWatchdog:      20_000,
-		WorkWatchdog:     120_000,
-		RetryBackoffMax:  160_000,
 		HeartbeatOcc:     4,
 		RecoveryOcc:      500,
 
