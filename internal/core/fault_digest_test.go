@@ -62,10 +62,10 @@ func stallStorm(n int) *fault.Plan {
 var runGoldens = []runGolden{
 	{name: "fail/slave",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 8, Cycle: 150_000}) },
-		want: [3]string{"1356928:0:24132d97e0981682", "2806372:0:fb8bd85145a2d680", "14330884:0:eb12d5e2858eee1e"}},
+		want: [3]string{"1356928:0:70f0330b02b59103", "2806372:0:86c031e61b3e906d", "14330844:0:6ae5f5ddb8623486"}},
 	{name: "fail/bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 400_000}) },
-		want: [3]string{"1356928:0:b22f288de42b6c90", "3341793:0:0f5f05d354a46ef5", "14439993:0:d88dce5e23a1064f"}},
+		want: [3]string{"1356928:0:363cc8a27071fff2", "3345639:0:52a3da26ed96ed6c", "14425168:0:20fa830469c5f084"}},
 	{name: "fail/slave+bank+switchable-slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -73,16 +73,16 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 14, Cycle: 250_000},
 				fault.TileFail{Tile: 12, Cycle: 600_000})
 		},
-		want: [3]string{"1356799:0:edb0a499f2d873fd", "3462545:0:fcb70645e6ba5afd", "14215880:0:43ad4c23f174b3a8"}},
+		want: [3]string{"1357045:0:b19c7efe8aaf1621", "3378547:0:c0938dc5f557239e", "14224203:0:adc35064367a270e"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2439119:0:f620a9e788cbd3b4", "5092173:0:55a131b0414a3457", "16862933:0:2668b0441bf51718"}},
+		want: [3]string{"2439119:0:a41066dcc7162874", "5092173:0:5ad8417d4a60997e", "16862933:0:ab756b62f4e8e2bb"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
-		want: [3]string{"1386428:0:2b10ecb858898ba7", "2835211:0:352c8350ad00f057", "14415720:0:186494c43ab0b053"}},
+		want: [3]string{"1386400:0:cc7699375d440f1c", "2835178:0:04969ea7aee73fb9", "14415720:0:9704b4e9af94c27e"}},
 	{name: "stall/bank",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tilePermBank, Cycle: 500_000, Dur: 45_000}) },
-		want: [3]string{"1356400:0:c74c66e9def35b86", "2850217:0:2b4359d977761314", "14429331:0:0e11a73634fdc3ea"}},
+		want: [3]string{"1356400:0:1ddb5643225940f2", "2850178:0:990ea919254c7890", "14429773:0:10b0063c2e2b8d73"}},
 	{name: "stall/l15+sys+slave+two-on-one-bank",
 		cfg: func(c *Config) {
 			c.Fault = stalls(
@@ -92,7 +92,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 2, Cycle: 300_000, Dur: 1_000},
 				fault.TileStall{Tile: 2, Cycle: 300_500, Dur: 2_000})
 		},
-		want: [3]string{"1429057:0:3fb5924d8f990bfa", "2884536:0:a9eb5cdd2fc43920", "14377389:0:2f50a6505d554b50"}},
+		want: [3]string{"1429057:0:86b116bce283bb77", "2887178:0:26ed781d1d452fb4", "14469517:0:abeefdf6a1f93f0b"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{
@@ -103,13 +103,13 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1356711:0:36e4e3298237f2c3", "3546042:0:1d24bea132fd14f5", "14357475:0:320c04ad1ccd1f11"}},
+		want: [3]string{"1356604:0:d01dfbd7329f62b0", "3526117:0:fd92c693bca1f550", "14326619:0:e580608ae5ab2485"}},
 	{name: "stall-storm",
 		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
-		want: [3]string{"5225459:0:c245a6d66eca3930", "6959254:0:c8a76e77dd4868ad", "17324912:0:540634b67b493d91"}},
+		want: [3]string{"7918865:0:192659d6107bf798", "9799000:0:ecf8c025a1cb0a81", "19591536:0:2871a2043f218ec5"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000}) },
-		want: [3]string{"1356928:0:5d36284f1431fec5", "3331609:0:0c2d68a81481a4cb", "14425269:0:ccb51f8aba7c8968"}},
+		want: [3]string{"1356928:0:16c7f6eba52e451f", "3335696:0:72a16472ecb3dd1b", "14426036:0:ac19e2d8e7af8a8c"}},
 	{name: "rollback/two-banks+slave",
 		cfg: func(c *Config) {
 			c.Fault = fails(
@@ -117,7 +117,7 @@ var runGoldens = []runGolden{
 				fault.TileFail{Tile: 13, Cycle: 500_000},
 				fault.TileFail{Tile: 2, Cycle: 800_000})
 		},
-		want: [3]string{"1356928:0:7813ed711b113d5d", "4343116:0:cfc5d42e7693c77d", "14368238:0:8f5ae6d5bead8c9b"}},
+		want: [3]string{"1357245:0:e7e2aa082dabd37a", "4213045:0:f13cda87eff305ff", "14352573:0:cc796011a1ed14b4"}},
 	{name: "morph",
 		cfg:  func(c *Config) { c.Morph = true },
 		want: [3]string{"1366236:0:1b8d0907afd1fc16", "2814592:0:2bbabaef48ca7800", "14525580:0:6e6b7b3d093ab6e8"}},
@@ -126,7 +126,7 @@ var runGoldens = []runGolden{
 			c.Speculative = false
 			c.Fault = fails(fault.TileFail{Tile: 12, Cycle: 120_000})
 		},
-		want: [3]string{"1624802:0:9a75dd51fc2450f0", "3062063:0:bae5bd4bb4fe97b1", "18915963:0:704e96db53d1e501"}},
+		want: [3]string{"1618947:0:5df7a2ab3445846c", "3058847:0:038b1f8ddb60ca09", "18912594:0:398f010471a37606"}},
 	{name: "traced", traced: true,
 		want: [3]string{"1356400:409651:6b2038c816ca1e40", "2805178:5774705:42cfa44648e1dae9", "14411161:14022151:b23cbf740d2223cf"}},
 	{name: "traced/fail+stall", traced: true,
@@ -135,7 +135,7 @@ var runGoldens = []runGolden{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1371928:414182:6fded5b3d0959d09", "3423885:5794576:63bf4027b599a9ec", "14353306:14037262:f7077ae281ded67b"}},
+		want: [3]string{"1371928:414182:430f596210e152bf", "3390803:5794041:ee14c5caf6d90c99", "14354117:14038424:b860ac8d0015ac97"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {

@@ -138,7 +138,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[5].Exec, Cycle: 2_500_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 7} },
-		want: "7444701:32524311:f1d8a8e1e6716f62"},
+		want: "7444701:32524508:71578a5338fa4ef6"},
 	{name: "8x8/cap4/chaos/retries", w: 8, h: 8, guests: dozen[:7],
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -155,7 +155,7 @@ var fleetGoldens = []fleetGolden{
 			cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_000_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 3} },
-		want: "3902138:0:298c187e37e59bf9"},
+		want: "3902138:0:0eabc47c9b6c6045"},
 	{name: "8x8/rollback/manager/queued", w: 8, h: 8, guests: five,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[1].Manager, Cycle: 1_500_000})
@@ -171,7 +171,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[1].Exec, Cycle: 2_000_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 5} },
-		want: "18298845:0:d905f219fe472f4d"},
+		want: "18298845:0:53bc84e93e0ec792"},
 	{name: "8x8/stall+fail", w: 8, h: 8, guests: four,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = &fault.Plan{
@@ -181,7 +181,7 @@ var fleetGoldens = []fleetGolden{
 				Fails: []fault.TileFail{{Tile: l[1].Slaves[0], Cycle: 800_000}}}
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 13} },
-		want: "3902138:0:e250a7d299cd9b4b"},
+		want: "3902138:0:c6bd77a03006d3b8"},
 	{name: "8x8/planner/fail", w: 8, h: 8, guests: four,
 		// The planner grows slots on an undersubscribed fabric, so the
 		// fault is aimed by tile id, not through the base-tier layout.
