@@ -6,7 +6,6 @@ import (
 
 	"tilevm/internal/checkpoint"
 	"tilevm/internal/dcache"
-	"tilevm/internal/fault"
 	"tilevm/internal/guest"
 	"tilevm/internal/metrics"
 	"tilevm/internal/mmu"
@@ -74,13 +73,12 @@ type engine struct {
 	pageInval map[uint32]uint64 // page -> SMC generation of last invalidation
 	smcGen    uint64
 
-	// Fault injection. inj is the machine's injector when the recovery
-	// protocol is armed — under a plan with a fail clause, in Run and in
-	// a carved fleet alike — and then arms heartbeats, the manager's
-	// failure detector and excision. With inj nil none of those paths
+	// recovery arms the recovery protocol — heartbeats, the manager's
+	// failure detector and excision — under a plan with a fail clause,
+	// in Run and in a carved fleet alike. Without it none of those paths
 	// execute, so a stall-only plan only stalls tiles, and fault-free
 	// runs stay bit-identical to the pre-fault engine.
-	inj *fault.Injector
+	recovery bool
 	// bankOf lets the manager see whether a dead bank holds dirty lines
 	// (and so needs a rollback) at excision time; registered by each
 	// worker under the recovery protocol. Single-threaded in virtual

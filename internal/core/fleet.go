@@ -172,7 +172,7 @@ type fleetRun struct {
 
 	// Fault-policy state (fleetpolicy.go). plan is non-nil only when the
 	// fault plan has fail-stop clauses, and then arms the recovery
-	// protocol on every engine (engine.inj); horizon is the last fail cycle
+	// protocol on every engine (engine.recovery); horizon is the last fail cycle
 	// (idle slots must stay alive until then — a quarantine may still
 	// re-queue a guest). slotQuarantined records excised slots; slotIdx
 	// maps every carved tile to its slot.
@@ -392,7 +392,7 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 	}
 	if fl.plan != nil {
 		e.ck = fl.cks[gi]
-		e.inj = fl.m.Faults
+		e.recovery = true
 		e.bankOf = map[int]*dcache.Bank{}
 	}
 	e.onExit = func(c *raw.TileCtx) {

@@ -110,7 +110,7 @@ func (k *managerTile) start(c *raw.TileCtx) {
 	}
 	// Morphing starts in the translation-heavy configuration (§2.3).
 	st.transHeavy = e.cfg.Morph
-	if e.inj != nil {
+	if e.recovery {
 		st.banksNow = append([]int(nil), e.pl.banks...)
 		st.lastBeat = map[int]uint64{}
 		// Seed liveness at the current time, not zero: an epoch a
@@ -175,7 +175,7 @@ func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
 // tile produces silence, not messages). Tiles are scanned in ascending
 // id order so recovery decisions are deterministic.
 func (st *managerState) watch() {
-	if st.e.inj == nil {
+	if !st.e.recovery {
 		return
 	}
 	P := &st.e.cfg.Params

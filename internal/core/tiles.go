@@ -65,8 +65,8 @@ func (k *workerTile) start(c *raw.TileCtx) {
 	P := &e.cfg.Params
 	k.e, k.role = e, k.initial
 	k.bank = dcache.NewBank(P.L2DBankBytes, P.L2DWays, P.L2DLine)
-	if e.inj != nil {
-		// The manager accounts lost writebacks if this tile dies.
+	if e.recovery {
+		// If this tile dies, the manager looks for dirty lines here.
 		e.bankOf[c.Tile] = k.bank
 	}
 	k.nextBeat = c.Now() + P.HeartbeatPeriod
@@ -76,12 +76,13 @@ func (k *workerTile) start(c *raw.TileCtx) {
 	k.beat(c)
 }
 
-// beat ends every dispatch under the recovery protocol: a heartbeat if one is due (even
-// when saturated, the manager must not mistake a busy tile for a dead
-// one) and a timeout at the next, so an idle tile beats too.
+// beat ends every dispatch under the recovery protocol: a heartbeat if
+// one is due (even when saturated, the manager must not mistake a busy
+// tile for a dead one) and a timeout at the next, so an idle tile beats
+// too.
 func (k *workerTile) beat(c *raw.TileCtx) {
 	e := k.e
-	if e.inj == nil {
+	if !e.recovery {
 		return
 	}
 	P := &e.cfg.Params
