@@ -250,10 +250,11 @@ func (st *managerState) excise(t int) {
 	st.e.jadd(checkpoint.EvExcise, now, uint64(t), b2u(dirty))
 	st.e.trc().Instant(st.c.Tile, "excise", now, "tile", uint64(t), "rollback", b2u(dirty))
 	defer st.c.Send(st.e.pl.exec, wake{}, wordsCtl)
+	live := slices.DeleteFunc(slices.Clone(st.banksNow), func(b int) bool { return b == t })
 	if dirty {
 		st.e.rollback = &rollbackReq{tile: t, detect: now}
 		st.e.cancelled = true
-		if live := slices.DeleteFunc(slices.Clone(st.banksNow), func(b int) bool { return b == t }); len(live) > 0 {
+		if len(live) > 0 {
 			st.banksNow = live
 			st.sendRebank()
 		}
@@ -271,7 +272,6 @@ func (st *managerState) excise(t int) {
 		st.dispatch()
 		return
 	}
-	live := slices.DeleteFunc(slices.Clone(st.banksNow), func(b int) bool { return b == t })
 	if len(live) == 0 {
 		// No surviving bank to absorb the address space; leave routing
 		// as-is and let the simulation watchdog report the loss.
