@@ -172,10 +172,10 @@ type fleetRun struct {
 
 	// Fault-policy state (fleetpolicy.go). plan is non-nil only when the
 	// fault plan has fail-stop clauses, and then arms the recovery
-	// protocol on every engine (engine.recovery); horizon is the last fail cycle
-	// (idle slots must stay alive until then — a quarantine may still
-	// re-queue a guest). slotQuarantined records excised slots; slotIdx
-	// maps every carved tile to its slot.
+	// protocol on every engine (engine.recovery); horizon is the last
+	// fail cycle (idle slots must stay alive until then — a quarantine
+	// may still re-queue a guest). slotQuarantined records excised
+	// slots; slotIdx maps every carved tile to its slot.
 	plan            *fault.Plan
 	horizon         uint64
 	slotQuarantined map[int]bool
