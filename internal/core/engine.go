@@ -57,14 +57,13 @@ type engine struct {
 	vmLabel string
 	// cancelled marks this engine's guest as aborted: by the fleet
 	// supervisor (quarantine or deadline) or by its manager (rollback).
-	// The exec kernel breaks out of its dispatch loop at the next
-	// boundary. quarantined additionally marks the whole slot
-	// fail-stopped: its manager dispatches no more work, so the slot's
-	// daemon tiles finish what they hold and go quiet instead of
-	// speculating on for a guest that is gone. Neither is ever set on a
-	// run without a fault plan or deadline.
-	cancelled   bool
-	quarantined bool
+	// It is the one cancel signal: the exec kernel leaves chained code at
+	// its next jump and its dispatch loop at the next boundary, and the
+	// manager dispatches no more work, so a quarantined slot's daemon
+	// tiles finish what they hold and go quiet instead of speculating on
+	// for a guest that is gone. It is never set on a run without a fault
+	// plan or deadline.
+	cancelled bool
 
 	// Self-modifying-code tracking (single-threaded in virtual time,
 	// shared between the execution tile's detector and the manager's

@@ -354,11 +354,12 @@ func (v *execEnv) Assist(guestPC uint32, cpu *rawexec.CPU) error {
 func (v *execEnv) Stopped() bool { return v.exited }
 
 // Interrupted implements rawexec.Env: an SMC invalidation is pending,
-// a rollback, or a checkpoint is due. Both of the last two are taken
-// only at the dispatch loop, so a loop of blocks chained in the L1,
-// which never returns there, would otherwise run on to its end.
+// the guest is cancelled (a rollback sets cancelled too), or a
+// checkpoint is due. The last two are taken only at the dispatch loop,
+// so a loop of blocks chained in the L1, which never returns there,
+// would otherwise run on to its end.
 func (v *execEnv) Interrupted(now uint64) bool {
-	return v.smcPending || v.e.rollback != nil || v.e.checkpointDue(now)
+	return v.smcPending || v.e.cancelled || v.e.checkpointDue(now)
 }
 
 // checkpointDue reports whether the dispatch loop is to capture a

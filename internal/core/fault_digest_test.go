@@ -76,7 +76,7 @@ var runGoldens = []runGolden{
 		want: [3]string{"1357045:0:b19c7efe8aaf1621", "3378547:0:c0938dc5f557239e", "14224203:0:adc35064367a270e"}},
 	{name: "fail/l15-bank/fleet", fleet: true,
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 1, Cycle: 300_000}) },
-		want: [3]string{"2439119:0:a41066dcc7162874", "5092173:0:5ad8417d4a60997e", "16862933:0:ab756b62f4e8e2bb"}},
+		want: [3]string{"2439119:0:a41066dcc7162874", "5092173:0:2a5a8525ea8fb4ba", "16862933:0:ab756b62f4e8e2bb"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
 		want: [3]string{"1386400:0:cc7699375d440f1c", "2835178:0:04969ea7aee73fb9", "14415720:0:9704b4e9af94c27e"}},

@@ -174,16 +174,15 @@ type fleetRun struct {
 	// fault plan has fail-stop clauses, and then arms the recovery
 	// protocol on every engine (engine.recovery); horizon is the last
 	// fail cycle (idle slots must stay alive until then — a quarantine
-	// may still re-queue a guest). slotQuarantined records excised
-	// slots; slotIdx maps every carved tile to its slot.
-	plan            *fault.Plan
-	horizon         uint64
-	slotQuarantined map[int]bool
-	slotIdx         map[int]int
-	events          []uint64
-	maxAttempts     int
-	backoffBase     uint64
-	fleet           metrics.FleetSet
+	// may still re-queue a guest). slotIdx maps every carved tile to its
+	// slot.
+	plan        *fault.Plan
+	horizon     uint64
+	slotIdx     map[int]int
+	events      []uint64
+	maxAttempts int
+	backoffBase uint64
+	fleet       metrics.FleetSet
 
 	remaining int // guests not yet terminal; 0 stops the simulation
 }
@@ -249,26 +248,25 @@ func RunFleet(imgs []*guest.Image, cfg Config, fc FleetConfig) (res *FleetResult
 func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement) (*fleetRun, error) {
 	cfg.fillDefaults()
 	fl := &fleetRun{
-		cfg:             cfg,
-		fc:              fc,
-		m:               raw.NewMachine(cfg.Params),
-		imgs:            imgs,
-		slots:           slots,
-		hosts:           make([]*slotHost, len(slots)),
-		engines:         make([]*engine, len(imgs)),
-		slotOf:          make([]int, len(imgs)),
-		admitted:        make([]uint64, len(imgs)),
-		finished:        make([]uint64, len(imgs)),
-		attempts:        make([]int, len(imgs)),
-		phase:           make([]guestPhase, len(imgs)),
-		errs:            make([]error, len(imgs)),
-		deadline:        make([]uint64, len(imgs)),
-		lost:            make([]rollbackReq, len(imgs)),
-		slotQuarantined: map[int]bool{},
-		slotIdx:         slotIndexOf(slots),
-		maxAttempts:     fc.MaxAttempts,
-		backoffBase:     fc.RetryBackoff,
-		remaining:       len(imgs),
+		cfg:         cfg,
+		fc:          fc,
+		m:           raw.NewMachine(cfg.Params),
+		imgs:        imgs,
+		slots:       slots,
+		hosts:       make([]*slotHost, len(slots)),
+		engines:     make([]*engine, len(imgs)),
+		slotOf:      make([]int, len(imgs)),
+		admitted:    make([]uint64, len(imgs)),
+		finished:    make([]uint64, len(imgs)),
+		attempts:    make([]int, len(imgs)),
+		phase:       make([]guestPhase, len(imgs)),
+		errs:        make([]error, len(imgs)),
+		deadline:    make([]uint64, len(imgs)),
+		lost:        make([]rollbackReq, len(imgs)),
+		slotIdx:     slotIndexOf(slots),
+		maxAttempts: fc.MaxAttempts,
+		backoffBase: fc.RetryBackoff,
+		remaining:   len(imgs),
 	}
 	if fl.maxAttempts == 0 {
 		fl.maxAttempts = DefaultMaxAttempts

@@ -127,7 +127,7 @@ var fleetGoldens = []fleetGolden{
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{Deadline: 1 << 40, Deadlines: []uint64{0, 2_000_000, 0, 1_000_000}}
 		},
-		want: "2698092:0:eb925d0ff61eebaf"},
+		want: "2698092:0:4b5148cf946a617f"},
 	{name: "8x8/chaos5/traced", w: 8, h: 8, guests: dozen, traced: true,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -138,7 +138,7 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[5].Exec, Cycle: 2_500_000})
 		},
 		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 7} },
-		want: "7444701:32524508:71578a5338fa4ef6"},
+		want: "7444701:32519966:89f4559c8cec60e5"},
 	{name: "8x8/cap4/chaos/retries", w: 8, h: 8, guests: dozen[:7],
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(
@@ -149,7 +149,7 @@ var fleetGoldens = []fleetGolden{
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 4, MaxAttempts: 2, RetryBackoff: 200_000, RetrySeed: 99}
 		},
-		want: "6645161:0:b699ab8d3e793ba7"},
+		want: "6645161:0:921eda03867930dc"},
 	{name: "4x4/rollback/slave", w: 4, h: 4, guests: []string{"181.mcf", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_000_000})
@@ -163,7 +163,7 @@ var fleetGoldens = []fleetGolden{
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
 			return FleetConfig{MaxSlots: 3, RetrySeed: 11, RetryBackoff: 500_000}
 		},
-		want: "5251974:0:ab42406d10d0598f"},
+		want: "5251974:0:c5860c99988fd043"},
 	{name: "8x8/rollback/bank+exec", w: 8, h: 8, guests: []string{"181.mcf", "176.gcc", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(

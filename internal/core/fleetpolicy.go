@@ -233,8 +233,8 @@ func (fl *fleetRun) failsAt(now uint64) {
 		return
 	}
 	live := 0
-	for si := range fl.slots {
-		if !fl.slotQuarantined[si] {
+	for _, h := range fl.hosts {
+		if !h.quarantined {
 			live++
 		}
 	}
@@ -258,19 +258,17 @@ func (fl *fleetRun) failsAt(now uint64) {
 // manager stops dispatching, and its running guest is aborted
 // (requeued or terminal).
 func (fl *fleetRun) quarantineSlot(si, tile int, now uint64) {
-	if fl.slotQuarantined[si] {
+	h := fl.hosts[si]
+	if h.quarantined {
 		return
 	}
-	fl.slotQuarantined[si] = true
-	fl.fleet.SlotsQuarantined++
-	h := fl.hosts[si]
 	h.quarantined = true
+	fl.fleet.SlotsQuarantined++
 	pl := fl.slots[si]
 	for _, pr := range h.procs {
 		pr.SetDaemon(true)
 	}
-	e := h.cur
-	e.cancelled, e.quarantined = true, true
+	h.cur.cancelled = true
 	fl.cfg.Tracer.Instant(pl.manager, "quarantine", now, "slot", uint64(si), "guest", uint64(h.guest))
 
 	gi := h.guest

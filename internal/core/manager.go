@@ -479,9 +479,10 @@ func (st *managerState) handleWorkReq(slave int) {
 	st.dispatch()
 }
 
-// dispatch pairs parked slaves with queued work.
+// dispatch pairs parked slaves with queued work, none once the guest
+// is cancelled.
 func (st *managerState) dispatch() {
-	if st.e.quarantined {
+	if st.e.cancelled {
 		return
 	}
 	for len(st.parked) > 0 {
