@@ -156,7 +156,7 @@ func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string
 	h := fnv.New64a()
 	var cycles uint64
 	if g.fleet {
-		fr, err := RunFleet(fleetImgs(t, guest, "164.gzip"), cfg, FleetConfig{RetrySeed: 17})
+		fr, err := RunFleet(fleetImgs(t, guest, "164.gzip"), cfg, FleetConfig{})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.name, guest, err)
 		}

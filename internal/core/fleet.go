@@ -56,13 +56,6 @@ type FleetConfig struct {
 	// slot (first run plus retries after quarantines). 0 means
 	// DefaultMaxAttempts.
 	MaxAttempts int
-	// RetryBackoff is the base re-admission delay in virtual cycles
-	// after a guest's slot is quarantined; the actual delay grows
-	// exponentially with the attempt count plus a seeded jitter
-	// (retryBackoff). 0 means DefaultRetryBackoff.
-	RetryBackoff uint64
-	// RetrySeed seeds the deterministic backoff jitter.
-	RetrySeed uint64
 	// Deadline, when nonzero, is an absolute virtual-cycle deadline
 	// applied to every guest: a guest not finished by then is cancelled
 	// and reported with a DeadlineError.
@@ -126,13 +119,6 @@ const (
 	phaseInternal
 )
 
-// pendingGuest is one admission-queue entry: guest gi becomes eligible
-// at virtual cycle release (0 = immediately).
-type pendingGuest struct {
-	gi      int
-	release uint64
-}
-
 // slotHost is a slot's mutable binding to its current guest engine;
 // the wrapped tile kernels re-read it after every vmSwitch epoch.
 type slotHost struct {
@@ -168,7 +154,7 @@ type fleetRun struct {
 	lost     []rollbackReq // the fail-stop that quarantined the guest's last slot
 
 	// Admission queue: guests waiting for a slot, in admission order.
-	queue []pendingGuest
+	queue []int
 
 	// Fault-policy state (fleetpolicy.go). plan is non-nil only when the
 	// fault plan has fail-stop clauses, and then arms the recovery
@@ -181,7 +167,6 @@ type fleetRun struct {
 	slotIdx     map[int]int
 	events      []uint64
 	maxAttempts int
-	backoffBase uint64
 	fleet       metrics.FleetSet
 
 	remaining int // guests not yet terminal; 0 stops the simulation
@@ -265,14 +250,10 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 		lost:        make([]rollbackReq, len(imgs)),
 		slotIdx:     slotIndexOf(slots),
 		maxAttempts: fc.MaxAttempts,
-		backoffBase: fc.RetryBackoff,
 		remaining:   len(imgs),
 	}
 	if fl.maxAttempts == 0 {
 		fl.maxAttempts = DefaultMaxAttempts
-	}
-	if fl.backoffBase == 0 {
-		fl.backoffBase = DefaultRetryBackoff
 	}
 	for gi := range fl.deadline {
 		fl.deadline[gi] = fc.Deadline
@@ -320,7 +301,7 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 		fl.phase[si] = phaseRunning
 	}
 	for gi := len(slots); gi < len(imgs); gi++ {
-		fl.queue = append(fl.queue, pendingGuest{gi: gi})
+		fl.queue = append(fl.queue, gi)
 	}
 	fl.spawnSlots()
 	// The supervisor is spawned last — after every tile kernel — so at a
@@ -484,54 +465,33 @@ func (fl *fleetRun) noteFinished(gi int, e *engine) {
 	}
 }
 
-// nextGuest hands the slot its next guest: the oldest queue entry
-// whose release cycle has passed. When none is eligible yet the slot
-// sleeps (pure idle time — no busy accounting, no messages) until the
-// earliest future release or fail cycle, because a fail-stop may still
-// re-queue a running guest; it retires only when the queue is empty
-// and the fault horizon is past, after which no new work can appear.
-// On a policy-free run the queue holds only release-0 entries and the
-// horizon is 0, so this degrades to the plain FIFO cursor — same
-// claims, same cycles, no extra events.
+// nextGuest hands the slot its next guest, the oldest queued. With
+// none queued the slot sleeps (pure idle time: no busy accounting, no
+// messages) to the cycle after the next fail cycle, the first at which
+// a guest the quarantine re-queued can be there to take: the supervisor
+// acts after every tile in its cycle. It retires once the queue is empty
+// and the last fail cycle is past, after which no new work can appear.
+// Without a fail clause this is the plain FIFO cursor.
 func (fl *fleetRun) nextGuest(c *raw.TileCtx, h *slotHost) (int, bool) {
-	for {
-		if h.quarantined {
-			return 0, false
+	for !h.quarantined {
+		if len(fl.queue) > 0 {
+			gi := fl.queue[0]
+			fl.queue = fl.queue[1:]
+			return gi, true
 		}
 		now := c.Now()
-		eligible := -1
-		for qi, pg := range fl.queue {
-			if pg.release <= now {
-				eligible = qi
-				break
-			}
+		if fl.plan == nil || now > fl.horizon {
+			break
 		}
-		if eligible >= 0 {
-			pg := fl.queue[eligible]
-			fl.queue = append(fl.queue[:eligible], fl.queue[eligible+1:]...)
-			return pg.gi, true
-		}
-		if len(fl.queue) == 0 && now > fl.horizon {
-			return 0, false
-		}
-		next := now + 1
-		found := false
-		cand := func(t uint64) {
-			if t > now && (!found || t < next) {
-				next, found = t, true
-			}
-		}
-		cand(fl.horizon + 1)
-		for _, pg := range fl.queue {
-			cand(pg.release)
-		}
-		if fl.plan != nil {
-			for _, f := range fl.plan.Fails {
-				cand(f.Cycle)
+		next := fl.horizon + 1
+		for _, f := range fl.plan.Fails {
+			if f.Cycle >= now && f.Cycle+1 < next {
+				next = f.Cycle + 1
 			}
 		}
 		c.P.Advance(next - now)
 	}
+	return 0, false
 }
 
 // admit binds guest gi to slot si and runs the vmSwitch handoff. A

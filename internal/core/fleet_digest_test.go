@@ -137,7 +137,6 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[0].MMU, Cycle: 1_900_000},
 				fault.TileFail{Tile: l[5].Exec, Cycle: 2_500_000})
 		},
-		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 7} },
 		want: "7444701:32519966:89f4559c8cec60e5"},
 	{name: "8x8/cap4/chaos/retries", w: 8, h: 8, guests: dozen[:7],
 		cfg: func(cfg *Config, l []FleetSlot) {
@@ -147,21 +146,20 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[3].Sys, Cycle: 3_000_000})
 		},
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
-			return FleetConfig{MaxSlots: 4, MaxAttempts: 2, RetryBackoff: 200_000, RetrySeed: 99}
+			return FleetConfig{MaxSlots: 4, MaxAttempts: 2}
 		},
 		want: "6645161:0:921eda03867930dc"},
 	{name: "4x4/rollback/slave", w: 4, h: 4, guests: []string{"181.mcf", "164.gzip"},
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[0].Slaves[1], Cycle: 1_000_000})
 		},
-		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 3} },
 		want: "3902138:0:0eabc47c9b6c6045"},
 	{name: "8x8/rollback/manager/queued", w: 8, h: 8, guests: five,
 		cfg: func(cfg *Config, l []FleetSlot) {
 			cfg.Fault = fails(fault.TileFail{Tile: l[1].Manager, Cycle: 1_500_000})
 		},
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
-			return FleetConfig{MaxSlots: 3, RetrySeed: 11, RetryBackoff: 500_000}
+			return FleetConfig{MaxSlots: 3}
 		},
 		want: "5251974:0:c5860c99988fd043"},
 	{name: "8x8/rollback/bank+exec", w: 8, h: 8, guests: []string{"181.mcf", "176.gcc", "164.gzip"},
@@ -170,7 +168,6 @@ var fleetGoldens = []fleetGolden{
 				fault.TileFail{Tile: l[0].Banks[0], Cycle: 900_000},
 				fault.TileFail{Tile: l[1].Exec, Cycle: 2_000_000})
 		},
-		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 5} },
 		want: "18298845:0:53bc84e93e0ec792"},
 	{name: "8x8/stall+fail", w: 8, h: 8, guests: four,
 		cfg: func(cfg *Config, l []FleetSlot) {
@@ -180,7 +177,6 @@ var fleetGoldens = []fleetGolden{
 					{Tile: l[2].Manager, Cycle: 600_000, Dur: 25_000}},
 				Fails: []fault.TileFail{{Tile: l[1].Slaves[0], Cycle: 800_000}}}
 		},
-		fc:   func(*testing.T, *fleetGolden) FleetConfig { return FleetConfig{RetrySeed: 13} },
 		want: "3902138:0:c6bd77a03006d3b8"},
 	{name: "8x8/planner/fail", w: 8, h: 8, guests: four,
 		// The planner grows slots on an undersubscribed fabric, so the
@@ -189,7 +185,7 @@ var fleetGoldens = []fleetGolden{
 			cfg.Fault = fails(fault.TileFail{Tile: 9, Cycle: 600_000})
 		},
 		fc: func(_ *testing.T, g *fleetGolden) FleetConfig {
-			return FleetConfig{Profiles: make([]GuestProfile, len(g.guests)), RetrySeed: 2}
+			return FleetConfig{Profiles: make([]GuestProfile, len(g.guests))}
 		},
 		want: "2841802:0:d90dfc19f82c5940"},
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tilevm/internal/sim"
 )
@@ -22,11 +23,10 @@ import (
 //     flight have come back. Slots exchange no messages, so the
 //     survivors need no repair: a dead slot's slaves can only ever be
 //     parked or outstanding at their own, equally dead, manager.
-//   - Guest retry with deterministic backoff: an aborted guest
-//     re-enters the admission queue with an exponential, seeded,
-//     virtual-time backoff, resuming from its latest checkpoint (from
-//     its image if it has none yet) until FleetConfig.MaxAttempts
-//     admissions are spent.
+//   - Guest retry: an aborted guest re-enters the admission queue at
+//     once and takes the next free slot, resuming from its latest
+//     checkpoint (from its image if it has none yet) until
+//     FleetConfig.MaxAttempts admissions are spent.
 //   - Per-guest deadlines: a guest still running (or still queued) at
 //     its deadline is cancelled and reported with a DeadlineError.
 //
@@ -115,39 +115,9 @@ func (e *AbortError) Error() string {
 	return fmt.Sprintf("core: guest %d aborted at cycle %d after %d attempt(s)", e.Guest, e.Cycle, e.Attempts)
 }
 
-// Fleet retry-policy defaults (FleetConfig zero values).
-const (
-	// DefaultMaxAttempts is the per-guest admission cap when
-	// FleetConfig.MaxAttempts is zero.
-	DefaultMaxAttempts = 3
-	// DefaultRetryBackoff is the base backoff in virtual cycles when
-	// FleetConfig.RetryBackoff is zero.
-	DefaultRetryBackoff = 50_000
-)
-
-// mix64 is a 64-bit integer hash (the output function of Java's
-// SplittableRandom), used to derive the deterministic per-(guest,
-// attempt) backoff jitter.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// retryBackoff is the delay before re-admitting a guest after its
-// attempt-th admission was aborted: exponential in the attempt count
-// with a seeded jitter in [0, base) so retries of guests aborted by
-// the same fault do not re-collide on the same release cycle. Fully
-// deterministic: a function of (base, seed, guest, attempt) only.
-func retryBackoff(base, seed uint64, gi, attempt int) uint64 {
-	d := base << uint(attempt-1)
-	if d < base || d > base<<20 { // shift overflow or absurd growth
-		d = base << 20
-	}
-	jitter := mix64(seed ^ mix64(uint64(gi)<<32|uint64(attempt)))
-	return d + jitter%base
-}
+// DefaultMaxAttempts is the per-guest admission cap when
+// FleetConfig.MaxAttempts is zero.
+const DefaultMaxAttempts = 3
 
 // policyEvents returns the sorted distinct virtual cycles at which the
 // supervisor must act: every fail-stop cycle and every effective guest
@@ -279,8 +249,8 @@ func (fl *fleetRun) quarantineSlot(si, tile int, now uint64) {
 }
 
 // abortGuest handles the running guest of a slot being quarantined:
-// back into the admission queue with backoff if it has admissions
-// left, terminal GuestAborted otherwise.
+// back into the admission queue if it has admissions left, terminal
+// GuestAborted otherwise.
 func (fl *fleetRun) abortGuest(gi int, now uint64) {
 	if fl.attempts[gi] >= fl.maxAttempts {
 		fl.phase[gi] = phaseAborted
@@ -291,8 +261,7 @@ func (fl *fleetRun) abortGuest(gi int, now uint64) {
 			"guest", uint64(gi), "attempts", uint64(fl.attempts[gi]))
 		return
 	}
-	release := now + retryBackoff(fl.backoffBase, fl.fc.RetrySeed, gi, fl.attempts[gi])
-	fl.queue = append(fl.queue, pendingGuest{gi: gi, release: release})
+	fl.queue = append(fl.queue, gi)
 	fl.phase[gi] = phaseQueued
 }
 
@@ -316,13 +285,7 @@ func (fl *fleetRun) deadlinesAt(now uint64) {
 			fl.cfg.Tracer.Instant(fl.slots[fl.slotOf[gi]].exec, "deadline", now,
 				"guest", uint64(gi), "deadline", now)
 		case phaseQueued:
-			kept := fl.queue[:0]
-			for _, pg := range fl.queue {
-				if pg.gi != gi {
-					kept = append(kept, pg)
-				}
-			}
-			fl.queue = kept
+			fl.queue = slices.DeleteFunc(fl.queue, func(q int) bool { return q == gi })
 			fl.phase[gi] = phaseDeadline
 			fl.errs[gi] = &DeadlineError{Guest: gi, Deadline: now, Attempts: fl.attempts[gi], Running: false}
 			fl.fleet.GuestsDeadlineExceeded++

@@ -50,7 +50,7 @@ func TestFleetSlotLayoutMatchesCarve(t *testing.T) {
 }
 
 // TestFleetPolicyKnobsAreInertWithoutFaults pins the compatibility
-// contract: retry/backoff knobs change nothing on a fault-free,
+// contract: the retry knob changes nothing on a fault-free,
 // deadline-free run — the whole FleetResult is byte-identical to a
 // default-policy run, queue handoffs included.
 func TestFleetPolicyKnobsAreInertWithoutFaults(t *testing.T) {
@@ -59,9 +59,7 @@ func TestFleetPolicyKnobsAreInertWithoutFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{
-		MaxAttempts: 7, RetryBackoff: 123_456, RetrySeed: 99,
-	})
+	tuned, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{MaxAttempts: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +122,7 @@ func TestFleetChaosQuarantineRetry(t *testing.T) {
 		cfg := fleetCfg(8, 8)
 		cfg.Fault = plan
 		cfg.Tracer = NewTracerFor(cfg.Params, 50_000)
-		fr, err := RunFleet(imgs, cfg, FleetConfig{RetrySeed: 7})
+		fr, err := RunFleet(imgs, cfg, FleetConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +245,7 @@ func TestFleetRetryWithRollback(t *testing.T) {
 			{Tile: layout[0].Exec, Cycle: 50_000},
 			{Tile: layout[1].Manager, Cycle: 2_500_000},
 		}}
-		fr, err := RunFleet(imgs, cfg, FleetConfig{RetrySeed: 3})
+		fr, err := RunFleet(imgs, cfg, FleetConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
