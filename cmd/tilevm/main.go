@@ -92,7 +92,7 @@ var flagTable = []flagRule{
 	{"guests", "", "comma-separated workload names to run as a fleet of VMs (e.g. 164.gzip,181.mcf)", "fleet", "", ""},
 	{"grid", "4x4", "fabric size WxH for fleet mode (requires -guests)", "fleet", "", "Params"},
 	{"planner", false, "fleet mode: cost-model placement planner — grow slots on undersubscribed fabrics and split tiles between translation slaves and cache banks per guest profile", "fleet", "", "Profiles"},
-	{"deadline", uint64(0), "fleet mode: per-guest virtual-cycle deadline; guests still running at the deadline are cancelled (0 = none)", "fleet", "", "Deadline"},
+	{"deadline", uint64(0), "fleet mode: per-guest virtual-cycle deadline; guests still running at the deadline are cancelled (0 = none)", "fleet", "", "Deadlines"},
 	{"slaves", 6, "translation slave tiles (1-9)", oneVM, "", "Slaves"},
 	{"speculate", true, "speculative parallel translation", allModes, "", "Speculative"},
 	{"l15", 2, "L1.5 code cache banks (0-2)", oneVM, "", "L15Banks"},
@@ -215,7 +215,6 @@ func parse(args []string) (*invocation, error) {
 	if inv.cfg.Params.Width, inv.cfg.Params.Height, err = raw.ParseGrid(inv.str("grid")); err != nil {
 		return nil, err
 	}
-	inv.fc.Deadline = inv.u64("deadline")
 	for _, n := range strings.Split(inv.str("guests"), ",") {
 		p, ok := workload.ByName(strings.TrimSpace(n))
 		if !ok {
@@ -224,6 +223,9 @@ func parse(args []string) (*invocation, error) {
 		inv.names, inv.imgs = append(inv.names, p.Name), append(inv.imgs, p.Build())
 		if inv.on("planner") {
 			inv.fc.Profiles = append(inv.fc.Profiles, core.ProfileFromWorkload(p))
+		}
+		if d := inv.u64("deadline"); d > 0 {
+			inv.fc.Deadlines = append(inv.fc.Deadlines, d)
 		}
 	}
 	return inv, flagError(core.ValidateFleet(&inv.cfg, inv.fc, len(inv.imgs)))

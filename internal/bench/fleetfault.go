@@ -56,8 +56,10 @@ func (s *Suite) FleetFaultSweep() (string, error) {
 	}
 
 	imgs := make([]*guest.Image, nGuests)
+	deadlines := make([]uint64, nGuests)
 	for i := range imgs {
 		imgs[i] = s.image(rotation[i%len(rotation)])
+		deadlines[i] = deadline
 	}
 
 	var b strings.Builder
@@ -81,7 +83,7 @@ func (s *Suite) FleetFaultSweep() (string, error) {
 			}
 			res, err := core.RunFleet(imgs, cfg, core.FleetConfig{
 				MaxAttempts: pol.maxAttempts,
-				Deadline:    deadline,
+				Deadlines:   deadlines,
 			})
 			if err != nil {
 				return "", fmt.Errorf("fleet-fault %dx%d faults=%d policy=%s: %w",

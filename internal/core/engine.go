@@ -56,14 +56,18 @@ type engine struct {
 	// fleet of more than one guest; Run's rows carry none.
 	vmLabel string
 	// cancelled marks this engine's guest as aborted: by the fleet
-	// supervisor (quarantine or deadline) or by its manager (rollback).
-	// It is the one cancel signal: the exec kernel leaves chained code at
-	// its next jump and its dispatch loop at the next boundary, and the
-	// manager dispatches no more work, so a quarantined slot's daemon
-	// tiles finish what they hold and go quiet instead of speculating on
-	// for a guest that is gone. It is never set on a run without a fault
-	// plan or deadline.
+	// supervisor (quarantine), by its manager (rollback) or by its exec
+	// tile (deadline). It is the one cancel signal: the exec kernel
+	// leaves chained code at its next jump and its dispatch loop at the
+	// next boundary, and the manager dispatches no more work, so a
+	// quarantined slot's daemon tiles finish what they hold and go quiet
+	// instead of speculating on for a guest that is gone. It is never set
+	// on a run without a fault plan or deadline.
 	cancelled bool
+	// deadline is the guest's absolute virtual-cycle deadline (0 =
+	// none). The exec kernel cancels the guest at its first dispatch
+	// boundary or chained jump past it.
+	deadline uint64
 
 	// Self-modifying-code tracking (single-threaded in virtual time,
 	// shared between the execution tile's detector and the manager's

@@ -36,11 +36,11 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 	trc := e.trc()
 
 	for {
-		// A fleet supervisor cancels a guest (deadline exceeded, slot
-		// quarantined) by setting cancelled; the dispatch boundary is the
-		// one point where no request is in flight, so breaking here
-		// strands nothing on the network.
-		if e.cancelled {
+		// A cancelled guest (slot quarantined, rollback) or one past its
+		// deadline stops here: the dispatch boundary is the one point
+		// where no request is in flight, so breaking here strands nothing
+		// on the network.
+		if e.stopping(c.Now()) {
 			break
 		}
 		// Checkpoint at the dispatch boundary: the one point where the
@@ -354,12 +354,19 @@ func (v *execEnv) Assist(guestPC uint32, cpu *rawexec.CPU) error {
 func (v *execEnv) Stopped() bool { return v.exited }
 
 // Interrupted implements rawexec.Env: an SMC invalidation is pending,
-// the guest is cancelled (a rollback sets cancelled too), or a
-// checkpoint is due. The last two are taken only at the dispatch loop,
-// so a loop of blocks chained in the L1, which never returns there,
-// would otherwise run on to its end.
+// the guest is cancelled or past its deadline, or a checkpoint is due.
+// The last two are taken only at the dispatch loop, so a loop of blocks
+// chained in the L1, which never returns there, would otherwise run on
+// to its end.
 func (v *execEnv) Interrupted(now uint64) bool {
-	return v.smcPending || v.e.cancelled || v.e.checkpointDue(now)
+	return v.smcPending || v.e.stopping(now) || v.e.checkpointDue(now)
+}
+
+// stopping reports whether the exec kernel is to leave the guest at
+// cycle now: it is cancelled (a rollback sets cancelled too), or its
+// deadline has passed.
+func (e *engine) stopping(now uint64) bool {
+	return e.cancelled || e.deadline > 0 && now > e.deadline
 }
 
 // checkpointDue reports whether the dispatch loop is to capture a

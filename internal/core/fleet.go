@@ -56,13 +56,10 @@ type FleetConfig struct {
 	// slot (first run plus retries after quarantines). 0 means
 	// DefaultMaxAttempts.
 	MaxAttempts int
-	// Deadline, when nonzero, is an absolute virtual-cycle deadline
-	// applied to every guest: a guest not finished by then is cancelled
-	// and reported with a DeadlineError.
-	Deadline uint64
-	// Deadlines optionally overrides Deadline per guest (index-aligned
-	// with imgs; 0 entries fall back to Deadline). Length must be zero
-	// or len(imgs).
+	// Deadlines optionally gives each guest an absolute virtual-cycle
+	// deadline (index-aligned with imgs; 0 = none): a guest not finished
+	// by its deadline is cancelled and reported with a DeadlineError.
+	// Length must be zero or len(imgs).
 	Deadlines []uint64
 }
 
@@ -149,7 +146,7 @@ type fleetRun struct {
 	attempts []int
 	phase    []guestPhase
 	errs     []error
-	deadline []uint64 // effective per-guest deadline (0 = none)
+	deadline []uint64 // per-guest deadline (0 = none)
 	cks      []*checkpoint.Checkpointer
 	lost     []rollbackReq // the fail-stop that quarantined the guest's last slot
 
@@ -158,14 +155,13 @@ type fleetRun struct {
 
 	// Fault-policy state (fleetpolicy.go). plan is non-nil only when the
 	// fault plan has fail-stop clauses, and then arms the recovery
-	// protocol on every engine (engine.recovery); horizon is the last
-	// fail cycle (idle slots must stay alive until then — a quarantine
-	// may still re-queue a guest). slotIdx maps every carved tile to its
-	// slot.
+	// protocol on every engine (engine.recovery) and the supervisor;
+	// horizon is the last fail cycle (idle slots must stay alive until
+	// then — a quarantine may still re-queue a guest). slotIdx maps every
+	// carved tile to its slot.
 	plan        *fault.Plan
 	horizon     uint64
 	slotIdx     map[int]int
-	events      []uint64
 	maxAttempts int
 	fleet       metrics.FleetSet
 
@@ -255,12 +251,9 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 	if fl.maxAttempts == 0 {
 		fl.maxAttempts = DefaultMaxAttempts
 	}
-	for gi := range fl.deadline {
-		fl.deadline[gi] = fc.Deadline
-		if len(fc.Deadlines) > 0 && fc.Deadlines[gi] > 0 {
-			fl.deadline[gi] = fc.Deadlines[gi]
-		}
-		if fl.deadline[gi] > 0 {
+	copy(fl.deadline, fc.Deadlines)
+	for _, d := range fl.deadline {
+		if d > 0 {
 			fl.fleet.DeadlineTotal++
 		}
 	}
@@ -306,23 +299,22 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 	fl.spawnSlots()
 	// The supervisor is spawned last — after every tile kernel — so at a
 	// shared cycle it observes the tiles' work before acting: a guest
-	// finishing exactly at a fail or deadline cycle has already finished.
-	// With no fail-stops and no deadlines there are no events and no
-	// supervisor: the run is bit-identical to the policy-free scheduler.
-	fl.events = fl.policyEvents()
-	if len(fl.events) > 0 {
+	// finishing exactly at a fail cycle has already finished. Without a
+	// fail clause there is no supervisor.
+	if fl.plan != nil {
 		fl.m.Sim.Spawn("fleet-supervisor", fl.supervise)
 	}
 	// One shard per VM slot when the slots are independent. They exchange
-	// no messages, but two things still couple them: a fault plan (one
-	// injector, and a supervisor that reaches into every slot) and policy
-	// events (the supervisor again). Coupled slots stay on one shard,
-	// interleaved event by event in one heap — the only loop that can run
-	// them; independent ones are dispatched a slot at a time. Both
-	// produce the same FleetResult and, since the tracer orders its
-	// timeline by time and tile, the same trace, so which one runs is an
-	// implementation detail, not a semantic one.
-	if len(slots) > 1 && cfg.Fault.Empty() && len(fl.events) == 0 {
+	// no messages; what still couples them is a fault plan: one injector,
+	// and a supervisor that reaches into every slot. Coupled slots stay
+	// on one shard, interleaved event by event in one heap — the only
+	// loop that can run them; independent ones are dispatched a slot at
+	// a time. A deadline couples nothing: the exec tile takes it, and the
+	// queue under the exit's Fence. Both loops produce the same
+	// FleetResult and, since the tracer orders its timeline by time and
+	// tile, the same trace, so which one runs is an implementation
+	// detail, not a semantic one.
+	if len(slots) > 1 && cfg.Fault.Empty() {
 		fl.shardSlots()
 	}
 	return fl, fl.m.Run()
@@ -365,6 +357,7 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 		}),
 		codePages: map[uint32]bool{},
 		pageInval: map[uint32]uint64{},
+		deadline:  fl.deadline[gi],
 	}
 	if len(fl.imgs) > 1 {
 		e.vmLabel = fmt.Sprintf("vm%d", gi)
@@ -383,12 +376,19 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 		// touched in exact serial cycle order. No-op when coupled slots
 		// share one shard.
 		c.P.Fence()
-		if e.cancelled {
-			// Quarantine or deadline: the supervisor already did this
-			// guest's terminal (or re-queue) bookkeeping.
+		switch {
+		case fl.engines[gi] != e || fl.phase[gi] != phaseRunning:
+			// A quarantine already re-queued or aborted this attempt; the
+			// guest may be running again on another slot.
 			return
+		case e.deadline > 0 && e.stopCycles > e.deadline:
+			e.cancelled = true
+			fl.missDeadline(gi, true)
+		case e.cancelled:
+			return // a rollback: the slot re-admits the guest
+		default:
+			fl.noteFinished(gi, e)
 		}
-		fl.remaining--
 		if fl.remaining == 0 {
 			c.Stop()
 		}
@@ -421,10 +421,6 @@ func (fl *fleetRun) spawnSlots() {
 					fl.rollBack(c, h, si)
 					continue
 				}
-				if !e.cancelled {
-					fl.finished[h.guest] = e.stopCycles
-					fl.noteFinished(h.guest, e)
-				}
 				gi, ok := fl.nextGuest(c, h)
 				if !ok {
 					// No queued guest and none can appear: the slot's service
@@ -455,31 +451,40 @@ func (fl *fleetRun) shardSlots() {
 	}
 }
 
-// noteFinished records a clean guest exit in the fleet counters.
+// noteFinished records a clean guest exit, which met its deadline if
+// it had one.
 func (fl *fleetRun) noteFinished(gi int, e *engine) {
 	fl.phase[gi] = phaseFinished
+	fl.finished[gi] = e.stopCycles
+	fl.remaining--
 	fl.fleet.GuestsFinished++
 	fl.fleet.GoodputInsts += e.stats.HostInsts
-	if d := fl.deadline[gi]; d > 0 && e.stopCycles <= d {
+	if e.deadline > 0 {
 		fl.fleet.DeadlineMet++
 	}
 }
 
-// nextGuest hands the slot its next guest, the oldest queued. With
-// none queued the slot sleeps (pure idle time: no busy accounting, no
-// messages) to the cycle after the next fail cycle, the first at which
-// a guest the quarantine re-queued can be there to take: the supervisor
-// acts after every tile in its cycle. It retires once the queue is empty
-// and the last fail cycle is past, after which no new work can appear.
-// Without a fail clause this is the plain FIFO cursor.
+// nextGuest hands the slot its next guest, the oldest queued, once
+// every queued guest past its deadline is terminal. With none queued
+// the slot sleeps (pure idle time: no busy accounting, no messages) to
+// the cycle after the next fail cycle, the first at which a guest the
+// quarantine re-queued can be there to take: the supervisor acts after
+// every tile in its cycle. It retires once the queue is empty and the
+// last fail cycle is past, after which no new work can appear. Without
+// a fail clause or a deadline this is the plain FIFO cursor.
 func (fl *fleetRun) nextGuest(c *raw.TileCtx, h *slotHost) (int, bool) {
 	for !h.quarantined {
+		now := c.Now()
+		fl.expireQueued(now)
+		if fl.remaining == 0 {
+			c.Stop()
+			break
+		}
 		if len(fl.queue) > 0 {
 			gi := fl.queue[0]
 			fl.queue = fl.queue[1:]
 			return gi, true
 		}
-		now := c.Now()
 		if fl.plan == nil || now > fl.horizon {
 			break
 		}

@@ -125,7 +125,7 @@ var fleetGoldens = []fleetGolden{
 	{name: "4x4/deadlines", w: 4, h: 4, guests: []string{"164.gzip", "181.mcf", "164.gzip", "181.mcf"},
 		// Guest 1 is cancelled mid-run, guest 3 while still queued.
 		fc: func(*testing.T, *fleetGolden) FleetConfig {
-			return FleetConfig{Deadline: 1 << 40, Deadlines: []uint64{0, 2_000_000, 0, 1_000_000}}
+			return FleetConfig{Deadlines: []uint64{1 << 40, 2_000_000, 1 << 40, 1_000_000}}
 		},
 		want: "2698092:0:4b5148cf946a617f"},
 	{name: "8x8/chaos5/traced", w: 8, h: 8, guests: dozen, traced: true,

@@ -15,7 +15,7 @@ import (
 
 // Which loop runs a fleet is not a setting: independent slots are
 // dispatched a slot at a time, coupled ones interleaved in one heap
-// (fleet.go). A fault plan is one of the couplings. One whose only
+// (fleet.go). A fault plan is what couples them. One whose only
 // clause stalls a carved tile at a cycle no guest reaches changes
 // nothing else — a fleet plan draws nothing from the injector's
 // generator — so it is how these tests get the same fleet onto the
@@ -49,13 +49,14 @@ func fleetOnLoop(t *testing.T, interleaved bool, imgs []*guest.Image, cfg Config
 	return buf.String(), err, cfg.Interrupt.KernelStats()
 }
 
-// TestFleetSlotAtATimeEquality: every fault-free, deadline-free fleet
-// of the schedule golden, tilebench's fleet_mix and a queued admission
-// decided by a same-cycle tie — guests 0 and 1 leave slots 0 and 1 in
-// one cycle with a long and a short guest waiting — give the same
-// FleetResult on both loops, down to the last counter of every guest
-// and the per-tile busy vector, from the same number of dispatches. The
-// traced fleet also writes the same trace JSON and sampler CSV.
+// TestFleetSlotAtATimeEquality: every fault-free fleet of the schedule
+// golden, the one with deadlines included, tilebench's fleet_mix and a
+// queued admission decided by a same-cycle tie — guests 0 and 1 leave
+// slots 0 and 1 in one cycle with a long and a short guest waiting —
+// give the same FleetResult on both loops, down to the last counter of
+// every guest and the per-tile busy vector, from the same number of
+// dispatches. The traced fleet also writes the same trace JSON and
+// sampler CSV.
 func TestFleetSlotAtATimeEquality(t *testing.T) {
 	cases := []fleetGolden{
 		{name: "8x8/fleet_mix", w: 8, h: 8, guests: fleetMix},
@@ -64,11 +65,11 @@ func TestFleetSlotAtATimeEquality(t *testing.T) {
 	}
 	for _, g := range fleetGoldens {
 		switch g.name {
-		case "8x8/free", "4x4/oversub", "8x8/planner/cap3", "8x8/traced", "4x4/nospec":
+		case "8x8/free", "4x4/oversub", "8x8/planner/cap3", "8x8/traced", "4x4/nospec", "4x4/deadlines":
 			cases = append(cases, g)
 		}
 	}
-	if len(cases) != 7 {
+	if len(cases) != 8 {
 		t.Fatalf("%d cases: a schedule golden was renamed", len(cases))
 	}
 	for i := range cases {

@@ -27,16 +27,19 @@ import (
 //     once and takes the next free slot, resuming from its latest
 //     checkpoint (from its image if it has none yet) until
 //     FleetConfig.MaxAttempts admissions are spent.
-//   - Per-guest deadlines: a guest still running (or still queued) at
-//     its deadline is cancelled and reported with a DeadlineError.
+//   - Per-guest deadlines: a guest still running past its deadline is
+//     cancelled by its own exec tile, at the next dispatch boundary or
+//     chained jump, and a queued one when a slot next looks at the
+//     queue; either is reported with a DeadlineError. A deadline
+//     couples no slots.
 //
 // Everything here runs host-side inside the discrete-event simulation
-// (one supervisor process, spawned last so it observes each cycle
-// after every tile), so the whole policy is bit-for-bit deterministic
-// at a fixed seed. When the fault plan is empty and no deadline is
-// set, the supervisor is not spawned and none of these code paths
-// run: a policy-free fleet is bit-identical to the pre-policy
-// scheduler.
+// (one supervisor process for fail cycles, spawned last so it observes
+// each cycle after every tile), so the whole policy is bit-for-bit
+// deterministic. Without a fail clause the supervisor is not spawned,
+// and an unreachable deadline costs one comparison per dispatch and per
+// chained jump: the run is otherwise bit-identical to a deadline-free
+// one.
 
 // GuestStatus is a guest's terminal disposition within a fleet run.
 type GuestStatus uint8
@@ -82,9 +85,8 @@ type DeadlineError struct {
 	Guest    int
 	Deadline uint64
 	Attempts int
-	// Running is true when the guest was cancelled mid-run (via the
-	// vmSwitch handshake when its slot moved on); false when it was
-	// still waiting in the admission queue.
+	// Running is true when the guest was cancelled mid-run by its exec
+	// tile; false when it was still waiting in the admission queue.
 	Running bool
 }
 
@@ -119,41 +121,18 @@ func (e *AbortError) Error() string {
 // FleetConfig.MaxAttempts is zero.
 const DefaultMaxAttempts = 3
 
-// policyEvents returns the sorted distinct virtual cycles at which the
-// supervisor must act: every fail-stop cycle and every effective guest
-// deadline.
-func (fl *fleetRun) policyEvents() []uint64 {
-	set := map[uint64]bool{}
-	if fl.plan != nil {
-		for _, f := range fl.plan.Fails {
-			set[f.Cycle] = true
-		}
-	}
-	for _, d := range fl.deadline {
-		if d > 0 {
-			set[d] = true
-		}
-	}
-	out := make([]uint64, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; event lists are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// supervise is the fleet supervisor process body. It is spawned after
-// every tile kernel (highest pid), so at each event cycle it runs
-// after the tiles: a guest that finishes exactly at a fail or deadline
-// cycle finishes first and is left alone. Between events it sleeps; it
-// never sends or receives, so a run whose faults never fire is not
-// perturbed at all.
+// supervise is the fleet supervisor process body, spawned only under
+// a plan with fail clauses. It is spawned after every tile kernel
+// (highest pid), so at each fail cycle it runs after the tiles: a guest
+// that finishes exactly at a fail cycle finishes first and is left
+// alone. Between fail cycles it sleeps; it never sends or receives.
 func (fl *fleetRun) supervise(p *sim.Proc) {
-	for _, ev := range fl.events {
+	var cycles []uint64
+	for _, f := range fl.plan.Fails {
+		cycles = append(cycles, f.Cycle)
+	}
+	slices.Sort(cycles)
+	for _, ev := range slices.Compact(cycles) {
 		if p.Now() < ev {
 			p.Advance(ev - p.Now())
 		}
@@ -161,7 +140,6 @@ func (fl *fleetRun) supervise(p *sim.Proc) {
 			return // everything settled while we slept; Stop already ran
 		}
 		fl.failsAt(ev)
-		fl.deadlinesAt(ev)
 		if fl.remaining == 0 {
 			p.Stop()
 			return
@@ -178,9 +156,6 @@ func (fl *fleetRun) supervise(p *sim.Proc) {
 // slave or bank — quarantines the slot, in slot-carve order. If no slot
 // survives, the queue is mass-aborted.
 func (fl *fleetRun) failsAt(now uint64) {
-	if fl.plan == nil {
-		return
-	}
 	hit := map[int]int{}
 	for _, f := range fl.plan.Fails {
 		if f.Cycle != now {
@@ -265,32 +240,30 @@ func (fl *fleetRun) abortGuest(gi int, now uint64) {
 	fl.phase[gi] = phaseQueued
 }
 
-// deadlinesAt cancels every guest whose deadline is this cycle and is
-// not yet terminal. A running guest is cancelled mid-run: its exec
-// tile breaks at the next dispatch boundary and the slot hands off to
-// the next queued guest through the ordinary vmSwitch handshake.
-func (fl *fleetRun) deadlinesAt(now uint64) {
-	for gi := range fl.imgs {
-		if fl.deadline[gi] != now {
-			continue
-		}
-		switch fl.phase[gi] {
-		case phaseRunning:
-			e := fl.engines[gi]
-			e.cancelled = true
-			fl.phase[gi] = phaseDeadline
-			fl.errs[gi] = &DeadlineError{Guest: gi, Deadline: now, Attempts: fl.attempts[gi], Running: true}
-			fl.fleet.GuestsDeadlineExceeded++
-			fl.remaining--
-			fl.cfg.Tracer.Instant(fl.slots[fl.slotOf[gi]].exec, "deadline", now,
-				"guest", uint64(gi), "deadline", now)
-		case phaseQueued:
-			fl.queue = slices.DeleteFunc(fl.queue, func(q int) bool { return q == gi })
-			fl.phase[gi] = phaseDeadline
-			fl.errs[gi] = &DeadlineError{Guest: gi, Deadline: now, Attempts: fl.attempts[gi], Running: false}
-			fl.fleet.GuestsDeadlineExceeded++
-			fl.remaining--
-			fl.cfg.Tracer.Instant(fl.slots[0].exec, "deadline", now, "guest", uint64(gi), "deadline", now)
+// missDeadline makes guest gi terminal at its deadline: cancelled by
+// its exec tile (running), or dropped from the admission queue. The
+// trace instant is stamped at the deadline cycle.
+func (fl *fleetRun) missDeadline(gi int, running bool) {
+	d := fl.deadline[gi]
+	fl.phase[gi] = phaseDeadline
+	fl.errs[gi] = &DeadlineError{Guest: gi, Deadline: d, Attempts: fl.attempts[gi], Running: running}
+	fl.fleet.GuestsDeadlineExceeded++
+	fl.remaining--
+	tile := fl.slots[0].exec
+	if running {
+		tile = fl.slots[fl.slotOf[gi]].exec
+	}
+	fl.cfg.Tracer.Instant(tile, "deadline", d, "guest", uint64(gi), "deadline", d)
+}
+
+// expireQueued makes every queued guest whose deadline is before now
+// terminal. A slot calls it under its exit's Fence, so the queue is
+// read in serial cycle order on either loop.
+func (fl *fleetRun) expireQueued(now uint64) {
+	for gi, d := range fl.deadline {
+		if d > 0 && d < now && fl.phase[gi] == phaseQueued {
+			fl.missDeadline(gi, false)
 		}
 	}
+	fl.queue = slices.DeleteFunc(fl.queue, func(gi int) bool { return fl.phase[gi] != phaseQueued })
 }

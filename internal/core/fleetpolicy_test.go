@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"tilevm/internal/fault"
+	"tilevm/internal/guest"
 	"tilevm/internal/raw"
+	"tilevm/internal/sim"
 )
 
-// Fleet fault-tolerance battery (ISSUE: slot quarantine, guest retry
-// with backoff, per-guest deadlines). The two load-bearing properties:
+// Fleet fault-tolerance battery (slot quarantine, guest retry,
+// per-guest deadlines). The two load-bearing properties:
 // the policy layer is provably inert when no fault plan and no
 // deadline is configured (bit-identity with the policy-free
 // scheduler), and under a fail-stop plan every guest reaches a
@@ -68,31 +70,37 @@ func TestFleetPolicyKnobsAreInertWithoutFaults(t *testing.T) {
 	}
 }
 
-// TestFleetSupervisorIsTimingNeutral: an unreachable deadline spawns
-// the supervisor process but fires no event before the run ends; every
-// guest's Result, the makespan, and the busy vector must match the
-// supervisor-free run exactly (the supervisor only sleeps — it injects
-// no messages and charges no tile time).
+// TestFleetSupervisorIsTimingNeutral: a deadline is its guest's exec
+// tile's to take, so an unreachable one spawns no supervisor, couples no
+// slots and costs one comparison per dispatch and chained jump. The
+// FleetResult equals the deadline-free run's but for the deadline
+// counters, and the event kernel dispatches and switches exactly as
+// often.
 func TestFleetSupervisorIsTimingNeutral(t *testing.T) {
 	imgs := fleetImgs(t, "164.gzip", "181.mcf", "164.gzip")
-	base, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{})
-	if err != nil {
-		t.Fatal(err)
+	run := func(fc FleetConfig) (*FleetResult, sim.Stats) {
+		cfg := fleetCfg(4, 4)
+		cfg.Interrupt = NewInterruptHandle()
+		fr, err := RunFleet(imgs, cfg, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr, cfg.Interrupt.KernelStats()
 	}
-	dl, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{Deadline: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Guests, dl.Guests) ||
-		base.Makespan != dl.Makespan ||
-		!reflect.DeepEqual(base.TileBusy, dl.TileBusy) {
-		t.Errorf("supervisor perturbed a run whose deadline never fired")
-	}
+	base, baseSt := run(FleetConfig{})
+	dl, dlSt := run(FleetConfig{Deadlines: []uint64{1 << 40, 1 << 40, 1 << 40}})
 	if dl.Fleet.DeadlineTotal != 3 || dl.Fleet.DeadlineMet != 3 {
 		t.Errorf("deadline accounting = %d/%d, want 3/3", dl.Fleet.DeadlineMet, dl.Fleet.DeadlineTotal)
 	}
 	if got := dl.Fleet.SLOAttainment(); got != 1 {
 		t.Errorf("SLOAttainment = %v, want 1", got)
+	}
+	dl.Fleet.DeadlineMet, dl.Fleet.DeadlineTotal = 0, 0
+	if !reflect.DeepEqual(base, dl) {
+		t.Errorf("a deadline that never fired perturbed the run")
+	}
+	if dlSt != baseSt {
+		t.Errorf("kernel stats with an unreachable deadline %+v, without %+v", dlSt, baseSt)
 	}
 }
 
@@ -220,6 +228,56 @@ func TestFleetDeadlineCancelsGuest(t *testing.T) {
 	}
 	if got := f.SLOAttainment(); got != 0 {
 		t.Errorf("SLOAttainment = %v, want 0", got)
+	}
+}
+
+// TestFleetDeadlineInChainedCode: a loop whose blocks are chained in
+// the L1 never comes back to the dispatch loop on its own, so its exec
+// tile takes the deadline at a chained jump, and the slot is handed the
+// queued guest at once instead of when the loop ends.
+func TestFleetDeadlineInChainedCode(t *testing.T) {
+	gzip := fleetImgs(t, "164.gzip")[0]
+	imgs := []*guest.Image{sumLoop(200_000), gzip, gzip}
+	const deadline = 500_000
+	fr, err := RunFleet(imgs, fleetCfg(4, 4), FleetConfig{Deadlines: []uint64{deadline, 0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var de *DeadlineError
+	if g := fr.Guests[0]; g.Status != GuestDeadlineExceeded || !errors.As(g.Err, &de) || !de.Running {
+		t.Fatalf("guest 0 = %v (%v), want deadline-exceeded while running", g.Status, g.Err)
+	}
+	g := fr.Guests[2]
+	if g.Status != GuestFinished || g.Slot != 0 || g.Admitted <= deadline || g.Admitted > deadline+1_000 {
+		t.Errorf("guest 2 %v on slot %d, admitted at cycle %d: want finished on slot 0, admitted within 1000 cycles of the deadline %d",
+			g.Status, g.Slot, g.Admitted, deadline)
+	}
+}
+
+// TestFleetRetryTakesIdleSlot: a quarantined guest re-enters the queue
+// at once, and a slot idle since its own guest finished takes it the
+// cycle after the fail, paying only its restore penalty.
+func TestFleetRetryTakesIdleSlot(t *testing.T) {
+	imgs := fleetImgs(t, "181.mcf", "164.gzip")
+	l, err := FleetSlotLayout(raw.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fleetCfg(4, 4)
+	// gzip leaves slot 1 at cycle 1,349,312, long before the fail.
+	const fail = 2_000_000
+	cfg.Fault = fails(fault.TileFail{Tile: l[0].Exec, Cycle: fail})
+	fr, err := RunFleet(imgs, cfg, FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := fr.Guests[0]
+	if g.Status != GuestFinished || g.Slot != 1 || g.Attempts != 2 {
+		t.Fatalf("guest 0 %v on slot %d after %d attempts, want finished on slot 1 after 2", g.Status, g.Slot, g.Attempts)
+	}
+	if m := g.Result.M; m.Rollbacks != 1 || g.Admitted != fail+1+m.RollbackCycles {
+		t.Errorf("guest 0 re-admitted at cycle %d after %d rollbacks, want %d: the cycle after the fail plus the restore penalty %d",
+			g.Admitted, m.Rollbacks, fail+1+m.RollbackCycles, m.RollbackCycles)
 	}
 }
 
