@@ -52,7 +52,8 @@ func main() {
 	// proxy, L1.5 banks, manager, MMU, data banks, slaves, in turn)
 	// stalls for 25,000 cycles. A stalled tile loses no message: it
 	// answers what it holds once the stall ends, so the execution tile
-	// just waits, and each stall costs time instead of correctness. A
+	// just waits, and each stall costs time instead of correctness: what
+	// is left of its window when its tile is next asked. A
 	// stall-only plan arms no recovery protocol: nothing is taken for
 	// dead.
 	cfg = core.DefaultConfig()

@@ -207,7 +207,9 @@ func TestCleanBankExcisionWakesFill(t *testing.T) {
 // under the recovery protocol, armed by a fail clause that never fires,
 // with L1.5 bank tile 1 stalled across the invalidation: the handshake
 // waits for the stalled target's ack. Each row must still match the
-// reference interpreter, and pins the cycles and counters.
+// reference interpreter, and pins the cycles and counters. The bank is
+// first scheduled 20 cycles into its stall window and loses the rest of
+// it, 49,980 cycles, not the whole 50,000.
 func TestSMCUnderFaultRecovery(t *testing.T) {
 	type pin struct {
 		cycles, smc, hash uint64
@@ -220,7 +222,7 @@ func TestSMCUnderFaultRecovery(t *testing.T) {
 		{"stall/l15", &fault.Plan{
 			Stalls: []fault.TileStall{{Tile: 1, Cycle: 4_000, Dur: 50_000}},
 			Fails:  []fault.TileFail{{Tile: 8, Cycle: 1 << 60}}},
-			pin{cycles: 56_896, smc: 1, hash: 0xec85af24acb89ae6}},
+			pin{cycles: 56_876, smc: 1, hash: 0xec85af24acb89ae6}},
 	} {
 		cfg := DefaultConfig()
 		cfg.Fault = tc.plan

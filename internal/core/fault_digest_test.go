@@ -79,10 +79,10 @@ var runGoldens = []runGolden{
 		want: [3]string{"2439119:0:a41066dcc7162874", "5092173:0:2a5a8525ea8fb4ba", "16862933:0:ab756b62f4e8e2bb"}},
 	{name: "stall/mmu",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tileMMU, Cycle: 200_000, Dur: 30_000}) },
-		want: [3]string{"1386400:0:cc7699375d440f1c", "2835178:0:04969ea7aee73fb9", "14415720:0:9704b4e9af94c27e"}},
+		want: [3]string{"1385930:0:6c5e0d376be02b19", "2833309:0:74b40fc2beb20054", "14415720:0:c49b7edde549f04d"}},
 	{name: "stall/bank",
 		cfg:  func(c *Config) { c.Fault = stalls(fault.TileStall{Tile: tilePermBank, Cycle: 500_000, Dur: 45_000}) },
-		want: [3]string{"1356400:0:1ddb5643225940f2", "2850178:0:990ea919254c7890", "14429773:0:10b0063c2e2b8d73"}},
+		want: [3]string{"1356400:0:1ddb5643225940f2", "2850121:0:69d05dc947759e8d", "14429331:0:5e6f346bea84c7eb"}},
 	{name: "stall/l15+sys+slave+two-on-one-bank",
 		cfg: func(c *Config) {
 			c.Fault = stalls(
@@ -92,7 +92,7 @@ var runGoldens = []runGolden{
 				fault.TileStall{Tile: 2, Cycle: 300_000, Dur: 1_000},
 				fault.TileStall{Tile: 2, Cycle: 300_500, Dur: 2_000})
 		},
-		want: [3]string{"1429057:0:86b116bce283bb77", "2887178:0:26ed781d1d452fb4", "14469517:0:abeefdf6a1f93f0b"}},
+		want: [3]string{"1359057:0:65e01a55825d730e", "2805178:0:eefa1e877c70c5e4", "14406465:0:1c53cfd6c6adabf8"}},
 	{name: "stall-then-fail/slave+bank",
 		cfg: func(c *Config) {
 			c.Fault = &fault.Plan{
@@ -103,10 +103,10 @@ var runGoldens = []runGolden{
 					{Tile: 15, Cycle: 100_000},
 					{Tile: 14, Cycle: 400_000}}}
 		},
-		want: [3]string{"1356604:0:d01dfbd7329f62b0", "3526117:0:fd92c693bca1f550", "14326619:0:e580608ae5ab2485"}},
+		want: [3]string{"1356604:0:f018e3c48a46b210", "3526117:0:1f2fc55f1d84aa28", "14326619:0:f8fb12eac5ce18cb"}},
 	{name: "stall-storm",
 		cfg:  func(c *Config) { c.Fault = stallStorm(400) },
-		want: [3]string{"7918865:0:192659d6107bf798", "9799000:0:ecf8c025a1cb0a81", "19591536:0:2871a2043f218ec5"}},
+		want: [3]string{"2977166:0:715526806fc34f08", "4406170:0:52108af7474fabca", "15836199:0:5f71326c0a438a15"}},
 	{name: "rollback/dead-dirty-bank",
 		cfg:  func(c *Config) { c.Fault = fails(fault.TileFail{Tile: 7, Cycle: 450_000}) },
 		want: [3]string{"1356928:0:16c7f6eba52e451f", "3335696:0:72a16472ecb3dd1b", "14426036:0:ac19e2d8e7af8a8c"}},
@@ -135,7 +135,7 @@ var runGoldens = []runGolden{
 				Stalls: []fault.TileStall{{Tile: tileMMU, Cycle: 180_000, Dur: 15_000}},
 				Fails:  []fault.TileFail{{Tile: 7, Cycle: 320_000}, {Tile: 8, Cycle: 500_000}}}
 		},
-		want: [3]string{"1371928:414182:430f596210e152bf", "3390803:5794041:ee14c5caf6d90c99", "14354117:14038424:b860ac8d0015ac97"}},
+		want: [3]string{"1356928:414173:5391f79da63f86d8", "3390804:5794048:4fdaff8724fca3a8", "14342617:14038322:d4b0cb4cab0f6823"}},
 }
 
 func (g *runGolden) run(t *testing.T, guest string, memo *translate.Memo) string {

@@ -177,7 +177,7 @@ var fleetGoldens = []fleetGolden{
 					{Tile: l[2].Manager, Cycle: 600_000, Dur: 25_000}},
 				Fails: []fault.TileFail{{Tile: l[1].Slaves[0], Cycle: 800_000}}}
 		},
-		want: "3902138:0:c6bd77a03006d3b8"},
+		want: "3902138:0:4bb3d9618a746722"},
 	{name: "8x8/planner/fail", w: 8, h: 8, guests: four,
 		// The planner grows slots on an undersubscribed fabric, so the
 		// fault is aimed by tile id, not through the base-tier layout.

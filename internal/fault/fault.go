@@ -13,6 +13,8 @@
 // package.
 package fault
 
+import "math"
+
 // TileFail is a permanent fail-stop: from the given cycle on, the tile
 // neither processes nor emits messages (messages addressed to it are
 // silently consumed).
@@ -21,8 +23,9 @@ type TileFail struct {
 	Cycle uint64
 }
 
-// TileStall is a transient fault: the first time the tile is scheduled
-// at or after Cycle it loses Dur cycles, then resumes normally.
+// TileStall is a transient fault: the tile is stalled from Cycle for Dur
+// cycles. The first time it is scheduled at or after Cycle it loses what
+// is left of that window, then resumes normally.
 type TileStall struct {
 	Tile  int
 	Cycle uint64
@@ -121,19 +124,22 @@ func (in *Injector) FailedAt(tile int, now uint64) bool {
 	return true
 }
 
-// StallTake returns (and consumes) the total pending stall duration for
-// a tile at the given cycle: each planned stall fires once, the first
-// time the tile asks at or after the stall's cycle.
+// StallTake returns (and consumes) what is left at cycle now of a
+// tile's planned stalls that have begun: each fires once, the first time
+// the tile asks at or after its cycle, and the tile loses the rest of
+// the latest window among them, max(Cycle+Dur) - now, or nothing if
+// every one has already ended. Every stall that fires is counted, spent
+// or not.
 func (in *Injector) StallTake(tile int, now uint64) uint64 {
 	pend := in.stalls[tile]
 	if len(pend) == 0 {
 		return 0
 	}
-	var d uint64
+	var end uint64
 	kept := pend[:0]
 	for _, s := range pend {
 		if now >= s.Cycle {
-			d += s.Dur
+			end = max(end, s.Cycle+min(s.Dur, math.MaxUint64-s.Cycle))
 			in.counts.Stalls++
 			in.observe(KindStall, tile, now)
 		} else {
@@ -141,7 +147,10 @@ func (in *Injector) StallTake(tile int, now uint64) uint64 {
 		}
 	}
 	in.stalls[tile] = kept
-	return d
+	if end <= now {
+		return 0
+	}
+	return end - now
 }
 
 // Counts returns the faults injected so far.

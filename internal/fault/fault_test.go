@@ -128,9 +128,13 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 }
 
+// TestFailedAtAndStallTake: a stall costs what is left of its window
+// when its tile is next scheduled — of the latest window, when several
+// have begun — and nothing once the window has closed; each is counted
+// once either way.
 func TestFailedAtAndStallTake(t *testing.T) {
 	in := NewInjector(&Plan{Fails: []TileFail{{Tile: 2, Cycle: 1000}},
-		Stalls: []TileStall{{Tile: 2, Cycle: 500, Dur: 99}}})
+		Stalls: []TileStall{{Tile: 2, Cycle: 500, Dur: 99}, {Tile: 2, Cycle: 520, Dur: 30}, {Tile: 2, Cycle: 800, Dur: 50}}})
 	if in.FailedAt(2, 999) {
 		t.Error("failed before cycle")
 	}
@@ -143,13 +147,16 @@ func TestFailedAtAndStallTake(t *testing.T) {
 	if d := in.StallTake(2, 499); d != 0 {
 		t.Errorf("stall fired early: %d", d)
 	}
-	if d := in.StallTake(2, 600); d != 99 {
-		t.Errorf("stall = %d, want 99", d)
+	if d := in.StallTake(2, 550); d != 49 {
+		t.Errorf("stall = %d, want 49: the rest of the window 500-599, which outlasts 520-550", d)
 	}
 	if d := in.StallTake(2, 700); d != 0 {
 		t.Errorf("stall fired twice: %d", d)
 	}
-	if c := in.Counts(); c.Fails != 1 || c.Stalls != 1 {
-		t.Errorf("counts = %+v", c)
+	if d := in.StallTake(2, 900); d != 0 {
+		t.Errorf("stall = %d, want 0: its window closed at 850", d)
+	}
+	if c := in.Counts(); c.Fails != 1 || c.Stalls != 3 {
+		t.Errorf("counts = %+v, want 1 fail and 3 stalls", c)
 	}
 }

@@ -152,6 +152,9 @@ func TestFaultFailStopSilencesTile(t *testing.T) {
 
 // TestFaultStallDelaysService: a transient stall pushes the stalled
 // tile's reply back by the stall duration.
+// TestFaultStallDelaysService: a server stalled when a request reaches
+// it answers once its stall window has closed, and a window that closed
+// before the request arrived costs nothing.
 func TestFaultStallDelaysService(t *testing.T) {
 	serviceAt := func(plan *fault.Plan) sim.Time {
 		m := NewMachine(DefaultParams())
@@ -172,12 +175,19 @@ func TestFaultStallDelaysService(t *testing.T) {
 		}
 		return at
 	}
+	p := DefaultParams()
+	back := p.NetLat(1, 2, 1)
 	// A plan with an irrelevant stall (tile 9) as the fault-free control,
-	// so both runs use the same code path.
+	// so every run uses the same code path.
 	clean := serviceAt(&fault.Plan{Stalls: []fault.TileStall{{Tile: 9, Cycle: 0, Dur: 777}}})
-	stalled := serviceAt(&fault.Plan{Stalls: []fault.TileStall{{Tile: 1, Cycle: 0, Dur: 777}}})
-	if stalled != clean+777 {
-		t.Errorf("stalled service at %d, clean at %d, want +777", stalled, clean)
+	if want := p.NetLat(2, 1, 1) + back; clean != want {
+		t.Fatalf("clean service at %d, want %d", clean, want)
+	}
+	if got := serviceAt(&fault.Plan{Stalls: []fault.TileStall{{Tile: 1, Cycle: 0, Dur: 777}}}); got != 777+back {
+		t.Errorf("stalled service at %d, want %d: the reply leaves when the window closes at 777", got, 777+back)
+	}
+	if got := serviceAt(&fault.Plan{Stalls: []fault.TileStall{{Tile: 1, Cycle: 0, Dur: 1}}}); got != clean {
+		t.Errorf("service at %d after a stall that ended at cycle 1, want the clean %d", got, clean)
 	}
 }
 
