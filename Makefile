@@ -90,16 +90,18 @@ racepar:
 # Fleet scheduler under the race detector: the N-guest placement,
 # admission, and vmSwitch handoff tests, plus the schedule golden and
 # the invariance battery, on core and bench. Then the kernel over
-# independent shards — the loop every uncoupled fleet runs on — at one
-# and two Ps: its differential against the collapsed run (internal/sim)
-# and the fleets compared slot-at-a-time and interleaved
-# (internal/core). A hand-off crosses shards, and a Fence grant resumes
-# a goroutine that parked under another shard's turn.
+# independent shards — the loop every fleet without a fault plan runs
+# on — at one and two Ps: its differential against the collapsed run
+# (internal/sim), the fleets compared slot-at-a-time and interleaved,
+# and the deadline fleets, whose exits expire queued guests under
+# fences that cross shards (internal/core). A hand-off crosses shards,
+# and a Fence grant resumes a goroutine that parked under another
+# shard's turn.
 race-fleet:
 	$(GO) test -race -timeout 1200s -run 'TestFleet|TestCarve|TestPlacement|TestMultiVM|TestRunFleet|TestPlan|TestSplitRoles|TestNoFit' ./internal/core
 	$(GO) test -race -run 'TestFleetSweepQuick|TestFleetFaultSweepQuick' ./internal/bench
 	$(GO) test -race -cpu 1,2 -run TestSlotAtATime ./internal/sim
-	$(GO) test -race -cpu 1,2 -timeout 1200s -run TestFleetSlotAtATime ./internal/core
+	$(GO) test -race -cpu 1,2 -timeout 1200s -run 'TestFleetSlotAtATime|TestFleetDeadline' ./internal/core
 
 # All of internal/sim under the race detector. The kernel runs one
 # process at a time and has no lock: what keeps two goroutines out of it
@@ -221,7 +223,10 @@ placement-smoke:
 # a slot mid-run on an oversubscribed fleet with per-guest deadlines;
 # the run must engage the policy layer (a slot actually quarantined) and
 # two runs of the same plan must produce byte-identical reports —
-# goodput, SLO, and per-guest outcomes included.
+# goodput, SLO, and per-guest outcomes included. Then the same fleet
+# with deadlines and no fault plan, which runs a slot at a time: two
+# guests miss theirs running and one while still queued, and two runs
+# must again match byte for byte.
 fleet-fault-smoke:
 	$(GO) run ./cmd/tilevm -guests 164.gzip,181.mcf,164.gzip \
 	  -fault-plan 'fail:5@500000' -deadline 8000000 -v \
@@ -231,7 +236,15 @@ fleet-fault-smoke:
 	  > /tmp/tilevm-fleet-fault-b.txt
 	cmp /tmp/tilevm-fleet-fault-a.txt /tmp/tilevm-fleet-fault-b.txt
 	grep -q 'quarantined' /tmp/tilevm-fleet-fault-a.txt
-	rm -f /tmp/tilevm-fleet-fault-a.txt /tmp/tilevm-fleet-fault-b.txt
+	$(GO) run ./cmd/tilevm -guests 164.gzip,181.mcf,164.gzip \
+	  -deadline 1000000 -v > /tmp/tilevm-fleet-deadline-a.txt
+	$(GO) run ./cmd/tilevm -guests 164.gzip,181.mcf,164.gzip \
+	  -deadline 1000000 -v > /tmp/tilevm-fleet-deadline-b.txt
+	cmp /tmp/tilevm-fleet-deadline-a.txt /tmp/tilevm-fleet-deadline-b.txt
+	grep -q 'missed its deadline.*still running' /tmp/tilevm-fleet-deadline-a.txt
+	grep -q 'missed its deadline.*still queued' /tmp/tilevm-fleet-deadline-a.txt
+	rm -f /tmp/tilevm-fleet-fault-a.txt /tmp/tilevm-fleet-fault-b.txt \
+	  /tmp/tilevm-fleet-deadline-a.txt /tmp/tilevm-fleet-deadline-b.txt
 
 # End-to-end daemon smoke: start tilevmd on an ephemeral port, submit
 # two guests over HTTP, poll them to completion, scrape /metrics, then

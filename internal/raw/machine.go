@@ -155,13 +155,6 @@ func (c *TileCtx) Recv() sim.Msg {
 	return m
 }
 
-// RecvDeadline waits for a message until the deadline.
-func (c *TileCtx) RecvDeadline(deadline sim.Time) (sim.Msg, bool) {
-	m, ok := c.P.RecvDeadline(c.M.Inbox(c.Tile), deadline)
-	c.faultCheck()
-	return m, ok
-}
-
 // Now returns the tile's local virtual time.
 func (c *TileCtx) Now() sim.Time { return c.P.Now() }
 

@@ -134,7 +134,7 @@ func TestFaultFailStopSilencesTile(t *testing.T) {
 		replies++
 		c.Advance(100) // past the server's fail cycle
 		c.Send(1, 2, 1)
-		if _, ok := c.RecvDeadline(c.Now() + 1000); ok {
+		if _, ok := c.P.RecvDeadline(c.M.Inbox(c.Tile), c.Now()+1000); ok {
 			t.Error("dead server replied")
 		}
 		c.Stop()
