@@ -29,9 +29,8 @@
 //
 // Fleet runs compose with fail-stop fault plans: a fault that kills a
 // slot tile quarantines the whole slot, and its guest is retried on the
-// survivors (with core's default attempts and deterministic backoff),
-// restored from its latest checkpoint, until its attempts or its
-// -deadline run out:
+// survivors at once (up to core's default attempts), restored from its
+// latest checkpoint, until its attempts or its -deadline run out:
 //
 //	tilevm -guests 164.gzip,181.mcf,164.gzip -grid 8x8 -fault-plan 'fail:9@500000'
 //	tilevm -guests 181.mcf,164.gzip -fault-plan 'fail:12@1000000' -v

@@ -70,7 +70,7 @@ func main() {
 
 	// Fleet fault tolerance: a fail-stop fault on a slot's exec tile
 	// quarantines the whole slot; its guest re-enters the admission
-	// queue after a deterministic backoff and reruns on a survivor.
+	// queue at once and reruns on a survivor.
 	// GuestResult reports the outcome explicitly — Status and Attempts —
 	// instead of a nil Result the caller must interpret.
 	fmt.Println("\nfleet fault tolerance: killing slot 0's exec tile mid-run")

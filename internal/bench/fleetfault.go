@@ -13,8 +13,8 @@ import (
 // oversubscribed gzip/mcf fleet on an 8×8 fabric (8 VM slots), with
 // fail-stop faults quarantining 0–3 slots mid-run, crossed with two
 // recovery policies — abort on first fault (MaxAttempts 1), and retry
-// with backoff (the default ×3), which resumes a guest from its latest
-// checkpoint. Every guest carries the same absolute
+// (the default ×3), which re-queues a guest at once and resumes it from
+// its latest checkpoint. Every guest carries the same absolute
 // deadline, so the table reports SLO attainment alongside goodput
 // (useful host instructions per makespan cycle: work from killed
 // attempts counts for nothing). These are the numbers behind the
