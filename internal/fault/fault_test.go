@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 )
 
@@ -158,5 +159,10 @@ func TestFailedAtAndStallTake(t *testing.T) {
 	}
 	if c := in.Counts(); c.Fails != 1 || c.Stalls != 3 {
 		t.Errorf("counts = %+v, want 1 fail and 3 stalls", c)
+	}
+	// A window past the last cycle does not wrap around to nothing.
+	forever := NewInjector(&Plan{Stalls: []TileStall{{Tile: 1, Cycle: 100, Dur: math.MaxUint64}}})
+	if d := forever.StallTake(1, 200); d != math.MaxUint64-200 {
+		t.Errorf("endless stall = %d, want %d", d, uint64(math.MaxUint64-200))
 	}
 }
