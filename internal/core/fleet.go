@@ -132,7 +132,6 @@ type slotHost struct {
 // simulator runs one tile kernel at a time, so it needs no locking.
 type fleetRun struct {
 	cfg   Config
-	fc    FleetConfig
 	m     *raw.Machine
 	imgs  []*guest.Image
 	slots []placement
@@ -230,7 +229,6 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 	cfg.fillDefaults()
 	fl := &fleetRun{
 		cfg:         cfg,
-		fc:          fc,
 		m:           raw.NewMachine(cfg.Params),
 		imgs:        imgs,
 		slots:       slots,
