@@ -7,9 +7,16 @@ check: vet nomaps onewait onemachine deadexports build tilebench-build test race
 
 # The translator back end keeps its dataflow facts and allocation state
 # in dense tables indexed by register number (DESIGN.md §7); a map
-# creeping back into opt or codegen is a 4x translate slowdown.
+# creeping back into opt or codegen is a 4x translate slowdown. The code
+# path keeps its per-event state the same way (DESIGN.md §7 "Code-path
+# storage"): the cache levels, the manager and the exec tile index
+# slices by block id, tile or page, never a map keyed by guest PC, which
+# was a tenth of a fleet's host time; the tables are sized by the blocks
+# a run touches, and a slot keeps them across its guests.
+NOMAPS_FILES = internal/opt/*.go internal/codegen/*.go internal/codecache/*.go \
+	$(addprefix internal/core/,exec.go manager.go tiles.go engine.go fleet.go rollback.go)
 nomaps:
-	@! grep -n 'map\[' $$(ls internal/opt/*.go internal/codegen/*.go | grep -v _test.go)
+	@! grep -n 'map\[' $$(ls $(NOMAPS_FILES) | grep -v _test.go)
 
 # The execution tile has one blocking wait, await (DESIGN.md §6): every
 # request/reply leg goes through it, so a per-cause cycle ledger has one
@@ -151,9 +158,10 @@ fuzz:
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 30s
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 30s
 	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 30s
+	$(GO) test ./internal/codecache -run - -fuzz FuzzFIFO -fuzztime 30s
 
-# Quick fuzz pass for CI: enough to catch a decoder, codec or
-# page-table regression, short enough to run on every push.
+# Quick fuzz pass for CI: enough to catch a decoder, codec, page-table
+# or code-cache FIFO regression, short enough to run on every push.
 fuzz-smoke:
 	$(GO) test ./internal/x86 -run - -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/rawisa -run - -fuzz FuzzWordRoundTrip -fuzztime 10s
@@ -165,6 +173,7 @@ fuzz-smoke:
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 10s
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 10s
 	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 10s
+	$(GO) test ./internal/codecache -run - -fuzz FuzzFIFO -fuzztime 10s
 
 # End-to-end record/replay smoke: record a faulted run in which a dead
 # bank holds dirty lines, check that it rolled back (a non-zero

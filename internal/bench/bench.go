@@ -162,7 +162,9 @@ func (f *Figure) String() string {
 			switch {
 			case v == 0:
 				fmt.Fprintf(&b, "%12s", "-")
-			case v < 0.01:
+			case 0 < v && v < 0.01:
+				// Too small for two decimals; a negative value keeps its
+				// sign in them.
 				fmt.Fprintf(&b, "%12.2e", v)
 			default:
 				fmt.Fprintf(&b, "%12.2f", v)

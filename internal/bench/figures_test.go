@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -249,4 +250,17 @@ func TestUtilizationReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + out)
+}
+
+// A cell prints with two decimals unless it is too small for them: a
+// positive value under 0.01 in e-notation, a negative one with its sign
+// in two decimals, as the published tables have it.
+func TestFigureStringCells(t *testing.T) {
+	f := &Figure{Name: "Figure 10", Title: "t", Metric: "m",
+		Benchmarks: []string{"164.gzip", "254.gap", "256.bzip2"},
+		Series:     []Series{{Label: "morph thresh 0", Values: []float64{-0.0013, -0.0604, 0.0021}}}}
+	want := "morph thresh 0         -0.00       -0.06    2.10e-03\n"
+	if got := f.String(); !strings.Contains(got, want) {
+		t.Errorf("row renders as\n%s\nwant the line\n%s", got, want)
+	}
 }

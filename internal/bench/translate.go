@@ -143,12 +143,13 @@ func PentiumBaselineBench(name string) func(b *testing.B) {
 func L1FillBench() func(b *testing.B) {
 	_, blocks := translateCorpus(translate.New(translate.Options{Optimize: true}))
 	return func(b *testing.B) {
-		l1 := codecache.NewL1(raw.DefaultParams().IMemBytes)
+		ids := codecache.NewIDs()
+		l1 := codecache.NewL1(raw.DefaultParams().IMemBytes, ids)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r := blocks[i%len(blocks)]
-			l1.Insert(r.GuestAddr, r)
+			l1.Insert(ids.ID(r.GuestAddr), r)
 		}
 	}
 }

@@ -59,16 +59,16 @@ func patched(code []rawisa.Word, target int) []rawisa.Word {
 }
 
 func TestL1InsertAndLookup(t *testing.T) {
-	l1 := NewL1(1024)
-	idx, st := l1.Insert(0x100, blk(4, 0x200))
+	l1 := NewL1(1024, NewIDs())
+	idx, st := l1.Insert(l1.ids.ID(0x100), blk(4, 0x200))
 	if st.Flushed || st.CopiedWords != 6 {
 		t.Errorf("insert stats: %+v", st)
 	}
-	got, ok := l1.Lookup(0x100)
+	got, ok := l1.Lookup(l1.ids.ID(0x100))
 	if !ok || got != idx {
 		t.Errorf("Lookup = %d,%v", got, ok)
 	}
-	if _, ok := l1.Lookup(0x999); ok {
+	if _, ok := l1.Lookup(l1.ids.ID(0x999)); ok {
 		t.Error("phantom hit")
 	}
 	if l1.Lookups != 2 || l1.Hits != 1 {
@@ -80,21 +80,21 @@ func TestL1InsertAndLookup(t *testing.T) {
 }
 
 func TestL1ChainingBothDirections(t *testing.T) {
-	l1 := NewL1(4096)
+	l1 := NewL1(4096, NewIDs())
 	// A chains to B (not yet resident): the site stays a CHAIN, pending.
-	aIdx, st := l1.Insert(0xA, blk(2, 0xB))
+	aIdx, st := l1.Insert(l1.ids.ID(0xA), blk(2, 0xB))
 	if st.Patches != 0 {
 		t.Errorf("premature patch")
 	}
 	wantProgram(t, l1, block(2, 0xB))
 	// B arrives, chains back to A (resident): both directions patch.
-	bIdx, st := l1.Insert(0xB, blk(3, 0xA))
+	bIdx, st := l1.Insert(l1.ids.ID(0xB), blk(3, 0xA))
 	if st.Patches != 2 || l1.Chains != 2 {
 		t.Errorf("patches = %d, chains = %d, want 2 (incoming + outgoing)", st.Patches, l1.Chains)
 	}
 	wantProgram(t, l1, patched(block(2, 0xB), bIdx), patched(block(3, 0xA), aIdx))
 	// C chains to B: outgoing only, the target is resident.
-	_, st = l1.Insert(0xC, blk(1, 0xB))
+	_, st = l1.Insert(l1.ids.ID(0xC), blk(1, 0xB))
 	if st.Patches != 1 {
 		t.Errorf("patches = %d, want 1", st.Patches)
 	}
@@ -103,9 +103,9 @@ func TestL1ChainingBothDirections(t *testing.T) {
 
 // A block that chains to itself is patched at its own insert.
 func TestL1SelfChain(t *testing.T) {
-	l1 := NewL1(4096)
-	l1.Insert(0x1, blk(1, 0x9))
-	idx, st := l1.Insert(0xA, blk(2, 0xA))
+	l1 := NewL1(4096, NewIDs())
+	l1.Insert(l1.ids.ID(0x1), blk(1, 0x9))
+	idx, st := l1.Insert(l1.ids.ID(0xA), blk(2, 0xA))
 	if st.Patches != 1 {
 		t.Errorf("patches = %d, want 1", st.Patches)
 	}
@@ -113,10 +113,10 @@ func TestL1SelfChain(t *testing.T) {
 }
 
 func TestL1NoChainAblation(t *testing.T) {
-	l1 := NewL1(4096)
+	l1 := NewL1(4096, NewIDs())
 	l1.NoChain = true
-	l1.Insert(0xA, blk(2, 0xB))
-	_, st := l1.Insert(0xB, blk(2, 0xA))
+	l1.Insert(l1.ids.ID(0xA), blk(2, 0xB))
+	_, st := l1.Insert(l1.ids.ID(0xB), blk(2, 0xA))
 	if st.Patches != 0 || l1.Chains != 0 {
 		t.Error("NoChain still patched")
 	}
@@ -124,10 +124,10 @@ func TestL1NoChainAblation(t *testing.T) {
 }
 
 func TestL1FlushWhenFull(t *testing.T) {
-	l1 := NewL1(200) // tiny: a 5-inst block is 7 words = 28 bytes
+	l1 := NewL1(200, NewIDs()) // tiny: a 5-inst block is 7 words = 28 bytes
 	var flushed bool
 	for i := 0; i < 10; i++ {
-		_, st := l1.Insert(uint32(0x100+i*16), blk(5, 0))
+		_, st := l1.Insert(l1.ids.ID(uint32(0x100+i*16)), blk(5, 0))
 		flushed = flushed || st.Flushed
 	}
 	if !flushed {
@@ -137,7 +137,7 @@ func TestL1FlushWhenFull(t *testing.T) {
 		t.Error("flush counter zero")
 	}
 	// Old entries are gone after the flush.
-	if _, ok := l1.Lookup(0x100); ok {
+	if _, ok := l1.Lookup(l1.ids.ID(0x100)); ok {
 		t.Error("pre-flush entry survived")
 	}
 }
@@ -147,23 +147,23 @@ func TestL1FlushWhenFull(t *testing.T) {
 // rewrite whatever now occupies those indices.
 func TestL1FlushDropsPendingSites(t *testing.T) {
 	for _, explicit := range []bool{false, true} {
-		l1 := NewL1(64)
-		l1.Insert(0xA, blk(4, 0xB)) // 24 bytes, site pending on 0xB
-		l1.Insert(0xC, blk(4, 0xB)) // 48 bytes, a second one
+		l1 := NewL1(64, NewIDs())
+		l1.Insert(l1.ids.ID(0xA), blk(4, 0xB)) // 24 bytes, site pending on 0xB
+		l1.Insert(l1.ids.ID(0xC), blk(4, 0xB)) // 48 bytes, a second one
 		if explicit {
 			l1.Flush()
 		}
 		// Without the explicit flush this insert does not fit and flushes.
-		_, st := l1.Insert(0xD, blk(6, 0xE))
+		_, st := l1.Insert(l1.ids.ID(0xD), blk(6, 0xE))
 		if st.Flushed == explicit {
 			t.Errorf("explicit=%v: Flushed = %v", explicit, st.Flushed)
 		}
-		_, st = l1.Insert(0xB, blk(1, 0xF))
+		_, st = l1.Insert(l1.ids.ID(0xB), blk(1, 0xF))
 		if st.Patches != 0 || l1.Chains != 0 {
 			t.Errorf("explicit=%v: %d patches into flushed code", explicit, st.Patches)
 		}
 		wantProgram(t, l1, block(6, 0xE), block(1, 0xF))
-		if l1.Flushes != 1 || l1.Contains(0xA) || l1.Bytes() != 32+12 {
+		if l1.Flushes != 1 || l1.Contains(l1.ids.ID(0xA)) || l1.Bytes() != 32+12 {
 			t.Errorf("explicit=%v: flushes %d, bytes %d", explicit, l1.Flushes, l1.Bytes())
 		}
 	}
@@ -174,19 +174,19 @@ func TestL1FlushDropsPendingSites(t *testing.T) {
 // the sites still pending must come out the same.
 func TestL1ReinsertReproducesProgram(t *testing.T) {
 	blocks := map[uint32]*translate.Result{}
-	l1 := NewL1(100)
+	l1 := NewL1(100, NewIDs())
 	targets := []uint32{3, 0, 7, 1, 2, 12, 7, 12, 6, 6} // 6..9 survive the flush
 	for pc, to := range targets {
 		b := blk(1+pc%3, to)
 		blocks[uint32(pc)] = b
-		l1.Insert(uint32(pc), b)
+		l1.Insert(l1.ids.ID(uint32(pc)), b)
 	}
 	if l1.Flushes != 1 || l1.Chains != 4+3 {
 		t.Fatalf("%d flushes, %d chains: the sequence was meant to flush once, patching four sites before and three after", l1.Flushes, l1.Chains)
 	}
-	again := NewL1(100)
+	again := NewL1(100, NewIDs())
 	for _, pc := range l1.EntryPCs() {
-		again.Insert(pc, blocks[pc])
+		again.Insert(again.ids.ID(pc), blocks[pc])
 	}
 	if !reflect.DeepEqual(again.Program(), l1.Program()) {
 		t.Errorf("re-inserted program differs\n got %+v\nwant %+v", again.Program(), l1.Program())
@@ -196,8 +196,8 @@ func TestL1ReinsertReproducesProgram(t *testing.T) {
 	}
 	// Both must react identically to the block the pending sites wait for.
 	late := blk(2, 0)
-	_, st1 := l1.Insert(12, late)
-	_, st2 := again.Insert(12, late)
+	_, st1 := l1.Insert(l1.ids.ID(12), late)
+	_, st2 := again.Insert(again.ids.ID(12), late)
 	if st1.Patches != 1 || st1 != st2 || !reflect.DeepEqual(again.Program(), l1.Program()) {
 		t.Errorf("after the pending target arrived: %+v vs %+v, want one patch", st2, st1)
 	}
@@ -206,7 +206,7 @@ func TestL1ReinsertReproducesProgram(t *testing.T) {
 func TestL15FIFOEviction(t *testing.T) {
 	bank := NewL15(200)
 	for i := 0; i < 6; i++ {
-		bank.Insert(uint32(i), res(uint32(i), 10)) // 48 bytes each
+		bank.Insert(int32(i), uint32(i), res(uint32(i), 10)) // 48 bytes each
 	}
 	// Early entries must have been evicted, later ones present.
 	if _, ok := bank.Lookup(0); ok {
@@ -222,7 +222,7 @@ func TestL15FIFOEviction(t *testing.T) {
 
 func TestL15OversizedBlockNotCached(t *testing.T) {
 	bank := NewL15(100)
-	bank.Insert(1, res(1, 100))
+	bank.Insert(1, 1, res(1, 100))
 	if _, ok := bank.Lookup(1); ok {
 		t.Error("oversized block cached")
 	}
@@ -231,8 +231,8 @@ func TestL15OversizedBlockNotCached(t *testing.T) {
 func TestL15DuplicateInsert(t *testing.T) {
 	bank := NewL15(1000)
 	r := res(1, 10)
-	bank.Insert(1, r)
-	bank.Insert(1, r)
+	bank.Insert(1, 1, r)
+	bank.Insert(1, 1, r)
 	if bank.Bytes() != r.CodeBytes() {
 		t.Errorf("duplicate insert double-counted: %d", bank.Bytes())
 	}
@@ -241,7 +241,7 @@ func TestL15DuplicateInsert(t *testing.T) {
 func TestL2AccountingAndEviction(t *testing.T) {
 	l2 := NewL2(500)
 	for i := 0; i < 20; i++ {
-		l2.Insert(uint32(i), res(uint32(i), 10))
+		l2.Insert(int32(i), uint32(i), res(uint32(i), 10))
 	}
 	if l2.Bytes() > 500 {
 		t.Errorf("over budget: %d", l2.Bytes())
@@ -266,27 +266,27 @@ func TestL2AccountingAndEviction(t *testing.T) {
 func TestL2LargeCapacityHoldsEverything(t *testing.T) {
 	l2 := NewL2(105 * 1024 * 1024)
 	for i := 0; i < 1000; i++ {
-		l2.Insert(uint32(i*64), res(uint32(i*64), 20))
+		l2.Insert(int32(i), uint32(i*64), res(uint32(i*64), 20))
 	}
 	if l2.Len() != 1000 {
 		t.Errorf("Len = %d", l2.Len())
 	}
 	for i := 0; i < 1000; i += 97 {
-		if !l2.Contains(uint32(i * 64)) {
+		if !l2.Contains(int32(i)) {
 			t.Errorf("block %d missing", i)
 		}
 	}
 }
 
 func TestL1ArenaIndicesStableWithinGeneration(t *testing.T) {
-	l1 := NewL1(1 << 20)
+	l1 := NewL1(1<<20, NewIDs())
 	var idxs []int
 	for i := 0; i < 50; i++ {
-		idx, _ := l1.Insert(uint32(i), blk(3, 0xffffffff))
+		idx, _ := l1.Insert(l1.ids.ID(uint32(i)), blk(3, 0xffffffff))
 		idxs = append(idxs, idx)
 	}
 	for i, want := range idxs {
-		got, ok := l1.Lookup(uint32(i))
+		got, ok := l1.Lookup(l1.ids.ID(uint32(i)))
 		if !ok || got != want {
 			t.Fatalf("entry %d moved: %d -> %d (%v)", i, want, got, ok)
 		}

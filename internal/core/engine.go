@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"tilevm/internal/checkpoint"
+	"tilevm/internal/codecache"
 	"tilevm/internal/dcache"
 	"tilevm/internal/guest"
 	"tilevm/internal/metrics"
@@ -69,12 +70,11 @@ type engine struct {
 	// boundary or chained jump past it.
 	deadline uint64
 
-	// Self-modifying-code tracking (single-threaded in virtual time,
-	// shared between the execution tile's detector and the manager's
-	// page registry).
-	codePages map[uint32]bool   // 4KB pages holding translated code
-	pageInval map[uint32]uint64 // page -> SMC generation of last invalidation
-	smcGen    uint64
+	// tabs are the slot's code-path tables, lent to this admission
+	// (slotTables): the block ids, the L1, and the self-modifying-code
+	// page registry.
+	tabs   *slotTables
+	smcGen uint64
 
 	// recovery arms the recovery protocol — heartbeats, the manager's
 	// failure detector and excision — under a plan with a fail clause,
@@ -86,22 +86,110 @@ type engine struct {
 	// (and so needs a rollback) at excision time; registered by each
 	// worker under the recovery protocol. Single-threaded in virtual
 	// time like the rest.
-	bankOf map[int]*dcache.Bank
+	bankOf []*dcache.Bank
 
 	// Checkpoint/rollback state. ck drives the capture cadence (nil
 	// when checkpointing is off); restore is the snapshot this admission
 	// re-executes from (nil when it starts from the image);
 	// restoreBlocks holds the re-translated code cache contents for the
-	// restore; rollback is set by the manager when a dead bank holds
+	// restore, by PC; rollback is set by the manager when a dead bank holds
 	// dirty lines, which excision in place would lose, and cancels the
 	// admission so the slot re-admits the guest from its checkpoint.
 	ck            *checkpoint.Checkpointer
 	restore       *checkpoint.State
-	restoreBlocks map[uint32]*translate.Result
+	restoreBlocks []restoredBlock
 	rollback      *rollbackReq
 	// mmuLive is the MMU tile kernel's live state, registered so the
 	// exec-tile capture can snapshot it.
 	mmuLive *mmu.MMU
+}
+
+// slotTables are the code path's per-guest tables, which a slot keeps
+// across its admissions (DESIGN.md §7 "Code-path storage"): the intern
+// table that gives each guest block PC its dense id, the execution
+// tile's L1, and the self-modifying-code page registry — the 4KB pages
+// holding translated code, read by the exec tile on every guest store,
+// and the SMC generation of each page's last invalidation. The L1.5
+// banks and the manager keep their own tables the same way, in their
+// tile kernels.
+type slotTables struct {
+	owner     *engine
+	ids       *codecache.IDs
+	l1        *codecache.L1
+	codePages pageMap[bool]
+	pageInval pageMap[uint64]
+}
+
+func newSlotTables(p *raw.Params) *slotTables {
+	ids := codecache.NewIDs()
+	return &slotTables{ids: ids, l1: codecache.NewL1(p.IMemBytes, ids)}
+}
+
+// bind lends the tables to e, emptying them, contents only, the first
+// time e asks. The first tile of an admission to start asks first: the
+// exec tile at the run's start, the manager at a hand-off, which is
+// also the first point at which the previous admission's manager no
+// longer writes them.
+func (t *slotTables) bind(e *engine) {
+	if t.owner == e {
+		return
+	}
+	t.owner = e
+	t.ids.Reset()
+	t.l1.Reset()
+	t.codePages.reset()
+	t.pageInval.reset()
+}
+
+// pageMap is a table over the 2^20 4KB guest pages, two-level like
+// guest.Memory: a directory of 256 leaves of 4096 pages, a leaf
+// allocated at the first write into its 16MB region, so a run pays for
+// the regions its code occupies. The zero V reads as absent.
+type pageMap[V comparable] struct {
+	dir  [256]*[4096]V
+	used []int // the directory slots holding a leaf
+}
+
+func (m *pageMap[V]) get(pg uint32) V {
+	if l := m.dir[pg>>12&0xff]; l != nil {
+		return l[pg&0xfff]
+	}
+	var zero V
+	return zero
+}
+
+func (m *pageMap[V]) set(pg uint32, v V) {
+	l := m.dir[pg>>12&0xff]
+	if l == nil {
+		l = new([4096]V)
+		m.dir[pg>>12&0xff] = l
+		m.used = append(m.used, int(pg>>12&0xff))
+	}
+	l[pg&0xfff] = v
+}
+
+// reset empties the table and keeps its leaves.
+func (m *pageMap[V]) reset() {
+	for _, d := range m.used {
+		clear(m.dir[d][:])
+	}
+}
+
+// pages returns the pages holding a value, in ascending order.
+func (m *pageMap[V]) pages() []uint32 {
+	var zero V
+	var out []uint32
+	for d, l := range m.dir {
+		if l == nil {
+			continue
+		}
+		for i, v := range l {
+			if v != zero {
+				out = append(out, uint32(d)<<12|uint32(i))
+			}
+		}
+	}
+	return out
 }
 
 // rollbackReq records a manager-detected failure that requires

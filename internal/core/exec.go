@@ -18,7 +18,8 @@ import (
 // the translated-code execution engine.
 func (e *engine) execKernel(c *raw.TileCtx) {
 	P := &e.cfg.Params
-	l1 := codecache.NewL1(P.IMemBytes)
+	e.tabs.bind(e)
+	l1, ids := e.tabs.l1, e.tabs.ids
 	l1.NoChain = e.cfg.NoChain
 	env := &execEnv{
 		e:      e,
@@ -60,17 +61,20 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 		}
 		tDisp := c.Now()
 		c.Tick(P.DispatchOcc + P.L1LookupOcc)
-		idx, ok := l1.Lookup(pc)
+		// The block's id, interned here once for every level it is
+		// looked up at (DESIGN.md §7 "Code-path storage").
+		id := ids.ID(pc)
+		idx, ok := l1.Lookup(id)
 		l1hit := uint64(1)
 		if !ok {
 			l1hit = 0
-			res := e.fetchBlock(c, pc)
+			res := e.fetchBlock(c, pc, id)
 			if res == nil {
 				e.execErr = fmt.Errorf("guest jumped to untranslatable code at %#x", pc)
 				break
 			}
 			var st codecache.InsertStats
-			idx, st = l1.Insert(pc, res)
+			idx, st = l1.Insert(id, res)
 			c.Tick(uint64(st.CopiedWords)*P.L1CopyWordOcc +
 				uint64(st.Patches)*P.L1ChainPatchOcc)
 		}
@@ -177,16 +181,16 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// fetchBlock requests a translated block through the code cache
-// hierarchy, blocking until it arrives.
-func (e *engine) fetchBlock(c *raw.TileCtx, pc uint32) *translate.Result {
+// fetchBlock requests translated block id, at guest PC pc, through the
+// code cache hierarchy, blocking until it arrives.
+func (e *engine) fetchBlock(c *raw.TileCtx, pc uint32, id int32) *translate.Result {
 	t0 := c.Now()
 	target := e.pl.manager
 	if n := len(e.pl.l15); n > 0 {
 		target = e.pl.l15[l15BankFor(pc, n)]
 	}
 	m := e.pool.codeReqs.get()
-	*m = codeReq{PC: pc, ReplyTo: e.pl.exec, FillBank: -1}
+	*m = codeReq{PC: pc, ID: id, ReplyTo: e.pl.exec, FillBank: -1}
 	c.Send(target, m, wordsCodeReq)
 	for {
 		if r, ok := await(c).Payload.(*codeResp); ok {
@@ -220,7 +224,7 @@ type execEnv struct {
 // checkSMC detects stores into translated code pages.
 func (v *execEnv) checkSMC(addr uint32, size uint8) {
 	for pg := addr >> 12; pg <= (addr+uint32(size)-1)>>12; pg++ {
-		if v.e.codePages[pg] {
+		if v.e.tabs.codePages.get(pg) {
 			if !v.smcPending {
 				v.smcPending = true
 				v.smcLo, v.smcHi = addr, addr+uint32(size)

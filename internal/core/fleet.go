@@ -126,6 +126,9 @@ type slotHost struct {
 	// them at quarantine time.
 	quarantined bool
 	procs       []*sim.Proc
+	// tabs are the code-path tables the slot lends each admission in
+	// turn.
+	tabs *slotTables
 }
 
 // fleetRun is the host-side fleet scheduler state. The discrete-event
@@ -156,11 +159,11 @@ type fleetRun struct {
 	// fault plan has fail-stop clauses, and then arms the recovery
 	// protocol on every engine (engine.recovery) and the supervisor;
 	// horizon is the last fail cycle (idle slots must stay alive until
-	// then — a quarantine may still re-queue a guest). slotIdx maps every
-	// carved tile to its slot.
+	// then — a quarantine may still re-queue a guest). slotIdx gives
+	// every tile's slot, -1 for an uncarved one.
 	plan        *fault.Plan
 	horizon     uint64
-	slotIdx     map[int]int
+	slotIdx     []int
 	maxAttempts int
 	fleet       metrics.FleetSet
 
@@ -242,7 +245,7 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 		errs:        make([]error, len(imgs)),
 		deadline:    make([]uint64, len(imgs)),
 		lost:        make([]rollbackReq, len(imgs)),
-		slotIdx:     slotIndexOf(slots),
+		slotIdx:     slotIndexOf(slots, cfg.Params.Tiles()),
 		maxAttempts: fc.MaxAttempts,
 		remaining:   len(imgs),
 	}
@@ -287,7 +290,8 @@ func runFleet(imgs []*guest.Image, cfg Config, fc FleetConfig, slots []placement
 	}
 	// Initial admission: guest i takes slot i; the rest queue in order.
 	for si := range slots {
-		fl.hosts[si] = &slotHost{cur: fl.newEngine(si, si), guest: si}
+		fl.hosts[si] = &slotHost{guest: si, tabs: newSlotTables(&cfg.Params)}
+		fl.hosts[si].cur = fl.newEngine(si, si)
 		fl.attempts[si] = 1
 		fl.phase[si] = phaseRunning
 	}
@@ -353,9 +357,8 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 			Optimize:          fl.cfg.Optimize,
 			ConservativeFlags: fl.cfg.ConservativeFlags,
 		}),
-		codePages: map[uint32]bool{},
-		pageInval: map[uint32]uint64{},
-		deadline:  fl.deadline[gi],
+		tabs:     fl.hosts[si].tabs,
+		deadline: fl.deadline[gi],
 	}
 	if len(fl.imgs) > 1 {
 		e.vmLabel = fmt.Sprintf("vm%d", gi)
@@ -363,7 +366,7 @@ func (fl *fleetRun) newEngine(gi, si int) *engine {
 	if fl.plan != nil {
 		e.ck = fl.cks[gi]
 		e.recovery = true
-		e.bankOf = map[int]*dcache.Bank{}
+		e.bankOf = make([]*dcache.Bank, fl.cfg.Params.Tiles())
 	}
 	e.onExit = func(c *raw.TileCtx) {
 		// With a shard per slot the fleet bookkeeping below — and the
@@ -422,7 +425,10 @@ func (fl *fleetRun) spawnSlots() {
 				gi, ok := fl.nextGuest(c, h)
 				if !ok {
 					// No queued guest and none can appear: the slot's service
-					// tiles stay parked under the finished epoch.
+					// tiles stay parked under the finished epoch. The L1 is
+					// the exec tile's alone, so its storage goes now, not
+					// when the last slot's guest ends.
+					h.tabs.l1 = nil
 					return
 				}
 				fl.admit(c, h, si, gi)
@@ -589,9 +595,7 @@ func (fl *fleetRun) handoff(c *raw.TileCtx, e *engine) {
 func (e *engine) result() *Result {
 	e.stats.Cycles = e.stopCycles
 	if e.mgr != nil {
-		e.stats.L2CAccess = e.mgr.l2.Accesses
-		e.stats.L2CMisses = e.mgr.l2.Misses
-		e.stats.SpecWasted = uint64(len(e.mgr.specStored))
+		e.mgr.settle()
 	}
 	return &Result{
 		Cycles:    e.stopCycles,

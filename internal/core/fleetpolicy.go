@@ -161,8 +161,8 @@ func (fl *fleetRun) failsAt(now uint64) {
 		if f.Cycle != now {
 			continue
 		}
-		si, ok := fl.slotIdx[f.Tile]
-		if !ok || fl.slots[si].dropWorker(f.Tile) {
+		si := fl.slotIdx[f.Tile]
+		if si < 0 || fl.slots[si].dropWorker(f.Tile) {
 			continue
 		}
 		if _, dup := hit[si]; !dup {

@@ -470,7 +470,7 @@ func FuzzQuarantineRecarve(f *testing.F) {
 			{Tile: int(failTile), Cycle: uint64(failCycle)},
 		}}
 		err = validateFleetFaultPlan(plan, slots, p)
-		_, inSlot := slotIndexOf(slots)[int(failTile)]
+		inSlot := failTile >= 0 && int(failTile) < p.Tiles() && slotIndexOf(slots, p.Tiles())[failTile] >= 0
 		if valid := inSlot && failCycle > 0; valid != (err == nil) {
 			t.Fatalf("%dx%d, %d slots: fail:%d@%d valid=%v, validator says %v",
 				w, h, len(slots), failTile, failCycle, valid, err)

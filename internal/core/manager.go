@@ -14,19 +14,30 @@ import (
 // queue sits one level below it.
 const maxSpecDepth = 8
 
-// qEntry tracks one guest PC through the translation pipeline.
+// qEntry tracks one guest block through the translation pipeline. The
+// zero qEntry is a block the manager has not seen.
 type qEntry struct {
-	depth    int
+	depth    int8
 	queued   bool
 	inflight bool
 	done     bool
 	bad      bool
+	// spec marks a block speculatively translated and not yet demanded.
+	spec bool
+	// waited marks a block with demand requests in managerState.waiting.
+	waited bool
 }
+
+// entryChunk is the length of one chunk of the qEntry slab. The slab
+// grows a chunk at a time, so a *qEntry stays valid while a handler
+// interns new blocks.
+const entryChunk = 1024
 
 // waiter is where the answer to a demand request goes: the requester
 // and the L1.5 bank to fill (-1 for none). A miss keeps one until the
 // translation lands.
 type waiter struct {
+	id       int32
 	replyTo  int
 	fillBank int
 }
@@ -35,29 +46,46 @@ type waiter struct {
 // back. A checkpoint capture snapshots it as queued work (the restored
 // machine has fresh slaves), and the excision of its slave re-queues it.
 type outWork struct {
+	busy  bool
+	id    int32
 	pc    uint32
 	depth int
 }
 
-// managerState is the manager tile's bookkeeping: the L2 code cache
-// map, the prioritized speculative-translation queues, parked slaves,
-// and the dynamic reconfiguration controller.
+// idQueue is one priority bucket: the block ids from head on are
+// queued, oldest first.
+type idQueue struct {
+	ids  []int32
+	head int
+}
+
+// live returns the queued ids.
+func (q *idQueue) live() []int32 { return q.ids[q.head:] }
+
+// managerState is the manager tile's bookkeeping: the L2 code cache,
+// the prioritized speculative-translation queues, parked slaves, and
+// the dynamic reconfiguration controller. Its tables are indexed by
+// block id (entries) or by tile (roles, outstanding, lastBeat), and the
+// slot keeps them across its guests (reset).
 type managerState struct {
 	e  *engine
 	c  *raw.TileCtx
 	l2 *codecache.L2
 
-	entries map[uint32]*qEntry
-	buckets [maxSpecDepth + 2][]uint32 // [0] demand … [maxSpecDepth+1] return-predictor
-	waiters map[uint32][]waiter
-	parked  []int // idle slave tiles
-	roles   map[int]roleKind
+	entries [][]qEntry                // by block id, in chunks of entryChunk
+	buckets [maxSpecDepth + 2]idQueue // [0] demand … [maxSpecDepth+1] return-predictor
+	waiting []waiter                  // the demand requests not yet answered, in arrival order
+	taken   []waiter                  // takeWaiters' result
+	parked  []int                     // idle slave tiles
+	roles   []roleKind                // by tile
+	worker  []bool                    // by tile: a slave or bank of this guest
 
-	specStored map[uint32]bool // speculatively translated, not yet demanded
+	// specWasted counts the blocks with qEntry.spec set.
+	specWasted uint64
 
-	// outstanding maps a busy slave to the work it holds. It is
+	// outstanding holds, by tile, the work a busy slave holds. It is
 	// host-side bookkeeping, invisible on the network.
-	outstanding map[int]outWork
+	outstanding []outWork
 
 	// Morphing state.
 	transHeavy bool
@@ -68,7 +96,7 @@ type managerState struct {
 	// rebankGen numbers the remaps sent to the MMU tile, whose ack of
 	// the latest ends a recovery begun at detectAt.
 	banksNow  []int
-	lastBeat  map[int]uint64
+	lastBeat  []uint64 // by tile
 	rebankGen uint64
 	detectAt  uint64 // bank-excision detection time, for recovery latency
 
@@ -80,10 +108,10 @@ type managerState struct {
 
 // managerTile is the manager/L2-code-cache tile's kernel. It only ever
 // answers messages, so it is a handler kernel like the service tiles
-// (tiles.go). st is the current VM epoch's state: start builds a fresh
-// one bound to the slot's engine, and a fleet vmSwitch runs start again
-// once the epoch has drained, so a finished guest's engine keeps the
-// state its results are read from (engine.mgr).
+// (tiles.go). st is the current VM epoch's state: start binds it to the
+// slot's engine, and a fleet vmSwitch runs start again once the epoch
+// has drained. The slot keeps st's tables across its guests: start
+// first settles the finished guest's results from them (settle).
 type managerTile struct {
 	h  *slotHost
 	st *managerState
@@ -91,28 +119,26 @@ type managerTile struct {
 
 func (k *managerTile) start(c *raw.TileCtx) {
 	e := k.h.cur
-	P := &e.cfg.Params
-	st := &managerState{
-		e:           e,
-		c:           c,
-		l2:          codecache.NewL2(P.L2CodeBytes),
-		entries:     map[uint32]*qEntry{},
-		waiters:     map[uint32][]waiter{},
-		roles:       map[int]roleKind{},
-		specStored:  map[uint32]bool{},
-		outstanding: map[int]outWork{},
+	e.tabs.bind(e)
+	st := k.st
+	if st == nil {
+		st = newManagerState(c, &e.cfg.Params)
+		k.st = st
+	} else {
+		st.settle()
+		st.e.mgr = nil
 	}
+	st.reset(e)
 	for _, t := range e.pl.slaves {
-		st.roles[t] = roleSlave
+		st.roles[t], st.worker[t] = roleSlave, true
 	}
 	for _, t := range e.pl.banks {
-		st.roles[t] = roleBank
+		st.roles[t], st.worker[t] = roleBank, true
 	}
 	// Morphing starts in the translation-heavy configuration (§2.3).
 	st.transHeavy = e.cfg.Morph
 	if e.recovery {
-		st.banksNow = append([]int(nil), e.pl.banks...)
-		st.lastBeat = map[int]uint64{}
+		st.banksNow = append(st.banksNow, e.pl.banks...)
 		// Seed liveness at the current time, not zero: an epoch a
 		// handoff starts begins mid-run, and a zero seed would read as
 		// every worker having been silent since cycle 0 — the detector
@@ -128,8 +154,60 @@ func (k *managerTile) start(c *raw.TileCtx) {
 		e.restoreManager(st)
 	}
 	e.mgr = st
-	k.st = st
 	st.watch()
+}
+
+// newManagerState builds the manager's tables for a fabric of p's
+// size.
+func newManagerState(c *raw.TileCtx, p *raw.Params) *managerState {
+	n := p.Tiles()
+	return &managerState{
+		c:           c,
+		l2:          codecache.NewL2(p.L2CodeBytes),
+		roles:       make([]roleKind, n),
+		worker:      make([]bool, n),
+		outstanding: make([]outWork, n),
+		lastBeat:    make([]uint64, n),
+	}
+}
+
+// reset binds the state to guest e with every table empty, keeping the
+// tables' storage.
+func (st *managerState) reset(e *engine) {
+	*st = managerState{
+		e:           e,
+		c:           st.c,
+		l2:          st.l2,
+		entries:     st.entries,
+		buckets:     st.buckets,
+		waiting:     st.waiting[:0],
+		taken:       st.taken,
+		parked:      st.parked[:0],
+		roles:       st.roles,
+		worker:      st.worker,
+		outstanding: st.outstanding,
+		banksNow:    st.banksNow[:0],
+		lastBeat:    st.lastBeat,
+	}
+	st.l2.Reset()
+	for _, ch := range st.entries {
+		clear(ch)
+	}
+	for d := range st.buckets {
+		st.buckets[d] = idQueue{ids: st.buckets[d].ids[:0]}
+	}
+	clear(st.roles)
+	clear(st.worker)
+	clear(st.outstanding)
+	clear(st.lastBeat)
+}
+
+// settle writes the manager's share of its guest's results into the
+// guest's metrics.
+func (st *managerState) settle() {
+	st.e.stats.L2CAccess = st.l2.Accesses
+	st.e.stats.L2CMisses = st.l2.Misses
+	st.e.stats.SpecWasted = st.specWasted
 }
 
 func (k *managerTile) handle(c *raw.TileCtx, msg sim.Msg) {
@@ -200,8 +278,7 @@ func (st *managerState) watch() {
 
 // live reports whether t is a worker the manager has not excised.
 func (st *managerState) live(t int) bool {
-	role, isWorker := st.roles[t]
-	return isWorker && role != roleDead
+	return st.worker[t] && st.roles[t] != roleDead
 }
 
 // handleBeat records a worker's liveness.
@@ -263,10 +340,10 @@ func (st *managerState) excise(t int) {
 	st.e.stats.RoleRemaps++
 	st.c.Tick(P.RecoveryOcc)
 	st.parked = slices.DeleteFunc(st.parked, func(s int) bool { return s == t })
-	if ow, ok := st.outstanding[t]; ok {
-		delete(st.outstanding, t)
-		st.entry(ow.pc).inflight = false
-		st.push(ow.pc, ow.depth)
+	if ow := st.outstanding[t]; ow.busy {
+		st.outstanding[t] = outWork{}
+		st.entry(ow.id).inflight = false
+		st.push(ow.id, ow.depth)
 	}
 	if role != roleBank {
 		st.dispatch()
@@ -313,15 +390,17 @@ func (st *managerState) beginSwitch(ackTo int) bool {
 // worker's heartbeat, at the latest.
 func (st *managerState) drained(msg sim.Msg) bool {
 	if m, ok := msg.Payload.(*transDone); ok {
-		if ow, ok := st.outstanding[msg.From]; ok && ow.pc == m.PC {
-			delete(st.outstanding, msg.From)
-			st.entry(m.PC).inflight = false
+		// By PC: a result from an earlier epoch carries an id of another
+		// table.
+		if ow := st.outstanding[msg.From]; ow.busy && ow.pc == m.PC {
+			st.outstanding[msg.From] = outWork{}
+			st.entry(ow.id).inflight = false
 			st.e.stats.Translations++
 		}
 		st.e.pool.dones.put(m)
 	}
-	for t := range st.outstanding {
-		if !st.e.slot.gone(t) {
+	for t, ow := range st.outstanding {
+		if ow.busy && !st.e.slot.gone(t) {
 			return false
 		}
 	}
@@ -336,24 +415,36 @@ func (st *managerState) handleSMCInval(m smcInval, from int) {
 	st.c.Tick(P.L2CLookupOcc) // page-map walk in the manager's tables
 	st.e.smcGen++
 	for pg := m.Lo >> 12; pg <= (m.Hi-1)>>12; pg++ {
-		st.e.pageInval[pg] = st.e.smcGen
+		st.e.tabs.pageInval.set(pg, st.e.smcGen)
 	}
 	removed := st.l2.RemoveOverlapping(m.Lo&^0xfff, (m.Hi+0xfff)&^0xfff)
 	st.c.Tick(uint64(len(removed)) * P.L2CStoreOcc / 4) // directory updates
-	for _, pc := range removed {
-		delete(st.entries, pc)
-		delete(st.specStored, pc)
+	for _, id := range removed {
+		en := st.entry(id)
+		st.setSpec(en, false)
+		*en = qEntry{waited: en.waited}
 	}
 	st.c.Send(from, smcAck{}, wordsCtl)
 }
 
-func (st *managerState) entry(pc uint32) *qEntry {
-	en, ok := st.entries[pc]
-	if !ok {
-		en = &qEntry{}
-		st.entries[pc] = en
+// entry returns block id's pipeline state.
+func (st *managerState) entry(id int32) *qEntry {
+	for int(id) >= len(st.entries)*entryChunk {
+		st.entries = append(st.entries, make([]qEntry, entryChunk))
 	}
-	return en
+	return &st.entries[id/entryChunk][id%entryChunk]
+}
+
+// setSpec sets en's spec mark, keeping specWasted its count.
+func (st *managerState) setSpec(en *qEntry, spec bool) {
+	if en.spec != spec {
+		en.spec = spec
+		if spec {
+			st.specWasted++
+		} else {
+			st.specWasted--
+		}
+	}
 }
 
 // handleCodeReq services a demand request from the execution tile (or
@@ -362,89 +453,118 @@ func (st *managerState) handleCodeReq(m *codeReq) {
 	P := &st.e.cfg.Params
 	t0 := st.c.Now()
 	st.c.Tick(P.L2CLookupOcc)
-	if res, ok := st.l2.Lookup(m.PC); ok {
+	if res, ok := st.l2.Lookup(m.ID); ok {
 		words := len(res.Code)
 		st.c.Tick(uint64(words) * P.L2CWordOcc) // DRAM read traffic
 		st.e.trc().Span(st.c.Tile, "l2c_lookup", t0, st.c.Now(), "pc", uint64(m.PC), "hit", 1)
-		st.respond(m.PC, waiter{m.ReplyTo, m.FillBank}, res)
-		delete(st.specStored, m.PC)
+		st.respond(m.PC, waiter{m.ID, m.ReplyTo, m.FillBank}, res)
+		st.setSpec(st.entry(m.ID), false)
 		return
 	}
 	// Miss: the execution tile stalls until a slave translates it.
 	st.e.stats.DemandMisses++
 	st.e.trc().Count(tsDemandMisses, t0, 1)
 	st.e.trc().Span(st.c.Tile, "l2c_lookup", t0, st.c.Now(), "pc", uint64(m.PC), "hit", 0)
-	en := st.entry(m.PC)
+	en := st.entry(m.ID)
 	if en.bad {
-		st.sendResp(m.ReplyTo, m.PC, nil, wordsCtl)
+		st.sendResp(m.ReplyTo, m.PC, m.ID, nil, wordsCtl)
 		return
 	}
-	st.waiters[m.PC] = append(st.waiters[m.PC], waiter{m.ReplyTo, m.FillBank})
+	st.waiting = append(st.waiting, waiter{m.ID, m.ReplyTo, m.FillBank})
+	en.waited = true
 	if !en.inflight {
-		st.push(m.PC, 0)
+		st.push(m.ID, 0)
 	}
 	st.dispatch()
 	st.morphEval()
 	st.traceQueueDepth()
 }
 
-// respond delivers a block to the requester and fills the forwarding
-// L1.5 bank.
+// respond delivers block w.id, at guest PC pc, to the requester and
+// fills the forwarding L1.5 bank.
 func (st *managerState) respond(pc uint32, w waiter, res *translate.Result) {
 	words := len(res.Code)
-	st.sendResp(w.replyTo, pc, res, words)
+	st.sendResp(w.replyTo, pc, w.id, res, words)
 	if w.fillBank >= 0 {
 		f := st.e.pool.fills.get()
-		*f = fill{PC: pc, Res: res}
+		*f = fill{PC: pc, ID: w.id, Res: res}
 		st.c.Send(w.fillBank, f, words)
 	}
 }
 
 // sendResp sends a pooled codeResp.
-func (st *managerState) sendResp(to int, pc uint32, res *translate.Result, words int) {
+func (st *managerState) sendResp(to int, pc uint32, id int32, res *translate.Result, words int) {
 	r := st.e.pool.codeResps.get()
-	*r = codeResp{PC: pc, Res: res}
+	*r = codeResp{PC: pc, ID: id, Res: res}
 	st.c.Send(to, r, words)
 }
 
-// push enqueues a translation request at the given priority bucket
-// (lower = more urgent). Re-pushing at a more urgent depth re-files the
-// entry.
-func (st *managerState) push(pc uint32, depth int) {
+// takeWaiters removes block id's waiters from the waiting list and
+// returns them in arrival order; the slice is valid until the next
+// call.
+func (st *managerState) takeWaiters(en *qEntry, id int32) []waiter {
+	if !en.waited {
+		return nil
+	}
+	en.waited = false
+	st.taken = st.taken[:0]
+	kept := st.waiting[:0]
+	for _, w := range st.waiting {
+		if w.id == id {
+			st.taken = append(st.taken, w)
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	st.waiting = kept
+	return st.taken
+}
+
+// push enqueues a translation request for block id at the given
+// priority bucket (lower = more urgent). Re-pushing at a more urgent
+// depth re-files the entry.
+func (st *managerState) push(id int32, depth int) {
 	if st.e.cfg.FIFOSpec && depth > 0 {
 		depth = 1 // ablation: single speculative FIFO
 	}
 	if depth > maxSpecDepth+1 {
 		depth = maxSpecDepth + 1
 	}
-	en := st.entry(pc)
+	en := st.entry(id)
 	if en.done || en.bad || en.inflight {
 		return
 	}
-	if en.queued && en.depth <= depth {
+	if en.queued && int(en.depth) <= depth {
 		return
 	}
-	en.depth = depth
+	en.depth = int8(depth)
 	en.queued = true
-	st.buckets[depth] = append(st.buckets[depth], pc)
+	st.buckets[depth].ids = append(st.buckets[depth].ids, id)
 	// Guarded: queue-policy tests drive push without a tile context, so
 	// st.c is only touched when a tracer is actually attached.
 	if t := st.e.trc(); t != nil {
-		t.Instant(st.c.Tile, "enqueue", st.c.Now(), "pc", uint64(pc), "depth", uint64(depth))
+		t.Instant(st.c.Tile, "enqueue", st.c.Now(), "pc", uint64(st.e.tabs.ids.PC(id)), "depth", uint64(depth))
 	}
 }
 
+// pushPC enqueues the block at guest PC pc, interning it.
+func (st *managerState) pushPC(pc uint32, depth int) { st.push(st.e.tabs.ids.ID(pc), depth) }
+
 // pop removes the most urgent queued translation.
-func (st *managerState) pop() (uint32, int, bool) {
+func (st *managerState) pop() (int32, int, bool) {
 	for d := range st.buckets {
-		for len(st.buckets[d]) > 0 {
-			pc := st.buckets[d][0]
-			st.buckets[d] = st.buckets[d][1:]
-			en := st.entry(pc)
-			if !en.queued || en.depth != d || en.inflight || en.done || en.bad {
+		q := &st.buckets[d]
+		for q.head < len(q.ids) {
+			id := q.ids[q.head]
+			q.head++
+			if q.head == len(q.ids) {
+				q.ids, q.head = q.ids[:0], 0
+			}
+			en := st.entry(id)
+			if !en.queued || int(en.depth) != d || en.inflight || en.done || en.bad {
 				continue // stale entry superseded by a re-push
 			}
-			return pc, d, true
+			return id, d, true
 		}
 	}
 	return 0, 0, false
@@ -455,9 +575,9 @@ func (st *managerState) pop() (uint32, int, bool) {
 func (st *managerState) queuedLen() int {
 	n := 0
 	for d := range st.buckets {
-		for _, pc := range st.buckets[d] {
-			en := st.entry(pc)
-			if en.queued && en.depth == d && !en.inflight && !en.done && !en.bad {
+		for _, id := range st.buckets[d].live() {
+			en := st.entry(id)
+			if en.queued && int(en.depth) == d && !en.inflight && !en.done && !en.bad {
 				n++
 			}
 		}
@@ -486,26 +606,27 @@ func (st *managerState) dispatch() {
 		return
 	}
 	for len(st.parked) > 0 {
-		pc, depth, ok := st.pop()
+		id, depth, ok := st.pop()
 		if !ok {
 			break
 		}
 		slave := st.parked[0]
-		st.parked = st.parked[1:]
-		en := st.entry(pc)
+		st.parked = slices.Delete(st.parked, 0, 1) // keeps the storage
+		en := st.entry(id)
 		en.queued = false
 		en.inflight = true
-		st.outstanding[slave] = outWork{pc: pc, depth: depth}
+		pc := st.e.tabs.ids.PC(id)
+		st.outstanding[slave] = outWork{busy: true, id: id, pc: pc, depth: depth}
 		st.e.trc().Instant(st.c.Tile, "assign", st.c.Now(), "pc", uint64(pc), "slave", uint64(slave))
-		st.c.Send(slave, st.workFor(pc, depth), wordsCtl)
+		st.c.Send(slave, st.workFor(pc, id, depth), wordsCtl)
 	}
 }
 
 // workFor builds a work unit carrying this VM's translation context.
-func (st *managerState) workFor(pc uint32, depth int) *work {
+func (st *managerState) workFor(pc uint32, id int32, depth int) *work {
 	w := st.e.pool.works.get()
 	*w = work{
-		PC: pc, Depth: depth, Gen: st.e.smcGen,
+		PC: pc, ID: id, Depth: depth, Gen: st.e.smcGen,
 		Translator: st.e.tr, Mem: st.e.proc.Mem, Image: st.e.img, Optimize: st.e.cfg.Optimize,
 	}
 	return w
@@ -520,7 +641,7 @@ func (st *managerState) staleSMC(m *transDone) bool {
 	lo := m.Res.GuestAddr
 	hi := lo + m.Res.GuestLen
 	for pg := lo >> 12; pg <= (hi-1)>>12; pg++ {
-		if g, ok := st.e.pageInval[pg]; ok && g > m.Gen {
+		if st.e.tabs.pageInval.get(pg) > m.Gen {
 			return true
 		}
 	}
@@ -540,10 +661,10 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 	if m.Translator != st.e.tr {
 		return
 	}
-	if ow, ok := st.outstanding[from]; ok && ow.pc == m.PC {
-		delete(st.outstanding, from)
+	if ow := st.outstanding[from]; ow.busy && ow.id == m.ID {
+		st.outstanding[from] = outWork{}
 	}
-	en := st.entry(m.PC)
+	en := st.entry(m.ID)
 	en.inflight = false
 	st.e.stats.Translations++
 	st.e.trc().Count(tsTranslations, st.c.Now(), 1)
@@ -555,8 +676,8 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 		// waiter re-queues at demand priority; speculative results are
 		// simply dropped.
 		st.e.trc().Instant(st.c.Tile, "trans_stale", st.c.Now(), "pc", uint64(m.PC), "", 0)
-		if _, waiting := st.waiters[m.PC]; waiting {
-			st.push(m.PC, 0)
+		if en.waited {
+			st.push(m.ID, 0)
 			st.dispatch()
 		}
 		return
@@ -564,10 +685,9 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 	if m.Res == nil {
 		en.bad = true
 		st.e.trc().Instant(st.c.Tile, "untranslatable", st.c.Now(), "pc", uint64(m.PC), "", 0)
-		for _, w := range st.waiters[m.PC] {
-			st.sendResp(w.replyTo, m.PC, nil, wordsCtl)
+		for _, w := range st.takeWaiters(en, m.ID) {
+			st.sendResp(w.replyTo, m.PC, m.ID, nil, wordsCtl)
 		}
-		delete(st.waiters, m.PC)
 		st.dispatch()
 		return
 	}
@@ -575,20 +695,17 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 	st.e.stats.TransGuestInsts += uint64(m.Res.NumGuest)
 	words := len(m.Res.Code)
 	st.c.Tick(P.L2CStoreOcc + uint64(words)*P.L2CWordOcc)
-	st.l2.Insert(m.PC, m.Res)
+	st.l2.Insert(m.ID, m.PC, m.Res)
 	st.e.stats.L2CStores++
 	st.e.trc().Instant(st.c.Tile, "install", st.c.Now(), "pc", uint64(m.PC), "depth", uint64(m.Depth))
-	for pg := m.Res.GuestAddr >> 12; pg <= (m.Res.GuestAddr+m.Res.GuestLen-1)>>12; pg++ {
-		st.e.codePages[pg] = true
-	}
+	st.e.markCode(m.Res)
 
-	if ws, ok := st.waiters[m.PC]; ok {
-		for _, w := range ws {
+	if en.waited {
+		for _, w := range st.takeWaiters(en, m.ID) {
 			st.respond(m.PC, w, m.Res)
 		}
-		delete(st.waiters, m.PC)
 	} else if m.Depth > 0 {
-		st.specStored[m.PC] = true
+		st.setSpec(en, true)
 	}
 
 	if st.e.cfg.Speculative {
@@ -607,23 +724,23 @@ func (st *managerState) handleTransDone(m *transDone, from int) {
 func (st *managerState) enqueueSuccessors(res *translate.Result, depth int) {
 	switch res.Kind {
 	case translate.ExitFall:
-		st.push(res.Target, depth+1)
+		st.pushPC(res.Target, depth+1)
 	case translate.ExitBranch:
 		if res.BackwardTaken {
-			st.push(res.Target, depth+1)
-			st.push(res.FallTarget, depth+2)
+			st.pushPC(res.Target, depth+1)
+			st.pushPC(res.FallTarget, depth+2)
 		} else {
-			st.push(res.FallTarget, depth+1)
-			st.push(res.Target, depth+2)
+			st.pushPC(res.FallTarget, depth+1)
+			st.pushPC(res.Target, depth+2)
 		}
 	case translate.ExitCall:
-		st.push(res.Target, depth+1)
+		st.pushPC(res.Target, depth+1)
 		if !st.e.cfg.NoReturnPredictor {
-			st.push(res.FallTarget, maxSpecDepth+1) // return predictor
+			st.pushPC(res.FallTarget, maxSpecDepth+1) // return predictor
 		}
 	case translate.ExitIndirect:
 		if res.FallTarget != 0 && !st.e.cfg.NoReturnPredictor {
-			st.push(res.FallTarget, maxSpecDepth+1)
+			st.pushPC(res.FallTarget, maxSpecDepth+1)
 		}
 	case translate.ExitRet:
 		// Successor comes through the return predictor at call time.
@@ -658,7 +775,7 @@ func (st *managerState) morphEval() {
 	}
 	perm := st.e.pl.banks[0]
 	for _, t := range st.e.pl.switchable {
-		st.roles[t] = newRole
+		st.roles[t], st.worker[t] = newRole, true
 		st.c.Send(t, reconfig{Role: newRole}, wordsCtl)
 	}
 	// The permanent bank must flush too: the interleave function

@@ -9,11 +9,13 @@ import (
 // kernels. Sizes (in words) are charged at the sending side; the
 // constants below approximate the prototype's message formats.
 
-// codeReq asks for the translated block at PC. ReplyTo is the tile the
+// codeReq asks for the translated block at PC, whose id (DESIGN.md §7
+// "Code-path storage") the exec tile interned. ReplyTo is the tile the
 // block should be delivered to (the execution tile); FillBank, if ≥ 0,
 // is the L1.5 bank the manager should also fill on the way back.
 type codeReq struct {
 	PC       uint32
+	ID       int32
 	ReplyTo  int
 	FillBank int
 	pooled
@@ -23,6 +25,7 @@ type codeReq struct {
 // untranslatable — the guest jumped to garbage).
 type codeResp struct {
 	PC  uint32
+	ID  int32
 	Res *translate.Result
 	pooled
 }
@@ -30,6 +33,7 @@ type codeResp struct {
 // fill populates an L1.5 bank in the background.
 type fill struct {
 	PC  uint32
+	ID  int32
 	Res *translate.Result
 	pooled
 }
@@ -45,6 +49,7 @@ type workReq struct{}
 // to, and the result goes back to that manager (the message source).
 type work struct {
 	PC         uint32
+	ID         int32
 	Depth      int
 	Gen        uint64
 	Translator *translate.Translator
@@ -61,6 +66,7 @@ type work struct {
 // so it names the VM epoch the result belongs to.
 type transDone struct {
 	PC         uint32
+	ID         int32
 	Depth      int
 	Gen        uint64
 	Res        *translate.Result

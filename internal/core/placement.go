@@ -152,14 +152,18 @@ func FleetSlotLayout(p raw.Params) ([]FleetSlot, error) {
 	return out, nil
 }
 
-// slotIndexOf maps every tile of every slot to its slot index, for
-// translating a fault plan's tile targets into slot quarantines.
-func slotIndexOf(slots []placement) map[int]int {
-	m := map[int]int{}
+// slotIndexOf gives each of a fabric's tiles its slot index, -1 for a
+// tile in no slot, for translating a fault plan's tile targets into
+// slot quarantines.
+func slotIndexOf(slots []placement, tiles int) []int {
+	idx := make([]int, tiles)
+	for t := range idx {
+		idx[t] = -1
+	}
 	for si := range slots {
 		for _, t := range slots[si].tiles() {
-			m[t] = si
+			idx[t] = si
 		}
 	}
-	return m
+	return idx
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"tilevm/internal/checkpoint"
 	"tilevm/internal/codecache"
@@ -16,9 +17,10 @@ import (
 // modeled cost is charged at restore time instead. The caller has
 // already stored the live register file and PC into e.proc.CPU.
 //
-// Every map walked here is iterated in sorted order so that the
-// snapshot (and anything downstream of it: the journal, a replay) is
-// deterministic.
+// Every PC list is recorded in a fixed order — sorted, or the queue or
+// cache order it reproduces — so that the snapshot (and anything
+// downstream of it: the journal, a replay) is deterministic and
+// independent of the order in which blocks were given their ids.
 func (e *engine) capture(c *raw.TileCtx, l1 *codecache.L1, env *execEnv) {
 	mgr := e.mgr
 	s := &checkpoint.State{
@@ -44,30 +46,36 @@ func (e *engine) capture(c *raw.TileCtx, l1 *codecache.L1, env *execEnv) {
 	// Pending translations: the live priority buckets, then work that is
 	// in flight to a slave (the restored machine has fresh slaves, so
 	// in-flight work must re-queue at its original depth).
+	ids := e.tabs.ids
 	for d := range mgr.buckets {
-		for _, pc := range mgr.buckets[d] {
-			en := mgr.entry(pc)
-			if en.queued && en.depth == d && !en.inflight && !en.done && !en.bad {
-				s.Queues = append(s.Queues, checkpoint.QueuedPC{PC: pc, Depth: int32(d)})
+		for _, id := range mgr.buckets[d].live() {
+			en := mgr.entry(id)
+			if en.queued && int(en.depth) == d && !en.inflight && !en.done && !en.bad {
+				s.Queues = append(s.Queues, checkpoint.QueuedPC{PC: ids.PC(id), Depth: int32(d)})
 			}
 		}
 	}
-	for _, t := range sortedKeys(mgr.outstanding) {
-		ow := mgr.outstanding[t]
-		s.Queues = append(s.Queues, checkpoint.QueuedPC{PC: ow.pc, Depth: int32(ow.depth)})
-	}
-
-	s.Spec = sortedU32map(mgr.specStored)
-	for pc, en := range mgr.entries {
-		if en.bad {
-			s.Bad = append(s.Bad, pc)
+	for _, ow := range mgr.outstanding { // by tile, ascending
+		if ow.busy {
+			s.Queues = append(s.Queues, checkpoint.QueuedPC{PC: ow.pc, Depth: int32(ow.depth)})
 		}
 	}
-	sort.Slice(s.Bad, func(i, j int) bool { return s.Bad[i] < s.Bad[j] })
 
-	s.SMC = checkpoint.SMCState{Gen: e.smcGen, CodePages: sortedU32map(e.codePages)}
-	for _, pg := range sortedU32map(e.pageInval) {
-		s.SMC.Inval = append(s.SMC.Inval, checkpoint.PageInval{Page: pg, Gen: e.pageInval[pg]})
+	for id := range int32(ids.Len()) {
+		en := mgr.entry(id)
+		if en.spec {
+			s.Spec = append(s.Spec, ids.PC(id))
+		}
+		if en.bad {
+			s.Bad = append(s.Bad, ids.PC(id))
+		}
+	}
+	slices.Sort(s.Spec)
+	slices.Sort(s.Bad)
+
+	s.SMC = checkpoint.SMCState{Gen: e.smcGen, CodePages: e.tabs.codePages.pages()}
+	for _, pg := range e.tabs.pageInval.pages() {
+		s.SMC.Inval = append(s.SMC.Inval, checkpoint.PageInval{Page: pg, Gen: e.tabs.pageInval.get(pg)})
 	}
 
 	e.stats.Checkpoints++
@@ -81,29 +89,39 @@ func (e *engine) capture(c *raw.TileCtx, l1 *codecache.L1, env *execEnv) {
 // kernel runs: the guest-visible machine directly, and the code caches
 // generatively — translation is a pure function of the (restored) guest
 // memory, so re-translating each recorded PC reproduces the cache
-// contents without snapshotting host code bytes.
+// contents without snapshotting host code bytes. The slot's tables
+// still serve the previous admission here; its manager seeds them
+// (restoreManager).
 func (e *engine) applyRestore(s *checkpoint.State) {
 	e.proc.Mem.Restore(s.Mem)
 	e.proc.CPU = s.CPU
 	e.proc.Kern.RestoreState(s.Kern)
 	e.stats = s.Metrics
-
 	e.smcGen = s.SMC.Gen
-	for _, pg := range s.SMC.CodePages {
-		e.codePages[pg] = true
-	}
-	for _, pi := range s.SMC.Inval {
-		e.pageInval[pi.Page] = pi.Gen
-	}
 
-	e.restoreBlocks = map[uint32]*translate.Result{}
+	// The L2's PCs are distinct, and so are the L1's; a PC in both is
+	// translated once, in the order the L2 then the L1 record them.
+	e.restoreBlocks = e.restoreBlocks[:0]
 	for _, pc := range s.L2C.PCs {
-		e.retranslate(pc)
+		e.restoreBlocks = append(e.restoreBlocks, e.retranslate(pc))
 	}
+	slices.SortFunc(e.restoreBlocks, byPC)
+	n := len(e.restoreBlocks)
 	for _, pc := range s.L1.PCs {
-		e.retranslate(pc)
+		if _, ok := slices.BinarySearchFunc(e.restoreBlocks[:n], restoredBlock{pc: pc}, byPC); !ok {
+			e.restoreBlocks = append(e.restoreBlocks, e.retranslate(pc))
+		}
 	}
+	slices.SortFunc(e.restoreBlocks, byPC)
 }
+
+// restoredBlock is one re-translated code-cache entry.
+type restoredBlock struct {
+	pc  uint32
+	res *translate.Result
+}
+
+func byPC(a, b restoredBlock) int { return cmp.Compare(a.pc, b.pc) }
 
 // retranslate rebuilds one code-cache entry from restored guest memory.
 // A failure is recorded as a nil block (the entry becomes "bad",
@@ -111,47 +129,65 @@ func (e *engine) applyRestore(s *checkpoint.State) {
 // PC); it cannot happen for PCs that translated successfully before the
 // snapshot, because the memory they were translated from is restored
 // bit-identically.
-func (e *engine) retranslate(pc uint32) {
-	if _, ok := e.restoreBlocks[pc]; ok {
-		return
-	}
+func (e *engine) retranslate(pc uint32) restoredBlock {
 	res, err := e.tr.TranslateFinal(e.proc.Mem, pc)
 	if err != nil {
 		res = nil
 	}
-	e.restoreBlocks[pc] = res
+	return restoredBlock{pc, res}
+}
+
+// restored returns the re-translated block at pc.
+func (e *engine) restored(pc uint32) *translate.Result {
+	i, _ := slices.BinarySearchFunc(e.restoreBlocks, restoredBlock{pc: pc}, byPC)
+	return e.restoreBlocks[i].res
 }
 
 // restoreManager rebuilds the manager tile's state from the engine's
-// restore snapshot: the L2 code cache (re-inserted in original order so
-// capacity behavior reproduces), failed-translation markers, the
-// pending-work queues, and the speculative-store set.
+// restore snapshot: the self-modifying-code page registry, the L2 code
+// cache (re-inserted in original order so capacity behavior
+// reproduces), failed-translation markers, the pending-work queues, and
+// the speculative-store set.
 func (e *engine) restoreManager(st *managerState) {
 	s := e.restore
+	ids := e.tabs.ids
+	for _, pg := range s.SMC.CodePages {
+		e.tabs.codePages.set(pg, true)
+	}
+	for _, pi := range s.SMC.Inval {
+		e.tabs.pageInval.set(pi.Page, pi.Gen)
+	}
 	for _, pc := range s.L2C.PCs {
-		res := e.restoreBlocks[pc]
-		en := st.entry(pc)
+		res := e.restored(pc)
+		id := ids.ID(pc)
+		en := st.entry(id)
 		if res == nil {
 			en.bad = true
 			continue
 		}
-		st.l2.Insert(pc, res)
+		st.l2.Insert(id, pc, res)
 		en.done = true
-		for pg := res.GuestAddr >> 12; pg <= (res.GuestAddr+res.GuestLen-1)>>12; pg++ {
-			e.codePages[pg] = true
-		}
+		e.markCode(res)
 	}
 	st.l2.Accesses = s.L2C.Accesses
 	st.l2.Misses = s.L2C.Misses
 	st.l2.Stores = s.L2C.Stores
 	for _, pc := range s.Bad {
-		st.entry(pc).bad = true
+		st.entry(ids.ID(pc)).bad = true
 	}
 	for _, q := range s.Queues {
-		st.push(q.PC, int(q.Depth))
+		st.pushPC(q.PC, int(q.Depth))
 	}
 	for _, pc := range s.Spec {
-		st.specStored[pc] = true
+		st.setSpec(st.entry(ids.ID(pc)), true)
+	}
+}
+
+// markCode registers the pages a translated block was read from, whose
+// stores the exec tile must then check for self-modifying code.
+func (e *engine) markCode(res *translate.Result) {
+	for pg := res.GuestAddr >> 12; pg <= (res.GuestAddr+res.GuestLen-1)>>12; pg++ {
+		e.tabs.codePages.set(pg, true)
 	}
 }
 
@@ -162,8 +198,8 @@ func (e *engine) restoreManager(st *managerState) {
 func (e *engine) restoreExecCaches(l1 *codecache.L1, env *execEnv) {
 	s := e.restore
 	for _, pc := range s.L1.PCs {
-		if res := e.restoreBlocks[pc]; res != nil {
-			l1.Insert(pc, res)
+		if res := e.restored(pc); res != nil {
+			l1.Insert(e.tabs.ids.ID(pc), res)
 		}
 	}
 	l1.Lookups = s.L1.Lookups
@@ -173,24 +209,4 @@ func (e *engine) restoreExecCaches(l1 *codecache.L1, env *execEnv) {
 	if err := env.dl1.Import(s.DL1); err != nil {
 		panic(err) // impossible: cache geometry is fixed by Params
 	}
-}
-
-// sortedKeys returns a map's int keys in ascending order.
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// sortedU32map returns a map's uint32 keys in ascending order.
-func sortedU32map[V any](m map[uint32]V) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

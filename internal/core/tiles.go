@@ -172,7 +172,7 @@ func (e *engine) doTranslate(c *raw.TileCtx, m *work, replyTo int) {
 		res, err = m.Translator.TranslateFinal(m.Mem, m.PC)
 	}
 	d := e.pool.dones.get()
-	*d = transDone{PC: m.PC, Depth: m.Depth, Gen: m.Gen, Translator: m.Translator}
+	*d = transDone{PC: m.PC, ID: m.ID, Depth: m.Depth, Gen: m.Gen, Translator: m.Translator}
 	if err != nil {
 		c.Tick(P.TransBaseOcc)
 		e.trc().Span(c.Tile, "translate", t0, c.Now(), "pc", uint64(m.PC), "depth", uint64(m.Depth))
@@ -196,9 +196,15 @@ type l15Tile struct {
 	bank *codecache.L15
 }
 
+// start binds the bank to the slot's current guest. The slot keeps the
+// bank's tables across its guests; each starts with them empty.
 func (k *l15Tile) start(*raw.TileCtx) {
 	k.e = k.h.cur
-	k.bank = codecache.NewL15(k.e.cfg.Params.L15BankBytes)
+	if k.bank == nil {
+		k.bank = codecache.NewL15(k.e.cfg.Params.L15BankBytes)
+	} else {
+		k.bank.Reset()
+	}
 }
 
 func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
@@ -210,14 +216,14 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 		c.Tick(P.L15LookupOcc)
 		e.stats.L15Lookups++
 		e.trc().Count(tsL15Lookups, t0, 1)
-		if res, ok := bank.Lookup(m.PC); ok {
+		if res, ok := bank.Lookup(m.ID); ok {
 			e.stats.L15Hits++
 			e.trc().Count(tsL15Hits, t0, 1)
 			words := len(res.Code)
 			c.Tick(uint64(words) * P.L15WordOcc)
 			e.trc().Span(c.Tile, "l15_lookup", t0, c.Now(), "pc", uint64(m.PC), "hit", 1)
 			r := e.pool.codeResps.get()
-			*r = codeResp{PC: m.PC, Res: res}
+			*r = codeResp{PC: m.PC, ID: m.ID, Res: res}
 			c.Send(m.ReplyTo, r, words)
 			e.pool.codeReqs.put(m)
 			return
@@ -229,7 +235,7 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 	case *fill:
 		t0 := c.Now()
 		c.Tick(uint64(len(m.Res.Code)) * P.L15WordOcc)
-		bank.Insert(m.PC, m.Res)
+		bank.Insert(m.ID, m.PC, m.Res)
 		e.trc().Span(c.Tile, "l15_fill", t0, c.Now(), "pc", uint64(m.PC), "", 0)
 		e.pool.fills.put(m)
 	case smcInval:
@@ -239,7 +245,7 @@ func (k *l15Tile) handle(c *raw.TileCtx, msg sim.Msg) {
 		e.trc().Instant(c.Tile, "smc_flush", c.Now(), "", 0, "", 0)
 		c.Send(msg.From, smcAck{}, wordsCtl)
 	case vmSwitch:
-		// Fleet slot handoff; the next guest gets a fresh bank.
+		// Fleet slot handoff; the next guest gets an empty bank.
 		c.Send(msg.From, switchAck{}, wordsCtl)
 		k.start(c)
 	}

@@ -150,13 +150,13 @@ func validateFleet(cfg *Config, fc FleetConfig, guests int) ([]placement, error)
 // cannot honor: every clause must target a tile inside a carved slot (a
 // fault on an uncarved tile could never be observed).
 func validateFleetFaultPlan(plan *fault.Plan, slots []placement, p raw.Params) error {
-	idx := slotIndexOf(slots)
+	idx := slotIndexOf(slots, p.Tiles())
 	check := func(kind string, tile int, cycle uint64) error {
 		if tile < 0 || tile >= p.Tiles() {
 			return configErr([]string{"Fault", "Params"}, "fleet fault plan %s targets tile %d outside the %d×%d fabric",
 				kind, tile, p.Width, p.Height)
 		}
-		if _, ok := idx[tile]; !ok {
+		if idx[tile] < 0 {
 			return configErr([]string{"Fault"}, "fleet fault plan %s targets tile %d, which is in no carved VM slot",
 				kind, tile)
 		}

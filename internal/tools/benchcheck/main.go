@@ -1,7 +1,7 @@
 // Command benchcheck is the perf-regression smoke gate: it re-measures
 // the headline simulator benchmarks (the machine_run_gzip micro and its
 // code-bound twin machine_run_gcc, that one again from a filled
-// translation memo, the Pentium III baseline run of gzip in time and
+// translation memo in time, allocations and bytes, the Pentium III baseline run of gzip in time and
 // allocations (pentium_gzip), the serial quick figure suite, the
 // quick fleet fault-tolerance sweep, and the fleet_kernel fleet with
 // the kernel's switch count beside it) and compares
@@ -98,9 +98,16 @@ const (
 // warmRatio is what a memo has to be worth: a run with nothing left to
 // translate, measured here beside the run that translates everything,
 // in at most three quarters of its time.
+//
+// A warm run allocates the machine, the slot's code-path tables and the
+// guest's address space, some 575 objects and 1.7 MB, and nothing per
+// block it serves (DESIGN.md §7 "Code-path storage"). warmAllocTol
+// leaves room for the few runtime objects a GC cycle inside a run
+// adds; a map back on the code path adds thousands.
 const (
-	gccAllocTol = 1.03
-	warmRatio   = 0.75
+	gccAllocTol  = 1.03
+	warmRatio    = 0.75
+	warmAllocTol = 1.10
 )
 
 // A reference run allocates its setup and nothing per guest
@@ -241,8 +248,11 @@ func main() {
 		if k.warm {
 			fmt.Fprintf(os.Stderr, "benchcheck: measuring %s_warm...\n", k.name)
 			w := testing.Benchmark(bench.MachineRunWarmBench(k.workload))
+			wb := base.Micro[k.name+"_warm"]
 			ms = append(ms,
-				metric{k.name + "_warm ns/op", float64(base.Micro[k.name+"_warm"].NsPerOp), float64(w.NsPerOp()), *timeTol},
+				metric{k.name + "_warm ns/op", float64(wb.NsPerOp), float64(w.NsPerOp()), *timeTol},
+				metric{k.name + "_warm allocs/op", float64(wb.AllocsPerOp), float64(w.AllocsPerOp()), min(*allocTol, warmAllocTol)},
+				metric{k.name + "_warm bytes/op", float64(wb.BytesPerOp), float64(w.AllocedBytesPerOp()), *allocTol},
 				metric{k.name + "_warm vs cold", float64(r.NsPerOp()), float64(w.NsPerOp()), warmRatio})
 		}
 	}
