@@ -322,7 +322,6 @@ type fifo struct {
 	blocks   []*translate.Result
 	order    []fifoEnt
 	head, n  int
-	removed  []int32
 }
 
 // fifoEnt is one resident block in the eviction ring.
@@ -358,9 +357,7 @@ func (c *fifo) insert(id int32, pc uint32, b *translate.Result) bool {
 		c.bytes -= c.blocks[victim.id].CodeBytes()
 		c.blocks[victim.id] = nil
 	}
-	if int(id) >= len(c.blocks) {
-		c.blocks = extend(c.blocks, int(id)+1)
-	}
+	c.blocks = extend(c.blocks, int(id)+1)
 	c.blocks[id] = b
 	c.bytes += b.CodeBytes()
 	if c.n == len(c.order) {
@@ -429,6 +426,7 @@ func (c *L15) Reset() {
 // L2 is the manager's code cache over DRAM.
 type L2 struct {
 	fifo
+	removed []int32 // RemoveOverlapping's result
 
 	Accesses uint64
 	Misses   uint64
