@@ -204,6 +204,26 @@ func TestPristine(t *testing.T) {
 	}
 }
 
+// TestCaptureAfterSeal: a page written after a capture is copied by the
+// next incremental capture even when a Seal came in between. Seal starts
+// a generation too, and when it shared Capture's, the write looked older
+// than the last capture and the stale copy was kept.
+func TestCaptureAfterSeal(t *testing.T) {
+	const addr = 0x0806_0010
+	m := NewMemory()
+	m.Write8(addr, 1)
+	a := m.Capture(nil)
+	m.Write8(addr, 2)
+	m.Seal()
+	b := m.Capture(a)
+	if got := b.Pages[addr>>pageShift][addr&(pageSize-1)]; got != 2 {
+		t.Fatalf("captured byte %d after a write, a seal and an incremental capture; memory holds %d", got, m.Read8(addr))
+	}
+	if a.Pages[addr>>pageShift][addr&(pageSize-1)] != 1 {
+		t.Fatal("the incremental capture wrote into the earlier snapshot")
+	}
+}
+
 // TestCodeWindowIsAView documents what CodeWindow returns when the
 // window lies in one mapped page: the page itself, so a later write
 // shows through. Nobody may rely on either behaviour — x86.Decode

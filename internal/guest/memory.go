@@ -45,7 +45,10 @@ const (
 // Each page carries a write generation so Capture can snapshot the
 // address space incrementally: only pages written since the previous
 // capture are copied; clean pages share the prior snapshot's immutable
-// backing.
+// backing. Capture and Seal each start a new generation, and each keeps
+// its own mark of where it did so (capGen, sealGen): a page written
+// since the last capture is one stamped at or after capGen, whatever
+// seals came in between.
 //
 // The same generations answer a second question, for the translation
 // memo (translate.Memo): does a range still hold exactly what the
@@ -62,7 +65,8 @@ const (
 // hashes and snapshots do not depend on the table's shape.
 type Memory struct {
 	dir     [1 << dirBits]*leaf
-	gen     uint32 // current capture generation; bumped by Capture
+	gen     uint32 // current write generation; bumped by Capture and by Seal
+	capGen  uint32 // first generation after the last Capture; 0 = none yet
 	sealGen uint32 // generation of the loaded image; 0 = nothing is pristine
 	win     []byte // the last window CodeWindow had to copy
 }

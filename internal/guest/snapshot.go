@@ -25,7 +25,7 @@ func (m *Memory) Capture(prev *MemImage) *MemImage {
 	}
 	img := &MemImage{Pages: make(map[uint32][]byte)}
 	m.eachPage(func(idx uint32, l *leaf, i int) {
-		if prev != nil && l.writeGen[i] < m.gen {
+		if prev != nil && l.writeGen[i] < m.capGen {
 			if old, ok := prev.Pages[idx]; ok {
 				img.Pages[idx] = old
 				return
@@ -36,6 +36,7 @@ func (m *Memory) Capture(prev *MemImage) *MemImage {
 		img.Pages[idx] = cp
 	})
 	m.gen++
+	m.capGen = m.gen
 	return img
 }
 
