@@ -158,6 +158,14 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(c.Accesses)
 }
 
+// Reset empties the cache and clears its counters and LRU clock, leaving
+// it as New left it, in the storage it has.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.stamp = 0
+	c.ResetStats()
+}
+
 // ResetStats clears the counters but keeps cache contents.
 func (c *Cache) ResetStats() { c.Accesses, c.Misses, c.Evictions = 0, 0, 0 }
 

@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +207,28 @@ func TestBadGeometryPanics(t *testing.T) {
 			}()
 			New(g[0], g[1], g[2])
 		}()
+	}
+}
+
+// TestCacheResetEqualsNew: after random traffic — fills, dirty lines,
+// evictions, the LRU clock and every counter moved — Reset leaves a
+// cache equal to a new one, so a tile that keeps its cache across
+// guests starts each as if it had built it.
+func TestCacheResetEqualsNew(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	c := New(4096, 4, 32)
+	for i := 0; i < 5000; i++ {
+		c.Access(uint32(r.Intn(1<<16)), r.Intn(3) == 0)
+	}
+	c.FlushAll()
+	for i := 0; i < 500; i++ {
+		c.Access(uint32(r.Intn(1<<16)), r.Intn(2) == 0)
+	}
+	if c.stamp == 0 || c.Evictions == 0 || c.DirtyLines() == 0 {
+		t.Fatal("the traffic left nothing to reset")
+	}
+	c.Reset()
+	if want := New(4096, 4, 32); !reflect.DeepEqual(c, want) {
+		t.Fatalf("reset cache %+v, new cache %+v", *c, *want)
 	}
 }

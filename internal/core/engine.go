@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"tilevm/internal/cachesim"
 	"tilevm/internal/checkpoint"
 	"tilevm/internal/codecache"
 	"tilevm/internal/dcache"
@@ -109,20 +110,26 @@ type engine struct {
 // table that gives each guest block PC its dense id, the execution
 // tile's L1, and the self-modifying-code page registry — the 4KB pages
 // holding translated code, read by the exec tile on every guest store,
-// and the SMC generation of each page's last invalidation. The L1.5
-// banks and the manager keep their own tables the same way, in their
-// tile kernels.
+// and the SMC generation of each page's last invalidation. The exec
+// tile's data cache (dl1) is kept beside them, emptied each time the
+// exec kernel starts. The L1.5 banks, the L2 data banks and the manager
+// keep their own tables the same way, in their tile kernels.
 type slotTables struct {
 	owner     *engine
 	ids       *codecache.IDs
 	l1        *codecache.L1
+	dl1       *cachesim.Cache
 	codePages pageMap[bool]
 	pageInval pageMap[uint64]
 }
 
 func newSlotTables(p *raw.Params) *slotTables {
 	ids := codecache.NewIDs()
-	return &slotTables{ids: ids, l1: codecache.NewL1(p.IMemBytes, ids)}
+	return &slotTables{
+		ids: ids,
+		l1:  codecache.NewL1(p.IMemBytes, ids),
+		dl1: cachesim.New(p.DCacheBytes, p.DCacheWays, p.DCacheLine),
+	}
 }
 
 // bind lends the tables to e, emptying them, contents only, the first

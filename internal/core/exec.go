@@ -24,9 +24,10 @@ func (e *engine) execKernel(c *raw.TileCtx) {
 	env := &execEnv{
 		e:      e,
 		c:      c,
-		dl1:    cachesim.New(P.DCacheBytes, P.DCacheWays, P.DCacheLine),
+		dl1:    e.tabs.dl1,
 		interp: x86interp.New(e.proc),
 	}
+	env.dl1.Reset() // as new: every run of the kernel starts cold
 	if e.restore != nil {
 		e.restoreExecCaches(l1, env)
 	}

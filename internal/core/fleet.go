@@ -425,10 +425,10 @@ func (fl *fleetRun) spawnSlots() {
 				gi, ok := fl.nextGuest(c, h)
 				if !ok {
 					// No queued guest and none can appear: the slot's service
-					// tiles stay parked under the finished epoch. The L1 is
-					// the exec tile's alone, so its storage goes now, not
-					// when the last slot's guest ends.
-					h.tabs.l1 = nil
+					// tiles stay parked under the finished epoch. The L1 and
+					// the data cache are the exec tile's alone, so their
+					// storage goes now, not when the last slot's guest ends.
+					h.tabs.l1, h.tabs.dl1 = nil, nil
 					return
 				}
 				fl.admit(c, h, si, gi)

@@ -64,7 +64,14 @@ func (k *workerTile) start(c *raw.TileCtx) {
 	e := k.h.cur
 	P := &e.cfg.Params
 	k.e, k.role = e, k.initial
-	k.bank = dcache.NewBank(P.L2DBankBytes, P.L2DWays, P.L2DLine)
+	// The tile keeps its bank across the slot's guests, each starting
+	// with it as new. A retired slot's workers keep theirs: a reconfig
+	// can still reach a parked worker.
+	if k.bank == nil {
+		k.bank = dcache.NewBank(P.L2DBankBytes, P.L2DWays, P.L2DLine)
+	} else {
+		k.bank.Reset()
+	}
 	if e.recovery {
 		// If this tile dies, the manager looks for dirty lines here.
 		e.bankOf[c.Tile] = k.bank

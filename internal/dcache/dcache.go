@@ -23,6 +23,14 @@ func NewBank(sizeBytes, ways, lineBytes int) *Bank {
 	return &Bank{Cache: cachesim.New(sizeBytes, ways, lineBytes)}
 }
 
+// Reset empties the bank and clears its counters, leaving it as NewBank
+// left it, in the storage it has: a tile keeps its bank across the
+// guests it serves.
+func (b *Bank) Reset() {
+	b.Cache.Reset()
+	b.Requests, b.Misses, b.Flushes, b.Writeback = 0, 0, 0, 0
+}
+
 // Access services one request for a physical address. It reports
 // whether the line missed (DRAM fetch needed) and whether a dirty
 // victim was written back.

@@ -1,6 +1,10 @@
 package dcache
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestBankAccessAndFlush(t *testing.T) {
 	b := NewBank(1024, 2, 32)
@@ -91,5 +95,28 @@ func TestBankWorkingSetCapacity(t *testing.T) {
 	}
 	if touched != 1024 {
 		t.Errorf("touched %d lines, want 1024", touched)
+	}
+}
+
+// TestCacheResetEqualsNew: after random requests and a flush, Reset
+// leaves a bank equal to a new one — its cache's lines, LRU stamps and
+// counters included — so a worker tile that keeps its bank across the
+// guests of a slot starts each as if it had built it.
+func TestCacheResetEqualsNew(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	b := NewBank(8192, 2, 32)
+	for i := 0; i < 4000; i++ {
+		b.Access(uint32(r.Intn(1<<17)), r.Intn(3) == 0)
+	}
+	b.Flush()
+	for i := 0; i < 400; i++ {
+		b.Access(uint32(r.Intn(1<<17)), r.Intn(2) == 0)
+	}
+	if b.Writeback == 0 || b.Cache.DirtyLines() == 0 {
+		t.Fatal("the traffic left nothing to reset")
+	}
+	b.Reset()
+	if want := NewBank(8192, 2, 32); !reflect.DeepEqual(b, want) {
+		t.Fatalf("reset bank %+v, new bank %+v", *b, *want)
 	}
 }
