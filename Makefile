@@ -157,11 +157,14 @@ fuzz:
 	$(GO) test ./internal/core -run - -fuzz FuzzValidate -fuzztime 30s
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 30s
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 30s
+	$(GO) test ./internal/opt -run - -fuzz FuzzOptMatchesReference -fuzztime 30s
+	$(GO) test ./internal/codegen -run - -fuzz FuzzFinalizeMatchesReference -fuzztime 30s
 	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 30s
 	$(GO) test ./internal/codecache -run - -fuzz FuzzFIFO -fuzztime 30s
 
-# Quick fuzz pass for CI: enough to catch a decoder, codec, page-table
-# or code-cache FIFO regression, short enough to run on every push.
+# Quick fuzz pass for CI: enough to catch a decoder, codec, page-table,
+# code-cache FIFO, optimizer or allocator regression, short enough to
+# run on every push.
 fuzz-smoke:
 	$(GO) test ./internal/x86 -run - -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/rawisa -run - -fuzz FuzzWordRoundTrip -fuzztime 10s
@@ -172,6 +175,8 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run - -fuzz FuzzValidate -fuzztime 10s
 	$(GO) test ./internal/opt -run - -fuzz FuzzOptPreservesSemantics -fuzztime 10s
 	$(GO) test ./internal/opt -run - -fuzz FuzzRunMatchesFixpoint -fuzztime 10s
+	$(GO) test ./internal/opt -run - -fuzz FuzzOptMatchesReference -fuzztime 10s
+	$(GO) test ./internal/codegen -run - -fuzz FuzzFinalizeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 10s
 	$(GO) test ./internal/codecache -run - -fuzz FuzzFIFO -fuzztime 10s
 

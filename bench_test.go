@@ -52,6 +52,13 @@ func BenchmarkDecodeX86(b *testing.B) {
 // liveness, lower, optimize, register-allocate).
 func BenchmarkTranslateBlock(b *testing.B) { bench.TranslateBlockBench()(b) }
 
+// BenchmarkDecodeBlock, BenchmarkOptBlock and BenchmarkFinalizeBlock
+// measure three stages of that pipeline on their own over the same
+// corpus: decoding, the optimizer, register allocation with encoding.
+func BenchmarkDecodeBlock(b *testing.B)   { bench.DecodeBlockBench()(b) }
+func BenchmarkOptBlock(b *testing.B)      { bench.OptBlockBench()(b) }
+func BenchmarkFinalizeBlock(b *testing.B) { bench.FinalizeBlockBench()(b) }
+
 // BenchmarkL1Fill measures one L1 code-cache fill (a copy of the
 // block's code plus chain patching) over the same corpus.
 func BenchmarkL1Fill(b *testing.B) { bench.L1FillBench()(b) }

@@ -5,7 +5,8 @@
 // run of a data-bound and of a code-bound guest and the code-bound one
 // again from a filled translation memo, the Pentium III baseline run of
 // the data-bound one, loading the code-bound guest into a fresh
-// address space, translation per block, the L1 code-cache fill)
+// address space, translation per block and its decode, optimizer and
+// allocator stages on their own, the L1 code-cache fill)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline. The headline of
@@ -289,6 +290,9 @@ func main() {
 		"guest_load": bmark(bench.GuestLoadBench(bench.TranslateCorpusWorkload)),
 
 		"translate_block_tier1": bmark(bench.TranslateBlockBench()),
+		"x86_decode_block":      bmark(bench.DecodeBlockBench()),
+		"opt_block":             bmark(bench.OptBlockBench()),
+		"finalize_block":        bmark(bench.FinalizeBlockBench()),
 		"l1_fill":               bmark(bench.L1FillBench()),
 	}
 

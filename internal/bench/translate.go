@@ -4,8 +4,11 @@ import (
 	"testing"
 
 	"tilevm/internal/codecache"
+	"tilevm/internal/codegen"
 	"tilevm/internal/core"
 	"tilevm/internal/guest"
+	"tilevm/internal/ir"
+	"tilevm/internal/opt"
 	"tilevm/internal/pentium"
 	"tilevm/internal/raw"
 	"tilevm/internal/translate"
@@ -37,6 +40,86 @@ func TranslateBlockBench() func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := tr.TranslateFinal(mem, blocks[i%len(blocks)].GuestAddr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// The three stages of a translation, each on its own over the same
+// corpus, so a change to one reads in its own micro and not only in
+// TranslateBlockBench's sum: decoding (DecodeBlockBench), the optimizer
+// (OptBlockBench) and the register allocator with the encoder
+// (FinalizeBlockBench). Lowering and flag liveness are the rest.
+
+// DecodeBlockBench returns a benchmark that decodes one block of the
+// TranslateCorpusWorkload corpus per iteration with
+// translate.DiscoverBlock, in walk order. Its one allocation is the
+// instruction slice DiscoverBlock hands its caller.
+func DecodeBlockBench() func(b *testing.B) {
+	mem, blocks := translateCorpus(translate.New(translate.Options{Optimize: true}))
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := translate.DiscoverBlock(mem, blocks[i%len(blocks)].GuestAddr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// irCorpus lowers every block of the TranslateCorpusWorkload corpus to
+// IR, unoptimized, in walk order.
+func irCorpus() []*ir.Block {
+	tr := translate.New(translate.Options{Optimize: true})
+	mem, blocks := translateCorpus(tr)
+	out := make([]*ir.Block, len(blocks))
+	for i, r := range blocks {
+		blk, err := tr.Translate(mem, r.GuestAddr)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = blk.Block
+	}
+	return out
+}
+
+// OptBlockBench returns a benchmark that optimizes one corpus block per
+// iteration, in one opt.Scratch as a translator does. The optimizer
+// rewrites its block in place, so each iteration first copies the
+// block's IR into a work block whose storage is reused: the copy, some
+// 32 instructions of 16 bytes, is in the figure.
+func OptBlockBench() func(b *testing.B) {
+	blocks := irCorpus()
+	return func(b *testing.B) {
+		var (
+			s    opt.Scratch
+			work ir.Block
+		)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src := blocks[i%len(blocks)]
+			work.Code = append(work.Code[:0], src.Code...)
+			work.LabelPos = append(work.LabelPos[:0], src.LabelPos...)
+			s.Run(&work)
+		}
+	}
+}
+
+// FinalizeBlockBench returns a benchmark that register-allocates and
+// encodes one optimized corpus block per iteration, in one
+// codegen.Scratch as a translator does. Its one allocation is the code
+// slice Finalize returns.
+func FinalizeBlockBench() func(b *testing.B) {
+	blocks := irCorpus()
+	for _, blk := range blocks {
+		opt.Run(blk)
+	}
+	return func(b *testing.B) {
+		var s codegen.Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Finalize(blocks[i%len(blocks)]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,6 +46,7 @@ type Scratch struct {
 	owner  [rawisa.NumRegs]uint8 // phys -> vreg, read for busy registers only
 	top    int                   // highest register number in end and assign
 	pos    []int32               // word offset of each instruction, and of the end
+	due    []uint32              // registers that fall free at each instruction
 	code   []rawisa.Word         // the block being finalized
 }
 
@@ -66,88 +67,70 @@ func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Word, error) {
 	// to.
 	pos := slices.Grow(s.pos[:0], len(b.Code)+1)[:len(b.Code)+1]
 	s.pos = pos
-	top := 0
-	for i, in := range b.Code {
+	top := uint8(0)
+	for i := range b.Code {
+		in := &b.Code[i]
 		pos[i+1] = pos[i] + int32(in.Op.Words())
-		uses, n := in.Uses()
-		for k := 0; k < n; k++ {
-			end[uses[k]] = int32(i + 1)
-			top = max(top, int(uses[k]))
-		}
+		// A masked use lands on r0, which nothing allocates.
+		rs, rt := in.UseRegs()
+		end[rs], end[rt] = int32(i+1), int32(i+1)
 		// A def with no later use still occupies its register at the
 		// defining instruction.
 		d := in.Def()
 		if end[d] == 0 {
 			end[d] = int32(i + 1)
 		}
-		top = max(top, int(d))
+		top = max(top, rs, rt, d)
 	}
-	s.top = top
+	s.top = int(top)
 
+	// free holds the temporaries no live vreg owns. A register falls
+	// free at the first instruction past its owner's last use, which is
+	// known when it is taken: due[i] holds the registers that fall free
+	// at instruction i, so freeing them is one OR.
 	free := tempPool
-
-	expire := func(pos int) {
-		for busy := tempPool &^ free; busy != 0; busy &= busy - 1 {
-			phys := bits.TrailingZeros32(busy)
-			if int(end[owner[phys]]) <= pos {
-				free |= 1 << phys
-			}
-		}
-	}
-
-	mapReg := func(r uint8, pos int, isDef bool) (uint8, error) {
-		if r < ir.FirstVReg {
-			return r, nil
-		}
-		if phys := assign[r]; phys != 0 {
-			if free&(1<<phys) == 0 && owner[phys] == r {
-				return phys, nil
-			}
-			// Register was freed and the vreg is being redefined.
-			if !isDef {
-				return 0, fmt.Errorf("codegen: use of dead vreg %d at %d", r, pos)
-			}
-		}
-		if !isDef {
-			return 0, fmt.Errorf("codegen: use of undefined vreg %d at %d", r, pos)
-		}
-		if free == 0 {
-			return 0, ErrRegPressure
-		}
-		// Deterministic: take the lowest-numbered free register.
-		phys := uint8(bits.TrailingZeros32(free))
-		free &^= 1 << phys
-		assign[r] = phys
-		owner[phys] = r
-		return phys, nil
-	}
+	due := slices.Grow(s.due[:0], len(b.Code)+1)[:len(b.Code)+1]
+	clear(due)
+	s.due = due
 
 	code := s.code[:0]
-	for i, in := range b.Code {
-		expire(i)
+	for i := range b.Code {
+		in := &b.Code[i]
+		free |= due[i]
 		host := in.Inst
-		uses, n := host.Uses()
-		for k := 0; k < n; k++ {
-			mapped, err := mapReg(uses[k], i, false)
+		// Physical registers map to themselves; a vreg read must be
+		// live in the register it was assigned.
+		rs, rt := in.UseRegs()
+		if rs >= ir.FirstVReg {
+			phys, err := s.lookup(rs, i, free)
 			if err != nil {
 				return nil, err
 			}
-			if k == 0 {
-				host.Rs = mapped
-			} else {
-				host.Rt = mapped
-			}
+			host.Rs = phys
 		}
-		// Re-fetch non-use fields untouched: for ops where Rs/Rt are not
-		// uses (e.g. MFHI), the loop above did not run for them.
-		if d := in.Def(); d != 0 {
-			mapped, err := mapReg(d, i, true)
+		if rt >= ir.FirstVReg {
+			phys, err := s.lookup(rt, i, free)
 			if err != nil {
 				return nil, err
 			}
-			host.Rd = mapped
-			// Extend in-use through this position even if never used
-			// again (lastUse defaulted to the def position).
+			host.Rt = phys
+		}
+		if d := in.Def(); d >= ir.FirstVReg {
+			phys := assign[d]
+			if phys == 0 || free&(1<<phys) != 0 || owner[phys] != d {
+				// First def, or a redefinition after the register
+				// was freed: take the lowest-numbered free register.
+				if free == 0 {
+					return nil, ErrRegPressure
+				}
+				phys = uint8(bits.TrailingZeros32(free))
+				free &^= 1 << phys
+				assign[d], owner[phys] = phys, d
+				// A redefinition past the last use still holds its
+				// register through this instruction.
+				due[max(end[d], int32(i+1))] |= 1 << phys
+			}
+			host.Rd = phys
 		}
 		switch host.Op {
 		case rawisa.BEQ, rawisa.BNE, rawisa.BLEZ, rawisa.BGTZ, rawisa.BLTZ, rawisa.BGEZ:
@@ -158,10 +141,21 @@ func (s *Scratch) Finalize(b *ir.Block) ([]rawisa.Word, error) {
 			host.Imm = pos[b.LabelPos[in.Label]] - pos[i+1]
 		}
 		var err error
-		if code, err = rawisa.Append(code, host); err != nil {
+		if code, err = rawisa.Append(code, &host); err != nil {
 			return nil, fmt.Errorf("codegen: instruction %d: %w", i, err)
 		}
 	}
 	s.code = code
 	return slices.Clone(code), nil
+}
+
+// lookup returns the register vreg r is live in at instruction i.
+func (s *Scratch) lookup(r uint8, i int, free uint32) (uint8, error) {
+	if phys := s.assign[r]; phys != 0 {
+		if free&(1<<phys) == 0 && s.owner[phys] == r {
+			return phys, nil
+		}
+		return 0, fmt.Errorf("codegen: use of dead vreg %d at %d", r, i)
+	}
+	return 0, fmt.Errorf("codegen: use of undefined vreg %d at %d", r, i)
 }

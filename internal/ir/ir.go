@@ -113,25 +113,28 @@ func (bl *Builder) Bind(label int) {
 }
 
 // Emit appends a non-branching instruction.
-func (bl *Builder) Emit(in rawisa.Inst) {
-	bl.b.Code = append(bl.b.Code, Inst{Inst: in, Label: NoLabel})
-}
+func (bl *Builder) Emit(in rawisa.Inst) { bl.emit(in.Op, in.Rd, in.Rs, in.Rt, in.Imm, NoLabel) }
 
 // EmitBranch appends a conditional branch to a label.
 func (bl *Builder) EmitBranch(in rawisa.Inst, label int) {
-	bl.b.Code = append(bl.b.Code, Inst{Inst: in, Label: label})
+	bl.emit(in.Op, in.Rd, in.Rs, in.Rt, in.Imm, label)
 }
 
 // Common emission helpers.
 
 // Op3 emits a three-register ALU op.
-func (bl *Builder) Op3(op rawisa.Op, rd, rs, rt uint8) {
-	bl.Emit(rawisa.Inst{Op: op, Rd: rd, Rs: rs, Rt: rt})
-}
+func (bl *Builder) Op3(op rawisa.Op, rd, rs, rt uint8) { bl.emit(op, rd, rs, rt, 0, NoLabel) }
 
 // OpI emits an immediate ALU op.
-func (bl *Builder) OpI(op rawisa.Op, rd, rs uint8, imm int32) {
-	bl.Emit(rawisa.Inst{Op: op, Rd: rd, Rs: rs, Imm: imm})
+func (bl *Builder) OpI(op rawisa.Op, rd, rs uint8, imm int32) { bl.emit(op, rd, rs, 0, imm, NoLabel) }
+
+// emit appends one instruction, given field by field, so that an
+// emission stores its fields straight into the code slice; the lowerer
+// emits about 30 a block.
+func (bl *Builder) emit(op rawisa.Op, rd, rs, rt uint8, imm int32, label int) {
+	bl.b.Code = append(bl.b.Code, Inst{Label: label})
+	in := &bl.b.Code[len(bl.b.Code)-1]
+	in.Op, in.Rd, in.Rs, in.Rt, in.Imm = op, rd, rs, rt, imm
 }
 
 // Move emits rd = rs.

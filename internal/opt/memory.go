@@ -26,56 +26,80 @@ type avail struct {
 // no aliasing reasoning is needed: any intervening store, syscall, or
 // assist invalidates everything.
 func (s *Scratch) redundantLoads(b *ir.Block, targets []bool) bool {
-	table := &s.avail
+	table, inReg := &s.avail, &s.inReg
 	table.reset()
+	clear(inReg[:])
 	changed := false
-
-	invalidateAll := table.reset
-	invalidateReg := func(r uint8) {
-		table.del(r)
-		table.delIf(func(av avail) bool { return av.val == r })
-	}
 
 	for i := range b.Code {
 		if targets[i] {
-			invalidateAll()
+			table.reset()
 		}
 		in := &b.Code[i]
 		switch {
 		case isGuestLoad(in.Op):
 			if av, ok := table.get(in.Rs); ok && av.op == in.Op && av.val != in.Rd {
 				// Same op (size+extension) from the same address.
-				b.Code[i].Inst = rawisa.Inst{Op: rawisa.OR, Rd: in.Rd, Rs: av.val, Rt: 0}
+				in.Inst = rawisa.Inst{Op: rawisa.OR, Rd: in.Rd, Rs: av.val, Rt: 0}
 				changed = true
-				invalidateReg(in.Rd)
+				dropAvail(table, inReg, in.Rd)
 				continue
 			}
-			d := in.Rd
-			addr := in.Rs
-			op := in.Op
-			invalidateReg(d)
-			if d != addr {
-				table.set(addr, avail{op: op, val: d})
+			dropAvail(table, inReg, in.Rd)
+			if in.Rd != in.Rs {
+				table.set(in.Rs, avail{op: in.Op, val: in.Rd})
+				inReg[in.Rd] = true
 			}
 			continue
 		case isGuestStore(in.Op):
 			// A store invalidates all remembered loads (no alias
 			// analysis) but makes its own value available for
 			// forwarding, with the op that a matching-size load uses.
-			invalidateAll()
+			table.reset()
 			if fwd, ok := forwardOp(in.Op); ok && in.Rt != 0 {
 				table.set(in.Rs, avail{op: fwd, val: in.Rt})
+				inReg[in.Rt] = true
 			}
 			continue
 		case in.Op == rawisa.SYSC || in.Op == rawisa.ASSIST:
-			invalidateAll()
+			table.reset()
 			continue
 		}
 		if d := in.Def(); d != 0 {
-			invalidateReg(d)
+			dropAvail(table, inReg, d)
 		}
 	}
 	return changed
+}
+
+// dropAvail drops what table knows at address register r and every
+// value it holds in r, which it looks for only if inReg says one may be.
+func dropAvail(table *regFacts[avail], inReg *[256]bool, r uint8) {
+	table.del(r)
+	if !inReg[r] {
+		return
+	}
+	inReg[r] = false
+	for k := 0; k < table.n; {
+		if a := table.live[k]; table.val[a].val == r {
+			table.del(a) // moves the last live register into slot k
+		} else {
+			k++
+		}
+	}
+}
+
+// reads reports whether in reads register r. UseRegs masks a field the
+// op does not read to r0, so for r0 it asks the op which fields it
+// reads: UseRegs of the instruction with every field set.
+func reads(in *rawisa.Inst, r uint8) bool {
+	rs, rt := in.UseRegs()
+	if r != 0 {
+		return rs == r || rt == r
+	}
+	all := rawisa.Inst{Op: in.Op, Rs: 0xff, Rt: 0xff}
+	readsRs, readsRt := all.UseRegs()
+	return readsRs != 0 && in.Rs == 0 || readsRt != 0 && in.Rt == 0
 }
 
 // forwardOp returns the load op whose result equals the stored value
@@ -109,18 +133,12 @@ func hoistLoads(b *ir.Block, targets []bool) bool {
 			if targets[j] {
 				break
 			}
-			prev := b.Code[j-1]
+			prev := &b.Code[j-1]
 			if !isPure(prev.Op) || prev.Label != ir.NoLabel {
 				break
 			}
-			uses, n := prev.Uses()
-			blocked := prev.Def() == in.Rs || prev.Def() == in.Rd
-			for k := 0; k < n && !blocked; k++ {
-				if uses[k] == in.Rd {
-					blocked = true
-				}
-			}
-			if blocked {
+			d := prev.Def()
+			if d == in.Rs || d == in.Rd || reads(&prev.Inst, in.Rd) {
 				break
 			}
 			j--

@@ -25,18 +25,22 @@ import (
 // passes' dataflow tables. Every pass clears what it reads before it
 // starts — a fact table at a cost proportional to the facts the last
 // pass left in it, not to its 256 entries — so nothing carries from one
-// block to the next and a zero Scratch is ready to use. A translator
-// owns one and runs every block through it; it is not safe for
-// concurrent use.
+// block to the next and a zero Scratch is ready to use. copied and
+// inReg over-approximate which registers a fact names as its value, so
+// that redefining a register scans the facts for it only when one may.
+// A translator owns one and runs every block through it; it is not
+// safe for concurrent use.
 type Scratch struct {
 	targets []bool
 	pos     []int // deadCode's position map
 
-	known regFacts[uint32] // constFold: register -> constant
-	alias regFacts[uint8]  // copyProp: register -> source it copies
-	avail regFacts[avail]  // redundantLoads: address reg -> available value
-	liveV [256]bool        // deadCode: vregs read later in the block
-	held  [256]bool        // deadCode: registers a kept instruction holds a fact about
+	known  regFacts[uint32] // constFold: register -> constant
+	alias  regFacts[uint8]  // copyProp: register -> source it copies
+	avail  regFacts[avail]  // redundantLoads: address reg -> available value
+	liveV  [256]bool        // deadCode: vregs read later in the block
+	held   [256]bool        // deadCode: registers a kept instruction holds a fact about
+	copied [256]bool        // copyProp: registers that may be the source of an alias
+	inReg  [256]bool        // redundantLoads: registers that may hold an available value
 }
 
 // Run applies all passes to the block in place, in a Scratch of its
@@ -121,17 +125,6 @@ func (f *regFacts[T]) del(r uint8) {
 	f.has[r] = false
 }
 
-// delIf drops every fact whose value matches.
-func (f *regFacts[T]) delIf(match func(T) bool) {
-	for i := 0; i < f.n; {
-		if r := f.live[i]; match(f.val[r]) {
-			f.del(r) // moves the last live register into slot i
-		} else {
-			i++
-		}
-	}
-}
-
 func (f *regFacts[T]) reset() {
 	for _, r := range f.live[:f.n] {
 		f.has[r] = false
@@ -140,14 +133,13 @@ func (f *regFacts[T]) reset() {
 }
 
 // isPure reports whether an op has no effect beyond writing Rd.
-func isPure(op rawisa.Op) bool {
-	switch op {
-	case rawisa.NOP, rawisa.LUI, rawisa.ADDI, rawisa.ANDI, rawisa.ORI,
-		rawisa.XORI, rawisa.SLTI, rawisa.SLTIU, rawisa.SLLI, rawisa.SRLI,
-		rawisa.SRAI, rawisa.ADD, rawisa.SUB, rawisa.AND, rawisa.OR,
-		rawisa.XOR, rawisa.NOR, rawisa.SLT, rawisa.SLTU, rawisa.SLL,
-		rawisa.SRL, rawisa.SRA, rawisa.MFHI, rawisa.MFLO:
-		return true
-	}
-	return false
+func isPure(op rawisa.Op) bool { return pureOps[op] }
+
+var pureOps = [256]bool{
+	rawisa.NOP: true, rawisa.LUI: true, rawisa.ADDI: true, rawisa.ANDI: true,
+	rawisa.ORI: true, rawisa.XORI: true, rawisa.SLTI: true, rawisa.SLTIU: true,
+	rawisa.SLLI: true, rawisa.SRLI: true, rawisa.SRAI: true, rawisa.ADD: true,
+	rawisa.SUB: true, rawisa.AND: true, rawisa.OR: true, rawisa.XOR: true,
+	rawisa.NOR: true, rawisa.SLT: true, rawisa.SLTU: true, rawisa.SLL: true,
+	rawisa.SRL: true, rawisa.SRA: true, rawisa.MFHI: true, rawisa.MFLO: true,
 }

@@ -15,83 +15,6 @@ func (s *Scratch) constFold(b *ir.Block, targets []bool) {
 	known.reset()
 	known.set(0, 0)
 
-	fold := func(in rawisa.Inst) (uint32, bool) {
-		switch in.Op {
-		case rawisa.LUI:
-			return uint32(in.Imm) << 16, true
-		case rawisa.ADDI, rawisa.ANDI, rawisa.ORI, rawisa.XORI,
-			rawisa.SLTI, rawisa.SLTIU, rawisa.SLLI, rawisa.SRLI, rawisa.SRAI:
-			a, ok := known.get(in.Rs)
-			if !ok {
-				return 0, false
-			}
-			switch in.Op {
-			case rawisa.ADDI:
-				return a + uint32(in.Imm), true
-			case rawisa.ANDI:
-				return a & uint32(uint16(in.Imm)), true
-			case rawisa.ORI:
-				return a | uint32(uint16(in.Imm)), true
-			case rawisa.XORI:
-				return a ^ uint32(uint16(in.Imm)), true
-			case rawisa.SLTI:
-				if int32(a) < in.Imm {
-					return 1, true
-				}
-				return 0, true
-			case rawisa.SLTIU:
-				if a < uint32(in.Imm) {
-					return 1, true
-				}
-				return 0, true
-			case rawisa.SLLI:
-				return a << uint(in.Imm&31), true
-			case rawisa.SRLI:
-				return a >> uint(in.Imm&31), true
-			case rawisa.SRAI:
-				return uint32(int32(a) >> uint(in.Imm&31)), true
-			}
-		case rawisa.ADD, rawisa.SUB, rawisa.AND, rawisa.OR, rawisa.XOR,
-			rawisa.NOR, rawisa.SLT, rawisa.SLTU, rawisa.SLL, rawisa.SRL, rawisa.SRA:
-			a, okA := known.get(in.Rs)
-			bv, okB := known.get(in.Rt)
-			if !okA || !okB {
-				return 0, false
-			}
-			switch in.Op {
-			case rawisa.ADD:
-				return a + bv, true
-			case rawisa.SUB:
-				return a - bv, true
-			case rawisa.AND:
-				return a & bv, true
-			case rawisa.OR:
-				return a | bv, true
-			case rawisa.XOR:
-				return a ^ bv, true
-			case rawisa.NOR:
-				return ^(a | bv), true
-			case rawisa.SLT:
-				if int32(a) < int32(bv) {
-					return 1, true
-				}
-				return 0, true
-			case rawisa.SLTU:
-				if a < bv {
-					return 1, true
-				}
-				return 0, true
-			case rawisa.SLL:
-				return bv << (a & 31), true
-			case rawisa.SRL:
-				return bv >> (a & 31), true
-			case rawisa.SRA:
-				return uint32(int32(bv) >> (a & 31)), true
-			}
-		}
-		return 0, false
-	}
-
 	for i := range b.Code {
 		if targets[i] {
 			known.reset()
@@ -99,8 +22,8 @@ func (s *Scratch) constFold(b *ir.Block, targets []bool) {
 		}
 		in := &b.Code[i]
 		d := in.Def()
-		if isPure(in.Op) && d != 0 {
-			if v, ok := fold(in.Inst); ok {
+		if d != 0 && isPure(in.Op) {
+			if v, ok := fold(&in.Inst, known); ok {
 				known.set(d, v)
 				// Rewrite to the canonical constant-load shape when it
 				// saves or simplifies.
@@ -111,15 +34,11 @@ func (s *Scratch) constFold(b *ir.Block, targets []bool) {
 			}
 		}
 		// Strength-reduce reg-reg ops with one constant operand into
-		// immediate forms.
-		if imm, ok := immForm(in.Inst, known); ok {
-			in.Inst = imm
-		}
+		// immediate forms. The result does not fold either: it reads
+		// the operand that kept the original from folding.
+		immForm(&in.Inst, known)
 		if d != 0 {
 			known.del(d)
-			if v, ok := fold(in.Inst); ok && isPure(in.Op) {
-				known.set(d, v)
-			}
 		}
 		if in.Op == rawisa.SYSC || in.Op == rawisa.ASSIST {
 			// Syscalls and interpreter assists read and write the
@@ -132,44 +51,109 @@ func (s *Scratch) constFold(b *ir.Block, targets []bool) {
 	}
 }
 
-// immForm rewrites a reg-reg ALU op whose Rt (or commutable Rs) is a
-// known small constant into the immediate form.
-func immForm(in rawisa.Inst, known *regFacts[uint32]) (rawisa.Inst, bool) {
-	var immOp rawisa.Op
-	comm := true
+// fold returns the value a pure instruction computes when every
+// register it reads is a known constant. r0 is always known, as 0, so
+// an operand UseRegs masks reads as known.
+func fold(in *rawisa.Inst, known *regFacts[uint32]) (uint32, bool) {
+	rs, rt := in.UseRegs()
+	if !known.has[rs] || !known.has[rt] {
+		return 0, false
+	}
+	a, bv, imm := known.val[rs], known.val[rt], uint32(in.Imm)
 	switch in.Op {
+	case rawisa.LUI:
+		return imm << 16, true
+	case rawisa.ADDI:
+		return a + imm, true
+	case rawisa.ANDI:
+		return a & uint32(uint16(imm)), true
+	case rawisa.ORI:
+		return a | uint32(uint16(imm)), true
+	case rawisa.XORI:
+		return a ^ uint32(uint16(imm)), true
+	case rawisa.SLTI:
+		return b2u(int32(a) < in.Imm), true
+	case rawisa.SLTIU:
+		return b2u(a < imm), true
+	case rawisa.SLLI:
+		return a << (imm & 31), true
+	case rawisa.SRLI:
+		return a >> (imm & 31), true
+	case rawisa.SRAI:
+		return uint32(int32(a) >> (imm & 31)), true
 	case rawisa.ADD:
-		immOp = rawisa.ADDI
+		return a + bv, true
+	case rawisa.SUB:
+		return a - bv, true
 	case rawisa.AND:
-		immOp = rawisa.ANDI
+		return a & bv, true
 	case rawisa.OR:
-		immOp = rawisa.ORI
+		return a | bv, true
 	case rawisa.XOR:
-		immOp = rawisa.XORI
+		return a ^ bv, true
+	case rawisa.NOR:
+		return ^(a | bv), true
 	case rawisa.SLT:
-		immOp, comm = rawisa.SLTI, false
+		return b2u(int32(a) < int32(bv)), true
 	case rawisa.SLTU:
-		immOp, comm = rawisa.SLTIU, false
-	default:
-		return in, false
+		return b2u(a < bv), true
+	case rawisa.SLL:
+		return bv << (a & 31), true
+	case rawisa.SRL:
+		return bv >> (a & 31), true
+	case rawisa.SRA:
+		return uint32(int32(bv) >> (a & 31)), true
 	}
-	fits := func(op rawisa.Op, v uint32) bool {
-		switch op {
-		case rawisa.ANDI, rawisa.ORI, rawisa.XORI:
-			return v <= rawisa.MaxUImm
-		default:
-			return rawisa.FitsSImm(int32(v))
+	return 0, false
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// immRule is the immediate form of a reg-reg ALU op: its opcode, whether
+// the op commutes (so a constant Rs can move into the immediate too),
+// and whether the immediate is zero-extended.
+type immRule struct {
+	op             rawisa.Op
+	comm, unsigned bool
+}
+
+var immForms = [256]immRule{
+	rawisa.ADD:  {rawisa.ADDI, true, false},
+	rawisa.AND:  {rawisa.ANDI, true, true},
+	rawisa.OR:   {rawisa.ORI, true, true},
+	rawisa.XOR:  {rawisa.XORI, true, true},
+	rawisa.SLT:  {rawisa.SLTI, false, false},
+	rawisa.SLTU: {rawisa.SLTIU, false, false},
+}
+
+func (f immRule) fits(v uint32) bool {
+	if f.unsigned {
+		return v <= rawisa.MaxUImm
+	}
+	return rawisa.FitsSImm(int32(v))
+}
+
+// immForm rewrites, in place, a reg-reg ALU op whose Rt (or commutable
+// Rs) is a known small constant into the immediate form.
+func immForm(in *rawisa.Inst, known *regFacts[uint32]) {
+	f := immForms[in.Op]
+	if f.op == rawisa.NOP {
+		return
+	}
+	if v, ok := known.get(in.Rt); ok && in.Rt != 0 && f.fits(v) {
+		*in = rawisa.Inst{Op: f.op, Rd: in.Rd, Rs: in.Rs, Imm: int32(v)}
+		return
+	}
+	if f.comm {
+		if v, ok := known.get(in.Rs); ok && in.Rs != 0 && f.fits(v) {
+			*in = rawisa.Inst{Op: f.op, Rd: in.Rd, Rs: in.Rt, Imm: int32(v)}
 		}
 	}
-	if v, ok := known.get(in.Rt); ok && in.Rt != 0 && fits(immOp, v) {
-		return rawisa.Inst{Op: immOp, Rd: in.Rd, Rs: in.Rs, Imm: int32(v)}, true
-	}
-	if comm {
-		if v, ok := known.get(in.Rs); ok && in.Rs != 0 && fits(immOp, v) {
-			return rawisa.Inst{Op: immOp, Rd: in.Rd, Rs: in.Rt, Imm: int32(v)}, true
-		}
-	}
-	return in, false
 }
 
 // copyProp replaces uses of registers that are known copies of other
@@ -177,48 +161,57 @@ func immForm(in rawisa.Inst, known *regFacts[uint32]) (rawisa.Inst, bool) {
 // `ADDI rd, rs, 0` are tracked; facts drop at branch targets and when
 // either side is redefined. Physical guest registers are never
 // rewritten as destinations.
+//
+// A source is never itself a copy (setting a copy resolves its source,
+// and redefining a register drops the copies of it), so one lookup
+// resolves a use. r0 is never a copy, so a field UseRegs masks is left
+// alone.
 func (s *Scratch) copyProp(b *ir.Block, targets []bool) {
-	alias := &s.alias
+	alias, copied := &s.alias, &s.copied
 	alias.reset()
-
-	invalidate := func(r uint8) {
-		alias.del(r)
-		alias.delIf(func(src uint8) bool { return src == r })
-	}
-
-	resolve := func(r uint8) uint8 {
-		if src, ok := alias.get(r); ok {
-			return src
-		}
-		return r
-	}
+	clear(copied[:])
 
 	for i := range b.Code {
 		if targets[i] {
 			alias.reset()
 		}
 		in := &b.Code[i]
-		// Rewrite uses.
-		uses, n := in.Uses()
-		for k := 0; k < n; k++ {
-			if src := resolve(uses[k]); src != uses[k] {
-				if k == 0 {
-					in.Rs = src
-				} else {
-					in.Rt = src
+		rs, rt := in.UseRegs()
+		if alias.has[rs] {
+			in.Rs = alias.val[rs]
+		}
+		if alias.has[rt] {
+			in.Rt = alias.val[rt]
+		}
+		if d := in.Def(); d != 0 {
+			// Drop d's own fact and every copy of d.
+			alias.del(d)
+			if copied[d] {
+				copied[d] = false
+				for k := 0; k < alias.n; {
+					if r := alias.live[k]; alias.val[r] == d {
+						alias.del(r) // moves the last live register into slot k
+					} else {
+						k++
+					}
 				}
 			}
-		}
-		d := in.Def()
-		if d != 0 {
-			invalidate(d)
-			if src, ok := copySource(in.Inst); ok {
-				alias.set(d, resolve(src))
+			if src, ok := copySource(&in.Inst); ok {
+				if alias.has[src] {
+					src = alias.val[src]
+				}
+				alias.set(d, src)
+				copied[src] = true
 			}
 		}
 		if in.Op == rawisa.SYSC || in.Op == rawisa.ASSIST {
-			for r := uint8(1); r < ir.FirstVReg; r++ {
-				invalidate(r)
+			// Every fact about a pinned guest register goes.
+			for k := 0; k < alias.n; {
+				if r := alias.live[k]; r < ir.FirstVReg || alias.val[r] < ir.FirstVReg {
+					alias.del(r)
+				} else {
+					k++
+				}
 			}
 		}
 	}
@@ -227,7 +220,7 @@ func (s *Scratch) copyProp(b *ir.Block, targets []bool) {
 // copySource reports whether in is a register copy copyProp tracks —
 // `OR rd, rs, r0` or `ADDI rd, rs, 0` with rs neither rd nor r0 — and
 // returns rs.
-func copySource(in rawisa.Inst) (uint8, bool) {
+func copySource(in *rawisa.Inst) (uint8, bool) {
 	isCopy := (in.Op == rawisa.OR && in.Rt == 0) || (in.Op == rawisa.ADDI && in.Imm == 0)
 	return in.Rs, isCopy && in.Rs != in.Rd && in.Rs != 0
 }
@@ -253,13 +246,8 @@ func (s *Scratch) deadCode(b *ir.Block, targets []bool) bool {
 	removed := 0
 
 	for i := n - 1; i >= 0; i-- {
-		in := b.Code[i]
-		d := in.Def()
-		dead := isPure(in.Op) && d >= ir.FirstVReg && !liveV[d]
-		if in.Op == rawisa.NOP {
-			dead = true
-		}
-		if dead {
+		in := &b.Code[i]
+		if d := in.Def(); in.Op == rawisa.NOP || d >= ir.FirstVReg && !liveV[d] && isPure(in.Op) {
 			newPos[i] = 0
 			removed++
 			continue
@@ -269,11 +257,10 @@ func (s *Scratch) deadCode(b *ir.Block, targets []bool) bool {
 		// branches a def can be skipped at runtime, so an earlier def
 		// of the same vreg may still reach a later use on the branch
 		// path; never killing at defs keeps the analysis sound at the
-		// cost of retaining the occasional doubly-defined temp.
-		uses, un := in.Uses()
-		for k := 0; k < un; k++ {
-			liveV[uses[k]] = true
-		}
+		// cost of retaining the occasional doubly-defined temp. A
+		// masked field marks r0, which is never a candidate.
+		rs, rt := in.UseRegs()
+		liveV[rs], liveV[rt] = true, true
 	}
 	if removed == 0 {
 		return false
@@ -286,18 +273,18 @@ func (s *Scratch) deadCode(b *ir.Block, targets []bool) bool {
 	for i := 0; i < n; i++ {
 		k := newPos[i]
 		newPos[i] = kept // new position of i, or of the next survivor
-		in := b.Code[i]
+		in := &b.Code[i]
 		d := in.Def()
 		if k == 0 {
 			enables = enables || held[d]
 			continue
 		}
-		b.Code[kept] = in
+		b.Code[kept] = *in // kept <= i: in still reads instruction i
 		kept++
 		if d != 0 {
 			held[d] = isGuestLoad(in.Op)
 		}
-		if src, ok := copySource(in.Inst); ok {
+		if src, ok := copySource(&in.Inst); ok {
 			held[src] = true
 		}
 		if in.Op == rawisa.GSW && in.Rt != 0 {

@@ -158,10 +158,10 @@ func (o Op) Words() int {
 // nothing, unless the words decode to exactly in: a register past r31,
 // an immediate outside its field, or a field the format does not carry
 // set to anything but zero.
-func Append(code []Word, in Inst) ([]Word, error) {
+func Append(code []Word, in *Inst) ([]Word, error) {
 	f := &formats[in.Op]
 	if f.kind == encBad || in.Rd&f.rdBad|in.Rs&f.rsBad|in.Rt&f.rtBad != 0 || in.Imm < f.lo || in.Imm > f.hi {
-		return code, fmt.Errorf("rawisa: %v (%+v) has no encoding", in, in)
+		return code, noEncoding(in)
 	}
 	w := Word(in.Op)<<26 | Word(in.Rd)<<21 | Word(in.Rs)<<16 | Word(in.Rt)<<f.rtShift | Word(in.Imm)&f.immMask
 	if f.kind == encX {
@@ -170,13 +170,19 @@ func Append(code []Word, in Inst) ([]Word, error) {
 	return append(code, w), nil
 }
 
+// noEncoding is Append's error, kept out of line so that Append's fast
+// path holds in registers.
+//
+//go:noinline
+func noEncoding(in *Inst) error { return fmt.Errorf("rawisa: %v (%+v) has no encoding", *in, *in) }
+
 // Encode encodes a code sequence whose branch offsets already count
 // words.
 func Encode(code []Inst) ([]Word, error) {
 	out := make([]Word, 0, len(code)+len(code)/8)
-	for _, in := range code {
+	for i := range code {
 		var err error
-		if out, err = Append(out, in); err != nil {
+		if out, err = Append(out, &code[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -48,7 +48,7 @@ func FuzzWordRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, op, rd, rs, rt uint8, imm int32) {
 		in := rawisa.Inst{Op: rawisa.Op(op), Rd: rd, Rs: rs, Rt: rt, Imm: imm}
 		prefix := []rawisa.Word{0xffffffff}
-		w, err := rawisa.Append(prefix, in)
+		w, err := rawisa.Append(prefix, &in)
 		if err != nil {
 			if len(w) != 1 {
 				t.Fatalf("%+v: rejected (%v) but appended %d words", in, err, len(w)-1)

@@ -195,56 +195,75 @@ func (i Inst) IsBlockEnd() bool {
 	return false
 }
 
-// Uses returns the registers the instruction reads explicitly (the
-// pinned guest registers SYSC and ASSIST touch implicitly are not
-// listed). This and Def are the one use/def model shared by the
-// optimizer and the register allocator.
-func (i Inst) Uses() (uses [2]uint8, n int) {
-	switch i.Op {
-	case NOP, LUI, SYSC, EXITI, CHAIN, ASSIST, J, JAL, MFHI, MFLO:
-		return
-	case ADD, SUB, AND, OR, XOR, NOR, SLT, SLTU, SLL, SRL, SRA,
-		MULT, MULTU, DIV, DIVU, BEQ, BNE, SW, GSB, GSH, GSW:
-		uses[0], uses[1] = i.Rs, i.Rt
-		n = 2
-		return
-	default:
-		// I-format ALU, loads, single-register branches, JR, EXITR.
-		uses[0] = i.Rs
-		n = 1
-		return
+// Operand use and definition, one entry per opcode: the registers it
+// reads explicitly (the pinned guest registers SYSC and ASSIST touch
+// implicitly are not listed), the one it writes, and whether it touches
+// guest memory. UseRegs and Def read it; they are the one use/def model
+// shared by the optimizer and the register allocator. An entry is all
+// zero for an opcode that reads and writes no register field, and for
+// every byte value that is not an opcode.
+type opInfo struct {
+	rsMask, rtMask, rdMask uint8 // 0xff where the op reads Rs / reads Rt / writes Rd
+	access                 uint8 // guestLoad or guestStore
+}
+
+const (
+	guestLoad uint8 = 1 << iota
+	guestStore
+)
+
+var opInfos = func() (t [256]opInfo) {
+	const all = 0xff
+	for _, op := range []Op{ADDI, ANDI, ORI, XORI, SLTI, SLTIU, SLLI, SRLI, SRAI,
+		LW, GLB, GLBU, GLH, GLHU, GLW} {
+		t[op] = opInfo{rsMask: all, rdMask: all}
 	}
+	for _, op := range []Op{ADD, SUB, AND, OR, XOR, NOR, SLT, SLTU, SLL, SRL, SRA} {
+		t[op] = opInfo{rsMask: all, rtMask: all, rdMask: all}
+	}
+	for _, op := range []Op{MULT, MULTU, DIV, DIVU, BEQ, BNE, SW, GSB, GSH, GSW} {
+		t[op] = opInfo{rsMask: all, rtMask: all}
+	}
+	for _, op := range []Op{BLEZ, BGTZ, BLTZ, BGEZ, JR, EXITR} {
+		t[op] = opInfo{rsMask: all}
+	}
+	for _, op := range []Op{LUI, MFHI, MFLO} {
+		t[op] = opInfo{rdMask: all}
+	}
+	for _, op := range []Op{GLB, GLBU, GLH, GLHU, GLW} {
+		t[op].access = guestLoad
+	}
+	for _, op := range []Op{GSB, GSH, GSW} {
+		t[op].access = guestStore
+	}
+	return t
+}()
+
+// UseRegs returns the registers the instruction reads, Rs first and Rt
+// second, with 0 in place of a field the op does not read. Reading r0
+// and not reading a field look the same, which is what the readers
+// want: r0 is never renamed, allocated or tracked. (The optimizer's
+// load hoisting, which must not move a load into r0 above a read of
+// r0, asks with every field set.)
+//
+// UseRegs and Def take a pointer, unlike Inst's other methods: the
+// optimizer and the allocator call them on every instruction of a block
+// where it lies, and a copy of the five-field struct would go through
+// memory.
+func (i *Inst) UseRegs() (rs, rt uint8) {
+	m := &opInfos[i.Op]
+	return i.Rs & m.rsMask, i.Rt & m.rtMask
 }
 
 // Def returns the register the instruction writes, or 0 (the hardwired
 // zero register, meaning "no def").
-func (i Inst) Def() uint8 {
-	switch i.Op {
-	case LUI, ADDI, ANDI, ORI, XORI, SLTI, SLTIU, SLLI, SRLI, SRAI,
-		ADD, SUB, AND, OR, XOR, NOR, SLT, SLTU, SLL, SRL, SRA,
-		MFHI, MFLO, LW, GLB, GLBU, GLH, GLHU, GLW:
-		return i.Rd
-	}
-	return 0
-}
+func (i *Inst) Def() uint8 { return i.Rd & opInfos[i.Op].rdMask }
 
 // IsGuestLoad reports whether the op reads guest memory.
-func (o Op) IsGuestLoad() bool {
-	switch o {
-	case GLB, GLBU, GLH, GLHU, GLW:
-		return true
-	}
-	return false
-}
+func (o Op) IsGuestLoad() bool { return opInfos[o].access == guestLoad }
 
 // IsGuestStore reports whether the op writes guest memory.
-func (o Op) IsGuestStore() bool {
-	switch o {
-	case GSB, GSH, GSW:
-		return true
-	}
-	return false
-}
+func (o Op) IsGuestStore() bool { return opInfos[o].access == guestStore }
 
 // GuestAccessBytes returns the guest-memory access width of a guest
 // load/store op, or 0 for other ops.

@@ -18,7 +18,7 @@ func TestWords(t *testing.T) {
 		if got := c.op.Words(); got != c.want {
 			t.Errorf("%v.Words() = %d, want %d", c.op, got, c.want)
 		}
-		w, err := Append(nil, Inst{Op: c.op})
+		w, err := Append(nil, &Inst{Op: c.op})
 		if err != nil || len(w) != c.want {
 			t.Errorf("%v encodes to %d words (%v), want %d", c.op, len(w), err, c.want)
 		}
@@ -122,7 +122,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
 		in := randInst(r)
-		w, err := Append(nil, in)
+		w, err := Append(nil, &in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestAppendRejectsWhatItCannotEncode(t *testing.T) {
 	}
 	prefix := []Word{7}
 	for _, in := range bad {
-		got, err := Append(prefix, in)
+		got, err := Append(prefix, &in)
 		if err == nil || len(got) != 1 {
 			t.Errorf("Append(%+v) = %d words, %v; want an error and nothing appended", in, len(got)-1, err)
 		}
@@ -197,7 +197,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Error("Decode past end should fail")
 	}
 	// Truncated two-word op.
-	w, _ := Append(nil, Inst{Op: EXITI, Imm: 5})
+	w, _ := Append(nil, &Inst{Op: EXITI, Imm: 5})
 	if _, _, err := Decode(w[:1], 0); err == nil {
 		t.Error("truncated EXITI should fail")
 	}
@@ -231,7 +231,7 @@ func TestImmSignConventionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randInst(r)
-		w, err := Append(nil, in)
+		w, err := Append(nil, &in)
 		if err != nil {
 			return false
 		}
@@ -245,7 +245,7 @@ func TestImmSignConventionProperty(t *testing.T) {
 
 // TestUseDefCoversEveryOp walks the whole opcode space against an
 // explicit expectation, so a new opcode cannot reach the optimizer and
-// the register allocator through the switch defaults of Uses/Def
+// the register allocator through a zero table entry in UseRegs/Def
 // without someone deciding what it reads and writes.
 func TestUseDefCoversEveryOp(t *testing.T) {
 	type ud struct {
@@ -272,16 +272,28 @@ func TestUseDefCoversEveryOp(t *testing.T) {
 	for op := Op(0); op < numOps; op++ {
 		w, ok := want[op]
 		if !ok {
-			t.Errorf("%v: no use/def expectation; classify it in Inst.Uses/Def and here", op)
+			t.Errorf("%v: no use/def expectation; classify it in opInfos and here", op)
 			continue
 		}
 		in := Inst{Op: op, Rd: 11, Rs: 12, Rt: 13}
-		uses, n := in.Uses()
-		if n != w.uses || (n >= 1 && uses[0] != 12) || (n == 2 && uses[1] != 13) {
-			t.Errorf("%v: Uses() = %v,%d, want %d of (Rs, Rt)", op, uses, n, w.uses)
+		wantRs, wantRt := uint8(0), uint8(0)
+		if w.uses >= 1 {
+			wantRs = 12
+		}
+		if w.uses == 2 {
+			wantRt = 13
+		}
+		if rs, rt := in.UseRegs(); rs != wantRs || rt != wantRt {
+			t.Errorf("%v: UseRegs() = %d,%d, want %d,%d", op, rs, rt, wantRs, wantRt)
 		}
 		if d := in.Def(); (d != 0) != w.def || (w.def && d != 11) {
 			t.Errorf("%v: Def() = %d, want def=%v", op, d, w.def)
+		}
+	}
+	for op := numOps; op != 0; op++ { // the byte values that are not opcodes
+		in := Inst{Op: op, Rd: 11, Rs: 12, Rt: 13}
+		if rs, rt := in.UseRegs(); rs != 0 || rt != 0 || in.Def() != 0 {
+			t.Errorf("%v: reads %d,%d and writes %d; not an opcode", op, rs, rt, in.Def())
 		}
 	}
 }

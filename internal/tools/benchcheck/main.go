@@ -8,7 +8,8 @@
 // them against the recorded trajectory in
 // BENCH_sim.json, plus the translator's per-block cost in time,
 // allocations and bytes (translate_block_tier1 over the 176.gcc
-// corpus), the bytes one guest.Load of 176.gcc allocates (guest_load),
+// corpus) and per stage in time and exact allocations (x86_decode_block,
+// opt_block, finalize_block), the bytes one guest.Load of 176.gcc allocates (guest_load),
 // the kernel's process switch (sim_proc_switch at 2 and
 // 64 processes) and the three per-message costs (sim_tick_recv,
 // sim_handler_dispatch, l1_fill, the last with its allocations held
@@ -289,6 +290,26 @@ func main() {
 		metric{"translate_block_tier1 ns/block", float64(tb.NsPerOp), float64(tr.NsPerOp()), *timeTol},
 		metric{"translate_block_tier1 allocs/block", float64(tb.AllocsPerOp), float64(tr.AllocsPerOp()), blockAllocTol},
 		metric{"translate_block_tier1 bytes/block", float64(tb.BytesPerOp), float64(tr.AllocedBytesPerOp()), blockBytesTol})
+	// The translator's stages on their own. Each allocates a fixed
+	// count per block (the decoded slice DiscoverBlock returns, nothing
+	// in the optimizer, the code Finalize returns), held exactly: a
+	// buffer that went back to being allocated per block fails here
+	// with its stage's name.
+	fmt.Fprintln(os.Stderr, "benchcheck: measuring x86_decode_block/opt_block/finalize_block...")
+	type stageCount struct {
+		name   string
+		allocs int64
+	}
+	var stageCounts []stageCount
+	for _, k := range []struct {
+		name string
+		f    func(b *testing.B)
+	}{{"x86_decode_block", bench.DecodeBlockBench()}, {"opt_block", bench.OptBlockBench()},
+		{"finalize_block", bench.FinalizeBlockBench()}} {
+		r := testing.Benchmark(k.f)
+		ms = append(ms, metric{k.name + " ns/block", float64(base.Micro[k.name].NsPerOp), float64(r.NsPerOp()), *timeTol})
+		stageCounts = append(stageCounts, stageCount{k.name, r.AllocsPerOp()})
+	}
 	// The kernel's hand-off: a park that must switch goroutines,
 	// with a trivial event heap and with an 8×8 fabric's.
 	fmt.Fprintln(os.Stderr, "benchcheck: measuring sim_proc_switch/sim_proc_switch_64...")
@@ -411,6 +432,13 @@ func main() {
 	lines = append(lines, l1Line)
 	if l1Violation != "" {
 		violations = append(violations, l1Violation)
+	}
+	for _, k := range stageCounts {
+		line, violation := exactCount(k.name+" allocs/block", base.Micro[k.name].AllocsPerOp, k.allocs)
+		lines = append(lines, line)
+		if violation != "" {
+			violations = append(violations, violation)
+		}
 	}
 	for _, l := range lines {
 		fmt.Println(l)

@@ -99,10 +99,9 @@ const lookaheadDepth = 24
 // live.
 func flagsLiveAt(mem CodeReader, addr uint32, unknown uint32, depth int) uint32 {
 	live := uint32(0)
+	var in x86.Inst
 	for depth > 0 && unknown != 0 {
-		window := mem.CodeWindow(addr, x86.MaxInstLen+4)
-		in, err := x86.Decode(window, addr)
-		if err != nil {
+		if err := x86.DecodeInto(&in, mem.CodeWindow(addr, x86.MaxInstLen+4), addr); err != nil {
 			return live | unknown
 		}
 		use, def := flagEffects(&in)

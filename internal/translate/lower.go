@@ -42,7 +42,7 @@ func (lo *lowerer) endEarly(next uint32) {
 }
 
 // computeEA materializes a memory operand's effective address.
-func (lo *lowerer) computeEA(o x86.Operand) uint8 {
+func (lo *lowerer) computeEA(o *x86.Operand) uint8 {
 	bl := lo.bl
 	ea := bl.VReg()
 	switch {
@@ -137,11 +137,11 @@ func (lo *lowerer) writeReg16(r x86.Reg, v uint8) {
 // address is computed once and shared between the read (for RMW ops)
 // and the write.
 type dst struct {
-	o  x86.Operand
+	o  *x86.Operand
 	ea uint8
 }
 
-func (lo *lowerer) prepDst(o x86.Operand) dst {
+func (lo *lowerer) prepDst(o *x86.Operand) dst {
 	d := dst{o: o}
 	if o.Kind == x86.KMem {
 		d.ea = lo.computeEA(o)
@@ -208,7 +208,7 @@ func (lo *lowerer) writeDst(d dst, v uint8) {
 }
 
 // readVal reads any operand, zero-extended to its size.
-func (lo *lowerer) readVal(o x86.Operand) uint8 {
+func (lo *lowerer) readVal(o *x86.Operand) uint8 {
 	bl := lo.bl
 	switch o.Kind {
 	case x86.KImm:
@@ -222,7 +222,7 @@ func (lo *lowerer) readVal(o x86.Operand) uint8 {
 }
 
 // readValSigned reads an operand sign-extended from its size.
-func (lo *lowerer) readValSigned(o x86.Operand) uint8 {
+func (lo *lowerer) readValSigned(o *x86.Operand) uint8 {
 	bl := lo.bl
 	if o.Kind == x86.KMem && o.Size != 4 {
 		ea := lo.computeEA(o)
@@ -278,25 +278,25 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 			bl.LoadImm(hostReg(in.Dst.Reg), uint32(in.Src.Imm))
 			return nil
 		}
-		d := lo.prepDst(in.Dst)
-		v := lo.readVal(in.Src)
+		d := lo.prepDst(&in.Dst)
+		v := lo.readVal(&in.Src)
 		lo.writeDst(d, v)
 
 	case x86.MOVZX:
-		v := lo.readVal(in.Src)
-		lo.writeDst(lo.prepDst(in.Dst), v)
+		v := lo.readVal(&in.Src)
+		lo.writeDst(lo.prepDst(&in.Dst), v)
 
 	case x86.MOVSX:
-		v := lo.readValSigned(in.Src)
-		lo.writeDst(lo.prepDst(in.Dst), v)
+		v := lo.readValSigned(&in.Src)
+		lo.writeDst(lo.prepDst(&in.Dst), v)
 
 	case x86.LEA:
-		ea := lo.computeEA(in.Src)
-		lo.writeDst(lo.prepDst(in.Dst), ea)
+		ea := lo.computeEA(&in.Src)
+		lo.writeDst(lo.prepDst(&in.Dst), ea)
 
 	case x86.XCHG:
-		d1 := lo.prepDst(in.Dst)
-		d2 := lo.prepDst(in.Src)
+		d1 := lo.prepDst(&in.Dst)
+		d2 := lo.prepDst(&in.Src)
 		a := lo.readDst(d1)
 		b := lo.readDst(d2)
 		lo.writeDst(d1, b)
@@ -309,7 +309,7 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 		lo.lowerLogic(in, live)
 
 	case x86.NOT:
-		d := lo.prepDst(in.Dst)
+		d := lo.prepDst(&in.Dst)
 		a := lo.readDst(d)
 		r := bl.VReg()
 		if in.Dst.Size == 4 {
@@ -320,7 +320,7 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 		lo.writeDst(d, r)
 
 	case x86.NEG:
-		d := lo.prepDst(in.Dst)
+		d := lo.prepDst(&in.Dst)
 		a := lo.readDst(d)
 		r := bl.VReg()
 		bl.Op3(rawisa.SUB, r, rawisa.RegZero, a)
@@ -331,7 +331,7 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 		lo.writeDst(d, r)
 
 	case x86.INC, x86.DEC:
-		d := lo.prepDst(in.Dst)
+		d := lo.prepDst(&in.Dst)
 		a := lo.readDst(d)
 		r := bl.VReg()
 		one := bl.VReg()
@@ -388,12 +388,12 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 		bl.Op3(rawisa.OR, h, t1, t3)
 
 	case x86.PUSH:
-		v := lo.readVal(in.Dst)
+		v := lo.readVal(&in.Dst)
 		lo.push32(v)
 
 	case x86.POP:
 		v := lo.pop32()
-		lo.writeDst(lo.prepDst(in.Dst), v)
+		lo.writeDst(lo.prepDst(&in.Dst), v)
 
 	case x86.LEAVE:
 		sp, bp := hostReg(x86.ESP), hostReg(x86.EBP)
@@ -409,7 +409,7 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 		lo.kind, lo.target, lo.fall, lo.ended = ExitCall, in.BranchTarget(), in.Next(), true
 
 	case x86.CALLIND:
-		tgt := lo.readVal(in.Src)
+		tgt := lo.readVal(&in.Src)
 		next := bl.VReg()
 		bl.LoadImm(next, in.Next())
 		lo.push32(next)
@@ -430,7 +430,7 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 		lo.kind, lo.target, lo.ended = ExitFall, in.BranchTarget(), true
 
 	case x86.JMPIND:
-		t := lo.readVal(in.Src)
+		t := lo.readVal(&in.Src)
 		bl.ExitReg(t)
 		lo.kind, lo.ended = ExitIndirect, true
 
@@ -457,7 +457,7 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 		if in.Cond&1 != 0 {
 			bl.OpI(rawisa.XORI, r, r, 1)
 		}
-		lo.writeDst(lo.prepDst(in.Dst), r)
+		lo.writeDst(lo.prepDst(&in.Dst), r)
 
 	case x86.CMOVCC:
 		t := condTest(bl, in.Cond)
@@ -467,8 +467,8 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 			brOp = rawisa.BNE
 		}
 		bl.EmitBranch(rawisa.Inst{Op: brOp, Rs: t, Rt: rawisa.RegZero}, skip)
-		v := lo.readVal(in.Src)
-		lo.writeDst(lo.prepDst(in.Dst), v)
+		v := lo.readVal(&in.Src)
+		lo.writeDst(lo.prepDst(&in.Dst), v)
 		bl.Bind(skip)
 
 	case x86.MOVS, x86.STOS, x86.LODS, x86.SCAS, x86.CMPS:
@@ -547,9 +547,9 @@ func (lo *lowerer) lower(in *x86.Inst, live uint32) error {
 func (lo *lowerer) lowerAddSub(in *x86.Inst, live uint32) {
 	bl := lo.bl
 	size := in.Dst.Size
-	d := lo.prepDst(in.Dst)
+	d := lo.prepDst(&in.Dst)
 	a := lo.readDst(d)
-	b := lo.readVal(in.Src)
+	b := lo.readVal(&in.Src)
 	sub := in.Op == x86.SUB || in.Op == x86.SBB || in.Op == x86.CMP
 	withCarry := in.Op == x86.ADC || in.Op == x86.SBB
 
@@ -598,9 +598,9 @@ func (lo *lowerer) lowerAddSub(in *x86.Inst, live uint32) {
 // lowerLogic handles AND/OR/XOR/TEST.
 func (lo *lowerer) lowerLogic(in *x86.Inst, live uint32) {
 	bl := lo.bl
-	d := lo.prepDst(in.Dst)
+	d := lo.prepDst(&in.Dst)
 	a := lo.readDst(d)
-	b := lo.readVal(in.Src)
+	b := lo.readVal(&in.Src)
 	r := bl.VReg()
 	switch in.Op {
 	case x86.AND, x86.TEST:
@@ -645,7 +645,7 @@ func (lo *lowerer) lowerShiftImm(in *x86.Inst, count uint32, live uint32) {
 	bl := lo.bl
 	size := in.Dst.Size
 	bits := uint32(size) * 8
-	d := lo.prepDst(in.Dst)
+	d := lo.prepDst(&in.Dst)
 	a := lo.readDst(d) // masked to size
 	r := bl.VReg()
 	cf := bl.VReg()
@@ -758,7 +758,7 @@ func (lo *lowerer) lowerRotImm(in *x86.Inst, count uint32, live uint32) {
 		return
 	}
 	bl := lo.bl
-	d := lo.prepDst(in.Dst)
+	d := lo.prepDst(&in.Dst)
 	a := lo.readDst(d)
 	r := bl.VReg()
 	t := bl.VReg()
@@ -812,7 +812,7 @@ func (lo *lowerer) lowerRotImm(in *x86.Inst, count uint32, live uint32) {
 // architecture.
 func (lo *lowerer) lowerShiftCL(in *x86.Inst, live uint32) {
 	bl := lo.bl
-	d := lo.prepDst(in.Dst)
+	d := lo.prepDst(&in.Dst)
 	a := lo.readDst(d)
 	count := bl.VReg()
 	bl.OpI(rawisa.ANDI, count, hostReg(x86.ECX), 31)
@@ -859,7 +859,7 @@ func (lo *lowerer) lowerShiftCL(in *x86.Inst, live uint32) {
 // lowerWideMul handles the one-operand 32-bit MUL/IMUL.
 func (lo *lowerer) lowerWideMul(in *x86.Inst, live uint32) {
 	bl := lo.bl
-	b := lo.readVal(in.Src)
+	b := lo.readVal(&in.Src)
 	eax, edx := hostReg(x86.EAX), hostReg(x86.EDX)
 	op := rawisa.MULTU
 	if in.Op == x86.IMUL {
@@ -895,11 +895,11 @@ func (lo *lowerer) lowerIMul2(in *x86.Inst, live uint32) {
 	bl := lo.bl
 	var a, b uint8
 	if in.Src2.Kind != x86.KNone {
-		a = lo.readVal(in.Src)
-		b = lo.readValSigned(in.Src2)
+		a = lo.readVal(&in.Src)
+		b = lo.readValSigned(&in.Src2)
 	} else {
-		a = lo.readVal(in.Dst)
-		b = lo.readVal(in.Src)
+		a = lo.readVal(&in.Dst)
+		b = lo.readVal(&in.Src)
 	}
 	bl.Emit(rawisa.Inst{Op: rawisa.MULT, Rs: a, Rt: b})
 	loR := bl.VReg()
@@ -914,5 +914,5 @@ func (lo *lowerer) lowerIMul2(in *x86.Inst, live uint32) {
 		bl.Op3(rawisa.SLTU, hiSig, rawisa.RegZero, hiSig)
 		emitMulFlags(bl, loR, hiSig, 4, live)
 	}
-	lo.writeDst(lo.prepDst(in.Dst), loR)
+	lo.writeDst(lo.prepDst(&in.Dst), loR)
 }

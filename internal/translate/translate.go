@@ -99,29 +99,30 @@ const blockWindow = MaxBlockInsts*x86.MaxInstLen + 4
 // instructions up to and including the first control transfer, capped
 // at MaxBlockInsts. The slice is the caller's.
 func DiscoverBlock(mem CodeReader, addr uint32) ([]x86.Inst, error) {
-	return discoverBlock(mem, addr, MaxBlockInsts, nil)
+	var buf [MaxBlockInsts]x86.Inst
+	insts, err := discoverBlock(mem, addr, MaxBlockInsts, buf[:0])
+	return slices.Clone(insts), err
 }
 
-// discoverBlock appends the block's instructions to insts[:0], decoding
-// them out of one code window.
+// discoverBlock decodes the block's instructions into insts[:0], each in
+// the slot it is kept in, out of one code window.
 func discoverBlock(mem CodeReader, addr uint32, cap int, insts []x86.Inst) ([]x86.Inst, error) {
-	insts = insts[:0]
+	insts = slices.Grow(insts[:0], cap)[:cap]
 	window := mem.CodeWindow(addr, blockWindow)
 	pc := addr
-	for len(insts) < cap {
-		in, err := x86.Decode(window[pc-addr:], pc)
-		if err != nil {
-			if len(insts) == 0 {
+	for n := range insts {
+		in := &insts[n]
+		if err := x86.DecodeInto(in, window[pc-addr:], pc); err != nil {
+			if n == 0 {
 				return nil, &Error{Addr: addr, Reason: err.Error()}
 			}
 			// A decodable prefix followed by garbage: end the block
 			// before the bad instruction; if control reaches it the
 			// runtime will fault there.
-			return insts, nil
+			return insts[:n], nil
 		}
-		insts = append(insts, in)
 		if in.EndsBlock() {
-			break
+			return insts[:n+1], nil
 		}
 		pc = in.Next()
 	}
