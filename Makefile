@@ -161,10 +161,11 @@ fuzz:
 	$(GO) test ./internal/codegen -run - -fuzz FuzzFinalizeMatchesReference -fuzztime 30s
 	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 30s
 	$(GO) test ./internal/codecache -run - -fuzz FuzzFIFO -fuzztime 30s
+	$(GO) test ./internal/sim -run - -fuzz FuzzKernelQueues -fuzztime 30s
 
 # Quick fuzz pass for CI: enough to catch a decoder, codec, page-table,
-# code-cache FIFO, optimizer or allocator regression, short enough to
-# run on every push.
+# code-cache FIFO, event-kernel queue, optimizer or allocator
+# regression, short enough to run on every push.
 fuzz-smoke:
 	$(GO) test ./internal/x86 -run - -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/rawisa -run - -fuzz FuzzWordRoundTrip -fuzztime 10s
@@ -179,6 +180,7 @@ fuzz-smoke:
 	$(GO) test ./internal/codegen -run - -fuzz FuzzFinalizeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/guest -run - -fuzz FuzzMemoryModel -fuzztime 10s
 	$(GO) test ./internal/codecache -run - -fuzz FuzzFIFO -fuzztime 10s
+	$(GO) test ./internal/sim -run - -fuzz FuzzKernelQueues -fuzztime 10s
 
 # End-to-end record/replay smoke: record a faulted run in which a dead
 # bank holds dirty lines, check that it rolled back (a non-zero

@@ -112,6 +112,11 @@ func BenchmarkMachineRunGzip(b *testing.B) { bench.MachineRunBench("164.gzip")(b
 // supply: about half of its host time is the translator.
 func BenchmarkMachineRunGcc(b *testing.B) { bench.MachineRunBench(bench.TranslateCorpusWorkload)(b) }
 
+// BenchmarkMachineRunMcf is the same for 181.mcf, whose execution
+// tile spends most of its cycles waiting on line fills: a run of the
+// message path through the event kernel.
+func BenchmarkMachineRunMcf(b *testing.B) { bench.MachineRunBench("181.mcf")(b) }
+
 // BenchmarkMachineRunGccWarm is the same run on a host that has run gcc
 // before: every block comes from a filled translation memo.
 func BenchmarkMachineRunGccWarm(b *testing.B) {

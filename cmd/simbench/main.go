@@ -2,11 +2,13 @@
 // re-measures the hot-path microbenchmarks (DES event dispatch, the
 // Advance/Recv round trip, the Tick-then-Recv round trip, the process
 // switch at 2 and 64 processes, the rawexec inner loop, a full machine
-// run of a data-bound and of a code-bound guest and the code-bound one
-// again from a filled translation memo, the Pentium III baseline run of
-// the data-bound one, loading the code-bound guest into a fresh
-// address space, translation per block and its decode, optimizer and
-// allocator stages on their own, the L1 code-cache fill)
+// run of a data-bound and of a code-bound guest, the code-bound one
+// again from a filled translation memo, and one of 181.mcf, whose
+// execution tile waits mostly on line fills (the message path), the
+// Pentium III baseline run of the data-bound one, loading the
+// code-bound guest into a fresh address space, translation per block
+// and its decode, optimizer and allocator stages on their own, the L1
+// code-cache fill)
 // and the end-to-end quick figure suite (serial and through the
 // RunParallel worker pool), then writes BENCH_sim.json so this and
 // future perf PRs have a recorded, comparable baseline. The headline of
@@ -282,6 +284,7 @@ func main() {
 		"rawexec_inner_loop": bmark(benchRawexecInnerLoop),
 		"machine_run_gzip":   bmark(bench.MachineRunBench("164.gzip")),
 		"machine_run_gcc":    bmark(bench.MachineRunBench(bench.TranslateCorpusWorkload)),
+		"machine_run_mcf":    bmark(bench.MachineRunBench("181.mcf")),
 
 		"machine_run_gcc_warm": bmark(bench.MachineRunWarmBench(bench.TranslateCorpusWorkload)),
 

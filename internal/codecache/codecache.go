@@ -142,16 +142,16 @@ type L1 struct {
 	// a flush clears only what it holds.
 	entry    []int32
 	resident []int32
-	// pending and next chain the unpatched CHAIN sites waiting for a
-	// target to become resident: pending holds the program index of the
-	// last site waiting on each target id (-1 for none), next[site] the
-	// site that waited before it (-1 ends the list); waiting lists the
-	// targets with a chain, for the flush. next stands beside the
-	// program and, like it, keeps its storage across a flush, so a fill
-	// allocates nothing for its chain sites.
+	// pending and links chain the unpatched CHAIN sites waiting for a
+	// target to become resident: pending holds, per target id, the index
+	// in links of the last site waiting on it (-1 for none), and each
+	// link the index of the one that waited before it (-1 ends the
+	// list); waiting lists the targets with a chain, for the flush.
+	// links holds one entry per CHAIN site filled since the last flush,
+	// not one per word, and keeps its storage across a flush.
 	pending []int32
 	waiting []int32
-	next    []int32
+	links   []chainLink
 
 	Lookups uint64
 	Hits    uint64
@@ -161,6 +161,9 @@ type L1 struct {
 	// NoChain leaves CHAIN sites unpatched (ablation).
 	NoChain bool
 }
+
+// chainLink is an unpatched CHAIN site and the link before it.
+type chainLink struct{ site, prev int32 }
 
 // NewL1 builds an L1 code cache with the given byte capacity, whose
 // blocks and CHAIN-site targets take their ids from ids.
@@ -180,6 +183,7 @@ func (l *L1) reset() {
 		l.pending[id] = -1
 	}
 	l.waiting = l.waiting[:0]
+	l.links = l.links[:0]
 }
 
 // Reset empties the cache and zeroes its counters for a new guest,
@@ -231,9 +235,6 @@ func (l *L1) Insert(id int32, res *translate.Result) (int, InsertStats) {
 		st.Flushed = true
 	}
 	idx := l.prog.Append(res.Code)
-	if n := l.prog.Len(); len(l.next) < n {
-		l.next = extend(l.next, n)
-	}
 	l.bytes += res.CodeBytes()
 	l.entry = growTo(l.entry, l.ids.Len())
 	if l.entry[id] >= 0 {
@@ -262,16 +263,16 @@ func (l *L1) Insert(id int32, res *translate.Result) (int, InsertStats) {
 				if l.pending[target] < 0 {
 					l.waiting = append(l.waiting, target)
 				}
-				l.next[site] = l.pending[target]
-				l.pending[target] = int32(site)
+				l.links = append(l.links, chainLink{int32(site), l.pending[target]})
+				l.pending[target] = int32(len(l.links) - 1)
 			}
 		}
 		off += op.Words()
 	}
 	// Incoming chaining: resident blocks waiting for this block.
 	if int(id) < len(l.pending) && l.pending[id] >= 0 {
-		for site := l.pending[id]; site >= 0; site = l.next[site] {
-			l.prog.Chain(int(site), idx)
+		for i := l.pending[id]; i >= 0; i = l.links[i].prev {
+			l.prog.Chain(int(l.links[i].site), idx)
 			st.Patches++
 		}
 		l.pending[id] = -1

@@ -18,6 +18,12 @@ type Machine struct {
 	Sim    *sim.Simulator
 	inbox  []*sim.Port
 	busy   []uint64
+	// pos holds each tile's grid coordinates, worked out once here so
+	// that a message's hop count is two subtractions rather than
+	// Params.Hops's four integer divisions and remainders. Per tile,
+	// not per (from, to) pair: a fabric may be as large as 256×256,
+	// whose pair table would hold 2³² entries.
+	pos []tilePos
 
 	// Faults, if non-nil, injects the configured fault plan into the
 	// tile scheduler. When nil (the default) no fault code path runs,
@@ -38,11 +44,24 @@ func NewMachine(p Params) *Machine {
 		Sim:    sim.New(),
 		inbox:  make([]*sim.Port, p.Tiles()),
 		busy:   make([]uint64, p.Tiles()),
+		pos:    make([]tilePos, p.Tiles()),
 	}
 	for i := range m.inbox {
 		m.inbox[i] = m.Sim.NewPort(fmt.Sprintf("tile%d.in", i))
+		x, y := p.XY(i)
+		m.pos[i] = tilePos{x, y}
 	}
 	return m
+}
+
+// tilePos is a tile's grid coordinates.
+type tilePos struct{ x, y int }
+
+// netLat is Params.NetLat between two tiles of this machine.
+func (m *Machine) netLat(from, to, words int) uint64 {
+	a, b := m.pos[from], m.pos[to]
+	hops := uint64(abs(a.x-b.x) + abs(a.y-b.y))
+	return m.Params.NetHeaderLat + m.Params.NetHopLat*hops + m.Params.NetWordLat*uint64(words)
 }
 
 // Inbox returns tile id's message port.
@@ -118,7 +137,7 @@ type TileCtx struct {
 // charging header, per-hop, and serialization latency. The sender's
 // accrued local time is the departure time.
 func (c *TileCtx) Send(to int, payload any, words int) {
-	arrival := c.P.Now() + c.M.Params.NetLat(c.Tile, to, words)
+	arrival := c.P.Now() + c.M.netLat(c.Tile, to, words)
 	// Routed through the sending process so that a send to a tile of
 	// another shard panics under the sender's name
 	// (sim.Proc.SendPort); on the same shard this is exactly Port.Send.

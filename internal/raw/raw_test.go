@@ -214,3 +214,24 @@ func TestMachineRequestReply(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHopTableMatchesNetLat checks the machine's precomputed tile
+// coordinates against Params.NetLat: every (from, to) pair and every
+// payload size up to 64 words, on a square fabric of each size the
+// figures use and on a non-square one.
+func TestHopTableMatchesNetLat(t *testing.T) {
+	for _, g := range [][2]int{{4, 4}, {8, 8}, {5, 3}} {
+		p := DefaultParams()
+		p.Width, p.Height = g[0], g[1]
+		m := NewMachine(p)
+		for from := range p.Tiles() {
+			for to := range p.Tiles() {
+				for words := 0; words <= 64; words++ {
+					if got, want := m.netLat(from, to, words), p.NetLat(from, to, words); got != want {
+						t.Fatalf("%dx%d: netLat(%d, %d, %d) = %d, Params.NetLat = %d", g[0], g[1], from, to, words, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,36 +2,70 @@ package sim
 
 import "fmt"
 
-// A Msg is a message in flight or delivered to a Port. Payload is the
-// user value; Arrival is the virtual time at which it becomes visible to
-// the receiver; From identifies the sender (for tile kernels, a tile
-// index) and is available for routing replies.
+// A Msg is a message delivered to a Port. Payload is the user value;
+// Arrival is the virtual time at which it becomes visible to the
+// receiver; From identifies the sender (for tile kernels, a tile index)
+// and is available for routing replies.
 type Msg struct {
 	Payload any
 	Arrival Time
 	From    int
+}
+
+// msgKey is a queued message's place in its port's order — arrival
+// time, then enqueue order (seq) — with its sender and the slot of the
+// port's payload table that holds its payload. A key holds no pointer,
+// for the reason an event holds none: the heap's sifts move keys as
+// plain memory even while the garbage collector is marking.
+type msgKey struct {
+	arrival Time
 	seq     uint64
+	from    int
+	slot    int
 }
 
-// msgHeap is a concrete-typed binary min-heap ordered by (arrival,
-// enqueue order). Hand-rolled sift operations avoid the per-message
-// interface boxing of container/heap on the network send/recv path.
-type msgHeap []Msg
+// msgHeap is a port's queue: a concrete-typed binary min-heap of keys
+// ordered by (arrival, seq), and beside it a table of payload slots,
+// each written once at push and emptied at pop; the empty slots are
+// chained through next. Hand-rolled sift operations avoid the
+// per-message interface boxing of container/heap on the network
+// send/recv path.
+type msgHeap struct {
+	keys  []msgKey
+	slots []msgSlot
+	free  int // 1 + the first empty slot, 0 when none is
+}
 
-func (h msgHeap) less(i, j int) bool {
-	if h[i].Arrival != h[j].Arrival {
-		return h[i].Arrival < h[j].Arrival
+// msgSlot holds a queued message's payload, or, empty, the free chain.
+type msgSlot struct {
+	payload any
+	next    int // while empty: the free field's value before this slot joined
+}
+
+func (h *msgHeap) less(i, j int) bool {
+	a, b := &h.keys[i], &h.keys[j]
+	if a.arrival != b.arrival {
+		return a.arrival < b.arrival
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h *msgHeap) push(m Msg) {
-	*h = append(*h, m)
-	q := *h
+// push queues payload under k, whose slot it fills in.
+func (h *msgHeap) push(k msgKey, payload any) {
+	if h.free > 0 {
+		k.slot = h.free - 1
+		h.free = h.slots[k.slot].next
+		h.slots[k.slot].payload = payload
+	} else {
+		k.slot = len(h.slots)
+		h.slots = append(h.slots, msgSlot{payload: payload})
+	}
+	h.keys = append(h.keys, k)
+	q := h.keys
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !h.less(i, parent) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -39,14 +73,15 @@ func (h *msgHeap) push(m Msg) {
 	}
 }
 
+// pop removes and returns the earliest message. Callers must check
+// len(h.keys) > 0 first.
 func (h *msgHeap) pop() Msg {
-	q := *h
-	m := q[0]
+	q := h.keys
+	k := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = Msg{} // release the payload reference
 	q = q[:n]
-	*h = q
+	h.keys = q
 	i := 0
 	for {
 		l := 2*i + 1
@@ -54,15 +89,19 @@ func (h *msgHeap) pop() Msg {
 			break
 		}
 		min := l
-		if r := l + 1; r < n && q.less(r, l) {
+		if r := l + 1; r < n && h.less(r, l) {
 			min = r
 		}
-		if !q.less(min, i) {
+		if !h.less(min, i) {
 			break
 		}
 		q[i], q[min] = q[min], q[i]
 		i = min
 	}
+	sl := &h.slots[k.slot]
+	m := Msg{Payload: sl.payload, Arrival: k.arrival, From: k.from}
+	*sl = msgSlot{next: h.free} // release the payload reference
+	h.free = k.slot + 1
 	return m
 }
 
@@ -76,17 +115,25 @@ func (h *msgHeap) pop() Msg {
 // or receive from it: independent shards exchange no messages, and
 // Proc.SendPort is the Send that checks it.
 type Port struct {
-	sim    *Simulator
-	sh     *shard
-	name   string
-	q      msgHeap
-	waiter *Proc
-	seq    uint64
+	sim  *Simulator
+	sh   *shard
+	name string
+	id   int // index in the simulator's port table
+	q    msgHeap
+	seq  uint64
+	// waiter is the pid of the process blocked in Recv here, or noID:
+	// an id, not a pointer, so arming and disarming a receive writes no
+	// pointer.
+	waiter int
 }
+
+// noID is the waiter of a port nobody waits on, and the blockedOn of
+// a process blocked on no port.
+const noID = -1
 
 // NewPort creates a port attached to the simulator, on shard 0.
 func (s *Simulator) NewPort(name string) *Port {
-	pt := &Port{sim: s, sh: s.shards[0], name: name}
+	pt := &Port{sim: s, sh: s.shards[0], name: name, id: len(s.ports), waiter: noID}
 	s.ports = append(s.ports, pt)
 	return pt
 }
@@ -102,7 +149,7 @@ func (pt *Port) SetShard(i int) {
 
 // Len returns the number of queued messages, including ones whose
 // arrival time is still in the future.
-func (pt *Port) Len() int { return len(pt.q) }
+func (pt *Port) Len() int { return len(pt.q.keys) }
 
 // Send enqueues a message arriving at the given time, waking a blocked
 // receiver if necessary. It may be called from any process of the
@@ -112,11 +159,11 @@ func (pt *Port) Len() int { return len(pt.q) }
 // receiver's service occupancy.
 func (pt *Port) Send(from int, payload any, arrival Time) {
 	pt.seq++
-	pt.q.push(Msg{Payload: payload, Arrival: arrival, From: from, seq: pt.seq})
-	w := pt.waiter
-	if w == nil {
+	pt.q.push(msgKey{arrival: arrival, seq: pt.seq, from: from}, payload)
+	if pt.waiter == noID {
 		return
 	}
+	w := pt.sim.procs[pt.waiter]
 	// Not before now, nor before the receiver's folded local time.
 	at := max(arrival, pt.sh.now, w.floor)
 	switch {
@@ -165,21 +212,21 @@ func (p *Proc) fold() {
 // ready reports whether p can take pt's earliest message now: it has
 // arrived and p's folded local time has elapsed.
 func (p *Proc) ready(pt *Port) bool {
-	return p.sh.now >= p.floor && len(pt.q) > 0 && pt.q[0].Arrival <= p.sh.now
+	return p.sh.now >= p.floor && len(pt.q.keys) > 0 && pt.q.keys[0].arrival <= p.sh.now
 }
 
 // arm makes p pt's receiver and schedules its wakeup at the earliest
 // queued arrival or, if timed, the deadline — not before floor; with
 // neither p stays blocked until a Send schedules it.
 func (p *Proc) arm(pt *Port, deadline Time, timed bool) {
-	if pt.waiter != nil && pt.waiter != p {
-		p.abort(&PortConflictError{Port: pt.name, First: pt.waiter.name, Second: p.name})
+	if pt.waiter != noID && pt.waiter != p.id {
+		p.abort(&PortConflictError{Port: pt.name, First: p.sim.procs[pt.waiter].name, Second: p.name})
 	}
-	pt.waiter = p
-	p.blockedOn = pt
+	pt.waiter = p.id
+	p.blockedOn = pt.id
 	at := deadline
-	if len(pt.q) > 0 && (!timed || pt.q[0].Arrival < at) {
-		at, timed = pt.q[0].Arrival, true
+	if len(pt.q.keys) > 0 && (!timed || pt.q.keys[0].arrival < at) {
+		at, timed = pt.q.keys[0].arrival, true
 	}
 	if timed {
 		p.sh.schedule(p, max(at, p.floor))
@@ -192,8 +239,8 @@ func (p *Proc) arm(pt *Port, deadline Time, timed bool) {
 func (p *Proc) await(pt *Port, deadline Time, timed bool) {
 	p.arm(pt, deadline, timed)
 	p.park()
-	p.blockedOn = nil
-	pt.waiter = nil
+	p.blockedOn = noID
+	pt.waiter = noID
 }
 
 // Recv blocks the calling process until a message is available (its
@@ -264,8 +311,8 @@ func (p *Proc) Redeliver(m Msg) { p.held, p.again = m, true }
 func (p *Proc) serve() {
 	defer func() { p.contain(recover()) }()
 	pt := p.port
-	if pt.waiter == p {
-		pt.waiter = nil // running, not waiting: a Send to pt must not reschedule p
+	if pt.waiter == p.id {
+		pt.waiter = noID // running, not waiting: a Send to pt must not reschedule p
 	}
 	for {
 		switch {

@@ -39,15 +39,21 @@ import (
 // Time is a point in virtual time, in cycles.
 type Time = uint64
 
-// event is a scheduled wakeup for a process. wake matches the process's
-// wakeSeq at scheduling time; a mismatch at dispatch means the event was
-// superseded by a later (earlier-in-time) schedule and is skipped.
+// event is a scheduled wakeup for process pid. wake matches the
+// process's wakeSeq at scheduling time; a mismatch at dispatch means the
+// event was superseded by a later (earlier-in-time) schedule and is
+// skipped. wakeSeq only grows, so among one process's entries wake is
+// also their scheduling order, the tie-break after (at, pid).
+//
+// An event holds no pointer: the process is found by pid in the
+// simulator's process table. Every heap sift moves events, and while
+// the garbage collector is marking, every move of a value that holds a
+// pointer runs a write barrier; a pointer-free event moves as plain
+// memory.
 type event struct {
 	at   Time
-	pid  int
-	seq  uint64
-	proc *Proc
 	wake uint64
+	pid  int
 }
 
 // eventHeap is a concrete-typed binary min-heap of events. It replaces
@@ -72,7 +78,7 @@ func (h *eventHeap) less(i, j int) bool {
 	if a.pid != b.pid {
 		return a.pid < b.pid
 	}
-	return a.seq < b.seq
+	return a.wake < b.wake
 }
 
 func (h *eventHeap) push(e event) {
@@ -114,7 +120,6 @@ func (h *eventHeap) pop() event {
 	e := h.ev[0]
 	n := len(h.ev) - 1
 	h.ev[0] = h.ev[n]
-	h.ev[n] = event{} // drop the *Proc reference
 	h.ev = h.ev[:n]
 	h.siftDown(0)
 	return e
@@ -122,9 +127,9 @@ func (h *eventHeap) pop() event {
 
 // peekLive discards dead entries from the top of the heap and returns
 // the minimum live event without removing it.
-func (h *eventHeap) peekLive() (event, bool) {
+func (h *eventHeap) peekLive(procs []*Proc) (event, bool) {
 	for len(h.ev) > 0 {
-		if h.ev[0].live() {
+		if h.ev[0].live(procs) {
 			return h.ev[0], true
 		}
 		h.pop()
@@ -135,8 +140,9 @@ func (h *eventHeap) peekLive() (event, bool) {
 
 // live reports whether e is still the scheduled wakeup of its process
 // (not superseded by a later schedule, and the process still runnable).
-func (e *event) live() bool {
-	return e.proc.state == parkRunnable && e.wake == e.proc.wakeSeq
+func (e *event) live(procs []*Proc) bool {
+	p := procs[e.pid]
+	return p.state == parkRunnable && e.wake == p.wakeSeq
 }
 
 // compact removes dead entries in place and re-heapifies. Called when
@@ -144,18 +150,14 @@ func (e *event) live() bool {
 // O(log live) instead of O(log total) and stale entries do not
 // accumulate without bound in supersede-heavy phases. Pop order is
 // unaffected: at most one live event exists per process, so the
-// (at, pid, seq) comparator is a total order on live events and any
+// (at, pid, wake) comparator is a total order on live events and any
 // valid heap yields the same pop sequence.
-func (h *eventHeap) compact() {
+func (h *eventHeap) compact(procs []*Proc) {
 	kept := h.ev[:0]
 	for i := range h.ev {
-		if h.ev[i].live() {
+		if h.ev[i].live(procs) {
 			kept = append(kept, h.ev[i])
 		}
-	}
-	// Zero the tail so dropped events do not pin their processes.
-	for i := len(kept); i < len(h.ev); i++ {
-		h.ev[i] = event{}
 	}
 	h.ev = kept
 	h.dead = 0
@@ -173,7 +175,6 @@ type shard struct {
 	idx    int
 	now    Time
 	events eventHeap
-	seq    uint64
 
 	// Why next may dispatch nothing here. A process of this shard is
 	// parked in Fence at dispatch key (fenceAt, fence.id), or, with held
@@ -191,13 +192,12 @@ func (sh *shard) schedule(p *Proc, at Time) {
 		// makes that entry dead until popped or compacted.
 		sh.events.dead++
 	}
-	sh.seq++
 	p.wakeSeq++
 	p.wakeAt = at
-	sh.events.push(event{at: at, pid: p.id, seq: sh.seq, proc: p, wake: p.wakeSeq})
+	sh.events.push(event{at: at, wake: p.wakeSeq, pid: p.id})
 	p.state = parkRunnable
 	if n := len(sh.events.ev); n >= compactMinLen && sh.events.dead > n/2 {
-		sh.events.compact()
+		sh.events.compact(sh.sim.procs)
 	}
 }
 
@@ -394,7 +394,7 @@ type Proc struct {
 	body      func(*Proc)
 	wakeSeq   uint64
 	wakeAt    Time
-	blockedOn *Port // port this process is blocked in Recv on, if any
+	blockedOn int // id of the port this process is blocked in Recv on, or noID
 	daemon    bool
 
 	// Handler processes only (SpawnHandler): no goroutine, no resume.
@@ -415,12 +415,13 @@ func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc {
 		panic("sim: Spawn after Run")
 	}
 	p := &Proc{
-		sim:    s,
-		sh:     s.shards[0],
-		id:     len(s.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		body:   body,
+		sim:       s,
+		sh:        s.shards[0],
+		id:        len(s.procs),
+		name:      name,
+		resume:    make(chan struct{}),
+		body:      body,
+		blockedOn: noID,
 	}
 	s.procs = append(s.procs, p)
 	return p
@@ -526,7 +527,7 @@ func (sh *shard) next(self *Proc) *Proc {
 			continue
 		}
 		ev := sh.events.pop()
-		if !ev.live() {
+		if !ev.live(s.procs) {
 			sh.events.dead--
 			s.stats.DeadPops++
 			continue // superseded or stale event
@@ -537,19 +538,20 @@ func (sh *shard) next(self *Proc) *Proc {
 			continue
 		}
 		sh.now = ev.at
-		ev.proc.state = parkBlocked // will be updated when it parks
+		p := s.procs[ev.pid]
+		p.state = parkBlocked // will be updated when it parks
 		s.stats.Dispatches++
-		if ev.proc.handle != nil {
+		if p.handle != nil {
 			s.stats.Inline++
-			ev.proc.serve()
+			p.serve()
 			continue
 		}
-		if ev.proc == self {
+		if p == self {
 			s.stats.RunOns++
 		} else {
 			s.stats.Switches++
 		}
-		return ev.proc
+		return p
 	}
 	return nil
 }
@@ -580,7 +582,7 @@ func (s *Simulator) turn() (*shard, *Proc) {
 			continue
 		default:
 			dead := sh.events.dead
-			ev, ok := sh.events.peekLive()
+			ev, ok := sh.events.peekLive(s.procs)
 			s.stats.DeadPops += uint64(dead - sh.events.dead)
 			if !ok {
 				continue
@@ -679,8 +681,8 @@ func (s *Simulator) deadlockOrNil(now Time) error {
 			continue
 		}
 		port := ""
-		if p.blockedOn != nil {
-			port = p.blockedOn.name
+		if p.blockedOn != noID {
+			port = s.ports[p.blockedOn].name
 		}
 		blocked = append(blocked, BlockedProc{Proc: p.name, Port: port, Daemon: p.daemon})
 		if !p.daemon {

@@ -383,16 +383,16 @@ func TestCompactPreservesPopOrder(t *testing.T) {
 	pops := func(s *Simulator, compactFirst bool) []int {
 		sh := s.shards[0]
 		if compactFirst {
-			sh.events.compact()
+			sh.events.compact(s.procs)
 		}
 		var order []int
 		for {
-			ev, ok := sh.events.peekLive()
+			ev, ok := sh.events.peekLive(s.procs)
 			if !ok {
 				break
 			}
 			sh.events.pop()
-			ev.proc.state = parkBlocked // retire so peekLive moves on
+			s.procs[ev.pid].state = parkBlocked // retire so peekLive moves on
 			order = append(order, ev.pid)
 		}
 		return order

@@ -1,8 +1,10 @@
 // Command benchcheck is the perf-regression smoke gate: it re-measures
-// the headline simulator benchmarks (the machine_run_gzip micro and its
+// the headline simulator benchmarks (the machine_run_gzip micro, its
 // code-bound twin machine_run_gcc, that one again from a filled
-// translation memo in time, allocations and bytes, the Pentium III baseline run of gzip in time and
-// allocations (pentium_gzip), the serial quick figure suite, the
+// translation memo, and machine_run_mcf, whose run is line fills, the
+// message path through the event kernel, in time, allocations and
+// bytes, the Pentium III baseline run of gzip in time and allocations
+// (pentium_gzip), the serial quick figure suite, the
 // quick fleet fault-tolerance sweep, and the fleet_kernel fleet with
 // the kernel's switch count beside it) and compares
 // them against the recorded trajectory in
@@ -228,9 +230,9 @@ func main() {
 			base.HostCPUs, runtime.NumCPU())
 	}
 
-	// One whole single-VM run of a data-bound and of a code-bound guest.
-	// A baseline that predates machine_run_gcc reads zero and is
-	// reported, not failed.
+	// One whole single-VM run of a data-bound, a code-bound and a
+	// line-fill-bound guest. A baseline that predates machine_run_gcc or
+	// machine_run_mcf reads zero and is reported, not failed.
 	var ms []metric
 	for _, k := range []struct {
 		name, workload string
@@ -238,7 +240,8 @@ func main() {
 		warm           bool // also measured against a filled translation memo
 	}{
 		{"machine_run_gzip", "164.gzip", *allocTol, false},
-		{"machine_run_gcc", bench.TranslateCorpusWorkload, min(*allocTol, gccAllocTol), true}} {
+		{"machine_run_gcc", bench.TranslateCorpusWorkload, min(*allocTol, gccAllocTol), true},
+		{"machine_run_mcf", "181.mcf", *allocTol, false}} {
 		fmt.Fprintf(os.Stderr, "benchcheck: measuring %s...\n", k.name)
 		r := testing.Benchmark(bench.MachineRunBench(k.workload))
 		b := base.Micro[k.name]
